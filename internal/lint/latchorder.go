@@ -63,20 +63,22 @@ var LatchAudit = map[string]string{
 	"(*Table).rowAt":           "caller holds table latch >= read; slot stripe inside",
 	"(*Table).setRow":          "caller holds table latch >= read; slot stripe inside",
 	"(*Table).NumRows":         "table latch shared",
-	"(*Table).keyFor":          "reads only the immutable column layout of a caller-latched row",
 	"(*Table).addToIndexes":    "caller holds table latch exclusive",
 	"(*Table).dropFromIndexes": "caller holds table latch exclusive",
 
-	// Statement execution; the latch is taken in execStmt/Query.
-	"(*Session).execInsert": "table latch exclusive (suspended across lock waits, revalidated after)",
-	"(*Session).execUpdate": "table latch exclusive if an indexed column is set, shared otherwise",
+	// Binding (plan.go): the index set is read under the table's shared
+	// latch, taken by the binder around these calls. The plan keeps the
+	// tree pointers it chose; it is used only under the statement's
+	// latches and only while the catalog epoch it was bound at stands.
+	"choosePath":   "table latch shared, held by (*binder).levels",
+	"isIndexedCol": "table latch shared, held by (*DB).bindUpdate",
+
+	// Bound-plan execution (exec.go); the plan's latch set is taken in
+	// (*Session).run.
+	"(*Session).execInsert": "table latch exclusive (suspended across the slot's lock wait, key revalidated after)",
+	"(*Session).execUpdate": "table latch exclusive if the plan sets an indexed column, shared otherwise",
 	"(*Session).execDelete": "table latch exclusive",
-	"(*Session).execSelect": "shared latch on every FROM table",
-	"(*Session).matchSlots": "caller's statement latch; rows via rowAt stripes",
-	"(*Session).matchJoin":  "caller's statement latch; rows via rowAt stripes",
-	"updateNeedsX":          "table latch >= read (index set stable while held)",
-	"isIndexedCol":          "caller's statement latch >= read (reads index metadata)",
-	"choosePath":            "caller's statement latch (reads index metadata)",
+	"(*Session).matchRows":  "statement's latch >= read (suspended across lock waits, epoch revalidated after); rows via rowAt stripes",
 
 	// Transaction finalization.
 	"(*DB).commit":   "exclusive latch on every table with freed slots",

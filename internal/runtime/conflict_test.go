@@ -64,7 +64,7 @@ func TestConcurrentConflictingTransactions(t *testing.T) {
 	}
 
 	dep := NewDeployment(compiled, db, Options{})
-	const sessions, transfers = 8, 30
+	const sessions, transfers = 8, 1000
 	clients := make([]*Client, sessions)
 	clients[0] = dep.Client
 	for i := 1; i < sessions; i++ {
@@ -73,13 +73,19 @@ func TestConcurrentConflictingTransactions(t *testing.T) {
 
 	var deadlocks int64
 	var mu sync.Mutex
-	var wg sync.WaitGroup
+	var wg, ready sync.WaitGroup
+	ready.Add(sessions)
 	errs := make([]error, sessions)
 	for i, c := range clients {
 		wg.Add(1)
 		go func(i int, c *Client) {
 			defer wg.Done()
 			oid, err := c.NewObject("Bank", val.IntV(int64(i)))
+			// Every session starts transferring at once: a session's
+			// transfers take less time than starting the next goroutine,
+			// so without the barrier they run one session after another.
+			ready.Done()
+			ready.Wait()
 			if err != nil {
 				errs[i] = err
 				return

@@ -1,0 +1,350 @@
+package sqldb
+
+import (
+	"fmt"
+	"testing"
+	"unsafe"
+
+	"pyxis/internal/val"
+)
+
+// Layer benchmarks for the engine, one per step a transaction pays
+// for. Run with
+//
+//	go test -run '^$' -bench . -benchmem ./internal/sqldb/
+//
+// TestAllocCeilings pins the allocation counts in tier-1, where no
+// clock is needed to see a regression.
+
+const benchRows = 10000
+
+func intv(i int) val.Value { return val.IntV(int64(i)) }
+
+// benchDB loads stock(s_w_id, s_i_id | s_quantity, s_ytd, s_order_cnt)
+// and item(i_id | i_name, i_price), TPC-C's shapes in this repository,
+// plus order_line for inserts with nidx secondary indexes on it.
+func benchDB(tb testing.TB, nidx int) (*DB, *Session) {
+	tb.Helper()
+	db := Open()
+	s := db.NewSession()
+	for _, ddl := range []string{
+		"CREATE TABLE stock (s_w_id INT, s_i_id INT, s_quantity INT, s_ytd DOUBLE, s_order_cnt INT, PRIMARY KEY (s_w_id, s_i_id))",
+		"CREATE TABLE item (i_id INT PRIMARY KEY, i_name VARCHAR(24), i_price DOUBLE)",
+		"CREATE TABLE order_line (ol_w_id INT, ol_o_id INT, ol_number INT, ol_i_id INT, ol_amount DOUBLE, PRIMARY KEY (ol_w_id, ol_o_id, ol_number))",
+	} {
+		if _, err := s.Exec(ddl); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < nidx; i++ {
+		col := []string{"ol_i_id", "ol_amount"}[i]
+		if _, err := s.Exec(fmt.Sprintf("CREATE INDEX ol_ix%d ON order_line (%s)", i, col)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < benchRows; i++ {
+		if _, err := s.Exec("INSERT INTO stock VALUES (1, ?, 50, 0.0, 0)", intv(i)); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := s.Exec("INSERT INTO item VALUES (?, 'item', 9.5)", intv(i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return db, s
+}
+
+func prepare(tb testing.TB, s *Session, sql string) SQLStmt {
+	tb.Helper()
+	st, err := s.Prepare(sql)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
+const (
+	selectPK     = "SELECT s_quantity FROM stock WHERE s_w_id = ? AND s_i_id = ?"
+	updateNonKey = "UPDATE stock SET s_quantity = ?, s_ytd = s_ytd + ?, s_order_cnt = s_order_cnt + 1 WHERE s_w_id = ? AND s_i_id = ?"
+	insertLine   = "INSERT INTO order_line VALUES (1, ?, 1, ?, 12.5)"
+	joinProbe    = "SELECT i_price, s_quantity FROM item, stock WHERE i_id = ? AND s_w_id = 1 AND s_i_id = i_id"
+)
+
+func BenchmarkPreparedSelectPK(b *testing.B) {
+	_, s := benchDB(b, 0)
+	st := prepare(b, s, selectPK)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, err := s.QueryParsed(st, intv(1), intv(i%benchRows)); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}
+
+func BenchmarkPreparedUpdateNonKey(b *testing.B) {
+	_, s := benchDB(b, 0)
+	st := prepare(b, s, updateNonKey)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, err := s.ExecParsed(st, intv(50+i%40), intv(1), intv(1), intv(i%benchRows)); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}
+
+func BenchmarkPreparedInsert(b *testing.B) {
+	for nidx := 0; nidx <= 2; nidx++ {
+		b.Run(fmt.Sprintf("indexes=%d", nidx), func(b *testing.B) {
+			_, s := benchDB(b, nidx)
+			st := prepare(b, s, insertLine)
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				if _, err := s.ExecParsed(st, intv(i), intv(i%benchRows)); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+		})
+	}
+}
+
+func BenchmarkJoinProbe(b *testing.B) {
+	_, s := benchDB(b, 0)
+	st := prepare(b, s, joinProbe)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		rs, err := s.QueryParsed(st, intv(i%benchRows))
+		if err != nil || len(rs.Rows) != 1 {
+			b.Fatalf("join probe: %v rows, err %v", rs, err)
+		}
+		i++
+	}
+}
+
+// BenchmarkStatement splits one point select into its steps: parsing
+// the text, binding the parsed statement, and running it from the text
+// (plan-cache lookup, then the cached plan) or from the prepared
+// statement (the cached plan alone).
+func BenchmarkStatement(b *testing.B) {
+	db, s := benchDB(b, 0)
+	st := prepare(b, s, selectPK)
+	args := []val.Value{intv(1), intv(7)}
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := ParseSQL(selectPK); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("bind", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := db.bind(st.(dmlStmt)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("text", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := s.Query(selectPK, args...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("prepared", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := s.QueryParsed(st, args...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func noWait() (func(), func()) { return func() {}, func() {} }
+
+func BenchmarkLockUncontended(b *testing.B) {
+	db := Open()
+	txn := db.newTxn()
+	key := lockKey{table: "T", slot: 1, h: fnv32("T")}
+	b.ReportAllocs()
+	for b.Loop() {
+		if wait, err := db.lm.acquire(txn, key, LockX, noWait); wait != nil || err != nil {
+			b.Fatal("uncontended acquire queued")
+		}
+		db.lm.releaseAll(txn)
+	}
+}
+
+// BenchmarkLockContended is the hand-over: the requester queues behind
+// the holder, the holder's release grants it.
+func BenchmarkLockContended(b *testing.B) {
+	db := Open()
+	holder, waiter := db.newTxn(), db.newTxn()
+	key := lockKey{table: "T", slot: 1, h: fnv32("T")}
+	if _, err := db.lm.acquire(holder, key, LockX, noWait); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if wait, err := db.lm.acquire(waiter, key, LockX, noWait); wait == nil || err != nil {
+			b.Fatal("contended acquire did not queue")
+		}
+		db.lm.releaseAll(holder)
+		holder, waiter = waiter, holder
+	}
+}
+
+func benchTree() *btree {
+	tr := newBTree()
+	for i := 0; i < benchRows; i++ {
+		tr.Insert([]val.Value{intv(1), intv(i)}, i)
+	}
+	return tr
+}
+
+func BenchmarkBTreeGet(b *testing.B) {
+	tr := benchTree()
+	key := []val.Value{intv(1), intv(0)}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		key[1].I = int64(i % benchRows)
+		if _, ok := tr.Get(key); !ok {
+			b.Fatal("missing key")
+		}
+		i++
+	}
+}
+
+// BenchmarkBTreePointScan is the probe a non-unique or partial key
+// takes: seek to the prefix, collect its one entry.
+func BenchmarkBTreePointScan(b *testing.B) {
+	tr := benchTree()
+	key := []val.Value{intv(1), intv(0)}
+	var slots []int
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		key[1].I = int64(i % benchRows)
+		if slots = tr.AppendPrefix(slots[:0], key); len(slots) != 1 {
+			b.Fatal("missing key")
+		}
+		i++
+	}
+}
+
+func BenchmarkBTreeInsert(b *testing.B) {
+	tr := newBTree()
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		tr.Insert([]val.Value{intv(1), intv(i)}, i)
+		i++
+	}
+}
+
+// BenchmarkUpdateRowCopy measures what the copy-on-update row store
+// pays per non-key UPDATE as rows widen: this repository's trimmed
+// STOCK (5 columns) and CUSTOMER (6), and the TPC-C specification's
+// full ones (17 and 21). rowcopy-B/op is the row version copied,
+// columns × sizeof(val.Value); strings are shared, not copied.
+func BenchmarkUpdateRowCopy(b *testing.B) {
+	for _, w := range []struct {
+		name string
+		cols int
+	}{{"stock", 5}, {"customer", 6}, {"stock-spec", 17}, {"customer-spec", 21}} {
+		b.Run(fmt.Sprintf("%s/cols=%d", w.name, w.cols), func(b *testing.B) {
+			s := Open().NewSession()
+			ddl := "CREATE TABLE t (k INT PRIMARY KEY, n INT"
+			ins := "INSERT INTO t VALUES (?, 0"
+			for c := 2; c < w.cols; c++ {
+				ddl += fmt.Sprintf(", c%d VARCHAR(24)", c)
+				ins += ", 'twenty-four bytes of pad'"
+			}
+			if _, err := s.Exec(ddl + ")"); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 1000; i++ {
+				if _, err := s.Exec(ins+")", intv(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			st := prepare(b, s, "UPDATE t SET n = n + 1 WHERE k = ?")
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				if _, err := s.ExecParsed(st, intv(i%1000)); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+			b.ReportMetric(float64(w.cols)*float64(unsafe.Sizeof(val.Value{})), "rowcopy-B/op")
+		})
+	}
+}
+
+// TestAllocCeilings holds the engine's steady-state allocation counts,
+// so a regression shows on any host without timing anything. What is
+// left is what a statement must keep: its transaction (with lock and
+// undo lists), the result set and its rows, the new row version, the
+// keys an index stores.
+func TestAllocCeilings(t *testing.T) {
+	db := Open()
+	txn := db.newTxn()
+	key := lockKey{table: "T", slot: 1, h: fnv32("T")}
+	lockCycle := func() {
+		if wait, err := db.lm.acquire(txn, key, LockX, noWait); wait != nil || err != nil {
+			t.Fatal("uncontended acquire queued")
+		}
+		db.lm.releaseAll(txn)
+	}
+	lockCycle() // first use grows txn.locks and the stripe's map
+	if got := testing.AllocsPerRun(200, lockCycle); got != 0 {
+		t.Errorf("uncontended acquire+releaseAll: %v allocs, want 0", got)
+	}
+
+	for nidx := 0; nidx <= 2; nidx++ {
+		_, s := benchDB(t, nidx)
+		ins := prepare(t, s, insertLine)
+		i := 0
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := s.ExecParsed(ins, intv(i), intv(i%benchRows)); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if limit := float64(5 + nidx); got > limit {
+			t.Errorf("prepared insert with %d indexes: %v allocs, want <= %v", nidx, got, limit)
+		}
+		if nidx > 0 {
+			continue
+		}
+		sel, upd := prepare(t, s, selectPK), prepare(t, s, updateNonKey)
+		got = testing.AllocsPerRun(200, func() {
+			if _, err := s.QueryParsed(sel, intv(1), intv(i%benchRows)); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if got > 6 {
+			t.Errorf("prepared PK select: %v allocs, want <= 6", got)
+		}
+		got = testing.AllocsPerRun(200, func() {
+			if _, err := s.ExecParsed(upd, intv(50), intv(1), intv(1), intv(i%benchRows)); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if got > 4 {
+			t.Errorf("prepared non-key update: %v allocs, want <= 4", got)
+		}
+	}
+}

@@ -45,7 +45,19 @@ func cmpKey(a, b []val.Value) int {
 		n = len(b)
 	}
 	for i := 0; i < n; i++ {
-		if c := val.Compare(a[i], b[i]); c != 0 {
+		x, y := &a[i], &b[i]
+		if x.K == val.Int && y.K == val.Int {
+			// val.Compare's integer rule, without copying two Values
+			// into a call: most key columns are ints.
+			if x.I != y.I {
+				if x.I < y.I {
+					return -1
+				}
+				return 1
+			}
+			continue
+		}
+		if c := val.Compare(*x, *y); c != 0 {
 			return c
 		}
 	}
@@ -205,27 +217,32 @@ func (t *btree) Delete(key []val.Value) bool {
 	return false
 }
 
-// Scan visits entries with lo <= key <= hi in order (nil bounds are
-// open). Prefix keys work as bounds: Scan([w,d], [w,d]) visits every
-// key beginning with (w, d). The visit function returns false to stop.
-func (t *btree) Scan(lo, hi []val.Value, visit func(key []val.Value, v int) bool) {
+// seek returns the leaf position of the first key >= lo in tree order
+// (the first leaf's start when lo is nil): a root-to-leaf descent plus
+// a binary search inside the leaf. The position may be one past the
+// leaf's last key; walkers step to n.next there.
+func (t *btree) seek(lo []val.Value) (*bnode, int) {
 	n := t.root
 	for !n.leaf {
 		i := 0
 		if lo != nil {
 			i = n.search(lo)
-			if i < len(n.keys) && cmpKey(n.keys[i], lo) == 0 {
-				// Equal prefix may appear in the left child too.
-				_ = i
-			}
 		}
 		n = n.children[i]
 	}
+	if lo == nil {
+		return n, 0
+	}
+	return n, n.search(lo)
+}
+
+// Scan visits entries with lo <= key <= hi in order (nil bounds are
+// open). Prefix keys work as bounds: Scan([w,d], [w,d]) visits every
+// key beginning with (w, d). The visit function returns false to stop.
+func (t *btree) Scan(lo, hi []val.Value, visit func(key []val.Value, v int) bool) {
+	n, i := t.seek(lo)
 	for n != nil {
-		for i := 0; i < len(n.keys); i++ {
-			if lo != nil && cmpKey(n.keys[i], lo) < 0 {
-				continue
-			}
+		for ; i < len(n.keys); i++ {
 			if hi != nil && cmpKey(n.keys[i], hi) > 0 {
 				return
 			}
@@ -233,8 +250,25 @@ func (t *btree) Scan(lo, hi []val.Value, visit func(key []val.Value, v int) bool
 				return
 			}
 		}
-		n = n.next
+		n, i = n.next, 0
 	}
+}
+
+// AppendPrefix appends to dst the payload of every entry whose key
+// begins with prefix, in key order — Scan(prefix, prefix) without the
+// callback, for the executor's index probes.
+func (t *btree) AppendPrefix(dst []int, prefix []val.Value) []int {
+	n, i := t.seek(prefix)
+	for n != nil {
+		for ; i < len(n.keys); i++ {
+			if cmpKey(n.keys[i], prefix) > 0 {
+				return dst
+			}
+			dst = append(dst, n.vals[i])
+		}
+		n, i = n.next, 0
+	}
+	return dst
 }
 
 // Len returns the number of entries.

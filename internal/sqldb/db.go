@@ -3,7 +3,6 @@ package sqldb
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -19,11 +18,14 @@ var (
 	ErrInTransaction = errors.New("sqldb: transaction already in progress")
 )
 
-// errLatchUpgrade is an engine-internal signal: a statement running
-// under a shared table latch discovered (after a lock wait suspended
-// the latch) that it now needs the exclusive latch; execStmt reruns it
-// exclusively. Never escapes the package.
-var errLatchUpgrade = errors.New("sqldb: internal: statement needs exclusive latch")
+// errPlanStale is an engine-internal signal: DDL moved the catalog
+// epoch while the statement's latches were not held (before they were
+// first taken, or while a lock wait suspended them), so its plan — the
+// access paths, and whether an UPDATE may share the table latch — may
+// no longer fit the tables. Raised only before the statement has
+// changed anything; run binds again and reruns it. Never escapes the
+// package.
+var errPlanStale = errors.New("sqldb: internal: plan is stale")
 
 // Stats counts engine operations; the benchmark harness reads them to
 // charge simulated CPU cost per database operation.
@@ -63,6 +65,13 @@ type DB struct {
 	tables map[string]*Table
 
 	lm *lockManager
+
+	// epoch counts catalog changes. CREATE TABLE and CREATE INDEX bump
+	// it (the latter while still holding the table's exclusive latch),
+	// and a bound plan is valid only at the epoch it was bound at: a
+	// statement that holds its latches and sees its plan's epoch knows
+	// no index has appeared on its tables since the plan was built.
+	epoch atomic.Uint64
 
 	// planCache maps SQL text to its immutable parsed statement. A
 	// sync.Map fits the workload exactly: written once per distinct
@@ -232,9 +241,14 @@ func (db *DB) lookupTable(name string) *Table {
 }
 
 // sortTables orders a latch set by name — the global latch acquisition
-// order that keeps multi-table latching deadlock-free.
+// order that keeps multi-table latching deadlock-free. Latch sets are a
+// handful of tables: an insertion sort, no closure, no reflection.
 func sortTables(ts []*Table) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].name < ts[j].name })
+	for i := 1; i < len(ts); i++ {
+		for j := i; j > 0 && ts[j].name < ts[j-1].name; j-- {
+			ts[j], ts[j-1] = ts[j-1], ts[j]
+		}
+	}
 }
 
 // Txn is an in-flight transaction: held locks plus an undo log. freed
@@ -283,7 +297,9 @@ type undoRec struct {
 // WaitPointFunc supplies a (wait, wake) pair used to block on
 // contended locks: wait parks the caller, wake releases it. The
 // default uses a channel; the simulator substitutes virtual-time
-// parking.
+// parking. The lock manager calls it only when a request is actually
+// enqueued, with its own mutexes held: it must build the pair and
+// return, never block.
 type WaitPointFunc func() (wait func(), wake func())
 
 func chanWaitPoint() (func(), func()) {
@@ -301,10 +317,21 @@ type Session struct {
 	WaitPoint WaitPointFunc
 
 	// held is the set of table latches the in-flight statement holds
-	// (sorted by name) and their mode; a row-lock wait suspends these
-	// so a parked transaction never blocks unrelated statements.
+	// (its plan's latch set, sorted by name) and their mode; a row-lock
+	// wait suspends these so a parked transaction never blocks
+	// unrelated statements.
 	held  []*Table
 	heldX bool
+
+	// Per-execution scratch, reused from statement to statement (a
+	// Session is one thread of control; plans are shared and immutable,
+	// so everything an execution writes lives here).
+	rows     [][]val.Value // current row of each join level
+	slots    [][]int       // candidate, then matched, slots of each join level
+	key      []val.Value   // index probe key
+	out      [][]val.Value // SELECT: projected rows, handed to the ResultSet
+	sortKeys []val.Value   // SELECT: ORDER BY keys of out, len(orderBy) per row
+	sortIdx  []int         // SELECT: sort permutation
 
 	// fenceTok, when non-zero, exempts this session from the armed
 	// migration fence carrying the same token (see AdoptFence).
@@ -455,49 +482,44 @@ func (db *DB) rollback(txn *Txn) {
 	txn.aborted = true
 }
 
-func (t *Table) keyFor(cols []int, row []val.Value, slot int, unique bool) []val.Value {
-	key := make([]val.Value, 0, len(cols)+1)
+// appendKey appends row's index key over cols to dst: the column
+// values, plus the slot for a non-unique index (it disambiguates
+// duplicates).
+func appendKey(dst []val.Value, cols []int, row []val.Value, slot int, unique bool) []val.Value {
 	for _, c := range cols {
-		key = append(key, row[c])
+		dst = append(dst, row[c])
 	}
 	if !unique {
-		key = append(key, val.IntV(int64(slot)))
+		dst = append(dst, val.IntV(int64(slot)))
 	}
-	return key
+	return dst
+}
+
+// keyFor builds the key an index stores for row.
+func keyFor(cols []int, row []val.Value, slot int, unique bool) []val.Value {
+	return appendKey(make([]val.Value, 0, len(cols)+1), cols, row, slot, unique)
 }
 
 func (t *Table) addToIndexes(row []val.Value, slot int) {
-	t.pk.Insert(t.keyFor(t.pkCols, row, slot, true), slot)
+	t.pk.Insert(keyFor(t.pkCols, row, slot, true), slot)
 	for _, ix := range t.idxs {
-		ix.tree.Insert(t.keyFor(ix.cols, row, slot, ix.unique), slot)
+		ix.tree.Insert(keyFor(ix.cols, row, slot, ix.unique), slot)
 	}
 }
 
 func (t *Table) dropFromIndexes(row []val.Value, slot int) {
-	t.pk.Delete(t.keyFor(t.pkCols, row, slot, true))
+	// Delete does not keep its key: build each on the stack.
+	var buf [8]val.Value
+	t.pk.Delete(appendKey(buf[:0], t.pkCols, row, slot, true))
 	for _, ix := range t.idxs {
-		ix.tree.Delete(t.keyFor(ix.cols, row, slot, ix.unique))
+		ix.tree.Delete(appendKey(buf[:0], ix.cols, row, slot, ix.unique))
 	}
 }
 
-// latch acquires the statement's table latches (deduplicated, in name
-// order) and records them so acquireLock can suspend them across a
-// lock wait.
-func (s *Session) latch(write bool, tables ...*Table) {
-	ts := tables[:0:0]
-	for _, t := range tables {
-		dup := false
-		for _, have := range ts {
-			if have == t {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			ts = append(ts, t)
-		}
-	}
-	sortTables(ts)
+// latch acquires the statement's table latches — ts is a plan's latch
+// set, already deduplicated and in name order — and records them so
+// acquireLock can suspend them across a lock wait.
+func (s *Session) latch(ts []*Table, write bool) {
 	s.held = ts
 	s.heldX = write
 	s.lockHeld()
@@ -534,21 +556,17 @@ func (s *Session) unlatch() {
 // key at mode, or returns ErrDeadlock. If the lock is contended, the
 // statement's table latches are suspended for the duration of the wait
 // (a parked transaction must not stall statements on other data) and
-// reacquired afterwards — callers revalidate whatever the latch
-// protected after any acquireLock call that might have waited.
-func (s *Session) acquireLock(txn *Txn, key lockKey, mode LockMode) error {
-	wait, wake := s.WaitPoint()
-	ok, err := s.db.lm.acquire(txn, key, mode, wake)
-	if err != nil {
-		return err
-	}
-	if ok {
-		return nil
+// reacquired afterwards — waited reports that, and callers then
+// revalidate whatever the latch protected.
+func (s *Session) acquireLock(txn *Txn, key lockKey, mode LockMode) (waited bool, err error) {
+	wait, err := s.db.lm.acquire(txn, key, mode, s.WaitPoint)
+	if wait == nil {
+		return false, err
 	}
 	s.unlockHeld()
 	wait()
 	s.lockHeld()
-	return nil
+	return true, nil
 }
 
 // parse returns a cached parse of sql. Parsed statements are immutable
@@ -587,7 +605,8 @@ func (r *ResultSet) Size() int {
 
 // Prepare parses sql once (through the shared plan cache) and returns
 // the immutable statement for repeated execution via ExecParsed /
-// QueryParsed — the server half of the prepared-statement wire.
+// QueryParsed — the server half of the prepared-statement wire. The
+// statement carries its bound plan from its first execution on.
 func (s *Session) Prepare(sql string) (SQLStmt, error) { return s.db.parse(sql) }
 
 // Exec runs a DDL or DML statement. It returns the number of rows
@@ -603,7 +622,18 @@ func (s *Session) Exec(sql string, args ...val.Value) (int, error) {
 // ExecParsed is Exec on a pre-parsed statement, skipping the plan
 // cache entirely.
 func (s *Session) ExecParsed(st SQLStmt, args ...val.Value) (int, error) {
-	return s.execStmt(st, args)
+	switch t := st.(type) {
+	case *CreateTableStmt: // DDL names no key: the migration fence never applies
+		return 0, s.db.createTable(t)
+	case *CreateIndexStmt:
+		return 0, s.db.createIndex(t)
+	case *SelectStmt:
+		return 0, fmt.Errorf("sqldb: Exec cannot run SELECT; use Query")
+	case dmlStmt:
+		n, _, err := s.run(t, args)
+		return n, err
+	}
+	return 0, fmt.Errorf("sqldb: unsupported statement %T", st)
 }
 
 // Query runs a SELECT and returns its result set.
@@ -621,35 +651,43 @@ func (s *Session) QueryParsed(st SQLStmt, args ...val.Value) (*ResultSet, error)
 	if !ok {
 		return nil, fmt.Errorf("sqldb: Query requires SELECT, got %T", st)
 	}
-	tables, aliases, err := s.db.resolveSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.fenceGate(sel, args); err != nil {
-		return nil, err
-	}
-	txn, auto := s.currentTxn()
-	s.latch(false, tables...)
-	rs, err := s.execSelect(txn, sel, tables, aliases, args)
-	s.unlatch()
-	s.finishAuto(txn, auto, err)
+	_, rs, err := s.run(sel, args)
 	return rs, err
 }
 
-// resolveSelect binds the FROM clause to tables under the catalog
-// latch.
-func (db *DB) resolveSelect(st *SelectStmt) ([]*Table, []string, error) {
-	tables := make([]*Table, len(st.Tables))
-	aliases := make([]string, len(st.Tables))
-	for i, tr := range st.Tables {
-		t := db.lookupTable(tr.Table)
-		if t == nil {
-			return nil, nil, fmt.Errorf("%w: %s", ErrNoSuchTable, tr.Table)
-		}
-		tables[i] = t
-		aliases[i] = tr.Alias
+// run executes one DML statement: fence check, bind (or reuse the
+// statement's plan), latch, execute, unlatch, and finish the autocommit
+// transaction. The plan is checked against the catalog epoch once its
+// latches are held; from there on no index can appear on its tables
+// until a lock wait suspends the latches, and matchRows rechecks after
+// every wait.
+func (s *Session) run(st dmlStmt, args []val.Value) (n int, rs *ResultSet, err error) {
+	if err := s.fenceGate(st, args); err != nil {
+		return 0, nil, err
 	}
-	return tables, aliases, nil
+	p, err := s.plan(st)
+	if err != nil {
+		return 0, nil, err
+	}
+	txn, auto := s.currentTxn()
+	for {
+		s.latch(p.latches, p.latchX)
+		if s.db.epoch.Load() != p.epoch {
+			err = errPlanStale
+		} else {
+			n, rs, err = s.exec(txn, p, args)
+		}
+		s.unlatch()
+		if !errors.Is(err, errPlanStale) {
+			break
+		}
+		// Nothing was changed; row locks taken so far stay with txn.
+		if p, err = s.plan(st); err != nil {
+			break
+		}
+	}
+	s.finishAuto(txn, auto, err)
+	return n, rs, err
 }
 
 // currentTxn returns the session transaction or a fresh autocommit one.
@@ -676,81 +714,6 @@ func (s *Session) finishAuto(txn *Txn, auto bool, err error) {
 	} else {
 		s.db.commit(txn)
 	}
-}
-
-func (s *Session) execStmt(st SQLStmt, args []val.Value) (int, error) {
-	if err := s.fenceGate(st, args); err != nil {
-		return 0, err
-	}
-	switch t := st.(type) {
-	case *CreateTableStmt:
-		return 0, s.db.createTable(t)
-	case *CreateIndexStmt:
-		return 0, s.db.createIndex(t)
-	case *InsertStmt:
-		tb := s.db.lookupTable(t.Table)
-		if tb == nil {
-			return 0, fmt.Errorf("%w: %s", ErrNoSuchTable, t.Table)
-		}
-		txn, auto := s.currentTxn()
-		s.latch(true, tb)
-		n, err := s.execInsert(txn, tb, t, args)
-		s.unlatch()
-		s.finishAuto(txn, auto, err)
-		return n, err
-	case *UpdateStmt:
-		tb := s.db.lookupTable(t.Table)
-		if tb == nil {
-			return 0, fmt.Errorf("%w: %s", ErrNoSuchTable, t.Table)
-		}
-		txn, auto := s.currentTxn()
-		// A non-key update only swaps row pointers, so it can share the
-		// table latch with readers; touching any indexed column needs
-		// the structural latch exclusively. Decided under the read
-		// latch (the index set cannot change while it is held
-		// continuously); if a lock wait suspends the latch and a
-		// concurrent CREATE INDEX invalidates the decision, execUpdate
-		// reports errLatchUpgrade and the statement reruns exclusively.
-		s.latch(false, tb)
-		if updateNeedsX(tb, t) {
-			s.unlatch()
-			s.latch(true, tb)
-		}
-		n, err := s.execUpdate(txn, tb, t, args)
-		if errors.Is(err, errLatchUpgrade) {
-			s.unlatch()
-			s.latch(true, tb)
-			n, err = s.execUpdate(txn, tb, t, args)
-		}
-		s.unlatch()
-		s.finishAuto(txn, auto, err)
-		return n, err
-	case *DeleteStmt:
-		tb := s.db.lookupTable(t.Table)
-		if tb == nil {
-			return 0, fmt.Errorf("%w: %s", ErrNoSuchTable, t.Table)
-		}
-		txn, auto := s.currentTxn()
-		s.latch(true, tb)
-		n, err := s.execDelete(txn, tb, t, args)
-		s.unlatch()
-		s.finishAuto(txn, auto, err)
-		return n, err
-	case *SelectStmt:
-		return 0, fmt.Errorf("sqldb: Exec cannot run SELECT; use Query")
-	}
-	return 0, fmt.Errorf("sqldb: unsupported statement %T", st)
-}
-
-// updateNeedsX reports whether st writes any indexed column of t.
-// Caller holds t.latch in at least read mode.
-func updateNeedsX(t *Table, st *UpdateStmt) bool {
-	for _, set := range st.Sets {
-		if ci, ok := t.colIdx[set.Col]; ok && isIndexedCol(t, ci) {
-			return true
-		}
-	}
-	return false
 }
 
 func normName(s string) string {
@@ -796,6 +759,7 @@ func (db *DB) createTable(st *CreateTableStmt) error {
 		t.pkCols = append(t.pkCols, ci)
 	}
 	db.tables[st.Table] = t
+	db.epoch.Add(1)
 	return nil
 }
 
@@ -816,10 +780,13 @@ func (db *DB) createIndex(st *CreateIndexStmt) error {
 	defer t.latch.Unlock()
 	for slot, row := range t.rows {
 		if row != nil {
-			ix.tree.Insert(t.keyFor(ix.cols, row, slot, ix.unique), slot)
+			ix.tree.Insert(keyFor(ix.cols, row, slot, ix.unique), slot)
 		}
 	}
 	t.idxs = append(t.idxs, ix)
+	// Bumped before the latch is released: whoever latches t next and
+	// still sees its plan's epoch was bound with this index in view.
+	db.epoch.Add(1)
 	return nil
 }
 

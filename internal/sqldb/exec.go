@@ -2,111 +2,39 @@ package sqldb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"pyxis/internal/val"
 )
 
-// rowCtx binds table aliases to their current row during evaluation.
-type rowCtx struct {
-	aliases []string
-	tables  []*Table
-	rows    [][]val.Value
-}
+// This file executes bound plans (plan.go). Nothing here resolves a
+// name: tables are pointers, columns are indexes, and the state of one
+// execution lives in the Session's scratch.
 
-func (rc *rowCtx) lookup(cr ColRef) (val.Value, error) {
-	for i, a := range rc.aliases {
-		if cr.Table != "" && cr.Table != a {
-			continue
-		}
-		if ci, ok := rc.tables[i].colIdx[cr.Col]; ok {
-			if rc.rows[i] == nil {
-				return val.Value{}, fmt.Errorf("sqldb: column %s not bound yet", cr.Col)
-			}
-			return rc.rows[i][ci], nil
-		}
-		if cr.Table != "" {
-			return val.Value{}, fmt.Errorf("sqldb: no column %s in %s", cr.Col, cr.Table)
-		}
+// exec runs p under its latches, which the caller holds.
+func (s *Session) exec(txn *Txn, p *boundPlan, args []val.Value) (int, *ResultSet, error) {
+	for len(s.rows) < len(p.tables) {
+		s.rows = append(s.rows, nil)
+		s.slots = append(s.slots, nil)
 	}
-	return val.Value{}, fmt.Errorf("sqldb: unknown column %s", cr.Col)
-}
-
-func evalSQL(e SQLExpr, rc *rowCtx, args []val.Value) (val.Value, error) {
-	switch x := e.(type) {
-	case LitExpr:
-		return x.V, nil
-	case ParamExpr:
-		if x.Index >= len(args) {
-			return val.Value{}, fmt.Errorf("sqldb: missing parameter %d", x.Index+1)
-		}
-		return args[x.Index], nil
-	case ColRef:
-		return rc.lookup(x)
-	case *ArithExpr:
-		l, err := evalSQL(x.L, rc, args)
-		if err != nil {
-			return val.Value{}, err
-		}
-		r, err := evalSQL(x.R, rc, args)
-		if err != nil {
-			return val.Value{}, err
-		}
-		if l.K == val.Int && r.K == val.Int {
-			switch x.Op {
-			case '+':
-				return val.IntV(l.I + r.I), nil
-			case '-':
-				return val.IntV(l.I - r.I), nil
-			case '*':
-				return val.IntV(l.I * r.I), nil
-			}
-		}
-		lf, rf := l.AsFloat(), r.AsFloat()
-		switch x.Op {
-		case '+':
-			return val.DoubleV(lf + rf), nil
-		case '-':
-			return val.DoubleV(lf - rf), nil
-		case '*':
-			return val.DoubleV(lf * rf), nil
-		}
+	// Scratch rows must not pin row versions (or leak into the next
+	// statement's level-0 evaluation) once the statement is over.
+	defer clear(s.rows[:len(p.tables)])
+	switch p.kind {
+	case kindSelect:
+		rs, err := s.execSelect(txn, p, args)
+		return 0, rs, err
+	case kindInsert:
+		n, err := s.execInsert(txn, p, args)
+		return n, nil, err
+	case kindUpdate:
+		n, err := s.execUpdate(txn, p, args)
+		return n, nil, err
+	default:
+		n, err := s.execDelete(txn, p, args)
+		return n, nil, err
 	}
-	return val.Value{}, fmt.Errorf("sqldb: cannot evaluate expression %T", e)
-}
-
-func condHolds(c Cond, rc *rowCtx, args []val.Value) (bool, error) {
-	l, err := evalSQL(c.L, rc, args)
-	if err != nil {
-		return false, err
-	}
-	r, err := evalSQL(c.R, rc, args)
-	if err != nil {
-		return false, err
-	}
-	if c.Op == CmpLike {
-		if l.K != val.Str || r.K != val.Str {
-			return false, nil
-		}
-		return likeMatch(l.S, r.S), nil
-	}
-	cmp := val.Compare(l, r)
-	switch c.Op {
-	case CmpEq:
-		return l.Equal(r), nil
-	case CmpNe:
-		return !l.Equal(r), nil
-	case CmpLt:
-		return cmp < 0, nil
-	case CmpLe:
-		return cmp <= 0, nil
-	case CmpGt:
-		return cmp > 0, nil
-	case CmpGe:
-		return cmp >= 0, nil
-	}
-	return false, fmt.Errorf("sqldb: bad comparison op")
 }
 
 // likeMatch implements SQL LIKE with % wildcards (no '_' support).
@@ -134,52 +62,117 @@ func likeMatch(s, pat string) bool {
 	return strings.HasSuffix(s, last)
 }
 
+// sameVersion reports whether a and b are the same published row
+// version (row slices are immutable once published, so one backing
+// array is one version).
+func sameVersion(a, b []val.Value) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// matchRows finds the slots of the level's table whose rows satisfy
+// the level's conjuncts (earlier levels' rows are already in s.rows),
+// locking each match at mode. A row is checked, locked, and checked
+// again if it changed in between: under a shared latch another
+// session may replace the row until this one holds its lock. Caller
+// holds the table's latch in at least read mode; row pointers are read
+// through the slot stripes. The returned slice is the level's scratch.
+func (s *Session) matchRows(txn *Txn, p *boundPlan, args []val.Value, level int, mode LockMode) ([]int, error) {
+	t, lp := p.tables[level], &p.levels[level]
+	cands := s.slots[level][:0]
+	if lp.tree != nil {
+		key := s.key[:0]
+		for i := range lp.key {
+			v, err := lp.key[i].eval(s.rows, args)
+			if err != nil {
+				return nil, err
+			}
+			key = append(key, v)
+		}
+		s.key = key
+		if !lp.point {
+			cands = lp.tree.AppendPrefix(cands, key)
+		} else if slot, ok := lp.tree.Get(key); ok {
+			cands = append(cands, slot)
+		}
+	} else {
+		for slot := range t.rows {
+			if t.rowAt(slot) != nil {
+				cands = append(cands, slot)
+			}
+		}
+	}
+	s.slots[level] = cands
+	s.db.stats.rowsScanned.Add(int64(len(cands)))
+
+	out := cands[:0] // filtered in place: out never overtakes the read index
+	for _, slot := range cands {
+		row, err := s.rowMatches(t, lp, level, slot, nil, args)
+		if err != nil {
+			return nil, err
+		}
+		if row == nil {
+			continue
+		}
+		waited, err := s.acquireLock(txn, t.lockKey(slot), mode)
+		if err != nil {
+			return nil, err
+		}
+		if waited && s.db.epoch.Load() != p.epoch {
+			// An index may have appeared while the latch was suspended.
+			return nil, errPlanStale
+		}
+		if row, err = s.rowMatches(t, lp, level, slot, row, args); err != nil {
+			return nil, err
+		}
+		if row != nil {
+			out = append(out, slot)
+		}
+	}
+	return out, nil
+}
+
+// rowMatches returns slot's row if it satisfies the level's conjuncts,
+// nil if it does not (or the slot is a tombstone). A row that is still
+// the version known to match is not evaluated again.
+func (s *Session) rowMatches(t *Table, lp *levelPlan, level, slot int, known []val.Value, args []val.Value) ([]val.Value, error) {
+	row := t.rowAt(slot)
+	if row == nil || sameVersion(row, known) {
+		return row, nil
+	}
+	s.rows[level] = row
+	for i := range lp.conds {
+		ok, err := lp.conds[i].holds(s.rows, args)
+		if !ok || err != nil {
+			return nil, err
+		}
+	}
+	return row, nil
+}
+
 // ---------------------------------------------------------------------------
 // INSERT / UPDATE / DELETE
 // ---------------------------------------------------------------------------
 
-// execInsert runs under t's exclusive latch (slot allocation and index
-// insertion are structural).
-func (s *Session) execInsert(txn *Txn, t *Table, st *InsertStmt, args []val.Value) (int, error) {
+// execInsert runs under the table's exclusive latch (slot allocation
+// and index insertion are structural).
+func (s *Session) execInsert(txn *Txn, p *boundPlan, args []val.Value) (int, error) {
 	s.db.stats.inserts.Add(1)
+	t := p.tables[0]
 	row := make([]val.Value, len(t.cols))
-	if len(st.Cols) == 0 {
-		if len(st.Vals) != len(t.cols) {
-			return 0, fmt.Errorf("sqldb: INSERT into %s: want %d values, got %d", t.name, len(t.cols), len(st.Vals))
+	for i := range p.vals {
+		v, err := p.vals[i].eval(nil, args)
+		if err != nil {
+			return 0, err
 		}
-		for i, e := range st.Vals {
-			v, err := evalSQL(e, nil, args)
-			if err != nil {
-				return 0, err
-			}
-			row[i], err = coerceCol(v, t.cols[i].Type)
-			if err != nil {
-				return 0, err
-			}
-		}
-	} else {
-		if len(st.Cols) != len(st.Vals) {
-			return 0, fmt.Errorf("sqldb: INSERT column/value count mismatch")
-		}
-		for i, cn := range st.Cols {
-			ci, ok := t.colIdx[cn]
-			if !ok {
-				return 0, fmt.Errorf("sqldb: no column %s in %s", cn, t.name)
-			}
-			v, err := evalSQL(st.Vals[i], nil, args)
-			if err != nil {
-				return 0, err
-			}
-			row[ci], err = coerceCol(v, t.cols[ci].Type)
-			if err != nil {
-				return 0, err
-			}
+		ci := p.valCols[i]
+		if row[ci], err = coerceCol(v, t.cols[ci].Type); err != nil {
+			return 0, err
 		}
 	}
 
-	pkKey := t.keyFor(t.pkCols, row, 0, true)
-	if _, exists := t.pk.Get(pkKey); exists {
-		return 0, fmt.Errorf("%w: %s %v", ErrDupKey, t.name, pkKey)
+	s.key = appendKey(s.key[:0], t.pkCols, row, 0, true)
+	if _, exists := t.pk.Get(s.key); exists {
+		return 0, fmt.Errorf("%w: %s %v", ErrDupKey, t.name, s.key)
 	}
 
 	// Reserve a slot but do NOT publish the row until its X lock is
@@ -195,19 +188,24 @@ func (s *Session) execInsert(txn *Txn, t *Table, st *InsertStmt, args []val.Valu
 		slot = len(t.rows)
 		t.rows = append(t.rows, nil)
 	}
-	if err := s.acquireLock(txn, t.lockKey(slot), LockX); err != nil {
+	waited, err := s.acquireLock(txn, t.lockKey(slot), LockX)
+	if err != nil {
 		// No wait happened (errors are only returned pre-enqueue), so
 		// the latch was held throughout and the slot can be recycled.
 		t.free = append(t.free, slot)
 		return 0, err
 	}
-	// The lock wait (if any) suspended the latch: another transaction
-	// may have inserted the same key meanwhile.
-	if _, exists := t.pk.Get(pkKey); exists {
-		// The reserved slot stays X-locked until transaction end;
-		// commit and rollback both recycle it.
-		txn.reserved = append(txn.reserved, freedSlot{t: t, slot: slot})
-		return 0, fmt.Errorf("%w: %s %v", ErrDupKey, t.name, pkKey)
+	// The lock wait suspended the latch: another transaction may have
+	// inserted the same key meanwhile. (A stale plan is harmless here:
+	// an INSERT's plan names columns only, and addToIndexes walks the
+	// table's live index set.)
+	if waited {
+		if _, exists := t.pk.Get(s.key); exists {
+			// The reserved slot stays X-locked until transaction end;
+			// commit and rollback both recycle it.
+			txn.reserved = append(txn.reserved, freedSlot{t: t, slot: slot})
+			return 0, fmt.Errorf("%w: %s %v", ErrDupKey, t.name, s.key)
+		}
 	}
 	t.rows[slot] = row
 	t.addToIndexes(row, slot)
@@ -215,188 +213,34 @@ func (s *Session) execInsert(txn *Txn, t *Table, st *InsertStmt, args []val.Valu
 	return 1, nil
 }
 
-// matchSlots finds the slots of t whose rows satisfy conds, locking
-// each matching row at mode. Predicates are re-checked after each lock
-// wait (the row may have changed while blocked). Caller holds t's
-// latch in at least read mode; row pointers are read through the slot
-// stripes so concurrent non-key updaters under the shared latch are
-// safe.
-func (s *Session) matchSlots(txn *Txn, t *Table, alias string, conds []Cond, args []val.Value, mode LockMode) ([]int, error) {
-	db := s.db
-	rc := &rowCtx{aliases: []string{alias}, tables: []*Table{t}, rows: [][]val.Value{nil}}
-
-	check := func(slot int) (bool, error) {
-		row := t.rowAt(slot)
-		if row == nil {
-			return false, nil
-		}
-		rc.rows[0] = row
-		for _, c := range conds {
-			ok, err := condHolds(c, rc, args)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-
-	var candidates []int
-	ap := choosePath(t, alias, conds, args)
-	if ap != nil {
-		key := make([]val.Value, len(ap.eqExprs))
-		for i, e := range ap.eqExprs {
-			v, err := evalSQL(e, nil, args)
-			if err != nil {
-				return nil, err
-			}
-			key[i] = v
-		}
-		ap.tree.Scan(key, key, func(_ []val.Value, slot int) bool {
-			candidates = append(candidates, slot)
-			return true
-		})
-		db.stats.rowsScanned.Add(int64(len(candidates)))
-	} else {
-		for slot := 0; slot < len(t.rows); slot++ {
-			if t.rowAt(slot) != nil {
-				candidates = append(candidates, slot)
-			}
-		}
-		db.stats.rowsScanned.Add(int64(len(candidates)))
-	}
-
-	var out []int
-	for _, slot := range candidates {
-		ok, err := check(slot)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		if err := s.acquireLock(txn, t.lockKey(slot), mode); err != nil {
-			return nil, err
-		}
-		// Re-check after a potential wait.
-		ok, err = check(slot)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, slot)
-		}
-	}
-	return out, nil
-}
-
-// accessPath is an index-equality lookup plan.
-type accessPath struct {
-	tree    *btree
-	eqExprs []SQLExpr // expressions producing the key prefix, in index order
-}
-
-// choosePath picks the index (PK or secondary) with the longest
-// equality-bound prefix. Only conditions whose other side is free of
-// column references (literal/param) qualify.
-func choosePath(t *Table, alias string, conds []Cond, args []val.Value) *accessPath {
-	eq := map[int]SQLExpr{} // column -> binding expression
-	for _, c := range conds {
-		if c.Op != CmpEq {
-			continue
-		}
-		if cr, ok := c.L.(ColRef); ok && (cr.Table == "" || cr.Table == alias) && exprIsBound(c.R) {
-			if ci, ok := t.colIdx[cr.Col]; ok {
-				eq[ci] = c.R
-			}
-		} else if cr, ok := c.R.(ColRef); ok && (cr.Table == "" || cr.Table == alias) && exprIsBound(c.L) {
-			if ci, ok := t.colIdx[cr.Col]; ok {
-				eq[ci] = c.L
-			}
-		}
-	}
-	if len(eq) == 0 {
-		return nil
-	}
-	best := (*accessPath)(nil)
-	bestLen := 0
-	consider := func(tree *btree, cols []int) {
-		var exprs []SQLExpr
-		for _, ci := range cols {
-			e, ok := eq[ci]
-			if !ok {
-				break
-			}
-			exprs = append(exprs, e)
-		}
-		if len(exprs) > bestLen {
-			best = &accessPath{tree: tree, eqExprs: exprs}
-			bestLen = len(exprs)
-		}
-	}
-	consider(t.pk, t.pkCols)
-	for _, ix := range t.idxs {
-		consider(ix.tree, ix.cols)
-	}
-	return best
-}
-
-func exprIsBound(e SQLExpr) bool {
-	switch x := e.(type) {
-	case LitExpr, ParamExpr:
-		return true
-	case *ArithExpr:
-		return exprIsBound(x.L) && exprIsBound(x.R)
-	}
-	return false
-}
-
-// execUpdate runs under t's latch: exclusive when any set column is
-// indexed (index maintenance is structural), shared otherwise (a
-// non-key update only installs a fresh row pointer via its stripe).
-func (s *Session) execUpdate(txn *Txn, t *Table, st *UpdateStmt, args []val.Value) (int, error) {
+// execUpdate runs under the table's latch: exclusive when any set
+// column is indexed (index maintenance is structural), shared otherwise
+// (a non-key update only installs a fresh row pointer via its stripe).
+// matchRows has already refused a plan gone stale during a lock wait,
+// so that decision still stands when the first row is written.
+func (s *Session) execUpdate(txn *Txn, p *boundPlan, args []val.Value) (int, error) {
 	s.db.stats.updates.Add(1)
-	slots, err := s.matchSlots(txn, t, st.Table, st.Where, args, LockX)
+	t := p.tables[0]
+	slots, err := s.matchRows(txn, p, args, 0, LockX)
 	if err != nil {
 		return 0, err
 	}
-	// matchSlots may have suspended the latch across a lock wait, and a
-	// CREATE INDEX can have slipped in — the shared-latch decision must
-	// be revalidated before mutating anything (no side effects exist
-	// yet; the X row locks persist across the restart). errLatchUpgrade
-	// makes execStmt rerun this statement under the exclusive latch.
-	if !s.heldX && updateNeedsX(t, st) {
-		return 0, errLatchUpgrade
-	}
-	rc := &rowCtx{aliases: []string{st.Table}, tables: []*Table{t}, rows: [][]val.Value{nil}}
 	for _, slot := range slots {
 		old := t.rowAt(slot)
-		rc.rows[0] = old
-		newRow := append([]val.Value{}, old...)
-		keyChanged := false
-		for _, set := range st.Sets {
-			ci, ok := t.colIdx[set.Col]
-			if !ok {
-				return 0, fmt.Errorf("sqldb: no column %s in %s", set.Col, t.name)
-			}
-			v, err := evalSQL(set.Expr, rc, args)
+		s.rows[0] = old
+		newRow := slices.Clone(old)
+		for i := range p.sets {
+			set := &p.sets[i]
+			v, err := set.expr.eval(s.rows, args)
 			if err != nil {
 				return 0, err
 			}
-			cv, err := coerceCol(v, t.cols[ci].Type)
-			if err != nil {
+			if newRow[set.col], err = coerceCol(v, set.typ); err != nil {
 				return 0, err
-			}
-			newRow[ci] = cv
-			if isIndexedCol(t, ci) {
-				keyChanged = true
 			}
 		}
 		txn.undo = append(txn.undo, undoRec{t: t, kind: uUpdate, slot: slot, before: old})
-		if keyChanged {
-			// updateNeedsX guaranteed the exclusive latch for this case.
+		if p.latchX {
 			t.dropFromIndexes(old, slot)
 			t.rows[slot] = newRow
 			t.addToIndexes(newRow, slot)
@@ -407,27 +251,12 @@ func (s *Session) execUpdate(txn *Txn, t *Table, st *UpdateStmt, args []val.Valu
 	return len(slots), nil
 }
 
-func isIndexedCol(t *Table, ci int) bool {
-	for _, c := range t.pkCols {
-		if c == ci {
-			return true
-		}
-	}
-	for _, ix := range t.idxs {
-		for _, c := range ix.cols {
-			if c == ci {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// execDelete runs under t's exclusive latch (tombstoning drops index
-// entries).
-func (s *Session) execDelete(txn *Txn, t *Table, st *DeleteStmt, args []val.Value) (int, error) {
+// execDelete runs under the table's exclusive latch (tombstoning drops
+// index entries).
+func (s *Session) execDelete(txn *Txn, p *boundPlan, args []val.Value) (int, error) {
 	s.db.stats.deletes.Add(1)
-	slots, err := s.matchSlots(txn, t, st.Table, st.Where, args, LockX)
+	t := p.tables[0]
+	slots, err := s.matchRows(txn, p, args, 0, LockX)
 	if err != nil {
 		return 0, err
 	}
@@ -447,376 +276,126 @@ func (s *Session) execDelete(txn *Txn, t *Table, st *DeleteStmt, args []val.Valu
 // SELECT
 // ---------------------------------------------------------------------------
 
-// execSelect runs the (pre-resolved) SELECT under shared latches on
-// every FROM table, held by the caller.
-func (s *Session) execSelect(txn *Txn, st *SelectStmt, tables []*Table, aliases []string, args []val.Value) (*ResultSet, error) {
+// execSelect runs under shared latches on every FROM table: a
+// nested-loop join in FROM order, then aggregate or sort and limit.
+func (s *Session) execSelect(txn *Txn, p *boundPlan, args []val.Value) (*ResultSet, error) {
 	s.db.stats.selects.Add(1)
-	rs := &ResultSet{}
-	agg := false
-	resolves := func(cr ColRef) bool {
-		for i, a := range aliases {
-			if cr.Table != "" && cr.Table != a {
-				continue
-			}
-			if hasCol(tables[i], cr.Col) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, sc := range st.Cols {
-		if sc.Agg != "" {
-			agg = true
-		}
-		if !sc.Star && sc.Col.Col != "" && !resolves(sc.Col) {
-			return nil, fmt.Errorf("sqldb: unknown column %s", sc.Col.Col)
-		}
-	}
-	for _, ok := range st.OrderBy {
-		if !resolves(ok.Col) {
-			return nil, fmt.Errorf("sqldb: unknown ORDER BY column %s", ok.Col.Col)
-		}
-	}
-	for _, sc := range st.Cols {
-		switch {
-		case sc.Star:
-			for i, t := range tables {
-				for _, c := range t.cols {
-					_ = i
-					rs.Cols = append(rs.Cols, c.Name)
-				}
-			}
-		case sc.Agg != "":
-			if sc.Col.Col == "" {
-				rs.Cols = append(rs.Cols, sc.Agg+"(*)")
-			} else {
-				rs.Cols = append(rs.Cols, sc.Agg+"("+sc.Col.Col+")")
-			}
-		default:
-			rs.Cols = append(rs.Cols, sc.Col.Col)
-		}
-	}
-
-	// Nested-loop join over the tables in FROM order. At each level,
-	// conditions fully bound by the tables joined so far act as the
-	// level's filter; index lookups use equality conditions bound by
-	// earlier levels.
-	rc := &rowCtx{aliases: aliases, tables: tables, rows: make([][]val.Value, len(tables))}
-	var joined [][]val.Value // accumulated result rows (pre order/limit)
-	var sortKeys [][]val.Value
-
-	condLevel := make([]int, len(st.Where))
-	for ci, c := range st.Where {
-		condLevel[ci] = condDepth(c, aliases, tables)
-	}
-
-	var descend func(level int) error
-	descend = func(level int) error {
-		if level == len(tables) {
-			out := projectRow(st, rc, tables)
-			joined = append(joined, out)
-			if len(st.OrderBy) > 0 {
-				key := make([]val.Value, len(st.OrderBy))
-				for i, ok := range st.OrderBy {
-					v, err := rc.lookup(ok.Col)
-					if err != nil {
-						return err
-					}
-					key[i] = v
-				}
-				sortKeys = append(sortKeys, key)
-			}
-			return nil
-		}
-		t := tables[level]
-		var levelConds []Cond
-		for ci, c := range st.Where {
-			if condLevel[ci] == level {
-				levelConds = append(levelConds, c)
-			}
-		}
-		slots, err := s.matchJoin(txn, rc, t, aliases[level], level, levelConds, args)
-		if err != nil {
-			return err
-		}
-		for _, slot := range slots {
-			rc.rows[level] = t.rowAt(slot)
-			if rc.rows[level] == nil {
-				continue
-			}
-			if err := descend(level + 1); err != nil {
-				return err
-			}
-		}
-		rc.rows[level] = nil
-		return nil
-	}
-	if err := descend(0); err != nil {
+	s.out, s.sortKeys = nil, s.sortKeys[:0]
+	err := s.join(txn, p, args, 0)
+	rows := s.out
+	s.out = nil
+	if err != nil {
 		return nil, err
 	}
-
-	if agg {
-		row, err := computeAggregates(st, joined, rs.Cols)
-		if err != nil {
-			return nil, err
-		}
-		rs.Rows = [][]val.Value{row}
+	rs := &ResultSet{Cols: p.cols}
+	if p.aggs != nil {
+		rs.Rows = [][]val.Value{computeAggregates(p.aggs, rows)}
 		return rs, nil
 	}
-
-	if len(st.OrderBy) > 0 {
-		idx := make([]int, len(joined))
-		for i := range idx {
-			idx[i] = i
+	if nk := len(p.orderBy); nk > 0 {
+		idx := s.sortIdx[:0]
+		for i := range rows {
+			idx = append(idx, i)
 		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			ka, kb := sortKeys[idx[a]], sortKeys[idx[b]]
-			for i, okey := range st.OrderBy {
-				c := val.Compare(ka[i], kb[i])
-				if c == 0 {
-					continue
+		s.sortIdx = idx
+		keys := s.sortKeys
+		slices.SortStableFunc(idx, func(a, b int) int {
+			for i := range p.orderBy {
+				c := val.Compare(keys[a*nk+i], keys[b*nk+i])
+				if p.orderBy[i].desc {
+					c = -c
 				}
-				if okey.Desc {
-					return c > 0
+				if c != 0 {
+					return c
 				}
-				return c < 0
 			}
-			return false
+			return 0
 		})
-		sorted := make([][]val.Value, len(joined))
+		sorted := make([][]val.Value, len(rows))
 		for i, j := range idx {
-			sorted[i] = joined[j]
+			sorted[i] = rows[j]
 		}
-		joined = sorted
+		rows = sorted
 	}
-	if st.Limit >= 0 && len(joined) > st.Limit {
-		joined = joined[:st.Limit]
+	if p.limit >= 0 && len(rows) > p.limit {
+		rows = rows[:p.limit]
 	}
-	rs.Rows = joined
+	rs.Rows = rows
 	return rs, nil
 }
 
-// condDepth returns the highest table level a condition references
-// (the level at which it becomes fully bound).
-func condDepth(c Cond, aliases []string, tables []*Table) int {
-	depth := 0
-	var visit func(e SQLExpr)
-	visit = func(e SQLExpr) {
-		switch x := e.(type) {
-		case ColRef:
-			for i, a := range aliases {
-				if x.Table == a || (x.Table == "" && hasCol(tables[i], x.Col)) {
-					if i > depth {
-						depth = i
-					}
-					return
-				}
-			}
-		case *ArithExpr:
-			visit(x.L)
-			visit(x.R)
+// join extends the current partial join (s.rows[:level]) by every
+// matching row of the level's table, S-locking matches, and projects a
+// result row (and its ORDER BY key) at full depth.
+func (s *Session) join(txn *Txn, p *boundPlan, args []val.Value, level int) error {
+	if level == len(p.tables) {
+		out := make([]val.Value, len(p.proj))
+		for i, at := range p.proj {
+			out[i] = s.colValue(at)
 		}
+		s.out = append(s.out, out)
+		for _, ok := range p.orderBy {
+			s.sortKeys = append(s.sortKeys, s.colValue(ok.colAt))
+		}
+		return nil
 	}
-	visit(c.L)
-	visit(c.R)
-	return depth
-}
-
-func hasCol(t *Table, col string) bool {
-	_, ok := t.colIdx[col]
-	return ok
-}
-
-// matchJoin finds slots of t at the given join level satisfying conds
-// (whose earlier-level column references are already bound in rc),
-// S-locking matches.
-func (s *Session) matchJoin(txn *Txn, rc *rowCtx, t *Table, alias string, level int, conds []Cond, args []val.Value) ([]int, error) {
-	db := s.db
-	check := func(slot int) (bool, error) {
-		row := t.rowAt(slot)
-		if row == nil {
-			return false, nil
-		}
-		rc.rows[level] = row
-		for _, c := range conds {
-			ok, err := condHolds(c, rc, args)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return false, nil
-			}
-		}
-		return true, nil
+	slots, err := s.matchRows(txn, p, args, level, LockS)
+	if err != nil {
+		return err
 	}
-
-	// Index path: equality conditions whose other side is bound by
-	// params/literals or earlier levels.
-	eq := map[int]SQLExpr{}
-	for _, c := range conds {
-		if c.Op != CmpEq {
+	t := p.tables[level]
+	for _, slot := range slots {
+		if s.rows[level] = t.rowAt(slot); s.rows[level] == nil {
 			continue
 		}
-		if cr, ok := c.L.(ColRef); ok && refersTo(cr, alias, t) && boundBefore(c.R, level, rc) {
-			if ci, ok := t.colIdx[cr.Col]; ok {
-				eq[ci] = c.R
-			}
-		} else if cr, ok := c.R.(ColRef); ok && refersTo(cr, alias, t) && boundBefore(c.L, level, rc) {
-			if ci, ok := t.colIdx[cr.Col]; ok {
-				eq[ci] = c.L
-			}
+		if err := s.join(txn, p, args, level+1); err != nil {
+			return err
 		}
 	}
-	var candidates []int
-	found := false
-	if len(eq) > 0 {
-		var bestTree *btree
-		var bestExprs []SQLExpr
-		consider := func(tree *btree, cols []int) {
-			var exprs []SQLExpr
-			for _, ci := range cols {
-				e, ok := eq[ci]
-				if !ok {
-					break
-				}
-				exprs = append(exprs, e)
-			}
-			if len(exprs) > len(bestExprs) {
-				bestTree, bestExprs = tree, exprs
-			}
-		}
-		consider(t.pk, t.pkCols)
-		for _, ix := range t.idxs {
-			consider(ix.tree, ix.cols)
-		}
-		if bestTree != nil {
-			key := make([]val.Value, len(bestExprs))
-			for i, e := range bestExprs {
-				v, err := evalSQL(e, rc, args)
-				if err != nil {
-					return nil, err
-				}
-				key[i] = v
-			}
-			bestTree.Scan(key, key, func(_ []val.Value, slot int) bool {
-				candidates = append(candidates, slot)
-				return true
-			})
-			found = true
-		}
-	}
-	if !found {
-		for slot := 0; slot < len(t.rows); slot++ {
-			if t.rowAt(slot) != nil {
-				candidates = append(candidates, slot)
-			}
-		}
-	}
-	db.stats.rowsScanned.Add(int64(len(candidates)))
-
-	var out []int
-	for _, slot := range candidates {
-		ok, err := check(slot)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		if err := s.acquireLock(txn, t.lockKey(slot), LockS); err != nil {
-			return nil, err
-		}
-		ok, err = check(slot)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, slot)
-		}
-	}
-	return out, nil
+	s.rows[level] = nil
+	return nil
 }
 
-func refersTo(cr ColRef, alias string, t *Table) bool {
-	if cr.Table != "" {
-		return cr.Table == alias
+func (s *Session) colValue(at colAt) val.Value {
+	if at.level < 0 {
+		return val.IntV(1) // COUNT(*) counts rows; the value is unused
 	}
-	return hasCol(t, cr.Col)
+	return s.rows[at.level][at.col]
 }
 
-// boundBefore reports whether e only references tables at levels < level.
-func boundBefore(e SQLExpr, level int, rc *rowCtx) bool {
-	switch x := e.(type) {
-	case LitExpr, ParamExpr:
-		return true
-	case ColRef:
-		for i, a := range rc.aliases {
-			if x.Table == a || (x.Table == "" && hasCol(rc.tables[i], x.Col)) {
-				return i < level
-			}
-		}
-		return false
-	case *ArithExpr:
-		return boundBefore(x.L, level, rc) && boundBefore(x.R, level, rc)
-	}
-	return false
-}
-
-func projectRow(st *SelectStmt, rc *rowCtx, tables []*Table) []val.Value {
-	var out []val.Value
-	for _, sc := range st.Cols {
-		switch {
-		case sc.Star:
-			for i := range tables {
-				out = append(out, rc.rows[i]...)
-			}
-		case sc.Agg != "":
-			// Aggregates project the raw column value; computeAggregates
-			// folds them afterwards. COUNT(*) needs no value.
-			if sc.Col.Col != "" {
-				v, _ := rc.lookup(sc.Col)
-				out = append(out, v)
-			} else {
-				out = append(out, val.IntV(1))
-			}
-		default:
-			v, _ := rc.lookup(sc.Col)
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func computeAggregates(st *SelectStmt, rows [][]val.Value, cols []string) ([]val.Value, error) {
-	out := make([]val.Value, len(st.Cols))
-	for i, sc := range st.Cols {
-		if sc.Agg == "" {
-			return nil, fmt.Errorf("sqldb: mixing aggregates and plain columns requires GROUP BY (unsupported)")
-		}
-		switch sc.Agg {
+// computeAggregates folds the projected rows into one row: column i is
+// aggs[i] over the i-th projected value.
+func computeAggregates(aggs []string, rows [][]val.Value) []val.Value {
+	out := make([]val.Value, len(aggs))
+	for i, agg := range aggs {
+		switch agg {
 		case "COUNT":
 			out[i] = val.IntV(int64(len(rows)))
 		case "SUM", "AVG":
-			sum := 0.0
-			isInt := true
+			// Integers add exactly; the float sum is the answer as soon
+			// as one value is a double (and for AVG).
+			var isum int64
+			fsum, isInt := 0.0, true
 			for _, r := range rows {
-				if r[i].K == val.Double {
+				switch r[i].K {
+				case val.Int:
+					isum += r[i].I
+				case val.Double:
 					isInt = false
 				}
-				sum += r[i].AsFloat()
+				fsum += r[i].AsFloat()
 			}
-			if sc.Agg == "AVG" {
-				if len(rows) == 0 {
-					out[i] = val.NullV()
-				} else {
-					out[i] = val.DoubleV(sum / float64(len(rows)))
-				}
-			} else if isInt {
-				out[i] = val.IntV(int64(sum))
-			} else {
-				out[i] = val.DoubleV(sum)
+			switch {
+			case agg == "AVG" && len(rows) == 0:
+				out[i] = val.NullV()
+			case agg == "AVG":
+				out[i] = val.DoubleV(fsum / float64(len(rows)))
+			case isInt:
+				out[i] = val.IntV(isum)
+			default:
+				out[i] = val.DoubleV(fsum)
 			}
-		case "MIN", "MAX":
+		default: // MIN, MAX
 			if len(rows) == 0 {
 				out[i] = val.NullV()
 				continue
@@ -824,14 +403,12 @@ func computeAggregates(st *SelectStmt, rows [][]val.Value, cols []string) ([]val
 			best := rows[0][i]
 			for _, r := range rows[1:] {
 				c := val.Compare(r[i], best)
-				if (sc.Agg == "MIN" && c < 0) || (sc.Agg == "MAX" && c > 0) {
+				if (agg == "MIN" && c < 0) || (agg == "MAX" && c > 0) {
 					best = r[i]
 				}
 			}
 			out[i] = best
-		default:
-			return nil, fmt.Errorf("sqldb: unsupported aggregate %s", sc.Agg)
 		}
 	}
-	return out, nil
+	return out
 }

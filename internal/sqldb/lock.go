@@ -56,9 +56,67 @@ type lockWaiter struct {
 	wake func() // invoked (under the key's stripe mutex) when the lock is granted
 }
 
+type lockHolder struct {
+	txn  *Txn
+	mode LockMode
+}
+
+// lockInlineHolders is how many holders a lockState stores without a
+// heap-allocated slice: one writer, or the two readers a pair of
+// sessions sharing a row produce.
+const lockInlineHolders = 2
+
+// lockState is one key's holders and FIFO wait queue. States are
+// recycled through their stripe's freelist, so the uncontended
+// acquire/release cycle allocates nothing; a state is never copied
+// (holders may point into its own inline array).
 type lockState struct {
-	holders map[*Txn]LockMode
-	queue   []*lockWaiter
+	holders []lockHolder // starts as inline[:0]; spills to the heap past lockInlineHolders
+	queue   []lockWaiter
+	inline  [lockInlineHolders]lockHolder
+	next    *lockState // freelist link
+}
+
+// holder returns txn's entry among ls's holders, or nil.
+func (ls *lockState) holder(txn *Txn) *lockHolder {
+	for i := range ls.holders {
+		if ls.holders[i].txn == txn {
+			return &ls.holders[i]
+		}
+	}
+	return nil
+}
+
+func (ls *lockState) dropHolder(txn *Txn) {
+	for i := range ls.holders {
+		if ls.holders[i].txn == txn {
+			last := len(ls.holders) - 1
+			ls.holders[i] = ls.holders[last]
+			ls.holders[last] = lockHolder{}
+			ls.holders = ls.holders[:last]
+			return
+		}
+	}
+}
+
+// grantable reports whether txn may take ls at mode given the other
+// holders: only S alongside S is compatible.
+func (ls *lockState) grantable(txn *Txn, mode LockMode) bool {
+	for i := range ls.holders {
+		if h := &ls.holders[i]; h.txn != txn && !(h.mode == LockS && mode == LockS) {
+			return false
+		}
+	}
+	return true
+}
+
+// dequeue removes queue[i], keeping FIFO order and the slice's
+// capacity.
+func (ls *lockState) dequeue(i int) {
+	last := len(ls.queue) - 1
+	copy(ls.queue[i:], ls.queue[i+1:])
+	ls.queue[last] = lockWaiter{}
+	ls.queue = ls.queue[:last]
 }
 
 // lockStripeCount stripes the lock table so uncontended acquisitions on
@@ -66,9 +124,47 @@ type lockState struct {
 // masking.
 const lockStripeCount = 64
 
+// lockFreeMax bounds each stripe's freelist, so one huge scan does not
+// pin a lockState per row it touched for the life of the database.
+const lockFreeMax = 256
+
 type lockStripe struct {
 	mu    sync.Mutex
 	locks map[lockKey]*lockState
+	// free is the stripe's freelist of idle lockStates (no holders, no
+	// waiters), guarded by mu like the map.
+	free  *lockState
+	nfree int
+}
+
+// state returns key's lockState, taking one off the freelist (or
+// allocating) on first use. Caller holds st.mu.
+func (st *lockStripe) state(key lockKey) *lockState {
+	ls := st.locks[key]
+	if ls == nil {
+		if ls = st.free; ls != nil {
+			st.free, ls.next = ls.next, nil
+			st.nfree--
+		} else {
+			ls = &lockState{}
+			ls.holders = ls.inline[:0]
+		}
+		st.locks[key] = ls
+	}
+	return ls
+}
+
+// retire unmaps key and recycles its state once nothing holds or
+// awaits it. Caller holds st.mu.
+func (st *lockStripe) retire(key lockKey, ls *lockState) {
+	if len(ls.holders) > 0 || len(ls.queue) > 0 {
+		return
+	}
+	delete(st.locks, key)
+	if st.nfree < lockFreeMax {
+		ls.next, st.free = st.free, ls
+		st.nfree++
+	}
 }
 
 // lockManager implements strict two-phase locking with striped internal
@@ -122,25 +218,22 @@ func (lm *lockManager) stripeFor(key lockKey) *lockStripe {
 	return &lm.stripes[h&(lockStripeCount-1)]
 }
 
-func compatible(held, want LockMode) bool { return held == LockS && want == LockS }
-
 // acquire attempts to take key in mode for txn. It returns:
-//   - (true, nil): granted (or already held at sufficient strength);
-//   - (false, nil): txn must wait; wake will be called upon grant —
-//     after wake fires the lock IS held (no retry needed);
-//   - (false, ErrDeadlock): waiting would deadlock; caller must abort.
-func (lm *lockManager) acquire(txn *Txn, key lockKey, mode LockMode, wake func()) (bool, error) {
+//   - (nil, nil): granted (or already held at sufficient strength);
+//   - (wait, nil): txn was enqueued; the caller parks in wait, and when
+//     it returns the lock IS held (no retry needed). Only this outcome
+//     constructs a wait point — wp is not called on the uncontended
+//     paths. wp runs under the lock manager's mutexes and must only
+//     build the pair, never block;
+//   - (nil, ErrDeadlock): waiting would deadlock; caller must abort.
+func (lm *lockManager) acquire(txn *Txn, key lockKey, mode LockMode, wp WaitPointFunc) (wait func(), err error) {
 	st := lm.stripeFor(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	ls := st.locks[key]
-	if ls == nil {
-		ls = &lockState{holders: map[*Txn]LockMode{}}
-		st.locks[key] = ls
-	}
-	if held, ok := ls.holders[txn]; ok {
-		if held >= mode {
-			return true, nil
+	ls := st.state(key)
+	if h := ls.holder(txn); h != nil {
+		if h.mode >= mode {
+			return nil, nil
 		}
 		// Upgrade S→X: granted immediately iff txn is the only holder.
 		// Queued waiters cannot have been grantable anyway (the head
@@ -148,29 +241,17 @@ func (lm *lockManager) acquire(txn *Txn, key lockKey, mode LockMode, wake func()
 		// the queue avoids needless upgrade deadlocks. txn.locks
 		// already records key from the S acquisition.
 		if len(ls.holders) == 1 {
-			ls.holders[txn] = LockX
-			return true, nil
+			h.mode = LockX
+			return nil, nil
 		}
 	}
-	canGrant := len(ls.queue) == 0
-	if canGrant {
-		for h, hm := range ls.holders {
-			if h == txn {
-				continue
-			}
-			if !(compatible(hm, mode) && mode == LockS) {
-				canGrant = false
-				break
-			}
-		}
-	}
-	if canGrant {
+	if len(ls.queue) == 0 && ls.grantable(txn, mode) {
 		// txn cannot already be a holder here: held >= mode returned
 		// above, and an S→X upgrade either returned (sole holder) or
-		// left canGrant false (another holder conflicts with X).
-		ls.holders[txn] = mode
+		// is not grantable (another holder conflicts with X).
+		ls.holders = append(ls.holders, lockHolder{txn, mode})
 		txn.locks = append(txn.locks, key)
-		return true, nil
+		return nil, nil
 	}
 
 	// Must wait: record wait-for edges and check for a cycle. Edge
@@ -178,9 +259,9 @@ func (lm *lockManager) acquire(txn *Txn, key lockKey, mode LockMode, wake func()
 	// stripe mutex still held) so concurrent cycle checks always see a
 	// picture consistent with the queue they would observe.
 	blockers := map[*Txn]bool{}
-	for h := range ls.holders {
-		if h != txn {
-			blockers[h] = true
+	for _, h := range ls.holders {
+		if h.txn != txn {
+			blockers[h.txn] = true
 		}
 	}
 	for _, w := range ls.queue {
@@ -194,13 +275,14 @@ func (lm *lockManager) acquire(txn *Txn, key lockKey, mode LockMode, wake func()
 		delete(lm.waitsFor, txn)
 		lm.graphMu.Unlock()
 		lm.deadlocks.Add(1)
-		return false, ErrDeadlock
+		return nil, ErrDeadlock
 	}
-	ls.queue = append(ls.queue, &lockWaiter{txn: txn, mode: mode, wake: wake})
+	wait, wake := wp()
+	ls.queue = append(ls.queue, lockWaiter{txn: txn, mode: mode, wake: wake})
 	txn.everWaited = true
 	lm.graphMu.Unlock()
 	lm.waits.Add(1)
-	return false, nil
+	return wait, nil
 }
 
 // cycleFrom reports whether start can reach itself in the wait-for
@@ -234,13 +316,10 @@ func (lm *lockManager) releaseAll(txn *Txn) {
 	for _, key := range txn.locks {
 		st := lm.stripeFor(key)
 		st.mu.Lock()
-		ls := st.locks[key]
-		if ls != nil {
-			delete(ls.holders, txn)
+		if ls := st.locks[key]; ls != nil {
+			ls.dropHolder(txn)
 			lm.grantWaiters(key, ls)
-			if len(ls.holders) == 0 && len(ls.queue) == 0 {
-				delete(st.locks, key)
-			}
+			st.retire(key, ls)
 		}
 		st.mu.Unlock()
 	}
@@ -265,20 +344,15 @@ func (lm *lockManager) cancelWaits(txn *Txn) {
 		st.mu.Lock()
 		for key, ls := range st.locks {
 			changed := false
-			out := ls.queue[:0]
-			for _, w := range ls.queue {
-				if w.txn == txn {
+			for i := len(ls.queue) - 1; i >= 0; i-- {
+				if ls.queue[i].txn == txn {
+					ls.dequeue(i)
 					changed = true
-					continue
 				}
-				out = append(out, w)
 			}
-			ls.queue = out
 			if changed {
 				lm.grantWaiters(key, ls)
-				if len(ls.holders) == 0 && len(ls.queue) == 0 {
-					delete(st.locks, key)
-				}
+				st.retire(key, ls)
 			}
 		}
 		st.mu.Unlock()
@@ -293,28 +367,16 @@ func (lm *lockManager) cancelWaits(txn *Txn) {
 func (lm *lockManager) grantWaiters(key lockKey, ls *lockState) {
 	for len(ls.queue) > 0 {
 		w := ls.queue[0]
-		ok := true
-		for h, hm := range ls.holders {
-			if h == w.txn {
-				continue
-			}
-			if !(compatible(hm, w.mode) && w.mode == LockS) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !ls.grantable(w.txn, w.mode) {
 			break
 		}
-		ls.queue = ls.queue[1:]
+		ls.dequeue(0)
 		lm.graphMu.Lock()
 		delete(lm.waitsFor, w.txn)
-		if _, already := ls.holders[w.txn]; already {
-			if w.mode > ls.holders[w.txn] {
-				ls.holders[w.txn] = w.mode
-			}
+		if h := ls.holder(w.txn); h != nil {
+			h.mode = max(h.mode, w.mode)
 		} else {
-			ls.holders[w.txn] = w.mode
+			ls.holders = append(ls.holders, lockHolder{w.txn, w.mode})
 			// The waiter's goroutine is parked (or about to park) on the
 			// wait point, so appending to its lock list here is safe; the
 			// wake callback publishes the append to it.

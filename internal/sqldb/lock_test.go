@@ -10,6 +10,14 @@ import (
 	"pyxis/internal/val"
 )
 
+// tryAcquire drives lockManager.acquire the way the scenarios below
+// read: ok reports an immediate grant, and wake (which may be nil when
+// the request must not queue) fires when a queued request is granted.
+func tryAcquire(lm *lockManager, txn *Txn, key lockKey, mode LockMode, wake func()) (ok bool, err error) {
+	wait, err := lm.acquire(txn, key, mode, func() (func(), func()) { return func() {}, wake })
+	return wait == nil && err == nil, err
+}
+
 // lockDB builds a two-table database for lock-manager scenarios.
 func lockDB(t *testing.T) *DB {
 	t.Helper()
@@ -163,12 +171,12 @@ func testQueuedUpgradeGrantedOnRelease(t *testing.T, db *DB) {
 	t1, t2 := db.newTxn(), db.newTxn()
 
 	for _, txn := range []*Txn{t1, t2} {
-		if ok, err := lm.acquire(txn, key, LockS, nil); !ok || err != nil {
+		if ok, err := tryAcquire(lm, txn, key, LockS, nil); !ok || err != nil {
 			t.Fatalf("S acquire: ok=%v err=%v", ok, err)
 		}
 	}
 	granted := make(chan struct{})
-	ok, err := lm.acquire(t1, key, LockX, func() { close(granted) })
+	ok, err := tryAcquire(lm, t1, key, LockX, func() { close(granted) })
 	if ok || err != nil {
 		t.Fatalf("upgrade with two S holders: ok=%v err=%v, want queued wait", ok, err)
 	}
@@ -186,7 +194,7 @@ func testQueuedUpgradeGrantedOnRelease(t *testing.T, db *DB) {
 	}
 	st := lm.stripeFor(key)
 	st.mu.Lock()
-	mode := st.locks[key].holders[t1]
+	mode := st.locks[key].holder(t1).mode
 	st.mu.Unlock()
 	if mode != LockX {
 		t.Errorf("granted mode = %v, want X", mode)
@@ -207,15 +215,15 @@ func testSoleHolderUpgradeJumpsNonEmptyQueue(t *testing.T, db *DB) {
 	key := lockKey{table: "b", slot: 2, h: fnv32("b")}
 	t1, t2 := db.newTxn(), db.newTxn()
 
-	if ok, err := lm.acquire(t1, key, LockS, nil); !ok || err != nil {
+	if ok, err := tryAcquire(lm, t1, key, LockS, nil); !ok || err != nil {
 		t.Fatalf("S acquire: ok=%v err=%v", ok, err)
 	}
 	writerGranted := make(chan struct{})
-	if ok, err := lm.acquire(t2, key, LockX, func() { close(writerGranted) }); ok || err != nil {
+	if ok, err := tryAcquire(lm, t2, key, LockX, func() { close(writerGranted) }); ok || err != nil {
 		t.Fatalf("writer X against S holder: ok=%v err=%v, want queued wait", ok, err)
 	}
 
-	ok, err := lm.acquire(t1, key, LockX, nil)
+	ok, err := tryAcquire(lm, t1, key, LockX, nil)
 	if !ok || err != nil {
 		t.Fatalf("sole-holder upgrade with non-empty queue: ok=%v err=%v, want immediate grant", ok, err)
 	}

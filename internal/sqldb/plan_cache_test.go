@@ -74,6 +74,19 @@ func TestPlanCacheParallelFirstTouch(t *testing.T) {
 		if a != b {
 			t.Fatalf("plan cache returned distinct objects for %q", q)
 		}
+		// ... and the racing first executions on one shared bound plan,
+		// which a later execution reuses instead of replacing.
+		cell := a.(dmlStmt).cell()
+		p := cell.p.Load()
+		if p == nil || !db.planCurrent(p) {
+			t.Fatalf("%q: no current bound plan after %d sessions ran it", q, workers)
+		}
+		if _, err := setup.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		if cell.p.Load() != p {
+			t.Fatalf("%q: a warm execution replaced the shared plan", q)
+		}
 	}
 }
 

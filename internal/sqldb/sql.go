@@ -41,7 +41,9 @@ func (c ColType) String() string {
 // SQL AST
 // ---------------------------------------------------------------------------
 
-// SQLStmt is a parsed SQL statement.
+// SQLStmt is a parsed SQL statement. The DML statements embed a
+// planCell — the plan their first execution binds (see plan.go) — so a
+// statement is shared by pointer and never copied.
 type SQLStmt interface{ sqlStmt() }
 
 // ColumnDef is one column in CREATE TABLE.
@@ -67,6 +69,7 @@ type CreateIndexStmt struct {
 
 // InsertStmt inserts one row.
 type InsertStmt struct {
+	planCell
 	Table string
 	Cols  []string // optional explicit column list
 	Vals  []SQLExpr
@@ -74,6 +77,7 @@ type InsertStmt struct {
 
 // SelectStmt is a (possibly multi-table, possibly aggregate) query.
 type SelectStmt struct {
+	planCell
 	Cols    []SelectCol
 	Tables  []TableRef
 	Where   []Cond
@@ -101,6 +105,7 @@ type OrderKey struct {
 
 // UpdateStmt updates matching rows.
 type UpdateStmt struct {
+	planCell
 	Table string
 	Sets  []SetClause
 	Where []Cond
@@ -114,6 +119,7 @@ type SetClause struct {
 
 // DeleteStmt deletes matching rows.
 type DeleteStmt struct {
+	planCell
 	Table string
 	Where []Cond
 }

@@ -691,3 +691,36 @@ func TestResultSetSize(t *testing.T) {
 		t.Error("size should be positive")
 	}
 }
+
+// TestLargeIntKeys pins exact integer key ordering end to end: keys
+// that differ only beyond 2^53 are distinct in the B+tree and as
+// primary keys, and SUM over INT columns does not round through
+// float64.
+func TestLargeIntKeys(t *testing.T) {
+	const big = int64(1) << 53
+	tr := newBTree()
+	if !tr.Insert([]val.Value{val.IntV(big)}, 1) {
+		t.Fatal("insert 2^53 failed")
+	}
+	if !tr.Insert([]val.Value{val.IntV(big + 1)}, 2) {
+		t.Fatal("insert 2^53+1 refused as a duplicate of 2^53")
+	}
+	for want, k := range map[int]int64{1: big, 2: big + 1} {
+		if got, ok := tr.Get([]val.Value{val.IntV(k)}); !ok || got != want {
+			t.Errorf("Get(%d) = %d,%v, want %d", k, got, ok, want)
+		}
+	}
+
+	s := Open().NewSession()
+	mustExec(t, s, "CREATE TABLE big (k INT PRIMARY KEY, v INT)")
+	mustExec(t, s, "INSERT INTO big VALUES (?, ?)", val.IntV(big), val.IntV(big))
+	mustExec(t, s, "INSERT INTO big VALUES (?, ?)", val.IntV(big+1), val.IntV(1))
+	rs := mustQuery(t, s, "SELECT v FROM big WHERE k = ?", val.IntV(big+1))
+	if len(rs.Rows) != 1 || rs.Rows[0][0].I != 1 {
+		t.Errorf("point select of 2^53+1 = %v, want [[1]]", rs.Rows)
+	}
+	rs = mustQuery(t, s, "SELECT SUM(v) FROM big")
+	if got := rs.Rows[0][0]; got.K != val.Int || got.I != big+1 {
+		t.Errorf("SUM = %v, want %d", got, big+1)
+	}
+}

@@ -121,6 +121,17 @@ func (v Value) Equal(o Value) bool {
 // Compare orders two values of the same (or numeric-compatible) kind:
 // -1, 0, +1. Used by the database for index keys and ORDER BY.
 func Compare(a, b Value) int {
+	if a.K == Int && b.K == Int {
+		// Exact: widening to float64 would merge ints beyond 2^53.
+		switch {
+		case a.I < b.I:
+			return -1
+		case a.I > b.I:
+			return 1
+		default:
+			return 0
+		}
+	}
 	if a.K == Null || b.K == Null {
 		switch {
 		case a.K == Null && b.K == Null:

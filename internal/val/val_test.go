@@ -1,6 +1,7 @@
 package val
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -112,5 +113,32 @@ func TestSizeAndString(t *testing.T) {
 	}
 	if n := SizeOfRow([]Value{IntV(1), StrV("ab")}); n != 9+7 {
 		t.Errorf("SizeOfRow = %d", n)
+	}
+}
+
+// TestCompareLargeInts pins exact integer ordering: two ints that
+// differ only beyond float64's 53-bit mantissa must not compare equal.
+func TestCompareLargeInts(t *testing.T) {
+	const big = int64(1) << 53
+	cases := []struct {
+		a, b int64
+		want int
+	}{
+		{big, big + 1, -1},
+		{big + 1, big, 1},
+		{big + 1, big + 1, 0},
+		{-big - 1, -big, -1},
+		{math.MaxInt64 - 1, math.MaxInt64, -1},
+		{math.MinInt64, math.MinInt64 + 1, -1},
+		{math.MinInt64, math.MaxInt64, -1},
+	}
+	for _, c := range cases {
+		if got := Compare(IntV(c.a), IntV(c.b)); got != c.want {
+			t.Errorf("Compare(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+	// Int against Double still widens.
+	if got := Compare(IntV(2), DoubleV(2.5)); got != -1 {
+		t.Errorf("Compare(2, 2.5) = %d, want -1", got)
 	}
 }
