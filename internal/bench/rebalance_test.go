@@ -5,11 +5,12 @@ import (
 	"io"
 	"math"
 	"net"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
 	"pyxis/internal/dbapi"
+	"pyxis/internal/faultconn"
 	"pyxis/internal/rpc"
 	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
@@ -124,9 +125,10 @@ func rebalanceGlobalSums(t *testing.T, dbs []*sqldb.DB) (wytd float64, orders in
 }
 
 // rebalanceTier spins up a 2-shard dbapi tier over in-process pipes and
-// hands back everything a migration fault test needs, including the
-// raw server-side conns so a test can sever one shard's wire.
-func rebalanceTier(t *testing.T, c TPCCConfig) (sc *runtime.ShardedClient, pool *rpc.ShardedPool, dbs []*sqldb.DB, srvConns *sync.Map) {
+// hands back everything a migration fault test needs. wrap, when
+// non-nil, may wrap the client end of each shard's connection — the
+// place a test injects wire faults.
+func rebalanceTier(t *testing.T, c TPCCConfig, wrap func(shard int, cli io.ReadWriteCloser) io.ReadWriteCloser) (sc *runtime.ShardedClient, pool *rpc.ShardedPool, dbs []*sqldb.DB) {
 	t.Helper()
 	smap := runtime.ShardMap{Shards: 2, Warehouses: c.Warehouses}
 	dbs = make([]*sqldb.DB, 2)
@@ -139,60 +141,76 @@ func rebalanceTier(t *testing.T, c TPCCConfig) (sc *runtime.ShardedClient, pool 
 		dbapi.NewParticipant(0, sc.TwoPC.Outcome),
 		dbapi.NewParticipant(0, sc.TwoPC.Outcome),
 	}
-	srvConns = &sync.Map{} // shard -> []io.Closer of that shard's server pipe ends
-	var mu sync.Mutex
 	pool, err := rpc.NewShardedPool(2, 1, func(shard, _ int) (io.ReadWriteCloser, error) {
 		srv, cli := net.Pipe()
-		mu.Lock()
-		var cs []io.Closer
-		if v, ok := srvConns.Load(shard); ok {
-			cs = v.([]io.Closer)
-		}
-		srvConns.Store(shard, append(cs, srv))
-		mu.Unlock()
 		go rpc.ServeMuxConnConfig(srv, dbapi.MuxHandlersTxn(dbs[shard], parts[shard]), rpc.MuxServeConfig{})
+		if wrap != nil {
+			return wrap(shard, cli), nil
+		}
 		return cli, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { pool.Close() })
-	return sc, pool, dbs, srvConns
+	return sc, pool, dbs
 }
 
-// TestMigrateDestShardDown kills the destination shard's wire the
-// moment the source fence arms — mid-move, before the stream can
-// land. The move must fail, the fence must come down, the epoch must
-// not advance, and the source must keep serving the range it almost
-// lost.
+// TestMigrateDestShardDown severs the destination shard's wire on the
+// first frame the migrator sends it after the source fence has armed —
+// mid-move, before the stream can land. The move must fail, the fence
+// must come down, the epoch must not advance, and the source must keep
+// serving the range it almost lost.
+//
+// The kill is a wire fault, not a race: Move arms the fence (and has
+// its reply) before it sends the destination anything, so "first
+// destination frame with the fence armed" is always the destination's
+// Begin. The test used to poll FenceArmed from a second goroutine every
+// 100 µs and cut the pipes when it saw the fence; under CPU contention
+// a whole move (1–3 ms) fits between two polls, the killer never
+// fired, and Move — correctly — succeeded against a destination that
+// was alive throughout (2PC commits=1, in doubt=0), after which the
+// poll loop ran out its 10 000 sleeps: the "move succeeded with a dead
+// destination" failures after 11 s were that, a wrong premise in the
+// test, not a decision deadline expiring against a dead shard. A kill
+// that lands after the cutover decision is likewise a success by
+// design: the decision is logged and the destination converges by
+// re-query.
 func TestMigrateDestShardDown(t *testing.T) {
 	c := rebalanceTPCC()
-	sc, pool, dbs, srvConns := rebalanceTier(t, c)
+	var (
+		src     *sqldb.DB // shard 0's database, set once the tier is up
+		severed bool
+	)
+	sc, pool, dbs := rebalanceTier(t, c, func(shard int, cli io.ReadWriteCloser) io.ReadWriteCloser {
+		if shard != 1 {
+			return cli
+		}
+		fc := faultconn.New(cli)
+		fc.Fail = func(int, []byte) (int, bool) {
+			if armed, _ := src.FenceArmed(); !armed {
+				return 0, false
+			}
+			severed = true
+			_ = cli.Close()
+			return 0, true
+		}
+		return fc
+	})
+	src = dbs[0]
 	mg := &runtime.Migrator{Client: sc, Pool: pool, Tables: TPCCWarehouseKeys()}
 
-	// The killer: sever shard 1's server pipes as soon as the source
-	// fence is armed (which Move does before it ever talks to the
-	// destination).
-	killed := make(chan struct{})
-	go func() {
-		defer close(killed)
-		for i := 0; i < 10000; i++ {
-			if armed, _ := dbs[0].FenceArmed(); armed {
-				if v, ok := srvConns.Load(1); ok {
-					for _, conn := range v.([]io.Closer) {
-						_ = conn.Close()
-					}
-				}
-				return
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-
+	// Move writes the destination's frames on this goroutine, so Fail
+	// runs here too: src and severed need no lock.
 	_, err := mg.Move(0, 1, 3, 4)
-	<-killed
+	if !severed {
+		t.Fatal("the destination's wire was never severed: nothing was tested")
+	}
 	if err == nil {
 		t.Fatal("move succeeded with a dead destination")
+	}
+	if !strings.Contains(err.Error(), "dest begin") {
+		t.Fatalf("move failed somewhere other than the destination's first frame: %v", err)
 	}
 	if errors.Is(err, runtime.ErrWrongShard) {
 		t.Fatalf("dead destination misreported as ownership error: %v", err)
@@ -224,7 +242,7 @@ func TestMigrateDestShardDown(t *testing.T) {
 // and let the source serve again.
 func TestMigrateFenceAbandonTTL(t *testing.T) {
 	c := rebalanceTPCC()
-	_, pool, _, _ := rebalanceTier(t, c)
+	_, pool, _ := rebalanceTier(t, c, nil)
 
 	sess, err := pool.Session(0)
 	if err != nil {
@@ -280,7 +298,7 @@ func TestMigrateFenceAbandonTTL(t *testing.T) {
 // are tombstoned on the source.
 func TestRebalanceForcedMoveKeysRelocate(t *testing.T) {
 	c := rebalanceTPCC()
-	sc, pool, dbs, _ := rebalanceTier(t, c)
+	sc, pool, dbs := rebalanceTier(t, c, nil)
 	mg := &runtime.Migrator{Client: sc, Pool: pool, Tables: TPCCWarehouseKeys()}
 	mv, err := mg.Move(0, 1, 3, 4)
 	if err != nil {

@@ -131,28 +131,6 @@ const (
 	opPrepQuery
 )
 
-// EncodeRequest marshals one string-path database operation.
-func EncodeRequest(op byte, sql string, args []val.Value) []byte {
-	var w rpc.Writer
-	w.Byte(op)
-	w.Str(sql)
-	w.Vals(args)
-	return w.Buf
-}
-
-// encodePrepared marshals one prepared-path operation.
-func encodePrepared(op byte, id int, hasSQL bool, sql string, args []val.Value) []byte {
-	var w rpc.Writer
-	w.Byte(op)
-	w.Uvarint(uint64(id))
-	w.Bool(hasSQL)
-	if hasSQL {
-		w.Str(sql)
-	}
-	w.Vals(args)
-	return w.Buf
-}
-
 // Client is a remote connection over a transport. One Client maps to
 // one server-side session (and so one transaction context).
 type Client struct {
@@ -164,28 +142,57 @@ type Client struct {
 
 	prepared  []bool // ids the server session has the text for
 	noPrepare bool   // peer doesn't speak the prepared ops
+
+	// enc holds the request being sent and dec the reply being decoded.
+	// A Conn is single-threaded and Transport.Call does not retain its
+	// request, so every operation encodes into the same buffer.
+	enc rpc.Writer
+	dec rpc.Reader
 }
 
 // NewClient wraps a transport as a database connection.
 func NewClient(t rpc.Transport) *Client { return &Client{T: t} }
 
-func (c *Client) call(req []byte) (*rpc.Reader, error) {
-	c.BytesSent += int64(len(req))
-	resp, err := c.T.Call(req)
+// encode marshals one string-path database operation into c.enc.
+func (c *Client) encode(op byte, sql string, args []val.Value) {
+	c.enc.Reset()
+	c.enc.Byte(op)
+	c.enc.Str(sql)
+	c.enc.Vals(args)
+}
+
+// encodePrepared marshals one prepared-path operation into c.enc.
+func (c *Client) encodePrepared(op byte, id int, hasSQL bool, sql string, args []val.Value) {
+	c.enc.Reset()
+	c.enc.Byte(op)
+	c.enc.Uvarint(uint64(id))
+	c.enc.Bool(hasSQL)
+	if hasSQL {
+		c.enc.Str(sql)
+	}
+	c.enc.Vals(args)
+}
+
+// call sends the request in c.enc and returns a reader positioned after
+// the reply's ok flag. The reader is c.dec: valid until the next call.
+func (c *Client) call() (*rpc.Reader, error) {
+	c.BytesSent += int64(len(c.enc.Buf))
+	resp, err := c.T.Call(c.enc.Buf)
+	rpc.Released(c.enc.Buf)
 	if err != nil {
 		return nil, err
 	}
 	c.BytesRecv += int64(len(resp))
-	r := &rpc.Reader{Buf: resp}
-	if !r.Bool() { // ok flag
-		msg := r.Str()
-		return nil, decodeError(msg)
+	c.dec = rpc.Reader{Buf: resp}
+	if !c.dec.Bool() { // ok flag
+		return nil, decodeError(c.dec.Str())
 	}
-	return r, nil
+	return &c.dec, nil
 }
 
 func (c *Client) do(op byte, sql string, args []val.Value) (*rpc.Reader, error) {
-	return c.call(EncodeRequest(op, sql, args))
+	c.encode(op, sql, args)
+	return c.call()
 }
 
 // doPrepared runs op over the prepared wire with the string path as
@@ -198,13 +205,15 @@ func (c *Client) doPrepared(op, strOp byte, id int, sql string, args []val.Value
 		return c.do(strOp, sql, args)
 	}
 	hasSQL := id >= len(c.prepared) || !c.prepared[id]
-	r, err := c.call(encodePrepared(op, id, hasSQL, sql, args))
+	c.encodePrepared(op, id, hasSQL, sql, args)
+	r, err := c.call()
 	if err == nil {
 		c.markPrepared(id)
 		return r, nil
 	}
 	if errors.Is(err, ErrUnprepared) {
-		r, err = c.call(encodePrepared(op, id, true, sql, args))
+		c.encodePrepared(op, id, true, sql, args)
+		r, err = c.call()
 		if err == nil {
 			c.markPrepared(id)
 		}
@@ -269,13 +278,34 @@ func (c *Client) QueryStmt(id int, sql string, args ...val.Value) (*sqldb.Result
 
 func decodeResultSet(r *rpc.Reader) (*sqldb.ResultSet, error) {
 	rs := &sqldb.ResultSet{}
+	// Every count below is checked against the bytes left before it
+	// sizes anything: a column name or a row is at least its own 4-byte
+	// length.
+	left := func() int { return (len(r.Buf) - r.Off) / 4 }
 	ncols := int(r.U32())
+	if r.Err() != nil || ncols > left() {
+		return nil, rpc.ErrShortBuffer
+	}
+	rs.Cols = make([]string, 0, ncols)
 	for i := 0; i < ncols; i++ {
 		rs.Cols = append(rs.Cols, r.Str())
 	}
 	nrows := int(r.U32())
+	if r.Err() != nil || nrows > left() {
+		return nil, rpc.ErrShortBuffer
+	}
+	rs.Rows = make([][]val.Value, 0, nrows)
+	// The rows of one result live and die together, so their values
+	// share one backing array: ncols per row when the frame can hold
+	// that many (a value is at least a byte), grown otherwise.
+	var slab []val.Value
+	if ncols > 0 && nrows <= (len(r.Buf)-r.Off)/ncols {
+		slab = make([]val.Value, 0, nrows*ncols)
+	}
 	for i := 0; i < nrows; i++ {
-		rs.Rows = append(rs.Rows, r.Vals())
+		start := len(slab)
+		slab = r.AppendVals(slab)
+		rs.Rows = append(rs.Rows, slab[start:len(slab):len(slab)])
 	}
 	return rs, r.Err()
 }
@@ -430,98 +460,104 @@ func (h *muxHandlers) Closed(sid uint32) {
 // (useful when the caller needs to control the session's WaitPoint).
 // Each handler keeps its session's prepared-statement table: ids are
 // bound when a request carries the SQL text and resolved to the
-// pre-parsed statement on every later call.
+// pre-parsed statement on every later call. It also keeps one reply
+// buffer: a session's calls are sequential and the transport is done
+// with a reply before the next call (see rpc.Handler), so every reply
+// is encoded into the same memory.
 func SessionHandler(sess *sqldb.Session) rpc.Handler {
-	prepared := map[uint64]sqldb.SQLStmt{}
-	return func(req []byte) ([]byte, error) {
-		r := &rpc.Reader{Buf: req}
-		op := r.Byte()
-		if op == opPrepExec || op == opPrepQuery {
-			return servePrepared(sess, prepared, op, r)
-		}
-		sql := r.Str()
-		args := r.Vals()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		var w rpc.Writer
-		switch op {
-		case opExec:
-			n, err := sess.Exec(sql, args...)
-			if err != nil {
-				return encodeErr(err), nil
-			}
-			w.Bool(true)
-			w.I64(int64(n))
-		case opQuery:
-			rs, err := sess.Query(sql, args...)
-			if err != nil {
-				return encodeErr(err), nil
-			}
-			w.Bool(true)
-			writeResultSet(&w, rs)
-		case opBegin:
-			if err := sess.Begin(); err != nil {
-				return encodeErr(err), nil
-			}
-			w.Bool(true)
-		case opCommit:
-			if err := sess.Commit(); err != nil {
-				return encodeErr(err), nil
-			}
-			w.Bool(true)
-		case opRollback:
-			if err := sess.Rollback(); err != nil {
-				return encodeErr(err), nil
-			}
-			w.Bool(true)
-		default:
-			return nil, fmt.Errorf("dbapi: unknown op %d", op)
-		}
-		return w.Buf, nil
-	}
+	h := &sessionHandler{sess: sess, prepared: map[uint64]sqldb.SQLStmt{}}
+	return h.serve
 }
 
-// servePrepared handles the prepared-statement ops.
-func servePrepared(sess *sqldb.Session, prepared map[uint64]sqldb.SQLStmt, op byte, r *rpc.Reader) ([]byte, error) {
-	id := r.Uvarint()
-	hasSQL := r.Bool()
-	var sqlText string
-	if hasSQL {
-		sqlText = r.Str()
+// replyKeep is the largest reply buffer a session handler keeps between
+// calls.
+const replyKeep = 64 << 10
+
+type sessionHandler struct {
+	sess     *sqldb.Session
+	prepared map[uint64]sqldb.SQLStmt
+	w        rpc.Writer  // the reply; reused across calls
+	args     []val.Value // the decoded arguments; reused across calls
+}
+
+func (h *sessionHandler) serve(req []byte) ([]byte, error) {
+	r := rpc.Reader{Buf: req}
+	op := r.Byte()
+	// Prepared ops are [op][uvarint id][bool hasSQL][sql?][args], string
+	// ops [op][sql][args].
+	prep := op == opPrepExec || op == opPrepQuery
+	var id uint64
+	hasSQL := true
+	if prep {
+		id = r.Uvarint()
+		hasSQL = r.Bool()
 	}
-	args := r.Vals()
+	var sql string
+	if hasSQL {
+		sql = r.Str()
+	}
+	// The engine evaluates its arguments and keeps none, so they decode
+	// into the handler's own slice.
+	h.args = r.AppendVals(h.args[:0])
+	args := h.args
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	var st sqldb.SQLStmt
-	if hasSQL {
-		var perr error
-		st, perr = sess.Prepare(sqlText)
-		if perr != nil {
-			return encodeErr(perr), nil
+	var err error
+	if prep {
+		if hasSQL {
+			if st, err = h.sess.Prepare(sql); err != nil {
+				return h.fail(err), nil
+			}
+			h.prepared[id] = st
+		} else if st = h.prepared[id]; st == nil {
+			return h.fail(ErrUnprepared), nil
 		}
-		prepared[id] = st
-	} else if st = prepared[id]; st == nil {
-		return encodeErr(ErrUnprepared), nil
 	}
-	var w rpc.Writer
-	if op == opPrepExec {
-		n, err := sess.ExecParsed(st, args...)
-		if err != nil {
-			return encodeErr(err), nil
-		}
-		w.Bool(true)
-		w.I64(int64(n))
-	} else {
-		rs, err := sess.QueryParsed(st, args...)
-		if err != nil {
-			return encodeErr(err), nil
-		}
-		w.Bool(true)
-		writeResultSet(&w, rs)
+	if cap(h.w.Buf) > replyKeep {
+		h.w.Buf = nil // one large result does not pin its buffer for the session's life
 	}
-	return w.Buf, nil
+	h.w.Reset()
+	h.w.Bool(true)
+	switch op {
+	case opExec, opPrepExec:
+		var n int
+		if op == opExec {
+			n, err = h.sess.Exec(sql, args...)
+		} else {
+			n, err = h.sess.ExecParsed(st, args...)
+		}
+		h.w.I64(int64(n))
+	case opQuery, opPrepQuery:
+		var rs *sqldb.ResultSet
+		if op == opQuery {
+			rs, err = h.sess.Query(sql, args...)
+		} else {
+			rs, err = h.sess.QueryParsed(st, args...)
+		}
+		if err == nil {
+			writeResultSet(&h.w, rs)
+		}
+	case opBegin:
+		err = h.sess.Begin()
+	case opCommit:
+		err = h.sess.Commit()
+	case opRollback:
+		err = h.sess.Rollback()
+	default:
+		return nil, fmt.Errorf("dbapi: unknown op %d", op)
+	}
+	if err != nil {
+		return h.fail(err), nil
+	}
+	return h.w.Buf, nil
+}
+
+// fail encodes err as the reply.
+func (h *sessionHandler) fail(err error) []byte {
+	h.w.Reset()
+	return encodeErr(&h.w, err)
 }
 
 func writeResultSet(w *rpc.Writer, rs *sqldb.ResultSet) {
@@ -535,8 +571,8 @@ func writeResultSet(w *rpc.Writer, rs *sqldb.ResultSet) {
 	}
 }
 
-func encodeErr(err error) []byte {
-	var w rpc.Writer
+// encodeErr appends an error reply to w and returns the buffer.
+func encodeErr(w *rpc.Writer, err error) []byte {
 	w.Bool(false)
 	w.Str(encodeError(err))
 	return w.Buf

@@ -13,7 +13,7 @@ import (
 	"pyxis/internal/val"
 )
 
-func setup(t *testing.T) *sqldb.DB {
+func setup(t testing.TB) *sqldb.DB {
 	t.Helper()
 	db := sqldb.Open()
 	s := db.NewSession()

@@ -118,14 +118,14 @@ func oldHandler(db *sqldb.DB) rpc.Handler {
 		case opExec:
 			n, err := sess.Exec(sql, args...)
 			if err != nil {
-				return encodeErr(err), nil
+				return encodeErr(&rpc.Writer{}, err), nil
 			}
 			w.Bool(true)
 			w.I64(int64(n))
 		case opQuery:
 			rs, err := sess.Query(sql, args...)
 			if err != nil {
-				return encodeErr(err), nil
+				return encodeErr(&rpc.Writer{}, err), nil
 			}
 			w.Bool(true)
 			writeResultSet(&w, rs)

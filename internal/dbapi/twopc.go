@@ -144,13 +144,15 @@ func (p *Participant) Finish(gid uint64, commit bool) (rpc.TxnState, error) {
 	p.mu.Unlock()
 
 	rec.timer.Stop()
+	// Count before the locks drop: whoever can see the outcome in the
+	// data can see it in Stats.
 	var err error
 	if commit {
-		err = rec.pt.Commit()
 		p.commits.Add(1)
+		err = rec.pt.Commit()
 	} else {
-		err = rec.pt.Abort()
 		p.aborts.Add(1)
+		err = rec.pt.Abort()
 	}
 	if err != nil {
 		return rpc.TxnStateUnknown, err

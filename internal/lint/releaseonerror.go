@@ -14,7 +14,7 @@ import (
 //
 // For every assignment `v := x.M(...)` where M is a configured
 // acquire (session frames from the free-list, prepared 2PC
-// transactions), the analyzer walks the function's control-flow graph
+// transactions, armed fences, pooled request bodies), the analyzer walks the function's control-flow graph
 // from the acquisition and demands that every reachable return
 // statement either follows a point where v was released or handed
 // off, or mentions v itself. "Handed off" is deliberately permissive
@@ -69,6 +69,14 @@ var releaseAcquires = []acquireSpec{
 		// stays dark for the full TTL.
 		method: "ArmFence", recv: "DB", kind: "armed migration write-fence",
 		releases: map[string]bool{"ReleaseFence": true},
+	},
+	{
+		// A mux connection's recycled request bodies (rpc/frame.go): a
+		// body taken for a frame and dropped on an early return is only
+		// garbage, but one handed on without ever reaching putBody means
+		// the pool drains and every request allocates again.
+		method: "getBody", recv: "bodyPool", kind: "pooled request body",
+		releases: map[string]bool{"putBody": true},
 	},
 }
 

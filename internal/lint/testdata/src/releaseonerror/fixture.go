@@ -92,6 +92,34 @@ func fenceClean(db *DB) error {
 	return db.ReleaseFence(token, true)
 }
 
+// bodyPool mirrors the mux connection's recycled request bodies.
+type bodyPool struct{ free [][]byte }
+
+func (p *bodyPool) getBody(n int) []byte { return make([]byte, 0, n) }
+
+func (p *bodyPool) putBody(b []byte) { p.free = append(p.free, b) }
+
+// bodyLeaky takes a body and forgets it on the degraded exit.
+func bodyLeaky(p *bodyPool) error {
+	body := p.getBody(64) // want "may leak"
+	if degraded {
+		return errDegraded
+	}
+	p.putBody(body)
+	return nil
+}
+
+// bodyClean puts it back on both exits.
+func bodyClean(p *bodyPool) error {
+	body := p.getBody(64)
+	if degraded {
+		p.putBody(body)
+		return errDegraded
+	}
+	p.putBody(body)
+	return nil
+}
+
 // pinned leaks on purpose; the directive carries the story.
 func pinned(s *Session) error {
 	//pyxlint:allow releaseonerror -- frame deliberately pinned for the process lifetime (warm-pool seed)

@@ -1,0 +1,116 @@
+package rpc
+
+import (
+	"bytes"
+	"encoding/hex"
+	"runtime"
+	"testing"
+)
+
+// The first fuzz targets on bytes that arrive from a socket. The
+// contract for both: malformed input yields an error or a dropped
+// connection — no panic, no allocation sized by a length the peer
+// merely announced.
+
+// sinkConn feeds the demux loop a fixed byte stream and swallows its
+// replies.
+type sinkConn struct{ r *bytes.Reader }
+
+func (c sinkConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
+func (c sinkConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c sinkConn) Close() error                { return nil }
+
+// fuzzHandlers echoes calls and accepts every control frame that
+// decodes, so the txn-ctl and mig-ctl decoders run too.
+type fuzzHandlers struct{}
+
+func (fuzzHandlers) Open(uint32) Handler {
+	return func(req []byte) ([]byte, error) { return req, nil }
+}
+func (fuzzHandlers) Closed(uint32) {}
+func (fuzzHandlers) TxnCtl(uint32, TxnOp, uint64) (TxnState, error) {
+	return TxnStateAborted, nil
+}
+func (fuzzHandlers) MigCtl(_ uint32, req MigRequest) (uint64, error) { return req.Token, nil }
+
+// realFrames are frames off a live connection (TestFrameGoldenBytes)
+// plus a mig-ctl request: the seeds mutation starts from.
+func realFrames(tb testing.TB) [][]byte {
+	var out [][]byte
+	for _, h := range []string{
+		"0e00000007000001030000000068656c6c6f",         // call "hello"
+		"12000000070000010500000005018877665544332211", // txn-ctl prepare
+		"09000000070000010000000003",                   // close session
+	} {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	conn := &bufConn{}
+	mig := encodeMigRequest(MigRequest{Op: MigFence, Lo: 3, Hi: 4, TTL: 5e9, Tables: map[string]string{"stock": "s_w_id", "orders": "o_w_id"}})
+	if err := newFramer(conn).writeFrame(muxFrame{sid: 9, rid: 1, kind: muxMigCtl, body: mig}); err != nil {
+		tb.Fatal(err)
+	}
+	return append(out, conn.Bytes())
+}
+
+func FuzzMuxFrameDemux(f *testing.F) {
+	frames := realFrames(f)
+	for _, fr := range frames {
+		f.Add(fr)
+	}
+	f.Add(bytes.Join(frames, nil))
+	f.Add(append(bytes.Repeat(frames[0], 40), frames[2]...))              // overflows a session queue, then closes it
+	f.Add([]byte{0xff, 0xff, 0xff, 0x0f, 7, 0, 0, 1, 3, 0, 0, 0, 0, 'x'}) // 256 MiB announced, one byte sent
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ServeMuxConnConfig(sinkConn{bytes.NewReader(data)}, fuzzHandlers{}, MuxServeConfig{
+			Load: func(q int) (LoadReport, bool) { return LoadReport{QueueDepth: uint32(q)}, true },
+		})
+		runtime.ReadMemStats(&after)
+		// Two frame buffers, a worker per session the input opens, request
+		// bodies for what actually arrived: nothing near what a hostile
+		// length prefix can announce.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+256*len(data)); got > limit {
+			t.Fatalf("%d input bytes made the demux loop allocate %d bytes (limit %d)", len(data), got, limit)
+		}
+	})
+}
+
+func FuzzSplitLoadReport(f *testing.F) {
+	real := appendLoadReport(nil, LoadReport{Load: 42.5, CPU: 12.25, LockWaitRate: 3, QueueDepth: 7})
+	f.Add(append(bytes.Clone(real), "world"...))
+	f.Add(real)
+	f.Add(real[:10])
+	f.Add([]byte{})
+	long := append(bytes.Clone(real), 1, 2, 3, 4)
+	long[0] += 4
+	f.Add(append(long, "payload"...))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rep, rest, err := splitLoadReport(body)
+		// The in-place reader must agree with the slice decoder.
+		conn := &bufConn{}
+		conn.Write(body)
+		rep2, left, err2 := newFramer(conn).readLoadReport(len(body))
+		if (err == nil) != (err2 == nil) {
+			t.Fatalf("splitLoadReport err %v, readLoadReport err %v", err, err2)
+		}
+		if err != nil {
+			return
+		}
+		n := 1 + int(body[0])
+		if n < 1+loadReportLen || n > len(body) || !bytes.Equal(rest, body[n:]) {
+			t.Fatalf("report of %d bytes split off %d-byte body leaving %d", n, len(body), len(rest))
+		}
+		if left != len(rest) {
+			t.Fatalf("readLoadReport leaves %d body bytes, splitLoadReport %d", left, len(rest))
+		}
+		// Compare encodings, not structs: NaN fields differ from themselves.
+		if a, b := appendLoadReport(nil, rep), appendLoadReport(nil, rep2); !bytes.Equal(a, b) || !bytes.Equal(a[1:], body[1:1+loadReportLen]) {
+			t.Fatalf("decoded reports disagree or do not re-encode to their bytes: %x %x %x", a, b, body[:n])
+		}
+	})
+}

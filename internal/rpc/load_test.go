@@ -31,12 +31,13 @@ func dummyLoopbackClient(t *testing.T, reply func(muxFrame) muxFrame) *MuxClient
 	t.Helper()
 	srvConn, cliConn := net.Pipe()
 	go func() {
+		fr := newFramer(srvConn)
 		for {
-			f, err := readMuxFrame(srvConn)
+			f, err := fr.readMuxFrame()
 			if err != nil {
 				return
 			}
-			if err := writeMuxFrame(srvConn, reply(f)); err != nil {
+			if err := fr.writeFrame(reply(f)); err != nil {
 				return
 			}
 		}
@@ -81,37 +82,36 @@ func TestMuxLoadReportCodecProperty(t *testing.T) {
 		var rep LoadReport
 		if withReport {
 			rep = randReport()
-			f.kind |= muxFlagLoad
-			f.body = append(appendLoadReport(nil, rep), payload...)
 		}
 
-		var buf bytes.Buffer
-		if err := writeMuxFrame(&buf, f); err != nil {
+		fr := newFramer(&bufConn{})
+		if err := fr.writeMux(f, rep, withReport); err != nil {
 			t.Fatalf("iter %d: write: %v", i, err)
 		}
-		got, err := readMuxFrame(&buf)
+		got, n, err := fr.readMuxHeader()
 		if err != nil {
 			t.Fatalf("iter %d: read: %v", i, err)
 		}
-		if got.sid != f.sid || got.rid != f.rid || got.kind != f.kind {
+		if got.sid != f.sid || got.rid != f.rid || got.kind&^muxFlagLoad != f.kind {
 			t.Fatalf("iter %d: header mismatch: got %+v want %+v", i, got, f)
 		}
-		if !withReport {
-			// Old-peer path: no flag, body untouched.
-			if got.kind&muxFlagLoad != 0 || !bytes.Equal(got.body, payload) {
-				t.Fatalf("iter %d: report-less frame mutated: %+v", i, got)
+		if (got.kind&muxFlagLoad != 0) != withReport {
+			t.Fatalf("iter %d: load flag %v, want %v", i, got.kind&muxFlagLoad != 0, withReport)
+		}
+		if withReport {
+			var dec LoadReport
+			if dec, n, err = fr.readLoadReport(n); err != nil {
+				t.Fatalf("iter %d: load report: %v", i, err)
 			}
-			continue
+			if dec != rep {
+				t.Fatalf("iter %d: report mismatch: got %+v want %+v", i, dec, rep)
+			}
 		}
-		dec, rest, err := splitLoadReport(got.body)
-		if err != nil {
-			t.Fatalf("iter %d: split: %v", i, err)
-		}
-		if dec != rep {
-			t.Fatalf("iter %d: report mismatch: got %+v want %+v", i, dec, rep)
-		}
-		if !bytes.Equal(rest, payload) {
-			t.Fatalf("iter %d: payload mismatch after report: %q vs %q", i, rest, payload)
+		// With or without a report the payload arrives untouched (a
+		// report-less frame is the old-peer path).
+		body, err := fr.readBody(n, nil)
+		if err != nil || !bytes.Equal(body, payload) {
+			t.Fatalf("iter %d: payload mismatch: %q vs %q (%v)", i, body, payload, err)
 		}
 	}
 

@@ -14,7 +14,7 @@ package rpc
 // warehouse.
 
 import (
-	"errors"
+	"encoding/binary"
 	"fmt"
 	"time"
 )
@@ -77,7 +77,17 @@ func (s *MuxSession) MigCtl(req MigRequest, timeout time.Duration) (uint64, erro
 	if timeout <= 0 {
 		timeout = DefaultTxnDeadline
 	}
-	return s.c.migCall(s.sid, s.nextRID.Add(1), req, timeout)
+	f, err := s.c.exchange(s, muxMigCtl, encodeMigRequest(req), timeout)
+	if err != nil {
+		return 0, ctlError(fmt.Sprintf("mig %s", req.Op), timeout, err)
+	}
+	if f.kind != muxReplyMig {
+		return 0, replyError(f, "mig ")
+	}
+	if len(f.body) < 8 {
+		return 0, fmt.Errorf("rpc: malformed mig reply (%d bytes)", len(f.body))
+	}
+	return binary.LittleEndian.Uint64(f.body), nil
 }
 
 func encodeMigRequest(req MigRequest) []byte {
@@ -107,8 +117,11 @@ func decodeMigRequest(body []byte) (MigRequest, error) {
 	}
 	req.TTL = time.Duration(r.I64())
 	if n := r.Uvarint(); n > 0 {
-		if n > 1<<16 {
-			return req, fmt.Errorf("rpc: mig-ctl table count %d too large", n)
+		// An entry is two length-prefixed strings, 8 bytes at least: a
+		// count the bytes left cannot hold is corrupt, and must not size
+		// the map (FuzzMuxFrameDemux found 1.3 MB allocated for 92).
+		if n > uint64(len(body)-r.Off)/8 {
+			return req, fmt.Errorf("rpc: mig-ctl table count %d exceeds the frame", n)
 		}
 		req.Tables = make(map[string]string, n)
 		for i := uint64(0); i < n; i++ {
@@ -135,94 +148,21 @@ func sortedMigKeys(m map[string]string) []string {
 	return keys
 }
 
-// migCall is txnCall for migration control frames: same pending-map
-// plumbing, deadline, and ErrPoolPoisoned typing.
-func (c *MuxClient) migCall(sid, rid uint32, req MigRequest, timeout time.Duration) (uint64, error) {
-	body := encodeMigRequest(req)
-
-	ch := make(chan muxFrame, 1)
-	key := muxKey(sid, rid)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return 0, fmt.Errorf("rpc: mig %s on dead connection: %w: %v", req.Op, ErrPoolPoisoned, err)
-	}
-	c.pending[key] = ch
-	c.mu.Unlock()
-	c.outstanding.Add(1)
-	defer c.outstanding.Add(-1)
-
-	c.wmu.Lock()
-	err := writeMuxFrame(c.conn, muxFrame{sid: sid, rid: rid, kind: muxMigCtl, body: body})
-	c.wmu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, key)
-		c.mu.Unlock()
-		return 0, fmt.Errorf("rpc: mig %s write failed: %w: %v", req.Op, ErrPoolPoisoned, err)
-	}
-	c.calls.Add(1)
-	c.bytesSent.Add(int64(len(body)) + muxHeaderLen + 4)
-
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case f, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			if err == nil {
-				err = errors.New("rpc: mux client closed")
-			}
-			return 0, fmt.Errorf("rpc: mig %s reply lost: %w: %v", req.Op, ErrPoolPoisoned, err)
-		}
-		switch f.kind {
-		case muxReplyMig:
-			r := &Reader{Buf: f.body}
-			tok := r.U64()
-			if err := r.Err(); err != nil {
-				return 0, fmt.Errorf("rpc: malformed mig reply (%d bytes)", len(f.body))
-			}
-			return tok, nil
-		case muxReplyErr:
-			return 0, fmt.Errorf("rpc: remote mig error: %s", string(f.body))
-		case muxReplyShed:
-			return 0, fmt.Errorf("rpc: %s: %w", string(f.body), ErrOverloaded)
-		}
-		return 0, fmt.Errorf("rpc: malformed mux reply kind %d", f.kind)
-	case <-timer.C:
-		c.mu.Lock()
-		delete(c.pending, key)
-		c.mu.Unlock()
-		return 0, fmt.Errorf("rpc: mig %s timed out after %v: %w", req.Op, timeout, ErrTxnDeadline)
-	}
-}
-
 // migCtlReply executes one muxMigCtl frame against the connection's
-// migration participant (nil when unsupported) and builds the reply.
-// Called from the demux loop or a session worker; the participant must
-// be concurrency-safe.
-func migCtlReply(mp MigParticipant, f muxFrame) muxFrame {
-	out := muxFrame{sid: f.sid, rid: f.rid, kind: muxReplyErr}
+// migration participant (nil when unsupported) and returns the reply's
+// kind and body. Called from the demux loop or a session worker; the
+// participant must be concurrency-safe.
+func migCtlReply(mp MigParticipant, f muxFrame) (byte, []byte) {
 	if mp == nil {
-		out.body = []byte("rpc: peer does not support range migration")
-		return out
+		return muxReplyErr, []byte("rpc: peer does not support range migration")
 	}
 	req, err := decodeMigRequest(f.body)
 	if err != nil {
-		out.body = []byte(err.Error())
-		return out
+		return muxReplyErr, []byte(err.Error())
 	}
 	tok, err := mp.MigCtl(f.sid, req)
 	if err != nil {
-		out.body = []byte(err.Error())
-		return out
+		return muxReplyErr, []byte(err.Error())
 	}
-	w := &Writer{}
-	w.U64(tok)
-	out.kind = muxReplyMig
-	out.body = w.Buf
-	return out
+	return muxReplyMig, binary.LittleEndian.AppendUint64(nil, tok)
 }

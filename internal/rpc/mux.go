@@ -29,15 +29,18 @@ package rpc
 // unchanged: the flag only appears when a server explicitly has a
 // LoadSource configured, and a flag-free frame decodes exactly as
 // before.
+//
+// Frames are read and written by a framer (frame.go): one Write per
+// frame, one buffered read, nothing held back.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 const (
@@ -87,48 +90,6 @@ const muxHeaderLen = 9
 // server's tombstones.
 const muxRetiredCap = 1024
 
-type muxFrame struct {
-	sid  uint32
-	rid  uint32
-	kind byte
-	body []byte
-}
-
-func writeMuxFrame(w io.Writer, f muxFrame) error {
-	// Length prefix and mux header share one stack buffer; the body is
-	// written directly — no per-frame copy of the payload (heap-sync
-	// transfers can be large and this is the RPC hot path).
-	var hdr [4 + muxHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(muxHeaderLen+len(f.body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], f.sid)
-	binary.LittleEndian.PutUint32(hdr[8:12], f.rid)
-	hdr[12] = f.kind
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(f.body) == 0 {
-		return nil
-	}
-	_, err := w.Write(f.body)
-	return err
-}
-
-func readMuxFrame(r io.Reader) (muxFrame, error) {
-	payload, err := readFrame(r)
-	if err != nil {
-		return muxFrame{}, err
-	}
-	if len(payload) < muxHeaderLen {
-		return muxFrame{}, fmt.Errorf("rpc: mux frame too short (%d bytes)", len(payload))
-	}
-	return muxFrame{
-		sid:  binary.LittleEndian.Uint32(payload),
-		rid:  binary.LittleEndian.Uint32(payload[4:]),
-		kind: payload[8],
-		body: payload[muxHeaderLen:],
-	}, nil
-}
-
 // ---------------------------------------------------------------------------
 // Client side
 // ---------------------------------------------------------------------------
@@ -141,9 +102,7 @@ func readMuxFrame(r io.Reader) (muxFrame, error) {
 // calls outstanding at once; beyond that the server sheds the excess
 // with an error reply.
 type MuxClient struct {
-	conn io.ReadWriteCloser
-
-	wmu sync.Mutex // serializes frame writes
+	fr *framer
 
 	mu      sync.Mutex
 	pending map[uint64]chan muxFrame // (sid<<32|rid) -> reply slot
@@ -185,7 +144,7 @@ type MuxClient struct {
 // NewMuxClient starts a multiplexed client over an existing
 // connection and takes ownership of it.
 func NewMuxClient(conn io.ReadWriteCloser) *MuxClient {
-	c := &MuxClient{conn: conn, pending: map[uint64]chan muxFrame{}, live: map[uint32]struct{}{}}
+	c := &MuxClient{fr: newFramer(conn), pending: map[uint64]chan muxFrame{}, live: map[uint32]struct{}{}}
 	go c.readLoop()
 	return c
 }
@@ -203,32 +162,36 @@ func muxKey(sid, rid uint32) uint64 { return uint64(sid)<<32 | uint64(rid) }
 
 func (c *MuxClient) readLoop() {
 	for {
-		f, err := readMuxFrame(c.conn)
+		f, n, err := c.fr.readMuxHeader()
 		if err != nil {
 			c.fail(fmt.Errorf("rpc: mux connection lost: %w", err))
 			return
 		}
-		c.bytesRecv.Add(int64(len(f.body)) + muxHeaderLen + 4)
+		c.bytesRecv.Add(int64(n) + muxHeaderLen + 4)
 		if f.kind&muxFlagLoad != 0 {
-			rep, rest, err := splitLoadReport(f.body)
-			if err != nil {
+			var rep LoadReport
+			if rep, n, err = c.fr.readLoadReport(n); err != nil {
 				c.fail(fmt.Errorf("rpc: mux load report corrupt: %w", err))
 				return
 			}
 			f.kind &^= muxFlagLoad
-			f.body = rest
 			c.loadReports.Add(1)
 			if fn := c.onLoad.Load(); fn != nil {
 				(*fn)(rep)
 			}
 		}
-		c.mu.Lock()
-		ch, ok := c.pending[muxKey(f.sid, f.rid)]
-		if ok {
-			delete(c.pending, muxKey(f.sid, f.rid))
+		// The body is the caller's own from here on: exact size, the one
+		// allocation a round trip keeps.
+		if f.body, err = c.fr.readBody(n, nil); err != nil {
+			c.fail(fmt.Errorf("rpc: mux connection lost: %w", err))
+			return
 		}
+		key := muxKey(f.sid, f.rid)
+		c.mu.Lock()
+		ch, ok := c.pending[key]
+		delete(c.pending, key)
 		c.mu.Unlock()
-		if ok {
+		if ok { // else the call timed out and un-registered
 			ch <- f
 		}
 	}
@@ -249,51 +212,99 @@ func (c *MuxClient) fail(err error) {
 	}
 }
 
-func (c *MuxClient) call(sid, rid uint32, req []byte) ([]byte, error) {
-	ch := make(chan muxFrame, 1)
-	key := muxKey(sid, rid)
+// send writes one client frame. A write error leaves the stream torn
+// mid-frame — the next frame would land inside this one — so it takes
+// the whole connection out of service: the client is poisoned and the
+// connection closed, which also lets the server release the sessions'
+// state.
+func (c *MuxClient) send(f muxFrame) error {
+	err := c.fr.writeMux(f, LoadReport{}, false)
+	if err == nil || errors.Is(err, ErrFrameTooLarge) { // refused whole: nothing was written
+		return err
+	}
+	c.fail(fmt.Errorf("rpc: mux write failed: %w", err))
+	_ = c.fr.conn.Close()
+	return c.Err()
+}
+
+// exchange sends one request frame on s and waits for the reply frame
+// with the same request ID. timeout <= 0 waits for as long as the
+// connection lives; otherwise expiry returns ErrTxnDeadline. A dead
+// connection returns the client's sticky error. req is not retained.
+func (c *MuxClient) exchange(s *MuxSession, kind byte, req []byte, timeout time.Duration) (muxFrame, error) {
+	// Calls on one session are sequential in every real use, so the
+	// session's own reply channel serves them all; a concurrent call on
+	// the same session finds it taken and makes its own.
+	ch := s.reply
+	if s.replyBusy.Swap(true) {
+		ch = make(chan muxFrame, 1)
+	} else {
+		defer s.replyBusy.Store(false)
+	}
+	rid := s.nextRID.Add(1)
+	key := muxKey(s.sid, rid)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return nil, err
+		return muxFrame{}, err
 	}
 	c.pending[key] = ch
 	c.mu.Unlock()
 	c.outstanding.Add(1)
 	defer c.outstanding.Add(-1)
 
-	c.wmu.Lock()
-	err := writeMuxFrame(c.conn, muxFrame{sid: sid, rid: rid, kind: muxCall, body: req})
-	c.wmu.Unlock()
-	if err != nil {
+	if err := c.send(muxFrame{sid: s.sid, rid: rid, kind: kind, body: req}); err != nil {
+		// Poisoning closed ch along with every other pending slot; a
+		// frame refused whole leaves the slot to un-register here.
 		c.mu.Lock()
 		delete(c.pending, key)
 		c.mu.Unlock()
-		return nil, err
+		return muxFrame{}, err
 	}
 	c.calls.Add(1)
 	c.bytesSent.Add(int64(len(req)) + muxHeaderLen + 4)
 
-	f, ok := <-ch
-	if !ok {
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("rpc: mux client closed")
+	var f muxFrame
+	ok := false
+	if timeout <= 0 {
+		f, ok = <-ch
+	} else {
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		select {
+		case f, ok = <-ch:
+		case <-timer.C:
+			// Un-register so a straggling reply is skipped on arrival. If
+			// the slot is already gone the reply (or the poisoning) beat
+			// the timer and is on its way through ch: take it, which also
+			// leaves the session's channel empty for its next call.
+			c.mu.Lock()
+			_, waiting := c.pending[key]
+			delete(c.pending, key)
+			c.mu.Unlock()
+			if waiting {
+				return muxFrame{}, ErrTxnDeadline
+			}
+			f, ok = <-ch
 		}
-		return nil, err
 	}
+	if !ok {
+		return muxFrame{}, c.Err()
+	}
+	return f, nil
+}
+
+// replyError decodes the reply kinds every exchange shares; what names
+// the remote operation in the error text.
+func replyError(f muxFrame, what string) error {
 	switch f.kind {
-	case muxReplyOK:
-		return f.body, nil
 	case muxReplyErr:
-		return nil, fmt.Errorf("rpc: remote error: %s", string(f.body))
+		return fmt.Errorf("rpc: remote %serror: %s", what, string(f.body))
 	case muxReplyShed:
-		return nil, fmt.Errorf("rpc: %s: %w", string(f.body), ErrOverloaded)
+		return fmt.Errorf("rpc: %s: %w", string(f.body), ErrOverloaded)
 	}
-	return nil, fmt.Errorf("rpc: malformed mux reply kind %d", f.kind)
+	return fmt.Errorf("rpc: malformed mux reply kind %d", f.kind)
 }
 
 // sessionTagShift puts the session tag in the ID's top byte, leaving a
@@ -351,22 +362,21 @@ func (c *MuxClient) TaggedSession(tag uint8) *MuxSession {
 		}
 		sid := ctr | uint32(tag)<<sessionTagShift
 		if c.reserve(sid) {
-			return &MuxSession{c: c, sid: sid}
+			return c.newSession(sid)
 		}
 	}
 	// Every counter value under this tag belongs to a live session —
 	// 2^24 concurrently open sessions, beyond any real deployment.
 	// Return the (colliding) base ID rather than spin forever; its
 	// first call will misbehave exactly as the pre-guard code did.
-	return &MuxSession{c: c, sid: uint32(tag) << sessionTagShift}
+	return c.newSession(uint32(tag) << sessionTagShift)
 }
 
-// newSession opens a session under an externally allocated ID the
-// caller already reserved (the MuxPool allocates pool-wide IDs with
+// newSession opens a session under an ID the caller already reserved (the MuxPool allocates pool-wide IDs with
 // the connection index folded in, reserving them on the owning
 // connection).
 func (c *MuxClient) newSession(sid uint32) *MuxSession {
-	return &MuxSession{c: c, sid: sid}
+	return &MuxSession{c: c, sid: sid, reply: make(chan muxFrame, 1)}
 }
 
 // reserve claims sid for a new session; false means a still-open
@@ -441,8 +451,8 @@ func (c *MuxClient) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	err := c.conn.Close()
-	c.fail(fmt.Errorf("rpc: mux client closed"))
+	err := c.fr.conn.Close()
+	c.fail(errors.New("rpc: mux client closed"))
 	return err
 }
 
@@ -453,6 +463,10 @@ type MuxSession struct {
 	sid     uint32
 	nextRID atomic.Uint32
 	closed  atomic.Bool
+	// reply carries the session's replies; replyBusy says a call is
+	// using it (see exchange).
+	reply     chan muxFrame
+	replyBusy atomic.Bool
 }
 
 // ID returns the session's connection-scoped identifier.
@@ -463,7 +477,14 @@ func (s *MuxSession) Call(req []byte) ([]byte, error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("rpc: session %d closed", s.sid)
 	}
-	return s.c.call(s.sid, s.nextRID.Add(1), req)
+	f, err := s.c.exchange(s, muxCall, req, 0)
+	if err != nil {
+		return nil, err
+	}
+	if f.kind == muxReplyOK {
+		return f.body, nil
+	}
+	return nil, replyError(f, "")
 }
 
 // Close implements Transport: it retires this session on the server
@@ -473,9 +494,7 @@ func (s *MuxSession) Close() error {
 		return nil
 	}
 	s.c.release(s.sid)
-	s.c.wmu.Lock()
-	defer s.c.wmu.Unlock()
-	return writeMuxFrame(s.c.conn, muxFrame{sid: s.sid, kind: muxCloseSess})
+	return s.c.send(muxFrame{sid: s.sid, kind: muxCloseSess})
 }
 
 // ---------------------------------------------------------------------------
@@ -572,7 +591,8 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 	tp, _ := handlers.(TxnParticipant)
 	mp, _ := handlers.(MigParticipant)
 	var (
-		wmu      sync.Mutex
+		fr       = newFramer(conn)
+		bodies   bodyPool
 		wg       sync.WaitGroup
 		sessions = map[uint32]*sessionWorker{}
 		// retired tombstones recently closed session IDs: a call racing
@@ -591,29 +611,102 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 		}
 		wg.Wait()
 	}()
+	// reply answers req with one frame — the load report, when a source
+	// is configured and has a sample, goes straight into the write
+	// buffer — and then releases the request body: a handler may return
+	// (part of) its request as the reply, so the body stays valid until
+	// the reply is written. false means the connection is dead.
+	reply := func(req muxFrame, kind byte, body []byte, queueLen int) bool {
+		var rep LoadReport
+		hasRep := false
+		if cfg.Load != nil {
+			rep, hasRep = cfg.Load(queueLen)
+		}
+		out := muxFrame{sid: req.sid, rid: req.rid, kind: kind, body: body}
+		err := fr.writeMux(out, rep, hasRep)
+		Released(body) // the handler's again; before the request, which it may alias
+		bodies.putBody(req.body)
+		if errors.Is(err, ErrFrameTooLarge) {
+			// Refused whole, so the stream is intact: the caller gets an
+			// error reply instead of waiting forever.
+			out.kind, out.body = muxReplyErr, []byte(err.Error())
+			err = fr.writeMux(out, rep, hasRep)
+		}
+		return err == nil
+	}
 	// shed refuses one call with the typed shed reply (the client sees
-	// ErrOverloaded and backs off); false means the connection is dead.
-	shed := func(f muxFrame, reason string, queueLen int) bool {
-		out := muxFrame{sid: f.sid, rid: f.rid, kind: muxReplyShed, body: []byte(reason)}
-		attachLoad(&out, cfg.Load, queueLen)
-		wmu.Lock()
-		werr := writeMuxFrame(conn, out)
-		wmu.Unlock()
-		return werr == nil
+	// ErrOverloaded and backs off).
+	shed := func(req muxFrame, reason string, queueLen int) bool {
+		return reply(req, muxReplyShed, []byte(reason), queueLen)
+	}
+	// enqueue hands req to its session's worker, shedding it when the
+	// queue is full so one flooded session can never stall the read
+	// loop (and with it every other session on the connection). The
+	// typed shed reply lets the client back off and retry instead of
+	// failing its transaction.
+	enqueue := func(sw *sessionWorker, req muxFrame) bool {
+		select {
+		case sw.ch <- req:
+			return true
+		default:
+			return shed(req, fmt.Sprintf("session %d queue overflow (max %d outstanding calls)", req.sid, SessionQueueDepth), len(sw.ch))
+		}
+	}
+	// work is one session's worker: it runs the session's requests in
+	// arrival order, so a handler's calls are sequential.
+	work := func(sid uint32, sw *sessionWorker, h Handler) {
+		defer wg.Done()
+		defer func() {
+			handlers.Closed(sid)
+			if cfg.Admission != nil {
+				// The admission slot frees only after the handler
+				// released the session's state.
+				cfg.Admission.SessionClosed(sid)
+			}
+		}()
+		for req := range sw.ch {
+			kind, resp := muxReplyOK, []byte(nil)
+			if req.kind == muxCall {
+				var herr error
+				if resp, herr = h(req.body); herr != nil {
+					kind, resp = muxReplyErr, []byte(herr.Error())
+				}
+			} else {
+				// Txn and migration control ride the session's worker so
+				// they stay ordered with the calls ahead of them: an ADOPT
+				// must land after the calls that opened the session's
+				// transaction and before the drain that relies on the
+				// exemption.
+				kind, resp = ctlReply(tp, mp, req)
+			}
+			if !reply(req, kind, resp, len(sw.ch)) {
+				// The connection is dead; keep draining so the read loop
+				// never blocks on a full queue before it notices the
+				// failure itself.
+				for range sw.ch {
+				}
+				return
+			}
+		}
 	}
 	for {
-		f, err := readMuxFrame(conn)
+		f, n, err := fr.readMuxHeader()
 		if err != nil {
+			return
+		}
+		switch f.kind {
+		case muxCall, muxTxnCtl, muxMigCtl, muxCloseSess:
+		default:
+			// Unknown frame kind from a client: drop the connection.
+			return
+		}
+		if f.body, err = fr.readBody(n, bodies.getBody(n)); err != nil {
 			return
 		}
 		switch f.kind {
 		case muxCall:
 			if retired[f.sid] {
-				wmu.Lock()
-				werr := writeMuxFrame(conn, muxFrame{sid: f.sid, rid: f.rid, kind: muxReplyErr,
-					body: []byte(fmt.Sprintf("session %d closed", f.sid))})
-				wmu.Unlock()
-				if werr != nil {
+				if !reply(f, muxReplyErr, []byte(fmt.Sprintf("session %d closed", f.sid)), 0) {
 					return
 				}
 				continue
@@ -633,53 +726,8 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 				}
 				sw = &sessionWorker{ch: make(chan muxFrame, SessionQueueDepth)}
 				sessions[f.sid] = sw
-				h := handlers.Open(f.sid)
-				sid := f.sid
 				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer func() {
-						handlers.Closed(sid)
-						if cfg.Admission != nil {
-							// The admission slot frees only after the
-							// handler released the session's state.
-							cfg.Admission.SessionClosed(sid)
-						}
-					}()
-					for req := range sw.ch {
-						var out muxFrame
-						if req.kind == muxTxnCtl {
-							// Txn control rides the session's worker so it
-							// stays ordered with the calls ahead of it.
-							out = txnCtlReply(tp, req)
-						} else if req.kind == muxMigCtl {
-							// Migration control likewise: an ADOPT must land
-							// after the calls that opened the session's
-							// transaction and before the drain that relies
-							// on the exemption.
-							out = migCtlReply(mp, req)
-						} else {
-							resp, herr := h(req.body)
-							out = muxFrame{sid: req.sid, rid: req.rid, kind: muxReplyOK, body: resp}
-							if herr != nil {
-								out.kind = muxReplyErr
-								out.body = []byte(herr.Error())
-							}
-						}
-						attachLoad(&out, cfg.Load, len(sw.ch))
-						wmu.Lock()
-						werr := writeMuxFrame(conn, out)
-						wmu.Unlock()
-						if werr != nil {
-							// The connection is dead; keep draining so the
-							// read loop never blocks on a full queue before
-							// it notices the failure itself.
-							for range sw.ch {
-							}
-							return
-						}
-					}
-				}()
+				go work(f.sid, sw, handlers.Open(f.sid))
 			}
 			// Call admission: a saturated server tightens the effective
 			// queue bound below the structural SessionQueueDepth.
@@ -691,69 +739,32 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 					continue
 				}
 			}
-			select {
-			case sw.ch <- f:
-			default:
-				// Queue full: shed this call so one flooded session
-				// can never stall the read loop (and with it every
-				// other session on the connection). The typed shed
-				// reply lets the client back off and retry instead of
-				// failing its transaction.
-				if !shed(f, fmt.Sprintf("session %d queue overflow (max %d outstanding calls)", f.sid, SessionQueueDepth), len(sw.ch)) {
-					return
-				}
-			}
-		case muxTxnCtl:
-			// 2PC control. No admission gate and no retired-sid check:
-			// commit/abort/status are keyed by the global transaction ID
-			// and must get through even after the preparing session closed
-			// (that is exactly the in-doubt recovery path), and shedding a
-			// decision frame under load would only widen the in-doubt
-			// window it is trying to close. A live session's frames route
-			// through its worker for ordering; otherwise handle inline —
-			// the ops are quick map lookups, never lock waits.
-			if sw := sessions[f.sid]; sw != nil {
-				select {
-				case sw.ch <- f:
-				default:
-					if !shed(f, fmt.Sprintf("session %d queue overflow (max %d outstanding calls)", f.sid, SessionQueueDepth), len(sw.ch)) {
-						return
-					}
-				}
-				continue
-			}
-			out := txnCtlReply(tp, f)
-			attachLoad(&out, cfg.Load, 0)
-			wmu.Lock()
-			werr := writeMuxFrame(conn, out)
-			wmu.Unlock()
-			if werr != nil {
+			if !enqueue(sw, f) {
 				return
 			}
-		case muxMigCtl:
-			// Migration control: same routing rules as txn-ctl —
-			// fence/release are database-wide and must get through even
-			// with no live session, while a live session's frames ride
-			// its worker so ADOPT stays ordered with the drain.
+		case muxTxnCtl, muxMigCtl:
+			// 2PC and migration control. No admission gate and no
+			// retired-sid check: commit/abort/status are keyed by the
+			// global transaction ID and must get through even after the
+			// preparing session closed (that is exactly the in-doubt
+			// recovery path), fence/release are database-wide, and
+			// shedding a decision frame under load would only widen the
+			// in-doubt window it is trying to close. A live session's
+			// frames route through its worker for ordering; otherwise
+			// handle inline — the ops are quick map lookups, never lock
+			// waits.
 			if sw := sessions[f.sid]; sw != nil {
-				select {
-				case sw.ch <- f:
-				default:
-					if !shed(f, fmt.Sprintf("session %d queue overflow (max %d outstanding calls)", f.sid, SessionQueueDepth), len(sw.ch)) {
-						return
-					}
+				if !enqueue(sw, f) {
+					return
 				}
 				continue
 			}
-			out := migCtlReply(mp, f)
-			attachLoad(&out, cfg.Load, 0)
-			wmu.Lock()
-			werr := writeMuxFrame(conn, out)
-			wmu.Unlock()
-			if werr != nil {
+			kind, resp := ctlReply(tp, mp, f)
+			if !reply(f, kind, resp, 0) {
 				return
 			}
 		case muxCloseSess:
+			bodies.putBody(f.body)
 			if sw := sessions[f.sid]; sw != nil {
 				close(sw.ch)
 				delete(sessions, f.sid)
@@ -766,28 +777,17 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 					retiredOrder = retiredOrder[1:]
 				}
 			}
-		default:
-			// Unknown frame kind from a client: drop the connection.
-			return
 		}
 	}
 }
 
-// attachLoad prefixes a load report onto a reply frame when a source
-// is configured and currently has a sample.
-func attachLoad(out *muxFrame, ls LoadSource, queueLen int) {
-	if ls == nil {
-		return
+// ctlReply executes one control frame (muxTxnCtl or muxMigCtl) and
+// returns the reply's kind and body.
+func ctlReply(tp TxnParticipant, mp MigParticipant, f muxFrame) (byte, []byte) {
+	if f.kind == muxTxnCtl {
+		return txnCtlReply(tp, f)
 	}
-	rep, ok := ls(queueLen)
-	if !ok {
-		return
-	}
-	out.kind |= muxFlagLoad
-	// Single allocation: report prefix + payload (this runs on every
-	// reply of every session worker).
-	body := appendLoadReport(make([]byte, 0, 1+loadReportLen+len(out.body)), rep)
-	out.body = append(body, out.body...)
+	return migCtlReply(mp, f)
 }
 
 // MuxServer accepts connections and serves each as a multiplexed

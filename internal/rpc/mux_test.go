@@ -266,20 +266,21 @@ func TestMuxRetiredSessionNotResurrected(t *testing.T) {
 	}()
 	defer func() { cliConn.Close(); <-done }()
 
-	if err := writeMuxFrame(cliConn, muxFrame{sid: 1, rid: 1, kind: muxCall, body: []byte("hi")}); err != nil {
+	cli := newFramer(cliConn)
+	if err := cli.writeFrame(muxFrame{sid: 1, rid: 1, kind: muxCall, body: []byte("hi")}); err != nil {
 		t.Fatal(err)
 	}
-	if f, err := readMuxFrame(cliConn); err != nil || f.kind != muxReplyOK {
+	if f, err := cli.readMuxFrame(); err != nil || f.kind != muxReplyOK {
 		t.Fatalf("first call: %+v %v", f, err)
 	}
-	if err := writeMuxFrame(cliConn, muxFrame{sid: 1, kind: muxCloseSess}); err != nil {
+	if err := cli.writeFrame(muxFrame{sid: 1, kind: muxCloseSess}); err != nil {
 		t.Fatal(err)
 	}
 	// The call that lost the race arrives after the close.
-	if err := writeMuxFrame(cliConn, muxFrame{sid: 1, rid: 2, kind: muxCall, body: []byte("late")}); err != nil {
+	if err := cli.writeFrame(muxFrame{sid: 1, rid: 2, kind: muxCall, body: []byte("late")}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := readMuxFrame(cliConn)
+	f, err := cli.readMuxFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +300,12 @@ func TestMuxConnectionLossFailsPending(t *testing.T) {
 	go func() {
 		// Serve one request, then drop the connection without replying
 		// to anything else.
-		f, err := readMuxFrame(srvConn)
+		srv := newFramer(srvConn)
+		f, err := srv.readMuxFrame()
 		if err != nil {
 			return
 		}
-		_ = writeMuxFrame(srvConn, muxFrame{sid: f.sid, rid: f.rid, kind: muxReplyOK, body: f.body})
+		_ = srv.writeFrame(muxFrame{sid: f.sid, rid: f.rid, kind: muxReplyOK, body: f.body})
 		<-block
 		srvConn.Close()
 	}()

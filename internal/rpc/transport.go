@@ -1,9 +1,8 @@
 package rpc
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,12 +13,29 @@ import (
 // response per request, in order. Both the database wire protocol and
 // Pyxis control transfers use this shape (the paper's runtime likewise
 // blocks the caller until the callee returns control).
+//
+// Buffer ownership, caller's side: Call does not retain req once it
+// has returned, so the caller may encode its next request into the same
+// buffer; the reply Call returns is the caller's own — a transport
+// never reuses it — so two goroutines may call one session at once.
 type Transport interface {
 	Call(req []byte) ([]byte, error)
 	Close() error
 }
 
 // Handler serves one request, returning the response payload.
+//
+// Buffer ownership, server's side: req is valid only until the handler
+// returns — the transport recycles it — so a handler copies out what
+// it keeps (decoding into values and strings does). The slice a
+// handler returns belongs to the transport until it is written and is
+// the handler's again at its next call: one session's calls are
+// sequential, so a handler may encode every reply into one buffer it
+// keeps. Returning req itself, or part of it, as the reply is allowed:
+// the transport releases the request only after the reply is written.
+//
+// The rule is tested, not trusted: under ScribbleReleased every
+// released buffer is overwritten the moment it is given up.
 type Handler func(req []byte) ([]byte, error)
 
 // Stats counts traffic through a transport.
@@ -60,7 +76,12 @@ func (t *InProc) Call(req []byte) ([]byte, error) {
 	atomic.AddInt64(&t.stats.BytesSent, int64(len(req)))
 	resp, err := t.H(req)
 	atomic.AddInt64(&t.stats.BytesRecv, int64(len(resp)))
-	return resp, err
+	if err != nil {
+		return nil, err
+	}
+	// The handler may reuse resp at its next call; the caller's reply is
+	// its own, as over a wire.
+	return bytes.Clone(resp), nil
 }
 
 // Close implements Transport.
@@ -82,38 +103,11 @@ func (t *InProc) Stats() Stats {
 // TCP transport (length-prefixed frames)
 // ---------------------------------------------------------------------------
 
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	const maxFrame = 1 << 28
-	if n > maxFrame {
-		return nil, fmt.Errorf("rpc: frame too large (%d bytes)", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // TCPClient is a Transport over one TCP connection. Calls are
 // serialized by a mutex (the protocol is strictly request/response).
 type TCPClient struct {
 	mu    sync.Mutex
-	conn  net.Conn
+	fr    *framer
 	stats Stats
 }
 
@@ -123,17 +117,21 @@ func Dial(addr string) (*TCPClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TCPClient{conn: conn}, nil
+	return &TCPClient{fr: newFramer(conn)}, nil
 }
 
 // Call implements Transport.
 func (c *TCPClient) Call(req []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := writeFrame(c.conn, req); err != nil {
+	if err := c.fr.writePlain(0, false, req); err != nil {
 		return nil, err
 	}
-	resp, err := readFrame(c.conn)
+	n, err := c.fr.readLen()
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.fr.readBody(n, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +148,7 @@ func (c *TCPClient) Call(req []byte) ([]byte, error) {
 }
 
 // Close implements Transport.
-func (c *TCPClient) Close() error { return c.conn.Close() }
+func (c *TCPClient) Close() error { return c.fr.conn.Close() }
 
 // Stats returns a snapshot of the traffic counters.
 func (c *TCPClient) Stats() Stats {
@@ -210,19 +208,25 @@ func (s *Server) acceptLoop() {
 }
 
 func serveConn(conn net.Conn, h Handler) {
+	fr := newFramer(conn)
+	var req []byte // reused: the handler's request is valid only until it returns
 	for {
-		req, err := readFrame(conn)
+		n, err := fr.readLen()
 		if err != nil {
 			return
 		}
-		resp, herr := h(req)
-		var frame []byte
-		if herr != nil {
-			frame = append([]byte{frameError}, herr.Error()...)
-		} else {
-			frame = append([]byte{frameOK}, resp...)
+		if req, err = fr.readBody(n, req); err != nil {
+			return
 		}
-		if err := writeFrame(conn, frame); err != nil {
+		resp, herr := h(req)
+		if herr != nil {
+			err = fr.writePlain(frameError, true, []byte(herr.Error()))
+		} else {
+			err = fr.writePlain(frameOK, true, resp)
+		}
+		Released(req)
+		Released(resp)
+		if err != nil {
 			return
 		}
 	}

@@ -108,101 +108,49 @@ func (s *MuxSession) TxnCtl(op TxnOp, gid uint64, timeout time.Duration) (TxnSta
 	if timeout <= 0 {
 		timeout = DefaultTxnDeadline
 	}
-	return s.c.txnCall(s.sid, s.nextRID.Add(1), op, gid, timeout)
-}
-
-// txnCall is MuxClient.call for txn-ctl frames: same pending-map
-// plumbing, but with a deadline (a 2PC coordinator must never wedge on
-// a stalled participant) and dead-connection errors typed as
-// ErrPoolPoisoned.
-func (c *MuxClient) txnCall(sid, rid uint32, op TxnOp, gid uint64, timeout time.Duration) (TxnState, error) {
 	var body [9]byte
 	body[0] = byte(op)
 	binary.LittleEndian.PutUint64(body[1:], gid)
-
-	ch := make(chan muxFrame, 1)
-	key := muxKey(sid, rid)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return TxnStateUnknown, fmt.Errorf("rpc: txn %s on dead connection: %w: %v", op, ErrPoolPoisoned, err)
-	}
-	c.pending[key] = ch
-	c.mu.Unlock()
-	c.outstanding.Add(1)
-	defer c.outstanding.Add(-1)
-
-	c.wmu.Lock()
-	err := writeMuxFrame(c.conn, muxFrame{sid: sid, rid: rid, kind: muxTxnCtl, body: body[:]})
-	c.wmu.Unlock()
+	f, err := s.c.exchange(s, muxTxnCtl, body[:], timeout)
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, key)
-		c.mu.Unlock()
-		return TxnStateUnknown, fmt.Errorf("rpc: txn %s write failed: %w: %v", op, ErrPoolPoisoned, err)
+		return TxnStateUnknown, ctlError(fmt.Sprintf("txn %s for gid %d", op, gid), timeout, err)
 	}
-	c.calls.Add(1)
-	c.bytesSent.Add(int64(len(body)) + muxHeaderLen + 4)
+	if f.kind != muxReplyTxn {
+		return TxnStateUnknown, replyError(f, "txn ")
+	}
+	if len(f.body) != 1 {
+		return TxnStateUnknown, fmt.Errorf("rpc: malformed txn reply (%d bytes)", len(f.body))
+	}
+	return TxnState(f.body[0]), nil
+}
 
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case f, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			if err == nil {
-				err = errors.New("rpc: mux client closed")
-			}
-			return TxnStateUnknown, fmt.Errorf("rpc: txn %s reply lost: %w: %v", op, ErrPoolPoisoned, err)
-		}
-		switch f.kind {
-		case muxReplyTxn:
-			if len(f.body) != 1 {
-				return TxnStateUnknown, fmt.Errorf("rpc: malformed txn reply (%d bytes)", len(f.body))
-			}
-			return TxnState(f.body[0]), nil
-		case muxReplyErr:
-			return TxnStateUnknown, fmt.Errorf("rpc: remote txn error: %s", string(f.body))
-		case muxReplyShed:
-			return TxnStateUnknown, fmt.Errorf("rpc: %s: %w", string(f.body), ErrOverloaded)
-		}
-		return TxnStateUnknown, fmt.Errorf("rpc: malformed mux reply kind %d", f.kind)
-	case <-timer.C:
-		// Un-register so a straggling reply is dropped instead of leaking
-		// a pending slot; a reply racing the delete lands in the buffered
-		// channel and is garbage-collected with it.
-		c.mu.Lock()
-		delete(c.pending, key)
-		c.mu.Unlock()
-		return TxnStateUnknown, fmt.Errorf("rpc: txn %s for gid %d timed out after %v: %w", op, gid, timeout, ErrTxnDeadline)
+// ctlError types a failed control exchange: a 2PC coordinator or a
+// migrator must never wedge on a stalled participant, so expiry is
+// ErrTxnDeadline, and every other failure is the connection's death,
+// typed ErrPoolPoisoned.
+func ctlError(what string, timeout time.Duration, err error) error {
+	if errors.Is(err, ErrTxnDeadline) {
+		return fmt.Errorf("rpc: %s timed out after %v: %w", what, timeout, ErrTxnDeadline)
 	}
+	return fmt.Errorf("rpc: %s on dead connection: %w: %v", what, ErrPoolPoisoned, err)
 }
 
 // txnCtlReply executes one muxTxnCtl frame against the connection's
 // participant (nil when the handlers don't implement TxnParticipant)
-// and builds the reply frame. Called from the demux loop or a session
-// worker; the participant must be concurrency-safe.
-func txnCtlReply(tp TxnParticipant, f muxFrame) muxFrame {
-	out := muxFrame{sid: f.sid, rid: f.rid, kind: muxReplyErr}
+// and returns the reply's kind and body. Called from the demux loop or
+// a session worker; the participant must be concurrency-safe.
+func txnCtlReply(tp TxnParticipant, f muxFrame) (byte, []byte) {
 	if tp == nil {
-		out.body = []byte("rpc: peer does not support 2pc")
-		return out
+		return muxReplyErr, []byte("rpc: peer does not support 2pc")
 	}
 	if len(f.body) < 9 {
-		out.body = []byte(fmt.Sprintf("rpc: malformed txn-ctl frame (%d bytes)", len(f.body)))
-		return out
+		return muxReplyErr, []byte(fmt.Sprintf("rpc: malformed txn-ctl frame (%d bytes)", len(f.body)))
 	}
 	op := TxnOp(f.body[0])
 	gid := binary.LittleEndian.Uint64(f.body[1:9])
 	st, err := tp.TxnCtl(f.sid, op, gid)
 	if err != nil {
-		out.body = []byte(err.Error())
-		return out
+		return muxReplyErr, []byte(err.Error())
 	}
-	out.kind = muxReplyTxn
-	out.body = []byte{byte(st)}
-	return out
+	return muxReplyTxn, []byte{byte(st)}
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"pyxis/internal/val"
 )
@@ -19,10 +20,16 @@ import (
 // ErrShortBuffer reports a truncated or corrupt message.
 var ErrShortBuffer = errors.New("rpc: short buffer")
 
-// Writer serializes primitive values into a growing byte buffer.
+// Writer serializes primitive values into a growing byte buffer. A
+// single-threaded owner that encodes one message at a time keeps one
+// Writer and Resets it per message, so the buffer grows to the largest
+// message once instead of from nil every time.
 type Writer struct {
 	Buf []byte
 }
+
+// Reset empties the writer and keeps its buffer.
+func (w *Writer) Reset() { w.Buf = w.Buf[:0] }
 
 func (w *Writer) Byte(b byte) { w.Buf = append(w.Buf, b) }
 func (w *Writer) Bool(b bool) {
@@ -174,18 +181,43 @@ func (r *Reader) Val() val.Value {
 	return val.Value{}
 }
 
+// valsLen reads and checks a value slice's count. A value is at least
+// its kind byte, so a count beyond the bytes left is corrupt — and what
+// callers size by it is bounded by bytes that actually arrived, not by
+// the count's say-so.
+func (r *Reader) valsLen() (int, bool) {
+	n := int(r.U32())
+	if r.err != nil || n < 0 || n > len(r.Buf)-r.Off {
+		r.fail()
+		return 0, false
+	}
+	return n, true
+}
+
 // Vals deserializes a length-prefixed value slice.
 func (r *Reader) Vals() []val.Value {
-	n := int(r.U32())
-	if r.err != nil || n < 0 || n > len(r.Buf) {
-		r.fail()
+	n, ok := r.valsLen()
+	if !ok {
 		return nil
 	}
-	out := make([]val.Value, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.Val())
+	return r.appendVals(make([]val.Value, 0, n), n)
+}
+
+// AppendVals deserializes a length-prefixed value slice onto dst, for
+// an owner that decodes into a slice it keeps.
+func (r *Reader) AppendVals(dst []val.Value) []val.Value {
+	n, ok := r.valsLen()
+	if !ok {
+		return dst
 	}
-	return out
+	return r.appendVals(slices.Grow(dst, n), n)
+}
+
+func (r *Reader) appendVals(dst []val.Value, n int) []val.Value {
+	for i := 0; i < n; i++ {
+		dst = append(dst, r.Val())
+	}
+	return dst
 }
 
 // ---------------------------------------------------------------------------

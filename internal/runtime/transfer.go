@@ -173,6 +173,10 @@ type Client struct {
 	OnClose func()
 
 	closed bool
+	// enc holds the transfer being sent. A Client is one logical thread
+	// of control and Transport.Call does not retain its request, so
+	// every transfer is encoded into the same buffer.
+	enc rpc.Writer
 }
 
 // NewClient wraps an APP-side session and its control-transfer
@@ -278,10 +282,11 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 			return ret, nil
 		}
 		// Control transfer to the DB peer.
-		var w rpc.Writer
+		w := &c.enc
+		w.Reset()
 		w.I64(int64(next))
-		sn.encodeStack(&w, outStack, next)
-		encodeSync(&w, sn.Heap, sn.takePending())
+		sn.encodeStack(w, outStack, next)
+		encodeSync(w, sn.Heap, sn.takePending())
 		req := w.Buf
 		sn.freeStack(outStack)
 		peer.Metrics.Transfers.Add(1)
@@ -290,6 +295,7 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 			peer.Env.TransferSend(pdg.App, len(req))
 		}
 		resp, err := c.Remote.Call(req)
+		rpc.Released(req)
 		if err != nil {
 			// Transfer failed — admission shed, connection loss, remote
 			// decode error, anything. All of them abandon the entry, so
@@ -329,9 +335,13 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 
 // Handler serves the DB side of the control-transfer protocol for one
 // client session. Each session gets its own handler; the sessions of
-// one peer may be served concurrently.
+// one peer may be served concurrently. A session's calls are
+// sequential and the transport is done with a reply before the next
+// call (see rpc.Handler), so the handler encodes every reply into one
+// buffer it keeps.
 func Handler(sn *Session) rpc.Handler {
 	peer := sn.Peer
+	var w rpc.Writer
 	return func(req []byte) ([]byte, error) {
 		// Count the request on entry, like the client counts responses on
 		// receipt: malformed or failed transfers moved their bytes over
@@ -357,7 +367,7 @@ func Handler(sn *Session) rpc.Handler {
 		if err != nil {
 			return nil, err
 		}
-		var w rpc.Writer
+		w.Reset()
 		w.Bool(done)
 		if done {
 			w.Val(ret)
