@@ -52,7 +52,7 @@ func gateSkips(enforce bool, gate string, clients int) []string {
 func main() {
 	var (
 		full    = flag.Bool("full", false, "run paper-scale sweeps (slower)")
-		exps    = flag.String("exp", "fig9,fig10,fig11,fig12,fig13,fig14,micro1,parallel,tpcc-wall,dynamic-wall,pool-wall,shard-wall,rebalance-wall,interp-vs-vm", "comma-separated experiments")
+		exps    = flag.String("exp", "fig9,fig10,fig11,fig12,fig13,fig14,micro1,parallel,tpcc-wall,dynamic-wall,pool-wall,shard-wall,rebalance-wall", "comma-separated experiments")
 		clients = flag.Int("clients", 16, "max concurrent sessions for the parallel experiments")
 		txns    = flag.Int("txns", 200, "transactions per client for the parallel experiments")
 		pool    = flag.Int("pool", 4, "mux connections per wire for the pool experiments")
@@ -104,10 +104,6 @@ func main() {
 		}
 		if name == "rebalance-wall" {
 			runRebalanceWall(*clients, *txns, *shards)
-			continue
-		}
-		if name == "interp-vs-vm" {
-			runInterpVsVM(*clients, *txns)
 			continue
 		}
 		run, ok := runners[name]
@@ -577,70 +573,6 @@ func runRebalanceWall(clients, txns, shards int) {
 		gateSkips(enforce, "rebalance-wall post-migration speedup >= 1.2x", clients)...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pyxis-bench: rebalance-wall:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("(wrote %s)\n", path)
-	fmt.Println()
-}
-
-// runInterpVsVM prices the fused hot path: the wall-clock TPC-C mix
-// through the seed pipeline (unfused blocks, version-0 full-slot
-// transfers, string SQL, per-call frame allocation) vs the fused one
-// (superblocks, live-slot delta transfers, prepared-statement wire,
-// pooled frames), at the stored-procedure-like (1.0) and client-side
-// (0) budgets.
-//
-// Enforcement, in the pool-wall/shard-wall idiom: the report is always
-// written to BENCH_interp-vs-vm.json; the wall-clock speedup gate
-// (>= 1.15x at budget 1.0) binds only on parallel hardware (>= 4 CPUs,
-// >= 8 sessions, no race detector). The byte and allocation deltas are
-// hardware-independent, so those bind everywhere: at budget 1.0 the
-// fused pipeline must move fewer transfer bytes per transaction and
-// allocate less per transaction than the seed.
-func runInterpVsVM(clients, txns int) {
-	if clients < 1 || txns < 1 {
-		fmt.Fprintln(os.Stderr, "pyxis-bench: -clients and -txns must be >= 1")
-		os.Exit(2)
-	}
-	cfg := bench.DefaultTPCC()
-	fmt.Println("== TPC-C wall clock: seed pipeline (interp) vs fused hot path (vm) ==")
-	points, err := bench.RunInterpVsVM(cfg,
-		bench.TPCCParallelCfg{Clients: clients, Txns: txns, PaymentEvery: 3},
-		[]float64{1.0, 0})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pyxis-bench: interp-vs-vm:", err)
-		os.Exit(1)
-	}
-	for _, p := range points {
-		fmt.Println(p)
-	}
-	full := points[0] // budget 1.0: the point with DB-resident blocks and real transfers
-	if full.Fused.BytesPerTxn >= full.Seed.BytesPerTxn {
-		fmt.Fprintf(os.Stderr, "pyxis-bench: interp-vs-vm: fused pipeline moved %.1f transfer bytes/txn, seed %.1f — no wire savings\n",
-			full.Fused.BytesPerTxn, full.Seed.BytesPerTxn)
-		os.Exit(1)
-	}
-	if full.Fused.AllocsPerTxn >= full.Seed.AllocsPerTxn {
-		fmt.Fprintf(os.Stderr, "pyxis-bench: interp-vs-vm: fused pipeline allocated %.1f objects/txn, seed %.1f — no allocation savings\n",
-			full.Fused.AllocsPerTxn, full.Seed.AllocsPerTxn)
-		os.Exit(1)
-	}
-	enforce := goruntime.GOMAXPROCS(0) >= 4 && clients >= 8 && !bench.RaceEnabled()
-	if enforce && full.Speedup < 1.15 {
-		fmt.Fprintf(os.Stderr, "pyxis-bench: interp-vs-vm: fused pipeline only %.2fx of seed wall clock (want >= 1.15x at %d sessions on %d CPUs)\n",
-			full.Speedup, clients, goruntime.GOMAXPROCS(0))
-		os.Exit(1)
-	}
-	if !enforce {
-		fmt.Printf("(speedup %.2fx not enforced: needs >= 4 CPUs, >= 8 sessions, no race detector; have %d CPUs, %d sessions, race=%v)\n",
-			full.Speedup, goruntime.GOMAXPROCS(0), clients, bench.RaceEnabled())
-	}
-	// Like shard-wall, the report is the PR's acceptance artifact: always
-	// written, not -json-gated.
-	path, err := bench.SaveReport("", "interp-vs-vm", points,
-		gateSkips(enforce, "interp-vs-vm speedup >= 1.15x", clients)...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pyxis-bench: interp-vs-vm:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("(wrote %s)\n", path)

@@ -32,17 +32,17 @@ func main() {
 
 	// --- "Database server": database + DB-side runtime over TCP ----------
 	db := cfg.Load()
-	dbSrv, err := rpc.NewServer("127.0.0.1:0", func() rpc.Handler { return dbapi.NewHandler(db) })
+	// The wiring cmd/pyxis-dbserver uses: both ports speak the mux
+	// protocol, and every session a connection opens gets its own
+	// database session or runtime session.
+	dbSrv, err := rpc.NewMuxServer("127.0.0.1:0", func() rpc.SessionHandlers { return dbapi.MuxHandlers(db) })
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer dbSrv.Close()
 	dbPeer := runtime.NewPeer(part.Compiled, pdg.DB, nil)
-	ctlSrv, err := rpc.NewServer("127.0.0.1:0", func() rpc.Handler {
-		// One runtime session per accepted connection: the plain
-		// Transport is the single-session special case of the
-		// multiplexed protocol cmd/pyxis-dbserver speaks.
-		return runtime.Handler(dbPeer.NewSession(dbapi.NewLocal(db)))
+	ctlSrv, err := rpc.NewMuxServer("127.0.0.1:0", func() rpc.SessionHandlers {
+		return runtime.NewSessionManager(dbPeer, func() dbapi.Conn { return dbapi.NewLocal(db) })
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -51,20 +51,22 @@ func main() {
 	fmt.Printf("database server: db=%s ctl=%s\n", dbSrv.Addr(), ctlSrv.Addr())
 
 	// --- "Application server": connect and run transactions --------------
-	dbWire, err := rpc.Dial(dbSrv.Addr())
+	dbWire, err := rpc.DialMux(dbSrv.Addr())
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer dbWire.Close()
-	ctlWire, err := rpc.Dial(ctlSrv.Addr())
+	ctlWire, err := rpc.DialMux(ctlSrv.Addr())
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ctlWire.Close()
 
+	// One client is a mux with one session on each wire.
 	appPeer := runtime.NewPeer(part.Compiled, pdg.App, nil)
-	appSess := appPeer.NewSession(dbapi.NewClient(dbWire))
-	client := runtime.NewClient(appSess, ctlWire)
+	appSess := appPeer.NewSession(dbapi.NewClient(dbWire.Session()))
+	client := runtime.NewClient(appSess, ctlWire.Session())
+	defer client.Close()
 
 	oid, err := client.NewObject("TPCC")
 	if err != nil {

@@ -4,64 +4,95 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"pyxis"
+	"pyxis/internal/dbapi"
+	"pyxis/internal/interp"
+	"pyxis/internal/sqldb"
 )
 
-// TestDifferentialTPCC runs the identical single-client TPC-C
-// NewOrder/Payment schedule through the seed pipeline (unfused blocks,
-// Legacy deployment) and the fused/prepared pipeline at three budgets,
+// interpTPCC replays RunParallelTPCC's single-client schedule through
+// the reference interpreter on the source program and returns the
+// database it leaves.
+func interpTPCC(t *testing.T, c TPCCConfig, cfg TPCCParallelCfg) *sqldb.DB {
+	t.Helper()
+	sys, err := pyxis.Load(TPCCSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := c.Load()
+	ip := interp.New(sys.Prog, dbapi.NewLocal(db))
+	obj, err := ip.NewObject("TPCC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < cfg.Txns; k++ {
+		method, args := c.parallelTxn(cfg, 0, k)
+		if _, err := ip.CallEntry(sys.Prog.Method("TPCC", method), obj, args...); err != nil {
+			t.Fatalf("reference: txn %d %s: %v", k, method, err)
+		}
+	}
+	return db
+}
+
+// TestDifferentialTPCC runs one single-client TPC-C NewOrder/Payment
+// schedule through the reference interpreter on the source program and
+// through the partitioned program, unfused and fused, at three budgets,
 // and requires:
 //
-//   - bit-identical final database state (every table, every row);
-//   - the fused run to make no more control transfers than the seed;
-//   - the TPC-C consistency invariants to hold on the fused database.
+//   - both compiled runs to end in the interpreter's database, bit for
+//     bit (every table, every row), with the TPC-C consistency
+//     invariants holding;
+//   - the fused run to make no more control transfers than the unfused.
 //
-// One client keeps the schedule deterministic — txnParams is a pure
-// function of the sequence number, and without concurrency there are
-// no deadlock-retry reorderings.
+// The interpreter shares no code with compile, the block executor, the
+// transfer codec or heap sync, and the unfused program ships every slot
+// where the fused ships the live ones: a wrong liveness mask moves the
+// fused database off the reference. One client keeps the schedule
+// deterministic — parallelTxn is a pure function of the sequence
+// number, and without concurrency there are no deadlock-retry
+// reorderings.
 func TestDifferentialTPCC(t *testing.T) {
 	c := DefaultTPCC()
+	cfg := TPCCParallelCfg{Clients: 1, Txns: 40, PaymentEvery: 3}
+	want := interpTPCC(t, c, cfg).Snapshot()
 	for _, budget := range []float64{1.0, 0.5, 0} {
 		t.Run(fmt.Sprintf("budget%.2f", budget), func(t *testing.T) {
-			seedPart, err := TPCCParallelPartitionOpts(c, budget, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fusedPart, err := TPCCParallelPartitionOpts(c, budget, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(fusedPart.Compiled.Blocks) > len(seedPart.Compiled.Blocks) {
-				t.Fatalf("fusion grew the program: %d -> %d blocks",
-					len(seedPart.Compiled.Blocks), len(fusedPart.Compiled.Blocks))
-			}
-
-			cfg := TPCCParallelCfg{Clients: 1, Txns: 40, PaymentEvery: 3}
-			seedCfg := cfg
-			seedCfg.Legacy = true
-			seedRes, seedDB, err := RunParallelTPCC(seedPart, c, seedCfg)
-			if err != nil {
-				t.Fatalf("seed run: %v", err)
-			}
-			fusedRes, fusedDB, err := RunParallelTPCC(fusedPart, c, cfg)
-			if err != nil {
-				t.Fatalf("fused run: %v", err)
-			}
-
-			seedSnap, fusedSnap := seedDB.Snapshot(), fusedDB.Snapshot()
-			if !reflect.DeepEqual(seedSnap, fusedSnap) {
-				for name, rows := range seedSnap {
-					if !reflect.DeepEqual(rows, fusedSnap[name]) {
-						t.Errorf("table %s diverged: seed %d rows, fused %d rows",
-							name, len(rows), len(fusedSnap[name]))
-					}
+			var transfers [2]int64
+			var blocks [2]int
+			for i, name := range []string{"unfused", "fused"} {
+				sys, err := profiledTPCCSystem(c)
+				if err != nil {
+					t.Fatal(err)
 				}
-				t.Fatal("fused pipeline produced a different database state")
+				sys.NoFuse = name == "unfused"
+				part, err := sys.PartitionAt(budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, db, err := RunParallelTPCC(part, c, cfg)
+				if err != nil {
+					t.Fatalf("%s run: %v", name, err)
+				}
+				transfers[i], blocks[i] = res.Transfers, len(part.Compiled.Blocks)
+				if got := db.Snapshot(); !reflect.DeepEqual(got, want) {
+					for table, rows := range want {
+						if !reflect.DeepEqual(rows, got[table]) {
+							t.Errorf("%s: table %s diverged: interpreter %d rows, deployment %d rows",
+								name, table, len(rows), len(got[table]))
+						}
+					}
+					t.Errorf("%s program left a different database than the reference interpreter", name)
+				}
+				if violations := CheckTPCCInvariants(db, c); len(violations) > 0 {
+					t.Errorf("%s run violated TPC-C invariants: %v", name, violations)
+				}
 			}
-			if fusedRes.Transfers > seedRes.Transfers {
-				t.Errorf("fusion increased transfers: %d -> %d", seedRes.Transfers, fusedRes.Transfers)
+			if blocks[1] > blocks[0] {
+				t.Errorf("fusion grew the program: %d -> %d blocks", blocks[0], blocks[1])
 			}
-			if violations := CheckTPCCInvariants(fusedDB, c); len(violations) > 0 {
-				t.Errorf("fused run violated TPC-C invariants: %v", violations)
+			if transfers[1] > transfers[0] {
+				t.Errorf("fusion increased transfers: %d -> %d", transfers[0], transfers[1])
 			}
 		})
 	}

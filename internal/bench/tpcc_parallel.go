@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	goruntime "runtime"
 	"strings"
 	"sync"
 	"time"
@@ -41,11 +40,6 @@ type TPCCParallelCfg struct {
 	// progressed, so retries converge — the bound guards against a
 	// livelocked engine).
 	MaxRetries int
-	// Legacy runs both peers on the seed pipeline — version-0 stack
-	// transfers, string-SQL database calls, a fresh allocation per
-	// activation frame. The interp-vs-vm experiment uses it as the
-	// baseline against the fused/prepared hot path.
-	Legacy bool
 }
 
 // TPCCParallelResult aggregates one wall-clock TPC-C run.
@@ -63,14 +57,6 @@ type TPCCParallelResult struct {
 	MeanMs    float64
 	P95Ms     float64
 	Transfers int64
-	// TransferBytes is the control-transfer traffic both directions
-	// (APP-peer sends plus DB-peer sends); BytesPerTxn normalizes it.
-	TransferBytes int64
-	BytesPerTxn   float64
-	// AllocsPerTxn is the process-wide heap allocation count per
-	// transaction over the measured window (driver included — both
-	// variants of a comparison run the identical driver).
-	AllocsPerTxn float64
 	// LockWaits/LockDeadlocks snapshot the engine's contention counters
 	// after the run.
 	LockWaits     int64
@@ -80,18 +66,10 @@ type TPCCParallelResult struct {
 // TPCCParallelPartition profiles the TPC-C PyxJ program (NewOrder and
 // Payment) and solves a partition at the given budget fraction.
 func TPCCParallelPartition(c TPCCConfig, budgetFrac float64) (*pyxis.Partition, error) {
-	return TPCCParallelPartitionOpts(c, budgetFrac, false)
-}
-
-// TPCCParallelPartitionOpts is TPCCParallelPartition with the
-// superblock fusion post-pass optionally disabled — the interp-vs-vm
-// baseline compiles the same placement without fusion.
-func TPCCParallelPartitionOpts(c TPCCConfig, budgetFrac float64, noFuse bool) (*pyxis.Partition, error) {
 	sys, err := profiledTPCCSystem(c)
 	if err != nil {
 		return nil, err
 	}
-	sys.NoFuse = noFuse
 	return sys.PartitionAt(budgetFrac)
 }
 
@@ -101,6 +79,19 @@ func TPCCParallelPartitionOpts(c TPCCConfig, budgetFrac float64, noFuse bool) (*
 // transfer).
 func isDeadlockErr(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "deadlock")
+}
+
+// parallelTxn is session i's k-th transaction in RunParallelTPCC's
+// schedule — the TPCC entry method and its arguments. It is a pure
+// function of (i, k), so a reference run can replay the schedule.
+func (c TPCCConfig) parallelTxn(cfg TPCCParallelCfg, i, k int) (method string, args []val.Value) {
+	seq := int64(i)*1_000_003 + int64(k)
+	wid, did, cid, olcnt, seed, rb := c.txnParams(seq)
+	if cfg.PaymentEvery > 0 && k%cfg.PaymentEvery == 0 {
+		return "payment", []val.Value{val.IntV(wid), val.IntV(did), val.IntV(cid), val.DoubleV(float64(seq%97 + 1))}
+	}
+	return "newOrder", []val.Value{val.IntV(wid), val.IntV(did), val.IntV(cid), val.IntV(olcnt),
+		val.IntV(seed), val.IntV(int64(c.Items)), val.BoolV(rb)}
 }
 
 // RunParallelTPCC drives cfg.Clients concurrent sessions of the
@@ -119,9 +110,7 @@ func RunParallelTPCC(part *pyxis.Partition, c TPCCConfig, cfg TPCCParallelCfg) (
 
 	prog := part.Compiled
 	dbPeer := runtime.NewPeer(prog, pdg.DB, nil)
-	dbPeer.Legacy = cfg.Legacy
 	appPeer := runtime.NewPeer(prog, pdg.App, nil)
-	appPeer.Legacy = cfg.Legacy
 	newMgr := func() rpc.SessionHandlers {
 		return runtime.NewSessionManager(dbPeer, func() dbapi.Conn { return dbapi.NewLocal(db) })
 	}
@@ -162,8 +151,6 @@ func RunParallelTPCC(part *pyxis.Partition, c TPCCConfig, cfg TPCCParallelCfg) (
 	}
 	outs := make([]sessionOut, cfg.Clients)
 	var wg sync.WaitGroup
-	var memBefore goruntime.MemStats
-	goruntime.ReadMemStats(&memBefore)
 	start := time.Now()
 	for i := 0; i < cfg.Clients; i++ {
 		wg.Add(1)
@@ -181,20 +168,11 @@ func RunParallelTPCC(part *pyxis.Partition, c TPCCConfig, cfg TPCCParallelCfg) (
 				return
 			}
 			for k := 0; k < cfg.Txns; k++ {
-				seq := int64(i)*1_000_003 + int64(k)
-				wid, did, cid, olcnt, seed, rb := c.txnParams(seq)
-				isPayment := cfg.PaymentEvery > 0 && k%cfg.PaymentEvery == 0
+				method, args := c.parallelTxn(cfg, i, k)
+				isPayment := method == "payment"
 				t0 := time.Now()
 				for attempt := 0; ; attempt++ {
-					if isPayment {
-						amount := float64(seq%97 + 1)
-						_, err = client.CallEntry("TPCC.payment", oid,
-							val.IntV(wid), val.IntV(did), val.IntV(cid), val.DoubleV(amount))
-					} else {
-						_, err = client.CallEntry("TPCC.newOrder", oid,
-							val.IntV(wid), val.IntV(did), val.IntV(cid), val.IntV(olcnt),
-							val.IntV(seed), val.IntV(int64(c.Items)), val.BoolV(rb))
-					}
+					_, err = client.CallEntry("TPCC."+method, oid, args...)
 					if err == nil {
 						break
 					}
@@ -219,8 +197,6 @@ func RunParallelTPCC(part *pyxis.Partition, c TPCCConfig, cfg TPCCParallelCfg) (
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	var memAfter goruntime.MemStats
-	goruntime.ReadMemStats(&memAfter)
 
 	res := &TPCCParallelResult{Clients: cfg.Clients, Elapsed: elapsed}
 	var all []float64
@@ -237,14 +213,7 @@ func RunParallelTPCC(part *pyxis.Partition, c TPCCConfig, cfg TPCCParallelCfg) (
 	res.Tput = float64(len(all)) / elapsed.Seconds()
 	agg := Summarize(all)
 	res.MeanMs, res.P95Ms = agg.MeanMs, agg.P95Ms
-	dbSnap := dbPeer.Metrics.Snapshot()
-	appSnap := appPeer.Metrics.Snapshot()
-	res.Transfers = dbSnap.Transfers
-	res.TransferBytes = dbSnap.BytesSent + appSnap.BytesSent
-	if res.TotalTxns > 0 {
-		res.BytesPerTxn = float64(res.TransferBytes) / float64(res.TotalTxns)
-		res.AllocsPerTxn = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(res.TotalTxns)
-	}
+	res.Transfers = dbPeer.Metrics.Snapshot().Transfers
 	res.LockWaits, res.LockDeadlocks = db.LockWaits()
 	return res, db, nil
 }

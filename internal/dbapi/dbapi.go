@@ -16,7 +16,6 @@ package dbapi
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"pyxis/internal/rpc"
@@ -44,8 +43,7 @@ type Conn interface {
 // compile-numbered statements without re-shipping (or re-parsing) the
 // SQL text on every call. id is the program-wide statement number
 // (compile.Program.SQLTable index); sql is the statement text, used to
-// prepare on first touch and as the fallback when the peer doesn't
-// speak the prepared protocol.
+// prepare on first touch.
 type PreparedConn interface {
 	Conn
 	ExecStmt(id int, sql string, args ...val.Value) (int, error)
@@ -140,8 +138,7 @@ type Client struct {
 	BytesSent int64
 	BytesRecv int64
 
-	prepared  []bool // ids the server session has the text for
-	noPrepare bool   // peer doesn't speak the prepared ops
+	prepared []bool // ids the server session has the text for
 
 	// enc holds the request being sent and dec the reply being decoded.
 	// A Conn is single-threaded and Transport.Call does not retain its
@@ -195,35 +192,26 @@ func (c *Client) do(op byte, sql string, args []val.Value) (*rpc.Reader, error) 
 	return c.call()
 }
 
-// doPrepared runs op over the prepared wire with the string path as
-// fallback: servers that answer ErrUnprepared get the text re-sent
-// once; peers that don't understand the op at all (a pre-prepared-wire
-// server mangles or rejects the frame) drop the connection to the
-// string protocol permanently.
+// doPrepared runs op over the prepared wire: the text travels on the
+// statement's first touch, and once more when the server session
+// answers ErrUnprepared. Any other error is the caller's. A statement
+// without an id (id < 0) goes by its text, as strOp.
 func (c *Client) doPrepared(op, strOp byte, id int, sql string, args []val.Value) (*rpc.Reader, error) {
-	if c.noPrepare || id < 0 {
+	if id < 0 {
 		return c.do(strOp, sql, args)
 	}
 	hasSQL := id >= len(c.prepared) || !c.prepared[id]
 	c.encodePrepared(op, id, hasSQL, sql, args)
 	r, err := c.call()
-	if err == nil {
-		c.markPrepared(id)
-		return r, nil
-	}
 	if errors.Is(err, ErrUnprepared) {
 		c.encodePrepared(op, id, true, sql, args)
 		r, err = c.call()
-		if err == nil {
-			c.markPrepared(id)
-		}
-		return r, err
 	}
-	if isOldPeer(err) {
-		c.noPrepare = true
-		return c.do(strOp, sql, args)
+	if err != nil {
+		return nil, err
 	}
-	return nil, err
+	c.markPrepared(id)
+	return r, nil
 }
 
 func (c *Client) markPrepared(id int) {
@@ -231,15 +219,6 @@ func (c *Client) markPrepared(id int) {
 		c.prepared = append(c.prepared, false)
 	}
 	c.prepared[id] = true
-}
-
-// isOldPeer recognizes how a server without the prepared ops fails:
-// its handler either rejects the op byte outright or misparses the
-// frame as a string request and runs off the buffer. Execution never
-// started in either case, so retrying on the string path is safe.
-func isOldPeer(err error) bool {
-	s := err.Error()
-	return strings.Contains(s, "unknown op") || strings.Contains(s, "short buffer")
 }
 
 func (c *Client) Exec(sql string, args ...val.Value) (int, error) {
@@ -356,13 +335,6 @@ func decodeError(msg string) error {
 // ---------------------------------------------------------------------------
 // Server side
 // ---------------------------------------------------------------------------
-
-// NewHandler returns an rpc.Handler serving the wire protocol against
-// a fresh session of db. Create one handler per client connection.
-func NewHandler(db *sqldb.DB) rpc.Handler {
-	sess := db.NewSession()
-	return SessionHandler(sess)
-}
 
 // MuxHandlers serves the database wire protocol on a multiplexed
 // connection: each mux session gets its own sqldb session (and so its

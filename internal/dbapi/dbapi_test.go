@@ -74,23 +74,25 @@ func TestLocalConn(t *testing.T) {
 
 func TestRemoteConnInProc(t *testing.T) {
 	db := setup(t)
-	conn := NewClient(rpc.NewInProc(NewHandler(db), 0))
+	conn := NewClient(rpc.NewInProc(SessionHandler(db.NewSession()), 0))
 	connContract(t, conn)
 }
 
+// TestRemoteConnTCP runs the contract over a real socket, wired as
+// cmd/pyxis-dbserver wires its database port.
 func TestRemoteConnTCP(t *testing.T) {
 	db := setup(t)
-	srv, err := rpc.NewServer("127.0.0.1:0", func() rpc.Handler { return NewHandler(db) })
+	srv, err := rpc.NewMuxServer("127.0.0.1:0", func() rpc.SessionHandlers { return MuxHandlers(db) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := rpc.Dial(srv.Addr())
+	cli, err := rpc.DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	connContract(t, NewClient(cli))
+	connContract(t, NewClient(cli.Session()))
 }
 
 // TestMuxSessionsConcurrentTxns drives many concurrent transactions
@@ -237,8 +239,8 @@ func waitForLockWaits(t *testing.T, db *sqldb.DB, n int64) {
 // transaction contexts.
 func TestSessionIsolationPerConnection(t *testing.T) {
 	db := setup(t)
-	c1 := NewClient(rpc.NewInProc(NewHandler(db), 0))
-	c2 := NewClient(rpc.NewInProc(NewHandler(db), 0))
+	c1 := NewClient(rpc.NewInProc(SessionHandler(db.NewSession()), 0))
+	c2 := NewClient(rpc.NewInProc(SessionHandler(db.NewSession()), 0))
 	if err := c1.Begin(); err != nil {
 		t.Fatal(err)
 	}

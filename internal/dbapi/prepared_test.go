@@ -2,6 +2,7 @@ package dbapi
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"pyxis/internal/rpc"
@@ -43,7 +44,7 @@ func TestLocalPreparedConn(t *testing.T) {
 
 func TestClientPreparedWire(t *testing.T) {
 	db := setup(t)
-	conn := NewClient(rpc.NewInProc(NewHandler(db), 0))
+	conn := NewClient(rpc.NewInProc(SessionHandler(db.NewSession()), 0))
 	preparedContract(t, conn)
 }
 
@@ -52,7 +53,7 @@ func TestClientPreparedWire(t *testing.T) {
 // path for the same call.
 func TestPreparedWireByteSavings(t *testing.T) {
 	db := setup(t)
-	conn := NewClient(rpc.NewInProc(NewHandler(db), 0))
+	conn := NewClient(rpc.NewInProc(SessionHandler(db.NewSession()), 0))
 	const sel = "SELECT v FROM t WHERE k = ?"
 
 	if _, err := conn.QueryStmt(0, sel, val.IntV(1)); err != nil {
@@ -84,14 +85,14 @@ func TestPreparedWireByteSavings(t *testing.T) {
 // re-send the text and succeed.
 func TestPreparedUnpreparedRecovery(t *testing.T) {
 	db := setup(t)
-	conn := NewClient(rpc.NewInProc(NewHandler(db), 0))
+	conn := NewClient(rpc.NewInProc(SessionHandler(db.NewSession()), 0))
 	const sel = "SELECT v FROM t WHERE k = ?"
 	if _, err := conn.QueryStmt(0, sel, val.IntV(1)); err != nil {
 		t.Fatal(err)
 	}
 	// New handler = new server-side session with an empty statement
 	// table, while the client still believes id 0 is prepared.
-	conn.T = rpc.NewInProc(NewHandler(db), 0)
+	conn.T = rpc.NewInProc(SessionHandler(db.NewSession()), 0)
 	rs, err := conn.QueryStmt(0, sel, val.IntV(2))
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
@@ -101,59 +102,52 @@ func TestPreparedUnpreparedRecovery(t *testing.T) {
 	}
 }
 
-// oldHandler replicates the pre-prepared-statement server: every
-// request is parsed as [op][sql][args] and unknown ops are rejected.
-func oldHandler(db *sqldb.DB) rpc.Handler {
-	sess := db.NewSession()
-	return func(req []byte) ([]byte, error) {
-		r := &rpc.Reader{Buf: req}
-		op := r.Byte()
-		sql := r.Str()
-		args := r.Vals()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		var w rpc.Writer
-		switch op {
-		case opExec:
-			n, err := sess.Exec(sql, args...)
-			if err != nil {
-				return encodeErr(&rpc.Writer{}, err), nil
-			}
-			w.Bool(true)
-			w.I64(int64(n))
-		case opQuery:
-			rs, err := sess.Query(sql, args...)
-			if err != nil {
-				return encodeErr(&rpc.Writer{}, err), nil
-			}
-			w.Bool(true)
-			writeResultSet(&w, rs)
-		default:
-			return nil, errors.New("dbapi: unknown op")
-		}
-		return w.Buf, nil
-	}
-}
-
-// TestPreparedOldPeerFallback: against a server that predates the
-// prepared ops, the client must fall back to the string protocol and
-// stay there.
-func TestPreparedOldPeerFallback(t *testing.T) {
+// TestPreparedWireErrorsSurface: an error from the prepared wire is
+// the caller's, whatever its text — a reply cut short, a peer that
+// answers "unknown op". Neither moves the connection off the prepared
+// wire: the next call is id + args again.
+func TestPreparedWireErrorsSurface(t *testing.T) {
 	db := setup(t)
-	conn := NewClient(rpc.NewInProc(oldHandler(db), 0))
+	good := rpc.NewInProc(SessionHandler(db.NewSession()), 0)
+	conn := NewClient(good)
 	const sel = "SELECT v FROM t WHERE k = ?"
-	rs, err := conn.QueryStmt(0, sel, val.IntV(1))
-	if err != nil {
-		t.Fatalf("fallback failed: %v", err)
+	const ins = "INSERT INTO t VALUES (?, ?)"
+	if _, err := conn.QueryStmt(0, sel, val.IntV(1)); err != nil {
+		t.Fatal(err)
 	}
-	if rs.Rows[0][0].S != "a" {
-		t.Fatalf("wrong rows over fallback: %v", rs.Rows)
+	if _, err := conn.ExecStmt(1, ins, val.IntV(60), val.StrV("x")); err != nil {
+		t.Fatal(err)
 	}
-	if !conn.noPrepare {
-		t.Error("client did not latch the string path after an old-peer error")
+
+	// A query reply truncated inside the result set.
+	conn.T = rpc.NewInProc(func(req []byte) ([]byte, error) {
+		resp, err := good.H(req)
+		return resp[:len(resp)-3], err
+	}, 0)
+	if _, err := conn.QueryStmt(0, sel, val.IntV(1)); !errors.Is(err, rpc.ErrShortBuffer) {
+		t.Fatalf("truncated reply: QueryStmt error %v, want rpc.ErrShortBuffer", err)
 	}
-	if _, err := conn.ExecStmt(1, "INSERT INTO t VALUES (?, ?)", val.IntV(9), val.StrV("z")); err != nil {
-		t.Fatalf("string path after fallback: %v", err)
+	// A peer that rejects the request outright.
+	conn.T = rpc.NewInProc(func([]byte) ([]byte, error) { return nil, errors.New("dbapi: unknown op 6") }, 0)
+	if _, err := conn.ExecStmt(1, ins, val.IntV(61), val.StrV("y")); err == nil || !strings.Contains(err.Error(), "unknown op") {
+		t.Fatalf("rejected request: ExecStmt error %v, want the peer's", err)
+	}
+	if _, err := conn.QueryStmt(0, sel, val.IntV(1)); err == nil || !strings.Contains(err.Error(), "unknown op") {
+		t.Fatalf("rejected request: QueryStmt error %v, want the peer's", err)
+	}
+
+	// Back on a healthy wire both statements still go as id + args.
+	conn.T = good
+	for _, call := range []func() error{
+		func() error { _, err := conn.QueryStmt(0, sel, val.IntV(1)); return err },
+		func() error { _, err := conn.ExecStmt(1, ins, val.IntV(62), val.StrV("z")); return err },
+	} {
+		base := conn.BytesSent
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+		if cost := conn.BytesSent - base; cost > 32 {
+			t.Errorf("call after the errors cost %d bytes: the statement text is on the wire again", cost)
+		}
 	}
 }

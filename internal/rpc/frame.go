@@ -1,9 +1,8 @@
 package rpc
 
-// This file is the one place bytes meet a connection. Every transport
-// in the package — the mux client, the mux demux loop and the
-// single-session TCP pair — reads and writes through a framer, so the
-// rules below hold for all of them:
+// This file is the one place bytes meet a connection. Both ends of the
+// mux wire — the client and the demux loop — read and write through a
+// framer, so the rules below hold for both:
 //
 //   - One write per frame. A frame (length prefix, header, optional
 //     load report, body) is assembled contiguously in the framer's
@@ -111,25 +110,6 @@ func (fr *framer) writeMux(f muxFrame, rep LoadReport, hasRep bool) error {
 	return fr.flush(b, f.body)
 }
 
-// writePlain sends one single-session frame: the payload is body,
-// preceded by the status byte when hasStatus.
-func (fr *framer) writePlain(status byte, hasStatus bool, body []byte) error {
-	n := len(body)
-	if hasStatus {
-		n++
-	}
-	if n > MaxFrame {
-		return fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
-	}
-	fr.wmu.Lock()
-	defer fr.wmu.Unlock()
-	b := binary.LittleEndian.AppendUint32(fr.bw.AvailableBuffer(), uint32(n))
-	if hasStatus {
-		b = append(b, status)
-	}
-	return fr.flush(b, body)
-}
-
 // readLen consumes the next frame's length prefix.
 func (fr *framer) readLen() (int, error) {
 	p, err := fr.br.Peek(4)
@@ -174,18 +154,11 @@ func (fr *framer) readMuxHeader() (muxFrame, int, error) {
 // readLoadReport consumes the load report at the front of a body of n
 // bytes and returns it with the number of body bytes left.
 func (fr *framer) readLoadReport(n int) (LoadReport, int, error) {
-	if n < 1 {
-		return LoadReport{}, 0, fmt.Errorf("rpc: load report missing length: %w", ErrShortBuffer)
-	}
-	p, err := fr.br.Peek(1)
+	const size = 1 + loadReportLen
+	// Never past the frame: a body shorter than a report is the
+	// truncation splitLoadReport reports.
+	p, err := fr.br.Peek(min(n, size))
 	if err != nil {
-		return LoadReport{}, 0, unexpectedEOF(err)
-	}
-	size := 1 + int(p[0]) // at most 256: always inside the read buffer
-	if size > n {
-		return LoadReport{}, 0, fmt.Errorf("rpc: load report truncated (%d of %d bytes)", n-1, size-1)
-	}
-	if p, err = fr.br.Peek(size); err != nil {
 		return LoadReport{}, 0, unexpectedEOF(err)
 	}
 	rep, _, err := splitLoadReport(p)

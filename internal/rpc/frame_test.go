@@ -450,28 +450,3 @@ func TestReaderValsBoundedByBytesLeft(t *testing.T) {
 		t.Fatalf("three nulls decoded as %v, err %v", vs, r.Err())
 	}
 }
-
-// TestSingleSessionTransportSharesFraming checks the plain TCP pair
-// goes through the framer too: same cap, one Write per frame.
-func TestSingleSessionTransportSharesFraming(t *testing.T) {
-	srvEnd, cliEnd := net.Pipe()
-	rec := &recConn{ReadWriteCloser: cliEnd}
-	done := make(chan struct{})
-	go func() {
-		serveConn(srvEnd, func(req []byte) ([]byte, error) { return req, nil })
-		close(done)
-	}()
-	c := &TCPClient{fr: newFramer(rec)}
-	if resp, err := c.Call([]byte("plain")); err != nil || string(resp) != "plain" {
-		t.Fatalf("echo: %q %v", resp, err)
-	}
-	if got := rec.written(); len(got) != 1 || hex.EncodeToString(got[0]) != "05000000706c61696e" {
-		t.Fatalf("request left as %x, want one write of the parent's encoding", got)
-	}
-	// A length prefix above the cap ends the connection.
-	if _, err := cliEnd.Write(binary.LittleEndian.AppendUint32(nil, MaxFrame+1)); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	c.Close()
-}

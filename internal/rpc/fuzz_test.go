@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"runtime"
 	"testing"
 )
@@ -99,18 +100,19 @@ func FuzzSplitLoadReport(f *testing.F) {
 			t.Fatalf("splitLoadReport err %v, readLoadReport err %v", err, err2)
 		}
 		if err != nil {
+			if !errors.Is(err, ErrShortBuffer) || !errors.Is(err2, ErrShortBuffer) {
+				t.Fatalf("untyped rejection: splitLoadReport %v, readLoadReport %v", err, err2)
+			}
 			return
 		}
-		n := 1 + int(body[0])
-		if n < 1+loadReportLen || n > len(body) || !bytes.Equal(rest, body[n:]) {
-			t.Fatalf("report of %d bytes split off %d-byte body leaving %d", n, len(body), len(rest))
+		const n = 1 + loadReportLen
+		if len(body) < n || !bytes.Equal(rest, body[n:]) || left != len(rest) {
+			t.Fatalf("%d-byte body split leaving %d (in place: %d), want %d", len(body), len(rest), left, len(body)-n)
 		}
-		if left != len(rest) {
-			t.Fatalf("readLoadReport leaves %d body bytes, splitLoadReport %d", left, len(rest))
-		}
-		// Compare encodings, not structs: NaN fields differ from themselves.
-		if a, b := appendLoadReport(nil, rep), appendLoadReport(nil, rep2); !bytes.Equal(a, b) || !bytes.Equal(a[1:], body[1:1+loadReportLen]) {
-			t.Fatalf("decoded reports disagree or do not re-encode to their bytes: %x %x %x", a, b, body[:n])
+		// An accepted report is exactly its re-encoding, length byte
+		// included. Encodings, not structs: NaN differs from itself.
+		if a, b := appendLoadReport(nil, rep), appendLoadReport(nil, rep2); !bytes.Equal(a, body[:n]) || !bytes.Equal(b, body[:n]) {
+			t.Fatalf("decoded reports re-encode to %x and %x, not their bytes %x", a, b, body[:n])
 		}
 	})
 }

@@ -47,12 +47,10 @@ func dummyLoopbackClient(t *testing.T, reply func(muxFrame) muxFrame) *MuxClient
 	return c
 }
 
-// TestMuxLoadReportCodecProperty round-trips the extended mux frame
-// codec over randomized inputs: load report present or absent, zero
-// and extreme field values, every reply kind, arbitrary payloads —
-// plus the old-peer compatibility cases (a report-less frame decodes
-// exactly as before; a flagged frame from a newer peer with a longer
-// report still yields the payload intact).
+// TestMuxLoadReportCodecProperty round-trips the mux frame codec over
+// randomized inputs: load report present or absent, zero and extreme
+// field values, every reply kind, arbitrary payloads — then the
+// rejections: a report of any length but this build's is corrupt.
 func TestMuxLoadReportCodecProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	loads := []float64{0, 1e-12, 40, 100, -5, 250, math.MaxFloat64, -math.MaxFloat64}
@@ -107,32 +105,33 @@ func TestMuxLoadReportCodecProperty(t *testing.T) {
 				t.Fatalf("iter %d: report mismatch: got %+v want %+v", i, dec, rep)
 			}
 		}
-		// With or without a report the payload arrives untouched (a
-		// report-less frame is the old-peer path).
+		// With or without a report the payload arrives untouched.
 		body, err := fr.readBody(n, nil)
 		if err != nil || !bytes.Equal(body, payload) {
 			t.Fatalf("iter %d: payload mismatch: %q vs %q (%v)", i, body, payload, err)
 		}
 	}
 
-	// Forward compatibility: a longer report (newer peer) still
-	// decodes this version's fields and leaves the payload intact.
+	// Exact length: both ends are one build, so a length byte that says
+	// anything else — four more bytes here, all present — is corruption,
+	// not a longer report to skip over.
 	long := appendLoadReport(nil, LoadReport{Load: 55, CPU: 10, LockWaitRate: 2, QueueDepth: 3})
-	long = append(long, 0xAA, 0xBB, 0xCC, 0xDD) // future fields
+	long = append(long, 0xAA, 0xBB, 0xCC, 0xDD)
 	long[0] += 4
 	long = append(long, []byte("payload")...)
-	dec, rest, err := splitLoadReport(long)
-	if err != nil {
-		t.Fatalf("long report: %v", err)
-	}
-	if dec.Load != 55 || dec.QueueDepth != 3 || string(rest) != "payload" {
-		t.Fatalf("long report decoded wrong: %+v rest=%q", dec, rest)
-	}
+	short := appendLoadReport(nil, LoadReport{})
+	short[0]--
 
-	// Corruption: truncated reports must error, not misparse.
-	for _, body := range [][]byte{{}, {loadReportLen}, appendLoadReport(nil, LoadReport{})[:10]} {
-		if _, _, err := splitLoadReport(body); err == nil {
-			t.Errorf("truncated report %v decoded without error", body)
+	// Corruption and truncation are the typed error, in the slice decoder
+	// and the in-place reader alike; nothing misparses.
+	for _, body := range [][]byte{long, short, {}, {loadReportLen}, appendLoadReport(nil, LoadReport{})[:10]} {
+		if _, _, err := splitLoadReport(body); !errors.Is(err, ErrShortBuffer) {
+			t.Errorf("report %x: splitLoadReport error %v, want ErrShortBuffer", body, err)
+		}
+		conn := &bufConn{}
+		conn.Write(body)
+		if _, _, err := newFramer(conn).readLoadReport(len(body)); !errors.Is(err, ErrShortBuffer) {
+			t.Errorf("report %x: readLoadReport error %v, want ErrShortBuffer", body, err)
 		}
 	}
 }
@@ -140,7 +139,7 @@ func TestMuxLoadReportCodecProperty(t *testing.T) {
 // TestMuxLoadReportDelivery runs real traffic through a demux loop
 // with a LoadSource attached and checks every reply delivers the
 // report to the client sink while payloads stay intact — and that a
-// server without a source (a report-less peer) yields zero reports.
+// server configured without a source yields zero reports.
 func TestMuxLoadReportDelivery(t *testing.T) {
 	echo := HandlerFactory(func(sid uint32) Handler {
 		return func(req []byte) ([]byte, error) { return req, nil }
@@ -182,15 +181,15 @@ func TestMuxLoadReportDelivery(t *testing.T) {
 		}
 	}
 
-	// Report-less server: same traffic, no flag ever set.
+	// No LoadSource configured: same traffic, no flag ever set.
 	plain := pipeMuxConfig(t, echo, MuxServeConfig{})
-	plain.SetOnLoad(func(r LoadReport) { t.Errorf("report-less peer delivered %+v", r) })
+	plain.SetOnLoad(func(r LoadReport) { t.Errorf("server without a LoadSource delivered %+v", r) })
 	ps := plain.Session()
 	if resp, err := ps.Call([]byte("x")); err != nil || string(resp) != "x" {
 		t.Fatalf("plain call: %q %v", resp, err)
 	}
 	if plain.LoadReports() != 0 {
-		t.Errorf("report-less peer counted %d reports", plain.LoadReports())
+		t.Errorf("server without a LoadSource counted %d reports", plain.LoadReports())
 	}
 }
 

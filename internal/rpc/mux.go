@@ -1,12 +1,11 @@
 package rpc
 
-// This file adds multiplexed transports: many logical sessions share
-// one connection, each session carrying concurrent request/response
-// exchanges. The plain Transport of transport.go remains the
-// single-session special case; a MuxSession implements the same
-// Transport interface, so everything built on Transport (dbapi.Client,
-// the runtime's control-transfer protocol) works unchanged over a
-// multiplexed connection.
+// This file is the transport over connections: many logical sessions
+// share one connection, each session carrying concurrent
+// request/response exchanges. A MuxSession implements Transport, so
+// everything built on Transport (dbapi.Client, the runtime's
+// control-transfer protocol) runs over a connection exactly as it runs
+// over InProc; a deployment with one client is a mux with one session.
 //
 // Mux wire format: every frame is the usual 4-byte length prefix
 // followed by a 9-byte header and the body:
@@ -24,11 +23,9 @@ package rpc
 //
 // Reply kinds may additionally carry the muxFlagLoad bit: the body is
 // then prefixed with a length-delimited LoadReport (the DB server's
-// saturation sample, paper §6.3) ahead of the normal payload. Peers
-// that never set the flag ("report-less peers") interoperate
-// unchanged: the flag only appears when a server explicitly has a
-// LoadSource configured, and a flag-free frame decodes exactly as
-// before.
+// saturation sample, paper §6.3) ahead of the normal payload. The flag
+// appears only when the server has a LoadSource configured
+// (MuxServeConfig.Load) and the source has a sample for that reply.
 //
 // Frames are read and written by a framer (frame.go): one Write per
 // frame, one buffered read, nothing held back.

@@ -1,10 +1,7 @@
 package rpc
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -107,89 +104,6 @@ func TestInProcTransport(t *testing.T) {
 	if _, err := tr.Call([]byte("x")); err == nil {
 		t.Fatal("call after close should fail")
 	}
-}
-
-func TestTCPClientServer(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", func() Handler {
-		calls := 0
-		return func(req []byte) ([]byte, error) {
-			calls++
-			if bytes.Equal(req, []byte("fail")) {
-				return nil, fmt.Errorf("boom")
-			}
-			return []byte(fmt.Sprintf("%s#%d", req, calls)), nil
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	c1, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	c2, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-
-	// Per-connection handler state: each connection counts separately.
-	r1, err := c1.Call([]byte("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := c2.Call([]byte("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(r1) != "a#1" || string(r2) != "b#1" {
-		t.Fatalf("per-connection state broken: %q %q", r1, r2)
-	}
-	if _, err := c1.Call([]byte("fail")); err == nil {
-		t.Fatal("remote error should propagate")
-	}
-	// The connection survives a handler error.
-	if r, err := c1.Call([]byte("again")); err != nil || string(r) != "again#3" {
-		t.Fatalf("after error: %q %v", r, err)
-	}
-	if st := c1.Stats(); st.Calls != 3 {
-		t.Fatalf("client stats: %+v", st)
-	}
-}
-
-func TestTCPConcurrentClients(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", func() Handler {
-		return func(req []byte) ([]byte, error) { return req, nil }
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := Dial(srv.Addr())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
-			for j := 0; j < 20; j++ {
-				msg := []byte(fmt.Sprintf("c%d-%d", i, j))
-				resp, err := c.Call(msg)
-				if err != nil || !bytes.Equal(resp, msg) {
-					t.Errorf("echo mismatch: %q %v", resp, err)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
 }
 
 // Property: values of EVERY kind — including the reference kinds Obj,

@@ -3,8 +3,6 @@ package rpc
 import (
 	"bytes"
 	"fmt"
-	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -97,151 +95,4 @@ func (t *InProc) Stats() Stats {
 		BytesSent: atomic.LoadInt64(&t.stats.BytesSent),
 		BytesRecv: atomic.LoadInt64(&t.stats.BytesRecv),
 	}
-}
-
-// ---------------------------------------------------------------------------
-// TCP transport (length-prefixed frames)
-// ---------------------------------------------------------------------------
-
-// TCPClient is a Transport over one TCP connection. Calls are
-// serialized by a mutex (the protocol is strictly request/response).
-type TCPClient struct {
-	mu    sync.Mutex
-	fr    *framer
-	stats Stats
-}
-
-// Dial connects a TCPClient to addr.
-func Dial(addr string) (*TCPClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &TCPClient{fr: newFramer(conn)}, nil
-}
-
-// Call implements Transport.
-func (c *TCPClient) Call(req []byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.fr.writePlain(0, false, req); err != nil {
-		return nil, err
-	}
-	n, err := c.fr.readLen()
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.fr.readBody(n, nil)
-	if err != nil {
-		return nil, err
-	}
-	atomic.AddInt64(&c.stats.Calls, 1)
-	atomic.AddInt64(&c.stats.BytesSent, int64(len(req))+4)
-	atomic.AddInt64(&c.stats.BytesRecv, int64(len(resp))+4)
-	if len(resp) > 0 && resp[0] == frameError {
-		return nil, fmt.Errorf("rpc: remote error: %s", string(resp[1:]))
-	}
-	if len(resp) > 0 && resp[0] == frameOK {
-		return resp[1:], nil
-	}
-	return nil, fmt.Errorf("rpc: malformed response")
-}
-
-// Close implements Transport.
-func (c *TCPClient) Close() error { return c.fr.conn.Close() }
-
-// Stats returns a snapshot of the traffic counters.
-func (c *TCPClient) Stats() Stats {
-	return Stats{
-		Calls:     atomic.LoadInt64(&c.stats.Calls),
-		BytesSent: atomic.LoadInt64(&c.stats.BytesSent),
-		BytesRecv: atomic.LoadInt64(&c.stats.BytesRecv),
-	}
-}
-
-const (
-	frameOK    byte = 0
-	frameError byte = 1
-)
-
-// Server accepts TCP connections and serves each with a
-// per-connection handler (so stateful protocols get isolated state).
-type Server struct {
-	lis     net.Listener
-	factory func() Handler
-	wg      sync.WaitGroup
-	mu      sync.Mutex
-	closed  bool
-}
-
-// NewServer listens on addr; factory is invoked once per accepted
-// connection to create that connection's handler.
-func NewServer(addr string, factory func() Handler) (*Server, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{lis: lis, factory: factory}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.lis.Addr().String() }
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			return
-		}
-		h := s.factory()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			serveConn(conn, h)
-		}()
-	}
-}
-
-func serveConn(conn net.Conn, h Handler) {
-	fr := newFramer(conn)
-	var req []byte // reused: the handler's request is valid only until it returns
-	for {
-		n, err := fr.readLen()
-		if err != nil {
-			return
-		}
-		if req, err = fr.readBody(n, req); err != nil {
-			return
-		}
-		resp, herr := h(req)
-		if herr != nil {
-			err = fr.writePlain(frameError, true, []byte(herr.Error()))
-		} else {
-			err = fr.writePlain(frameOK, true, resp)
-		}
-		Released(req)
-		Released(resp)
-		if err != nil {
-			return
-		}
-	}
-}
-
-// Close stops accepting and waits for in-flight connections to drain.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	err := s.lis.Close()
-	s.wg.Wait()
-	return err
 }

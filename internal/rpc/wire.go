@@ -1,9 +1,9 @@
 // Package rpc provides the wire codec and the synchronous
 // request/response transports used both by the database client (the
 // JDBC analogue) and by the Pyxis runtime's control-transfer protocol.
-// Transports are pluggable: in-process (optionally latency-injected)
-// for tests and simulation, TCP for real two-server deployments, and
-// multiplexed TCP (mux.go) where one connection carries any number of
+// There are two: in-process (optionally latency-injected) for tests
+// and simulation, and the mux wire (mux.go) for everything that
+// crosses a connection — one connection carries any number of
 // concurrent sessions, each an independent Transport.
 package rpc
 
@@ -245,9 +245,9 @@ type LoadReport struct {
 	QueueDepth uint32
 }
 
-// loadReportLen is the wire size of the fields this version encodes.
-// Reports are length-prefixed, so longer (future) reports still decode
-// here and report-less peers are unaffected entirely.
+// loadReportLen is the wire size of a report's fields. A report
+// travels behind a length byte that must say exactly this: both ends
+// of a connection are the same build.
 const loadReportLen = 8 + 8 + 8 + 4
 
 // appendLoadReport appends the length-prefixed report to dst.
@@ -262,26 +262,21 @@ func appendLoadReport(dst []byte, rep LoadReport) []byte {
 }
 
 // splitLoadReport decodes a length-prefixed report from the front of
-// body and returns it with the remaining payload. Reports longer than
-// this version's fields (a newer peer) parse fine: the extra bytes are
-// skipped under the length prefix.
+// body and returns it with the remaining payload.
 func splitLoadReport(body []byte) (LoadReport, []byte, error) {
 	if len(body) < 1 {
 		return LoadReport{}, nil, fmt.Errorf("rpc: load report missing length: %w", ErrShortBuffer)
 	}
 	n := int(body[0])
-	if n < loadReportLen || len(body)-1 < n {
-		return LoadReport{}, nil, fmt.Errorf("rpc: load report truncated (%d of %d bytes)", len(body)-1, n)
+	if n != loadReportLen || len(body)-1 < n {
+		return LoadReport{}, nil, fmt.Errorf("rpc: load report truncated (length byte %d, want %d, in %d bytes): %w", n, loadReportLen, len(body)-1, ErrShortBuffer)
 	}
-	r := Reader{Buf: body[1 : 1+n]}
+	r := Reader{Buf: body[1 : 1+n]} // exactly the fields: no read below can fall short
 	rep := LoadReport{
 		Load:         r.F64(),
 		CPU:          r.F64(),
 		LockWaitRate: r.F64(),
 		QueueDepth:   r.U32(),
-	}
-	if err := r.Err(); err != nil {
-		return LoadReport{}, nil, err
 	}
 	return rep, body[1+n:], nil
 }

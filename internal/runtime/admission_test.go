@@ -117,15 +117,15 @@ func TestAdmissionCallShedWhileSaturated(t *testing.T) {
 
 // TestPoolReportsFoldIntoSharedEWMA is the regression the pool must
 // never break: muxFlagLoad reports arriving on DIFFERENT pool
-// connections all fold into ONE shared EWMA, and a report-less
-// (old-peer) connection mixed into the pool interoperates — its
+// connections all fold into ONE shared EWMA, and a connection to a
+// server configured without a LoadSource mixes into the pool — its
 // sessions serve traffic and simply contribute no samples.
 func TestPoolReportsFoldIntoSharedEWMA(t *testing.T) {
 	echo := rpc.HandlerFactory(func(sid uint32) rpc.Handler {
 		return func(req []byte) ([]byte, error) { return req, nil }
 	})
 	// Connections 0 and 1 report fixed, very different loads;
-	// connection 2 is an old peer with no LoadSource at all.
+	// connection 2's server has no LoadSource configured.
 	loads := []float64{10, 90}
 	pool, err := rpc.NewMuxPool(3, func(i int) (io.ReadWriteCloser, error) {
 		srv, cli := net.Pipe()
@@ -183,18 +183,18 @@ func TestPoolReportsFoldIntoSharedEWMA(t *testing.T) {
 		t.Fatalf("EWMA after high-conn traffic = %.1f; reports from the second connection did not fold in", got)
 	}
 
-	// The report-less old peer serves traffic and feeds nothing.
+	// The connection without a LoadSource serves traffic and feeds nothing.
 	before := pool.LoadReports()
 	for k := 0; k < 10; k++ {
-		if resp, err := byConn[2].Call([]byte("old")); err != nil || string(resp) != "old" {
-			t.Fatalf("old-peer connection broken in the pool: %q %v", resp, err)
+		if resp, err := byConn[2].Call([]byte("c")); err != nil || string(resp) != "c" {
+			t.Fatalf("connection without a LoadSource broken in the pool: %q %v", resp, err)
 		}
 	}
 	if got := pool.LoadReports(); got != before {
-		t.Errorf("report-less connection contributed %d reports", got-before)
+		t.Errorf("connection without a LoadSource contributed %d reports", got-before)
 	}
 	if got := sw.Load(); got < 80 {
-		t.Errorf("old-peer traffic dragged the EWMA to %.1f", got)
+		t.Errorf("traffic without reports dragged the EWMA to %.1f", got)
 	}
 	if before != 80 {
 		t.Errorf("reporting connections delivered %d reports, want 80", before)

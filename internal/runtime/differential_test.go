@@ -4,28 +4,35 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pyxis/internal/compile"
+	"pyxis/internal/dbapi"
+	"pyxis/internal/interp"
 	"pyxis/internal/pdg"
+	"pyxis/internal/source"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
 
 // TestDifferentialRandomPlacements is the observational-equivalence
-// property test for the fused hot path: for each source program and a
-// sweep of seeded random statement/field placements, the same call
-// schedule runs through
+// property test: a partitioned program is the original program. For
+// each source program and a sweep of seeded random statement/field
+// placements, the same call schedule runs through
 //
-//   - the seed pipeline: unfused blocks on a Legacy deployment
-//     (version-0 transfers, string SQL, per-call frame allocation), and
-//   - the fused pipeline: Fuse()d superblocks with live-slot delta
-//     transfers and pooled frames,
+//   - the reference: the source program under internal/interp, which
+//     shares no code with the compiler, the block executor, the
+//     transfer codec or heap sync, and
+//   - the compiled program on a deployment, unfused and Fuse()d,
 //
-// and every observable — return values, errors, printed output — must
-// match exactly, while the fused run's control-transfer count must
-// never exceed the seed run's (fusion only merges or threads edges, so
-// it can only remove boundary crossings).
+// and every observable — return values, printed output, the database —
+// must match the reference exactly, while the fused run's
+// control-transfer count must never exceed the unfused run's (fusion
+// only merges or threads edges, so it can only remove boundary
+// crossings). The unfused program ships every slot and the fused one
+// only the live ones, so a wrong liveness mask shows as the fused trace
+// leaving the reference.
 
 const diffLoopSrc = `
 class L {
@@ -92,12 +99,57 @@ func diffSchedule(class string, entries []string, rng *rand.Rand, n int) []diffC
 	return calls
 }
 
+// traceCall appends one call's outcome to a trace. The schedules raise
+// no errors, and an error's text is not part of the contract (the
+// interpreter names a source position, the runtime a block).
+func traceCall(tr *bytes.Buffer, i int, method string, v val.Value, err error) {
+	if err != nil {
+		fmt.Fprintf(tr, "%d %s -> err\n", i, method)
+		return
+	}
+	fmt.Fprintf(tr, "%d %s -> %s\n", i, method, v.String())
+}
+
+// finishTrace closes a trace with what the run printed and what it
+// left in the database.
+func finishTrace(tr *bytes.Buffer, printed []byte, db *sqldb.DB) string {
+	tr.WriteString("--- printed ---\n")
+	tr.Write(printed)
+	fmt.Fprintf(tr, "--- database ---\n%v\n", db.Snapshot())
+	return tr.String()
+}
+
+// runReference drives calls through the interpreter on the source
+// program and returns the observable trace.
+func runReference(t *testing.T, src, class string, calls []diffCall) string {
+	t.Helper()
+	prog, err := source.Load(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := sqldb.Open()
+	ip := interp.New(prog, dbapi.NewLocal(db))
+	var out bytes.Buffer
+	ip.Out = &out
+	obj, err := ip.NewObject(class)
+	if err != nil {
+		t.Fatalf("reference: NewObject(%s): %v", class, err)
+	}
+	var tr bytes.Buffer
+	for i, c := range calls {
+		_, name, _ := strings.Cut(c.method, ".")
+		v, err := ip.CallEntry(prog.Method(class, name), obj, c.args...)
+		traceCall(&tr, i, c.method, v, err)
+	}
+	return finishTrace(&tr, out.Bytes(), db)
+}
+
 // runSchedule drives calls against a fresh deployment of compiled and
 // returns the observable trace plus the control-transfer count.
-func runSchedule(t *testing.T, compiled *compile.Program, legacy bool, class string, calls []diffCall) (trace string, transfers int64) {
+func runSchedule(t *testing.T, compiled *compile.Program, class string, calls []diffCall) (trace string, transfers int64) {
 	t.Helper()
 	var out bytes.Buffer
-	dep := NewDeployment(compiled, sqldb.Open(), Options{Out: &out, Legacy: legacy})
+	dep := NewDeployment(compiled, sqldb.Open(), Options{Out: &out})
 	oid, err := dep.Client.NewObject(class)
 	if err != nil {
 		t.Fatalf("NewObject(%s): %v", class, err)
@@ -105,15 +157,9 @@ func runSchedule(t *testing.T, compiled *compile.Program, legacy bool, class str
 	var tr bytes.Buffer
 	for i, c := range calls {
 		v, err := dep.Client.CallEntry(c.method, oid, c.args...)
-		if err != nil {
-			fmt.Fprintf(&tr, "%d %s -> err %v\n", i, c.method, err)
-			continue
-		}
-		fmt.Fprintf(&tr, "%d %s -> %s\n", i, c.method, v.String())
+		traceCall(&tr, i, c.method, v, err)
 	}
-	tr.WriteString("--- printed ---\n")
-	tr.Write(out.Bytes())
-	return tr.String(), dep.App.Metrics.Snapshot().Transfers
+	return finishTrace(&tr, out.Bytes(), dep.DB), dep.App.Metrics.Snapshot().Transfers
 }
 
 func TestDifferentialRandomPlacements(t *testing.T) {
@@ -139,15 +185,23 @@ func TestDifferentialRandomPlacements(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed * 7919))
 				calls := diffSchedule(p.class, p.entries, rng, 24)
 
-				seedTrace, seedTransfers := runSchedule(t, unfused, true, p.class, calls)
-				fusedTrace, fusedTransfers := runSchedule(t, fused, false, p.class, calls)
-
-				if seedTrace != fusedTrace {
-					t.Errorf("fused pipeline diverged (fuse %s):\n-- seed --\n%s\n-- fused --\n%s",
-						stats, seedTrace, fusedTrace)
+				want := runReference(t, p.src, p.class, calls)
+				if strings.Contains(want, "-> err") {
+					t.Fatalf("the schedule raises an error in the reference:\n%s", want)
 				}
-				if fusedTransfers > seedTransfers {
-					t.Errorf("fusion increased transfers: %d -> %d", seedTransfers, fusedTransfers)
+				unfusedTrace, unfusedTransfers := runSchedule(t, unfused, p.class, calls)
+				fusedTrace, fusedTransfers := runSchedule(t, fused, p.class, calls)
+
+				if unfusedTrace != want {
+					t.Errorf("unfused program left the reference interpreter:\n-- interp --\n%s\n-- unfused --\n%s",
+						want, unfusedTrace)
+				}
+				if fusedTrace != want {
+					t.Errorf("fused program left the reference interpreter (fuse %s):\n-- interp --\n%s\n-- fused --\n%s",
+						stats, want, fusedTrace)
+				}
+				if fusedTransfers > unfusedTransfers {
+					t.Errorf("fusion increased transfers: %d -> %d", unfusedTransfers, fusedTransfers)
 				}
 			})
 		}

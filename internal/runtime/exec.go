@@ -74,24 +74,64 @@ type Peer struct {
 	// serialized by the peer, so any io.Writer is safe.
 	Out io.Writer
 	Env Env
-	// Legacy pins the peer to the seed's hot path: version-0 stack
-	// transfers (full slots, qname strings), string-SQL database calls,
-	// and a fresh allocation per activation frame. Both peers of a
-	// deployment must agree. The interp-vs-vm benchmark runs a Legacy
-	// deployment as its baseline.
-	Legacy bool
 
 	Metrics Metrics
 
 	outMu sync.Mutex
+	// owner[b] is the method whose frame executes block b (nil for a
+	// block no method reaches): what an incoming transfer's blocks are
+	// checked against before they index a frame.
+	owner []*compile.MethodInfo
 }
 
-// NewPeer creates the shared engine for one side.
+// NewPeer creates the shared engine for one side. prog must not change
+// afterwards.
 func NewPeer(prog *compile.Program, side pdg.Loc, out io.Writer) *Peer {
 	if out == nil {
 		out = io.Discard
 	}
-	return &Peer{Prog: prog, Side: side, Out: out}
+	return &Peer{Prog: prog, Side: side, Out: out, owner: blockOwners(prog)}
+}
+
+// blockOwners walks each method's blocks from its entry, never into
+// callees: compiled programs share no block between methods, so the
+// first method to reach a block owns it.
+func blockOwners(prog *compile.Program) []*compile.MethodInfo {
+	owner := make([]*compile.MethodInfo, len(prog.Blocks))
+	var work []compile.BlockID
+	for _, m := range prog.MethodList {
+		work = append(work[:0], m.Entry)
+		for len(work) > 0 {
+			id := work[len(work)-1]
+			work = work[:len(work)-1]
+			if id < 0 || int(id) >= len(owner) || owner[id] != nil {
+				continue
+			}
+			owner[id] = m
+			switch t := &prog.Blocks[id].Term; t.Kind {
+			case compile.TGoto:
+				work = append(work, t.Target)
+			case compile.TIf:
+				work = append(work, t.Then, t.Else)
+			case compile.TCall:
+				work = append(work, t.Cont)
+			}
+		}
+	}
+	return owner
+}
+
+func (p *Peer) validBlock(b compile.BlockID) bool {
+	return b >= 0 && int(b) < len(p.Prog.Blocks)
+}
+
+// ownerOf returns the method that owns block b, nil when b is not a
+// block or no method reaches it.
+func (p *Peer) ownerOf(b compile.BlockID) *compile.MethodInfo {
+	if !p.validBlock(b) {
+		return nil
+	}
+	return p.owner[b]
 }
 
 // Session is one logical client's state on a peer: its half of the
@@ -107,9 +147,8 @@ type Session struct {
 	Heap *Heap
 
 	// prep is DB with its prepared-statement surface exposed, when the
-	// connection offers one and the peer is not Legacy. Database ops
-	// whose instruction carries a program-interned statement id go
-	// through it.
+	// connection offers one. Database ops whose instruction carries a
+	// program-interned statement id go through it.
 	prep dbapi.PreparedConn
 	// framePool recycles activation records (capped at framePoolCap);
 	// see newFrame/freeFrame.
@@ -128,11 +167,7 @@ type Session struct {
 // transaction context).
 func (p *Peer) NewSession(db dbapi.Conn) *Session {
 	sn := &Session{Peer: p, DB: db, Heap: NewHeap(p.Side), pendSet: map[pendKey]bool{}}
-	if !p.Legacy {
-		if pc, ok := db.(dbapi.PreparedConn); ok {
-			sn.prep = pc
-		}
-	}
+	sn.prep, _ = db.(dbapi.PreparedConn)
 	return sn
 }
 
@@ -179,11 +214,9 @@ type Frame struct {
 const framePoolCap = 64
 
 // newFrame returns a zeroed activation record for m, recycling from
-// the session pool when possible. A Legacy peer always allocates
-// fresh, so the interp-vs-vm benchmark prices the seed's allocation
-// behaviour through it.
+// the session pool when possible.
 func (sn *Session) newFrame(m *compile.MethodInfo) *Frame {
-	if n := len(sn.framePool); n > 0 && !sn.Peer.Legacy {
+	if n := len(sn.framePool); n > 0 {
 		fr := sn.framePool[n-1]
 		sn.framePool[n-1] = nil
 		sn.framePool = sn.framePool[:n-1]
@@ -205,20 +238,15 @@ func (sn *Session) newFrame(m *compile.MethodInfo) *Frame {
 // reference: a frame is freed only after its method returned or after
 // the frame was fully serialized onto the wire.
 func (sn *Session) freeFrame(fr *Frame) {
-	if sn.Peer.Legacy || len(sn.framePool) >= framePoolCap {
+	if len(sn.framePool) >= framePoolCap {
 		return
 	}
 	fr.Method = nil
 	sn.framePool = append(sn.framePool, fr)
 }
 
-// dbArgs returns an n-element argument slice — the session scratch,
-// or a fresh allocation on Legacy peers (which price the seed's
-// allocation behaviour).
+// dbArgs returns the session's argument scratch, n elements long.
 func (sn *Session) dbArgs(n int) []val.Value {
-	if sn.Peer.Legacy {
-		return make([]val.Value, n)
-	}
 	if cap(sn.argbuf) < n {
 		sn.argbuf = make([]val.Value, n)
 	}

@@ -15,8 +15,6 @@
 package runtime
 
 import (
-	"fmt"
-
 	"pyxis/internal/compile"
 	"pyxis/internal/pdg"
 	"pyxis/internal/rpc"
@@ -112,15 +110,19 @@ func (h *Heap) NewTable(cols []string, rows [][]val.Value) val.OID {
 // Object returns the object for oid, materializing a zeroed instance
 // of class ci if this peer has not seen it (lazy materialization: the
 // authoritative state arrives via sync records before any real use —
-// guaranteed by the conservative sync insertion).
+// guaranteed by the conservative sync insertion). An object already
+// present must be of class ci: the caller indexes its parts by ci's
+// field layout.
 func (h *Heap) Object(oid val.OID, ci *compile.ClassInfo) (*Object, error) {
 	if oid == 0 {
-		return nil, fmt.Errorf("runtime: null dereference")
+		return nil, runErr("null dereference")
 	}
 	o, ok := h.objs[oid]
 	if !ok {
 		o = &Object{Class: ci, App: ci.ZeroPart(pdg.App), DB: ci.ZeroPart(pdg.DB)}
 		h.objs[oid] = o
+	} else if o.Class != ci {
+		return nil, runErr("object %d is a %s, not a %s", oid, o.Class.Name, ci.Name)
 	}
 	return o, nil
 }
@@ -128,11 +130,11 @@ func (h *Heap) Object(oid val.OID, ci *compile.ClassInfo) (*Object, error) {
 // Array returns the array for oid.
 func (h *Heap) Array(oid val.OID) (*Array, error) {
 	if oid == 0 {
-		return nil, fmt.Errorf("runtime: null array dereference")
+		return nil, runErr("null array dereference")
 	}
 	a, ok := h.arrs[oid]
 	if !ok {
-		return nil, fmt.Errorf("runtime: array %d not present on this peer (missing sendNative?)", oid)
+		return nil, runErr("array %d not present on this peer (missing sendNative?)", oid)
 	}
 	return a, nil
 }
@@ -140,11 +142,11 @@ func (h *Heap) Array(oid val.OID) (*Array, error) {
 // Table returns the table for oid.
 func (h *Heap) Table(oid val.OID) (*Table, error) {
 	if oid == 0 {
-		return nil, fmt.Errorf("runtime: null table dereference")
+		return nil, runErr("null table dereference")
 	}
 	t, ok := h.tabs[oid]
 	if !ok {
-		return nil, fmt.Errorf("runtime: table %d not present on this peer (missing sendNative?)", oid)
+		return nil, runErr("table %d not present on this peer (missing sendNative?)", oid)
 	}
 	return t, nil
 }
@@ -199,20 +201,34 @@ func encodeSync(w *rpc.Writer, h *Heap, pend []pendingSync) {
 	}
 }
 
-// applySync installs received sync records into the local heap.
+// applySync installs received sync records into the local heap. What
+// it installs has the shape the program's instructions index by: an
+// object part is as long as its class says. Counts are checked against
+// the bytes left before they size anything (a column name or a row is
+// at least its own 4-byte length).
 func applySync(r *rpc.Reader, h *Heap, classes map[string]*compile.ClassInfo) error {
+	left := func() int { return (len(r.Buf) - r.Off) / 4 }
 	n := int(r.U32())
 	for i := 0; i < n; i++ {
 		kind := syncKind(r.Byte())
 		oid := val.OID(r.I64())
+		if r.Err() != nil {
+			return r.Err()
+		}
 		switch kind {
 		case syncObjPart:
 			className := r.Str()
 			part := pdg.Loc(r.Byte())
 			vals := r.Vals()
+			if r.Err() != nil {
+				return r.Err()
+			}
 			ci := classes[className]
 			if ci == nil {
-				return fmt.Errorf("runtime: sync for unknown class %s", className)
+				return badTransfer("sync for unknown class %q", className)
+			}
+			if (part != pdg.App && part != pdg.DB) || len(vals) != ci.PartLen(part) {
+				return badTransfer("sync of %d values for part %d of %s", len(vals), part, className)
 			}
 			o, err := h.Object(oid, ci)
 			if err != nil {
@@ -227,18 +243,24 @@ func applySync(r *rpc.Reader, h *Heap, classes map[string]*compile.ClassInfo) er
 			h.arrs[oid] = &Array{Elems: r.Vals()}
 		case syncTable:
 			nc := int(r.U32())
+			if r.Err() != nil || nc > left() {
+				return rpc.ErrShortBuffer
+			}
 			cols := make([]string, nc)
-			for j := 0; j < nc; j++ {
+			for j := range cols {
 				cols[j] = r.Str()
 			}
 			nr := int(r.U32())
+			if r.Err() != nil || nr > left() {
+				return rpc.ErrShortBuffer
+			}
 			rows := make([][]val.Value, nr)
-			for j := 0; j < nr; j++ {
+			for j := range rows {
 				rows[j] = r.Vals()
 			}
 			h.tabs[oid] = &Table{Cols: cols, Rows: rows}
 		default:
-			return fmt.Errorf("runtime: bad sync kind %d", kind)
+			return badTransfer("sync kind %d", kind)
 		}
 	}
 	return r.Err()

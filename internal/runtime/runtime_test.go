@@ -21,7 +21,7 @@ import (
 
 // compileAt compiles src with every statement/field forced to the
 // given placement map override (nil = all APP except pinned).
-func compileWith(t *testing.T, src string, assign func(g *pdg.Graph, place pdg.Placement)) *compile.Program {
+func compileWith(t testing.TB, src string, assign func(g *pdg.Graph, place pdg.Placement)) *compile.Program {
 	t.Helper()
 	prog, err := source.Load(src)
 	if err != nil {
@@ -111,21 +111,7 @@ func TestSingleSidedExecution(t *testing.T) {
 // stay consistent across many alternating calls (heap-consistency
 // invariant, DESIGN.md #2).
 func TestSplitFieldHeapSync(t *testing.T) {
-	compiled := compileWith(t, calcSrc, func(g *pdg.Graph, place pdg.Placement) {
-		prog := g.Prog
-		// Field acc and the apply method bodies on DB.
-		for id, f := range prog.Fields {
-			if f.Name == "acc" {
-				place[id] = pdg.DB
-			}
-		}
-		m := prog.Method("Calc", "apply")
-		source.WalkMethodStmts(m, func(s source.Stmt) bool {
-			place[s.ID()] = pdg.DB
-			return true
-		})
-		place[m.EntryID] = pdg.DB
-	})
+	compiled := compileWith(t, calcSrc, placeOnDB("Calc", []string{"apply"}, "acc"))
 	dep := NewDeployment(compiled, sqldb.Open(), Options{})
 	oid, err := dep.Client.NewObject("Calc")
 	if err != nil {
@@ -165,49 +151,37 @@ func TestSplitFieldHeapSync(t *testing.T) {
 // TestDistributedOverTCP runs the same split program across a real TCP
 // control-transfer server (the cmd/pyxis-dbserver / pyxis-app wiring).
 func TestDistributedOverTCP(t *testing.T) {
-	compiled := compileWith(t, calcSrc, func(g *pdg.Graph, place pdg.Placement) {
-		prog := g.Prog
-		for id, f := range prog.Fields {
-			if f.Name == "acc" {
-				place[id] = pdg.DB
-			}
-		}
-		m := prog.Method("Calc", "apply")
-		source.WalkMethodStmts(m, func(s source.Stmt) bool {
-			place[s.ID()] = pdg.DB
-			return true
-		})
-		place[m.EntryID] = pdg.DB
-	})
+	compiled := compileWith(t, calcSrc, placeOnDB("Calc", []string{"apply"}, "acc"))
 	db := sqldb.Open()
 
-	dbSrv, err := rpc.NewServer("127.0.0.1:0", func() rpc.Handler { return dbapi.NewHandler(db) })
+	dbSrv, err := rpc.NewMuxServer("127.0.0.1:0", func() rpc.SessionHandlers { return dbapi.MuxHandlers(db) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dbSrv.Close()
 	dbPeer := NewPeer(compiled, pdg.DB, nil)
-	ctlSrv, err := rpc.NewServer("127.0.0.1:0", func() rpc.Handler {
-		return Handler(dbPeer.NewSession(dbapi.NewLocal(db)))
+	ctlSrv, err := rpc.NewMuxServer("127.0.0.1:0", func() rpc.SessionHandlers {
+		return NewSessionManager(dbPeer, func() dbapi.Conn { return dbapi.NewLocal(db) })
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ctlSrv.Close()
 
-	dbWire, err := rpc.Dial(dbSrv.Addr())
+	dbWire, err := rpc.DialMux(dbSrv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dbWire.Close()
-	ctlWire, err := rpc.Dial(ctlSrv.Addr())
+	ctlWire, err := rpc.DialMux(ctlSrv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ctlWire.Close()
 
 	appPeer := NewPeer(compiled, pdg.App, nil)
-	client := NewClient(appPeer.NewSession(dbapi.NewClient(dbWire)), ctlWire)
+	client := NewClient(appPeer.NewSession(dbapi.NewClient(dbWire.Session())), ctlWire.Session())
+	defer client.Close()
 	oid, err := client.NewObject("Calc")
 	if err != nil {
 		t.Fatal(err)
@@ -419,7 +393,7 @@ func TestDualSessionManagerRouting(t *testing.T) {
 	if m.Len() != 2 {
 		t.Errorf("managed %d sessions, want 2", m.Len())
 	}
-	// Without a LowPeer the tag is inert (report-less/old peers).
+	// Without a LowPeer the tag is inert.
 	single := NewSessionManager(high, func() dbapi.Conn { return dbapi.NewLocal(db) })
 	if got := single.Session(lowSID).Peer; got != high {
 		t.Error("single-deployment manager must ignore session tags")
@@ -444,6 +418,10 @@ func TestHeapLazyMaterialization(t *testing.T) {
 	}
 	if _, err := hd.Object(0, ci); err == nil {
 		t.Error("null deref should error")
+	}
+	// A present object is indexed by its own class's layout only.
+	if _, err := hd.Object(oid, &compile.ClassInfo{Name: "Y", NumApp: 4}); err == nil {
+		t.Error("object of class X handed out as a Y")
 	}
 	if _, err := hd.Array(12345); err == nil {
 		t.Error("unknown array must not materialize (sendNative required)")

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -22,36 +23,33 @@ import (
 // Each session preserves a single logical thread of control; many
 // sessions run the protocol concurrently over a multiplexed transport.
 
-// Stack codec versions. Version 0 is the seed's codec: method qnames
-// as strings and every slot of every frame on the wire. Version 1 is
-// the delta codec: the compile-assigned method index replaces the
-// qname, and only the slots live at the frame's resume point travel,
+// stackV1 is the stack codec's version byte, the first byte of every
+// encoded stack. The compile-assigned method index names each frame's
+// method, and only the slots live at the frame's resume point travel,
 // gated by an explicit per-frame bitmap so the decoder needs no
-// liveness information of its own (a peer whose program lacks liveness
-// simply sends a full bitmap). A Legacy peer encodes version 0 — the
-// interp-vs-vm benchmark uses it to price the fat wire — and either
-// peer decodes both.
-const (
-	stackV0 = 0
-	stackV1 = 1
-)
+// liveness information of its own (a program without liveness simply
+// sends a full bitmap). Both peers of a deployment come out of one
+// compile, so there is one version; any other byte is a corrupt
+// transfer.
+const stackV1 = 1
+
+// ErrBadTransfer reports a control transfer that does not describe a
+// state of this peer's program: a block or method that does not exist,
+// a frame resuming in another method's block, a return slot outside
+// the caller's frame, heap state of the wrong shape, a message cut
+// short (which is rpc.ErrShortBuffer as well). Nothing of the transfer
+// has executed.
+var ErrBadTransfer = errors.New("runtime: malformed control transfer")
+
+func badTransfer(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrBadTransfer, fmt.Sprintf(format, args...))
+}
 
 // encodeStack serializes the frame stack. resume is the block where
 // the top frame resumes on the receiving side; a caller frame resumes
 // at its callee's continuation, with the callee's return slot excluded
 // from the live set because the return value overwrites it.
 func (sn *Session) encodeStack(w *rpc.Writer, stack []*Frame, resume compile.BlockID) {
-	if sn.Peer.Legacy {
-		w.Byte(stackV0)
-		w.U32(uint32(len(stack)))
-		for _, fr := range stack {
-			w.Str(fr.Method.QName)
-			w.Vals(fr.Slots)
-			w.U32(uint32(fr.RetSlot))
-			w.U32(uint32(int32(fr.Cont)))
-		}
-		return
-	}
 	prog := sn.Peer.Prog
 	w.Byte(stackV1)
 	w.Uvarint(uint64(len(stack)))
@@ -81,82 +79,99 @@ func (sn *Session) encodeStack(w *rpc.Writer, stack []*Frame, resume compile.Blo
 	}
 }
 
-// decodeStack reconstructs a frame stack, dispatching on the codec
-// version byte. Version-1 frames come from the session's frame pool;
-// dead slots are left zeroed (liveness guarantees they are written
-// before any read).
-func (sn *Session) decodeStack(r *rpc.Reader) ([]*Frame, error) {
-	prog := sn.Peer.Prog
-	switch v := r.Byte(); v {
-	case stackV0:
-		n := int(r.U32())
-		if r.Err() != nil || n < 0 || n > len(r.Buf) {
-			return nil, fmt.Errorf("runtime: bad stack depth %d", n)
-		}
-		stack := make([]*Frame, 0, n)
-		for i := 0; i < n; i++ {
-			qname := r.Str()
-			m := prog.Method(qname)
-			if m == nil {
-				return nil, fmt.Errorf("runtime: transfer references unknown method %q", qname)
-			}
-			fr := &Frame{
-				Method:  m,
-				Slots:   r.Vals(),
-				RetSlot: int(r.U32()),
-				Cont:    compile.BlockID(int32(r.U32())),
-			}
-			if len(fr.Slots) < m.NSlots {
-				grown := make([]val.Value, m.NSlots)
-				copy(grown, fr.Slots)
-				fr.Slots = grown
-			}
-			stack = append(stack, fr)
-		}
-		return stack, r.Err()
-	case stackV1:
-		n := int(r.Uvarint())
-		if r.Err() != nil || n < 0 || n > len(r.Buf) {
-			return nil, fmt.Errorf("runtime: bad stack depth %d", n)
-		}
-		stack := make([]*Frame, 0, n)
-		for i := 0; i < n; i++ {
-			idx := int(r.Uvarint())
-			if r.Err() != nil || idx < 0 || idx >= len(prog.MethodList) {
-				// Frames already decoded came from the session frame pool;
-				// a truncated or corrupt transfer must hand them back, or
-				// every faulted transfer shrinks the pool for good.
-				sn.freeStack(stack)
-				return nil, fmt.Errorf("runtime: transfer references unknown method index %d", idx)
-			}
-			fr := sn.newFrame(prog.MethodList[idx])
-			fr.RetSlot = int(r.Uvarint())
-			fr.Cont = compile.BlockID(int64(r.Uvarint()) - 1)
-			nb := (fr.Method.NSlots + 7) / 8
-			maskOff := r.Off
-			for j := 0; j < nb; j++ {
-				r.Byte()
-			}
-			if r.Err() != nil {
-				sn.freeFrame(fr)
-				sn.freeStack(stack)
-				return nil, r.Err()
-			}
-			for s := 0; s < fr.Method.NSlots; s++ {
-				if r.Buf[maskOff+s>>3]&(1<<(uint(s)&7)) != 0 {
-					fr.Slots[s] = r.Val()
-				}
-			}
-			stack = append(stack, fr)
-		}
-		if err := r.Err(); err != nil {
-			sn.freeStack(stack)
-			return nil, err
-		}
-		return stack, nil
-	default:
-		return nil, fmt.Errorf("runtime: unknown stack codec version %d", v)
+// decodeStack reconstructs the frame stack of a transfer that resumes
+// at block resume, and checks it against the program before anything
+// executes on it: at least one frame; every frame above the bottom one
+// returns into a slot of the frame beneath it, at a block of that
+// frame's method; the top frame's method owns resume. The bottom
+// frame's return slot and continuation are never followed, so its
+// continuation need only be NoBlock or a block. Frames come from the
+// session's frame pool and go back to it on every error; dead slots
+// are left zeroed (liveness guarantees they are written before any
+// read).
+func (sn *Session) decodeStack(r *rpc.Reader, resume compile.BlockID) ([]*Frame, error) {
+	p := sn.Peer
+	if v := r.Byte(); r.Err() == nil && v != stackV1 {
+		return nil, badTransfer("unknown stack codec version %d", v)
 	}
+	n := int(r.Uvarint())
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	// A frame is at least its three varints, so a depth beyond the bytes
+	// left is corrupt, and the slice it sizes is bounded by what arrived.
+	if n < 1 || n > (len(r.Buf)-r.Off)/3 {
+		return nil, badTransfer("stack depth %d in %d bytes", n, len(r.Buf)-r.Off)
+	}
+	stack := make([]*Frame, 0, n)
+	// fail hands the frames decoded so far back to the pool: a faulted
+	// transfer must not shrink it for good.
+	fail := func(err error) ([]*Frame, error) {
+		sn.freeStack(stack)
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		idx := r.Uvarint()
+		retSlot := r.Uvarint()
+		cont := compile.BlockID(int64(r.Uvarint()) - 1)
+		if r.Err() != nil {
+			return fail(r.Err())
+		}
+		if idx >= uint64(len(p.Prog.MethodList)) {
+			return fail(badTransfer("frame %d names method index %d of %d", i, idx, len(p.Prog.MethodList)))
+		}
+		if i == 0 {
+			if cont != compile.NoBlock && !p.validBlock(cont) {
+				return fail(badTransfer("frame 0 continues at block %d of %d", cont, len(p.Prog.Blocks)))
+			}
+		} else if caller := stack[i-1].Method; p.ownerOf(cont) != caller {
+			return fail(badTransfer("frame %d continues at block %d, outside its caller %s", i, cont, caller.QName))
+		} else if retSlot >= uint64(caller.NSlots) {
+			return fail(badTransfer("frame %d returns into slot %d of %s's %d", i, retSlot, caller.QName, caller.NSlots))
+		}
+		fr := sn.newFrame(p.Prog.MethodList[idx])
+		stack = append(stack, fr) // before any return, so fail frees it
+		fr.RetSlot = int(retSlot)
+		fr.Cont = cont
+		maskOff := r.Off
+		for j := 0; j < (fr.Method.NSlots+7)/8; j++ {
+			r.Byte()
+		}
+		if r.Err() != nil {
+			return fail(r.Err())
+		}
+		for s := 0; s < fr.Method.NSlots; s++ {
+			if r.Buf[maskOff+s>>3]&(1<<(uint(s)&7)) != 0 {
+				fr.Slots[s] = r.Val()
+			}
+		}
+	}
+	if r.Err() != nil {
+		return fail(r.Err())
+	}
+	if top := stack[n-1].Method; p.ownerOf(resume) != top {
+		return fail(badTransfer("resumes at block %d, outside the top frame's method %s", resume, top.QName))
+	}
+	return stack, nil
+}
+
+// decodeTransfer reads what follows a transfer's resume block: the
+// frame stack, then the heap synchronization, which it applies. Every
+// failure is ErrBadTransfer, wrapping its cause.
+func (sn *Session) decodeTransfer(r *rpc.Reader, resume compile.BlockID) ([]*Frame, error) {
+	stack, err := sn.decodeStack(r, resume)
+	if err == nil {
+		if err = applySync(r, sn.Heap, sn.Peer.Prog.Classes); err != nil {
+			sn.freeStack(stack)
+		}
+	}
+	if err == nil {
+		return stack, nil
+	}
+	if !errors.Is(err, ErrBadTransfer) {
+		err = fmt.Errorf("%w: %w", ErrBadTransfer, err)
+	}
+	return nil, err
 }
 
 // Client drives a partitioned program from the application server: it
@@ -276,6 +291,7 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 	for {
 		next, done, ret, outStack, err := sn.Run(b, stack)
 		if err != nil {
+			sn.freeStack(outStack)
 			return fail(err)
 		}
 		if done {
@@ -318,16 +334,7 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 			return retv, nil
 		}
 		b = compile.BlockID(int32(r.U32()))
-		stack, err = sn.decodeStack(r)
-		if err != nil {
-			return fail(err)
-		}
-		if err := applySync(r, sn.Heap, peer.Prog.Classes); err != nil {
-			sn.freeStack(stack)
-			return fail(err)
-		}
-		if err := r.Err(); err != nil {
-			sn.freeStack(stack)
+		if stack, err = sn.decodeTransfer(r, b); err != nil {
 			return fail(err)
 		}
 	}
@@ -350,21 +357,13 @@ func Handler(sn *Session) rpc.Handler {
 		peer.Metrics.BytesRecv.Add(int64(len(req)))
 		r := &rpc.Reader{Buf: req}
 		b := compile.BlockID(r.I64())
-		stack, err := sn.decodeStack(r)
+		stack, err := sn.decodeTransfer(r, b)
 		if err != nil {
 			return nil, err
 		}
-		if err := applySync(r, sn.Heap, peer.Prog.Classes); err != nil {
-			sn.freeStack(stack)
-			return nil, err
-		}
-		if err := r.Err(); err != nil {
-			sn.freeStack(stack)
-			return nil, err
-		}
-
 		next, done, ret, outStack, err := sn.Run(b, stack)
 		if err != nil {
+			sn.freeStack(outStack)
 			return nil, err
 		}
 		w.Reset()
@@ -416,10 +415,6 @@ type Options struct {
 	// shared by every session of the deployment; see the Env interface
 	// for the concurrency contract when sessions run on goroutines.
 	Env Env
-	// Legacy runs both peers on the seed's hot path (version-0
-	// transfers, string SQL, per-call frame allocation); see
-	// Peer.Legacy.
-	Legacy bool
 }
 
 // NewDeployment wires a compiled program to a database entirely
@@ -427,10 +422,8 @@ type Options struct {
 func NewDeployment(prog *compile.Program, db *sqldb.DB, opts Options) *Deployment {
 	dbPeer := NewPeer(prog, pdg.DB, opts.Out)
 	dbPeer.Env = opts.Env
-	dbPeer.Legacy = opts.Legacy
 	appPeer := NewPeer(prog, pdg.App, opts.Out)
 	appPeer.Env = opts.Env
-	appPeer.Legacy = opts.Legacy
 
 	d := &Deployment{
 		Prog:     prog,

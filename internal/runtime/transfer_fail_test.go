@@ -2,9 +2,8 @@ package runtime
 
 // Regression tests for the transfer-failure lock-leak family: a
 // control transfer that dies mid-entry must roll back the APP-side
-// transaction (any error, not just ErrOverloaded), and corrupt
-// version-1 stacks must hand partially-decoded frames back to the
-// session frame pool.
+// transaction (any error, not just ErrOverloaded), and corrupt stacks
+// must hand partially-decoded frames back to the session frame pool.
 
 import (
 	"errors"
@@ -14,7 +13,6 @@ import (
 	"pyxis/internal/dbapi"
 	"pyxis/internal/pdg"
 	"pyxis/internal/rpc"
-	"pyxis/internal/source"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
@@ -54,14 +52,7 @@ func (deadWire) Close() error { return nil }
 
 func bankProgClient(t *testing.T, db *sqldb.DB, remote rpc.Transport) *Client {
 	t.Helper()
-	compiled := compileWith(t, splitTouchSrc, func(g *pdg.Graph, place pdg.Placement) {
-		m := g.Prog.Method("Bank", "poke")
-		source.WalkMethodStmts(m, func(s source.Stmt) bool {
-			place[s.ID()] = pdg.DB
-			return true
-		})
-		place[m.EntryID] = pdg.DB
-	})
+	compiled := compileWith(t, splitTouchSrc, placeOnDB("Bank", []string{"poke"}))
 	s := db.NewSession()
 	if _, err := s.Exec("CREATE TABLE acct (k INT PRIMARY KEY, v INT)"); err != nil {
 		t.Fatal(err)
@@ -121,7 +112,7 @@ func TestTransferRemoteFailureRollsBackTxn(t *testing.T) {
 }
 
 // TestTransferRemoteCorruptStackFreesFrames feeds decodeStack
-// truncated and corrupt version-1 payloads and requires the session
+// truncated and corrupt payloads and requires the session
 // frame pool to come back to its starting size every time — an error
 // path that keeps a pool frame shrinks the pool for the session's
 // remaining lifetime.
@@ -154,7 +145,7 @@ func TestTransferRemoteCorruptStackFreesFrames(t *testing.T) {
 	// or produce a stack we free — the pool must end at base either way.
 	for cut := 1; cut < len(w.Buf); cut++ {
 		r := &rpc.Reader{Buf: w.Buf[:cut]}
-		if st, err := sn.decodeStack(r); err == nil {
+		if st, err := sn.decodeStack(r, m.Entry); err == nil {
 			sn.freeStack(st)
 		}
 		if got := len(sn.framePool); got != base {
@@ -173,8 +164,10 @@ func TestTransferRemoteCorruptStackFreesFrames(t *testing.T) {
 		bad.Byte(0)
 	}
 	bad.Uvarint(1 << 20) // no such method index
-	if _, err := sn.decodeStack(&rpc.Reader{Buf: bad.Buf}); err == nil {
-		t.Fatal("decodeStack accepted an out-of-range method index")
+	bad.Uvarint(0)
+	bad.Uvarint(uint64(int64(m.Entry) + 1))
+	if _, err := sn.decodeStack(&rpc.Reader{Buf: bad.Buf}, m.Entry); !errors.Is(err, ErrBadTransfer) {
+		t.Fatalf("out-of-range method index: decodeStack error %v, want ErrBadTransfer", err)
 	}
 	if got := len(sn.framePool); got != base {
 		t.Fatalf("bad method index: frame pool %d, want %d (first frame leaked)", got, base)
