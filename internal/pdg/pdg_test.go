@@ -1,6 +1,7 @@
 package pdg
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -156,5 +157,46 @@ func TestLocString(t *testing.T) {
 	p := Placement{}
 	if p.Of(999) != App {
 		t.Error("default placement should be App")
+	}
+}
+
+// TestRandomAssignRepeats: a seed names one placement. The fields used
+// to be placed in map order, so two compiles of one program — the two
+// halves of a deployment — could disagree on which fields the seed put
+// on the database server.
+func TestRandomAssignRepeats(t *testing.T) {
+	const fieldsSrc = `
+class F {
+    int a; int b; int c; int d; int e; int f; int g; int h;
+    entry int sum() { return a + b + c + d + e + f + g + h; }
+}
+`
+	placeOnce := func() Placement {
+		prog, err := source.Load(fieldsSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := Build(analysis.Run(prog), profile.New(), Options{})
+		place := Placement{}
+		for id := range g.Nodes {
+			place[id] = App
+		}
+		RandomAssign(3)(g, place)
+		return place
+	}
+	want := placeOnce()
+	db := 0
+	for _, loc := range want {
+		if loc == DB {
+			db++
+		}
+	}
+	if db == 0 || db == len(want) {
+		t.Fatalf("seed places %d of %d nodes on the DB; the test needs a mixed placement", db, len(want))
+	}
+	for i := 0; i < 50; i++ {
+		if got := placeOnce(); !maps.Equal(got, want) {
+			t.Fatalf("run %d: the same seed gave another placement:\n got %v\nwant %v", i, got, want)
+		}
 	}
 }

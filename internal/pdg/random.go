@@ -2,6 +2,7 @@ package pdg
 
 import (
 	"math/rand"
+	"slices"
 
 	"pyxis/internal/source"
 )
@@ -17,7 +18,14 @@ func RandomAssign(seed int64) func(g *Graph, place Placement) {
 	return func(g *Graph, place Placement) {
 		rng := rand.New(rand.NewSource(seed))
 		prog := g.Prog
+		// In NodeID order, not map order: one seed is one placement, on
+		// every compile and on both halves of a deployment.
+		fields := make([]source.NodeID, 0, len(prog.Fields))
 		for id := range prog.Fields {
+			fields = append(fields, id)
+		}
+		slices.Sort(fields)
+		for _, id := range fields {
 			if rng.Intn(2) == 0 {
 				place[id] = DB
 			}

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -158,39 +159,77 @@ type Session struct {
 	// session suffices.
 	argbuf []val.Value
 
+	// pending and pendSet are reused from transfer to transfer: a
+	// transfer serializes pending before anything is added to it again.
 	pending []pendingSync
-	pendSet map[pendKey]bool
+	pendSet map[pendingSync]bool
+	// liveTabs names the tables the session may still read: what
+	// encodeStack found in the live slots of the stack it last shipped,
+	// or a finished call's return value. See sweepTables.
+	liveTabs []val.OID
 }
 
 // NewSession creates a session on p using the given database
 // connection (which the session owns: one connection = one
 // transaction context).
 func (p *Peer) NewSession(db dbapi.Conn) *Session {
-	sn := &Session{Peer: p, DB: db, Heap: NewHeap(p.Side), pendSet: map[pendKey]bool{}}
+	sn := &Session{Peer: p, DB: db, Heap: NewHeap(p.Side), pendSet: map[pendingSync]bool{}}
 	sn.prep, _ = db.(dbapi.PreparedConn)
 	return sn
 }
 
-type pendKey struct {
-	kind syncKind
-	oid  val.OID
-	part pdg.Loc
-}
-
 func (sn *Session) addPending(ps pendingSync) {
-	k := pendKey{ps.kind, ps.oid, ps.part}
-	if sn.pendSet[k] {
+	if sn.pendSet[ps] {
 		return
 	}
-	sn.pendSet[k] = true
+	sn.pendSet[ps] = true
 	sn.pending = append(sn.pending, ps)
 }
 
+// takePending returns the pending set and empties it. The slice is
+// valid until the next addPending.
 func (sn *Session) takePending() []pendingSync {
 	out := sn.pending
-	sn.pending = nil
-	sn.pendSet = map[pendKey]bool{}
+	sn.pending = sn.pending[:0]
+	clear(sn.pendSet)
 	return out
+}
+
+// sweepTables frees every table outside liveTabs. A table reference
+// sits only in a frame slot (source.Check and the verifier's scope
+// check keep it out of fields and arrays), and a session that has just
+// shipped its stack holds no frame, so a table no live shipped slot
+// names cannot be read again on this peer. Both peers sweep by the
+// stacks they ship themselves, so no release is ever sent: a table the
+// other side dropped leaves here with the next stack that does not
+// carry it, including the tables of a call the other side abandoned.
+func (sn *Session) sweepTables() {
+	for oid := range sn.Heap.tabs {
+		if !slices.Contains(sn.liveTabs, oid) {
+			delete(sn.Heap.tabs, oid)
+		}
+	}
+}
+
+// endCall frees the tables of a call whose outermost frame returned
+// ret, or that was abandoned (ret is the zero Value): with no frame
+// left only a returned table is still reachable, by the caller of
+// Client.Call. A freed table still pending sendNative dies unsent.
+func (sn *Session) endCall(ret val.Value) {
+	sn.liveTabs = sn.liveTabs[:0]
+	if ret.K == val.Table {
+		sn.liveTabs = append(sn.liveTabs, ret.OID())
+	}
+	sn.sweepTables()
+	kept := sn.pending[:0]
+	for _, ps := range sn.pending {
+		if ps.kind == syncTable && sn.Heap.tabs[ps.oid] == nil {
+			delete(sn.pendSet, ps)
+			continue
+		}
+		kept = append(kept, ps)
+	}
+	sn.pending = kept
 }
 
 // Close releases the session's database connection.

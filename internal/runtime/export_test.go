@@ -1,0 +1,52 @@
+package runtime
+
+import (
+	"testing"
+
+	"pyxis/internal/compile"
+)
+
+// What the lifetime tests read of a session's heap, exported to the
+// external test package that deploys the TPC-C and TPC-W programs
+// (internal/bench imports this package).
+
+// TableCount is the number of query results the heap holds.
+func (h *Heap) TableCount() int { return len(h.tabs) }
+
+// LiveTables is the number of table references in the live slots of
+// the stack the session last shipped; after a call has ended, 1 if it
+// returned a table and 0 otherwise.
+func (sn *Session) LiveTables() int { return len(sn.liveTabs) }
+
+// Hosted returns the manager's live sessions.
+func (m *SessionManager) Hosted() []*Session {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []*Session
+	for _, sn := range m.sessions {
+		out = append(out, sn)
+	}
+	return out
+}
+
+// LoopProgram is loopWire compiled and fused: L.run(n) calls step, which
+// is placed on the DB with the field it updates, n times.
+func LoopProgram(tb testing.TB) *compile.Program { return loopWire.compile(tb, true) }
+
+var noTable Table
+
+// FillTables installs dead+live empty tables, the live ones named as
+// by a stack the session has just shipped.
+func (sn *Session) FillTables(dead, live int) {
+	sn.liveTabs = sn.liveTabs[:0]
+	for i := 0; i < dead+live; i++ {
+		oid := sn.Heap.alloc()
+		sn.Heap.tabs[oid] = &noTable
+		if i < live {
+			sn.liveTabs = append(sn.liveTabs, oid)
+		}
+	}
+}
+
+// SweepTables runs the sweep a transfer ends with.
+func (sn *Session) SweepTables() { sn.sweepTables() }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"testing"
 
 	"pyxis/internal/dbapi"
@@ -36,8 +37,9 @@ func (*blockBudget) TransferSend(pdg.Loc, int) {}
 // programs send. Whatever arrives, the handler answers with a reply,
 // ErrBadTransfer (nothing executed) or a *RunError (the program failed
 // on what the transfer carried); it never panics, allocates nothing
-// sized by a count the request merely announces, and leaves the
-// session's frame pool no smaller than it found it.
+// sized by a count the request merely announces, leaves the session's
+// frame pool no smaller than it found it, and leaves its heap no table
+// but those the live slots of the reply name (none after an error).
 func FuzzTransferHandler(f *testing.F) {
 	type target struct {
 		peer   *Peer
@@ -100,6 +102,11 @@ func FuzzTransferHandler(f *testing.F) {
 		}
 		if got := len(sn.framePool); got < base {
 			t.Fatalf("frame pool %d, was %d (err %v)", got, base, err)
+		}
+		for oid := range sn.Heap.tabs {
+			if err != nil || !slices.Contains(sn.liveTabs, oid) {
+				t.Fatalf("table %d outlives the transfer (err %v); the reply's live slots name %v", oid, err, sn.liveTabs)
+			}
 		}
 		// A frame per three request bytes at most, a heap value per byte:
 		// nothing near what a count in the request can announce.

@@ -48,9 +48,11 @@ func badTransfer(format string, args ...any) error {
 // encodeStack serializes the frame stack. resume is the block where
 // the top frame resumes on the receiving side; a caller frame resumes
 // at its callee's continuation, with the callee's return slot excluded
-// from the live set because the return value overwrites it.
+// from the live set because the return value overwrites it. The tables
+// the shipped slots name are left in sn.liveTabs for sweepTables.
 func (sn *Session) encodeStack(w *rpc.Writer, stack []*Frame, resume compile.BlockID) {
 	prog := sn.Peer.Prog
+	sn.liveTabs = sn.liveTabs[:0]
 	w.Byte(stackV1)
 	w.Uvarint(uint64(len(stack)))
 	for i, fr := range stack {
@@ -75,6 +77,9 @@ func (sn *Session) encodeStack(w *rpc.Writer, stack []*Frame, resume compile.Blo
 			}
 			w.Buf[maskOff+s>>3] |= 1 << (uint(s) & 7)
 			w.Val(fr.Slots[s])
+			if fr.Slots[s].K == val.Table {
+				sn.liveTabs = append(sn.liveTabs, fr.Slots[s].OID())
+			}
 		}
 	}
 }
@@ -172,6 +177,19 @@ func (sn *Session) decodeTransfer(r *rpc.Reader, resume compile.BlockID) ([]*Fra
 		err = fmt.Errorf("%w: %w", ErrBadTransfer, err)
 	}
 	return nil, err
+}
+
+// encodeTransfer writes what follows a transfer's resume block, the
+// frame stack and then the pending heap synchronization, and lets go of
+// what the session has no further use for: the frames, and every table
+// that no shipped live slot names. The sweep comes after encodeSync,
+// which may have to serialize a table that is pending sendNative and
+// already dead at the resume point.
+func (sn *Session) encodeTransfer(w *rpc.Writer, stack []*Frame, resume compile.BlockID) {
+	sn.encodeStack(w, stack, resume)
+	encodeSync(w, sn.Heap, sn.takePending())
+	sn.sweepTables()
+	sn.freeStack(stack)
 }
 
 // Client drives a partitioned program from the application server: it
@@ -286,6 +304,7 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 	// deadlock abort the transaction is already gone.
 	fail := func(err error) (val.Value, error) {
 		_ = sn.DB.Rollback()
+		sn.endCall(val.Value{})
 		return val.Value{}, err
 	}
 	for {
@@ -295,16 +314,15 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 			return fail(err)
 		}
 		if done {
+			sn.endCall(ret)
 			return ret, nil
 		}
 		// Control transfer to the DB peer.
 		w := &c.enc
 		w.Reset()
 		w.I64(int64(next))
-		sn.encodeStack(w, outStack, next)
-		encodeSync(w, sn.Heap, sn.takePending())
+		sn.encodeTransfer(w, outStack, next)
 		req := w.Buf
-		sn.freeStack(outStack)
 		peer.Metrics.Transfers.Add(1)
 		peer.Metrics.BytesSent.Add(int64(len(req)))
 		if peer.Env != nil {
@@ -331,6 +349,7 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 			if err := r.Err(); err != nil {
 				return fail(err)
 			}
+			sn.endCall(retv)
 			return retv, nil
 		}
 		b = compile.BlockID(int32(r.U32()))
@@ -359,23 +378,25 @@ func Handler(sn *Session) rpc.Handler {
 		b := compile.BlockID(r.I64())
 		stack, err := sn.decodeTransfer(r, b)
 		if err != nil {
+			sn.endCall(val.Value{})
 			return nil, err
 		}
 		next, done, ret, outStack, err := sn.Run(b, stack)
 		if err != nil {
 			sn.freeStack(outStack)
+			sn.endCall(val.Value{})
 			return nil, err
 		}
 		w.Reset()
 		w.Bool(done)
 		if done {
 			w.Val(ret)
+			encodeSync(&w, sn.Heap, sn.takePending())
+			sn.endCall(ret)
 		} else {
 			w.U32(uint32(int32(next)))
-			sn.encodeStack(&w, outStack, next)
+			sn.encodeTransfer(&w, outStack, next)
 		}
-		encodeSync(&w, sn.Heap, sn.takePending())
-		sn.freeStack(outStack)
 		peer.Metrics.Transfers.Add(1)
 		peer.Metrics.BytesSent.Add(int64(len(w.Buf)))
 		if peer.Env != nil {

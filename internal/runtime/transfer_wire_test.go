@@ -20,9 +20,8 @@ import (
 // program is an error and not a panic.
 
 // placeOnDB places the named methods of class (entry and every
-// statement) and the named fields on the database server. Unlike
-// pdg.RandomAssign it does not depend on map order, so block IDs and
-// transfer bytes repeat from run to run.
+// statement) and the named fields on the database server: a placement
+// one can read off the call, for tests that pin transfer bytes.
 func placeOnDB(class string, methods []string, fields ...string) func(g *pdg.Graph, place pdg.Placement) {
 	return func(g *pdg.Graph, place pdg.Placement) {
 		for id, f := range g.Prog.Fields {

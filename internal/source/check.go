@@ -6,6 +6,12 @@ import "fmt"
 // sugar (table accessors, array .length, implicit int→double
 // conversions), assigns frame slots to locals, and populates the
 // program's NodeID indexes. It must be called exactly once per parse.
+//
+// A table is call-scoped by construction: it may be the type of a
+// local, a parameter or a return value, never of a field or an array
+// element. A table reference can then sit only in a frame slot, which
+// is what lets the runtime free a query result once no live slot names
+// it (runtime.Session.sweepTables).
 func Check(prog *Program) error {
 	c := &checker{prog: prog}
 	prog.Stmts = map[NodeID]Stmt{}
@@ -22,6 +28,9 @@ func Check(prog *Program) error {
 			}
 			if t.K == KVoid {
 				return fmt.Errorf("%s: field %s cannot be void", f.Pos, f.QName())
+			}
+			if t.K == KTable {
+				return fmt.Errorf("%s: field %s cannot be a table: %s", f.Pos, f.QName(), tableScope)
 			}
 			f.Type = t
 			prog.Fields[f.ID] = f
@@ -56,6 +65,8 @@ func Check(prog *Program) error {
 	return nil
 }
 
+const tableScope = "a query result is held by a local, a parameter or a return value only, and is freed when no live one names it"
+
 type checker struct {
 	prog   *Program
 	method *Method
@@ -75,6 +86,9 @@ func (c *checker) resolveType(t Type, pos Pos) (Type, error) {
 		e, err := c.resolveType(*t.Elem, pos)
 		if err != nil {
 			return Type{}, err
+		}
+		if e.K == KTable {
+			return Type{}, fmt.Errorf("%s: table cannot be an array element type: %s", pos, tableScope)
 		}
 		return ArrayT(e), nil
 	}

@@ -154,6 +154,12 @@ func TestCheckerErrors(t *testing.T) {
 		{"bad-index", `class C { void f(int[] a) { int x = a["k"]; } }`, "index must be int"},
 		{"field-init", `class C { int x = 3; }`, "field initializers are not supported"},
 		{"assign-to-call", `class C { int g() { return 1; } void f() { g() = 2; } }`, "invalid assignment target"},
+		// A table is call-scoped: the errors carry the declaration's position.
+		{"table-field", "class C {\n  table t;\n}", "2:3: field C.t cannot be a table"},
+		{"table-array-field", "class C {\n  table[] ts;\n}", "2:3: table cannot be an array element type"},
+		{"table-array-local", "class C { void f() {\n table[][] ts; } }", "2:2: table cannot be an array element type"},
+		{"table-array-param", "class C { void f(table[] ts) { } }", "1:26: table cannot be an array element type"},
+		{"table-array-return", "class C { table[] f() { return null; } }", "table cannot be an array element type"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,8 +2,9 @@
 // programs: it re-derives, from scratch, every fact the runtime trusts
 // the compiler about — control-flow well-formedness, def-before-use,
 // the per-block liveness masks the v1 transfer codec ships, the
-// legality of every control-transfer resume point, and placement
-// sanity — and rejects any program where the re-derivation disagrees.
+// legality of every control-transfer resume point, placement sanity,
+// and the confinement of table references to frame slots — and rejects
+// any program where the re-derivation disagrees.
 //
 // The point is independence: internal/compile's forward passes
 // (Compile, Fuse, computeLiveness) produce these facts; a bug there —
@@ -43,6 +44,7 @@ const (
 	CheckLiveness   = "liveness"
 	CheckTransfer   = "transfer"
 	CheckPlacement  = "placement"
+	CheckScope      = "scope"
 )
 
 // Diag is one verifier finding.
@@ -104,6 +106,7 @@ func Diagnostics(p *compile.Program) []Diag {
 		return v.diags
 	}
 	v.placement()
+	v.scope()
 	v.defUse()
 	v.liveness()
 	v.transfers()

@@ -14,6 +14,7 @@ import (
 	"pyxis/internal/profile"
 	"pyxis/internal/pyxil"
 	"pyxis/internal/source"
+	"pyxis/internal/val"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden .diag files under testdata/")
@@ -203,7 +204,7 @@ func clearLowestLiveBit(t *testing.T, b *compile.Block) int {
 }
 
 // TestVerifyRejectsMutilatedPrograms is the regression corpus: one
-// hand-broken program per check class, each asserting the exact
+// hand-broken program (or two) per check class, each asserting the exact
 // diagnostic text against a golden file under testdata/.
 func TestVerifyRejectsMutilatedPrograms(t *testing.T) {
 	cases := []struct {
@@ -317,6 +318,37 @@ func TestVerifyRejectsMutilatedPrograms(t *testing.T) {
 					}
 				}
 				t.Fatal("no print instruction to mutilate")
+			},
+		},
+		{
+			// scope: a field retyped to hold result tables. The runtime
+			// frees a table once no live frame slot names it, so a
+			// reference parked in an object would dangle by the next call.
+			name: "scope-table-field", src: calcTestSrc, wantCheck: CheckScope,
+			mutate: func(t *testing.T, p *compile.Program) {
+				for _, f := range p.Classes["Calc"].Fields {
+					if f.Name == "history" {
+						f.Type = source.ArrayT(source.TableT())
+						return
+					}
+				}
+				t.Fatal("no history field to mutilate")
+			},
+		},
+		{
+			// scope: the same hole through an array allocated with a
+			// table-kind element zero.
+			name: "scope-table-array", src: calcTestSrc, wantCheck: CheckScope,
+			mutate: func(t *testing.T, p *compile.Program) {
+				for _, b := range p.Blocks {
+					for i := range b.Code {
+						if b.Code[i].Op == compile.OpNewArr {
+							b.Code[i].Lit = val.TableV(0)
+							return
+						}
+					}
+				}
+				t.Fatal("no newarr instruction to mutilate")
 			},
 		},
 	}
