@@ -11,10 +11,10 @@ import (
 	"pyxis/internal/sqldb"
 )
 
-// interpTPCC replays RunParallelTPCC's single-client schedule through
-// the reference interpreter on the source program and returns the
-// database it leaves.
-func interpTPCC(t *testing.T, c TPCCConfig, cfg TPCCParallelCfg) *sqldb.DB {
+// interpTPCC replays WallTPCC's single-client schedule through the
+// reference interpreter on the source program and returns the database
+// it leaves.
+func interpTPCC(t *testing.T, c TPCCConfig, txns int, mix TPCCMix) *sqldb.DB {
 	t.Helper()
 	sys, err := pyxis.Load(TPCCSource)
 	if err != nil {
@@ -26,10 +26,10 @@ func interpTPCC(t *testing.T, c TPCCConfig, cfg TPCCParallelCfg) *sqldb.DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < cfg.Txns; k++ {
-		method, args := c.parallelTxn(cfg, 0, k)
-		if _, err := ip.CallEntry(sys.Prog.Method("TPCC", method), obj, args...); err != nil {
-			t.Fatalf("reference: txn %d %s: %v", k, method, err)
+	for k := 0; k < txns; k++ {
+		tx := c.parallelTxn(mix, 0, k, 1, int64(c.Warehouses))
+		if _, err := ip.CallEntry(sys.Prog.Method("TPCC", tx.method), obj, tx.args...); err != nil {
+			t.Fatalf("reference: txn %d %s: %v", k, tx.method, err)
 		}
 	}
 	return db
@@ -54,8 +54,8 @@ func interpTPCC(t *testing.T, c TPCCConfig, cfg TPCCParallelCfg) *sqldb.DB {
 // reorderings.
 func TestDifferentialTPCC(t *testing.T) {
 	c := DefaultTPCC()
-	cfg := TPCCParallelCfg{Clients: 1, Txns: 40, PaymentEvery: 3}
-	want := interpTPCC(t, c, cfg).Snapshot()
+	cfg, mix := WallCfg{Clients: 1, Txns: 40}, TPCCMix{PaymentEvery: 3}
+	want := interpTPCC(t, c, cfg.Txns, mix).Snapshot()
 	for _, budget := range []float64{1.0, 0.5, 0} {
 		t.Run(fmt.Sprintf("budget%.2f", budget), func(t *testing.T) {
 			var transfers [2]int64
@@ -70,10 +70,11 @@ func TestDifferentialTPCC(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, db, err := RunParallelTPCC(part, c, cfg)
+				res, dbs, err := WallTPCC(part, c, cfg, mix, 0)
 				if err != nil {
 					t.Fatalf("%s run: %v", name, err)
 				}
+				db := dbs[0]
 				transfers[i], blocks[i] = res.Transfers, len(part.Compiled.Blocks)
 				if got := db.Snapshot(); !reflect.DeepEqual(got, want) {
 					for table, rows := range want {

@@ -10,11 +10,11 @@ import "testing"
 // deployments wrote to.
 func TestParallelDynamicSwitchingRamp(t *testing.T) {
 	cfg := DefaultTPCC()
-	high, err := TPCCParallelPartition(cfg, 1.0)
+	high, err := cfg.PyxisPartition(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := TPCCParallelPartition(cfg, 0)
+	low, err := cfg.PyxisPartition(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,14 +23,14 @@ func TestParallelDynamicSwitchingRamp(t *testing.T) {
 			high.DBStatements(), low.DBStatements())
 	}
 
-	dcfg := DynamicCfg{Clients: 6, PaymentEvery: 3, Phases: DefaultDynamicRamp(14)}
-	res, db, err := RunParallelDynamic(high, low, cfg, dcfg)
+	dcfg := WallCfg{Clients: 6, Txns: 14}
+	res, dbs, err := WallDynamic(high, low, cfg, dcfg, TPCCMix{PaymentEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", res)
 
-	if want := dcfg.Clients * 3 * 14; res.TotalTxns != want {
+	if want := dcfg.Clients * len(DynamicRamp) * dcfg.Txns; res.TotalTxns != want {
 		t.Errorf("completed %d txns, want %d", res.TotalTxns, want)
 	}
 	if res.Reports == 0 {
@@ -74,7 +74,7 @@ func TestParallelDynamicSwitchingRamp(t *testing.T) {
 
 	// Both deployments committed against one database: the TPC-C
 	// consistency conditions must survive the whole dynamic run.
-	for _, v := range CheckTPCCInvariants(db, cfg) {
+	for _, v := range CheckTPCCInvariants(dbs[0], cfg) {
 		t.Errorf("invariant violated: %s", v)
 	}
 }
@@ -84,17 +84,15 @@ func TestParallelDynamicSwitchingRamp(t *testing.T) {
 // shorter ramp.
 func TestParallelDynamicTCP(t *testing.T) {
 	cfg := DefaultTPCC()
-	high, err := TPCCParallelPartition(cfg, 1.0)
+	high, err := cfg.PyxisPartition(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := TPCCParallelPartition(cfg, 0)
+	low, err := cfg.PyxisPartition(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, db, err := RunParallelDynamic(high, low, cfg, DynamicCfg{
-		Clients: 4, PaymentEvery: 3, TCP: true, Phases: DefaultDynamicRamp(6),
-	})
+	res, dbs, err := WallDynamic(high, low, cfg, WallCfg{Clients: 4, Txns: 6, TCP: true}, TPCCMix{PaymentEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +103,7 @@ func TestParallelDynamicTCP(t *testing.T) {
 	if res.Phases[1].LowPicks == 0 {
 		t.Error("spike phase never routed low-budget over TCP")
 	}
-	for _, v := range CheckTPCCInvariants(db, cfg) {
+	for _, v := range CheckTPCCInvariants(dbs[0], cfg) {
 		t.Errorf("invariant violated: %s", v)
 	}
 }

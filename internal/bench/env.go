@@ -4,6 +4,19 @@
 // and the experiment drivers that regenerate every figure and table.
 // Timing comes from the deterministic simulator in internal/sim; the
 // database operations, partitioned programs and wire traffic are real.
+//
+// The wall-clock experiments share one driver (wall.go). A topology is
+// the tier under test as data — shards, pooled connections per shard,
+// pipes or loopback TCP, one program or a high/low pair, a mux
+// configuration and a database loader per shard — and deploy is the
+// only code that stands one up. A step is one attempt at client i's
+// k-th transaction, a pure schedule of (i, k); drive is the only
+// goroutine fan-out, retry the only place an error becomes "run it
+// again", "back off", "re-home" or "fail", and WallResult the only
+// result (wall_steps.go holds the steps and their four compositions).
+// The gates that can fail a pyxis-bench run are rows of the Experiments
+// table (experiments.go): functions of results, tested on synthetic
+// ones.
 package bench
 
 import (

@@ -17,8 +17,8 @@ func TestRunParallelMux(t *testing.T) {
 	if part.DBStatements() == 0 {
 		t.Fatal("budget 1.0 should place statements on the DB server")
 	}
-	cfg := ParallelCfg{Clients: 8, Txns: 10, ShareEvery: 4}
-	res, err := RunParallel(part, cfg)
+	cfg := WallCfg{Clients: 8, Txns: 10}
+	res, dbs, err := WallLedger(part, cfg, LedgerMix{ShareEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +31,8 @@ func TestRunParallelMux(t *testing.T) {
 	}
 	// Every deposit added exactly 1.0 somewhere; lost updates on the
 	// contended shared account would show up as a lower total.
-	if res.FinalTotal != float64(wantTxns) {
-		t.Errorf("sum of balances = %v, want %v (lost update under concurrency)", res.FinalTotal, wantTxns)
+	for _, v := range CheckLedger(dbs, wantTxns) {
+		t.Errorf("under concurrency: %s", v)
 	}
 	if len(res.PerSession) != cfg.Clients {
 		t.Errorf("per-session stats for %d sessions, want %d", len(res.PerSession), cfg.Clients)
@@ -50,15 +50,15 @@ func TestRunParallelTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunParallel(part, ParallelCfg{Clients: 8, Txns: 5, ShareEvery: 2, TCP: true})
+	res, dbs, err := WallLedger(part, WallCfg{Clients: 8, Txns: 5, TCP: true}, LedgerMix{ShareEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TotalTxns != 40 {
 		t.Errorf("completed %d txns, want 40", res.TotalTxns)
 	}
-	if res.FinalTotal != 40 {
-		t.Errorf("sum of balances = %v, want 40", res.FinalTotal)
+	for _, v := range CheckLedger(dbs, 40) {
+		t.Error(v)
 	}
 }
 
@@ -80,7 +80,6 @@ func TestParallelLedgerScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	const txnsPerClient = 50
-	base := ParallelCfg{Txns: txnsPerClient, ShareEvery: 8}
 	sizes := []int{1, 8}
 
 	assertRatio := runtime.GOMAXPROCS(0) >= 4
@@ -99,23 +98,24 @@ func TestParallelLedgerScaling(t *testing.T) {
 
 	var ratio float64
 	for attempt := 0; attempt < attempts; attempt++ {
-		results, err := RunScaling(part, base, sizes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, res := range results {
-			wantTxns := res.Clients * txnsPerClient
+		var results []*WallResult
+		for _, n := range sizes {
+			res, dbs, err := WallLedger(part, WallCfg{Clients: n, Txns: txnsPerClient}, LedgerMix{ShareEvery: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantTxns := n * txnsPerClient
 			if res.TotalTxns != wantTxns {
-				t.Fatalf("clients=%d: completed %d txns, want %d", res.Clients, res.TotalTxns, wantTxns)
+				t.Fatalf("clients=%d: completed %d txns, want %d", n, res.TotalTxns, wantTxns)
 			}
-			if res.FinalTotal != float64(wantTxns) {
-				t.Fatalf("clients=%d: sum of balances = %v, want %v (lost update)",
-					res.Clients, res.FinalTotal, wantTxns)
+			if v := CheckLedger(dbs, wantTxns); len(v) > 0 {
+				t.Fatalf("clients=%d: %v", n, v)
 			}
+			results = append(results, res)
 		}
 		one, eight := results[0], results[len(results)-1]
 		ratio = eight.Tput / one.Tput
-		t.Logf("attempt %d (GOMAXPROCS=%d):\n%s", attempt+1, runtime.GOMAXPROCS(0), ScalingReport(results))
+		t.Logf("attempt %d (GOMAXPROCS=%d):\n%s", attempt+1, runtime.GOMAXPROCS(0), SweepReport(results, "clients"))
 		if assertRatio && ratio >= wantRatio {
 			break
 		}
@@ -144,14 +144,14 @@ func TestRunParallelAppSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunParallel(part, ParallelCfg{Clients: 8, Txns: 5, ShareEvery: 2})
+	res, dbs, err := WallLedger(part, WallCfg{Clients: 8, Txns: 5}, LedgerMix{ShareEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TotalTxns != 40 {
 		t.Errorf("completed %d txns, want 40", res.TotalTxns)
 	}
-	if res.FinalTotal != 40 {
-		t.Errorf("sum of balances = %v, want 40", res.FinalTotal)
+	for _, v := range CheckLedger(dbs, 40) {
+		t.Error(v)
 	}
 }

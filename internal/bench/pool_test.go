@@ -90,16 +90,18 @@ func TestRunPoolLedgerStripes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPoolLedger(part, PoolCfg{Clients: 8, Txns: 12, Conns: 4, DepositEvery: 3})
+	res, dbs, err := WallLedger(part, WallCfg{Clients: 8, Txns: 12, Conns: 4}, LedgerMix{DepositEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TotalTxns != 8*12 {
 		t.Errorf("completed %d txns, want %d", res.TotalTxns, 8*12)
 	}
-	if res.FinalTotal != res.ExpectTotal {
-		t.Errorf("lost updates through the pool: balances sum to %v, deposits were %v",
-			res.FinalTotal, res.ExpectTotal)
+	if res.Deposits != 8*4 {
+		t.Errorf("%d deposits, want every third call of %d", res.Deposits, 8*12)
+	}
+	for _, v := range CheckLedger(dbs, res.Deposits) {
+		t.Errorf("through the pool: %s", v)
 	}
 	// Placement audit: 8 idle-pool sessions over 4 connections must
 	// spread (round-robin tie-break) — a broken pool puts all 8 on
@@ -129,19 +131,21 @@ func TestRunPoolScalingSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunPoolScaling(part, PoolCfg{Clients: 8, Txns: 20, DepositEvery: 8}, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", PoolScalingReport(results))
-	for _, r := range results {
+	var results []*WallResult
+	for _, conns := range []int{1, 4} {
+		r, dbs, err := WallLedger(part, WallCfg{Clients: 8, Txns: 20, Conns: conns}, LedgerMix{DepositEvery: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if r.TotalTxns != 8*20 {
-			t.Errorf("conns=%d completed %d txns, want %d", r.Conns, r.TotalTxns, 8*20)
+			t.Errorf("conns=%d completed %d txns, want %d", conns, r.TotalTxns, 8*20)
 		}
-		if r.FinalTotal != r.ExpectTotal {
-			t.Errorf("conns=%d lost updates: %v != %v", r.Conns, r.FinalTotal, r.ExpectTotal)
+		for _, v := range CheckLedger(dbs, r.Deposits) {
+			t.Errorf("conns=%d: %s", conns, v)
 		}
+		results = append(results, r)
 	}
+	t.Logf("\n%s", SweepReport(results, "conns"))
 	if !raceEnabled && goruntime.GOMAXPROCS(0) >= 4 {
 		if ratio := results[1].Tput / results[0].Tput; ratio < 0.5 {
 			t.Errorf("4-conn pool ran at %.2fx of single-conn throughput; pooling should never cost half the wire", ratio)
@@ -156,12 +160,12 @@ func TestRunPoolScalingSweep(t *testing.T) {
 // the TPC-C invariants hold afterwards.
 func TestRunPoolSaturationShedsGracefully(t *testing.T) {
 	c := DefaultTPCC()
-	part, err := TPCCParallelPartition(c, 1.0)
+	part, err := c.PyxisPartition(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := PoolSatCfg{Clients: 6, Txns: 4, Conns: 2, MaxSessions: 2, PaymentEvery: 3}
-	res, db, err := RunPoolSaturation(part, c, cfg)
+	cfg, slots := WallCfg{Clients: 6, Txns: 4, Conns: 2}, 2
+	res, dbs, err := WallTPCC(part, c, cfg, TPCCMix{PaymentEvery: 3}, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +174,9 @@ func TestRunPoolSaturationShedsGracefully(t *testing.T) {
 		t.Errorf("completed %d txns, want %d (shed work must be retried, not dropped)",
 			res.TotalTxns, cfg.Clients*cfg.Txns)
 	}
-	if res.ClientSheds == 0 || res.Admission.ShedSessions == 0 {
+	if res.Sheds == 0 || res.Admission.ShedSessions == 0 {
 		t.Errorf("no sheds despite %d clients over a %d-session cap (client=%d server=%d)",
-			cfg.Clients, cfg.MaxSessions, res.ClientSheds, res.Admission.ShedSessions)
+			cfg.Clients, slots, res.Sheds, res.Admission.ShedSessions)
 	}
 	if res.Admission.Sessions != 0 {
 		t.Errorf("%d admission slots leaked after all clients closed", res.Admission.Sessions)
@@ -180,7 +184,7 @@ func TestRunPoolSaturationShedsGracefully(t *testing.T) {
 	if got := res.Admission.AdmittedSessions; got < int64(cfg.Clients) {
 		t.Errorf("only %d sessions ever admitted, want >= %d (every client must get through)", got, cfg.Clients)
 	}
-	if violations := CheckTPCCInvariants(db, c); len(violations) > 0 {
+	if violations := CheckTPCCInvariants(dbs[0], c); len(violations) > 0 {
 		for _, v := range violations {
 			t.Errorf("invariant violated under shedding: %s", v)
 		}

@@ -28,24 +28,24 @@ func rebalanceTPCC() TPCCConfig {
 // hold under the FINAL (override-carrying) map.
 func TestRebalanceLiveMigration(t *testing.T) {
 	c := rebalanceTPCC()
-	res, dbs, final, err := RunRebalance(c, RebalanceCfg{
-		Clients: 4, Txns: 40, Shards: 2, Live: true})
+	res, dbs, err := WallRebalance(c, WallCfg{Clients: 4, Txns: 40, Shards: 2}, Advised)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Migrations < 1 {
+	mig, final := res.Migration, res.Migration.FinalMap
+	if mig.Migrations < 1 {
 		t.Fatalf("skewed live run performed no migration: %v", res)
 	}
-	if final.Epoch == 0 || res.FinalEpoch == 0 {
+	if final.Epoch == 0 || mig.FinalEpoch == 0 {
 		t.Fatalf("migration did not bump the map epoch: %v", res)
 	}
-	for _, w := range res.MovedWarehouses {
+	for _, w := range mig.MovedWarehouses {
 		if final.Shard(w) == 0 {
 			t.Fatalf("moved warehouse %d still maps to shard 0", w)
 		}
 	}
-	if res.ImbalanceAfter >= res.ImbalanceBefore {
-		t.Fatalf("migration did not improve balance: %.2f -> %.2f", res.ImbalanceBefore, res.ImbalanceAfter)
+	if mig.ImbalanceAfter >= mig.ImbalanceBefore {
+		t.Fatalf("migration did not improve balance: %.2f -> %.2f", mig.ImbalanceBefore, mig.ImbalanceAfter)
 	}
 	if v := CheckShardInvariants(dbs, c, final); len(v) > 0 {
 		t.Fatalf("post-migration invariants violated: %v", v)
@@ -56,12 +56,12 @@ func TestRebalanceLiveMigration(t *testing.T) {
 // off, so nothing moves and the epoch stays 0.
 func TestRebalanceFrozenBaseline(t *testing.T) {
 	c := rebalanceTPCC()
-	res, dbs, final, err := RunRebalance(c, RebalanceCfg{
-		Clients: 4, Txns: 30, Shards: 2})
+	res, dbs, err := WallRebalance(c, WallCfg{Clients: 4, Txns: 30, Shards: 2}, Frozen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Migrations != 0 || final.Epoch != 0 || res.Rehomes != 0 {
+	final := res.Migration.FinalMap
+	if res.Migration.Migrations != 0 || final.Epoch != 0 || res.Rehomes != 0 {
 		t.Fatalf("frozen run migrated: %v", res)
 	}
 	if v := CheckShardInvariants(dbs, c, final); len(v) > 0 {
@@ -75,19 +75,19 @@ func TestRebalanceFrozenBaseline(t *testing.T) {
 // migration may move data, never change it.
 func TestRebalanceDifferential(t *testing.T) {
 	c := rebalanceTPCC()
-	cfg := RebalanceCfg{Clients: 4, Txns: 30, Shards: 2}
-	_, plainDBs, plainMap, err := RunRebalance(c, cfg)
+	cfg := WallCfg{Clients: 4, Txns: 30, Shards: 2}
+	plain, plainDBs, err := WallRebalance(c, cfg, Frozen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ForceMove = true
-	res, movedDBs, movedMap, err := RunRebalance(c, cfg)
+	res, movedDBs, err := WallRebalance(c, cfg, Forced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Migrations < 1 {
-		t.Fatal("ForceMove run performed no migration")
+	if res.Migration.Migrations < 1 {
+		t.Fatal("Forced run performed no migration")
 	}
+	plainMap, movedMap := plain.Migration.FinalMap, res.Migration.FinalMap
 	if v := CheckShardInvariants(plainDBs, c, plainMap); len(v) > 0 {
 		t.Fatalf("plain-run invariants violated: %v", v)
 	}

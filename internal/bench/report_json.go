@@ -30,11 +30,6 @@ type BenchReport struct {
 	Data         any      `json:"data"`
 }
 
-// RaceEnabled reports whether this build is race-detector-instrumented
-// (exported so cmd/pyxis-bench can relax wall-clock speedup
-// enforcement exactly like the package's own scaling tests do).
-func RaceEnabled() bool { return raceEnabled }
-
 // SaveReport writes data as BENCH_<experiment>.json under dir (""
 // means the current directory) and returns the path written.
 // gatesSkipped names the wall-clock gates this run did not enforce;

@@ -17,12 +17,12 @@ import (
 // (global c_balance vs w_ytd, global s_ytd vs ol_quantity).
 func TestShardTPCCRemoteMixTwoPC(t *testing.T) {
 	c := DefaultTPCC()
-	part, err := TPCCParallelPartition(c, 1.0)
+	part, err := c.PyxisPartition(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ShardCfg{Clients: 8, Txns: 40, Shards: 2, PaymentEvery: 3, RemoteMix: true}
-	res, dbs, err := RunShardTPCC(part, c, cfg)
+	cfg := WallCfg{Clients: 8, Txns: 40, Shards: 2}
+	res, dbs, err := WallTPCC(part, c, cfg, TPCCMix{PaymentEvery: 3, RemoteMix: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

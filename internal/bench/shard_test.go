@@ -12,21 +12,30 @@ import (
 // TestRunShardScalingSmoke drives the sharded TPC-C driver end to end
 // over in-process pipes: the 1-shard baseline and a 2-shard tier, each
 // point audited by the cross-shard invariant aggregator inside
-// RunShardScaling. It checks the routing story — sessions striped
+// WallTPCC. It checks the routing story — sessions striped
 // across both shards, every transaction completed — rather than
 // throughput (a unit test box proves nothing about speedup).
 func TestRunShardScalingSmoke(t *testing.T) {
 	c := DefaultTPCC()
-	part, err := TPCCParallelPartition(c, 1.0)
+	part, err := c.PyxisPartition(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := ShardCfg{Clients: 4, Txns: 6, WriteEvery: 2, PaymentEvery: 3}
-	results, err := RunShardScaling(part, c, base, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
+	base := WallCfg{Clients: 4, Txns: 6}
+	var results []*WallResult
+	for _, n := range []int{1, 2} {
+		cfg := base
+		cfg.Shards = n
+		res, _, err := WallTPCC(part, c, cfg, TPCCMix{WriteEvery: 2, PaymentEvery: 3}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Violations) > 0 {
+			t.Fatalf("shards=%d: invariants violated: %v", n, res.Violations)
+		}
+		results = append(results, res)
 	}
-	t.Logf("\n%s", ShardScalingReport(results))
+	t.Logf("\n%s", SweepReport(results, "shards"))
 	for _, res := range results {
 		if res.TotalTxns != base.Clients*base.Txns {
 			t.Errorf("shards=%d: %d of %d transactions completed", res.Shards, res.TotalTxns, base.Clients*base.Txns)
@@ -46,12 +55,12 @@ func TestRunShardScalingSmoke(t *testing.T) {
 // TCP servers — the deployment shape shard-wall measures.
 func TestRunShardTPCCOverTCP(t *testing.T) {
 	c := DefaultTPCC()
-	part, err := TPCCParallelPartition(c, 1.0)
+	part, err := c.PyxisPartition(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ShardCfg{Clients: 4, Txns: 4, Shards: 2, Conns: 2, WriteEvery: 2, PaymentEvery: 3, TCP: true}
-	res, dbs, err := RunShardTPCC(part, c, cfg)
+	cfg := WallCfg{Clients: 4, Txns: 4, Shards: 2, Conns: 2, TCP: true}
+	res, dbs, err := WallTPCC(part, c, cfg, TPCCMix{WriteEvery: 2, PaymentEvery: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +78,12 @@ func TestRunShardTPCCOverTCP(t *testing.T) {
 // would leave shards with nothing to own.
 func TestRunShardTPCCRejectsEmptyShards(t *testing.T) {
 	c := DefaultTPCC()
-	part, err := TPCCParallelPartition(c, 1.0)
+	part, err := c.PyxisPartition(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ShardCfg{Clients: 2, Txns: 2, Shards: c.Warehouses + 1}
-	if _, _, err := RunShardTPCC(part, c, cfg); err == nil {
+	cfg := WallCfg{Clients: 2, Txns: 2, Shards: c.Warehouses + 1}
+	if _, _, err := WallTPCC(part, c, cfg, TPCCMix{}, 0); err == nil {
 		t.Fatal("oversharded config accepted")
 	}
 }

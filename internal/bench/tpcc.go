@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 
 	"pyxis"
@@ -510,11 +509,5 @@ func (c TPCCConfig) PyxisWorkload(part *pyxis.Partition) Workload {
 				return nil
 			}
 		},
-	}
-}
-
-func rollbackQuiet(conn dbapi.Conn) {
-	if err := conn.Rollback(); err != nil && !errors.Is(err, sqldb.ErrNoTransaction) {
-		_ = err
 	}
 }

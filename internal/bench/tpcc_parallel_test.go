@@ -19,15 +19,15 @@ import (
 // this run exercises lock waits and usually real deadlock resolution.
 func TestParallelTPCCInvariants(t *testing.T) {
 	cfg := DefaultTPCC()
-	part, err := TPCCParallelPartition(cfg, 1.0)
+	part, err := cfg.PyxisPartition(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if part.DBStatements() == 0 {
 		t.Fatal("budget 1.0 should place statements on the DB server")
 	}
-	pcfg := TPCCParallelCfg{Clients: 8, Txns: 12, PaymentEvery: 3}
-	res, db, err := RunParallelTPCC(part, cfg, pcfg)
+	pcfg := WallCfg{Clients: 8, Txns: 12}
+	res, dbs, err := WallTPCC(part, cfg, pcfg, TPCCMix{PaymentEvery: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestParallelTPCCInvariants(t *testing.T) {
 	if res.Transfers == 0 {
 		t.Error("shared DB-side peer served no control transfers")
 	}
-	for _, v := range CheckTPCCInvariants(db, cfg) {
+	for _, v := range CheckTPCCInvariants(dbs[0], cfg) {
 		t.Errorf("invariant violated: %s", v)
 	}
 }
@@ -52,12 +52,12 @@ func TestParallelTPCCInvariants(t *testing.T) {
 // wire round trips.
 func TestParallelTPCCAppSide(t *testing.T) {
 	cfg := DefaultTPCC()
-	part, err := TPCCParallelPartition(cfg, 0)
+	part, err := cfg.PyxisPartition(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcfg := TPCCParallelCfg{Clients: 8, Txns: 6, PaymentEvery: 3}
-	res, db, err := RunParallelTPCC(part, cfg, pcfg)
+	pcfg := WallCfg{Clients: 8, Txns: 6}
+	res, dbs, err := WallTPCC(part, cfg, pcfg, TPCCMix{PaymentEvery: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestParallelTPCCAppSide(t *testing.T) {
 	if want := pcfg.Clients * pcfg.Txns; res.TotalTxns != want {
 		t.Errorf("completed %d txns, want %d", res.TotalTxns, want)
 	}
-	for _, v := range CheckTPCCInvariants(db, cfg) {
+	for _, v := range CheckTPCCInvariants(dbs[0], cfg) {
 		t.Errorf("invariant violated: %s", v)
 	}
 }
@@ -129,7 +129,7 @@ func TestPaymentNativeConcurrent(t *testing.T) {
 // audits the invariants at every point, and bounds the collapse.
 func TestParallelTPCCScaling(t *testing.T) {
 	cfg := DefaultTPCC()
-	part, err := TPCCParallelPartition(cfg, 1.0)
+	part, err := cfg.PyxisPartition(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +144,12 @@ func TestParallelTPCCScaling(t *testing.T) {
 	for attempt := 0; attempt < attempts; attempt++ {
 		var tputs []float64
 		for _, n := range []int{1, 4} {
-			res, db, err := RunParallelTPCC(part, cfg, TPCCParallelCfg{Clients: n, Txns: txnsPerClient, PaymentEvery: 3})
+			res, dbs, err := WallTPCC(part, cfg, WallCfg{Clients: n, Txns: txnsPerClient}, TPCCMix{PaymentEvery: 3}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Logf("%s", res)
-			for _, v := range CheckTPCCInvariants(db, cfg) {
+			for _, v := range CheckTPCCInvariants(dbs[0], cfg) {
 				t.Errorf("clients=%d: invariant violated: %s", n, v)
 			}
 			tputs = append(tputs, res.Tput)

@@ -24,7 +24,7 @@ import (
 func newOrderSP(tb testing.TB) func() {
 	tb.Helper()
 	cfg := bench.DefaultTPCC()
-	part, err := bench.TPCCParallelPartition(cfg, 1)
+	part, err := cfg.PyxisPartition(1)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestTablesDieWithTheirCall(t *testing.T) {
 	tpcc := bench.DefaultTPCC()
 	tpcw := bench.DefaultTPCW()
 	i, d, b := val.IntV, val.DoubleV, val.BoolV
-	tpccPart := func(f float64) (*pyxis.Partition, error) { return bench.TPCCParallelPartition(tpcc, f) }
+	tpccPart := func(f float64) (*pyxis.Partition, error) { return tpcc.PyxisPartition(f) }
 	tpccCalls := func(k int64) (string, []val.Value) {
 		wid, did, cid := k%int64(tpcc.Warehouses)+1, k%int64(tpcc.DistrictsPerW)+1, k%int64(tpcc.CustomersPerD)+1
 		if k%3 == 2 {
