@@ -674,18 +674,22 @@ type MigrationResult struct {
 // newWallResult describes the tier and the load; fold adds what ran.
 func newWallResult(d *deployment, clients, offered int) *WallResult {
 	m := d.Router.CurrentMap()
-	return &WallResult{Shards: m.NumShards(), Conns: d.DB.Pool(0).Size(), Warehouses: m.Warehouses,
+	return &WallResult{Shards: m.NumShards(), Conns: d.DB.ConnsPerShard(), Warehouses: m.Warehouses,
 		Clients: clients, Offered: offered, lats: make([][]float64, clients)}
 }
 
 // placed records where a client's control session landed.
-func (r *WallResult) placed(c *appClient) {
+func (r *WallResult) placed(d *deployment, c *appClient) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.SessionsPerConn == nil {
 		r.SessionsPerConn, r.SessionsPerShard = make([]int, r.Conns), make([]int, r.Shards)
 	}
-	r.SessionsPerConn[int(rpc.SessionConn(c.ctl.ID()))%r.Conns]++
+	for i := range r.SessionsPerConn {
+		if c.ctl.Conn() == d.Ctl.Conn(c.shard, i) {
+			r.SessionsPerConn[i]++
+		}
+	}
 	r.SessionsPerShard[c.shard]++
 }
 

@@ -103,7 +103,7 @@ func WallLedger(part *pyxis.Partition, cfg WallCfg, mix LedgerMix) (*WallResult,
 		func(i int) (*appClient, error) {
 			c, err := d.open(d.Router.HomeShard(int64(i)), false, "Ledger", val.IntV(int64(i)))
 			if err == nil {
-				res.placed(c)
+				res.placed(d, c)
 			}
 			return c, err
 		},
@@ -365,7 +365,7 @@ func WallTPCC(part *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix TPCCMix, max
 				return nil, err
 			}
 			s.release = release
-			res.placed(s.appClient)
+			res.placed(d, s.appClient)
 			return s, nil
 		},
 		func(s *tpccSession, i, k int) (txnOut, error) {
@@ -492,7 +492,7 @@ func WallDynamic(high, low *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix TPCC
 
 	res := newWallResult(d, cfg.Clients, cfg.Clients*cfg.Txns*len(DynamicRamp))
 	for _, s := range sessions {
-		res.placed(s.high)
+		res.placed(d, s.high)
 	}
 	for pi, ph := range DynamicRamp {
 		mon.SetExternal(ph.Load)

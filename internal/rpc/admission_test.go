@@ -131,17 +131,17 @@ func TestMuxAdmissionCallShed(t *testing.T) {
 	}
 }
 
-// TestMuxServerSetAdmission covers the server-level wiring: a policy
-// installed with SetAdmission gates connections accepted afterwards.
-func TestMuxServerSetAdmission(t *testing.T) {
+// TestMuxServerConfigAdmission covers the server-level wiring: a
+// policy in the server's config gates the connections it accepts.
+func TestMuxServerConfigAdmission(t *testing.T) {
 	adm := &stubAdmission{}
 	adm.refuseSessions.Store(true)
-	srv, err := NewMuxServer("127.0.0.1:0", func() SessionHandlers { return &echoHandlers{} })
+	srv, err := NewMuxServerConfig("127.0.0.1:0", func() SessionHandlers { return &echoHandlers{} },
+		MuxServeConfig{Admission: adm})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.SetAdmission(adm)
 
 	c, err := DialMux(srv.Addr())
 	if err != nil {

@@ -106,12 +106,11 @@ type MuxClient struct {
 	err     error                    // sticky: set when the read loop dies
 	closed  bool
 	// live is the wrap-collision guard: every session ID currently open
-	// on this connection (client- or pool-allocated), plus the closed
-	// IDs still quarantined below. The session counters wrap — 24 bits
-	// per connection, 20 per pool — and a recycled ID handed to a
+	// on this connection, plus the closed IDs still quarantined below.
+	// The 24-bit session counter wraps, and a recycled ID handed to a
 	// second session would cross-route replies between the two;
-	// reserve/release keep a wrapped counter skipping over IDs that are
-	// still open.
+	// TaggedSession/release keep a wrapped counter skipping over IDs
+	// that are still open.
 	live map[uint32]struct{}
 	// recycled quarantines closed IDs in close order, mirroring the
 	// server's retired-session tombstone FIFO exactly: the server
@@ -130,7 +129,7 @@ type MuxClient struct {
 	// on 32-bit platforms at this struct offset).
 	calls, bytesSent, bytesRecv atomic.Int64
 	// outstanding counts calls issued but not yet answered — the
-	// connection-local load signal a MuxPool balances new sessions by.
+	// connection-local load signal a ShardedPool balances new sessions by.
 	outstanding atomic.Int64
 
 	// onLoad receives every LoadReport piggy-backed on reply frames.
@@ -308,31 +307,9 @@ func replyError(f muxFrame, what string) error {
 // 24-bit per-connection counter underneath.
 const sessionTagShift = 24
 
-// Pool-allocated session IDs additionally fold the owning connection's
-// pool index into the 4 bits under the tag byte, so one pool-wide
-// counter yields IDs that are unique across every connection of the
-// pool while SessionTag keeps routing (the dual SessionManager reads
-// only the top byte). Plain MuxClient sessions don't reserve these
-// bits — their 24-bit counter simply wraps through them — so
-// SessionConn is meaningful only for pool-placed sessions.
-const (
-	sessionConnShift = 20
-	sessionConnMask  = 0xF
-	// MaxPoolConns bounds a MuxPool's size: the connection index must
-	// fit the 4 ID bits between the session counter and the tag byte.
-	MaxPoolConns = sessionConnMask + 1
-)
-
 // SessionTag extracts the variant tag a client encoded into a session
 // ID with TaggedSession (0 for plain sessions).
 func SessionTag(sid uint32) uint8 { return uint8(sid >> sessionTagShift) }
-
-// SessionConn extracts the pool connection index folded into a
-// pool-allocated session ID (0 for sessions opened directly on a
-// MuxClient, which also use these bits as plain counter space).
-func SessionConn(sid uint32) uint8 {
-	return uint8(sid>>sessionConnShift) & sessionConnMask
-}
 
 // Session opens a new logical session. The returned transport is safe
 // for concurrent use and independent of every other session on the
@@ -352,40 +329,31 @@ func (c *MuxClient) Session() *MuxSession { return c.TaggedSession(0) }
 // duplicate ID would cross-route the two sessions' replies).
 func (c *MuxClient) TaggedSession(tag uint8) *MuxSession {
 	const space = 1 << sessionTagShift
+	base := uint32(tag) << sessionTagShift
+	// If every counter value under this tag belongs to a live session —
+	// 2^24 concurrently open sessions, beyond any real deployment — the
+	// session gets the (colliding) base ID rather than spinning forever;
+	// its first call will misbehave exactly as the pre-guard code did.
+	sid := base
+	c.mu.Lock()
 	for k := 0; k < space; k++ {
 		ctr := c.nextSID.Add(1) & (space - 1)
 		if ctr == 0 {
 			continue
 		}
-		sid := ctr | uint32(tag)<<sessionTagShift
-		if c.reserve(sid) {
-			return c.newSession(sid)
+		if _, taken := c.live[base|ctr]; !taken {
+			sid = base | ctr
+			c.live[sid] = struct{}{}
+			break
 		}
 	}
-	// Every counter value under this tag belongs to a live session —
-	// 2^24 concurrently open sessions, beyond any real deployment.
-	// Return the (colliding) base ID rather than spin forever; its
-	// first call will misbehave exactly as the pre-guard code did.
-	return c.newSession(uint32(tag) << sessionTagShift)
+	c.mu.Unlock()
+	return c.newSession(sid)
 }
 
-// newSession opens a session under an ID the caller already reserved (the MuxPool allocates pool-wide IDs with
-// the connection index folded in, reserving them on the owning
-// connection).
+// newSession opens a session under an ID the caller already reserved.
 func (c *MuxClient) newSession(sid uint32) *MuxSession {
 	return &MuxSession{c: c, sid: sid, reply: make(chan muxFrame, 1)}
-}
-
-// reserve claims sid for a new session; false means a still-open
-// session holds it (wrap collision) and the caller must pick another.
-func (c *MuxClient) reserve(sid uint32) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, taken := c.live[sid]; taken {
-		return false
-	}
-	c.live[sid] = struct{}{}
-	return true
 }
 
 // release retires sid into the quarantine FIFO; it returns to the
@@ -468,6 +436,9 @@ type MuxSession struct {
 
 // ID returns the session's connection-scoped identifier.
 func (s *MuxSession) ID() uint32 { return s.sid }
+
+// Conn returns the connection the session is pinned to.
+func (s *MuxSession) Conn() *MuxClient { return s.c }
 
 // Call implements Transport.
 func (s *MuxSession) Call(req []byte) ([]byte, error) {
@@ -794,10 +765,11 @@ func ctlReply(tp TxnParticipant, mp MigParticipant, f muxFrame) (byte, []byte) {
 type MuxServer struct {
 	lis     net.Listener
 	factory func() SessionHandlers
+	cfg     MuxServeConfig
 	wg      sync.WaitGroup
 	mu      sync.Mutex
 	closed  bool
-	cfg     MuxServeConfig
+	conns   map[net.Conn]struct{} // accepted and still being served
 }
 
 // NewMuxServer listens on addr, creating per-connection session
@@ -807,14 +779,15 @@ func NewMuxServer(addr string, factory func() SessionHandlers) (*MuxServer, erro
 }
 
 // NewMuxServerConfig is NewMuxServer with an explicit demux
-// configuration in place before the first connection can be accepted
-// (SetLoadSource only affects connections accepted after the call).
+// configuration, shared by every connection the server accepts. A
+// cfg.Admission policy is therefore server-wide: its session
+// accounting spans every connection.
 func NewMuxServerConfig(addr string, factory func() SessionHandlers, cfg MuxServeConfig) (*MuxServer, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &MuxServer{lis: lis, factory: factory, cfg: cfg}
+	s := &MuxServer{lis: lis, factory: factory, cfg: cfg, conns: map[net.Conn]struct{}{}}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -822,25 +795,6 @@ func NewMuxServerConfig(addr string, factory func() SessionHandlers, cfg MuxServ
 
 // Addr returns the bound listen address.
 func (s *MuxServer) Addr() string { return s.lis.Addr().String() }
-
-// SetLoadSource configures a load source whose samples are
-// piggy-backed on every reply of connections accepted afterwards
-// (in-flight connections keep their configuration).
-func (s *MuxServer) SetLoadSource(ls LoadSource) {
-	s.mu.Lock()
-	s.cfg.Load = ls
-	s.mu.Unlock()
-}
-
-// SetAdmission configures the admission policy consulted by
-// connections accepted afterwards (in-flight connections keep their
-// configuration). The policy is shared server-wide, so its session
-// accounting spans every connection.
-func (s *MuxServer) SetAdmission(p AdmissionPolicy) {
-	s.mu.Lock()
-	s.cfg.Admission = p
-	s.mu.Unlock()
-}
 
 func (s *MuxServer) acceptLoop() {
 	defer s.wg.Done()
@@ -850,19 +804,31 @@ func (s *MuxServer) acceptLoop() {
 			return
 		}
 		s.mu.Lock()
-		cfg := s.cfg
+		if s.closed {
+			// Accepted in the window before Close shut the listener.
+			s.mu.Unlock()
+			conn.Close()
+			continue
+		}
+		s.conns[conn] = struct{}{}
+		s.wg.Add(1)
 		s.mu.Unlock()
 		h := s.factory()
-		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			defer conn.Close()
-			ServeMuxConnConfig(conn, h, cfg)
+			ServeMuxConnConfig(conn, h, s.cfg)
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
+			conn.Close()
 		}()
 	}
 }
 
-// Close stops accepting and waits for in-flight connections to drain.
+// Close stops accepting, hangs up every connection and returns once
+// each has drained: every session's Closed has run, so any transaction
+// a client left open is rolled back. It does not wait for clients to
+// hang up first.
 func (s *MuxServer) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -870,8 +836,11 @@ func (s *MuxServer) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.mu.Unlock()
 	err := s.lis.Close()
+	for c := range s.conns {
+		c.Close()
+	}
+	s.mu.Unlock()
 	s.wg.Wait()
 	return err
 }

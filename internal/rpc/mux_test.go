@@ -387,6 +387,48 @@ func TestMuxOverTCP(t *testing.T) {
 	}
 }
 
+// TestMuxServerCloseHangsUpClients is the shutdown contract: Close
+// returns without waiting for a connected client to hang up, after
+// the connection's sessions were closed server-side, and the client's
+// next call fails with its sticky connection error.
+func TestMuxServerCloseHangsUpClients(t *testing.T) {
+	h := &echoHandlers{}
+	srv, err := NewMuxServer("127.0.0.1:0", func() SessionHandlers { return h })
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialMux(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := c.Session()
+	if _, err := s.Call([]byte("hi")); err != nil {
+		t.Fatal(err)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("MuxServer.Close blocked on a connected client")
+	}
+	if got := h.closed.Load(); got != 1 {
+		t.Errorf("Close returned with %d of 1 sessions closed server-side", got)
+	}
+	_, err = s.Call([]byte("after close"))
+	if err == nil {
+		t.Fatal("call succeeded on a connection the server hung up")
+	}
+	if err != c.Err() {
+		t.Errorf("call failed with %v, want the sticky connection error %v", err, c.Err())
+	}
+}
+
 // TestHandlerFactoryAdapter covers the stateless adapter.
 func TestHandlerFactoryAdapter(t *testing.T) {
 	f := HandlerFactory(func(sid uint32) Handler {

@@ -11,15 +11,15 @@ import (
 	"time"
 )
 
-// pipePool builds an n-connection pool whose every connection is a
-// pipe served by its own demux loop over handlers from newHandlers
-// (mirroring a TCP server's per-connection factory). It returns the
-// pool plus each connection's server-side pipe end, so tests can sever
-// individual connections.
-func pipePool(t *testing.T, n int, newHandlers func(i int) SessionHandlers, cfg MuxServeConfig) (*MuxPool, []net.Conn) {
+// pipePool builds a one-shard pool of n connections whose every
+// connection is a pipe served by its own demux loop over handlers from
+// newHandlers (mirroring a TCP server's per-connection factory). It
+// returns the pool plus each connection's server-side pipe end, so
+// tests can sever individual connections.
+func pipePool(t *testing.T, n int, newHandlers func(i int) SessionHandlers, cfg MuxServeConfig) (*ShardedPool, []net.Conn) {
 	t.Helper()
 	srvEnds := make([]net.Conn, 0, n)
-	p, err := NewMuxPool(n, func(i int) (io.ReadWriteCloser, error) {
+	p, err := NewShardedPool(1, n, func(_, i int) (io.ReadWriteCloser, error) {
 		srv, cli := net.Pipe()
 		srvEnds = append(srvEnds, srv)
 		go ServeMuxConnConfig(srv, newHandlers(i), cfg)
@@ -32,34 +32,63 @@ func pipePool(t *testing.T, n int, newHandlers func(i int) SessionHandlers, cfg 
 	return p, srvEnds
 }
 
+// connOf returns the index of the shard-0 connection s is pinned to.
+func connOf(t *testing.T, p *ShardedPool, s *MuxSession) int {
+	t.Helper()
+	for i := 0; i < p.ConnsPerShard(); i++ {
+		if p.Conn(0, i) == s.Conn() {
+			return i
+		}
+	}
+	t.Fatalf("session %d is pinned to no connection of the pool", s.ID())
+	return -1
+}
+
+// connMarkHandlers serves a connection's sessions with replies
+// "<conn>:<sid>:<payload>" and counts the sessions it closed, so tests
+// can tell which connection's handlers served a call.
+type connMarkHandlers struct {
+	conn   int
+	closed chan uint32
+}
+
+func (h connMarkHandlers) Open(sid uint32) Handler {
+	return func(req []byte) ([]byte, error) {
+		return []byte(fmt.Sprintf("%d:%d:%s", h.conn, sid, req)), nil
+	}
+}
+func (h connMarkHandlers) Closed(sid uint32) { h.closed <- sid }
+
 // TestMuxPoolStripesUniqueTaggedIDs opens many sessions on an idle
-// pool and checks the tentpole's ID contract: pool-wide uniqueness,
-// the connection index folded under the tag byte matching the
-// connection the session actually runs on, tags surviving the round
-// trip, and placement striping across connections instead of piling
-// onto one.
+// pool and checks the ID contract: IDs unique per connection, tags
+// surviving the round trip, and placement striping across connections
+// instead of piling onto one.
 func TestMuxPoolStripesUniqueTaggedIDs(t *testing.T) {
 	p, _ := pipePool(t, 4, func(int) SessionHandlers { return &echoHandlers{} }, MuxServeConfig{})
 
-	seen := map[uint32]bool{}
+	type connSID struct {
+		conn int
+		sid  uint32
+	}
+	seen := map[connSID]bool{}
 	perConn := make([]int, 4)
 	for k := 0; k < 16; k++ {
 		tag := uint8(k % 3)
-		s, err := p.TaggedSession(tag)
+		s, err := p.TaggedSession(0, tag)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seen[s.ID()] {
-			t.Fatalf("session ID %d allocated twice", s.ID())
+		key := connSID{connOf(t, p, s), s.ID()}
+		if seen[key] {
+			t.Fatalf("session ID %d allocated twice on connection %d", s.ID(), key.conn)
 		}
-		seen[s.ID()] = true
+		seen[key] = true
 		if got := SessionTag(s.ID()); got != tag {
 			t.Errorf("session %d carries tag %d, want %d", s.ID(), got, tag)
 		}
-		perConn[int(SessionConn(s.ID()))]++
+		perConn[key.conn]++
 		// The echo handler prefixes the serving session ID: the reply
-		// must come from the session we think we opened, over whichever
-		// connection the ID claims.
+		// must come from the session we think we opened.
 		resp, err := s.Call([]byte("ping"))
 		if err != nil {
 			t.Fatal(err)
@@ -72,6 +101,63 @@ func TestMuxPoolStripesUniqueTaggedIDs(t *testing.T) {
 		if n == 0 {
 			t.Errorf("idle-pool placement never used connection %d: %v", i, perConn)
 		}
+	}
+}
+
+// TestMuxPoolSessionsScopedToTheirConn is the connection-scoped ID
+// contract: two sessions opened on an idle 2-connection pool land on
+// different connections under the same ID, each is served by its own
+// connection's handlers, and closing one leaves the other serving.
+func TestMuxPoolSessionsScopedToTheirConn(t *testing.T) {
+	closed := make(chan uint32, 2)
+	p, _ := pipePool(t, 2, func(i int) SessionHandlers { return connMarkHandlers{conn: i, closed: closed} }, MuxServeConfig{})
+
+	a, err := p.Session(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := p.Session(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, cb := connOf(t, p, a), connOf(t, p, b)
+	if ca == cb {
+		t.Fatalf("setup: both sessions pinned to connection %d", ca)
+	}
+	if a.ID() != 1 || b.ID() != 1 {
+		t.Fatalf("idle pool minted IDs %d and %d, want 1 on each connection", a.ID(), b.ID())
+	}
+	for _, s := range []struct {
+		sess *MuxSession
+		conn int
+	}{{a, ca}, {b, cb}} {
+		resp, err := s.sess.Call([]byte("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("%d:1:x", s.conn); string(resp) != want {
+			t.Errorf("session on connection %d served as %q, want %q", s.conn, resp, want)
+		}
+	}
+
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case sid := <-closed:
+		if sid != 1 {
+			t.Fatalf("closed session %d, want 1", sid)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("closed session never reached its handlers")
+	}
+	if resp, err := b.Call([]byte("y")); err != nil || string(resp) != fmt.Sprintf("%d:1:y", cb) {
+		t.Fatalf("same-ID session on the other connection broken by the close: %q %v", resp, err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("closing one connection's session closed the other's")
+	default:
 	}
 }
 
@@ -92,18 +178,17 @@ func TestMuxPoolPlacesAwayFromLoadedConn(t *testing.T) {
 	})
 	p, _ := pipePool(t, 2, func(int) SessionHandlers { return h }, MuxServeConfig{})
 
-	busy, err := p.Session()
+	busy, err := p.Session(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	busyConn := int(SessionConn(busy.ID()))
 	done := make(chan error, 1)
 	go func() {
 		_, err := busy.Call([]byte("block"))
 		done <- err
 	}()
 	deadline := time.After(5 * time.Second)
-	for p.Conn(busyConn).Outstanding() == 0 {
+	for busy.Conn().Outstanding() == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("blocked call never became outstanding")
@@ -112,12 +197,12 @@ func TestMuxPoolPlacesAwayFromLoadedConn(t *testing.T) {
 	}
 
 	for k := 0; k < 6; k++ {
-		s, err := p.Session()
+		s, err := p.Session(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := int(SessionConn(s.ID())); got == busyConn {
-			t.Fatalf("session %d placed on the loaded connection %d", s.ID(), busyConn)
+		if s.Conn() == busy.Conn() {
+			t.Fatalf("session %d placed on the loaded connection %d", s.ID(), connOf(t, p, busy))
 		}
 		if _, err := s.Call([]byte("hi")); err != nil {
 			t.Fatal(err)
@@ -139,15 +224,15 @@ func TestMuxPoolConnLossFailsOnlyPinnedSessions(t *testing.T) {
 
 	// Round-robin tie-breaking spreads an idle pool, so two sessions
 	// cover both connections; assert that rather than assume it.
-	s0, err := p.Session()
+	s0, err := p.Session(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := p.Session()
+	s1, err := p.Session(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0, c1 := int(SessionConn(s0.ID())), int(SessionConn(s1.ID()))
+	c0, c1 := connOf(t, p, s0), connOf(t, p, s1)
 	if c0 == c1 {
 		t.Fatalf("setup: both sessions pinned to connection %d", c0)
 	}
@@ -164,7 +249,7 @@ func TestMuxPoolConnLossFailsOnlyPinnedSessions(t *testing.T) {
 		t.Fatal("session on the severed connection survived")
 	}
 	deadline := time.After(5 * time.Second)
-	for p.Conn(c0).Err() == nil {
+	for p.Conn(0, c0).Err() == nil {
 		select {
 		case <-deadline:
 			t.Fatal("severed connection never poisoned")
@@ -179,11 +264,11 @@ func TestMuxPoolConnLossFailsOnlyPinnedSessions(t *testing.T) {
 
 	// ...and every new session is placed on the survivor.
 	for k := 0; k < 6; k++ {
-		s, err := p.Session()
+		s, err := p.Session(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := int(SessionConn(s.ID())); got != c1 {
+		if got := connOf(t, p, s); got != c1 {
 			t.Fatalf("new session %d placed on dead connection %d", s.ID(), got)
 		}
 		if _, err := s.Call([]byte("fresh")); err != nil {
@@ -192,45 +277,42 @@ func TestMuxPoolConnLossFailsOnlyPinnedSessions(t *testing.T) {
 	}
 }
 
-// TestMuxPoolSessionIDWrap is the wrap regression: the pool's 20-bit
-// session counter is stubbed to just below 2^20 so a handful of opens
-// carries it past the point where the old code minted session ID 0
-// (tag 0, conn 0, ctr 0) and then recycled the IDs of still-open
-// sessions. Post-fix, counter value 0 is never minted and every
-// still-open ID is skipped; the property is checked for every ID
-// minted across the wrap.
+// TestMuxPoolSessionIDWrap is the wrap regression through the pool:
+// a pool session takes its ID from its connection's 24-bit counter, so
+// stubbing that counter to just below the wrap and opening sessions via
+// ShardedPool.TaggedSession must skip counter value 0 and every
+// still-open ID, and each wrapped session must serve end to end under
+// the ID it was minted.
 func TestMuxPoolSessionIDWrap(t *testing.T) {
 	p, _ := pipePool(t, 1, func(int) SessionHandlers { return &echoHandlers{} }, MuxServeConfig{})
+	c := p.Conn(0, 0)
 
-	// Sessions opened pre-wrap and kept open: their IDs must never be
-	// handed out again.
-	held := map[uint32]*MuxSession{}
+	held := map[uint32]bool{}
 	for k := 0; k < 8; k++ {
-		s, err := p.TaggedSession(0)
+		s, err := p.TaggedSession(0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		held[s.ID()] = s
+		held[s.ID()] = true
 	}
 
-	// Stub the counter to 4 mints before the 2^20 wrap, then mint
-	// enough sessions to cross it (and the held IDs' counter values)
-	// twice over.
-	const space = 1 << sessionConnShift
+	const space = 1 << sessionTagShift
 	for round := 0; round < 2; round++ {
-		p.nextSID.Store(space - 4)
+		c.nextSID.Store(space - 4)
 		for k := 0; k < 16; k++ {
-			s, err := p.TaggedSession(0)
+			s, err := p.TaggedSession(0, 0)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if s.Conn() != c {
+				t.Fatalf("round %d: session %d not pinned to the pool's only connection", round, s.ID())
 			}
 			if ctr := s.ID() & (space - 1); ctr == 0 {
 				t.Fatalf("round %d: wrap minted counter value 0 (session ID %d)", round, s.ID())
 			}
-			if _, taken := held[s.ID()]; taken {
+			if held[s.ID()] {
 				t.Fatalf("round %d: wrap re-minted still-open session ID %d", round, s.ID())
 			}
-			// The wrapped session must actually work end to end.
 			resp, err := s.Call([]byte("wrapped"))
 			if err != nil {
 				t.Fatal(err)
@@ -243,67 +325,20 @@ func TestMuxPoolSessionIDWrap(t *testing.T) {
 			}
 		}
 	}
-
-	// A closed session's ID is quarantined while the server might still
-	// tombstone it (the retired-session FIFO holds the last
-	// muxRetiredCap closes), then returns to the allocatable space:
-	// close one held session, drive muxRetiredCap further closes
-	// through the connection, stub the counter so the victim's ID comes
-	// up next, and the pool mints it again — and the server accepts it
-	// as a fresh session.
-	var victim *MuxSession
-	for _, s := range held {
-		victim = s
-		break
-	}
-	if err := victim.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Immediately after close the ID must still be skipped (quarantine).
-	p.nextSID.Store(victim.ID()&(space-1) - 1)
-	s, err := p.TaggedSession(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.ID() == victim.ID() {
-		t.Fatalf("quarantined ID %d re-minted before the server could forget it", victim.ID())
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < muxRetiredCap; k++ {
-		s, err := p.TaggedSession(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.nextSID.Store(victim.ID()&(space-1) - 1)
-	s, err = p.TaggedSession(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.ID() != victim.ID() {
-		t.Fatalf("released ID %d not re-minted after quarantine drained (got %d)", victim.ID(), s.ID())
-	}
-	if resp, err := s.Call([]byte("reused")); err != nil {
-		t.Fatalf("re-minted session rejected: %v", err)
-	} else if gotSID := binary.LittleEndian.Uint32(resp); gotSID != s.ID() {
-		t.Fatalf("re-minted call served under session %d, want %d", gotSID, s.ID())
-	}
 }
 
-// TestMuxClientSessionIDWrap mirrors the wrap regression on the plain
-// client's 24-bit counter path: counter value 0 is skipped and a
-// still-open session's ID is never recycled.
+// TestMuxClientSessionIDWrap is the wrap regression on the client's
+// 24-bit counter: counter value 0 is skipped, a still-open session's
+// ID is never recycled, and a closed ID stays quarantined until the
+// server's tombstone for it is gone — then it is minted again and the
+// server accepts it as a fresh session.
 func TestMuxClientSessionIDWrap(t *testing.T) {
 	c, _ := pipeMux(t, &echoHandlers{})
 
-	held := map[uint32]bool{}
+	held := map[uint32]*MuxSession{}
 	for k := 0; k < 8; k++ {
-		held[c.Session().ID()] = true
+		s := c.Session()
+		held[s.ID()] = s
 	}
 
 	const space = 1 << sessionTagShift
@@ -313,7 +348,7 @@ func TestMuxClientSessionIDWrap(t *testing.T) {
 		if ctr := s.ID() & (space - 1); ctr == 0 {
 			t.Fatalf("wrap minted counter value 0 (session ID %d)", s.ID())
 		}
-		if held[s.ID()] {
+		if _, taken := held[s.ID()]; taken {
 			t.Fatalf("wrap re-minted still-open session ID %d", s.ID())
 		}
 		if _, err := s.Call([]byte("wrapped")); err != nil {
@@ -333,6 +368,45 @@ func TestMuxClientSessionIDWrap(t *testing.T) {
 			t.Fatalf("tagged wrap minted counter value 0 (session ID %d)", s.ID())
 		}
 	}
+
+	// A closed session's ID is quarantined while the server might still
+	// tombstone it (the retired-session FIFO holds the last
+	// muxRetiredCap closes), then returns to the allocatable space:
+	// close one held session, drive muxRetiredCap further closes
+	// through the connection, stub the counter so the victim's ID comes
+	// up next, and the client mints it again.
+	var victim *MuxSession
+	for _, s := range held {
+		victim = s
+		break
+	}
+	if err := victim.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Immediately after close the ID must still be skipped (quarantine).
+	c.nextSID.Store(victim.ID() - 1)
+	s := c.Session()
+	if s.ID() == victim.ID() {
+		t.Fatalf("quarantined ID %d re-minted before the server could forget it", victim.ID())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < muxRetiredCap; k++ {
+		if err := c.Session().Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.nextSID.Store(victim.ID() - 1)
+	s = c.Session()
+	if s.ID() != victim.ID() {
+		t.Fatalf("released ID %d not re-minted after quarantine drained (got %d)", victim.ID(), s.ID())
+	}
+	if resp, err := s.Call([]byte("reused")); err != nil {
+		t.Fatalf("re-minted session rejected: %v", err)
+	} else if gotSID := binary.LittleEndian.Uint32(resp); gotSID != s.ID() {
+		t.Fatalf("re-minted call served under session %d, want %d", gotSID, s.ID())
+	}
 }
 
 // TestMuxPoolAllConnsPoisoned is the poisoned-pool regression: with
@@ -345,7 +419,7 @@ func TestMuxPoolAllConnsPoisoned(t *testing.T) {
 
 	// Warm both connections so the severed reads are noticed.
 	for k := 0; k < 2; k++ {
-		s, err := p.Session()
+		s, err := p.Session(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,8 +431,8 @@ func TestMuxPoolAllConnsPoisoned(t *testing.T) {
 		srv.Close()
 	}
 	deadline := time.After(5 * time.Second)
-	for i := 0; i < p.Size(); i++ {
-		for p.Conn(i).Err() == nil {
+	for i := 0; i < p.ConnsPerShard(); i++ {
+		for p.Conn(0, i).Err() == nil {
 			select {
 			case <-deadline:
 				t.Fatalf("conn %d never poisoned", i)
@@ -367,26 +441,26 @@ func TestMuxPoolAllConnsPoisoned(t *testing.T) {
 		}
 	}
 
-	if _, err := p.Session(); !errors.Is(err, ErrPoolPoisoned) {
+	if _, err := p.Session(0); !errors.Is(err, ErrPoolPoisoned) {
 		t.Fatalf("all-poisoned pool returned %v, want ErrPoolPoisoned", err)
 	}
-	if _, err := p.TaggedSession(2); !errors.Is(err, ErrPoolPoisoned) {
+	if _, err := p.TaggedSession(0, 2); !errors.Is(err, ErrPoolPoisoned) {
 		t.Fatalf("all-poisoned pool (tagged) returned %v, want ErrPoolPoisoned", err)
 	}
 }
 
-// TestMuxPoolSizeAndDialErrors covers construction: out-of-range pool
-// sizes are rejected, and a mid-construction dial failure closes the
-// connections already opened.
+// TestMuxPoolSizeAndDialErrors covers construction: pools without a
+// connection per shard are rejected, and a mid-construction dial
+// failure closes the connections already opened.
 func TestMuxPoolSizeAndDialErrors(t *testing.T) {
-	for _, n := range []int{0, -1, MaxPoolConns + 1} {
-		if _, err := NewMuxPool(n, nil); err == nil {
+	for _, n := range []int{0, -1} {
+		if _, err := NewShardedPool(1, n, nil); err == nil {
 			t.Errorf("pool size %d accepted", n)
 		}
 	}
 
 	var opened []net.Conn
-	_, err := NewMuxPool(3, func(i int) (io.ReadWriteCloser, error) {
+	_, err := NewShardedPool(1, 3, func(_, i int) (io.ReadWriteCloser, error) {
 		if i == 2 {
 			return nil, fmt.Errorf("boom")
 		}
@@ -408,8 +482,32 @@ func TestMuxPoolSizeAndDialErrors(t *testing.T) {
 	}
 }
 
-// TestMuxPoolOverTCP is the end-to-end smoke: DialMuxPool against a
-// real MuxServer, concurrent sessions striped over the pool.
+// TestMuxPoolSeventeenConns checks that the pool size has no cap tied
+// to session-ID bits: an idle 17-connection pool places one session on
+// every connection, and each serves.
+func TestMuxPoolSeventeenConns(t *testing.T) {
+	const n = 17
+	p, _ := pipePool(t, n, func(int) SessionHandlers { return &echoHandlers{} }, MuxServeConfig{})
+	perConn := make([]int, n)
+	for k := 0; k < n; k++ {
+		s, err := p.Session(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := s.Call([]byte("hi")); err != nil || string(resp[4:]) != "hi" {
+			t.Fatalf("session %d: %q %v", k, resp, err)
+		}
+		perConn[connOf(t, p, s)]++
+	}
+	for i, got := range perConn {
+		if got != 1 {
+			t.Errorf("connection %d holds %d sessions, want 1: %v", i, got, perConn)
+		}
+	}
+}
+
+// TestMuxPoolOverTCP is the end-to-end smoke: DialShardedPool against
+// a real MuxServer, concurrent sessions striped over the pool.
 func TestMuxPoolOverTCP(t *testing.T) {
 	srv, err := NewMuxServer("127.0.0.1:0", func() SessionHandlers { return &echoHandlers{} })
 	if err != nil {
@@ -417,7 +515,7 @@ func TestMuxPoolOverTCP(t *testing.T) {
 	}
 	defer srv.Close()
 
-	p, err := DialMuxPool(srv.Addr(), 3)
+	p, err := DialShardedPool([]string{srv.Addr()}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +524,7 @@ func TestMuxPoolOverTCP(t *testing.T) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, 12)
 	for i := 0; i < 12; i++ {
-		s, err := p.Session()
+		s, err := p.Session(0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,14 +1,26 @@
 package rpc
 
-// This file is the wire half of the shard-router layer: a ShardedPool
-// holds one MuxPool per database shard — each shard an INDEPENDENT
-// pyxis-dbserver process owning a disjoint slice of the data — and
-// exposes the same Session/TaggedSession surface keyed by shard index.
-// Nothing is shared between shards: not the connections, not the
-// session-ID space, not the load reports. The pool deliberately has no
-// opinion about which shard a key lives on — key→shard mapping is the
-// runtime's ShardMap; this layer only owns "given a shard, give me a
-// session on one of its connections".
+// This file is the client's connection pool: a ShardedPool holds
+// connsPerShard mux connections to each database shard — each shard an
+// INDEPENDENT pyxis-dbserver process owning a disjoint slice of the
+// data — and opens sessions keyed by shard index. Nothing is shared
+// between shards: not the connections, not the load reports. The pool
+// deliberately has no opinion about which shard a key lives on —
+// key→shard mapping is the runtime's ShardMap; this layer only owns
+// "given a shard, give me a session on one of its connections".
+//
+// One multiplexed TCP connection is a single head-of-line: every frame
+// of every session funnels through one read loop and one write mutex
+// on each end, so past a handful of concurrent sessions the wire — not
+// the engine — caps throughput. The pool therefore places each NEW
+// session on the shard's least-loaded connection (by in-flight calls
+// plus the connection's last server-reported queue depth) and pins it
+// there for life, which preserves every per-session invariant of the
+// single-connection protocol: per-session ordering (one worker per
+// session server-side), session-scoped state, and the tag-byte routing
+// of dual deployments. Session IDs come from the chosen connection's
+// own counter: every server serves each connection with its own
+// session handlers, so an ID only has to be unique on its connection.
 //
 // Load reports stay per-shard too: every report is delivered to the
 // sink WITH the shard index it arrived from, so a consumer keeps one
@@ -17,52 +29,73 @@ package rpc
 // idle siblings along).
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync/atomic"
 )
 
-// ShardedPool is a fixed set of per-shard connection pools. It is safe
+// ErrPoolPoisoned reports that every connection to a shard has failed:
+// there is nowhere left to place a session. Callers should treat it
+// like a connection loss (rebuild the pool), not retry the session
+// open; errors.Is matches it through wrapping.
+var ErrPoolPoisoned = errors.New("rpc: all pooled connections poisoned")
+
+// ShardedPool is a fixed set of mux connections per shard. It is safe
 // for concurrent use. Sessions are opened on an explicit shard (the
-// caller routes keys to shards via runtime.ShardMap) and inherit every
-// MuxPool guarantee — least-loaded placement, pinned-for-life
-// sessions, pool-unique IDs — within that shard.
+// caller routes keys to shards via runtime.ShardMap) and stay pinned
+// to the connection they were placed on; if a connection dies, only
+// its pinned sessions fail and new sessions are placed on the shard's
+// survivors.
 type ShardedPool struct {
-	pools []*MuxPool
+	conns [][]*MuxClient // [shard][conn]
+	// depth[shard][i] is connection i's most recent server-reported
+	// session queue depth — the far end of the placement signal (the
+	// near end is MuxClient.Outstanding).
+	depth [][]atomic.Uint32
+	rr    []atomic.Uint32 // per shard: rotates placement tie-breaks across conns
 
 	onLoad atomic.Pointer[func(int, LoadReport)]
 }
 
-// NewShardedPool builds a pool set of shards pools with connsPerShard
-// connections each, dialing connection conn of shard shard with
-// dial(shard, conn). On any dial error the shards already opened are
-// closed.
+// NewShardedPool builds a pool of connsPerShard connections to each of
+// shards shards, dialing connection conn of shard shard with
+// dial(shard, conn) (so tests can hand every slot a distinct peer). On
+// any dial error the connections already opened are closed.
 func NewShardedPool(shards, connsPerShard int, dial func(shard, conn int) (io.ReadWriteCloser, error)) (*ShardedPool, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("rpc: sharded pool needs at least 1 shard, got %d", shards)
 	}
-	s := &ShardedPool{pools: make([]*MuxPool, shards)}
-	for i := range s.pools {
-		shard := i
-		p, err := NewMuxPool(connsPerShard, func(conn int) (io.ReadWriteCloser, error) {
-			return dial(shard, conn)
-		})
-		if err != nil {
-			for _, opened := range s.pools[:i] {
-				opened.Close()
+	if connsPerShard < 1 {
+		return nil, fmt.Errorf("rpc: sharded pool needs at least 1 connection per shard, got %d", connsPerShard)
+	}
+	s := &ShardedPool{
+		conns: make([][]*MuxClient, shards),
+		depth: make([][]atomic.Uint32, shards),
+		rr:    make([]atomic.Uint32, shards),
+	}
+	for shard := range s.conns {
+		s.conns[shard] = make([]*MuxClient, 0, connsPerShard)
+		s.depth[shard] = make([]atomic.Uint32, connsPerShard)
+		for i := range connsPerShard {
+			conn, err := dial(shard, i)
+			if err != nil {
+				s.Close()
+				return nil, fmt.Errorf("rpc: shard %d: dial conn %d: %w", shard, i, err)
 			}
-			return nil, fmt.Errorf("rpc: shard %d: %w", i, err)
+			c := NewMuxClient(conn)
+			// Every connection's sink records its queue depth for
+			// placement and stamps the shard index onto the report, so
+			// the consumer's per-shard EWMAs never mix servers.
+			c.SetOnLoad(func(rep LoadReport) {
+				s.depth[shard][i].Store(rep.QueueDepth)
+				if fn := s.onLoad.Load(); fn != nil {
+					(*fn)(shard, rep)
+				}
+			})
+			s.conns[shard] = append(s.conns[shard], c)
 		}
-		// The per-shard pool's sink belongs to the ShardedPool: it
-		// stamps the shard index onto every report before fan-out, so
-		// the consumer's per-shard EWMAs never mix servers.
-		p.SetOnLoad(func(rep LoadReport) {
-			if fn := s.onLoad.Load(); fn != nil {
-				(*fn)(shard, rep)
-			}
-		})
-		s.pools[i] = p
 	}
 	return s, nil
 }
@@ -76,37 +109,79 @@ func DialShardedPool(addrs []string, connsPerShard int) (*ShardedPool, error) {
 }
 
 // NumShards returns the number of shards.
-func (s *ShardedPool) NumShards() int { return len(s.pools) }
+func (s *ShardedPool) NumShards() int { return len(s.conns) }
 
-// Pool returns shard's connection pool (for inspection; sessions
-// should be opened through Session/TaggedSession).
-func (s *ShardedPool) Pool(shard int) *MuxPool { return s.pools[shard] }
+// ConnsPerShard returns the number of connections to each shard.
+func (s *ShardedPool) ConnsPerShard() int { return len(s.conns[0]) }
+
+// Conn returns shard's i-th connection (for inspection; sessions
+// should be opened through Session/TaggedSession so placement
+// applies).
+func (s *ShardedPool) Conn(shard, i int) *MuxClient { return s.conns[shard][i] }
+
+// place picks shard's least-loaded healthy connection. Load is the
+// connection's in-flight calls plus its last reported session queue
+// depth; ties resolve round-robin so an idle shard still stripes
+// sessions instead of piling them on connection 0. Dead connections
+// are skipped with one atomic load each (no per-scan mutex); with
+// every connection poisoned it returns -1 and the caller surfaces the
+// typed ErrPoolPoisoned instead of silently pinning new sessions to a
+// dead connection.
+func (s *ShardedPool) place(shard int) int {
+	conns := s.conns[shard]
+	n := len(conns)
+	// Reduce in uint32 before converting: a wrapped counter cast
+	// through int would go negative on 32-bit platforms.
+	start := int(s.rr[shard].Add(1) % uint32(n))
+	best, bestScore := -1, int64(0)
+	for k := 0; k < n; k++ {
+		i := (start + k) % n
+		c := conns[i]
+		if c.poisoned.Load() {
+			continue
+		}
+		score := c.Outstanding()
+		if score > 0 {
+			// The reported depth counts only while calls are in flight:
+			// with zero outstanding, nothing of ours can be queued
+			// server-side, so the last report is a stale snapshot of a
+			// finished burst and must not keep penalizing an idle
+			// connection (it would only refresh on traffic the stale
+			// score itself steers away).
+			score += int64(s.depth[shard][i].Load())
+		}
+		if best < 0 || score < bestScore {
+			best, bestScore = i, score
+		}
+	}
+	return best
+}
 
 // Session opens a new logical session on shard's least-loaded
 // connection. The session is pinned to that shard (and connection)
 // for its lifetime.
 func (s *ShardedPool) Session(shard int) (*MuxSession, error) { return s.TaggedSession(shard, 0) }
 
-// TaggedSession opens a session carrying tag in its ID's top byte on
-// shard's least-loaded connection. A dead shard (every pooled
-// connection poisoned) fails with ErrPoolPoisoned — its sibling
-// shards keep serving.
+// TaggedSession opens a session carrying tag in its ID's top byte (see
+// MuxClient.TaggedSession) on shard's least-loaded connection. A dead
+// shard (every connection poisoned) fails with ErrPoolPoisoned — its
+// sibling shards keep serving.
 func (s *ShardedPool) TaggedSession(shard int, tag uint8) (*MuxSession, error) {
-	if shard < 0 || shard >= len(s.pools) {
-		return nil, fmt.Errorf("rpc: shard %d out of range [0, %d)", shard, len(s.pools))
+	if shard < 0 || shard >= len(s.conns) {
+		return nil, fmt.Errorf("rpc: shard %d out of range [0, %d)", shard, len(s.conns))
 	}
-	sess, err := s.pools[shard].TaggedSession(tag)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: shard %d: %w", shard, err)
+	i := s.place(shard)
+	if i < 0 {
+		return nil, fmt.Errorf("rpc: shard %d: none of its %d connections is live: %w",
+			shard, len(s.conns[shard]), ErrPoolPoisoned)
 	}
-	return sess, nil
+	return s.conns[shard][i].TaggedSession(tag), nil
 }
 
 // SetOnLoad registers fn to receive every load report piggy-backed on
 // any connection of any shard, stamped with the shard index it
 // arrived from. Safe to call concurrently with traffic; nil
-// unregisters. (It replaces the per-shard pools' sinks, which the
-// ShardedPool owns.)
+// unregisters.
 func (s *ShardedPool) SetOnLoad(fn func(shard int, rep LoadReport)) {
 	if fn == nil {
 		s.onLoad.Store(nil)
@@ -119,31 +194,37 @@ func (s *ShardedPool) SetOnLoad(fn func(shard int, rep LoadReport)) {
 // across every shard's connections.
 func (s *ShardedPool) LoadReports() int64 {
 	var n int64
-	for _, p := range s.pools {
-		n += p.LoadReports()
+	for _, conns := range s.conns {
+		for _, c := range conns {
+			n += c.LoadReports()
+		}
 	}
 	return n
 }
 
-// Stats returns aggregate traffic counters across every shard.
+// Stats returns aggregate traffic counters across every connection.
 func (s *ShardedPool) Stats() Stats {
 	var st Stats
-	for _, p := range s.pools {
-		ps := p.Stats()
-		st.Calls += ps.Calls
-		st.BytesSent += ps.BytesSent
-		st.BytesRecv += ps.BytesRecv
+	for _, conns := range s.conns {
+		for _, c := range conns {
+			cs := c.Stats()
+			st.Calls += cs.Calls
+			st.BytesSent += cs.BytesSent
+			st.BytesRecv += cs.BytesRecv
+		}
 	}
 	return st
 }
 
-// Close tears down every shard's pool; all sessions fail afterwards.
-// The first error wins.
+// Close tears down every connection; all sessions fail afterwards. The
+// first error wins.
 func (s *ShardedPool) Close() error {
 	var err error
-	for _, p := range s.pools {
-		if cerr := p.Close(); err == nil {
-			err = cerr
+	for _, conns := range s.conns {
+		for _, c := range conns {
+			if cerr := c.Close(); err == nil {
+				err = cerr
+			}
 		}
 	}
 	return err

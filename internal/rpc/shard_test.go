@@ -133,8 +133,8 @@ func TestShardedPoolDeadShardFailsAlone(t *testing.T) {
 		srv.Close()
 	}
 	deadline := time.After(5 * time.Second)
-	for i := 0; i < p.Pool(0).Size(); i++ {
-		for p.Pool(0).Conn(i).Err() == nil {
+	for i := 0; i < p.ConnsPerShard(); i++ {
+		for p.Conn(0, i).Err() == nil {
 			select {
 			case <-deadline:
 				t.Fatalf("shard 0 conn %d never poisoned", i)

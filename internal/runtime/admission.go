@@ -52,13 +52,13 @@ type AdmissionConfig struct {
 	// releases (default 60). Values >= HighLoad are clamped under it —
 	// an inverted band would flap exactly like no band at all.
 	LowLoad float64
-	// ShedQueue is the per-session queue depth tolerated WHILE
-	// shedding (default rpc.SessionQueueDepth / 4): admitted sessions
-	// keep making one-call-at-a-time progress, but a session trying to
-	// pipeline into a saturated server is shed early instead of being
-	// allowed to fill its structural queue.
-	ShedQueue int
 }
+
+// shedQueue is the per-session queue depth tolerated WHILE shedding:
+// admitted sessions keep making one-call-at-a-time progress, but a
+// session trying to pipeline into a saturated server is shed early
+// instead of being allowed to fill its structural queue.
+const shedQueue = rpc.SessionQueueDepth / 4
 
 // NewAdmissionController builds a controller over mon's saturation
 // signal. mon may be nil, leaving only the MaxSessions gate active
@@ -72,9 +72,6 @@ func NewAdmissionController(mon *LoadMonitor, cfg AdmissionConfig) *AdmissionCon
 	}
 	if cfg.LowLoad >= cfg.HighLoad {
 		cfg.LowLoad = cfg.HighLoad - 1
-	}
-	if cfg.ShedQueue <= 0 {
-		cfg.ShedQueue = rpc.SessionQueueDepth / 4
 	}
 	return &AdmissionController{cfg: cfg, mon: mon}
 }
@@ -127,14 +124,14 @@ func (a *AdmissionController) AdmitSession(sid uint32) error {
 }
 
 // AdmitCall implements rpc.AdmissionPolicy: while shedding, calls
-// arriving at a session whose queue already holds ShedQueue requests
+// arriving at a session whose queue already holds shedQueue requests
 // are refused — the tightened bound keeps admitted sessions moving
 // while preventing queue growth toward the structural limit.
 func (a *AdmissionController) AdmitCall(sid uint32, queueLen int) error {
 	a.refresh(queueLen)
-	if a.shedding.Load() && queueLen >= a.cfg.ShedQueue {
+	if a.shedding.Load() && queueLen >= shedQueue {
 		a.shedCalls.Add(1)
-		return fmt.Errorf("admission: server saturated, session %d queue at %d (shed bound %d)", sid, queueLen, a.cfg.ShedQueue)
+		return fmt.Errorf("admission: server saturated, session %d queue at %d (shed bound %d)", sid, queueLen, shedQueue)
 	}
 	return nil
 }

@@ -127,7 +127,7 @@ func TestPoolReportsFoldIntoSharedEWMA(t *testing.T) {
 	// Connections 0 and 1 report fixed, very different loads;
 	// connection 2's server has no LoadSource configured.
 	loads := []float64{10, 90}
-	pool, err := rpc.NewMuxPool(3, func(i int) (io.ReadWriteCloser, error) {
+	pool, err := rpc.NewShardedPool(1, 3, func(_, i int) (io.ReadWriteCloser, error) {
 		srv, cli := net.Pipe()
 		cfg := rpc.MuxServeConfig{}
 		if i < len(loads) {
@@ -145,22 +145,24 @@ func TestPoolReportsFoldIntoSharedEWMA(t *testing.T) {
 	defer pool.Close()
 
 	sw := NewSwitcher()
-	pool.SetOnLoad(sw.ObserveReport)
+	pool.SetOnLoad(func(_ int, rep rpc.LoadReport) { sw.ObserveReport(rep) })
 
-	// Find one session per connection (round-robin tie-breaking spreads
-	// an idle pool over all three).
-	byConn := map[uint8]*rpc.MuxSession{}
-	for len(byConn) < 3 {
-		s, err := pool.TaggedSession(0)
+	// One session per connection (round-robin tie-breaking spreads an
+	// idle pool over all three).
+	byConn := map[int]*rpc.MuxSession{}
+	for k := 0; k < 3; k++ {
+		s, err := pool.Session(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := byConn[rpc.SessionConn(s.ID())]; !ok {
-			byConn[rpc.SessionConn(s.ID())] = s
+		for i := 0; i < pool.ConnsPerShard(); i++ {
+			if pool.Conn(0, i) == s.Conn() {
+				byConn[i] = s
+			}
 		}
-		if len(byConn) > 3 {
-			t.Fatal("more connections than the pool holds")
-		}
+	}
+	if len(byConn) != 3 {
+		t.Fatalf("3 sessions on an idle pool covered %d of its 3 connections", len(byConn))
 	}
 
 	// Traffic on the low-load connection alone drags the EWMA to 10...

@@ -29,7 +29,7 @@ import (
 // server is as saturated as its most saturated resource), and any
 // external load — background processes in the paper's Fig. 11 spike,
 // or a bench-forced ramp — adds on top, clamped to 100. A Source()
-// plugs directly into rpc.MuxServer.SetLoadSource; Sample is called
+// plugs directly into rpc.MuxServeConfig.Load; Sample is called
 // from every session worker concurrently and is safe for concurrent
 // use.
 type LoadMonitor struct {

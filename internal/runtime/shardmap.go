@@ -257,15 +257,6 @@ func (c *ShardedClient) OpenSession(pool *rpc.ShardedPool, key int64) (*rpc.MuxS
 	return sess, shard, err
 }
 
-// OpenTaggedSession is OpenSession with a session tag (e.g.
-// TagLowBudget for the low-budget deployment pair of dynamic
-// switching).
-func (c *ShardedClient) OpenTaggedSession(pool *rpc.ShardedPool, key int64, tag uint8) (*rpc.MuxSession, int, error) {
-	shard := c.HomeShard(key)
-	sess, err := pool.TaggedSession(shard, tag)
-	return sess, shard, err
-}
-
 // VerifyHome checks that shard still owns key under the current map;
 // a request that raced a completed migration gets the typed
 // ErrWrongShard redirect so its driver re-homes instead of failing.

@@ -177,10 +177,10 @@ func TestShardMapBoundaries(t *testing.T) {
 		wantRange     int // expected in range mode
 		wantRangeMode string
 	}{
-		{0, hash(0), "hash"},           // below the range: fallback
-		{1, 0, "range"},                // first warehouse: range answer
-		{W, N - 1, "range"},            // last warehouse: range answer
-		{W + 1, hash(W + 1), "hash"},   // above the range: fallback
+		{0, hash(0), "hash"},         // below the range: fallback
+		{1, 0, "range"},              // first warehouse: range answer
+		{W, N - 1, "range"},          // last warehouse: range answer
+		{W + 1, hash(W + 1), "hash"}, // above the range: fallback
 	}
 	for _, c := range cases {
 		if got := rangeMode.Shard(c.key); got != c.wantRange {
