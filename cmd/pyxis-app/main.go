@@ -50,9 +50,7 @@ import (
 
 	"pyxis"
 	"pyxis/internal/bench"
-	"pyxis/internal/dbapi"
-	"pyxis/internal/pdg"
-	"pyxis/internal/rpc"
+	"pyxis/internal/deploy"
 	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
@@ -122,51 +120,29 @@ func main() {
 	}
 
 	// One shard per -db/-ctl address pair (a single address is the
-	// classic unsharded tier). Within each shard, a pool of -pool
-	// multiplexed connections; every client session is a (db session,
-	// ctl session) pair on its home shard, each pinned to whichever
-	// pooled connection was least loaded when it was opened.
+	// classic unsharded tier), a pool of -pool multiplexed connections to
+	// each. No schema-aware partition key at this layer: each client
+	// session hashes its index to a home shard and opens everything
+	// there, each session pinned to whichever pooled connection was least
+	// loaded when it was opened. With -dynamic, every reply from a shard
+	// carries its load sample, and that shard's switcher folds them into
+	// the EWMA each of its sessions consults before its next call —
+	// shard i's saturation never routes shard j's sessions.
 	dbAddrs := splitAddrs(*dbAddr)
-	ctlAddrs := splitAddrs(*ctlAddr)
-	if len(dbAddrs) != len(ctlAddrs) {
-		fatal(fmt.Errorf("-db lists %d shards but -ctl lists %d (must match pairwise)", len(dbAddrs), len(ctlAddrs)))
-	}
 	shards := len(dbAddrs)
-	dbMux, err := rpc.DialShardedPool(dbAddrs, *poolN)
-	if err != nil {
-		fatal(fmt.Errorf("dial db: %w", err))
+	router := runtime.NewShardedClient(runtime.ShardMap{Shards: shards})
+	for i := 0; i < shards; i++ {
+		sw := router.Switcher(i)
+		sw.Threshold = *threshold
+		sw.Hysteresis = *hysteresis
 	}
-	defer dbMux.Close()
-	ctlMux, err := rpc.DialShardedPool(ctlAddrs, *poolN)
+	app, err := deploy.Dial(router, dbAddrs, splitAddrs(*ctlAddr), *poolN, part, lowPart, os.Stdout)
 	if err != nil {
-		fatal(fmt.Errorf("dial ctl: %w", err))
+		fatal(err)
 	}
-	defer ctlMux.Close()
-	// No schema-aware partition key at this layer: each client session
-	// hashes its index to a home shard and opens everything there.
-	sc := runtime.NewShardedClient(runtime.ShardMap{Shards: shards})
-
-	appPeer := runtime.NewPeer(part.Compiled, pdg.App, os.Stdout)
+	defer app.Close()
 	ctorVals := parseArgs(*ctorArgs)
 	callVals := parseArgs(*callArgs)
-
-	// With -dynamic, every reply from a shard's DB server carries its
-	// load sample; that shard's switcher folds them into the EWMA each
-	// of its sessions consults before its next call. EWMAs are
-	// per-shard — shard i's saturation never routes shard j's sessions.
-	var appPeerLow *runtime.Peer
-	var dyns []*runtime.DynamicClient
-	if *dynamic {
-		for i := 0; i < shards; i++ {
-			sw := sc.Switcher(i)
-			sw.Threshold = *threshold
-			sw.Hysteresis = *hysteresis
-		}
-		ctlMux.SetOnLoad(sc.Observe)
-		dbMux.SetOnLoad(sc.Observe)
-		appPeerLow = runtime.NewPeer(lowPart.Compiled, pdg.App, os.Stdout)
-		dyns = make([]*runtime.DynamicClient, *clients)
-	}
 
 	type result struct {
 		ret   val.Value
@@ -175,53 +151,32 @@ func main() {
 		err   error
 	}
 	results := make([]result, *clients)
+	dyns := make([]*runtime.DynamicClient, *clients)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < *clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Home shard picked at session open under the CURRENT map
-			// epoch; both wires (and the dynamic pair below) stay pinned
-			// to it. If a rebalance publishes a newer map between the
-			// pick and the open (epoch bump), the pin is re-validated
-			// and re-homed before any call is issued.
-			var dbT *rpc.MuxSession
-			var shard int
-			for {
-				epoch := sc.MapEpoch()
-				var err error
-				dbT, shard, err = sc.OpenSession(dbMux, int64(i))
-				if err != nil {
-					results[i].err = err
-					return
-				}
-				if sc.MapEpoch() == epoch && sc.VerifyHome(shard, int64(i)) == nil {
-					break
-				}
-				_ = dbT.Close()
-			}
-			ctlT, err := ctlMux.Session(shard)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			sess := appPeer.NewSession(dbapi.NewClient(dbT))
-			client := runtime.NewClient(sess, ctlT)
-
-			// newObject opens a session's receiver, absorbing admission
-			// sheds from a gated server with jittered backoff (an
-			// ErrOverloaded open left no server state behind; the retry
-			// simply re-attempts admission).
-			newObject := func(cl *runtime.Client) (val.OID, error) {
-				var oid val.OID
+			shard := router.HomeShard(int64(i))
+			// open opens a session of the high (or low) program, absorbing
+			// admission sheds from a gated server with jittered backoff (a
+			// refused session left no server state behind; the retry simply
+			// re-attempts admission).
+			open := func(low bool) (*deploy.Client, error) {
+				var c *deploy.Client
 				sheds, err := runtime.RetryOverloaded(0, func() error {
 					var oerr error
-					oid, oerr = cl.NewObject(*newClass, ctorVals...)
+					c, oerr = app.Open(shard, low, *newClass, ctorVals...)
 					return oerr
 				})
 				results[i].sheds += sheds
-				return oid, err
+				return c, err
+			}
+			client, err := open(false)
+			if err != nil {
+				results[i].err = err
+				return
 			}
 
 			// callOnce invokes the entry on the static client (with its
@@ -230,50 +185,29 @@ func main() {
 			// backs off on overload sheds internally).
 			var callOnce func() (val.Value, error)
 			if *dynamic {
-				lowDbT, err := dbMux.Session(shard)
+				low, err := open(true)
 				if err != nil {
+					client.Close()
 					results[i].err = err
 					return
 				}
-				lowCtlT, err := ctlMux.TaggedSession(shard, runtime.TagLowBudget)
-				if err != nil {
-					results[i].err = err
-					return
-				}
-				lowSess := appPeerLow.NewSession(dbapi.NewClient(lowDbT))
-				lowClient := runtime.NewClient(lowSess, lowCtlT)
-				dyn := &runtime.DynamicClient{High: client, Low: lowClient, Switcher: sc.Switcher(shard)}
+				dyn := &runtime.DynamicClient{High: client.Client, Low: low.Client, Switcher: router.Switcher(shard)}
 				dyns[i] = dyn
 				defer dyn.Close()
-				oidHigh, err := newObject(client)
-				if err != nil {
-					results[i].err = err
-					return
-				}
-				oidLow, err := newObject(lowClient)
-				if err != nil {
-					results[i].err = err
-					return
-				}
 				callOnce = func() (val.Value, error) {
 					// Entry-call sheds are tallied by the DynamicClient
 					// itself; results[i].sheds keeps only the open-time
 					// admission sheds.
-					r, err := dyn.CallEntry(*call, oidHigh, oidLow, callVals...)
+					r, err := dyn.CallEntry(*call, client.OID, low.OID, callVals...)
 					return r.Val, err
 				}
 			} else {
 				defer client.Close()
-				oid, err := newObject(client)
-				if err != nil {
-					results[i].err = err
-					return
-				}
 				callOnce = func() (val.Value, error) {
 					var ret val.Value
 					sheds, err := runtime.RetryOverloaded(0, func() error {
 						var cerr error
-						ret, cerr = client.CallEntry(*call, oid, callVals...)
+						ret, cerr = client.CallEntry(*call, client.OID, callVals...)
 						return cerr
 					})
 					results[i].sheds += sheds
@@ -316,8 +250,8 @@ func main() {
 		fmt.Printf("pyxis-app: latency mean=%.3fms p95=%.3fms max=%.3fms\n",
 			st.MeanMs, st.P95Ms, st.MaxMs)
 	}
-	ctl := ctlMux.Stats()
-	db := dbMux.Stats()
+	ctl := app.Ctl.Stats()
+	db := app.DB.Stats()
 	fmt.Printf("pyxis-app: control transfers=%d (%d B), app-side db round trips=%d (%d B) shards=%d pool=%d conns/shard\n",
 		ctl.Calls, ctl.BytesSent+ctl.BytesRecv, db.Calls, db.BytesSent+db.BytesRecv, shards, *poolN)
 	var openSheds int64
@@ -339,11 +273,11 @@ func main() {
 		}
 		ewmas := make([]string, shards)
 		for i := 0; i < shards; i++ {
-			ewmas[i] = fmt.Sprintf("%.1f%%", sc.Load(i))
+			ewmas[i] = fmt.Sprintf("%.1f%%", router.Load(i))
 		}
 		fmt.Printf("pyxis-app: dynamic mix low=%d high=%d (%.0f%% low) sheds=%d (+%d at open) ewma/shard=[%s] load-reports=%d\n",
 			low, high, share, sheds, openSheds, strings.Join(ewmas, " "),
-			ctlMux.LoadReports()+dbMux.LoadReports())
+			app.Ctl.LoadReports()+app.DB.LoadReports())
 	} else if openSheds > 0 {
 		fmt.Printf("pyxis-app: %d overload sheds absorbed with jittered backoff\n", openSheds)
 	}

@@ -61,9 +61,7 @@ import (
 	"os/signal"
 
 	"pyxis"
-	"pyxis/internal/dbapi"
-	"pyxis/internal/pdg"
-	"pyxis/internal/rpc"
+	"pyxis/internal/deploy"
 	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
 )
@@ -107,21 +105,18 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	db := sqldb.Open()
+	// The served database and the profiling database start from the same
+	// schema script.
+	db, profDB := sqldb.Open(), sqldb.Open()
 	if *schema != "" {
 		ddl, err := os.ReadFile(*schema)
 		if err != nil {
 			fatal(err)
 		}
-		if err := pyxis.ExecScript(db, string(ddl)); err != nil {
-			fatal(err)
-		}
-	}
-	profDB := sqldb.Open()
-	if *schema != "" {
-		ddl, _ := os.ReadFile(*schema)
-		if err := pyxis.ExecScript(profDB, string(ddl)); err != nil {
-			fatal(err)
+		for _, d := range []*sqldb.DB{db, profDB} {
+			if err := pyxis.ExecScript(d, string(ddl)); err != nil {
+				fatal(err)
+			}
 		}
 	}
 	if err := sys.ProfileSynthetic(profDB); err != nil {
@@ -132,36 +127,27 @@ func main() {
 		fatal(err)
 	}
 
-	// One shared DB-side runtime peer hosts every control-transfer
-	// session; the SessionManager gives each session its own heap,
-	// stack and database connection. With -dynamic a second peer
-	// serves the low-budget partition behind the same manager —
-	// sessions tagged rpc.SessionTag = runtime.TagLowBudget route to
-	// it — and a load monitor piggy-backs the server's saturation
-	// signal (CPU proxy, per-session queue depth, lock-wait rate) on
-	// every reply of both ports for the app side's switcher EWMA.
-	// Everything is assembled before either listener starts, so the
-	// very first connection accepted already carries reports.
-	dbPeer := runtime.NewPeer(part.Compiled, pdg.DB, os.Stdout)
-	newConn := func() dbapi.Conn { return dbapi.NewLocal(db) }
-	newMgr := func() rpc.SessionHandlers { return runtime.NewSessionManager(dbPeer, newConn) }
+	// One shard: the database and the DB-side runtime behind both ports.
+	// With -dynamic the low-budget partition is served behind the same
+	// connections (sessions tagged runtime.TagLowBudget route to it) and
+	// a load monitor piggy-backs the server's saturation signal (CPU
+	// proxy, per-session queue depth, lock-wait rate) on every reply of
+	// both ports for the app side's switcher EWMA. The 2PC participant
+	// has no resolver: an in-doubt branch is presumed aborted at its
+	// deadline.
+	shard := &deploy.Shard{DB: db, High: part, Out: os.Stdout}
 	mon := runtime.NewLoadMonitor(db)
-	var muxCfg rpc.MuxServeConfig
 	dynDesc := ""
 	if *dynamic {
-		lowPart, err := sys.PartitionAt(*lowBudget)
-		if err != nil {
+		if shard.Low, err = sys.PartitionAt(*lowBudget); err != nil {
 			fatal(err)
 		}
-		lowPeer := runtime.NewPeer(lowPart.Compiled, pdg.DB, os.Stdout)
-		newMgr = func() rpc.SessionHandlers { return runtime.NewDualSessionManager(dbPeer, lowPeer, newConn) }
-		muxCfg.Load = mon.Source()
-		dynDesc = fmt.Sprintf(" low-partition={%s}", lowPart.Describe())
+		shard.Mux.Load = mon.Source()
+		dynDesc = fmt.Sprintf(" low-partition={%s}", shard.Low.Describe())
 	}
 
-	// Admission control: one controller for the control port (see the
-	// listener wiring below for why only that port), with the session
-	// cap and the hysteretic load gate server-wide across its
+	// Admission control: one controller for the control port, with the
+	// session cap and the hysteretic load gate server-wide across its
 	// connections. The load gate reads the same monitor the -dynamic
 	// reports ride.
 	admDesc := ""
@@ -179,8 +165,7 @@ func main() {
 			}
 			gateMon = mon
 		}
-		adm := runtime.NewAdmissionController(gateMon, admCfg)
-		muxCfg.Admission = adm
+		shard.Mux.Admission = runtime.NewAdmissionController(gateMon, admCfg)
 		admDesc = fmt.Sprintf(" admission={max-sessions=%d admit-high=%.0f admit-low=%.0f}",
 			*maxSessions, admCfg.HighLoad, admCfg.LowLoad)
 		if *admitHigh <= 0 {
@@ -188,46 +173,18 @@ func main() {
 		}
 	}
 
-	// Both ports speak the multiplexed protocol: one TCP connection
-	// from an app server carries any number of concurrent sessions.
-	// Session IDs are connection-scoped, so each accepted connection
-	// gets its own handler registry.
-	//
-	// Admission gates ONLY the control port: a logical client is
-	// admitted (or refused) at its session boundary, before any work
-	// starts. The database port serves statements of already-admitted
-	// transactions — shedding there would abort work the server chose
-	// to accept, and a client needing one slot on each port could
-	// otherwise starve against a shared cap.
-	//
-	// The database port also plays 2PC participant for cross-shard
-	// transactions. The participant is ONE per server, shared by every
-	// accepted connection: a coordinator's commit/abort frame may
-	// arrive on a different connection than the prepare (app-side
-	// pools stripe sessions across connections), and a prepared
-	// transaction must be resolvable from any of them.
-	part2pc := dbapi.NewParticipant(0, nil)
-	dbMuxCfg := muxCfg
-	dbMuxCfg.Admission = nil
-	dbSrv, err := rpc.NewMuxServerConfig(*dbAddr, func() rpc.SessionHandlers {
-		return dbapi.MuxHandlersTxn(db, part2pc)
-	}, dbMuxCfg)
+	srv, err := deploy.Listen(shard, *dbAddr, *ctlAddr)
 	if err != nil {
 		fatal(err)
 	}
-	defer dbSrv.Close()
-	ctlSrv, err := rpc.NewMuxServerConfig(*ctlAddr, newMgr, muxCfg)
-	if err != nil {
-		fatal(err)
-	}
-	defer ctlSrv.Close()
+	defer srv.Close()
 
 	// The db wire always speaks the migration control plane (the
 	// handlers are the same dbapi mux set the migrator fences through);
 	// say so at startup so an operator wiring up a rebalance knows this
 	// build can be a migration source or destination.
 	fmt.Printf("pyxis-dbserver: db=%s ctl=%s%s dynamic=%v migration=fence/adopt/release partition={%s}%s%s\n",
-		dbSrv.Addr(), ctlSrv.Addr(), shardDesc, *dynamic, part.Describe(), dynDesc, admDesc)
+		srv.DB.Addr(), srv.Ctl.Addr(), shardDesc, *dynamic, part.Describe(), dynDesc, admDesc)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig

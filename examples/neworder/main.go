@@ -13,9 +13,7 @@ import (
 	"log"
 
 	"pyxis/internal/bench"
-	"pyxis/internal/dbapi"
-	"pyxis/internal/pdg"
-	"pyxis/internal/rpc"
+	"pyxis/internal/deploy"
 	"pyxis/internal/runtime"
 	"pyxis/internal/val"
 )
@@ -31,49 +29,32 @@ func main() {
 	fmt.Println("partition:", part.Describe())
 
 	// --- "Database server": database + DB-side runtime over TCP ----------
-	db := cfg.Load()
 	// The wiring cmd/pyxis-dbserver uses: both ports speak the mux
 	// protocol, and every session a connection opens gets its own
 	// database session or runtime session.
-	dbSrv, err := rpc.NewMuxServer("127.0.0.1:0", func() rpc.SessionHandlers { return dbapi.MuxHandlers(db) })
+	srv, err := deploy.Listen(&deploy.Shard{DB: cfg.Load(), High: part}, "127.0.0.1:0", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer dbSrv.Close()
-	dbPeer := runtime.NewPeer(part.Compiled, pdg.DB, nil)
-	ctlSrv, err := rpc.NewMuxServer("127.0.0.1:0", func() rpc.SessionHandlers {
-		return runtime.NewSessionManager(dbPeer, func() dbapi.Conn { return dbapi.NewLocal(db) })
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ctlSrv.Close()
-	fmt.Printf("database server: db=%s ctl=%s\n", dbSrv.Addr(), ctlSrv.Addr())
+	defer srv.Close()
+	fmt.Printf("database server: db=%s ctl=%s\n", srv.DB.Addr(), srv.Ctl.Addr())
 
 	// --- "Application server": connect and run transactions --------------
-	dbWire, err := rpc.DialMux(dbSrv.Addr())
+	// The wiring cmd/pyxis-app uses: one client is a session on each wire.
+	app, err := deploy.Dial(runtime.NewShardedClient(runtime.ShardMap{}),
+		[]string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, part, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer dbWire.Close()
-	ctlWire, err := rpc.DialMux(ctlSrv.Addr())
+	defer app.Close()
+	client, err := app.Open(0, false, "TPCC")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ctlWire.Close()
-
-	// One client is a mux with one session on each wire.
-	appPeer := runtime.NewPeer(part.Compiled, pdg.App, nil)
-	appSess := appPeer.NewSession(dbapi.NewClient(dbWire.Session()))
-	client := runtime.NewClient(appSess, ctlWire.Session())
 	defer client.Close()
 
-	oid, err := client.NewObject("TPCC")
-	if err != nil {
-		log.Fatal(err)
-	}
 	for k := int64(0); k < 5; k++ {
-		total, err := client.CallEntry("TPCC.newOrder", oid,
+		total, err := client.CallEntry("TPCC.newOrder", client.OID,
 			val.IntV(1), val.IntV(k%10+1), val.IntV(k%30+1),
 			val.IntV(5), val.IntV(k*37+11), val.IntV(1000), val.BoolV(false))
 		if err != nil {
@@ -82,8 +63,8 @@ func main() {
 		fmt.Printf("new order #%d: total = %s\n", k+1, total)
 	}
 
-	ctl := ctlWire.Stats()
-	dbs := dbWire.Stats()
+	ctl := app.Ctl.Stats()
+	dbs := app.DB.Stats()
 	fmt.Printf("\nwire traffic: control transfers=%d (%d bytes), app-side db calls=%d\n",
 		ctl.Calls, ctl.BytesSent+ctl.BytesRecv, dbs.Calls)
 	fmt.Println("(with the high budget, every database operation ran colocated: the app side made", dbs.Calls, "db round trips)")

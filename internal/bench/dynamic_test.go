@@ -79,9 +79,9 @@ func TestParallelDynamicSwitchingRamp(t *testing.T) {
 	}
 }
 
-// TestParallelDynamicTCP smokes the same stack over real loopback TCP
-// mux servers (the cmd/pyxis-dbserver + pyxis-app wiring) with a
-// shorter ramp.
+// TestParallelDynamicTCP smokes the same loopback TCP stack with a
+// shorter ramp: even a few calls per phase must carry load reports
+// and route the spike low-budget.
 func TestParallelDynamicTCP(t *testing.T) {
 	cfg := DefaultTPCC()
 	high, err := cfg.PyxisPartition(1.0)
@@ -92,7 +92,7 @@ func TestParallelDynamicTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, dbs, err := WallDynamic(high, low, cfg, WallCfg{Clients: 4, Txns: 6, TCP: true}, TPCCMix{PaymentEvery: 3})
+	res, dbs, err := WallDynamic(high, low, cfg, WallCfg{Clients: 4, Txns: 6}, TPCCMix{PaymentEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

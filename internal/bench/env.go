@@ -5,11 +5,12 @@
 // Timing comes from the deterministic simulator in internal/sim; the
 // database operations, partitioned programs and wire traffic are real.
 //
-// The wall-clock experiments share one driver (wall.go). A topology is
-// the tier under test as data — shards, pooled connections per shard,
-// pipes or loopback TCP, one program or a high/low pair, a mux
-// configuration and a database loader per shard — and deploy is the
-// only code that stands one up. A step is one attempt at client i's
+// The wall-clock experiments share one driver (wall.go). A
+// deploy.Topology is the tier under test as data — shards, pooled
+// loopback TCP connections per shard, one program or a high/low pair, a
+// mux configuration and a database loader per shard — and deploy.Up,
+// which wires it the way cmd/pyxis-dbserver and cmd/pyxis-app do, is
+// the only code that stands one up. A step is one attempt at client i's
 // k-th transaction, a pure schedule of (i, k); drive is the only
 // goroutine fan-out, retry the only place an error becomes "run it
 // again", "back off", "re-home" or "fail", and WallResult the only

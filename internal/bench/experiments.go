@@ -324,7 +324,7 @@ func runParallel(w io.Writer, a Args) ([]*WallResult, error) {
 		fmt.Fprintf(w, "budget %.1f: {%s}\n", budget, part.Describe())
 		var sweep []*WallResult
 		for _, n := range doublingSizes(a.Clients) {
-			res, _, err := WallLedger(part, WallCfg{Clients: n, Txns: a.Txns, TCP: true}, LedgerMix{ShareEvery: 8})
+			res, _, err := WallLedger(part, WallCfg{Clients: n, Txns: a.Txns}, LedgerMix{ShareEvery: 8})
 			if err != nil {
 				return nil, err
 			}
@@ -348,7 +348,7 @@ func runTPCCWall(w io.Writer, a Args) ([]*WallResult, error) {
 	}
 	var sweep []*WallResult
 	for _, n := range doublingSizes(a.Clients) {
-		res, _, err := WallTPCC(part, c, WallCfg{Clients: n, Txns: a.Txns, TCP: true}, TPCCMix{PaymentEvery: 3}, 0)
+		res, _, err := WallTPCC(part, c, WallCfg{Clients: n, Txns: a.Txns}, TPCCMix{PaymentEvery: 3}, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -378,7 +378,7 @@ func runDynamicWall(w io.Writer, a Args) ([]*WallResult, error) {
 	}
 	fmt.Fprintf(w, "high budget: {%s}\nlow budget:  {%s}\n", high.Describe(), low.Describe())
 	res, _, err := WallDynamic(high, low, c,
-		WallCfg{Clients: a.Clients, Txns: max(a.Txns/len(DynamicRamp), 1), TCP: true}, TPCCMix{PaymentEvery: 3})
+		WallCfg{Clients: a.Clients, Txns: max(a.Txns/len(DynamicRamp), 1)}, TPCCMix{PaymentEvery: 3})
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +410,7 @@ func runPoolWall(w io.Writer, a Args) ([]*WallResult, error) {
 		name  string
 		conns int
 	}{{"1 conn", 1}, {"pool", a.Pool}} {
-		res, _, err := WallLedger(part, WallCfg{Clients: a.Clients, Txns: a.Txns, Conns: arm.conns, TCP: true}, LedgerMix{DepositEvery: 8})
+		res, _, err := WallLedger(part, WallCfg{Clients: a.Clients, Txns: a.Txns, Conns: arm.conns}, LedgerMix{DepositEvery: 8})
 		if err != nil {
 			return nil, err
 		}
@@ -430,7 +430,7 @@ func runPoolWall(w io.Writer, a Args) ([]*WallResult, error) {
 	// gate is always satisfiable.
 	slots := max(a.Clients/4, 2)
 	sat, _, err := WallTPCC(tpcc, c, WallCfg{Clients: max(a.Clients, 3*slots), Txns: max(a.Txns/4, 2),
-		Conns: a.Pool, TCP: true}, TPCCMix{PaymentEvery: 3}, slots)
+		Conns: a.Pool}, TPCCMix{PaymentEvery: 3}, slots)
 	if err != nil {
 		return nil, err
 	}
@@ -464,12 +464,12 @@ func runShardWall(w io.Writer, a Args) ([]*WallResult, error) {
 	// multiplies; the writes — remote mix included — keep the invariant
 	// aggregator honest.
 	mix := TPCCMix{WriteEvery: 8, PaymentEvery: 3, RemoteMix: true}
-	one, _, err := WallTPCC(part, c, WallCfg{Clients: a.Clients, Txns: a.Txns, TCP: true}, mix, 0)
+	one, _, err := WallTPCC(part, c, WallCfg{Clients: a.Clients, Txns: a.Txns}, mix, 0)
 	if err != nil {
 		return nil, err
 	}
 	one.Arm = "1 shard"
-	sharded, _, err := WallTPCC(part, c, WallCfg{Clients: a.Clients, Txns: a.Txns, Shards: a.Shards, TCP: true}, mix, 0)
+	sharded, _, err := WallTPCC(part, c, WallCfg{Clients: a.Clients, Txns: a.Txns, Shards: a.Shards}, mix, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // TestRunParallelMux is the acceptance test for the concurrent
-// runtime: >= 8 concurrent sessions multiplexed over one connection
-// per wire against one shared DB-side runtime, with the ledger
-// invariant proving no update was lost under contention.
+// runtime: >= 8 concurrent sessions multiplexed over one loopback TCP
+// connection per wire against one shared DB-side runtime, with the
+// ledger invariant proving no update was lost under contention.
 func TestRunParallelMux(t *testing.T) {
 	part, err := ParallelPartition(1.0)
 	if err != nil {
@@ -44,13 +44,14 @@ func TestRunParallelMux(t *testing.T) {
 	}
 }
 
-// TestRunParallelTCP runs the same shape over real loopback TCP.
+// TestRunParallelTCP runs the same shape under heavier contention:
+// every second deposit hits the shared account.
 func TestRunParallelTCP(t *testing.T) {
 	part, err := ParallelPartition(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, dbs, err := WallLedger(part, WallCfg{Clients: 8, Txns: 5, TCP: true}, LedgerMix{ShareEvery: 2})
+	res, dbs, err := WallLedger(part, WallCfg{Clients: 8, Txns: 5}, LedgerMix{ShareEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func TestShedRollsBackAppSideTxn(t *testing.T) {
 }
 
 // TestRunPoolLedgerStripes drives the pooled ledger driver end to end
-// over in-process pipes: all transactions complete, sessions stripe
+// over loopback TCP: all transactions complete, sessions stripe
 // across the pool's connections instead of piling onto one, and the
 // deposit audit holds (no lost updates through the pool).
 func TestRunPoolLedgerStripes(t *testing.T) {

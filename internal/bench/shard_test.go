@@ -10,11 +10,12 @@ import (
 )
 
 // TestRunShardScalingSmoke drives the sharded TPC-C driver end to end
-// over in-process pipes: the 1-shard baseline and a 2-shard tier, each
-// point audited by the cross-shard invariant aggregator inside
-// WallTPCC. It checks the routing story — sessions striped
-// across both shards, every transaction completed — rather than
-// throughput (a unit test box proves nothing about speedup).
+// over loopback TCP: the 1-shard baseline and a 2-shard tier with two
+// pooled connections per shard and wire, each point audited by the
+// cross-shard invariant aggregator inside WallTPCC. It checks the
+// routing story — sessions striped across both shards, every
+// transaction completed — rather than throughput (a unit test box
+// proves nothing about speedup).
 func TestRunShardScalingSmoke(t *testing.T) {
 	c := DefaultTPCC()
 	part, err := c.PyxisPartition(1.0)
@@ -25,7 +26,7 @@ func TestRunShardScalingSmoke(t *testing.T) {
 	var results []*WallResult
 	for _, n := range []int{1, 2} {
 		cfg := base
-		cfg.Shards = n
+		cfg.Shards, cfg.Conns = n, n
 		res, _, err := WallTPCC(part, c, cfg, TPCCMix{WriteEvery: 2, PaymentEvery: 3}, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -51,15 +52,16 @@ func TestRunShardScalingSmoke(t *testing.T) {
 	}
 }
 
-// TestRunShardTPCCOverTCP is the end-to-end smoke over real loopback
-// TCP servers — the deployment shape shard-wall measures.
+// TestRunShardTPCCOverTCP audits the shard databases WallTPCC hands
+// back, rather than its own violation list: one database per shard,
+// and the cross-shard invariants hold over them.
 func TestRunShardTPCCOverTCP(t *testing.T) {
 	c := DefaultTPCC()
 	part, err := c.PyxisPartition(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := WallCfg{Clients: 4, Txns: 4, Shards: 2, Conns: 2, TCP: true}
+	cfg := WallCfg{Clients: 4, Txns: 4, Shards: 2, Conns: 2}
 	res, dbs, err := WallTPCC(part, c, cfg, TPCCMix{WriteEvery: 2, PaymentEvery: 3}, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -165,11 +165,11 @@ class TPCC {
 `
 
 // paymentNative is the hand-written Payment transaction (TPC-C §2.5,
-// reduced): it books amount into the warehouse and district YTD totals
-// and debits the customer. The warehouse row is the workload's
-// contention point — every Payment on a warehouse serializes on its
-// row lock, exactly the hot spot the wall-clock concurrency tests
-// probe.
+// reduced): paymentRemoteStmts with the customer at the home
+// warehouse, then the warehouse's YTD read back. The warehouse row is
+// the workload's contention point — every Payment on a warehouse
+// serializes on its row lock, exactly the hot spot the wall-clock
+// concurrency tests probe.
 func (c TPCCConfig) paymentNative(conn dbapi.Conn, wid, did, cid int64, amount float64) (float64, error) {
 	if err := conn.Begin(); err != nil {
 		return 0, err
@@ -178,16 +178,7 @@ func (c TPCCConfig) paymentNative(conn dbapi.Conn, wid, did, cid int64, amount f
 		_ = conn.Rollback()
 		return 0, err
 	}
-	if _, err := conn.Exec("UPDATE warehouse SET w_ytd = w_ytd + ? WHERE w_id = ?",
-		val.DoubleV(amount), val.IntV(wid)); err != nil {
-		return abort(err)
-	}
-	if _, err := conn.Exec("UPDATE district SET d_ytd = d_ytd + ? WHERE d_w_id = ? AND d_id = ?",
-		val.DoubleV(amount), val.IntV(wid), val.IntV(did)); err != nil {
-		return abort(err)
-	}
-	if _, err := conn.Exec("UPDATE customer SET c_balance = c_balance - ? WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?",
-		val.DoubleV(amount), val.IntV(wid), val.IntV(did), val.IntV(cid)); err != nil {
+	if err := c.paymentRemoteStmts(conn, conn, wid, did, wid, did, cid, amount); err != nil {
 		return abort(err)
 	}
 	rs, err := conn.Query("SELECT w_ytd FROM warehouse WHERE w_id = ?", val.IntV(wid))
@@ -197,11 +188,7 @@ func (c TPCCConfig) paymentNative(conn dbapi.Conn, wid, did, cid int64, amount f
 	if len(rs.Rows) == 0 {
 		return abort(fmt.Errorf("tpcc: payment: warehouse %d does not exist", wid))
 	}
-	total := rs.Rows[0][0].F
-	if err := conn.Commit(); err != nil {
-		return 0, err
-	}
-	return total, nil
+	return rs.Rows[0][0].F, conn.Commit()
 }
 
 // paymentRemoteStmts issues the remote-Payment statements on ALREADY
@@ -360,76 +347,18 @@ func (c TPCCConfig) remoteRoll(k, wid int64) (payRemote, noRemote bool, remW int
 }
 
 // newOrderNative is the hand-written transaction logic, shared by the
-// JDBC and Manual implementations. It issues exactly the SQL the PyxJ
-// version issues.
+// JDBC and Manual implementations: newOrderRemoteStmts with every line
+// supplied by the home warehouse, in one transaction. It issues exactly
+// the SQL the PyxJ version issues.
 func (c TPCCConfig) newOrderNative(conn dbapi.Conn, wid, did, cid, olcnt, seed int64, rollback bool) (float64, error) {
 	if err := conn.Begin(); err != nil {
 		return 0, err
 	}
-	abort := func(err error) (float64, error) {
+	total, err := c.newOrderRemoteStmts(conn, conn, wid, did, cid, olcnt, seed, wid)
+	if err != nil {
 		_ = conn.Rollback()
 		return 0, err
 	}
-	wt, err := conn.Query("SELECT w_tax FROM warehouse WHERE w_id = ?", val.IntV(wid))
-	if err != nil {
-		return abort(err)
-	}
-	wtax := wt.Rows[0][0].F
-	dt, err := conn.Query("SELECT d_tax, d_next_o_id FROM district WHERE d_w_id = ? AND d_id = ?",
-		val.IntV(wid), val.IntV(did))
-	if err != nil {
-		return abort(err)
-	}
-	dtax := dt.Rows[0][0].F
-	oid := dt.Rows[0][1].I
-	if _, err := conn.Exec("UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = ? AND d_id = ?",
-		val.IntV(wid), val.IntV(did)); err != nil {
-		return abort(err)
-	}
-	ct, err := conn.Query("SELECT c_discount FROM customer WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?",
-		val.IntV(wid), val.IntV(did), val.IntV(cid))
-	if err != nil {
-		return abort(err)
-	}
-	disc := ct.Rows[0][0].F
-	if _, err := conn.Exec("INSERT INTO orders VALUES (?, ?, ?, ?, ?)",
-		val.IntV(wid), val.IntV(did), val.IntV(oid), val.IntV(cid), val.IntV(olcnt)); err != nil {
-		return abort(err)
-	}
-	if _, err := conn.Exec("INSERT INTO new_order VALUES (?, ?, ?)",
-		val.IntV(wid), val.IntV(did), val.IntV(oid)); err != nil {
-		return abort(err)
-	}
-	total := 0.0
-	rnd := seed
-	for ol := int64(1); ol <= olcnt; ol++ {
-		rnd = lcg(rnd)
-		iid := rnd%int64(c.Items) + 1
-		qty := rnd%10 + 1
-		ist, err := conn.Query("SELECT i_price, s_quantity FROM item, stock WHERE i_id = ? AND s_w_id = ? AND s_i_id = ?",
-			val.IntV(iid), val.IntV(wid), val.IntV(iid))
-		if err != nil {
-			return abort(err)
-		}
-		price := ist.Rows[0][0].F
-		squant := ist.Rows[0][1].I
-		newq := squant - qty
-		if newq < 10 {
-			newq += 91
-		}
-		if _, err := conn.Exec("UPDATE stock SET s_quantity = ?, s_ytd = s_ytd + ?, s_order_cnt = s_order_cnt + 1 WHERE s_w_id = ? AND s_i_id = ?",
-			val.IntV(newq), val.IntV(qty), val.IntV(wid), val.IntV(iid)); err != nil {
-			return abort(err)
-		}
-		amount := price * float64(qty)
-		total += amount
-		if _, err := conn.Exec("INSERT INTO order_line VALUES (?, ?, ?, ?, ?, ?, ?)",
-			val.IntV(wid), val.IntV(did), val.IntV(oid), val.IntV(ol), val.IntV(iid),
-			val.IntV(qty), val.DoubleV(amount)); err != nil {
-			return abort(err)
-		}
-	}
-	total = total * (1.0 + wtax + dtax) * (1.0 - disc)
 	if rollback {
 		return total, conn.Rollback()
 	}

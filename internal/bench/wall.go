@@ -3,31 +3,26 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"net"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"pyxis"
-	"pyxis/internal/dbapi"
-	"pyxis/internal/pdg"
+	"pyxis/internal/deploy"
 	"pyxis/internal/rpc"
 	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
-	"pyxis/internal/val"
 )
 
 // This file is the one wall-clock driver. Every experiment that runs
 // real goroutine clients against real DB-side runtimes — ledger and
 // TPC-C scaling, the connection pool, admission control, dynamic
 // switching, the sharded tier with cross-shard 2PC, live rebalancing —
-// is deploy (stand the tier up), drive (fan the clients out), retry
+// is deploy.Up (stand the tier up), drive (fan the clients out), retry
 // (decide what a failed attempt means) and WallResult (say what
 // happened). What differs between two experiments is the topology they
-// deploy and the step their clients run (wall_steps.go); nothing here
+// stand up and the step their clients run (wall_steps.go); nothing here
 // knows which experiment called it.
 
 // The values below were fields of the per-driver configs that no test,
@@ -65,216 +60,6 @@ const (
 	// rebalancing mix a Payment; the rest are NewOrders.
 	rebalancePaymentEvery = 2
 )
-
-// ---------------------------------------------------------------------------
-// deploy: one topology, one wiring site
-// ---------------------------------------------------------------------------
-
-// topology is the tier under test, as data: how many independent shard
-// servers, how many pooled mux connections to each, what the wires are
-// made of, which program(s) the servers host and what database each
-// shard starts from. One shard with one connection is the single-mux
-// deployment cmd/pyxis-dbserver + cmd/pyxis-app produce.
-type topology struct {
-	// Map says how many shards there are and which warehouses each
-	// owns (the zero map is one shard owning everything).
-	Map runtime.ShardMap
-	// Conns is the number of mux connections per shard and wire (>= 1).
-	Conns int
-	// TCP runs the wires over loopback TCP mux servers instead of
-	// in-process pipes.
-	TCP bool
-	// High is the program every shard hosts. Low, when set, is a second
-	// partitioning of the same program hosted behind the same
-	// connections (the §6.3 dynamic pair). With neither there is no
-	// control wire: clients speak SQL over the database wire only.
-	High, Low *pyxis.Partition
-	// Mux, when set, configures the demux loops of the control wire of
-	// the shard serving db (load reports, admission). Its load source
-	// also rides the database wire's replies; admission never does — a
-	// database session is the tail of an admitted control session, not a
-	// second admission.
-	Mux func(shard int, db *sqldb.DB) rpc.MuxServeConfig
-	// NewDB loads shard's database.
-	NewDB func(shard int) (*sqldb.DB, error)
-}
-
-// deployment is a running topology.
-type deployment struct {
-	// Router holds the shard map, the per-shard load EWMAs and the 2PC
-	// coordinator the shards' participants resolve in-doubt
-	// transactions against.
-	Router *runtime.ShardedClient
-	// Ctl is the control-transfer wire (nil without a program), DB the
-	// database wire.
-	Ctl, DB *rpc.ShardedPool
-	DBs     []*sqldb.DB
-	// Parts is each shard's 2PC participant, shared by every connection
-	// to that shard: commit frames may arrive on a different connection
-	// than the prepare.
-	Parts []*dbapi.Participant
-
-	app     [2]*runtime.Peer   // APP-side peers: high, low
-	dbPeers [][2]*runtime.Peer // per shard: high, low
-	servers []*rpc.MuxServer
-	serving sync.WaitGroup // in-process demux loops still running
-}
-
-// deploy stands t up: per shard one database, one DB-side peer per
-// program and one 2PC participant — nothing shared between shards —
-// then the database wire and, when there is a program, the control
-// wire.
-func deploy(t topology) (*deployment, error) {
-	n := t.Map.NumShards()
-	if t.Conns < 1 {
-		t.Conns = 1
-	}
-	d := &deployment{
-		Router:  runtime.NewShardedClient(t.Map),
-		DBs:     make([]*sqldb.DB, n),
-		Parts:   make([]*dbapi.Participant, n),
-		dbPeers: make([][2]*runtime.Peer, n),
-	}
-	progs := [2]*pyxis.Partition{t.High, t.Low}
-	ctlCfg, dbCfg := make([]rpc.MuxServeConfig, n), make([]rpc.MuxServeConfig, n)
-	for i, p := range progs {
-		if p != nil {
-			d.app[i] = runtime.NewPeer(p.Compiled, pdg.App, nil)
-		}
-	}
-	for shard := range d.DBs {
-		db, err := t.NewDB(shard)
-		if err != nil {
-			return nil, err
-		}
-		d.DBs[shard] = db
-		if t.Mux != nil {
-			ctlCfg[shard] = t.Mux(shard, db)
-			dbCfg[shard].Load = ctlCfg[shard].Load
-		}
-		d.Parts[shard] = dbapi.NewParticipant(0, d.Router.TwoPC.Outcome)
-		for i, p := range progs {
-			if p != nil {
-				d.dbPeers[shard][i] = runtime.NewPeer(p.Compiled, pdg.DB, nil)
-			}
-		}
-	}
-	var err error
-	d.DB, err = d.wire(t, dbCfg, func(shard int) rpc.SessionHandlers {
-		return dbapi.MuxHandlersTxn(d.DBs[shard], d.Parts[shard])
-	})
-	if err == nil && t.High != nil {
-		// Session IDs are connection-scoped, so each connection gets its
-		// own manager; a shard's managers share its peers (and so their
-		// metrics).
-		d.Ctl, err = d.wire(t, ctlCfg, func(shard int) rpc.SessionHandlers {
-			newConn := func() dbapi.Conn { return dbapi.NewLocal(d.DBs[shard]) }
-			if peers := d.dbPeers[shard]; peers[1] != nil {
-				return runtime.NewDualSessionManager(peers[0], peers[1], newConn)
-			}
-			return runtime.NewSessionManager(d.dbPeers[shard][0], newConn)
-		})
-	}
-	if err != nil {
-		d.close()
-		return nil, err
-	}
-	return d, nil
-}
-
-// wire builds one wire of the tier: a pool of t.Conns connections to
-// each shard, every connection served by its own demux loop over its
-// own handlers (exactly like a TCP server's per-connection factory).
-func (d *deployment) wire(t topology, cfg []rpc.MuxServeConfig, handlers func(shard int) rpc.SessionHandlers) (*rpc.ShardedPool, error) {
-	addrs := make([]string, len(d.DBs))
-	if t.TCP {
-		for shard := range addrs {
-			srv, err := rpc.NewMuxServerConfig("127.0.0.1:0", func() rpc.SessionHandlers { return handlers(shard) }, cfg[shard])
-			if err != nil {
-				return nil, err
-			}
-			d.servers = append(d.servers, srv)
-			addrs[shard] = srv.Addr()
-		}
-	}
-	return rpc.NewShardedPool(len(addrs), t.Conns, func(shard, _ int) (io.ReadWriteCloser, error) {
-		if t.TCP {
-			return net.Dial("tcp", addrs[shard])
-		}
-		srv, cli := net.Pipe()
-		d.serving.Add(1)
-		go func() {
-			defer d.serving.Done()
-			rpc.ServeMuxConnConfig(srv, handlers(shard), cfg[shard])
-		}()
-		return cli, nil
-	})
-}
-
-// close tears the tier down and returns once no goroutine is serving
-// it any more.
-func (d *deployment) close() {
-	for _, p := range []*rpc.ShardedPool{d.Ctl, d.DB} {
-		if p != nil {
-			p.Close()
-		}
-	}
-	for _, s := range d.servers {
-		s.Close()
-	}
-	d.serving.Wait()
-}
-
-// appClient is one APP-side session homed on a shard: a runtime client
-// whose control transfers ride ctl and whose APP-side SQL rides conn,
-// and the one object its entry calls are made on.
-type appClient struct {
-	*runtime.Client
-	shard int
-	ctl   *rpc.MuxSession
-	conn  *dbapi.Client
-	oid   val.OID
-}
-
-// open opens an APP-side session of the high (or low) program on shard
-// and constructs its object.
-func (d *deployment) open(shard int, low bool, class string, args ...val.Value) (*appClient, error) {
-	peer, tag := d.app[0], uint8(0)
-	if low {
-		peer, tag = d.app[1], runtime.TagLowBudget
-	}
-	ctl, err := d.Ctl.TaggedSession(shard, tag)
-	if err != nil {
-		return nil, err
-	}
-	db, err := d.DB.Session(shard)
-	if err != nil {
-		ctl.Close()
-		return nil, err
-	}
-	c := &appClient{shard: shard, ctl: ctl, conn: dbapi.NewClient(db)}
-	c.Client = runtime.NewClient(peer.NewSession(c.conn), ctl)
-	if c.oid, err = c.NewObject(class, args...); err != nil {
-		c.close()
-		return nil, err
-	}
-	return c, nil
-}
-
-func (c *appClient) close() { c.Client.Close() }
-
-// transfers is the number of control transfers the DB-side peers
-// served (> 0 proves partitioned code ran on the DB side).
-func (d *deployment) transfers() (n int64) {
-	for _, peers := range d.dbPeers {
-		for _, p := range peers {
-			if p != nil {
-				n += p.Metrics.Snapshot().Transfers
-			}
-		}
-	}
-	return n
-}
 
 // ---------------------------------------------------------------------------
 // retry: one classifier
@@ -336,7 +121,7 @@ func retry(err error, attempt int) (errClass, time.Duration) {
 // session is one client's open state. A session that caches routing
 // decisions also implements rehomer, one that must outlive its last
 // transaction holder.
-type session interface{ close() }
+type session interface{ Close() error }
 
 // rehomer drops whatever the session cached under a shard map that has
 // since moved on.
@@ -437,7 +222,7 @@ func runClient[S session](t *clientTally, i, txns int, open func(i int) (S, erro
 		}
 		time.Sleep(runtime.ShedBackoff(attempt))
 	}
-	defer s.close()
+	defer s.Close()
 	for k := 0; k < txns; k++ {
 		t0 := time.Now()
 		for attempt := 0; ; {
@@ -672,25 +457,25 @@ type MigrationResult struct {
 }
 
 // newWallResult describes the tier and the load; fold adds what ran.
-func newWallResult(d *deployment, clients, offered int) *WallResult {
+func newWallResult(d *deploy.Tier, clients, offered int) *WallResult {
 	m := d.Router.CurrentMap()
 	return &WallResult{Shards: m.NumShards(), Conns: d.DB.ConnsPerShard(), Warehouses: m.Warehouses,
 		Clients: clients, Offered: offered, lats: make([][]float64, clients)}
 }
 
 // placed records where a client's control session landed.
-func (r *WallResult) placed(d *deployment, c *appClient) {
+func (r *WallResult) placed(d *deploy.Tier, c *deploy.Client) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.SessionsPerConn == nil {
 		r.SessionsPerConn, r.SessionsPerShard = make([]int, r.Conns), make([]int, r.Shards)
 	}
 	for i := range r.SessionsPerConn {
-		if c.ctl.Conn() == d.Ctl.Conn(c.shard, i) {
+		if c.Ctl.Conn() == d.Ctl.Conn(c.Shard, i) {
 			r.SessionsPerConn[i]++
 		}
 	}
-	r.SessionsPerShard[c.shard]++
+	r.SessionsPerShard[c.Shard]++
 }
 
 // fold adds one drive call's tallies and re-derives the totals, so a
@@ -732,8 +517,8 @@ func (r *WallResult) fold(o driven) {
 }
 
 // observe snapshots the tier's own counters after the run.
-func (r *WallResult) observe(d *deployment) {
-	r.Transfers = d.transfers()
+func (r *WallResult) observe(d *deploy.Tier) {
+	r.Transfers = d.Transfers()
 	for _, db := range d.DBs {
 		w, dl := db.LockWaits()
 		r.LockWaits += w

@@ -10,6 +10,7 @@ import (
 
 	"pyxis"
 	"pyxis/internal/dbapi"
+	"pyxis/internal/deploy"
 	"pyxis/internal/rpc"
 	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
@@ -28,23 +29,20 @@ type WallCfg struct {
 	Txns    int // transactions per client (per phase under the load ramp)
 	Shards  int // independent shard servers (default 1; at most one per warehouse)
 	Conns   int // pooled mux connections per shard and wire (default 1)
-	// TCP runs the wires over real loopback TCP mux servers instead of
-	// in-process pipes.
-	TCP bool
 }
 
 // topology validates cfg and turns it into the topology of a tier
 // hosting high (and low) whose shards split warehouses (0: nothing to
 // split, keys hash) and load their databases with load.
-func (cfg WallCfg) topology(warehouses int, high, low *pyxis.Partition, load func(m runtime.ShardMap, shard int) (*sqldb.DB, error)) (topology, error) {
+func (cfg WallCfg) topology(warehouses int, high, low *pyxis.Partition, load func(m runtime.ShardMap, shard int) (*sqldb.DB, error)) (deploy.Topology, error) {
 	if cfg.Clients < 1 || cfg.Txns < 1 {
-		return topology{}, fmt.Errorf("bench: a wall-clock run needs Clients >= 1 and Txns >= 1")
+		return deploy.Topology{}, fmt.Errorf("bench: a wall-clock run needs Clients >= 1 and Txns >= 1")
 	}
 	m := runtime.ShardMap{Shards: max(cfg.Shards, 1), Warehouses: warehouses}
 	if warehouses > 0 && m.Shards > warehouses {
-		return topology{}, fmt.Errorf("bench: %d shards over %d warehouses would leave empty shards", m.Shards, warehouses)
+		return deploy.Topology{}, fmt.Errorf("bench: %d shards over %d warehouses would leave empty shards", m.Shards, warehouses)
 	}
-	return topology{Map: m, Conns: cfg.Conns, TCP: cfg.TCP, High: high, Low: low,
+	return deploy.Topology{Map: m, Conns: cfg.Conns, High: high, Low: low,
 		NewDB: func(shard int) (*sqldb.DB, error) { return load(m, shard) }}, nil
 }
 
@@ -93,30 +91,30 @@ func WallLedger(part *pyxis.Partition, cfg WallCfg, mix LedgerMix) (*WallResult,
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err := deploy(t)
+	d, err := deploy.Up(t)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer d.close()
+	defer d.Close()
 	res := newWallResult(d, cfg.Clients, cfg.Clients*cfg.Txns)
 	out, err := drive(cfg.Clients, cfg.Txns,
-		func(i int) (*appClient, error) {
-			c, err := d.open(d.Router.HomeShard(int64(i)), false, "Ledger", val.IntV(int64(i)))
+		func(i int) (*deploy.Client, error) {
+			c, err := d.Open(d.Router.HomeShard(int64(i)), false, "Ledger", val.IntV(int64(i)))
 			if err == nil {
 				res.placed(d, c)
 			}
 			return c, err
 		},
-		func(s *appClient, i, k int) (txnOut, error) {
+		func(s *deploy.Client, i, k int) (txnOut, error) {
 			if mix.DepositEvery > 0 && k%mix.DepositEvery != 0 {
-				_, err := s.CallEntry("Ledger.balance", s.oid, val.IntV(int64(i)))
+				_, err := s.CallEntry("Ledger.balance", s.OID, val.IntV(int64(i)))
 				return txnOut{kind: kindRead}, err
 			}
 			acct := int64(i)
 			if mix.ShareEvery > 0 && k%mix.ShareEvery == 0 {
 				acct = int64(cfg.Clients) // the contended shared account
 			}
-			_, err := s.CallEntry("Ledger.deposit", s.oid, val.IntV(acct), val.IntV(int64(k)), val.DoubleV(1))
+			_, err := s.CallEntry("Ledger.deposit", s.OID, val.IntV(acct), val.IntV(int64(k)), val.DoubleV(1))
 			return txnOut{kind: kindDeposit}, err
 		})
 	if err != nil {
@@ -195,8 +193,8 @@ func (c TPCCConfig) parallelTxn(mix TPCCMix, i, k int, loW, hiW int64) tpccTxn {
 
 // tpccSession is one client's TPCC object on its home shard.
 type tpccSession struct {
-	*appClient
-	d      *deployment
+	*deploy.Client
+	d      *deploy.Tier
 	lo, hi int64 // the home shard's warehouses: every home warehouse stays inside
 	// branches are lazily-opened sessions on the other shards, one per
 	// shard for the session's lifetime: a remote-warehouse transaction
@@ -209,13 +207,13 @@ type tpccSession struct {
 
 // openTPCC opens client i's session. Clients spread evenly over
 // warehouses; the home warehouse picks the shard.
-func openTPCC(d *deployment, c TPCCConfig, i int) (*tpccSession, error) {
+func openTPCC(d *deploy.Tier, c TPCCConfig, i int) (*tpccSession, error) {
 	shard := d.Router.HomeShard(int64(i%c.Warehouses) + 1)
-	cl, err := d.open(shard, false, "TPCC")
+	cl, err := d.Open(shard, false, "TPCC")
 	if err != nil {
 		return nil, err
 	}
-	s := &tpccSession{appClient: cl, d: d, branches: map[int]*dbapi.Client{}}
+	s := &tpccSession{Client: cl, d: d, branches: map[int]*dbapi.Client{}}
 	s.lo, s.hi = d.Router.Map.WarehouseRange(shard)
 	return s, nil
 }
@@ -228,11 +226,11 @@ func (s *tpccSession) hold() {
 	}
 }
 
-func (s *tpccSession) close() {
+func (s *tpccSession) Close() error {
 	for _, b := range s.branches {
 		b.Close()
 	}
-	s.appClient.close()
+	return s.Client.Close()
 }
 
 // rollbackJoin rolls conn back because of err (nil for the intentional
@@ -255,11 +253,11 @@ func rollbackJoin(err error, conn dbapi.Conn) error {
 func (s *tpccSession) run(c TPCCConfig, t tpccTxn) (txnOut, error) {
 	out := txnOut{kind: t.kind, remote: t.remoteW != 0}
 	if !out.remote {
-		_, err := s.CallEntry("TPCC."+t.method, s.oid, t.args...)
+		_, err := s.CallEntry("TPCC."+t.method, s.OID, t.args...)
 		return out, err
 	}
-	home, branch := s.conn, s.conn
-	if rsh := s.d.Router.HomeShard(t.remoteW); rsh != s.shard {
+	home, branch := s.Conn, s.Conn
+	if rsh := s.d.Router.HomeShard(t.remoteW); rsh != s.Shard {
 		if branch = s.branches[rsh]; branch == nil {
 			sess, err := s.d.DB.Session(rsh)
 			if err != nil {
@@ -338,11 +336,11 @@ func WallTPCC(part *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix TPCCMix, max
 			return rpc.MuxServeConfig{Load: mon.Source(), Admission: adm}
 		}
 	}
-	d, err := deploy(t)
+	d, err := deploy.Up(t)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer d.close()
+	defer d.Close()
 	res := newWallResult(d, cfg.Clients, cfg.Clients*cfg.Txns)
 
 	// With more clients than slots a shed is inevitable — but only if
@@ -365,7 +363,7 @@ func WallTPCC(part *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix TPCCMix, max
 				return nil, err
 			}
 			s.release = release
-			res.placed(d, s.appClient)
+			res.placed(d, s.Client)
 			return s, nil
 		},
 		func(s *tpccSession, i, k int) (txnOut, error) {
@@ -407,23 +405,23 @@ var DynamicRamp = []struct {
 // — the low-budget control session rides the tag byte of its mux
 // session ID — with one TPCC object on each heap.
 type dynSession struct {
-	high, low *appClient
+	high, low *deploy.Client
 	dyn       *runtime.DynamicClient
 }
 
-// close is a no-op: the pair stays open across the ramp's phases and
+// Close is a no-op: the pair stays open across the ramp's phases and
 // WallDynamic closes it.
-func (*dynSession) close() {}
+func (*dynSession) Close() error { return nil }
 
 // openDynamic opens one client's session pair on the single server.
-func openDynamic(d *deployment) (*dynSession, error) {
-	high, err := d.open(0, false, "TPCC")
+func openDynamic(d *deploy.Tier) (*dynSession, error) {
+	high, err := d.Open(0, false, "TPCC")
 	if err != nil {
 		return nil, err
 	}
-	low, err := d.open(0, true, "TPCC")
+	low, err := d.Open(0, true, "TPCC")
 	if err != nil {
-		high.close()
+		high.Close()
 		return nil, err
 	}
 	return &dynSession{high: high, low: low, dyn: &runtime.DynamicClient{High: high.Client, Low: low.Client,
@@ -455,22 +453,14 @@ func WallDynamic(high, low *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix TPCC
 		mon.SetExternal(DynamicRamp[0].Load)
 		return rpc.MuxServeConfig{Load: mon.Source()}
 	}
-	d, err := deploy(t)
+	d, err := deploy.Up(t)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer d.close()
-	// The shared EWMA is fed by every reply on both wires: control
-	// transfers while the high-budget deployment serves, database round
-	// trips while the low-budget one does.
-	var reports atomic.Int64
-	sink := func(shard int, rep rpc.LoadReport) {
-		reports.Add(1)
-		d.Router.Observe(shard, rep)
-	}
-	d.Ctl.SetOnLoad(sink)
-	d.DB.SetOnLoad(sink)
-
+	defer d.Close()
+	// The tier feeds the shared EWMA from every reply on both wires:
+	// control transfers while the high-budget deployment serves, database
+	// round trips while the low-budget one does.
 	sessions := make([]*dynSession, cfg.Clients)
 	for i := range sessions {
 		s, err := openDynamic(d)
@@ -485,7 +475,7 @@ func WallDynamic(high, low *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix TPCC
 		// steady state, not cold starts).
 		warm := c.parallelTxn(TPCCMix{}, i, 977_777, 1, int64(c.Warehouses))
 		warm.args[len(warm.args)-1] = val.BoolV(false)
-		if _, err := s.high.CallEntry("TPCC.newOrder", s.high.oid, warm.args...); err != nil {
+		if _, err := s.high.CallEntry("TPCC.newOrder", s.high.OID, warm.args...); err != nil {
 			return nil, nil, fmt.Errorf("bench: dynamic warmup session %d: %w", i, err)
 		}
 	}
@@ -506,7 +496,7 @@ func WallDynamic(high, low *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix TPCC
 				// retries) and absorbs overload sheds with backoff of its
 				// own; what is left over is retry's.
 				tx := c.parallelTxn(mix, i, pi*cfg.Txns+k, 1, int64(c.Warehouses))
-				r, err := s.dyn.CallEntry("TPCC."+tx.method, s.high.oid, s.low.oid, tx.args...)
+				r, err := s.dyn.CallEntry("TPCC."+tx.method, s.high.OID, s.low.OID, tx.args...)
 				return txnOut{kind: tx.kind, low: r.Low, sheds: r.Sheds}, err
 			})
 		if err != nil {
@@ -531,7 +521,7 @@ func WallDynamic(high, low *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix TPCC
 		res.Phases = append(res.Phases, pr)
 		res.fold(out)
 	}
-	res.Reports = reports.Load()
+	res.Reports = d.Ctl.LoadReports() + d.DB.LoadReports()
 	res.observe(d)
 	res.Violations = CheckShardInvariants(d.DBs, c, d.Router.CurrentMap())
 	return res, d.DBs, nil
@@ -560,7 +550,7 @@ const (
 // nativeSession is one client issuing hand-written transactions over
 // database sessions it routes itself.
 type nativeSession struct {
-	d    *deployment
+	d    *deploy.Tier
 	wids []int64 // the Zipf-skewed home warehouse of each transaction
 	// conns are cached per-shard sessions, dropped whole when the map
 	// moves on: a session opened under a stale map may be homed wrong.
@@ -578,7 +568,10 @@ func (s *nativeSession) rehome() {
 	s.epoch = s.d.Router.MapEpoch()
 }
 
-func (s *nativeSession) close() { s.rehome() }
+func (s *nativeSession) Close() error {
+	s.rehome()
+	return nil
+}
 
 // herdBackoff pauses a deadlock victim before its error goes to retry,
 // which runs victims again at once. The Zipf hotspot concentrates half
@@ -651,11 +644,11 @@ func WallRebalance(c TPCCConfig, cfg WallCfg, mode Rebalancing) (*WallResult, []
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err := deploy(t)
+	d, err := deploy.Up(t)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer d.close()
+	defer d.Close()
 	adv := runtime.NewAdvisor(c.Warehouses)
 	mig := &runtime.Migrator{Client: d.Router, Pool: d.DB, Tables: TPCCWarehouseKeys(), FenceTTL: fenceTTL}
 	mr := &MigrationResult{}

@@ -3,16 +3,13 @@ package bench
 import (
 	"errors"
 	"fmt"
-	goruntime "runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"pyxis/internal/dbapi"
 	"pyxis/internal/rpc"
 	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
-	"pyxis/internal/val"
 )
 
 // TestRetryClassifier pins the one place a failed attempt becomes a
@@ -51,58 +48,6 @@ func TestRetryClassifier(t *testing.T) {
 		}
 		if got == classFatal && pause != 0 {
 			t.Errorf("%s: fatal with a pause of %v", c.name, pause)
-		}
-	}
-}
-
-// TestDeployServesEveryShardAndCloses stands the smallest and a
-// general topology up, serves one ledger call per shard through freshly
-// opened sessions, and requires Close to leave nothing serving: every
-// in-process demux loop returned, every TCP server drained.
-func TestDeployServesEveryShardAndCloses(t *testing.T) {
-	part, err := ParallelPartition(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, top := range []topology{
-		{Conns: 1},
-		{Map: runtime.ShardMap{Shards: 2}, Conns: 2, TCP: true},
-	} {
-		top.High = part
-		top.NewDB = func(int) (*sqldb.DB, error) { return parallelDB(1) }
-		before := goruntime.NumGoroutine()
-		d, err := deploy(top)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(d.DBs) != top.Map.NumShards() || len(d.Parts) != len(d.DBs) {
-			t.Fatalf("%d databases and %d participants for %d shards", len(d.DBs), len(d.Parts), top.Map.NumShards())
-		}
-		for shard := range d.DBs {
-			c, err := d.open(shard, false, "Ledger", val.IntV(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.CallEntry("Ledger.deposit", c.oid, val.IntV(0), val.IntV(0), val.DoubleV(1)); err != nil {
-				t.Fatalf("shard %d: %v", shard, err)
-			}
-			c.close()
-		}
-		if v := CheckLedger(d.DBs, len(d.DBs)); v != nil {
-			t.Errorf("one deposit per shard did not land on each shard's own database: %v", v)
-		}
-		if got := d.transfers(); got == 0 {
-			t.Error("no DB-side peer served a control transfer")
-		}
-		d.close()
-		// close has waited for every demux loop and server; what is left
-		// to settle is the client ends' read loops noticing.
-		deadline := time.Now().Add(5 * time.Second)
-		for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if after := goruntime.NumGoroutine(); after > before {
-			t.Errorf("shards=%d tcp=%v: %d goroutines before deploy, %d after Close", top.Map.NumShards(), top.TCP, before, after)
 		}
 	}
 }
@@ -148,8 +93,11 @@ func TestRollbackJoinSurfacesFailure(t *testing.T) {
 // heldSession counts what drive asked of it.
 type heldSession struct{ holds, closes int }
 
-func (s *heldSession) hold()  { s.holds++ }
-func (s *heldSession) close() { s.closes++ }
+func (s *heldSession) hold() { s.holds++ }
+func (s *heldSession) Close() error {
+	s.closes++
+	return nil
+}
 
 // TestDriveHoldsOnlyFinishedClients: a client that ran all its
 // transactions holds its session before closing it (the forced

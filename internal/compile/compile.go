@@ -15,8 +15,8 @@ type Option func(*compileOpts)
 type compileOpts struct{ noVerify bool }
 
 // NoVerify disables the post-compile verifier for one compilation.
-// pyxis.System.NoVerify threads through here; benches that compile in
-// a hot loop are the intended users.
+// Benches that compile in a hot loop and cmd/pyxisc -verify (which
+// collects the findings instead of failing the compile) use it.
 func NoVerify() Option { return func(o *compileOpts) { o.noVerify = true } }
 
 // verifier is the registered whole-program checker. internal/verify

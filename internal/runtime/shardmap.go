@@ -248,26 +248,6 @@ func (c *ShardedClient) NumShards() int { return len(c.switchers) }
 // the shard a session keyed by key must open against.
 func (c *ShardedClient) HomeShard(key int64) int { return c.CurrentMap().Shard(key) }
 
-// OpenSession picks key's home shard under the current map and opens
-// a session there, returning the session with the shard it was pinned
-// to.
-func (c *ShardedClient) OpenSession(pool *rpc.ShardedPool, key int64) (*rpc.MuxSession, int, error) {
-	shard := c.HomeShard(key)
-	sess, err := pool.Session(shard)
-	return sess, shard, err
-}
-
-// VerifyHome checks that shard still owns key under the current map;
-// a request that raced a completed migration gets the typed
-// ErrWrongShard redirect so its driver re-homes instead of failing.
-func (c *ShardedClient) VerifyHome(shard int, key int64) error {
-	m := c.CurrentMap()
-	if home := m.Shard(key); home != shard {
-		return fmt.Errorf("%w: key %d is on shard %d, not %d (epoch %d)", ErrWrongShard, key, home, shard, m.Epoch)
-	}
-	return nil
-}
-
 // Switcher returns shard's switcher — the per-shard EWMA a session
 // pinned to that shard routes its dynamic high/low choice by.
 func (c *ShardedClient) Switcher(shard int) *Switcher { return c.switchers[shard] }

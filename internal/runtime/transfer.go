@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"pyxis/internal/compile"
 	"pyxis/internal/dbapi"
@@ -411,8 +410,7 @@ func Handler(sn *Session) rpc.Handler {
 // database, one primary client session, and the transports between
 // them. Additional concurrent sessions are opened with NewSession. It
 // is the harness for tests, benchmarks, and the in-process examples;
-// cmd/pyxis-dbserver and cmd/pyxis-app wire the same pieces over real
-// multiplexed TCP.
+// internal/deploy wires the same pieces over real multiplexed TCP.
 type Deployment struct {
 	Prog     *compile.Program
 	App      *Peer
@@ -420,31 +418,21 @@ type Deployment struct {
 	Sessions *SessionManager // DB-side session registry
 	Client   *Client         // primary session's client
 	DB       *sqldb.DB
-	opts     Options
 	ctlWire  *rpc.InProc
 	dbWire   *rpc.InProc
 }
 
 // Options configures NewDeployment.
 type Options struct {
-	// RTT is the emulated round-trip time injected into both the
-	// control-transfer wire and the APP-side database wire.
-	RTT time.Duration
 	// Out receives sys.print output (APP side).
 	Out io.Writer
-	// Env is the cost-accounting environment (simulation). It is
-	// shared by every session of the deployment; see the Env interface
-	// for the concurrency contract when sessions run on goroutines.
-	Env Env
 }
 
 // NewDeployment wires a compiled program to a database entirely
 // in-process.
 func NewDeployment(prog *compile.Program, db *sqldb.DB, opts Options) *Deployment {
 	dbPeer := NewPeer(prog, pdg.DB, opts.Out)
-	dbPeer.Env = opts.Env
 	appPeer := NewPeer(prog, pdg.App, opts.Out)
-	appPeer.Env = opts.Env
 
 	d := &Deployment{
 		Prog:     prog,
@@ -452,7 +440,6 @@ func NewDeployment(prog *compile.Program, db *sqldb.DB, opts Options) *Deploymen
 		DBPeer:   dbPeer,
 		Sessions: NewSessionManager(dbPeer, func() dbapi.Conn { return dbapi.NewLocal(db) }),
 		DB:       db,
-		opts:     opts,
 	}
 	d.Client, d.ctlWire, d.dbWire = d.newSessionWires()
 	return d
@@ -463,11 +450,11 @@ func NewDeployment(prog *compile.Program, db *sqldb.DB, opts Options) *Deploymen
 // control-transfer wire.
 func (d *Deployment) newSessionWires() (*Client, *rpc.InProc, *rpc.InProc) {
 	dbHandlerSess := d.DB.NewSession()
-	dbWire := rpc.NewInProc(dbapi.SessionHandler(dbHandlerSess), d.opts.RTT)
+	dbWire := rpc.NewInProc(dbapi.SessionHandler(dbHandlerSess), 0)
 	appSess := d.App.NewSession(dbapi.NewClient(dbWire))
 	sid := d.Sessions.NextID()
 	dbSess := d.Sessions.Session(sid)
-	ctlWire := rpc.NewInProc(Handler(dbSess), d.opts.RTT)
+	ctlWire := rpc.NewInProc(Handler(dbSess), 0)
 	c := NewClient(appSess, ctlWire)
 	c.OnClose = func() {
 		d.Sessions.Close(sid)

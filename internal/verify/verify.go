@@ -19,10 +19,9 @@
 //
 // The verifier registers itself with compile.RegisterVerifier at init,
 // so every compile.Compile in a binary that links this package is
-// checked by default (opt out per-call with compile.NoVerify(), or
-// per-System with pyxis.System.NoVerify). pyxis.Partition additionally
-// re-verifies after Fuse, and cmd/pyxisc -verify prints the
-// diagnostics with disassembled block context.
+// checked by default (opt out per call with compile.NoVerify()).
+// pyxis.Partition additionally re-verifies after Fuse, and cmd/pyxisc
+// -verify prints the diagnostics with disassembled block context.
 package verify
 
 import (

@@ -14,7 +14,7 @@
 //	//    placement BIP under a DB instruction budget (§4.3).
 //	part, _ := sys.Partition(sys.TotalLoad() * 0.9)
 //	// 3. Deploy the compiled execution blocks on the two runtimes (§5, §6).
-//	dep := part.Deploy(db, runtime.Options{RTT: 2 * time.Millisecond})
+//	dep := part.Deploy(db, runtime.Options{})
 //	oid, _ := dep.Client.NewObject("Order", val.IntV(42))
 //	dep.Client.CallEntry("Order.placeOrder", oid, val.IntV(7), val.DoubleV(0.9))
 //
@@ -63,13 +63,6 @@ type System struct {
 	// compiler's raw block graph (the seed pipeline; benches use it to
 	// price fusion).
 	NoFuse bool
-	// NoVerify disables the independent program verifier
-	// (internal/verify) that otherwise checks every compiled program —
-	// pre-fusion inside compile.Compile and again after Fuse. The
-	// verifier re-derives structure, def-before-use, liveness masks and
-	// transfer legality from scratch; leave it on outside compile-heavy
-	// benchmark loops.
-	NoVerify bool
 }
 
 // Load parses, checks and statically analyzes a PyxJ program.
@@ -177,11 +170,7 @@ func (s *System) Partition(budget float64) (*Partition, error) {
 		return nil, err
 	}
 	px := pyxil.Generate(s.Analysis, g, place, pyxil.Options{NoReorder: s.NoReorder})
-	var copts []compile.Option
-	if s.NoVerify {
-		copts = append(copts, compile.NoVerify())
-	}
-	compiled, err := compile.Compile(px, copts...)
+	compiled, err := compile.Compile(px)
 	if err != nil {
 		return nil, err
 	}
@@ -190,10 +179,8 @@ func (s *System) Partition(budget float64) (*Partition, error) {
 		// Fusion rewrites blocks in place and computes the liveness
 		// masks the transfer codec ships; re-verify the result so a
 		// fusion bug surfaces here instead of as wire corruption.
-		if !s.NoVerify {
-			if err := verify.Program(compiled); err != nil {
-				return nil, fmt.Errorf("pyxis: fused program failed verification: %w", err)
-			}
+		if err := verify.Program(compiled); err != nil {
+			return nil, fmt.Errorf("pyxis: fused program failed verification: %w", err)
 		}
 	}
 	return &Partition{System: s, Place: place, PyxIL: px, Compiled: compiled, Report: rep}, nil
