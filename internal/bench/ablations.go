@@ -15,46 +15,6 @@ import (
 // §5): solver quality, statement reordering, and the data-edge weight
 // model.
 
-// micro2IndependentSource is the microbenchmark-2 program with
-// data-independent phases: the reorderer may hoist the compute loop
-// past the query loops and merge the two query phases into one
-// contiguous DB region, halving the control transfers. This is the
-// program for the reordering ablation (the main Fig. 14 program makes
-// its phases data-dependent, so reordering correctly refuses there).
-const micro2IndependentSource = `
-class Micro {
-    int acc;
-
-    Micro() {
-        acc = 0;
-    }
-
-    entry int run(int q1, int rounds, int q2) {
-        int a = 0;
-        int i = 0;
-        while (i < q1) {
-            table t = db.query("SELECT v FROM kv WHERE k = ?", i % 100);
-            a += t.getInt(0, 0);
-            i++;
-        }
-        int h = 7;
-        int j = 0;
-        while (j < rounds) {
-            h = sys.sha1(h);
-            j++;
-        }
-        int k = 0;
-        while (k < q2) {
-            table u = db.query("SELECT v FROM kv WHERE k = ?", k % 100);
-            a += u.getInt(0, 0);
-            k++;
-        }
-        acc = a;
-        return a + h % 1000;
-    }
-}
-`
-
 // interleavedSource alternates console output (pinned APP) with
 // database updates (grouped; placed DB at high budget). In program
 // order every adjacent pair changes placement; the two-queue reorder
@@ -142,31 +102,6 @@ func InterleavedReorderAblation() (reordered, unordered int, err error) {
 	}
 	reordered, err = count(false)
 	return
-}
-
-// Micro2MidPartition builds the mid-budget partition of the
-// independent-phases microbenchmark with reordering optionally
-// disabled.
-func Micro2MidPartition(noReorder bool) (*pyxis.Partition, error) {
-	sys, err := pyxis.Load(micro2IndependentSource)
-	if err != nil {
-		return nil, err
-	}
-	sys.NoReorder = noReorder
-	prof := micro2DB()
-	err = sys.ProfileWorkload(prof, func(ip *interp.Interp) error {
-		obj, err := ip.NewObject("Micro")
-		if err != nil {
-			return err
-		}
-		_, err = ip.CallEntry(sys.Prog.Method("Micro", "run"), obj,
-			val.IntV(40), val.IntV(200), val.IntV(40))
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sys.PartitionAt(0.55)
 }
 
 // TPCCSolverObjective partitions the profiled TPC-C graph with the

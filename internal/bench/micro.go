@@ -219,13 +219,6 @@ func Micro2Partitions() (app, mid, db *pyxis.Partition, err error) {
 	return
 }
 
-// Micro2Result is one cell of the Fig. 14 table.
-type Micro2Result struct {
-	Partition string
-	Load      string
-	Seconds   float64
-}
-
 // Micro2Run measures the virtual completion time of one partition
 // under a given number of background-loaded DB cores.
 func Micro2Run(part *pyxis.Partition, dbCores, bgLoad, q1, rounds, q2 int, cm CostModel) float64 {

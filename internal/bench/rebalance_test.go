@@ -249,9 +249,7 @@ func TestMigrateFenceAbandonTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	coordinator := dbapi.NewClient(sess)
-	if _, err := sess.MigCtl(rpc.MigRequest{
-		Op: rpc.MigFence, Lo: 1, Hi: 2, TTL: 50 * time.Millisecond,
-		Tables: TPCCWarehouseKeys()}, 0); err != nil {
+	if _, err := coordinator.Fence(sqldb.FenceSpec{Tables: TPCCWarehouseKeys(), Lo: 1, Hi: 2}, 50*time.Millisecond, 0); err != nil {
 		t.Fatal(err)
 	}
 	// The coordinator dies: its session goes away without a release.
@@ -267,7 +265,7 @@ func TestMigrateFenceAbandonTTL(t *testing.T) {
 	if _, err := c.paymentNative(conn, 1, 1, 1, 5); !errors.Is(err, sqldb.ErrRangeFenced) {
 		t.Fatalf("want ErrRangeFenced while fence lives, got %v", err)
 	}
-	// ...and after the TTL it serves again, no release frame required.
+	// ...and after the TTL it serves again, no release required.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		_, err := c.paymentNative(conn, 1, 1, 1, 5)
@@ -283,9 +281,7 @@ func TestMigrateFenceAbandonTTL(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// A later migration can re-arm over the lapsed fence.
-	if _, err := work.MigCtl(rpc.MigRequest{
-		Op: rpc.MigFence, Lo: 1, Hi: 1, TTL: time.Second,
-		Tables: TPCCWarehouseKeys()}, 0); err != nil {
+	if _, err := conn.Fence(sqldb.FenceSpec{Tables: TPCCWarehouseKeys(), Lo: 1, Hi: 1}, time.Second, 0); err != nil {
 		t.Fatalf("re-arm over lapsed fence: %v", err)
 	}
 	if _, err := c.paymentNative(conn, 1, 1, 1, 5); !errors.Is(err, sqldb.ErrRangeFenced) {

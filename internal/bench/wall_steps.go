@@ -298,7 +298,7 @@ func (s *tpccSession) run(c TPCCConfig, t tpccTxn) (txnOut, error) {
 	// On failure both branches are aborted (or converge to abort via
 	// presumed abort) — no cleanup owed.
 	tx := s.d.Router.TwoPC
-	if err := tx.Commit(tx.NewGID(), home.T.(*rpc.MuxSession), branch.T.(*rpc.MuxSession)); err != nil {
+	if err := tx.Commit(tx.NewGID(), home, branch); err != nil {
 		return out, err
 	}
 	out.distCommit = true

@@ -127,6 +127,16 @@ const (
 	// answers ErrUnprepared); every later call is id + args.
 	opPrepExec
 	opPrepQuery
+	// Two-phase commit, each [op][gid u64], reply [state u8] (control.go).
+	opPrepare
+	opCommitGID
+	opAbortGID
+	opStatusGID
+	// Range-migration fence: opFence [ttl][lo][hi][n][table,col]*,
+	// reply [token u64]; opAdopt [token]; opRelease [token][moved].
+	opFence
+	opAdopt
+	opRelease
 )
 
 // Client is a remote connection over a transport. One Client maps to
@@ -175,6 +185,11 @@ func (c *Client) encodePrepared(op byte, id int, hasSQL bool, sql string, args [
 func (c *Client) call() (*rpc.Reader, error) {
 	c.BytesSent += int64(len(c.enc.Buf))
 	resp, err := c.T.Call(c.enc.Buf)
+	return c.reply(resp, err)
+}
+
+// reply decodes the answer to the request in c.enc.
+func (c *Client) reply(resp []byte, err error) (*rpc.Reader, error) {
 	rpc.Released(c.enc.Buf)
 	if err != nil {
 		return nil, err
@@ -345,9 +360,9 @@ func decodeError(msg string) error {
 // participant's in-doubt deadline resolves it.)
 //
 // Each call creates a private Participant, which is enough for tests
-// and single-connection setups; servers use MuxHandlersTxn so commit
-// and abort frames arriving on a different connection than the prepare
-// still find the transaction.
+// and single-connection setups; servers use MuxHandlersTxn so a commit
+// or abort arriving on a different connection than the prepare still
+// finds the transaction.
 func MuxHandlers(db *sqldb.DB) rpc.SessionHandlers {
 	return MuxHandlersTxn(db, NewParticipant(0, nil))
 }
@@ -365,57 +380,12 @@ type muxHandlers struct {
 	sessions map[uint32]*sqldb.Session
 }
 
-// TxnCtl implements rpc.TxnParticipant: prepare binds to the live
-// session's open transaction, everything else is keyed by gid alone.
-func (h *muxHandlers) TxnCtl(sid uint32, op rpc.TxnOp, gid uint64) (rpc.TxnState, error) {
-	switch op {
-	case rpc.TxnPrepare:
-		h.mu.Lock()
-		sess := h.sessions[sid]
-		h.mu.Unlock()
-		if sess == nil {
-			return rpc.TxnStateUnknown, fmt.Errorf("dbapi: prepare for unknown session %d", sid)
-		}
-		return h.part.Prepare(sess, gid)
-	case rpc.TxnCommit:
-		return h.part.Finish(gid, true)
-	case rpc.TxnAbort:
-		return h.part.Finish(gid, false)
-	case rpc.TxnStatus:
-		return h.part.Status(gid), nil
-	}
-	return rpc.TxnStateUnknown, fmt.Errorf("dbapi: unknown txn op %d", op)
-}
-
-// MigCtl implements rpc.MigParticipant: fence and release address the
-// shard's database as a whole; adopt exempts the addressed live
-// session from the armed fence (it rides that session's worker, so it
-// is ordered with the migrator's own calls).
-func (h *muxHandlers) MigCtl(sid uint32, req rpc.MigRequest) (uint64, error) {
-	switch req.Op {
-	case rpc.MigFence:
-		return h.db.ArmFence(sqldb.FenceSpec{Tables: req.Tables, Lo: req.Lo, Hi: req.Hi}, req.TTL)
-	case rpc.MigRelease:
-		return req.Token, h.db.ReleaseFence(req.Token, req.Moved)
-	case rpc.MigAdopt:
-		h.mu.Lock()
-		sess := h.sessions[sid]
-		h.mu.Unlock()
-		if sess == nil {
-			return 0, fmt.Errorf("dbapi: fence adopt for unknown session %d", sid)
-		}
-		sess.AdoptFence(req.Token)
-		return req.Token, nil
-	}
-	return 0, fmt.Errorf("dbapi: unknown mig op %d", req.Op)
-}
-
 func (h *muxHandlers) Open(sid uint32) rpc.Handler {
 	sess := h.db.NewSession()
 	h.mu.Lock()
 	h.sessions[sid] = sess
 	h.mu.Unlock()
-	return SessionHandler(sess)
+	return newSessionHandler(sess, h.part)
 }
 
 func (h *muxHandlers) Closed(sid uint32) {
@@ -435,9 +405,12 @@ func (h *muxHandlers) Closed(sid uint32) {
 // pre-parsed statement on every later call. It also keeps one reply
 // buffer: a session's calls are sequential and the transport is done
 // with a reply before the next call (see rpc.Handler), so every reply
-// is encoded into the same memory.
-func SessionHandler(sess *sqldb.Session) rpc.Handler {
-	h := &sessionHandler{sess: sess, prepared: map[uint64]sqldb.SQLStmt{}}
+// is encoded into the same memory. It has no 2PC participant, so it
+// refuses the 2PC ops; MuxHandlers' sessions serve them.
+func SessionHandler(sess *sqldb.Session) rpc.Handler { return newSessionHandler(sess, nil) }
+
+func newSessionHandler(sess *sqldb.Session, part *Participant) rpc.Handler {
+	h := &sessionHandler{sess: sess, part: part, prepared: map[uint64]sqldb.SQLStmt{}}
 	return h.serve
 }
 
@@ -447,6 +420,7 @@ const replyKeep = 64 << 10
 
 type sessionHandler struct {
 	sess     *sqldb.Session
+	part     *Participant // the shard's; nil refuses the 2PC ops
 	prepared map[uint64]sqldb.SQLStmt
 	w        rpc.Writer  // the reply; reused across calls
 	args     []val.Value // the decoded arguments; reused across calls
@@ -455,6 +429,9 @@ type sessionHandler struct {
 func (h *sessionHandler) serve(req []byte) ([]byte, error) {
 	r := rpc.Reader{Buf: req}
 	op := r.Byte()
+	if op >= opPrepare {
+		return h.control(op, &r)
+	}
 	// Prepared ops are [op][uvarint id][bool hasSQL][sql?][args], string
 	// ops [op][sql][args].
 	prep := op == opPrepExec || op == opPrepQuery

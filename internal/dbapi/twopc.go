@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pyxis/internal/rpc"
 	"pyxis/internal/sqldb"
 )
 
@@ -32,10 +31,32 @@ const DefaultInDoubtDeadline = 5 * time.Second
 
 // outcomeTombstones bounds the per-participant outcome log: decisions
 // for the last outcomeTombstones resolved transactions are remembered
-// so duplicate decision frames stay idempotent; older entries age out
+// so duplicate decisions stay idempotent; older entries age out
 // FIFO (a duplicate arriving later than 4096 transactions behind is a
 // coordinator bug, and presumed abort still answers safely).
 const outcomeTombstones = 4096
+
+// TxnState is a participant's view of one global transaction.
+type TxnState uint8
+
+const (
+	TxnStateUnknown TxnState = iota
+	TxnStatePrepared
+	TxnStateCommitted
+	TxnStateAborted
+)
+
+func (st TxnState) String() string {
+	switch st {
+	case TxnStatePrepared:
+		return "prepared"
+	case TxnStateCommitted:
+		return "committed"
+	case TxnStateAborted:
+		return "aborted"
+	}
+	return "unknown"
+}
 
 // Resolver answers "what did the coordinator decide for gid?" during
 // in-doubt recovery. known=false means the coordinator is unreachable
@@ -48,15 +69,14 @@ type preparedRec struct {
 }
 
 // Participant tracks this server's prepared transactions and resolved
-// outcomes. Safe for concurrent use from every connection's demux
-// loop and session workers.
+// outcomes. Safe for concurrent use from every session of the shard.
 type Participant struct {
 	deadline time.Duration
 	resolver Resolver
 
 	mu           sync.Mutex
 	prepared     map[uint64]*preparedRec
-	outcomes     map[uint64]rpc.TxnState
+	outcomes     map[uint64]TxnState
 	outcomeOrder []uint64
 
 	prepares, commits, aborts, inDoubt atomic.Int64
@@ -73,7 +93,7 @@ func NewParticipant(deadline time.Duration, resolver Resolver) *Participant {
 		deadline: deadline,
 		resolver: resolver,
 		prepared: map[uint64]*preparedRec{},
-		outcomes: map[uint64]rpc.TxnState{},
+		outcomes: map[uint64]TxnState{},
 	}
 }
 
@@ -86,22 +106,22 @@ func (p *Participant) Stats() (prepares, commits, aborts, inDoubt int64) {
 // Prepare moves sess's open transaction into the prepared state under
 // gid and arms the in-doubt deadline. The session is left without a
 // transaction (see sqldb.Session.Prepare2PC); only Finish — from a
-// decision frame or the deadline — can release the pinned locks.
-func (p *Participant) Prepare(sess *sqldb.Session, gid uint64) (rpc.TxnState, error) {
+// decision or the deadline — can release the pinned locks.
+func (p *Participant) Prepare(sess *sqldb.Session, gid uint64) (TxnState, error) {
 	p.mu.Lock()
 	if _, dup := p.prepared[gid]; dup {
 		p.mu.Unlock()
-		return rpc.TxnStateUnknown, fmt.Errorf("dbapi: gid %d already prepared", gid)
+		return TxnStateUnknown, fmt.Errorf("dbapi: gid %d already prepared", gid)
 	}
 	if st, done := p.outcomes[gid]; done {
 		p.mu.Unlock()
-		return rpc.TxnStateUnknown, fmt.Errorf("dbapi: gid %d already resolved (%s)", gid, st)
+		return TxnStateUnknown, fmt.Errorf("dbapi: gid %d already resolved (%s)", gid, st)
 	}
 	p.mu.Unlock()
 
 	pt, err := sess.Prepare2PC()
 	if err != nil {
-		return rpc.TxnStateUnknown, err
+		return TxnStateUnknown, err
 	}
 	rec := &preparedRec{pt: pt}
 	p.mu.Lock()
@@ -109,19 +129,19 @@ func (p *Participant) Prepare(sess *sqldb.Session, gid uint64) (rpc.TxnState, er
 	rec.timer = time.AfterFunc(p.deadline, func() { p.resolveInDoubt(gid) })
 	p.mu.Unlock()
 	p.prepares.Add(1)
-	return rpc.TxnStatePrepared, nil
+	return TxnStatePrepared, nil
 }
 
 // Finish applies a decision for gid. It is idempotent against
-// duplicate decision frames and answers by presumed abort for
+// duplicate decisions and answers by presumed abort for
 // transactions it has no record of: aborting an unknown gid succeeds
 // (there is nothing to undo — either it never prepared here or it
 // already aged out), committing one fails (a commit decision for a
 // transaction this participant cannot have voted yes on).
-func (p *Participant) Finish(gid uint64, commit bool) (rpc.TxnState, error) {
-	want := rpc.TxnStateAborted
+func (p *Participant) Finish(gid uint64, commit bool) (TxnState, error) {
+	want := TxnStateAborted
 	if commit {
-		want = rpc.TxnStateCommitted
+		want = TxnStateCommitted
 	}
 	p.mu.Lock()
 	rec := p.prepared[gid]
@@ -135,9 +155,9 @@ func (p *Participant) Finish(gid uint64, commit bool) (rpc.TxnState, error) {
 			return st, fmt.Errorf("dbapi: gid %d already resolved (%s), cannot %s", gid, st, want)
 		}
 		if commit {
-			return rpc.TxnStateAborted, fmt.Errorf("dbapi: gid %d not prepared here (presumed abort)", gid)
+			return TxnStateAborted, fmt.Errorf("dbapi: gid %d not prepared here (presumed abort)", gid)
 		}
-		return rpc.TxnStateAborted, nil
+		return TxnStateAborted, nil
 	}
 	delete(p.prepared, gid)
 	p.recordOutcome(gid, want)
@@ -155,23 +175,23 @@ func (p *Participant) Finish(gid uint64, commit bool) (rpc.TxnState, error) {
 		err = rec.pt.Abort()
 	}
 	if err != nil {
-		return rpc.TxnStateUnknown, err
+		return TxnStateUnknown, err
 	}
 	return want, nil
 }
 
 // Status answers a coordinator's (or operator's) state query. No
 // record at all means presumed abort.
-func (p *Participant) Status(gid uint64) rpc.TxnState {
+func (p *Participant) Status(gid uint64) TxnState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.prepared[gid]; ok {
-		return rpc.TxnStatePrepared
+		return TxnStatePrepared
 	}
 	if st, ok := p.outcomes[gid]; ok {
 		return st
 	}
-	return rpc.TxnStateAborted
+	return TxnStateAborted
 }
 
 // resolveInDoubt fires when a prepared transaction's decision never
@@ -183,7 +203,7 @@ func (p *Participant) resolveInDoubt(gid uint64) {
 	_, still := p.prepared[gid]
 	p.mu.Unlock()
 	if !still {
-		return // decision frame won the race
+		return // the decision won the race
 	}
 	commit := false
 	if p.resolver != nil {
@@ -197,7 +217,7 @@ func (p *Participant) resolveInDoubt(gid uint64) {
 
 // recordOutcome logs gid's decision in the bounded tombstone FIFO.
 // Caller holds p.mu.
-func (p *Participant) recordOutcome(gid uint64, st rpc.TxnState) {
+func (p *Participant) recordOutcome(gid uint64, st TxnState) {
 	p.outcomes[gid] = st
 	p.outcomeOrder = append(p.outcomeOrder, gid)
 	if len(p.outcomeOrder) > outcomeTombstones {

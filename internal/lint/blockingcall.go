@@ -7,7 +7,7 @@ import (
 
 // BlockingCall forbids parking a goroutine while it holds a hierarchy
 // latch. A goroutine that blocks on the network (wire RPCs like Call /
-// CallEntry / TxnCtl / MigCtl, dials, accepts), on a channel receive,
+// CallEntry / Prepare / Fence, dials, accepts), on a channel receive,
 // on a default-less select, or on a wait/sleep while holding one of
 // the latches in latchHierarchies keeps every contender of that latch
 // parked for the full stall — the exact shape that turned the shard
@@ -47,15 +47,19 @@ var BlockingCallAllow = map[string]string{
 // goroutine: the dbapi/runtime wire surface, raw net dials/accepts,
 // and the sync/time parking calls.
 var blockingCallNames = map[string]string{
-	"Call":        "a wire RPC",
-	"CallEntry":   "a wire RPC",
-	"TxnCtl":      "a transaction-control RPC",
-	"MigCtl":      "a migration-control RPC",
-	"Dial":        "a network dial",
-	"DialTimeout": "a network dial",
-	"Accept":      "a network accept",
-	"Wait":        "a wait",
-	"Sleep":       "a sleep",
+	"Call":         "a wire RPC",
+	"CallEntry":    "a wire RPC",
+	"Prepare":      "a transaction-control RPC",
+	"Decide":       "a transaction-control RPC",
+	"Status":       "a transaction-control RPC",
+	"Fence":        "a migration-control RPC",
+	"AdoptFence":   "a migration-control RPC",
+	"ReleaseFence": "a migration-control RPC",
+	"Dial":         "a network dial",
+	"DialTimeout":  "a network dial",
+	"Accept":       "a network accept",
+	"Wait":         "a wait",
+	"Sleep":        "a sleep",
 }
 
 // blockingCallViolation is one finding of the exemption-blind scan;
@@ -63,7 +67,7 @@ var blockingCallNames = map[string]string{
 // prove each entry still exempts something.
 type blockingCallViolation struct {
 	pos   token.Pos
-	what  string // "calls MigCtl (a migration-control RPC)", "receives from a channel", ...
+	what  string // "calls Fence (a migration-control RPC)", "receives from a channel", ...
 	latch string // the innermost hierarchy latch held
 }
 

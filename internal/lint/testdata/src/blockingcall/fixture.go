@@ -10,7 +10,7 @@ import "sync"
 type wire struct{}
 
 func (w *wire) Call(method string) error { return nil }
-func (w *wire) MigCtl(op int) error      { return nil }
+func (w *wire) Fence(op int) error       { return nil }
 
 // Migrator mirrors the runtime's move serializer: Move holds migMu
 // across wire round-trips by design, and BlockingCallAllow carries the
@@ -23,7 +23,7 @@ type Migrator struct {
 func (m *Migrator) Move() error {
 	m.migMu.Lock()
 	defer m.migMu.Unlock()
-	return m.w.MigCtl(1)
+	return m.w.Fence(1)
 }
 
 // router mirrors the epoch-publishing shard router.
@@ -33,11 +33,12 @@ type router struct {
 	updates chan int
 }
 
-// publishAndNotify parks on the wire and then on a channel while
-// still holding the epoch mutex — both are findings.
+// publishAndNotify parks on the wire, on a fence round trip and then
+// on a channel while still holding the epoch mutex — all findings.
 func (r *router) publishAndNotify() {
 	r.epochMu.Lock()
 	r.w.Call("publish") // want "calls Call .a wire RPC. while holding epochMu"
+	_ = r.w.Fence(2)    // want "calls Fence .a migration-control RPC. while holding epochMu"
 	v := <-r.updates    // want "receives from a channel while holding epochMu"
 	_ = v
 	r.epochMu.Unlock()

@@ -8,7 +8,7 @@ import "sync"
 
 type wire struct{}
 
-func (w *wire) MigCtl(op int) error { return nil }
+func (w *wire) Fence(op int) error { return nil }
 
 type Migrator struct {
 	migMu sync.Mutex
@@ -18,5 +18,5 @@ type Migrator struct {
 func (m *Migrator) Move() error { // want "BlockingCallAllow entry ...Migrator..Move. is stale"
 	m.migMu.Lock()
 	m.migMu.Unlock()
-	return m.w.MigCtl(1)
+	return m.w.Fence(1)
 }

@@ -87,29 +87,22 @@ func (a *scriptedAdmission) AdmitCall(uint32, int) error {
 	return nil
 }
 
-// worldHandlers answers every call "world" and votes prepared.
-type worldHandlers struct{}
-
-func (worldHandlers) Open(uint32) Handler {
+// worldHandlers answers every call "world".
+var worldHandlers = HandlerFactory(func(uint32) Handler {
 	return func([]byte) ([]byte, error) { return []byte("world"), nil }
-}
-func (worldHandlers) Closed(uint32) {}
-func (worldHandlers) TxnCtl(uint32, TxnOp, uint64) (TxnState, error) {
-	return TxnStatePrepared, nil
-}
+})
 
 // TestFrameGoldenBytes pins the wire format to the bytes the two-write
 // framing produced (generated by the parent commit's writeMuxFrame and
-// attachLoad): a call, a reply with and without a load report, a shed,
-// a txn-ctl and a close frame, each captured off a real client and a
-// real demux loop, each one Write.
+// attachLoad): a call, a reply with and without a load report, a shed
+// and a close frame, each captured off a real client and a real demux
+// loop, each one Write.
 func TestFrameGoldenBytes(t *testing.T) {
 	const (
 		call      = "0e00000007000001030000000068656c6c6f"
 		reply     = "0e000000070000010300000001776f726c64"
 		replyLoad = "2b0000000700000103000000811c00000000004045400000000000802840000000000000084007000000776f726c64"
 		shedLoad  = "2a0000000700000104000000841c0000000000404540000000000080284000000000000008400700000062757379"
-		txnCtl    = "12000000070000010500000005018877665544332211"
 		closeSess = "09000000070000010000000003"
 	)
 	rep := LoadReport{Load: 42.5, CPU: 12.25, LockWaitRate: 3, QueueDepth: 7}
@@ -118,7 +111,7 @@ func TestFrameGoldenBytes(t *testing.T) {
 		srvRec, cliRec := &recConn{ReadWriteCloser: srvEnd}, &recConn{ReadWriteCloser: cliEnd}
 		done := make(chan struct{})
 		go func() {
-			ServeMuxConnConfig(srvRec, worldHandlers{}, cfg)
+			ServeMuxConnConfig(srvRec, worldHandlers, cfg)
 			close(done)
 		}()
 		c := NewMuxClient(cliRec)
@@ -129,9 +122,6 @@ func TestFrameGoldenBytes(t *testing.T) {
 		}
 		if _, err := s.Call([]byte("hello")); cfg.Admission != nil && !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("second call: want shed, got %v", err)
-		}
-		if st, err := s.TxnCtl(TxnPrepare, 0x1122334455667788, 0); err != nil || st != TxnStatePrepared {
-			t.Fatalf("txn-ctl: %v %v", st, err)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
@@ -148,20 +138,19 @@ func TestFrameGoldenBytes(t *testing.T) {
 	}
 
 	cli, srv := run(MuxServeConfig{})
-	if len(cli) != 4 || len(srv) != 3 {
-		t.Fatalf("report-less run: %d client and %d server writes, want 4 and 3 (one per frame)", len(cli), len(srv))
+	if len(cli) != 3 || len(srv) != 2 {
+		t.Fatalf("report-less run: %d client and %d server writes, want 3 and 2 (one per frame)", len(cli), len(srv))
 	}
 	check("call", cli[0], call)
-	check("txn-ctl", cli[2], txnCtl)
-	check("close", cli[3], closeSess)
+	check("close", cli[2], closeSess)
 	check("reply", srv[0], reply)
 
 	cli, srv = run(MuxServeConfig{
 		Load:      func(int) (LoadReport, bool) { return rep, true },
 		Admission: &scriptedAdmission{refuse: map[int]string{2: "busy"}},
 	})
-	if len(cli) != 4 || len(srv) != 3 {
-		t.Fatalf("load run: %d client and %d server writes, want 4 and 3 (one per frame)", len(cli), len(srv))
+	if len(cli) != 3 || len(srv) != 2 {
+		t.Fatalf("load run: %d client and %d server writes, want 3 and 2 (one per frame)", len(cli), len(srv))
 	}
 	check("call", cli[0], call)
 	check("reply+load", srv[0], replyLoad)
@@ -222,8 +211,8 @@ func TestFrameTornWritePoisonsClient(t *testing.T) {
 					t.Fatalf("call after a torn frame: %v, want the sticky write error", err)
 				}
 			}
-			if _, err := b.TxnCtl(TxnStatus, 1, time.Second); !errors.Is(err, ErrPoolPoisoned) {
-				t.Fatalf("txn-ctl after a torn frame: %v, want ErrPoolPoisoned", err)
+			if _, err := b.CallWithin([]byte("bounded"), time.Second); !errors.Is(err, ErrPoolPoisoned) {
+				t.Fatalf("bounded call after a torn frame: %v, want ErrPoolPoisoned", err)
 			}
 			if got := fc.Writes(); got != writes {
 				t.Errorf("%d writes reached a torn stream", got-writes)
@@ -364,45 +353,36 @@ func TestFrameConcurrentCallsOneSession(t *testing.T) {
 	}
 }
 
-// TestFrameDeadlineLeavesSessionUsable times a control call out and
+// TestFrameDeadlineLeavesSessionUsable times a bounded call out and
 // then lets its reply arrive: the straggler must not be taken for the
 // reply of the session's next call.
 func TestFrameDeadlineLeavesSessionUsable(t *testing.T) {
 	release := make(chan struct{})
-	c, _ := pipeMux(t, &stallingParticipant{release: release})
+	c, _ := pipeMux(t, HandlerFactory(func(uint32) Handler {
+		// Echoes every call; "stall" waits for release first.
+		return func(req []byte) ([]byte, error) {
+			if string(req) == "stall" {
+				<-release
+			}
+			return req, nil
+		}
+	}))
 	s := c.Session()
 	if _, err := s.Call([]byte("open")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.TxnCtl(TxnPrepare, 7, 20*time.Millisecond); !errors.Is(err, ErrTxnDeadline) {
-		t.Fatalf("stalled prepare: %v, want ErrTxnDeadline", err)
+	if _, err := s.CallWithin([]byte("stall"), 20*time.Millisecond); !errors.Is(err, ErrTxnDeadline) {
+		t.Fatalf("stalled call: %v, want ErrTxnDeadline", err)
 	}
-	close(release) // the prepare's reply is now on its way
+	close(release) // the stalled call's reply is now on its way
 	for i := 0; i < 3; i++ {
-		st, err := s.TxnCtl(TxnStatus, 7, time.Second)
-		if err != nil || st != TxnStateCommitted {
-			t.Fatalf("status after a timed-out prepare: %v %v, want committed", st, err)
+		if resp, err := s.CallWithin([]byte("status"), time.Second); err != nil || string(resp) != "status" {
+			t.Fatalf("bounded call after a timed-out one: %q %v", resp, err)
 		}
 	}
 	if resp, err := s.Call([]byte("ping")); err != nil || string(resp) != "ping" {
-		t.Fatalf("call after a timed-out prepare: %q %v", resp, err)
+		t.Fatalf("call after a timed-out one: %q %v", resp, err)
 	}
-}
-
-// stallingParticipant echoes calls, stalls prepares until released
-// (answering prepared) and answers every other op committed.
-type stallingParticipant struct{ release chan struct{} }
-
-func (p *stallingParticipant) Open(uint32) Handler {
-	return func(req []byte) ([]byte, error) { return req, nil }
-}
-func (p *stallingParticipant) Closed(uint32) {}
-func (p *stallingParticipant) TxnCtl(_ uint32, op TxnOp, _ uint64) (TxnState, error) {
-	if op == TxnPrepare {
-		<-p.release
-		return TxnStatePrepared, nil
-	}
-	return TxnStateCommitted, nil
 }
 
 // TestFrameScribbleCatchesRetainedRequest shows the hook doing its

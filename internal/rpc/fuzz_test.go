@@ -21,27 +21,18 @@ func (c sinkConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
 func (c sinkConn) Write(p []byte) (int, error) { return len(p), nil }
 func (c sinkConn) Close() error                { return nil }
 
-// fuzzHandlers echoes calls and accepts every control frame that
-// decodes, so the txn-ctl and mig-ctl decoders run too.
-type fuzzHandlers struct{}
-
-func (fuzzHandlers) Open(uint32) Handler {
+// fuzzHandlers answers every call with its own request.
+var fuzzHandlers = HandlerFactory(func(uint32) Handler {
 	return func(req []byte) ([]byte, error) { return req, nil }
-}
-func (fuzzHandlers) Closed(uint32) {}
-func (fuzzHandlers) TxnCtl(uint32, TxnOp, uint64) (TxnState, error) {
-	return TxnStateAborted, nil
-}
-func (fuzzHandlers) MigCtl(_ uint32, req MigRequest) (uint64, error) { return req.Token, nil }
+})
 
-// realFrames are frames off a live connection (TestFrameGoldenBytes)
-// plus a mig-ctl request: the seeds mutation starts from.
+// realFrames are frames off a live connection (TestFrameGoldenBytes):
+// the seeds mutation starts from.
 func realFrames(tb testing.TB) [][]byte {
 	var out [][]byte
 	for _, h := range []string{
-		"0e00000007000001030000000068656c6c6f",         // call "hello"
-		"12000000070000010500000005018877665544332211", // txn-ctl prepare
-		"09000000070000010000000003",                   // close session
+		"0e00000007000001030000000068656c6c6f", // call "hello"
+		"09000000070000010000000003",           // close session
 	} {
 		b, err := hex.DecodeString(h)
 		if err != nil {
@@ -49,12 +40,7 @@ func realFrames(tb testing.TB) [][]byte {
 		}
 		out = append(out, b)
 	}
-	conn := &bufConn{}
-	mig := encodeMigRequest(MigRequest{Op: MigFence, Lo: 3, Hi: 4, TTL: 5e9, Tables: map[string]string{"stock": "s_w_id", "orders": "o_w_id"}})
-	if err := newFramer(conn).writeFrame(muxFrame{sid: 9, rid: 1, kind: muxMigCtl, body: mig}); err != nil {
-		tb.Fatal(err)
-	}
-	return append(out, conn.Bytes())
+	return out
 }
 
 func FuzzMuxFrameDemux(f *testing.F) {
@@ -63,12 +49,14 @@ func FuzzMuxFrameDemux(f *testing.F) {
 		f.Add(fr)
 	}
 	f.Add(bytes.Join(frames, nil))
-	f.Add(append(bytes.Repeat(frames[0], 40), frames[2]...))              // overflows a session queue, then closes it
-	f.Add([]byte{0xff, 0xff, 0xff, 0x0f, 7, 0, 0, 1, 3, 0, 0, 0, 0, 'x'}) // 256 MiB announced, one byte sent
+	f.Add(append(bytes.Repeat(frames[0], 40), frames[1]...))                         // overflows a session queue, then closes it
+	f.Add([]byte{0xff, 0xff, 0xff, 0x0f, 7, 0, 0, 1, 3, 0, 0, 0, 0, 'x'})            // 256 MiB announced, one byte sent
+	f.Add(bytes.Join([][]byte{frames[0], frames[1], frames[0]}, nil))                // a call on a retired session
+	f.Add(append(bytes.Clone(frames[0]), 10, 0, 0, 0, 7, 0, 0, 1, 5, 0, 0, 0, 5, 1)) // a frame of an unknown kind drops the connection
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ServeMuxConnConfig(sinkConn{bytes.NewReader(data)}, fuzzHandlers{}, MuxServeConfig{
+		ServeMuxConnConfig(sinkConn{bytes.NewReader(data)}, fuzzHandlers, MuxServeConfig{
 			Load: func(q int) (LoadReport, bool) { return LoadReport{QueueDepth: uint32(q)}, true },
 		})
 		runtime.ReadMemStats(&after)

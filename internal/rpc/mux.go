@@ -21,6 +21,11 @@ package rpc
 //	muxCloseSess client -> server   session teardown (no reply)
 //	muxReplyShed server -> client   body = shed reason (queue overflow)
 //
+// A client sends calls and closes, nothing else. Two-phase commit and
+// range-migration control are dbapi operations riding muxCall on the
+// branch's own session like every statement, so they stay ordered with
+// its calls and the mux knows nothing of transactions.
+//
 // Reply kinds may additionally carry the muxFlagLoad bit: the body is
 // then prefixed with a length-delimited LoadReport (the DB server's
 // saturation sample, paper §6.3) ahead of the normal payload. The flag
@@ -50,20 +55,6 @@ const (
 	// surface the typed ErrOverloaded sentinel: overload is retryable
 	// back-off territory, not an application failure.
 	muxReplyShed
-	// muxTxnCtl carries a two-phase-commit control operation
-	// (prepare/commit/abort/status) from a coordinator to a participant
-	// shard; body = [op u8][gid u64]. See txn.go. Routed through the
-	// session worker when the session is live (ordered with its calls),
-	// handled inline otherwise — commit/abort/status are keyed by global
-	// transaction ID and outlive the session that prepared them.
-	muxTxnCtl
-	// muxReplyTxn answers muxTxnCtl; body = [state u8] (a TxnState).
-	muxReplyTxn
-	// muxMigCtl carries a range-migration control operation
-	// (fence/adopt/release; see migrate.go for the body layout).
-	muxMigCtl
-	// muxReplyMig answers muxMigCtl; body = [token u64].
-	muxReplyMig
 )
 
 // muxFlagLoad marks a reply frame whose body starts with an encoded
@@ -74,6 +65,15 @@ const muxFlagLoad byte = 0x80
 // session's queue was full. Callers should back off and retry instead
 // of failing the transaction; errors.Is matches it through wrapping.
 var ErrOverloaded = errors.New("rpc: server overloaded")
+
+// ErrTxnDeadline reports that a CallWithin did not complete within its
+// deadline. A 2PC coordinator treats it like a dead participant: abort
+// the global transaction (a participant that did prepare resolves via
+// its own in-doubt deadline and re-query).
+var ErrTxnDeadline = errors.New("rpc: call deadline exceeded")
+
+// DefaultTxnDeadline bounds a CallWithin that names no timeout.
+const DefaultTxnDeadline = 5 * time.Second
 
 const muxHeaderLen = 9
 
@@ -223,11 +223,11 @@ func (c *MuxClient) send(f muxFrame) error {
 	return c.Err()
 }
 
-// exchange sends one request frame on s and waits for the reply frame
+// exchange sends one call frame on s and waits for the reply frame
 // with the same request ID. timeout <= 0 waits for as long as the
 // connection lives; otherwise expiry returns ErrTxnDeadline. A dead
 // connection returns the client's sticky error. req is not retained.
-func (c *MuxClient) exchange(s *MuxSession, kind byte, req []byte, timeout time.Duration) (muxFrame, error) {
+func (c *MuxClient) exchange(s *MuxSession, req []byte, timeout time.Duration) (muxFrame, error) {
 	// Calls on one session are sequential in every real use, so the
 	// session's own reply channel serves them all; a concurrent call on
 	// the same session finds it taken and makes its own.
@@ -250,7 +250,7 @@ func (c *MuxClient) exchange(s *MuxSession, kind byte, req []byte, timeout time.
 	c.outstanding.Add(1)
 	defer c.outstanding.Add(-1)
 
-	if err := c.send(muxFrame{sid: s.sid, rid: rid, kind: kind, body: req}); err != nil {
+	if err := c.send(muxFrame{sid: s.sid, rid: rid, kind: muxCall, body: req}); err != nil {
 		// Poisoning closed ch along with every other pending slot; a
 		// frame refused whole leaves the slot to un-register here.
 		c.mu.Lock()
@@ -291,12 +291,11 @@ func (c *MuxClient) exchange(s *MuxSession, kind byte, req []byte, timeout time.
 	return f, nil
 }
 
-// replyError decodes the reply kinds every exchange shares; what names
-// the remote operation in the error text.
-func replyError(f muxFrame, what string) error {
+// replyError decodes a reply that is not muxReplyOK.
+func replyError(f muxFrame) error {
 	switch f.kind {
 	case muxReplyErr:
-		return fmt.Errorf("rpc: remote %serror: %s", what, string(f.body))
+		return fmt.Errorf("rpc: remote error: %s", string(f.body))
 	case muxReplyShed:
 		return fmt.Errorf("rpc: %s: %w", string(f.body), ErrOverloaded)
 	}
@@ -441,18 +440,37 @@ func (s *MuxSession) ID() uint32 { return s.sid }
 func (s *MuxSession) Conn() *MuxClient { return s.c }
 
 // Call implements Transport.
-func (s *MuxSession) Call(req []byte) ([]byte, error) {
+func (s *MuxSession) Call(req []byte) ([]byte, error) { return s.call(req, 0) }
+
+// CallWithin is Call bounded by timeout (<= 0 means
+// DefaultTxnDeadline), for a caller that must never wedge on a stalled
+// peer — a 2PC coordinator, a range migrator. Expiry returns
+// ErrTxnDeadline; a dead connection returns an error matching
+// ErrPoolPoisoned, so "shard down" reads the same as the pool's own
+// signal.
+func (s *MuxSession) CallWithin(req []byte, timeout time.Duration) ([]byte, error) {
+	if timeout <= 0 {
+		timeout = DefaultTxnDeadline
+	}
+	resp, err := s.call(req, timeout)
+	if err != nil && s.c.Err() != nil {
+		return nil, fmt.Errorf("rpc: call on dead connection: %w: %v", ErrPoolPoisoned, err)
+	}
+	return resp, err
+}
+
+func (s *MuxSession) call(req []byte, timeout time.Duration) ([]byte, error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("rpc: session %d closed", s.sid)
 	}
-	f, err := s.c.exchange(s, muxCall, req, 0)
+	f, err := s.c.exchange(s, req, timeout)
 	if err != nil {
 		return nil, err
 	}
 	if f.kind == muxReplyOK {
 		return f.body, nil
 	}
-	return nil, replyError(f, "")
+	return nil, replyError(f)
 }
 
 // Close implements Transport: it retires this session on the server
@@ -553,11 +571,6 @@ func ServeMuxConn(conn io.ReadWriteCloser, handlers SessionHandlers) {
 
 // ServeMuxConnConfig is ServeMuxConn with an explicit configuration.
 func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg MuxServeConfig) {
-	// 2PC and range migration are optional capabilities of the
-	// connection's handlers; a nil participant answers the control
-	// frames with a typed error reply.
-	tp, _ := handlers.(TxnParticipant)
-	mp, _ := handlers.(MigParticipant)
 	var (
 		fr       = newFramer(conn)
 		bodies   bodyPool
@@ -633,19 +646,10 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 			}
 		}()
 		for req := range sw.ch {
-			kind, resp := muxReplyOK, []byte(nil)
-			if req.kind == muxCall {
-				var herr error
-				if resp, herr = h(req.body); herr != nil {
-					kind, resp = muxReplyErr, []byte(herr.Error())
-				}
-			} else {
-				// Txn and migration control ride the session's worker so
-				// they stay ordered with the calls ahead of them: an ADOPT
-				// must land after the calls that opened the session's
-				// transaction and before the drain that relies on the
-				// exemption.
-				kind, resp = ctlReply(tp, mp, req)
+			kind := muxReplyOK
+			resp, herr := h(req.body)
+			if herr != nil {
+				kind, resp = muxReplyErr, []byte(herr.Error())
 			}
 			if !reply(req, kind, resp, len(sw.ch)) {
 				// The connection is dead; keep draining so the read loop
@@ -663,7 +667,7 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 			return
 		}
 		switch f.kind {
-		case muxCall, muxTxnCtl, muxMigCtl, muxCloseSess:
+		case muxCall, muxCloseSess:
 		default:
 			// Unknown frame kind from a client: drop the connection.
 			return
@@ -710,27 +714,6 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 			if !enqueue(sw, f) {
 				return
 			}
-		case muxTxnCtl, muxMigCtl:
-			// 2PC and migration control. No admission gate and no
-			// retired-sid check: commit/abort/status are keyed by the
-			// global transaction ID and must get through even after the
-			// preparing session closed (that is exactly the in-doubt
-			// recovery path), fence/release are database-wide, and
-			// shedding a decision frame under load would only widen the
-			// in-doubt window it is trying to close. A live session's
-			// frames route through its worker for ordering; otherwise
-			// handle inline — the ops are quick map lookups, never lock
-			// waits.
-			if sw := sessions[f.sid]; sw != nil {
-				if !enqueue(sw, f) {
-					return
-				}
-				continue
-			}
-			kind, resp := ctlReply(tp, mp, f)
-			if !reply(f, kind, resp, 0) {
-				return
-			}
 		case muxCloseSess:
 			bodies.putBody(f.body)
 			if sw := sessions[f.sid]; sw != nil {
@@ -747,15 +730,6 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 			}
 		}
 	}
-}
-
-// ctlReply executes one control frame (muxTxnCtl or muxMigCtl) and
-// returns the reply's kind and body.
-func ctlReply(tp TxnParticipant, mp MigParticipant, f muxFrame) (byte, []byte) {
-	if f.kind == muxTxnCtl {
-		return txnCtlReply(tp, f)
-	}
-	return migCtlReply(mp, f)
 }
 
 // MuxServer accepts connections and serves each as a multiplexed

@@ -4,7 +4,9 @@
 // There are two: in-process (optionally latency-injected) for tests
 // and simulation, and the mux wire (mux.go) for everything that
 // crosses a connection — one connection carries any number of
-// concurrent sessions, each an independent Transport.
+// concurrent sessions, each an independent Transport. The wire carries
+// calls, replies, sheds and closes; what a call means (a statement, a
+// 2PC vote, a control transfer) is its payload's business.
 package rpc
 
 import (

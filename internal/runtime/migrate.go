@@ -2,24 +2,24 @@ package runtime
 
 // Migrator is the data-plane half of live rebalancing: it moves one
 // contiguous warehouse range from shard to shard over the existing
-// dbapi mux wire, with no transaction ever observing half a warehouse.
+// dbapi wire, with no transaction ever observing half a warehouse.
 //
 // The protocol, per move:
 //
-//	FENCE    arm a range fence on the source (rpc.MigFence) — new
+//	FENCE    arm a range fence on the source (dbapi Client.Fence) — new
 //	         statements on the moving keys fail fast with the
 //	         retryable ErrRangeFenced; in-flight writers finish and
 //	         their row locks drain against the snapshot below.
 //	ADOPT    exempt the migrator's own source session from the fence
-//	         (rpc.MigAdopt rides the session worker, so it is ordered
-//	         after the Begin that opened the drain transaction).
+//	         (an ordinary call on that session, so it is ordered after
+//	         the Begin that opened the drain transaction).
 //	STREAM   inside one source transaction, SELECT every row of every
 //	         partitioned table for each moving warehouse (the S locks
 //	         serialize behind any still-running writer) and INSERT it
 //	         inside one destination transaction.
 //	DRAIN    DELETE the moved rows on the source, same transaction.
 //	CUTOVER  commit both transactions atomically through the existing
-//	         2PC coordinator (TxnPrepare on both, then the decision).
+//	         2PC coordinator (a prepare on both, then the decision).
 //	RELEASE  drop the fence with moved=true: the range becomes a
 //	         tombstone on the source (ErrRangeMoved redirects stale
 //	         routers) and the successor map publishes with the epoch
@@ -39,6 +39,7 @@ import (
 
 	"pyxis/internal/dbapi"
 	"pyxis/internal/rpc"
+	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
 
@@ -106,17 +107,17 @@ func (mg *Migrator) Move(from, to int, lo, hi int64) (*MoveResult, error) {
 		}
 	}
 
-	srcMux, err := mg.Pool.Session(from)
+	srcSess, err := mg.Pool.Session(from)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: migrate source session: %w", err)
 	}
-	src := dbapi.NewClient(srcMux)
+	src := dbapi.NewClient(srcSess)
 	defer src.Close()
-	dstMux, err := mg.Pool.Session(to)
+	dstSess, err := mg.Pool.Session(to)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: migrate dest session: %w", err)
 	}
-	dst := dbapi.NewClient(dstMux)
+	dst := dbapi.NewClient(dstSess)
 	defer dst.Close()
 
 	ttl := mg.FenceTTL
@@ -131,7 +132,7 @@ func (mg *Migrator) Move(from, to int, lo, hi int64) (*MoveResult, error) {
 	if err := src.Begin(); err != nil {
 		return nil, fmt.Errorf("runtime: migrate source begin: %w", err)
 	}
-	token, err := srcMux.MigCtl(rpc.MigRequest{Op: rpc.MigFence, Lo: lo, Hi: hi, TTL: ttl, Tables: mg.Tables}, 0)
+	token, err := src.Fence(sqldb.FenceSpec{Tables: mg.Tables, Lo: lo, Hi: hi}, ttl, 0)
 	if err != nil {
 		rollbackBoth(src, nil)
 		return nil, fmt.Errorf("runtime: migrate fence: %w", err)
@@ -139,14 +140,14 @@ func (mg *Migrator) Move(from, to int, lo, hi int64) (*MoveResult, error) {
 	release := func(moved bool) {
 		// Best effort: if the release itself fails (dead source), the
 		// fence TTL converges the source to unfenced on its own.
-		_, _ = srcMux.MigCtl(rpc.MigRequest{Op: rpc.MigRelease, Token: token, Moved: moved}, 0)
+		_ = src.ReleaseFence(token, moved, 0)
 	}
 	abort := func(stage string, cause error) (*MoveResult, error) {
 		rollbackBoth(src, dst)
 		release(false)
 		return nil, fmt.Errorf("runtime: migrate %s: %w", stage, cause)
 	}
-	if _, err := srcMux.MigCtl(rpc.MigRequest{Op: rpc.MigAdopt, Token: token}, 0); err != nil {
+	if err := src.AdoptFence(token, 0); err != nil {
 		return abort("adopt", err)
 	}
 	if err := dst.Begin(); err != nil {
@@ -164,7 +165,7 @@ func (mg *Migrator) Move(from, to int, lo, hi int64) (*MoveResult, error) {
 	// and tombstone: the fence is still up for new statements and the
 	// locks hold everyone else until after RELEASE below.
 	gid := mg.Client.TwoPC.NewGID()
-	if err := mg.Client.TwoPC.Commit(gid, srcMux, dstMux); err != nil {
+	if err := mg.Client.TwoPC.Commit(gid, src, dst); err != nil {
 		// Commit returned non-nil => decision was abort (prepare veto
 		// or participant death); both sides converge to rollback.
 		release(false)

@@ -3,15 +3,15 @@ package runtime
 // Coordinator is the app side of two-phase commit over the sharded DB
 // tier. A distributed transaction runs its per-shard branches on
 // ordinary dbapi sessions (one per participant shard); the coordinator
-// then drives prepare/commit as rpc.TxnCtl frames over each branch's
-// existing mux session — the decision point is Decide, called after
-// every participant voted yes and before any phase-2 frame leaves.
+// then drives prepare/commit as dbapi calls on each branch's own
+// session — the decision point is Decide, called after every
+// participant voted yes and before any phase-2 call leaves.
 //
 // Recovery is presumed abort. The decisions map is the commit log: a
 // gid recorded true is committed; a gid recorded false, or not
 // recorded at all, is aborted. Participants that time out in prepared
 // state re-query this log through dbapi.Participant's resolver (wired
-// to Outcome), so a commit frame lost to a dead connection still
+// to Outcome), so a commit lost to a dead connection still
 // commits and a coordinator crash before the decision still aborts —
 // never a split outcome. The log is bounded FIFO: an entry aging out
 // reads as "no record", which presumed abort only makes safe because
@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pyxis/internal/dbapi"
 	"pyxis/internal/rpc"
 )
 
@@ -69,9 +70,9 @@ func (c *Coordinator) NewGID() uint64 { return c.nextGID.Add(1) }
 
 // Decide records the outcome for gid in the decision log. Recording
 // true is *the* commit point of the protocol: it must happen after
-// every participant has prepared and before any commit frame is sent,
-// so a participant that re-queries mid-phase-2 sees the decision the
-// frames are delivering.
+// every participant has prepared and before any commit is sent, so a
+// participant that re-queries mid-phase-2 sees the decision the calls
+// are delivering.
 func (c *Coordinator) Decide(gid uint64, commit bool) {
 	c.mu.Lock()
 	if _, dup := c.decisions[gid]; !dup {
@@ -112,25 +113,34 @@ func (c *Coordinator) Stats() (commits, aborts, inDoubt int64) {
 // Phase 1 prepares each participant in turn under the per-participant
 // deadline; any refusal, timeout (rpc.ErrTxnDeadline), or dead shard
 // (rpc.ErrPoolPoisoned) vetoes the commit: the abort is recorded and
-// delivered to every participant that already prepared (an unreachable
-// one aborts itself at its in-doubt deadline — no record in the log
-// reads as abort). Phase 2 records the commit, then delivers it;
-// delivery failures do NOT fail the transaction — the decision is
-// logged, the stalled participant re-queries and commits late.
-func (c *Coordinator) Commit(gid uint64, parts ...*rpc.MuxSession) error {
+// delivered to every participant that already prepared, and to one
+// whose prepare timed out (an unreachable one aborts itself at its
+// in-doubt deadline — no record in the log reads as abort). Phase 2
+// records the commit, then delivers it; delivery failures do NOT fail
+// the transaction — the decision is logged, the stalled participant
+// re-queries and commits late.
+func (c *Coordinator) Commit(gid uint64, parts ...*dbapi.Client) error {
 	for i, p := range parts {
-		st, err := p.TxnCtl(rpc.TxnPrepare, gid, c.Deadline)
-		if err == nil && st != rpc.TxnStatePrepared {
+		st, err := p.Prepare(gid, c.Deadline)
+		if err == nil && st != dbapi.TxnStatePrepared {
 			err = fmt.Errorf("participant %d voted %s", i, st)
 		}
 		if err != nil {
 			c.Decide(gid, false)
 			c.aborts.Add(1)
-			// Best-effort abort of the participants that did prepare; the
-			// vetoing one has nothing prepared under gid, and unreachable
-			// ones presume abort on their own deadline.
-			for _, q := range parts[:i] {
-				_, _ = q.TxnCtl(rpc.TxnAbort, gid, c.Deadline)
+			// Best-effort abort of the participants that did prepare. A
+			// timed-out prepare is still queued on its session and may
+			// yet prepare, holding its locks until the in-doubt deadline:
+			// the abort rides the same session and lands right after it.
+			// A refusal is not aborted — the gid it refused may be
+			// another transaction's — and a dead shard presumes abort on
+			// its own deadline.
+			aborts := parts[:i]
+			if errors.Is(err, rpc.ErrTxnDeadline) {
+				aborts = parts[:i+1]
+			}
+			for _, q := range aborts {
+				_, _ = q.Decide(gid, false, c.Deadline)
 			}
 			// Double-wrap so callers can match both the outcome
 			// (ErrTxnAborted) and the cause (ErrTxnDeadline for a stall,
@@ -142,7 +152,7 @@ func (c *Coordinator) Commit(gid uint64, parts ...*rpc.MuxSession) error {
 	c.Decide(gid, true) // the commit point
 	c.commits.Add(1)
 	for _, p := range parts {
-		if _, err := p.TxnCtl(rpc.TxnCommit, gid, c.Deadline); err != nil {
+		if _, err := p.Decide(gid, true, c.Deadline); err != nil {
 			// Committed but not yet everywhere: the participant holds its
 			// locks until its in-doubt deadline re-queries the decision.
 			c.inDoubt.Add(1)
@@ -153,10 +163,10 @@ func (c *Coordinator) Commit(gid uint64, parts ...*rpc.MuxSession) error {
 
 // Abort aborts gid on every participant (used when a branch statement
 // failed before prepare was attempted anywhere).
-func (c *Coordinator) Abort(gid uint64, parts ...*rpc.MuxSession) {
+func (c *Coordinator) Abort(gid uint64, parts ...*dbapi.Client) {
 	c.Decide(gid, false)
 	c.aborts.Add(1)
 	for _, p := range parts {
-		_, _ = p.TxnCtl(rpc.TxnAbort, gid, c.Deadline)
+		_, _ = p.Decide(gid, false, c.Deadline)
 	}
 }

@@ -25,11 +25,15 @@ type twopcShard struct {
 	db   *sqldb.DB
 	part *dbapi.Participant
 	cli  *rpc.MuxClient
-	sess *rpc.MuxSession
 	conn *dbapi.Client
 }
 
 func newTwopcShard(t *testing.T, deadline time.Duration, resolver dbapi.Resolver) *twopcShard {
+	return newTwopcShardWrapped(t, deadline, resolver, nil)
+}
+
+// newTwopcShardWrapped serves the shard through wrap (nil: as is).
+func newTwopcShardWrapped(t *testing.T, deadline time.Duration, resolver dbapi.Resolver, wrap func(rpc.SessionHandlers) rpc.SessionHandlers) *twopcShard {
 	t.Helper()
 	db := sqldb.Open()
 	s := db.NewSession()
@@ -42,15 +46,18 @@ func newTwopcShard(t *testing.T, deadline time.Duration, resolver dbapi.Resolver
 		}
 	}
 	part := dbapi.NewParticipant(deadline, resolver)
+	handlers := dbapi.MuxHandlersTxn(db, part)
+	if wrap != nil {
+		handlers = wrap(handlers)
+	}
 	srvConn, cliConn := net.Pipe()
 	go func() {
-		rpc.ServeMuxConn(srvConn, dbapi.MuxHandlersTxn(db, part))
+		rpc.ServeMuxConn(srvConn, handlers)
 		_ = srvConn.Close()
 	}()
 	cli := rpc.NewMuxClient(cliConn)
 	t.Cleanup(func() { _ = cli.Close() })
-	sess := cli.Session()
-	return &twopcShard{db: db, part: part, cli: cli, sess: sess, conn: dbapi.NewClient(sess)}
+	return &twopcShard{db: db, part: part, cli: cli, conn: dbapi.NewClient(cli.Session())}
 }
 
 // acct reads acct[k] through a fresh local session (not the wire).
@@ -79,6 +86,12 @@ func (sh *twopcShard) openBranch(t *testing.T, k, delta int64) {
 // wedging a statement forever.
 func mustSoon(t *testing.T, what string, f func() error) {
 	t.Helper()
+	mustWithin(t, what, 10*time.Second, f)
+}
+
+// mustWithin is mustSoon with an explicit bound.
+func mustWithin(t *testing.T, what string, d time.Duration, f func() error) {
+	t.Helper()
 	ch := make(chan error, 1)
 	go func() { ch <- f() }()
 	select {
@@ -86,14 +99,14 @@ func mustSoon(t *testing.T, what string, f func() error) {
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("%s: timed out (locks leaked?)", what)
+	case <-time.After(d):
+		t.Fatalf("%s: timed out after %v (locks leaked?)", what, d)
 	}
 }
 
 // TestTwoPCCrossShardCommit: the happy path. Two branches on two
 // shards, one coordinator commit; both apply, locks release, duplicate
-// decision frames stay idempotent, and the sessions survive for the
+// decisions stay idempotent, and the sessions survive for the
 // next transaction.
 func TestTwoPCCrossShardCommit(t *testing.T) {
 	co := NewCoordinator(2 * time.Second)
@@ -103,7 +116,7 @@ func TestTwoPCCrossShardCommit(t *testing.T) {
 	b.openBranch(t, 1, +10)
 
 	gid := co.NewGID()
-	if err := co.Commit(gid, a.sess, b.sess); err != nil {
+	if err := co.Commit(gid, a.conn, b.conn); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.acct(t, 1); got != 90 {
@@ -117,9 +130,9 @@ func TestTwoPCCrossShardCommit(t *testing.T) {
 		_, err := a.db.NewSession().Exec("UPDATE acct SET v = v + 1 WHERE k = 1")
 		return err
 	})
-	// A duplicate commit frame (coordinator retry) is answered
-	// idempotently from the outcome log.
-	if st, err := a.sess.TxnCtl(rpc.TxnCommit, gid, time.Second); err != nil || st != rpc.TxnStateCommitted {
+	// A duplicate commit (coordinator retry) is answered idempotently
+	// from the outcome log.
+	if st, err := a.conn.Decide(gid, true, time.Second); err != nil || st != dbapi.TxnStateCommitted {
 		t.Errorf("duplicate commit: state=%s err=%v, want committed/nil", st, err)
 	}
 	// The branch sessions are reusable after 2PC.
@@ -145,7 +158,7 @@ func TestTwoPCPrepareVetoAbortsPrepared(t *testing.T) {
 	// b never opened a transaction: its prepare vote is "no".
 
 	gid := co.NewGID()
-	err := co.Commit(gid, a.sess, b.sess)
+	err := co.Commit(gid, a.conn, b.conn)
 	if !errors.Is(err, ErrTxnAborted) {
 		t.Fatalf("Commit = %v, want ErrTxnAborted", err)
 	}
@@ -158,7 +171,7 @@ func TestTwoPCPrepareVetoAbortsPrepared(t *testing.T) {
 	if commit, known := co.Outcome(gid); known && commit {
 		t.Error("decision log records commit for an aborted transaction")
 	}
-	if st, err := a.sess.TxnCtl(rpc.TxnStatus, gid, time.Second); err != nil || st != rpc.TxnStateAborted {
+	if st, err := a.conn.Status(gid, time.Second); err != nil || st != dbapi.TxnStateAborted {
 		t.Errorf("status on a: %s, %v, want aborted", st, err)
 	}
 }
@@ -167,7 +180,7 @@ func TestTwoPCPrepareVetoAbortsPrepared(t *testing.T) {
 // branch and then vanishes without deciding. The participant's
 // in-doubt deadline fires, the re-query finds no decision record, and
 // presumed abort releases the locks with the update undone. A commit
-// frame arriving after that is refused — the split outcome it would
+// arriving after that is refused — the split outcome it would
 // create is exactly what presumed abort exists to prevent.
 func TestTwoPCPresumedAbortOnLostCoordinator(t *testing.T) {
 	co := NewCoordinator(2 * time.Second)
@@ -175,7 +188,7 @@ func TestTwoPCPresumedAbortOnLostCoordinator(t *testing.T) {
 	a.openBranch(t, 3, -100)
 
 	gid := co.NewGID()
-	if st, err := a.sess.TxnCtl(rpc.TxnPrepare, gid, time.Second); err != nil || st != rpc.TxnStatePrepared {
+	if st, err := a.conn.Prepare(gid, time.Second); err != nil || st != dbapi.TxnStatePrepared {
 		t.Fatalf("prepare: %s, %v", st, err)
 	}
 	// No Decide, no phase 2 — the coordinator is gone. The conflicting
@@ -188,10 +201,10 @@ func TestTwoPCPresumedAbortOnLostCoordinator(t *testing.T) {
 	if got := a.acct(t, 3); got != 101 {
 		t.Errorf("v = %d, want 101 (prepared update undone by presumed abort, then +1)", got)
 	}
-	if st, err := a.sess.TxnCtl(rpc.TxnStatus, gid, time.Second); err != nil || st != rpc.TxnStateAborted {
+	if st, err := a.conn.Status(gid, time.Second); err != nil || st != dbapi.TxnStateAborted {
 		t.Errorf("status: %s, %v, want aborted", st, err)
 	}
-	if _, err := a.sess.TxnCtl(rpc.TxnCommit, gid, time.Second); err == nil {
+	if _, err := a.conn.Decide(gid, true, time.Second); err == nil {
 		t.Error("commit after presumed abort must be refused, got nil")
 	}
 	if _, _, _, inDoubt := a.part.Stats(); inDoubt != 1 {
@@ -202,7 +215,7 @@ func TestTwoPCPresumedAbortOnLostCoordinator(t *testing.T) {
 // TestTwoPCRemoteParticipantKilledBetweenPrepareAndCommit is the
 // fault-injection acceptance case: both participants prepare, the
 // decision is recorded, one participant's connection dies before its
-// commit frame arrives. Its in-doubt deadline re-queries the
+// commit arrives. Its in-doubt deadline re-queries the
 // coordinator's decision log and commits late — both shards end
 // consistent, nothing lost, nothing double-applied.
 func TestTwoPCRemoteParticipantKilledBetweenPrepareAndCommit(t *testing.T) {
@@ -215,15 +228,15 @@ func TestTwoPCRemoteParticipantKilledBetweenPrepareAndCommit(t *testing.T) {
 	gid := co.NewGID()
 	// Phase 1 by hand so the kill lands exactly between the phases.
 	for i, sh := range []*twopcShard{a, b} {
-		if st, err := sh.sess.TxnCtl(rpc.TxnPrepare, gid, time.Second); err != nil || st != rpc.TxnStatePrepared {
+		if st, err := sh.conn.Prepare(gid, time.Second); err != nil || st != dbapi.TxnStatePrepared {
 			t.Fatalf("prepare on %d: %s, %v", i, st, err)
 		}
 	}
 	co.Decide(gid, true) // the commit point
-	if st, err := a.sess.TxnCtl(rpc.TxnCommit, gid, time.Second); err != nil || st != rpc.TxnStateCommitted {
+	if st, err := a.conn.Decide(gid, true, time.Second); err != nil || st != dbapi.TxnStateCommitted {
 		t.Fatalf("commit on a: %s, %v", st, err)
 	}
-	// Kill b's connection with its commit frame undelivered. The
+	// Kill b's connection with its commit undelivered. The
 	// server-side teardown rolls back open sessions — but the prepared
 	// transaction is detached from its session, so it survives the
 	// teardown still holding its locks.
@@ -260,7 +273,7 @@ func TestTwoPCDeadShardPoisonedAtPrepare(t *testing.T) {
 	_ = b.cli.Close() // shard b dies before phase 1
 
 	gid := co.NewGID()
-	err := co.Commit(gid, a.sess, b.sess)
+	err := co.Commit(gid, a.conn, b.conn)
 	if !errors.Is(err, ErrTxnAborted) {
 		t.Fatalf("Commit = %v, want ErrTxnAborted", err)
 	}
@@ -273,4 +286,56 @@ func TestTwoPCDeadShardPoisonedAtPrepare(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// stallNth delays the n-th call of every session by d before serving
+// it: with a branch's Begin and UPDATE before it, n = 3 is the prepare.
+type stallNth struct {
+	rpc.SessionHandlers
+	n int
+	d time.Duration
+}
+
+func (s stallNth) Open(sid uint32) rpc.Handler {
+	h, calls := s.SessionHandlers.Open(sid), 0
+	return func(req []byte) ([]byte, error) {
+		if calls++; calls == s.n {
+			time.Sleep(s.d)
+		}
+		return h(req)
+	}
+}
+
+// TestTwoPCTimedOutPrepareIsAborted: a participant's prepare is still
+// queued on its session when the coordinator's deadline expires, and
+// prepares late. The coordinator's abort rides the same session behind
+// it, so the late prepare's locks go within the stall — not at the
+// participant's in-doubt deadline.
+func TestTwoPCTimedOutPrepareIsAborted(t *testing.T) {
+	const stall, inDoubt = 300 * time.Millisecond, 20 * time.Second
+	co := NewCoordinator(50 * time.Millisecond)
+	a := newTwopcShard(t, inDoubt, co.Outcome)
+	b := newTwopcShardWrapped(t, inDoubt, co.Outcome, func(h rpc.SessionHandlers) rpc.SessionHandlers {
+		return stallNth{SessionHandlers: h, n: 3, d: stall}
+	})
+	a.openBranch(t, 2, -7)
+	b.openBranch(t, 2, +7)
+
+	gid := co.NewGID()
+	if err := co.Commit(gid, a.conn, b.conn); !errors.Is(err, ErrTxnAborted) || !errors.Is(err, rpc.ErrTxnDeadline) {
+		t.Fatalf("Commit = %v, want ErrTxnAborted caused by ErrTxnDeadline", err)
+	}
+	mustWithin(t, "writer behind the late prepare", 10*stall, func() error {
+		_, err := b.db.NewSession().Exec("UPDATE acct SET v = v + 1 WHERE k = 2")
+		return err
+	})
+	if got := b.acct(t, 2); got != 101 {
+		t.Errorf("shard b: v = %d, want 101 (late prepare aborted, then +1)", got)
+	}
+	if got := a.acct(t, 2); got != 100 {
+		t.Errorf("shard a: v = %d, want 100", got)
+	}
+	if _, _, aborts, inDoubt := b.part.Stats(); aborts != 1 || inDoubt != 0 {
+		t.Errorf("b stats: aborts=%d inDoubt=%d, want 1, 0", aborts, inDoubt)
+	}
 }

@@ -343,6 +343,9 @@ func (db *DB) NewSession() *Session {
 	return &Session{db: db, WaitPoint: chanWaitPoint}
 }
 
+// DB returns the database the session runs against.
+func (s *Session) DB() *DB { return s.db }
+
 // InTxn reports whether an explicit transaction is open.
 func (s *Session) InTxn() bool { return s.txn != nil }
 
