@@ -70,7 +70,7 @@ var LatchAudit = map[string]string{
 	// latch, taken by the binder around these calls. The plan keeps the
 	// tree pointers it chose; it is used only under the statement's
 	// latches and only while the catalog epoch it was bound at stands.
-	"choosePath":   "table latch shared, held by (*binder).levels",
+	"choosePath":   "table latch shared, held by (*binder).levels and (*binder).joinOrder",
 	"isIndexedCol": "table latch shared, held by (*DB).bindUpdate",
 
 	// Bound-plan execution (exec.go); the plan's latch set is taken in

@@ -126,6 +126,92 @@ func BenchmarkJoinProbe(b *testing.B) {
 	}
 }
 
+// tpcwDB loads the TPC-W bookstore's item and author tables the way
+// internal/bench's TPCWConfig.Load does (that package imports this one):
+// items carry a title, an author, a publication date and a sales count,
+// indexed on the last two; 100 authors.
+func tpcwDB(tb testing.TB, items int) *Session {
+	tb.Helper()
+	s := Open().NewSession()
+	for _, ddl := range []string{
+		"CREATE TABLE item (i_id INT PRIMARY KEY, i_title VARCHAR(60), i_a_id INT, i_pub_date INT, i_price DOUBLE, i_total_sold INT)",
+		"CREATE TABLE author (a_id INT PRIMARY KEY, a_name VARCHAR(40))",
+		"CREATE INDEX idx_item_date ON item (i_pub_date)",
+		"CREATE INDEX idx_item_sold ON item (i_total_sold)",
+	} {
+		if _, err := s.Exec(ddl); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for a := 1; a <= 100; a++ {
+		if _, err := s.Exec("INSERT INTO author VALUES (?, ?)", intv(a), val.StrV(fmt.Sprintf("author-%d", a))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 1; i <= items; i++ {
+		if _, err := s.Exec("INSERT INTO item VALUES (?, ?, ?, ?, ?, ?)", intv(i), val.StrV(fmt.Sprintf("book title %d", i)),
+			intv(i%100+1), intv(20000000+i%3650), val.DoubleV(5+float64(i%40)), intv((i*37)%500)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return s
+}
+
+// The TPC-W browsing mix's read path: home's promotion list (a PK
+// range), newProducts (a secondary-index range, then the top 20),
+// bestSellers' top 20 over every item and its per-row author join
+// (item probed first, then author by key), searchByTitle's LIKE scan
+// and top 20 (111 titles match), and a LIKE scan returning 10 rows.
+const (
+	homeRange     = "SELECT i_id, i_title FROM item WHERE i_id <= 5"
+	newProducts   = "SELECT i_id, i_title FROM item WHERE i_pub_date >= ? ORDER BY i_pub_date DESC LIMIT 20"
+	bestSellers   = "SELECT i_id, i_title, i_total_sold FROM item ORDER BY i_total_sold DESC LIMIT 20"
+	authorJoin    = "SELECT a_name FROM author, item WHERE item.i_id = ? AND a_id = i_a_id"
+	searchByTitle = "SELECT i_id, i_title, i_price FROM item WHERE i_title LIKE 'book title 5%' ORDER BY i_title LIMIT 20"
+	likeScan      = "SELECT i_id, i_title FROM item WHERE i_title LIKE 'book title 5_'"
+)
+
+// benchQuery times one prepared query per iteration; arg, when set,
+// gives the i-th iteration's parameter.
+func benchQuery(b *testing.B, s *Session, sql string, wantRows int, arg func(i int) val.Value) {
+	st := prepare(b, s, sql)
+	var args []val.Value
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if arg != nil {
+			args = append(args[:0], arg(i))
+		}
+		rs, err := s.QueryParsed(st, args...)
+		if err != nil || len(rs.Rows) != wantRows {
+			b.Fatalf("%s: %v rows, err %v", sql, rs, err)
+		}
+		i++
+	}
+}
+
+func BenchmarkRangeSelect(b *testing.B) {
+	s := tpcwDB(b, 1000)
+	b.Run("pk", func(b *testing.B) { benchQuery(b, s, homeRange, 5, nil) })
+	b.Run("index", func(b *testing.B) {
+		// The 20 newest items and the 20 before them qualify.
+		benchQuery(b, s, newProducts, 20, func(int) val.Value { return intv(20000000 + 1000 - 39) })
+	})
+}
+
+func BenchmarkAuthorJoin(b *testing.B) {
+	s := tpcwDB(b, 1000)
+	benchQuery(b, s, authorJoin, 1, func(i int) val.Value { return intv(i%1000 + 1) })
+}
+
+func BenchmarkTopN(b *testing.B) {
+	benchQuery(b, tpcwDB(b, 1000), bestSellers, 20, nil)
+}
+
+func BenchmarkLikeScan(b *testing.B) {
+	benchQuery(b, tpcwDB(b, 1000), searchByTitle, 20, nil)
+}
+
 // BenchmarkStatement splits one point select into its steps: parsing
 // the text, binding the parsed statement, and running it from the text
 // (plan-cache lookup, then the cached plan) or from the prepared
@@ -234,7 +320,7 @@ func BenchmarkBTreePointScan(b *testing.B) {
 	i := 0
 	for b.Loop() {
 		key[1].I = int64(i % benchRows)
-		if slots = tr.AppendPrefix(slots[:0], key); len(slots) != 1 {
+		if slots = tr.AppendRange(slots[:0], key, key); len(slots) != 1 {
 			b.Fatal("missing key")
 		}
 		i++
@@ -347,4 +433,36 @@ func TestAllocCeilings(t *testing.T) {
 			t.Errorf("prepared non-key update: %v allocs, want <= 4", got)
 		}
 	}
+
+	// The read path: what a SELECT allocates follows the rows it
+	// returns, never the rows it reads.
+	queryAllocs := func(s *Session, sql string, args ...val.Value) float64 {
+		st := prepare(t, s, sql)
+		return testing.AllocsPerRun(100, func() {
+			if _, err := s.QueryParsed(st, args...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	items := tpcwDB(t, 1000)
+	for _, limit := range []int{5, 20} {
+		sql := fmt.Sprintf("SELECT i_id, i_title, i_total_sold FROM item ORDER BY i_total_sold DESC LIMIT %d", limit)
+		if got, ceil := queryAllocs(items, sql), float64(2*limit+topNAllocs); got > ceil {
+			t.Errorf("top %d of 1000 rows: %v allocs, want <= %v", limit, got, ceil)
+		}
+	}
+	if small, large := queryAllocs(tpcwDB(t, 200), likeScan), queryAllocs(items, likeScan); large != small {
+		t.Errorf("LIKE scan returning 10 rows: %v allocs over 1000 rows, %v over 200", large, small)
+	}
+	day := intv(20000000 + 500)
+	rng := queryAllocs(items, "SELECT i_id FROM item WHERE i_pub_date >= ? AND i_pub_date <= ?", day, day)
+	if probe := queryAllocs(items, "SELECT i_id FROM item WHERE i_pub_date = ?", day); rng > probe {
+		t.Errorf("range select returning 1 row: %v allocs, the prefix probe returning it %v", rng, probe)
+	}
 }
+
+// topNAllocs is what a top-N select over 1 000 rows allocates beside
+// its 2 × LIMIT allowance (it needs one row each): the transaction, the
+// 11 doublings of its lock list to 1 000 S locks, the result set and
+// its row slice. (LIMIT 0 makes 14.)
+const topNAllocs = 16

@@ -10,8 +10,9 @@ import "pyxis/internal/val"
 // Concurrency contract: the tree has no internal synchronization — it
 // is guarded by the owning table's latch in the engine's latch
 // hierarchy (db.go): Insert and Delete run only under the table latch
-// held exclusively; Get, Scan and Len are safe under the shared latch
-// (nothing mutates node structure while any shared holder exists).
+// held exclusively; Get, Scan, AppendRange and Len are safe under the
+// shared latch (nothing mutates node structure while any shared holder
+// exists).
 // The latch audit test enforces that every access site lives in a
 // function with a documented latch story.
 type btree struct {
@@ -254,14 +255,16 @@ func (t *btree) Scan(lo, hi []val.Value, visit func(key []val.Value, v int) bool
 	}
 }
 
-// AppendPrefix appends to dst the payload of every entry whose key
-// begins with prefix, in key order — Scan(prefix, prefix) without the
-// callback, for the executor's index probes.
-func (t *btree) AppendPrefix(dst []int, prefix []val.Value) []int {
-	n, i := t.seek(prefix)
+// AppendRange appends to dst the payload of every entry with
+// lo <= key <= hi, in key order — Scan(lo, hi) without the callback, for
+// the executor's index probes. Both bounds compare as prefixes, so
+// AppendRange(p, p) is every key beginning with p and an empty bound is
+// open. It allocates only when dst grows.
+func (t *btree) AppendRange(dst []int, lo, hi []val.Value) []int {
+	n, i := t.seek(lo)
 	for n != nil {
 		for ; i < len(n.keys); i++ {
-			if cmpKey(n.keys[i], prefix) > 0 {
+			if cmpKey(n.keys[i], hi) > 0 {
 				return dst
 			}
 			dst = append(dst, n.vals[i])

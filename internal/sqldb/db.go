@@ -328,10 +328,10 @@ type Session struct {
 	// so everything an execution writes lives here).
 	rows     [][]val.Value // current row of each join level
 	slots    [][]int       // candidate, then matched, slots of each join level
-	key      []val.Value   // index probe key
-	out      [][]val.Value // SELECT: projected rows, handed to the ResultSet
-	sortKeys []val.Value   // SELECT: ORDER BY keys of out, len(orderBy) per row
-	sortIdx  []int         // SELECT: sort permutation
+	key      []val.Value   // index probe key and range bound keys
+	kept     []keptRow     // SELECT: the rows kept for the result (keepRow)
+	keys     []val.Value   // SELECT: ORDER BY keys of kept, len(orderBy) each
+	arrivals int           // SELECT: join rows offered to the kept set so far
 
 	// fenceTok, when non-zero, exempts this session from the armed
 	// migration fence carrying the same token (see AdoptFence).

@@ -1,9 +1,10 @@
 package sqldb
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"strings"
+	"unicode/utf8"
 
 	"pyxis/internal/val"
 )
@@ -37,29 +38,45 @@ func (s *Session) exec(txn *Txn, p *boundPlan, args []val.Value) (int, *ResultSe
 	}
 }
 
-// likeMatch implements SQL LIKE with % wildcards (no '_' support).
+// likeMatch implements SQL LIKE: '%' matches any run of characters,
+// '_' exactly one, everything else itself. It allocates nothing: on a
+// mismatch the last '%' seen absorbs one more character of s and
+// matching resumes after it. Earlier '%'s never need retrying: whatever
+// they could absorb, the last one can absorb instead.
 func likeMatch(s, pat string) bool {
-	parts := strings.Split(pat, "%")
-	if len(parts) == 1 {
-		return s == pat
-	}
-	if !strings.HasPrefix(s, parts[0]) {
-		return false
-	}
-	s = s[len(parts[0]):]
-	for i := 1; i < len(parts)-1; i++ {
-		p := parts[i]
-		if p == "" {
-			continue
+	si, pi := 0, 0
+	star, starS := -1, 0 // the last '%' in pat, and where in s its match ends
+	for si < len(s) {
+		if pi < len(pat) {
+			switch c := pat[pi]; c {
+			case '%':
+				star, starS = pi, si
+				pi++
+				continue
+			case '_':
+				_, w := utf8.DecodeRuneInString(s[si:])
+				si += w
+				pi++
+				continue
+			default:
+				if c == s[si] {
+					si++
+					pi++
+					continue
+				}
+			}
 		}
-		idx := strings.Index(s, p)
-		if idx < 0 {
+		if star < 0 {
 			return false
 		}
-		s = s[idx+len(p):]
+		_, w := utf8.DecodeRuneInString(s[starS:])
+		starS += w
+		si, pi = starS, star+1
 	}
-	last := parts[len(parts)-1]
-	return strings.HasSuffix(s, last)
+	for pi < len(pat) && pat[pi] == '%' {
+		pi++
+	}
+	return pi == len(pat)
 }
 
 // sameVersion reports whether a and b are the same published row
@@ -80,19 +97,9 @@ func (s *Session) matchRows(txn *Txn, p *boundPlan, args []val.Value, level int,
 	t, lp := p.tables[level], &p.levels[level]
 	cands := s.slots[level][:0]
 	if lp.tree != nil {
-		key := s.key[:0]
-		for i := range lp.key {
-			v, err := lp.key[i].eval(s.rows, args)
-			if err != nil {
-				return nil, err
-			}
-			key = append(key, v)
-		}
-		s.key = key
-		if !lp.point {
-			cands = lp.tree.AppendPrefix(cands, key)
-		} else if slot, ok := lp.tree.Get(key); ok {
-			cands = append(cands, slot)
+		var err error
+		if cands, err = s.probe(lp, cands, args); err != nil {
+			return nil, err
 		}
 	} else {
 		for slot := range t.rows {
@@ -129,6 +136,79 @@ func (s *Session) matchRows(txn *Txn, p *boundPlan, args []val.Value, level int,
 		}
 	}
 	return out, nil
+}
+
+// probe appends to cands the slots the level's index path yields: a Get
+// for a point, else the leaf walk over the equality prefix, narrowed by
+// the range bounds when every probe value sortsIn its column (else the
+// whole prefix, a superset the conjuncts filter). The bound keys are
+// built after the prefix in s.key: [prefix, lo] and [prefix, hi].
+func (s *Session) probe(lp *levelPlan, cands []int, args []val.Value) ([]int, error) {
+	key := s.key[:0]
+	for i := range lp.key {
+		v, err := lp.key[i].eval(s.rows, args)
+		if err != nil {
+			return nil, err
+		}
+		key = append(key, v)
+	}
+	if lp.point {
+		s.key = key
+		if slot, ok := lp.tree.Get(key); ok {
+			cands = append(cands, slot)
+		}
+		return cands, nil
+	}
+	n := len(key)
+	lo, hi := key, key
+	ranged := lp.lo != nil || lp.hi != nil
+	for i := 0; ranged && i < n; i++ {
+		ranged = sortsIn(key[i], lp.types[i])
+	}
+	if ranged && lp.lo != nil {
+		v, err := lp.lo.eval(s.rows, args)
+		if err != nil {
+			return nil, err
+		}
+		if sortsIn(v, lp.types[n]) {
+			key = append(key, v)
+			lo = key[:n+1]
+		}
+	}
+	if ranged && lp.hi != nil {
+		v, err := lp.hi.eval(s.rows, args)
+		if err != nil {
+			return nil, err
+		}
+		if sortsIn(v, lp.types[n]) {
+			key = append(append(key, key[:n]...), v)
+			hi = key[len(key)-n-1:]
+		}
+	}
+	s.key = key
+	return lp.tree.AppendRange(cands, lo, hi), nil
+}
+
+// sortsIn reports whether v sorts among the values of a column of type
+// ct exactly as the conjuncts compare it with them, so that a walk
+// bounded by v misses no row a comparison with v can match: v is NULL,
+// of the column's own kind, or an integer against a DOUBLE column. (A
+// string compares with an INT column by neither order, and a DOUBLE
+// beyond 2^53 equals several INT keys.)
+func sortsIn(v val.Value, ct ColType) bool {
+	switch v.K {
+	case val.Null:
+		return true
+	case val.Int:
+		return ct == CInt || ct == CDouble
+	case val.Double:
+		return ct == CDouble
+	case val.Str:
+		return ct == CString
+	case val.Bool:
+		return ct == CBool
+	}
+	return false
 }
 
 // rowMatches returns slot's row if it satisfies the level's conjuncts,
@@ -277,66 +357,43 @@ func (s *Session) execDelete(txn *Txn, p *boundPlan, args []val.Value) (int, err
 // ---------------------------------------------------------------------------
 
 // execSelect runs under shared latches on every FROM table: a
-// nested-loop join in FROM order, then aggregate or sort and limit.
+// nested-loop join in join order (joinOrder) offering each result row to
+// the kept set (keepRow), then the aggregate, or one sort of what was
+// kept.
 func (s *Session) execSelect(txn *Txn, p *boundPlan, args []val.Value) (*ResultSet, error) {
 	s.db.stats.selects.Add(1)
-	s.out, s.sortKeys = nil, s.sortKeys[:0]
-	err := s.join(txn, p, args, 0)
-	rows := s.out
-	s.out = nil
-	if err != nil {
+	s.kept, s.keys, s.arrivals = s.kept[:0], s.keys[:0], 0
+	// The kept rows go to the ResultSet: the scratch must not pin them.
+	defer func() {
+		clear(s.kept)
+		clear(s.keys)
+	}()
+	if err := s.join(txn, p, args, 0); err != nil {
 		return nil, err
 	}
-	rs := &ResultSet{Cols: p.cols}
+	if p.limit >= 0 || len(p.orderBy) > 0 {
+		slices.SortFunc(s.kept, func(a, b keptRow) int { return s.cmpKept(p, &a, &b) })
+	}
+	var rows [][]val.Value
+	if len(s.kept) > 0 {
+		rows = make([][]val.Value, len(s.kept))
+		for i := range s.kept {
+			rows[i] = s.kept[i].row
+		}
+	}
 	if p.aggs != nil {
-		rs.Rows = [][]val.Value{computeAggregates(p.aggs, rows)}
-		return rs, nil
+		rows = [][]val.Value{computeAggregates(p.aggs, rows)}
 	}
-	if nk := len(p.orderBy); nk > 0 {
-		idx := s.sortIdx[:0]
-		for i := range rows {
-			idx = append(idx, i)
-		}
-		s.sortIdx = idx
-		keys := s.sortKeys
-		slices.SortStableFunc(idx, func(a, b int) int {
-			for i := range p.orderBy {
-				c := val.Compare(keys[a*nk+i], keys[b*nk+i])
-				if p.orderBy[i].desc {
-					c = -c
-				}
-				if c != 0 {
-					return c
-				}
-			}
-			return 0
-		})
-		sorted := make([][]val.Value, len(rows))
-		for i, j := range idx {
-			sorted[i] = rows[j]
-		}
-		rows = sorted
-	}
-	if p.limit >= 0 && len(rows) > p.limit {
-		rows = rows[:p.limit]
-	}
-	rs.Rows = rows
-	return rs, nil
+	return &ResultSet{Cols: p.cols, Rows: rows}, nil
 }
 
 // join extends the current partial join (s.rows[:level]) by every
-// matching row of the level's table, S-locking matches, and projects a
-// result row (and its ORDER BY key) at full depth.
+// matching row of the level's table, S-locking matches, and offers each
+// full row to the kept set. LIMIT never shortens the walk: every row
+// that satisfies its level's conjuncts is locked.
 func (s *Session) join(txn *Txn, p *boundPlan, args []val.Value, level int) error {
 	if level == len(p.tables) {
-		out := make([]val.Value, len(p.proj))
-		for i, at := range p.proj {
-			out[i] = s.colValue(at)
-		}
-		s.out = append(s.out, out)
-		for _, ok := range p.orderBy {
-			s.sortKeys = append(s.sortKeys, s.colValue(ok.colAt))
-		}
+		s.keepRow(p)
 		return nil
 	}
 	slots, err := s.matchRows(txn, p, args, level, LockS)
@@ -354,6 +411,109 @@ func (s *Session) join(txn *Txn, p *boundPlan, args []val.Value, level int) erro
 	}
 	s.rows[level] = nil
 	return nil
+}
+
+// keptRow is one row of a SELECT's kept set: the projected row, its
+// arrival number, and the offset of its ORDER BY key in Session.keys.
+type keptRow struct {
+	row []val.Value
+	seq int
+	key int
+}
+
+// keepRow offers the join's current row to the kept set. Without LIMIT
+// every row is kept. With LIMIT k the set is a heap of the k rows that
+// sort first so far, the last on top, and a row enters only by sorting
+// before it; a row is projected only when it enters (into the evicted
+// row's slice). Ties sort by arrival, so the set ends up holding what a
+// stable sort of every row would put first.
+func (s *Session) keepRow(p *boundPlan) {
+	seq, at := s.arrivals, len(s.keys)
+	s.arrivals++
+	for _, ok := range p.orderBy {
+		s.keys = append(s.keys, s.colValue(ok.colAt))
+	}
+	if p.limit < 0 || len(s.kept) < p.limit {
+		s.kept = append(s.kept, keptRow{row: s.project(p, nil), seq: seq, key: at})
+		if p.limit >= 0 {
+			s.siftUp(p, len(s.kept)-1)
+		}
+		return
+	}
+	if p.limit > 0 {
+		top := &s.kept[0]
+		if cmpOrder(p.orderBy, s.keys[at:], s.keys[top.key:]) < 0 {
+			copy(s.keys[top.key:], s.keys[at:])
+			top.seq, top.row = seq, s.project(p, top.row)
+			s.siftDown(p, 0)
+		}
+	}
+	s.keys = s.keys[:at]
+}
+
+// project writes the current row's output columns into dst (a new row
+// when dst is nil).
+func (s *Session) project(p *boundPlan, dst []val.Value) []val.Value {
+	if dst == nil {
+		dst = make([]val.Value, len(p.proj))
+	}
+	for i, at := range p.proj {
+		dst[i] = s.colValue(at)
+	}
+	return dst
+}
+
+// cmpKept orders kept rows by ORDER BY key, then by arrival.
+func (s *Session) cmpKept(p *boundPlan, a, b *keptRow) int {
+	if c := cmpOrder(p.orderBy, s.keys[a.key:], s.keys[b.key:]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// cmpOrder compares two ORDER BY keys.
+func cmpOrder(order []orderCol, x, y []val.Value) int {
+	for i, o := range order {
+		c := val.Compare(x[i], y[i])
+		if o.desc {
+			c = -c
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// siftUp and siftDown restore the kept set's heap order (every row sorts
+// after its children) around row i.
+func (s *Session) siftUp(p *boundPlan, i int) {
+	h := s.kept
+	for i > 0 {
+		parent := (i - 1) / 2
+		if s.cmpKept(p, &h[i], &h[parent]) <= 0 {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (s *Session) siftDown(p *boundPlan, i int) {
+	h := s.kept
+	for {
+		last := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && s.cmpKept(p, &h[c], &h[last]) > 0 {
+				last = c
+			}
+		}
+		if last == i {
+			return
+		}
+		h[i], h[last] = h[last], h[i]
+		i = last
+	}
 }
 
 func (s *Session) colValue(at colAt) val.Value {

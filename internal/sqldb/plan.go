@@ -92,13 +92,51 @@ func (e *boundExpr) eval(rows [][]val.Value, args []val.Value) (val.Value, error
 	}
 }
 
-// boundCond is one WHERE conjunct over bound expressions. ll and rl
-// are the deepest join level each side reads (-1: none); only the
-// access-path choice at bind time uses them.
+// deepest returns the deepest join level e reads, -1 when it reads no
+// row. depth, when non-nil, first maps each level e names to another:
+// the join-order search binds in FROM order and tries partial orders.
+func (e *boundExpr) deepest(depth []int) int {
+	switch e.op {
+	case opCol:
+		if depth != nil {
+			return depth[e.level]
+		}
+		return e.level
+	case opArith:
+		return max(e.l.deepest(depth), e.r.deepest(depth))
+	}
+	return -1
+}
+
+// boundCond is one WHERE conjunct over bound expressions.
 type boundCond struct {
-	op     CmpOp
-	l, r   boundExpr
-	ll, rl int
+	op   CmpOp
+	l, r boundExpr
+}
+
+// sargable reports whether c compares a column of the table at level
+// with an expression bound before the level — literals, parameters,
+// rows of earlier levels — and returns the column, the expression and
+// the operator as if the column were on the left. depth is deepest's.
+func (c *boundCond) sargable(level int, depth []int) (col int, e *boundExpr, op CmpOp, ok bool) {
+	switch {
+	case c.l.op == opCol && c.l.deepest(depth) == level && c.r.deepest(depth) < level:
+		return c.l.idx, &c.r, c.op, true
+	case c.r.op == opCol && c.r.deepest(depth) == level && c.l.deepest(depth) < level:
+		op = c.op
+		switch op {
+		case CmpLt:
+			op = CmpGt
+		case CmpLe:
+			op = CmpGe
+		case CmpGt:
+			op = CmpLt
+		case CmpGe:
+			op = CmpLe
+		}
+		return c.r.idx, &c.l, op, true
+	}
+	return 0, nil, 0, false
 }
 
 func (c *boundCond) holds(rows [][]val.Value, args []val.Value) (bool, error) {
@@ -138,11 +176,23 @@ type levelPlan struct {
 	// conds are the conjuncts that become fully bound at this level,
 	// in WHERE order.
 	conds []boundCond
+	accessPath
+}
+
+// accessPath is how a level finds its candidate rows. Every expression
+// in it reads only literals, parameters and rows of earlier levels.
+type accessPath struct {
 	// tree is the index to probe (nil: scan the whole table) with the
-	// equality prefix key, in index column order. Key expressions read
-	// only literals, parameters and rows of earlier levels.
+	// equality prefix key, in index column order.
 	tree *btree
 	key  []boundExpr
+	// lo and hi, when set, bound the index column right after the
+	// prefix, both inclusive (the conjuncts recheck < and >). types are
+	// the column types of the prefix and that column: a bound is used
+	// only when every probe value sorts among its column's values as the
+	// conjuncts compare it (sortsIn).
+	lo, hi *boundExpr
+	types  []ColType
 	// point: key covers every column of a unique index, so the probe is
 	// a Get with at most one match.
 	point bool
@@ -179,11 +229,11 @@ type boundPlan struct {
 	epoch uint64
 	kind  stmtKind
 
-	// tables holds the FROM tables in join order (one entry for INSERT,
-	// UPDATE and DELETE); latches is the same set deduplicated in latch
-	// order, taken exclusively iff latchX. An UPDATE shares the latch
-	// unless it sets an indexed column: a non-key update only swaps row
-	// pointers, index maintenance is structural.
+	// tables holds the FROM tables in join order (see joinOrder; one
+	// entry for INSERT, UPDATE and DELETE); latches is the same set
+	// deduplicated in latch order, taken exclusively iff latchX. An
+	// UPDATE shares the latch unless it sets an indexed column: a non-key
+	// update only swaps row pointers, index maintenance is structural.
 	tables  []*Table
 	latches []*Table
 	latchX  bool
@@ -194,7 +244,7 @@ type boundPlan struct {
 	proj    []colAt
 	aggs    []string // aggregate per output column; nil for a plain query
 	orderBy []orderCol
-	limit   int
+	limit   int // -1: none
 
 	// INSERT stores vals[i], coerced, into column valCols[i]; UPDATE
 	// applies sets to a copy of each matched row.
@@ -229,20 +279,40 @@ func (db *DB) planCurrent(p *boundPlan) bool {
 	return p != nil && p.db == db && p.epoch == db.epoch.Load()
 }
 
-// binder resolves names against the FROM list.
+// binder resolves names against the FROM list, always in FROM order:
+// an unqualified column means the first FROM entry that has it, whatever
+// the join order.
 type binder struct {
-	tables  []*Table
+	tables  []*Table // FROM order
 	aliases []string
+	// depth maps each FROM entry to its join level once joinOrder has
+	// chosen one; nil means FROM order is the join order.
+	depth []int
 }
 
-// resolve finds the first FROM entry a column reference can mean.
+// fromList looks up the FROM tables.
+func (db *DB) fromList(refs []TableRef) (*binder, error) {
+	b := &binder{}
+	for _, tr := range refs {
+		t := db.lookupTable(tr.Table)
+		if t == nil {
+			return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, tr.Table)
+		}
+		b.tables = append(b.tables, t)
+		b.aliases = append(b.aliases, tr.Alias)
+	}
+	return b, nil
+}
+
+// resolve finds the first FROM entry a column reference can mean and
+// returns its join level.
 func (b *binder) resolve(cr ColRef) (colAt, error) {
 	for i, a := range b.aliases {
 		if cr.Table != "" && cr.Table != a {
 			continue
 		}
 		if ci, ok := b.tables[i].colIdx[cr.Col]; ok {
-			return colAt{i, ci}, nil
+			return colAt{b.level(i), ci}, nil
 		}
 		if cr.Table != "" {
 			return colAt{}, fmt.Errorf("sqldb: no column %s in %s", cr.Col, cr.Table)
@@ -251,98 +321,187 @@ func (b *binder) resolve(cr ColRef) (colAt, error) {
 	return colAt{}, fmt.Errorf("sqldb: unknown column %s", cr.Col)
 }
 
-// expr binds e and reports the deepest join level it reads (-1 when it
-// reads no row at all).
-func (b *binder) expr(e SQLExpr) (boundExpr, int, error) {
+// level returns the join level of FROM entry i.
+func (b *binder) level(i int) int {
+	if b.depth == nil {
+		return i
+	}
+	return b.depth[i]
+}
+
+// expr binds e; its column references carry their join levels.
+func (b *binder) expr(e SQLExpr) (boundExpr, error) {
 	switch x := e.(type) {
 	case LitExpr:
-		return boundExpr{op: opLit, v: x.V}, -1, nil
+		return boundExpr{op: opLit, v: x.V}, nil
 	case ParamExpr:
-		return boundExpr{op: opParam, idx: x.Index}, -1, nil
+		return boundExpr{op: opParam, idx: x.Index}, nil
 	case ColRef:
 		at, err := b.resolve(x)
 		if err != nil {
-			return boundExpr{}, 0, err
+			return boundExpr{}, err
 		}
-		return boundExpr{op: opCol, level: at.level, idx: at.col}, at.level, nil
+		return boundExpr{op: opCol, level: at.level, idx: at.col}, nil
 	case *ArithExpr:
-		l, ll, err := b.expr(x.L)
+		l, err := b.expr(x.L)
 		if err != nil {
-			return boundExpr{}, 0, err
+			return boundExpr{}, err
 		}
-		r, rl, err := b.expr(x.R)
+		r, err := b.expr(x.R)
 		if err != nil {
-			return boundExpr{}, 0, err
+			return boundExpr{}, err
 		}
-		return boundExpr{op: opArith, arith: x.Op, l: &l, r: &r}, max(ll, rl), nil
+		return boundExpr{op: opArith, arith: x.Op, l: &l, r: &r}, nil
 	}
-	return boundExpr{}, 0, fmt.Errorf("sqldb: cannot evaluate expression %T", e)
+	return boundExpr{}, fmt.Errorf("sqldb: cannot evaluate expression %T", e)
 }
 
-// levels distributes the WHERE conjuncts over the join levels — each
-// filters at the level where its last column becomes bound — and picks
-// every level's access path.
-func (b *binder) levels(where []Cond) ([]levelPlan, error) {
-	levels := make([]levelPlan, len(b.tables))
+// conds binds the WHERE conjuncts, in WHERE order.
+func (b *binder) conds(where []Cond) ([]boundCond, error) {
+	out := make([]boundCond, 0, len(where))
 	for _, c := range where {
-		l, ll, err := b.expr(c.L)
+		l, err := b.expr(c.L)
 		if err != nil {
 			return nil, err
 		}
-		r, rl, err := b.expr(c.R)
+		r, err := b.expr(c.R)
 		if err != nil {
 			return nil, err
 		}
-		at := max(ll, rl, 0)
-		levels[at].conds = append(levels[at].conds, boundCond{op: c.Op, l: l, r: r, ll: ll, rl: rl})
+		out = append(out, boundCond{op: c.Op, l: l, r: r})
 	}
-	for i, t := range b.tables {
+	return out, nil
+}
+
+// joinOrder places at each join level, in turn, the unplaced FROM table
+// with the best access path given the tables placed before it
+// (choosePath's rank); ties keep FROM order. It records the order in
+// b.depth and returns the tables in join order. Only the set of rows
+// each level enumerates changes: the conjuncts, and so the result rows,
+// are the same in any order.
+func (b *binder) joinOrder(where []Cond) ([]*Table, error) {
+	n := len(b.tables)
+	if n < 2 {
+		return b.tables, nil
+	}
+	conds, err := b.conds(where) // FROM numbering: b.depth is still nil
+	if err != nil {
+		return nil, err
+	}
+	depth := make([]int, n)
+	for i := range depth {
+		depth[i] = n // unplaced: deeper than every level
+	}
+	order := make([]*Table, n)
+	for d := range order {
+		best, bestRank := -1, -1
+		for i, t := range b.tables {
+			if depth[i] < n {
+				continue
+			}
+			depth[i] = d
+			t.latch.RLock()
+			_, rank := choosePath(t, d, conds, depth)
+			t.latch.RUnlock()
+			depth[i] = n
+			if rank > bestRank {
+				best, bestRank = i, rank
+			}
+		}
+		depth[best] = d
+		order[d] = b.tables[best]
+	}
+	b.depth = depth
+	return order, nil
+}
+
+// levels distributes the WHERE conjuncts over the join levels of tables
+// (in join order) — each filters at the level where its last column
+// becomes bound — and picks every level's access path.
+func (b *binder) levels(tables []*Table, where []Cond) ([]levelPlan, error) {
+	conds, err := b.conds(where)
+	if err != nil {
+		return nil, err
+	}
+	levels := make([]levelPlan, len(tables))
+	for _, c := range conds {
+		at := max(c.l.deepest(nil), c.r.deepest(nil), 0)
+		levels[at].conds = append(levels[at].conds, c)
+	}
+	for i, t := range tables {
 		t.latch.RLock()
-		choosePath(t, i, &levels[i])
+		levels[i].accessPath, _ = choosePath(t, i, levels[i].conds, nil)
 		t.latch.RUnlock()
 	}
 	return levels, nil
 }
 
-// choosePath picks for one level the index (PK or secondary) with the
-// longest equality-bound prefix. A conjunct qualifies when it equates
-// a column of this level's table with an expression bound before the
-// level: literals, parameters, rows of earlier levels. Caller holds
-// t.latch in at least read mode (the index set is read).
-func choosePath(t *Table, level int, lp *levelPlan) {
-	eq := map[int]*boundExpr{} // column → expression it must equal
-	for i := range lp.conds {
-		c := &lp.conds[i]
-		if c.op != CmpEq {
-			continue
-		}
-		if c.l.op == opCol && c.l.level == level && c.rl < level {
-			eq[c.l.idx] = &c.r
-		} else if c.r.op == opCol && c.r.level == level && c.ll < level {
-			eq[c.r.idx] = &c.l
+// pointRank ranks a Get above every leaf walk.
+const pointRank = 1 << 30
+
+// choosePath picks the access path of the table at level: the index (PK
+// or secondary) that bounds its leaf walk tightest, by conjuncts that
+// compare one of its columns with an expression bound before the level
+// (sargable; depth is deepest's). An index scores 2 × the length of its
+// equality-bound prefix, plus 1 if a <, <=, > or >= conjunct bounds the
+// index column right after the prefix; a unique index whose whole key
+// is equality-bound is a point, a Get, and outranks every walk. Ties
+// keep the earlier index: the PK, then declaration order. The rank
+// returned orders the join (point > longer prefix > prefix + range >
+// scan, 0). Caller holds t.latch in at least read mode (the index set
+// is read).
+func choosePath(t *Table, level int, conds []boundCond, depth []int) (accessPath, int) {
+	// column → the expression it must equal, its first lower bound and
+	// its first upper bound
+	eq, lo, hi := map[int]*boundExpr{}, map[int]*boundExpr{}, map[int]*boundExpr{}
+	for i := range conds {
+		col, e, op, ok := conds[i].sargable(level, depth)
+		switch {
+		case !ok:
+		case op == CmpEq:
+			eq[col] = e
+		case (op == CmpGt || op == CmpGe) && lo[col] == nil:
+			lo[col] = e
+		case (op == CmpLt || op == CmpLe) && hi[col] == nil:
+			hi[col] = e
 		}
 	}
-	if len(eq) == 0 {
-		return
-	}
+	var best accessPath
+	bestRank := 0
 	consider := func(tree *btree, cols []int, unique bool) {
 		n := 0
 		for n < len(cols) && eq[cols[n]] != nil {
 			n++
 		}
-		if n <= len(lp.key) {
+		rank := 2 * n
+		var l, h *boundExpr
+		if n == len(cols) && unique {
+			rank = pointRank
+		} else if n < len(cols) {
+			l, h = lo[cols[n]], hi[cols[n]]
+			if l != nil || h != nil {
+				rank++
+			}
+		}
+		if rank <= bestRank {
 			return
 		}
-		lp.tree, lp.key = tree, make([]boundExpr, n)
-		for i := range lp.key {
-			lp.key[i] = *eq[cols[i]]
+		bestRank = rank
+		best = accessPath{tree: tree, key: make([]boundExpr, n), lo: l, hi: h, point: rank == pointRank}
+		for i := range best.key {
+			best.key[i] = *eq[cols[i]]
 		}
-		lp.point = unique && n == len(cols)
+		if l != nil || h != nil {
+			for _, c := range cols[:n+1] {
+				best.types = append(best.types, t.cols[c].Type)
+			}
+		}
 	}
 	consider(t.pk, t.pkCols, true)
 	for _, ix := range t.idxs {
 		consider(ix.tree, ix.cols, ix.unique)
 	}
+	return best, bestRank
 }
 
 // bind builds st's plan against the current catalog. The epoch is read
@@ -374,31 +533,34 @@ func (db *DB) bind(st dmlStmt) (*boundPlan, error) {
 // bindTarget binds the single table of an INSERT, UPDATE or DELETE and
 // its WHERE clause.
 func (db *DB) bindTarget(p *boundPlan, table string, where []Cond) (*binder, error) {
-	t := db.lookupTable(table)
-	if t == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, table)
+	b, err := db.fromList([]TableRef{{Table: table, Alias: table}})
+	if err != nil {
+		return nil, err
 	}
-	p.tables = []*Table{t}
-	b := &binder{tables: p.tables, aliases: []string{table}}
-	var err error
-	p.levels, err = b.levels(where)
+	p.tables = b.tables
+	p.levels, err = b.levels(p.tables, where)
 	return b, err
 }
 
 func (db *DB) bindSelect(p *boundPlan, st *SelectStmt) error {
 	p.kind = kindSelect
-	p.limit = st.Limit
-	b := &binder{}
-	for _, tr := range st.Tables {
-		t := db.lookupTable(tr.Table)
-		if t == nil {
-			return fmt.Errorf("%w: %s", ErrNoSuchTable, tr.Table)
-		}
-		b.tables = append(b.tables, t)
-		b.aliases = append(b.aliases, tr.Alias)
+	b, err := db.fromList(st.Tables)
+	if err != nil {
+		return err
 	}
-	p.tables = b.tables
+	if p.tables, err = b.joinOrder(st.Where); err != nil {
+		return err
+	}
+	if err := b.selectList(p, st); err != nil {
+		return err
+	}
+	p.levels, err = b.levels(p.tables, st.Where)
+	return err
+}
 
+// selectList binds what a SELECT returns: the output columns, their
+// aggregates, the ORDER BY keys and the LIMIT.
+func (b *binder) selectList(p *boundPlan, st *SelectStmt) error {
 	agg := false
 	for _, sc := range st.Cols {
 		agg = agg || sc.Agg != ""
@@ -415,7 +577,7 @@ func (db *DB) bindSelect(p *boundPlan, st *SelectStmt) error {
 			for i, t := range b.tables {
 				for ci, c := range t.cols {
 					p.cols = append(p.cols, c.Name)
-					p.proj = append(p.proj, colAt{i, ci})
+					p.proj = append(p.proj, colAt{b.level(i), ci})
 				}
 			}
 			continue
@@ -441,9 +603,13 @@ func (db *DB) bindSelect(p *boundPlan, st *SelectStmt) error {
 		}
 		p.orderBy = append(p.orderBy, orderCol{at, ok.Desc})
 	}
-	var err error
-	p.levels, err = b.levels(st.Where)
-	return err
+	p.limit = st.Limit
+	if agg {
+		// Aggregates fold every row into one: ORDER BY and LIMIT do not
+		// apply.
+		p.orderBy, p.limit = nil, -1
+	}
+	return nil
 }
 
 func (db *DB) bindInsert(p *boundPlan, st *InsertStmt) error {
@@ -476,7 +642,7 @@ func (db *DB) bindInsert(p *boundPlan, st *InsertStmt) error {
 	// Values see no row: a column reference in VALUES does not resolve.
 	b := &binder{}
 	for _, e := range st.Vals {
-		be, _, err := b.expr(e)
+		be, err := b.expr(e)
 		if err != nil {
 			return err
 		}
@@ -497,7 +663,7 @@ func (db *DB) bindUpdate(p *boundPlan, st *UpdateStmt) error {
 		if !ok {
 			return fmt.Errorf("sqldb: no column %s in %s", set.Col, t.name)
 		}
-		be, _, err := b.expr(set.Expr)
+		be, err := b.expr(set.Expr)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -192,5 +193,49 @@ func TestBoundPlanStaleAfterLockWait(t *testing.T) {
 	}
 	if rs := mustQuery(t, s1, "SELECT k FROM t WHERE g = 1"); len(rs.Rows) != 0 {
 		t.Errorf("index still lists the old value: %v", rs.Rows)
+	}
+}
+
+// TestJoinOrderByAccessPath: the binder places first the table it can
+// probe by key. bestSellers' author join, written author first, probes
+// item by its key and then author by the item's author, locking those
+// two rows instead of all 100 authors; a tie keeps FROM order, so
+// TPC-C's item/stock join runs as written either way round.
+func TestJoinOrderByAccessPath(t *testing.T) {
+	s := tpcwDB(t, 1000)
+	_, stock := benchDB(t, 0)
+	for _, c := range []struct {
+		s     *Session
+		sql   string
+		order string
+		args  []val.Value
+	}{
+		{s, authorJoin, "ITEM AUTHOR", []val.Value{intv(7)}},
+		{s, "SELECT a_name FROM item, author WHERE item.i_id = ? AND a_id = i_a_id", "ITEM AUTHOR", []val.Value{intv(7)}},
+		{stock, joinProbe, "ITEM STOCK", []val.Value{intv(7)}},
+		{stock, "SELECT i_price, s_quantity FROM item, stock WHERE i_id = ? AND s_w_id = 1 AND s_i_id = ?", "ITEM STOCK", []val.Value{intv(7), intv(7)}},
+		{stock, "SELECT i_price, s_quantity FROM stock, item WHERE i_id = ? AND s_w_id = 1 AND s_i_id = ?", "STOCK ITEM", []val.Value{intv(7), intv(7)}},
+	} {
+		st := prepare(t, c.s, c.sql)
+		if err := c.s.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := c.s.QueryParsed(st, c.args...)
+		if err != nil || len(rs.Rows) != 1 {
+			t.Fatalf("%s: %v, %v", c.sql, rs, err)
+		}
+		if locks := len(c.s.txn.locks); locks != 2 {
+			t.Errorf("%s: %d rows locked, want 2", c.sql, locks)
+		}
+		if err := c.s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		var order []string
+		for _, tb := range st.(dmlStmt).cell().p.Load().tables {
+			order = append(order, tb.name)
+		}
+		if got := strings.Join(order, " "); got != c.order {
+			t.Errorf("%s: join order %s, want %s", c.sql, got, c.order)
+		}
 	}
 }

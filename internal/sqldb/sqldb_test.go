@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -175,10 +177,33 @@ func TestLike(t *testing.T) {
 		{"hello", "x%", false},
 		{"hello", "%x%", false},
 		{"", "%", true},
+		{"hello", "h_llo", true},
+		{"hello", "h_lo", false},
+		{"héllo", "h_llo", true},
+		{"ab", "a_%", true},
+		{"a", "a_%", false},
+		{"aXbXc", "%X_", true},
+		{"", "_", false},
 	}
 	for _, c := range cases {
 		if got := likeMatch(c.s, c.pat); got != c.want {
 			t.Errorf("likeMatch(%q,%q) = %v, want %v", c.s, c.pat, got, c.want)
+		}
+	}
+	// Against a regular expression: % is .*, _ is one character.
+	rng := rand.New(rand.NewSource(1))
+	word := func(alphabet string) string {
+		b := make([]byte, rng.Intn(7))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	for i := 0; i < 20000; i++ {
+		s, pat := word("ab"), word("ab%_")
+		re := regexp.MustCompile("^(?s)" + strings.NewReplacer("%", ".*", "_", ".").Replace(pat) + "$")
+		if got, want := likeMatch(s, pat), re.MatchString(s); got != want {
+			t.Fatalf("likeMatch(%q,%q) = %v, want %v", s, pat, got, want)
 		}
 	}
 }
