@@ -1,6 +1,6 @@
 package pyxis_test
 
-// One benchmark per paper table/figure (DESIGN.md experiment index).
+// One benchmark per paper table/figure, plus the ablations.
 // `go test -bench .` regenerates every artifact at a reduced scale and
 // reports the headline metrics; `go run ./cmd/pyxis-bench -full` runs
 // the paper-scale sweeps. Absolute numbers come from the calibrated
@@ -124,7 +124,7 @@ func BenchmarkMicro1Overhead(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §5)
+// Ablations
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationReorder measures the §4.4 statement reordering on a
@@ -145,14 +145,20 @@ func BenchmarkAblationReorder(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSolvers compares solver quality and speed on the
-// TPC-C partition graph.
+// BenchmarkAblationSolvers compares the quality and speed of Auto's two
+// halves on the TPC-C partition graph at half the total load, where the
+// Lagrangian min cut leaves a gap the exact search closes.
 func BenchmarkAblationSolvers(b *testing.B) {
-	for _, s := range []solver.Solver{&solver.MinCutSolver{}, &solver.Greedy{}, &solver.BranchBound{MaxNodes: 200}} {
-		s := s
-		b.Run(s.Name(), func(b *testing.B) {
+	for _, s := range []struct {
+		name  string
+		solve func(*solver.Problem) (*solver.Solution, error)
+	}{
+		{"mincut-lagrangian", (&solver.MinCutSolver{}).Solve},
+		{"branch-and-bound", (&solver.BranchBound{MaxNodes: 200}).Solve},
+	} {
+		b.Run(s.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				obj, err := bench.TPCCSolverObjective(s, 0.5)
+				obj, err := bench.TPCCSolverObjective(s.solve, 0.5)
 				if err != nil {
 					b.Fatal(err)
 				}

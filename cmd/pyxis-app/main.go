@@ -165,7 +165,7 @@ func main() {
 			// re-attempts admission).
 			open := func(low bool) (*deploy.Client, error) {
 				var c *deploy.Client
-				sheds, err := runtime.RetryOverloaded(0, func() error {
+				sheds, err := runtime.RetryOverloaded(func() error {
 					var oerr error
 					c, oerr = app.Open(shard, low, *newClass, ctorVals...)
 					return oerr
@@ -205,7 +205,7 @@ func main() {
 				defer client.Close()
 				callOnce = func() (val.Value, error) {
 					var ret val.Value
-					sheds, err := runtime.RetryOverloaded(0, func() error {
+					sheds, err := runtime.RetryOverloaded(func() error {
 						var cerr error
 						ret, cerr = client.CallEntry(*call, client.OID, callVals...)
 						return cerr

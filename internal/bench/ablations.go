@@ -2,6 +2,7 @@ package bench
 
 import (
 	"pyxis"
+	"pyxis/internal/core"
 	"pyxis/internal/interp"
 	"pyxis/internal/pdg"
 	"pyxis/internal/pyxil"
@@ -11,9 +12,8 @@ import (
 	"pyxis/internal/val"
 )
 
-// This file backs the ablation benchmarks in bench_test.go (DESIGN.md
-// §5): solver quality, statement reordering, and the data-edge weight
-// model.
+// This file backs the ablation benchmarks in bench_test.go: solver
+// quality, statement reordering, and the data-edge weight model.
 
 // interleavedSource alternates console output (pinned APP) with
 // database updates (grouped; placed DB at high budget). In program
@@ -104,50 +104,47 @@ func InterleavedReorderAblation() (reordered, unordered int, err error) {
 	return
 }
 
-// TPCCSolverObjective partitions the profiled TPC-C graph with the
-// given solver and returns the achieved objective (estimated seconds
-// of cut network time).
-func TPCCSolverObjective(s solver.Solver, budgetFrac float64) (float64, error) {
-	cfg := DefaultTPCC()
-	sys, err := profiledTPCCSystem(cfg)
+// TPCCSolverObjective lowers the profiled TPC-C graph at a fraction of
+// its total load, solves it with solve, and returns the achieved
+// objective (estimated seconds of cut network time).
+func TPCCSolverObjective(solve func(*solver.Problem) (*solver.Solution, error), budgetFrac float64) (float64, error) {
+	sys, err := profiledTPCCSystem(DefaultTPCC())
 	if err != nil {
 		return 0, err
 	}
-	sys.Solver = s
-	part, err := sys.PartitionAt(budgetFrac)
+	prob, _, err := core.Lower(sys.EnsureGraph(), sys.TotalLoad()*budgetFrac)
 	if err != nil {
 		return 0, err
 	}
-	return part.Report.Objective, nil
+	sol, err := solve(prob)
+	if err != nil {
+		return 0, err
+	}
+	return sol.Objective, nil
 }
 
-// TPCCWeightAblation partitions TPC-C at a mid budget twice: with the
-// paper's bandwidth-proportional data-edge weights, and with data
-// edges (incorrectly) charged a full latency each. It returns the
-// objective each model reports for its own solution — the naive model
-// grossly overestimates communication cost, which is exactly why the
-// paper prices data movement at bandwidth (§4.2: updates piggy-back on
-// control transfers).
+// TPCCWeightAblation partitions TPC-C at the full budget on two graphs
+// of one profile: with the paper's bandwidth-proportional data-edge
+// weights, and with data edges (incorrectly) charged a full latency
+// each. It returns how many statements each places on the database —
+// the naive model grossly overestimates communication cost, which is
+// exactly why the paper prices data movement at bandwidth (§4.2:
+// updates piggy-back on control transfers).
 func TPCCWeightAblation() (correct, naive float64, err error) {
-	cfg := DefaultTPCC()
-	sys, err := profiledTPCCSystem(cfg)
+	sys, err := profiledTPCCSystem(DefaultTPCC())
 	if err != nil {
 		return 0, 0, err
 	}
-	partA, err := sys.PartitionAt(1.0)
-	if err != nil {
-		return 0, 0, err
+	var dbStmts [2]float64
+	for i, opts := range []pdg.Options{{}, {ChargeDataAtLatency: true}} {
+		g := pdg.Build(sys.Analysis, sys.Profile, opts)
+		_, rep, err := core.New(g).Partition(core.TotalLoad(g))
+		if err != nil {
+			return 0, 0, err
+		}
+		dbStmts[i] = float64(rep.DBNodes)
 	}
-	sysB, err := profiledTPCCSystem(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	sysB.GraphOpts = pdg.Options{ChargeDataAtLatency: true}
-	partB, err := sysB.PartitionAt(1.0)
-	if err != nil {
-		return 0, 0, err
-	}
-	return float64(partA.DBStatements()), float64(partB.DBStatements()), nil
+	return dbStmts[0], dbStmts[1], nil
 }
 
 // profiledTPCCSystem loads and profiles the TPC-C PyxJ program.

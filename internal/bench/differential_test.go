@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pyxis"
+	"pyxis/internal/compile"
 	"pyxis/internal/dbapi"
 	"pyxis/internal/interp"
 	"pyxis/internal/sqldb"
@@ -58,18 +59,18 @@ func TestDifferentialTPCC(t *testing.T) {
 	want := interpTPCC(t, c, cfg.Txns, mix).Snapshot()
 	for _, budget := range []float64{1.0, 0.5, 0} {
 		t.Run(fmt.Sprintf("budget%.2f", budget), func(t *testing.T) {
+			fused, err := c.PyxisPartition(budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unfused := *fused
+			if unfused.Compiled, err = compile.Compile(fused.PyxIL); err != nil {
+				t.Fatal(err)
+			}
 			var transfers [2]int64
 			var blocks [2]int
-			for i, name := range []string{"unfused", "fused"} {
-				sys, err := profiledTPCCSystem(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys.NoFuse = name == "unfused"
-				part, err := sys.PartitionAt(budget)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for i, part := range []*pyxis.Partition{&unfused, fused} {
+				name := [2]string{"unfused", "fused"}[i]
 				res, dbs, err := WallTPCC(part, c, cfg, mix, 0)
 				if err != nil {
 					t.Fatalf("%s run: %v", name, err)

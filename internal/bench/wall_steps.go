@@ -425,7 +425,7 @@ func openDynamic(d *deploy.Tier) (*dynSession, error) {
 		return nil, err
 	}
 	return &dynSession{high: high, low: low, dyn: &runtime.DynamicClient{High: high.Client, Low: low.Client,
-		Switcher: d.Router.Switcher(0), ShedRetries: maxRetries}}, nil
+		Switcher: d.Router.Switcher(0)}}, nil
 }
 
 // WallDynamic is the wall-clock counterpart of Fig. 11: the paper's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"pyxis/internal/analysis"
@@ -95,12 +96,20 @@ func TestPartitionBudgetsMonotone(t *testing.T) {
 	}
 }
 
+// TestBudgetLevels: a budget asked for as a fraction of TotalLoad, as
+// System.PartitionAt asks, comes back in the Report with the total it
+// is a fraction of.
 func TestBudgetLevels(t *testing.T) {
 	g := buildGraph(t)
-	levels := BudgetLevels(g, 0, 0.5, 1)
 	total := TotalLoad(g)
-	if levels[0] != 0 || levels[1] != total/2 || levels[2] != total {
-		t.Errorf("levels = %v (total %v)", levels, total)
+	for _, f := range []float64{0, 0.5, 1} {
+		_, rep, err := New(g).Partition(f * total)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Budget != f*total || rep.TotalLoad != total {
+			t.Errorf("fraction %v: budget %v of total %v, want %v of %v", f, rep.Budget, rep.TotalLoad, f*total, total)
+		}
 	}
 }
 
@@ -110,7 +119,7 @@ func TestReportString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.String() == "" || rep.SolverName == "" {
-		t.Error("report incomplete")
+	if !strings.Contains(rep.String(), "stmts(db/app)=0/") {
+		t.Errorf("report incomplete: %s", rep)
 	}
 }

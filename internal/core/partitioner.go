@@ -1,9 +1,8 @@
 // Package core implements the Pyxis partitioner (paper §4.3): it
 // lowers the weighted partition graph to the Binary Integer Program of
-// Fig. 5 — same-placement groups contracted, pins applied — invokes a
-// pluggable solver, and lifts the solution back to a per-node
-// Placement. It also generates the multi-budget partition family used
-// for dynamic switching (§6.3).
+// Fig. 5 — same-placement groups contracted, pins applied — solves it
+// with solver.Auto, and lifts the solution back to a per-node
+// Placement.
 package core
 
 import (
@@ -19,48 +18,40 @@ import (
 // Partitioner assigns placements for one partition graph.
 type Partitioner struct {
 	Graph *pdg.Graph
-	// Solver defaults to solver.Auto (budgeted exact branch & bound,
-	// falling back to Lagrangian min cut on large instances).
-	Solver solver.Solver
 }
 
-// New returns a Partitioner with the default solver.
+// New returns a Partitioner for g.
 func New(g *pdg.Graph) *Partitioner {
-	return &Partitioner{Graph: g, Solver: solver.Auto{}}
+	return &Partitioner{Graph: g}
 }
 
 // Report describes one solved partitioning.
 type Report struct {
-	Budget     float64
-	Objective  float64 // estimated network time of cut edges (seconds)
-	Load       float64 // estimated DB instruction load
-	TotalLoad  float64 // load if everything ran on the DB
-	SolverName string
-	SolveTime  time.Duration
-	DBNodes    int // statement nodes placed on the database
-	AppNodes   int
+	Budget    float64
+	Objective float64 // estimated network time of cut edges (seconds)
+	Load      float64 // estimated DB instruction load
+	TotalLoad float64 // load if everything ran on the DB
+	SolveTime time.Duration
+	DBNodes   int // statement nodes placed on the database
+	AppNodes  int
 }
 
 func (r *Report) String() string {
-	return fmt.Sprintf("budget=%.0f load=%.0f/%.0f objective=%.6fs stmts(db/app)=%d/%d solver=%s in %v",
-		r.Budget, r.Load, r.TotalLoad, r.Objective, r.DBNodes, r.AppNodes, r.SolverName, r.SolveTime)
+	return fmt.Sprintf("budget=%.0f load=%.0f/%.0f objective=%.6fs stmts(db/app)=%d/%d solved in %v",
+		r.Budget, r.Load, r.TotalLoad, r.Objective, r.DBNodes, r.AppNodes, r.SolveTime)
 }
 
 // Partition solves the placement problem under an instruction budget
 // for the database server.
 func (pt *Partitioner) Partition(budget float64) (pdg.Placement, *Report, error) {
-	s := pt.Solver
-	if s == nil {
-		s = solver.Auto{}
-	}
 	prob, ids, err := Lower(pt.Graph, budget)
 	if err != nil {
 		return nil, nil, err
 	}
 	start := time.Now()
-	sol, err := s.Solve(prob)
+	sol, err := solver.Auto{}.Solve(prob)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: %s: %w", s.Name(), err)
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	elapsed := time.Since(start)
 
@@ -70,11 +61,10 @@ func (pt *Partitioner) Partition(budget float64) (pdg.Placement, *Report, error)
 	}
 
 	rep := &Report{
-		Budget:     budget,
-		Objective:  sol.Objective,
-		Load:       sol.Load,
-		SolverName: s.Name(),
-		SolveTime:  elapsed,
+		Budget:    budget,
+		Objective: sol.Objective,
+		Load:      sol.Load,
+		SolveTime: elapsed,
 	}
 	for _, n := range pt.Graph.Nodes {
 		rep.TotalLoad += n.Weight
@@ -218,16 +208,4 @@ func TotalLoad(g *pdg.Graph) float64 {
 		total += n.Weight
 	}
 	return total
-}
-
-// BudgetLevels returns budgets at the given fractions of the total
-// load (used to pre-generate the partition family for dynamic
-// switching, §6.3).
-func BudgetLevels(g *pdg.Graph, fractions ...float64) []float64 {
-	total := TotalLoad(g)
-	out := make([]float64, len(fractions))
-	for i, f := range fractions {
-		out[i] = total * f
-	}
-	return out
 }

@@ -123,11 +123,6 @@ type Graph struct {
 
 // Options tunes graph construction.
 type Options struct {
-	// LatencySec is the per-control-transfer network cost (defaults to
-	// the profile's RTT).
-	LatencySec float64
-	// BandwidthBps is bytes/second (defaults to the profile's).
-	BandwidthBps float64
 	// ChargeDataAtLatency weights data edges like control edges
 	// (LAT·cnt) instead of the paper's bandwidth-proportional
 	// size/BW·cnt. This deliberately breaks the §4.2 insight that data
@@ -137,16 +132,11 @@ type Options struct {
 }
 
 // Build assembles the weighted partition graph from the dependency
-// analysis and the workload profile.
+// analysis and the workload profile, pricing the network at the
+// profile's RTT and bandwidth.
 func Build(res *analysis.Result, prof *profile.Profile, opts Options) *Graph {
-	lat := opts.LatencySec
-	if lat == 0 {
-		lat = prof.Latency.Seconds()
-	}
-	bw := opts.BandwidthBps
-	if bw == 0 {
-		bw = prof.BandwidthBps
-	}
+	lat := prof.Latency.Seconds()
+	bw := prof.BandwidthBps
 	if bw == 0 {
 		bw = 125e6
 	}

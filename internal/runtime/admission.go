@@ -186,24 +186,24 @@ func ShedBackoff(attempt int) time.Duration {
 	return base + time.Duration(rand.Int63n(int64(base)))
 }
 
+// shedRetryLimit is how many times RetryOverloaded retries a shed call.
+const shedRetryLimit = 50
+
 // RetryOverloaded runs call, absorbing rpc.ErrOverloaded results with
-// ShedBackoff sleeps for up to maxRetries retries (<= 0 selects
-// DefaultShedRetries); any other outcome returns immediately. It
-// returns how many sheds were absorbed alongside the final error —
+// ShedBackoff sleeps for up to shedRetryLimit retries; any other
+// outcome returns immediately. It returns how many sheds were absorbed
+// alongside the final error, counting the one that spends the limit —
 // the one shed-retry loop shared by every client of a gated server
 // (an overloaded reply means the server refused the work before any
 // state existed, so retrying is always safe).
-func RetryOverloaded(maxRetries int, call func() error) (sheds int64, err error) {
-	if maxRetries <= 0 {
-		maxRetries = DefaultShedRetries
-	}
+func RetryOverloaded(call func() error) (sheds int64, err error) {
 	for attempt := 0; ; attempt++ {
 		err = call()
 		if err == nil || !errors.Is(err, rpc.ErrOverloaded) {
 			return sheds, err
 		}
 		sheds++
-		if attempt >= maxRetries {
+		if attempt >= shedRetryLimit {
 			return sheds, err
 		}
 		time.Sleep(ShedBackoff(attempt))

@@ -6,6 +6,7 @@ import (
 
 	"pyxis"
 	"pyxis/internal/bench"
+	"pyxis/internal/compile"
 	"pyxis/internal/rpc"
 	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
@@ -97,12 +98,11 @@ func TestTablesDieWithTheirCall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fused.System.NoFuse = true
-		unfused, err := fused.System.PartitionAt(tc.budget)
-		if err != nil {
+		unfused := *fused
+		if unfused.Compiled, err = compile.Compile(fused.PyxIL); err != nil {
 			t.Fatal(err)
 		}
-		for _, part := range []*pyxis.Partition{unfused, fused} {
+		for _, part := range []*pyxis.Partition{&unfused, fused} {
 			t.Run(fmt.Sprintf("%s/budget%.1f/fused=%v", tc.name, tc.budget, part.Compiled.Fused), func(t *testing.T) {
 				dep := part.Deploy(tc.load(), runtime.Options{})
 				defer dep.Client.Close()

@@ -108,8 +108,7 @@ func TestSingleSidedExecution(t *testing.T) {
 
 // TestSplitFieldHeapSync places the `acc` field and the arithmetic on
 // the DB while the entry prologue stays on APP, and verifies values
-// stay consistent across many alternating calls (heap-consistency
-// invariant, DESIGN.md #2).
+// stay consistent across many alternating calls.
 func TestSplitFieldHeapSync(t *testing.T) {
 	compiled := compileWith(t, calcSrc, placeOnDB("Calc", []string{"apply"}, "acc"))
 	dep := NewDeployment(compiled, sqldb.Open(), Options{})
@@ -312,6 +311,48 @@ func TestDynamicClientPickCounting(t *testing.T) {
 	}
 	if d.Errors() != 1 {
 		t.Errorf("errors = %d, want 1", d.Errors())
+	}
+}
+
+// TestDynamicClientCallEntrySheds: CallEntry backs off on every shed,
+// picks a deployment afresh for each attempt, and reports the sheds it
+// absorbed with the value of the attempt that got through.
+func TestDynamicClientCallEntrySheds(t *testing.T) {
+	place := []func(*pdg.Graph, pdg.Placement){placeStmts("far", 0), placeOnDB("Life", []string{"bump"})}
+	high, low := deployLife(t, place...), deployLife(t, place...)
+	oidHigh, err := high.Client.NewObject("Life")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oidLow, err := low.Client.NewObject("Life")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := NewSwitcher()
+	// The high deployment's server is saturated: it sheds, and its load
+	// report moves the switcher to the low one, which sheds once more.
+	high.hook.before = func(int) error {
+		sw.Observe(99)
+		return rpc.ErrOverloaded
+	}
+	lowSheds := 1
+	low.hook.before = func(int) error {
+		if lowSheds > 0 {
+			lowSheds--
+			return rpc.ErrOverloaded
+		}
+		return nil
+	}
+	d := &DynamicClient{High: high.Client, Low: low.Client, Switcher: sw}
+	res, err := d.CallEntry("Life.far", oidHigh, oidLow, val.IntV(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Val.I != 12 || !res.Low || res.Sheds != 2 {
+		t.Errorf("result = %+v, want far(1) = 12 served by low after 2 sheds", res)
+	}
+	if lowPicks, highPicks := d.Picks(); lowPicks != 1 || highPicks != 0 || d.Sheds() != 2 {
+		t.Errorf("picks = %d,%d sheds = %d, want 1,0 and 2", lowPicks, highPicks, d.Sheds())
 	}
 }
 

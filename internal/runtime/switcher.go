@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pyxis/internal/rpc"
 	"pyxis/internal/val"
@@ -102,19 +101,12 @@ func (s *Switcher) UseLowBudget() bool {
 type DynamicClient struct {
 	High, Low *Client
 	Switcher  *Switcher
-	// ShedRetries bounds CallEntry's overload-backoff loop (0 selects
-	// DefaultShedRetries).
-	ShedRetries int
 
 	lowPicks  atomic.Int64 // completed low-budget calls
 	highPicks atomic.Int64 // completed high-budget calls
 	sheds     atomic.Int64 // calls shed by an overloaded server
 	fails     atomic.Int64 // calls that failed for any other reason
 }
-
-// DefaultShedRetries is CallEntry's overload-retry bound when
-// ShedRetries is unset.
-const DefaultShedRetries = 50
 
 // Pick chooses the deployment for the next call and returns it with a
 // completion callback: invoke done(err) once the call finishes. Only
@@ -152,16 +144,12 @@ type CallResult struct {
 // CallEntry routes one entry invocation through the switcher: it picks
 // a deployment per attempt (the EWMA may move between retries), maps
 // the pick to that deployment's receiver OID, completes the pick, and
-// backs off with jitter (ShedBackoff) while the server sheds the call.
-// Non-overload errors return immediately — retry policy for
-// application errors (e.g. deadlock victims) belongs to the caller.
+// retries sheds through RetryOverloaded. Non-overload errors return
+// immediately — retry policy for application errors (e.g. deadlock
+// victims) belongs to the caller.
 func (d *DynamicClient) CallEntry(qname string, oidHigh, oidLow val.OID, args ...val.Value) (CallResult, error) {
-	max := d.ShedRetries
-	if max <= 0 {
-		max = DefaultShedRetries
-	}
 	var res CallResult
-	for attempt := 0; ; attempt++ {
+	sheds, err := RetryOverloaded(func() error {
 		cl, done := d.Pick()
 		res.Low = cl == d.Low
 		oid := oidHigh
@@ -170,22 +158,11 @@ func (d *DynamicClient) CallEntry(qname string, oidHigh, oidLow val.OID, args ..
 		}
 		ret, err := cl.CallEntry(qname, oid, args...)
 		done(err)
-		if err == nil {
-			res.Val = ret
-			return res, nil
-		}
-		if !errors.Is(err, rpc.ErrOverloaded) {
-			return res, err
-		}
-		res.Sheds++ // counted even when the budget is spent, matching Sheds()
-		if attempt >= max {
-			return res, err
-		}
-		// The server refused to queue the call, so no transaction
-		// state was left behind; back off (jittered, so sessions shed
-		// together don't retry in lockstep) and try again.
-		time.Sleep(ShedBackoff(attempt))
-	}
+		res.Val = ret
+		return err
+	})
+	res.Sheds = int(sheds)
+	return res, err
 }
 
 // Picks returns (completed low-budget calls, completed high-budget

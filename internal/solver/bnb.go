@@ -27,10 +27,8 @@ type errTooLarge struct{}
 
 func (errTooLarge) Error() string { return "solver: instance too large for exact branch & bound" }
 
-// Name implements Solver.
-func (b *BranchBound) Name() string { return "branch-and-bound" }
-
-// Solve implements Solver.
+// Solve returns the optimum, or the best incumbent with Optimal=false
+// when MaxExpansions runs out.
 func (b *BranchBound) Solve(p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -149,10 +147,8 @@ func (b *BranchBound) Solve(p *Problem) (*Solution, error) {
 // Gurobi with a time limit).
 type Auto struct{}
 
-// Name implements Solver.
-func (Auto) Name() string { return "auto(bnb|mincut)" }
-
-// Solve implements Solver.
+// Solve solves p with BranchBound, or with MinCutSolver when p has more
+// than 220 free nodes.
 func (Auto) Solve(p *Problem) (*Solution, error) {
 	bb := &BranchBound{MaxNodes: 220, MaxExpansions: 2_000_000}
 	sol, err := bb.Solve(p)

@@ -12,25 +12,18 @@ package solver
 // Lagrangian duality can leave a gap on knapsack-like instances, so
 // the result is near-optimal rather than certified; BranchBound
 // (exact) cross-checks it in tests.
-type MinCutSolver struct {
-	// Iters is the number of bisection steps (default 48).
-	Iters int
-}
+type MinCutSolver struct{}
 
-// Name implements Solver.
-func (m *MinCutSolver) Name() string { return "mincut-lagrangian" }
+// bisectionSteps is how many times Solve halves the λ interval.
+const bisectionSteps = 48
 
-// Solve implements Solver.
+// Solve returns the cheapest feasible cut the λ search visits.
 func (m *MinCutSolver) Solve(p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if pinnedLoad(p) > p.Budget+1e-9 {
 		return nil, ErrInfeasible
-	}
-	iters := m.Iters
-	if iters == 0 {
-		iters = 48
 	}
 
 	best := allAppSolution(p) // always feasible given the pin check
@@ -59,7 +52,7 @@ func (m *MinCutSolver) Solve(p *Problem) (*Solution, error) {
 		lo = hi
 		hi *= 8
 	}
-	for i := 0; i < iters; i++ {
+	for i := 0; i < bisectionSteps; i++ {
 		mid := (lo + hi) / 2
 		sol := try(mid)
 		if sol.Load <= p.Budget+1e-9 {

@@ -135,57 +135,71 @@ func TestMinCutNearOptimal(t *testing.T) {
 	}
 }
 
+// solvers are the three ways to solve a Problem.
+var solvers = []struct {
+	name  string
+	solve func(*Problem) (*Solution, error)
+}{
+	{"mincut", (&MinCutSolver{}).Solve},
+	{"bnb", (&BranchBound{}).Solve},
+	{"auto", Auto{}.Solve},
+}
+
+// TestGreedyFeasibleAndSane: above BranchBound's 220-node cap Auto
+// falls back to min cut, and what it returns is feasible and no worse
+// than the all-APP placement.
 func TestGreedyFeasibleAndSane(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	g := &Greedy{}
-	bb := &BranchBound{}
-	for trial := 0; trial < 100; trial++ {
-		p := randomProblem(rng, 2+rng.Intn(9))
-		want, err := bb.Solve(p)
-		if err != nil {
-			continue
+	for trial := 0; trial < 10; trial++ {
+		p := randomProblem(rng, 400)
+		free := 0
+		for _, pin := range p.Pin {
+			if pin == PinFree {
+				free++
+			}
 		}
-		got, err := g.Solve(p)
+		if free <= 220 {
+			t.Fatalf("trial %d: %d free nodes, the test needs more than the exact cap", trial, free)
+		}
+		got, err := Auto{}.Solve(p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !Feasible(p, got.Assign) {
-			t.Fatalf("trial %d: greedy infeasible", trial)
+		mc, err := (&MinCutSolver{}).Solve(p)
+		if err != nil {
+			t.Fatalf("trial %d: mincut: %v", trial, err)
 		}
-		if got.Objective < want.Objective-1e-9 {
-			t.Fatalf("trial %d: greedy %g beats exact %g", trial, got.Objective, want.Objective)
+		if got.Objective != mc.Objective {
+			t.Fatalf("trial %d: auto %g, mincut %g: auto did not fall back", trial, got.Objective, mc.Objective)
+		}
+		if !Feasible(p, got.Assign) {
+			t.Fatalf("trial %d: auto infeasible (load=%g budget=%g)", trial, got.Load, p.Budget)
+		}
+		if app := allAppSolution(p); got.Objective > app.Objective+1e-9 {
+			t.Fatalf("trial %d: auto %g worse than all-APP %g", trial, got.Objective, app.Objective)
 		}
 	}
 }
 
-// TestLPLowerBound: the LP relaxation never exceeds the integer
-// optimum.
+// TestLPLowerBound: BranchBound's certified optimum is a lower bound on
+// MinCutSolver's objective, on instances too large to enumerate.
 func TestLPLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	bb := &BranchBound{}
 	for trial := 0; trial < 80; trial++ {
-		p := randomProblem(rng, 2+rng.Intn(7))
-		want, err := bb.Solve(p)
+		p := randomProblem(rng, 12+rng.Intn(29))
+		exact, err := (&BranchBound{}).Solve(p)
 		if err != nil {
-			continue
+			t.Fatalf("trial %d: bnb: %v", trial, err)
 		}
-		lower, x, err := LPRelaxation(p)
+		if !exact.Optimal {
+			t.Fatalf("trial %d: unbounded search did not certify its result", trial)
+		}
+		mc, err := (&MinCutSolver{}).Solve(p)
 		if err != nil {
-			t.Fatalf("trial %d: LP: %v", trial, err)
+			t.Fatalf("trial %d: mincut: %v", trial, err)
 		}
-		if lower > want.Objective+1e-6 {
-			t.Fatalf("trial %d: LP bound %g exceeds integer optimum %g", trial, lower, want.Objective)
-		}
-		for i, xi := range x {
-			if xi < -1e-9 || xi > 1+1e-9 {
-				t.Fatalf("trial %d: x[%d]=%g out of [0,1]", trial, i, xi)
-			}
-			if p.Pin[i] == PinApp && xi > 1e-9 {
-				t.Fatalf("trial %d: PinApp violated (x=%g)", trial, xi)
-			}
-			if p.Pin[i] == PinDB && xi < 1-1e-9 {
-				t.Fatalf("trial %d: PinDB violated (x=%g)", trial, xi)
-			}
+		if exact.Objective > mc.Objective+1e-9 {
+			t.Fatalf("trial %d: certified optimum %g exceeds mincut %g", trial, exact.Objective, mc.Objective)
 		}
 	}
 }
@@ -205,14 +219,14 @@ func TestBudgetZeroDegenerate(t *testing.T) {
 				p.NodeWeight[i] = 0.1
 			}
 		}
-		for _, s := range []Solver{&MinCutSolver{}, &BranchBound{}, &Greedy{}} {
-			sol, err := s.Solve(p)
+		for _, s := range solvers {
+			sol, err := s.solve(p)
 			if err != nil {
-				t.Fatalf("%s: %v", s.Name(), err)
+				t.Fatalf("%s: %v", s.name, err)
 			}
 			for i, a := range sol.Assign {
 				if a {
-					t.Fatalf("%s: node %d on DB despite zero budget", s.Name(), i)
+					t.Fatalf("%s: node %d on DB despite zero budget", s.name, i)
 				}
 			}
 		}
@@ -226,9 +240,9 @@ func TestInfeasiblePins(t *testing.T) {
 		Budget:     1,
 		Pin:        []int8{PinDB, PinFree},
 	}
-	for _, s := range []Solver{&MinCutSolver{}, &BranchBound{}, &Greedy{}} {
-		if _, err := s.Solve(p); err == nil {
-			t.Errorf("%s: expected infeasible error", s.Name())
+	for _, s := range solvers {
+		if _, err := s.solve(p); !errors.Is(err, ErrInfeasible) {
+			t.Errorf("%s: got %v, want ErrInfeasible", s.name, err)
 		}
 	}
 }
@@ -265,84 +279,60 @@ func TestUnconstrainedIsPureMinCut(t *testing.T) {
 	}
 }
 
+// TestSimplexBasics: Auto returns the known optimum of a knapsack with
+// a Lagrangian gap. Nodes 1–3 each want to join the pinned DB node 0;
+// node 1 has the best gain per unit of load, but nodes 2 and 3 together
+// fill the budget exactly and cut less.
 func TestSimplexBasics(t *testing.T) {
-	// max x+y s.t. x+2y<=4, 3x+y<=6  (min -x-y)
-	x, obj, err := SimplexSolve(
-		[]float64{-1, -1},
-		[][]float64{{1, 2}, {3, 1}},
-		[]float64{4, 6}, 0)
+	p := &Problem{
+		N:          4,
+		NodeWeight: []float64{0, 6, 4, 4},
+		Budget:     8,
+		Pin:        []int8{PinDB, PinFree, PinFree, PinFree},
+		Edges:      []Edge{{U: 0, V: 1, W: 8}, {U: 0, V: 2, W: 5}, {U: 0, V: 3, W: 5}},
+	}
+	sol, err := Auto{}.Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(obj-(-2.8)) > 1e-9 {
-		t.Fatalf("obj = %g, want -2.8", obj)
+	want := []bool{true, false, true, true}
+	for i := range want {
+		if sol.Assign[i] != want[i] {
+			t.Fatalf("assign = %v, want %v", sol.Assign, want)
+		}
 	}
-	if math.Abs(x[0]-1.6) > 1e-9 || math.Abs(x[1]-1.2) > 1e-9 {
-		t.Fatalf("x = %v, want [1.6 1.2]", x)
+	if sol.Objective != 8 || sol.Load != 8 || !sol.Optimal {
+		t.Fatalf("objective %g load %g optimal %v, want 8, 8, true", sol.Objective, sol.Load, sol.Optimal)
 	}
-
-	// Unbounded: min -x with no constraints on x.
-	_, _, err = SimplexSolve([]float64{-1}, [][]float64{{0}}, []float64{1}, 0)
-	if !errors.Is(err, ErrUnbounded) {
-		t.Fatalf("want ErrUnbounded, got %v", err)
+	// Min cut alone takes node 1 and stops there: the gap is real.
+	mc, err := (&MinCutSolver{}).Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mc.Objective != 10 {
+		t.Fatalf("mincut objective = %g, want 10", mc.Objective)
 	}
 }
 
-// Property: simplex optimum is no worse than any random feasible point.
+// Property: on instances under the exact cap, no random feasible
+// assignment beats Auto.
 func TestSimplexDominatesRandomFeasible(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n, m := 2+rng.Intn(3), 2+rng.Intn(3)
-		c := make([]float64, n)
-		for i := range c {
-			c[i] = rng.Float64()*4 - 1
-		}
-		a := make([][]float64, m)
-		b := make([]float64, m)
-		for i := range a {
-			a[i] = make([]float64, n)
-			for j := range a[i] {
-				a[i][j] = rng.Float64() * 2
-			}
-			b[i] = rng.Float64() * 5
-		}
-		// Bound the polytope so negative costs stay bounded.
-		for j := 0; j < n; j++ {
-			r := make([]float64, n)
-			r[j] = 1
-			a = append(a, r)
-			b = append(b, 10)
-		}
-		x, obj, err := SimplexSolve(c, a, b, 0)
-		if err != nil {
+		p := randomProblem(rng, 2+rng.Intn(29))
+		sol, err := Auto{}.Solve(p)
+		if err != nil || !Feasible(p, sol.Assign) {
 			return false
 		}
-		_ = x
-		// Sample feasible points; none may beat the simplex objective.
+		assign := make([]bool, p.N)
 		for trial := 0; trial < 50; trial++ {
-			pt := make([]float64, n)
-			for j := range pt {
-				pt[j] = rng.Float64() * 2
+			for i, pin := range p.Pin {
+				assign[i] = pin == PinDB || (pin == PinFree && rng.Intn(2) == 1)
 			}
-			feas := true
-			for i := range a {
-				s := 0.0
-				for j := range pt {
-					s += a[i][j] * pt[j]
-				}
-				if s > b[i]+1e-9 {
-					feas = false
-					break
-				}
-			}
-			if !feas {
+			if !Feasible(p, assign) {
 				continue
 			}
-			v := 0.0
-			for j := range pt {
-				v += c[j] * pt[j]
-			}
-			if v < obj-1e-6 {
+			if obj, _ := Evaluate(p, assign); obj < sol.Objective-1e-9 {
 				return false
 			}
 		}

@@ -37,7 +37,6 @@ import (
 	"pyxis/internal/profile"
 	"pyxis/internal/pyxil"
 	"pyxis/internal/runtime"
-	"pyxis/internal/solver"
 	"pyxis/internal/source"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
@@ -51,18 +50,6 @@ type System struct {
 	Analysis *analysis.Result
 	Profile  *profile.Profile
 	Graph    *pdg.Graph
-
-	// GraphOpts tunes partition-graph weights (latency/bandwidth
-	// override; zero values take the profile's measurements).
-	GraphOpts pdg.Options
-	// Solver is used by Partition (default: Lagrangian min cut).
-	Solver solver.Solver
-	// NoReorder disables the §4.4 statement reordering.
-	NoReorder bool
-	// NoFuse disables the superblock fusion post-pass, leaving the
-	// compiler's raw block graph (the seed pipeline; benches use it to
-	// price fusion).
-	NoFuse bool
 }
 
 // Load parses, checks and statically analyzes a PyxJ program.
@@ -148,7 +135,7 @@ func ExecScript(db *sqldb.DB, script string) error {
 // EnsureGraph builds (or rebuilds) the weighted partition graph.
 func (s *System) EnsureGraph() *pdg.Graph {
 	if s.Graph == nil {
-		s.Graph = pdg.Build(s.Analysis, s.Profile, s.GraphOpts)
+		s.Graph = pdg.Build(s.Analysis, s.Profile, pdg.Options{})
 	}
 	return s.Graph
 }
@@ -158,30 +145,24 @@ func (s *System) EnsureGraph() *pdg.Graph {
 func (s *System) TotalLoad() float64 { return core.TotalLoad(s.EnsureGraph()) }
 
 // Partition solves placement under the given DB instruction budget
-// and compiles the resulting PyxIL to execution blocks.
+// and compiles the resulting PyxIL to fused execution blocks.
 func (s *System) Partition(budget float64) (*Partition, error) {
 	g := s.EnsureGraph()
-	pt := core.New(g)
-	if s.Solver != nil {
-		pt.Solver = s.Solver
-	}
-	place, rep, err := pt.Partition(budget)
+	place, rep, err := core.New(g).Partition(budget)
 	if err != nil {
 		return nil, err
 	}
-	px := pyxil.Generate(s.Analysis, g, place, pyxil.Options{NoReorder: s.NoReorder})
+	px := pyxil.Generate(s.Analysis, g, place, pyxil.Options{})
 	compiled, err := compile.Compile(px)
 	if err != nil {
 		return nil, err
 	}
-	if !s.NoFuse {
-		compile.Fuse(compiled)
-		// Fusion rewrites blocks in place and computes the liveness
-		// masks the transfer codec ships; re-verify the result so a
-		// fusion bug surfaces here instead of as wire corruption.
-		if err := verify.Program(compiled); err != nil {
-			return nil, fmt.Errorf("pyxis: fused program failed verification: %w", err)
-		}
+	compile.Fuse(compiled)
+	// Fusion rewrites blocks in place and computes the liveness masks
+	// the transfer codec ships; re-verify the result so a fusion bug
+	// surfaces here instead of as wire corruption.
+	if err := verify.Program(compiled); err != nil {
+		return nil, fmt.Errorf("pyxis: fused program failed verification: %w", err)
 	}
 	return &Partition{System: s, Place: place, PyxIL: px, Compiled: compiled, Report: rep}, nil
 }

@@ -6,13 +6,17 @@ import (
 	"testing"
 	"time"
 
+	"pyxis/internal/compile"
+	"pyxis/internal/core"
 	"pyxis/internal/dbapi"
 	"pyxis/internal/interp"
 	"pyxis/internal/pdg"
+	"pyxis/internal/pyxil"
 	"pyxis/internal/runtime"
 	"pyxis/internal/solver"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
+	"pyxis/internal/verify"
 )
 
 // orderSrc is the paper's running example (Fig. 2), extended with the
@@ -172,29 +176,73 @@ func snapshotsEqual(a, b map[string][][]val.Value) bool {
 	return true
 }
 
+// placeWith is the placement of g at budget that one arm of
+// TestRuntimeMatchesInterpreter runs.
+type placeWith func(g *pdg.Graph, budget float64) (pdg.Placement, error)
+
+// partitionAt runs System.Partition's stages on the placement place
+// gives at a fraction of the total load, with or without the §4.4
+// reordering.
+func partitionAt(sys *System, place placeWith, frac float64, noReorder bool) (*Partition, error) {
+	g := sys.EnsureGraph()
+	p, err := place(g, sys.TotalLoad()*frac)
+	if err != nil {
+		return nil, err
+	}
+	px := pyxil.Generate(sys.Analysis, g, p, pyxil.Options{NoReorder: noReorder})
+	compiled, err := compile.Compile(px)
+	if err != nil {
+		return nil, err
+	}
+	compile.Fuse(compiled)
+	if err := verify.Program(compiled); err != nil {
+		return nil, err
+	}
+	return &Partition{System: sys, Place: p, PyxIL: px, Compiled: compiled}, nil
+}
+
 // TestRuntimeMatchesInterpreter is the central semantic-preservation
-// property (DESIGN.md invariant 1): for every budget, every solver,
-// with and without reordering, the partitioned runtime produces the
-// same entry results and the same final database state as the
-// reference interpreter.
+// property (README, "Execution pipeline and the fused hot path"): at
+// every budget, with and without reordering, the partitioned runtime
+// produces the same entry results and the same final database state as
+// the reference interpreter. The arms are three ways to place the
+// program: "bnb" is the partitioner's own (solver.Auto, which solves
+// this program by exact branch and bound), "mincut" the Lagrangian min
+// cut Auto falls back to on large graphs, and "greedy" the all-APP
+// placement at every budget (the arm names are the subtests' stable
+// IDs). Together they cover three distinct placements.
 func TestRuntimeMatchesInterpreter(t *testing.T) {
 	const items = 5
 	wantResults, wantDB := oracleRun(t, items)
 
-	solvers := map[string]solver.Solver{
-		"mincut": &solver.MinCutSolver{},
-		"bnb":    &solver.BranchBound{MaxNodes: 80},
-		"greedy": &solver.Greedy{},
+	arms := map[string]placeWith{
+		"bnb": func(g *pdg.Graph, budget float64) (pdg.Placement, error) {
+			place, _, err := core.New(g).Partition(budget)
+			return place, err
+		},
+		"mincut": func(g *pdg.Graph, budget float64) (pdg.Placement, error) {
+			prob, ids, err := core.Lower(g, budget)
+			if err != nil {
+				return nil, err
+			}
+			sol, err := (&solver.MinCutSolver{}).Solve(prob)
+			if err != nil {
+				return nil, err
+			}
+			return core.Lift(g, prob, ids, sol), nil
+		},
+		"greedy": func(g *pdg.Graph, _ float64) (pdg.Placement, error) {
+			place, _, err := core.New(g).Partition(0)
+			return place, err
+		},
 	}
-	for solverName, sv := range solvers {
+	for arm, place := range arms {
 		for _, frac := range []float64{0, 0.1, 0.3, 0.5, 0.8, 1.0} {
 			for _, noReorder := range []bool{false, true} {
-				name := fmt.Sprintf("%s/budget=%.1f/noreorder=%v", solverName, frac, noReorder)
+				name := fmt.Sprintf("%s/budget=%.1f/noreorder=%v", arm, frac, noReorder)
 				t.Run(name, func(t *testing.T) {
 					sys := profiledSystem(t, items)
-					sys.Solver = sv
-					sys.NoReorder = noReorder
-					part, err := sys.PartitionAt(frac)
+					part, err := partitionAt(sys, place, frac, noReorder)
 					if err != nil {
 						t.Fatalf("partition: %v", err)
 					}
