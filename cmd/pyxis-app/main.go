@@ -1,7 +1,9 @@
 // Command pyxis-app runs the application side of a real two-process
-// Pyxis deployment: it compiles the same partition as pyxis-dbserver,
-// connects to its database and control-transfer ports over TCP, and
-// invokes an entry method with the given scalar arguments.
+// Pyxis deployment: it connects to pyxis-dbserver's database and
+// control-transfer ports over TCP, rebuilds its half of the partition
+// the servers serve (every server must serve the same one, or it exits
+// with deploy.ErrProgramMismatch), and invokes an entry method with the
+// given scalar arguments.
 //
 // With -clients N it drives N concurrent sessions, each its own
 // logical thread of control with its own object, multiplexed over a
@@ -10,14 +12,14 @@
 // the least-loaded connection and stays pinned there, removing the
 // single connection's head-of-line at high client counts.
 //
-// With -dynamic (against a pyxis-dbserver also running -dynamic) each
-// session holds a (high-budget, low-budget) deployment pair and routes
-// every call off its shard's switcher EWMA, which is fed by the DB
-// load reports piggy-backed on every reply (reports from EVERY pooled
-// connection of a shard feed that shard's EWMA); server sheds surface
-// as rpc.ErrOverloaded and are retried with jittered backoff —
-// including admission refusals from a pyxis-dbserver running
-// -max-sessions or -admit-high.
+// With -dynamic (against a pyxis-dbserver running -dynamic, which
+// serves a high- and a low-budget partition) each session holds a
+// deployment pair and routes every call off its shard's switcher EWMA,
+// which is fed by the DB load reports piggy-backed on every reply
+// (reports from EVERY pooled connection of a shard feed that shard's
+// EWMA); server sheds surface as rpc.ErrOverloaded and are retried with
+// jittered backoff — including admission refusals from a pyxis-dbserver
+// running -max-sessions or -admit-high.
 //
 // Against a SHARDED DB tier, -db and -ctl take comma-separated address
 // lists of equal length — entry i of each list is shard i, typically a
@@ -27,12 +29,11 @@
 // that shard; load EWMAs are kept per shard, so one saturated shard
 // switches its own sessions low without dragging its siblings.
 //
-// Usage (after starting pyxis-dbserver with the same -src/-schema/-budget):
+// Usage (after starting pyxis-dbserver):
 //
-//	pyxis-app -src order.pyxj -budget 1.0 -schema schema.sql \
-//	    -db localhost:7001 -ctl localhost:7002 \
+//	pyxis-app -db localhost:7001 -ctl localhost:7002 \
 //	    -new Order -args 7 -call Order.placeOrder -callargs 3,0.9 \
-//	    -clients 8 -n 100 [-pool 4] [-dynamic -low-budget 0]
+//	    -clients 8 -n 100 [-pool 4] [-dynamic]
 //
 // Sharded tier (one pyxis-dbserver per shard):
 //
@@ -48,19 +49,14 @@ import (
 	"sync"
 	"time"
 
-	"pyxis"
 	"pyxis/internal/bench"
 	"pyxis/internal/deploy"
 	"pyxis/internal/runtime"
-	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
 
 func main() {
 	var (
-		srcPath  = flag.String("src", "", "PyxJ source file (required)")
-		budget   = flag.Float64("budget", 1.0, "budget fraction (must match pyxis-dbserver)")
-		schema   = flag.String("schema", "", "schema file (must match pyxis-dbserver; used only for profiling)")
 		dbAddr   = flag.String("db", "localhost:7001", "database server wire address(es); comma-separated, one per shard")
 		ctlAddr  = flag.String("ctl", "localhost:7002", "control-transfer server address(es); comma-separated, one per shard")
 		newClass = flag.String("new", "", "class to instantiate (required)")
@@ -71,52 +67,17 @@ func main() {
 		repeat   = flag.Int("n", 1, "entry invocations per client")
 		poolN    = flag.Int("pool", 1, "mux connections per port; sessions stripe onto the least-loaded one")
 		dynamic  = flag.Bool("dynamic", false,
-			"route each session between the -budget and -low-budget partitions off the DB's piggy-backed load reports (pyxis-dbserver must run -dynamic)")
-		lowBudget  = flag.Float64("low-budget", 0, "low partition budget fraction (must match pyxis-dbserver -low-budget)")
+			"route each session between the servers' high- and low-budget partitions off the DB's piggy-backed load reports (pyxis-dbserver must run -dynamic)")
 		threshold  = flag.Float64("threshold", 40, "switcher load threshold percent")
 		hysteresis = flag.Float64("hysteresis", 0, "switcher dead-band half-width percent")
 	)
 	flag.Parse()
-	if *srcPath == "" || *newClass == "" || *call == "" {
+	if *newClass == "" || *call == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 	if *clients < 1 || *repeat < 1 {
 		fatal(fmt.Errorf("-clients and -n must be >= 1"))
-	}
-
-	src, err := os.ReadFile(*srcPath)
-	if err != nil {
-		fatal(err)
-	}
-	sys, err := pyxis.Load(string(src))
-	if err != nil {
-		fatal(err)
-	}
-	profDB := sqldb.Open()
-	if *schema != "" {
-		ddl, err := os.ReadFile(*schema)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pyxis.ExecScript(profDB, string(ddl)); err != nil {
-			fatal(err)
-		}
-	}
-	if err := sys.ProfileSynthetic(profDB); err != nil {
-		fatal(err)
-	}
-	part, err := sys.PartitionAt(*budget)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("pyxis-app: partition {%s}\n", part.Describe())
-	var lowPart *pyxis.Partition
-	if *dynamic {
-		if lowPart, err = sys.PartitionAt(*lowBudget); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("pyxis-app: low partition {%s}\n", lowPart.Describe())
 	}
 
 	// One shard per -db/-ctl address pair (a single address is the
@@ -136,11 +97,18 @@ func main() {
 		sw.Threshold = *threshold
 		sw.Hysteresis = *hysteresis
 	}
-	app, err := deploy.Dial(router, dbAddrs, splitAddrs(*ctlAddr), *poolN, part, lowPart, os.Stdout)
+	app, err := deploy.Dial(router, dbAddrs, splitAddrs(*ctlAddr), *poolN, os.Stdout)
 	if err != nil {
 		fatal(err)
 	}
 	defer app.Close()
+	if app.High == nil || (*dynamic && app.Low == nil) {
+		fatal(fmt.Errorf("%w (-dynamic needs pyxis-dbserver -dynamic)", deploy.ErrNotServed))
+	}
+	fmt.Printf("pyxis-app: partition {%s}\n", app.High.Describe())
+	if *dynamic {
+		fmt.Printf("pyxis-app: low partition {%s}\n", app.Low.Describe())
+	}
 	ctorVals := parseArgs(*ctorArgs)
 	callVals := parseArgs(*callArgs)
 

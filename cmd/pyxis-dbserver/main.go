@@ -9,9 +9,9 @@
 // multiplexed session protocol: one connection from an application
 // server carries any number of concurrent client sessions, each with
 // its own heap, stack and transaction context, all sharing the one
-// compiled program and database. The PyxJ source, schema and budget
-// must match the ones pyxis-app uses so both sides compile the
-// identical partition.
+// compiled program and database. The server decides the deployment's
+// program; pyxis-app rebuilds its half from what the database port
+// serves.
 //
 // With -dynamic it serves BOTH the -budget and -low-budget partitions
 // at once behind a dual session manager (the session ID's tag byte
@@ -41,10 +41,11 @@
 // shard-unaware by design, the -schema script loads only this shard's
 // slice of the data, and a pyxis-app started with matching -db/-ctl
 // address lists routes every session to its home shard by partition
-// key (runtime.ShardMap). The database port also serves the live-
-// rebalancing control plane (fence / adopt / release migration
-// frames), so an external runtime.Migrator can move warehouse ranges
-// between shard processes without restarting them.
+// key (runtime.ShardMap) and refuses shards serving different programs.
+// The database port also serves the live-rebalancing control plane
+// (fence, adopt and release dbapi ops), so an external runtime.Migrator
+// can move warehouse ranges between shard processes without restarting
+// them.
 //
 // Usage:
 //

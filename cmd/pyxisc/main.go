@@ -3,10 +3,10 @@
 // placement problem at one or more budgets, and prints the requested
 // artifacts (PyxIL, partition graph DOT, execution blocks, reports).
 //
-// Profiles normally come from running the application; for CLI use a
-// synthetic profile is built by invoking every entry method once with
-// zero arguments against an empty database unless -schema provides
-// DDL/DML to preload (semicolon-separated statements).
+// Profiles normally come from running the application; for CLI use it
+// takes the synthetic profile pyxis-dbserver serves (ProfileSynthetic:
+// every entry method called once with zero arguments) against an empty
+// database unless -schema provides DDL/DML to preload.
 //
 // Usage:
 //
@@ -31,9 +31,7 @@ import (
 
 	"pyxis"
 	"pyxis/internal/compile"
-	"pyxis/internal/interp"
 	"pyxis/internal/sqldb"
-	"pyxis/internal/val"
 	"pyxis/internal/verify"
 )
 
@@ -70,36 +68,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		sess := db.NewSession()
-		for _, stmt := range strings.Split(string(ddl), ";") {
-			stmt = strings.TrimSpace(stmt)
-			if stmt == "" {
-				continue
-			}
-			if _, err := sess.Exec(stmt); err != nil {
-				fatal(fmt.Errorf("schema: %s: %w", stmt, err))
-			}
+		if err := pyxis.ExecScript(db, string(ddl)); err != nil {
+			fatal(err)
 		}
 	}
-
-	// Synthetic profile: call every entry method once with zero values.
-	err = sys.ProfileWorkload(db, func(ip *interp.Interp) error {
-		for _, m := range sys.Prog.EntryMethods() {
-			obj, err := ip.NewObject(m.Class.Name)
-			if err != nil {
-				continue // class without nullary construction; skip
-			}
-			args := make([]val.Value, len(m.Params))
-			for i, p := range m.Params {
-				args[i] = p.Type.Zero()
-			}
-			if _, err := ip.CallEntry(m, obj, args...); err != nil {
-				fmt.Fprintf(os.Stderr, "pyxisc: profiling %s: %v (profile may be partial)\n", m.QName(), err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := sys.ProfileSynthetic(db); err != nil {
 		fatal(err)
 	}
 	if *showProf {

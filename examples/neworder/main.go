@@ -42,7 +42,7 @@ func main() {
 	// --- "Application server": connect and run transactions --------------
 	// The wiring cmd/pyxis-app uses: one client is a session on each wire.
 	app, err := deploy.Dial(runtime.NewShardedClient(runtime.ShardMap{}),
-		[]string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, part, nil, nil)
+		[]string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"pyxis/internal/compile"
 	"pyxis/internal/dbapi"
 	"pyxis/internal/interp"
+	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
 )
 
@@ -36,6 +37,29 @@ func interpTPCC(t *testing.T, c TPCCConfig, txns int, mix TPCCMix) *sqldb.DB {
 	return db
 }
 
+// runTPCCInProc replays WallTPCC's single-client schedule on part
+// deployed in-process and returns the database it leaves and the
+// control transfers the DB side served. It runs variants no server can
+// serve: a tier rebuilds its APP side from the spec its shards serve,
+// and a spec describes the fused program only.
+func runTPCCInProc(t *testing.T, part *pyxis.Partition, c TPCCConfig, txns int, mix TPCCMix) (*sqldb.DB, int64) {
+	t.Helper()
+	db := c.Load()
+	dep := part.Deploy(db, runtime.Options{})
+	defer dep.Client.Close()
+	obj, err := dep.Client.NewObject("TPCC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < txns; k++ {
+		tx := c.parallelTxn(mix, 0, k, 1, int64(c.Warehouses))
+		if _, err := dep.Client.CallEntry("TPCC."+tx.method, obj, tx.args...); err != nil {
+			t.Fatalf("txn %d %s: %v", k, tx.method, err)
+		}
+	}
+	return db, dep.DBPeer.Metrics.Snapshot().Transfers
+}
+
 // TestDifferentialTPCC runs one single-client TPC-C NewOrder/Payment
 // schedule through the reference interpreter on the source program and
 // through the partitioned program, unfused and fused, at three budgets,
@@ -45,6 +69,10 @@ func interpTPCC(t *testing.T, c TPCCConfig, txns int, mix TPCCMix) *sqldb.DB {
 //     bit (every table, every row), with the TPC-C consistency
 //     invariants holding;
 //   - the fused run to make no more control transfers than the unfused.
+//
+// The fused program runs on the wall-clock tier (WallTPCC), whose APP
+// side is rebuilt from what the server serves; the unfused one, which
+// no server serves, runs in-process (runTPCCInProc).
 //
 // The interpreter shares no code with compile, the block executor, the
 // transfer codec or heap sync, and the unfused program ships every slot
@@ -71,12 +99,17 @@ func TestDifferentialTPCC(t *testing.T) {
 			var blocks [2]int
 			for i, part := range []*pyxis.Partition{&unfused, fused} {
 				name := [2]string{"unfused", "fused"}[i]
-				res, dbs, err := WallTPCC(part, c, cfg, mix, 0)
-				if err != nil {
-					t.Fatalf("%s run: %v", name, err)
+				var db *sqldb.DB
+				if part == fused {
+					res, dbs, err := WallTPCC(part, c, cfg, mix, 0)
+					if err != nil {
+						t.Fatalf("%s run: %v", name, err)
+					}
+					db, transfers[i] = dbs[0], res.Transfers
+				} else {
+					db, transfers[i] = runTPCCInProc(t, part, c, cfg.Txns, mix)
 				}
-				db := dbs[0]
-				transfers[i], blocks[i] = res.Transfers, len(part.Compiled.Blocks)
+				blocks[i] = len(part.Compiled.Blocks)
 				if got := db.Snapshot(); !reflect.DeepEqual(got, want) {
 					for table, rows := range want {
 						if !reflect.DeepEqual(rows, got[table]) {

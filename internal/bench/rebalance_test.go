@@ -143,7 +143,7 @@ func rebalanceTier(t *testing.T, c TPCCConfig, wrap func(shard int, cli io.ReadW
 	}
 	pool, err := rpc.NewShardedPool(2, 1, func(shard, _ int) (io.ReadWriteCloser, error) {
 		srv, cli := net.Pipe()
-		go rpc.ServeMuxConnConfig(srv, dbapi.MuxHandlersTxn(dbs[shard], parts[shard]), rpc.MuxServeConfig{})
+		go rpc.ServeMuxConnConfig(srv, dbapi.MuxHandlersTxn(dbs[shard], parts[shard], nil), rpc.MuxServeConfig{})
 		if wrap != nil {
 			return wrap(shard, cli), nil
 		}

@@ -116,7 +116,20 @@ func (c *Client) ReleaseFence(token uint64, moved bool, timeout time.Duration) e
 	return err
 }
 
-// control serves the 2PC and fence ops; r is past the op byte.
+// Program returns the bytes that describe the program the shard serves
+// (empty when it serves none), bounded by rpc.DefaultTxnDeadline.
+func (c *Client) Program() ([]byte, error) {
+	c.enc.Reset()
+	c.enc.Byte(opProgram)
+	r, err := c.callWithin(0)
+	if err != nil {
+		return nil, err
+	}
+	prog := []byte(r.Str())
+	return prog, r.Err()
+}
+
+// control serves the 2PC, fence and program ops; r is past the op byte.
 func (h *sessionHandler) control(op byte, r *rpc.Reader) ([]byte, error) {
 	h.w.Reset()
 	h.w.Bool(true)
@@ -162,6 +175,8 @@ func (h *sessionHandler) control(op byte, r *rpc.Reader) ([]byte, error) {
 			return nil, rerr
 		}
 		err = h.sess.DB().ReleaseFence(tok, moved)
+	case opProgram:
+		h.w.Str(string(h.program))
 	default:
 		return nil, fmt.Errorf("dbapi: unknown op %d", op)
 	}

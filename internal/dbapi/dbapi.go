@@ -137,6 +137,8 @@ const (
 	opFence
 	opAdopt
 	opRelease
+	// opProgram, reply [str program]: the program the shard serves.
+	opProgram
 )
 
 // Client is a remote connection over a transport. One Client maps to
@@ -364,18 +366,19 @@ func decodeError(msg string) error {
 // or abort arriving on a different connection than the prepare still
 // finds the transaction.
 func MuxHandlers(db *sqldb.DB) rpc.SessionHandlers {
-	return MuxHandlersTxn(db, NewParticipant(0, nil))
+	return MuxHandlersTxn(db, NewParticipant(0, nil), nil)
 }
 
 // MuxHandlersTxn is MuxHandlers with an explicit (typically
-// server-shared) 2PC participant.
-func MuxHandlersTxn(db *sqldb.DB, part *Participant) rpc.SessionHandlers {
-	return &muxHandlers{db: db, part: part, sessions: map[uint32]*sqldb.Session{}}
+// server-shared) 2PC participant, answering Client.Program with program.
+func MuxHandlersTxn(db *sqldb.DB, part *Participant, program []byte) rpc.SessionHandlers {
+	return &muxHandlers{db: db, part: part, program: program, sessions: map[uint32]*sqldb.Session{}}
 }
 
 type muxHandlers struct {
 	db       *sqldb.DB
 	part     *Participant
+	program  []byte
 	mu       sync.Mutex
 	sessions map[uint32]*sqldb.Session
 }
@@ -385,7 +388,7 @@ func (h *muxHandlers) Open(sid uint32) rpc.Handler {
 	h.mu.Lock()
 	h.sessions[sid] = sess
 	h.mu.Unlock()
-	return newSessionHandler(sess, h.part)
+	return newSessionHandler(sess, h.part, h.program)
 }
 
 func (h *muxHandlers) Closed(sid uint32) {
@@ -407,10 +410,10 @@ func (h *muxHandlers) Closed(sid uint32) {
 // with a reply before the next call (see rpc.Handler), so every reply
 // is encoded into the same memory. It has no 2PC participant, so it
 // refuses the 2PC ops; MuxHandlers' sessions serve them.
-func SessionHandler(sess *sqldb.Session) rpc.Handler { return newSessionHandler(sess, nil) }
+func SessionHandler(sess *sqldb.Session) rpc.Handler { return newSessionHandler(sess, nil, nil) }
 
-func newSessionHandler(sess *sqldb.Session, part *Participant) rpc.Handler {
-	h := &sessionHandler{sess: sess, part: part, prepared: map[uint64]sqldb.SQLStmt{}}
+func newSessionHandler(sess *sqldb.Session, part *Participant, program []byte) rpc.Handler {
+	h := &sessionHandler{sess: sess, part: part, program: program, prepared: map[uint64]sqldb.SQLStmt{}}
 	return h.serve
 }
 
@@ -421,6 +424,7 @@ const replyKeep = 64 << 10
 type sessionHandler struct {
 	sess     *sqldb.Session
 	part     *Participant // the shard's; nil refuses the 2PC ops
+	program  []byte       // what opProgram answers
 	prepared map[uint64]sqldb.SQLStmt
 	w        rpc.Writer  // the reply; reused across calls
 	args     []val.Value // the decoded arguments; reused across calls

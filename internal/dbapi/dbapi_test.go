@@ -1,6 +1,7 @@
 package dbapi
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -166,6 +167,30 @@ func TestMuxSessionsConcurrentTxns(t *testing.T) {
 		if err != nil || rs.Rows[0][0].I != txns {
 			t.Errorf("session %d private row = %v (err %v), want %d", i, rs.Rows, err, txns)
 		}
+	}
+}
+
+// TestProgramOverMux: every session of a handler set answers Program
+// with the bytes the set was built with, and a set built without a
+// program answers with none.
+func TestProgramOverMux(t *testing.T) {
+	db := setup(t)
+	for _, want := range [][]byte{[]byte(`{"high":"spec"}`), nil} {
+		srvConn, cliConn := net.Pipe()
+		go rpc.ServeMuxConn(srvConn, MuxHandlersTxn(db, NewParticipant(0, nil), want))
+		mux := rpc.NewMuxClient(cliConn)
+		for i := 0; i < 2; i++ {
+			conn := NewClient(mux.Session())
+			got, err := conn.Program()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("session %d: program %q, want %q", i, got, want)
+			}
+			conn.Close()
+		}
+		mux.Close()
 	}
 }
 

@@ -56,6 +56,7 @@ func FuzzSessionHandler(f *testing.F) {
 	_, _ = cc.Fence(sqldb.FenceSpec{Tables: map[string]string{"stock": "s_w_id", "orders": "o_w_id"}, Lo: 3, Hi: 4}, 5e9, 0)
 	_ = cc.AdoptFence(1, 0)
 	_ = cc.ReleaseFence(1, true, 0)
+	_, _ = cc.Program()
 	for _, req := range rec.reqs {
 		f.Add(req)
 	}

@@ -1,15 +1,19 @@
 // Package deploy is the one place a Pyxis tier is wired. Both halves
-// of a deployment come out of one compile (paper §5–6): each database
-// server hosts a Shard — a database, the DB-side runtime peers of one
-// program (or of a high/low pair of its partitionings) and a 2PC
-// participant — on two mux ports, and the application side dials a pool
-// of connections to every shard's ports and opens client sessions on
-// them. cmd/pyxis-dbserver calls Listen, cmd/pyxis-app calls Dial, and
-// Up does both over loopback TCP in one process for the wall-clock
-// driver and the examples.
+// of a deployment run one program (paper §5–6), decided by the database
+// servers: each hosts a Shard — a database, the DB-side runtime peers
+// of one program (or of a high/low pair of its partitionings) and a 2PC
+// participant — on two mux ports, and the application side rebuilds its
+// half from what the shards serve, then dials a pool of connections to
+// every shard's ports and opens client sessions on them.
+// cmd/pyxis-dbserver calls Listen, cmd/pyxis-app calls Dial, and Up does
+// both over loopback TCP in one process for the wall-clock driver and
+// the examples.
 package deploy
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -46,45 +50,56 @@ type Shard struct {
 	peers [2]*runtime.Peer // DB-side: high, low
 }
 
-// handlers builds the shard's DB-side peers and returns the
-// per-connection handler factories of its database and control wires,
-// with the database wire's demux configuration.
-func (s *Shard) handlers() (db, ctl func() rpc.SessionHandlers, dbCfg rpc.MuxServeConfig) {
+var (
+	// ErrProgramMismatch reports shards that serve different programs.
+	ErrProgramMismatch = errors.New("deploy: the shards serve different programs")
+	// ErrNotServed reports an Open of a program the shards do not serve.
+	ErrNotServed = errors.New("deploy: the shards do not serve that program")
+)
+
+// Server is a Shard being served: DB is its database wire, Ctl its
+// control wire (nil when the shard hosts no program).
+type Server struct{ DB, Ctl *rpc.MuxServer }
+
+// Listen builds the shard's DB-side peers and serves s over TCP: the
+// database wire on dbAddr and, when s hosts a program, the control wire
+// on ctlAddr. The database wire answers Client.Program with the JSON
+// list of the programs' specs, High then Low. Everything is built
+// before either listener starts, so the first connection accepted
+// already carries load reports.
+func Listen(s *Shard, dbAddr, ctlAddr string) (*Server, error) {
+	var specs []json.RawMessage
 	for i, p := range [2]*pyxis.Partition{s.High, s.Low} {
 		if p != nil {
 			s.peers[i] = runtime.NewPeer(p.Compiled, pdg.DB, s.Out)
+			spec, err := p.Spec()
+			if err != nil {
+				return nil, err
+			}
+			specs = append(specs, spec)
 		}
+	}
+	var program []byte
+	if s.High != nil {
+		program, _ = json.Marshal(specs) // a list of valid JSON values
 	}
 	// One participant for every connection: a coordinator's commit or
 	// abort frame may arrive on a different connection than the prepare
 	// (pools stripe sessions across connections), and a prepared
 	// transaction must be resolvable from any of them.
 	part := dbapi.NewParticipant(0, s.Resolver)
-	newConn := func() dbapi.Conn { return dbapi.NewLocal(s.DB) }
-	db = func() rpc.SessionHandlers { return dbapi.MuxHandlersTxn(s.DB, part) }
-	// Session IDs are scoped to their connection, so each connection gets
-	// its own manager; a shard's managers share its peers (and so their
-	// metrics). Without a Low peer every session runs High.
-	ctl = func() rpc.SessionHandlers { return runtime.NewDualSessionManager(s.peers[0], s.peers[1], newConn) }
-	return db, ctl, rpc.MuxServeConfig{Load: s.Mux.Load}
-}
-
-// Server is a Shard being served: DB is its database wire, Ctl its
-// control wire (nil when the shard hosts no program).
-type Server struct{ DB, Ctl *rpc.MuxServer }
-
-// Listen serves s over TCP: the database wire on dbAddr and, when s
-// hosts a program, the control wire on ctlAddr. Everything is built
-// before either listener starts, so the first connection accepted
-// already carries load reports.
-func Listen(s *Shard, dbAddr, ctlAddr string) (*Server, error) {
-	db, ctl, dbCfg := s.handlers()
-	dbSrv, err := rpc.NewMuxServerConfig(dbAddr, db, dbCfg)
+	db := func() rpc.SessionHandlers { return dbapi.MuxHandlersTxn(s.DB, part, program) }
+	dbSrv, err := rpc.NewMuxServerConfig(dbAddr, db, rpc.MuxServeConfig{Load: s.Mux.Load})
 	if err != nil {
 		return nil, err
 	}
 	srv := &Server{DB: dbSrv}
 	if s.High != nil {
+		// Session IDs are scoped to their connection, so each connection
+		// gets its own manager; a shard's managers share its peers (and so
+		// their metrics). Without a Low peer every session runs High.
+		newConn := func() dbapi.Conn { return dbapi.NewLocal(s.DB) }
+		ctl := func() rpc.SessionHandlers { return runtime.NewDualSessionManager(s.peers[0], s.peers[1], newConn) }
 		if srv.Ctl, err = rpc.NewMuxServerConfig(ctlAddr, ctl, s.Mux); err != nil {
 			srv.Close()
 			return nil, err
@@ -106,6 +121,9 @@ func (s *Server) Close() {
 // every shard's database wire and, with a program, to its control
 // wire, plus the APP-side peers client sessions run on.
 type App struct {
+	// High and Low are the partitions the shards serve, rebuilt here
+	// (nil where they serve none).
+	High, Low *pyxis.Partition
 	// Router holds the shard map, the 2PC coordinator and one load EWMA
 	// per shard, fed by every load report either wire carries.
 	Router *runtime.ShardedClient
@@ -116,33 +134,73 @@ type App struct {
 	peers [2]*runtime.Peer // APP-side: high, low
 }
 
-// Dial connects conns connections to each shard's database wire and,
-// when there is a high program, to each shard's control wire, and
-// builds the APP-side peers of high and low. out receives the APP-side
-// programs' sys.print output (nil discards it).
-func Dial(router *runtime.ShardedClient, dbAddrs, ctlAddrs []string, conns int, high, low *pyxis.Partition, out io.Writer) (*App, error) {
-	if high != nil && len(ctlAddrs) != len(dbAddrs) {
-		return nil, fmt.Errorf("deploy: %d database addresses but %d control addresses (one of each per shard)", len(dbAddrs), len(ctlAddrs))
+// Dial rebuilds the APP side of the program every shard serves (they
+// must serve the same bytes, or Dial fails with ErrProgramMismatch and
+// holds nothing open), then connects conns connections to each shard's
+// database wire and, with a program, to its control wire. out receives
+// the APP-side programs' sys.print output (nil discards it).
+func Dial(router *runtime.ShardedClient, dbAddrs, ctlAddrs []string, conns int, out io.Writer) (*App, error) {
+	program, err := fetchProgram(dbAddrs)
+	if err != nil {
+		return nil, err
 	}
 	a := &App{Router: router}
-	var err error
+	if len(program) > 0 {
+		if len(ctlAddrs) != len(dbAddrs) {
+			return nil, fmt.Errorf("deploy: %d database addresses but %d control addresses (one of each per shard)", len(dbAddrs), len(ctlAddrs))
+		}
+		var specs []json.RawMessage
+		if err := json.Unmarshal(program, &specs); err != nil || len(specs) > 2 {
+			return nil, fmt.Errorf("deploy: the shards serve a malformed program list (%d entries): %v", len(specs), err)
+		}
+		var parts [2]*pyxis.Partition
+		for i, spec := range specs {
+			if parts[i], err = pyxis.Rebuild(spec); err != nil {
+				return nil, err
+			}
+			a.peers[i] = runtime.NewPeer(parts[i].Compiled, pdg.App, out)
+		}
+		a.High, a.Low = parts[0], parts[1]
+	}
 	if a.DB, err = rpc.DialShardedPool(dbAddrs, conns); err != nil {
 		return nil, fmt.Errorf("deploy: dial db: %w", err)
 	}
 	a.DB.SetOnLoad(router.Observe)
-	if high != nil {
+	if a.High != nil {
 		if a.Ctl, err = rpc.DialShardedPool(ctlAddrs, conns); err != nil {
 			a.Close()
 			return nil, fmt.Errorf("deploy: dial ctl: %w", err)
 		}
 		a.Ctl.SetOnLoad(router.Observe)
 	}
-	for i, p := range [2]*pyxis.Partition{high, low} {
-		if p != nil {
-			a.peers[i] = runtime.NewPeer(p.Compiled, pdg.App, out)
-		}
-	}
 	return a, nil
+}
+
+// fetchProgram asks each shard which program it serves over a
+// short-lived connection of its own, so the App's wires count only its
+// clients' traffic.
+func fetchProgram(dbAddrs []string) ([]byte, error) {
+	pool, err := rpc.DialShardedPool(dbAddrs, 1)
+	if err != nil {
+		return nil, fmt.Errorf("deploy: dial db: %w", err)
+	}
+	defer pool.Close()
+	var program []byte
+	for shard, addr := range dbAddrs {
+		sess, err := pool.Session(shard)
+		if err != nil {
+			return nil, err
+		}
+		p, err := dbapi.NewClient(sess).Program()
+		if err != nil {
+			return nil, fmt.Errorf("deploy: shard %d (%s): %w", shard, addr, err)
+		}
+		if shard > 0 && !bytes.Equal(p, program) {
+			return nil, fmt.Errorf("%w: shard %d (%s) serves another program than shard 0 (%s)", ErrProgramMismatch, shard, addr, dbAddrs[0])
+		}
+		program = p
+	}
+	return program, nil
 }
 
 // Close hangs up every connection; all sessions fail afterwards.
@@ -166,11 +224,15 @@ type Client struct {
 
 // Open opens a session of the high (or low) program on shard — a
 // control session tagged for that program and a database session — and
-// constructs its object of class. A failed Open holds nothing open.
+// constructs its object of class. A failed Open holds nothing open; a
+// program the shards do not serve fails with ErrNotServed.
 func (a *App) Open(shard int, low bool, class string, args ...val.Value) (*Client, error) {
 	peer, tag := a.peers[0], uint8(0)
 	if low {
 		peer, tag = a.peers[1], runtime.TagLowBudget
+	}
+	if peer == nil {
+		return nil, ErrNotServed
 	}
 	ctl, err := a.Ctl.TaggedSession(shard, tag)
 	if err != nil {
@@ -242,7 +304,7 @@ func Up(t Topology) (*Tier, error) {
 			ctlAddrs = append(ctlAddrs, srv.Ctl.Addr())
 		}
 	}
-	app, err := Dial(router, dbAddrs, ctlAddrs, max(t.Conns, 1), t.High, t.Low, nil)
+	app, err := Dial(router, dbAddrs, ctlAddrs, max(t.Conns, 1), nil)
 	if err != nil {
 		tier.Close()
 		return nil, err

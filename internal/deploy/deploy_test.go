@@ -3,6 +3,7 @@ package deploy
 import (
 	"errors"
 	goruntime "runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,7 +143,7 @@ func TestListenDialDynamicPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	app, err := Dial(runtime.NewShardedClient(runtime.ShardMap{}), []string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, parts[0], parts[1], nil)
+	app, err := Dial(runtime.NewShardedClient(runtime.ShardMap{}), []string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,4 +206,66 @@ func TestListenDialDynamicPair(t *testing.T) {
 	if _, err := conn.Query("SELECT balance FROM accounts WHERE cid = 0"); err != nil {
 		t.Errorf("database session shed with the control cap full: %v", err)
 	}
+}
+
+// TestDialRefusesMismatchedShards: two shards serving the ledger at
+// budgets 1 and 0 are two programs, and one deployment runs one. Dial
+// must refuse the tier with ErrProgramMismatch naming the second shard,
+// and hold no connection open afterwards.
+func TestDialRefusesMismatchedShards(t *testing.T) {
+	parts := ledgerPartitions(t, 1.0, 0)
+	var dbAddrs, ctlAddrs []string
+	for _, p := range parts {
+		srv, err := Listen(&Shard{DB: ledgerDB(t), High: p}, "127.0.0.1:0", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		dbAddrs, ctlAddrs = append(dbAddrs, srv.DB.Addr()), append(ctlAddrs, srv.Ctl.Addr())
+	}
+	before := goruntime.NumGoroutine()
+	app, err := Dial(runtime.NewShardedClient(runtime.ShardMap{Shards: 2}), dbAddrs, ctlAddrs, 2, nil)
+	if !errors.Is(err, ErrProgramMismatch) || app != nil {
+		t.Fatalf("Dial over shards at budgets 1 and 0: app %v, err %v; want ErrProgramMismatch", app, err)
+	}
+	if !strings.Contains(err.Error(), "shard 1 ("+dbAddrs[1]+")") {
+		t.Errorf("error %q does not name shard 1", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := goruntime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before the refused Dial, %d after: a connection was left open", before, after)
+	}
+}
+
+// TestOpenLowWithoutLowProgram: a shard that serves no low program
+// cannot open a low session. Open says so with ErrNotServed instead of
+// running the session on the high program.
+func TestOpenLowWithoutLowProgram(t *testing.T) {
+	srv, err := Listen(&Shard{DB: ledgerDB(t), High: ledgerPartitions(t, 1.0)[0]}, "127.0.0.1:0", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	app, err := Dial(runtime.NewShardedClient(runtime.ShardMap{}), []string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer app.Close()
+	if app.High == nil || app.Low != nil {
+		t.Fatalf("rebuilt high %v and low %v, want only a high partition", app.High, app.Low)
+	}
+	if c, err := app.Open(0, true, "Ledger", val.IntV(0)); !errors.Is(err, ErrNotServed) {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("low Open against a shard with no low program: err %v, want ErrNotServed", err)
+	}
+	c, err := app.Open(0, false, "Ledger", val.IntV(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
 }

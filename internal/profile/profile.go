@@ -15,7 +15,8 @@ import (
 	"pyxis/internal/source"
 )
 
-// Profile is the collected workload profile.
+// Profile is the collected workload profile; encoding/json round-trips
+// it exactly (a partition spec carries it).
 type Profile struct {
 	// Count is per-statement execution count (loop headers count one
 	// per condition evaluation).
@@ -23,11 +24,9 @@ type Profile struct {
 	// SizeSum/SizeN accumulate assigned-value sizes per def statement.
 	SizeSum map[source.NodeID]int64
 	SizeN   map[source.NodeID]int64
-	// FieldSizeSum/FieldSizeN accumulate sizes per field node, and
-	// FieldWrites counts stores.
+	// FieldSizeSum/FieldSizeN accumulate sizes per field node.
 	FieldSizeSum map[source.NodeID]int64
 	FieldSizeN   map[source.NodeID]int64
-	FieldWrites  map[source.NodeID]int64
 	// DBCalls counts database operations per statement.
 	DBCalls map[source.NodeID]int64
 	// EntryCalls counts external invocations per method entry node
@@ -50,7 +49,6 @@ func New() *Profile {
 		SizeN:        map[source.NodeID]int64{},
 		FieldSizeSum: map[source.NodeID]int64{},
 		FieldSizeN:   map[source.NodeID]int64{},
-		FieldWrites:  map[source.NodeID]int64{},
 		DBCalls:      map[source.NodeID]int64{},
 		EntryCalls:   map[source.NodeID]int64{},
 		Latency:      2 * time.Millisecond,
@@ -66,7 +64,6 @@ func (p *Profile) Hooks() interp.Hooks {
 		OnFieldWrite: func(fieldID source.NodeID, size int) {
 			p.FieldSizeSum[fieldID] += int64(size)
 			p.FieldSizeN[fieldID]++
-			p.FieldWrites[fieldID]++
 		},
 		OnDBCall:    func(id source.NodeID) { p.DBCalls[id]++ },
 		OnEntryCall: func(m *source.Method) { p.EntryCalls[m.EntryID]++ },
@@ -93,40 +90,6 @@ func (p *Profile) FieldAvgSize(id source.NodeID) float64 {
 		return float64(p.FieldSizeSum[id]) / float64(n)
 	}
 	return DefaultSize
-}
-
-// Scale multiplies all counts by k (to extrapolate a short profiling
-// run to a longer deployment; relative weights are unchanged).
-func (p *Profile) Scale(k float64) {
-	for id := range p.Count {
-		p.Count[id] = int64(float64(p.Count[id]) * k)
-	}
-}
-
-// Merge adds another profile's counts into p (for combining runs of
-// different workload modes).
-func (p *Profile) Merge(o *Profile) {
-	for id, c := range o.Count {
-		p.Count[id] += c
-	}
-	for id, c := range o.SizeSum {
-		p.SizeSum[id] += c
-	}
-	for id, c := range o.SizeN {
-		p.SizeN[id] += c
-	}
-	for id, c := range o.FieldSizeSum {
-		p.FieldSizeSum[id] += c
-	}
-	for id, c := range o.FieldSizeN {
-		p.FieldSizeN[id] += c
-	}
-	for id, c := range o.FieldWrites {
-		p.FieldWrites[id] += c
-	}
-	for id, c := range o.DBCalls {
-		p.DBCalls[id] += c
-	}
 }
 
 // String renders the hottest statements for debugging.

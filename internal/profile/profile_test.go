@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,6 +14,14 @@ import (
 )
 
 func collect(t *testing.T, calls int) (*Profile, *source.Program) {
+	t.Helper()
+	p := New()
+	return p, collectInto(t, p, calls)
+}
+
+// collectInto records one object's construction and calls runs of
+// C.run(5) into p.
+func collectInto(t *testing.T, p *Profile, calls int) *source.Program {
 	t.Helper()
 	prog, err := source.Load(`
 class C {
@@ -29,7 +39,6 @@ class C {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New()
 	ip := interp.New(prog, dbapi.NewLocal(sqldb.Open()))
 	ip.Hooks = p.Hooks()
 	obj, err := ip.NewObject("C")
@@ -41,7 +50,7 @@ class C {
 			t.Fatal(err)
 		}
 	}
-	return p, prog
+	return prog
 }
 
 func findLoopBody(t *testing.T, prog *source.Program) source.NodeID {
@@ -81,8 +90,8 @@ func TestFieldSizesAndAverages(t *testing.T) {
 			f = fl
 		}
 	}
-	if p.FieldWrites[f.ID] != 3 { // ctor + 2 runs
-		t.Errorf("field writes = %d, want 3", p.FieldWrites[f.ID])
+	if p.FieldSizeN[f.ID] != 3 { // ctor + 2 runs
+		t.Errorf("field writes = %d, want 3", p.FieldSizeN[f.ID])
 	}
 	if p.FieldAvgSize(f.ID) != 9 { // int
 		t.Errorf("avg size = %v, want 9", p.FieldAvgSize(f.ID))
@@ -92,21 +101,51 @@ func TestFieldSizesAndAverages(t *testing.T) {
 	}
 }
 
+// TestScaleAndMerge: a profile scales and merges by recording more
+// runs into it. Two runs recorded into one Profile hold, in every map
+// (entry calls included), the sums of the same runs profiled apart.
 func TestScaleAndMerge(t *testing.T) {
-	p, prog := collect(t, 1)
-	body := findLoopBody(t, prog)
-	before := p.Count[body]
-	p.Scale(3)
-	if p.Count[body] != before*3 {
-		t.Errorf("scale: %d, want %d", p.Count[body], before*3)
+	one, _ := collect(t, 1)
+	two, _ := collect(t, 2)
+	both := New()
+	collectInto(t, both, 1)
+	collectInto(t, both, 2)
+	for name, m := range map[string][3]map[source.NodeID]int64{
+		"Count":        {one.Count, two.Count, both.Count},
+		"SizeSum":      {one.SizeSum, two.SizeSum, both.SizeSum},
+		"SizeN":        {one.SizeN, two.SizeN, both.SizeN},
+		"FieldSizeSum": {one.FieldSizeSum, two.FieldSizeSum, both.FieldSizeSum},
+		"FieldSizeN":   {one.FieldSizeN, two.FieldSizeN, both.FieldSizeN},
+		"DBCalls":      {one.DBCalls, two.DBCalls, both.DBCalls},
+		"EntryCalls":   {one.EntryCalls, two.EntryCalls, both.EntryCalls},
+	} {
+		sum := map[source.NodeID]int64{}
+		for _, part := range m[:2] {
+			for id, n := range part {
+				sum[id] += n
+			}
+		}
+		if !reflect.DeepEqual(sum, m[2]) {
+			t.Errorf("%s: two runs in one profile = %v, want the sum of the runs apart %v", name, m[2], sum)
+		}
 	}
-	q, _ := collect(t, 1)
-	total := p.Count[body] + q.Count[findLoopBody(t, prog)]
-	// Merging q's counts: note q uses its own program's IDs, which are
-	// identical since the source is identical.
-	p.Merge(q)
-	if p.Count[body] != total {
-		t.Errorf("merge: %d, want %d", p.Count[body], total)
+}
+
+// TestJSONRoundTripsExactly: a profile is plain data, and
+// encoding/json gives back the profile it was given.
+func TestJSONRoundTripsExactly(t *testing.T) {
+	p, _ := collect(t, 3)
+	p.BandwidthBps = 1.0 / 3 // a value with no short decimal form
+	b, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q Profile
+	if err := json.Unmarshal(b, &q); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p, &q) {
+		t.Errorf("profile changed through JSON:\n%+v\n%+v", p, &q)
 	}
 }
 

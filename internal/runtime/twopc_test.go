@@ -46,7 +46,7 @@ func newTwopcShardWrapped(t *testing.T, deadline time.Duration, resolver dbapi.R
 		}
 	}
 	part := dbapi.NewParticipant(deadline, resolver)
-	handlers := dbapi.MuxHandlersTxn(db, part)
+	handlers := dbapi.MuxHandlersTxn(db, part, nil)
 	if wrap != nil {
 		handlers = wrap(handlers)
 	}

@@ -24,6 +24,8 @@
 package pyxis
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -43,9 +45,10 @@ import (
 	"pyxis/internal/verify"
 )
 
-// System is a loaded application: checked source plus the static
-// analyses, ready to be profiled and partitioned.
+// System is a loaded application: its source text, checked, plus the
+// static analyses, ready to be profiled and partitioned.
 type System struct {
+	Src      string
 	Prog     *source.Program
 	Analysis *analysis.Result
 	Profile  *profile.Profile
@@ -59,6 +62,7 @@ func Load(src string) (*System, error) {
 		return nil, err
 	}
 	return &System{
+		Src:      src,
 		Prog:     prog,
 		Analysis: analysis.Run(prog),
 		Profile:  profile.New(),
@@ -182,6 +186,40 @@ type Partition struct {
 	PyxIL    *pyxil.Program
 	Compiled *compile.Program
 	Report   *core.Report
+}
+
+// spec is what determines a partition: the pipeline has no settings,
+// so the same source, profile and budget compile the same program.
+type spec struct {
+	Source  string           `json:"source"`
+	Profile *profile.Profile `json:"profile"`
+	Budget  float64          `json:"budget"`
+}
+
+// Spec writes p out as JSON — its system's source and profile and its
+// absolute budget — from which Rebuild compiles p as Partition built it.
+func (p *Partition) Spec() ([]byte, error) {
+	return json.Marshal(spec{Source: p.System.Src, Profile: p.System.Profile, Budget: p.Report.Budget})
+}
+
+// Rebuild compiles the partition a Spec describes, through the ordinary
+// Load and Partition path. The bytes may come off the network, so a
+// malformed spec is an error, never a panic.
+func Rebuild(b []byte) (*Partition, error) {
+	var sp spec
+	if err := json.Unmarshal(b, &sp); err != nil {
+		return nil, fmt.Errorf("pyxis: partition spec: %w", err)
+	}
+	// The decoder refuses NaN and infinite budgets, the solver negative ones.
+	if sp.Profile == nil {
+		return nil, errors.New("pyxis: partition spec has no profile")
+	}
+	sys, err := Load(sp.Source)
+	if err != nil {
+		return nil, err
+	}
+	sys.Profile = sp.Profile
+	return sys.Partition(sp.Budget)
 }
 
 // Deploy wires the partition to a database in-process (tests,
