@@ -20,7 +20,8 @@ func (s FuseStats) String() string {
 // peers): it merges chains of same-placement blocks linked by an
 // unconditional TGoto whose target has exactly one predecessor, drops
 // blocks that became (or always were) unreachable, renumbers the
-// survivors densely, and computes per-block live-in slot sets.
+// survivors densely, and computes per-block live-in, need-in and def
+// slot sets (computeLiveness).
 //
 // The compiler emits many tiny blocks — dead continuations after
 // return/break, if/loop scaffolding, call continuations — and
@@ -195,18 +196,42 @@ func Fuse(p *Program) FuseStats {
 	return stats
 }
 
-// computeLiveness runs a backward slot-liveness dataflow per method
-// and stores the live-in bitset on each block. Transfer encoding uses
-// it to ship only slots the resuming side can still read.
+// computeLiveness runs two backward slot dataflows per method, in one
+// fixpoint, and stores on each block its live-in bitset, its side-local
+// NeedIn bitset and its Defs. A control transfer ships a slot only when
+// the sender wrote it since the peer last had it and the receiving side
+// may read it before control leaves that side again (NeedIn).
+//
+// NeedIn differs from LiveIn only at the edges: a successor on the
+// other side contributes nothing (reaching it moves control away), and
+// a call's continuation contributes only when it is on the caller's
+// side — a callee that transfers ships the caller frame again, against
+// the continuation's NeedIn on whichever side it lands.
 func computeLiveness(p *Program) {
+	var live, need []uint64
 	for _, m := range p.MethodList {
 		blocks := methodBlocks(p, m)
-		nw := (m.NSlots + 63) / 64
-		if nw == 0 {
-			nw = 1
+		nw := max((m.NSlots+63)/64, 1)
+		// One allocation holds every set of the method.
+		sets := make([]uint64, 3*nw*len(blocks))
+		next := func() []uint64 {
+			s := sets[:nw:nw]
+			sets = sets[nw:]
+			return s
 		}
 		for _, b := range blocks {
-			b.LiveIn = make([]uint64, nw)
+			b.LiveIn, b.NeedIn, b.Defs = next(), next(), next()
+			for i := range b.Code {
+				setBit(b.Defs, defSlot(&b.Code[i]))
+			}
+		}
+		live, need = make([]uint64, nw), make([]uint64, nw)
+		// sameSide ORs the NeedIn of successor to into need when the
+		// successor runs on b's side.
+		sameSide := func(b *Block, to BlockID) {
+			if t := p.Blocks[to]; t.Loc == b.Loc {
+				orInto(need, t.NeedIn)
+			}
 		}
 		for changed := true; changed; {
 			changed = false
@@ -214,30 +239,42 @@ func computeLiveness(p *Program) {
 			// order, so most facts converge in the first sweep.
 			for i := len(blocks) - 1; i >= 0; i-- {
 				b := blocks[i]
-				live := make([]uint64, nw)
+				clear(live)
+				clear(need)
 				switch b.Term.Kind {
 				case TGoto:
 					orInto(live, p.Blocks[b.Term.Target].LiveIn)
+					sameSide(b, b.Term.Target)
 				case TIf:
 					orInto(live, p.Blocks[b.Term.Then].LiveIn)
 					orInto(live, p.Blocks[b.Term.Else].LiveIn)
+					sameSide(b, b.Term.Then)
+					sameSide(b, b.Term.Else)
 					setBit(live, b.Term.Cond)
+					setBit(need, b.Term.Cond)
 				case TCall:
 					orInto(live, p.Blocks[b.Term.Cont].LiveIn)
+					sameSide(b, b.Term.Cont)
 					clearBit(live, b.Term.RetSlot)
+					clearBit(need, b.Term.RetSlot)
 					for _, a := range b.Term.Args {
 						setBit(live, a)
+						setBit(need, a)
 					}
 				case TRet:
-					if b.Term.Val >= 0 {
-						setBit(live, b.Term.Val)
-					}
+					setBit(live, b.Term.Val)
+					setBit(need, b.Term.Val)
 				}
 				for j := len(b.Code) - 1; j >= 0; j-- {
 					stepLiveness(live, &b.Code[j])
+					stepLiveness(need, &b.Code[j])
 				}
 				if !wordsEqual(live, b.LiveIn) {
 					copy(b.LiveIn, live)
+					changed = true
+				}
+				if !wordsEqual(need, b.NeedIn) {
+					copy(b.NeedIn, need)
 					changed = true
 				}
 			}
@@ -245,17 +282,24 @@ func computeLiveness(p *Program) {
 	}
 }
 
+// defSlot returns the slot in writes, -1 when it writes none.
+func defSlot(in *Instr) int {
+	switch in.Op {
+	case OpConst, OpNewObj, OpMove, OpUn, OpConv, OpGetField, OpLen, OpSha1, OpStr, OpTblRows, OpNewArr,
+		OpBin, OpGetIdx, OpDBQuery, OpDBExec, OpTblGet:
+		return in.A
+	}
+	return -1
+}
+
 // stepLiveness transfers live facts backward across one instruction:
 // kill the defined slot, then gen the used ones.
 func stepLiveness(live []uint64, in *Instr) {
+	clearBit(live, defSlot(in))
 	switch in.Op {
-	case OpConst, OpNewObj:
-		clearBit(live, in.A)
 	case OpMove, OpUn, OpConv, OpGetField, OpLen, OpSha1, OpStr, OpTblRows, OpNewArr:
-		clearBit(live, in.A)
 		setBit(live, in.B)
 	case OpBin, OpGetIdx:
-		clearBit(live, in.A)
 		setBit(live, in.B)
 		setBit(live, in.C)
 	case OpSetField:
@@ -266,12 +310,10 @@ func stepLiveness(live []uint64, in *Instr) {
 		setBit(live, in.B)
 		setBit(live, in.C)
 	case OpDBQuery, OpDBExec:
-		clearBit(live, in.A)
 		for _, a := range in.Args {
 			setBit(live, a)
 		}
 	case OpTblGet:
-		clearBit(live, in.A)
 		setBit(live, in.B)
 		setBit(live, in.C)
 		for _, a := range in.Args {

@@ -114,20 +114,39 @@ type Block struct {
 	Code []Instr
 	Term Term
 	// LiveIn is the frame-slot liveness bitset at block entry (word
-	// i>>6, bit i&63), computed by Fuse. Control transfers that resume
-	// at this block need only ship the live slots; nil means unknown
-	// (ship everything).
+	// i>>6, bit i&63), computed by Fuse: the slots any later block of
+	// the frame, on either side, may read before writing them. It
+	// decides which table references a peer keeps. nil means unknown
+	// (every slot live).
 	LiveIn []uint64
+	// NeedIn is side-local liveness at block entry, computed by Fuse:
+	// the slots a block on this block's side may read before writing
+	// them, on paths that stop where control moves to the other side.
+	// A control transfer resuming here ships no other slot of the
+	// frame. nil means unknown (every slot needed).
+	NeedIn []uint64
+	// Defs is the set of slots the block's instructions write (the
+	// terminator's effects excluded), computed by Fuse. The runtime
+	// marks them dirty in the frame after running the block; a slot
+	// never marked dirty never ships. nil means unknown (the block may
+	// write any slot).
+	Defs []uint64
 }
 
 // LiveAt reports whether slot s is live at block entry. A nil bitset
 // (liveness not computed) treats every slot as live.
-func (b *Block) LiveAt(s int) bool {
-	if b.LiveIn == nil {
+func (b *Block) LiveAt(s int) bool { return bitAt(b.LiveIn, s) }
+
+// NeedAt reports whether slot s is in NeedIn. A nil bitset treats
+// every slot as needed.
+func (b *Block) NeedAt(s int) bool { return bitAt(b.NeedIn, s) }
+
+func bitAt(set []uint64, s int) bool {
+	if set == nil {
 		return true
 	}
 	w := s >> 6
-	return w < len(b.LiveIn) && b.LiveIn[w]&(1<<(uint(s)&63)) != 0
+	return w < len(set) && set[w]&(1<<(uint(s)&63)) != 0
 }
 
 // FieldRef resolves a source field to its split-class location: which
@@ -253,11 +272,17 @@ func (p *Program) DisassembleBlock(id BlockID) string {
 
 func (p *Program) disasmBlock(b *strings.Builder, blk *Block) {
 	fmt.Fprintf(b, "b%d [%s]:", blk.ID, blk.Loc)
-	if blk.LiveIn != nil {
-		b.WriteString(" live-in={")
+	for _, set := range []struct {
+		name string
+		bits []uint64
+	}{{"live-in", blk.LiveIn}, {"need-in", blk.NeedIn}, {"defs", blk.Defs}} {
+		if set.bits == nil {
+			continue
+		}
+		fmt.Fprintf(b, " %s={", set.name)
 		sep := ""
-		for s := 0; s < len(blk.LiveIn)*64; s++ {
-			if blk.LiveAt(s) {
+		for s := 0; s < len(set.bits)*64; s++ {
+			if bitAt(set.bits, s) {
 				fmt.Fprintf(b, "%s%d", sep, s)
 				sep = ","
 			}

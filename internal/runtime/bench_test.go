@@ -71,6 +71,26 @@ func transferRoundTrip(tb testing.TB) func() {
 	}
 }
 
+// transferLoop returns a function that makes one entry call of the
+// loop program that transfers sixteen times each way: every transfer
+// after the first shares the caller frame both sides keep, and ships
+// the loop counter, the callee's frame and the dirty object part.
+func transferLoop(tb testing.TB) func() {
+	tb.Helper()
+	dep := runtime.NewDeployment(runtime.LoopProgram(tb), sqldb.Open(), runtime.Options{})
+	tb.Cleanup(func() { dep.Client.Close() })
+	obj, err := dep.Client.NewObject("L")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n := val.IntV(16)
+	return func() {
+		if _, err := dep.Client.CallEntry("L.run", obj, n); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // tableSweep returns a function that gives a session what a budget-1
 // NewOrder leaves its DB session to sweep, 13 dead tables, plus one
 // that a shipped slot still names, and sweeps it. The refill is a map
@@ -101,19 +121,26 @@ func BenchmarkNewOrderSP(b *testing.B) { loop(b, newOrderSP(b)) }
 // without SQL: stack and heap sync encoded and decoded on each peer.
 func BenchmarkTransferEncodeDecode(b *testing.B) { loop(b, transferRoundTrip(b)) }
 
+// BenchmarkTransferLoop is sixteen control-transfer round trips of one
+// call: the delta codec on a stack both peers keep.
+func BenchmarkTransferLoop(b *testing.B) { loop(b, transferLoop(b)) }
+
 // BenchmarkTableSweep is the sweep that ends a transfer.
 func BenchmarkTableSweep(b *testing.B) { loop(b, tableSweep(b)) }
 
 // TestAllocCeilings holds the transaction path to the allocation counts
-// measured when the benchmarks above were written.
+// measured when the benchmarks above were written (the transfer ones
+// since stacks stay with the session between transfers).
 func TestAllocCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		ceiling float64
 		run     func()
 	}{
-		{"NewOrder at budget 1", 67, newOrderSP(t)},
-		{"transfer round trip", 4, transferRoundTrip(t)},
+		{"NewOrder at budget 1", 66, newOrderSP(t)},
+		// One allocation per round trip: rpc.InProc's copy of the request.
+		{"transfer round trip", 1, transferRoundTrip(t)},
+		{"transfer loop", 16, transferLoop(t)},
 		{"table sweep", 0, tableSweep(t)},
 	} {
 		tc.run()

@@ -171,7 +171,7 @@ func TestDifferentialRandomPlacements(t *testing.T) {
 		{"loop", diffLoopSrc, "L", []string{"run", "peek", "show"}},
 	}
 	for _, p := range programs {
-		for seed := int64(1); seed <= 8; seed++ {
+		for seed := int64(1); seed <= 64; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", p.name, seed), func(t *testing.T) {
 				// Compile the same random placement twice so Fuse (which
 				// rewrites in place) gets its own copy.

@@ -136,12 +136,15 @@ func (p *Peer) ownerOf(b compile.BlockID) *compile.MethodInfo {
 }
 
 // Session is one logical client's state on a peer: its half of the
-// distributed heap, its database connection (embedded on the DB side,
-// wire client on the APP side), and the heap synchronization pending
-// for its next control transfer. A Session preserves the paper's
-// single logical thread of control — it must not be used from more
-// than one goroutine at a time — but distinct Sessions on the same
-// Peer run fully concurrently.
+// distributed heap, its copy of the frame stack, its database
+// connection (embedded on the DB side, wire client on the APP side),
+// and the heap synchronization pending for its next control transfer.
+// The stack outlives a transfer on both sides: a transfer names how
+// many frames the peer already holds and ships only the slots of those
+// frames that changed and will be read (transfer.go). A Session
+// preserves the paper's single logical thread of control — it must not
+// be used from more than one goroutine at a time — but distinct
+// Sessions on the same Peer run fully concurrently.
 type Session struct {
 	Peer *Peer
 	DB   dbapi.Conn
@@ -151,6 +154,11 @@ type Session struct {
 	// connection offers one. Database ops whose instruction carries a
 	// program-interned statement id go through it.
 	prep dbapi.PreparedConn
+	// stack is the session's frame stack, bottom first. The APP keeps it
+	// for the length of a call, the DB from one transfer to the next (a
+	// call's first transfer shares no frame, so a DB stack left by a
+	// finished call is dropped then).
+	stack []*Frame
 	// framePool recycles activation records (capped at framePoolCap);
 	// see newFrame/freeFrame.
 	framePool []*Frame
@@ -164,8 +172,8 @@ type Session struct {
 	pending []pendingSync
 	pendSet map[pendingSync]bool
 	// liveTabs names the tables the session may still read: what
-	// encodeStack found in the live slots of the stack it last shipped,
-	// or a finished call's return value. See sweepTables.
+	// encodeStack found in the live slots of the stack it keeps, or a
+	// finished call's return value. See sweepTables.
 	liveTabs []val.OID
 }
 
@@ -197,12 +205,16 @@ func (sn *Session) takePending() []pendingSync {
 
 // sweepTables frees every table outside liveTabs. A table reference
 // sits only in a frame slot (source.Check and the verifier's scope
-// check keep it out of fields and arrays), and a session that has just
-// shipped its stack holds no frame, so a table no live shipped slot
-// names cannot be read again on this peer. Both peers sweep by the
-// stacks they ship themselves, so no release is ever sent: a table the
-// other side dropped leaves here with the next stack that does not
-// carry it, including the tables of a call the other side abandoned.
+// check keep it out of fields and arrays), so a table that no live
+// slot of the stack this peer keeps names cannot be read again here.
+// A live slot holding a table travels whenever its sender wrote it, so
+// the kept slot names the table the peer's latest value names, and a
+// table that arrived by sendNative is named by the slot that arrived
+// with it. Both peers sweep by the stacks they keep, so no release is
+// ever sent: a table the other side dropped leaves here with the next
+// transfer after the slot stops naming it, and the tables of a call
+// the other side abandoned leave when the next call's first transfer
+// replaces the stack.
 func (sn *Session) sweepTables() {
 	for oid := range sn.Heap.tabs {
 		if !slices.Contains(sn.liveTabs, oid) {
@@ -247,35 +259,55 @@ type Frame struct {
 	Slots   []val.Value
 	RetSlot int
 	Cont    compile.BlockID
+	// dirty marks the slots this side wrote since the peer last had
+	// their value (word s>>6, bit s&63): what a transfer may ship.
+	dirty []uint64
+	// shared: both sides held this activation at the last transfer, so
+	// the next one ships only its changed slots, not the frame.
+	shared bool
 }
+
+// markDirty ORs a block's Defs into the frame; nil Defs (not computed)
+// mark every slot.
+func (fr *Frame) markDirty(defs []uint64) {
+	if defs == nil {
+		for i := range fr.dirty {
+			fr.dirty[i] = ^uint64(0)
+		}
+		return
+	}
+	for i, w := range defs {
+		fr.dirty[i] |= w
+	}
+}
+
+func (fr *Frame) isDirty(s int) bool { return fr.dirty[s>>6]&(1<<(uint(s)&63)) != 0 }
 
 // framePoolCap bounds the per-session free list of activation records.
 const framePoolCap = 64
 
-// newFrame returns a zeroed activation record for m, recycling from
-// the session pool when possible.
+// newFrame returns a zeroed activation record for m, every slot dirty
+// and not shared, recycling from the session pool when possible.
 func (sn *Session) newFrame(m *compile.MethodInfo) *Frame {
+	var fr *Frame
 	if n := len(sn.framePool); n > 0 {
-		fr := sn.framePool[n-1]
+		fr = sn.framePool[n-1]
 		sn.framePool[n-1] = nil
 		sn.framePool = sn.framePool[:n-1]
-		fr.Method = m
-		fr.RetSlot = 0
-		fr.Cont = compile.NoBlock
-		if cap(fr.Slots) >= m.NSlots {
-			fr.Slots = fr.Slots[:m.NSlots]
-			clear(fr.Slots)
-		} else {
-			fr.Slots = make([]val.Value, m.NSlots)
-		}
-		return fr
+	} else {
+		fr = new(Frame)
 	}
-	return &Frame{Method: m, Slots: make([]val.Value, m.NSlots), Cont: compile.NoBlock}
+	fr.Method, fr.RetSlot, fr.Cont, fr.shared = m, 0, compile.NoBlock, false
+	fr.Slots = slices.Grow(fr.Slots[:0], m.NSlots)[:m.NSlots]
+	clear(fr.Slots)
+	fr.dirty = slices.Grow(fr.dirty[:0], (m.NSlots+63)/64)[:(m.NSlots+63)/64]
+	fr.markDirty(nil)
+	return fr
 }
 
 // freeFrame returns fr to the pool. Callers must hold no live
-// reference: a frame is freed only after its method returned or after
-// the frame was fully serialized onto the wire.
+// reference: a frame is freed only after its method returned, or when
+// a transfer or a failure drops it from the session's stack.
 func (sn *Session) freeFrame(fr *Frame) {
 	if len(sn.framePool) >= framePoolCap {
 		return
@@ -284,19 +316,21 @@ func (sn *Session) freeFrame(fr *Frame) {
 	sn.framePool = append(sn.framePool, fr)
 }
 
+// truncStack frees the frames of the session's stack above depth n.
+func (sn *Session) truncStack(n int) {
+	for _, fr := range sn.stack[n:] {
+		sn.freeFrame(fr)
+	}
+	clear(sn.stack[n:])
+	sn.stack = sn.stack[:n]
+}
+
 // dbArgs returns the session's argument scratch, n elements long.
 func (sn *Session) dbArgs(n int) []val.Value {
 	if cap(sn.argbuf) < n {
 		sn.argbuf = make([]val.Value, n)
 	}
 	return sn.argbuf[:n]
-}
-
-// freeStack frees every frame of a serialized stack.
-func (sn *Session) freeStack(stack []*Frame) {
-	for _, fr := range stack {
-		sn.freeFrame(fr)
-	}
 }
 
 // RunError is a runtime failure inside partitioned code.
@@ -308,10 +342,12 @@ func runErr(format string, args ...any) error {
 	return &RunError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// Run executes blocks starting at b until control leaves this side
-// (done=false, next=remote block) or the bottom frame returns
-// (done=true with the return value).
-func (sn *Session) Run(b compile.BlockID, stack []*Frame) (next compile.BlockID, done bool, ret val.Value, outStack []*Frame, err error) {
+// Run executes blocks of the session's stack starting at b until
+// control leaves this side (done=false, next=remote block) or the
+// bottom frame returns (done=true with the return value, the stack
+// empty). Every slot a block or a return writes is marked dirty in its
+// frame. After an error the stack is as the failing block left it.
+func (sn *Session) Run(b compile.BlockID) (next compile.BlockID, done bool, ret val.Value, err error) {
 	p := sn.Peer
 	// Counters batch into the shared atomic metrics once per Run: the
 	// block loop is the interpreter's hot path and per-block atomic
@@ -326,14 +362,15 @@ func (sn *Session) Run(b compile.BlockID, stack []*Frame) (next compile.BlockID,
 	for {
 		blk := p.Prog.Block(b)
 		if blk.Loc != p.Side {
-			return b, false, val.Value{}, stack, nil
+			return b, false, val.Value{}, nil
 		}
-		fr := stack[len(stack)-1]
+		fr := sn.stack[len(sn.stack)-1]
 		for i := range blk.Code {
 			if err := sn.exec(&blk.Code[i], fr); err != nil {
-				return 0, false, val.Value{}, stack, err
+				return 0, false, val.Value{}, err
 			}
 		}
+		fr.markDirty(blk.Defs)
 		blocks++
 		instrs += int64(len(blk.Code))
 		if p.Env != nil {
@@ -356,7 +393,7 @@ func (sn *Session) Run(b compile.BlockID, stack []*Frame) (next compile.BlockID,
 			for i, src := range blk.Term.Args {
 				nf.Slots[i] = fr.Slots[src]
 			}
-			stack = append(stack, nf)
+			sn.stack = append(sn.stack, nf)
 			b = callee.Entry
 		case compile.TRet:
 			var v val.Value
@@ -365,13 +402,15 @@ func (sn *Session) Run(b compile.BlockID, stack []*Frame) (next compile.BlockID,
 			} else {
 				v = fr.Method.Ret.Zero()
 			}
-			stack = stack[:len(stack)-1]
-			if len(stack) == 0 {
+			sn.stack[len(sn.stack)-1] = nil
+			sn.stack = sn.stack[:len(sn.stack)-1]
+			if len(sn.stack) == 0 {
 				sn.freeFrame(fr)
-				return 0, true, v, stack, nil
+				return 0, true, v, nil
 			}
-			caller := stack[len(stack)-1]
+			caller := sn.stack[len(sn.stack)-1]
 			caller.Slots[fr.RetSlot] = v
+			caller.dirty[fr.RetSlot>>6] |= 1 << (uint(fr.RetSlot) & 63)
 			b = fr.Cont
 			sn.freeFrame(fr)
 		}
@@ -425,6 +464,7 @@ func (sn *Session) exec(in *compile.Instr, fr *Frame) error {
 			return err
 		}
 		o.Part(in.Field.Loc)[in.Field.PartIdx] = s[in.B]
+		o.markWritten(in.Field.Loc, in.Field.PartIdx)
 	case compile.OpGetIdx:
 		a, err := sn.Heap.Array(s[in.B].OID())
 		if err != nil {

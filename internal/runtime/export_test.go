@@ -1,9 +1,12 @@
 package runtime
 
 import (
+	"slices"
 	"testing"
 
 	"pyxis/internal/compile"
+	"pyxis/internal/rpc"
+	"pyxis/internal/val"
 )
 
 // What the lifetime tests read of a session's heap, exported to the
@@ -50,3 +53,27 @@ func (sn *Session) FillTables(dead, live int) {
 
 // SweepTables runs the sweep a transfer ends with.
 func (sn *Session) SweepTables() { sn.sweepTables() }
+
+// ShippedStrings decodes req, a transfer to sn, against a copy of the
+// stack sn keeps whose slots hold no value, and returns the strings the
+// transfer's stack carries. sn is left as it was.
+func (sn *Session) ShippedStrings(req []byte) ([]string, error) {
+	cp := sn.Peer.NewSession(nil)
+	for _, fr := range sn.stack {
+		c := *fr
+		c.Slots, c.dirty = make([]val.Value, len(fr.Slots)), slices.Clone(fr.dirty)
+		cp.stack = append(cp.stack, &c)
+	}
+	if _, err := cp.decodeTransfer(&rpc.Reader{Buf: req}); err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, fr := range cp.stack {
+		for _, v := range fr.Slots {
+			if v.K == val.Str {
+				out = append(out, v.S)
+			}
+		}
+	}
+	return out, nil
+}

@@ -34,61 +34,91 @@ func (*blockBudget) TransferSend(pdg.Loc, int) {}
 
 // FuzzTransferHandler feeds the DB-side control-transfer handler
 // arbitrary requests, starting from the real ones the calc and loop
-// programs send. Whatever arrives, the handler answers with a reply,
-// ErrBadTransfer (nothing executed) or a *RunError (the program failed
-// on what the transfer carried); it never panics, allocates nothing
-// sized by a count the request merely announces, leaves the session's
-// frame pool no smaller than it found it, and leaves its heap no table
-// but those the live slots of the reply name (none after an error).
+// programs send. A target is a program, fused or not, and whether the
+// session first serves the program's first real transfer, so that it
+// keeps a stack a request can share frames of (k > 0). Whatever
+// arrives, the handler answers with a reply, ErrBadTransfer (nothing
+// executed) or a *RunError (the program failed on what the transfer
+// carried); it never panics, allocates nothing sized by a count the
+// request merely announces, leaves the session's frames — pooled or in
+// its kept stack — no fewer than it found them, and leaves its heap no
+// table outside its kept stack's live slots (none after an error).
 func FuzzTransferHandler(f *testing.F) {
 	type target struct {
 		peer   *Peer
 		budget *blockBudget
+		prime  []byte // served before the input, or nil
 	}
 	var targets []target
 	var last []byte
+	// later holds the rest of each call, for the primed targets.
+	type seed struct {
+		which uint8
+		req   []byte
+	}
+	var later []seed
 	for _, fuse := range []bool{true, false} {
 		for _, p := range []*wireProg{calcWire, loopWire} {
 			prog := p.compile(f, fuse)
-			for _, req := range p.transfers(f, prog) {
+			reqs := p.transfers(f, prog)
+			for _, req := range reqs {
 				f.Add(uint8(len(targets)), req)
 				last = req
 			}
-			tg := target{NewPeer(prog, pdg.DB, nil), &blockBudget{}}
-			tg.peer.Env = tg.budget
-			targets = append(targets, tg)
+			for _, prime := range [][]byte{nil, reqs[0]} {
+				tg := target{NewPeer(prog, pdg.DB, nil), &blockBudget{}, prime}
+				tg.peer.Env = tg.budget
+				targets = append(targets, tg)
+			}
+			for _, req := range reqs[1:] {
+				later = append(later, seed{uint8(len(targets) - 1), req})
+			}
 		}
 	}
 	// A result table behind a real stack (the loop's last transfer, which
-	// syncs nothing): the one sync record the two programs never send.
+	// syncs nothing, on the session that kept the frame it shares): the
+	// one sync record the two programs never send.
 	w := rpc.Writer{Buf: last}
-	w.Buf = w.Buf[:len(w.Buf)-4]
-	w.U32(1)
+	w.Buf = w.Buf[:len(w.Buf)-1]
+	w.Uvarint(1)
 	w.Byte(byte(syncTable))
-	w.I64(4)
+	w.Uvarint(4)
 	w.U32(2)
 	w.Str("k")
 	w.Str("v")
 	w.U32(1)
 	w.Vals([]val.Value{val.IntV(1), val.StrV("a")})
 	f.Add(uint8(len(targets)-1), w.Buf)
+	// The rest of each call on a session that served its first transfer:
+	// the loop's second transfer shares the caller frame it kept.
+	for _, s := range later {
+		f.Add(s.which, s.req)
+	}
 
 	db := sqldb.Open()
 	f.Fuzz(func(t *testing.T, which uint8, req []byte) {
 		tg := targets[int(which)%len(targets)]
 		tg.budget.left = 4096
 		sn := tg.peer.NewSession(dbapi.NewLocal(db))
-		// Frames in the pool, so one the handler keeps is missed.
+		// Frames in the pool, so one the handler loses is missed.
 		var primed []*Frame
 		for i := 0; i < 8; i++ {
 			primed = append(primed, sn.newFrame(tg.peer.Prog.MethodList[0]))
 		}
-		sn.freeStack(primed)
-		base := len(sn.framePool)
+		for _, fr := range primed {
+			sn.freeFrame(fr)
+		}
+		h := Handler(sn)
+		if tg.prime != nil {
+			if _, err := h(tg.prime); err != nil {
+				t.Fatalf("priming transfer: %v", err)
+			}
+		}
+		base := len(sn.framePool) + len(sn.stack)
 
 		var before, after goruntime.MemStats
 		goruntime.ReadMemStats(&before)
-		resp, spent, err := serveWithinBudget(Handler(sn), req)
+		resp, spent, err := serveWithinBudget(h, req)
 		goruntime.ReadMemStats(&after)
 		if spent {
 			return
@@ -100,12 +130,12 @@ func FuzzTransferHandler(f *testing.F) {
 		case err != nil && !errors.Is(err, ErrBadTransfer) && !errors.As(err, &re):
 			t.Fatalf("untyped error: %v", err)
 		}
-		if got := len(sn.framePool); got < base {
-			t.Fatalf("frame pool %d, was %d (err %v)", got, base, err)
+		if got := len(sn.framePool) + len(sn.stack); got < base {
+			t.Fatalf("frames pooled or kept %d, was %d (err %v)", got, base, err)
 		}
 		for oid := range sn.Heap.tabs {
 			if err != nil || !slices.Contains(sn.liveTabs, oid) {
-				t.Fatalf("table %d outlives the transfer (err %v); the reply's live slots name %v", oid, err, sn.liveTabs)
+				t.Fatalf("table %d outlives the transfer (err %v); the kept stack's live slots name %v", oid, err, sn.liveTabs)
 			}
 		}
 		// A frame per three request bytes at most, a heap value per byte:

@@ -23,12 +23,15 @@ import (
 
 // Object is the runtime representation of a class instance. Every
 // source-level object is split into an APP part and a DB part (paper
-// Fig. 6); each peer holds copies of both, and sync operations ship
-// the authoritative part across on control transfers.
+// Fig. 6); each peer holds copies of both, and a part sync ships the
+// fields of a part this peer set since it last synced that part.
 type Object struct {
 	Class *compile.ClassInfo
 	App   []val.Value
 	DB    []val.Value
+	// appSet and dbSet mark, per part, the fields set here since the
+	// part last synced (bit i of word i>>6); nil until the first set.
+	appSet, dbSet []uint64
 }
 
 // Part returns the field storage of one part.
@@ -37,6 +40,23 @@ func (o *Object) Part(loc pdg.Loc) []val.Value {
 		return o.DB
 	}
 	return o.App
+}
+
+// setMask returns the written-field mask of one part.
+func (o *Object) setMask(loc pdg.Loc) *[]uint64 {
+	if loc == pdg.DB {
+		return &o.dbSet
+	}
+	return &o.appSet
+}
+
+// markWritten records that this peer set field i of part loc.
+func (o *Object) markWritten(loc pdg.Loc, i int) {
+	m := o.setMask(loc)
+	if *m == nil {
+		*m = make([]uint64, (len(o.Part(loc))+63)/64)
+	}
+	(*m)[i>>6] |= 1 << (uint(i) & 63)
 }
 
 // Array is a runtime array; placement follows its allocation site.
@@ -172,18 +192,43 @@ type pendingSync struct {
 	part pdg.Loc // for syncObjPart
 }
 
-// encodeSync serializes the pending set against the local heap.
+// encodeSync serializes the pending set against the local heap: a
+// count, then per record its kind and OID (uvarints) and payload. An
+// object part travels as its class name, the part, a field mask and
+// the fields in the mask — those this peer set since the part last
+// synced, so a field the peer set in the meantime is not overwritten
+// by an older value. A part with no field set does not travel.
 func encodeSync(w *rpc.Writer, h *Heap, pend []pendingSync) {
-	w.U32(uint32(len(pend)))
+	n := 0
 	for _, ps := range pend {
+		if ps.kind != syncObjPart || anyBit(*h.objs[ps.oid].setMask(ps.part)) {
+			n++
+		}
+	}
+	w.Uvarint(uint64(n))
+	for _, ps := range pend {
+		var o *Object
+		if ps.kind == syncObjPart {
+			if o = h.objs[ps.oid]; !anyBit(*o.setMask(ps.part)) {
+				continue
+			}
+		}
 		w.Byte(byte(ps.kind))
-		w.I64(int64(ps.oid))
+		w.Uvarint(uint64(ps.oid))
 		switch ps.kind {
 		case syncObjPart:
-			o := h.objs[ps.oid]
 			w.Str(o.Class.Name)
 			w.Byte(byte(ps.part))
-			w.Vals(o.Part(ps.part))
+			set, part := *o.setMask(ps.part), o.Part(ps.part)
+			off := len(w.Buf)
+			w.Buf = appendZeros(w.Buf, (len(part)+7)/8)
+			for i, v := range part {
+				if set[i>>6]&(1<<(uint(i)&63)) != 0 {
+					w.Buf[off+i>>3] |= 1 << (uint(i) & 7)
+					w.Val(v)
+				}
+			}
+			clear(set)
 		case syncArray:
 			a := h.arrs[ps.oid]
 			w.Vals(a.Elems)
@@ -201,17 +246,21 @@ func encodeSync(w *rpc.Writer, h *Heap, pend []pendingSync) {
 	}
 }
 
-// applySync installs received sync records into the local heap. What
-// it installs has the shape the program's instructions index by: an
-// object part is as long as its class says. Counts are checked against
-// the bytes left before they size anything (a column name or a row is
-// at least its own 4-byte length).
+// applySync installs received sync records into the local heap. An
+// object part's fields are written one by one, only those in its mask,
+// and this peer's own marks on them are cleared: the sender's values
+// are the newer ones. Counts are checked against the bytes left before
+// they size anything (a record is at least two bytes, a column name or
+// a row at least its own 4-byte length).
 func applySync(r *rpc.Reader, h *Heap, classes map[string]*compile.ClassInfo) error {
 	left := func() int { return (len(r.Buf) - r.Off) / 4 }
-	n := int(r.U32())
-	for i := 0; i < n; i++ {
+	n := r.Uvarint()
+	if r.Err() == nil && n > uint64(len(r.Buf)-r.Off)/2 {
+		return badTransfer("%d sync records in %d bytes", n, len(r.Buf)-r.Off)
+	}
+	for i := uint64(0); i < n; i++ {
 		kind := syncKind(r.Byte())
-		oid := val.OID(r.I64())
+		oid := val.OID(r.Uvarint())
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -219,7 +268,6 @@ func applySync(r *rpc.Reader, h *Heap, classes map[string]*compile.ClassInfo) er
 		case syncObjPart:
 			className := r.Str()
 			part := pdg.Loc(r.Byte())
-			vals := r.Vals()
 			if r.Err() != nil {
 				return r.Err()
 			}
@@ -227,17 +275,28 @@ func applySync(r *rpc.Reader, h *Heap, classes map[string]*compile.ClassInfo) er
 			if ci == nil {
 				return badTransfer("sync for unknown class %q", className)
 			}
-			if (part != pdg.App && part != pdg.DB) || len(vals) != ci.PartLen(part) {
-				return badTransfer("sync of %d values for part %d of %s", len(vals), part, className)
+			if part != pdg.App && part != pdg.DB {
+				return badTransfer("sync for part %d of %s", part, className)
 			}
 			o, err := h.Object(oid, ci)
 			if err != nil {
 				return err
 			}
-			if part == pdg.DB {
-				o.DB = vals
-			} else {
-				o.App = vals
+			fields, set := o.Part(part), *o.setMask(part)
+			mask := readMask(r, len(fields))
+			if r.Err() != nil {
+				return r.Err()
+			}
+			if pad := len(fields) & 7; pad != 0 && mask[len(mask)-1]>>pad != 0 {
+				return badTransfer("sync mask names a field past the %d of part %d of %s", len(fields), part, className)
+			}
+			for f := range fields {
+				if mask[f>>3]&(1<<(uint(f)&7)) != 0 {
+					fields[f] = r.Val()
+					if set != nil {
+						set[f>>6] &^= 1 << (uint(f) & 63)
+					}
+				}
 			}
 		case syncArray:
 			h.arrs[oid] = &Array{Elems: r.Vals()}

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -184,8 +185,17 @@ func TestDeadTablePendingSendStillArrives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The reply, and a copy of the APP's stack as it awaits it.
 	var reply []byte
-	d.hook.after = func(_ int, resp []byte) { reply = append([]byte(nil), resp...) }
+	var kept []*Frame
+	d.hook.after = func(_ int, resp []byte) {
+		reply = append([]byte(nil), resp...)
+		for _, fr := range d.app.stack {
+			c := *fr
+			c.Slots, c.dirty = slices.Clone(fr.Slots), slices.Clone(fr.dirty)
+			kept = append(kept, &c)
+		}
+	}
 	v, err := d.Client.CallEntry("Life.pick", obj, val.IntV(0))
 	if err != nil || v.I != 7 {
 		t.Fatalf("pick(0) = %v, %v; want 7", v, err)
@@ -196,18 +206,18 @@ func TestDeadTablePendingSendStillArrives(t *testing.T) {
 	if got := d.tables(); got != [2]int{0, 0} {
 		t.Errorf("after the call: {APP, DB} hold %v tables, want none (the DB shipped no live table)", got)
 	}
-	// The reply on a fresh APP session: no slot names a table, and the
-	// table arrived all the same.
+	// The reply on a fresh APP session holding that stack: no slot names
+	// a table, and the table arrived all the same.
 	sn := d.App.NewSession(d.app.DB)
+	sn.stack = kept
 	r := &rpc.Reader{Buf: reply}
 	if r.Bool() {
 		t.Fatal("the DB finished the call; pick's return was placed on the APP")
 	}
-	stack, err := sn.decodeTransfer(r, compile.BlockID(int32(r.U32())))
-	if err != nil {
+	if _, err := sn.decodeTransfer(r); err != nil {
 		t.Fatal(err)
 	}
-	for _, fr := range stack {
+	for _, fr := range sn.stack {
 		for s, v := range fr.Slots {
 			if v.K == val.Table {
 				t.Errorf("slot %d of %s carries a table; the test needs it dead at the resume point", s, fr.Method.QName)

@@ -16,179 +16,283 @@ import (
 
 // This file implements the control-transfer protocol (paper §6.1-6.2):
 // when execution reaches a block placed on the other server, the local
-// runtime sends a transfer message naming the next block, carrying the
-// program stack, and piggy-backing batched heap synchronization; it
-// then blocks until the remote runtime returns control the same way.
-// Each session preserves a single logical thread of control; many
-// sessions run the protocol concurrently over a multiplexed transport.
+// runtime sends a transfer message naming the next block, carrying what
+// the peer lacks of the program stack, and piggy-backing batched heap
+// synchronization; it then blocks until the remote runtime returns
+// control the same way. Each session preserves a single logical thread
+// of control; many sessions run the protocol concurrently over a
+// multiplexed transport.
+//
+// A transfer is
+//
+//	[resume block uvarint] [stack] [heap sync]
+//
+// and the stack is a delta against the copy the peer kept from the
+// last transfer:
+//
+//	[stackV2] [n uvarint] [k uvarint]
+//	frames 0..k-1, the activations both sides held at the last transfer:
+//	    [dirty mask D] [value mask V] [the values in V]
+//	frames k..n-1, pushed since:
+//	    [method idx] [RetSlot] [Cont+1] [value mask V] [the values in V]
+//
+// A mask is one bit per slot, (NSlots+7)/8 bytes. D is every slot the
+// sender wrote since the peer last had its value (Frame.dirty). V is
+// the part of D the receiving side may read before control leaves it
+// again — the NeedIn of the frame's resume point when that point is on
+// the receiving side, nothing otherwise — plus the live slots holding a
+// table, so that a table never outlives, or dies before, the slot that
+// names it (sweepTables). A caller frame's return slot never travels:
+// the return overwrites it. The receiver truncates its stack to k,
+// clears its own dirty bits in D (the sender's values are newer; D is
+// what keeps a slot written on both sides from being overwritten by
+// the older value when it travels later), and installs V; the sender
+// clears V from its dirty bits. A call's first transfer has k = 0.
 
-// stackV1 is the stack codec's version byte, the first byte of every
-// encoded stack. The compile-assigned method index names each frame's
-// method, and only the slots live at the frame's resume point travel,
-// gated by an explicit per-frame bitmap so the decoder needs no
-// liveness information of its own (a program without liveness simply
-// sends a full bitmap). Both peers of a deployment come out of one
-// compile, so there is one version; any other byte is a corrupt
-// transfer.
-const stackV1 = 1
+// stackV2 is the stack codec's version byte. Both peers of a deployment
+// come out of one compile, so there is one version; any other byte is a
+// corrupt transfer.
+const stackV2 = 2
 
 // ErrBadTransfer reports a control transfer that does not describe a
 // state of this peer's program: a block or method that does not exist,
 // a frame resuming in another method's block, a return slot outside
-// the caller's frame, heap state of the wrong shape, a message cut
-// short (which is rpc.ErrShortBuffer as well). Nothing of the transfer
-// has executed.
+// the caller's frame, more shared frames than this peer kept, heap
+// state of the wrong shape, a message cut short (which is
+// rpc.ErrShortBuffer as well). Nothing of the transfer has executed,
+// and the session's stack is dropped.
 var ErrBadTransfer = errors.New("runtime: malformed control transfer")
 
 func badTransfer(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadTransfer, fmt.Sprintf(format, args...))
 }
 
-// encodeStack serializes the frame stack. resume is the block where
+// readMask reads the mask of an n-bit set, (n+7)/8 bytes. It returns
+// nil when the message is cut short (r.Err() says so).
+func readMask(r *rpc.Reader, n int) []byte {
+	nb := (n + 7) / 8
+	for j := 0; j < nb; j++ {
+		r.Byte()
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return r.Buf[r.Off-nb : r.Off]
+}
+
+// appendZeros appends n zero bytes: room for a mask filled in place.
+// (append(b, make([]byte, n)...) allocates in race-instrumented builds.)
+func appendZeros(b []byte, n int) []byte {
+	for ; n > 0; n-- {
+		b = append(b, 0)
+	}
+	return b
+}
+
+func maskBit(m []byte, s int) bool { return m[s>>3]&(1<<(uint(s)&7)) != 0 }
+
+func anyBit(set []uint64) bool {
+	for _, w := range set {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// encodeStack serializes the session's stack as a delta against the
+// copy the peer kept (see the format above). resume is the block where
 // the top frame resumes on the receiving side; a caller frame resumes
-// at its callee's continuation, with the callee's return slot excluded
-// from the live set because the return value overwrites it. The tables
-// the shipped slots name are left in sn.liveTabs for sweepTables.
-func (sn *Session) encodeStack(w *rpc.Writer, stack []*Frame, resume compile.BlockID) {
+// at its callee's continuation. Every frame is shared once it is
+// written. The tables the live slots of the kept stack name are left in
+// sn.liveTabs for sweepTables.
+func (sn *Session) encodeStack(w *rpc.Writer, resume compile.BlockID) {
 	prog := sn.Peer.Prog
+	to := prog.Block(resume).Loc
+	stack := sn.stack
 	sn.liveTabs = sn.liveTabs[:0]
-	w.Byte(stackV1)
+	k := 0
+	for k < len(stack) && stack[k].shared {
+		k++
+	}
+	w.Byte(stackV2)
 	w.Uvarint(uint64(len(stack)))
+	w.Uvarint(uint64(k))
 	for i, fr := range stack {
-		w.Uvarint(uint64(fr.Method.Idx))
-		w.Uvarint(uint64(fr.RetSlot))
-		w.Uvarint(uint64(int64(fr.Cont) + 1)) // NoBlock (-1) encodes as 0
 		at, skip := resume, -1
 		if i < len(stack)-1 {
 			at, skip = stack[i+1].Cont, stack[i+1].RetSlot
 		}
-		var blk *compile.Block
-		if at != compile.NoBlock {
-			blk = prog.Block(at)
+		blk := prog.Block(at)
+		need := blk.Loc == to
+		nb := (len(fr.Slots) + 7) / 8
+		dOff := -1
+		if i < k {
+			dOff = len(w.Buf)
+			w.Buf = appendZeros(w.Buf, nb)
+		} else {
+			w.Uvarint(uint64(fr.Method.Idx))
+			w.Uvarint(uint64(fr.RetSlot))
+			w.Uvarint(uint64(int64(fr.Cont) + 1)) // NoBlock (-1) encodes as 0
 		}
-		maskOff := len(w.Buf)
-		for j := 0; j < (len(fr.Slots)+7)/8; j++ {
-			w.Byte(0)
-		}
-		for s := range fr.Slots {
-			if s == skip || (blk != nil && !blk.LiveAt(s)) {
+		vOff := len(w.Buf)
+		w.Buf = appendZeros(w.Buf, nb)
+		for s, v := range fr.Slots {
+			tab := v.K == val.Table && s != skip && blk.LiveAt(s)
+			if tab {
+				sn.liveTabs = append(sn.liveTabs, v.OID())
+			}
+			if !fr.isDirty(s) {
 				continue
 			}
-			w.Buf[maskOff+s>>3] |= 1 << (uint(s) & 7)
-			w.Val(fr.Slots[s])
-			if fr.Slots[s].K == val.Table {
-				sn.liveTabs = append(sn.liveTabs, fr.Slots[s].OID())
+			if dOff >= 0 {
+				w.Buf[dOff+s>>3] |= 1 << (uint(s) & 7)
 			}
+			if s == skip || !tab && !(need && blk.NeedAt(s)) {
+				continue
+			}
+			w.Buf[vOff+s>>3] |= 1 << (uint(s) & 7)
+			w.Val(v)
+			fr.dirty[s>>6] &^= 1 << (uint(s) & 63)
 		}
+		fr.shared = true
 	}
 }
 
-// decodeStack reconstructs the frame stack of a transfer that resumes
-// at block resume, and checks it against the program before anything
-// executes on it: at least one frame; every frame above the bottom one
-// returns into a slot of the frame beneath it, at a block of that
-// frame's method; the top frame's method owns resume. The bottom
-// frame's return slot and continuation are never followed, so its
-// continuation need only be NoBlock or a block. Frames come from the
-// session's frame pool and go back to it on every error; dead slots
-// are left zeroed (liveness guarantees they are written before any
-// read).
-func (sn *Session) decodeStack(r *rpc.Reader, resume compile.BlockID) ([]*Frame, error) {
+// decodeStack applies a transfer's stack, resuming at block resume, to
+// the session's kept stack, and checks it against the program before
+// anything executes on it: the shared prefix is no deeper than what
+// this peer kept, the stack has at least one frame, every frame pushed
+// since the last transfer returns into a slot of the frame beneath it,
+// at a block of that frame's method, and the top frame's method owns
+// resume. The bottom frame's return slot and continuation are never
+// followed, so its continuation need only be NoBlock or a block. Slots
+// of a new frame outside V are left zeroed (the receiving side does not
+// read them before control leaves it again). On error the caller drops
+// the stack.
+func (sn *Session) decodeStack(r *rpc.Reader, resume compile.BlockID) error {
 	p := sn.Peer
-	if v := r.Byte(); r.Err() == nil && v != stackV1 {
-		return nil, badTransfer("unknown stack codec version %d", v)
+	if v := r.Byte(); r.Err() == nil && v != stackV2 {
+		return badTransfer("unknown stack codec version %d", v)
 	}
-	n := int(r.Uvarint())
+	n, k := r.Uvarint(), r.Uvarint()
 	if r.Err() != nil {
-		return nil, r.Err()
+		return r.Err()
 	}
-	// A frame is at least its three varints, so a depth beyond the bytes
-	// left is corrupt, and the slice it sizes is bounded by what arrived.
-	if n < 1 || n > (len(r.Buf)-r.Off)/3 {
-		return nil, badTransfer("stack depth %d in %d bytes", n, len(r.Buf)-r.Off)
+	if k > uint64(len(sn.stack)) {
+		return badTransfer("transfer shares %d frames, this peer kept %d", k, len(sn.stack))
 	}
-	stack := make([]*Frame, 0, n)
-	// fail hands the frames decoded so far back to the pool: a faulted
-	// transfer must not shrink it for good.
-	fail := func(err error) ([]*Frame, error) {
-		sn.freeStack(stack)
-		return nil, err
+	// A new frame is at least its three varints, so a depth beyond the
+	// bytes left is corrupt, and the stack it grows is bounded by what
+	// arrived.
+	if n < 1 || n < k || n-k > uint64(len(r.Buf)-r.Off)/3 {
+		return badTransfer("stack depth %d (%d shared) in %d bytes", n, k, len(r.Buf)-r.Off)
 	}
-	for i := 0; i < n; i++ {
+	sn.truncStack(int(k))
+	for _, fr := range sn.stack {
+		d := readMask(r, len(fr.Slots))
+		if r.Err() != nil {
+			return r.Err()
+		}
+		for s := range fr.Slots {
+			if maskBit(d, s) {
+				fr.dirty[s>>6] &^= 1 << (uint(s) & 63)
+			}
+		}
+		if err := readValues(r, fr); err != nil {
+			return err
+		}
+	}
+	for i := int(k); i < int(n); i++ {
 		idx := r.Uvarint()
 		retSlot := r.Uvarint()
-		cont := compile.BlockID(int64(r.Uvarint()) - 1)
+		cont := r.Uvarint()
 		if r.Err() != nil {
-			return fail(r.Err())
+			return r.Err()
 		}
 		if idx >= uint64(len(p.Prog.MethodList)) {
-			return fail(badTransfer("frame %d names method index %d of %d", i, idx, len(p.Prog.MethodList)))
+			return badTransfer("frame %d names method index %d of %d", i, idx, len(p.Prog.MethodList))
 		}
-		if i == 0 {
-			if cont != compile.NoBlock && !p.validBlock(cont) {
-				return fail(badTransfer("frame 0 continues at block %d of %d", cont, len(p.Prog.Blocks)))
+		if cont > uint64(len(p.Prog.Blocks)) {
+			return badTransfer("frame %d continues at block %d of %d", i, int64(cont)-1, len(p.Prog.Blocks))
+		}
+		c := compile.BlockID(int64(cont) - 1)
+		if i > 0 {
+			if caller := sn.stack[i-1].Method; p.ownerOf(c) != caller {
+				return badTransfer("frame %d continues at block %d, outside its caller %s", i, c, caller.QName)
+			} else if retSlot >= uint64(caller.NSlots) {
+				return badTransfer("frame %d returns into slot %d of %s's %d", i, retSlot, caller.QName, caller.NSlots)
 			}
-		} else if caller := stack[i-1].Method; p.ownerOf(cont) != caller {
-			return fail(badTransfer("frame %d continues at block %d, outside its caller %s", i, cont, caller.QName))
-		} else if retSlot >= uint64(caller.NSlots) {
-			return fail(badTransfer("frame %d returns into slot %d of %s's %d", i, retSlot, caller.QName, caller.NSlots))
 		}
 		fr := sn.newFrame(p.Prog.MethodList[idx])
-		stack = append(stack, fr) // before any return, so fail frees it
+		sn.stack = append(sn.stack, fr) // before any return, so the drop frees it
+		clear(fr.dirty)
 		fr.RetSlot = int(retSlot)
-		fr.Cont = cont
-		maskOff := r.Off
-		for j := 0; j < (fr.Method.NSlots+7)/8; j++ {
-			r.Byte()
-		}
-		if r.Err() != nil {
-			return fail(r.Err())
-		}
-		for s := 0; s < fr.Method.NSlots; s++ {
-			if r.Buf[maskOff+s>>3]&(1<<(uint(s)&7)) != 0 {
-				fr.Slots[s] = r.Val()
-			}
+		fr.Cont = c
+		if err := readValues(r, fr); err != nil {
+			return err
 		}
 	}
-	if r.Err() != nil {
-		return fail(r.Err())
+	if top := sn.stack[n-1].Method; p.ownerOf(resume) != top {
+		return badTransfer("resumes at block %d, outside the top frame's method %s", resume, top.QName)
 	}
-	if top := stack[n-1].Method; p.ownerOf(resume) != top {
-		return fail(badTransfer("resumes at block %d, outside the top frame's method %s", resume, top.QName))
+	for _, fr := range sn.stack {
+		fr.shared = true
 	}
-	return stack, nil
+	return nil
 }
 
-// decodeTransfer reads what follows a transfer's resume block: the
-// frame stack, then the heap synchronization, which it applies. Every
-// failure is ErrBadTransfer, wrapping its cause.
-func (sn *Session) decodeTransfer(r *rpc.Reader, resume compile.BlockID) ([]*Frame, error) {
-	stack, err := sn.decodeStack(r, resume)
-	if err == nil {
-		if err = applySync(r, sn.Heap, sn.Peer.Prog.Classes); err != nil {
-			sn.freeStack(stack)
+// readValues reads a frame's value mask and installs the values it
+// names.
+func readValues(r *rpc.Reader, fr *Frame) error {
+	v := readMask(r, len(fr.Slots))
+	for s := range fr.Slots {
+		if r.Err() != nil {
+			return r.Err()
+		}
+		if maskBit(v, s) {
+			fr.Slots[s] = r.Val()
 		}
 	}
-	if err == nil {
-		return stack, nil
+	return r.Err()
+}
+
+// decodeTransfer reads a transfer — the resume block, the stack delta,
+// then the heap synchronization — and applies it to the session. Every
+// failure is ErrBadTransfer, wrapping its cause, and drops the stack.
+func (sn *Session) decodeTransfer(r *rpc.Reader) (compile.BlockID, error) {
+	b := r.Uvarint()
+	err := r.Err()
+	if err == nil && b >= uint64(len(sn.Peer.Prog.Blocks)) {
+		err = badTransfer("resumes at block %d of %d", b, len(sn.Peer.Prog.Blocks))
 	}
+	if err == nil {
+		err = sn.decodeStack(r, compile.BlockID(b))
+	}
+	if err == nil {
+		err = applySync(r, sn.Heap, sn.Peer.Prog.Classes)
+	}
+	if err == nil {
+		return compile.BlockID(b), nil
+	}
+	sn.truncStack(0)
 	if !errors.Is(err, ErrBadTransfer) {
 		err = fmt.Errorf("%w: %w", ErrBadTransfer, err)
 	}
-	return nil, err
+	return 0, err
 }
 
-// encodeTransfer writes what follows a transfer's resume block, the
-// frame stack and then the pending heap synchronization, and lets go of
-// what the session has no further use for: the frames, and every table
-// that no shipped live slot names. The sweep comes after encodeSync,
-// which may have to serialize a table that is pending sendNative and
-// already dead at the resume point.
-func (sn *Session) encodeTransfer(w *rpc.Writer, stack []*Frame, resume compile.BlockID) {
-	sn.encodeStack(w, stack, resume)
+// encodeTransfer writes a transfer to block resume — the block, the
+// stack delta, then the pending heap synchronization — and lets go of
+// every table that no live slot of the stack the session keeps names.
+// The sweep comes after encodeSync, which may have to serialize a
+// table that is pending sendNative and already dead at the resume
+// point.
+func (sn *Session) encodeTransfer(w *rpc.Writer, resume compile.BlockID) {
+	w.Uvarint(uint64(resume))
+	sn.encodeStack(w, resume)
 	encodeSync(w, sn.Heap, sn.takePending())
 	sn.sweepTables()
-	sn.freeStack(stack)
 }
 
 // Client drives a partitioned program from the application server: it
@@ -292,7 +396,7 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 		}
 		fr.Slots[i+1] = a
 	}
-	stack := []*Frame{fr}
+	sn.stack = append(sn.stack, fr)
 	b := m.Entry
 	// fail abandons the entry mid-flight: whatever transaction it opened
 	// on the APP-side connection must be rolled back here — the caller
@@ -303,13 +407,13 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 	// deadlock abort the transaction is already gone.
 	fail := func(err error) (val.Value, error) {
 		_ = sn.DB.Rollback()
+		sn.truncStack(0)
 		sn.endCall(val.Value{})
 		return val.Value{}, err
 	}
 	for {
-		next, done, ret, outStack, err := sn.Run(b, stack)
+		next, done, ret, err := sn.Run(b)
 		if err != nil {
-			sn.freeStack(outStack)
 			return fail(err)
 		}
 		if done {
@@ -319,8 +423,7 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 		// Control transfer to the DB peer.
 		w := &c.enc
 		w.Reset()
-		w.I64(int64(next))
-		sn.encodeTransfer(w, outStack, next)
+		sn.encodeTransfer(w, next)
 		req := w.Buf
 		peer.Metrics.Transfers.Add(1)
 		peer.Metrics.BytesSent.Add(int64(len(req)))
@@ -339,8 +442,7 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 		}
 		peer.Metrics.BytesRecv.Add(int64(len(resp)))
 		r := &rpc.Reader{Buf: resp}
-		respDone := r.Bool()
-		if respDone {
+		if r.Bool() {
 			retv := r.Val()
 			if err := applySync(r, sn.Heap, peer.Prog.Classes); err != nil {
 				return fail(err)
@@ -348,11 +450,11 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 			if err := r.Err(); err != nil {
 				return fail(err)
 			}
+			sn.truncStack(0)
 			sn.endCall(retv)
 			return retv, nil
 		}
-		b = compile.BlockID(int32(r.U32()))
-		if stack, err = sn.decodeTransfer(r, b); err != nil {
+		if b, err = sn.decodeTransfer(r); err != nil {
 			return fail(err)
 		}
 	}
@@ -360,10 +462,12 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 
 // Handler serves the DB side of the control-transfer protocol for one
 // client session. Each session gets its own handler; the sessions of
-// one peer may be served concurrently. A session's calls are
-// sequential and the transport is done with a reply before the next
-// call (see rpc.Handler), so the handler encodes every reply into one
-// buffer it keeps.
+// one peer may be served concurrently. The session keeps its stack
+// from one call to the next: a reply that hands control back leaves
+// the stack the APP will share in its next transfer. A session's calls
+// are sequential and the transport is done with a reply before the
+// next call (see rpc.Handler), so the handler encodes every reply into
+// one buffer it keeps.
 func Handler(sn *Session) rpc.Handler {
 	peer := sn.Peer
 	var w rpc.Writer
@@ -373,16 +477,14 @@ func Handler(sn *Session) rpc.Handler {
 		// the wire all the same, and a metric that skips them undercounts
 		// exactly when fault injection is watching.
 		peer.Metrics.BytesRecv.Add(int64(len(req)))
-		r := &rpc.Reader{Buf: req}
-		b := compile.BlockID(r.I64())
-		stack, err := sn.decodeTransfer(r, b)
+		b, err := sn.decodeTransfer(&rpc.Reader{Buf: req})
 		if err != nil {
 			sn.endCall(val.Value{})
 			return nil, err
 		}
-		next, done, ret, outStack, err := sn.Run(b, stack)
+		next, done, ret, err := sn.Run(b)
 		if err != nil {
-			sn.freeStack(outStack)
+			sn.truncStack(0)
 			sn.endCall(val.Value{})
 			return nil, err
 		}
@@ -393,8 +495,7 @@ func Handler(sn *Session) rpc.Handler {
 			encodeSync(&w, sn.Heap, sn.takePending())
 			sn.endCall(ret)
 		} else {
-			w.U32(uint32(int32(next)))
-			sn.encodeTransfer(&w, outStack, next)
+			sn.encodeTransfer(&w, next)
 		}
 		peer.Metrics.Transfers.Add(1)
 		peer.Metrics.BytesSent.Add(int64(len(w.Buf)))

@@ -112,10 +112,10 @@ func TestTransferRemoteFailureRollsBackTxn(t *testing.T) {
 }
 
 // TestTransferRemoteCorruptStackFreesFrames feeds decodeStack
-// truncated and corrupt payloads and requires the session
-// frame pool to come back to its starting size every time — an error
-// path that keeps a pool frame shrinks the pool for the session's
-// remaining lifetime.
+// truncated and corrupt payloads and requires every frame to come back
+// to the session frame pool once the failed transfer's stack is dropped
+// — an error path that keeps a pool frame shrinks the pool for the
+// session's remaining lifetime.
 func TestTransferRemoteCorruptStackFreesFrames(t *testing.T) {
 	compiled := compileWith(t, calcSrc, nil)
 	appPeer := NewPeer(compiled, pdg.App, nil)
@@ -127,27 +127,24 @@ func TestTransferRemoteCorruptStackFreesFrames(t *testing.T) {
 
 	// Encode a healthy three-frame stack, then recycle its frames so the
 	// pool's steady-state size is observable.
-	stack := make([]*Frame, 0, 3)
 	for i := 0; i < 3; i++ {
 		fr := sn.newFrame(m)
 		fr.Cont = m.Entry
-		stack = append(stack, fr)
+		sn.stack = append(sn.stack, fr)
 	}
 	var w rpc.Writer
-	sn.encodeStack(&w, stack, m.Entry)
-	sn.freeStack(stack)
+	sn.encodeStack(&w, m.Entry)
+	sn.truncStack(0)
 	base := len(sn.framePool)
 	if base == 0 {
-		t.Fatal("frame pool empty after freeStack; test needs pooled frames to watch")
+		t.Fatal("frame pool empty after the stack was dropped; test needs pooled frames to watch")
 	}
 
 	// Truncations at every offset: each decode must either fail cleanly
-	// or produce a stack we free — the pool must end at base either way.
+	// or produce a stack we drop — the pool must end at base either way.
 	for cut := 1; cut < len(w.Buf); cut++ {
-		r := &rpc.Reader{Buf: w.Buf[:cut]}
-		if st, err := sn.decodeStack(r, m.Entry); err == nil {
-			sn.freeStack(st)
-		}
+		_ = sn.decodeStack(&rpc.Reader{Buf: w.Buf[:cut]}, m.Entry)
+		sn.truncStack(0)
 		if got := len(sn.framePool); got != base {
 			t.Fatalf("truncation at %d: frame pool %d, want %d (leaked or double-freed)", cut, got, base)
 		}
@@ -155,20 +152,20 @@ func TestTransferRemoteCorruptStackFreesFrames(t *testing.T) {
 
 	// A stack whose second frame names an out-of-range method index.
 	var bad rpc.Writer
-	bad.Byte(1) // stackV1
+	bad.Byte(stackV2)
 	bad.Uvarint(2)
+	bad.Uvarint(0)
 	bad.Uvarint(uint64(m.Idx))
 	bad.Uvarint(0)
 	bad.Uvarint(uint64(int64(m.Entry) + 1))
-	for j := 0; j < (m.NSlots+7)/8; j++ {
-		bad.Byte(0)
-	}
+	bad.Buf = appendZeros(bad.Buf, (m.NSlots+7)/8)
 	bad.Uvarint(1 << 20) // no such method index
 	bad.Uvarint(0)
 	bad.Uvarint(uint64(int64(m.Entry) + 1))
-	if _, err := sn.decodeStack(&rpc.Reader{Buf: bad.Buf}, m.Entry); !errors.Is(err, ErrBadTransfer) {
+	if err := sn.decodeStack(&rpc.Reader{Buf: bad.Buf}, m.Entry); !errors.Is(err, ErrBadTransfer) {
 		t.Fatalf("out-of-range method index: decodeStack error %v, want ErrBadTransfer", err)
 	}
+	sn.truncStack(0)
 	if got := len(sn.framePool); got != base {
 		t.Fatalf("bad method index: frame pool %d, want %d (first frame leaked)", got, base)
 	}

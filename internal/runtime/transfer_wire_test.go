@@ -103,45 +103,46 @@ func (p *wireProg) transfers(tb testing.TB, prog *compile.Program) [][]byte {
 	return rec.reqs
 }
 
-// parentTransfers are the requests calcWire and loopWire put on the
-// wire at the parent of the commit that removed the version-0 stack
-// codec, generated by that commit's code.
-var parentTransfers = []struct {
+// pinnedTransfers are the requests calcWire and loopWire put on the
+// wire with the delta stack codec (stackV2) and field-granular heap
+// sync. A loop call's second transfer shares the caller frame (k = 1)
+// and ships only its dirty slots the DB side reads.
+var pinnedTransfers = []struct {
 	name string
 	prog *wireProg
 	fuse bool
 	hex  []string
 }{
 	{"calc/unfused", calcWire, false, []string{
-		"01000000000000000101010000ff3f0501000000000000000105000000000000000301000000000000000000000000000000000000030000000001000000000000000400000043616c630201000000010000000000000000010300000000000000080000000100000000000000000100000000000000000100000000000000000100000000000000000100000000000000000100000000000000000100000000000000000100000000000000000001000000000000000400000043616c630101000000060300000000000000",
-		"01000000000000000101010000ff3f050100000000000000010300000000000000030000000000000000000000000000000000000000000000",
+		"01020100010000ff3f05010000000000000001050000000000000003010000000000000000000000000000000000000300010400000043616c63020101000000000000000001030800000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000000010400000043616c630101060300000000000000",
+		"01020100010000ff3f050100000000000000010300000000000000030000000000000000000000000000000000000000",
 	}},
 	{"loop/unfused", loopWire, false, []string{
-		"01000000000000000102020000ff0e05010000000000000001020000000000000001000000000000000001000000000000000003010000000000000006030000000000000001100000000000000001000000000000000000000001080aff0f0501000000000000000100000000000000000000000000000000000001000000000100000000000000010000004c0201000000010000000000000000",
-		"01000000000000000102020000ff0e0501000000000000000102000000000000000101000000000000000100000000000000000301000000000000000603000000000000000110000000000000000101000000000000000101000000000000000101000000000000000001080aff0f0501000000000000000101000000000000000000000000000000000000000000",
+		"01020200020000000001080aff0f05010000000000000001000000000000000000000000000000000000010001010000004c0201010000000000000000",
+		"01020201ff0f000001080aff0f0501000000000000000101000000000000000000000000000000000000",
 	}},
 	{"calc/fused", calcWire, true, []string{
-		"010000000000000001010100000700050100000000000000010500000000000000030100000000000000030000000001000000000000000400000043616c630201000000010000000000000000010300000000000000080000000100000000000000000100000000000000000100000000000000000100000000000000000100000000000000000100000000000000000100000000000000000100000000000000000001000000000000000400000043616c630101000000060300000000000000",
-		"01000000000000000101010000070005010000000000000001030000000000000003000000000000000000000000",
+		"0102010001000007000501000000000000000105000000000000000301000000000000000300010400000043616c63020101000000000000000001030800000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000000010400000043616c630101060300000000000000",
+		"01020100010000070005010000000000000001030000000000000003000000000000000000",
 	}},
 	{"loop/fused", loopWire, true, []string{
-		"01000000000000000102020000a700050100000000000000010200000000000000010000000000000000060300000000000000010000000000000000010809030005010000000000000001000000000000000001000000000100000000000000010000004c0201000000010000000000000000",
-		"01000000000000000102020000a700050100000000000000010200000000000000010100000000000000060300000000000000010100000000000000010809030005010000000000000001010000000000000000000000",
+		"0102020002000000000108090300050100000000000000010000000000000000010001010000004c0201010000000000000000",
+		"01020201ff0e0000010809030005010000000000000001010000000000000000",
 	}},
 }
 
-// TestTransferBytesUnchanged: this commit's client sends the parent's
-// transfers byte for byte, and the parent's transfers decode here and
-// re-encode to themselves.
+// TestTransferBytesUnchanged: the client sends the pinned transfers
+// byte for byte, and a fresh DB session served the pinned requests in
+// order decodes and answers every one of them.
 func TestTransferBytesUnchanged(t *testing.T) {
-	for _, tc := range parentTransfers {
+	for _, tc := range pinnedTransfers {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := tc.prog.compile(t, tc.fuse)
 			sent := tc.prog.transfers(t, prog)
 			if len(sent) != len(tc.hex) {
-				t.Fatalf("%d transfers sent, the parent sent %d", len(sent), len(tc.hex))
+				t.Fatalf("%d transfers sent, %d pinned", len(sent), len(tc.hex))
 			}
-			sn := NewPeer(prog, pdg.DB, nil).NewSession(dbapi.NewLocal(sqldb.Open()))
+			h := Handler(NewPeer(prog, pdg.DB, nil).NewSession(dbapi.NewLocal(sqldb.Open())))
 			for i, want := range tc.hex {
 				if got := hex.EncodeToString(sent[i]); got != want {
 					t.Errorf("transfer %d:\n got %s\nwant %s", i, got, want)
@@ -150,21 +151,8 @@ func TestTransferBytesUnchanged(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r := &rpc.Reader{Buf: req}
-				b := compile.BlockID(r.I64())
-				stack, err := sn.decodeStack(r, b)
-				if err != nil {
-					t.Fatalf("transfer %d: the parent's stack does not decode: %v", i, err)
-				}
-				var w rpc.Writer
-				w.I64(int64(b))
-				sn.encodeStack(&w, stack, b)
-				sn.freeStack(stack)
-				if !bytes.Equal(w.Buf, req[:r.Off]) {
-					t.Errorf("transfer %d: block and stack re-encode to\n     %x\nfrom %x", i, w.Buf, req[:r.Off])
-				}
-				if err := applySync(r, sn.Heap, prog.Classes); err != nil || r.Off != len(req) {
-					t.Errorf("transfer %d: heap sync: %v, %d of %d bytes read", i, err, r.Off, len(req))
+				if _, err := h(req); err != nil {
+					t.Errorf("transfer %d: the pinned request does not serve: %v", i, err)
 				}
 			}
 		})
@@ -172,8 +160,8 @@ func TestTransferBytesUnchanged(t *testing.T) {
 }
 
 // wireFrame is one frame of a hand-built transfer. Its slots all travel
-// as dead (an all-zero mask): these tests are about the structure
-// around them.
+// as not read (an all-zero value mask): these tests are about the
+// structure around them.
 type wireFrame struct {
 	method  uint64
 	retSlot uint64
@@ -181,23 +169,33 @@ type wireFrame struct {
 }
 
 // buildTransfer encodes a transfer request to block with the given
-// stack and no heap sync.
-func buildTransfer(prog *compile.Program, block int64, version byte, frames []wireFrame) []byte {
+// stack, none of it shared, and no heap sync.
+func buildTransfer(prog *compile.Program, block uint64, version byte, frames []wireFrame) []byte {
 	var w rpc.Writer
-	w.I64(block)
+	w.Uvarint(block)
 	w.Byte(version)
 	w.Uvarint(uint64(len(frames)))
+	w.Uvarint(0)
 	for _, f := range frames {
 		w.Uvarint(f.method)
 		w.Uvarint(f.retSlot)
 		w.Uvarint(uint64(int64(f.cont) + 1))
 		if f.method < uint64(len(prog.MethodList)) {
-			for j := 0; j < (prog.MethodList[f.method].NSlots+7)/8; j++ {
-				w.Byte(0)
-			}
+			w.Buf = appendZeros(w.Buf, (prog.MethodList[f.method].NSlots+7)/8)
 		}
 	}
-	w.U32(0)
+	w.Uvarint(0)
+	return w.Buf
+}
+
+// stackHeader encodes a transfer to block up to its stack's depth n and
+// shared prefix k, with nothing after them.
+func stackHeader(block compile.BlockID, n, k uint64) []byte {
+	var w rpc.Writer
+	w.Uvarint(uint64(block))
+	w.Byte(stackV2)
+	w.Uvarint(n)
+	w.Uvarint(k)
 	return w.Buf
 }
 
@@ -205,28 +203,27 @@ func buildTransfer(prog *compile.Program, block int64, version byte, frames []wi
 // request that names no state of its program with ErrBadTransfer (cut
 // short, with rpc.ErrShortBuffer inside) — it used to index the block
 // table with the wire's block id and take the server down — keeps its
-// frame pool, and serves the next well-formed transfer.
+// frames (pooled or in the kept stack), and serves the next well-formed
+// transfer.
 func TestHandlerRejectsMalformedTransfer(t *testing.T) {
 	prog := loopWire.compile(t, true)
 	run, step := prog.Method("L.run"), prog.Method("L.step")
 	good := loopWire.transfers(t, prog)[0]
 	// The call site of step inside run, as a real transfer carries it.
-	r := &rpc.Reader{Buf: good}
-	r.I64()
 	sn := NewPeer(prog, pdg.DB, nil).NewSession(dbapi.NewLocal(sqldb.Open()))
-	st, err := sn.decodeStack(r, step.Entry)
-	if err != nil || len(st) != 2 {
-		t.Fatalf("captured transfer: %d frames, %v", len(st), err)
+	if _, err := sn.decodeTransfer(&rpc.Reader{Buf: good}); err != nil || len(sn.stack) != 2 {
+		t.Fatalf("captured transfer: %d frames, %v", len(sn.stack), err)
 	}
-	site := wireFrame{uint64(step.Idx), uint64(st[1].RetSlot), st[1].Cont}
-	sn.freeStack(st)
+	site := wireFrame{uint64(step.Idx), uint64(sn.stack[1].RetSlot), sn.stack[1].Cont}
+	sn.truncStack(0)
 	bottom := wireFrame{uint64(run.Idx), 0, compile.NoBlock}
 	withSite := func(f func(*wireFrame)) []wireFrame {
 		s := site
 		f(&s)
 		return []wireFrame{bottom, s}
 	}
-	nBlocks := int64(len(prog.Blocks))
+	nBlocks := uint64(len(prog.Blocks))
+	entry := uint64(step.Entry)
 	h := Handler(sn)
 	base := len(sn.framePool)
 	if base == 0 {
@@ -238,31 +235,37 @@ func TestHandlerRejectsMalformedTransfer(t *testing.T) {
 		req  []byte
 		want error
 	}{
-		{"block far out of range", buildTransfer(prog, 1<<20, stackV1, []wireFrame{bottom, site}), ErrBadTransfer},
-		{"block one past the end", buildTransfer(prog, nBlocks, stackV1, []wireFrame{bottom, site}), ErrBadTransfer},
-		{"negative block", buildTransfer(prog, -1, stackV1, []wireFrame{bottom, site}), ErrBadTransfer},
-		{"block of another method", buildTransfer(prog, int64(run.Entry), stackV1, []wireFrame{bottom, site}), ErrBadTransfer},
-		{"empty stack", buildTransfer(prog, int64(step.Entry), stackV1, nil), ErrBadTransfer},
-		{"version 0", buildTransfer(prog, int64(step.Entry), 0, []wireFrame{bottom, site}), ErrBadTransfer},
-		{"unknown method", buildTransfer(prog, int64(step.Entry), stackV1, []wireFrame{bottom, {1 << 20, 0, site.cont}}), ErrBadTransfer},
-		{"return slot outside the caller", buildTransfer(prog, int64(step.Entry), stackV1,
+		{"block far out of range", buildTransfer(prog, 1<<20, stackV2, []wireFrame{bottom, site}), ErrBadTransfer},
+		{"block one past the end", buildTransfer(prog, nBlocks, stackV2, []wireFrame{bottom, site}), ErrBadTransfer},
+		// -1 as the v1 header's int64 carried it.
+		{"negative block", buildTransfer(prog, ^uint64(0), stackV2, []wireFrame{bottom, site}), ErrBadTransfer},
+		{"block of another method", buildTransfer(prog, uint64(run.Entry), stackV2, []wireFrame{bottom, site}), ErrBadTransfer},
+		{"empty stack", buildTransfer(prog, entry, stackV2, nil), ErrBadTransfer},
+		{"version 0", buildTransfer(prog, entry, 0, []wireFrame{bottom, site}), ErrBadTransfer},
+		{"unknown method", buildTransfer(prog, entry, stackV2, []wireFrame{bottom, {1 << 20, 0, site.cont}}), ErrBadTransfer},
+		{"return slot outside the caller", buildTransfer(prog, entry, stackV2,
 			withSite(func(f *wireFrame) { f.retSlot = uint64(run.NSlots) })), ErrBadTransfer},
-		{"callee without a continuation", buildTransfer(prog, int64(step.Entry), stackV1,
+		{"callee without a continuation", buildTransfer(prog, entry, stackV2,
 			withSite(func(f *wireFrame) { f.cont = compile.NoBlock })), ErrBadTransfer},
-		{"continuation out of range", buildTransfer(prog, int64(step.Entry), stackV1,
+		{"continuation out of range", buildTransfer(prog, entry, stackV2,
 			withSite(func(f *wireFrame) { f.cont = compile.BlockID(nBlocks) })), ErrBadTransfer},
-		{"continuation in another method", buildTransfer(prog, int64(step.Entry), stackV1,
+		{"continuation in another method", buildTransfer(prog, entry, stackV2,
 			withSite(func(f *wireFrame) { f.cont = step.Entry })), ErrBadTransfer},
-		{"bottom continuation out of range", buildTransfer(prog, int64(run.Entry), stackV1,
+		{"bottom continuation out of range", buildTransfer(prog, uint64(run.Entry), stackV2,
 			[]wireFrame{{uint64(run.Idx), 0, compile.BlockID(nBlocks)}}), ErrBadTransfer},
-		{"depth beyond the bytes", append(buildTransfer(prog, int64(step.Entry), stackV1, nil)[:9], 0xff, 0xff, 0x03), ErrBadTransfer},
-		{"cut inside the stack", good[:20], rpc.ErrShortBuffer},
+		{"depth beyond the bytes", stackHeader(step.Entry, 1<<16-1, 0), ErrBadTransfer},
+		// The handler keeps at most run's frame between transfers.
+		{"shared frames beyond the kept stack", append(stackHeader(step.Entry, 3, 3), make([]byte, 16)...), ErrBadTransfer},
+		{"shared prefix deeper than the stack", stackHeader(step.Entry, 1, 2), ErrBadTransfer},
+		// Block, version, depth, shared prefix, then frame 0 cut after
+		// its method index and return slot.
+		{"cut inside the stack", good[:16], rpc.ErrShortBuffer},
 	}
 	// Heap sync of the wrong shape, behind the well-formed stack.
 	syncCase := func(name string, want error, rec func(w *rpc.Writer)) {
-		w := rpc.Writer{Buf: buildTransfer(prog, int64(step.Entry), stackV1, []wireFrame{bottom, site})}
-		w.Buf = w.Buf[:len(w.Buf)-4]
-		w.U32(1)
+		w := rpc.Writer{Buf: buildTransfer(prog, entry, stackV2, []wireFrame{bottom, site})}
+		w.Buf = w.Buf[:len(w.Buf)-1]
+		w.Uvarint(1)
 		rec(&w)
 		cases = append(cases, struct {
 			name string
@@ -271,40 +274,48 @@ func TestHandlerRejectsMalformedTransfer(t *testing.T) {
 		}{name, w.Buf, want})
 	}
 	syncCase("object part of the wrong length", ErrBadTransfer, func(w *rpc.Writer) {
+		n := prog.Classes["L"].NumDB
+		if n%8 == 0 {
+			t.Fatalf("L's DB part has %d fields: its mask has no bit past the part", n)
+		}
 		w.Byte(byte(syncObjPart))
-		w.I64(1)
+		w.Uvarint(1)
 		w.Str("L")
 		w.Byte(byte(pdg.DB))
-		w.Vals(make([]val.Value, prog.Classes["L"].NumDB+3))
+		w.Buf = appendZeros(w.Buf, (n+7)/8)
+		w.Buf[len(w.Buf)-1] = 0xff // fields n.. are past the part
+		w.Buf = appendZeros(w.Buf, 8*9)
 	})
 	syncCase("object part of no side", ErrBadTransfer, func(w *rpc.Writer) {
 		w.Byte(byte(syncObjPart))
-		w.I64(1)
+		w.Uvarint(1)
 		w.Str("L")
 		w.Byte(9)
-		w.Vals(nil)
 	})
 	syncCase("unknown class", ErrBadTransfer, func(w *rpc.Writer) {
 		w.Byte(byte(syncObjPart))
-		w.I64(1)
+		w.Uvarint(1)
 		w.Str("Nope")
 		w.Byte(byte(pdg.DB))
-		w.Vals(nil)
 	})
 	syncCase("unknown sync kind", ErrBadTransfer, func(w *rpc.Writer) {
 		w.Byte(77)
-		w.I64(1)
+		w.Uvarint(1)
 	})
 	syncCase("table of four billion columns", rpc.ErrShortBuffer, func(w *rpc.Writer) {
 		w.Byte(byte(syncTable))
-		w.I64(2)
+		w.Uvarint(2)
 		w.U32(1<<32 - 1)
 	})
 	syncCase("table of four billion rows", rpc.ErrShortBuffer, func(w *rpc.Writer) {
 		w.Byte(byte(syncTable))
-		w.I64(2)
+		w.Uvarint(2)
 		w.U32(0)
 		w.U32(1<<32 - 1)
+	})
+	syncCase("more sync records than bytes", ErrBadTransfer, func(w *rpc.Writer) {
+		w.Buf = w.Buf[:len(w.Buf)-1]
+		w.Uvarint(1 << 40)
 	})
 
 	for _, tc := range cases {
@@ -313,8 +324,8 @@ func TestHandlerRejectsMalformedTransfer(t *testing.T) {
 			if !errors.Is(err, ErrBadTransfer) || !errors.Is(err, tc.want) {
 				t.Fatalf("handler returned (%x, %v), want ErrBadTransfer wrapping %v", resp, err, tc.want)
 			}
-			if got := len(sn.framePool); got < base {
-				t.Errorf("frame pool %d, was %d: the rejected transfer kept frames", got, base)
+			if got := len(sn.framePool) + len(sn.stack); got < base {
+				t.Errorf("frames pooled or kept %d, was %d: the rejected transfer lost frames", got, base)
 			}
 			if _, err := h(good); err != nil {
 				t.Errorf("well-formed transfer after the rejection: %v", err)

@@ -8,9 +8,10 @@ import (
 )
 
 // defUse proves, per method, that no slot is read on any path before
-// it is written. This is the invariant the v1 transfer decoder leans
-// on when it zero-fills dead slots: a slot the liveness masks dropped
-// is only safe to zero because every path writes it before reading it.
+// it is written. This is the invariant the transfer decoder leans on
+// when it leaves a new frame's unshipped slots zero: a slot the masks
+// did not ship is only safe to zero because every path writes it
+// before reading it.
 //
 // The analysis is a forward must-defined fixpoint: a slot is defined
 // at a point iff it is defined on EVERY path reaching that point
@@ -76,25 +77,30 @@ func (v *checker) defUseMethod(m *compile.MethodInfo) {
 		cur = cloneSet(cur)
 		b := v.p.Blocks[id]
 		flagged := map[int]bool{}
-		flag := func(s int, what string) {
+		// flag reports slot s read by instruction i (-1: the terminator).
+		flag := func(s, i int) {
 			if cur[s] || flagged[s] {
 				return
 			}
 			flagged[s] = true
+			what := "the terminator"
+			if i >= 0 {
+				what = fmt.Sprintf("instr %d (%s)", i, opName(b.Code[i].Op))
+			}
 			v.addf(CheckDefUse, m, id, "slot %d is read by %s before any write; undefined along %s",
 				s, what, v.undefinedPath(m, entryDefined, id, s))
 		}
 		for i := range b.Code {
 			defs, uses := opEffect(&b.Code[i])
 			for _, s := range uses {
-				flag(s, fmt.Sprintf("instr %d (%s)", i, opName(b.Code[i].Op)))
+				flag(s, i)
 			}
 			for _, s := range defs {
 				cur[s] = true
 			}
 		}
 		for _, s := range termUses(&b.Term) {
-			flag(s, "the terminator")
+			flag(s, -1)
 		}
 	}
 }

@@ -5,7 +5,7 @@ import "pyxis/internal/compile"
 // structural checks control-flow well-formedness and table
 // consistency: block IDs dense, every terminator valid with in-range
 // targets, the Methods map and MethodList agreeing (including each
-// MethodInfo.Idx, which the v1 transfer codec ships instead of the
+// MethodInfo.Idx, which the transfer codec ships instead of the
 // qname), call arities, and every SQLID resolving to its instruction's
 // SQL text in Program.SQLTable (the prepared-statement wire sends only
 // the ID, so a stale ID executes the wrong statement remotely).

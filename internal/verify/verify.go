@@ -1,17 +1,18 @@
 // Package verify is the independent static checker for compiled block
 // programs: it re-derives, from scratch, every fact the runtime trusts
 // the compiler about — control-flow well-formedness, def-before-use,
-// the per-block liveness masks the v1 transfer codec ships, the
-// legality of every control-transfer resume point, placement sanity,
-// and the confinement of table references to frame slots — and rejects
-// any program where the re-derivation disagrees.
+// the per-block live-in, need-in and def masks the delta transfer
+// codec ships by, the legality of every control-transfer resume point,
+// placement sanity, and the confinement of table references to frame
+// slots — and rejects any program where the re-derivation disagrees.
 //
 // The point is independence: internal/compile's forward passes
 // (Compile, Fuse, computeLiveness) produce these facts; a bug there —
-// a fusion rewrite that drops a live slot from a LiveIn bitset —
-// manifests not as a test failure but as silent data corruption on the
-// remote peer, because the wire ships only the slots the bitset claims
-// are live and the decoder zero-fills the rest. This package shares no
+// a fusion rewrite that drops a slot from a NeedIn bitset, or a write
+// missing from Defs — manifests not as a test failure but as silent
+// data corruption on the remote peer, because the wire ships only the
+// changed slots the bitsets claim the peer reads, and the receiver
+// keeps its own copy of the rest. This package shares no
 // code with those passes: it has its own instruction use/def model
 // (opEffect), its own successor walk, its own forward must-defined and
 // backward liveness fixpoints, so a compiler bug and a verifier bug
@@ -119,9 +120,10 @@ type checker struct {
 	// by walking each method's entry without entering callees. nil for
 	// blocks no method reaches (dead scaffolding pre-fusion).
 	methodOf []*compile.MethodInfo
-	// liveIn[id] is the independently recomputed live-in slot set,
-	// filled by the liveness check and reused by the transfer check.
-	liveIn []map[int]bool
+	// liveIn[id] and needIn[id] are the independently recomputed
+	// live-in and side-local need-in slot sets, filled by the liveness
+	// check and reused by the transfer check.
+	liveIn, needIn []map[int]bool
 }
 
 func (v *checker) addf(check string, m *compile.MethodInfo, b compile.BlockID, format string, args ...any) {
@@ -297,21 +299,22 @@ func (v *checker) placement() {
 	}
 }
 
+var opNames = map[compile.Op]string{
+	compile.OpConst: "const", compile.OpMove: "move", compile.OpBin: "bin",
+	compile.OpUn: "un", compile.OpConv: "conv", compile.OpNewObj: "newobj",
+	compile.OpNewArr: "newarr", compile.OpGetField: "getfield",
+	compile.OpSetField: "setfield", compile.OpGetIdx: "getidx",
+	compile.OpSetIdx: "setidx", compile.OpLen: "len",
+	compile.OpDBQuery: "dbquery", compile.OpDBExec: "dbexec",
+	compile.OpDBBegin: "dbbegin", compile.OpDBCommit: "dbcommit",
+	compile.OpDBRollback: "dbrollback", compile.OpPrint: "print",
+	compile.OpSha1: "sha1", compile.OpStr: "str", compile.OpTblRows: "tblrows",
+	compile.OpTblGet: "tblget", compile.OpSendPart: "sendpart",
+	compile.OpSendNative: "sendnative",
+}
+
 func opName(op compile.Op) string {
-	names := map[compile.Op]string{
-		compile.OpConst: "const", compile.OpMove: "move", compile.OpBin: "bin",
-		compile.OpUn: "un", compile.OpConv: "conv", compile.OpNewObj: "newobj",
-		compile.OpNewArr: "newarr", compile.OpGetField: "getfield",
-		compile.OpSetField: "setfield", compile.OpGetIdx: "getidx",
-		compile.OpSetIdx: "setidx", compile.OpLen: "len",
-		compile.OpDBQuery: "dbquery", compile.OpDBExec: "dbexec",
-		compile.OpDBBegin: "dbbegin", compile.OpDBCommit: "dbcommit",
-		compile.OpDBRollback: "dbrollback", compile.OpPrint: "print",
-		compile.OpSha1: "sha1", compile.OpStr: "str", compile.OpTblRows: "tblrows",
-		compile.OpTblGet: "tblget", compile.OpSendPart: "sendpart",
-		compile.OpSendNative: "sendnative",
-	}
-	if n, ok := names[op]; ok {
+	if n, ok := opNames[op]; ok {
 		return n
 	}
 	return fmt.Sprintf("op%d", op)

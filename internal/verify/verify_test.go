@@ -188,18 +188,25 @@ func TestVerifyCleanPrograms(t *testing.T) {
 // the slot it dropped.
 func clearLowestLiveBit(t *testing.T, b *compile.Block) int {
 	t.Helper()
-	for w := range b.LiveIn {
-		if b.LiveIn[w] == 0 {
+	return clearLowestBit(t, b, b.LiveIn, "LiveIn")
+}
+
+// clearLowestBit clears the lowest set bit of one of b's slot masks,
+// returning the slot it dropped.
+func clearLowestBit(t *testing.T, b *compile.Block, mask []uint64, name string) int {
+	t.Helper()
+	for w := range mask {
+		if mask[w] == 0 {
 			continue
 		}
 		for bit := 0; bit < 64; bit++ {
-			if b.LiveIn[w]&(1<<uint(bit)) != 0 {
-				b.LiveIn[w] &^= 1 << uint(bit)
+			if mask[w]&(1<<uint(bit)) != 0 {
+				mask[w] &^= 1 << uint(bit)
 				return w*64 + bit
 			}
 		}
 	}
-	t.Fatalf("b%d has an empty LiveIn mask; nothing to drop", b.ID)
+	t.Fatalf("b%d has an empty %s mask; nothing to drop", b.ID, name)
 	return -1
 }
 
@@ -261,9 +268,9 @@ func TestVerifyRejectsMutilatedPrograms(t *testing.T) {
 		},
 		{
 			// defuse: a read of a frame slot no path has written. The
-			// transfer decoder zero-fills dead slots, so this is exactly
-			// the program shape that turns a dropped mask bit into
-			// wrong answers.
+			// transfer decoder leaves a new frame's unshipped slots zero,
+			// so this is exactly the program shape that turns a dropped
+			// mask bit into wrong answers.
 			name: "defuse-read-before-write", src: calcTestSrc, wantCheck: CheckDefUse,
 			mutate: func(t *testing.T, p *compile.Program) {
 				m := p.Method("Calc.apply")
@@ -286,6 +293,26 @@ func TestVerifyRejectsMutilatedPrograms(t *testing.T) {
 				if s := clearLowestLiveBit(t, b); s < 0 {
 					t.Fatal("no live bit cleared")
 				}
+			},
+		},
+		{
+			// liveness: a slot the block reads dropped from its NeedIn.
+			// A transfer resuming here would not ship the slot, and the
+			// resuming side would read its own stale copy.
+			name: "liveness-dropped-needin-bit", src: loopTestSrc, fuse: true, wantCheck: CheckLiveness,
+			mutate: func(t *testing.T, p *compile.Program) {
+				b := p.Blocks[p.Method("L.step").Entry]
+				clearLowestBit(t, b, b.NeedIn, "NeedIn")
+			},
+		},
+		{
+			// liveness: a write dropped from a block's Defs. The runtime
+			// would never mark the slot dirty, so the write would never
+			// reach the other side.
+			name: "liveness-dropped-defs-bit", src: loopTestSrc, fuse: true, wantCheck: CheckLiveness,
+			mutate: func(t *testing.T, p *compile.Program) {
+				b := p.Blocks[p.Method("L.step").Entry]
+				clearLowestBit(t, b, b.Defs, "Defs")
 			},
 		},
 		{
