@@ -1,12 +1,15 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
 	"pyxis/internal/compile"
 	"pyxis/internal/pdg"
+	"pyxis/internal/rpc"
+	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
 
@@ -134,5 +137,73 @@ func TestDeltaCodecHazards(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// shedSrc keeps a and b in the DB part, which total reads on the DB.
+// put sets a only while it is unset, so a retry of a put whose first
+// try was shed finds a set on the APP and sets b alone.
+const shedSrc = `
+class P {
+    int a;
+    int b;
+
+    P() {}
+
+    entry int put(int x) {
+        if (a == 0) {
+            a = x;
+        }
+        b = x;
+        return total();
+    }
+
+    int total() {
+        return a * 100 + b;
+    }
+}
+`
+
+// TestShedTransferKeepsFieldMarks: the first transfer, which syncs the
+// DB part with a and b set, is shed and retried the way DynamicClient
+// retries (RetryOverloaded). The retry syncs b alone; a must travel
+// with it, because the shed request never reached the DB.
+func TestShedTransferKeepsFieldMarks(t *testing.T) {
+	calls := []diffCall{
+		{"P.put", []val.Value{val.IntV(5)}},
+		{"P.put", []val.Value{val.IntV(7)}},
+	}
+	want := runReference(t, shedSrc, "P", calls)
+	prog := compileWith(t, shedSrc, placeOnDB("P", []string{"total"}, "a", "b"))
+	compile.Fuse(prog)
+	var out bytes.Buffer
+	dep := NewDeployment(prog, sqldb.Open(), Options{Out: &out})
+	hook := &hookTransport{Transport: dep.Client.Remote, before: func(n int) error {
+		if n == 1 {
+			return rpc.ErrOverloaded
+		}
+		return nil
+	}}
+	dep.Client.Remote = hook
+	oid, err := dep.Client.NewObject("P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr bytes.Buffer
+	var sheds int64
+	for i, c := range calls {
+		var v val.Value
+		n, err := RetryOverloaded(func() (err error) {
+			v, err = dep.Client.CallEntry(c.method, oid, c.args...)
+			return err
+		})
+		sheds += n
+		traceCall(&tr, i, c.method, v, err)
+	}
+	if sheds != 1 {
+		t.Fatalf("%d sheds absorbed, want 1", sheds)
+	}
+	if got := finishTrace(&tr, out.Bytes(), dep.DB); got != want {
+		t.Errorf("left the reference interpreter:\n-- interp --\n%s\n-- runtime --\n%s", want, got)
 	}
 }

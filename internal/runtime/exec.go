@@ -159,6 +159,11 @@ type Session struct {
 	// call's first transfer shares no frame, so a DB stack left by a
 	// finished call is dropped then).
 	stack []*Frame
+	// shared is how many bottom frames of stack both sides held at the
+	// last transfer; the next one ships only the changed slots of those
+	// frames. Frames are only pushed and popped in between, so it is a
+	// low-water mark: a pop or a truncation below it lowers it.
+	shared int
 	// framePool recycles activation records (capped at framePoolCap);
 	// see newFrame/freeFrame.
 	framePool []*Frame
@@ -262,9 +267,6 @@ type Frame struct {
 	// dirty marks the slots this side wrote since the peer last had
 	// their value (word s>>6, bit s&63): what a transfer may ship.
 	dirty []uint64
-	// shared: both sides held this activation at the last transfer, so
-	// the next one ships only its changed slots, not the frame.
-	shared bool
 }
 
 // markDirty ORs a block's Defs into the frame; nil Defs (not computed)
@@ -286,8 +288,8 @@ func (fr *Frame) isDirty(s int) bool { return fr.dirty[s>>6]&(1<<(uint(s)&63)) !
 // framePoolCap bounds the per-session free list of activation records.
 const framePoolCap = 64
 
-// newFrame returns a zeroed activation record for m, every slot dirty
-// and not shared, recycling from the session pool when possible.
+// newFrame returns a zeroed activation record for m, every slot dirty,
+// recycling from the session pool when possible.
 func (sn *Session) newFrame(m *compile.MethodInfo) *Frame {
 	var fr *Frame
 	if n := len(sn.framePool); n > 0 {
@@ -297,7 +299,7 @@ func (sn *Session) newFrame(m *compile.MethodInfo) *Frame {
 	} else {
 		fr = new(Frame)
 	}
-	fr.Method, fr.RetSlot, fr.Cont, fr.shared = m, 0, compile.NoBlock, false
+	fr.Method, fr.RetSlot, fr.Cont = m, 0, compile.NoBlock
 	fr.Slots = slices.Grow(fr.Slots[:0], m.NSlots)[:m.NSlots]
 	clear(fr.Slots)
 	fr.dirty = slices.Grow(fr.dirty[:0], (m.NSlots+63)/64)[:(m.NSlots+63)/64]
@@ -323,6 +325,7 @@ func (sn *Session) truncStack(n int) {
 	}
 	clear(sn.stack[n:])
 	sn.stack = sn.stack[:n]
+	sn.shared = min(sn.shared, n)
 }
 
 // dbArgs returns the session's argument scratch, n elements long.
@@ -404,6 +407,7 @@ func (sn *Session) Run(b compile.BlockID) (next compile.BlockID, done bool, ret 
 			}
 			sn.stack[len(sn.stack)-1] = nil
 			sn.stack = sn.stack[:len(sn.stack)-1]
+			sn.shared = min(sn.shared, len(sn.stack))
 			if len(sn.stack) == 0 {
 				sn.freeFrame(fr)
 				return 0, true, v, nil

@@ -197,7 +197,8 @@ type pendingSync struct {
 // object part travels as its class name, the part, a field mask and
 // the fields in the mask — those this peer set since the part last
 // synced, so a field the peer set in the meantime is not overwritten
-// by an older value. A part with no field set does not travel.
+// by an older value. A part with no field set does not travel. The
+// marks stay until the sender knows the peer has the fields (synced).
 func encodeSync(w *rpc.Writer, h *Heap, pend []pendingSync) {
 	n := 0
 	for _, ps := range pend {
@@ -228,7 +229,6 @@ func encodeSync(w *rpc.Writer, h *Heap, pend []pendingSync) {
 					w.Val(v)
 				}
 			}
-			clear(set)
 		case syncArray:
 			a := h.arrs[ps.oid]
 			w.Vals(a.Elems)
@@ -242,6 +242,17 @@ func encodeSync(w *rpc.Writer, h *Heap, pend []pendingSync) {
 			for _, row := range t.Rows {
 				w.Vals(row)
 			}
+		}
+	}
+}
+
+// synced clears the field marks of the object parts in pend, which a
+// delivered transfer carried to the peer. A transfer that fails leaves
+// them set, so the next sync of those parts ships the fields again.
+func (h *Heap) synced(pend []pendingSync) {
+	for _, ps := range pend {
+		if ps.kind == syncObjPart {
+			clear(*h.objs[ps.oid].setMask(ps.part))
 		}
 	}
 }

@@ -59,8 +59,9 @@ const stackV2 = 2
 // a frame resuming in another method's block, a return slot outside
 // the caller's frame, more shared frames than this peer kept, heap
 // state of the wrong shape, a message cut short (which is
-// rpc.ErrShortBuffer as well). Nothing of the transfer has executed,
-// and the session's stack is dropped.
+// rpc.ErrShortBuffer as well) or with bytes after its heap sync.
+// Nothing of the transfer has executed, and the session's stack is
+// dropped.
 var ErrBadTransfer = errors.New("runtime: malformed control transfer")
 
 func badTransfer(format string, args ...any) error {
@@ -78,6 +79,16 @@ func readMask(r *rpc.Reader, n int) []byte {
 		return nil
 	}
 	return r.Buf[r.Off-nb : r.Off]
+}
+
+// consumed fails when r has bytes left: the heap sync ends every
+// message, so a field the encoder wrote and the decoder skipped shows
+// up here.
+func consumed(r *rpc.Reader) error {
+	if left := len(r.Buf) - r.Off; left != 0 {
+		return badTransfer("%d bytes after the heap sync", left)
+	}
+	return nil
 }
 
 // appendZeros appends n zero bytes: room for a mask filled in place.
@@ -103,18 +114,14 @@ func anyBit(set []uint64) bool {
 // encodeStack serializes the session's stack as a delta against the
 // copy the peer kept (see the format above). resume is the block where
 // the top frame resumes on the receiving side; a caller frame resumes
-// at its callee's continuation. Every frame is shared once it is
-// written. The tables the live slots of the kept stack name are left in
-// sn.liveTabs for sweepTables.
+// at its callee's continuation. Once written, the whole stack is
+// shared (sn.shared). The tables the live slots of the kept stack name
+// are left in sn.liveTabs for sweepTables.
 func (sn *Session) encodeStack(w *rpc.Writer, resume compile.BlockID) {
 	prog := sn.Peer.Prog
 	to := prog.Block(resume).Loc
-	stack := sn.stack
+	stack, k := sn.stack, sn.shared
 	sn.liveTabs = sn.liveTabs[:0]
-	k := 0
-	for k < len(stack) && stack[k].shared {
-		k++
-	}
 	w.Byte(stackV2)
 	w.Uvarint(uint64(len(stack)))
 	w.Uvarint(uint64(k))
@@ -155,8 +162,8 @@ func (sn *Session) encodeStack(w *rpc.Writer, resume compile.BlockID) {
 			w.Val(v)
 			fr.dirty[s>>6] &^= 1 << (uint(s) & 63)
 		}
-		fr.shared = true
 	}
+	sn.shared = len(stack)
 }
 
 // decodeStack applies a transfer's stack, resuming at block resume, to
@@ -236,9 +243,7 @@ func (sn *Session) decodeStack(r *rpc.Reader, resume compile.BlockID) error {
 	if top := sn.stack[n-1].Method; p.ownerOf(resume) != top {
 		return badTransfer("resumes at block %d, outside the top frame's method %s", resume, top.QName)
 	}
-	for _, fr := range sn.stack {
-		fr.shared = true
-	}
+	sn.shared = int(n)
 	return nil
 }
 
@@ -258,8 +263,9 @@ func readValues(r *rpc.Reader, fr *Frame) error {
 }
 
 // decodeTransfer reads a transfer — the resume block, the stack delta,
-// then the heap synchronization — and applies it to the session. Every
-// failure is ErrBadTransfer, wrapping its cause, and drops the stack.
+// then the heap synchronization, which ends the message — and applies
+// it to the session. Every failure is ErrBadTransfer, wrapping its
+// cause, and drops the stack.
 func (sn *Session) decodeTransfer(r *rpc.Reader) (compile.BlockID, error) {
 	b := r.Uvarint()
 	err := r.Err()
@@ -271,6 +277,9 @@ func (sn *Session) decodeTransfer(r *rpc.Reader) (compile.BlockID, error) {
 	}
 	if err == nil {
 		err = applySync(r, sn.Heap, sn.Peer.Prog.Classes)
+	}
+	if err == nil {
+		err = consumed(r)
 	}
 	if err == nil {
 		return compile.BlockID(b), nil
@@ -287,12 +296,15 @@ func (sn *Session) decodeTransfer(r *rpc.Reader) (compile.BlockID, error) {
 // every table that no live slot of the stack the session keeps names.
 // The sweep comes after encodeSync, which may have to serialize a
 // table that is pending sendNative and already dead at the resume
-// point.
-func (sn *Session) encodeTransfer(w *rpc.Writer, resume compile.BlockID) {
+// point. It returns the sync records it wrote, valid until the next
+// addPending, for Heap.synced once the transfer is delivered.
+func (sn *Session) encodeTransfer(w *rpc.Writer, resume compile.BlockID) []pendingSync {
 	w.Uvarint(uint64(resume))
 	sn.encodeStack(w, resume)
-	encodeSync(w, sn.Heap, sn.takePending())
+	pend := sn.takePending()
+	encodeSync(w, sn.Heap, pend)
 	sn.sweepTables()
+	return pend
 }
 
 // Client drives a partitioned program from the application server: it
@@ -423,7 +435,7 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 		// Control transfer to the DB peer.
 		w := &c.enc
 		w.Reset()
-		sn.encodeTransfer(w, next)
+		sent := sn.encodeTransfer(w, next)
 		req := w.Buf
 		peer.Metrics.Transfers.Add(1)
 		peer.Metrics.BytesSent.Add(int64(len(req)))
@@ -438,16 +450,20 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 			// all of them roll back (not just ErrOverloaded: a conn-loss
 			// exit that kept the transaction open would hold its row
 			// locks until the APP-side database connection itself died).
+			// The fields the request carried stay marked, so the next
+			// sync of their parts ships them again.
 			return fail(fmt.Errorf("runtime: control transfer failed: %w", err))
 		}
+		sn.Heap.synced(sent)
 		peer.Metrics.BytesRecv.Add(int64(len(resp)))
 		r := &rpc.Reader{Buf: resp}
 		if r.Bool() {
 			retv := r.Val()
-			if err := applySync(r, sn.Heap, peer.Prog.Classes); err != nil {
-				return fail(err)
+			err := applySync(r, sn.Heap, peer.Prog.Classes)
+			if err == nil {
+				err = consumed(r)
 			}
-			if err := r.Err(); err != nil {
+			if err != nil {
 				return fail(err)
 			}
 			sn.truncStack(0)
@@ -490,12 +506,16 @@ func Handler(sn *Session) rpc.Handler {
 		}
 		w.Reset()
 		w.Bool(done)
+		// The DB clears its field marks as it replies: a reply that is
+		// not delivered ends the connection, and with it this session.
 		if done {
 			w.Val(ret)
-			encodeSync(&w, sn.Heap, sn.takePending())
+			pend := sn.takePending()
+			encodeSync(&w, sn.Heap, pend)
+			sn.Heap.synced(pend)
 			sn.endCall(ret)
 		} else {
-			sn.encodeTransfer(&w, next)
+			sn.Heap.synced(sn.encodeTransfer(&w, next))
 		}
 		peer.Metrics.Transfers.Add(1)
 		peer.Metrics.BytesSent.Add(int64(len(w.Buf)))

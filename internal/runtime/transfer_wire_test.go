@@ -133,7 +133,8 @@ var pinnedTransfers = []struct {
 
 // TestTransferBytesUnchanged: the client sends the pinned transfers
 // byte for byte, and a fresh DB session served the pinned requests in
-// order decodes and answers every one of them.
+// order decodes every one of them to its last byte (a request with
+// bytes left over is ErrBadTransfer) and answers it.
 func TestTransferBytesUnchanged(t *testing.T) {
 	for _, tc := range pinnedTransfers {
 		t.Run(tc.name, func(t *testing.T) {
@@ -260,6 +261,7 @@ func TestHandlerRejectsMalformedTransfer(t *testing.T) {
 		// Block, version, depth, shared prefix, then frame 0 cut after
 		// its method index and return slot.
 		{"cut inside the stack", good[:16], rpc.ErrShortBuffer},
+		{"bytes after the heap sync", append(bytes.Clone(good), 0), ErrBadTransfer},
 	}
 	// Heap sync of the wrong shape, behind the well-formed stack.
 	syncCase := func(name string, want error, rec func(w *rpc.Writer)) {
