@@ -218,6 +218,16 @@ func (c *simConn) Query(sql string, args ...val.Value) (*sqldb.ResultSet, error)
 	return c.inner.Query(sql, args...)
 }
 
+func (c *simConn) ExecStmt(id int, sql string, args ...val.Value) (int, error) {
+	c.charge()
+	return c.inner.ExecStmt(id, sql, args...)
+}
+
+func (c *simConn) QueryStmt(id int, sql string, args ...val.Value) (*sqldb.ResultSet, error) {
+	c.charge()
+	return c.inner.QueryStmt(id, sql, args...)
+}
+
 func (c *simConn) Begin() error    { c.charge(); return c.inner.Begin() }
 func (c *simConn) Commit() error   { c.charge(); return c.inner.Commit() }
 func (c *simConn) Rollback() error { c.charge(); return c.inner.Rollback() }

@@ -14,7 +14,6 @@ package dbapi
 // error matching rpc.ErrPoolPoisoned, so neither can wedge the caller.
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -127,63 +126,6 @@ func (c *Client) Program() ([]byte, error) {
 	}
 	prog := []byte(r.Str())
 	return prog, r.Err()
-}
-
-// control serves the 2PC, fence and program ops; r is past the op byte.
-func (h *sessionHandler) control(op byte, r *rpc.Reader) ([]byte, error) {
-	h.w.Reset()
-	h.w.Bool(true)
-	var err error
-	switch op {
-	case opPrepare, opCommitGID, opAbortGID, opStatusGID:
-		gid := r.U64()
-		if rerr := r.Err(); rerr != nil {
-			return nil, rerr
-		}
-		if h.part == nil {
-			return h.fail(errors.New("dbapi: this session serves no 2PC participant")), nil
-		}
-		var st TxnState
-		switch op {
-		case opPrepare:
-			st, err = h.part.Prepare(h.sess, gid)
-		case opCommitGID:
-			st, err = h.part.Finish(gid, true)
-		case opAbortGID:
-			st, err = h.part.Finish(gid, false)
-		default:
-			st = h.part.Status(gid)
-		}
-		h.w.Byte(byte(st))
-	case opFence:
-		spec, ttl, derr := decodeFence(r)
-		if derr != nil {
-			return nil, derr
-		}
-		var tok uint64
-		tok, err = h.sess.DB().ArmFence(spec, ttl)
-		h.w.U64(tok)
-	case opAdopt:
-		tok := r.U64()
-		if rerr := r.Err(); rerr != nil {
-			return nil, rerr
-		}
-		h.sess.AdoptFence(tok)
-	case opRelease:
-		tok, moved := r.U64(), r.Bool()
-		if rerr := r.Err(); rerr != nil {
-			return nil, rerr
-		}
-		err = h.sess.DB().ReleaseFence(tok, moved)
-	case opProgram:
-		h.w.Str(string(h.program))
-	default:
-		return nil, fmt.Errorf("dbapi: unknown op %d", op)
-	}
-	if err != nil {
-		return h.fail(err), nil
-	}
-	return h.w.Buf, nil
 }
 
 // decodeFence reads an opFence body: [ttl][lo][hi][n][table,col]*.

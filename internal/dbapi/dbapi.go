@@ -1,7 +1,8 @@
 // Package dbapi is this repository's JDBC analogue: a uniform database
 // connection interface with two implementations. Local wraps an
-// embedded sqldb session (what the database-side partition uses —
-// colocated, no network). Client speaks the wire protocol over an
+// embedded sqldb session and runs every statement: the database-side
+// partition's directly (colocated, no network), the wire's behind the
+// server handler. Client speaks the wire protocol over an
 // rpc.Transport (what the application-side partition uses — every
 // operation is one round trip, exactly the cost the paper's JDBC
 // implementation pays).
@@ -17,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"pyxis/internal/rpc"
 	"pyxis/internal/sqldb"
@@ -28,9 +30,16 @@ import (
 // Distinct Conns run concurrently: statements on different connections
 // are not serialized by the engine unless they touch conflicting data.
 type Conn interface {
-	// Exec runs DDL/DML and returns the affected row count.
+	// ExecStmt runs DDL/DML and returns the affected row count. id is
+	// the statement's program-wide number (compile.Program.SQLTable
+	// index): the connection prepares sql on the number's first touch
+	// and runs it by number after, without re-shipping or re-parsing
+	// the text. id < 0 runs sql unnumbered.
+	ExecStmt(id int, sql string, args ...val.Value) (int, error)
+	// QueryStmt runs a SELECT, numbered as ExecStmt.
+	QueryStmt(id int, sql string, args ...val.Value) (*sqldb.ResultSet, error)
+	// Exec and Query are ExecStmt and QueryStmt unnumbered.
 	Exec(sql string, args ...val.Value) (int, error)
-	// Query runs a SELECT.
 	Query(sql string, args ...val.Value) (*sqldb.ResultSet, error)
 	// Begin / Commit / Rollback manage an explicit transaction.
 	Begin() error
@@ -39,69 +48,90 @@ type Conn interface {
 	Close() error
 }
 
-// PreparedConn is implemented by connections that execute
-// compile-numbered statements without re-shipping (or re-parsing) the
-// SQL text on every call. id is the program-wide statement number
-// (compile.Program.SQLTable index); sql is the statement text, used to
-// prepare on first touch.
-type PreparedConn interface {
-	Conn
-	ExecStmt(id int, sql string, args ...val.Value) (int, error)
-	QueryStmt(id int, sql string, args ...val.Value) (*sqldb.ResultSet, error)
-}
+// PreparedConn is Conn. The name remains for the benchmark's tracing
+// wrapper (benchmark/trace.go), which still spells it.
+type PreparedConn = Conn
 
-// IntoConn is implemented by connections that write a prepared query's
-// result into memory the caller owns: dst is Reset and refilled, so a
-// caller that keeps dst from query to query (the runtime recycles its
-// tables) allocates nothing for results its earlier ones made room
-// for. QueryStmt is QueryInto on a fresh ResultSet.
+// IntoConn is implemented by connections that write a query's result
+// into memory the caller owns: dst is Reset and refilled, so a caller
+// that keeps dst from query to query (the runtime recycles its tables)
+// allocates nothing for results its earlier ones made room for.
+// QueryStmt is QueryInto on a fresh ResultSet.
 type IntoConn interface {
 	QueryInto(dst *sqldb.ResultSet, id int, sql string, args ...val.Value) error
 }
 
-// ErrUnprepared reports a prepared-statement id the server session has
-// no statement for (e.g. a fresh session); the client re-sends the
-// call with the SQL text attached.
+// ErrUnprepared reports a statement number the server session has no
+// statement for (e.g. a fresh session); the client re-sends the call
+// with the SQL text attached.
 var ErrUnprepared = errors.New("dbapi: statement not prepared")
+
+// maxStmts bounds a session's statement table. Compiled programs number
+// their statements densely from 0 and hold far fewer; a number at or
+// past the bound is refused, so no number — least of all one read off
+// the wire — grows the table past maxStmts entries.
+const maxStmts = 1 << 12
 
 // ---------------------------------------------------------------------------
 // Local (embedded) connection
 // ---------------------------------------------------------------------------
 
-// Local is an embedded connection to an in-process database.
+// Local is an embedded connection to an in-process database: what runs
+// every statement, on the DB side directly and behind the wire
+// protocol's server handler for the APP side.
 type Local struct {
 	Sess *sqldb.Session
-	// stmts memoizes parsed statements by program-wide id, so the hot
-	// path skips even the (lock-free) plan-cache lookup.
+	// stmts is the session's statement table: numbered statements, kept
+	// parsed once prepared, so the hot path skips even the (lock-free)
+	// plan-cache lookup.
 	stmts []sqldb.SQLStmt
 }
 
 // NewLocal opens an embedded connection on db.
 func NewLocal(db *sqldb.DB) *Local { return &Local{Sess: db.NewSession()} }
 
-func (l *Local) Exec(sql string, args ...val.Value) (int, error) { return l.Sess.Exec(sql, args...) }
+func (l *Local) Exec(sql string, args ...val.Value) (int, error) { return l.ExecStmt(-1, sql, args...) }
 func (l *Local) Query(sql string, args ...val.Value) (*sqldb.ResultSet, error) {
-	return l.Sess.Query(sql, args...)
+	return l.QueryStmt(-1, sql, args...)
 }
 func (l *Local) Begin() error    { return l.Sess.Begin() }
 func (l *Local) Commit() error   { return l.Sess.Commit() }
 func (l *Local) Rollback() error { return l.Sess.Rollback() }
-func (l *Local) Close() error    { return nil }
 
+// Close rolls back the transaction the connection left open, so its
+// locks never outlive it. A transaction in the 2PC prepared state is
+// detached from its session (Participant.Prepare) and is not touched:
+// only the coordinator's decision or the participant's in-doubt
+// deadline resolves it.
+func (l *Local) Close() error {
+	if l.Sess.InTxn() {
+		return l.Sess.Rollback()
+	}
+	return nil
+}
+
+// stmt resolves statement id: from the table once prepared, else by
+// preparing sql into it. A number the table lacks with no text is
+// ErrUnprepared; id < 0 prepares sql unnumbered.
 func (l *Local) stmt(id int, sql string) (sqldb.SQLStmt, error) {
-	if id >= 0 && id < len(l.stmts) && l.stmts[id] != nil {
+	switch {
+	case id < 0:
+		return l.Sess.Prepare(sql)
+	case id >= maxStmts:
+		return nil, fmt.Errorf("dbapi: statement %d past the table bound %d", id, maxStmts)
+	case id < len(l.stmts) && l.stmts[id] != nil:
 		return l.stmts[id], nil
+	case sql == "":
+		return nil, ErrUnprepared
 	}
 	st, err := l.Sess.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	if id >= 0 {
-		for len(l.stmts) <= id {
-			l.stmts = append(l.stmts, nil)
-		}
-		l.stmts[id] = st
+	for len(l.stmts) <= id {
+		l.stmts = append(l.stmts, nil)
 	}
+	l.stmts[id] = st
 	return st, nil
 }
 
@@ -134,18 +164,19 @@ func (l *Local) QueryInto(dst *sqldb.ResultSet, id int, sql string, args ...val.
 // Wire protocol
 // ---------------------------------------------------------------------------
 
+// A request is its op byte and the op's fields, nothing after them.
 const (
+	// opExec and opQuery: [uvarint id+1, 0 = unnumbered][bool hasSQL]
+	// [sql?][args]. A numbered statement's text rides along only on its
+	// first touch (or after the server answers ErrUnprepared); every
+	// later call is id + args.
 	opExec byte = iota + 1
 	opQuery
+	// opBegin, opCommit, opRollback: the op byte alone.
 	opBegin
 	opCommit
 	opRollback
-	// Prepared variants: [op][uvarint id][bool hasSQL][sql?][args].
-	// The text rides along only on first touch (or after the server
-	// answers ErrUnprepared); every later call is id + args.
-	opPrepExec
-	opPrepQuery
-	// Two-phase commit, each [op][gid u64], reply [state u8] (control.go).
+	// Two-phase commit, each [gid u64], reply [state u8] (control.go).
 	opPrepare
 	opCommitGID
 	opAbortGID
@@ -168,9 +199,9 @@ type Client struct {
 	BytesSent int64
 	BytesRecv int64
 
-	prepared []bool // ids the server session has the text for
-	// cols holds each prepared query's column names as last decoded:
-	// a reply naming the same columns reuses them (rpc.Reader.Strs).
+	prepared []bool // numbers the server session has the text for
+	// cols holds each numbered query's column names as last decoded: a
+	// reply naming the same columns reuses them (rpc.Reader.Strs).
 	cols [][]string
 
 	// enc holds the request being sent and dec the reply being decoded.
@@ -183,19 +214,11 @@ type Client struct {
 // NewClient wraps a transport as a database connection.
 func NewClient(t rpc.Transport) *Client { return &Client{T: t} }
 
-// encode marshals one string-path database operation into c.enc.
-func (c *Client) encode(op byte, sql string, args []val.Value) {
+// encodeStmt marshals one statement request into c.enc.
+func (c *Client) encodeStmt(op byte, id int, hasSQL bool, sql string, args []val.Value) {
 	c.enc.Reset()
 	c.enc.Byte(op)
-	c.enc.Str(sql)
-	c.enc.Vals(args)
-}
-
-// encodePrepared marshals one prepared-path operation into c.enc.
-func (c *Client) encodePrepared(op byte, id int, hasSQL bool, sql string, args []val.Value) {
-	c.enc.Reset()
-	c.enc.Byte(op)
-	c.enc.Uvarint(uint64(id))
+	c.enc.Uvarint(uint64(id + 1))
 	c.enc.Bool(hasSQL)
 	if hasSQL {
 		c.enc.Str(sql)
@@ -225,68 +248,43 @@ func (c *Client) reply(resp []byte, err error) (*rpc.Reader, error) {
 	return &c.dec, nil
 }
 
-func (c *Client) do(op byte, sql string, args []val.Value) (*rpc.Reader, error) {
-	c.encode(op, sql, args)
-	return c.call()
-}
-
-// doPrepared runs op over the prepared wire: the text travels on the
-// statement's first touch, and once more when the server session
-// answers ErrUnprepared. Any other error is the caller's. A statement
-// without an id (id < 0) goes by its text, as strOp.
-func (c *Client) doPrepared(op, strOp byte, id int, sql string, args []val.Value) (*rpc.Reader, error) {
-	if id < 0 {
-		return c.do(strOp, sql, args)
-	}
-	hasSQL := id >= len(c.prepared) || !c.prepared[id]
-	c.encodePrepared(op, id, hasSQL, sql, args)
+// stmt runs a statement request: a numbered statement's text travels on
+// its first touch, and once more when the server session answers
+// ErrUnprepared; an unnumbered one (id < 0) carries its text every
+// call. Any other error is the caller's.
+func (c *Client) stmt(op byte, id int, sql string, args []val.Value) (*rpc.Reader, error) {
+	id = max(id, -1) // every negative id goes as unnumbered
+	hasSQL := id < 0 || id >= len(c.prepared) || !c.prepared[id]
+	c.encodeStmt(op, id, hasSQL, sql, args)
 	r, err := c.call()
-	if errors.Is(err, ErrUnprepared) {
-		c.encodePrepared(op, id, true, sql, args)
+	if !hasSQL && errors.Is(err, ErrUnprepared) {
+		c.encodeStmt(op, id, true, sql, args)
 		r, err = c.call()
 	}
-	if err != nil {
-		return nil, err
+	if err != nil || id < 0 {
+		return r, err
 	}
-	c.markPrepared(id)
-	return r, nil
-}
-
-func (c *Client) markPrepared(id int) {
 	for len(c.prepared) <= id {
 		c.prepared = append(c.prepared, false)
 	}
 	c.prepared[id] = true
+	return r, nil
 }
 
 func (c *Client) Exec(sql string, args ...val.Value) (int, error) {
-	r, err := c.do(opExec, sql, args)
-	if err != nil {
-		return 0, err
-	}
-	n := int(r.I64())
-	return n, r.Err()
+	return c.ExecStmt(-1, sql, args...)
+}
+func (c *Client) Query(sql string, args ...val.Value) (*sqldb.ResultSet, error) {
+	return c.QueryStmt(-1, sql, args...)
 }
 
 func (c *Client) ExecStmt(id int, sql string, args ...val.Value) (int, error) {
-	r, err := c.doPrepared(opPrepExec, opExec, id, sql, args)
+	r, err := c.stmt(opExec, id, sql, args)
 	if err != nil {
 		return 0, err
 	}
 	n := int(r.I64())
 	return n, r.Err()
-}
-
-func (c *Client) Query(sql string, args ...val.Value) (*sqldb.ResultSet, error) {
-	rs := new(sqldb.ResultSet)
-	r, err := c.do(opQuery, sql, args)
-	if err == nil {
-		err = ReadResultSet(r, rs)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return rs, nil
 }
 
 func (c *Client) QueryStmt(id int, sql string, args ...val.Value) (*sqldb.ResultSet, error) {
@@ -298,7 +296,7 @@ func (c *Client) QueryStmt(id int, sql string, args ...val.Value) (*sqldb.Result
 }
 
 func (c *Client) QueryInto(dst *sqldb.ResultSet, id int, sql string, args ...val.Value) error {
-	r, err := c.doPrepared(opPrepQuery, opQuery, id, sql, args)
+	r, err := c.stmt(opQuery, id, sql, args)
 	if err != nil {
 		dst.Reset()
 		return err
@@ -349,10 +347,18 @@ func ReadResultSet(r *rpc.Reader, dst *sqldb.ResultSet) error {
 	return r.Err()
 }
 
-func (c *Client) Begin() error    { _, err := c.do(opBegin, "", nil); return err }
-func (c *Client) Commit() error   { _, err := c.do(opCommit, "", nil); return err }
-func (c *Client) Rollback() error { _, err := c.do(opRollback, "", nil); return err }
+func (c *Client) Begin() error    { return c.txn(opBegin) }
+func (c *Client) Commit() error   { return c.txn(opCommit) }
+func (c *Client) Rollback() error { return c.txn(opRollback) }
 func (c *Client) Close() error    { return c.T.Close() }
+
+// txn sends a transaction op: the op byte alone.
+func (c *Client) txn(op byte) error {
+	c.enc.Reset()
+	c.enc.Byte(op)
+	_, err := c.call()
+	return err
+}
 
 // Sentinel errors cross the wire by name so clients can match them.
 var wireErrors = map[string]error{
@@ -397,12 +403,9 @@ func decodeError(msg string) error {
 // ---------------------------------------------------------------------------
 
 // MuxHandlers serves the database wire protocol on a multiplexed
-// connection: each mux session gets its own sqldb session (and so its
-// own transaction context); a session left with an open transaction is
-// rolled back on close so its locks never outlive it. (A transaction
-// in the 2PC prepared state is detached from its session and is NOT
-// rolled back by close — only the coordinator's decision or the
-// participant's in-doubt deadline resolves it.)
+// connection: each mux session gets its own Local (and so its own
+// transaction context), closed with the session so an open transaction
+// never outlives it.
 //
 // Each call creates a private Participant, which is enough for tests
 // and single-connection setups; servers use MuxHandlersTxn so a commit
@@ -415,48 +418,50 @@ func MuxHandlers(db *sqldb.DB) rpc.SessionHandlers {
 // MuxHandlersTxn is MuxHandlers with an explicit (typically
 // server-shared) 2PC participant, answering Client.Program with program.
 func MuxHandlersTxn(db *sqldb.DB, part *Participant, program []byte) rpc.SessionHandlers {
-	return &muxHandlers{db: db, part: part, program: program, sessions: map[uint32]*sqldb.Session{}}
+	return &muxHandlers{db: db, part: part, program: program, conns: map[uint32]*Local{}}
 }
 
 type muxHandlers struct {
-	db       *sqldb.DB
-	part     *Participant
-	program  []byte
-	mu       sync.Mutex
-	sessions map[uint32]*sqldb.Session
+	db      *sqldb.DB
+	part    *Participant
+	program []byte
+	mu      sync.Mutex
+	conns   map[uint32]*Local
 }
 
 func (h *muxHandlers) Open(sid uint32) rpc.Handler {
-	sess := h.db.NewSession()
+	conn := NewLocal(h.db)
 	h.mu.Lock()
-	h.sessions[sid] = sess
+	h.conns[sid] = conn
 	h.mu.Unlock()
-	return newSessionHandler(sess, h.part, h.program)
+	return newSessionHandler(conn, h.part, h.program)
 }
 
 func (h *muxHandlers) Closed(sid uint32) {
 	h.mu.Lock()
-	sess := h.sessions[sid]
-	delete(h.sessions, sid)
+	conn := h.conns[sid]
+	delete(h.conns, sid)
 	h.mu.Unlock()
-	if sess != nil && sess.InTxn() {
-		_ = sess.Rollback()
+	if conn != nil {
+		_ = conn.Close()
 	}
 }
 
 // SessionHandler serves the wire protocol against an existing session
 // (useful when the caller needs to control the session's WaitPoint).
-// Each handler keeps its session's prepared-statement table: ids are
-// bound when a request carries the SQL text and resolved to the
-// pre-parsed statement on every later call. It also keeps one reply
-// buffer: a session's calls are sequential and the transport is done
-// with a reply before the next call (see rpc.Handler), so every reply
-// is encoded into the same memory. It has no 2PC participant, so it
-// refuses the 2PC ops; MuxHandlers' sessions serve them.
-func SessionHandler(sess *sqldb.Session) rpc.Handler { return newSessionHandler(sess, nil, nil) }
+// It has no 2PC participant, so it refuses the 2PC ops; MuxHandlers'
+// sessions serve them.
+func SessionHandler(sess *sqldb.Session) rpc.Handler {
+	return newSessionHandler(&Local{Sess: sess}, nil, nil)
+}
 
-func newSessionHandler(sess *sqldb.Session, part *Participant, program []byte) rpc.Handler {
-	h := &sessionHandler{sess: sess, part: part, program: program, prepared: map[uint64]sqldb.SQLStmt{}}
+// newSessionHandler serves one wire session on conn, whose statement
+// table is the session's. It keeps one reply buffer: a session's calls
+// are sequential and the transport is done with a reply before the next
+// call (see rpc.Handler), so every reply is encoded into the same
+// memory.
+func newSessionHandler(conn *Local, part *Participant, program []byte) rpc.Handler {
+	h := &sessionHandler{conn: conn, part: part, program: program}
 	return h.serve
 }
 
@@ -465,97 +470,114 @@ func newSessionHandler(sess *sqldb.Session, part *Participant, program []byte) r
 const replyKeep = 64 << 10
 
 type sessionHandler struct {
-	sess     *sqldb.Session
-	part     *Participant // the shard's; nil refuses the 2PC ops
-	program  []byte       // what opProgram answers
-	prepared map[uint64]sqldb.SQLStmt
-	w        rpc.Writer      // the reply; reused across calls
-	args     []val.Value     // the decoded arguments; reused across calls
-	rs       sqldb.ResultSet // a query's result, until its reply is encoded
+	conn    *Local
+	part    *Participant    // the shard's; nil refuses the 2PC ops
+	program []byte          // what opProgram answers
+	w       rpc.Writer      // the reply; reused across calls
+	args    []val.Value     // the decoded arguments; reused across calls
+	rs      sqldb.ResultSet // a query's result, until its reply is encoded
 }
 
+// serve decodes a request whole, then runs it. A request cut short,
+// naming no known op, or with bytes after its last field is an error
+// and runs nothing; what the op itself refuses is an error reply.
 func (h *sessionHandler) serve(req []byte) ([]byte, error) {
 	r := rpc.Reader{Buf: req}
 	op := r.Byte()
-	if op >= opPrepare {
-		return h.control(op, &r)
-	}
-	// Prepared ops are [op][uvarint id][bool hasSQL][sql?][args], string
-	// ops [op][sql][args].
-	prep := op == opPrepExec || op == opPrepQuery
-	var id uint64
-	hasSQL := true
-	if prep {
-		id = r.Uvarint()
-		hasSQL = r.Bool()
-	}
-	var sql string
-	if hasSQL {
-		sql = r.Str()
-	}
-	// The engine evaluates its arguments and keeps none, so they decode
-	// into the handler's own slice.
-	h.args = r.AppendVals(h.args[:0])
-	args := h.args
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	var st sqldb.SQLStmt
-	var err error
-	if prep {
-		if hasSQL {
-			if st, err = h.sess.Prepare(sql); err != nil {
-				return h.fail(err), nil
-			}
-			h.prepared[id] = st
-		} else if st = h.prepared[id]; st == nil {
-			return h.fail(ErrUnprepared), nil
+	var (
+		id     int    // a statement's number, -1 unnumbered
+		sql    string // a statement's text, "" when absent
+		u      uint64 // a gid or a fence token
+		moved  bool
+		spec   sqldb.FenceSpec
+		ttl    time.Duration
+		decErr error
+	)
+	switch op {
+	case opExec, opQuery:
+		// An id past the table bound stays past it, without wrapping int.
+		id = int(min(r.Uvarint(), maxStmts+1)) - 1
+		if r.Bool() {
+			sql = r.Str()
 		}
+		// The engine evaluates its arguments and keeps none, so they
+		// decode into the handler's own slice.
+		h.args = r.AppendVals(h.args[:0])
+	case opPrepare, opCommitGID, opAbortGID, opStatusGID, opAdopt:
+		u = r.U64()
+	case opRelease:
+		u, moved = r.U64(), r.Bool()
+	case opFence:
+		spec, ttl, decErr = decodeFence(&r)
+	case opBegin, opCommit, opRollback, opProgram:
+	default:
+		return nil, fmt.Errorf("dbapi: unknown op %d", op)
 	}
+	if decErr == nil {
+		decErr = r.Err()
+	}
+	if left := len(r.Buf) - r.Off; decErr == nil && left != 0 {
+		decErr = fmt.Errorf("dbapi: %d bytes after op %d's request", left, op)
+	}
+	if decErr != nil {
+		return nil, decErr
+	}
+
 	if cap(h.w.Buf) > replyKeep {
 		h.w.Buf = nil // one large result does not pin its buffer for the session's life
 	}
 	h.w.Reset()
 	h.w.Bool(true)
+	var err error
 	switch op {
-	case opExec, opPrepExec:
+	case opExec:
 		var n int
-		if op == opExec {
-			n, err = h.sess.Exec(sql, args...)
-		} else {
-			n, err = h.sess.ExecParsed(st, args...)
-		}
+		n, err = h.conn.ExecStmt(id, sql, h.args...)
 		h.w.I64(int64(n))
-	case opQuery, opPrepQuery:
-		if op == opQuery {
-			st, err = h.sess.Prepare(sql)
-		}
-		if err == nil {
-			err = h.sess.QueryInto(&h.rs, st, args...)
-		}
-		if err == nil {
+	case opQuery:
+		if err = h.conn.QueryInto(&h.rs, id, sql, h.args...); err == nil {
 			WriteResultSet(&h.w, &h.rs)
 		}
 		h.rs.Reset()
 	case opBegin:
-		err = h.sess.Begin()
+		err = h.conn.Begin()
 	case opCommit:
-		err = h.sess.Commit()
+		err = h.conn.Commit()
 	case opRollback:
-		err = h.sess.Rollback()
-	default:
-		return nil, fmt.Errorf("dbapi: unknown op %d", op)
+		err = h.conn.Rollback()
+	case opPrepare, opCommitGID, opAbortGID, opStatusGID:
+		if h.part == nil {
+			err = errors.New("dbapi: this session serves no 2PC participant")
+			break
+		}
+		var st TxnState
+		switch op {
+		case opPrepare:
+			st, err = h.part.Prepare(h.conn.Sess, u)
+		case opCommitGID:
+			st, err = h.part.Finish(u, true)
+		case opAbortGID:
+			st, err = h.part.Finish(u, false)
+		default:
+			st = h.part.Status(u)
+		}
+		h.w.Byte(byte(st))
+	case opFence:
+		var tok uint64
+		tok, err = h.conn.Sess.DB().ArmFence(spec, ttl)
+		h.w.U64(tok)
+	case opAdopt:
+		h.conn.Sess.AdoptFence(u)
+	case opRelease:
+		err = h.conn.Sess.DB().ReleaseFence(u, moved)
+	case opProgram:
+		h.w.Str(string(h.program))
 	}
 	if err != nil {
-		return h.fail(err), nil
+		h.w.Reset()
+		return encodeErr(&h.w, err), nil
 	}
 	return h.w.Buf, nil
-}
-
-// fail encodes err as the reply.
-func (h *sessionHandler) fail(err error) []byte {
-	h.w.Reset()
-	return encodeErr(&h.w, err)
 }
 
 // WriteResultSet encodes rs: its column names, then its rows.

@@ -19,51 +19,78 @@ func (t *recordingTransport) Call(req []byte) ([]byte, error) {
 }
 func (t *recordingTransport) Close() error { return nil }
 
+// clientRequests returns one request of every shape Client sends, as it
+// encodes them: statements numbered and unnumbered, with and without
+// their text, transaction ops and control ops.
+func clientRequests() [][]byte {
+	// The transport records each request and refuses it, so every
+	// numbered statement goes out as a first touch.
+	rec := &recordingTransport{}
+	c := NewClient(rec)
+	_, _ = c.Query("SELECT v FROM t WHERE k = ?", val.IntV(2))
+	_, _ = c.Exec("INSERT INTO t VALUES (?, ?)", val.IntV(3), val.StrV("c"))
+	_, _ = c.QueryStmt(0, "SELECT v FROM t WHERE k = ?", val.IntV(1))
+	_, _ = c.ExecStmt(7, "UPDATE t SET v = ? WHERE k = ?", val.StrV("z"), val.NullV(), val.DoubleV(1.5))
+	_, _ = c.QueryStmt(maxStmts, "SELECT v FROM t WHERE k = ?", val.IntV(1))
+	_ = c.Begin()
+	_ = c.Commit()
+	_ = c.Rollback()
+	_, _ = c.Prepare(0x1122334455667788, 0)
+	_, _ = c.Decide(1, true, 0)
+	_, _ = c.Decide(1, false, 0)
+	_, _ = c.Status(1, 0)
+	_, _ = c.Fence(sqldb.FenceSpec{Tables: map[string]string{"stock": "s_w_id", "orders": "o_w_id"}, Lo: 3, Hi: 4}, 5e9, 0)
+	_ = c.AdoptFence(1, 0)
+	_ = c.ReleaseFence(1, true, 0)
+	_, _ = c.Program()
+	// A numbered statement as sent once the server session has its text.
+	c.encodeStmt(opQuery, 0, false, "", []val.Value{val.IntV(1)})
+	return append(rec.reqs, append([]byte(nil), c.enc.Buf...))
+}
+
+// TestTrailingRequestBytes: a request with bytes after its last field is
+// malformed, whatever its op — the handler refuses it and runs nothing.
+func TestTrailingRequestBytes(t *testing.T) {
+	db := setup(t)
+	for _, req := range clientRequests() {
+		for _, junk := range [][]byte{nil, {0}, {1, 2, 3, 4}} {
+			local := NewLocal(db)
+			h := newSessionHandler(local, NewParticipant(0, nil), nil)
+			resp, err := h(append(req[:len(req):len(req)], junk...))
+			if junk == nil && err != nil {
+				t.Errorf("op %d request % x: %v", req[0], req, err)
+			}
+			if junk != nil && (err == nil || resp != nil) {
+				t.Errorf("op %d request with %d bytes after it: answered % x, error %v", req[0], len(junk), resp, err)
+			}
+			_ = local.Close() // a Begin's transaction; nothing else is open
+		}
+	}
+}
+
 // FuzzSessionHandler feeds arbitrary request bytes to the handler that
 // sits behind every database session's socket. The contract: a typed
-// error (the frame did not decode, or named no known op) or a
-// well-formed reply (ok flag, then a result or an error name) — never
-// a panic and no allocation sized by a count the request merely
-// announced, whatever the op byte, the lengths or the SQL say.
+// error (the frame did not decode, named no known op, or had bytes
+// after its last field) or a well-formed reply (ok flag, then a result
+// or an error name) — never a panic and no allocation sized by a count
+// or a statement number the request merely announced, whatever the op
+// byte, the lengths or the SQL say.
 func FuzzSessionHandler(f *testing.F) {
 	// Seeds are real requests, as Client encodes them.
-	var c Client
-	for _, enc := range []func(){
-		func() { c.encode(opQuery, "SELECT v FROM t WHERE k = ?", []val.Value{val.IntV(2)}) },
-		func() { c.encode(opExec, "INSERT INTO t VALUES (?, ?)", []val.Value{val.IntV(3), val.StrV("c")}) },
-		func() { c.encode(opBegin, "", nil) },
-		func() { c.encode(opCommit, "", nil) },
-		func() { c.encode(opRollback, "", nil) },
-		func() {
-			c.encodePrepared(opPrepQuery, 0, true, "SELECT v FROM t WHERE k = ?", []val.Value{val.IntV(1)})
-		},
-		func() { c.encodePrepared(opPrepQuery, 0, false, "", []val.Value{val.IntV(1)}) },
-		func() {
-			c.encodePrepared(opPrepExec, 7, true, "UPDATE t SET v = ? WHERE k = ?", []val.Value{val.StrV("z"), val.NullV(), val.DoubleV(1.5)})
-		},
-	} {
-		enc()
-		f.Add(append([]byte(nil), c.enc.Buf...))
-	}
-	// The control ops, as Client encodes them; the transport records
-	// the request and refuses it.
-	rec := &recordingTransport{}
-	cc := NewClient(rec)
-	_, _ = cc.Prepare(0x1122334455667788, 0)
-	_, _ = cc.Decide(1, true, 0)
-	_, _ = cc.Decide(1, false, 0)
-	_, _ = cc.Status(1, 0)
-	_, _ = cc.Fence(sqldb.FenceSpec{Tables: map[string]string{"stock": "s_w_id", "orders": "o_w_id"}, Lo: 3, Hi: 4}, 5e9, 0)
-	_ = cc.AdoptFence(1, 0)
-	_ = cc.ReleaseFence(1, true, 0)
-	_, _ = cc.Program()
-	for _, req := range rec.reqs {
+	reqs := clientRequests()
+	for _, req := range reqs {
 		f.Add(req)
 	}
-	// A fence announcing 1<<17 tables in a few bytes must not size the
-	// table map by the count.
-	fence := rec.reqs[4]
-	f.Add(append(fence[:1+3*8:1+3*8], 0x80, 0x80, 0x08, 0, 0, 0, 0))
+	for _, req := range reqs {
+		switch req[0] {
+		case opFence:
+			// A fence announcing 1<<17 tables in a few bytes must not size
+			// the table map by the count.
+			f.Add(append(req[:1+3*8:1+3*8], 0x80, 0x80, 0x08, 0, 0, 0, 0))
+		case opQuery:
+			f.Add(append(req[:len(req):len(req)], 0xde, 0xad, 0xbe, 0xef))
+		}
+	}
 	db := setup(f)
 	f.Fuzz(func(t *testing.T, req []byte) {
 		sess := db.NewSession()

@@ -10,9 +10,9 @@ import (
 	"pyxis/internal/val"
 )
 
-// preparedContract runs the same statements over the prepared and
-// string paths and requires identical results.
-func preparedContract(t *testing.T, conn PreparedConn) {
+// preparedContract runs the same statements numbered and unnumbered and
+// requires identical results.
+func preparedContract(t *testing.T, conn Conn) {
 	t.Helper()
 	const sel = "SELECT v FROM t WHERE k = ?"
 	for i := 0; i < 3; i++ {
@@ -32,9 +32,9 @@ func preparedContract(t *testing.T, conn PreparedConn) {
 	if err != nil || n != 1 {
 		t.Fatalf("ExecStmt: %d %v", n, err)
 	}
-	// Errors keep identity over the prepared path too.
+	// Errors keep identity for numbered statements too.
 	if _, err := conn.ExecStmt(1, "INSERT INTO t VALUES (?, ?)", val.IntV(50), val.StrV("x")); !errors.Is(err, sqldb.ErrDupKey) {
-		t.Fatalf("dup key error lost on prepared path: %v", err)
+		t.Fatalf("dup key error lost on a numbered statement: %v", err)
 	}
 }
 
@@ -48,34 +48,58 @@ func TestClientPreparedWire(t *testing.T) {
 	preparedContract(t, conn)
 }
 
-// TestPreparedWireByteSavings: after the first touch, prepared calls
-// carry only the statement id — strictly fewer bytes than the string
-// path for the same call.
+// TestPreparedWireByteSavings pins each request's shape by the bytes it
+// sends. A statement is [op][uvarint id+1][bool hasSQL][sql?][args]: a
+// numbered one carries its text on its first touch and again only after
+// the server session answers ErrUnprepared, an unnumbered one on every
+// call. Begin, Commit and Rollback are the op byte alone. A number past
+// the session's table bound is an error and grows no table.
 func TestPreparedWireByteSavings(t *testing.T) {
 	db := setup(t)
-	conn := NewClient(rpc.NewInProc(SessionHandler(db.NewSession()), 0))
+	local := &Local{Sess: db.NewSession()}
+	conn := NewClient(rpc.NewInProc(newSessionHandler(local, nil, nil), 0))
 	const sel = "SELECT v FROM t WHERE k = ?"
-
-	if _, err := conn.QueryStmt(0, sel, val.IntV(1)); err != nil {
-		t.Fatal(err)
+	const text = 4 + len(sel) // length prefix and bytes
+	const args = 4 + 1 + 8    // count, then one tagged int
+	query := func(id int) func() error {
+		return func() error { _, err := conn.QueryStmt(id, sel, val.IntV(1)); return err }
 	}
-	base := conn.BytesSent
-	if _, err := conn.QueryStmt(0, sel, val.IntV(1)); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		call func() error
+		sent int // request bytes
+		fail bool
+	}{
+		{"numbered, first touch", query(0), 1 + 1 + 1 + text + args, false},
+		{"numbered, warm", query(0), 1 + 1 + 1 + args, false},
+		{"numbered, warm again", query(0), 1 + 1 + 1 + args, false},
+		{"unnumbered", query(-1), 1 + 1 + 1 + text + args, false},
+		{"unnumbered again", query(-1), 1 + 1 + 1 + text + args, false},
+		{"begin", conn.Begin, 1, false},
+		{"commit", conn.Commit, 1, false},
+		{"begin", conn.Begin, 1, false},
+		{"rollback", conn.Rollback, 1, false},
+		{"numbered, after the server session is replaced", func() error {
+			conn.T = rpc.NewInProc(SessionHandler(db.NewSession()), 0)
+			return query(0)()
+		}, (1 + 1 + 1 + args) + (1 + 1 + 1 + text + args), false},
+		{"numbered, warm on the new session", query(0), 1 + 1 + 1 + args, false},
+		{"numbered past the table bound", func() error {
+			conn.T = rpc.NewInProc(newSessionHandler(local, nil, nil), 0)
+			return query(maxStmts)()
+		}, 1 + 2 + 1 + text + args, true},
+		{"numbered far past the table bound", query(1 << 40), 1 + 6 + 1 + text + args, true},
+	} {
+		base := conn.BytesSent
+		if err := c.call(); (err != nil) != c.fail {
+			t.Errorf("%s: error %v, want failure %v", c.name, err, c.fail)
+		}
+		if sent := conn.BytesSent - base; sent != int64(c.sent) {
+			t.Errorf("%s: sent %d bytes, want %d", c.name, sent, c.sent)
+		}
 	}
-	preparedCost := conn.BytesSent - base
-
-	base = conn.BytesSent
-	if _, err := conn.Query(sel, val.IntV(1)); err != nil {
-		t.Fatal(err)
-	}
-	stringCost := conn.BytesSent - base
-
-	if preparedCost >= stringCost {
-		t.Fatalf("prepared call cost %d bytes, string call %d — no savings", preparedCost, stringCost)
-	}
-	if preparedCost > 16 {
-		t.Errorf("prepared call cost %d bytes; want id+args only (≤16)", preparedCost)
+	if len(local.stmts) != 1 || cap(local.stmts) > 8 {
+		t.Errorf("statement table len %d cap %d: an out-of-bound number sized it", len(local.stmts), cap(local.stmts))
 	}
 }
 
@@ -102,10 +126,10 @@ func TestPreparedUnpreparedRecovery(t *testing.T) {
 	}
 }
 
-// TestPreparedWireErrorsSurface: an error from the prepared wire is
+// TestPreparedWireErrorsSurface: an error for a numbered statement is
 // the caller's, whatever its text — a reply cut short, a peer that
-// answers "unknown op". Neither moves the connection off the prepared
-// wire: the next call is id + args again.
+// answers "unknown op". Neither makes the statement carry its text
+// again: the next call is id + args.
 func TestPreparedWireErrorsSurface(t *testing.T) {
 	db := setup(t)
 	good := rpc.NewInProc(SessionHandler(db.NewSession()), 0)

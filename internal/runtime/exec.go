@@ -135,6 +135,17 @@ func (p *Peer) ownerOf(b compile.BlockID) *compile.MethodInfo {
 	return p.owner[b]
 }
 
+// stmtID is the number a database instruction's statement runs under:
+// its SQLID when that names the instruction's text in the program's
+// statement table, else -1 (unnumbered; a hand-built instruction
+// carries no id).
+func (p *Peer) stmtID(in *compile.Instr) int {
+	if id := int(in.SQLID); id >= 0 && id < len(p.Prog.SQLTable) && p.Prog.SQLTable[id] == in.SQL {
+		return id
+	}
+	return -1
+}
+
 // Session is one logical client's state on a peer: its half of the
 // distributed heap, its copy of the frame stack, its database
 // connection (embedded on the DB side, wire client on the APP side),
@@ -150,12 +161,8 @@ type Session struct {
 	DB   dbapi.Conn
 	Heap *Heap
 
-	// prep is DB with its prepared-statement surface exposed, when the
-	// connection offers one. Database ops whose instruction carries a
-	// program-interned statement id go through it.
-	prep dbapi.PreparedConn
-	// into is DB when it writes a prepared query's result into a table
-	// the heap recycles.
+	// into is DB when it writes a query's result into a table the heap
+	// recycles.
 	into dbapi.IntoConn
 	// stack is the session's frame stack, bottom first. The APP keeps it
 	// for the length of a call, the DB from one transfer to the next (a
@@ -190,7 +197,6 @@ type Session struct {
 // transaction context).
 func (p *Peer) NewSession(db dbapi.Conn) *Session {
 	sn := &Session{Peer: p, DB: db, Heap: NewHeap(p.Side), pendSet: map[pendingSync]bool{}}
-	sn.prep, _ = db.(dbapi.PreparedConn)
 	sn.into, _ = db.(dbapi.IntoConn)
 	return sn
 }
@@ -513,24 +519,20 @@ func (sn *Session) exec(in *compile.Instr, fr *Frame) error {
 		for i, slot := range in.Args {
 			args[i] = s[slot]
 		}
-		prepared := int(in.SQLID) < len(p.Prog.SQLTable) && p.Prog.SQLTable[in.SQLID] == in.SQL
+		id := p.stmtID(in)
 		t := sn.Heap.takeTable()
-		var rs *sqldb.ResultSet
 		var err error
-		switch {
-		case prepared && sn.into != nil:
-			err = sn.into.QueryInto(&t.ResultSet, int(in.SQLID), in.SQL, args...)
-		case prepared && sn.prep != nil:
-			rs, err = sn.prep.QueryStmt(int(in.SQLID), in.SQL, args...)
-		default:
-			rs, err = sn.DB.Query(in.SQL, args...)
+		if sn.into != nil {
+			err = sn.into.QueryInto(&t.ResultSet, id, in.SQL, args...)
+		} else {
+			var rs *sqldb.ResultSet
+			if rs, err = sn.DB.QueryStmt(id, in.SQL, args...); err == nil {
+				t.ResultSet = *rs // the table adopts what the connection allocated
+			}
 		}
 		if err != nil {
 			sn.Heap.freeTable(t)
 			return fmt.Errorf("db.query: %w", err)
-		}
-		if rs != nil { // the table adopts what the connection allocated
-			t.ResultSet = *rs
 		}
 		s[in.A] = val.TableV(sn.Heap.putTable(t))
 	case compile.OpDBExec:
@@ -542,13 +544,7 @@ func (sn *Session) exec(in *compile.Instr, fr *Frame) error {
 		for i, slot := range in.Args {
 			args[i] = s[slot]
 		}
-		var n int
-		var err error
-		if sn.prep != nil && int(in.SQLID) < len(p.Prog.SQLTable) && p.Prog.SQLTable[in.SQLID] == in.SQL {
-			n, err = sn.prep.ExecStmt(int(in.SQLID), in.SQL, args...)
-		} else {
-			n, err = sn.DB.Exec(in.SQL, args...)
-		}
+		n, err := sn.DB.ExecStmt(p.stmtID(in), in.SQL, args...)
 		if err != nil {
 			return fmt.Errorf("db.update: %w", err)
 		}

@@ -32,7 +32,8 @@ type SessionManager struct {
 	// LowPeer, when non-nil, serves sessions tagged TagLowBudget.
 	LowPeer *Peer
 	// NewConn opens one database connection per session (the
-	// connection carries the session's transaction context).
+	// connection carries the session's transaction context, and closing
+	// it rolls back a transaction left open, as dbapi.Local's Close does).
 	NewConn func() dbapi.Conn
 
 	mu       sync.Mutex
@@ -85,20 +86,17 @@ func (m *SessionManager) NextID() uint32 {
 	}
 }
 
-// Close retires a session: any transaction left open on its
-// connection is rolled back (releasing row locks) and its state is
-// dropped. Closing an unknown id is a no-op.
+// Close retires a session: its connection is closed, which rolls back
+// any transaction left open on it (releasing row locks), and its state
+// is dropped. Closing an unknown id is a no-op.
 func (m *SessionManager) Close(id uint32) {
 	m.mu.Lock()
 	sn := m.sessions[id]
 	delete(m.sessions, id)
 	m.mu.Unlock()
-	if sn == nil {
-		return
+	if sn != nil {
+		_ = sn.Close()
 	}
-	// Best effort: the connection may have no transaction open.
-	_ = sn.DB.Rollback()
-	_ = sn.Close()
 }
 
 // Len returns the number of live sessions.

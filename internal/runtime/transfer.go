@@ -541,6 +541,9 @@ type Deployment struct {
 	DB       *sqldb.DB
 	ctlWire  *rpc.InProc
 	dbWire   *rpc.InProc
+	// dbHandlers serves the APP side's database wire, one dbapi.Local
+	// per session, keyed like Sessions.
+	dbHandlers rpc.SessionHandlers
 }
 
 // Options configures NewDeployment.
@@ -561,6 +564,8 @@ func NewDeployment(prog *compile.Program, db *sqldb.DB, opts Options) *Deploymen
 		DBPeer:   dbPeer,
 		Sessions: NewSessionManager(dbPeer, func() dbapi.Conn { return dbapi.NewLocal(db) }),
 		DB:       db,
+
+		dbHandlers: dbapi.MuxHandlers(db),
 	}
 	d.Client, d.ctlWire, d.dbWire = d.newSessionWires()
 	return d
@@ -570,20 +575,16 @@ func NewDeployment(prog *compile.Program, db *sqldb.DB, opts Options) *Deploymen
 // with its own database wire, and a DB-side session behind its own
 // control-transfer wire.
 func (d *Deployment) newSessionWires() (*Client, *rpc.InProc, *rpc.InProc) {
-	dbHandlerSess := d.DB.NewSession()
-	dbWire := rpc.NewInProc(dbapi.SessionHandler(dbHandlerSess), 0)
-	appSess := d.App.NewSession(dbapi.NewClient(dbWire))
 	sid := d.Sessions.NextID()
-	dbSess := d.Sessions.Session(sid)
-	ctlWire := rpc.NewInProc(Handler(dbSess), 0)
+	dbWire := rpc.NewInProc(d.dbHandlers.Open(sid), 0)
+	appSess := d.App.NewSession(dbapi.NewClient(dbWire))
+	ctlWire := rpc.NewInProc(Handler(d.Sessions.Session(sid)), 0)
 	c := NewClient(appSess, ctlWire)
 	c.OnClose = func() {
+		// The mux path's teardown: closing each side's connection rolls
+		// back a transaction it left open, so no row lock outlives it.
 		d.Sessions.Close(sid)
-		// Mirror the mux path's teardown: a transaction abandoned on
-		// the APP-side database wire must not hold row locks forever.
-		if dbHandlerSess.InTxn() {
-			_ = dbHandlerSess.Rollback()
-		}
+		d.dbHandlers.Closed(sid)
 	}
 	return c, ctlWire, dbWire
 }

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,13 +162,13 @@ func (s *Session) fenceGate(st SQLStmt, args []val.Value) error {
 	}
 	if movedP != nil {
 		for i := range *movedP {
-			if err := fenceMatch(&(*movedP)[i], st, args, false); err != nil {
+			if err := s.db.fenceMatch(&(*movedP)[i], st, args, false); err != nil {
 				return fmt.Errorf("%w: keys [%d,%d]", ErrRangeMoved, (*movedP)[i].Lo, (*movedP)[i].Hi)
 			}
 		}
 	}
 	if armed != nil && s.fenceTok != armed.token {
-		if err := fenceMatch(&armed.spec, st, args, true); err != nil {
+		if err := s.db.fenceMatch(&armed.spec, st, args, true); err != nil {
 			return fmt.Errorf("%w: keys [%d,%d]", ErrRangeFenced, armed.spec.Lo, armed.spec.Hi)
 		}
 	}
@@ -184,7 +185,7 @@ var errFenceHit = errors.New("fence hit")
 // DELETE on a fenced table could mutate in-range rows mid-stream, so
 // it is refused; keyless reads (whole-table audits) pass and simply
 // see whatever committed state the latches give them.
-func fenceMatch(spec *FenceSpec, st SQLStmt, args []val.Value, conservativeWrites bool) error {
+func (db *DB) fenceMatch(spec *FenceSpec, st SQLStmt, args []val.Value, conservativeWrites bool) error {
 	hit := func(table string, keyed, inRange, write bool) error {
 		if _, fenced := spec.Tables[table]; !fenced {
 			return nil
@@ -203,7 +204,7 @@ func fenceMatch(spec *FenceSpec, st SQLStmt, args []val.Value, conservativeWrite
 		if !fenced {
 			return nil
 		}
-		key, keyed := insertKey(t, keyCol, args)
+		key, keyed := db.insertKey(t, keyCol, args)
 		return hit(t.Table, keyed, keyed && spec.contains(key), true)
 	case *UpdateStmt:
 		key, keyed := whereKey(t.Where, spec.Tables[t.Table], args)
@@ -223,23 +224,16 @@ func fenceMatch(spec *FenceSpec, st SQLStmt, args []val.Value, conservativeWrite
 }
 
 // insertKey extracts the partition key of an INSERT: by named column
-// when a column list is present, by primary-key-column position
-// otherwise (the TPC-C loaders and drivers always insert full rows in
-// declared order, so position 0 is the warehouse id for every
-// partitioned table).
-func insertKey(t *InsertStmt, keyCol string, args []val.Value) (int64, bool) {
+// when a column list is present, by the key column's declared position
+// in the catalog otherwise.
+func (db *DB) insertKey(t *InsertStmt, keyCol string, args []val.Value) (int64, bool) {
 	idx := -1
 	if len(t.Cols) > 0 {
-		for i, c := range t.Cols {
-			if c == keyCol {
-				idx = i
-				break
-			}
+		idx = slices.Index(t.Cols, keyCol)
+	} else if tbl := db.lookupTable(t.Table); tbl != nil {
+		if i, ok := tbl.colIdx[keyCol]; ok {
+			idx = i
 		}
-	} else {
-		// Positional insert: the partition key is by convention the
-		// first column of every partitioned table's DDL.
-		idx = 0
 	}
 	if idx < 0 || idx >= len(t.Vals) {
 		return 0, false

@@ -157,3 +157,26 @@ func TestFenceDoubleArmRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFencePositionalInsertKey: an INSERT without a column list is
+// fenced by the value in the key column's declared position, not by its
+// first value.
+func TestFencePositionalInsertKey(t *testing.T) {
+	db := Open()
+	s := db.NewSession()
+	if _, err := s.Exec("CREATE TABLE t (a INT PRIMARY KEY, w INT)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ArmFence(FenceSpec{Tables: map[string]string{"t": "w"}, Lo: 5, Hi: 5}, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("INSERT INTO t VALUES (1, 5)"); !errors.Is(err, ErrRangeFenced) {
+		t.Errorf("INSERT with w = 5: got %v, want ErrRangeFenced", err)
+	}
+	if _, err := s.Exec("INSERT INTO t VALUES (?, ?)", val.IntV(5), val.IntV(9)); err != nil {
+		t.Errorf("INSERT with w = 9: %v", err)
+	}
+	if _, err := s.Exec("INSERT INTO t (w, a) VALUES (5, 2)"); !errors.Is(err, ErrRangeFenced) {
+		t.Errorf("INSERT naming w = 5: got %v, want ErrRangeFenced", err)
+	}
+}
