@@ -12,28 +12,28 @@
 // the least-loaded connection and stays pinned there, removing the
 // single connection's head-of-line at high client counts.
 //
-// With -dynamic (against a pyxis-dbserver running -dynamic, which
-// serves a high- and a low-budget partition) each session holds a
-// deployment pair and routes every call off its shard's switcher EWMA,
-// which is fed by the DB load reports piggy-backed on every reply
-// (reports from EVERY pooled connection of a shard feed that shard's
-// EWMA); server sheds surface as rpc.ErrOverloaded and are retried with
-// jittered backoff — including admission refusals from a pyxis-dbserver
-// running -max-sessions or -admit-high.
+// When the servers also serve a low-budget partition (pyxis-dbserver
+// -low-budget), every session holds an object on both partitionings and
+// routes each call off its shard's switcher EWMA, which is fed by the
+// DB load reports piggy-backed on every reply (reports from EVERY
+// pooled connection of a shard feed that shard's EWMA), and prints the
+// dynamic mix. Server sheds surface as rpc.ErrOverloaded and are
+// retried with jittered backoff — including admission refusals from a
+// pyxis-dbserver running -max-sessions or -admit-high.
 //
 // Against a SHARDED DB tier, -db and -ctl take comma-separated address
-// lists of equal length — entry i of each list is shard i, typically a
-// pyxis-dbserver started with -shard i/N. Each client session picks
-// its home shard by hashing its client index through runtime.ShardMap
-// and opens every session (including the -dynamic low-budget pair) on
-// that shard; load EWMAs are kept per shard, so one saturated shard
-// switches its own sessions low without dragging its siblings.
+// lists of equal length — entry i of each list is shard i, one
+// pyxis-dbserver per shard. Each client session picks its home shard
+// by hashing its client index through runtime.ShardMap and opens both
+// halves of its pair on that shard; load EWMAs are kept per shard, so
+// one saturated shard switches its own sessions low without dragging
+// its siblings.
 //
 // Usage (after starting pyxis-dbserver):
 //
 //	pyxis-app -db localhost:7001 -ctl localhost:7002 \
 //	    -new Order -args 7 -call Order.placeOrder -callargs 3,0.9 \
-//	    -clients 8 -n 100 [-pool 4] [-dynamic]
+//	    -clients 8 -n 100 [-pool 4]
 //
 // Sharded tier (one pyxis-dbserver per shard):
 //
@@ -57,17 +57,15 @@ import (
 
 func main() {
 	var (
-		dbAddr   = flag.String("db", "localhost:7001", "database server wire address(es); comma-separated, one per shard")
-		ctlAddr  = flag.String("ctl", "localhost:7002", "control-transfer server address(es); comma-separated, one per shard")
-		newClass = flag.String("new", "", "class to instantiate (required)")
-		ctorArgs = flag.String("args", "", "comma-separated constructor arguments")
-		call     = flag.String("call", "", "entry method Class.method to invoke (required)")
-		callArgs = flag.String("callargs", "", "comma-separated entry arguments")
-		clients  = flag.Int("clients", 1, "number of concurrent client sessions")
-		repeat   = flag.Int("n", 1, "entry invocations per client")
-		poolN    = flag.Int("pool", 1, "mux connections per port; sessions stripe onto the least-loaded one")
-		dynamic  = flag.Bool("dynamic", false,
-			"route each session between the servers' high- and low-budget partitions off the DB's piggy-backed load reports (pyxis-dbserver must run -dynamic)")
+		dbAddr     = flag.String("db", "localhost:7001", "database server wire address(es); comma-separated, one per shard")
+		ctlAddr    = flag.String("ctl", "localhost:7002", "control-transfer server address(es); comma-separated, one per shard")
+		newClass   = flag.String("new", "", "class to instantiate (required)")
+		ctorArgs   = flag.String("args", "", "comma-separated constructor arguments")
+		call       = flag.String("call", "", "entry method Class.method to invoke (required)")
+		callArgs   = flag.String("callargs", "", "comma-separated entry arguments")
+		clients    = flag.Int("clients", 1, "number of concurrent client sessions")
+		repeat     = flag.Int("n", 1, "entry invocations per client")
+		poolN      = flag.Int("pool", 1, "mux connections per port; sessions stripe onto the least-loaded one")
 		threshold  = flag.Float64("threshold", 40, "switcher load threshold percent")
 		hysteresis = flag.Float64("hysteresis", 0, "switcher dead-band half-width percent")
 	)
@@ -85,10 +83,10 @@ func main() {
 	// each. No schema-aware partition key at this layer: each client
 	// session hashes its index to a home shard and opens everything
 	// there, each session pinned to whichever pooled connection was least
-	// loaded when it was opened. With -dynamic, every reply from a shard
-	// carries its load sample, and that shard's switcher folds them into
-	// the EWMA each of its sessions consults before its next call —
-	// shard i's saturation never routes shard j's sessions.
+	// loaded when it was opened. When the servers report load, every
+	// reply from a shard carries its sample, and that shard's switcher
+	// folds them into the EWMA each of its sessions consults before its
+	// next call — shard i's saturation never routes shard j's sessions.
 	dbAddrs := splitAddrs(*dbAddr)
 	shards := len(dbAddrs)
 	router := runtime.NewShardedClient(runtime.ShardMap{Shards: shards})
@@ -102,11 +100,11 @@ func main() {
 		fatal(err)
 	}
 	defer app.Close()
-	if app.High == nil || (*dynamic && app.Low == nil) {
-		fatal(fmt.Errorf("%w (-dynamic needs pyxis-dbserver -dynamic)", deploy.ErrNotServed))
+	if app.High == nil {
+		fatal(deploy.ErrNotServed)
 	}
 	fmt.Printf("pyxis-app: partition {%s}\n", app.High.Describe())
-	if *dynamic {
+	if app.Low != nil {
 		fmt.Printf("pyxis-app: low partition {%s}\n", app.Low.Describe())
 	}
 	ctorVals := parseArgs(*ctorArgs)
@@ -115,76 +113,37 @@ func main() {
 	type result struct {
 		ret   val.Value
 		lats  []float64 // milliseconds
-		sheds int64     // ErrOverloaded replies absorbed with backoff
+		sheds int64     // ErrOverloaded replies to Open absorbed with backoff
+		calls deploy.CallStats
 		err   error
 	}
 	results := make([]result, *clients)
-	dyns := make([]*runtime.DynamicClient, *clients)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < *clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			shard := router.HomeShard(int64(i))
-			// open opens a session of the high (or low) program, absorbing
-			// admission sheds from a gated server with jittered backoff (a
-			// refused session left no server state behind; the retry simply
-			// re-attempts admission).
-			open := func(low bool) (*deploy.Client, error) {
-				var c *deploy.Client
-				sheds, err := runtime.RetryOverloaded(func() error {
-					var oerr error
-					c, oerr = app.Open(shard, low, *newClass, ctorVals...)
-					return oerr
-				})
-				results[i].sheds += sheds
-				return c, err
-			}
-			client, err := open(false)
+			// Open absorbs admission sheds from a gated server with
+			// jittered backoff (a refused Open left no server state behind;
+			// the retry simply re-attempts admission). Call absorbs its
+			// own.
+			var client *deploy.Client
+			sheds, err := runtime.RetryOverloaded(func() error {
+				var oerr error
+				client, oerr = app.Open(router.HomeShard(int64(i)), *newClass, ctorVals...)
+				return oerr
+			})
+			results[i].sheds = sheds
 			if err != nil {
 				results[i].err = err
 				return
 			}
-
-			// callOnce invokes the entry on the static client (with its
-			// own jittered shed backoff), or routes through this
-			// session's DynamicClient (which re-picks per attempt and
-			// backs off on overload sheds internally).
-			var callOnce func() (val.Value, error)
-			if *dynamic {
-				low, err := open(true)
-				if err != nil {
-					client.Close()
-					results[i].err = err
-					return
-				}
-				dyn := &runtime.DynamicClient{High: client.Client, Low: low.Client, Switcher: router.Switcher(shard)}
-				dyns[i] = dyn
-				defer dyn.Close()
-				callOnce = func() (val.Value, error) {
-					// Entry-call sheds are tallied by the DynamicClient
-					// itself; results[i].sheds keeps only the open-time
-					// admission sheds.
-					r, err := dyn.CallEntry(*call, client.OID, low.OID, callVals...)
-					return r.Val, err
-				}
-			} else {
-				defer client.Close()
-				callOnce = func() (val.Value, error) {
-					var ret val.Value
-					sheds, err := runtime.RetryOverloaded(func() error {
-						var cerr error
-						ret, cerr = client.CallEntry(*call, client.OID, callVals...)
-						return cerr
-					})
-					results[i].sheds += sheds
-					return ret, err
-				}
-			}
+			defer client.Close()
 			for k := 0; k < *repeat; k++ {
 				t0 := time.Now()
-				ret, err := callOnce()
+				ret, err := client.Call(*call, callVals...)
+				results[i].calls = client.Stats()
 				if err != nil {
 					results[i].err = err
 					return
@@ -223,31 +182,25 @@ func main() {
 	fmt.Printf("pyxis-app: control transfers=%d (%d B), app-side db round trips=%d (%d B) shards=%d pool=%d conns/shard\n",
 		ctl.Calls, ctl.BytesSent+ctl.BytesRecv, db.Calls, db.BytesSent+db.BytesRecv, shards, *poolN)
 	var openSheds int64
-	for i := range results {
-		openSheds += results[i].sheds
+	var calls deploy.CallStats
+	for _, r := range results {
+		openSheds += r.sheds
+		calls.High, calls.Low, calls.Sheds = calls.High+r.calls.High, calls.Low+r.calls.Low, calls.Sheds+r.calls.Sheds
 	}
-	if *dynamic {
-		var low, high, sheds int64
-		for _, d := range dyns {
-			if d == nil {
-				continue
-			}
-			l, h := d.Picks()
-			low, high, sheds = low+l, high+h, sheds+d.Sheds()
-		}
+	if app.Low != nil {
 		share := 0.0
-		if low+high > 0 {
-			share = 100 * float64(low) / float64(low+high)
+		if n := calls.Low + calls.High; n > 0 {
+			share = 100 * float64(calls.Low) / float64(n)
 		}
 		ewmas := make([]string, shards)
 		for i := 0; i < shards; i++ {
 			ewmas[i] = fmt.Sprintf("%.1f%%", router.Load(i))
 		}
 		fmt.Printf("pyxis-app: dynamic mix low=%d high=%d (%.0f%% low) sheds=%d (+%d at open) ewma/shard=[%s] load-reports=%d\n",
-			low, high, share, sheds, openSheds, strings.Join(ewmas, " "),
+			calls.Low, calls.High, share, calls.Sheds, openSheds, strings.Join(ewmas, " "),
 			app.Ctl.LoadReports()+app.DB.LoadReports())
-	} else if openSheds > 0 {
-		fmt.Printf("pyxis-app: %d overload sheds absorbed with jittered backoff\n", openSheds)
+	} else if sheds := openSheds + calls.Sheds; sheds > 0 {
+		fmt.Printf("pyxis-app: %d overload sheds absorbed with jittered backoff\n", sheds)
 	}
 	if failed > 0 {
 		os.Exit(1)

@@ -13,12 +13,12 @@
 // program; pyxis-app rebuilds its half from what the database port
 // serves.
 //
-// With -dynamic it serves BOTH the -budget and -low-budget partitions
-// at once behind a dual session manager (the session ID's tag byte
-// selects the deployment) and piggy-backs a load report — CPU proxy,
-// per-session queue depth, lock-wait rate — on every mux reply, so a
-// pyxis-app running -dynamic can switch partitionings per session as
-// load moves (paper §6.3).
+// Given -low-budget on the command line it serves BOTH the -budget and
+// -low-budget partitions at once behind a dual session manager (the
+// session ID's tag byte selects the partition) and piggy-backs a load
+// report — CPU proxy, per-session queue depth, lock-wait rate — on
+// every mux reply, so every pyxis-app session holds the pair and
+// switches partitionings per call as load moves (paper §6.3).
 //
 // With -max-sessions and/or -admit-high the server stops merely
 // REPORTING saturation and starts refusing it: an admission controller
@@ -26,33 +26,30 @@
 // session cap and on the same blended load signal the reports carry,
 // with hysteresis (-admit-high enter / -admit-low leave) so admission
 // doesn't flap. Refused work is shed with the typed overload reply,
-// which every pyxis-app backoff path already retries. Note that a
-// -dynamic pyxis-app client holds a PAIR of control sessions (high- +
-// low-budget); the controller has no notion of pairing, so a cap
-// between N+1 and 2N-1 for N dynamic clients can leave every client
-// holding its first session while shed on its second — size
-// -max-sessions at 2x the intended dynamic client count.
+// which every pyxis-app backoff path already retries. Note that against
+// a server given -low-budget every pyxis-app client holds a PAIR of
+// control sessions (high- + low-budget); the controller has no notion
+// of pairing, so a cap between N+1 and 2N-1 for N clients can leave
+// clients holding their first session while shed on their second —
+// size -max-sessions at 2x the intended client count.
 //
-// With -shard i/N the process declares itself shard i of an N-server
-// shared-nothing tier: each shard runs its own database, lock manager,
-// runtime peers, load monitor and admission controller — nothing is
-// shared between shard processes, which is the whole point. The flag
-// is the deployment contract, not a behavior switch: the server stays
-// shard-unaware by design, the -schema script loads only this shard's
-// slice of the data, and a pyxis-app started with matching -db/-ctl
-// address lists routes every session to its home shard by partition
-// key (runtime.ShardMap) and refuses shards serving different programs.
-// The database port also serves the live-rebalancing control plane
-// (fence, adopt and release dbapi ops), so an external runtime.Migrator
-// can move warehouse ranges between shard processes without restarting
-// them.
+// One process is one shard of a shared-nothing tier: each shard runs
+// its own database, lock manager, runtime peers, load monitor and
+// admission controller — nothing is shared between shard processes.
+// The server stays shard-unaware by design: the -schema script loads
+// only this shard's slice of the data, and a pyxis-app started with
+// matching -db/-ctl address lists routes every session to its home
+// shard by partition key (runtime.ShardMap) and refuses shards serving
+// different programs. The database port also serves the
+// live-rebalancing control plane (fence, adopt and release dbapi ops),
+// so an external runtime.Migrator can move warehouse ranges between
+// shard processes without restarting them.
 //
 // Usage:
 //
 //	pyxis-dbserver -src order.pyxj -budget 1.0 -schema schema.sql \
-//	    -db :7001 -ctl :7002 [-dynamic -low-budget 0] \
-//	    [-max-sessions 256] [-admit-high 85 -admit-low 60] \
-//	    [-shard 0/4]
+//	    -db :7001 -ctl :7002 [-low-budget 0] \
+//	    [-max-sessions 256] [-admit-high 85 -admit-low 60]
 package main
 
 import (
@@ -69,34 +66,24 @@ import (
 
 func main() {
 	var (
-		srcPath = flag.String("src", "", "PyxJ source file (required)")
-		budget  = flag.Float64("budget", 1.0, "budget fraction used to generate the partition")
-		schema  = flag.String("schema", "", "file with ';'-separated SQL statements to initialize the database")
-		dbAddr  = flag.String("db", ":7001", "database wire protocol listen address")
-		ctlAddr = flag.String("ctl", ":7002", "Pyxis control-transfer listen address")
-		dynamic = flag.Bool("dynamic", false,
-			"serve BOTH the -budget and -low-budget partitions for dynamic switching and piggy-back load reports on every reply")
-		lowBudget   = flag.Float64("low-budget", 0, "budget fraction of the low-CPU partition served alongside -budget with -dynamic")
+		srcPath     = flag.String("src", "", "PyxJ source file (required)")
+		budget      = flag.Float64("budget", 1.0, "budget fraction used to generate the partition")
+		schema      = flag.String("schema", "", "file with ';'-separated SQL statements to initialize the database")
+		dbAddr      = flag.String("db", ":7001", "database wire protocol listen address")
+		ctlAddr     = flag.String("ctl", ":7002", "Pyxis control-transfer listen address")
+		lowBudget   = flag.Float64("low-budget", 0, "budget fraction of a low-CPU partition served alongside -budget, with load reports on every reply (served only when given)")
 		maxSessions = flag.Int("max-sessions", 0,
-			"cap on concurrently admitted control sessions (0 = unlimited; a -dynamic client holds TWO control sessions, so size the cap at 2x the intended client count)")
+			"cap on concurrently admitted control sessions (0 = unlimited; with -low-budget each client holds TWO control sessions, so size the cap at 2x the intended client count)")
 		admitHigh = flag.Float64("admit-high", 0, "blended load percent above which new sessions are refused (0 disables the load gate)")
-		admitLow  = flag.Float64("admit-low", 0, "blended load percent below which admission resumes (default admit-high - 25)")
-		shardSlot = flag.String("shard", "",
-			"shard slot \"i/n\" this server owns in an n-shard shared-nothing tier (load only this shard's data via -schema; empty = unsharded)")
+		admitLow  = flag.Float64("admit-low", 0, "blended load percent below which admission resumes (default admit-high - 25, at least admit-high/2)")
 	)
 	flag.Parse()
 	if *srcPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	shardDesc := ""
-	if *shardSlot != "" {
-		shard, shards, err := runtime.ParseShardSlot(*shardSlot)
-		if err != nil {
-			fatal(err)
-		}
-		shardDesc = fmt.Sprintf(" shard=%d/%d", shard, shards)
-	}
+	dynamic := false
+	flag.Visit(func(f *flag.Flag) { dynamic = dynamic || f.Name == "low-budget" })
 
 	src, err := os.ReadFile(*srcPath)
 	if err != nil {
@@ -129,7 +116,7 @@ func main() {
 	}
 
 	// One shard: the database and the DB-side runtime behind both ports.
-	// With -dynamic the low-budget partition is served behind the same
+	// With -low-budget the low-budget partition is served behind the same
 	// connections (sessions tagged runtime.TagLowBudget route to it) and
 	// a load monitor piggy-backs the server's saturation signal (CPU
 	// proxy, per-session queue depth, lock-wait rate) on every reply of
@@ -139,7 +126,7 @@ func main() {
 	shard := &deploy.Shard{DB: db, High: part, Out: os.Stdout}
 	mon := runtime.NewLoadMonitor(db)
 	dynDesc := ""
-	if *dynamic {
+	if dynamic {
 		if shard.Low, err = sys.PartitionAt(*lowBudget); err != nil {
 			fatal(err)
 		}
@@ -149,28 +136,23 @@ func main() {
 
 	// Admission control: one controller for the control port, with the
 	// session cap and the hysteretic load gate server-wide across its
-	// connections. The load gate reads the same monitor the -dynamic
-	// reports ride.
+	// connections. The load gate reads the same monitor the load reports
+	// ride.
 	admDesc := ""
 	if *maxSessions > 0 || *admitHigh > 0 {
 		admCfg := runtime.AdmissionConfig{MaxSessions: *maxSessions}
 		gateMon := (*runtime.LoadMonitor)(nil) // cap-only unless -admit-high
 		if *admitHigh > 0 {
-			admCfg.HighLoad = *admitHigh
-			admCfg.LowLoad = *admitLow
-			if admCfg.LowLoad <= 0 {
-				admCfg.LowLoad = *admitHigh - 25
-				if admCfg.LowLoad < *admitHigh/2 {
-					admCfg.LowLoad = *admitHigh / 2
-				}
-			}
+			admCfg.HighLoad, admCfg.LowLoad = *admitHigh, *admitLow
 			gateMon = mon
 		}
-		shard.Mux.Admission = runtime.NewAdmissionController(gateMon, admCfg)
-		admDesc = fmt.Sprintf(" admission={max-sessions=%d admit-high=%.0f admit-low=%.0f}",
-			*maxSessions, admCfg.HighLoad, admCfg.LowLoad)
-		if *admitHigh <= 0 {
-			admDesc = fmt.Sprintf(" admission={max-sessions=%d}", *maxSessions)
+		adm := runtime.NewAdmissionController(gateMon, admCfg)
+		shard.Mux.Admission = adm
+		admDesc = fmt.Sprintf(" admission={max-sessions=%d}", *maxSessions)
+		if *admitHigh > 0 {
+			cfg := adm.Config()
+			admDesc = fmt.Sprintf(" admission={max-sessions=%d admit-high=%.0f admit-low=%.0f}",
+				*maxSessions, cfg.HighLoad, cfg.LowLoad)
 		}
 	}
 
@@ -184,8 +166,8 @@ func main() {
 	// handlers are the same dbapi mux set the migrator fences through);
 	// say so at startup so an operator wiring up a rebalance knows this
 	// build can be a migration source or destination.
-	fmt.Printf("pyxis-dbserver: db=%s ctl=%s%s dynamic=%v migration=fence/adopt/release partition={%s}%s%s\n",
-		srv.DB.Addr(), srv.Ctl.Addr(), shardDesc, *dynamic, part.Describe(), dynDesc, admDesc)
+	fmt.Printf("pyxis-dbserver: db=%s ctl=%s dynamic=%v migration=fence/adopt/release partition={%s}%s%s\n",
+		srv.DB.Addr(), srv.Ctl.Addr(), dynamic, part.Describe(), dynDesc, admDesc)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig

@@ -1,8 +1,9 @@
 // Dynamic switching (paper §6.3): two partitions of the same program —
 // stored-procedure-like (high budget) and client-side-queries-like
-// (low budget) — deployed side by side behind a load-driven switcher.
-// As reported database CPU load crosses the 40% threshold, the EWMA
-// shifts new entry invocations to the low-budget partition, and back.
+// (low budget) — served side by side by one database server, with a
+// load-driven switcher on the application side. As reported database
+// CPU load crosses the 40% threshold, the EWMA shifts new entry
+// invocations to the low-budget partition, and back.
 package main
 
 import (
@@ -10,7 +11,7 @@ import (
 	"log"
 
 	"pyxis/internal/bench"
-	"pyxis/internal/runtime"
+	"pyxis/internal/deploy"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
@@ -28,38 +29,37 @@ func main() {
 	fmt.Println("high-budget:", high.Describe())
 	fmt.Println("low-budget: ", low.Describe())
 
-	db := cfg.Load()
-	depHigh := high.Deploy(db, runtime.Options{})
-	depLow := low.Deploy(db, runtime.Options{})
-
-	oidHigh, err := depHigh.Client.NewObject("TPCC")
+	// One shard serving both partitions over loopback TCP. It reports no
+	// load of its own, so the scripted trace below is the only signal.
+	tier, err := deploy.Up(deploy.Topology{High: high, Low: low,
+		NewDB: func(int) (*sqldb.DB, error) { return cfg.Load(), nil }})
 	if err != nil {
 		log.Fatal(err)
 	}
-	oidLow, err := depLow.Client.NewObject("TPCC")
+	defer tier.Close()
+	client, err := tier.Open(0, "TPCC")
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	sw := runtime.NewSwitcher() // alpha 0.2, threshold 40%
-	dyn := &runtime.DynamicClient{High: depHigh.Client, Low: depLow.Client, Switcher: sw}
+	defer client.Close()
+	sw := tier.Router.Switcher(0) // alpha 0.2, threshold 40%
 
 	// Simulated load reports arriving every "10 seconds": idle, spike, recovery.
 	// (The real stack piggy-backs these on mux replies; see
 	// internal/bench.WallDynamic and pyxis-bench -exp dynamic-wall.)
 	loadTrace := []float64{5, 8, 10, 95, 96, 97, 95, 12, 8, 5, 5, 5}
 	run := func(k int64) {
-		// CallEntry picks per call, maps the pick to the matching heap's
-		// OID, and counts the pick on completion — sheds and failures
-		// never inflate the mix.
-		r, err := dyn.CallEntry("TPCC.newOrder", oidHigh, oidLow,
+		// Call picks a partition per call and counts it on completion —
+		// sheds and failures never inflate the mix.
+		before := client.Stats()
+		_, err := client.Call("TPCC.newOrder",
 			val.IntV(1), val.IntV(k%10+1), val.IntV(k%30+1),
 			val.IntV(4), val.IntV(k*13+7), val.IntV(1000), val.BoolV(false))
 		if err != nil {
 			log.Fatal(err)
 		}
 		which := "high"
-		if r.Low {
+		if client.Stats().Low > before.Low {
 			which = "low"
 		}
 		fmt.Printf("  txn %2d served by %s-budget partition\n", k, which)
@@ -76,7 +76,6 @@ func main() {
 		}
 	}
 
-	lowN, highN := dyn.Picks()
-	fmt.Printf("\nserved %d transactions via low-budget, %d via high-budget partitions\n", lowN, highN)
-	_ = sqldb.Open // keep import shape stable
+	st := client.Stats()
+	fmt.Printf("\nserved %d transactions via low-budget, %d via high-budget partitions\n", st.Low, st.High)
 }

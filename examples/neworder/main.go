@@ -47,14 +47,14 @@ func main() {
 		log.Fatal(err)
 	}
 	defer app.Close()
-	client, err := app.Open(0, false, "TPCC")
+	client, err := app.Open(0, "TPCC")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer client.Close()
 
 	for k := int64(0); k < 5; k++ {
-		total, err := client.CallEntry("TPCC.newOrder", client.OID,
+		total, err := client.Call("TPCC.newOrder",
 			val.IntV(1), val.IntV(k%10+1), val.IntV(k%30+1),
 			val.IntV(5), val.IntV(k*37+11), val.IntV(1000), val.BoolV(false))
 		if err != nil {

@@ -152,7 +152,7 @@ type txnOut struct {
 	// the intentional TPC-C rollback).
 	dist, distCommit bool
 	low              bool // the low-budget deployment served it
-	sheds            int  // sheds absorbed inside the call (runtime.DynamicClient)
+	sheds            int  // sheds absorbed inside the call (deploy.Client.Call)
 }
 
 // clientTally is what one client's goroutine counted.

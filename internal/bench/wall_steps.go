@@ -66,6 +66,15 @@ func colocatedMonitor(db *sqldb.DB) *runtime.LoadMonitor {
 	return mon
 }
 
+// call makes one entry call on c and says what it was: kind, whether
+// the low half served it and how many sheds Call absorbed on the way.
+func call(c *deploy.Client, kind txnKind, method string, args ...val.Value) (txnOut, error) {
+	before := c.Stats()
+	_, err := c.Call(method, args...)
+	after := c.Stats()
+	return txnOut{kind: kind, low: after.Low > before.Low, sheds: int(after.Sheds - before.Sheds)}, err
+}
+
 // ---------------------------------------------------------------------------
 // Ledger
 // ---------------------------------------------------------------------------
@@ -99,7 +108,7 @@ func WallLedger(part *pyxis.Partition, cfg WallCfg, mix LedgerMix) (*WallResult,
 	res := newWallResult(d, cfg.Clients, cfg.Clients*cfg.Txns)
 	out, err := drive(cfg.Clients, cfg.Txns,
 		func(i int) (*deploy.Client, error) {
-			c, err := d.Open(d.Router.HomeShard(int64(i)), false, "Ledger", val.IntV(int64(i)))
+			c, err := d.Open(d.Router.HomeShard(int64(i)), "Ledger", val.IntV(int64(i)))
 			if err == nil {
 				res.placed(d, c)
 			}
@@ -107,15 +116,13 @@ func WallLedger(part *pyxis.Partition, cfg WallCfg, mix LedgerMix) (*WallResult,
 		},
 		func(s *deploy.Client, i, k int) (txnOut, error) {
 			if mix.DepositEvery > 0 && k%mix.DepositEvery != 0 {
-				_, err := s.CallEntry("Ledger.balance", s.OID, val.IntV(int64(i)))
-				return txnOut{kind: kindRead}, err
+				return call(s, kindRead, "Ledger.balance", val.IntV(int64(i)))
 			}
 			acct := int64(i)
 			if mix.ShareEvery > 0 && k%mix.ShareEvery == 0 {
 				acct = int64(cfg.Clients) // the contended shared account
 			}
-			_, err := s.CallEntry("Ledger.deposit", s.OID, val.IntV(acct), val.IntV(int64(k)), val.DoubleV(1))
-			return txnOut{kind: kindDeposit}, err
+			return call(s, kindDeposit, "Ledger.deposit", val.IntV(acct), val.IntV(int64(k)), val.DoubleV(1))
 		})
 	if err != nil {
 		return nil, nil, err
@@ -209,7 +216,7 @@ type tpccSession struct {
 // warehouses; the home warehouse picks the shard.
 func openTPCC(d *deploy.Tier, c TPCCConfig, i int) (*tpccSession, error) {
 	shard := d.Router.HomeShard(int64(i%c.Warehouses) + 1)
-	cl, err := d.Open(shard, false, "TPCC")
+	cl, err := d.Open(shard, "TPCC")
 	if err != nil {
 		return nil, err
 	}
@@ -251,11 +258,10 @@ func rollbackJoin(err error, conn dbapi.Conn) error {
 // branch, committed through the 2PC coordinator when the two are on
 // different shards.
 func (s *tpccSession) run(c TPCCConfig, t tpccTxn) (txnOut, error) {
-	out := txnOut{kind: t.kind, remote: t.remoteW != 0}
-	if !out.remote {
-		_, err := s.CallEntry("TPCC."+t.method, s.OID, t.args...)
-		return out, err
+	if t.remoteW == 0 {
+		return call(s.Client, t.kind, "TPCC."+t.method, t.args...)
 	}
+	out := txnOut{kind: t.kind, remote: true}
 	home, branch := s.Conn, s.Conn
 	if rsh := s.d.Router.HomeShard(t.remoteW); rsh != s.Shard {
 		if branch = s.branches[rsh]; branch == nil {
@@ -401,32 +407,11 @@ var DynamicRamp = []struct {
 	Load float64
 }{{"idle", 5}, {"spike", 95}, {"recover", 5}}
 
-// dynSession is one logical client spanning a (high, low) session pair
-// — the low-budget control session rides the tag byte of its mux
-// session ID — with one TPCC object on each heap.
-type dynSession struct {
-	high, low *deploy.Client
-	dyn       *runtime.DynamicClient
-}
+// phaseSession lends a client to one phase of the ramp: the client
+// stays open across phases and WallDynamic closes it.
+type phaseSession struct{ *deploy.Client }
 
-// Close is a no-op: the pair stays open across the ramp's phases and
-// WallDynamic closes it.
-func (*dynSession) Close() error { return nil }
-
-// openDynamic opens one client's session pair on the single server.
-func openDynamic(d *deploy.Tier) (*dynSession, error) {
-	high, err := d.Open(0, false, "TPCC")
-	if err != nil {
-		return nil, err
-	}
-	low, err := d.Open(0, true, "TPCC")
-	if err != nil {
-		high.Close()
-		return nil, err
-	}
-	return &dynSession{high: high, low: low, dyn: &runtime.DynamicClient{High: high.Client, Low: low.Client,
-		Switcher: d.Router.Switcher(0)}}, nil
-}
+func (phaseSession) Close() error { return nil }
 
 // WallDynamic is the wall-clock counterpart of Fig. 11: the paper's
 // §6.3 dynamic switching running live through the concurrent runtime
@@ -435,7 +420,7 @@ func openDynamic(d *deploy.Tier) (*dynSession, error) {
 // samples the server's real saturation signal plus the forced ramp and
 // piggy-backs it on every mux reply. The application side folds the
 // reports into one shared Switcher EWMA while every session routes its
-// next entry call independently through its own DynamicClient — so
+// next entry call independently through its own deploy.Client — so
 // during a load transition, concurrent sessions genuinely disagree
 // about the best deployment. Each phase of DynamicRamp runs cfg.Txns
 // transactions per client on sessions that stay open across phases.
@@ -461,43 +446,40 @@ func WallDynamic(high, low *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix TPCC
 	// The tier feeds the shared EWMA from every reply on both wires:
 	// control transfers while the high-budget deployment serves, database
 	// round trips while the low-budget one does.
-	sessions := make([]*dynSession, cfg.Clients)
+	sessions := make([]*deploy.Client, cfg.Clients)
 	for i := range sessions {
-		s, err := openDynamic(d)
+		s, err := d.Open(0, "TPCC")
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: dynamic session %d: %w", i, err)
 		}
-		defer s.dyn.Close()
+		defer s.Close()
 		sessions[i] = s
-		// One unrecorded warm-up NewOrder per session (the low side stays
-		// cold, which is fine — the goal is warming the shared plan cache
-		// and interpreter paths so phase-boundary latencies reflect
-		// steady state, not cold starts).
+		// One unrecorded warm-up NewOrder per session at idle load, which
+		// the high half serves (the low side stays cold, which is fine —
+		// the goal is warming the shared plan cache and interpreter paths
+		// so phase-boundary latencies reflect steady state, not cold
+		// starts).
 		warm := c.parallelTxn(TPCCMix{}, i, 977_777, 1, int64(c.Warehouses))
 		warm.args[len(warm.args)-1] = val.BoolV(false)
-		if _, err := s.high.CallEntry("TPCC.newOrder", s.high.OID, warm.args...); err != nil {
+		if _, err := s.Call("TPCC.newOrder", warm.args...); err != nil {
 			return nil, nil, fmt.Errorf("bench: dynamic warmup session %d: %w", i, err)
 		}
 	}
 
 	res := newWallResult(d, cfg.Clients, cfg.Clients*cfg.Txns*len(DynamicRamp))
 	for _, s := range sessions {
-		res.placed(d, s.high)
+		res.placed(d, s)
 	}
 	for pi, ph := range DynamicRamp {
 		mon.SetExternal(ph.Load)
 		out, err := drive(cfg.Clients, cfg.Txns,
-			func(i int) (*dynSession, error) {
+			func(i int) (phaseSession, error) {
 				time.Sleep(time.Duration(i) * phaseStagger)
-				return sessions[i], nil
+				return phaseSession{sessions[i]}, nil
 			},
-			func(s *dynSession, i, k int) (txnOut, error) {
-				// CallEntry re-picks per attempt (the EWMA may move between
-				// retries) and absorbs overload sheds with backoff of its
-				// own; what is left over is retry's.
+			func(s phaseSession, i, k int) (txnOut, error) {
 				tx := c.parallelTxn(mix, i, pi*cfg.Txns+k, 1, int64(c.Warehouses))
-				r, err := s.dyn.CallEntry("TPCC."+tx.method, s.high.OID, s.low.OID, tx.args...)
-				return txnOut{kind: tx.kind, low: r.Low, sheds: r.Sheds}, err
+				return call(s.Client, tx.kind, "TPCC."+tx.method, tx.args...)
 			})
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: phase %s: %w", ph.Name, err)

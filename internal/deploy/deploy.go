@@ -53,8 +53,8 @@ type Shard struct {
 var (
 	// ErrProgramMismatch reports shards that serve different programs.
 	ErrProgramMismatch = errors.New("deploy: the shards serve different programs")
-	// ErrNotServed reports an Open of a program the shards do not serve.
-	ErrNotServed = errors.New("deploy: the shards do not serve that program")
+	// ErrNotServed reports an Open against shards that serve no program.
+	ErrNotServed = errors.New("deploy: the shards serve no program")
 )
 
 // Server is a Shard being served: DB is its database wire, Ctl its
@@ -211,45 +211,105 @@ func (a *App) Close() {
 	a.DB.Close()
 }
 
-// Client is one APP-side session homed on a shard: a runtime client
-// whose control transfers ride Ctl and whose APP-side SQL rides Conn,
-// and the object its entry calls are made on.
+// Client is one logical APP-side client homed on a shard: an object
+// of one class on every partitioning the shards serve — the high half,
+// plus the low half when they serve a Low partition (the §6.3 pair) —
+// each on its own control and database sessions. Call picks a half per
+// attempt, so application code never sees the choice. Like the runtime
+// clients it holds, a Client is one logical thread of control.
 type Client struct {
-	*runtime.Client
 	Shard int
-	Ctl   *rpc.MuxSession
-	Conn  *dbapi.Client
-	OID   val.OID
+	// Ctl and Conn are the high half's control and database sessions.
+	Ctl  *rpc.MuxSession
+	Conn *dbapi.Client
+
+	sw     *runtime.Switcher
+	halves []half // high, then low when the shards serve one
+	stats  CallStats
 }
 
-// Open opens a session of the high (or low) program on shard — a
-// control session tagged for that program and a database session — and
-// constructs its object of class. A failed Open holds nothing open; a
-// program the shards do not serve fails with ErrNotServed.
-func (a *App) Open(shard int, low bool, class string, args ...val.Value) (*Client, error) {
-	peer, tag := a.peers[0], uint8(0)
-	if low {
-		peer, tag = a.peers[1], runtime.TagLowBudget
-	}
-	if peer == nil {
+// half is one partitioning's runtime client and the object it made.
+type half struct {
+	rt  *runtime.Client
+	oid val.OID
+}
+
+// CallStats counts a Client's entry calls: completed calls per half and
+// the overload sheds Call absorbed. A failed call counts nowhere.
+type CallStats struct{ High, Low, Sheds int64 }
+
+// Open opens a client on shard and constructs its object of class on
+// each half: per half a control session (tagged runtime.TagLowBudget
+// for the low one) and a database session. A failed Open holds nothing
+// open; a tier that serves no program fails with ErrNotServed.
+func (a *App) Open(shard int, class string, args ...val.Value) (*Client, error) {
+	if a.peers[0] == nil {
 		return nil, ErrNotServed
 	}
-	ctl, err := a.Ctl.TaggedSession(shard, tag)
-	if err != nil {
-		return nil, err
-	}
-	db, err := a.DB.Session(shard)
-	if err != nil {
-		ctl.Close()
-		return nil, err
-	}
-	c := &Client{Shard: shard, Ctl: ctl, Conn: dbapi.NewClient(db)}
-	c.Client = runtime.NewClient(peer.NewSession(c.Conn), ctl)
-	if c.OID, err = c.NewObject(class, args...); err != nil {
-		c.Close()
-		return nil, err
+	c := &Client{Shard: shard, sw: a.Router.Switcher(shard)}
+	for i, tag := range [2]uint8{0, runtime.TagLowBudget} {
+		peer := a.peers[i]
+		if peer == nil {
+			break
+		}
+		ctl, err := a.Ctl.TaggedSession(shard, tag)
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		db, err := a.DB.Session(shard)
+		if err != nil {
+			ctl.Close()
+			c.Close()
+			return nil, err
+		}
+		conn := dbapi.NewClient(db)
+		if i == 0 {
+			c.Ctl, c.Conn = ctl, conn
+		}
+		rt := runtime.NewClient(peer.NewSession(conn), ctl)
+		c.halves = append(c.halves, half{rt: rt}) // Close releases it from here on
+		if c.halves[i].oid, err = rt.NewObject(class, args...); err != nil {
+			c.Close()
+			return nil, err
+		}
 	}
 	return c, nil
+}
+
+// Call invokes the entry method on the client's object. Each attempt
+// runs on the half the shard's switcher picks — the low one while the
+// database server's load average is over its threshold — and an
+// attempt the server shed (rpc.ErrOverloaded) is retried with jittered
+// backoff, picking afresh: the average may have moved. Any other error
+// returns at once; whether to retry it is the caller's decision.
+func (c *Client) Call(method string, args ...val.Value) (val.Value, error) {
+	var ret val.Value
+	sheds, err := runtime.RetryOverloaded(func() error {
+		h, done := c.halves[0], &c.stats.High
+		if len(c.halves) > 1 && c.sw.UseLowBudget() {
+			h, done = c.halves[1], &c.stats.Low
+		}
+		var err error
+		if ret, err = h.rt.CallEntry(method, h.oid, args...); err == nil {
+			*done++
+		}
+		return err
+	})
+	c.stats.Sheds += sheds
+	return ret, err
+}
+
+// Stats returns what the client's calls so far did.
+func (c *Client) Stats() CallStats { return c.stats }
+
+// Close closes every half's sessions.
+func (c *Client) Close() error {
+	var errs []error
+	for _, h := range c.halves {
+		errs = append(errs, h.rt.Close())
+	}
+	return errors.Join(errs...)
 }
 
 // Topology is a whole tier as data: how many shards and which

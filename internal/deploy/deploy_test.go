@@ -2,8 +2,10 @@ package deploy
 
 import (
 	"errors"
+	"math"
 	goruntime "runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,11 +97,11 @@ func TestDeployServesEveryShardAndCloses(t *testing.T) {
 			t.Fatalf("%d databases and %d shards for %d shards", len(tier.DBs), len(tier.shards), top.Map.NumShards())
 		}
 		for shard := range tier.DBs {
-			c, err := tier.Open(shard, false, "Ledger", val.IntV(0))
+			c, err := tier.Open(shard, "Ledger", val.IntV(0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.CallEntry("Ledger.deposit", c.OID, val.IntV(0), val.DoubleV(1)); err != nil {
+			if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
 				t.Fatalf("shard %d: %v", shard, err)
 			}
 			c.Close()
@@ -126,16 +128,19 @@ func TestDeployServesEveryShardAndCloses(t *testing.T) {
 }
 
 // TestListenDialDynamicPair wires one shard the way pyxis-dbserver
-// -dynamic -max-sessions 1 and pyxis-app -dynamic do: the high program
-// must serve through the high DB-side peer alone, the low program over
-// database round trips alone, load reports must ride both wires, and
-// the session cap must shed a second control session but no database
-// session.
+// -low-budget 0 -max-sessions 1 and pyxis-app do: one Open holds both
+// halves, the high program must serve through the high DB-side peer
+// alone and the low program over database round trips alone, load
+// reports must ride both wires and steer the pick, and the session cap
+// must shed a second control session but no database session.
 func TestListenDialDynamicPair(t *testing.T) {
 	parts := ledgerPartitions(t, 1.0, 0)
 	db := ledgerDB(t)
+	var load atomic.Uint64 // the reported load, as float64 bits
 	s := &Shard{DB: db, High: parts[0], Low: parts[1], Mux: rpc.MuxServeConfig{
-		Load:      runtime.NewLoadMonitor(db).Source(),
+		Load: func(int) (rpc.LoadReport, bool) {
+			return rpc.LoadReport{Load: math.Float64frombits(load.Load())}, true
+		},
 		Admission: runtime.NewAdmissionController(nil, runtime.AdmissionConfig{MaxSessions: 1}),
 	}}
 	srv, err := Listen(s, "127.0.0.1:0", "127.0.0.1:0")
@@ -152,35 +157,41 @@ func TestListenDialDynamicPair(t *testing.T) {
 		return s.peers[0].Metrics.Snapshot().Transfers, s.peers[1].Metrics.Snapshot().Transfers
 	}
 
-	high, err := app.Open(0, false, "Ledger", val.IntV(0))
+	c, err := app.Open(0, "Ledger", val.IntV(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer high.Close()
-	if _, err := high.CallEntry("Ledger.deposit", high.OID, val.IntV(0), val.DoubleV(1)); err != nil {
+	defer c.Close()
+	if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
 		t.Fatal(err)
 	}
 	if h, l := transfers(); h == 0 || l != 0 {
-		t.Errorf("high call: %d high and %d low transfers, want > 0 and 0", h, l)
+		t.Errorf("idle call: %d high and %d low transfers, want > 0 and 0", h, l)
 	}
 
-	// The high session holds the one admission slot; the low program
-	// runs on the APP side and never needs one.
-	low, err := app.Open(0, true, "Ledger", val.IntV(0))
-	if err != nil {
+	// The server saturates. Its next report moves the EWMA over the
+	// threshold; the high half holds the one admission slot, and the low
+	// program runs on the APP side and never needs one.
+	load.Store(math.Float64bits(100))
+	if _, err := c.Conn.Query("SELECT balance FROM accounts WHERE cid = 0"); err != nil {
 		t.Fatal(err)
 	}
-	defer low.Close()
+	if !app.Router.Switcher(0).UseLowBudget() {
+		t.Fatalf("a report of 100%% left the switcher high (EWMA %.1f)", app.Router.Load(0))
+	}
 	h0, _ := transfers()
 	ctl0, db0 := app.Ctl.Stats().Calls, app.DB.Stats().Calls
-	if _, err := low.CallEntry("Ledger.deposit", low.OID, val.IntV(0), val.DoubleV(1)); err != nil {
+	if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
 		t.Fatal(err)
 	}
 	if h, l := transfers(); h != h0 || l != 0 || app.Ctl.Stats().Calls != ctl0 {
-		t.Errorf("low call made control transfers: high %d -> %d, low %d, ctl calls %d -> %d", h0, h, l, ctl0, app.Ctl.Stats().Calls)
+		t.Errorf("loaded call made control transfers: high %d -> %d, low %d, ctl calls %d -> %d", h0, h, l, ctl0, app.Ctl.Stats().Calls)
 	}
 	if app.DB.Stats().Calls == db0 {
-		t.Error("low call made no database round trip")
+		t.Error("loaded call made no database round trip")
+	}
+	if got, want := c.Stats(), (CallStats{High: 1, Low: 1}); got != want {
+		t.Errorf("stats %+v, want %+v", got, want)
 	}
 	if got := balance(t, db); got != 2 {
 		t.Errorf("balance %v after two deposits, want 2", got)
@@ -241,8 +252,9 @@ func TestDialRefusesMismatchedShards(t *testing.T) {
 }
 
 // TestOpenLowWithoutLowProgram: a shard that serves no low program
-// cannot open a low session. Open says so with ErrNotServed instead of
-// running the session on the high program.
+// gives a client the high half alone, which serves every call even
+// while the switcher says low; a shard that serves no program at all
+// cannot open a client, and says so with ErrNotServed.
 func TestOpenLowWithoutLowProgram(t *testing.T) {
 	srv, err := Listen(&Shard{DB: ledgerDB(t), High: ledgerPartitions(t, 1.0)[0]}, "127.0.0.1:0", "127.0.0.1:0")
 	if err != nil {
@@ -257,15 +269,33 @@ func TestOpenLowWithoutLowProgram(t *testing.T) {
 	if app.High == nil || app.Low != nil {
 		t.Fatalf("rebuilt high %v and low %v, want only a high partition", app.High, app.Low)
 	}
-	if c, err := app.Open(0, true, "Ledger", val.IntV(0)); !errors.Is(err, ErrNotServed) {
-		if c != nil {
-			c.Close()
-		}
-		t.Fatalf("low Open against a shard with no low program: err %v, want ErrNotServed", err)
-	}
-	c, err := app.Open(0, false, "Ledger", val.IntV(0))
+	c, err := app.Open(0, "Ledger", val.IntV(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
+	defer c.Close()
+	app.Router.Switcher(0).Observe(100)
+	if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Stats(), (CallStats{High: 1}); got != want {
+		t.Errorf("stats %+v with no low program, want %+v", got, want)
+	}
+
+	bare, err := Listen(&Shard{DB: ledgerDB(t)}, "127.0.0.1:0", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	sqlOnly, err := Dial(runtime.NewShardedClient(runtime.ShardMap{}), []string{bare.DB.Addr()}, nil, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sqlOnly.Close()
+	if c, err := sqlOnly.Open(0, "Ledger", val.IntV(0)); !errors.Is(err, ErrNotServed) {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("Open against a shard with no program: err %v, want ErrNotServed", err)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,6 +134,38 @@ func TestMuxLoadReportCodecProperty(t *testing.T) {
 		if _, _, err := newFramer(conn).readLoadReport(len(body)); !errors.Is(err, ErrShortBuffer) {
 			t.Errorf("report %x: readLoadReport error %v, want ErrShortBuffer", body, err)
 		}
+	}
+}
+
+// TestLoadReportRejectsNonFinite: a report with a NaN or infinite
+// field is corrupt, in the slice decoder and the in-place reader alike,
+// and a client that receives one fails the connection instead of
+// handing the value to its load sink (a switcher's average would keep
+// it for good).
+func TestLoadReportRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, rep := range []LoadReport{{Load: bad}, {CPU: bad}, {LockWaitRate: bad}} {
+			body := appendLoadReport(nil, rep)
+			if _, _, err := splitLoadReport(body); !errors.Is(err, ErrLoadNotFinite) {
+				t.Errorf("report %+v: splitLoadReport error %v, want ErrLoadNotFinite", rep, err)
+			}
+			conn := &bufConn{}
+			conn.Write(body)
+			if _, _, err := newFramer(conn).readLoadReport(len(body)); !errors.Is(err, ErrLoadNotFinite) {
+				t.Errorf("report %+v: readLoadReport error %v, want ErrLoadNotFinite", rep, err)
+			}
+		}
+	}
+
+	echo := HandlerFactory(func(uint32) Handler {
+		return func(req []byte) ([]byte, error) { return req, nil }
+	})
+	src := func(int) (LoadReport, bool) { return LoadReport{Load: math.NaN()}, true }
+	c := pipeMuxConfig(t, echo, MuxServeConfig{Load: src})
+	c.SetOnLoad(func(r LoadReport) { t.Errorf("a non-finite report reached the sink: %+v", r) })
+	_, err := c.Session().Call([]byte("x"))
+	if err == nil || !strings.Contains(err.Error(), "load report corrupt") {
+		t.Errorf("call under a NaN report: err %v, want the connection failed with a corrupt load report", err)
 	}
 }
 

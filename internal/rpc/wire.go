@@ -22,6 +22,11 @@ import (
 // ErrShortBuffer reports a truncated or corrupt message.
 var ErrShortBuffer = errors.New("rpc: short buffer")
 
+// ErrLoadNotFinite reports a load report with a field that is not a
+// finite number. One NaN or infinity folded into a load average keeps
+// it there for good, so the report is corrupt.
+var ErrLoadNotFinite = errors.New("rpc: load report not finite")
+
 // Writer serializes primitive values into a growing byte buffer. A
 // single-threaded owner that encodes one message at a time keeps one
 // Writer and Resets it per message, so the buffer grows to the largest
@@ -300,7 +305,8 @@ func appendLoadReport(dst []byte, rep LoadReport) []byte {
 }
 
 // splitLoadReport decodes a length-prefixed report from the front of
-// body and returns it with the remaining payload.
+// body and returns it with the remaining payload. A report with a NaN
+// or infinite field fails with ErrLoadNotFinite.
 func splitLoadReport(body []byte) (LoadReport, []byte, error) {
 	if len(body) < 1 {
 		return LoadReport{}, nil, fmt.Errorf("rpc: load report missing length: %w", ErrShortBuffer)
@@ -315,6 +321,11 @@ func splitLoadReport(body []byte) (LoadReport, []byte, error) {
 		CPU:          r.F64(),
 		LockWaitRate: r.F64(),
 		QueueDepth:   r.U32(),
+	}
+	for _, f := range [...]float64{rep.Load, rep.CPU, rep.LockWaitRate} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return LoadReport{}, nil, fmt.Errorf("rpc: load report field %v: %w", f, ErrLoadNotFinite)
+		}
 	}
 	return rep, body[1+n:], nil
 }

@@ -17,7 +17,7 @@ import (
 // per-session mux queue depth, the sqldb lock-wait rate, the CPU
 // proxy, plus any external load — and on a hard concurrent-session
 // cap. Refusals travel as the typed rpc.ErrOverloaded shed, so every
-// existing client backoff path (DynamicClient, bench drivers,
+// existing client backoff path (deploy.Client.Call, bench drivers,
 // pyxis-app) just works.
 //
 // The load gate is hysteretic: shedding engages when the blended load
@@ -49,8 +49,9 @@ type AdmissionConfig struct {
 	// engages (default 85).
 	HighLoad float64
 	// LowLoad is the blended load percent below which shedding
-	// releases (default 60). Values >= HighLoad are clamped under it —
-	// an inverted band would flap exactly like no band at all.
+	// releases (default HighLoad − 25, at least HighLoad/2: 60 at the
+	// default HighLoad). Values >= HighLoad are clamped under it — an
+	// inverted band would flap exactly like no band at all.
 	LowLoad float64
 }
 
@@ -68,7 +69,7 @@ func NewAdmissionController(mon *LoadMonitor, cfg AdmissionConfig) *AdmissionCon
 		cfg.HighLoad = 85
 	}
 	if cfg.LowLoad <= 0 {
-		cfg.LowLoad = 60
+		cfg.LowLoad = max(cfg.HighLoad-25, cfg.HighLoad/2)
 	}
 	if cfg.LowLoad >= cfg.HighLoad {
 		cfg.LowLoad = cfg.HighLoad - 1
@@ -139,6 +140,9 @@ func (a *AdmissionController) AdmitCall(sid uint32, queueLen int) error {
 // SessionClosed implements rpc.AdmissionPolicy: it releases the slot
 // AdmitSession reserved.
 func (a *AdmissionController) SessionClosed(sid uint32) { a.sessions.Add(-1) }
+
+// Config returns the configuration in force, defaults filled in.
+func (a *AdmissionController) Config() AdmissionConfig { return a.cfg }
 
 // Shedding reports whether the load gate is currently refusing work.
 func (a *AdmissionController) Shedding() bool { return a.shedding.Load() }

@@ -90,6 +90,21 @@ func TestAdmissionHysteresis(t *testing.T) {
 	}
 }
 
+// TestAdmissionReleaseDefault: an unset LowLoad releases 25 points
+// under HighLoad, never below half of it; a set one is kept unless it
+// inverts the band.
+func TestAdmissionReleaseDefault(t *testing.T) {
+	for _, c := range []struct{ high, low, want float64 }{
+		{0, 0, 60}, {85, 0, 60}, {100, 0, 75}, {40, 0, 20}, {10, 0, 5},
+		{80, 40, 40}, {80, 90, 79},
+	} {
+		cfg := NewAdmissionController(nil, AdmissionConfig{HighLoad: c.high, LowLoad: c.low}).Config()
+		if cfg.LowLoad != c.want {
+			t.Errorf("HighLoad %v LowLoad %v: release at %v, want %v", c.high, c.low, cfg.LowLoad, c.want)
+		}
+	}
+}
+
 // TestAdmissionCallShedWhileSaturated covers the per-call gate: while
 // shedding, a session with a deep queue is refused but an idle one
 // keeps progressing; after recovery the deep queue is admitted again.

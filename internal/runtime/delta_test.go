@@ -165,7 +165,7 @@ class P {
 `
 
 // TestShedTransferKeepsFieldMarks: the first transfer, which syncs the
-// DB part with a and b set, is shed and retried the way DynamicClient
+// DB part with a and b set, is shed and retried the way deploy.Client.Call
 // retries (RetryOverloaded). The retry syncs b alone; a must travel
 // with it, because the shed request never reached the DB.
 func TestShedTransferKeepsFieldMarks(t *testing.T) {

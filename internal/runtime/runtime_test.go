@@ -2,8 +2,6 @@ package runtime
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -272,87 +270,6 @@ func TestSwitcherEWMA(t *testing.T) {
 	s2.Observe(100) // first sample initializes
 	if got := s2.Observe(0); got != 50 {
 		t.Errorf("ewma = %v, want 50", got)
-	}
-}
-
-func TestDynamicClientPickCounting(t *testing.T) {
-	sw := NewSwitcher()
-	d := &DynamicClient{High: &Client{}, Low: &Client{}, Switcher: sw}
-	cl, doneHigh := d.Pick()
-	if cl != d.High {
-		t.Error("should pick high initially")
-	}
-	if low, high := d.Picks(); low != 0 || high != 0 {
-		// Regression: the old implementation counted at pick time, so
-		// in-flight, shed and failed calls inflated the mix.
-		t.Errorf("in-flight call already counted: picks = %d,%d", low, high)
-	}
-	doneHigh(nil)
-	for i := 0; i < 5; i++ {
-		sw.Observe(99)
-	}
-	cl, doneLow := d.Pick()
-	if cl != d.Low {
-		t.Error("should pick low under load")
-	}
-	// A call the server shed tallies separately, not in the mix...
-	_, doneShed := d.Pick()
-	doneShed(fmt.Errorf("runtime: control transfer failed: %w", rpc.ErrOverloaded))
-	// ...and so does any other failure.
-	_, doneFail := d.Pick()
-	doneFail(errors.New("deadlock victim"))
-	doneLow(nil)
-	low, high := d.Picks()
-	if low != 1 || high != 1 {
-		t.Errorf("picks = %d,%d, want 1,1", low, high)
-	}
-	if d.Sheds() != 1 {
-		t.Errorf("sheds = %d, want 1", d.Sheds())
-	}
-	if d.Errors() != 1 {
-		t.Errorf("errors = %d, want 1", d.Errors())
-	}
-}
-
-// TestDynamicClientCallEntrySheds: CallEntry backs off on every shed,
-// picks a deployment afresh for each attempt, and reports the sheds it
-// absorbed with the value of the attempt that got through.
-func TestDynamicClientCallEntrySheds(t *testing.T) {
-	place := []func(*pdg.Graph, pdg.Placement){placeStmts("far", 0), placeOnDB("Life", []string{"bump"})}
-	high, low := deployLife(t, place...), deployLife(t, place...)
-	oidHigh, err := high.Client.NewObject("Life")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oidLow, err := low.Client.NewObject("Life")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := NewSwitcher()
-	// The high deployment's server is saturated: it sheds, and its load
-	// report moves the switcher to the low one, which sheds once more.
-	high.hook.before = func(int) error {
-		sw.Observe(99)
-		return rpc.ErrOverloaded
-	}
-	lowSheds := 1
-	low.hook.before = func(int) error {
-		if lowSheds > 0 {
-			lowSheds--
-			return rpc.ErrOverloaded
-		}
-		return nil
-	}
-	d := &DynamicClient{High: high.Client, Low: low.Client, Switcher: sw}
-	res, err := d.CallEntry("Life.far", oidHigh, oidLow, val.IntV(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Val.I != 12 || !res.Low || res.Sheds != 2 {
-		t.Errorf("result = %+v, want far(1) = 12 served by low after 2 sheds", res)
-	}
-	if lowPicks, highPicks := d.Picks(); lowPicks != 1 || highPicks != 0 || d.Sheds() != 2 {
-		t.Errorf("picks = %d,%d sheds = %d, want 1,0 and 2", lowPicks, highPicks, d.Sheds())
 	}
 }
 

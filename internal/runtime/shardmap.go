@@ -20,8 +20,6 @@ package runtime
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -147,25 +145,6 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// ParseShardSlot parses a "i/n" shard-slot spec (0-based index i of n
-// shards), the form cmd/pyxis-dbserver's -shard flag takes.
-func ParseShardSlot(spec string) (shard, shards int, err error) {
-	i, n, ok := strings.Cut(spec, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("shard slot %q: want \"i/n\" (0-based shard i of n)", spec)
-	}
-	if shard, err = strconv.Atoi(strings.TrimSpace(i)); err != nil {
-		return 0, 0, fmt.Errorf("shard slot %q: bad shard index: %w", spec, err)
-	}
-	if shards, err = strconv.Atoi(strings.TrimSpace(n)); err != nil {
-		return 0, 0, fmt.Errorf("shard slot %q: bad shard count: %w", spec, err)
-	}
-	if shards < 1 || shard < 0 || shard >= shards {
-		return 0, 0, fmt.Errorf("shard slot %q: index must be in [0, %d)", spec, shards)
-	}
-	return shard, shards, nil
 }
 
 // ShardedClient is the app side's view of a sharded DB tier: it picks

@@ -111,21 +111,6 @@ func TestShardMapHashFallback(t *testing.T) {
 	}
 }
 
-// TestParseShardSlot covers the -shard flag format.
-func TestParseShardSlot(t *testing.T) {
-	if shard, shards, err := ParseShardSlot("2/4"); err != nil || shard != 2 || shards != 4 {
-		t.Errorf("ParseShardSlot(2/4) = %d, %d, %v", shard, shards, err)
-	}
-	if shard, shards, err := ParseShardSlot(" 0 / 1 "); err != nil || shard != 0 || shards != 1 {
-		t.Errorf("ParseShardSlot(' 0 / 1 ') = %d, %d, %v", shard, shards, err)
-	}
-	for _, bad := range []string{"", "3", "4/4", "-1/4", "a/4", "1/b", "1/0", "1/-2"} {
-		if _, _, err := ParseShardSlot(bad); err == nil {
-			t.Errorf("ParseShardSlot(%q) accepted", bad)
-		}
-	}
-}
-
 // TestShardedClientPerShardEWMA pins the per-shard isolation of the
 // load state: saturating shard 0's reports routes shard 0's sessions
 // low while shard 1 — and only shard 1 — stays high.

@@ -1,12 +1,9 @@
 package runtime
 
 import (
-	"errors"
 	"sync"
-	"sync/atomic"
 
 	"pyxis/internal/rpc"
-	"pyxis/internal/val"
 )
 
 // Switcher implements the dynamic partitioning selection of paper
@@ -87,101 +84,4 @@ func (s *Switcher) UseLowBudget() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.low
-}
-
-// DynamicClient routes each entry invocation of one logical client
-// session to one of two live deployments of the same program — one
-// generated with a high DB-CPU budget (stored-procedure-like) and one
-// with a low budget (client-side-query like) — according to the
-// shared switcher. This mirrors the paper's TPC-C dynamic switching
-// experiment, which pre-generates exactly two partitionings. Like the
-// clients it wraps, a DynamicClient serves a single logical thread of
-// control, but its counters are atomic so many DynamicClients can
-// share one Switcher while a coordinator reads the aggregate mix.
-type DynamicClient struct {
-	High, Low *Client
-	Switcher  *Switcher
-
-	lowPicks  atomic.Int64 // completed low-budget calls
-	highPicks atomic.Int64 // completed high-budget calls
-	sheds     atomic.Int64 // calls shed by an overloaded server
-	fails     atomic.Int64 // calls that failed for any other reason
-}
-
-// Pick chooses the deployment for the next call and returns it with a
-// completion callback: invoke done(err) once the call finishes. Only
-// completed calls count toward the pick mix — a call the server shed
-// (rpc.ErrOverloaded) tallies as a shed and any other failure as an
-// error, so retried and failed calls never inflate the mix.
-func (d *DynamicClient) Pick() (cl *Client, done func(error)) {
-	if d.Switcher.UseLowBudget() {
-		return d.Low, func(err error) { d.finish(&d.lowPicks, err) }
-	}
-	return d.High, func(err error) { d.finish(&d.highPicks, err) }
-}
-
-func (d *DynamicClient) finish(picks *atomic.Int64, err error) {
-	switch {
-	case err == nil:
-		picks.Add(1)
-	case errors.Is(err, rpc.ErrOverloaded):
-		d.sheds.Add(1)
-	default:
-		d.fails.Add(1)
-	}
-}
-
-// CallResult reports how a routed entry invocation concluded.
-type CallResult struct {
-	Val val.Value
-	// Low reports whether the low-budget deployment served the final
-	// attempt.
-	Low bool
-	// Sheds is the number of overloaded replies absorbed by backoff.
-	Sheds int
-}
-
-// CallEntry routes one entry invocation through the switcher: it picks
-// a deployment per attempt (the EWMA may move between retries), maps
-// the pick to that deployment's receiver OID, completes the pick, and
-// retries sheds through RetryOverloaded. Non-overload errors return
-// immediately — retry policy for application errors (e.g. deadlock
-// victims) belongs to the caller.
-func (d *DynamicClient) CallEntry(qname string, oidHigh, oidLow val.OID, args ...val.Value) (CallResult, error) {
-	var res CallResult
-	sheds, err := RetryOverloaded(func() error {
-		cl, done := d.Pick()
-		res.Low = cl == d.Low
-		oid := oidHigh
-		if res.Low {
-			oid = oidLow
-		}
-		ret, err := cl.CallEntry(qname, oid, args...)
-		done(err)
-		res.Val = ret
-		return err
-	})
-	res.Sheds = int(sheds)
-	return res, err
-}
-
-// Picks returns (completed low-budget calls, completed high-budget
-// calls).
-func (d *DynamicClient) Picks() (low, high int64) {
-	return d.lowPicks.Load(), d.highPicks.Load()
-}
-
-// Sheds returns how many calls the server shed under overload.
-func (d *DynamicClient) Sheds() int64 { return d.sheds.Load() }
-
-// Errors returns how many calls failed for non-overload reasons.
-func (d *DynamicClient) Errors() int64 { return d.fails.Load() }
-
-// Close closes both underlying clients.
-func (d *DynamicClient) Close() error {
-	err := d.High.Close()
-	if lerr := d.Low.Close(); err == nil {
-		err = lerr
-	}
-	return err
 }

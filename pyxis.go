@@ -18,9 +18,10 @@
 //	oid, _ := dep.Client.NewObject("Order", val.IntV(42))
 //	dep.Client.CallEntry("Order.placeOrder", oid, val.IntV(7), val.DoubleV(0.9))
 //
-// Multiple partitions generated at different budgets can be installed
-// behind a runtime.DynamicClient, which switches between them as
-// database load changes (§6.3).
+// A database server can serve two partitions generated at different
+// budgets; every deploy.Client on the application side then holds
+// both, and its Call switches between them as database load changes
+// (§6.3).
 package pyxis
 
 import (
