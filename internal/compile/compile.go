@@ -377,14 +377,9 @@ func (c *compiler) assign(st *source.AssignStmt, loc pdg.Loc) error {
 			old := c.temp()
 			c.ensureLoc(loc)
 			c.emit(Instr{Op: OpGetField, A: old, B: obj, Field: fr})
-			rhs, err := c.expr(st.RHS, loc)
-			if err != nil {
+			if src, err = c.compound(st, old, loc); err != nil {
 				return err
 			}
-			c.ensureLoc(loc)
-			res := c.temp()
-			c.emit(Instr{Op: OpBin, A: res, B: old, C: rhs, Sub: compoundOp(st.Op)})
-			src = res
 		}
 		c.ensureLoc(loc)
 		c.emit(Instr{Op: OpSetField, A: obj, B: src, Field: fr})
@@ -415,14 +410,9 @@ func (c *compiler) assign(st *source.AssignStmt, loc pdg.Loc) error {
 			old := c.temp()
 			c.ensureLoc(loc)
 			c.emit(Instr{Op: OpGetIdx, A: old, B: arr, C: idx})
-			rhs, err := c.expr(st.RHS, loc)
-			if err != nil {
+			if src, err = c.compound(st, old, loc); err != nil {
 				return err
 			}
-			c.ensureLoc(loc)
-			res := c.temp()
-			c.emit(Instr{Op: OpBin, A: res, B: old, C: rhs, Sub: compoundOp(st.Op)})
-			src = res
 		}
 		c.ensureLoc(loc)
 		c.emit(Instr{Op: OpSetIdx, A: arr, B: idx, C: src})
@@ -435,10 +425,19 @@ func (c *compiler) assign(st *source.AssignStmt, loc pdg.Loc) error {
 }
 
 // rhsValue computes the value to store for an assignment with target
-// slot dst (compound ops read the old value first).
+// slot dst.
 func (c *compiler) rhsValue(st *source.AssignStmt, dst int, loc pdg.Loc) (int, error) {
 	if st.Op == source.AsnSet {
 		return c.expr(st.RHS, loc)
+	}
+	return c.compound(st, dst, loc)
+}
+
+// compound computes a compound assignment's new value from the slot
+// old holding the target's value: `s += a + b` is concat(s, a, b).
+func (c *compiler) compound(st *source.AssignStmt, old int, loc pdg.Loc) (int, error) {
+	if st.Op == source.AsnAdd && st.LHS.Type().K == source.KString {
+		return c.concat(st.RHS, loc, old)
 	}
 	rhs, err := c.expr(st.RHS, loc)
 	if err != nil {
@@ -446,7 +445,7 @@ func (c *compiler) rhsValue(st *source.AssignStmt, dst int, loc pdg.Loc) (int, e
 	}
 	c.ensureLoc(loc)
 	res := c.temp()
-	c.emit(Instr{Op: OpBin, A: res, B: dst, C: rhs, Sub: compoundOp(st.Op)})
+	c.emit(Instr{Op: OpBin, A: res, B: old, C: rhs, Sub: compoundOp(st.Op)})
 	return res, nil
 }
 
@@ -547,6 +546,9 @@ func (c *compiler) expr(e source.Expr, loc pdg.Loc) (int, error) {
 		if x.Op == source.OpAnd || x.Op == source.OpOr {
 			return c.shortCircuit(x, loc)
 		}
+		if isConcat(x) {
+			return c.concat(x, loc)
+		}
 		l, err := c.expr(x.L, loc)
 		if err != nil {
 			return 0, err
@@ -626,6 +628,48 @@ func (c *compiler) expr(e source.Expr, loc pdg.Loc) (int, error) {
 		return c.builtin(x, loc)
 	}
 	return 0, fmt.Errorf("compile: unhandled expression %T", e)
+}
+
+// concat compiles a string-building expression — a string `+` tree,
+// sys.str, or the two nested — into one OpConcat over its leaf
+// operands, evaluated left to right into slots. head holds slots that
+// come before them (the old value of `s += …`).
+func (c *compiler) concat(e source.Expr, loc pdg.Loc, head ...int) (int, error) {
+	args, err := c.concatOperands(e, loc, head)
+	if err != nil {
+		return 0, err
+	}
+	c.ensureLoc(loc)
+	dst := c.temp()
+	c.emit(Instr{Op: OpConcat, A: dst, Args: args})
+	return dst, nil
+}
+
+func (c *compiler) concatOperands(e source.Expr, loc pdg.Loc, args []int) ([]int, error) {
+	switch x := e.(type) {
+	case *source.BinaryExpr:
+		if isConcat(x) {
+			args, err := c.concatOperands(x.L, loc, args)
+			if err != nil {
+				return nil, err
+			}
+			return c.concatOperands(x.R, loc, args)
+		}
+	case *source.BuiltinExpr:
+		if x.B == source.BStr {
+			return c.concatOperands(x.Args[0], loc, args)
+		}
+	}
+	s, err := c.expr(e, loc)
+	if err != nil {
+		return nil, err
+	}
+	return append(args, s), nil
+}
+
+// isConcat reports whether x is a string `+`.
+func isConcat(x *source.BinaryExpr) bool {
+	return x.Op == source.OpAdd && x.T.K == source.KString
 }
 
 func (c *compiler) shortCircuit(x *source.BinaryExpr, loc pdg.Loc) (int, error) {
@@ -709,19 +753,18 @@ func (c *compiler) builtin(x *source.BuiltinExpr, loc pdg.Loc) (int, error) {
 		c.emit(Instr{Op: OpPrint, Args: args})
 		return c.zeroSlot(loc), nil
 
-	case source.BSha1, source.BStr:
+	case source.BSha1:
 		src, err := c.expr(x.Args[0], loc)
 		if err != nil {
 			return 0, err
 		}
 		c.ensureLoc(loc)
 		dst := c.temp()
-		op := OpSha1
-		if x.B == source.BStr {
-			op = OpStr
-		}
-		c.emit(Instr{Op: op, A: dst, B: src})
+		c.emit(Instr{Op: OpSha1, A: dst, B: src})
 		return dst, nil
+
+	case source.BStr:
+		return c.concat(x, loc)
 
 	case source.BRows:
 		tbl, err := c.expr(x.Recv, loc)

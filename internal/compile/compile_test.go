@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -185,5 +186,70 @@ func TestDisassembleAndStats(t *testing.T) {
 	}
 	if !strings.Contains(p.Stats(), "blocks=") {
 		t.Error("stats malformed")
+	}
+}
+
+const concatSrc = `
+class Page {
+    string title;
+    string[] rows;
+
+    Page() {
+        title = "t";
+        rows = new string[2];
+    }
+
+    entry string render(string t, double p, int n) {
+        string html = "<ul>";
+        html = html + "<li>" + t + " $" + sys.str(p) + "</li>";
+        html += sys.str(n) + sys.str(t + "!");
+        title += t + "?";
+        rows[n % 2] += t + "";
+        return sys.str(n);
+    }
+}
+`
+
+// TestConcatFolds pins the string-building shapes: a `+` chain, sys.str
+// inside it and around a chain, and `+=` of a chain onto a local, a
+// field and an array element each compile to one concat over the leaf
+// operands, the compound ones headed by the target's old value; a lone
+// sys.str is a one-operand concat. No string `+` is left to OpBin.
+func TestConcatFolds(t *testing.T) {
+	p := compileAllApp(t, concatSrc)
+	// Name each operand: render's parameters and html by name, any
+	// other slot by the instruction that last wrote it.
+	names := map[int]string{1: "t", 2: "p", 3: "n"}
+	var got []string
+	for _, b := range methodBlocks(p, p.Method("Page.render")) {
+		for _, in := range b.Code {
+			if in.Op == OpBin && source.BinOp(in.Sub) == source.OpAdd {
+				t.Errorf("string + left to bin: %+v", in)
+			}
+			if in.Op == OpConcat {
+				var ops []string
+				for _, a := range in.Args {
+					ops = append(ops, names[a])
+				}
+				got = append(got, strings.Join(ops, " "))
+			}
+			switch {
+			case in.Op == OpMove && names[in.A] == "":
+				names[in.A] = "html"
+			case in.Op != OpSetField && in.Op != OpSetIdx && names[in.A] != "html":
+				names[in.A] = opNames[in.Op]
+			}
+		}
+	}
+	want := []string{
+		"getfield t const",           // title += t + "?"
+		"getidx t const",             // rows[n % 2] += t + ""
+		"html const t const p const", // html = html + "<li>" + t + " $" + sys.str(p) + "</li>"
+		"html n t const",             // html += sys.str(n) + sys.str(t + "!")
+		"n",                          // sys.str(n)
+	}
+	sort.Strings(got)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("concat operands:\n  %s\nwant\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 	}
 }

@@ -285,7 +285,7 @@ func computeLiveness(p *Program) {
 // defSlot returns the slot in writes, -1 when it writes none.
 func defSlot(in *Instr) int {
 	switch in.Op {
-	case OpConst, OpNewObj, OpMove, OpUn, OpConv, OpGetField, OpLen, OpSha1, OpStr, OpTblRows, OpNewArr,
+	case OpConst, OpNewObj, OpMove, OpUn, OpConv, OpGetField, OpLen, OpSha1, OpConcat, OpTblRows, OpNewArr,
 		OpBin, OpGetIdx, OpDBQuery, OpDBExec, OpTblGet:
 		return in.A
 	}
@@ -297,7 +297,7 @@ func defSlot(in *Instr) int {
 func stepLiveness(live []uint64, in *Instr) {
 	clearBit(live, defSlot(in))
 	switch in.Op {
-	case OpMove, OpUn, OpConv, OpGetField, OpLen, OpSha1, OpStr, OpTblRows, OpNewArr:
+	case OpMove, OpUn, OpConv, OpGetField, OpLen, OpSha1, OpTblRows, OpNewArr:
 		setBit(live, in.B)
 	case OpBin, OpGetIdx:
 		setBit(live, in.B)
@@ -319,14 +319,17 @@ func stepLiveness(live []uint64, in *Instr) {
 		for _, a := range in.Args {
 			setBit(live, a)
 		}
-	case OpPrint:
+	case OpPrint, OpConcat:
 		for _, a := range in.Args {
 			setBit(live, a)
 		}
 	case OpSendPart, OpSendNative:
 		setBit(live, in.A)
-	case OpDBBegin, OpDBCommit, OpDBRollback:
-		// no slot traffic
+	case OpConst, OpNewObj, OpDBBegin, OpDBCommit, OpDBRollback:
+		// no slot reads
+	default:
+		// Compile emits no other opcode, and the verifier rejects one.
+		panic(fmt.Sprintf("compile: liveness of unknown opcode %d", in.Op))
 	}
 }
 

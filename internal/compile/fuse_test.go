@@ -258,3 +258,23 @@ func TestFuseDeterministic(t *testing.T) {
 		t.Fatal("fusion is not deterministic across identical compiles")
 	}
 }
+
+// TestEveryOpHasLiveness holds Fuse's register model to the opcode
+// list: every opcode below NumOps has a stepLiveness case (the default
+// panics) and a disassembly name.
+func TestEveryOpHasLiveness(t *testing.T) {
+	for op := Op(0); op < NumOps; op++ {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("opcode %d: stepLiveness has no case: %v", op, r)
+				}
+			}()
+			in := Instr{Op: op, A: 1, B: 2, C: 3, Args: []int{4, 5}}
+			stepLiveness(make([]uint64, 1), &in)
+		}()
+		if _, ok := opNames[op]; !ok {
+			t.Errorf("opcode %d has no disassembly name", op)
+		}
+	}
+}

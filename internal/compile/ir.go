@@ -44,11 +44,14 @@ const (
 	OpDBRollback
 	OpPrint      // print slots[Args...]
 	OpSha1       // slots[A] = sha1(slots[B])
-	OpStr        // slots[A] = str(slots[B])
+	OpConcat     // slots[A] = str(slots[Args[0]]) + str(slots[Args[1]]) + …
 	OpTblRows    // slots[A] = rows(slots[B])
 	OpTblGet     // slots[A] = slots[B].get(slots[C], slots[Args[0]]) as Sub(Builtin)
 	OpSendPart   // mark object slots[A]'s Sub(Loc) part for sync
 	OpSendNative // mark array/table slots[A] for sync (no-op on scalars)
+
+	// NumOps counts the opcodes above; an Op at or past it is unknown.
+	NumOps
 )
 
 var opNames = map[Op]string{
@@ -57,7 +60,7 @@ var opNames = map[Op]string{
 	OpSetField: "setfield", OpGetIdx: "getidx", OpSetIdx: "setidx", OpLen: "len",
 	OpDBQuery: "dbquery", OpDBExec: "dbexec", OpDBBegin: "dbbegin",
 	OpDBCommit: "dbcommit", OpDBRollback: "dbrollback", OpPrint: "print",
-	OpSha1: "sha1", OpStr: "str", OpTblRows: "tblrows", OpTblGet: "tblget",
+	OpSha1: "sha1", OpConcat: "concat", OpTblRows: "tblrows", OpTblGet: "tblget",
 	OpSendPart: "sendpart", OpSendNative: "sendnative",
 }
 

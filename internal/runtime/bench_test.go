@@ -80,21 +80,25 @@ func browsingMix(tb testing.TB) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	entries := []string{"TPCW.home", "TPCW.productDetail", "TPCW.searchByTitle", "TPCW.newProducts", "TPCW.bestSellers", "TPCW.orderInquiry"}
+	arg := make([]val.Value, 1)
 	k := int64(0)
 	return func() {
-		for _, m := range []string{"home", "productDetail", "searchByTitle", "newProducts", "bestSellers", "orderInquiry"} {
-			var args []val.Value
+		for _, m := range entries {
+			args := arg
 			switch m {
-			case "home", "orderInquiry":
-				args = append(args, val.IntV(k%100+1))
-			case "productDetail":
-				args = append(args, val.IntV(k%int64(cfg.Items)+1))
-			case "searchByTitle":
-				args = append(args, val.IntV(k%100))
-			case "newProducts":
-				args = append(args, val.IntV(20000000+k%3650))
+			case "TPCW.home", "TPCW.orderInquiry":
+				args[0] = val.IntV(k%100 + 1)
+			case "TPCW.productDetail":
+				args[0] = val.IntV(k%int64(cfg.Items) + 1)
+			case "TPCW.searchByTitle":
+				args[0] = val.IntV(k % 100)
+			case "TPCW.newProducts":
+				args[0] = val.IntV(20000000 + k%3650)
+			default:
+				args = nil
 			}
-			if _, err := dep.Client.CallEntry("TPCW."+m, obj, args...); err != nil {
+			if _, err := dep.Client.CallEntry(m, obj, args...); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -209,6 +213,10 @@ func TestAllocCeilings(t *testing.T) {
 		{"NewOrder at budget 1", 24, newOrderSP(t)},
 		{"NewOrder at budget 0", 46, newOrderAt(t, 0)},
 		{"NewOrder at budget 0.5", 36, newOrderAt(t, 0.5)},
+		// One allocation per page line, which builds its string with one
+		// concat. The first 200 mixes measured here make longer pages than
+		// a benchmark run's average (177 over 2000).
+		{"browsing mix", 199, browsingMix(t)},
 		// One allocation per round trip: rpc.InProc's copy of the request.
 		{"transfer round trip", 1, transferRoundTrip(t)},
 		{"transfer loop", 16, transferLoop(t)},

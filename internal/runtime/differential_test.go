@@ -74,6 +74,55 @@ class L {
 }
 `
 
+// diffConcatSrc builds strings every way the compiler folds into one
+// concat instruction: a right-nested `+`, a call in the middle of a
+// chain (which splits the block mid-expression, with a field read on
+// either side of the call that bumps it), `+=` of a chain onto a local,
+// a field and an array element, and sys.str of a negative int, an
+// integer-valued double, a fractional double and a bool, alone and in
+// chains. Random placements put the statements that compute operands
+// on either side of the one that concatenates them.
+const diffConcatSrc = `
+class S {
+    string journal;
+    string[] lines;
+    int n;
+    double price;
+
+    S() {
+        journal = "";
+        lines = new string[4];
+        n = 0;
+        price = 2.5;
+    }
+
+    string tag(int k) {
+        n = n + 1;
+        return "<" + sys.str(k) + ">";
+    }
+
+    entry string build(int k, bool flag) {
+        string a = "a" + sys.str(k);
+        string b = sys.str(-k - 1);
+        double whole = price * 2.0;
+        string c = sys.str(whole) + "|" + sys.str(price + 0.25 * k);
+        string s = a + (b + c);
+        string t = sys.str(flag);
+        s += t + sys.str(k > 3);
+        journal += s + ";" + sys.str(n);
+        lines[k % 4] += tag(k) + ",";
+        string mid = sys.str(n) + "[" + tag(k + 1) + "]" + sys.str(n);
+        sys.print(mid);
+        return sys.str(s + mid);
+    }
+
+    entry string show(int i) {
+        string line = lines[i % 4];
+        return sys.str(line) + "/" + journal;
+    }
+}
+`
+
 // diffCall is one step of a deterministic call schedule.
 type diffCall struct {
 	method string
@@ -89,7 +138,9 @@ func diffSchedule(class string, entries []string, rng *rand.Rand, n int) []diffC
 		switch class + "." + m {
 		case "Calc.apply":
 			args = []val.Value{val.IntV(int64(rng.Intn(20))), val.BoolV(rng.Intn(2) == 0)}
-		case "Calc.histAt", "L.peek":
+		case "S.build":
+			args = []val.Value{val.IntV(int64(rng.Intn(8))), val.BoolV(rng.Intn(2) == 0)}
+		case "Calc.histAt", "L.peek", "S.show":
 			args = []val.Value{val.IntV(int64(rng.Intn(16)))}
 		case "L.run":
 			args = []val.Value{val.IntV(int64(1 + rng.Intn(6)))}
@@ -169,6 +220,7 @@ func TestDifferentialRandomPlacements(t *testing.T) {
 	}{
 		{"calc", calcSrc, "Calc", []string{"apply", "histAt", "describe"}},
 		{"loop", diffLoopSrc, "L", []string{"run", "peek", "show"}},
+		{"concat", diffConcatSrc, "S", []string{"build", "build", "show"}},
 	}
 	for _, p := range programs {
 		for seed := int64(1); seed <= 64; seed++ {

@@ -579,8 +579,8 @@ func (sn *Session) exec(in *compile.Instr, fr *Frame) error {
 			p.Env.Sha1(p.Side)
 		}
 		s[in.A] = val.IntV(interp.Sha1Round(s[in.B].I))
-	case compile.OpStr:
-		s[in.A] = val.StrV(s[in.B].String())
+	case compile.OpConcat:
+		s[in.A] = concat(s, in.Args)
 	case compile.OpTblRows:
 		t, err := sn.Heap.Table(s[in.B].OID())
 		if err != nil {
@@ -645,10 +645,6 @@ func binOp(op source.BinOp, l, r val.Value) (val.Value, error) {
 		return val.BoolV(l.AsBool() && r.AsBool()), nil
 	case source.OpOr:
 		return val.BoolV(l.AsBool() || r.AsBool()), nil
-	case source.OpAdd:
-		if l.K == val.Str {
-			return val.StrV(l.S + r.S), nil
-		}
 	case source.OpMod:
 		if r.I == 0 {
 			return val.Value{}, runErr("division by zero")
@@ -686,6 +682,34 @@ func binOp(op source.BinOp, l, r val.Value) (val.Value, error) {
 		return val.IntV(l.I / r.I), nil
 	}
 	return val.Value{}, runErr("bad binary op %d", op)
+}
+
+// concat is OpConcat: the operands rendered as sys.str renders them,
+// end to end, in one allocation sized before it is filled. A lone
+// string operand is the result as it stands.
+func concat(s []val.Value, args []int) val.Value {
+	if len(args) == 1 && s[args[0]].K == val.Str {
+		return s[args[0]]
+	}
+	n := 0
+	for _, a := range args {
+		if v := &s[a]; v.K == val.Str {
+			n += len(v.S)
+		} else {
+			n += val.MaxAppendLen
+		}
+	}
+	var b strings.Builder
+	b.Grow(n)
+	var num [val.MaxAppendLen]byte
+	for _, a := range args {
+		if v := &s[a]; v.K == val.Str {
+			b.WriteString(v.S)
+		} else {
+			b.Write(val.Append(num[:0], *v))
+		}
+	}
+	return val.StrV(b.String())
 }
 
 func refEqual(l, r val.Value) bool {

@@ -54,12 +54,14 @@ func TestBestSellersTransferBytes(t *testing.T) {
 	// The first transfer carries the new frame and brings back the twenty
 	// best sellers; every later one shares the frame, ships the loop
 	// counter (the second also the page counter the APP bumped) and
-	// brings back one author's name.
-	want := [][2]int{{35, 889}, {47, 65}}
+	// brings back one author's name. Each frame mask is a byte per eight
+	// of bestSellers' 38 slots: one string-building instruction per page
+	// line leaves no temps for the partial pages.
+	want := [][2]int{{34, 887}, {45, 63}}
 	for i := 2; i < 21; i++ {
-		want = append(want, [2]int{26, 65})
+		want = append(want, [2]int{24, 63})
 	}
-	want[7][1], want[8][1] = 64, 64 // two shorter author names
+	want[7][1], want[8][1] = 62, 62 // two shorter author names
 	if len(w.sizes) != len(want) {
 		t.Fatalf("%d transfers, want %d: %v", len(w.sizes), len(want), w.sizes)
 	}

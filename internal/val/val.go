@@ -204,18 +204,12 @@ func (v Value) Size() int {
 	}
 }
 
-// String renders the value the way sys.print does.
+// String renders the value the way sys.print does. Ints, doubles and
+// references go through Append, the one formatting path.
 func (v Value) String() string {
 	switch v.K {
 	case Null:
 		return "null"
-	case Int:
-		return strconv.FormatInt(v.I, 10)
-	case Double:
-		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
-			return strconv.FormatFloat(v.F, 'f', 1, 64)
-		}
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
 	case Bool:
 		if v.I != 0 {
 			return "true"
@@ -223,14 +217,47 @@ func (v Value) String() string {
 		return "false"
 	case Str:
 		return v.S
-	case Obj:
-		return fmt.Sprintf("obj#%d", v.I)
-	case Arr:
-		return fmt.Sprintf("arr#%d", v.I)
-	case Table:
-		return fmt.Sprintf("table#%d", v.I)
 	}
-	return "?"
+	var buf [MaxAppendLen]byte
+	return string(Append(buf[:0], v))
+}
+
+// MaxAppendLen bounds the bytes Append adds for a value that is not a
+// string: the longest renderings are a reference ("table#" and an
+// int64, 26 bytes), a double in 'g' form (24, as in
+// -2.2250738585072014e-308) and an int64 (20).
+const MaxAppendLen = 26
+
+// Append appends v, rendered as String renders it, to dst and returns
+// the extended buffer. A double that is an integer below 1e15 in
+// magnitude keeps one decimal ("2.0"); any other uses the shortest
+// form that reads back exactly.
+func Append(dst []byte, v Value) []byte {
+	switch v.K {
+	case Null:
+		return append(dst, "null"...)
+	case Int:
+		return strconv.AppendInt(dst, v.I, 10)
+	case Double:
+		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
+			return strconv.AppendFloat(dst, v.F, 'f', 1, 64)
+		}
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case Bool:
+		if v.I != 0 {
+			return append(dst, "true"...)
+		}
+		return append(dst, "false"...)
+	case Str:
+		return append(dst, v.S...)
+	case Obj:
+		return strconv.AppendInt(append(dst, "obj#"...), v.I, 10)
+	case Arr:
+		return strconv.AppendInt(append(dst, "arr#"...), v.I, 10)
+	case Table:
+		return strconv.AppendInt(append(dst, "table#"...), v.I, 10)
+	}
+	return append(dst, '?')
 }
 
 // SizeOfRow sums the sizes of a row of values.

@@ -1,7 +1,9 @@
 package val
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -140,5 +142,87 @@ func TestCompareLargeInts(t *testing.T) {
 	// Int against Double still widens.
 	if got := Compare(IntV(2), DoubleV(2.5)); got != -1 {
 		t.Errorf("Compare(2, 2.5) = %d, want -1", got)
+	}
+}
+
+// formatRef is the rendering String had before Append existed, kept
+// here as the independent reference Append is checked against.
+func formatRef(v Value) string {
+	switch v.K {
+	case Null:
+		return "null"
+	case Int:
+		return strconv.FormatInt(v.I, 10)
+	case Double:
+		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
+			return strconv.FormatFloat(v.F, 'f', 1, 64)
+		}
+		return strconv.FormatFloat(v.F, 'g', -1, 64)
+	case Bool:
+		if v.I != 0 {
+			return "true"
+		}
+		return "false"
+	case Str:
+		return v.S
+	case Obj:
+		return fmt.Sprintf("obj#%d", v.I)
+	case Arr:
+		return fmt.Sprintf("arr#%d", v.I)
+	case Table:
+		return fmt.Sprintf("table#%d", v.I)
+	}
+	return "?"
+}
+
+// TestAppendMatchesString holds the one formatting path to its
+// contract: for every kind, Append onto nil and onto a non-empty buffer
+// renders what String returns and what the reference rendering does,
+// within MaxAppendLen for everything but strings. The doubles sit on
+// both sides of the 'f'/'g' switch at 1e15.
+func TestAppendMatchesString(t *testing.T) {
+	vals := []Value{
+		NullV(), BoolV(true), BoolV(false), StrV(""), StrV("héllo"),
+		IntV(0), IntV(7), IntV(-7), IntV(99), IntV(100), IntV(math.MaxInt64), IntV(math.MinInt64),
+		DoubleV(0), DoubleV(math.Copysign(0, -1)), DoubleV(1), DoubleV(-2.5), DoubleV(0.1),
+		DoubleV(1e15), DoubleV(-1e15), DoubleV(1e15 - 1), DoubleV(-(1e15 - 1)), DoubleV(1e15 + 0.5),
+		DoubleV(math.NaN()), DoubleV(math.Inf(1)), DoubleV(math.Inf(-1)),
+		DoubleV(math.MaxFloat64), DoubleV(-math.SmallestNonzeroFloat64), DoubleV(-2.2250738585072014e-308),
+		ObjV(3), ArrV(-1), TableV(math.MinInt64), ObjV(math.MinInt64), {K: Kind(42)},
+	}
+	check := func(v Value) bool {
+		want := formatRef(v)
+		if got := v.String(); got != want {
+			t.Errorf("%#v: String() = %q, want %q", v, got, want)
+			return false
+		}
+		if got := string(Append(nil, v)); got != want {
+			t.Errorf("%#v: Append(nil) = %q, want %q", v, got, want)
+			return false
+		}
+		if got := string(Append([]byte("x="), v)); got != "x="+want {
+			t.Errorf("%#v: Append onto a prefix = %q, want %q", v, got, "x="+want)
+			return false
+		}
+		if v.K != Str && len(want) > MaxAppendLen {
+			t.Errorf("%#v: %q is %d bytes, over MaxAppendLen %d", v, want, len(want), MaxAppendLen)
+			return false
+		}
+		return true
+	}
+	for _, v := range vals {
+		check(v)
+	}
+	if err := quick.Check(func(i int64) bool { return check(IntV(i)) }, nil); err != nil {
+		t.Error(err)
+	}
+	if err := quick.Check(func(f float64) bool { return check(DoubleV(f)) }, nil); err != nil {
+		t.Error(err)
+	}
+	if err := quick.Check(func(bits uint64) bool { return check(DoubleV(math.Float64frombits(bits))) }, nil); err != nil {
+		t.Error(err)
+	}
+	if err := quick.Check(func(s string) bool { return check(StrV(s)) }, nil); err != nil {
+		t.Error(err)
 	}
 }

@@ -47,7 +47,7 @@ func (v *checker) structural() {
 		v.structuralTerm(b)
 		for i := range b.Code {
 			in := &b.Code[i]
-			if in.Op > compile.OpSendNative {
+			if in.Op >= compile.NumOps {
 				v.addf(CheckStructural, nil, b.ID, "instr %d has unknown opcode %d", i, in.Op)
 			}
 			if in.Op == compile.OpDBQuery || in.Op == compile.OpDBExec {

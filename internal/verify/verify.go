@@ -167,7 +167,7 @@ func opEffect(in *compile.Instr) (defs, uses []int) {
 	case compile.OpConst, compile.OpNewObj:
 		return []int{in.A}, nil
 	case compile.OpMove, compile.OpUn, compile.OpConv, compile.OpGetField,
-		compile.OpLen, compile.OpSha1, compile.OpStr, compile.OpTblRows, compile.OpNewArr:
+		compile.OpLen, compile.OpSha1, compile.OpTblRows, compile.OpNewArr:
 		return []int{in.A}, []int{in.B}
 	case compile.OpBin, compile.OpGetIdx:
 		return []int{in.A}, []int{in.B, in.C}
@@ -181,12 +181,18 @@ func opEffect(in *compile.Instr) (defs, uses []int) {
 		uses = append(uses, in.B, in.C)
 		uses = append(uses, in.Args...)
 		return []int{in.A}, uses
+	case compile.OpConcat:
+		return []int{in.A}, in.Args
 	case compile.OpPrint:
 		return nil, in.Args
 	case compile.OpSendPart, compile.OpSendNative:
 		return nil, []int{in.A}
+	case compile.OpDBBegin, compile.OpDBCommit, compile.OpDBRollback:
+		return nil, nil // no slot traffic
 	}
-	return nil, nil // begin/commit/rollback: no slot traffic
+	// The structural check rejects any other opcode before a dataflow
+	// check runs.
+	panic(fmt.Sprintf("verify: effect of unknown opcode %d", in.Op))
 }
 
 // termUses returns the slots a terminator reads in the current frame.
@@ -308,7 +314,7 @@ var opNames = map[compile.Op]string{
 	compile.OpDBQuery: "dbquery", compile.OpDBExec: "dbexec",
 	compile.OpDBBegin: "dbbegin", compile.OpDBCommit: "dbcommit",
 	compile.OpDBRollback: "dbrollback", compile.OpPrint: "print",
-	compile.OpSha1: "sha1", compile.OpStr: "str", compile.OpTblRows: "tblrows",
+	compile.OpSha1: "sha1", compile.OpConcat: "concat", compile.OpTblRows: "tblrows",
 	compile.OpTblGet: "tblget", compile.OpSendPart: "sendpart",
 	compile.OpSendNative: "sendnative",
 }

@@ -283,6 +283,24 @@ func TestVerifyRejectsMutilatedPrograms(t *testing.T) {
 			},
 		},
 		{
+			// defuse: a concat operand no path has written — the
+			// instruction's own destination, which it writes only after
+			// reading its operands. A model of the instruction set that
+			// missed concat's reads would let this through.
+			name: "defuse-concat-undefined-operand", src: calcTestSrc, wantCheck: CheckDefUse,
+			mutate: func(t *testing.T, p *compile.Program) {
+				for _, b := range p.Blocks {
+					for i := range b.Code {
+						if in := &b.Code[i]; in.Op == compile.OpConcat && len(in.Args) > 1 {
+							in.Args[1] = in.A
+							return
+						}
+					}
+				}
+				t.Fatal("no concat instruction to mutilate")
+			},
+		},
+		{
 			// liveness: a live slot scrubbed from a fused block's mask.
 			// This is the silent-corruption bug class the verifier
 			// exists for — Fuse computing a too-small bitset.
@@ -423,6 +441,33 @@ func TestVerifyRejectsMutilatedPrograms(t *testing.T) {
 				t.Error("Program() returned nil for a mutilated program")
 			}
 		})
+	}
+}
+
+// TestEveryOpHasEffect holds the verifier's register model to the
+// opcode list: every opcode below compile.NumOps has an opEffect case
+// (the default panics) and a name for diagnostics, and the structural
+// check rejects the first opcode past the list.
+func TestEveryOpHasEffect(t *testing.T) {
+	for op := compile.Op(0); op < compile.NumOps; op++ {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("opcode %d: opEffect has no case: %v", op, r)
+				}
+			}()
+			opEffect(&compile.Instr{Op: op, A: 1, B: 2, C: 3, Args: []int{4, 5}})
+		}()
+		if _, ok := opNames[op]; !ok {
+			t.Errorf("opcode %d has no diagnostic name", op)
+		}
+	}
+	p := compileSrc(t, calcTestSrc, nil, false)
+	b := p.Blocks[p.Method("Calc.describe").Entry]
+	b.Code = append(b.Code, compile.Instr{Op: compile.NumOps})
+	ds := Diagnostics(p)
+	if len(ds) != 1 || ds[0].Check != CheckStructural || !strings.Contains(ds[0].Msg, "unknown opcode") {
+		t.Errorf("opcode %d past the list: got %v, want one structural unknown-opcode finding", compile.NumOps, ds)
 	}
 }
 
