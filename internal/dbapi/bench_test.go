@@ -108,11 +108,11 @@ func BenchmarkPrepared(b *testing.B) {
 // InProc, client and handler together: each ceiling is the measured
 // count plus one. What is left is the engine's own (sqldb's ceilings
 // are in its TestAllocCeilings: an autocommit Txn, an updated row's
-// new version) and the one reply copy a transport owes its caller —
-// not encode buffers, readers, result memory, column names or
-// per-call codec state.
+// new version) — not encode buffers, readers, replies (the client
+// lends its last one to the next call), result memory, column names
+// or per-call codec state.
 func TestAllocCeilings(t *testing.T) {
-	ceilings := map[string]float64{"select": 3, "update": 4, "query10": 3}
+	ceilings := map[string]float64{"select": 2, "update": 3, "query10": 2}
 	db := benchDB(t)
 	for _, op := range benchOps {
 		c := benchConn(t, db, false)

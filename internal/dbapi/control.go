@@ -23,16 +23,16 @@ import (
 )
 
 // callWithin sends the request in c.enc bounded by timeout where the
-// transport can bound a call, and as a plain Call elsewhere.
+// transport can bound a call, and as a plain call elsewhere.
 func (c *Client) callWithin(timeout time.Duration) (*rpc.Reader, error) {
 	t, ok := c.T.(interface {
-		CallWithin(req []byte, timeout time.Duration) ([]byte, error)
+		CallWithin(req, into []byte, timeout time.Duration) ([]byte, error)
 	})
 	if !ok {
 		return c.call()
 	}
 	c.BytesSent += int64(len(c.enc.Buf))
-	resp, err := t.CallWithin(c.enc.Buf, timeout)
+	resp, err := t.CallWithin(c.enc.Buf, c.dec.Buf, timeout)
 	return c.reply(resp, err)
 }
 

@@ -205,8 +205,10 @@ type Client struct {
 	cols [][]string
 
 	// enc holds the request being sent and dec the reply being decoded.
-	// A Conn is single-threaded and Transport.Call does not retain its
-	// request, so every operation encodes into the same buffer.
+	// A Conn is single-threaded, Transport.Call does not retain its
+	// request and every reply is decoded before the next call, so every
+	// operation encodes into the same buffer and lends the last reply's
+	// memory to the next (rpc.CallInto).
 	enc rpc.Writer
 	dec rpc.Reader
 }
@@ -230,7 +232,7 @@ func (c *Client) encodeStmt(op byte, id int, hasSQL bool, sql string, args []val
 // the reply's ok flag. The reader is c.dec: valid until the next call.
 func (c *Client) call() (*rpc.Reader, error) {
 	c.BytesSent += int64(len(c.enc.Buf))
-	resp, err := c.T.Call(c.enc.Buf)
+	resp, err := rpc.CallInto(c.T, c.enc.Buf, c.dec.Buf)
 	return c.reply(resp, err)
 }
 

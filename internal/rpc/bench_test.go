@@ -105,8 +105,10 @@ func BenchmarkMuxEcho(b *testing.B) {
 						go func(s *MuxSession, n int) {
 							defer wg.Done()
 							payload := make([]byte, size)
+							var resp []byte
 							for k := 0; k < n; k++ {
-								if _, err := s.Call(payload); err != nil {
+								var err error
+								if resp, err = s.CallInto(payload, resp); err != nil {
 									b.Error(err)
 									return
 								}
@@ -124,31 +126,43 @@ func BenchmarkMuxEcho(b *testing.B) {
 }
 
 // TestAllocCeilings pins what a mux round trip costs in allocations
-// and connection writes, both ends together. The allocation that stays
-// is the caller's reply body; request bodies are recycled, frames are
-// assembled in the connection's write buffer, and a session keeps its
-// reply channel.
+// and connection writes, both ends together. A round trip that lends
+// its last reply (CallInto) allocates nothing: request bodies are
+// recycled, frames are assembled in the connection's write buffer, a
+// session keeps its waiter, and the reply lands in the lent memory.
+// Call lends nothing, so its reply is the one allocation it makes.
 func TestAllocCeilings(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
 		l := newEchoLink(t, tcp)
 		s := l.c.Session()
 		payload := make([]byte, 64)
-		call := func() {
-			if _, err := s.Call(payload); err != nil {
-				t.Fatal(err)
+		var resp []byte
+		for _, tc := range []struct {
+			name    string
+			ceiling float64
+			call    func() ([]byte, error)
+		}{
+			{"Call", 2, func() ([]byte, error) { return s.Call(payload) }},
+			{"CallInto", 0, func() ([]byte, error) { return s.CallInto(payload, resp) }},
+		} {
+			call := func() {
+				var err error
+				if resp, err = tc.call(); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		call() // opens the session, sizes the pooled body
-		const runs = 200
-		w0 := l.writes()
-		allocs := testing.AllocsPerRun(runs, call)
-		writes := float64(l.writes()-w0) / (runs + 1) // AllocsPerRun warms up once
-		name := map[bool]string{false: "pipe", true: "tcp"}[tcp]
-		if allocs > 2 {
-			t.Errorf("%s: mux echo round trip makes %.1f allocs, ceiling 2", name, allocs)
-		}
-		if writes != 2 {
-			t.Errorf("%s: mux echo round trip makes %.2f writes, want exactly 2 (one per frame per end)", name, writes)
+			call() // opens the session, sizes the pooled body
+			const runs = 200
+			w0 := l.writes()
+			allocs := testing.AllocsPerRun(runs, call)
+			writes := float64(l.writes()-w0) / (runs + 1) // AllocsPerRun warms up once
+			name := map[bool]string{false: "pipe", true: "tcp"}[tcp]
+			if allocs > tc.ceiling {
+				t.Errorf("%s: mux echo %s makes %.1f allocs, ceiling %.0f", name, tc.name, allocs, tc.ceiling)
+			}
+			if writes != 2 {
+				t.Errorf("%s: mux echo %s makes %.2f writes, want exactly 2 (one per frame per end)", name, tc.name, writes)
+			}
 		}
 		l.close()
 	}

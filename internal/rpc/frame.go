@@ -242,11 +242,32 @@ func (p *bodyPool) getBody(n int) []byte {
 	if cap(b) >= n {
 		return b
 	}
+	return make([]byte, 0, bodyCap(n))
+}
+
+// bodyCap sizes a new buffer for a body of n <= frameBufSize bytes: a
+// power of two from 256 up, so bodies of nearly equal sizes share it.
+func bodyCap(n int) int {
 	size := 256
 	for size < n {
 		size <<= 1
 	}
-	return make([]byte, 0, size)
+	return size
+}
+
+// lent returns the empty slice a reply of n bytes is read into: into's
+// array when the reply fits and into is no larger than frameBufSize, so
+// a caller that lends its last reply keeps at most that much between
+// calls; nil beyond frameBufSize (readBody grows it as its bytes
+// arrive); a new buffer sized by bodyCap otherwise.
+func lent(into []byte, n int) []byte {
+	switch {
+	case n <= cap(into) && cap(into) <= frameBufSize:
+		return into[:0]
+	case n > frameBufSize:
+		return nil
+	}
+	return make([]byte, 0, bodyCap(n))
 }
 
 // putBody releases a request body; the caller must not touch b again.
@@ -267,10 +288,10 @@ var scribble atomic.Bool
 
 // Released marks buf as given up by its owner: a request body once its
 // reply is written, an encode buffer once Call has returned, a
-// handler's reply once it is on the wire. It does nothing in
-// production; under ScribbleReleased it overwrites the buffer, so code
-// that still holds a reference reads garbage in a test instead of
-// stale-but-plausible bytes in the field.
+// handler's reply once it is on the wire, a reply once it is lent to
+// CallInto. It does nothing in production; under ScribbleReleased it
+// overwrites the buffer, so code that still holds a reference reads
+// garbage in a test instead of stale-but-plausible bytes in the field.
 func Released(buf []byte) {
 	if scribble.Load() {
 		buf = buf[:cap(buf)]

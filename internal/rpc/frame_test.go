@@ -211,7 +211,7 @@ func TestFrameTornWritePoisonsClient(t *testing.T) {
 					t.Fatalf("call after a torn frame: %v, want the sticky write error", err)
 				}
 			}
-			if _, err := b.CallWithin([]byte("bounded"), time.Second); !errors.Is(err, ErrPoolPoisoned) {
+			if _, err := b.CallWithin([]byte("bounded"), nil, time.Second); !errors.Is(err, ErrPoolPoisoned) {
 				t.Fatalf("bounded call after a torn frame: %v, want ErrPoolPoisoned", err)
 			}
 			if got := fc.Writes(); got != writes {
@@ -371,12 +371,12 @@ func TestFrameDeadlineLeavesSessionUsable(t *testing.T) {
 	if _, err := s.Call([]byte("open")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CallWithin([]byte("stall"), 20*time.Millisecond); !errors.Is(err, ErrTxnDeadline) {
+	if _, err := s.CallWithin([]byte("stall"), nil, 20*time.Millisecond); !errors.Is(err, ErrTxnDeadline) {
 		t.Fatalf("stalled call: %v, want ErrTxnDeadline", err)
 	}
 	close(release) // the stalled call's reply is now on its way
 	for i := 0; i < 3; i++ {
-		if resp, err := s.CallWithin([]byte("status"), time.Second); err != nil || string(resp) != "status" {
+		if resp, err := s.CallWithin([]byte("status"), nil, time.Second); err != nil || string(resp) != "status" {
 			t.Fatalf("bounded call after a timed-out one: %q %v", resp, err)
 		}
 	}

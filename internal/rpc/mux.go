@@ -102,8 +102,8 @@ type MuxClient struct {
 	fr *framer
 
 	mu      sync.Mutex
-	pending map[uint64]chan muxFrame // (sid<<32|rid) -> reply slot
-	err     error                    // sticky: set when the read loop dies
+	pending map[uint64]*waiter // (sid<<32|rid) -> the call awaiting that reply
+	err     error              // sticky: set when the read loop dies
 	closed  bool
 	// live is the wrap-collision guard: every session ID currently open
 	// on this connection, plus the closed IDs still quarantined below.
@@ -140,7 +140,7 @@ type MuxClient struct {
 // NewMuxClient starts a multiplexed client over an existing
 // connection and takes ownership of it.
 func NewMuxClient(conn io.ReadWriteCloser) *MuxClient {
-	c := &MuxClient{fr: newFramer(conn), pending: map[uint64]chan muxFrame{}, live: map[uint32]struct{}{}}
+	c := &MuxClient{fr: newFramer(conn), pending: map[uint64]*waiter{}, live: map[uint32]struct{}{}}
 	go c.readLoop()
 	return c
 }
@@ -155,6 +155,15 @@ func DialMux(addr string) (*MuxClient, error) {
 }
 
 func muxKey(sid, rid uint32) uint64 { return uint64(sid)<<32 | uint64(rid) }
+
+// waiter is one call awaiting its reply: the channel the reply frame
+// arrives on (closed if the connection dies first) and the memory the
+// caller lent for the body. A session embeds one, so a call allocates
+// nothing to wait.
+type waiter struct {
+	ch   chan muxFrame
+	into []byte
+}
 
 func (c *MuxClient) readLoop() {
 	for {
@@ -176,20 +185,37 @@ func (c *MuxClient) readLoop() {
 				(*fn)(rep)
 			}
 		}
-		// The body is the caller's own from here on: exact size, the one
-		// allocation a round trip keeps.
-		if f.body, err = c.fr.readBody(n, nil); err != nil {
-			c.fail(fmt.Errorf("rpc: mux connection lost: %w", err))
-			return
+		// A body the read buffer can hold is waited for whole before its
+		// call is taken out of pending, so a CallWithin deadline still
+		// fires while a peer stalls mid-body.
+		if n <= frameBufSize {
+			if _, err = c.fr.br.Peek(n); err != nil {
+				c.fail(fmt.Errorf("rpc: mux connection lost: %w", unexpectedEOF(err)))
+				return
+			}
 		}
 		key := muxKey(f.sid, f.rid)
 		c.mu.Lock()
-		ch, ok := c.pending[key]
+		w := c.pending[key]
 		delete(c.pending, key)
 		c.mu.Unlock()
-		if ok { // else the call timed out and un-registered
-			ch <- f
+		if w == nil { // the call timed out and un-registered
+			if _, err = c.fr.br.Discard(n); err != nil {
+				c.fail(fmt.Errorf("rpc: mux connection lost: %w", unexpectedEOF(err)))
+				return
+			}
+			continue
 		}
+		// Out of pending, the call is this loop's alone to answer: the body
+		// goes into the memory its caller lent, and the caller returns, and
+		// may reuse that memory, only once the frame or the closed channel
+		// reaches it.
+		if f.body, err = c.fr.readBody(n, lent(w.into, n)); err != nil {
+			c.fail(fmt.Errorf("rpc: mux connection lost: %w", err))
+			close(w.ch) // after fail, so the caller reads the sticky error
+			return
+		}
+		w.ch <- f
 	}
 }
 
@@ -201,10 +227,10 @@ func (c *MuxClient) fail(err error) {
 		c.err = err
 	}
 	pend := c.pending
-	c.pending = map[uint64]chan muxFrame{}
+	c.pending = map[uint64]*waiter{}
 	c.mu.Unlock()
-	for _, ch := range pend {
-		close(ch) // receiver observes closed channel -> c.err
+	for _, w := range pend {
+		close(w.ch) // receiver observes closed channel -> c.err
 	}
 }
 
@@ -224,19 +250,22 @@ func (c *MuxClient) send(f muxFrame) error {
 }
 
 // exchange sends one call frame on s and waits for the reply frame
-// with the same request ID. timeout <= 0 waits for as long as the
-// connection lives; otherwise expiry returns ErrTxnDeadline. A dead
-// connection returns the client's sticky error. req is not retained.
-func (c *MuxClient) exchange(s *MuxSession, req []byte, timeout time.Duration) (muxFrame, error) {
+// with the same request ID, its body read into into when it fits.
+// timeout <= 0 waits for as long as the connection lives; otherwise
+// expiry returns ErrTxnDeadline. A dead connection returns the client's
+// sticky error. Neither req nor into is touched once it returns.
+func (c *MuxClient) exchange(s *MuxSession, req, into []byte, timeout time.Duration) (muxFrame, error) {
 	// Calls on one session are sequential in every real use, so the
-	// session's own reply channel serves them all; a concurrent call on
-	// the same session finds it taken and makes its own.
-	ch := s.reply
-	if s.replyBusy.Swap(true) {
-		ch = make(chan muxFrame, 1)
+	// session's own waiter serves them all; a concurrent call on the same
+	// session finds it taken and makes its own.
+	w := &s.w
+	if s.waiterBusy.Swap(true) {
+		w = &waiter{ch: make(chan muxFrame, 1)}
 	} else {
-		defer s.replyBusy.Store(false)
+		defer s.idle()
 	}
+	w.into = into
+	ch := w.ch
 	rid := s.nextRID.Add(1)
 	key := muxKey(s.sid, rid)
 	c.mu.Lock()
@@ -245,14 +274,14 @@ func (c *MuxClient) exchange(s *MuxSession, req []byte, timeout time.Duration) (
 		c.mu.Unlock()
 		return muxFrame{}, err
 	}
-	c.pending[key] = ch
+	c.pending[key] = w
 	c.mu.Unlock()
 	c.outstanding.Add(1)
 	defer c.outstanding.Add(-1)
 
 	if err := c.send(muxFrame{sid: s.sid, rid: rid, kind: muxCall, body: req}); err != nil {
-		// Poisoning closed ch along with every other pending slot; a
-		// frame refused whole leaves the slot to un-register here.
+		// Poisoning closed ch along with every other pending waiter; a
+		// frame refused whole leaves the waiter to un-register here.
 		c.mu.Lock()
 		delete(c.pending, key)
 		c.mu.Unlock()
@@ -272,8 +301,9 @@ func (c *MuxClient) exchange(s *MuxSession, req []byte, timeout time.Duration) (
 		case f, ok = <-ch:
 		case <-timer.C:
 			// Un-register so a straggling reply is skipped on arrival. If
-			// the slot is already gone the reply (or the poisoning) beat
-			// the timer and is on its way through ch: take it, which also
+			// the waiter is already gone the read loop has the reply (or
+			// the poisoning) and is on its way through ch: take it, which
+			// also keeps into the loop's until it is done with it and
 			// leaves the session's channel empty for its next call.
 			c.mu.Lock()
 			_, waiting := c.pending[key]
@@ -352,7 +382,7 @@ func (c *MuxClient) TaggedSession(tag uint8) *MuxSession {
 
 // newSession opens a session under an ID the caller already reserved.
 func (c *MuxClient) newSession(sid uint32) *MuxSession {
-	return &MuxSession{c: c, sid: sid, reply: make(chan muxFrame, 1)}
+	return &MuxSession{c: c, sid: sid, w: waiter{ch: make(chan muxFrame, 1)}}
 }
 
 // release retires sid into the quarantine FIFO; it returns to the
@@ -427,10 +457,17 @@ type MuxSession struct {
 	sid     uint32
 	nextRID atomic.Uint32
 	closed  atomic.Bool
-	// reply carries the session's replies; replyBusy says a call is
-	// using it (see exchange).
-	reply     chan muxFrame
-	replyBusy atomic.Bool
+	// w awaits the session's replies; waiterBusy says a call is using
+	// it (see exchange).
+	w          waiter
+	waiterBusy atomic.Bool
+}
+
+// idle frees the session's waiter for its next call, keeping none of
+// this call's memory reachable.
+func (s *MuxSession) idle() {
+	s.w.into = nil
+	s.waiterBusy.Store(false)
 }
 
 // ID returns the session's connection-scoped identifier.
@@ -440,30 +477,35 @@ func (s *MuxSession) ID() uint32 { return s.sid }
 func (s *MuxSession) Conn() *MuxClient { return s.c }
 
 // Call implements Transport.
-func (s *MuxSession) Call(req []byte) ([]byte, error) { return s.call(req, 0) }
+func (s *MuxSession) Call(req []byte) ([]byte, error) { return s.CallInto(req, nil) }
 
-// CallWithin is Call bounded by timeout (<= 0 means
+// CallInto is Call with the reply read into into's array when it fits
+// (see Transport).
+func (s *MuxSession) CallInto(req, into []byte) ([]byte, error) { return s.call(req, into, 0) }
+
+// CallWithin is CallInto bounded by timeout (<= 0 means
 // DefaultTxnDeadline), for a caller that must never wedge on a stalled
 // peer — a 2PC coordinator, a range migrator. Expiry returns
 // ErrTxnDeadline; a dead connection returns an error matching
 // ErrPoolPoisoned, so "shard down" reads the same as the pool's own
 // signal.
-func (s *MuxSession) CallWithin(req []byte, timeout time.Duration) ([]byte, error) {
+func (s *MuxSession) CallWithin(req, into []byte, timeout time.Duration) ([]byte, error) {
 	if timeout <= 0 {
 		timeout = DefaultTxnDeadline
 	}
-	resp, err := s.call(req, timeout)
+	resp, err := s.call(req, into, timeout)
 	if err != nil && s.c.Err() != nil {
 		return nil, fmt.Errorf("rpc: call on dead connection: %w: %v", ErrPoolPoisoned, err)
 	}
 	return resp, err
 }
 
-func (s *MuxSession) call(req []byte, timeout time.Duration) ([]byte, error) {
+func (s *MuxSession) call(req, into []byte, timeout time.Duration) ([]byte, error) {
+	Released(into)
 	if s.closed.Load() {
 		return nil, fmt.Errorf("rpc: session %d closed", s.sid)
 	}
-	f, err := s.c.exchange(s, req, timeout)
+	f, err := s.c.exchange(s, req, into, timeout)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -14,11 +13,31 @@ import (
 //
 // Buffer ownership, caller's side: Call does not retain req once it
 // has returned, so the caller may encode its next request into the same
-// buffer; the reply Call returns is the caller's own — a transport
-// never reuses it — so two goroutines may call one session at once.
+// buffer. The reply is the caller's own. A caller that is done with its
+// last reply lends that memory to its next call with CallInto: the
+// transport reads the reply into into's array when it fits (and into
+// is no larger than 32 KiB, so a caller keeps at most that between
+// calls) and into a new buffer otherwise, and writes to into only until
+// the call returns, however the call ends. Call is CallInto with
+// nothing lent, so two goroutines may still call one session at once,
+// each getting its own reply.
 type Transport interface {
 	Call(req []byte) ([]byte, error)
 	Close() error
+}
+
+// lender is a Transport that can read a reply into lent memory.
+type lender interface {
+	CallInto(req, into []byte) ([]byte, error)
+}
+
+// CallInto is t.CallInto(req, into) when t lends, and t.Call(req) for a
+// transport that cannot, such as a wrapper without the method.
+func CallInto(t Transport, req, into []byte) ([]byte, error) {
+	if l, ok := t.(lender); ok {
+		return l.CallInto(req, into)
+	}
+	return t.Call(req)
 }
 
 // Handler serves one request, returning the response payload.
@@ -63,7 +82,12 @@ func NewInProc(h Handler, rtt time.Duration) *InProc {
 }
 
 // Call implements Transport.
-func (t *InProc) Call(req []byte) ([]byte, error) {
+func (t *InProc) Call(req []byte) ([]byte, error) { return t.CallInto(req, nil) }
+
+// CallInto is Call with the reply copied into into's array when it
+// fits (see Transport).
+func (t *InProc) CallInto(req, into []byte) ([]byte, error) {
+	Released(into)
 	if t.closed.Load() {
 		return nil, fmt.Errorf("rpc: transport closed")
 	}
@@ -79,7 +103,7 @@ func (t *InProc) Call(req []byte) ([]byte, error) {
 	}
 	// The handler may reuse resp at its next call; the caller's reply is
 	// its own, as over a wire.
-	return bytes.Clone(resp), nil
+	return append(lent(into, len(resp)), resp...), nil
 }
 
 // Close implements Transport.

@@ -158,10 +158,11 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
-func (r *Reader) Str() string { return string(r.strBytes()) }
+func (r *Reader) Str() string { return string(r.StrBytes()) }
 
-// strBytes reads a string's bytes in place: valid as long as Buf is.
-func (r *Reader) strBytes() []byte {
+// StrBytes reads a string's bytes in place: valid as long as Buf is.
+// A decoder that only looks a string up reads it this way, for no copy.
+func (r *Reader) StrBytes() []byte {
 	n := int(r.U32())
 	if r.err != nil || n < 0 || r.Off+n > len(r.Buf) {
 		r.fail()
@@ -206,7 +207,7 @@ func (r *Reader) Strs(prev []string) []string {
 	if len(prev) == n {
 		for ; i < n; i++ {
 			at := r.Off
-			if string(r.strBytes()) != prev[i] {
+			if string(r.StrBytes()) != prev[i] {
 				r.Off = at
 				break
 			}

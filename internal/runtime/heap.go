@@ -299,17 +299,17 @@ func applySync(r *rpc.Reader, h *Heap, classes map[string]*compile.ClassInfo) er
 		}
 		switch kind {
 		case syncObjPart:
-			className := r.Str()
+			name := r.StrBytes() // a lookup key only: the map copies nothing
 			part := pdg.Loc(r.Byte())
 			if r.Err() != nil {
 				return r.Err()
 			}
-			ci := classes[className]
+			ci := classes[string(name)]
 			if ci == nil {
-				return badTransfer("sync for unknown class %q", className)
+				return badTransfer("sync for unknown class %q", name)
 			}
 			if part != pdg.App && part != pdg.DB {
-				return badTransfer("sync for part %d of %s", part, className)
+				return badTransfer("sync for part %d of %s", part, ci.Name)
 			}
 			o, err := h.Object(oid, ci)
 			if err != nil {
@@ -321,7 +321,7 @@ func applySync(r *rpc.Reader, h *Heap, classes map[string]*compile.ClassInfo) er
 				return r.Err()
 			}
 			if pad := len(fields) & 7; pad != 0 && mask[len(mask)-1]>>pad != 0 {
-				return badTransfer("sync mask names a field past the %d of part %d of %s", len(fields), part, className)
+				return badTransfer("sync mask names a field past the %d of part %d of %s", len(fields), part, ci.Name)
 			}
 			for f := range fields {
 				if mask[f>>3]&(1<<(uint(f)&7)) != 0 {

@@ -1,8 +1,11 @@
 package runtime
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"pyxis/internal/compile"
 	"pyxis/internal/dbapi"
 	"pyxis/internal/pdg"
 	"pyxis/internal/rpc"
@@ -71,5 +74,43 @@ func TestRecycledTableScribbled(t *testing.T) {
 		if &got.Cols[0] != &cols[0] {
 			t.Errorf("the synced table's column names %v were allocated again", got.Cols)
 		}
+	}
+}
+
+// TestApplySyncLooksUpClassInPlace: an object part's class name is a
+// map key only, so applySync looks it up from the transfer's bytes and
+// copies nothing; the name is copied only into the error for a class
+// this peer does not know.
+func TestApplySyncLooksUpClassInPlace(t *testing.T) {
+	ci := &compile.ClassInfo{Name: "Account", NumApp: 1}
+	classes := map[string]*compile.ClassInfo{ci.Name: ci}
+	h := NewHeap(pdg.DB)
+	record := func(class string) []byte {
+		var w rpc.Writer
+		w.Uvarint(1)
+		w.Byte(byte(syncObjPart))
+		w.Uvarint(1)
+		w.Str(class)
+		w.Byte(byte(pdg.App))
+		w.Byte(1) // field 0 is in the mask
+		w.Val(val.IntV(7))
+		return w.Buf
+	}
+	buf := record(ci.Name)
+	apply := func() {
+		if err := applySync(&rpc.Reader{Buf: buf}, h, classes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply() // materializes the object
+	if got := testing.AllocsPerRun(100, apply); got != 0 {
+		t.Errorf("applying an object part's sync allocates %.1f times, want 0", got)
+	}
+	if got := h.objs[1].App[0]; got != val.IntV(7) {
+		t.Errorf("synced field reads %v, want 7", got)
+	}
+	err := applySync(&rpc.Reader{Buf: record("Nobody")}, h, classes)
+	if !errors.Is(err, ErrBadTransfer) || !strings.Contains(err.Error(), `"Nobody"`) {
+		t.Errorf("unknown class: %v, want ErrBadTransfer naming it", err)
 	}
 }

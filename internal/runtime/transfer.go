@@ -321,10 +321,13 @@ type Client struct {
 	OnClose func()
 
 	closed bool
-	// enc holds the transfer being sent. A Client is one logical thread
-	// of control and Transport.Call does not retain its request, so
-	// every transfer is encoded into the same buffer.
-	enc rpc.Writer
+	// enc holds the transfer being sent and reply the last one received.
+	// A Client is one logical thread of control, Transport.Call does not
+	// retain its request and every reply is decoded before the next
+	// transfer, so every transfer is encoded into the same buffer and
+	// lends the last reply's memory to the next (rpc.CallInto).
+	enc   rpc.Writer
+	reply []byte
 }
 
 // NewClient wraps an APP-side session and its control-transfer
@@ -442,7 +445,7 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 		if peer.Env != nil {
 			peer.Env.TransferSend(pdg.App, len(req))
 		}
-		resp, err := c.Remote.Call(req)
+		resp, err := rpc.CallInto(c.Remote, req, c.reply)
 		rpc.Released(req)
 		if err != nil {
 			// Transfer failed — admission shed, connection loss, remote
@@ -455,6 +458,7 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 			return fail(fmt.Errorf("runtime: control transfer failed: %w", err))
 		}
 		sn.Heap.synced(sent)
+		c.reply = resp
 		peer.Metrics.BytesRecv.Add(int64(len(resp)))
 		r := &rpc.Reader{Buf: resp}
 		if r.Bool() {
