@@ -17,9 +17,10 @@
 // routes each call off its shard's switcher EWMA, which is fed by the
 // DB load reports piggy-backed on every reply (reports from EVERY
 // pooled connection of a shard feed that shard's EWMA), and prints the
-// dynamic mix. Server sheds surface as rpc.ErrOverloaded and are
-// retried with jittered backoff — including admission refusals from a
-// pyxis-dbserver running -max-sessions or -admit-high.
+// dynamic mix. A pyxis-dbserver running -max-sessions or -admit-high
+// decides admission once per session, when a client opens: a refused
+// open surfaces as rpc.ErrOverloaded and is retried with jittered
+// backoff, and an admitted client's calls are never shed.
 //
 // Against a SHARDED DB tier, -db and -ctl take comma-separated address
 // lists of equal length — entry i of each list is shard i, one
@@ -54,6 +55,11 @@ import (
 	"pyxis/internal/runtime"
 	"pyxis/internal/val"
 )
+
+// openTimeout bounds how long one session keeps retrying an Open a
+// gated server refused. Capacity frees as admitted sessions finish, so
+// the workload, not the timeout, bounds the wait.
+const openTimeout = time.Minute
 
 func main() {
 	var (
@@ -126,10 +132,9 @@ func main() {
 			defer wg.Done()
 			// Open absorbs admission sheds from a gated server with
 			// jittered backoff (a refused Open left no server state behind;
-			// the retry simply re-attempts admission). Call absorbs its
-			// own.
+			// the retry simply re-attempts admission).
 			var client *deploy.Client
-			sheds, err := runtime.RetryOverloaded(func() error {
+			sheds, err := runtime.RetryOverloaded(openTimeout, func() error {
 				var oerr error
 				client, oerr = app.Open(router.HomeShard(int64(i)), *newClass, ctorVals...)
 				return oerr
@@ -181,11 +186,11 @@ func main() {
 	db := app.DB.Stats()
 	fmt.Printf("pyxis-app: control transfers=%d (%d B), app-side db round trips=%d (%d B) shards=%d pool=%d conns/shard\n",
 		ctl.Calls, ctl.BytesSent+ctl.BytesRecv, db.Calls, db.BytesSent+db.BytesRecv, shards, *poolN)
-	var openSheds int64
+	var sheds int64
 	var calls deploy.CallStats
 	for _, r := range results {
-		openSheds += r.sheds
-		calls.High, calls.Low, calls.Sheds = calls.High+r.calls.High, calls.Low+r.calls.Low, calls.Sheds+r.calls.Sheds
+		sheds += r.sheds
+		calls.High, calls.Low = calls.High+r.calls.High, calls.Low+r.calls.Low
 	}
 	if app.Low != nil {
 		share := 0.0
@@ -196,10 +201,10 @@ func main() {
 		for i := 0; i < shards; i++ {
 			ewmas[i] = fmt.Sprintf("%.1f%%", router.Load(i))
 		}
-		fmt.Printf("pyxis-app: dynamic mix low=%d high=%d (%.0f%% low) sheds=%d (+%d at open) ewma/shard=[%s] load-reports=%d\n",
-			calls.Low, calls.High, share, calls.Sheds, openSheds, strings.Join(ewmas, " "),
+		fmt.Printf("pyxis-app: dynamic mix low=%d high=%d (%.0f%% low) sheds=%d at open ewma/shard=[%s] load-reports=%d\n",
+			calls.Low, calls.High, share, sheds, strings.Join(ewmas, " "),
 			app.Ctl.LoadReports()+app.DB.LoadReports())
-	} else if sheds := openSheds + calls.Sheds; sheds > 0 {
+	} else if sheds > 0 {
 		fmt.Printf("pyxis-app: %d overload sheds absorbed with jittered backoff\n", sheds)
 	}
 	if failed > 0 {

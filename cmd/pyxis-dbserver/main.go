@@ -16,22 +16,25 @@
 // Given -low-budget on the command line it serves BOTH the -budget and
 // -low-budget partitions at once behind a dual session manager (the
 // session ID's tag byte selects the partition) and piggy-backs a load
-// report — CPU proxy, per-session queue depth, lock-wait rate — on
+// report — the blended load of a CPU proxy and the lock-wait rate — on
 // every mux reply, so every pyxis-app session holds the pair and
 // switches partitionings per call as load moves (paper §6.3).
 //
 // With -max-sessions and/or -admit-high the server stops merely
 // REPORTING saturation and starts refusing it: an admission controller
-// gates session creation (and per-call queueing) on the concurrent
+// decides once per control session, when it opens, on the concurrent
 // session cap and on the same blended load signal the reports carry,
 // with hysteresis (-admit-high enter / -admit-low leave) so admission
-// doesn't flap. Refused work is shed with the typed overload reply,
-// which every pyxis-app backoff path already retries. Note that against
-// a server given -low-budget every pyxis-app client holds a PAIR of
-// control sessions (high- + low-budget); the controller has no notion
-// of pairing, so a cap between N+1 and 2N-1 for N clients can leave
-// clients holding their first session while shed on their second —
-// size -max-sessions at 2x the intended client count.
+// doesn't flap. A refused session is shed with the typed overload
+// reply, which pyxis-app retries at open; an admitted session's calls
+// are never shed. Note that against a server given -low-budget every
+// pyxis-app client opens one control session per partition whose
+// program can transfer control — a PAIR (high- + low-budget) unless
+// -low-budget is 0, whose program runs wholly on the APP side. The
+// controller has no notion of pairing, so with a pair a cap between
+// N+1 and 2N-1 for N clients can leave clients holding their first
+// session while shed on their second — size -max-sessions at 2x the
+// intended client count.
 //
 // One process is one shard of a shared-nothing tier: each shard runs
 // its own database, lock manager, runtime peers, load monitor and
@@ -119,8 +122,8 @@ func main() {
 	// With -low-budget the low-budget partition is served behind the same
 	// connections (sessions tagged runtime.TagLowBudget route to it) and
 	// a load monitor piggy-backs the server's saturation signal (CPU
-	// proxy, per-session queue depth, lock-wait rate) on every reply of
-	// both ports for the app side's switcher EWMA. The 2PC participant
+	// proxy and lock-wait rate, blended) on every reply of both ports for
+	// the app side's switcher EWMA. The 2PC participant
 	// has no resolver: an in-doubt branch is presumed aborted at its
 	// deadline.
 	shard := &deploy.Shard{DB: db, High: part, Out: os.Stdout}
@@ -134,10 +137,10 @@ func main() {
 		dynDesc = fmt.Sprintf(" low-partition={%s}", shard.Low.Describe())
 	}
 
-	// Admission control: one controller for the control port, with the
-	// session cap and the hysteretic load gate server-wide across its
-	// connections. The load gate reads the same monitor the load reports
-	// ride.
+	// Admission control: one controller for the control port, deciding
+	// each session at its open with the session cap and the hysteretic
+	// load gate server-wide across its connections. The load gate reads
+	// the same monitor the load reports ride.
 	admDesc := ""
 	if *maxSessions > 0 || *admitHigh > 0 {
 		admCfg := runtime.AdmissionConfig{MaxSessions: *maxSessions}

@@ -193,7 +193,7 @@ var gateSpikeRoutesLow = Gate{Name: "spike routes low-budget", Check: func(rs []
 }}
 
 // gateSheds: an oversubscribed admission-gated server must refuse
-// sessions, and the clients must have seen it.
+// sessions, and the clients must have seen it at Open.
 var gateSheds = Gate{Name: "oversubscribed server sheds", Check: func(rs []*WallResult) []string {
 	sat := arm(rs, "saturation")
 	if sat.Sheds == 0 || sat.Admission.ShedSessions == 0 {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"pyxis/internal/dbapi"
+	"pyxis/internal/deploy"
 	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
@@ -101,4 +103,78 @@ func violationMatches(violations []string, want string) bool {
 		}
 	}
 	return false
+}
+
+// TestRemoteTwoPCExactCounts runs remote Payments and remote-supply
+// NewOrders one at a time over a 2-shard tier, each as two branches
+// committed through the 2PC coordinator, and pins what each costs on
+// the database wire: its statements, both begins, both prepares and
+// both commit decisions.
+func TestRemoteTwoPCExactCounts(t *testing.T) {
+	c := DefaultTPCC()
+	top, err := WallCfg{Clients: 1, Txns: 1, Shards: 2}.topology(c.Warehouses, nil, nil, c.loadRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := deploy.Up(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const homeW, remoteW = 1, 3
+	if d.Router.HomeShard(homeW) == d.Router.HomeShard(remoteW) {
+		t.Fatalf("warehouses %d and %d share a shard", homeW, remoteW)
+	}
+	branch := func(w int64) *dbapi.Client {
+		sess, err := d.DB.Session(d.Router.HomeShard(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dbapi.NewClient(sess)
+	}
+	home, remote := branch(homeW), branch(remoteW)
+	defer home.Close()
+	defer remote.Close()
+
+	const olcnt = 5
+	tx := d.Router.TwoPC
+	for k, tc := range []struct {
+		name  string
+		stmts func() error
+		calls int64
+	}{
+		{"payment", func() error { return c.paymentRemoteStmts(home, remote, homeW, 1, remoteW, 2, 3, 10) }, 9},
+		{"new-order", func() error {
+			_, err := c.newOrderRemoteStmts(home, remote, homeW, 1, 4, olcnt, 77, remoteW)
+			return err
+		}, 27},
+		{"payment", func() error { return c.paymentRemoteStmts(home, remote, homeW, 2, remoteW, 1, 5, 20) }, 9},
+		{"new-order", func() error {
+			_, err := c.newOrderRemoteStmts(home, remote, homeW, 2, 6, olcnt, 91, remoteW)
+			return err
+		}, 27},
+	} {
+		before := d.DB.Stats().Calls
+		if err := home.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := remote.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.stmts(); err != nil {
+			t.Fatalf("txn %d (%s): %v", k, tc.name, err)
+		}
+		if err := tx.Commit(tx.NewGID(), home, remote); err != nil {
+			t.Fatalf("txn %d (%s): 2PC: %v", k, tc.name, err)
+		}
+		if got := d.DB.Stats().Calls - before; got != tc.calls {
+			t.Errorf("txn %d (%s): %d database-wire calls, want %d", k, tc.name, got, tc.calls)
+		}
+	}
+	if commits, aborts, inDoubt := tx.Stats(); commits != 4 || aborts != 0 || inDoubt != 0 {
+		t.Errorf("coordinator: %d commits, %d aborts, %d in doubt; want 4, 0, 0", commits, aborts, inDoubt)
+	}
+	if violations := CheckShardInvariants(d.DBs, c, d.Router.CurrentMap()); len(violations) > 0 {
+		t.Fatalf("invariants violated:\n%s", strings.Join(violations, "\n"))
+	}
 }

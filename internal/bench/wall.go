@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"pyxis/internal/deploy"
-	"pyxis/internal/rpc"
 	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
 )
@@ -28,13 +27,11 @@ import (
 // The values below were fields of the per-driver configs that no test,
 // command or example ever set. Two more are simply the runtime's own
 // defaults now: the switcher's dead-band (runtime.NewSwitcher: 0, the
-// paper's behaviour) and the advisor's imbalance trigger
-// (runtime.NewAdvisor: 1.25).
+// paper's behaviour) and the advisor's imbalance trigger (1.25).
 const (
-	// maxRetries bounds deadlock-victim and shed retries per
-	// transaction. Every victim abort implies another transaction
-	// progressed, so retries converge — the bound guards against a
-	// livelocked engine. Fence and re-home retries do not count: they
+	// maxRetries bounds deadlock-victim retries per transaction. Every
+	// victim abort implies another transaction progressed, so retries
+	// converge — the bound guards against a livelocked engine. Fence and re-home retries do not count: they
 	// end when the move commits or its TTL lapses (fenceWait).
 	maxRetries = 50
 	// openTimeout bounds how long one client keeps retrying session
@@ -72,7 +69,6 @@ type errClass int
 const (
 	classFatal    errClass = iota // fail the run
 	classDeadlock                 // victim abort or 2PC abort: rolled back engine-side, run it again
-	classShed                     // rpc.ErrOverloaded: the server refused the work before any state existed
 	classFenced                   // the range is mid-migration: wait for cutover or the fence's TTL
 	classMoved                    // the range lives on another shard now: re-home, then run it again
 )
@@ -88,8 +84,9 @@ func isDeadlockErr(err error) bool {
 // retry maps the error of a transaction's attempt-th budgeted retry to
 // its class and the pause to take before the next attempt. A class a
 // topology cannot produce simply never fires. classFatal means stop:
-// the error is unknown, or the budget (maxRetries deadlock and shed
-// retries per transaction) is spent.
+// the error is unknown, or the budget (maxRetries deadlock retries per
+// transaction) is spent. A shed is unknown here: a gated server
+// refuses only session opens, which runClient retries.
 func retry(err error, attempt int) (errClass, time.Duration) {
 	switch {
 	case errors.Is(err, sqldb.ErrRangeFenced):
@@ -100,10 +97,6 @@ func retry(err error, attempt int) (errClass, time.Duration) {
 		return classMoved, 200 * time.Microsecond
 	case attempt >= maxRetries:
 		return classFatal, 0
-	case errors.Is(err, rpc.ErrOverloaded):
-		// Jittered, so sessions shed together do not retry in lockstep
-		// and re-flood the server at the same instant.
-		return classShed, runtime.ShedBackoff(attempt)
 	case isDeadlockErr(err), errors.Is(err, runtime.ErrTxnAborted):
 		// A 2PC abort retries like a deadlock victim: the usual cause is
 		// a branch losing its transaction to deadlock resolution before
@@ -152,7 +145,6 @@ type txnOut struct {
 	// the intentional TPC-C rollback).
 	dist, distCommit bool
 	low              bool // the low-budget deployment served it
-	sheds            int  // sheds absorbed inside the call (deploy.Client.Call)
 }
 
 // clientTally is what one client's goroutine counted.
@@ -178,8 +170,9 @@ type driven struct {
 // attempt means is retry's decision, not the step's. The schedule is
 // whatever pure function of (i, k) the step computes, so a reference
 // run can replay it. A session that open could not get because the
-// server shed it is retried until openTimeout: a refused session holds
-// no server state.
+// server shed it is retried with jittered backoff until openTimeout: a
+// refused session holds no server state, and an admitted one is never
+// shed.
 func drive[S session](clients, txns int, open func(i int) (S, error), step func(s S, i, k int) (txnOut, error)) (driven, error) {
 	out := driven{clients: make([]clientTally, clients)}
 	var wg sync.WaitGroup
@@ -208,26 +201,19 @@ func drive[S session](clients, txns int, open func(i int) (S, error), step func(
 // each attempted until it completes or retry says stop.
 func runClient[S session](t *clientTally, i, txns int, open func(i int) (S, error), step func(s S, i, k int) (txnOut, error)) error {
 	var s S
-	for attempt, deadline := 0, time.Now().Add(openTimeout); ; attempt++ {
-		var err error
-		if s, err = open(i); err == nil {
-			break
-		}
-		if !errors.Is(err, rpc.ErrOverloaded) {
-			return fmt.Errorf("open: %w", err)
-		}
-		t.sheds++
-		if time.Now().After(deadline) {
-			return fmt.Errorf("never admitted within %v: %w", openTimeout, err)
-		}
-		time.Sleep(runtime.ShedBackoff(attempt))
+	sheds, err := runtime.RetryOverloaded(openTimeout, func() (err error) {
+		s, err = open(i)
+		return err
+	})
+	t.sheds += int(sheds)
+	if err != nil {
+		return fmt.Errorf("open: %w", err)
 	}
 	defer s.Close()
 	for k := 0; k < txns; k++ {
 		t0 := time.Now()
 		for attempt := 0; ; {
 			o, err := step(s, i, k)
-			t.sheds += o.sheds
 			if err == nil {
 				t.record(o, float64(time.Since(t0).Microseconds())/1e3)
 				break
@@ -236,9 +222,6 @@ func runClient[S session](t *clientTally, i, txns int, open func(i int) (S, erro
 			switch class {
 			case classDeadlock:
 				t.deadlocks++
-				attempt++
-			case classShed:
-				t.sheds++
 				attempt++
 			case classFenced:
 				if time.Since(t0) > fenceWait {
@@ -347,11 +330,11 @@ type WallResult struct {
 	Reads     int
 	Deposits  int
 
-	// Retries by class (see retry). Deadlocks counts victim and 2PC
-	// aborts that were run again, Sheds rpc.ErrOverloaded replies
-	// absorbed by backoff, FenceRetries back-offs on a range in
-	// migration, Rehomes cached sessions dropped because the shard map
-	// moved on.
+	// Retries by class (see retry and runClient). Deadlocks counts
+	// victim and 2PC aborts that were run again, Sheds opens the server
+	// refused with rpc.ErrOverloaded and that were retried, FenceRetries
+	// back-offs on a range in migration, Rehomes cached sessions dropped
+	// because the shard map moved on.
 	Deadlocks    int
 	Sheds        int
 	FenceRetries int
@@ -557,7 +540,7 @@ func (r *WallResult) String() string {
 		fmt.Fprintf(&b, " load-reports=%d", r.Reports)
 	}
 	if a := r.Admission; a != nil {
-		fmt.Fprintf(&b, " admission(max-sessions=%d shed-sessions=%d shed-calls=%d)", a.MaxSessions, a.ShedSessions, a.ShedCalls)
+		fmt.Fprintf(&b, " admission(max-sessions=%d shed-sessions=%d)", a.MaxSessions, a.ShedSessions)
 	}
 	if m := r.Migration; m != nil {
 		fmt.Fprintf(&b, " post-tput=%.0f txn/s imbalance=%.2f", m.PostTput, m.ImbalanceAfter)

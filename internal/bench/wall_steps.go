@@ -57,8 +57,8 @@ func (c TPCCConfig) loadRange(m runtime.ShardMap, shard int) (*sqldb.DB, error) 
 // with the server, so goroutine counts say nothing about DB CPU and
 // colocated lock waits would trip the blend nondeterministically; what
 // drives these experiments is forced (the external ramp, the session
-// cap). QueueDepth and LockWaitRate still ride every report, and the
-// two-process cmd/pyxis-dbserver keeps the calibrated defaults.
+// cap). LockWaitRate still rides every report, and the two-process
+// cmd/pyxis-dbserver keeps the calibrated defaults.
 func colocatedMonitor(db *sqldb.DB) *runtime.LoadMonitor {
 	mon := runtime.NewLoadMonitor(db)
 	mon.GoroutineSat = 1 << 20
@@ -66,13 +66,12 @@ func colocatedMonitor(db *sqldb.DB) *runtime.LoadMonitor {
 	return mon
 }
 
-// call makes one entry call on c and says what it was: kind, whether
-// the low half served it and how many sheds Call absorbed on the way.
+// call makes one entry call on c and says what it was: kind and
+// whether the low half served it.
 func call(c *deploy.Client, kind txnKind, method string, args ...val.Value) (txnOut, error) {
-	before := c.Stats()
+	before := c.Stats().Low
 	_, err := c.Call(method, args...)
-	after := c.Stats()
-	return txnOut{kind: kind, low: after.Low > before.Low, sheds: int(after.Sheds - before.Sheds)}, err
+	return txnOut{kind: kind, low: c.Stats().Low > before}, err
 }
 
 // ---------------------------------------------------------------------------

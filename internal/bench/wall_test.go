@@ -26,13 +26,14 @@ func TestRetryClassifier(t *testing.T) {
 		{"deadlock sentinel over the database wire", fmt.Errorf("exec: %w", sqldb.ErrDeadlock), 0, classDeadlock},
 		{"deadlock inside a control transfer", errors.New("runtime: remote: block 7: sqldb: deadlock detected"), 3, classDeadlock},
 		{"2PC abort", fmt.Errorf("gid 9: %w", runtime.ErrTxnAborted), 0, classDeadlock},
-		{"shed, wrapped", fmt.Errorf("session 3: %w", rpc.ErrOverloaded), 0, classShed},
 		{"fenced range", fmt.Errorf("%w: keys [1,2]", sqldb.ErrRangeFenced), 0, classFenced},
 		{"moved range", fmt.Errorf("%w: keys [1,2]", sqldb.ErrRangeMoved), 0, classMoved},
 		{"wrong shard", fmt.Errorf("%w: key 3", runtime.ErrWrongShard), 0, classMoved},
 		{"unknown error", errors.New("duplicate primary key"), 0, classFatal},
+		// A gated server sheds only session opens, which runClient
+		// retries; a shed at a step is a broken contract.
+		{"shed, wrapped", fmt.Errorf("session 3: %w", rpc.ErrOverloaded), 0, classFatal},
 		{"deadlock past the budget", sqldb.ErrDeadlock, maxRetries, classFatal},
-		{"shed past the budget", rpc.ErrOverloaded, maxRetries, classFatal},
 		// A fence clears when the move commits or its TTL lapses, not
 		// after a number of tries.
 		{"fenced past the budget", sqldb.ErrRangeFenced, maxRetries, classFenced},
@@ -43,7 +44,7 @@ func TestRetryClassifier(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: class %d, want %d", c.name, got, c.want)
 		}
-		if (got == classShed || got == classFenced || got == classMoved) && pause <= 0 {
+		if (got == classFenced || got == classMoved) && pause <= 0 {
 			t.Errorf("%s: retried with no pause", c.name)
 		}
 		if got == classFatal && pause != 0 {

@@ -1,11 +1,13 @@
 package deploy
 
 import (
-	"fmt"
+	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"pyxis/internal/rpc"
+	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
@@ -14,9 +16,14 @@ import (
 // and 0 (low), with mux configuration mux (nil: none, so no load report
 // ever reaches the switcher and only the test moves it).
 func pairTier(t *testing.T, mux func(int, *sqldb.DB) rpc.MuxServeConfig) *Tier {
+	return pooledPairTier(t, 1, mux)
+}
+
+// pooledPairTier is pairTier over conns pooled connections per wire.
+func pooledPairTier(t *testing.T, conns int, mux func(int, *sqldb.DB) rpc.MuxServeConfig) *Tier {
 	t.Helper()
 	parts := ledgerPartitions(t, 1.0, 0)
-	tier, err := Up(Topology{High: parts[0], Low: parts[1], Mux: mux,
+	tier, err := Up(Topology{Conns: conns, High: parts[0], Low: parts[1], Mux: mux,
 		NewDB: func(int) (*sqldb.DB, error) { return ledgerDB(t), nil }})
 	if err != nil {
 		t.Fatal(err)
@@ -89,52 +96,109 @@ func TestPairExactCounts(t *testing.T) {
 	}
 }
 
-// scriptedAdmission admits every session and sheds the next calls it
-// is told to, running onShed(k) as it sheds the k-th.
-type scriptedAdmission struct {
-	sheds, shed atomic.Int64 // sheds to come, sheds made
-	onShed      func(k int64)
-}
-
-func (*scriptedAdmission) AdmitSession(uint32) error { return nil }
-func (*scriptedAdmission) SessionClosed(uint32)      {}
-func (a *scriptedAdmission) AdmitCall(uint32, int) error {
-	if a.sheds.Add(-1) < 0 {
-		a.sheds.Add(1)
-		return nil
-	}
-	k := a.shed.Add(1)
-	a.onShed(k)
-	return fmt.Errorf("scripted shed %d", k)
-}
-
-// TestClientCallRetriesShedsWithFreshPick: Call backs off on every
-// shed and picks a half afresh for each attempt. The high half's
-// server sheds twice; only the second shed's load report moves the
-// switcher, so the second attempt still runs high and the third low.
-// The call then counts once, on the low half, with both sheds.
-func TestClientCallRetriesShedsWithFreshPick(t *testing.T) {
-	var tier *Tier
-	adm := &scriptedAdmission{onShed: func(k int64) {
-		if k == 2 {
-			tier.Router.Switcher(0).Observe(99)
+// TestPoolRepliesReportEmptyQueues pins the premise of admitting once
+// per session: every client makes one call at a time per session, so
+// no reply on either wire ever leaves a call queued behind it, even
+// with concurrent clients striped over two pooled connections and
+// calling both halves.
+func TestPoolRepliesReportEmptyQueues(t *testing.T) {
+	var deepest atomic.Int64
+	tier := pooledPairTier(t, 2, func(int, *sqldb.DB) rpc.MuxServeConfig {
+		return rpc.MuxServeConfig{Load: func(queueLen int) (rpc.LoadReport, bool) {
+			for d := deepest.Load(); int64(queueLen) > d; d = deepest.Load() {
+				if deepest.CompareAndSwap(d, int64(queueLen)) {
+					break
+				}
+			}
+			return rpc.LoadReport{}, false
+		}}
+	})
+	const clients, calls = 8, 10
+	var high, low atomic.Int64
+	run := func() {
+		var wg sync.WaitGroup
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c, err := tier.Open(0, "Ledger", val.IntV(int64(i)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer c.Close()
+				for k := 0; k < calls; k++ {
+					if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				high.Add(c.Stats().High)
+				low.Add(c.Stats().Low)
+			}()
 		}
-	}}
-	tier = pairTier(t, func(int, *sqldb.DB) rpc.MuxServeConfig { return rpc.MuxServeConfig{Admission: adm} })
-	c, err := tier.Open(0, "Ledger", val.IntV(0))
+		wg.Wait()
+	}
+	run()
+	tier.Router.Switcher(0).Observe(99)
+	run()
+	if high.Load() != clients*calls || low.Load() != clients*calls {
+		t.Errorf("%d high and %d low calls, want %d of each", high.Load(), low.Load(), clients*calls)
+	}
+	if got := deepest.Load(); got != 0 {
+		t.Errorf("a reply left %d calls queued on its session, want 0", got)
+	}
+}
+
+// TestAdmissionNeverShedsAdmittedSessions pins the admission contract:
+// the server decides at Open and only there. Once the load is forced
+// to 100, an open client's calls all still run, a new Open is refused
+// with rpc.ErrOverloaded, and Open succeeds again once the load falls
+// below the release level; the session cap refuses an Open beyond it.
+// A client holds one slot: its low program (budget 0) never transfers
+// control, so that half opens no control session on the server.
+func TestAdmissionNeverShedsAdmittedSessions(t *testing.T) {
+	var mon *runtime.LoadMonitor
+	var adm *runtime.AdmissionController
+	tier := pairTier(t, func(_ int, db *sqldb.DB) rpc.MuxServeConfig {
+		mon = runtime.NewLoadMonitor(db)
+		mon.GoroutineSat, mon.LockWaitSat = 1<<20, 1<<20 // only the forced load moves the blend
+		adm = runtime.NewAdmissionController(mon, runtime.AdmissionConfig{MaxSessions: 2})
+		return rpc.MuxServeConfig{Admission: adm}
+	})
+	open := func() (*Client, error) { return tier.Open(0, "Ledger", val.IntV(0)) }
+	c, err := open()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	adm.sheds.Store(2)
-	v, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1))
+	if n := adm.Stats().Sessions; n != 1 {
+		t.Fatalf("an open client holds %d admission slots, want 1", n)
+	}
+
+	mon.SetExternal(100)
+	for k := 0; k < 5; k++ {
+		if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
+			t.Fatalf("call %d on an admitted client at load 100: %v", k, err)
+		}
+	}
+	if got, want := c.Stats(), (CallStats{High: 5}); got != want {
+		t.Errorf("stats %+v, want %+v (every call on the gated control wire)", got, want)
+	}
+	if _, err := open(); !errors.Is(err, rpc.ErrOverloaded) {
+		t.Fatalf("Open at load 100: %v, want rpc.ErrOverloaded", err)
+	}
+
+	mon.SetExternal(0)
+	second, err := open()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Open after the load fell: %v", err)
 	}
-	if v.F != 1 || adm.shed.Load() != 2 {
-		t.Errorf("deposit returned %v after %d sheds, want 1 after 2", v, adm.shed.Load())
+	defer second.Close()
+	if _, err := open(); !errors.Is(err, rpc.ErrOverloaded) {
+		t.Fatalf("Open beyond the 2-session cap: %v, want rpc.ErrOverloaded", err)
 	}
-	if got, want := c.Stats(), (CallStats{Low: 1, Sheds: 2}); got != want {
-		t.Errorf("stats %+v, want %+v", got, want)
+	if got := balance(t, tier.DBs[0]); got != 5 {
+		t.Errorf("balance %v after 5 deposits", got)
 	}
 }

@@ -215,7 +215,7 @@ func (a *App) Close() {
 // of one class on every partitioning the shards serve — the high half,
 // plus the low half when they serve a Low partition (the §6.3 pair) —
 // each on its own control and database sessions. Call picks a half per
-// attempt, so application code never sees the choice. Like the runtime
+// call, so application code never sees the choice. Like the runtime
 // clients it holds, a Client is one logical thread of control.
 type Client struct {
 	Shard int
@@ -234,14 +234,16 @@ type half struct {
 	oid val.OID
 }
 
-// CallStats counts a Client's entry calls: completed calls per half and
-// the overload sheds Call absorbed. A failed call counts nowhere.
-type CallStats struct{ High, Low, Sheds int64 }
+// CallStats counts a Client's completed entry calls per half. A failed
+// call counts nowhere.
+type CallStats struct{ High, Low int64 }
 
 // Open opens a client on shard and constructs its object of class on
 // each half: per half a control session (tagged runtime.TagLowBudget
-// for the low one) and a database session. A failed Open holds nothing
-// open; a tier that serves no program fails with ErrNotServed.
+// for the low one) and a database session; the server admits each
+// control session here (runtime.Client.Open). A failed Open holds
+// nothing open: a refused session fails it with rpc.ErrOverloaded, a
+// tier that serves no program with ErrNotServed.
 func (a *App) Open(shard int, class string, args ...val.Value) (*Client, error) {
 	if a.peers[0] == nil {
 		return nil, ErrNotServed
@@ -269,7 +271,10 @@ func (a *App) Open(shard int, class string, args ...val.Value) (*Client, error) 
 		}
 		rt := runtime.NewClient(peer.NewSession(conn), ctl)
 		c.halves = append(c.halves, half{rt: rt}) // Close releases it from here on
-		if c.halves[i].oid, err = rt.NewObject(class, args...); err != nil {
+		if c.halves[i].oid, err = rt.NewObject(class, args...); err == nil {
+			err = rt.Open()
+		}
+		if err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -277,26 +282,20 @@ func (a *App) Open(shard int, class string, args ...val.Value) (*Client, error) 
 	return c, nil
 }
 
-// Call invokes the entry method on the client's object. Each attempt
-// runs on the half the shard's switcher picks — the low one while the
-// database server's load average is over its threshold — and an
-// attempt the server shed (rpc.ErrOverloaded) is retried with jittered
-// backoff, picking afresh: the average may have moved. Any other error
-// returns at once; whether to retry it is the caller's decision.
+// Call invokes the entry method on the client's object, on the half
+// the shard's switcher picks — the low one while the database server's
+// load average is over its threshold. The server admitted the client
+// at Open and sheds no call; whether to retry an error is the caller's
+// decision.
 func (c *Client) Call(method string, args ...val.Value) (val.Value, error) {
-	var ret val.Value
-	sheds, err := runtime.RetryOverloaded(func() error {
-		h, done := c.halves[0], &c.stats.High
-		if len(c.halves) > 1 && c.sw.UseLowBudget() {
-			h, done = c.halves[1], &c.stats.Low
-		}
-		var err error
-		if ret, err = h.rt.CallEntry(method, h.oid, args...); err == nil {
-			*done++
-		}
-		return err
-	})
-	c.stats.Sheds += sheds
+	h, done := c.halves[0], &c.stats.High
+	if len(c.halves) > 1 && c.sw.UseLowBudget() {
+		h, done = c.halves[1], &c.stats.Low
+	}
+	ret, err := h.rt.CallEntry(method, h.oid, args...)
+	if err == nil {
+		*done++
+	}
 	return ret, err
 }
 

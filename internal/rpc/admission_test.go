@@ -27,11 +27,10 @@ func (d *deadline) tick(format string, args ...any) {
 	time.Sleep(time.Millisecond)
 }
 
-// stubAdmission is a scriptable AdmissionPolicy: flip the gates and
+// stubAdmission is a scriptable AdmissionPolicy: flip the gate and
 // count the lifecycle calls.
 type stubAdmission struct {
 	refuseSessions atomic.Bool
-	refuseCalls    atomic.Bool
 
 	admitted atomic.Int64
 	closed   atomic.Int64
@@ -42,13 +41,6 @@ func (a *stubAdmission) AdmitSession(sid uint32) error {
 		return errors.New("stub: session refused")
 	}
 	a.admitted.Add(1)
-	return nil
-}
-
-func (a *stubAdmission) AdmitCall(sid uint32, queueLen int) error {
-	if a.refuseCalls.Load() {
-		return errors.New("stub: call refused")
-	}
 	return nil
 }
 
@@ -101,33 +93,46 @@ func TestMuxAdmissionSessionShed(t *testing.T) {
 	}
 }
 
-// TestMuxAdmissionCallShed pins the per-call gate: calls on an already
-// admitted session shed typed while the gate is closed, the session
-// survives, and traffic resumes when the gate opens.
-func TestMuxAdmissionCallShed(t *testing.T) {
+// TestMuxSessionOpenDecidesOnce pins MuxSession.Open: a refused open
+// is the typed shed with no handler opened, an admitted one opens the
+// session's handler, and the session's calls then run whatever the
+// gate says. Opens are not calls: the connection's Stats count
+// neither them nor their bytes.
+func TestMuxSessionOpenDecidesOnce(t *testing.T) {
 	adm := &stubAdmission{}
+	adm.refuseSessions.Store(true)
 	h := &echoHandlers{}
 	c := pipeMuxConfig(t, h, MuxServeConfig{Admission: adm})
 
 	s := c.Session()
-	if _, err := s.Call([]byte("warm")); err != nil {
+	if err := s.Open(); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("refused open = %v, want ErrOverloaded", err)
+	}
+	if h.opened.Load() != 0 {
+		t.Fatal("handler opened for a refused session")
+	}
+	adm.refuseSessions.Store(false)
+	if err := s.Open(); err != nil {
 		t.Fatal(err)
 	}
-
-	adm.refuseCalls.Store(true)
+	if st := c.Stats(); st != (Stats{}) {
+		t.Errorf("stats %+v after two opens, want none counted", st)
+	}
+	adm.refuseSessions.Store(true)
 	for k := 0; k < 3; k++ {
-		if _, err := s.Call([]byte("blocked")); !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("call %d under a closed gate: %v, want ErrOverloaded", k, err)
+		resp, err := s.Call([]byte("hi"))
+		if err != nil || string(resp[4:]) != "hi" {
+			t.Fatalf("call %d on an admitted session under a closed gate: %q %v", k, resp, err)
 		}
 	}
-
-	adm.refuseCalls.Store(false)
-	resp, err := s.Call([]byte("resumed"))
-	if err != nil || string(resp[4:]) != "resumed" {
-		t.Fatalf("traffic did not resume after the gate opened: %q %v", resp, err)
+	if err := s.Open(); err != nil {
+		t.Fatalf("open of an open session: %v", err)
 	}
-	if h.opened.Load() != 1 {
-		t.Errorf("session churned %d times across call sheds, want a single open", h.opened.Load())
+	if st := c.Stats(); st.Calls != 3 {
+		t.Errorf("stats %+v, want the 3 calls alone", st)
+	}
+	if h.opened.Load() != 1 || adm.admitted.Load() != 1 {
+		t.Errorf("opened=%d admitted=%d, want 1/1", h.opened.Load(), adm.admitted.Load())
 	}
 }
 

@@ -68,24 +68,11 @@ func (c *recConn) written() [][]byte {
 	return append([][]byte(nil), c.chunks...)
 }
 
-// scriptedAdmission refuses exactly the calls whose ordinal is listed.
-type scriptedAdmission struct {
-	mu     sync.Mutex
-	calls  int
-	refuse map[int]string
-}
+// refuseAdmission refuses every session with its own text.
+type refuseAdmission string
 
-func (a *scriptedAdmission) AdmitSession(uint32) error { return nil }
-func (a *scriptedAdmission) SessionClosed(uint32)      {}
-func (a *scriptedAdmission) AdmitCall(uint32, int) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.calls++
-	if reason, ok := a.refuse[a.calls]; ok {
-		return errors.New(reason)
-	}
-	return nil
-}
+func (a refuseAdmission) AdmitSession(uint32) error { return errors.New(string(a)) }
+func (refuseAdmission) SessionClosed(uint32)        {}
 
 // worldHandlers answers every call "world".
 var worldHandlers = HandlerFactory(func(uint32) Handler {
@@ -96,7 +83,8 @@ var worldHandlers = HandlerFactory(func(uint32) Handler {
 // framing produced (generated by the parent commit's writeMuxFrame and
 // attachLoad): a call, a reply with and without a load report, a shed
 // and a close frame, each captured off a real client and a real demux
-// loop, each one Write.
+// loop, each one Write. The shed is an admission refusal of a session
+// whose call is its request 4.
 func TestFrameGoldenBytes(t *testing.T) {
 	const (
 		call      = "0e00000007000001030000000068656c6c6f"
@@ -106,7 +94,9 @@ func TestFrameGoldenBytes(t *testing.T) {
 		closeSess = "09000000070000010000000003"
 	)
 	rep := LoadReport{Load: 42.5, CPU: 12.25, LockWaitRate: 3, QueueDepth: 7}
-	run := func(cfg MuxServeConfig) (cli, srv [][]byte) {
+	// run makes one call on session 0x01000007 after request rid, then
+	// closes it.
+	run := func(cfg MuxServeConfig, rid uint32) (cli, srv [][]byte) {
 		srvEnd, cliEnd := net.Pipe()
 		srvRec, cliRec := &recConn{ReadWriteCloser: srvEnd}, &recConn{ReadWriteCloser: cliEnd}
 		done := make(chan struct{})
@@ -116,12 +106,14 @@ func TestFrameGoldenBytes(t *testing.T) {
 		}()
 		c := NewMuxClient(cliRec)
 		s := c.newSession(0x01000007)
-		s.nextRID.Store(2)
-		if resp, err := s.Call([]byte("hello")); err != nil || string(resp) != "world" {
+		s.nextRID.Store(rid)
+		resp, err := s.Call([]byte("hello"))
+		if cfg.Admission != nil {
+			if !errors.Is(err, ErrOverloaded) {
+				t.Fatalf("call on a refused session: want shed, got %q %v", resp, err)
+			}
+		} else if err != nil || string(resp) != "world" {
 			t.Fatalf("call: %q %v", resp, err)
-		}
-		if _, err := s.Call([]byte("hello")); cfg.Admission != nil && !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("second call: want shed, got %v", err)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
@@ -136,25 +128,27 @@ func TestFrameGoldenBytes(t *testing.T) {
 			t.Errorf("%s frame:\n got %x\nwant %s", what, got, want)
 		}
 	}
-
-	cli, srv := run(MuxServeConfig{})
-	if len(cli) != 3 || len(srv) != 2 {
-		t.Fatalf("report-less run: %d client and %d server writes, want 3 and 2 (one per frame)", len(cli), len(srv))
+	load := func(int) (LoadReport, bool) { return rep, true }
+	for _, tc := range []struct {
+		what  string
+		cfg   MuxServeConfig
+		rid   uint32
+		reply string
+	}{
+		{"reply", MuxServeConfig{}, 2, reply},
+		{"reply+load", MuxServeConfig{Load: load}, 2, replyLoad},
+		{"shed+load", MuxServeConfig{Load: load, Admission: refuseAdmission("busy")}, 3, shedLoad},
+	} {
+		cli, srv := run(tc.cfg, tc.rid)
+		if len(cli) != 2 || len(srv) != 1 {
+			t.Fatalf("%s run: %d client and %d server writes, want 2 and 1 (one per frame)", tc.what, len(cli), len(srv))
+		}
+		if tc.rid == 2 {
+			check("call", cli[0], call)
+		}
+		check("close", cli[1], closeSess)
+		check(tc.what, srv[0], tc.reply)
 	}
-	check("call", cli[0], call)
-	check("close", cli[2], closeSess)
-	check("reply", srv[0], reply)
-
-	cli, srv = run(MuxServeConfig{
-		Load:      func(int) (LoadReport, bool) { return rep, true },
-		Admission: &scriptedAdmission{refuse: map[int]string{2: "busy"}},
-	})
-	if len(cli) != 3 || len(srv) != 2 {
-		t.Fatalf("load run: %d client and %d server writes, want 3 and 2 (one per frame)", len(cli), len(srv))
-	}
-	check("call", cli[0], call)
-	check("reply+load", srv[0], replyLoad)
-	check("shed+load", srv[1], shedLoad)
 }
 
 // TestFrameTornWritePoisonsClient is the bug this PR's framing fixes

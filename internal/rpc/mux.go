@@ -15,11 +15,11 @@ package rpc
 // sid identifies the session (allocated by the client, scoped to the
 // connection), rid the request within the session. Kinds:
 //
-//	muxCall      client -> server   body = request payload
+//	muxCall      client -> server   body = request payload (empty: open the session)
 //	muxReplyOK   server -> client   body = response payload
 //	muxReplyErr  server -> client   body = error text
 //	muxCloseSess client -> server   session teardown (no reply)
-//	muxReplyShed server -> client   body = shed reason (queue overflow)
+//	muxReplyShed server -> client   body = shed reason (admission refused, queue overflow)
 //
 // A client sends calls and closes, nothing else. Two-phase commit and
 // range-migration control are dbapi operations riding muxCall on the
@@ -50,10 +50,11 @@ const (
 	muxReplyOK
 	muxReplyErr
 	muxCloseSess
-	// muxReplyShed rejects a call the server refused to queue (session
-	// queue overflow). It is distinct from muxReplyErr so clients can
-	// surface the typed ErrOverloaded sentinel: overload is retryable
-	// back-off territory, not an application failure.
+	// muxReplyShed rejects a call the server refused: a session its
+	// admission policy did not open, or a call beyond the session's queue
+	// bound. It is distinct from muxReplyErr so clients can surface the
+	// typed ErrOverloaded sentinel: overload is retryable back-off
+	// territory, not an application failure.
 	muxReplyShed
 )
 
@@ -61,9 +62,10 @@ const (
 // LoadReport (see wire.go) before the regular payload.
 const muxFlagLoad byte = 0x80
 
-// ErrOverloaded reports that the server shed a call because the
-// session's queue was full. Callers should back off and retry instead
-// of failing the transaction; errors.Is matches it through wrapping.
+// ErrOverloaded reports that the server shed a call: its admission
+// policy refused to open the session, or the session's queue was full.
+// Nothing was run, so callers may back off and retry; errors.Is matches
+// it through wrapping.
 var ErrOverloaded = errors.New("rpc: server overloaded")
 
 // ErrTxnDeadline reports that a CallWithin did not complete within its
@@ -163,6 +165,9 @@ func muxKey(sid, rid uint32) uint64 { return uint64(sid)<<32 | uint64(rid) }
 type waiter struct {
 	ch   chan muxFrame
 	into []byte
+	// open says the call is a session open (MuxSession.Open), which
+	// the connection's Stats leave out.
+	open bool
 }
 
 func (c *MuxClient) readLoop() {
@@ -172,7 +177,7 @@ func (c *MuxClient) readLoop() {
 			c.fail(fmt.Errorf("rpc: mux connection lost: %w", err))
 			return
 		}
-		c.bytesRecv.Add(int64(n) + muxHeaderLen + 4)
+		size := int64(n) + muxHeaderLen + 4
 		if f.kind&muxFlagLoad != 0 {
 			var rep LoadReport
 			if rep, n, err = c.fr.readLoadReport(n); err != nil {
@@ -199,6 +204,9 @@ func (c *MuxClient) readLoop() {
 		w := c.pending[key]
 		delete(c.pending, key)
 		c.mu.Unlock()
+		if w == nil || !w.open {
+			c.bytesRecv.Add(size)
+		}
 		if w == nil { // the call timed out and un-registered
 			if _, err = c.fr.br.Discard(n); err != nil {
 				c.fail(fmt.Errorf("rpc: mux connection lost: %w", unexpectedEOF(err)))
@@ -264,7 +272,7 @@ func (c *MuxClient) exchange(s *MuxSession, req, into []byte, timeout time.Durat
 	} else {
 		defer s.idle()
 	}
-	w.into = into
+	w.into, w.open = into, len(req) == 0
 	ch := w.ch
 	rid := s.nextRID.Add(1)
 	key := muxKey(s.sid, rid)
@@ -287,8 +295,10 @@ func (c *MuxClient) exchange(s *MuxSession, req, into []byte, timeout time.Durat
 		c.mu.Unlock()
 		return muxFrame{}, err
 	}
-	c.calls.Add(1)
-	c.bytesSent.Add(int64(len(req)) + muxHeaderLen + 4)
+	if !w.open {
+		c.calls.Add(1)
+		c.bytesSent.Add(int64(len(req)) + muxHeaderLen + 4)
+	}
 
 	var f muxFrame
 	ok := false
@@ -427,7 +437,8 @@ func (c *MuxClient) SetOnLoad(fn func(LoadReport)) {
 // connection has received.
 func (c *MuxClient) LoadReports() int64 { return c.loadReports.Load() }
 
-// Stats returns aggregate traffic counters across all sessions.
+// Stats returns aggregate traffic counters across all sessions. A
+// session open (MuxSession.Open) is not a call and counts nowhere.
 func (c *MuxClient) Stats() Stats {
 	return Stats{
 		Calls:     c.calls.Load(),
@@ -475,6 +486,16 @@ func (s *MuxSession) ID() uint32 { return s.sid }
 
 // Conn returns the connection the session is pinned to.
 func (s *MuxSession) Conn() *MuxClient { return s.c }
+
+// Open opens the session on the server now instead of at its first
+// call, with an empty call the server answers without running a
+// handler and Stats do not count. A server's admission policy decides
+// here: a refusal is ErrOverloaded and leaves nothing open, and a
+// session it admitted is never refused by it again.
+func (s *MuxSession) Open() error {
+	_, err := s.call(nil, nil, 0)
+	return err
+}
 
 // Call implements Transport.
 func (s *MuxSession) Call(req []byte) ([]byte, error) { return s.CallInto(req, nil) }
@@ -555,10 +576,9 @@ type sessionWorker struct {
 // SessionQueueDepth bounds how many requests one session may have
 // outstanding; excess calls are shed with an ErrOverloaded reply
 // rather than blocking the connection's read loop (which would wedge
-// every session behind one flooded queue). The Pyxis runtime keeps a
-// single logical thread per session (at most one outstanding call), so
-// the limit is never hit in normal operation. Exported so load
-// monitors can normalize queue-depth samples against the capacity.
+// every session behind one flooded queue). Every client in this tree
+// makes one call at a time per session, so the bound only ever stops
+// some other peer.
 const SessionQueueDepth = 32
 
 // LoadSource supplies the server's current load sample for
@@ -570,22 +590,18 @@ const SessionQueueDepth = 32
 type LoadSource func(queueLen int) (rep LoadReport, ok bool)
 
 // AdmissionPolicy lets a server refuse work instead of merely
-// reporting saturation: the demux loop consults it before creating a
-// session and before queueing each call. A returned error sheds the
-// frame with a muxReplyShed reply — the client sees the typed
-// ErrOverloaded and its existing backoff applies — without any session
-// or transaction state having been created. Implementations are called
-// from every connection's demux loop and must be safe for concurrent
-// use.
+// reporting saturation. It decides once per session, when the session
+// opens (MuxSession.Open, or else its first call): a returned error
+// sheds that frame with a muxReplyShed reply — the client sees the
+// typed ErrOverloaded — before any session or transaction state
+// exists, and a session it admitted runs every later call.
+// Implementations are called from every connection's demux loop and
+// must be safe for concurrent use.
 type AdmissionPolicy interface {
 	// AdmitSession gates creation of a new session. On error the
 	// session is not opened (no handler, no worker) and the triggering
 	// call is shed; a later call may retry admission.
 	AdmitSession(sid uint32) error
-	// AdmitCall gates queueing one call on an admitted session;
-	// queueLen is the session's queue depth at arrival. On error the
-	// call is shed and the session stays live.
-	AdmitCall(sid uint32, queueLen int) error
 	// SessionClosed releases the admission slot of a session that
 	// passed AdmitSession, after its worker drained (explicit close or
 	// connection teardown). Called exactly once per admitted session.
@@ -598,8 +614,8 @@ type MuxServeConfig struct {
 	// (including sheds — overload is exactly when the peer most wants
 	// the signal).
 	Load LoadSource
-	// Admission, when non-nil, gates session creation and per-call
-	// queueing; refused frames are shed with ErrOverloaded replies.
+	// Admission, when non-nil, gates session creation; a refused
+	// session's opening frame is shed with an ErrOverloaded reply.
 	Admission AdmissionPolicy
 }
 
@@ -743,15 +759,13 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 				wg.Add(1)
 				go work(f.sid, sw, handlers.Open(f.sid))
 			}
-			// Call admission: a saturated server tightens the effective
-			// queue bound below the structural SessionQueueDepth.
-			if cfg.Admission != nil {
-				if aerr := cfg.Admission.AdmitCall(f.sid, len(sw.ch)); aerr != nil {
-					if !shed(f, aerr.Error(), len(sw.ch)) {
-						return
-					}
-					continue
+			if len(f.body) == 0 {
+				// An empty call only opens its session (MuxSession.Open):
+				// no handler sees it.
+				if !reply(f, muxReplyOK, nil, len(sw.ch)) {
+					return
 				}
+				continue
 			}
 			if !enqueue(sw, f) {
 				return

@@ -13,14 +13,14 @@ package rpc
 // of every session funnels through one read loop and one write mutex
 // on each end, so past a handful of concurrent sessions the wire — not
 // the engine — caps throughput. The pool therefore places each NEW
-// session on the shard's least-loaded connection (by in-flight calls
-// plus the connection's last server-reported queue depth) and pins it
-// there for life, which preserves every per-session invariant of the
-// single-connection protocol: per-session ordering (one worker per
-// session server-side), session-scoped state, and the tag-byte routing
-// of dual deployments. Session IDs come from the chosen connection's
-// own counter: every server serves each connection with its own
-// session handlers, so an ID only has to be unique on its connection.
+// session on the shard's least-loaded connection (by its calls in
+// flight) and pins it there for life, which preserves every
+// per-session invariant of the single-connection protocol: per-session
+// ordering (one worker per session server-side), session-scoped state,
+// and the tag-byte routing of dual deployments. Session IDs come from
+// the chosen connection's own counter: every server serves each
+// connection with its own session handlers, so an ID only has to be
+// unique on its connection.
 //
 // Load reports stay per-shard too: every report is delivered to the
 // sink WITH the shard index it arrived from, so a consumer keeps one
@@ -49,11 +49,7 @@ var ErrPoolPoisoned = errors.New("rpc: all pooled connections poisoned")
 // its pinned sessions fail and new sessions are placed on the shard's
 // survivors.
 type ShardedPool struct {
-	conns [][]*MuxClient // [shard][conn]
-	// depth[shard][i] is connection i's most recent server-reported
-	// session queue depth — the far end of the placement signal (the
-	// near end is MuxClient.Outstanding).
-	depth [][]atomic.Uint32
+	conns [][]*MuxClient  // [shard][conn]
 	rr    []atomic.Uint32 // per shard: rotates placement tie-breaks across conns
 
 	onLoad atomic.Pointer[func(int, LoadReport)]
@@ -72,12 +68,10 @@ func NewShardedPool(shards, connsPerShard int, dial func(shard, conn int) (io.Re
 	}
 	s := &ShardedPool{
 		conns: make([][]*MuxClient, shards),
-		depth: make([][]atomic.Uint32, shards),
 		rr:    make([]atomic.Uint32, shards),
 	}
 	for shard := range s.conns {
 		s.conns[shard] = make([]*MuxClient, 0, connsPerShard)
-		s.depth[shard] = make([]atomic.Uint32, connsPerShard)
 		for i := range connsPerShard {
 			conn, err := dial(shard, i)
 			if err != nil {
@@ -85,11 +79,9 @@ func NewShardedPool(shards, connsPerShard int, dial func(shard, conn int) (io.Re
 				return nil, fmt.Errorf("rpc: shard %d: dial conn %d: %w", shard, i, err)
 			}
 			c := NewMuxClient(conn)
-			// Every connection's sink records its queue depth for
-			// placement and stamps the shard index onto the report, so
-			// the consumer's per-shard EWMAs never mix servers.
+			// Every connection's sink stamps the shard index onto the
+			// report, so the consumer's per-shard EWMAs never mix servers.
 			c.SetOnLoad(func(rep LoadReport) {
-				s.depth[shard][i].Store(rep.QueueDepth)
 				if fn := s.onLoad.Load(); fn != nil {
 					(*fn)(shard, rep)
 				}
@@ -119,9 +111,8 @@ func (s *ShardedPool) ConnsPerShard() int { return len(s.conns[0]) }
 // applies).
 func (s *ShardedPool) Conn(shard, i int) *MuxClient { return s.conns[shard][i] }
 
-// place picks shard's least-loaded healthy connection. Load is the
-// connection's in-flight calls plus its last reported session queue
-// depth; ties resolve round-robin so an idle shard still stripes
+// place picks shard's healthy connection with the fewest calls in
+// flight; ties resolve round-robin so an idle shard still stripes
 // sessions instead of piling them on connection 0. Dead connections
 // are skipped with one atomic load each (no per-scan mutex); with
 // every connection poisoned it returns -1 and the caller surfaces the
@@ -140,17 +131,7 @@ func (s *ShardedPool) place(shard int) int {
 		if c.poisoned.Load() {
 			continue
 		}
-		score := c.Outstanding()
-		if score > 0 {
-			// The reported depth counts only while calls are in flight:
-			// with zero outstanding, nothing of ours can be queued
-			// server-side, so the last report is a stale snapshot of a
-			// finished burst and must not keep penalizing an idle
-			// connection (it would only refresh on traffic the stale
-			// score itself steers away).
-			score += int64(s.depth[shard][i].Load())
-		}
-		if best < 0 || score < bestScore {
+		if score := c.Outstanding(); best < 0 || score < bestScore {
 			best, bestScore = i, score
 		}
 	}

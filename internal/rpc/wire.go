@@ -273,19 +273,20 @@ func (r *Reader) appendVals(dst []val.Value, n int) []val.Value {
 // load message every 10 seconds over a side channel; here every reply
 // already travelling to the application server carries the sample, so
 // the app-side EWMA tracks the DB server with zero extra round trips.
-// Load is the blended saturation signal; the components it blends are
-// carried alongside so clients can apply their own policy.
+// Load is the blended saturation signal and the only field a client
+// reads; the other three are samples the report carries alongside.
 type LoadReport struct {
 	// Load is the blended saturation signal, percent (0-100).
 	Load float64
-	// CPU is the run-queue/CPU proxy component, percent: runnable
-	// goroutines relative to the server's saturation point.
+	// CPU is the goroutine-count CPU proxy component, percent: all
+	// goroutines, parked ones included, relative to the server's
+	// saturation point.
 	CPU float64
 	// LockWaitRate is the engine-wide lock-wait rate, waits/second
 	// (the hot-row saturation signal CPU load misses).
 	LockWaitRate float64
 	// QueueDepth is the replying session's mux queue depth at reply
-	// time (the per-session backpressure signal).
+	// time.
 	QueueDepth uint32
 }
 

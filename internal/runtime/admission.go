@@ -11,21 +11,22 @@ import (
 )
 
 // AdmissionController makes the server REFUSE work from the same
-// saturation signals LoadMonitor already samples, instead of merely
-// reporting them: it implements rpc.AdmissionPolicy, gating both
-// session creation and per-call queueing on the blended load — the
-// per-session mux queue depth, the sqldb lock-wait rate, the CPU
-// proxy, plus any external load — and on a hard concurrent-session
-// cap. Refusals travel as the typed rpc.ErrOverloaded shed, so every
-// existing client backoff path (deploy.Client.Call, bench drivers,
-// pyxis-app) just works.
+// saturation signal LoadMonitor already samples, instead of merely
+// reporting it: it implements rpc.AdmissionPolicy, deciding once per
+// session, when it opens, on a hard concurrent-session cap and on the
+// blended load — the sqldb lock-wait rate, the CPU proxy, plus any
+// external load. A session it admitted runs every later call. Refusals
+// travel as the typed rpc.ErrOverloaded shed, which the clients that
+// open sessions (deploy.App.Open's callers: the wall driver and
+// pyxis-app) retry with RetryOverloaded.
 //
 // The load gate is hysteretic: shedding engages when the blended load
 // crosses HighLoad and releases only once it falls below LowLoad, so
-// admission cannot flap call-by-call around a single threshold (the
-// same dead-band idea as Switcher.Hysteresis, applied server-side).
-// One controller is shared by every connection of a server, so its
-// session accounting is server-wide.
+// admission cannot flap session-by-session around a single threshold
+// (the same dead-band idea as Switcher.Hysteresis, applied
+// server-side); the band moves only on the samples taken as sessions
+// ask to open. One controller is shared by every connection of a
+// server, so its session accounting is server-wide.
 type AdmissionController struct {
 	cfg AdmissionConfig
 	mon *LoadMonitor
@@ -35,7 +36,6 @@ type AdmissionController struct {
 
 	admittedSessions atomic.Int64
 	shedSessions     atomic.Int64
-	shedCalls        atomic.Int64
 }
 
 // AdmissionConfig tunes an AdmissionController. Zero values select the
@@ -55,12 +55,6 @@ type AdmissionConfig struct {
 	LowLoad float64
 }
 
-// shedQueue is the per-session queue depth tolerated WHILE shedding:
-// admitted sessions keep making one-call-at-a-time progress, but a
-// session trying to pipeline into a saturated server is shed early
-// instead of being allowed to fill its structural queue.
-const shedQueue = rpc.SessionQueueDepth / 4
-
 // NewAdmissionController builds a controller over mon's saturation
 // signal. mon may be nil, leaving only the MaxSessions gate active
 // (shedding then never engages).
@@ -78,13 +72,12 @@ func NewAdmissionController(mon *LoadMonitor, cfg AdmissionConfig) *AdmissionCon
 }
 
 // refresh re-evaluates the hysteresis state from the current blended
-// load. queueLen rides into the monitor's blend the same way it rides
-// reply-time samples, so a deep session queue pushes toward shedding.
-func (a *AdmissionController) refresh(queueLen int) {
+// load.
+func (a *AdmissionController) refresh() {
 	if a.mon == nil {
 		return
 	}
-	rep, ok := a.mon.Sample(queueLen)
+	rep, ok := a.mon.Sample(0)
 	if !ok {
 		return
 	}
@@ -101,7 +94,7 @@ func (a *AdmissionController) refresh(queueLen int) {
 // while the server is saturated (hysteresis state) or at the session
 // cap. Admission reserves a slot that SessionClosed releases.
 func (a *AdmissionController) AdmitSession(sid uint32) error {
-	a.refresh(0)
+	a.refresh()
 	if a.shedding.Load() {
 		a.shedSessions.Add(1)
 		return fmt.Errorf("admission: server saturated (load over %.0f%%), session %d refused", a.cfg.HighLoad, sid)
@@ -124,19 +117,6 @@ func (a *AdmissionController) AdmitSession(sid uint32) error {
 	return nil
 }
 
-// AdmitCall implements rpc.AdmissionPolicy: while shedding, calls
-// arriving at a session whose queue already holds shedQueue requests
-// are refused — the tightened bound keeps admitted sessions moving
-// while preventing queue growth toward the structural limit.
-func (a *AdmissionController) AdmitCall(sid uint32, queueLen int) error {
-	a.refresh(queueLen)
-	if a.shedding.Load() && queueLen >= shedQueue {
-		a.shedCalls.Add(1)
-		return fmt.Errorf("admission: server saturated, session %d queue at %d (shed bound %d)", sid, queueLen, shedQueue)
-	}
-	return nil
-}
-
 // SessionClosed implements rpc.AdmissionPolicy: it releases the slot
 // AdmitSession reserved.
 func (a *AdmissionController) SessionClosed(sid uint32) { a.sessions.Add(-1) }
@@ -155,7 +135,6 @@ type AdmissionStats struct {
 	Sessions         int64 // currently admitted
 	AdmittedSessions int64 // admissions granted over the lifetime
 	ShedSessions     int64 // session admissions refused
-	ShedCalls        int64 // calls refused on admitted sessions
 	Shedding         bool  // current hysteresis state
 }
 
@@ -165,7 +144,6 @@ func (a *AdmissionController) Stats() AdmissionStats {
 		Sessions:         a.sessions.Load(),
 		AdmittedSessions: a.admittedSessions.Load(),
 		ShedSessions:     a.shedSessions.Load(),
-		ShedCalls:        a.shedCalls.Load(),
 		Shedding:         a.shedding.Load(),
 	}
 }
@@ -176,12 +154,12 @@ var _ rpc.AdmissionPolicy = (*AdmissionController)(nil)
 // deep retry chains wait tens of milliseconds, not seconds.
 const maxShedBackoffStep = 50
 
-// ShedBackoff returns how long to sleep before retry attempt
+// shedBackoff returns how long to sleep before retry attempt
 // (0-based) after an rpc.ErrOverloaded shed: a linearly growing base
 // plus a uniform random jitter of up to one base, so a cohort of
 // sessions shed together does not retry in lockstep and re-flood the
 // server at the exact same instant.
-func ShedBackoff(attempt int) time.Duration {
+func shedBackoff(attempt int) time.Duration {
 	step := attempt + 1
 	if step > maxShedBackoffStep {
 		step = maxShedBackoffStep
@@ -190,26 +168,25 @@ func ShedBackoff(attempt int) time.Duration {
 	return base + time.Duration(rand.Int63n(int64(base)))
 }
 
-// shedRetryLimit is how many times RetryOverloaded retries a shed call.
-const shedRetryLimit = 50
-
 // RetryOverloaded runs call, absorbing rpc.ErrOverloaded results with
-// ShedBackoff sleeps for up to shedRetryLimit retries; any other
-// outcome returns immediately. It returns how many sheds were absorbed
-// alongside the final error, counting the one that spends the limit —
-// the one shed-retry loop shared by every client of a gated server
-// (an overloaded reply means the server refused the work before any
-// state existed, so retrying is always safe).
-func RetryOverloaded(call func() error) (sheds int64, err error) {
+// shedBackoff sleeps until within has passed; any other outcome
+// returns immediately. It returns how many sheds were absorbed
+// alongside the final error, counting the one that ends the wait. An
+// overloaded reply means the server refused the work before any state
+// existed, so retrying is always safe. A gated server sheds nothing but
+// session opens, so call is an open (deploy.App.Open), and within is
+// how long its caller will wait for capacity to free.
+func RetryOverloaded(within time.Duration, call func() error) (sheds int64, err error) {
+	deadline := time.Now().Add(within)
 	for attempt := 0; ; attempt++ {
 		err = call()
 		if err == nil || !errors.Is(err, rpc.ErrOverloaded) {
 			return sheds, err
 		}
 		sheds++
-		if attempt >= shedRetryLimit {
+		if time.Now().After(deadline) {
 			return sheds, err
 		}
-		time.Sleep(ShedBackoff(attempt))
+		time.Sleep(shedBackoff(attempt))
 	}
 }

@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"pyxis/internal/pdg"
 	"pyxis/internal/rpc"
+	"pyxis/internal/sqldb"
+	"pyxis/internal/val"
 )
 
 // TestAdmissionSessionCap covers the structural gate: the cap admits
@@ -105,31 +108,6 @@ func TestAdmissionReleaseDefault(t *testing.T) {
 	}
 }
 
-// TestAdmissionCallShedWhileSaturated covers the per-call gate: while
-// shedding, a session with a deep queue is refused but an idle one
-// keeps progressing; after recovery the deep queue is admitted again.
-func TestAdmissionCallShedWhileSaturated(t *testing.T) {
-	mon := forcedMonitor()
-	a := NewAdmissionController(mon, AdmissionConfig{HighLoad: 80, LowLoad: 40})
-	shedQ := rpc.SessionQueueDepth / 4
-
-	mon.SetExternal(95)
-	if err := a.AdmitCall(1, shedQ); err == nil {
-		t.Error("deep-queue call admitted while saturated")
-	}
-	if err := a.AdmitCall(1, 0); err != nil {
-		t.Errorf("idle-queue call refused while saturated: %v (admitted sessions must keep moving)", err)
-	}
-
-	mon.SetExternal(10)
-	if err := a.AdmitCall(1, shedQ); err != nil {
-		t.Errorf("deep-queue call refused after recovery: %v", err)
-	}
-	if st := a.Stats(); st.ShedCalls != 1 {
-		t.Errorf("shed calls = %d, want 1", st.ShedCalls)
-	}
-}
-
 // TestPoolReportsFoldIntoSharedEWMA is the regression the pool must
 // never break: muxFlagLoad reports arriving on DIFFERENT pool
 // connections all fold into ONE shared EWMA, and a connection to a
@@ -224,7 +202,7 @@ func TestPoolReportsFoldIntoSharedEWMA(t *testing.T) {
 func TestShedBackoffJitter(t *testing.T) {
 	distinct := map[time.Duration]bool{}
 	for i := 0; i < 32; i++ {
-		d := ShedBackoff(0)
+		d := shedBackoff(0)
 		if d < time.Millisecond || d >= 2*time.Millisecond {
 			t.Fatalf("attempt-0 backoff %v outside [1ms, 2ms)", d)
 		}
@@ -233,10 +211,57 @@ func TestShedBackoffJitter(t *testing.T) {
 	if len(distinct) < 2 {
 		t.Error("32 attempt-0 backoffs identical: no jitter")
 	}
-	if d := ShedBackoff(9); d < 10*time.Millisecond || d >= 20*time.Millisecond {
+	if d := shedBackoff(9); d < 10*time.Millisecond || d >= 20*time.Millisecond {
 		t.Errorf("attempt-9 backoff %v outside [10ms, 20ms)", d)
 	}
-	if d := ShedBackoff(1 << 20); d >= 2*maxShedBackoffStep*time.Millisecond {
+	if d := shedBackoff(1 << 20); d >= 2*maxShedBackoffStep*time.Millisecond {
 		t.Errorf("huge attempt backoff %v escaped the cap", d)
+	}
+}
+
+// openCounter is a control transport that can open its session on the
+// server, and counts the opens.
+type openCounter struct {
+	rpc.Transport
+	opens int
+}
+
+func (o *openCounter) Open() error { o.opens++; return nil }
+
+// TestClientOpensOnlyWhatCanTransfer pins Client.Open, where a gated
+// server admits a client: a client whose program can transfer control
+// opens its session once before its first transfer and never after
+// one, and a client whose program runs wholly on the APP side opens
+// none, so it holds no admission slot.
+func TestClientOpensOnlyWhatCanTransfer(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		assign    func(g *pdg.Graph, place pdg.Placement)
+		callFirst bool
+		want      int
+	}{
+		{"can transfer, none made", placeOnDB("Calc", []string{"apply"}, "acc"), false, 1},
+		{"after a transfer", placeOnDB("Calc", []string{"apply"}, "acc"), true, 0},
+		{"wholly on the APP side", nil, false, 0},
+	} {
+		dep := NewDeployment(compileWith(t, calcSrc, tc.assign), sqldb.Open(), Options{})
+		oc := &openCounter{Transport: dep.Client.Remote}
+		dep.Client.Remote = oc
+		oid, err := dep.Client.NewObject("Calc")
+		if err == nil && tc.callFirst {
+			_, err = dep.Client.CallEntry("Calc.apply", oid, val.IntV(1), val.BoolV(false))
+		}
+		if err == nil {
+			err = dep.Client.Open()
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if oc.opens != tc.want {
+			t.Errorf("%s: %d opens, want %d", tc.name, oc.opens, tc.want)
+		}
+		if dep.App.Metrics.Transfers.Load() > 0 != tc.callFirst {
+			t.Errorf("%s: %d transfers", tc.name, dep.App.Metrics.Transfers.Load())
+		}
 	}
 }

@@ -30,20 +30,21 @@ import (
 	"pyxis/internal/solver"
 )
 
+// advisorTrigger is the imbalance ratio (hottest / median shard load)
+// above which Plan proposes a migration.
+const advisorTrigger = 1.25
+
+// advisorMoveCostDiv sets the per-warehouse cost of migrating: the
+// donor's mean warehouse load over 100, i.e. 1% of it — cheap enough
+// to move hot data, dear enough not to churn cold warehouses for
+// nothing.
+const advisorMoveCostDiv = 100
+
 // Advisor accumulates per-warehouse access statistics and emits
 // migration plans. Observe is cheap (one atomic add per touched
 // warehouse; the pair map is only taken for multi-warehouse
 // transactions) and safe for concurrent use.
 type Advisor struct {
-	// Trigger is the imbalance ratio (hottest / median shard load)
-	// above which Plan proposes a migration (default 1.25).
-	Trigger float64
-	// MoveCost is the per-warehouse cost of migrating, in the same
-	// unit as access counts; 0 means "1% of the mean warehouse load"
-	// — cheap enough to move hot data, dear enough not to churn cold
-	// warehouses for nothing.
-	MoveCost float64
-
 	warehouses int
 	counts     []atomic.Int64
 
@@ -54,7 +55,6 @@ type Advisor struct {
 // NewAdvisor sizes an advisor for warehouses [1, warehouses].
 func NewAdvisor(warehouses int) *Advisor {
 	return &Advisor{
-		Trigger:    1.25,
 		warehouses: warehouses,
 		counts:     make([]atomic.Int64, warehouses),
 		pairs:      map[[2]int32]float64{},
@@ -180,20 +180,16 @@ func (p *MigrationPlan) Runs() [][2]int64 {
 }
 
 // Plan proposes a migration under the current map, or returns (nil,
-// nil) when the tier is balanced (imbalance under Trigger), the donor
-// cannot shed anything within budget (one indivisible hotspot), or
-// nothing has been observed yet.
+// nil) when the tier is balanced (imbalance under advisorTrigger), the
+// donor cannot shed anything within budget (one indivisible hotspot),
+// or nothing has been observed yet.
 func (a *Advisor) Plan(m ShardMap) (*MigrationPlan, error) {
 	n := m.NumShards()
 	if n < 2 {
 		return nil, nil
 	}
 	loads := a.ShardLoads(m)
-	trigger := a.Trigger
-	if trigger <= 0 {
-		trigger = 1.25
-	}
-	if ImbalanceRatio(loads) <= trigger {
+	if ImbalanceRatio(loads) <= advisorTrigger {
 		return nil, nil
 	}
 	donor, recip := 0, 0
@@ -271,12 +267,9 @@ func (a *Advisor) cutProblem(m ShardMap, donorWs []int64, recip int, budget floa
 		p.NodeWeight[i] = c
 		total += c
 	}
-	moveCost := a.MoveCost
+	moveCost := total / float64(nw) / advisorMoveCostDiv
 	if moveCost <= 0 {
-		moveCost = total / float64(nw) / 100
-		if moveCost <= 0 {
-			moveCost = 1e-3
-		}
+		moveCost = 1e-3
 	}
 	for i, w := range donorWs {
 		c := float64(a.counts[w-1].Load())

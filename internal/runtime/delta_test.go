@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"pyxis/internal/compile"
 	"pyxis/internal/pdg"
@@ -165,9 +166,12 @@ class P {
 `
 
 // TestShedTransferKeepsFieldMarks: the first transfer, which syncs the
-// DB part with a and b set, is shed and retried the way deploy.Client.Call
-// retries (RetryOverloaded). The retry syncs b alone; a must travel
-// with it, because the shed request never reached the DB.
+// DB part with a and b set, is shed before it reaches the DB, and the
+// entry is run again. deploy.Client.Call does not retry sheds (a gated
+// server refuses only session opens); RetryOverloaded here stands in
+// for any caller that runs a failed entry again. The retry syncs b
+// alone; a must travel with it, because the shed request never
+// reached the DB.
 func TestShedTransferKeepsFieldMarks(t *testing.T) {
 	calls := []diffCall{
 		{"P.put", []val.Value{val.IntV(5)}},
@@ -193,7 +197,7 @@ func TestShedTransferKeepsFieldMarks(t *testing.T) {
 	var sheds int64
 	for i, c := range calls {
 		var v val.Value
-		n, err := RetryOverloaded(func() (err error) {
+		n, err := RetryOverloaded(time.Second, func() (err error) {
 			v, err = dep.Client.CallEntry(c.method, oid, c.args...)
 			return err
 		})

@@ -14,21 +14,22 @@ import (
 // LoadMonitor samples the DB server's saturation signal for
 // piggy-backing on mux replies (paper §6.3's load messages). Post
 // sharding, the engine no longer serializes, so a single CPU figure
-// misses how the server actually saturates; the monitor blends the
-// three signals ROADMAP names:
+// misses how the server actually saturates; the monitor blends two
+// organic signals:
 //
-//   - a run-queue/CPU proxy: runnable goroutines per core relative to
-//     a saturation point (interp + statement execution pin the CPU
-//     first at high client counts);
-//   - the replying session's mux queue depth (per-session
-//     backpressure, supplied by the mux layer at reply time);
+//   - a CPU proxy: goroutines per core relative to a saturation point
+//     (interp + statement execution pin the CPU first at high client
+//     counts);
 //   - the sqldb lock-wait rate (hot-row workloads accumulate lock
 //     waits while CPU stays flat).
 //
 // Each component normalizes to percent, the blend takes their max (a
 // server is as saturated as its most saturated resource), and any
 // external load — background processes in the paper's Fig. 11 spike,
-// or a bench-forced ramp — adds on top, clamped to 100. A Source()
+// or a bench-forced ramp — adds on top, clamped to 100. The replying
+// session's queue depth rides each report as a sample but is not
+// blended: every client makes one call at a time per session, so it
+// is always 0. A Source()
 // plugs directly into rpc.MuxServeConfig.Load; Sample is called
 // from every session worker concurrently and is safe for concurrent
 // use.
@@ -72,8 +73,7 @@ const rateWindow = 50 * time.Millisecond
 //
 // Attributing the whole delta to the clamped window is sound because
 // sampling rides the same wire that creates waits: every statement of
-// every session produces replies (and admission checks) that call
-// Sample, so a refresh gap much longer than rateWindow means the
+// every session produces replies that call Sample, so a refresh gap much longer than rateWindow means the
 // server processed ~nothing — and accumulated ~no waits — for most of
 // it; the delta really did arrive near the end. The residual
 // distortion is a server trickling ~1 call/s whose rare colliding
@@ -108,11 +108,10 @@ func (m *LoadMonitor) External() float64 {
 func (m *LoadMonitor) Sample(queueLen int) (rpc.LoadReport, bool) {
 	cores := float64(goruntime.GOMAXPROCS(0))
 	cpu := 100 * float64(goruntime.NumGoroutine()) / (m.GoroutineSat * cores)
-	queue := 100 * float64(queueLen) / float64(rpc.SessionQueueDepth)
 	rate := m.lockWaitRate()
 	lock := 100 * rate / m.LockWaitSat
 
-	load := math.Max(cpu, math.Max(queue, lock)) + m.External()
+	load := math.Max(cpu, lock) + m.External()
 	if load > 100 {
 		load = 100
 	}

@@ -375,6 +375,24 @@ func (c *Client) NewObject(class string, args ...val.Value) (val.OID, error) {
 	return oid, nil
 }
 
+// Open has the server admit the client's control session before its
+// first call, where Remote can open one (rpc.MuxSession.Open): a
+// client whose program can transfer control, and whose constructor
+// made no transfer (no reply yet), opens it now; a refusal is
+// rpc.ErrOverloaded. A client that never transfers opens none.
+func (c *Client) Open() error {
+	o, ok := c.Remote.(interface{ Open() error })
+	if !ok || c.reply != nil {
+		return nil
+	}
+	for _, b := range c.Sess.Peer.Prog.Blocks {
+		if b.Loc == pdg.DB {
+			return o.Open()
+		}
+	}
+	return nil
+}
+
 // CallEntry invokes an entry method (paper §5.2 wrapper).
 func (c *Client) CallEntry(qname string, this val.OID, args ...val.Value) (val.Value, error) {
 	m := c.Sess.Peer.Prog.Method(qname)
