@@ -44,13 +44,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"pyxis/internal/bench"
 	"pyxis/internal/deploy"
 	"pyxis/internal/runtime"
 	"pyxis/internal/val"
@@ -178,9 +179,8 @@ func main() {
 		fmt.Printf("pyxis-app: %d sessions x %d calls in %v (%.1f txn/s)\n",
 			*clients, *repeat, elapsed.Round(time.Millisecond),
 			float64(len(all))/elapsed.Seconds())
-		st := bench.Summarize(all)
-		fmt.Printf("pyxis-app: latency mean=%.3fms p95=%.3fms max=%.3fms\n",
-			st.MeanMs, st.P95Ms, st.MaxMs)
+		mean, p95, worst := summarize(all)
+		fmt.Printf("pyxis-app: latency mean=%.3fms p95=%.3fms max=%.3fms\n", mean, p95, worst)
 	}
 	ctl := app.Ctl.Stats()
 	db := app.DB.Stats()
@@ -210,6 +210,20 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// summarize sorts a latency sample in milliseconds and returns its
+// mean, nearest-rank 95th percentile and maximum (zeros when empty).
+func summarize(lats []float64) (mean, p95, worst float64) {
+	if len(lats) == 0 {
+		return 0, 0, 0
+	}
+	sort.Float64s(lats)
+	for _, v := range lats {
+		mean += v
+	}
+	n := len(lats)
+	return mean / float64(n), lats[int(math.Ceil(0.95*float64(n)))-1], lats[n-1]
 }
 
 // splitAddrs splits a comma-separated shard address list, trimming

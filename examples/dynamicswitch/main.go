@@ -46,7 +46,7 @@ func main() {
 
 	// Simulated load reports arriving every "10 seconds": idle, spike, recovery.
 	// (The real stack piggy-backs these on mux replies; see
-	// internal/bench.WallDynamic and pyxis-bench -exp dynamic-wall.)
+	// TestParallelDynamicSwitchingRamp in internal/bench.)
 	loadTrace := []float64{5, 8, 10, 95, 96, 97, 95, 12, 8, 5, 5, 5}
 	run := func(k int64) {
 		// Call picks a partition per call and counts it on completion —

@@ -13,7 +13,7 @@ import (
 	"pyxis/internal/sqldb"
 )
 
-// interpTPCC replays WallTPCC's single-client schedule through the
+// interpTPCC replays runTPCC's single-client schedule through the
 // reference interpreter on the source program and returns the database
 // it leaves.
 func interpTPCC(t *testing.T, c TPCCConfig, txns int, mix TPCCMix) *sqldb.DB {
@@ -37,7 +37,7 @@ func interpTPCC(t *testing.T, c TPCCConfig, txns int, mix TPCCMix) *sqldb.DB {
 	return db
 }
 
-// runTPCCInProc replays WallTPCC's single-client schedule on part
+// runTPCCInProc replays runTPCC's single-client schedule on part
 // deployed in-process and returns the database it leaves and the
 // control transfers the DB side served. It runs variants no server can
 // serve: a tier rebuilds its APP side from the spec its shards serve,
@@ -70,7 +70,7 @@ func runTPCCInProc(t *testing.T, part *pyxis.Partition, c TPCCConfig, txns int, 
 //     invariants holding;
 //   - the fused run to make no more control transfers than the unfused.
 //
-// The fused program runs on the wall-clock tier (WallTPCC), whose APP
+// The fused program runs on a deployed tier (runTPCC), whose APP
 // side is rebuilt from what the server serves; the unfused one, which
 // no server serves, runs in-process (runTPCCInProc).
 //
@@ -101,11 +101,8 @@ func TestDifferentialTPCC(t *testing.T) {
 				name := [2]string{"unfused", "fused"}[i]
 				var db *sqldb.DB
 				if part == fused {
-					res, dbs, err := WallTPCC(part, c, cfg, mix, 0)
-					if err != nil {
-						t.Fatalf("%s run: %v", name, err)
-					}
-					db, transfers[i] = dbs[0], res.Transfers
+					r := runTPCC(t, part, c, cfg, mix)
+					db, transfers[i] = r.dbs[0], r.transfers
 				} else {
 					db, transfers[i] = runTPCCInProc(t, part, c, cfg.Txns, mix)
 				}

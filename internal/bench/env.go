@@ -1,23 +1,17 @@
 // Package bench reproduces the paper's evaluation (§7): the TPC-C and
 // TPC-W workloads in PyxJ plus hand-written JDBC-style and Manual
 // (stored-procedure-style) implementations, the two microbenchmarks,
-// and the experiment drivers that regenerate every figure and table.
-// Timing comes from the deterministic simulator in internal/sim; the
-// database operations, partitioned programs and wire traffic are real.
+// and the drivers that regenerate every figure. Timing comes from the
+// deterministic simulator in internal/sim; the database operations,
+// partitioned programs and wire traffic are real.
 //
-// The wall-clock experiments share one driver (wall.go). A
-// deploy.Topology is the tier under test as data — shards, pooled
-// loopback TCP connections per shard, one program or a high/low pair, a
-// mux configuration and a database loader per shard — and deploy.Up,
-// which wires it the way cmd/pyxis-dbserver and cmd/pyxis-app do, is
-// the only code that stands one up. A step is one attempt at client i's
-// k-th transaction, a pure schedule of (i, k); drive is the only
-// goroutine fan-out, retry the only place an error becomes "run it
-// again", "back off", "re-home" or "fail", and WallResult the only
-// result (wall_steps.go holds the steps and their four compositions).
-// The gates that can fail a pyxis-bench run are rows of the Experiments
-// table (experiments.go): functions of results, tested on synthetic
-// ones.
+// The package also holds what the rest of the tree checks a deployed
+// tier against: the ledger workload and the TPC-C and ledger
+// invariants (CheckLedger, CheckTPCCInvariants, CheckShardInvariants).
+// End-to-end latency and throughput are benchmark/'s to measure. The
+// wall-clock properties of pools, admission, switching, shards and
+// live rebalancing are this package's tests, which stand a tier up with
+// deploy.Up and fan their clients out over one test-only driver.
 package bench
 
 import (

@@ -1,0 +1,261 @@
+package bench
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"pyxis/internal/rpc"
+	"pyxis/internal/runtime"
+	"pyxis/internal/sqldb"
+)
+
+// This file is the tests' one goroutine fan-out: drive starts a client
+// per goroutine, each opens its session (a shed Open is retried with
+// RetryOverloaded) and runs its transactions, retry decides what each
+// failed attempt means, and count is what the clients did. What differs
+// between two tests is the tier they stand up and the step their
+// clients run, which live beside the tests.
+
+const (
+	// maxRetries bounds deadlock-victim retries per transaction. Every
+	// victim abort implies another transaction progressed, so retries
+	// converge; the bound guards against a livelocked engine. Fence and
+	// re-home retries do not count: they end when the move commits or
+	// its TTL lapses (fenceWait).
+	maxRetries = 50
+	// openTimeout bounds how long one client keeps retrying a shed Open.
+	openTimeout = 120 * time.Second
+	// fenceTTL is the migration fence's crash-safety TTL. It must
+	// comfortably exceed one move's stream time, or writers wake
+	// mid-stream on drained rows.
+	fenceTTL = 10 * time.Second
+	// fenceWait is how long one transaction keeps backing off on a
+	// fenced range before a stuck fence fails the run.
+	fenceWait = fenceTTL + 5*time.Second
+)
+
+// errClass is what a failed attempt means for its transaction.
+type errClass int
+
+const (
+	classFatal    errClass = iota // fail the run
+	classDeadlock                 // victim abort or 2PC abort: rolled back engine-side, run it again
+	classFenced                   // the range is mid-migration: wait for cutover or the fence's TTL
+	classMoved                    // the range lives on another shard now: re-home, then run it again
+)
+
+// isDeadlockErr matches a deadlock abort whether it surfaces as the
+// sqldb sentinel (APP-side statements over the database wire) or as a
+// remote runtime error string (DB-side statements inside a control
+// transfer).
+func isDeadlockErr(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "deadlock")
+}
+
+// retry maps the error of a transaction's attempt-th budgeted retry to
+// its class and the pause before the next attempt. A shed is fatal
+// here: a gated server refuses only session opens, which runClient
+// retries.
+func retry(err error, attempt int) (errClass, time.Duration) {
+	switch {
+	case errors.Is(err, sqldb.ErrRangeFenced):
+		return classFenced, 500 * time.Microsecond
+	case errors.Is(err, sqldb.ErrRangeMoved), errors.Is(err, runtime.ErrWrongShard):
+		return classMoved, 200 * time.Microsecond
+	case attempt >= maxRetries:
+		return classFatal, 0
+	case isDeadlockErr(err), errors.Is(err, runtime.ErrTxnAborted):
+		// A 2PC abort usually means a branch lost its transaction to
+		// deadlock resolution before prepare: run it again at once.
+		return classDeadlock, 0
+	}
+	return classFatal, 0
+}
+
+// session is one client's open state; one that caches routing
+// decisions also implements rehomer.
+type session interface{ Close() error }
+
+// rehomer drops whatever the session cached under a shard map that has
+// since moved on.
+type rehomer interface{ rehome() }
+
+// txnKind is the class a completed transaction is counted under.
+type txnKind int
+
+const (
+	kindNewOrder txnKind = iota
+	kindPayment
+	kindRead
+	kindDeposit
+	numKinds
+)
+
+// txnOut says what one completed transaction was.
+type txnOut struct {
+	kind   txnKind
+	remote bool // the remote-warehouse roll fired
+	// distCommit marks a transaction that committed two branches on two
+	// shards through 2PC.
+	distCommit bool
+	low        bool // the low half of a §6.3 pair served it
+}
+
+// count is what one client did, or, summed, what a run did.
+type count struct {
+	txns, low, distCommits, sheds, rehomes int
+	kinds, remote                          [numKinds]int
+}
+
+func (c *count) record(o txnOut) {
+	c.txns++
+	c.kinds[o.kind]++
+	if o.remote {
+		c.remote[o.kind]++
+	}
+	if o.low {
+		c.low++
+	}
+	if o.distCommit {
+		c.distCommits++
+	}
+}
+
+// driven is one drive call's outcome: a count per client and the wall
+// time they took.
+type driven struct {
+	clients []count
+	elapsed time.Duration
+}
+
+// total sums the clients' counts.
+func (d driven) total() (sum count) {
+	for _, c := range d.clients {
+		sum.txns += c.txns
+		sum.low += c.low
+		sum.distCommits += c.distCommits
+		sum.sheds += c.sheds
+		sum.rehomes += c.rehomes
+		for k := range numKinds {
+			sum.kinds[k] += c.kinds[k]
+			sum.remote[k] += c.remote[k]
+		}
+	}
+	return sum
+}
+
+// tput is completed transactions per second of wall time.
+func (d driven) tput() float64 { return float64(d.total().txns) / d.elapsed.Seconds() }
+
+// drive runs clients concurrent clients, each its own goroutine with
+// its own session from open(i), through txns transactions each. step
+// makes one attempt at client i's k-th transaction, a pure schedule of
+// (i, k); retry decides what a failed attempt means.
+func drive[S session](clients, txns int, open func(i int) (S, error), step func(s S, i, k int) (txnOut, error)) (driven, error) {
+	out := driven{clients: make([]count, clients)}
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := runClient(&out.clients[i], i, txns, open, step); err != nil {
+				errs[i] = fmt.Errorf("client %d: %w", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	out.elapsed = time.Since(start)
+	return out, errors.Join(errs...)
+}
+
+// runClient is client i's loop: open, then txns transactions, each
+// attempted until it completes or retry says stop.
+func runClient[S session](c *count, i, txns int, open func(i int) (S, error), step func(s S, i, k int) (txnOut, error)) error {
+	var s S
+	sheds, err := runtime.RetryOverloaded(openTimeout, func() (err error) {
+		s, err = open(i)
+		return err
+	})
+	c.sheds += int(sheds)
+	if err != nil {
+		return fmt.Errorf("open: %w", err)
+	}
+	defer s.Close()
+	for k := range txns {
+		t0 := time.Now()
+		for attempt := 0; ; {
+			o, err := step(s, i, k)
+			if err == nil {
+				c.record(o)
+				break
+			}
+			class, pause := retry(err, attempt)
+			switch class {
+			case classDeadlock:
+				attempt++
+			case classFenced:
+				if time.Since(t0) > fenceWait {
+					return fmt.Errorf("txn %d: fence never cleared: %w", k, err)
+				}
+			case classMoved:
+				r, ok := any(s).(rehomer)
+				if !ok {
+					return fmt.Errorf("txn %d: session cannot re-home: %w", k, err)
+				}
+				r.rehome()
+				c.rehomes++
+			default:
+				return fmt.Errorf("txn %d: %w", k, err)
+			}
+			time.Sleep(pause)
+		}
+	}
+	return nil
+}
+
+// TestRetryClassifier pins the one place a failed attempt becomes a
+// decision: one case per class, in the shapes the errors really arrive
+// in (wrapped with %w by the mux, or as the text of a remote runtime
+// error), plus the budget.
+func TestRetryClassifier(t *testing.T) {
+	cases := []struct {
+		name    string
+		err     error
+		attempt int
+		want    errClass
+	}{
+		{"deadlock sentinel over the database wire", fmt.Errorf("exec: %w", sqldb.ErrDeadlock), 0, classDeadlock},
+		{"deadlock inside a control transfer", errors.New("runtime: remote: block 7: sqldb: deadlock detected"), 3, classDeadlock},
+		{"2PC abort", fmt.Errorf("gid 9: %w", runtime.ErrTxnAborted), 0, classDeadlock},
+		{"fenced range", fmt.Errorf("%w: keys [1,2]", sqldb.ErrRangeFenced), 0, classFenced},
+		{"moved range", fmt.Errorf("%w: keys [1,2]", sqldb.ErrRangeMoved), 0, classMoved},
+		{"wrong shard", fmt.Errorf("%w: key 3", runtime.ErrWrongShard), 0, classMoved},
+		{"unknown error", errors.New("duplicate primary key"), 0, classFatal},
+		// A gated server sheds only session opens, which runClient
+		// retries; a shed at a step is a broken contract.
+		{"shed, wrapped", fmt.Errorf("session 3: %w", rpc.ErrOverloaded), 0, classFatal},
+		{"deadlock past the budget", sqldb.ErrDeadlock, maxRetries, classFatal},
+		// A fence clears when the move commits or its TTL lapses, not
+		// after a number of tries.
+		{"fenced past the budget", sqldb.ErrRangeFenced, maxRetries, classFenced},
+		{"moved past the budget", sqldb.ErrRangeMoved, maxRetries, classMoved},
+	}
+	for _, c := range cases {
+		got, pause := retry(c.err, c.attempt)
+		if got != c.want {
+			t.Errorf("%s: class %d, want %d", c.name, got, c.want)
+		}
+		if (got == classFenced || got == classMoved) && pause <= 0 {
+			t.Errorf("%s: retried with no pause", c.name)
+		}
+		if got == classFatal && pause != 0 {
+			t.Errorf("%s: fatal with a pause of %v", c.name, pause)
+		}
+	}
+}

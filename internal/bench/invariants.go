@@ -9,7 +9,7 @@ import (
 	"pyxis/internal/val"
 )
 
-// This file holds the consistency audits the wall-clock runs (and
+// This file holds the consistency audits the concurrency tests (and
 // benchmark/'s set-up gates) end in: what must hold in the databases
 // whatever interleaving, placement, shard split or migration produced
 // them. Each returns every violation found (nil means consistent).

@@ -7,11 +7,11 @@ import (
 	"pyxis/internal/val"
 )
 
-// ParallelSource is the driver's ledger workload: every transaction
-// explicitly begins, updates an account balance, appends a history
-// row, reads the balance back, and commits — so concurrent clients
-// hold multi-statement row locks, exercising per-session transaction
-// contexts and 2PL contention in the shared database.
+// ParallelSource is the concurrency tests' ledger workload: every
+// transaction explicitly begins, updates an account balance, appends a
+// history row, reads the balance back, and commits — so concurrent
+// clients hold multi-statement row locks, exercising per-session
+// transaction contexts and 2PL contention in the shared database.
 const ParallelSource = `
 class Ledger {
     int id;

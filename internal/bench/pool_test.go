@@ -3,7 +3,7 @@ package bench
 import (
 	"errors"
 	"fmt"
-	goruntime "runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +11,7 @@ import (
 	"pyxis/internal/pdg"
 	"pyxis/internal/rpc"
 	"pyxis/internal/runtime"
+	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
 
@@ -81,8 +82,8 @@ func TestShedRollsBackAppSideTxn(t *testing.T) {
 	}
 }
 
-// TestRunPoolLedgerStripes drives the pooled ledger driver end to end
-// over loopback TCP: all transactions complete, sessions stripe
+// TestRunPoolLedgerStripes drives the ledger over a pool of 4
+// connections per wire: all transactions complete, sessions stripe
 // across the pool's connections instead of piling onto one, and the
 // deposit audit holds (no lost updates through the pool).
 func TestRunPoolLedgerStripes(t *testing.T) {
@@ -90,74 +91,42 @@ func TestRunPoolLedgerStripes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, dbs, err := WallLedger(part, WallCfg{Clients: 8, Txns: 12, Conns: 4}, LedgerMix{DepositEvery: 3})
-	if err != nil {
-		t.Fatal(err)
+	r := runLedger(t, part, WallCfg{Clients: 8, Txns: 12, Conns: 4}, LedgerMix{DepositEvery: 3})
+	if r.sum.txns != 8*12 {
+		t.Errorf("completed %d txns, want %d", r.sum.txns, 8*12)
 	}
-	if res.TotalTxns != 8*12 {
-		t.Errorf("completed %d txns, want %d", res.TotalTxns, 8*12)
+	deposits := r.sum.kinds[kindDeposit]
+	if deposits != 8*4 {
+		t.Errorf("%d deposits, want every third call of %d", deposits, 8*12)
 	}
-	if res.Deposits != 8*4 {
-		t.Errorf("%d deposits, want every third call of %d", res.Deposits, 8*12)
-	}
-	for _, v := range CheckLedger(dbs, res.Deposits) {
+	for _, v := range CheckLedger(r.dbs, deposits) {
 		t.Errorf("through the pool: %s", v)
 	}
 	// Placement audit: 8 idle-pool sessions over 4 connections must
-	// spread (round-robin tie-break) — a broken pool puts all 8 on
+	// spread (round-robin tie-break); a broken pool puts all 8 on
 	// connection 0.
 	spread := 0
-	for _, n := range res.SessionsPerConn {
+	for _, n := range r.placed.conn {
 		if n > 0 {
 			spread++
 		}
 	}
 	if spread < 2 {
-		t.Errorf("sessions did not stripe: per-conn counts %v", res.SessionsPerConn)
+		t.Errorf("sessions did not stripe: per-conn counts %v", r.placed.conn)
 	}
-	if res.Sheds != 0 {
-		t.Errorf("un-gated server shed %d calls", res.Sheds)
-	}
-}
-
-// TestRunPoolScalingSweep runs the 1-conn vs N-conn comparison at
-// small scale. Wall-clock speedup is only asserted on parallel
-// hardware (and never under the race detector) — the contract here is
-// that every point completes and audits clean, and that the pooled
-// points are not catastrophically SLOWER than the single connection
-// (the pool must at worst be ~free).
-func TestRunPoolScalingSweep(t *testing.T) {
-	part, err := ParallelPartition(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var results []*WallResult
-	for _, conns := range []int{1, 4} {
-		r, dbs, err := WallLedger(part, WallCfg{Clients: 8, Txns: 20, Conns: conns}, LedgerMix{DepositEvery: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.TotalTxns != 8*20 {
-			t.Errorf("conns=%d completed %d txns, want %d", conns, r.TotalTxns, 8*20)
-		}
-		for _, v := range CheckLedger(dbs, r.Deposits) {
-			t.Errorf("conns=%d: %s", conns, v)
-		}
-		results = append(results, r)
-	}
-	t.Logf("\n%s", SweepReport(results, "conns"))
-	if !raceEnabled && goruntime.GOMAXPROCS(0) >= 4 {
-		if ratio := results[1].Tput / results[0].Tput; ratio < 0.5 {
-			t.Errorf("4-conn pool ran at %.2fx of single-conn throughput; pooling should never cost half the wire", ratio)
-		}
+	if r.sum.sheds != 0 {
+		t.Errorf("un-gated server shed %d opens", r.sum.sheds)
 	}
 }
 
-// TestRunPoolSaturationShedsGracefully is the wall-clock admission
-// proof at test scale: more clients than admitted-session slots, so
-// the server MUST shed with ErrOverloaded — yet every transaction
-// eventually commits, the concurrent population stays at the cap, and
-// the TPC-C invariants hold afterwards.
+// TestRunPoolSaturationShedsGracefully is the admission proof at test
+// scale: more clients than admitted-session slots, so the server must
+// shed with ErrOverloaded, yet every transaction eventually commits,
+// every admission slot is given back, and the TPC-C invariants hold
+// afterwards. The opens are scripted so the saturation is forced, not
+// left to goroutine scheduling: the first clients' sessions fill every
+// slot before any client starts, and they start their transactions
+// only once the server has refused the first of the rest.
 func TestRunPoolSaturationShedsGracefully(t *testing.T) {
 	c := DefaultTPCC()
 	part, err := c.PyxisPartition(1.0)
@@ -165,28 +134,58 @@ func TestRunPoolSaturationShedsGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, slots := WallCfg{Clients: 6, Txns: 4, Conns: 2}, 2
-	res, dbs, err := WallTPCC(part, c, cfg, TPCCMix{PaymentEvery: 3}, slots)
+	top, err := cfg.topology(c.Warehouses, part, nil, c.loadRange)
+	var adm *runtime.AdmissionController
+	top.Mux = func(_ int, db *sqldb.DB) rpc.MuxServeConfig {
+		mon := colocatedMonitor(db)
+		adm = runtime.NewAdmissionController(mon, runtime.AdmissionConfig{MaxSessions: slots})
+		return rpc.MuxServeConfig{Load: mon.Source(), Admission: adm}
+	}
+	d := up(t, top, err)
+	defer d.Close()
+
+	held := make([]*tpccSession, slots)
+	for i := range held {
+		if held[i], err = openTPCC(d, c, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused := make(chan struct{})
+	var once sync.Once
+	out, err := drive(cfg.Clients, cfg.Txns,
+		func(i int) (*tpccSession, error) {
+			if i < slots {
+				<-refused
+				return held[i], nil
+			}
+			s, err := openTPCC(d, c, i)
+			once.Do(func() { close(refused) })
+			return s, err
+		}, tpccStep(c, TPCCMix{PaymentEvery: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%s", res)
-	if res.TotalTxns != cfg.Clients*cfg.Txns {
+	// A slot is given back when the server's worker has drained the
+	// session, which can land after the client's Close returns.
+	for deadline := time.Now().Add(2 * time.Second); adm.Stats().Sessions != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	sum, st := out.total(), adm.Stats()
+	if sum.txns != cfg.Clients*cfg.Txns {
 		t.Errorf("completed %d txns, want %d (shed work must be retried, not dropped)",
-			res.TotalTxns, cfg.Clients*cfg.Txns)
+			sum.txns, cfg.Clients*cfg.Txns)
 	}
-	if res.Sheds == 0 || res.Admission.ShedSessions == 0 {
+	if sum.sheds == 0 || st.ShedSessions == 0 {
 		t.Errorf("no sheds despite %d clients over a %d-session cap (client=%d server=%d)",
-			cfg.Clients, slots, res.Sheds, res.Admission.ShedSessions)
+			cfg.Clients, slots, sum.sheds, st.ShedSessions)
 	}
-	if res.Admission.Sessions != 0 {
-		t.Errorf("%d admission slots leaked after all clients closed", res.Admission.Sessions)
+	if st.Sessions != 0 {
+		t.Errorf("%d admission slots leaked after all clients closed", st.Sessions)
 	}
-	if got := res.Admission.AdmittedSessions; got < int64(cfg.Clients) {
-		t.Errorf("only %d sessions ever admitted, want >= %d (every client must get through)", got, cfg.Clients)
+	if st.AdmittedSessions < int64(cfg.Clients) {
+		t.Errorf("only %d sessions ever admitted, want >= %d (every client must get through)", st.AdmittedSessions, cfg.Clients)
 	}
-	if violations := CheckTPCCInvariants(dbs[0], c); len(violations) > 0 {
-		for _, v := range violations {
-			t.Errorf("invariant violated under shedding: %s", v)
-		}
+	for _, v := range CheckTPCCInvariants(d.DBs[0], c) {
+		t.Errorf("invariant violated under shedding: %s", v)
 	}
 }

@@ -2,14 +2,19 @@ package bench
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pyxis/internal/dbapi"
+	"pyxis/internal/deploy"
 	"pyxis/internal/faultconn"
 	"pyxis/internal/rpc"
 	"pyxis/internal/runtime"
@@ -22,32 +27,278 @@ func rebalanceTPCC() TPCCConfig {
 		Items: 30, MinLines: 1, MaxLines: 3, RollbackPct: 10}
 }
 
-// TestRebalanceLiveMigration is the end-to-end story: Zipf skew makes
-// shard 0 hot, the advisor plans mid-run, the migrator moves the
-// chosen warehouses over the live wire, and the cross-shard invariants
-// hold under the FINAL (override-carrying) map.
-func TestRebalanceLiveMigration(t *testing.T) {
-	c := rebalanceTPCC()
-	res, dbs, err := WallRebalance(c, WallCfg{Clients: 4, Txns: 40, Shards: 2}, Advised)
+const (
+	// zipfS is the warehouse-pick skew exponent of the rebalancing mix:
+	// rank 1 (warehouse 1, shard 0) is the hotspot.
+	zipfS = 1.4
+	// rebalancePaymentEvery makes every k-th transaction of the
+	// rebalancing mix a Payment; the rest are NewOrders.
+	rebalancePaymentEvery = 2
+)
+
+// TPCCWarehouseKeys maps every warehouse-partitioned TPC-C table to
+// its partition-key column: the table set a migration fences and
+// streams. The item catalog is replicated per shard and deliberately
+// absent.
+func TPCCWarehouseKeys() map[string]string {
+	return map[string]string{
+		"warehouse":  "w_id",
+		"district":   "d_w_id",
+		"customer":   "c_w_id",
+		"orders":     "o_w_id",
+		"new_order":  "no_w_id",
+		"order_line": "ol_w_id",
+		"stock":      "s_w_id",
+	}
+}
+
+// Rebalancing says what the controller beside the clients does at the
+// halfway point of a runRebalance run.
+type Rebalancing int
+
+const (
+	// Frozen leaves the shard map alone: the baseline under the same
+	// skew.
+	Frozen Rebalancing = iota
+	// Advised asks the advisor for a plan and migrates what it chose.
+	Advised
+	// Forced skips the advisor and moves the upper half of shard 0's
+	// base range to shard 1 regardless of load: the deterministic
+	// single migration a differential test diffs against a Frozen run.
+	Forced
+)
+
+// nativeSession is one client issuing hand-written transactions over
+// database sessions it routes itself.
+type nativeSession struct {
+	d    *deploy.Tier
+	wids []int64 // the Zipf-skewed home warehouse of each transaction
+	// conns are cached per-shard sessions, dropped whole when the map
+	// moves on: a session opened under a stale map may be homed wrong.
+	conns map[int]*dbapi.Client
+	epoch uint64
+	// victims counts the deadlock aborts of the transaction in flight.
+	victims int
+}
+
+func (s *nativeSession) rehome() {
+	for sh, cl := range s.conns {
+		cl.Close()
+		delete(s.conns, sh)
+	}
+	s.epoch = s.d.Router.MapEpoch()
+}
+
+func (s *nativeSession) Close() error {
+	s.rehome()
+	return nil
+}
+
+// herdBackoff pauses a deadlock victim before its error goes to retry,
+// which runs victims again at once. The Zipf hotspot concentrates half
+// the tier's traffic on one warehouse, so victims that retry instantly
+// re-collide as a herd; uniform mixes never see this livelock, which is
+// why the jitter lives in this step and not in retry.
+func (s *nativeSession) herdBackoff(err error) error {
+	if class, _ := retry(err, 0); class == classDeadlock {
+		s.victims++
+		time.Sleep(time.Duration(rand.Intn(100)+min(s.victims, 10)*50) * time.Microsecond)
+	}
+	return err
+}
+
+// on returns the session's connection to warehouse wid's home shard
+// under the map the session last saw.
+func (s *nativeSession) on(wid int64) (*dbapi.Client, error) {
+	// Re-home at the transaction boundary: an epoch bump means the map
+	// changed under us.
+	if e := s.d.Router.MapEpoch(); e != s.epoch {
+		return nil, fmt.Errorf("%w: epoch %d -> %d", runtime.ErrWrongShard, s.epoch, e)
+	}
+	shard := s.d.Router.HomeShard(wid)
+	if cl := s.conns[shard]; cl != nil {
+		return cl, nil
+	}
+	sess, err := s.d.DB.Session(shard)
 	if err != nil {
+		return nil, err
+	}
+	s.conns[shard] = dbapi.NewClient(sess)
+	return s.conns[shard], nil
+}
+
+// rebalanceRun is what one runRebalance run did: the clients' count,
+// the moves, the map it ended under and the shard databases.
+type rebalanceRun struct {
+	sum        count
+	dbs        []*sqldb.DB
+	final      runtime.ShardMap
+	migrations int
+	moved      []int64 // every warehouse that changed shards
+	// imbalanceBefore is the advisor's hottest/median ratio at the
+	// trigger, imbalanceAfter the same ratio over the window that
+	// followed under the final map.
+	imbalanceBefore, imbalanceAfter float64
+	// postTput is txn/s from the end of the migration (the halfway
+	// point, when the map stays frozen) to the finish.
+	postTput float64
+}
+
+// runRebalance runs live rebalancing end to end: a Zipf-skewed TPC-C
+// mix makes shard 0 hot while a controller beside the clients waits
+// for the halfway point. Advised, it reads the runtime.Advisor
+// (imbalance over its trigger), min-cuts the co-access graph into a
+// migration plan, and runtime.Migrator moves the chosen warehouse
+// ranges shard to shard over the live database wire (fence, stream,
+// drain, 2PC cutover, epoch-bumped map publish) while the clients keep
+// running and meet the retry classes a live migration exposes (fenced,
+// moved). Frozen, the same workload runs without the migration.
+func runRebalance(t *testing.T, c TPCCConfig, cfg WallCfg, mode Rebalancing) *rebalanceRun {
+	t.Helper()
+	top, err := cfg.topology(c.Warehouses, nil, nil, c.loadRange)
+	d := up(t, top, err)
+	defer d.Close()
+	adv := runtime.NewAdvisor(c.Warehouses)
+	mig := &runtime.Migrator{Client: d.Router, Pool: d.DB, Tables: TPCCWarehouseKeys(), FenceTTL: fenceTTL}
+	r := &rebalanceRun{dbs: d.DBs}
+
+	// The controller: woken when half the workload has committed, it
+	// reads the advisor, migrates, resets the observation window and
+	// marks the start of the post-migration window.
+	var (
+		done          atomic.Int64
+		halfway       = make(chan struct{})
+		halfOnce      sync.Once
+		postStart     time.Time
+		postStartTxns int64
+		ctlErr        error
+		ctlDone       = make(chan struct{})
+	)
+	go func() {
+		defer close(ctlDone)
+		<-halfway
+		if mode != Frozen {
+			r.imbalanceBefore, _ = adv.Imbalance(d.Router.CurrentMap())
+			ctlErr = r.migrate(mode, adv, mig)
+			// Measure the next window against the new placement only.
+			adv.Reset()
+		}
+		postStart, postStartTxns = time.Now(), done.Load()
+	}()
+
+	mix := TPCCMix{PaymentEvery: rebalancePaymentEvery}
+	out, err := drive(cfg.Clients, cfg.Txns,
+		func(i int) (*nativeSession, error) {
+			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(i)*7919+17)), zipfS, 1, uint64(c.Warehouses-1))
+			s := &nativeSession{d: d, wids: make([]int64, cfg.Txns), conns: map[int]*dbapi.Client{}, epoch: d.Router.MapEpoch()}
+			for k := range s.wids {
+				s.wids[k] = int64(zipf.Uint64()) + 1
+			}
+			return s, nil
+		},
+		func(s *nativeSession, i, k int) (txnOut, error) {
+			wid, tx := s.wids[k], c.parallelTxn(mix, i, k, 1, int64(c.Warehouses))
+			conn, err := s.on(wid)
+			if err != nil {
+				return txnOut{}, err
+			}
+			if tx.kind == kindPayment {
+				_, err = c.paymentNative(conn, wid, tx.did, tx.cid, tx.amount)
+			} else {
+				_, err = c.newOrderNative(conn, wid, tx.did, tx.cid, tx.olcnt, tx.seed, tx.rollback)
+			}
+			if err != nil {
+				return txnOut{}, s.herdBackoff(err)
+			}
+			s.victims = 0
+			adv.Observe(wid)
+			if done.Add(1) >= int64(cfg.Clients*cfg.Txns/2) {
+				halfOnce.Do(func() { close(halfway) })
+			}
+			return txnOut{kind: tx.kind}, nil
+		})
+	// A failed run may never cross the halfway mark; unblock the
+	// controller either way.
+	halfOnce.Do(func() { close(halfway) })
+	<-ctlDone
+	if err = errors.Join(err, ctlErr); err != nil {
 		t.Fatal(err)
 	}
-	mig, final := res.Migration, res.Migration.FinalMap
-	if mig.Migrations < 1 {
-		t.Fatalf("skewed live run performed no migration: %v", res)
+	r.sum = out.total()
+	r.postTput = float64(done.Load()-postStartTxns) / time.Since(postStart).Seconds()
+	r.final = d.Router.CurrentMap()
+	r.imbalanceAfter = runtime.ImbalanceRatio(adv.ShardLoads(r.final))
+	return r
+}
+
+// migrate moves what mode says to move and books it in r.
+func (r *rebalanceRun) migrate(mode Rebalancing, adv *runtime.Advisor, mig *runtime.Migrator) error {
+	cur := mig.Client.CurrentMap()
+	from, to := 0, 1
+	var runs [][2]int64
+	if mode == Forced {
+		lo, hi := cur.WarehouseRange(0)
+		runs = [][2]int64{{(lo + hi + 1) / 2, hi}}
+	} else {
+		plan, err := adv.Plan(cur)
+		if err != nil {
+			return err
+		}
+		if plan != nil {
+			runs, from, to = plan.Runs(), plan.From, plan.To
+		}
 	}
-	if final.Epoch == 0 || mig.FinalEpoch == 0 {
-		t.Fatalf("migration did not bump the map epoch: %v", res)
+	for _, run := range runs {
+		// The drain transaction can lose a deadlock to an in-flight
+		// writer; that aborts the move cleanly (fence released, both
+		// sides rolled back), so it goes through retry like any victim.
+		for attempt := 0; ; attempt++ {
+			_, err := mig.Move(from, to, run[0], run[1])
+			if err == nil {
+				break
+			}
+			if class, _ := retry(err, attempt); class != classDeadlock || attempt >= 4 {
+				return fmt.Errorf("migrate w[%d,%d]: %w", run[0], run[1], err)
+			}
+		}
+		r.migrations++
+		for w := run[0]; w <= run[1]; w++ {
+			r.moved = append(r.moved, w)
+		}
 	}
-	for _, w := range mig.MovedWarehouses {
-		if final.Shard(w) == 0 {
+	return nil
+}
+
+// TestRebalanceLiveMigration is the end-to-end story: Zipf skew makes
+// shard 0 hot, the advisor plans mid-run, the migrator moves the
+// chosen warehouses over the live wire, the move flattens the skew and
+// the cross-shard invariants hold under the final (override-carrying)
+// map. It runs at the scale where post-migration imbalance (hottest
+// over median shard) stays under 1.5: 8 warehouses of DefaultTPCC,
+// 8 clients of 144 transactions each, 2 shards.
+func TestRebalanceLiveMigration(t *testing.T) {
+	c := DefaultTPCC()
+	c.Warehouses = 8
+	r := runRebalance(t, c, WallCfg{Clients: 8, Txns: 144, Shards: 2}, Advised)
+	t.Logf("moved %v in %d migrations: imbalance %.2f -> %.2f", r.moved, r.migrations, r.imbalanceBefore, r.imbalanceAfter)
+	if r.migrations < 1 {
+		t.Fatal("skewed live run performed no migration")
+	}
+	if r.final.Epoch == 0 {
+		t.Fatal("migration did not bump the map epoch")
+	}
+	for _, w := range r.moved {
+		if r.final.Shard(w) == 0 {
 			t.Fatalf("moved warehouse %d still maps to shard 0", w)
 		}
 	}
-	if mig.ImbalanceAfter >= mig.ImbalanceBefore {
-		t.Fatalf("migration did not improve balance: %.2f -> %.2f", mig.ImbalanceBefore, mig.ImbalanceAfter)
+	if r.imbalanceAfter >= r.imbalanceBefore {
+		t.Fatalf("migration did not improve balance: %.2f -> %.2f", r.imbalanceBefore, r.imbalanceAfter)
 	}
-	if v := CheckShardInvariants(dbs, c, final); len(v) > 0 {
+	if r.imbalanceAfter > 1.5 {
+		t.Errorf("imbalance %.2f after the move (was %.2f), want <= 1.5", r.imbalanceAfter, r.imbalanceBefore)
+	}
+	if v := CheckShardInvariants(r.dbs, c, r.final); len(v) > 0 {
 		t.Fatalf("post-migration invariants violated: %v", v)
 	}
 }
@@ -56,46 +307,35 @@ func TestRebalanceLiveMigration(t *testing.T) {
 // off, so nothing moves and the epoch stays 0.
 func TestRebalanceFrozenBaseline(t *testing.T) {
 	c := rebalanceTPCC()
-	res, dbs, err := WallRebalance(c, WallCfg{Clients: 4, Txns: 30, Shards: 2}, Frozen)
-	if err != nil {
-		t.Fatal(err)
+	r := runRebalance(t, c, WallCfg{Clients: 4, Txns: 30, Shards: 2}, Frozen)
+	if r.migrations != 0 || r.final.Epoch != 0 || r.sum.rehomes != 0 {
+		t.Fatalf("frozen run migrated: %d migrations, epoch %d, %d re-homes", r.migrations, r.final.Epoch, r.sum.rehomes)
 	}
-	final := res.Migration.FinalMap
-	if res.Migration.Migrations != 0 || final.Epoch != 0 || res.Rehomes != 0 {
-		t.Fatalf("frozen run migrated: %v", res)
-	}
-	if v := CheckShardInvariants(dbs, c, final); len(v) > 0 {
+	if v := CheckShardInvariants(r.dbs, c, r.final); len(v) > 0 {
 		t.Fatalf("frozen-run invariants violated: %v", v)
 	}
 }
 
 // TestRebalanceDifferential is the migration no-op check: the same
 // deterministic workload with one forced mid-run migration must
-// produce the same global TPC-C sums as the run without it — a
+// produce the same global TPC-C sums as the run without it: a
 // migration may move data, never change it.
 func TestRebalanceDifferential(t *testing.T) {
 	c := rebalanceTPCC()
 	cfg := WallCfg{Clients: 4, Txns: 30, Shards: 2}
-	plain, plainDBs, err := WallRebalance(c, cfg, Frozen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, movedDBs, err := WallRebalance(c, cfg, Forced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Migration.Migrations < 1 {
+	plain := runRebalance(t, c, cfg, Frozen)
+	moved := runRebalance(t, c, cfg, Forced)
+	if moved.migrations < 1 {
 		t.Fatal("Forced run performed no migration")
 	}
-	plainMap, movedMap := plain.Migration.FinalMap, res.Migration.FinalMap
-	if v := CheckShardInvariants(plainDBs, c, plainMap); len(v) > 0 {
+	if v := CheckShardInvariants(plain.dbs, c, plain.final); len(v) > 0 {
 		t.Fatalf("plain-run invariants violated: %v", v)
 	}
-	if v := CheckShardInvariants(movedDBs, c, movedMap); len(v) > 0 {
+	if v := CheckShardInvariants(moved.dbs, c, moved.final); len(v) > 0 {
 		t.Fatalf("moved-run invariants violated: %v", v)
 	}
-	pw, po := rebalanceGlobalSums(t, plainDBs)
-	mw, mo := rebalanceGlobalSums(t, movedDBs)
+	pw, po := rebalanceGlobalSums(t, plain.dbs)
+	mw, mo := rebalanceGlobalSums(t, moved.dbs)
 	if math.Abs(pw-mw) > 1e-6*math.Max(1, math.Abs(pw)) {
 		t.Fatalf("sum(w_ytd) differs with migration: %v vs %v", pw, mw)
 	}

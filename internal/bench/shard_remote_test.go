@@ -24,36 +24,29 @@ func TestShardTPCCRemoteMixTwoPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := WallCfg{Clients: 8, Txns: 40, Shards: 2}
-	res, dbs, err := WallTPCC(part, c, cfg, TPCCMix{PaymentEvery: 3, RemoteMix: true}, 0)
-	if err != nil {
-		t.Fatal(err)
+	r := runTPCC(t, part, c, cfg, TPCCMix{PaymentEvery: 3, RemoteMix: true})
+	sum := r.sum
+	if sum.txns != cfg.Clients*cfg.Txns {
+		t.Errorf("%d of %d transactions completed", sum.txns, cfg.Clients*cfg.Txns)
 	}
-	t.Log(res.String())
-
-	if res.TotalTxns != cfg.Clients*cfg.Txns {
-		t.Errorf("%d of %d transactions completed", res.TotalTxns, cfg.Clients*cfg.Txns)
+	remotePay, remoteNO := sum.remote[kindPayment], sum.remote[kindNewOrder]
+	if remotePay == 0 || remoteNO == 0 {
+		t.Errorf("remote mix degenerated: %d remote payments, %d remote new-orders", remotePay, remoteNO)
 	}
-	if res.RemotePayments == 0 || res.RemoteNewOrders == 0 {
-		t.Errorf("remote mix degenerated: %d remote payments, %d remote new-orders",
-			res.RemotePayments, res.RemoteNewOrders)
-	}
-	if res.DistCommits == 0 {
+	if sum.distCommits == 0 {
 		t.Error("no distributed transaction committed: 2PC never exercised")
 	}
-	if res.DistTxns != res.DistCommits+res.DistAborts {
-		t.Errorf("DistTxns=%d != commits %d + aborts %d", res.DistTxns, res.DistCommits, res.DistAborts)
-	}
-	// The spec rates (15% remote Payment, ~10% remote NewOrder) with a
-	// loose floor — the acceptance gates are >=1% and >=10%.
-	if rate := float64(res.RemotePayments) / float64(res.Payments); rate < 0.01 {
+	// The spec rates (15% remote Payment, ~10% remote NewOrder) with
+	// loose floors.
+	if rate := float64(remotePay) / float64(sum.kinds[kindPayment]); rate < 0.01 {
 		t.Errorf("remote Payment rate %.1f%% below the 1%% spec floor", rate*100)
 	}
-	if rate := float64(res.RemoteNewOrders) / float64(res.NewOrders); rate < 0.05 {
+	if rate := float64(remoteNO) / float64(sum.kinds[kindNewOrder]); rate < 0.05 {
 		t.Errorf("remote NewOrder rate %.1f%% below 5%% (spec target ~10%%)", rate*100)
 	}
 
 	smap := runtime.ShardMap{Shards: cfg.Shards, Warehouses: c.Warehouses}
-	if violations := CheckShardInvariants(dbs, c, smap); len(violations) > 0 {
+	if violations := CheckShardInvariants(r.dbs, c, smap); len(violations) > 0 {
 		t.Fatalf("invariants violated after remote mix:\n%s", strings.Join(violations, "\n"))
 	}
 }

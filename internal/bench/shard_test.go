@@ -9,13 +9,12 @@ import (
 	"pyxis/internal/val"
 )
 
-// TestRunShardScalingSmoke drives the sharded TPC-C driver end to end
+// TestRunShardScalingSmoke drives the sharded TPC-C mix end to end
 // over loopback TCP: the 1-shard baseline and a 2-shard tier with two
 // pooled connections per shard and wire, each point audited by the
-// cross-shard invariant aggregator inside WallTPCC. It checks the
-// routing story — sessions striped across both shards, every
-// transaction completed — rather than throughput (a unit test box
-// proves nothing about speedup).
+// cross-shard invariant aggregator. It checks the routing story
+// (sessions on both shards, every transaction completed) rather than
+// throughput.
 func TestRunShardScalingSmoke(t *testing.T) {
 	c := DefaultTPCC()
 	part, err := c.PyxisPartition(1.0)
@@ -23,37 +22,29 @@ func TestRunShardScalingSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := WallCfg{Clients: 4, Txns: 6}
-	var results []*WallResult
 	for _, n := range []int{1, 2} {
 		cfg := base
 		cfg.Shards, cfg.Conns = n, n
-		res, _, err := WallTPCC(part, c, cfg, TPCCMix{WriteEvery: 2, PaymentEvery: 3}, 0)
-		if err != nil {
-			t.Fatal(err)
+		r := runTPCC(t, part, c, cfg, TPCCMix{WriteEvery: 2, PaymentEvery: 3})
+		if len(r.violations) > 0 {
+			t.Fatalf("shards=%d: invariants violated: %v", n, r.violations)
 		}
-		if len(res.Violations) > 0 {
-			t.Fatalf("shards=%d: invariants violated: %v", n, res.Violations)
+		if r.sum.txns != base.Clients*base.Txns {
+			t.Errorf("shards=%d: %d of %d transactions completed", n, r.sum.txns, base.Clients*base.Txns)
 		}
-		results = append(results, res)
-	}
-	t.Logf("\n%s", SweepReport(results, "shards"))
-	for _, res := range results {
-		if res.TotalTxns != base.Clients*base.Txns {
-			t.Errorf("shards=%d: %d of %d transactions completed", res.Shards, res.TotalTxns, base.Clients*base.Txns)
+		if k := r.sum.kinds; k[kindNewOrder] == 0 || k[kindPayment] == 0 || k[kindRead] == 0 {
+			t.Errorf("shards=%d: mix degenerated (no=%d pay=%d read=%d)", n, k[kindNewOrder], k[kindPayment], k[kindRead])
 		}
-		if res.NewOrders == 0 || res.Payments == 0 || res.Reads == 0 {
-			t.Errorf("shards=%d: mix degenerated (no=%d pay=%d read=%d)", res.Shards, res.NewOrders, res.Payments, res.Reads)
-		}
-	}
-	for s, n := range results[1].SessionsPerShard {
-		if n == 0 {
-			t.Errorf("2-shard point never routed a session to shard %d: %v", s, results[1].SessionsPerShard)
+		for s, got := range r.placed.shard {
+			if got == 0 {
+				t.Errorf("%d-shard point never routed a session to shard %d: %v", n, s, r.placed.shard)
+			}
 		}
 	}
 }
 
-// TestRunShardTPCCOverTCP audits the shard databases WallTPCC hands
-// back, rather than its own violation list: one database per shard,
+// TestRunShardTPCCOverTCP audits the shard databases a run hands back,
+// rather than the run's own violation list: one database per shard,
 // and the cross-shard invariants hold over them.
 func TestRunShardTPCCOverTCP(t *testing.T) {
 	c := DefaultTPCC()
@@ -62,31 +53,13 @@ func TestRunShardTPCCOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := WallCfg{Clients: 4, Txns: 4, Shards: 2, Conns: 2}
-	res, dbs, err := WallTPCC(part, c, cfg, TPCCMix{WriteEvery: 2, PaymentEvery: 3}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log(res.String())
+	r := runTPCC(t, part, c, cfg, TPCCMix{WriteEvery: 2, PaymentEvery: 3})
 	smap := runtime.ShardMap{Shards: 2, Warehouses: c.Warehouses}
-	if violations := CheckShardInvariants(dbs, c, smap); len(violations) > 0 {
+	if violations := CheckShardInvariants(r.dbs, c, smap); len(violations) > 0 {
 		t.Fatalf("invariants violated:\n%s", strings.Join(violations, "\n"))
 	}
-	if len(dbs) != 2 {
-		t.Fatalf("got %d shard databases, want 2", len(dbs))
-	}
-}
-
-// TestRunShardTPCCRejectsEmptyShards: more shards than warehouses
-// would leave shards with nothing to own.
-func TestRunShardTPCCRejectsEmptyShards(t *testing.T) {
-	c := DefaultTPCC()
-	part, err := c.PyxisPartition(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := WallCfg{Clients: 2, Txns: 2, Shards: c.Warehouses + 1}
-	if _, _, err := WallTPCC(part, c, cfg, TPCCMix{}, 0); err == nil {
-		t.Fatal("oversharded config accepted")
+	if len(r.dbs) != 2 {
+		t.Fatalf("got %d shard databases, want 2", len(r.dbs))
 	}
 }
 

@@ -164,56 +164,6 @@ class TPCC {
 }
 `
 
-// paymentNative is the hand-written Payment transaction (TPC-C §2.5,
-// reduced): paymentRemoteStmts with the customer at the home
-// warehouse, then the warehouse's YTD read back. The warehouse row is
-// the workload's contention point — every Payment on a warehouse
-// serializes on its row lock, exactly the hot spot the wall-clock
-// concurrency tests probe.
-func (c TPCCConfig) paymentNative(conn dbapi.Conn, wid, did, cid int64, amount float64) (float64, error) {
-	if err := conn.Begin(); err != nil {
-		return 0, err
-	}
-	abort := func(err error) (float64, error) {
-		_ = conn.Rollback()
-		return 0, err
-	}
-	if err := c.paymentRemoteStmts(conn, conn, wid, did, wid, did, cid, amount); err != nil {
-		return abort(err)
-	}
-	rs, err := conn.Query("SELECT w_ytd FROM warehouse WHERE w_id = ?", val.IntV(wid))
-	if err != nil {
-		return abort(err)
-	}
-	if len(rs.Rows) == 0 {
-		return abort(fmt.Errorf("tpcc: payment: warehouse %d does not exist", wid))
-	}
-	return rs.Rows[0][0].F, conn.Commit()
-}
-
-// paymentRemoteStmts issues the remote-Payment statements on ALREADY
-// OPEN transaction branches: the YTD totals book at the home
-// warehouse on home, the customer debit at the customer's resident
-// warehouse on cust. The two conns are the same when the customer's
-// warehouse lives on the home shard; when they differ the caller owns
-// atomicity — commit both branches through the 2PC coordinator or
-// roll both back.
-func (c TPCCConfig) paymentRemoteStmts(home, cust dbapi.Conn, wid, did, cwid, cdid, ccid int64, amount float64) error {
-	if _, err := home.Exec("UPDATE warehouse SET w_ytd = w_ytd + ? WHERE w_id = ?",
-		val.DoubleV(amount), val.IntV(wid)); err != nil {
-		return err
-	}
-	if _, err := home.Exec("UPDATE district SET d_ytd = d_ytd + ? WHERE d_w_id = ? AND d_id = ?",
-		val.DoubleV(amount), val.IntV(wid), val.IntV(did)); err != nil {
-		return err
-	}
-	if _, err := cust.Exec("UPDATE customer SET c_balance = c_balance - ? WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?",
-		val.DoubleV(amount), val.IntV(cwid), val.IntV(cdid), val.IntV(ccid)); err != nil {
-		return err
-	}
-	return nil
-}
-
 // newOrderRemoteStmts issues the remote-supply NewOrder statements on
 // ALREADY OPEN transaction branches: the order bookkeeping (district
 // counter, orders, new_order, order_line) stays at the home warehouse
@@ -306,43 +256,6 @@ func (c TPCCConfig) txnParams(k int64) (wid, did, cid, olcnt, seed int64, rollba
 	olcnt = int64(c.MinLines) + (h/997)%int64(c.MaxLines-c.MinLines+1)
 	seed = h % 99991
 	rollback = int(h/13)%100 < c.RollbackPct
-	return
-}
-
-// txnParamsRange is txnParams with the HOME warehouse remapped into
-// the inclusive range [loW, hiW] — the sharded drivers pin every
-// session's home warehouse inside its shard's range. Remote-warehouse
-// rolls (remoteRoll) may still point a transaction at another shard's
-// warehouse; those run as distributed transactions through the 2PC
-// coordinator.
-func (c TPCCConfig) txnParamsRange(k, loW, hiW int64) (wid, did, cid, olcnt, seed int64, rollback bool) {
-	wid, did, cid, olcnt, seed, rollback = c.txnParams(k)
-	wid = loW + (wid-1)%(hiW-loW+1)
-	return
-}
-
-// remoteRoll derives the TPC-C remote-warehouse decisions for txn k
-// against home warehouse wid: 15% of Payments pay for a customer who
-// resides at another warehouse (§2.5.1.2), and ~10% of NewOrders draw
-// their stock from a remote supply warehouse (§2.4.1.5 rolls 1% per
-// order line; over 5-15 lines that is ~10% of orders, which we roll
-// once per transaction and apply to every line). The remote warehouse
-// is uniform over the other warehouses; with a single warehouse there
-// is nothing remote to pick.
-func (c TPCCConfig) remoteRoll(k, wid int64) (payRemote, noRemote bool, remW int64) {
-	if c.Warehouses < 2 {
-		return false, false, 0
-	}
-	h := k*1300637 + 104987
-	if h < 0 {
-		h = -h
-	}
-	payRemote = (h/17)%100 < 15
-	noRemote = (h/131)%100 < 10
-	remW = h%int64(c.Warehouses-1) + 1
-	if remW >= wid {
-		remW++
-	}
 	return
 }
 

@@ -6,8 +6,7 @@
 // half from what the shards serve, then dials a pool of connections to
 // every shard's ports and opens client sessions on them.
 // cmd/pyxis-dbserver calls Listen, cmd/pyxis-app calls Dial, and Up does
-// both over loopback TCP in one process for the wall-clock driver and
-// the examples.
+// both over loopback TCP in one process for the tests and the examples.
 package deploy
 
 import (

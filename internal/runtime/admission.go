@@ -17,8 +17,8 @@ import (
 // blended load — the sqldb lock-wait rate, the CPU proxy, plus any
 // external load. A session it admitted runs every later call. Refusals
 // travel as the typed rpc.ErrOverloaded shed, which the clients that
-// open sessions (deploy.App.Open's callers: the wall driver and
-// pyxis-app) retry with RetryOverloaded.
+// open sessions (deploy.App.Open's callers: pyxis-app and the
+// tests) retry with RetryOverloaded.
 //
 // The load gate is hysteretic: shedding engages when the blended load
 // crosses HighLoad and releases only once it falls below LowLoad, so
