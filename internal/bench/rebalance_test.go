@@ -405,7 +405,7 @@ func rebalanceTier(t *testing.T, c TPCCConfig, wrap func(shard int, cli io.ReadW
 // The kill is a wire fault, not a race: Move arms the fence (and has
 // its reply) before it sends the destination anything, so "first
 // destination frame with the fence armed" is always the destination's
-// Begin. The test used to poll FenceArmed from a second goroutine every
+// first install, which carries its Begin. The test used to poll FenceArmed from a second goroutine every
 // 100 µs and cut the pipes when it saw the fence; under CPU contention
 // a whole move (1–3 ms) fits between two polls, the killer never
 // fired, and Move — correctly — succeeded against a destination that
@@ -449,7 +449,7 @@ func TestMigrateDestShardDown(t *testing.T) {
 	if err == nil {
 		t.Fatal("move succeeded with a dead destination")
 	}
-	if !strings.Contains(err.Error(), "dest begin") {
+	if !strings.Contains(err.Error(), "migrate stream: install ") {
 		t.Fatalf("move failed somewhere other than the destination's first frame: %v", err)
 	}
 	if errors.Is(err, runtime.ErrWrongShard) {

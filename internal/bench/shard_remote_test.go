@@ -101,8 +101,9 @@ func violationMatches(violations []string, want string) bool {
 // TestRemoteTwoPCExactCounts runs remote Payments and remote-supply
 // NewOrders one at a time over a 2-shard tier, each as two branches
 // committed through the 2PC coordinator, and pins what each costs on
-// the database wire: its statements, both begins, both prepares and
-// both commit decisions.
+// the database wire: its statements, both prepares and both commit
+// decisions. The begins ride each branch's first statement and cost no
+// call.
 func TestRemoteTwoPCExactCounts(t *testing.T) {
 	c := DefaultTPCC()
 	top, err := WallCfg{Clients: 1, Txns: 1, Shards: 2}.topology(c.Warehouses, nil, nil, c.loadRange)
@@ -136,16 +137,16 @@ func TestRemoteTwoPCExactCounts(t *testing.T) {
 		stmts func() error
 		calls int64
 	}{
-		{"payment", func() error { return c.paymentRemoteStmts(home, remote, homeW, 1, remoteW, 2, 3, 10) }, 9},
+		{"payment", func() error { return c.paymentRemoteStmts(home, remote, homeW, 1, remoteW, 2, 3, 10) }, 7},
 		{"new-order", func() error {
 			_, err := c.newOrderRemoteStmts(home, remote, homeW, 1, 4, olcnt, 77, remoteW)
 			return err
-		}, 27},
-		{"payment", func() error { return c.paymentRemoteStmts(home, remote, homeW, 2, remoteW, 1, 5, 20) }, 9},
+		}, 25},
+		{"payment", func() error { return c.paymentRemoteStmts(home, remote, homeW, 2, remoteW, 1, 5, 20) }, 7},
 		{"new-order", func() error {
 			_, err := c.newOrderRemoteStmts(home, remote, homeW, 2, 6, olcnt, 91, remoteW)
 			return err
-		}, 27},
+		}, 25},
 	} {
 		before := d.DB.Stats().Calls
 		if err := home.Begin(); err != nil {

@@ -60,25 +60,37 @@ func benchConn(tb testing.TB, db *sqldb.DB, mux bool) *Client {
 }
 
 // benchOps are the measured operations; each is warm (prepared, buffers
-// sized) after one call. A query decodes into rs, which the caller
-// keeps from call to call as the runtime keeps its tables.
+// sized) after one call, and calls the transport calls times. A query
+// decodes into rs, which the caller keeps from call to call as the
+// runtime keeps its tables. txn is a transaction around one update: its
+// Begin rides the update, so it is two calls, not three.
 var benchOps = []struct {
-	name string
-	run  func(c *Client, rs *sqldb.ResultSet, i int) error
+	name  string
+	calls int
+	run   func(c *Client, rs *sqldb.ResultSet, i int) error
 }{
-	{"select", func(c *Client, rs *sqldb.ResultSet, i int) error {
+	{"select", 1, func(c *Client, rs *sqldb.ResultSet, i int) error {
 		return c.QueryInto(rs, 0, "SELECT v FROM b WHERE k = ?", val.IntV(int64(i%benchRows)))
 	}},
-	{"update", func(c *Client, _ *sqldb.ResultSet, i int) error {
+	{"update", 1, func(c *Client, _ *sqldb.ResultSet, i int) error {
 		_, err := c.ExecStmt(1, "UPDATE b SET v = v + ? WHERE k = ?", val.IntV(1), val.IntV(int64(i%benchRows)))
 		return err
 	}},
-	{"query10", func(c *Client, rs *sqldb.ResultSet, i int) error {
+	{"query10", 1, func(c *Client, rs *sqldb.ResultSet, i int) error {
 		err := c.QueryInto(rs, 2, "SELECT k, v FROM b WHERE g = ?", val.IntV(int64(i%6)))
 		if err == nil && len(rs.Rows) != 10 {
 			err = fmt.Errorf("query10 returned %d rows", len(rs.Rows))
 		}
 		return err
+	}},
+	{"txn", 2, func(c *Client, _ *sqldb.ResultSet, i int) error {
+		if err := c.Begin(); err != nil {
+			return err
+		}
+		if _, err := c.ExecStmt(1, "UPDATE b SET v = v + ? WHERE k = ?", val.IntV(1), val.IntV(int64(i%benchRows))); err != nil {
+			return err
+		}
+		return c.Commit()
 	}},
 }
 
@@ -110,12 +122,13 @@ func BenchmarkPrepared(b *testing.B) {
 // are in its TestAllocCeilings: an autocommit Txn, an updated row's
 // new version) — not encode buffers, readers, replies (the client
 // lends its last one to the next call), result memory, column names
-// or per-call codec state.
+// or per-call codec state. It also pins each operation's transport
+// calls.
 func TestAllocCeilings(t *testing.T) {
-	ceilings := map[string]float64{"select": 2, "update": 3, "query10": 2}
+	ceilings := map[string]float64{"select": 2, "update": 3, "query10": 2, "txn": 3}
 	db := benchDB(t)
 	for _, op := range benchOps {
-		c := benchConn(t, db, false)
+		c, _, calls := countedClient(db, nil)
 		var rs sqldb.ResultSet
 		i := 0
 		run := func() {
@@ -129,6 +142,10 @@ func TestAllocCeilings(t *testing.T) {
 			t.Errorf("prepared %s over InProc: %.1f allocs, ceiling %.0f", op.name, got, ceilings[op.name])
 		} else {
 			t.Logf("prepared %s over InProc: %.1f allocs (ceiling %.0f)", op.name, got, ceilings[op.name])
+		}
+		*calls = 0
+		if run(); *calls != op.calls {
+			t.Errorf("prepared %s: %d transport calls, want %d", op.name, *calls, op.calls)
 		}
 	}
 }

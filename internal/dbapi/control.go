@@ -4,10 +4,11 @@ package dbapi
 // operations: a coordinator (runtime.Coordinator) or a migrator
 // (runtime.Migrator) sends them on a branch's own session, so they stay
 // ordered with the session's statements — a PREPARE lands after the
-// branch's last write, an ADOPT after the Begin of the drain it
-// exempts. Commit, abort and status are keyed by the global
-// transaction ID alone: the shard's Participant is shared by all its
-// sessions, so a decision finds its gid on any of them.
+// branch's last write, and a Begin rides whatever op the session sends
+// next, a FENCE as readily as a statement. Commit, abort and status are
+// keyed by the global transaction ID alone: the shard's Participant is
+// shared by all its sessions, so a decision finds its gid on any of
+// them.
 //
 // Every control op is bounded: over a transport with CallWithin (the
 // mux wire) a stalled peer answers rpc.ErrTxnDeadline and a dead one an
@@ -31,8 +32,7 @@ func (c *Client) callWithin(timeout time.Duration) (*rpc.Reader, error) {
 	if !ok {
 		return c.call()
 	}
-	c.BytesSent += int64(len(c.enc.Buf))
-	resp, err := t.CallWithin(c.enc.Buf, c.dec.Buf, timeout)
+	resp, err := t.CallWithin(c.request(), c.dec.Buf, timeout)
 	return c.reply(resp, err)
 }
 

@@ -3,9 +3,9 @@
 // embedded sqldb session and runs every statement: the database-side
 // partition's directly (colocated, no network), the wire's behind the
 // server handler. Client speaks the wire protocol over an
-// rpc.Transport (what the application-side partition uses — every
-// operation is one round trip, exactly the cost the paper's JDBC
-// implementation pays).
+// rpc.Transport (what the application-side partition uses): every
+// operation but Begin is one round trip, the cost a JDBC driver pays,
+// and Begin rides the request after it.
 //
 // Statement routing makes no serialization assumptions about the
 // engine: distinct connections (and the sqldb sessions behind them)
@@ -164,7 +164,11 @@ func (l *Local) QueryInto(dst *sqldb.ResultSet, id int, sql string, args ...val.
 // Wire protocol
 // ---------------------------------------------------------------------------
 
-// A request is its op byte and the op's fields, nothing after them.
+// A request is its op byte and the op's fields, nothing after them. An
+// op byte with beginFirst set asks the session to begin a transaction
+// before it runs the op: that is how Client.Begin reaches the server.
+const beginFirst byte = 0x80
+
 const (
 	// opExec and opQuery: [uvarint id+1, 0 = unnumbered][bool hasSQL]
 	// [sql?][args]. A numbered statement's text rides along only on its
@@ -172,8 +176,7 @@ const (
 	// later call is id + args.
 	opExec byte = iota + 1
 	opQuery
-	// opBegin, opCommit, opRollback: the op byte alone.
-	opBegin
+	// opCommit, opRollback: the op byte alone.
 	opCommit
 	opRollback
 	// Two-phase commit, each [gid u64], reply [state u8] (control.go).
@@ -211,6 +214,8 @@ type Client struct {
 	// memory to the next (rpc.CallInto).
 	enc rpc.Writer
 	dec rpc.Reader
+	// begin is a Begin not yet sent: the next request carries it.
+	begin bool
 }
 
 // NewClient wraps a transport as a database connection.
@@ -231,9 +236,21 @@ func (c *Client) encodeStmt(op byte, id int, hasSQL bool, sql string, args []val
 // call sends the request in c.enc and returns a reader positioned after
 // the reply's ok flag. The reader is c.dec: valid until the next call.
 func (c *Client) call() (*rpc.Reader, error) {
-	c.BytesSent += int64(len(c.enc.Buf))
-	resp, err := rpc.CallInto(c.T, c.enc.Buf, c.dec.Buf)
+	resp, err := rpc.CallInto(c.T, c.request(), c.dec.Buf)
 	return c.reply(resp, err)
+}
+
+// request returns the request in c.enc as it goes out. A pending Begin
+// rides it as beginFirst and is spent by it, whatever the reply: the
+// server begins before it runs the op, so a re-send does not begin
+// twice.
+func (c *Client) request() []byte {
+	if c.begin {
+		c.enc.Buf[0] |= beginFirst
+		c.begin = false
+	}
+	c.BytesSent += int64(len(c.enc.Buf))
+	return c.enc.Buf
 }
 
 // reply decodes the answer to the request in c.enc.
@@ -349,7 +366,16 @@ func ReadResultSet(r *rpc.Reader, dst *sqldb.ResultSet) error {
 	return r.Err()
 }
 
-func (c *Client) Begin() error    { return c.txn(opBegin) }
+// Begin sends nothing: the next request carries it (beginFirst). A
+// second Begin before then is refused here.
+func (c *Client) Begin() error {
+	if c.begin {
+		return sqldb.ErrInTransaction
+	}
+	c.begin = true
+	return nil
+}
+
 func (c *Client) Commit() error   { return c.txn(opCommit) }
 func (c *Client) Rollback() error { return c.txn(opRollback) }
 func (c *Client) Close() error    { return c.T.Close() }
@@ -367,6 +393,7 @@ var wireErrors = map[string]error{
 	"deadlock":       sqldb.ErrDeadlock,
 	"dup-key":        sqldb.ErrDupKey,
 	"no-transaction": sqldb.ErrNoTransaction,
+	"in-transaction": sqldb.ErrInTransaction,
 	"unprepared":     ErrUnprepared,
 	"range-fenced":   sqldb.ErrRangeFenced,
 	"range-moved":    sqldb.ErrRangeMoved,
@@ -380,6 +407,8 @@ func encodeError(err error) string {
 		return "dup-key"
 	case errors.Is(err, sqldb.ErrNoTransaction):
 		return "no-transaction"
+	case errors.Is(err, sqldb.ErrInTransaction):
+		return "in-transaction"
 	case errors.Is(err, ErrUnprepared):
 		return "unprepared"
 	case errors.Is(err, sqldb.ErrRangeFenced):
@@ -480,12 +509,16 @@ type sessionHandler struct {
 	rs      sqldb.ResultSet // a query's result, until its reply is encoded
 }
 
-// serve decodes a request whole, then runs it. A request cut short,
-// naming no known op, or with bytes after its last field is an error
-// and runs nothing; what the op itself refuses is an error reply.
+// serve decodes a request whole, then runs it: the begin its op byte
+// carries first, then the op. A request cut short, naming no known op,
+// or with bytes after its last field is an error and runs nothing; what
+// the begin or the op refuses is an error reply, and a failed begin
+// runs no op.
 func (h *sessionHandler) serve(req []byte) ([]byte, error) {
 	r := rpc.Reader{Buf: req}
 	op := r.Byte()
+	begin := op&beginFirst != 0
+	op &^= beginFirst
 	var (
 		id     int    // a statement's number, -1 unnumbered
 		sql    string // a statement's text, "" when absent
@@ -511,7 +544,7 @@ func (h *sessionHandler) serve(req []byte) ([]byte, error) {
 		u, moved = r.U64(), r.Bool()
 	case opFence:
 		spec, ttl, decErr = decodeFence(&r)
-	case opBegin, opCommit, opRollback, opProgram:
+	case opCommit, opRollback, opProgram:
 	default:
 		return nil, fmt.Errorf("dbapi: unknown op %d", op)
 	}
@@ -529,6 +562,11 @@ func (h *sessionHandler) serve(req []byte) ([]byte, error) {
 		h.w.Buf = nil // one large result does not pin its buffer for the session's life
 	}
 	h.w.Reset()
+	if begin {
+		if err := h.conn.Begin(); err != nil {
+			return encodeErr(&h.w, err), nil
+		}
+	}
 	h.w.Bool(true)
 	var err error
 	switch op {
@@ -541,8 +579,6 @@ func (h *sessionHandler) serve(req []byte) ([]byte, error) {
 			WriteResultSet(&h.w, &h.rs)
 		}
 		h.rs.Reset()
-	case opBegin:
-		err = h.conn.Begin()
 	case opCommit:
 		err = h.conn.Commit()
 	case opRollback:

@@ -277,3 +277,140 @@ func TestSessionIsolationPerConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// countedClient is a Client on a fresh session of db, served with part
+// as its 2PC participant, and the number of requests its session has
+// served.
+func countedClient(db *sqldb.DB, part *Participant) (*Client, *Local, *int) {
+	local, calls := NewLocal(db), new(int)
+	h := newSessionHandler(local, part, nil)
+	return NewClient(rpc.NewInProc(func(req []byte) ([]byte, error) { *calls++; return h(req) }, 0)), local, calls
+}
+
+// TestBeginRidesNextRequest: Client.Begin sends nothing, and the next
+// request, whatever its op, carries it and begins before it runs.
+func TestBeginRidesNextRequest(t *testing.T) {
+	v1 := func(c *Client) string {
+		rs, err := c.Query("SELECT v FROM t WHERE k = 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs.Rows[0][0].S
+	}
+	// Each op below fails, or leaves the session outside a transaction,
+	// unless the session began before it ran. An update that ran before
+	// the begin would have committed on its own and outlast the rollback
+	// after it.
+	for _, op := range []struct {
+		name  string
+		run   func(c *Client) error
+		inTxn bool // the op leaves the begun transaction open
+	}{
+		{"exec", func(c *Client) error { _, err := c.Exec("UPDATE t SET v = 'x' WHERE k = 1"); return err }, true},
+		{"query", func(c *Client) error {
+			_, err := c.QueryStmt(0, "SELECT v FROM t WHERE k = ?", val.IntV(1))
+			return err
+		}, true},
+		{"commit", (*Client).Commit, false},
+		{"rollback", (*Client).Rollback, false},
+		{"prepare", func(c *Client) error {
+			if st, err := c.Prepare(1, 0); err != nil || st != TxnStatePrepared {
+				return fmt.Errorf("state %v, error %v", st, err)
+			}
+			_, err := c.Decide(1, false, 0)
+			return err
+		}, false},
+		{"fence", func(c *Client) error {
+			_, err := c.Fence(sqldb.FenceSpec{Tables: map[string]string{"t": "k"}, Lo: 5, Hi: 6}, time.Second, 0)
+			return err
+		}, true},
+		{"adopt", func(c *Client) error { return c.AdoptFence(1, 0) }, true},
+		{"status", func(c *Client) error { _, err := c.Status(1, 0); return err }, true},
+		{"program", func(c *Client) error { _, err := c.Program(); return err }, true},
+	} {
+		db := setup(t)
+		c, local, calls := countedClient(db, NewParticipant(0, nil))
+		if err := c.Begin(); err != nil || *calls != 0 {
+			t.Fatalf("%s: Begin: error %v after %d calls, want none", op.name, err, *calls)
+		}
+		if err := op.run(c); err != nil {
+			t.Errorf("%s carrying a begin: %v", op.name, err)
+		}
+		if local.Sess.InTxn() != op.inTxn {
+			t.Errorf("%s carrying a begin: in a transaction %v, want %v", op.name, local.Sess.InTxn(), op.inTxn)
+		}
+		if op.inTxn {
+			if err := c.Rollback(); err != nil {
+				t.Errorf("%s carrying a begin: rollback: %v", op.name, err)
+			}
+			if got := v1(c); got != "a" {
+				t.Errorf("%s carrying a begin: k=1 is %q after the rollback, want a", op.name, got)
+			}
+		}
+	}
+
+	// On a session with an open transaction the begin fails, and the op
+	// it rides does not run.
+	db := setup(t)
+	c, local, calls := countedClient(db, nil)
+	_ = c.Begin()
+	if _, err := c.Exec("UPDATE t SET v = 'x' WHERE k = 1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"exec", func() error { _, err := c.Exec("UPDATE t SET v = 'y' WHERE k = 1"); return err }},
+		{"commit", c.Commit},
+	} {
+		if err := c.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := op.run(); !errors.Is(err, sqldb.ErrInTransaction) {
+			t.Errorf("%s carrying a begin inside a transaction: %v, want ErrInTransaction", op.name, err)
+		}
+		if !local.Sess.InTxn() {
+			t.Errorf("%s carrying a begin inside a transaction ran: the transaction ended", op.name)
+		}
+		if got := v1(c); got != "x" {
+			t.Errorf("%s carrying a begin inside a transaction ran: k=1 is %q, want x", op.name, got)
+		}
+	}
+
+	// A second Begin before the first is sent fails here and sends
+	// nothing; the first still rides the next request.
+	*calls = 0
+	if err := c.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.Begin()
+	if err := c.Begin(); !errors.Is(err, sqldb.ErrInTransaction) || *calls != 1 {
+		t.Errorf("second Begin: error %v after %d calls, want ErrInTransaction after 1", err, *calls)
+	}
+	if err := c.Commit(); err != nil || *calls != 2 {
+		t.Errorf("commit carrying the begin: error %v after %d calls, want none after 2", err, *calls)
+	}
+
+	// The first statement of a transaction carries the begin without its
+	// text, and the session, a fresh one, answers ErrUnprepared after it
+	// began. The re-send carries the text and no begin: one transaction.
+	if _, err := c.QueryStmt(0, "SELECT v FROM t WHERE k = ?", val.IntV(1)); err != nil {
+		t.Fatal(err)
+	}
+	c2, local2, calls2 := countedClient(db, nil)
+	c.T = c2.T
+	_ = c.Begin()
+	if _, err := c.QueryStmt(0, "SELECT v FROM t WHERE k = ?", val.IntV(1)); err != nil || *calls2 != 2 {
+		t.Fatalf("first touch on a fresh session: error %v after %d calls, want none after 2", err, *calls2)
+	}
+	if !local2.Sess.InTxn() {
+		t.Fatal("the begin that rode the unprepared statement was lost")
+	}
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Commit(); !errors.Is(err, sqldb.ErrNoTransaction) {
+		t.Errorf("second commit: %v, want ErrNoTransaction", err)
+	}
+}

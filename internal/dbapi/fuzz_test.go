@@ -21,7 +21,8 @@ func (t *recordingTransport) Close() error { return nil }
 
 // clientRequests returns one request of every shape Client sends, as it
 // encodes them: statements numbered and unnumbered, with and without
-// their text, transaction ops and control ops.
+// their text, transaction ops and control ops, and a statement, a
+// Commit and a Prepare carrying a begin.
 func clientRequests() [][]byte {
 	// The transport records each request and refuses it, so every
 	// numbered statement goes out as a first touch.
@@ -32,9 +33,14 @@ func clientRequests() [][]byte {
 	_, _ = c.QueryStmt(0, "SELECT v FROM t WHERE k = ?", val.IntV(1))
 	_, _ = c.ExecStmt(7, "UPDATE t SET v = ? WHERE k = ?", val.StrV("z"), val.NullV(), val.DoubleV(1.5))
 	_, _ = c.QueryStmt(maxStmts, "SELECT v FROM t WHERE k = ?", val.IntV(1))
+	_ = c.Begin() // each Begin rides the request after it
+	_, _ = c.Exec("UPDATE t SET v = ? WHERE k = ?", val.StrV("y"), val.IntV(2))
 	_ = c.Begin()
 	_ = c.Commit()
+	_ = c.Commit()
 	_ = c.Rollback()
+	_ = c.Begin()
+	_, _ = c.Prepare(0x1122334455667788, 0)
 	_, _ = c.Prepare(0x1122334455667788, 0)
 	_, _ = c.Decide(1, true, 0)
 	_, _ = c.Decide(1, false, 0)

@@ -52,7 +52,9 @@ func TestClientPreparedWire(t *testing.T) {
 // sends. A statement is [op][uvarint id+1][bool hasSQL][sql?][args]: a
 // numbered one carries its text on its first touch and again only after
 // the server session answers ErrUnprepared, an unnumbered one on every
-// call. Begin, Commit and Rollback are the op byte alone. A number past
+// call. Commit and Rollback are the op byte alone. Begin sends nothing:
+// it rides the next request as a bit of its op byte, which costs that
+// request no byte. A number past
 // the session's table bound is an error and grows no table.
 func TestPreparedWireByteSavings(t *testing.T) {
 	db := setup(t)
@@ -75,9 +77,10 @@ func TestPreparedWireByteSavings(t *testing.T) {
 		{"numbered, warm again", query(0), 1 + 1 + 1 + args, false},
 		{"unnumbered", query(-1), 1 + 1 + 1 + text + args, false},
 		{"unnumbered again", query(-1), 1 + 1 + 1 + text + args, false},
-		{"begin", conn.Begin, 1, false},
-		{"commit", conn.Commit, 1, false},
-		{"begin", conn.Begin, 1, false},
+		{"begin", conn.Begin, 0, false},
+		{"commit, carrying the begin", conn.Commit, 1, false},
+		{"begin", conn.Begin, 0, false},
+		{"numbered, warm, carrying the begin", query(0), 1 + 1 + 1 + args, false},
 		{"rollback", conn.Rollback, 1, false},
 		{"numbered, after the server session is replaced", func() error {
 			conn.T = rpc.NewInProc(SessionHandler(db.NewSession()), 0)

@@ -75,10 +75,11 @@ func TestPairExactCounts(t *testing.T) {
 	if got, want := c.Stats(), (CallStats{High: 4, Low: 3}); got != want {
 		t.Errorf("stats %+v, want %+v", got, want)
 	}
-	// A high deposit is one control transfer; a low one is four database
-	// round trips (begin, update, query, commit).
-	if ctl, db := wire(); ctl != 4 || db != 12 {
-		t.Errorf("%d control and %d database calls, want 4 and 12", ctl, db)
+	// A high deposit is one control transfer; a low one is three
+	// database round trips (the update, which carries the begin, the
+	// query and the commit).
+	if ctl, db := wire(); ctl != 4 || db != 9 {
+		t.Errorf("%d control and %d database calls, want 4 and 9", ctl, db)
 	}
 	if got := balance(t, tier.DBs[0]); got != float64(len(script)) {
 		t.Errorf("balance %v after %d deposits", got, len(script))
@@ -91,8 +92,8 @@ func TestPairExactCounts(t *testing.T) {
 	if got, want := c.Stats(), (CallStats{High: 4, Low: 3}); got != want {
 		t.Errorf("a failed call counted: stats %+v, want %+v", got, want)
 	}
-	if ctl, db := wire(); ctl != 5 || db != 13 {
-		t.Errorf("after the failed call: %d control and %d database calls, want 5 and 13", ctl, db)
+	if ctl, db := wire(); ctl != 5 || db != 10 {
+		t.Errorf("after the failed call: %d control and %d database calls, want 5 and 10", ctl, db)
 	}
 }
 

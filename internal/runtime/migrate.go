@@ -11,8 +11,8 @@ package runtime
 //	         retryable ErrRangeFenced; in-flight writers finish and
 //	         their row locks drain against the snapshot below.
 //	ADOPT    exempt the migrator's own source session from the fence
-//	         (an ordinary call on that session, so it is ordered after
-//	         the Begin that opened the drain transaction).
+//	         (an ordinary call on that session, after the FENCE that
+//	         carried the Begin of the drain transaction).
 //	STREAM   inside one source transaction, SELECT every row of every
 //	         partitioned table for each moving warehouse (the S locks
 //	         serialize behind any still-running writer) and INSERT it
@@ -125,13 +125,13 @@ func (mg *Migrator) Move(from, to int, lo, hi int64) (*MoveResult, error) {
 		ttl = 5 * time.Second
 	}
 
-	// Open the drain transaction BEFORE arming the fence: the server
-	// session must exist for ADOPT to land on it, and the order
-	// Begin -> FENCE -> ADOPT keeps the fence window as narrow as the
-	// drain itself.
-	if err := src.Begin(); err != nil {
-		return nil, fmt.Errorf("runtime: migrate source begin: %w", err)
-	}
+	// A Begin rides its session's next frame and cannot fail on a fresh
+	// Client. The source's rides FENCE, so the drain transaction is open
+	// before the fence arms and ADOPT lands inside it: the fence window
+	// is as narrow as the drain itself. The destination's rides its
+	// first install.
+	_ = src.Begin()
+	_ = dst.Begin()
 	token, err := src.Fence(sqldb.FenceSpec{Tables: mg.Tables, Lo: lo, Hi: hi}, ttl, 0)
 	if err != nil {
 		rollbackBoth(src, nil)
@@ -149,9 +149,6 @@ func (mg *Migrator) Move(from, to int, lo, hi int64) (*MoveResult, error) {
 	}
 	if err := src.AdoptFence(token, 0); err != nil {
 		return abort("adopt", err)
-	}
-	if err := dst.Begin(); err != nil {
-		return abort("dest begin", err)
 	}
 
 	rows, err := mg.stream(src, dst, lo, hi)

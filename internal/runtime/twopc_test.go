@@ -289,7 +289,8 @@ func TestTwoPCDeadShardPoisonedAtPrepare(t *testing.T) {
 }
 
 // stallNth delays the n-th call of every session by d before serving
-// it: with a branch's Begin and UPDATE before it, n = 3 is the prepare.
+// it: with a branch's UPDATE (which carries its Begin) before it, n = 2
+// is the prepare.
 type stallNth struct {
 	rpc.SessionHandlers
 	n int
@@ -316,7 +317,7 @@ func TestTwoPCTimedOutPrepareIsAborted(t *testing.T) {
 	co := NewCoordinator(50 * time.Millisecond)
 	a := newTwopcShard(t, inDoubt, co.Outcome)
 	b := newTwopcShardWrapped(t, inDoubt, co.Outcome, func(h rpc.SessionHandlers) rpc.SessionHandlers {
-		return stallNth{SessionHandlers: h, n: 3, d: stall}
+		return stallNth{SessionHandlers: h, n: 2, d: stall}
 	})
 	a.openBranch(t, 2, -7)
 	b.openBranch(t, 2, +7)
