@@ -94,6 +94,52 @@ var benchOps = []struct {
 	}},
 }
 
+// resultTable encodes a result of rows rows shaped like TPC-W's best
+// sellers: an item's id, title, author and sales, the middle two string
+// cells when strs is set and ints otherwise.
+func resultTable(rows int, strs bool) []byte {
+	rs := sqldb.ResultSet{Cols: []string{"I_ID", "I_TITLE", "A_NAME", "I_TOTAL_SOLD"}}
+	for i := 0; i < rows; i++ {
+		row := []val.Value{val.IntV(int64(i)), val.IntV(int64(i % 7)), val.IntV(int64(i % 100)), val.IntV(int64(i * 37 % 500))}
+		if strs {
+			row[1], row[2] = val.StrV(fmt.Sprintf("book title %d", i)), val.StrV(fmt.Sprintf("author-%d", i%100))
+		}
+		rs.Rows = append(rs.Rows, row)
+	}
+	var w rpc.Writer
+	WriteResultSet(&w, &rs)
+	return w.Buf
+}
+
+// decodeTable returns a function that decodes buf with decode into one
+// result set it keeps from call to call, as the runtime keeps its
+// synced tables.
+func decodeTable(tb testing.TB, buf []byte, decode func(*rpc.Reader, *sqldb.ResultSet) error) func() {
+	var rs sqldb.ResultSet
+	return func() {
+		r := rpc.Reader{Buf: buf}
+		if err := decode(&r, &rs); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadResultSet is the table decoder alone, on a table of one
+// row and of twenty, two string cells a row.
+func BenchmarkReadResultSet(b *testing.B) {
+	defer rpc.ScribbleReleased(rpc.ScribbleReleased(false))
+	for _, rows := range []int{1, 20} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			run := decodeTable(b, resultTable(rows, true), ReadResultSet)
+			run()
+			b.ReportAllocs()
+			for b.Loop() {
+				run()
+			}
+		})
+	}
+}
+
 func BenchmarkPrepared(b *testing.B) {
 	defer rpc.ScribbleReleased(rpc.ScribbleReleased(false))
 	for _, wire := range []string{"inproc", "mux"} {
@@ -119,13 +165,13 @@ func BenchmarkPrepared(b *testing.B) {
 // TestAllocCeilings pins what one prepared operation allocates over
 // InProc, client and handler together: each ceiling is the measured
 // count plus one. What is left is the engine's own (sqldb's ceilings
-// are in its TestAllocCeilings: an autocommit Txn, an updated row's
-// new version) — not encode buffers, readers, replies (the client
-// lends its last one to the next call), result memory, column names
-// or per-call codec state. It also pins each operation's transport
-// calls.
+// are in its TestAllocCeilings: an updated row's new version; every
+// transaction reuses its session's last Txn) — not encode buffers,
+// readers, replies (the client lends its last one to the next call),
+// result memory, column names or per-call codec state. It also pins
+// each operation's transport calls, and the decoder's own rows.
 func TestAllocCeilings(t *testing.T) {
-	ceilings := map[string]float64{"select": 2, "update": 3, "query10": 2, "txn": 3}
+	ceilings := map[string]float64{"select": 1, "update": 2, "query10": 1, "txn": 2}
 	db := benchDB(t)
 	for _, op := range benchOps {
 		c, _, calls := countedClient(db, nil)
@@ -146,6 +192,16 @@ func TestAllocCeilings(t *testing.T) {
 		*calls = 0
 		if run(); *calls != op.calls {
 			t.Errorf("prepared %s: %d transport calls, want %d", op.name, *calls, op.calls)
+		}
+	}
+	// One copy of the table's strings, whatever its rows.
+	for _, rows := range []int{1, 20} {
+		run := decodeTable(t, resultTable(rows, true), ReadResultSet)
+		run()
+		if got, ceiling := testing.AllocsPerRun(200, run), 2.0; got > ceiling {
+			t.Errorf("decode of %d rows: %.1f allocs, ceiling %.0f", rows, got, ceiling)
+		} else {
+			t.Logf("decode of %d rows: %.1f allocs (ceiling %.0f)", rows, got, ceiling)
 		}
 	}
 }

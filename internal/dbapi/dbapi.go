@@ -17,6 +17,7 @@ package dbapi
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -333,7 +334,12 @@ func (c *Client) QueryInto(dst *sqldb.ResultSet, id int, sql string, args ...val
 }
 
 // ReadResultSet decodes a result written by WriteResultSet into dst,
-// reusing dst's memory and, when they match, its column names.
+// reusing dst's memory and, when they match, its column names. It reads
+// the rows twice: a first pass validates them and sums their strings'
+// bytes, allocating nothing; the second copies every string cell into
+// one allocation of that size. A table costs one allocation however
+// many string cells it has, and none if it has none, and no cell
+// aliases r.Buf, which its owner lends to its next call.
 func ReadResultSet(r *rpc.Reader, dst *sqldb.ResultSet) error {
 	dst.Reset()
 	if dst.Cols = r.Strs(dst.Cols); r.Err() != nil {
@@ -352,16 +358,21 @@ func ReadResultSet(r *rpc.Reader, dst *sqldb.ResultSet) error {
 	if ncols := len(dst.Cols); ncols > 0 && nrows <= (len(r.Buf)-r.Off)/ncols {
 		vals = nrows * ncols
 	}
+	scan := *r
+	strBytes := 0
+	for i := 0; i < nrows && scan.Err() == nil; i++ {
+		strBytes += scan.SkipVals()
+	}
+	if scan.Err() != nil {
+		*r = scan
+		return r.Err()
+	}
 	dst.Reserve(nrows, vals)
+	var strs strings.Builder
+	strs.Grow(strBytes)
 	for i := 0; i < nrows; i++ {
-		n, ok := r.ValsLen()
-		if !ok {
-			break
-		}
-		row := dst.NewRow(n)
-		for j := range row {
-			row[j] = r.Val()
-		}
+		n, _ := r.ValsLen()
+		r.ValsIn(dst.NewRow(n), &strs)
 	}
 	return r.Err()
 }

@@ -1,6 +1,7 @@
 package dbapi
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"testing"
@@ -133,6 +134,59 @@ func FuzzSessionHandler(f *testing.F) {
 			if r.Err() != nil {
 				t.Fatalf("reply % x does not decode: %v", resp, r.Err())
 			}
+		}
+	})
+}
+
+// FuzzReadResultSet holds the table decoder to the one-pass decoder it
+// replaced (readPerCell): on any bytes both fail with the same error,
+// or both succeed, stop at the same offset and decode the same table —
+// whatever the first pass, which validates the rows and sizes the
+// string copy, and the second, which decodes them, make of it. The
+// table must not change when its input buffer is overwritten.
+func FuzzReadResultSet(f *testing.F) {
+	for _, rows := range []int{0, 1, 20} {
+		f.Add(resultTable(rows, true))
+	}
+	f.Add(resultTable(3, false))
+	// A truncated string cell: the last one's bytes are cut short.
+	whole := resultTable(2, true)
+	f.Add(whole[:len(whole)-9-4])
+	// A bad kind byte after a string cell.
+	var w rpc.Writer
+	w.U32(2)
+	w.Str("A")
+	w.Str("B")
+	w.U32(1)
+	w.U32(2)
+	w.Val(val.StrV("abc"))
+	w.Byte(0xEE)
+	w.I64(1)
+	f.Add(w.Buf)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var want, got sqldb.ResultSet
+		ref := rpc.Reader{Buf: in}
+		wantErr := readPerCell(&ref, &want)
+		buf := bytes.Clone(in)
+		r := rpc.Reader{Buf: buf}
+		gotErr := ReadResultSet(&r, &got)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("error %v, the one-pass decoder's %v", gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if r.Off != ref.Off {
+			t.Fatalf("stopped at %d, the one-pass decoder at %d", r.Off, ref.Off)
+		}
+		for i := range buf {
+			buf[i] = 0xFF
+		}
+		var ew, gw rpc.Writer
+		WriteResultSet(&ew, &want)
+		WriteResultSet(&gw, &got)
+		if !bytes.Equal(gw.Buf, ew.Buf) {
+			t.Fatalf("decoded % x, the one-pass decoder % x", gw.Buf, ew.Buf)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package dbapi
 
 import (
+	goruntime "runtime"
 	"testing"
 
 	"pyxis/internal/rpc"
@@ -38,5 +39,92 @@ func TestRecycledResultDecode(t *testing.T) {
 	fresh, err := c.QueryStmt(0, q, val.IntV(1), val.IntV(12))
 	if err != nil || len(fresh.Rows) != 2 || fresh.Rows[1][0] != val.IntV(11) || &fresh.Rows[0][0] == &rs.Rows[0][0] {
 		t.Fatalf("QueryStmt: %v, err %v; want its own two rows", fresh.Rows, err)
+	}
+}
+
+// readPerCell is the table decoder before ReadResultSet copied a
+// table's strings once: one pass, a string apiece (rpc.Reader.Val).
+// The tests and the fuzz target hold ReadResultSet to it.
+func readPerCell(r *rpc.Reader, dst *sqldb.ResultSet) error {
+	dst.Reset()
+	if dst.Cols = r.Strs(dst.Cols); r.Err() != nil {
+		return r.Err()
+	}
+	nrows := int(r.U32())
+	if r.Err() != nil || nrows > (len(r.Buf)-r.Off)/4 {
+		return rpc.ErrShortBuffer
+	}
+	for i := 0; i < nrows; i++ {
+		n, ok := r.ValsLen()
+		if !ok {
+			break
+		}
+		row := dst.NewRow(n)
+		for j := range row {
+			row[j] = r.Val()
+		}
+	}
+	return r.Err()
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one
+// call of run allocates, on average over runs calls, after a warm-up.
+func bytesPerRun(runs int, run func()) float64 {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	run()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	goruntime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestReadResultSetOwnsStrings: the table decoder copies every string
+// cell out of the buffer it reads, so the owner may overwrite the
+// buffer (it lends it to its next call) and the table still reads the
+// same. The copy is one allocation for a table with string cells, none
+// for a table of ints, and no more bytes than a string apiece.
+func TestReadResultSetOwnsStrings(t *testing.T) {
+	buf := resultTable(20, true)
+	var want, got sqldb.ResultSet
+	if err := readPerCell(&rpc.Reader{Buf: buf}, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadResultSet(&rpc.Reader{Buf: buf}, &got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xFF
+	}
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%d rows decoded, want %d", len(got.Rows), len(want.Rows))
+	}
+	for i, row := range got.Rows {
+		for j, v := range row {
+			if v != want.Rows[i][j] {
+				t.Errorf("row %d cell %d reads %v once the buffer is overwritten, want %v", i, j, v, want.Rows[i][j])
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		strs bool
+		want float64
+	}{{true, 1}, {false, 0}} {
+		if got := testing.AllocsPerRun(200, decodeTable(t, resultTable(20, tc.strs), ReadResultSet)); got != tc.want {
+			t.Errorf("decode of 20 rows (string cells %v): %.1f allocs, want %.0f", tc.strs, got, tc.want)
+		}
+	}
+	for _, rows := range []int{1, 20} {
+		table := resultTable(rows, true)
+		once := bytesPerRun(1000, decodeTable(t, table, ReadResultSet))
+		apiece := bytesPerRun(1000, decodeTable(t, table, readPerCell))
+		if once > apiece {
+			t.Errorf("decode of %d rows: %.0f B, a string apiece %.0f B", rows, once, apiece)
+		} else {
+			t.Logf("decode of %d rows: %.0f B, a string apiece %.0f B", rows, once, apiece)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"pyxis/internal/val"
 )
@@ -175,21 +176,65 @@ func (r *Reader) StrBytes() []byte {
 
 // Val deserializes one tagged value.
 func (r *Reader) Val() val.Value {
-	k := val.Kind(r.Byte())
-	switch k {
-	case val.Null:
-		return val.NullV()
-	case val.Int, val.Bool, val.Obj, val.Arr, val.Table:
-		return val.Value{K: k, I: r.I64()}
-	case val.Double:
-		return val.Value{K: k, F: r.F64()}
-	case val.Str:
-		return val.Value{K: k, S: r.Str()}
+	var v [1]val.Value
+	r.ValsIn(v[:], nil)
+	return v[0]
+}
+
+// ValsIn deserializes len(dst) tagged values into dst. With strs nil
+// each string is a copy of its own; otherwise its bytes go onto strs
+// and the string shares strs's memory, so a decoder that grew strs to
+// the bytes of every string it will read (SkipVals sums them) copies
+// them all in one allocation.
+func (r *Reader) ValsIn(dst []val.Value, strs *strings.Builder) {
+	for i := range dst {
+		switch k := val.Kind(r.Byte()); k {
+		case val.Null:
+			dst[i] = val.Value{K: k}
+		case val.Int, val.Bool, val.Obj, val.Arr, val.Table:
+			dst[i] = val.Value{K: k, I: r.I64()}
+		case val.Double:
+			dst[i] = val.Value{K: k, F: r.F64()}
+		case val.Str:
+			b := r.StrBytes()
+			if strs == nil {
+				dst[i] = val.Value{K: k, S: string(b)}
+				continue
+			}
+			at := strs.Len()
+			strs.Write(b)
+			dst[i] = val.Value{K: k, S: strs.String()[at:]}
+		default:
+			r.badKind(k)
+			dst[i] = val.Value{}
+		}
 	}
+}
+
+// SkipVals reads past a length-prefixed value slice without decoding
+// it and returns the bytes of its strings: the first pass of a decoder
+// that copies them all at once (ValsIn). It allocates nothing, and fails
+// exactly where Vals would.
+func (r *Reader) SkipVals() (strBytes int) {
+	n, _ := r.ValsLen()
+	for ; n > 0 && r.err == nil; n-- {
+		switch k := val.Kind(r.Byte()); k {
+		case val.Null:
+		case val.Int, val.Bool, val.Obj, val.Arr, val.Table, val.Double:
+			r.U64()
+		case val.Str:
+			strBytes += len(r.StrBytes())
+		default:
+			r.badKind(k)
+		}
+	}
+	return strBytes
+}
+
+func (r *Reader) badKind(k val.Kind) {
 	if r.err == nil {
 		r.err = fmt.Errorf("rpc: bad value kind %d", k)
 	}
-	return val.Value{}
 }
 
 // Strs deserializes a count-prefixed list of strings. When prev holds
@@ -258,9 +303,9 @@ func (r *Reader) AppendVals(dst []val.Value) []val.Value {
 }
 
 func (r *Reader) appendVals(dst []val.Value, n int) []val.Value {
-	for i := 0; i < n; i++ {
-		dst = append(dst, r.Val())
-	}
+	at := len(dst)
+	dst = dst[:at+n]
+	r.ValsIn(dst[at:], nil)
 	return dst
 }
 

@@ -199,26 +199,28 @@ func BenchmarkTableSweep(b *testing.B) { loop(b, tableSweep(b)) }
 
 // TestAllocCeilings holds the transaction path to its measured
 // allocation counts plus one. A NewOrder allocates what it stores — 13
-// row versions, their keys — and its Txn, at every budget: transaction
-// bookkeeping reuses the session's last transaction's lists, every
-// result table is recycled memory the engine or the dbapi decoder
-// fills, and every round trip's reply lands in the memory its caller
-// lent from the last one (rpc.CallInto), so InProc copies each reply
-// without allocating. The transfer ones are zero: stacks stay with the
-// session between transfers.
+// row versions, their keys — at every budget: each transaction,
+// autocommit ones too, is its session's last Txn reused, every result
+// table is recycled memory the engine or the dbapi decoder fills (the
+// decoder copies a table's strings in one allocation), and every round
+// trip's reply lands in the memory its caller lent from the last one
+// (rpc.CallInto), so InProc copies each reply without allocating. The
+// transfer ones are zero: stacks stay with the session between
+// transfers.
 func TestAllocCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		ceiling float64
 		run     func()
 	}{
-		{"NewOrder at budget 1", 23, newOrderSP(t)},
-		{"NewOrder at budget 0", 23, newOrderAt(t, 0)},
-		{"NewOrder at budget 0.5", 23, newOrderAt(t, 0.5)},
+		{"NewOrder at budget 1", 22, newOrderSP(t)},
+		{"NewOrder at budget 0", 22, newOrderAt(t, 0)},
+		{"NewOrder at budget 0.5", 22, newOrderAt(t, 0.5)},
 		// One allocation per page line, which builds its string with one
-		// concat. The first 200 mixes measured here make longer pages than
-		// a benchmark run's average.
-		{"browsing mix", 168, browsingMix(t)},
+		// concat, and one per synced table with string cells. The first
+		// 200 mixes measured here make longer pages than a benchmark run's
+		// average.
+		{"browsing mix", 103, browsingMix(t)},
 		{"transfer round trip", 0, transferRoundTrip(t)},
 		{"transfer loop", 0, transferLoop(t)},
 		{"table sweep", 0, tableSweep(t)},
@@ -273,5 +275,31 @@ func TestNewOrderRetainedBytes(t *testing.T) {
 		t.Errorf("live heap grew %.0f B per NewOrder, limit %.0f", per, limit)
 	} else {
 		t.Logf("live heap grew %.0f B per NewOrder (limit %.0f)", per, limit)
+	}
+}
+
+// TestBrowsingMixRetainedBytes is TestNewOrderRetainedBytes for the
+// read-only browsing mix, which stores nothing: the live heap must not
+// grow with the mixes run. A synced table's strings share one copy
+// (dbapi.ReadResultSet), so a cell kept past its table's refill would
+// pin the whole table's strings here.
+func TestBrowsingMixRetainedBytes(t *testing.T) {
+	const n, limit = 2000, 64
+	run := browsingMix(t)
+	for i := 0; i < 200; i++ {
+		run()
+	}
+	var before, after goruntime.MemStats
+	goruntime.GC()
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		run()
+	}
+	goruntime.GC()
+	goruntime.ReadMemStats(&after)
+	if per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n; per > limit {
+		t.Errorf("live heap grew %.0f B per browsing mix, limit %d", per, limit)
+	} else {
+		t.Logf("live heap grew %.0f B per browsing mix (limit %d)", per, limit)
 	}
 }

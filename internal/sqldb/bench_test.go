@@ -408,8 +408,8 @@ func BenchmarkUpdateRowCopy(b *testing.B) {
 // TestAllocCeilings holds the engine's steady-state allocation counts,
 // so a regression shows on any host without timing anything. What is
 // left is what a statement stores: the new row version, the keys an
-// index stores. A transaction's lock and undo lists reuse the memory of
-// the session's last one, and a query writes into the caller's result
+// index stores. A transaction is the session's last one, lists and all,
+// reused under a fresh ID, and a query writes into the caller's result
 // set, so an engine that allocated per statement again fails here.
 func TestAllocCeilings(t *testing.T) {
 	cycle := lockCycle(t, Open())
@@ -459,6 +459,16 @@ func TestAllocCeilings(t *testing.T) {
 		}); got > 0 {
 			t.Errorf("prepared PK select: %v allocs, want 0", got)
 		}
+		// Outside a transaction it autocommits on the Txn the session's
+		// last one finished with.
+		if got = testing.AllocsPerRun(200, func() {
+			if err := s.QueryInto(&rs, sel, intv(1), intv(i%benchRows)); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}); got > 0 {
+			t.Errorf("autocommit PK select: %v allocs, want 0", got)
+		}
 		// The new row version.
 		if got = inTxn(s, func() {
 			if _, err := s.ExecParsed(upd, intv(50), intv(1), intv(1), intv(i%benchRows)); err != nil {
@@ -498,7 +508,7 @@ func TestAllocCeilings(t *testing.T) {
 	}
 
 	// The allocating path is the same executor on fresh memory: the
-	// transaction, the result set, its row slice and its values.
+	// result set, its row slice and its values.
 	st := prepare(t, items, "SELECT i_id, i_title, i_total_sold FROM item ORDER BY i_total_sold DESC LIMIT 20")
 	if got := testing.AllocsPerRun(100, func() {
 		if _, err := items.QueryParsed(st); err != nil {
@@ -510,8 +520,8 @@ func TestAllocCeilings(t *testing.T) {
 }
 
 // topNAllocs is what a top-N select over 1 000 rows allocates outside a
-// transaction, into a reused result set: its autocommit Txn (the lists
-// come from the session's last one, even its 1 000 S locks), and about
-// one rehash a query of a lock-table map around the tombstones its
-// releases left — plus one to spare.
-const topNAllocs = 3
+// transaction, into a reused result set: about one rehash a query of a
+// lock-table map around the tombstones its releases left — plus one to
+// spare. Its autocommit Txn is the session's last one, lists and all,
+// even its 1 000 S locks.
+const topNAllocs = 2

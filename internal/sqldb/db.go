@@ -253,7 +253,9 @@ func sortTables(ts []*Table) {
 	}
 }
 
-// Txn is an in-flight transaction: its ID and bookkeeping lists.
+// Txn is an in-flight transaction: its ID and bookkeeping lists. A
+// session reuses its finished Txn for its next transaction under a
+// fresh ID (Session.newTxn); a prepared one is never reused.
 type Txn struct {
 	id int64
 	txnLists
@@ -274,8 +276,8 @@ type Txn struct {
 // by rollback); reserved holds slots an insert reserved but never
 // published (it lost a duplicate-key race after a lock wait) — they
 // stay X-locked until transaction end and are recycled on both paths.
-// A finished transaction's lists go back to its Session, emptied, for
-// the next one.
+// A finished transaction keeps its lists, emptied, for the session's
+// next one.
 type txnLists struct {
 	locks    []lockKey
 	undo     []undoRec
@@ -369,12 +371,12 @@ type Session struct {
 	// each) at their keptRow.at; an evicted row's is overwritten in place.
 	proj []val.Value
 
-	// spare is the bookkeeping memory of the session's last finished
-	// transaction, emptied, for its next one. Only the lists are reused,
-	// never the Txn: a waits-for edge may still point at a finished Txn
-	// (see lockManager), and a recycled pointer would turn that stale
-	// edge into a false deadlock.
-	spare txnLists
+	// spare is the session's last finished transaction, its lists
+	// emptied, for its next one. A waits-for edge may still name the
+	// finished transaction, but by its ID (see lockManager), and the
+	// reused Txn takes a fresh one: the stale edge cannot close a cycle
+	// through it.
+	spare *Txn
 
 	// fenceTok, when non-zero, exempts this session from the armed
 	// migration fence carrying the same token (see AdoptFence).
@@ -405,19 +407,24 @@ func (db *DB) newTxn() *Txn {
 	return &Txn{id: db.nextTxn.Add(1)}
 }
 
-// newTxn starts a transaction on the session's spare lists.
+// newTxn starts a transaction: the session's spare one, reset under a
+// fresh ID, or a new one.
 func (s *Session) newTxn() *Txn {
-	t := s.db.newTxn()
-	t.txnLists, s.spare = s.spare, txnLists{}
+	t := s.spare
+	if t == nil {
+		return s.db.newTxn()
+	}
+	s.spare = nil
+	*t = Txn{id: s.db.nextTxn.Add(1), txnLists: t.txnLists}
 	return t
 }
 
-// recycle takes the lists of txn, which this session finished (commit
-// and rollback empty them), for its next transaction.
+// recycle keeps txn, which this session finished (commit and rollback
+// empty its lists), for its next transaction.
 func (s *Session) recycle(txn *Txn) {
 	l := &txn.txnLists
-	s.spare = txnLists{keepable(l.locks), keepable(l.undo), keepable(l.freed), keepable(l.reserved)}
-	*l = txnLists{}
+	*l = txnLists{keepable(l.locks), keepable(l.undo), keepable(l.freed), keepable(l.reserved)}
+	s.spare = txn
 }
 
 // Commit commits the open transaction, releasing its locks.

@@ -173,13 +173,16 @@ func (st *lockStripe) retire(key lockKey, ls *lockState) {
 // one such critical section. Because locks are strict (released only at
 // transaction end, by releaseAll) a stale edge can only point at a
 // finished transaction, which never re-enters the graph — so cycle
-// checks cannot report false deadlocks.
+// checks cannot report false deadlocks. The graph names transactions by
+// ID, not by *Txn: a session reuses its finished Txn for its next
+// transaction (Session.newTxn), but under a fresh ID from db.nextTxn,
+// and no ID is handed out twice.
 type lockManager struct {
 	stripes [lockStripeCount]lockStripe
 
 	graphMu sync.Mutex
-	// waitsFor edges: waiting txn -> set of txns it waits on.
-	waitsFor map[*Txn]map[*Txn]bool
+	// waitsFor edges: waiting txn's ID -> set of IDs it waits on.
+	waitsFor map[int64]map[int64]bool
 
 	// stats
 	waits     atomic.Int64
@@ -187,7 +190,7 @@ type lockManager struct {
 }
 
 func newLockManager() *lockManager {
-	lm := &lockManager{waitsFor: map[*Txn]map[*Txn]bool{}}
+	lm := &lockManager{waitsFor: map[int64]map[int64]bool{}}
 	for i := range lm.stripes {
 		lm.stripes[i].locks = map[lockKey]*lockState{}
 	}
@@ -246,21 +249,21 @@ func (lm *lockManager) acquire(txn *Txn, key lockKey, mode LockMode, wp WaitPoin
 	// mutation and the enqueue happen together under graphMu (with the
 	// stripe mutex still held) so concurrent cycle checks always see a
 	// picture consistent with the queue they would observe.
-	blockers := map[*Txn]bool{}
+	blockers := map[int64]bool{}
 	for _, h := range ls.holders {
 		if h.txn != txn {
-			blockers[h.txn] = true
+			blockers[h.txn.id] = true
 		}
 	}
 	for _, w := range ls.queue {
 		if w.txn != txn {
-			blockers[w.txn] = true
+			blockers[w.txn.id] = true
 		}
 	}
 	lm.graphMu.Lock()
-	lm.waitsFor[txn] = blockers
-	if lm.cycleFrom(txn) {
-		delete(lm.waitsFor, txn)
+	lm.waitsFor[txn.id] = blockers
+	if lm.cycleFrom(txn.id) {
+		delete(lm.waitsFor, txn.id)
 		lm.graphMu.Unlock()
 		lm.deadlocks.Add(1)
 		return nil, ErrDeadlock
@@ -275,10 +278,10 @@ func (lm *lockManager) acquire(txn *Txn, key lockKey, mode LockMode, wp WaitPoin
 
 // cycleFrom reports whether start can reach itself in the wait-for
 // graph. Caller holds graphMu.
-func (lm *lockManager) cycleFrom(start *Txn) bool {
-	seen := map[*Txn]bool{}
-	var dfs func(t *Txn) bool
-	dfs = func(t *Txn) bool {
+func (lm *lockManager) cycleFrom(start int64) bool {
+	seen := map[int64]bool{}
+	var dfs func(t int64) bool
+	dfs = func(t int64) bool {
 		for next := range lm.waitsFor[t] {
 			if next == start {
 				return true
@@ -299,7 +302,7 @@ func (lm *lockManager) cycleFrom(start *Txn) bool {
 // whose requests have become compatible, invoking their wake callbacks.
 func (lm *lockManager) releaseAll(txn *Txn) {
 	lm.graphMu.Lock()
-	delete(lm.waitsFor, txn)
+	delete(lm.waitsFor, txn.id)
 	lm.graphMu.Unlock()
 	for _, key := range txn.locks {
 		st := lm.stripeFor(key)
@@ -325,7 +328,7 @@ func (lm *lockManager) cancelWaits(txn *Txn) {
 		return
 	}
 	lm.graphMu.Lock()
-	delete(lm.waitsFor, txn)
+	delete(lm.waitsFor, txn.id)
 	lm.graphMu.Unlock()
 	for i := range lm.stripes {
 		st := &lm.stripes[i]
@@ -360,7 +363,7 @@ func (lm *lockManager) grantWaiters(key lockKey, ls *lockState) {
 		}
 		ls.dequeue(0)
 		lm.graphMu.Lock()
-		delete(lm.waitsFor, w.txn)
+		delete(lm.waitsFor, w.txn.id)
 		if h := ls.holder(w.txn); h != nil {
 			h.mode = max(h.mode, w.mode)
 		} else {

@@ -238,7 +238,10 @@ func (m *lockModel) finish(txn int) {
 // commit and abort (of running and of queued transactions) against the
 // lock manager and the reference model, and demands the same outcome
 // for every request, the same grant order, and the same holders —
-// checking the freelist invariants after every step.
+// checking the freelist invariants after every step. Each slot is a
+// session that reuses its Txn from one transaction to the next, as
+// sessions do, while other transactions' waits-for edges may still
+// name the finished one.
 func TestLockManagerMatchesModel(t *testing.T) {
 	const txns, keys, steps = 6, 5, 4000
 	for seed := int64(1); seed <= 8; seed++ {
@@ -248,11 +251,13 @@ func TestLockManagerMatchesModel(t *testing.T) {
 		model := newLockModel()
 		var woken []int
 		outcomes := map[string]int{}
-		live := make([]*Txn, txns) // slot → its current transaction
-		gen := make([]int, txns)   // slot → how many transactions it has run
+		sess := make([]*Session, txns) // slot → its session
+		live := make([]*Txn, txns)     // slot → its current transaction
+		gen := make([]int, txns)       // slot → how many transactions it has run
 		id := func(slot int) int { return slot + txns*gen[slot] }
 		for i := range live {
-			live[i] = db.newTxn()
+			sess[i] = db.NewSession()
+			live[i] = sess[i].newTxn()
 		}
 		key := func(k int) lockKey { return lockKey{table: 1, slot: uint32(k)} }
 
@@ -292,7 +297,10 @@ func TestLockManagerMatchesModel(t *testing.T) {
 				lm.cancelWaits(txn)
 				lm.releaseAll(txn)
 				gen[slot]++
-				live[slot] = db.newTxn()
+				sess[slot].recycle(txn)
+				if live[slot] = sess[slot].newTxn(); live[slot] != txn {
+					t.Fatalf("seed %d step %d: slot %d's session did not reuse its Txn", seed, step, slot)
+				}
 			default:
 				continue
 			}

@@ -18,13 +18,14 @@ func signalWaits() (WaitPointFunc, chan struct{}) {
 	}, enqueued
 }
 
-// TestRecycledTxnNoFalseDeadlock: a session hands its finished
-// transaction's lists to its next one, never the Txn itself. A waiter
-// keeps its waits-for edge to a transaction that has since finished,
-// and the finished transaction's session then starts a new one that
-// waits on that waiter. Were the Txn reused, the stale edge would close
-// a cycle through the new transaction and refuse it as a deadlock; it
-// must wait, and every transaction must commit.
+// TestRecycledTxnNoFalseDeadlock: a session reuses its finished Txn
+// for its next transaction. A waiter keeps its waits-for edge to a
+// transaction that has since finished, and the finished transaction's
+// session then starts a new one, on the same Txn, that waits on that
+// waiter. The waits-for graph names transactions by ID and the reused
+// Txn has a fresh one, so the stale edge does not close a cycle through
+// the new transaction: it must wait, not be refused as a deadlock, and
+// every transaction must commit.
 func TestRecycledTxnNoFalseDeadlock(t *testing.T) {
 	db := Open()
 	setup := db.NewSession()
