@@ -128,3 +128,60 @@ func TestReadResultSetOwnsStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRowRefillWritesEveryCell: ResultSet.NewRow hands out a row it
+// does not clear, so each filler — the engine's projection copy, its
+// aggregates (MIN, MAX and AVG of no rows included) and the table
+// decoder — must write every cell. Each refills a result set that held
+// a wider and longer result, whose released values read garbage under
+// val.ScribbleReleased, and must read exactly as a fresh result set.
+func TestNewRowRefillWritesEveryCell(t *testing.T) {
+	defer val.ScribbleReleased(val.ScribbleReleased(true))
+	s := benchDB(t).NewSession()
+	stmt := func(q string) sqldb.SQLStmt {
+		st, err := s.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	query := func(q string, g int64) func(*sqldb.ResultSet) error {
+		st := stmt(q)
+		return func(rs *sqldb.ResultSet) error { return s.QueryInto(rs, st, val.IntV(g)) }
+	}
+	table := resultTable(3, true)
+	wide := stmt("SELECT k, g, v, k, g, v FROM b")
+	for _, tc := range []struct {
+		what string
+		fill func(*sqldb.ResultSet) error
+	}{
+		{"projection", query("SELECT v, k FROM b WHERE g = ?", 1)},
+		{"aggregates", query("SELECT COUNT(*), SUM(k), AVG(k), MIN(k), MAX(k) FROM b WHERE g = ?", 2)},
+		{"aggregates of no rows", query("SELECT COUNT(*), SUM(k), AVG(k), MIN(k), MAX(k) FROM b WHERE g = ?", 99)},
+		{"decoder", func(rs *sqldb.ResultSet) error { return ReadResultSet(&rpc.Reader{Buf: table}, rs) }},
+	} {
+		var want, got sqldb.ResultSet
+		if err := tc.fill(&want); err != nil {
+			t.Fatalf("%s: %v", tc.what, err)
+		}
+		if err := s.QueryInto(&got, wide); err != nil || len(got.Rows) != benchRows {
+			t.Fatalf("wide result: %d rows, err %v", len(got.Rows), err)
+		}
+		if err := tc.fill(&got); err != nil {
+			t.Fatalf("%s refill: %v", tc.what, err)
+		}
+		if len(got.Rows) != len(want.Rows) || len(got.Rows) == 0 {
+			t.Fatalf("%s: %d rows refilled, %d fresh", tc.what, len(got.Rows), len(want.Rows))
+		}
+		for i, row := range got.Rows {
+			if len(row) != len(want.Rows[i]) {
+				t.Fatalf("%s: row %d has %d cells, want %d", tc.what, i, len(row), len(want.Rows[i]))
+			}
+			for j, v := range row {
+				if v != want.Rows[i][j] {
+					t.Errorf("%s: row %d cell %d reads %v, fresh %v", tc.what, i, j, v, want.Rows[i][j])
+				}
+			}
+		}
+	}
+}

@@ -12,7 +12,7 @@ package rpc
 //
 //	[sid u32][rid u32][kind u8][body...]
 //
-// sid identifies the session (allocated by the client, scoped to the
+// sid identifies the session (minted once by the client, scoped to the
 // connection), rid the request within the session. Kinds:
 //
 //	muxCall      client -> server   body = request payload (empty: open the session)
@@ -74,19 +74,21 @@ var ErrOverloaded = errors.New("rpc: server overloaded")
 // its own in-doubt deadline and re-query).
 var ErrTxnDeadline = errors.New("rpc: call deadline exceeded")
 
+// ErrSessionIDsSpent reports a call on a session its connection could
+// not give an ID: the connection has minted all 2^24-1 of its session
+// IDs and opens nothing more. A pool skips such a connection; a caller
+// holding it directly dials a new one.
+var ErrSessionIDsSpent = errors.New("rpc: connection's session IDs spent")
+
 // DefaultTxnDeadline bounds a CallWithin that names no timeout.
 const DefaultTxnDeadline = 5 * time.Second
 
 const muxHeaderLen = 9
 
-// muxRetiredCap bounds the retired-session tombstone FIFO kept by
-// each side: the server remembers the last muxRetiredCap closed
-// session IDs per connection (a call racing its session's close frame
-// must fail, not resurrect the session), and the client quarantines a
-// closed ID for the same number of closes before letting a wrapped
-// counter re-mint it — the two FIFOs advance on the same close events,
-// so an ID the client hands out again is guaranteed evicted from the
-// server's tombstones.
+// muxRetiredCap bounds the server's retired-session tombstone FIFO:
+// it remembers the last muxRetiredCap closed session IDs per
+// connection, so a call racing its session's close frame fails instead
+// of resurrecting the session.
 const muxRetiredCap = 1024
 
 // ---------------------------------------------------------------------------
@@ -107,25 +109,14 @@ type MuxClient struct {
 	pending map[uint64]*waiter // (sid<<32|rid) -> the call awaiting that reply
 	err     error              // sticky: set when the read loop dies
 	closed  bool
-	// live is the wrap-collision guard: every session ID currently open
-	// on this connection, plus the closed IDs still quarantined below.
-	// The 24-bit session counter wraps, and a recycled ID handed to a
-	// second session would cross-route replies between the two;
-	// TaggedSession/release keep a wrapped counter skipping over IDs
-	// that are still open.
-	live map[uint32]struct{}
-	// recycled quarantines closed IDs in close order, mirroring the
-	// server's retired-session tombstone FIFO exactly: the server
-	// rejects calls on the last muxRetiredCap closed IDs (to kill calls
-	// racing a close), so an ID only becomes allocatable again once
-	// enough later closes have evicted it from the far end's tombstones.
-	recycled []uint32
 
 	// poisoned mirrors err != nil as one atomic load, so a pool placing
 	// sessions can skip a dead connection without taking mu on every
 	// placement scan.
 	poisoned atomic.Bool
 
+	// nextSID is the last session counter value minted; it stops at
+	// maxSID, when the connection is spent.
 	nextSID atomic.Uint32
 	// Self-aligning atomics (plain int64 + atomic.AddInt64 would fault
 	// on 32-bit platforms at this struct offset).
@@ -142,7 +133,7 @@ type MuxClient struct {
 // NewMuxClient starts a multiplexed client over an existing
 // connection and takes ownership of it.
 func NewMuxClient(conn io.ReadWriteCloser) *MuxClient {
-	c := &MuxClient{fr: newFramer(conn), pending: map[uint64]*waiter{}, live: map[uint32]struct{}{}}
+	c := &MuxClient{fr: newFramer(conn), pending: map[uint64]*waiter{}}
 	go c.readLoop()
 	return c
 }
@@ -346,6 +337,9 @@ func replyError(f muxFrame) error {
 // 24-bit per-connection counter underneath.
 const sessionTagShift = 24
 
+// maxSID is the last counter value a connection mints.
+const maxSID = 1<<sessionTagShift - 1
+
 // SessionTag extracts the variant tag a client encoded into a session
 // ID with TaggedSession (0 for plain sessions).
 func SessionTag(sid uint32) uint8 { return uint8(sid >> sessionTagShift) }
@@ -358,56 +352,30 @@ func (c *MuxClient) Session() *MuxSession { return c.TaggedSession(0) }
 // TaggedSession opens a session whose ID carries tag in its top byte.
 // Tags let one connection multiplex sessions of several server-side
 // variants — e.g. the high- and low-budget deployments of dynamic
-// switching — with the server routing Open by SessionTag. Session IDs
-// stay client-allocated and connection-scoped; the counter wraps after
-// 2^24 sessions per connection, at which point two guards engage:
-// counter value 0 is never minted (session ID 0 under tag 0 is
-// indistinguishable from "no session", and the lowest recycled IDs are
-// the likeliest to still be open), and any ID belonging to a
-// still-open session is skipped rather than handed out twice (a
-// duplicate ID would cross-route the two sessions' replies).
+// switching — with the server routing Open by SessionTag. The 24-bit
+// counter under the tag is the connection's, shared by every tag: it
+// counts up from 1 and mints each value once, so no two sessions of a
+// connection ever share an ID. Once all maxSID values are minted the
+// connection is spent: the session returned has ID 0, never reaches
+// the wire, and fails Open and every call with ErrSessionIDsSpent.
 func (c *MuxClient) TaggedSession(tag uint8) *MuxSession {
-	const space = 1 << sessionTagShift
-	base := uint32(tag) << sessionTagShift
-	// If every counter value under this tag belongs to a live session —
-	// 2^24 concurrently open sessions, beyond any real deployment — the
-	// session gets the (colliding) base ID rather than spinning forever;
-	// its first call will misbehave exactly as the pre-guard code did.
-	sid := base
-	c.mu.Lock()
-	for k := 0; k < space; k++ {
-		ctr := c.nextSID.Add(1) & (space - 1)
-		if ctr == 0 {
-			continue
+	for {
+		ctr := c.nextSID.Load()
+		if ctr >= maxSID {
+			return c.newSession(0)
 		}
-		if _, taken := c.live[base|ctr]; !taken {
-			sid = base | ctr
-			c.live[sid] = struct{}{}
-			break
+		if c.nextSID.CompareAndSwap(ctr, ctr+1) {
+			return c.newSession(uint32(tag)<<sessionTagShift | (ctr + 1))
 		}
 	}
-	c.mu.Unlock()
-	return c.newSession(sid)
 }
+
+// spent says the connection has minted its last session ID.
+func (c *MuxClient) spent() bool { return c.nextSID.Load() >= maxSID }
 
 // newSession opens a session under an ID the caller already reserved.
 func (c *MuxClient) newSession(sid uint32) *MuxSession {
 	return &MuxSession{c: c, sid: sid, w: waiter{ch: make(chan muxFrame, 1)}}
-}
-
-// release retires sid into the quarantine FIFO; it returns to the
-// allocatable space only after muxRetiredCap further closes, when the
-// server's matching tombstone has been evicted too.
-func (c *MuxClient) release(sid uint32) {
-	c.mu.Lock()
-	if _, ok := c.live[sid]; ok {
-		c.recycled = append(c.recycled, sid)
-		if len(c.recycled) > muxRetiredCap {
-			delete(c.live, c.recycled[0])
-			c.recycled = c.recycled[1:]
-		}
-	}
-	c.mu.Unlock()
 }
 
 // Err returns the sticky transport error, or nil while the connection
@@ -481,7 +449,8 @@ func (s *MuxSession) idle() {
 	s.waiterBusy.Store(false)
 }
 
-// ID returns the session's connection-scoped identifier.
+// ID returns the session's connection-scoped identifier (0 on a spent
+// connection).
 func (s *MuxSession) ID() uint32 { return s.sid }
 
 // Conn returns the connection the session is pinned to.
@@ -526,6 +495,9 @@ func (s *MuxSession) call(req, into []byte, timeout time.Duration) ([]byte, erro
 	if s.closed.Load() {
 		return nil, fmt.Errorf("rpc: session %d closed", s.sid)
 	}
+	if s.sid == 0 {
+		return nil, ErrSessionIDsSpent
+	}
 	f, err := s.c.exchange(s, req, into, timeout)
 	if err != nil {
 		return nil, err
@@ -537,12 +509,13 @@ func (s *MuxSession) call(req, into []byte, timeout time.Duration) ([]byte, erro
 }
 
 // Close implements Transport: it retires this session on the server
-// (releasing its state) but leaves the shared connection open.
+// (releasing its state) but leaves the shared connection open. A
+// session of a spent connection was never on the wire: its Close sends
+// nothing.
 func (s *MuxSession) Close() error {
-	if s.closed.Swap(true) {
+	if s.closed.Swap(true) || s.sid == 0 {
 		return nil
 	}
-	s.c.release(s.sid)
 	return s.c.send(muxFrame{sid: s.sid, kind: muxCloseSess})
 }
 

@@ -277,135 +277,105 @@ func TestMuxPoolConnLossFailsOnlyPinnedSessions(t *testing.T) {
 	}
 }
 
-// TestMuxPoolSessionIDWrap is the wrap regression through the pool:
-// a pool session takes its ID from its connection's 24-bit counter, so
-// stubbing that counter to just below the wrap and opening sessions via
-// ShardedPool.TaggedSession must skip counter value 0 and every
-// still-open ID, and each wrapped session must serve end to end under
-// the ID it was minted.
-func TestMuxPoolSessionIDWrap(t *testing.T) {
-	p, _ := pipePool(t, 1, func(int) SessionHandlers { return &echoHandlers{} }, MuxServeConfig{})
-	c := p.Conn(0, 0)
-
-	held := map[uint32]bool{}
-	for k := 0; k < 8; k++ {
-		s, err := p.TaggedSession(0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		held[s.ID()] = true
+// servesUnderOwnID fails t unless a call on s reaches the echo handler
+// and is served under s's own session ID.
+func servesUnderOwnID(t *testing.T, s *MuxSession) {
+	t.Helper()
+	resp, err := s.Call([]byte("hi"))
+	if err != nil {
+		t.Fatalf("session %#x: %v", s.ID(), err)
 	}
-
-	const space = 1 << sessionTagShift
-	for round := 0; round < 2; round++ {
-		c.nextSID.Store(space - 4)
-		for k := 0; k < 16; k++ {
-			s, err := p.TaggedSession(0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.Conn() != c {
-				t.Fatalf("round %d: session %d not pinned to the pool's only connection", round, s.ID())
-			}
-			if ctr := s.ID() & (space - 1); ctr == 0 {
-				t.Fatalf("round %d: wrap minted counter value 0 (session ID %d)", round, s.ID())
-			}
-			if held[s.ID()] {
-				t.Fatalf("round %d: wrap re-minted still-open session ID %d", round, s.ID())
-			}
-			resp, err := s.Call([]byte("wrapped"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotSID := binary.LittleEndian.Uint32(resp); gotSID != s.ID() {
-				t.Fatalf("round %d: wrapped call served under session %d, want %d", round, gotSID, s.ID())
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if got := binary.LittleEndian.Uint32(resp); got != s.ID() {
+		t.Fatalf("call on session %#x served under %#x", s.ID(), got)
 	}
 }
 
-// TestMuxClientSessionIDWrap is the wrap regression on the client's
-// 24-bit counter: counter value 0 is skipped, a still-open session's
-// ID is never recycled, and a closed ID stays quarantined until the
-// server's tombstone for it is gone — then it is minted again and the
-// server accepts it as a fresh session.
+// TestMuxClientSessionIDWrap: where the 24-bit counter would wrap, it
+// holds instead. A connection mints each session ID once, counting up
+// from 1 under every tag, and after its last ID it is spent. A spent
+// connection's sessions never reach the wire: Open and every call fail
+// with ErrSessionIDsSpent and Close writes nothing.
 func TestMuxClientSessionIDWrap(t *testing.T) {
-	c, _ := pipeMux(t, &echoHandlers{})
+	srvEnd, cliEnd := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		ServeMuxConn(srvEnd, &echoHandlers{})
+		close(done)
+	}()
+	rec := &recConn{ReadWriteCloser: cliEnd}
+	c := NewMuxClient(rec)
+	t.Cleanup(func() { c.Close(); <-done })
 
-	held := map[uint32]*MuxSession{}
-	for k := 0; k < 8; k++ {
-		s := c.Session()
-		held[s.ID()] = s
+	if s := c.Session(); s.ID() != 1 {
+		t.Fatalf("first session ID %d, want 1 (0 is never minted)", s.ID())
 	}
 
-	const space = 1 << sessionTagShift
-	c.nextSID.Store(space - 4)
-	for k := 0; k < 16; k++ {
-		s := c.Session()
-		if ctr := s.ID() & (space - 1); ctr == 0 {
-			t.Fatalf("wrap minted counter value 0 (session ID %d)", s.ID())
+	// The last IDs, alternating tags 0 and 3, share one counter: every
+	// value is minted once, whatever the tag.
+	c.nextSID.Store(maxSID - 4)
+	var last []*MuxSession
+	seen := map[uint32]bool{}
+	for k := range 4 {
+		tag := uint8(3 * (k % 2))
+		s := c.TaggedSession(tag)
+		ctr := s.ID() & maxSID
+		if SessionTag(s.ID()) != tag || ctr != maxSID-3+uint32(k) || seen[ctr] {
+			t.Fatalf("session %d under tag %d has ID %#x, want counter %#x minted once", k, tag, s.ID(), maxSID-3+k)
 		}
-		if _, taken := held[s.ID()]; taken {
-			t.Fatalf("wrap re-minted still-open session ID %d", s.ID())
+		seen[ctr] = true
+		servesUnderOwnID(t, s)
+		last = append(last, s)
+	}
+
+	// Spent: the next sessions fail without touching the wire, and the
+	// counter holds at its cap instead of wrapping.
+	wrote := len(rec.written())
+	for _, tag := range []uint8{0, 3} {
+		s := c.TaggedSession(tag)
+		if s.ID() != 0 {
+			t.Fatalf("spent connection minted ID %#x", s.ID())
 		}
-		if _, err := s.Call([]byte("wrapped")); err != nil {
+		if err := s.Open(); !errors.Is(err, ErrSessionIDsSpent) {
+			t.Fatalf("Open on a spent connection: %v", err)
+		}
+		if _, err := s.Call([]byte("hi")); !errors.Is(err, ErrSessionIDsSpent) {
+			t.Fatalf("Call on a spent connection: %v", err)
+		}
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if n := len(rec.written()); n != wrote {
+		t.Fatalf("sessions of a spent connection wrote %d frames", n-wrote)
+	}
+	if got := c.nextSID.Load(); got != maxSID {
+		t.Fatalf("counter at %#x after the connection was spent, want it held at %#x", got, maxSID)
+	}
+	// Sessions minted before keep serving under their own IDs.
+	for _, s := range last {
+		servesUnderOwnID(t, s)
+	}
+}
 
-	// Tags partition the guard: a held untagged ID does not block the
-	// same counter value under another tag.
-	c.nextSID.Store(space - 4)
-	for k := 0; k < 16; k++ {
-		s := c.TaggedSession(3)
-		if SessionTag(s.ID()) != 3 {
-			t.Fatalf("tag lost across wrap: session %d", s.ID())
-		}
-		if ctr := s.ID() & (space - 1); ctr == 0 {
-			t.Fatalf("tagged wrap minted counter value 0 (session ID %d)", s.ID())
-		}
-	}
-
-	// A closed session's ID is quarantined while the server might still
-	// tombstone it (the retired-session FIFO holds the last
-	// muxRetiredCap closes), then returns to the allocatable space:
-	// close one held session, drive muxRetiredCap further closes
-	// through the connection, stub the counter so the victim's ID comes
-	// up next, and the client mints it again.
-	var victim *MuxSession
-	for _, s := range held {
-		victim = s
-		break
-	}
-	if err := victim.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Immediately after close the ID must still be skipped (quarantine).
-	c.nextSID.Store(victim.ID() - 1)
-	s := c.Session()
-	if s.ID() == victim.ID() {
-		t.Fatalf("quarantined ID %d re-minted before the server could forget it", victim.ID())
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < muxRetiredCap; k++ {
-		if err := c.Session().Close(); err != nil {
+// TestMuxPoolSessionIDWrap: a pool places new sessions only on
+// connections that still have session IDs, and fails with
+// ErrPoolPoisoned once none has.
+func TestMuxPoolSessionIDWrap(t *testing.T) {
+	p, _ := pipePool(t, 2, func(int) SessionHandlers { return &echoHandlers{} }, MuxServeConfig{})
+	p.Conn(0, 0).nextSID.Store(maxSID)
+	for range 6 {
+		s, err := p.Session(0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if got := connOf(t, p, s); got != 1 {
+			t.Fatalf("session %#x placed on spent connection %d", s.ID(), got)
+		}
+		servesUnderOwnID(t, s)
 	}
-	c.nextSID.Store(victim.ID() - 1)
-	s = c.Session()
-	if s.ID() != victim.ID() {
-		t.Fatalf("released ID %d not re-minted after quarantine drained (got %d)", victim.ID(), s.ID())
-	}
-	if resp, err := s.Call([]byte("reused")); err != nil {
-		t.Fatalf("re-minted session rejected: %v", err)
-	} else if gotSID := binary.LittleEndian.Uint32(resp); gotSID != s.ID() {
-		t.Fatalf("re-minted call served under session %d, want %d", gotSID, s.ID())
+	p.Conn(0, 1).nextSID.Store(maxSID)
+	if s, err := p.Session(0); !errors.Is(err, ErrPoolPoisoned) {
+		t.Fatalf("pool with every connection spent: session %v, err %v; want ErrPoolPoisoned", s, err)
 	}
 }
 

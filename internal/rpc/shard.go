@@ -36,10 +36,10 @@ import (
 	"sync/atomic"
 )
 
-// ErrPoolPoisoned reports that every connection to a shard has failed:
-// there is nowhere left to place a session. Callers should treat it
-// like a connection loss (rebuild the pool), not retry the session
-// open; errors.Is matches it through wrapping.
+// ErrPoolPoisoned reports that every connection to a shard has failed
+// or spent its session IDs: there is nowhere left to place a session.
+// Callers should treat it like a connection loss (rebuild the pool),
+// not retry the session open; errors.Is matches it through wrapping.
 var ErrPoolPoisoned = errors.New("rpc: all pooled connections poisoned")
 
 // ShardedPool is a fixed set of mux connections per shard. It is safe
@@ -113,11 +113,11 @@ func (s *ShardedPool) Conn(shard, i int) *MuxClient { return s.conns[shard][i] }
 
 // place picks shard's healthy connection with the fewest calls in
 // flight; ties resolve round-robin so an idle shard still stripes
-// sessions instead of piling them on connection 0. Dead connections
-// are skipped with one atomic load each (no per-scan mutex); with
-// every connection poisoned it returns -1 and the caller surfaces the
-// typed ErrPoolPoisoned instead of silently pinning new sessions to a
-// dead connection.
+// sessions instead of piling them on connection 0. Dead and spent
+// connections are skipped with two atomic loads each (no per-scan
+// mutex); with every connection dead or spent it returns -1 and the
+// caller surfaces the typed ErrPoolPoisoned instead of silently
+// pinning new sessions to a connection that cannot serve them.
 func (s *ShardedPool) place(shard int) int {
 	conns := s.conns[shard]
 	n := len(conns)
@@ -128,7 +128,7 @@ func (s *ShardedPool) place(shard int) int {
 	for k := 0; k < n; k++ {
 		i := (start + k) % n
 		c := conns[i]
-		if c.poisoned.Load() {
+		if c.poisoned.Load() || c.spent() {
 			continue
 		}
 		if score := c.Outstanding(); best < 0 || score < bestScore {
@@ -145,8 +145,8 @@ func (s *ShardedPool) Session(shard int) (*MuxSession, error) { return s.TaggedS
 
 // TaggedSession opens a session carrying tag in its ID's top byte (see
 // MuxClient.TaggedSession) on shard's least-loaded connection. A dead
-// shard (every connection poisoned) fails with ErrPoolPoisoned — its
-// sibling shards keep serving.
+// shard (every connection poisoned or spent) fails with
+// ErrPoolPoisoned — its sibling shards keep serving.
 func (s *ShardedPool) TaggedSession(shard int, tag uint8) (*MuxSession, error) {
 	if shard < 0 || shard >= len(s.conns) {
 		return nil, fmt.Errorf("rpc: shard %d out of range [0, %d)", shard, len(s.conns))

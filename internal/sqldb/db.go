@@ -14,7 +14,6 @@ import (
 var (
 	ErrNoSuchTable   = errors.New("sqldb: no such table")
 	ErrDupKey        = errors.New("sqldb: duplicate primary key")
-	ErrTxnAborted    = errors.New("sqldb: transaction aborted")
 	ErrNoTransaction = errors.New("sqldb: no transaction in progress")
 	ErrInTransaction = errors.New("sqldb: transaction already in progress")
 )
@@ -259,7 +258,6 @@ func sortTables(ts []*Table) {
 type Txn struct {
 	id int64
 	txnLists
-	aborted bool
 	// everWaited: txn enqueued on a lock at least once (written by the
 	// owning goroutine under the stripe+graph mutexes; read only by the
 	// owning goroutine). Lets abort skip the cancelWaits stripe sweep.
@@ -545,7 +543,6 @@ func (db *DB) rollback(txn *Txn) {
 	db.lm.cancelWaits(txn)
 	db.lm.releaseAll(txn)
 	txn.empty()
-	txn.aborted = true
 }
 
 // appendKey appends row's index key over cols to dst: the column
@@ -686,13 +683,12 @@ func (rs *ResultSet) Reserve(rows, vals int) {
 	rs.vals = slices.Grow(rs.vals, vals)
 }
 
-// NewRow appends a row of n zero values to rs and returns it to be
-// filled.
+// NewRow appends a row of n values to rs and returns it; the caller
+// writes every value.
 func (rs *ResultSet) NewRow(n int) []val.Value {
 	at := len(rs.vals)
 	rs.vals = slices.Grow(rs.vals, n)[:at+n]
 	row := rs.vals[at : at+n : at+n]
-	clear(row)
 	rs.Rows = append(rs.Rows, row)
 	return row
 }
