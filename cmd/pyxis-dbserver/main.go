@@ -43,10 +43,9 @@
 // only this shard's slice of the data, and a pyxis-app started with
 // matching -db/-ctl address lists routes every session to its home
 // shard by partition key (runtime.ShardMap) and refuses shards serving
-// different programs. The database port also serves the
-// live-rebalancing control plane (fence, adopt and release dbapi ops),
-// so an external runtime.Migrator can move warehouse ranges between
-// shard processes without restarting them.
+// different programs. The shard map is fixed for the deployment's
+// life: no process moves data between shards, and the database port
+// serves statements, 2PC control and the program description only.
 //
 // Usage:
 //
@@ -165,11 +164,7 @@ func main() {
 	}
 	defer srv.Close()
 
-	// The db wire always speaks the migration control plane (the
-	// handlers are the same dbapi mux set the migrator fences through);
-	// say so at startup so an operator wiring up a rebalance knows this
-	// build can be a migration source or destination.
-	fmt.Printf("pyxis-dbserver: db=%s ctl=%s dynamic=%v migration=fence/adopt/release partition={%s}%s%s\n",
+	fmt.Printf("pyxis-dbserver: db=%s ctl=%s dynamic=%v partition={%s}%s%s\n",
 		srv.DB.Addr(), srv.Ctl.Addr(), dynamic, part.Describe(), dynDesc, admDesc)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

@@ -9,9 +9,9 @@
 // tier against: the ledger workload and the TPC-C and ledger
 // invariants (CheckLedger, CheckTPCCInvariants, CheckShardInvariants).
 // End-to-end latency and throughput are benchmark/'s to measure. The
-// wall-clock properties of pools, admission, switching, shards and
-// live rebalancing are this package's tests, which stand a tier up with
-// deploy.Up and fan their clients out over one test-only driver.
+// wall-clock properties of pools, admission, switching and shards are
+// this package's tests, which stand a tier up with deploy.Up and fan
+// their clients out over one test-only driver.
 package bench
 
 import (

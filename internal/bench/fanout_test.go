@@ -23,19 +23,10 @@ import (
 const (
 	// maxRetries bounds deadlock-victim retries per transaction. Every
 	// victim abort implies another transaction progressed, so retries
-	// converge; the bound guards against a livelocked engine. Fence and
-	// re-home retries do not count: they end when the move commits or
-	// its TTL lapses (fenceWait).
+	// converge; the bound guards against a livelocked engine.
 	maxRetries = 50
 	// openTimeout bounds how long one client keeps retrying a shed Open.
 	openTimeout = 120 * time.Second
-	// fenceTTL is the migration fence's crash-safety TTL. It must
-	// comfortably exceed one move's stream time, or writers wake
-	// mid-stream on drained rows.
-	fenceTTL = 10 * time.Second
-	// fenceWait is how long one transaction keeps backing off on a
-	// fenced range before a stuck fence fails the run.
-	fenceWait = fenceTTL + 5*time.Second
 )
 
 // errClass is what a failed attempt means for its transaction.
@@ -44,8 +35,6 @@ type errClass int
 const (
 	classFatal    errClass = iota // fail the run
 	classDeadlock                 // victim abort or 2PC abort: rolled back engine-side, run it again
-	classFenced                   // the range is mid-migration: wait for cutover or the fence's TTL
-	classMoved                    // the range lives on another shard now: re-home, then run it again
 )
 
 // isDeadlockErr matches a deadlock abort whether it surfaces as the
@@ -57,32 +46,22 @@ func isDeadlockErr(err error) bool {
 }
 
 // retry maps the error of a transaction's attempt-th budgeted retry to
-// its class and the pause before the next attempt. A shed is fatal
-// here: a gated server refuses only session opens, which runClient
-// retries.
-func retry(err error, attempt int) (errClass, time.Duration) {
+// its class. A shed is fatal here: a gated server refuses only session
+// opens, which runClient retries.
+func retry(err error, attempt int) errClass {
 	switch {
-	case errors.Is(err, sqldb.ErrRangeFenced):
-		return classFenced, 500 * time.Microsecond
-	case errors.Is(err, sqldb.ErrRangeMoved), errors.Is(err, runtime.ErrWrongShard):
-		return classMoved, 200 * time.Microsecond
 	case attempt >= maxRetries:
-		return classFatal, 0
+		return classFatal
 	case isDeadlockErr(err), errors.Is(err, runtime.ErrTxnAborted):
 		// A 2PC abort usually means a branch lost its transaction to
 		// deadlock resolution before prepare: run it again at once.
-		return classDeadlock, 0
+		return classDeadlock
 	}
-	return classFatal, 0
+	return classFatal
 }
 
-// session is one client's open state; one that caches routing
-// decisions also implements rehomer.
+// session is one client's open state.
 type session interface{ Close() error }
-
-// rehomer drops whatever the session cached under a shard map that has
-// since moved on.
-type rehomer interface{ rehome() }
 
 // txnKind is the class a completed transaction is counted under.
 type txnKind int
@@ -107,8 +86,8 @@ type txnOut struct {
 
 // count is what one client did, or, summed, what a run did.
 type count struct {
-	txns, low, distCommits, sheds, rehomes int
-	kinds, remote                          [numKinds]int
+	txns, low, distCommits, sheds int
+	kinds, remote                 [numKinds]int
 }
 
 func (c *count) record(o txnOut) {
@@ -139,7 +118,6 @@ func (d driven) total() (sum count) {
 		sum.low += c.low
 		sum.distCommits += c.distCommits
 		sum.sheds += c.sheds
-		sum.rehomes += c.rehomes
 		for k := range numKinds {
 			sum.kinds[k] += c.kinds[k]
 			sum.remote[k] += c.remote[k]
@@ -188,32 +166,16 @@ func runClient[S session](c *count, i, txns int, open func(i int) (S, error), st
 	}
 	defer s.Close()
 	for k := range txns {
-		t0 := time.Now()
 		for attempt := 0; ; {
 			o, err := step(s, i, k)
 			if err == nil {
 				c.record(o)
 				break
 			}
-			class, pause := retry(err, attempt)
-			switch class {
-			case classDeadlock:
-				attempt++
-			case classFenced:
-				if time.Since(t0) > fenceWait {
-					return fmt.Errorf("txn %d: fence never cleared: %w", k, err)
-				}
-			case classMoved:
-				r, ok := any(s).(rehomer)
-				if !ok {
-					return fmt.Errorf("txn %d: session cannot re-home: %w", k, err)
-				}
-				r.rehome()
-				c.rehomes++
-			default:
+			if retry(err, attempt) != classDeadlock {
 				return fmt.Errorf("txn %d: %w", k, err)
 			}
-			time.Sleep(pause)
+			attempt++
 		}
 	}
 	return nil
@@ -233,29 +195,15 @@ func TestRetryClassifier(t *testing.T) {
 		{"deadlock sentinel over the database wire", fmt.Errorf("exec: %w", sqldb.ErrDeadlock), 0, classDeadlock},
 		{"deadlock inside a control transfer", errors.New("runtime: remote: block 7: sqldb: deadlock detected"), 3, classDeadlock},
 		{"2PC abort", fmt.Errorf("gid 9: %w", runtime.ErrTxnAborted), 0, classDeadlock},
-		{"fenced range", fmt.Errorf("%w: keys [1,2]", sqldb.ErrRangeFenced), 0, classFenced},
-		{"moved range", fmt.Errorf("%w: keys [1,2]", sqldb.ErrRangeMoved), 0, classMoved},
-		{"wrong shard", fmt.Errorf("%w: key 3", runtime.ErrWrongShard), 0, classMoved},
 		{"unknown error", errors.New("duplicate primary key"), 0, classFatal},
 		// A gated server sheds only session opens, which runClient
 		// retries; a shed at a step is a broken contract.
 		{"shed, wrapped", fmt.Errorf("session 3: %w", rpc.ErrOverloaded), 0, classFatal},
 		{"deadlock past the budget", sqldb.ErrDeadlock, maxRetries, classFatal},
-		// A fence clears when the move commits or its TTL lapses, not
-		// after a number of tries.
-		{"fenced past the budget", sqldb.ErrRangeFenced, maxRetries, classFenced},
-		{"moved past the budget", sqldb.ErrRangeMoved, maxRetries, classMoved},
 	}
 	for _, c := range cases {
-		got, pause := retry(c.err, c.attempt)
-		if got != c.want {
+		if got := retry(c.err, c.attempt); got != c.want {
 			t.Errorf("%s: class %d, want %d", c.name, got, c.want)
-		}
-		if (got == classFenced || got == classMoved) && pause <= 0 {
-			t.Errorf("%s: retried with no pause", c.name)
-		}
-		if got == classFatal && pause != 0 {
-			t.Errorf("%s: fatal with a pause of %v", c.name, pause)
 		}
 	}
 }

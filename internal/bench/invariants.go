@@ -11,8 +11,8 @@ import (
 
 // This file holds the consistency audits the concurrency tests (and
 // benchmark/'s set-up gates) end in: what must hold in the databases
-// whatever interleaving, placement, shard split or migration produced
-// them. Each returns every violation found (nil means consistent).
+// whatever interleaving, placement or shard split produced them. Each
+// returns every violation found (nil means consistent).
 
 // CheckLedger audits the ledger workload's lost-update invariant over
 // every shard's database: each deposit added exactly 1.0 somewhere, so
@@ -47,35 +47,23 @@ func CheckLedger(dbs []*sqldb.DB, deposits int) []string {
 //
 // It returns every violation found (nil means consistent).
 func CheckTPCCInvariants(db *sqldb.DB, c TPCCConfig) []string {
-	return CheckTPCCInvariantsRange(db, c, 1, c.Warehouses)
+	return CheckTPCCInvariantsRange(db, c, 1, int64(c.Warehouses))
 }
 
 // CheckTPCCInvariantsRange audits the invariants for warehouses
 // loW..hiW (inclusive) only — the per-shard half of the cross-shard
 // aggregator, since a shard's database holds just its own warehouse
 // range.
-func CheckTPCCInvariantsRange(db *sqldb.DB, c TPCCConfig, loW, hiW int) []string {
-	var ws []int64
-	for w := loW; w <= hiW; w++ {
-		ws = append(ws, int64(w))
-	}
-	return CheckTPCCInvariantsSet(db, c, ws)
-}
-
-// CheckTPCCInvariantsSet is CheckTPCCInvariantsRange over an arbitrary
-// warehouse set — what a shard owns after live rebalancing, where
-// ownership is the base range plus migration Overrides and need not be
-// contiguous.
-func CheckTPCCInvariantsSet(db *sqldb.DB, c TPCCConfig, ws []int64) []string {
+func CheckTPCCInvariantsRange(db *sqldb.DB, c TPCCConfig, loW, hiW int64) []string {
 	var violations []string
 	s := db.NewSession()
-	for _, w := range ws {
-		wrs, err := s.Query("SELECT w_ytd FROM warehouse WHERE w_id = ?", val.IntV(int64(w)))
+	for w := loW; w <= hiW; w++ {
+		wrs, err := s.Query("SELECT w_ytd FROM warehouse WHERE w_id = ?", val.IntV(w))
 		if err != nil || len(wrs.Rows) != 1 {
 			violations = append(violations, fmt.Sprintf("warehouse %d: %v", w, err))
 			continue
 		}
-		drs, err := s.Query("SELECT SUM(d_ytd) FROM district WHERE d_w_id = ?", val.IntV(int64(w)))
+		drs, err := s.Query("SELECT SUM(d_ytd) FROM district WHERE d_w_id = ?", val.IntV(w))
 		if err != nil {
 			violations = append(violations, fmt.Sprintf("district sum w=%d: %v", w, err))
 			continue
@@ -93,20 +81,20 @@ func CheckTPCCInvariantsSet(db *sqldb.DB, c TPCCConfig, ws []int64) []string {
 		}
 		for d := 1; d <= c.DistrictsPerW; d++ {
 			nrs, err := s.Query("SELECT d_next_o_id FROM district WHERE d_w_id = ? AND d_id = ?",
-				val.IntV(int64(w)), val.IntV(int64(d)))
+				val.IntV(w), val.IntV(int64(d)))
 			if err != nil || len(nrs.Rows) != 1 {
 				violations = append(violations, fmt.Sprintf("district %d/%d: %v", w, d, err))
 				continue
 			}
 			next := nrs.Rows[0][0].I
 			ors, err := s.Query("SELECT COUNT(*) FROM orders WHERE o_w_id = ? AND o_d_id = ?",
-				val.IntV(int64(w)), val.IntV(int64(d)))
+				val.IntV(w), val.IntV(int64(d)))
 			if err != nil {
 				violations = append(violations, fmt.Sprintf("orders count %d/%d: %v", w, d, err))
 				continue
 			}
 			nrs2, err := s.Query("SELECT COUNT(*) FROM new_order WHERE no_w_id = ? AND no_d_id = ?",
-				val.IntV(int64(w)), val.IntV(int64(d)))
+				val.IntV(w), val.IntV(int64(d)))
 			if err != nil {
 				violations = append(violations, fmt.Sprintf("new_order count %d/%d: %v", w, d, err))
 				continue
@@ -125,11 +113,9 @@ func CheckTPCCInvariantsSet(db *sqldb.DB, c TPCCConfig, ws []int64) []string {
 }
 
 // CheckShardInvariants is the cross-shard consistency aggregator: it
-// audits each shard's slice with CheckTPCCInvariantsSet, verifies
-// ownership is exactly the disjoint warehouse sets ShardMap assigns —
-// base ranges plus migration Overrides, so it works on post-rebalance
-// maps too (no warehouse duplicated onto or missing from a shard) —
-// and then
+// audits each shard's slice with CheckTPCCInvariantsRange, verifies
+// ownership is exactly the disjoint warehouse ranges ShardMap assigns
+// (no warehouse duplicated onto or missing from a shard), and then
 // reconciles the GLOBAL sums across all shards together — total
 // warehouse YTD = total district YTD, and total order counters =
 // total orders = total new_order rows — so a transaction booked on
@@ -153,11 +139,8 @@ func CheckShardInvariants(dbs []*sqldb.DB, c TPCCConfig, m runtime.ShardMap) []s
 	var totalWarehouses, totalOrders, totalNewOrders, totalNextSum, totalDistricts int64
 	var sumWYTD, sumDYTD, sumCBal, sumSYTD, sumOLQty float64
 	for shard, db := range dbs {
-		// Ownership under the FULL map — base ranges plus any migration
-		// Overrides — so the audit follows warehouses that were moved by
-		// live rebalancing instead of flagging them as strays.
-		owned := m.OwnedWarehouses(shard)
-		for _, v := range CheckTPCCInvariantsSet(db, c, owned) {
+		lo, hi := m.WarehouseRange(shard)
+		for _, v := range CheckTPCCInvariantsRange(db, c, lo, hi) {
 			violations = append(violations, fmt.Sprintf("shard %d: %s", shard, v))
 		}
 		s := db.NewSession()
@@ -169,7 +152,7 @@ func CheckShardInvariants(dbs []*sqldb.DB, c TPCCConfig, m runtime.ShardMap) []s
 			violations = append(violations, fmt.Sprintf("shard %d: warehouse count: %v", shard, err))
 			continue
 		}
-		if want := int64(len(owned)); count.I != want {
+		if want := hi - lo + 1; count.I != want {
 			violations = append(violations,
 				fmt.Sprintf("shard %d: owns %d warehouses, map assigns it %d", shard, count.I, want))
 		}

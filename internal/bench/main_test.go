@@ -11,8 +11,7 @@ import (
 // every recycled wire buffer (request body, encode buffer, handler
 // reply) is overwritten the moment it is released, so a reference kept
 // past its owner's release reads 0xFF in these suites — differential,
-// prepared-statement, 2PC, fence and migration — instead of passing on
-// stale bytes.
+// prepared-statement and 2PC — instead of passing on stale bytes.
 func TestMain(m *testing.M) {
 	rpc.ScribbleReleased(true)
 	os.Exit(m.Run())

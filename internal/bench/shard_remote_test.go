@@ -168,7 +168,7 @@ func TestRemoteTwoPCExactCounts(t *testing.T) {
 	if commits, aborts, inDoubt := tx.Stats(); commits != 4 || aborts != 0 || inDoubt != 0 {
 		t.Errorf("coordinator: %d commits, %d aborts, %d in doubt; want 4, 0, 0", commits, aborts, inDoubt)
 	}
-	if violations := CheckShardInvariants(d.DBs, c, d.Router.CurrentMap()); len(violations) > 0 {
+	if violations := CheckShardInvariants(d.DBs, c, d.Router.Map); len(violations) > 0 {
 		t.Fatalf("invariants violated:\n%s", strings.Join(violations, "\n"))
 	}
 }

@@ -48,20 +48,6 @@ func tpccTput(t *testing.T, c TPCCConfig, cfg WallCfg, mix TPCCMix) float64 {
 	return r.tput()
 }
 
-// postMoveTput runs the Zipf-skewed rebalancing mix at cfg and returns
-// its throughput after the halfway point, once every transaction
-// completed and the invariants held under the final map.
-func postMoveTput(t *testing.T, c TPCCConfig, cfg WallCfg, mode Rebalancing) float64 {
-	r := runRebalance(t, c, cfg, mode)
-	if r.sum.txns != cfg.Clients*cfg.Txns {
-		t.Fatalf("mode %d: completed %d txns, want %d", mode, r.sum.txns, cfg.Clients*cfg.Txns)
-	}
-	if v := CheckShardInvariants(r.dbs, c, r.final); len(v) > 0 {
-		t.Fatalf("mode %d: invariants violated: %v", mode, v)
-	}
-	return r.postTput
-}
-
 // TestParallelSpeedup holds every wall-clock speedup bound, one row per
 // ratio of a scaled arm's throughput to its base arm's. A row's bound
 // binds only where speedupEnforced says this host can show parallel
@@ -69,11 +55,9 @@ func postMoveTput(t *testing.T, c TPCCConfig, cfg WallCfg, mode Rebalancing) flo
 // audits its own run each time, and a row re-measures up to its
 // attempts before the ratio fails it.
 func TestParallelSpeedup(t *testing.T) {
-	shardTPCC, skewedTPCC := DefaultTPCC(), DefaultTPCC()
-	shardTPCC.Warehouses = 4  // two per shard at 2 shards
-	skewedTPCC.Warehouses = 8 // warm, movable warehouses beside the hotspot
+	shardTPCC := DefaultTPCC()
+	shardTPCC.Warehouses = 4 // two per shard at 2 shards
 	readMostly := TPCCMix{WriteEvery: 8, PaymentEvery: 3, RemoteMix: true}
-	skewed := WallCfg{Clients: 8, Txns: 144, Shards: 2}
 	for _, row := range []struct {
 		name         string
 		bound, floor float64
@@ -100,11 +84,6 @@ func TestParallelSpeedup(t *testing.T) {
 		{"shard_2_shards_vs_1", 1.3, 0, 1, func(t *testing.T) (float64, float64) {
 			return tpccTput(t, shardTPCC, WallCfg{Clients: 8, Txns: 144}, readMostly),
 				tpccTput(t, shardTPCC, WallCfg{Clients: 8, Txns: 144, Shards: 2}, readMostly)
-		}},
-		// After the advisor's move the hot shard's freed capacity shows
-		// against the frozen map's same window.
-		{"rebalance_live_vs_frozen", 1.2, 0, 1, func(t *testing.T) (float64, float64) {
-			return postMoveTput(t, skewedTPCC, skewed, Frozen), postMoveTput(t, skewedTPCC, skewed, Advised)
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {

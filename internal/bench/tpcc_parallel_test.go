@@ -61,7 +61,7 @@ func (p *placed) add(d *deploy.Tier, c *deploy.Client) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.shard == nil {
-		p.shard, p.conn = make([]int, d.Router.CurrentMap().NumShards()), make([]int, d.DB.ConnsPerShard())
+		p.shard, p.conn = make([]int, d.Router.NumShards()), make([]int, d.DB.ConnsPerShard())
 	}
 	p.shard[c.Shard]++
 	for i := range p.conn {
@@ -358,7 +358,7 @@ func runTPCC(t *testing.T, part *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix
 		t.Fatal(err)
 	}
 	r.sum, r.transfers = r.total(), d.Transfers()
-	r.violations = CheckShardInvariants(d.DBs, c, d.Router.CurrentMap())
+	r.violations = CheckShardInvariants(d.DBs, c, d.Router.Map)
 	return r
 }
 
@@ -478,7 +478,7 @@ func TestRollbackJoinSurfacesFailure(t *testing.T) {
 	if !errors.Is(err, sqldb.ErrDeadlock) || !strings.Contains(err.Error(), "connection closed") {
 		t.Errorf("rollback failure not joined onto the cause: %v", err)
 	}
-	if class, _ := retry(err, 0); class != classDeadlock {
+	if class := retry(err, 0); class != classDeadlock {
 		t.Errorf("joined error classified %d, want the cause's class", class)
 	}
 	// The intentional rollback has no cause; a dead branch is then the

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"pyxis/internal/rpc"
 	"pyxis/internal/sqldb"
@@ -185,11 +184,6 @@ const (
 	opCommitGID
 	opAbortGID
 	opStatusGID
-	// Range-migration fence: opFence [ttl][lo][hi][n][table,col]*,
-	// reply [token u64]; opAdopt [token]; opRelease [token][moved].
-	opFence
-	opAdopt
-	opRelease
 	// opProgram, reply [str program]: the program the shard serves.
 	opProgram
 )
@@ -406,8 +400,6 @@ var wireErrors = map[string]error{
 	"no-transaction": sqldb.ErrNoTransaction,
 	"in-transaction": sqldb.ErrInTransaction,
 	"unprepared":     ErrUnprepared,
-	"range-fenced":   sqldb.ErrRangeFenced,
-	"range-moved":    sqldb.ErrRangeMoved,
 }
 
 func encodeError(err error) string {
@@ -422,10 +414,6 @@ func encodeError(err error) string {
 		return "in-transaction"
 	case errors.Is(err, ErrUnprepared):
 		return "unprepared"
-	case errors.Is(err, sqldb.ErrRangeFenced):
-		return "range-fenced"
-	case errors.Is(err, sqldb.ErrRangeMoved):
-		return "range-moved"
 	}
 	return "! " + err.Error()
 }
@@ -531,13 +519,9 @@ func (h *sessionHandler) serve(req []byte) ([]byte, error) {
 	begin := op&beginFirst != 0
 	op &^= beginFirst
 	var (
-		id     int    // a statement's number, -1 unnumbered
-		sql    string // a statement's text, "" when absent
-		u      uint64 // a gid or a fence token
-		moved  bool
-		spec   sqldb.FenceSpec
-		ttl    time.Duration
-		decErr error
+		id  int    // a statement's number, -1 unnumbered
+		sql string // a statement's text, "" when absent
+		gid uint64
 	)
 	switch op {
 	case opExec, opQuery:
@@ -549,24 +533,17 @@ func (h *sessionHandler) serve(req []byte) ([]byte, error) {
 		// The engine evaluates its arguments and keeps none, so they
 		// decode into the handler's own slice.
 		h.args = r.AppendVals(h.args[:0])
-	case opPrepare, opCommitGID, opAbortGID, opStatusGID, opAdopt:
-		u = r.U64()
-	case opRelease:
-		u, moved = r.U64(), r.Bool()
-	case opFence:
-		spec, ttl, decErr = decodeFence(&r)
+	case opPrepare, opCommitGID, opAbortGID, opStatusGID:
+		gid = r.U64()
 	case opCommit, opRollback, opProgram:
 	default:
 		return nil, fmt.Errorf("dbapi: unknown op %d", op)
 	}
-	if decErr == nil {
-		decErr = r.Err()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	if left := len(r.Buf) - r.Off; decErr == nil && left != 0 {
-		decErr = fmt.Errorf("dbapi: %d bytes after op %d's request", left, op)
-	}
-	if decErr != nil {
-		return nil, decErr
+	if left := len(r.Buf) - r.Off; left != 0 {
+		return nil, fmt.Errorf("dbapi: %d bytes after op %d's request", left, op)
 	}
 
 	if cap(h.w.Buf) > replyKeep {
@@ -602,23 +579,15 @@ func (h *sessionHandler) serve(req []byte) ([]byte, error) {
 		var st TxnState
 		switch op {
 		case opPrepare:
-			st, err = h.part.Prepare(h.conn.Sess, u)
+			st, err = h.part.Prepare(h.conn.Sess, gid)
 		case opCommitGID:
-			st, err = h.part.Finish(u, true)
+			st, err = h.part.Finish(gid, true)
 		case opAbortGID:
-			st, err = h.part.Finish(u, false)
+			st, err = h.part.Finish(gid, false)
 		default:
-			st = h.part.Status(u)
+			st = h.part.Status(gid)
 		}
 		h.w.Byte(byte(st))
-	case opFence:
-		var tok uint64
-		tok, err = h.conn.Sess.DB().ArmFence(spec, ttl)
-		h.w.U64(tok)
-	case opAdopt:
-		h.conn.Sess.AdoptFence(u)
-	case opRelease:
-		err = h.conn.Sess.DB().ReleaseFence(u, moved)
 	case opProgram:
 		h.w.Str(string(h.program))
 	}

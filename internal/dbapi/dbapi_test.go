@@ -320,11 +320,6 @@ func TestBeginRidesNextRequest(t *testing.T) {
 			_, err := c.Decide(1, false, 0)
 			return err
 		}, false},
-		{"fence", func(c *Client) error {
-			_, err := c.Fence(sqldb.FenceSpec{Tables: map[string]string{"t": "k"}, Lo: 5, Hi: 6}, time.Second, 0)
-			return err
-		}, true},
-		{"adopt", func(c *Client) error { return c.AdoptFence(1, 0) }, true},
 		{"status", func(c *Client) error { _, err := c.Status(1, 0); return err }, true},
 		{"program", func(c *Client) error { _, err := c.Program(); return err }, true},
 	} {

@@ -3,8 +3,12 @@ package dbapi
 import (
 	"bytes"
 	"errors"
+	"math"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"pyxis/internal/rpc"
 	"pyxis/internal/sqldb"
@@ -46,9 +50,6 @@ func clientRequests() [][]byte {
 	_, _ = c.Decide(1, true, 0)
 	_, _ = c.Decide(1, false, 0)
 	_, _ = c.Status(1, 0)
-	_, _ = c.Fence(sqldb.FenceSpec{Tables: map[string]string{"stock": "s_w_id", "orders": "o_w_id"}, Lo: 3, Hi: 4}, 5e9, 0)
-	_ = c.AdoptFence(1, 0)
-	_ = c.ReleaseFence(1, true, 0)
 	_, _ = c.Program()
 	// A numbered statement as sent once the server session has its text.
 	c.encodeStmt(opQuery, 0, false, "", []val.Value{val.IntV(1)})
@@ -75,6 +76,52 @@ func TestTrailingRequestBytes(t *testing.T) {
 	}
 }
 
+// TestUnknownOpsRefused: every op byte past opProgram names no op,
+// whatever the request after it and whether or not it carries a begin.
+// The handler refuses it as an unknown op with no reply, begins no
+// transaction and changes nothing in the database. The bodies are an
+// empty one, a gid or token, and a range fence over all of t's keys.
+func TestUnknownOpsRefused(t *testing.T) {
+	db := setup(t)
+	before := db.Snapshot()
+	var token, fence rpc.Writer
+	token.U64(1)
+	token.Bool(true)
+	fence.I64(int64(time.Hour))
+	fence.I64(math.MinInt64)
+	fence.I64(math.MaxInt64)
+	fence.Uvarint(1)
+	fence.Str("t")
+	fence.Str("k")
+	for op := int(opProgram) + 1; op <= 0x7f; op++ {
+		for _, first := range []byte{byte(op), byte(op) | beginFirst} {
+			for _, body := range [][]byte{nil, token.Buf, fence.Buf} {
+				local := NewLocal(db)
+				h := newSessionHandler(local, NewParticipant(0, nil), nil)
+				resp, err := h(append([]byte{first}, body...))
+				if err == nil || !strings.Contains(err.Error(), "unknown op") || resp != nil {
+					t.Errorf("op byte %#x with a %d-byte body: answered % x, error %v", first, len(body), resp, err)
+				}
+				if local.Sess.InTxn() {
+					t.Errorf("op byte %#x with a %d-byte body began a transaction", first, len(body))
+				}
+				_ = local.Close()
+			}
+		}
+	}
+	if after := db.Snapshot(); !reflect.DeepEqual(after, before) {
+		t.Errorf("unknown ops changed the database: %v, was %v", after, before)
+	}
+	// An INSERT and a SELECT on t still run: nothing fenced the table.
+	c := NewClient(rpc.NewInProc(newSessionHandler(NewLocal(db), nil, nil), 0))
+	if _, err := c.Exec("INSERT INTO t VALUES (3, 'c')"); err != nil {
+		t.Errorf("insert after the unknown ops: %v", err)
+	}
+	if rs, err := c.Query("SELECT v FROM t WHERE k = 1"); err != nil || len(rs.Rows) != 1 {
+		t.Errorf("select after the unknown ops: %v", err)
+	}
+}
+
 // FuzzSessionHandler feeds arbitrary request bytes to the handler that
 // sits behind every database session's socket. The contract: a typed
 // error (the frame did not decode, named no known op, or had bytes
@@ -89,12 +136,7 @@ func FuzzSessionHandler(f *testing.F) {
 		f.Add(req)
 	}
 	for _, req := range reqs {
-		switch req[0] {
-		case opFence:
-			// A fence announcing 1<<17 tables in a few bytes must not size
-			// the table map by the count.
-			f.Add(append(req[:1+3*8:1+3*8], 0x80, 0x80, 0x08, 0, 0, 0, 0))
-		case opQuery:
+		if req[0] == opQuery {
 			f.Add(append(req[:len(req):len(req)], 0xde, 0xad, 0xbe, 0xef))
 		}
 	}

@@ -7,12 +7,11 @@ import (
 
 // BlockingCall forbids parking a goroutine while it holds a hierarchy
 // latch. A goroutine that blocks on the network (wire RPCs like Call /
-// CallEntry / Prepare / Fence, dials, accepts), on a channel receive,
+// CallEntry / Prepare / Decide, dials, accepts), on a channel receive,
 // on a default-less select, or on a wait/sleep while holding one of
 // the latches in latchHierarchies keeps every contender of that latch
-// parked for the full stall — the exact shape that turned the shard
-// rebalancer's first draft into a cluster-wide freeze when one replica
-// dropped off the network.
+// parked for the full stall: one peer dropping off the network freezes
+// every session that needs the latch.
 //
 // The scan is the same source-order approximation latchorder's rule 2
 // uses: Lock/RLock on a hierarchy field pushes the latch, a matching
@@ -24,10 +23,10 @@ import (
 // blocking work runs after the function body — with the latch already
 // released when the unlock defer was stacked later).
 //
-// Functions that genuinely must hold a latch across a blocking call
-// go in BlockingCallAllow with the story for why the stall is
-// bounded; test files are exempt (they block deliberately, under the
-// race jobs' watch).
+// A function that genuinely must hold a latch across a blocking call
+// carries a //pyxlint:allow blockingcall directive with the story for
+// why the stall is bounded; test files are exempt (they block
+// deliberately, under the race jobs' watch).
 var BlockingCall = &Analyzer{
 	Name: "blockingcall",
 	Doc: "forbid blocking operations (wire RPCs, channel receives, default-less selects, waits) " +
@@ -35,39 +34,26 @@ var BlockingCall = &Analyzer{
 	Run: runBlockingCall,
 }
 
-// BlockingCallAllow exempts functions from the rule, each with the
-// story for why holding the latch across the stall is safe.
-var BlockingCallAllow = map[string]string{
-	"(*Migrator).Move": "migMu is rank 1 and exists precisely to serialize whole moves, wire round-trips " +
-		"included; nothing else blocks on migMu-holders, and the victim shard's TTL'd fence unwedges a " +
-		"mid-move crash",
-}
-
 // blockingCallNames classifies callee method names that park the
 // goroutine: the dbapi/runtime wire surface, raw net dials/accepts,
 // and the sync/time parking calls.
 var blockingCallNames = map[string]string{
-	"Call":         "a wire RPC",
-	"CallEntry":    "a wire RPC",
-	"Prepare":      "a transaction-control RPC",
-	"Decide":       "a transaction-control RPC",
-	"Status":       "a transaction-control RPC",
-	"Fence":        "a migration-control RPC",
-	"AdoptFence":   "a migration-control RPC",
-	"ReleaseFence": "a migration-control RPC",
-	"Dial":         "a network dial",
-	"DialTimeout":  "a network dial",
-	"Accept":       "a network accept",
-	"Wait":         "a wait",
-	"Sleep":        "a sleep",
+	"Call":        "a wire RPC",
+	"CallEntry":   "a wire RPC",
+	"Prepare":     "a transaction-control RPC",
+	"Decide":      "a transaction-control RPC",
+	"Status":      "a transaction-control RPC",
+	"Dial":        "a network dial",
+	"DialTimeout": "a network dial",
+	"Accept":      "a network accept",
+	"Wait":        "a wait",
+	"Sleep":       "a sleep",
 }
 
-// blockingCallViolation is one finding of the exemption-blind scan;
-// staleallow re-runs it inside BlockingCallAllow-listed functions to
-// prove each entry still exempts something.
+// blockingCallViolation is one finding of the scan.
 type blockingCallViolation struct {
 	pos   token.Pos
-	what  string // "calls Fence (a migration-control RPC)", "receives from a channel", ...
+	what  string // "calls Decide (a transaction-control RPC)", "receives from a channel", ...
 	latch string // the innermost hierarchy latch held
 }
 
@@ -170,13 +156,10 @@ func runBlockingCall(pass *Pass) error {
 				continue
 			}
 			fn := funcKey(fd)
-			if _, exempt := BlockingCallAllow[fn]; exempt {
-				continue
-			}
 			for _, viol := range blockingCallViolations(fd, ranks) {
 				pass.Reportf(viol.pos,
 					"%s %s while holding %s — a parked goroutine keeps every contender of %s parked too "+
-						"(release the latch first, or add a BlockingCallAllow story)",
+						"(release the latch first, or carry the story in a //pyxlint:allow blockingcall directive)",
 					fn, viol.what, viol.latch, viol.latch)
 			}
 		}

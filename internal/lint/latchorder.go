@@ -19,30 +19,25 @@ import (
 //     "latch:" line in its doc comment. Touch structure from a new
 //     function and the analyzer fails until a human writes down which
 //     latch makes it safe.
-//  2. Latch acquisitions inside one function must follow that
-//     package's hierarchy (latchHierarchies): for sqldb, fence plane
-//     (fenceMu) → catalog (catMu) → table latch (latch) → row stripe
-//     (rowLatch) → lock-manager stripe (mu) → waits-for graph
-//     (graphMu); for runtime, migration serializer (migMu) → map-epoch
-//     mutex (epochMu). A lower-ranked acquisition after a
+//  2. Latch acquisitions inside one function must follow the
+//     engine's hierarchy (latchHierarchies): catalog (catMu) → table
+//     latch (latch) → row stripe (rowLatch) → lock-manager stripe (mu)
+//     → waits-for graph (graphMu). A lower-ranked acquisition after a
 //     higher-ranked one is an inversion that can deadlock, unless the
 //     function is in LatchOrderAllow with a story explaining why it
 //     cannot (e.g. the earlier latch is provably released first).
 //  3. The DB struct must never regain a sync.Mutex field — the engine
-//     stays sharded (nested lock planes like fenceControl carry their
-//     own mutex and their own rank).
+//     stays sharded.
 //
 // The analyzer binds to the packages latchHierarchies names (the
-// engine, the shard-routing runtime, and their analysistest
-// fixtures); everywhere else it is a no-op. Rules 1 and 3 and the
-// vacuity/staleness guards are sqldb-structural and stay sqldb-only.
-// Test files are exempt from rules 1-2: tests poke structure
+// engine and its analysistest fixtures); everywhere else it is a
+// no-op. Test files are exempt from rules 1-2: tests poke structure
 // deliberately under controlled single-session setups, and the race
 // jobs watch them.
 var LatchOrder = &Analyzer{
 	Name: "latchorder",
-	Doc: "enforce per-package latch hierarchies (sqldb: fence -> catalog -> table -> row stripe -> lock stripe -> graph; " +
-		"runtime: migration -> map epoch) and the audited-allowlist rule for structural field access",
+	Doc: "enforce the engine's latch hierarchy (catalog -> table -> row stripe -> lock stripe -> graph) " +
+		"and the audited-allowlist rule for structural field access",
 	Run: runLatchOrder,
 }
 
@@ -83,11 +78,6 @@ var LatchAudit = map[string]string{
 	// Transaction finalization.
 	"(*DB).commit":   "exclusive latch on every table with freed slots",
 	"(*DB).rollback": "exclusive latch on every table in the undo log",
-
-	// Migration fence plane (rank above the catalog: never held
-	// together with any table latch).
-	"(*DB).ArmFence":     "fenceMu exclusive; no table latch taken while held",
-	"(*DB).ReleaseFence": "fenceMu exclusive; no table latch taken while held",
 }
 
 // LatchOrderAllow exempts functions from the in-function acquisition
@@ -112,25 +102,14 @@ var latchStructuralFields = map[string]map[string]bool{
 }
 
 // latchHierarchies orders each audited package's latch hierarchy top
-// (lowest rank) to bottom (highest). The fence plane ranks above the
-// catalog: ArmFence/ReleaseFence take fenceMu with no other latch
-// held, and fenceGate's lazy-expiry path takes it before execStmt ever
-// reaches the table latches. In runtime, Migrator.Move holds migMu
-// across a whole move and publishes the successor map (epochMu) while
-// holding it, so a path taking epochMu first could deadlock a
-// concurrent move.
+// (lowest rank) to bottom (highest).
 var latchHierarchies = map[string]map[string]int{
 	"sqldb": {
-		"fenceMu":  1,
-		"catMu":    2,
-		"latch":    3,
-		"rowLatch": 4,
-		"mu":       5,
-		"graphMu":  6,
-	},
-	"runtime": {
-		"migMu":   1,
-		"epochMu": 2,
+		"catMu":    1,
+		"latch":    2,
+		"rowLatch": 3,
+		"mu":       4,
+		"graphMu":  5,
 	},
 }
 
@@ -147,15 +126,9 @@ func runLatchOrder(pass *Pass) error {
 		return nil
 	}
 	order := hierarchyString(ranks)
-	// Rules 1 and 3 and the vacuity/staleness guards inspect sqldb's
-	// structural types; other audited packages get rule 2 only.
-	structural := pass.Pkg.Name() == "sqldb"
 
 	// Rule 3 first: it applies to test and non-test files alike.
 	for _, f := range pass.Files {
-		if !structural {
-			break
-		}
 		syncName := ImportName(f, "sync")
 		if syncName == "" {
 			continue
@@ -198,9 +171,6 @@ func runLatchOrder(pass *Pass) error {
 
 			// Rule 1: structural access sites need a latch story.
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if !structural {
-					return false
-				}
 				sel, ok := n.(*ast.SelectorExpr)
 				if !ok {
 					return true
@@ -242,7 +212,7 @@ func runLatchOrder(pass *Pass) error {
 	// declares the guarded types but the (tolerant) type check resolved
 	// no field selections at all, the audit would pass while seeing
 	// nothing.
-	if structural && guardedSomewhere(pass) && resolved == 0 {
+	if guardedSomewhere(pass) && resolved == 0 {
 		pass.Reportf(pass.Files[0].Pos(),
 			"latch audit is vacuous: package declares guarded types but no field selection resolved — type check broke")
 	}

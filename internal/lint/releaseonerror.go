@@ -14,11 +14,12 @@ import (
 //
 // For every assignment `v := x.M(...)` where M is a configured
 // acquire (session frames from the free-list, prepared 2PC
-// transactions, armed fences, pooled request bodies), the analyzer walks the function's control-flow graph
-// from the acquisition and demands that every reachable return
-// statement either follows a point where v was released or handed
-// off, or mentions v itself. "Handed off" is deliberately permissive
-// — ownership-transfer is idiomatic, leak-by-omission is the bug:
+// transactions, pooled request bodies), the analyzer walks the
+// function's control-flow graph from the acquisition and demands that
+// every reachable return statement either follows a point where v was
+// released or handed off, or mentions v itself. "Handed off" is
+// deliberately permissive — ownership-transfer is idiomatic,
+// leak-by-omission is the bug:
 //
 //   - v passed (directly) as an argument to any call — including
 //     append, the release functions themselves, and encoders that
@@ -61,14 +62,6 @@ var releaseAcquires = []acquireSpec{
 	{
 		method: "Prepare2PC", recv: "Session", kind: "prepared 2PC transaction",
 		releases: map[string]bool{"Commit": true, "Abort": true, "Rollback": true},
-	},
-	{
-		// A live-rebalancing write-fence blocks every writer (and
-		// reader) of the moving warehouse range until its token is
-		// released or its TTL lapses; a leaked token means the range
-		// stays dark for the full TTL.
-		method: "ArmFence", recv: "DB", kind: "armed migration write-fence",
-		releases: map[string]bool{"ReleaseFence": true},
 	},
 	{
 		// A mux connection's recycled request bodies (rpc/frame.go): a

@@ -22,9 +22,9 @@ import (
 //     exist are flagged too — usually a typo that never suppressed
 //     anything.
 //
-//  2. A LatchOrderAllow / BlockingCallAllow entry is stale when the
-//     named function no longer exists, or exists but the
-//     exemption-disabled scan finds no violation inside it to exempt.
+//  2. A LatchOrderAllow entry is stale when the named function no
+//     longer exists, or exists but the exemption-disabled scan finds
+//     no violation inside it to exempt.
 //
 // The allowlist audit binds to the packages latchHierarchies names and
 // arms only when at least one entry matches a live function (the same
@@ -32,7 +32,7 @@ import (
 // packages that merely reuse the package names stay quiet.
 var StaleAllow = &Analyzer{
 	Name: "staleallow",
-	Doc: "flag //pyxlint:allow directives and LatchOrderAllow/BlockingCallAllow entries " +
+	Doc: "flag //pyxlint:allow directives and LatchOrderAllow entries " +
 		"that no longer suppress any finding",
 }
 
@@ -94,8 +94,8 @@ func runStaleAllow(pass *Pass) error {
 		}
 	}
 
-	// Allowlist staleness: only meaningful in the packages whose
-	// hierarchy the order/blocking scans bind to.
+	// Allowlist staleness: only meaningful in the package whose
+	// hierarchy the order scan binds to.
 	if pass.Pkg == nil {
 		return nil
 	}
@@ -114,36 +114,28 @@ func runStaleAllow(pass *Pass) error {
 			}
 		}
 	}
-	checkTable := func(table map[string]string, tableName string, violations func(*ast.FuncDecl) int) {
-		anyLive := false
-		for fn := range table {
-			if live[fn] != nil {
-				anyLive = true
-				break
-			}
-		}
-		if !anyLive {
-			return // not the package the allowlist describes
-		}
-		for _, fn := range sortedKeys(table) {
-			fd := live[fn]
-			if fd == nil {
-				pass.Reportf(pass.Files[0].Pos(),
-					"%s entry %q names a function that no longer exists", tableName, fn)
-				continue
-			}
-			if violations(fd) == 0 {
-				pass.Reportf(fd.Pos(),
-					"%s entry %q is stale: the exemption-disabled scan finds no violation to exempt — delete the entry",
-					tableName, fn)
-			}
+	anyLive := false
+	for fn := range LatchOrderAllow {
+		if live[fn] != nil {
+			anyLive = true
+			break
 		}
 	}
-	checkTable(LatchOrderAllow, "LatchOrderAllow", func(fd *ast.FuncDecl) int {
-		return len(latchOrderViolations(fd, ranks))
-	})
-	checkTable(BlockingCallAllow, "BlockingCallAllow", func(fd *ast.FuncDecl) int {
-		return len(blockingCallViolations(fd, ranks))
-	})
+	if !anyLive {
+		return nil // not the package the allowlist describes
+	}
+	for _, fn := range sortedKeys(LatchOrderAllow) {
+		fd := live[fn]
+		if fd == nil {
+			pass.Reportf(pass.Files[0].Pos(),
+				"LatchOrderAllow entry %q names a function that no longer exists", fn)
+			continue
+		}
+		if len(latchOrderViolations(fd, ranks)) == 0 {
+			pass.Reportf(fd.Pos(),
+				"LatchOrderAllow entry %q is stale: the exemption-disabled scan finds no violation to exempt — delete the entry",
+				fn)
+		}
+	}
 	return nil
 }

@@ -1,7 +1,7 @@
-// Fixture for the releaseonerror analyzer: a pooled-frame Session in
-// miniature, with one leaky error path, one defer-cleaned function,
-// one fail-fast-only function and one directive-suppressed
-// intentional leak.
+// Fixture for the releaseonerror analyzer: a pooled-frame Session and
+// a request-body pool in miniature, with leaky error paths, a
+// defer-cleaned function, a fail-fast-only function, a clean release
+// on every exit and one directive-suppressed intentional leak.
 package runtimefix
 
 import "errors"
@@ -54,42 +54,6 @@ func failFast(s *Session) error {
 	}
 	s.freeFrame(fr)
 	return nil
-}
-
-// DB mirrors the engine's migration-fence API: ArmFence blocks every
-// writer of a warehouse range until the token is released (or the TTL
-// lapses — which is exactly what a leaked token condemns writers to
-// wait out).
-type DB struct{ armed bool }
-
-func (db *DB) ArmFence(lo, hi int64) (uint64, error) { db.armed = true; return 1, nil }
-
-func (db *DB) ReleaseFence(token uint64, moved bool) error { db.armed = false; return nil }
-
-// fenceLeaky arms the fence, then bails on the degraded exit without
-// releasing: the moving range stays dark for the whole TTL.
-func fenceLeaky(db *DB) error {
-	token, err := db.ArmFence(1, 4) // want "may leak"
-	if err != nil {
-		return err
-	}
-	if degraded {
-		return errDegraded
-	}
-	return db.ReleaseFence(token, true)
-}
-
-// fenceClean releases on both exits.
-func fenceClean(db *DB) error {
-	token, err := db.ArmFence(1, 4)
-	if err != nil {
-		return err
-	}
-	if degraded {
-		_ = db.ReleaseFence(token, false)
-		return errDegraded
-	}
-	return db.ReleaseFence(token, true)
 }
 
 // bodyPool mirrors the mux connection's recycled request bodies.

@@ -21,10 +21,10 @@ package rpc
 //	muxCloseSess client -> server   session teardown (no reply)
 //	muxReplyShed server -> client   body = shed reason (admission refused, queue overflow)
 //
-// A client sends calls and closes, nothing else. Two-phase commit and
-// range-migration control are dbapi operations riding muxCall on the
-// branch's own session like every statement, so they stay ordered with
-// its calls and the mux knows nothing of transactions.
+// A client sends calls and closes, nothing else. Two-phase commit
+// control ops are dbapi operations riding muxCall on the branch's own
+// session like every statement, so they stay ordered with its calls and
+// the mux knows nothing of transactions.
 //
 // Reply kinds may additionally carry the muxFlagLoad bit: the body is
 // then prefixed with a length-delimited LoadReport (the DB server's
@@ -475,7 +475,7 @@ func (s *MuxSession) CallInto(req, into []byte) ([]byte, error) { return s.call(
 
 // CallWithin is CallInto bounded by timeout (<= 0 means
 // DefaultTxnDeadline), for a caller that must never wedge on a stalled
-// peer — a 2PC coordinator, a range migrator. Expiry returns
+// peer — a 2PC coordinator. Expiry returns
 // ErrTxnDeadline; a dead connection returns an error matching
 // ErrPoolPoisoned, so "shard down" reads the same as the pool's own
 // signal.

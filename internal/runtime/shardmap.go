@@ -6,25 +6,16 @@ package runtime
 // app side needs once the DB tier is N independent servers instead of
 // one.
 //
-// The base mapping is deliberately dumb — contiguous warehouse ranges
-// for TPC-C-shaped keys, a hash for everything else — but it is no
-// longer frozen: live rebalancing (migrate.go) publishes successor
-// maps that carry per-warehouse ownership Overrides and a bumped
-// Epoch, and ShardedClient routes every new decision through the
-// latest published map. Sessions stay pinned to their home shard for
+// The mapping is deliberately dumb and fixed for the life of a
+// deployment: contiguous warehouse ranges for TPC-C-shaped keys, a hash
+// for everything else. Sessions stay pinned to their home shard for
 // the life of a transaction, but transactions are not confined to it:
 // a transaction that must touch rows another shard owns (TPC-C's
 // remote Payment / remote NewOrder lines) opens a branch session on
 // that shard and commits both branches atomically through the
 // client's 2PC Coordinator (twopc.go).
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"pyxis/internal/rpc"
-)
+import "pyxis/internal/rpc"
 
 // ShardMap maps partition keys onto N shards. The zero value is the
 // unsharded deployment (everything on shard 0).
@@ -37,17 +28,6 @@ type ShardMap struct {
 	// the range (and all keys when Warehouses is 0) fall back to a
 	// hash — deterministic, uniform, but with no range locality.
 	Warehouses int
-	// Epoch versions the map. Every published rebalance bumps it;
-	// routers compare epochs at transaction boundaries to decide when
-	// to re-home their cached sessions (see ShardedClient.Publish).
-	Epoch uint64
-	// Overrides reassigns individual warehouses away from the range
-	// mapping — the migration result. Only keys inside [1, Warehouses]
-	// consult it (an override on an out-of-range key is dead data, so
-	// the hash fallback stays total and the per-shard ownership audit
-	// stays a partition of [1, Warehouses]); override values outside
-	// [0, NumShards()) are ignored as corrupt.
-	Overrides map[int64]int
 }
 
 // NumShards returns the effective shard count (at least 1).
@@ -59,19 +39,16 @@ func (m ShardMap) NumShards() int {
 }
 
 // Shard returns key's home shard, in [0, NumShards()). The range
-// answer (including Overrides) applies to in-range keys only; keys
-// outside [1, Warehouses] always take the hash fallback, pinned by
-// TestShardMapBoundaries so a stray key 0 or Warehouses+1 can never
-// silently alias a range-owned warehouse.
+// answer applies to in-range keys only; keys outside [1, Warehouses]
+// always take the hash fallback, pinned by TestShardMapBoundaries so a
+// stray key 0 or Warehouses+1 can never silently alias a range-owned
+// warehouse.
 func (m ShardMap) Shard(key int64) int {
 	n := int64(m.NumShards())
 	if n == 1 {
 		return 0
 	}
 	if w := int64(m.Warehouses); w > 0 && key >= 1 && key <= w {
-		if o, ok := m.Overrides[key]; ok && o >= 0 && int64(o) < n {
-			return o
-		}
 		// Contiguous ranges: the first w%n shards own one extra
 		// warehouse, so [1,w] is covered with ranges differing by at
 		// most one.
@@ -86,41 +63,10 @@ func (m ShardMap) Shard(key int64) int {
 	return int(splitmix64(uint64(key)) % uint64(n))
 }
 
-// OwnedWarehouses returns the sorted warehouses shard owns under the
-// full mapping, Overrides included — the per-shard ownership set the
-// invariant audits and the migrator's validity checks use.
-func (m ShardMap) OwnedWarehouses(shard int) []int64 {
-	var out []int64
-	for w := int64(1); w <= int64(m.Warehouses); w++ {
-		if m.Shard(w) == shard {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// WithMove returns the successor map: the same layout with warehouses
-// [lo, hi] overridden to shard `to` and the epoch bumped. The receiver
-// is not modified; Overrides are deep-copied.
-func (m ShardMap) WithMove(lo, hi int64, to int) ShardMap {
-	next := m
-	next.Epoch = m.Epoch + 1
-	next.Overrides = make(map[int64]int, len(m.Overrides)+int(hi-lo+1))
-	for k, v := range m.Overrides {
-		next.Overrides[k] = v
-	}
-	for w := lo; w <= hi; w++ {
-		next.Overrides[w] = to
-	}
-	return next
-}
-
-// WarehouseRange returns the inclusive warehouse range shard owns
-// under the base range mapping. It deliberately ignores Overrides —
-// it describes the initial data layout migrations start from (the
-// loader's contract), not current ownership; use OwnedWarehouses for
-// that. A shard with no warehouses (more shards than warehouses)
-// returns lo > hi.
+// WarehouseRange returns the inclusive warehouse range shard owns: the
+// keys in [1, Warehouses] that Shard maps to it, and the rows the
+// loader puts there. A shard with no warehouses (more shards than
+// warehouses) returns lo > hi.
 func (m ShardMap) WarehouseRange(shard int) (lo, hi int64) {
 	n := int64(m.NumShards())
 	w := int64(m.Warehouses)
@@ -156,9 +102,7 @@ func splitmix64(x uint64) uint64 {
 // rpc.ShardedPool.SetOnLoad, wiring each shard's piggy-backed reports
 // into that shard's switcher and nothing else's.
 type ShardedClient struct {
-	// Map is the map the client was constructed with — the epoch-0
-	// view. Routing always goes through CurrentMap, which starts here
-	// and advances on every Publish.
+	// Map decides every session's home shard.
 	Map ShardMap
 
 	// TwoPC commits transactions that span shards: per-shard branches
@@ -169,11 +113,6 @@ type ShardedClient struct {
 	TwoPC *Coordinator
 
 	switchers []*Switcher
-
-	// epochMu serializes Publish (epoch monotonicity); readers go
-	// through the atomic pointer and never take it.
-	epochMu sync.Mutex
-	cur     atomic.Pointer[ShardMap]
 }
 
 // NewShardedClient builds a client router over m with one
@@ -184,48 +123,15 @@ func NewShardedClient(m ShardMap) *ShardedClient {
 	for i := range c.switchers {
 		c.switchers[i] = NewSwitcher()
 	}
-	c.cur.Store(&m)
 	return c
-}
-
-// CurrentMap returns the latest published shard map. Safe from any
-// goroutine; the map value is immutable once published.
-func (c *ShardedClient) CurrentMap() ShardMap {
-	if p := c.cur.Load(); p != nil {
-		return *p
-	}
-	return c.Map // zero-value client constructed without NewShardedClient
-}
-
-// MapEpoch returns the current map's epoch. Drivers compare it at
-// transaction boundaries: a bump means cached per-shard sessions may
-// be homed by a stale map and must be re-opened.
-func (c *ShardedClient) MapEpoch() uint64 { return c.CurrentMap().Epoch }
-
-// Publish installs a successor map. The epoch must strictly increase
-// and the shard count must match the client's switcher set (a
-// rebalance moves data between existing shards; it cannot grow the
-// tier). The map value must not be mutated after publishing.
-func (c *ShardedClient) Publish(m ShardMap) error {
-	c.epochMu.Lock()
-	defer c.epochMu.Unlock()
-	cur := c.CurrentMap()
-	if m.Epoch <= cur.Epoch {
-		return fmt.Errorf("runtime: publish epoch %d not newer than current %d", m.Epoch, cur.Epoch)
-	}
-	if m.NumShards() != len(c.switchers) {
-		return fmt.Errorf("runtime: publish shard count %d != %d", m.NumShards(), len(c.switchers))
-	}
-	c.cur.Store(&m)
-	return nil
 }
 
 // NumShards returns the number of shards routed over.
 func (c *ShardedClient) NumShards() int { return len(c.switchers) }
 
-// HomeShard returns the shard that owns key under the current map —
-// the shard a session keyed by key must open against.
-func (c *ShardedClient) HomeShard(key int64) int { return c.CurrentMap().Shard(key) }
+// HomeShard returns the shard that owns key — the shard a session
+// keyed by key must open against.
+func (c *ShardedClient) HomeShard(key int64) int { return c.Map.Shard(key) }
 
 // Switcher returns shard's switcher — the per-shard EWMA a session
 // pinned to that shard routes its dynamic high/low choice by.

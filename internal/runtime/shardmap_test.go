@@ -146,11 +146,9 @@ func TestShardedClientPerShardEWMA(t *testing.T) {
 }
 
 // TestShardMapBoundaries pins the edge-key contract: the range answer
-// (overrides included) applies to keys in [1, Warehouses] only; keys 0
-// and Warehouses+1 take the hash fallback even when ranges are
-// configured, and in pure hash mode (Warehouses == 0) every key
-// hashes. An override planted on an out-of-range key must be dead
-// data.
+// applies to keys in [1, Warehouses] only; keys 0 and Warehouses+1
+// take the hash fallback even when ranges are configured, and in pure
+// hash mode (Warehouses == 0) every key hashes.
 func TestShardMapBoundaries(t *testing.T) {
 	const W, N = 8, 4
 	hash := func(key int64) int { return int(splitmix64(uint64(key)) % N) }
@@ -173,97 +171,5 @@ func TestShardMapBoundaries(t *testing.T) {
 		if got := hashMode.Shard(c.key); got != hash(c.key) {
 			t.Errorf("hash mode key %d -> shard %d, want %d", c.key, got, hash(c.key))
 		}
-	}
-	// Overrides re-home in-range keys only; out-of-range and corrupt
-	// entries are ignored.
-	over := ShardMap{Shards: N, Warehouses: W, Overrides: map[int64]int{
-		1:     3,  // valid: warehouse 1 moves to shard 3
-		0:     2,  // out of range: dead data
-		W + 1: 2,  // out of range: dead data
-		2:     99, // corrupt target: ignored
-	}}
-	if got := over.Shard(1); got != 3 {
-		t.Errorf("override key 1 -> shard %d, want 3", got)
-	}
-	if got := over.Shard(0); got != hash(0) {
-		t.Errorf("override on key 0 must stay dead: got shard %d, want hash %d", got, hash(0))
-	}
-	if got := over.Shard(W + 1); got != hash(W+1) {
-		t.Errorf("override on key W+1 must stay dead: got shard %d, want hash %d", got, hash(W+1))
-	}
-	if got := over.Shard(2); got != rangeMode.Shard(2) {
-		t.Errorf("corrupt override target must fall back to range: got %d", got)
-	}
-}
-
-// TestShardMapWithMove covers the successor-map constructor and the
-// override-aware ownership sets.
-func TestShardMapWithMove(t *testing.T) {
-	m := ShardMap{Shards: 2, Warehouses: 6}
-	next := m.WithMove(1, 2, 1)
-	if next.Epoch != 1 || m.Epoch != 0 {
-		t.Fatalf("epochs: next=%d base=%d, want 1 and 0", next.Epoch, m.Epoch)
-	}
-	if m.Overrides != nil {
-		t.Fatal("WithMove mutated the receiver's overrides")
-	}
-	want0, want1 := []int64{3}, []int64{1, 2, 4, 5, 6}
-	got0, got1 := next.OwnedWarehouses(0), next.OwnedWarehouses(1)
-	eq := func(a, b []int64) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if !eq(got0, want0) || !eq(got1, want1) {
-		t.Fatalf("ownership after move: shard0=%v shard1=%v, want %v / %v", got0, got1, want0, want1)
-	}
-	// Every warehouse still has exactly one owner.
-	owned := 0
-	for s := 0; s < 2; s++ {
-		owned += len(next.OwnedWarehouses(s))
-	}
-	if owned != 6 {
-		t.Fatalf("ownership is not a partition: %d owned of 6", owned)
-	}
-	// Chained moves stack overrides and keep bumping the epoch.
-	third := next.WithMove(3, 3, 1)
-	if third.Epoch != 2 || third.Shard(3) != 1 || third.Shard(1) != 1 {
-		t.Fatalf("chained move broken: epoch=%d shard(3)=%d shard(1)=%d", third.Epoch, third.Shard(3), third.Shard(1))
-	}
-}
-
-// TestShardedClientPublish covers versioned routing: epoch
-// monotonicity and re-routing through the published map.
-func TestShardedClientPublish(t *testing.T) {
-	base := ShardMap{Shards: 2, Warehouses: 4}
-	sc := NewShardedClient(base)
-	if sc.MapEpoch() != 0 {
-		t.Fatalf("fresh client epoch %d, want 0", sc.MapEpoch())
-	}
-	if home := sc.HomeShard(1); home != 0 {
-		t.Fatalf("warehouse 1 home %d, want 0", home)
-	}
-	next := base.WithMove(1, 2, 1)
-	if err := sc.Publish(next); err != nil {
-		t.Fatal(err)
-	}
-	if sc.MapEpoch() != 1 || sc.HomeShard(1) != 1 {
-		t.Fatalf("after publish: epoch=%d home(1)=%d, want 1/1", sc.MapEpoch(), sc.HomeShard(1))
-	}
-	// Stale and same-epoch publishes are refused; shard-count changes too.
-	if err := sc.Publish(next); err == nil {
-		t.Fatal("same-epoch publish accepted")
-	}
-	if err := sc.Publish(ShardMap{Shards: 3, Warehouses: 4, Epoch: 9}); err == nil {
-		t.Fatal("shard-count change accepted")
-	}
-	if sc.MapEpoch() != 1 {
-		t.Fatalf("failed publishes moved the epoch to %d", sc.MapEpoch())
 	}
 }

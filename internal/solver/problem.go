@@ -6,7 +6,7 @@
 //
 // The paper hands this Binary Integer Program to one off-the-shelf
 // solver under a time limit. Auto is that solver here, and the only one
-// the partitioner and the rebalancing advisor run:
+// the partitioner runs:
 //
 //   - BranchBound: exact depth-first search with a bounded number of
 //     expansions, for instances up to 220 free nodes.

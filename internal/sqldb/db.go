@@ -85,11 +85,6 @@ type DB struct {
 	// names it in the lock manager.
 	nextTable uint32
 	stats     statsCounters
-
-	// fence is the live-migration fence plane (see fence.go): at most
-	// one armed range fence plus the moved-out tombstones. Statements
-	// consult it with two atomic loads before taking any latch.
-	fence fenceControl
 }
 
 // Open creates an empty database.
@@ -375,10 +370,6 @@ type Session struct {
 	// reused Txn takes a fresh one: the stale edge cannot close a cycle
 	// through it.
 	spare *Txn
-
-	// fenceTok, when non-zero, exempts this session from the armed
-	// migration fence carrying the same token (see AdoptFence).
-	fenceTok uint64
 }
 
 // NewSession creates a session on db.
@@ -725,7 +716,7 @@ func (s *Session) Exec(sql string, args ...val.Value) (int, error) {
 // cache entirely.
 func (s *Session) ExecParsed(st SQLStmt, args ...val.Value) (int, error) {
 	switch t := st.(type) {
-	case *CreateTableStmt: // DDL names no key: the migration fence never applies
+	case *CreateTableStmt:
 		return 0, s.db.createTable(t)
 	case *CreateIndexStmt:
 		return 0, s.db.createIndex(t)
@@ -768,16 +759,13 @@ func (s *Session) QueryInto(rs *ResultSet, st SQLStmt, args ...val.Value) error 
 	return err
 }
 
-// run executes one DML statement: fence check, bind (or reuse the
-// statement's plan), latch, execute, unlatch, and finish the autocommit
-// transaction. The plan is checked against the catalog epoch once its
-// latches are held; from there on no index can appear on its tables
-// until a lock wait suspends the latches, and matchRows rechecks after
-// every wait. A SELECT writes its result into rs.
+// run executes one DML statement: bind (or reuse the statement's plan),
+// latch, execute, unlatch, and finish the autocommit transaction. The
+// plan is checked against the catalog epoch once its latches are held;
+// from there on no index can appear on its tables until a lock wait
+// suspends the latches, and matchRows rechecks after every wait. A
+// SELECT writes its result into rs.
 func (s *Session) run(st dmlStmt, args []val.Value, rs *ResultSet) (n int, err error) {
-	if err := s.fenceGate(st, args); err != nil {
-		return 0, err
-	}
 	p, err := s.plan(st)
 	if err != nil {
 		return 0, err
