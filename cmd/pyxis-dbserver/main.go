@@ -44,8 +44,9 @@
 // matching -db/-ctl address lists routes every session to its home
 // shard by partition key (runtime.ShardMap) and refuses shards serving
 // different programs. The shard map is fixed for the deployment's
-// life: no process moves data between shards, and the database port
-// serves statements, 2PC control and the program description only.
+// life: no process moves data between shards, every transaction runs
+// on one shard, and the database port serves statements, transaction
+// ops and the program description only.
 //
 // Usage:
 //
@@ -122,9 +123,7 @@ func main() {
 	// connections (sessions tagged runtime.TagLowBudget route to it) and
 	// a load monitor piggy-backs the server's saturation signal (CPU
 	// proxy and lock-wait rate, blended) on every reply of both ports for
-	// the app side's switcher EWMA. The 2PC participant
-	// has no resolver: an in-doubt branch is presumed aborted at its
-	// deadline.
+	// the app side's switcher EWMA.
 	shard := &deploy.Shard{DB: db, High: part, Out: os.Stdout}
 	mon := runtime.NewLoadMonitor(db)
 	dynDesc := ""

@@ -34,7 +34,7 @@ type errClass int
 
 const (
 	classFatal    errClass = iota // fail the run
-	classDeadlock                 // victim abort or 2PC abort: rolled back engine-side, run it again
+	classDeadlock                 // victim abort: rolled back engine-side, run it again
 )
 
 // isDeadlockErr matches a deadlock abort whether it surfaces as the
@@ -52,9 +52,7 @@ func retry(err error, attempt int) errClass {
 	switch {
 	case attempt >= maxRetries:
 		return classFatal
-	case isDeadlockErr(err), errors.Is(err, runtime.ErrTxnAborted):
-		// A 2PC abort usually means a branch lost its transaction to
-		// deadlock resolution before prepare: run it again at once.
+	case isDeadlockErr(err):
 		return classDeadlock
 	}
 	return classFatal
@@ -78,16 +76,13 @@ const (
 type txnOut struct {
 	kind   txnKind
 	remote bool // the remote-warehouse roll fired
-	// distCommit marks a transaction that committed two branches on two
-	// shards through 2PC.
-	distCommit bool
-	low        bool // the low half of a §6.3 pair served it
+	low    bool // the low half of a §6.3 pair served it
 }
 
 // count is what one client did, or, summed, what a run did.
 type count struct {
-	txns, low, distCommits, sheds int
-	kinds, remote                 [numKinds]int
+	txns, low, sheds int
+	kinds, remote    [numKinds]int
 }
 
 func (c *count) record(o txnOut) {
@@ -98,9 +93,6 @@ func (c *count) record(o txnOut) {
 	}
 	if o.low {
 		c.low++
-	}
-	if o.distCommit {
-		c.distCommits++
 	}
 }
 
@@ -116,7 +108,6 @@ func (d driven) total() (sum count) {
 	for _, c := range d.clients {
 		sum.txns += c.txns
 		sum.low += c.low
-		sum.distCommits += c.distCommits
 		sum.sheds += c.sheds
 		for k := range numKinds {
 			sum.kinds[k] += c.kinds[k]
@@ -194,7 +185,6 @@ func TestRetryClassifier(t *testing.T) {
 	}{
 		{"deadlock sentinel over the database wire", fmt.Errorf("exec: %w", sqldb.ErrDeadlock), 0, classDeadlock},
 		{"deadlock inside a control transfer", errors.New("runtime: remote: block 7: sqldb: deadlock detected"), 3, classDeadlock},
-		{"2PC abort", fmt.Errorf("gid 9: %w", runtime.ErrTxnAborted), 0, classDeadlock},
 		{"unknown error", errors.New("duplicate primary key"), 0, classFatal},
 		// A gated server sheds only session opens, which runClient
 		// retries; a shed at a step is a broken contract.

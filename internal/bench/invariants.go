@@ -115,7 +115,8 @@ func CheckTPCCInvariantsRange(db *sqldb.DB, c TPCCConfig, loW, hiW int64) []stri
 // CheckShardInvariants is the cross-shard consistency aggregator: it
 // audits each shard's slice with CheckTPCCInvariantsRange, verifies
 // ownership is exactly the disjoint warehouse ranges ShardMap assigns
-// (no warehouse duplicated onto or missing from a shard), and then
+// (no warehouse duplicated onto or missing from a shard), checks that
+// each shard balances its money and its stock on its own, and then
 // reconciles the GLOBAL sums across all shards together — total
 // warehouse YTD = total district YTD, and total order counters =
 // total orders = total new_order rows — so a transaction booked on
@@ -137,7 +138,7 @@ func CheckShardInvariants(dbs []*sqldb.DB, c TPCCConfig, m runtime.ShardMap) []s
 		return rs.Rows[0][0], nil
 	}
 	var totalWarehouses, totalOrders, totalNewOrders, totalNextSum, totalDistricts int64
-	var sumWYTD, sumDYTD, sumCBal, sumSYTD, sumOLQty float64
+	var sumWYTD, sumDYTD float64
 	for shard, db := range dbs {
 		lo, hi := m.WarehouseRange(shard)
 		for _, v := range CheckTPCCInvariantsRange(db, c, lo, hi) {
@@ -170,12 +171,26 @@ func CheckShardInvariants(dbs []*sqldb.DB, c TPCCConfig, m runtime.ShardMap) []s
 		bad := false
 		for _, err := range errs {
 			if err != nil {
-				violations = append(violations, fmt.Sprintf("shard %d: global sums: %v", shard, err))
+				violations = append(violations, fmt.Sprintf("shard %d: sums: %v", shard, err))
 				bad = true
 			}
 		}
 		if bad {
 			continue
+		}
+		// Every transaction runs on one shard, so each shard balances on
+		// its own: a Payment debits a customer and books the same amount
+		// to a warehouse YTD of the same shard, and a NewOrder's lines
+		// draw their stock from a warehouse of the same shard. A customer
+		// debited with no YTD booked, or stock drawn with no order line,
+		// shifts these by a whole amount or quantity.
+		if w, cb := wytd.AsFloat(), cbal.AsFloat(); math.Abs(cb+w) > 1e-6*math.Max(1, math.Abs(w)) {
+			violations = append(violations,
+				fmt.Sprintf("shard %d: sum(c_balance)=%v != -sum(w_ytd)=%v (customer debited with no YTD booked)", shard, cb, -w))
+		}
+		if sy, ol := sytd.AsFloat(), olqty.AsFloat(); math.Abs(sy-ol) > 1e-6*math.Max(1, ol) {
+			violations = append(violations,
+				fmt.Sprintf("shard %d: sum(s_ytd)=%v != sum(ol_quantity)=%v (stock drawn with no order line)", shard, sy, ol))
 		}
 		sumWYTD += wytd.AsFloat()
 		sumDYTD += dytd.AsFloat()
@@ -183,9 +198,6 @@ func CheckShardInvariants(dbs []*sqldb.DB, c TPCCConfig, m runtime.ShardMap) []s
 		totalNewOrders += newOrders.I
 		totalNextSum += int64(nextSum.AsFloat())
 		totalDistricts += districts.I
-		sumCBal += cbal.AsFloat()
-		sumSYTD += sytd.AsFloat()
-		sumOLQty += olqty.AsFloat()
 	}
 	if totalWarehouses != int64(c.Warehouses) {
 		violations = append(violations,
@@ -202,21 +214,6 @@ func CheckShardInvariants(dbs []*sqldb.DB, c TPCCConfig, m runtime.ShardMap) []s
 	if wantOrders := totalNextSum - totalDistricts; totalOrders != wantOrders || totalNewOrders != wantOrders {
 		violations = append(violations,
 			fmt.Sprintf("global: %d orders / %d new_order rows, counters say %d", totalOrders, totalNewOrders, wantOrders))
-	}
-	// The remote-mix cross-shard invariants. A remote Payment books its
-	// YTD on the home shard but debits the customer on another, and a
-	// remote NewOrder books its order lines at home while its stock YTD
-	// lands on the supply shard — so neither side reconciles per shard;
-	// only the global sums do. A 2PC branch committed without its
-	// sibling (lost or double-booked remote update) shifts these by a
-	// whole payment amount or line quantity.
-	if diff := math.Abs(sumCBal + sumWYTD); diff > 1e-6*math.Max(1, math.Abs(sumWYTD)) {
-		violations = append(violations,
-			fmt.Sprintf("global: sum(c_balance)=%v != -sum(w_ytd)=%v (half-committed remote Payment)", sumCBal, -sumWYTD))
-	}
-	if diff := math.Abs(sumSYTD - sumOLQty); diff > 1e-6*math.Max(1, sumOLQty) {
-		violations = append(violations,
-			fmt.Sprintf("global: sum(s_ytd)=%v != sum(ol_quantity)=%v (half-committed remote NewOrder)", sumSYTD, sumOLQty))
 	}
 	return violations
 }

@@ -10,8 +10,8 @@ import (
 // TestMain runs the whole package under rpc's ownership-rule hook:
 // every recycled wire buffer (request body, encode buffer, handler
 // reply) is overwritten the moment it is released, so a reference kept
-// past its owner's release reads 0xFF in these suites — differential,
-// prepared-statement and 2PC — instead of passing on stale bytes.
+// past its owner's release reads 0xFF in these suites — differential
+// and prepared-statement — instead of passing on stale bytes.
 func TestMain(m *testing.M) {
 	rpc.ScribbleReleased(true)
 	os.Exit(m.Run())

@@ -104,7 +104,7 @@ func Run(w Workload, cfg RunCfg) Point {
 		})
 	}
 
-	// Coordinator resets the stats windows at measurement start.
+	// One process resets the stats windows at measurement start.
 	eng.Spawn(measureStart, func(p *sim.Proc) {
 		appCPU.ResetStats()
 		dbCPU.ResetStats()

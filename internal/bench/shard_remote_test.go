@@ -11,13 +11,13 @@ import (
 	"pyxis/internal/val"
 )
 
-// TestShardTPCCRemoteMixTwoPC drives the full-spec TPC-C mix — remote
+// TestShardTPCCRemoteMix drives the full-spec TPC-C mix — remote
 // Payments and remote-supply NewOrders included — against a 2-shard
-// tier. Remote rolls whose warehouse lands on the other shard run as
-// real two-branch 2PC transactions; afterwards the cross-shard
-// aggregator must prove no remote update was lost or double-booked
-// (global c_balance vs w_ytd, global s_ytd vs ol_quantity).
-func TestShardTPCCRemoteMixTwoPC(t *testing.T) {
+// tier. Each remote warehouse is one of the home shard's own, so every
+// transaction commits on one shard; afterwards each shard must balance
+// on its own (its c_balance vs its w_ytd, its s_ytd vs its
+// ol_quantity), which a lost or double-booked remote update breaks.
+func TestShardTPCCRemoteMix(t *testing.T) {
 	c := DefaultTPCC()
 	part, err := c.PyxisPartition(1.0)
 	if err != nil {
@@ -32,9 +32,6 @@ func TestShardTPCCRemoteMixTwoPC(t *testing.T) {
 	remotePay, remoteNO := sum.remote[kindPayment], sum.remote[kindNewOrder]
 	if remotePay == 0 || remoteNO == 0 {
 		t.Errorf("remote mix degenerated: %d remote payments, %d remote new-orders", remotePay, remoteNO)
-	}
-	if sum.distCommits == 0 {
-		t.Error("no distributed transaction committed: 2PC never exercised")
 	}
 	// The spec rates (15% remote Payment, ~10% remote NewOrder) with
 	// loose floors.
@@ -51,12 +48,12 @@ func TestShardTPCCRemoteMixTwoPC(t *testing.T) {
 	}
 }
 
-// TestCheckShardInvariantsCatchesHalfRemote2PC forges the exact
-// failure 2PC exists to prevent: one branch of a distributed
-// transaction committed without its sibling. Each half keeps every
-// per-shard audit green — only the new global cross-shard sums can
-// catch it.
-func TestCheckShardInvariantsCatchesHalfRemote2PC(t *testing.T) {
+// TestCheckShardInvariantsCatchesUnbalancedShard forges shards that
+// keep every per-warehouse audit green but do not balance on their
+// own, and requires a violation that names the shard. The last case
+// balances globally — a customer debited on one shard, the YTD booked
+// on the other — so only the per-shard sums can catch it.
+func TestCheckShardInvariantsCatchesUnbalancedShard(t *testing.T) {
 	c := DefaultTPCC()
 	m := runtime.ShardMap{Shards: 2, Warehouses: c.Warehouses}
 	lo0, hi0 := m.WarehouseRange(0)
@@ -64,28 +61,41 @@ func TestCheckShardInvariantsCatchesHalfRemote2PC(t *testing.T) {
 	fresh := func() []*sqldb.DB {
 		return []*sqldb.DB{c.LoadRange(int(lo0), int(hi0)), c.LoadRange(int(lo1), int(hi1))}
 	}
-
-	// A remote Payment whose customer-debit branch committed but whose
-	// home YTD branch did not: c_balance moves, w_ytd does not.
-	dbs := fresh()
-	if _, err := dbs[0].NewSession().Exec(
-		"UPDATE customer SET c_balance = c_balance - 42.0 WHERE c_w_id = ? AND c_d_id = 1 AND c_id = 1",
-		val.IntV(lo0)); err != nil {
-		t.Fatal(err)
+	exec := func(db *sqldb.DB, sql string, args ...val.Value) {
+		t.Helper()
+		if _, err := db.NewSession().Exec(sql, args...); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !violationMatches(CheckShardInvariants(dbs, c, m), "half-committed remote Payment") {
-		t.Error("half-committed remote Payment (customer branch only) not detected")
-	}
-
-	// A remote NewOrder whose supply-stock branch committed but whose
-	// home order-line branch did not: s_ytd moves, ol_quantity does not.
-	dbs = fresh()
-	if _, err := dbs[1].NewSession().Exec(
-		"UPDATE stock SET s_ytd = s_ytd + 5 WHERE s_w_id = ? AND s_i_id = 1", val.IntV(lo1)); err != nil {
-		t.Fatal(err)
-	}
-	if !violationMatches(CheckShardInvariants(dbs, c, m), "half-committed remote NewOrder") {
-		t.Error("half-committed remote NewOrder (stock branch only) not detected")
+	const debit = "UPDATE customer SET c_balance = c_balance - 42.0 WHERE c_w_id = ? AND c_d_id = 1 AND c_id = 1"
+	for _, tc := range []struct {
+		name  string
+		forge func(dbs []*sqldb.DB)
+		want  []string
+	}{
+		{"customer debited with no YTD booked", func(dbs []*sqldb.DB) {
+			exec(dbs[0], debit, val.IntV(lo0))
+		}, []string{"shard 0: sum(c_balance)"}},
+		{"stock drawn with no order line", func(dbs []*sqldb.DB) {
+			exec(dbs[1], "UPDATE stock SET s_ytd = s_ytd + 5 WHERE s_w_id = ? AND s_i_id = 1", val.IntV(lo1))
+		}, []string{"shard 1: sum(s_ytd)"}},
+		{"payment split across shards", func(dbs []*sqldb.DB) {
+			exec(dbs[0], debit, val.IntV(lo0))
+			exec(dbs[1], "UPDATE warehouse SET w_ytd = w_ytd + 42.0 WHERE w_id = ?", val.IntV(lo1))
+			exec(dbs[1], "UPDATE district SET d_ytd = d_ytd + 42.0 WHERE d_w_id = ? AND d_id = 1", val.IntV(lo1))
+		}, []string{"shard 0: sum(c_balance)", "shard 1: sum(c_balance)"}},
+	} {
+		dbs := fresh()
+		tc.forge(dbs)
+		violations := CheckShardInvariants(dbs, c, m)
+		for _, want := range tc.want {
+			if !violationMatches(violations, want) {
+				t.Errorf("%s: no violation %q in %q", tc.name, want, violations)
+			}
+		}
+		if len(violations) != len(tc.want) {
+			t.Errorf("%s: %d violations, want %d: %q", tc.name, len(violations), len(tc.want), violations)
+		}
 	}
 }
 
@@ -98,13 +108,12 @@ func violationMatches(violations []string, want string) bool {
 	return false
 }
 
-// TestRemoteTwoPCExactCounts runs remote Payments and remote-supply
-// NewOrders one at a time over a 2-shard tier, each as two branches
-// committed through the 2PC coordinator, and pins what each costs on
-// the database wire: its statements, both prepares and both commit
-// decisions. The begins ride each branch's first statement and cost no
-// call.
-func TestRemoteTwoPCExactCounts(t *testing.T) {
+// TestRemoteExactCounts runs remote Payments and remote-supply
+// NewOrders one at a time on one session of a 2-shard tier, with the
+// home and the remote warehouse both on shard 0, and pins what each
+// costs on the database wire: its statements and one commit. The
+// begin rides the first statement and costs no call.
+func TestRemoteExactCounts(t *testing.T) {
 	c := DefaultTPCC()
 	top, err := WallCfg{Clients: 1, Txns: 1, Shards: 2}.topology(c.Warehouses, nil, nil, c.loadRange)
 	if err != nil {
@@ -115,58 +124,47 @@ func TestRemoteTwoPCExactCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	const homeW, remoteW = 1, 3
-	if d.Router.HomeShard(homeW) == d.Router.HomeShard(remoteW) {
-		t.Fatalf("warehouses %d and %d share a shard", homeW, remoteW)
+	const homeW, remoteW = 1, 2
+	if d.Router.HomeShard(homeW) != 0 || d.Router.HomeShard(remoteW) != 0 {
+		t.Fatalf("warehouses %d and %d are not both on shard 0", homeW, remoteW)
 	}
-	branch := func(w int64) *dbapi.Client {
-		sess, err := d.DB.Session(d.Router.HomeShard(w))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dbapi.NewClient(sess)
+	sess, err := d.DB.Session(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	home, remote := branch(homeW), branch(remoteW)
-	defer home.Close()
-	defer remote.Close()
+	conn := dbapi.NewClient(sess)
+	defer conn.Close()
 
 	const olcnt = 5
-	tx := d.Router.TwoPC
 	for k, tc := range []struct {
 		name  string
 		stmts func() error
 		calls int64
 	}{
-		{"payment", func() error { return c.paymentRemoteStmts(home, remote, homeW, 1, remoteW, 2, 3, 10) }, 7},
+		{"payment", func() error { return c.paymentRemoteStmts(conn, homeW, 1, remoteW, 2, 3, 10) }, 4},
 		{"new-order", func() error {
-			_, err := c.newOrderRemoteStmts(home, remote, homeW, 1, 4, olcnt, 77, remoteW)
+			_, err := c.newOrderRemoteStmts(conn, homeW, 1, 4, olcnt, 77, remoteW)
 			return err
-		}, 25},
-		{"payment", func() error { return c.paymentRemoteStmts(home, remote, homeW, 2, remoteW, 1, 5, 20) }, 7},
+		}, 22},
+		{"payment", func() error { return c.paymentRemoteStmts(conn, homeW, 2, remoteW, 1, 5, 20) }, 4},
 		{"new-order", func() error {
-			_, err := c.newOrderRemoteStmts(home, remote, homeW, 2, 6, olcnt, 91, remoteW)
+			_, err := c.newOrderRemoteStmts(conn, homeW, 2, 6, olcnt, 91, remoteW)
 			return err
-		}, 25},
+		}, 22},
 	} {
 		before := d.DB.Stats().Calls
-		if err := home.Begin(); err != nil {
-			t.Fatal(err)
-		}
-		if err := remote.Begin(); err != nil {
+		if err := conn.Begin(); err != nil {
 			t.Fatal(err)
 		}
 		if err := tc.stmts(); err != nil {
 			t.Fatalf("txn %d (%s): %v", k, tc.name, err)
 		}
-		if err := tx.Commit(tx.NewGID(), home, remote); err != nil {
-			t.Fatalf("txn %d (%s): 2PC: %v", k, tc.name, err)
+		if err := conn.Commit(); err != nil {
+			t.Fatalf("txn %d (%s): commit: %v", k, tc.name, err)
 		}
 		if got := d.DB.Stats().Calls - before; got != tc.calls {
 			t.Errorf("txn %d (%s): %d database-wire calls, want %d", k, tc.name, got, tc.calls)
 		}
-	}
-	if commits, aborts, inDoubt := tx.Stats(); commits != 4 || aborts != 0 || inDoubt != 0 {
-		t.Errorf("coordinator: %d commits, %d aborts, %d in doubt; want 4, 0, 0", commits, aborts, inDoubt)
 	}
 	if violations := CheckShardInvariants(d.DBs, c, d.Router.Map); len(violations) > 0 {
 		t.Fatalf("invariants violated:\n%s", strings.Join(violations, "\n"))

@@ -164,41 +164,39 @@ class TPCC {
 }
 `
 
-// newOrderRemoteStmts issues the remote-supply NewOrder statements on
-// ALREADY OPEN transaction branches: the order bookkeeping (district
-// counter, orders, new_order, order_line) stays at the home warehouse
-// on home, while every line's stock draws from supply warehouse swid
-// on supply (the item catalog is replicated per shard, so the price
-// lookup rides the supply branch). Commit/abort is the caller's — via
-// 2PC when the supply warehouse lives on another shard.
-func (c TPCCConfig) newOrderRemoteStmts(home, supply dbapi.Conn, wid, did, cid, olcnt, seed, swid int64) (float64, error) {
-	wt, err := home.Query("SELECT w_tax FROM warehouse WHERE w_id = ?", val.IntV(wid))
+// newOrderRemoteStmts issues the remote-supply NewOrder statements in
+// conn's ALREADY OPEN transaction: the order bookkeeping (district
+// counter, orders, new_order, order_line) books at home warehouse wid,
+// while every line's stock draws from supply warehouse swid, which
+// lives on the same shard. Commit/abort is the caller's.
+func (c TPCCConfig) newOrderRemoteStmts(conn dbapi.Conn, wid, did, cid, olcnt, seed, swid int64) (float64, error) {
+	wt, err := conn.Query("SELECT w_tax FROM warehouse WHERE w_id = ?", val.IntV(wid))
 	if err != nil {
 		return 0, err
 	}
 	wtax := wt.Rows[0][0].F
-	dt, err := home.Query("SELECT d_tax, d_next_o_id FROM district WHERE d_w_id = ? AND d_id = ?",
+	dt, err := conn.Query("SELECT d_tax, d_next_o_id FROM district WHERE d_w_id = ? AND d_id = ?",
 		val.IntV(wid), val.IntV(did))
 	if err != nil {
 		return 0, err
 	}
 	dtax := dt.Rows[0][0].F
 	oid := dt.Rows[0][1].I
-	if _, err := home.Exec("UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = ? AND d_id = ?",
+	if _, err := conn.Exec("UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = ? AND d_id = ?",
 		val.IntV(wid), val.IntV(did)); err != nil {
 		return 0, err
 	}
-	ct, err := home.Query("SELECT c_discount FROM customer WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?",
+	ct, err := conn.Query("SELECT c_discount FROM customer WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?",
 		val.IntV(wid), val.IntV(did), val.IntV(cid))
 	if err != nil {
 		return 0, err
 	}
 	disc := ct.Rows[0][0].F
-	if _, err := home.Exec("INSERT INTO orders VALUES (?, ?, ?, ?, ?)",
+	if _, err := conn.Exec("INSERT INTO orders VALUES (?, ?, ?, ?, ?)",
 		val.IntV(wid), val.IntV(did), val.IntV(oid), val.IntV(cid), val.IntV(olcnt)); err != nil {
 		return 0, err
 	}
-	if _, err := home.Exec("INSERT INTO new_order VALUES (?, ?, ?)",
+	if _, err := conn.Exec("INSERT INTO new_order VALUES (?, ?, ?)",
 		val.IntV(wid), val.IntV(did), val.IntV(oid)); err != nil {
 		return 0, err
 	}
@@ -208,7 +206,7 @@ func (c TPCCConfig) newOrderRemoteStmts(home, supply dbapi.Conn, wid, did, cid, 
 		rnd = lcg(rnd)
 		iid := rnd%int64(c.Items) + 1
 		qty := rnd%10 + 1
-		ist, err := supply.Query("SELECT i_price, s_quantity FROM item, stock WHERE i_id = ? AND s_w_id = ? AND s_i_id = ?",
+		ist, err := conn.Query("SELECT i_price, s_quantity FROM item, stock WHERE i_id = ? AND s_w_id = ? AND s_i_id = ?",
 			val.IntV(iid), val.IntV(swid), val.IntV(iid))
 		if err != nil {
 			return 0, err
@@ -219,13 +217,13 @@ func (c TPCCConfig) newOrderRemoteStmts(home, supply dbapi.Conn, wid, did, cid, 
 		if newq < 10 {
 			newq += 91
 		}
-		if _, err := supply.Exec("UPDATE stock SET s_quantity = ?, s_ytd = s_ytd + ?, s_order_cnt = s_order_cnt + 1 WHERE s_w_id = ? AND s_i_id = ?",
+		if _, err := conn.Exec("UPDATE stock SET s_quantity = ?, s_ytd = s_ytd + ?, s_order_cnt = s_order_cnt + 1 WHERE s_w_id = ? AND s_i_id = ?",
 			val.IntV(newq), val.IntV(qty), val.IntV(swid), val.IntV(iid)); err != nil {
 			return 0, err
 		}
 		amount := price * float64(qty)
 		total += amount
-		if _, err := home.Exec("INSERT INTO order_line VALUES (?, ?, ?, ?, ?, ?, ?)",
+		if _, err := conn.Exec("INSERT INTO order_line VALUES (?, ?, ?, ?, ?, ?, ?)",
 			val.IntV(wid), val.IntV(did), val.IntV(oid), val.IntV(ol), val.IntV(iid),
 			val.IntV(qty), val.DoubleV(amount)); err != nil {
 			return 0, err
@@ -267,7 +265,7 @@ func (c TPCCConfig) newOrderNative(conn dbapi.Conn, wid, did, cid, olcnt, seed i
 	if err := conn.Begin(); err != nil {
 		return 0, err
 	}
-	total, err := c.newOrderRemoteStmts(conn, conn, wid, did, cid, olcnt, seed, wid)
+	total, err := c.newOrderRemoteStmts(conn, wid, did, cid, olcnt, seed, wid)
 	if err != nil {
 		_ = conn.Rollback()
 		return 0, err

@@ -100,8 +100,8 @@ type TPCCMix struct {
 	// RemoteMix enables the TPC-C remote-warehouse rolls (spec
 	// §2.4.1.5 and §2.5.1.2): 15% of Payments debit a customer resident
 	// at another warehouse, ~10% of NewOrders draw stock from a remote
-	// supply warehouse. A remote warehouse on another shard makes the
-	// transaction distributed: two branches committed through 2PC.
+	// supply warehouse. The remote warehouse is one of the home shard's
+	// own, so the transaction stays on one shard.
 	RemoteMix bool
 }
 
@@ -140,7 +140,7 @@ func (c TPCCConfig) parallelTxn(mix TPCCMix, i, k int, loW, hiW int64) tpccTxn {
 			val.IntV(t.seed), val.IntV(int64(c.Items)), val.BoolV(t.rollback)}
 	}
 	if mix.RemoteMix {
-		payRemote, noRemote, remW := c.remoteRoll(seq, t.wid)
+		payRemote, noRemote, remW := remoteRoll(seq, t.wid, loW, hiW)
 		if (t.kind == kindPayment && payRemote) || (t.kind == kindNewOrder && noRemote) {
 			t.remoteW = remW
 		}
@@ -154,10 +154,10 @@ func (c TPCCConfig) parallelTxn(mix TPCCMix, i, k int, loW, hiW int64) tpccTxn {
 // their stock from a remote supply warehouse (§2.4.1.5 rolls 1% per
 // order line; over 5-15 lines that is ~10% of orders, which we roll
 // once per transaction and apply to every line). The remote warehouse
-// is uniform over the other warehouses; with a single warehouse there
-// is nothing remote to pick.
-func (c TPCCConfig) remoteRoll(k, wid int64) (payRemote, noRemote bool, remW int64) {
-	if c.Warehouses < 2 {
+// is uniform over the other warehouses of wid's shard, [lo, hi]; with a
+// single warehouse there is nothing remote to pick.
+func remoteRoll(k, wid, lo, hi int64) (payRemote, noRemote bool, remW int64) {
+	if hi <= lo {
 		return false, false, 0
 	}
 	h := k*1300637 + 104987
@@ -166,7 +166,7 @@ func (c TPCCConfig) remoteRoll(k, wid int64) (payRemote, noRemote bool, remW int
 	}
 	payRemote = (h/17)%100 < 15
 	noRemote = (h/131)%100 < 10
-	remW = h%int64(c.Warehouses-1) + 1
+	remW = lo + h%(hi-lo)
 	if remW >= wid {
 		remW++
 	}
@@ -186,7 +186,7 @@ func (c TPCCConfig) paymentNative(conn dbapi.Conn, wid, did, cid int64, amount f
 		_ = conn.Rollback()
 		return 0, err
 	}
-	if err := c.paymentRemoteStmts(conn, conn, wid, did, wid, did, cid, amount); err != nil {
+	if err := c.paymentRemoteStmts(conn, wid, did, wid, did, cid, amount); err != nil {
 		return abort(err)
 	}
 	rs, err := conn.Query("SELECT w_ytd FROM warehouse WHERE w_id = ?", val.IntV(wid))
@@ -199,21 +199,20 @@ func (c TPCCConfig) paymentNative(conn dbapi.Conn, wid, did, cid int64, amount f
 	return rs.Rows[0][0].F, conn.Commit()
 }
 
-// paymentRemoteStmts issues the remote-Payment statements on already
-// open transaction branches: the YTD totals book at the home warehouse
-// on home, the customer debit at the customer's resident warehouse on
-// cust. The two are the same conn when the customer's warehouse lives
-// on the home shard; when they differ the caller owns atomicity.
-func (c TPCCConfig) paymentRemoteStmts(home, cust dbapi.Conn, wid, did, cwid, cdid, ccid int64, amount float64) error {
-	if _, err := home.Exec("UPDATE warehouse SET w_ytd = w_ytd + ? WHERE w_id = ?",
+// paymentRemoteStmts issues the remote-Payment statements in conn's
+// already open transaction: the YTD totals book at home warehouse wid,
+// the customer debit at the customer's resident warehouse cwid, which
+// lives on the same shard.
+func (c TPCCConfig) paymentRemoteStmts(conn dbapi.Conn, wid, did, cwid, cdid, ccid int64, amount float64) error {
+	if _, err := conn.Exec("UPDATE warehouse SET w_ytd = w_ytd + ? WHERE w_id = ?",
 		val.DoubleV(amount), val.IntV(wid)); err != nil {
 		return err
 	}
-	if _, err := home.Exec("UPDATE district SET d_ytd = d_ytd + ? WHERE d_w_id = ? AND d_id = ?",
+	if _, err := conn.Exec("UPDATE district SET d_ytd = d_ytd + ? WHERE d_w_id = ? AND d_id = ?",
 		val.DoubleV(amount), val.IntV(wid), val.IntV(did)); err != nil {
 		return err
 	}
-	_, err := cust.Exec("UPDATE customer SET c_balance = c_balance - ? WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?",
+	_, err := conn.Exec("UPDATE customer SET c_balance = c_balance - ? WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?",
 		val.DoubleV(amount), val.IntV(cwid), val.IntV(cdid), val.IntV(ccid))
 	return err
 }
@@ -221,12 +220,7 @@ func (c TPCCConfig) paymentRemoteStmts(home, cust dbapi.Conn, wid, did, cwid, cd
 // tpccSession is one client's TPCC object on its home shard.
 type tpccSession struct {
 	*deploy.Client
-	d      *deploy.Tier
-	lo, hi int64 // the home shard's warehouses: every home warehouse stays inside
-	// branches are lazily opened sessions on the other shards, one per
-	// shard: a remote-warehouse transaction runs its second branch over
-	// the remote shard's own wire.
-	branches map[int]*dbapi.Client
+	lo, hi int64 // the home shard's warehouses: every warehouse a transaction touches stays inside
 }
 
 // openTPCC opens client i's session. Clients spread evenly over
@@ -237,23 +231,16 @@ func openTPCC(d *deploy.Tier, c TPCCConfig, i int) (*tpccSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &tpccSession{Client: cl, d: d, branches: map[int]*dbapi.Client{}}
+	s := &tpccSession{Client: cl}
 	s.lo, s.hi = d.Router.Map.WarehouseRange(shard)
 	return s, nil
 }
 
-func (s *tpccSession) Close() error {
-	for _, b := range s.branches {
-		b.Close()
-	}
-	return s.Client.Close()
-}
-
 // rollbackJoin rolls conn back because of err (nil for the intentional
 // TPC-C rollback) and returns err with any rollback failure joined on,
-// so a branch connection that died during an abort shows in the
-// failure. ErrNoTransaction is not one: a deadlock victim was already
-// rolled back engine-side.
+// so a connection that died during an abort shows in the failure.
+// ErrNoTransaction is not one: a deadlock victim was already rolled
+// back engine-side.
 func rollbackJoin(err error, conn dbapi.Conn) error {
 	if rerr := conn.Rollback(); rerr != nil && !errors.Is(rerr, sqldb.ErrNoTransaction) {
 		return errors.Join(err, fmt.Errorf("rollback: %w", rerr))
@@ -263,9 +250,8 @@ func rollbackJoin(err error, conn dbapi.Conn) error {
 
 // tpccStep makes one attempt at client i's k-th transaction under mix:
 // an entry call through the partitioned program, or, when the remote
-// roll fired, the same statements issued natively over the home branch
-// and the remote warehouse's branch, committed through the 2PC
-// coordinator when the two are on different shards.
+// roll fired, the same statements issued natively in one transaction
+// on the session's database connection.
 func tpccStep(c TPCCConfig, mix TPCCMix) func(s *tpccSession, i, k int) (txnOut, error) {
 	return func(s *tpccSession, i, k int) (txnOut, error) {
 		t := c.parallelTxn(mix, i, k, s.lo, s.hi)
@@ -274,52 +260,23 @@ func tpccStep(c TPCCConfig, mix TPCCMix) func(s *tpccSession, i, k int) (txnOut,
 			return txnOut{kind: t.kind}, err
 		}
 		out := txnOut{kind: t.kind, remote: true}
-		home, branch := s.Conn, s.Conn
-		dist := false
-		if rsh := s.d.Router.HomeShard(t.remoteW); rsh != s.Shard {
-			if branch = s.branches[rsh]; branch == nil {
-				sess, err := s.d.DB.Session(rsh)
-				if err != nil {
-					return out, err
-				}
-				branch = dbapi.NewClient(sess)
-				s.branches[rsh] = branch
-			}
-			dist = true
-		}
-		if err := home.Begin(); err != nil {
+		conn := s.Conn
+		if err := conn.Begin(); err != nil {
 			return out, err
-		}
-		abort := func(err error) error { return rollbackJoin(err, home) }
-		if dist {
-			if err := branch.Begin(); err != nil {
-				return out, abort(err)
-			}
-			abort = func(err error) error { return rollbackJoin(rollbackJoin(err, home), branch) }
 		}
 		if t.kind == kindPayment {
-			if err := c.paymentRemoteStmts(home, branch, t.wid, t.did, t.remoteW, t.did, t.cid, t.amount); err != nil {
-				return out, abort(err)
+			if err := c.paymentRemoteStmts(conn, t.wid, t.did, t.remoteW, t.did, t.cid, t.amount); err != nil {
+				return out, rollbackJoin(err, conn)
 			}
 		} else {
-			if _, err := c.newOrderRemoteStmts(home, branch, t.wid, t.did, t.cid, t.olcnt, t.seed, t.remoteW); err != nil {
-				return out, abort(err)
+			if _, err := c.newOrderRemoteStmts(conn, t.wid, t.did, t.cid, t.olcnt, t.seed, t.remoteW); err != nil {
+				return out, rollbackJoin(err, conn)
 			}
 			if t.rollback {
-				// The intentional TPC-C rollback: nothing is prepared
-				// yet, so both branches abort unilaterally.
-				return out, abort(nil)
+				return out, rollbackJoin(nil, conn) // the intentional TPC-C rollback
 			}
 		}
-		if !dist {
-			return out, home.Commit()
-		}
-		tx := s.d.Router.TwoPC
-		if err := tx.Commit(tx.NewGID(), home, branch); err != nil {
-			return out, err
-		}
-		out.distCommit = true
-		return out, nil
+		return out, conn.Commit()
 	}
 }
 
@@ -338,8 +295,7 @@ type tpccRun struct {
 // runTPCC drives cfg.Clients sessions of the TPC-C mix through part
 // against cfg.Shards shard servers, each owning a disjoint warehouse
 // range. Every client opens its session on its home warehouse's shard
-// and keeps its home warehouses there; only mix.RemoteMix points a
-// transaction at another shard.
+// and keeps every warehouse its transactions touch there.
 func runTPCC(t *testing.T, part *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix TPCCMix) *tpccRun {
 	t.Helper()
 	top, err := cfg.topology(c.Warehouses, part, nil, c.loadRange)
@@ -458,7 +414,7 @@ func TestPaymentNativeConcurrent(t *testing.T) {
 	}
 }
 
-// deadConn is a connection whose branch died: every rollback fails.
+// deadConn is a connection that died: every rollback fails.
 type deadConn struct {
 	dbapi.Conn
 	err error
@@ -481,7 +437,7 @@ func TestRollbackJoinSurfacesFailure(t *testing.T) {
 	if class := retry(err, 0); class != classDeadlock {
 		t.Errorf("joined error classified %d, want the cause's class", class)
 	}
-	// The intentional rollback has no cause; a dead branch is then the
+	// The intentional rollback has no cause; a dead connection is then the
 	// whole error.
 	if err := rollbackJoin(nil, dead); err == nil || !strings.Contains(err.Error(), "connection closed") {
 		t.Errorf("failed intentional rollback reported as %v", err)

@@ -174,7 +174,7 @@ func TestAllocCeilings(t *testing.T) {
 	ceilings := map[string]float64{"select": 1, "update": 2, "query10": 1, "txn": 2}
 	db := benchDB(t)
 	for _, op := range benchOps {
-		c, _, calls := countedClient(db, nil)
+		c, _, calls := countedClient(db)
 		var rs sqldb.ResultSet
 		i := 0
 		run := func() {

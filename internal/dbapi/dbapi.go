@@ -99,10 +99,7 @@ func (l *Local) Commit() error   { return l.Sess.Commit() }
 func (l *Local) Rollback() error { return l.Sess.Rollback() }
 
 // Close rolls back the transaction the connection left open, so its
-// locks never outlive it. A transaction in the 2PC prepared state is
-// detached from its session (Participant.Prepare) and is not touched:
-// only the coordinator's decision or the participant's in-doubt
-// deadline resolves it.
+// locks never outlive it.
 func (l *Local) Close() error {
 	if l.Sess.InTxn() {
 		return l.Sess.Rollback()
@@ -179,11 +176,6 @@ const (
 	// opCommit, opRollback: the op byte alone.
 	opCommit
 	opRollback
-	// Two-phase commit, each [gid u64], reply [state u8] (control.go).
-	opPrepare
-	opCommitGID
-	opAbortGID
-	opStatusGID
 	// opProgram, reply [str program]: the program the shard serves.
 	opProgram
 )
@@ -435,25 +427,17 @@ func decodeError(msg string) error {
 // MuxHandlers serves the database wire protocol on a multiplexed
 // connection: each mux session gets its own Local (and so its own
 // transaction context), closed with the session so an open transaction
-// never outlives it.
-//
-// Each call creates a private Participant, which is enough for tests
-// and single-connection setups; servers use MuxHandlersTxn so a commit
-// or abort arriving on a different connection than the prepare still
-// finds the transaction.
-func MuxHandlers(db *sqldb.DB) rpc.SessionHandlers {
-	return MuxHandlersTxn(db, NewParticipant(0, nil), nil)
-}
+// never outlives it. Client.Program is answered with an empty program.
+func MuxHandlers(db *sqldb.DB) rpc.SessionHandlers { return MuxHandlersProgram(db, nil) }
 
-// MuxHandlersTxn is MuxHandlers with an explicit (typically
-// server-shared) 2PC participant, answering Client.Program with program.
-func MuxHandlersTxn(db *sqldb.DB, part *Participant, program []byte) rpc.SessionHandlers {
-	return &muxHandlers{db: db, part: part, program: program, conns: map[uint32]*Local{}}
+// MuxHandlersProgram is MuxHandlers answering Client.Program with
+// program.
+func MuxHandlersProgram(db *sqldb.DB, program []byte) rpc.SessionHandlers {
+	return &muxHandlers{db: db, program: program, conns: map[uint32]*Local{}}
 }
 
 type muxHandlers struct {
 	db      *sqldb.DB
-	part    *Participant
 	program []byte
 	mu      sync.Mutex
 	conns   map[uint32]*Local
@@ -464,7 +448,7 @@ func (h *muxHandlers) Open(sid uint32) rpc.Handler {
 	h.mu.Lock()
 	h.conns[sid] = conn
 	h.mu.Unlock()
-	return newSessionHandler(conn, h.part, h.program)
+	return newSessionHandler(conn, h.program)
 }
 
 func (h *muxHandlers) Closed(sid uint32) {
@@ -479,10 +463,8 @@ func (h *muxHandlers) Closed(sid uint32) {
 
 // SessionHandler serves the wire protocol against an existing session
 // (useful when the caller needs to control the session's WaitPoint).
-// It has no 2PC participant, so it refuses the 2PC ops; MuxHandlers'
-// sessions serve them.
 func SessionHandler(sess *sqldb.Session) rpc.Handler {
-	return newSessionHandler(&Local{Sess: sess}, nil, nil)
+	return newSessionHandler(&Local{Sess: sess}, nil)
 }
 
 // newSessionHandler serves one wire session on conn, whose statement
@@ -490,8 +472,8 @@ func SessionHandler(sess *sqldb.Session) rpc.Handler {
 // are sequential and the transport is done with a reply before the next
 // call (see rpc.Handler), so every reply is encoded into the same
 // memory.
-func newSessionHandler(conn *Local, part *Participant, program []byte) rpc.Handler {
-	h := &sessionHandler{conn: conn, part: part, program: program}
+func newSessionHandler(conn *Local, program []byte) rpc.Handler {
+	h := &sessionHandler{conn: conn, program: program}
 	return h.serve
 }
 
@@ -501,7 +483,6 @@ const replyKeep = 64 << 10
 
 type sessionHandler struct {
 	conn    *Local
-	part    *Participant    // the shard's; nil refuses the 2PC ops
 	program []byte          // what opProgram answers
 	w       rpc.Writer      // the reply; reused across calls
 	args    []val.Value     // the decoded arguments; reused across calls
@@ -521,7 +502,6 @@ func (h *sessionHandler) serve(req []byte) ([]byte, error) {
 	var (
 		id  int    // a statement's number, -1 unnumbered
 		sql string // a statement's text, "" when absent
-		gid uint64
 	)
 	switch op {
 	case opExec, opQuery:
@@ -533,8 +513,6 @@ func (h *sessionHandler) serve(req []byte) ([]byte, error) {
 		// The engine evaluates its arguments and keeps none, so they
 		// decode into the handler's own slice.
 		h.args = r.AppendVals(h.args[:0])
-	case opPrepare, opCommitGID, opAbortGID, opStatusGID:
-		gid = r.U64()
 	case opCommit, opRollback, opProgram:
 	default:
 		return nil, fmt.Errorf("dbapi: unknown op %d", op)
@@ -571,23 +549,6 @@ func (h *sessionHandler) serve(req []byte) ([]byte, error) {
 		err = h.conn.Commit()
 	case opRollback:
 		err = h.conn.Rollback()
-	case opPrepare, opCommitGID, opAbortGID, opStatusGID:
-		if h.part == nil {
-			err = errors.New("dbapi: this session serves no 2PC participant")
-			break
-		}
-		var st TxnState
-		switch op {
-		case opPrepare:
-			st, err = h.part.Prepare(h.conn.Sess, gid)
-		case opCommitGID:
-			st, err = h.part.Finish(gid, true)
-		case opAbortGID:
-			st, err = h.part.Finish(gid, false)
-		default:
-			st = h.part.Status(gid)
-		}
-		h.w.Byte(byte(st))
 	case opProgram:
 		h.w.Str(string(h.program))
 	}

@@ -177,7 +177,7 @@ func TestProgramOverMux(t *testing.T) {
 	db := setup(t)
 	for _, want := range [][]byte{[]byte(`{"high":"spec"}`), nil} {
 		srvConn, cliConn := net.Pipe()
-		go rpc.ServeMuxConn(srvConn, MuxHandlersTxn(db, NewParticipant(0, nil), want))
+		go rpc.ServeMuxConn(srvConn, MuxHandlersProgram(db, want))
 		mux := rpc.NewMuxClient(cliConn)
 		for i := 0; i < 2; i++ {
 			conn := NewClient(mux.Session())
@@ -278,12 +278,11 @@ func TestSessionIsolationPerConnection(t *testing.T) {
 	}
 }
 
-// countedClient is a Client on a fresh session of db, served with part
-// as its 2PC participant, and the number of requests its session has
-// served.
-func countedClient(db *sqldb.DB, part *Participant) (*Client, *Local, *int) {
+// countedClient is a Client on a fresh session of db and the number of
+// requests its session has served.
+func countedClient(db *sqldb.DB) (*Client, *Local, *int) {
 	local, calls := NewLocal(db), new(int)
-	h := newSessionHandler(local, part, nil)
+	h := newSessionHandler(local, nil)
 	return NewClient(rpc.NewInProc(func(req []byte) ([]byte, error) { *calls++; return h(req) }, 0)), local, calls
 }
 
@@ -313,18 +312,10 @@ func TestBeginRidesNextRequest(t *testing.T) {
 		}, true},
 		{"commit", (*Client).Commit, false},
 		{"rollback", (*Client).Rollback, false},
-		{"prepare", func(c *Client) error {
-			if st, err := c.Prepare(1, 0); err != nil || st != TxnStatePrepared {
-				return fmt.Errorf("state %v, error %v", st, err)
-			}
-			_, err := c.Decide(1, false, 0)
-			return err
-		}, false},
-		{"status", func(c *Client) error { _, err := c.Status(1, 0); return err }, true},
 		{"program", func(c *Client) error { _, err := c.Program(); return err }, true},
 	} {
 		db := setup(t)
-		c, local, calls := countedClient(db, NewParticipant(0, nil))
+		c, local, calls := countedClient(db)
 		if err := c.Begin(); err != nil || *calls != 0 {
 			t.Fatalf("%s: Begin: error %v after %d calls, want none", op.name, err, *calls)
 		}
@@ -347,7 +338,7 @@ func TestBeginRidesNextRequest(t *testing.T) {
 	// On a session with an open transaction the begin fails, and the op
 	// it rides does not run.
 	db := setup(t)
-	c, local, calls := countedClient(db, nil)
+	c, local, calls := countedClient(db)
 	_ = c.Begin()
 	if _, err := c.Exec("UPDATE t SET v = 'x' WHERE k = 1"); err != nil {
 		t.Fatal(err)
@@ -393,7 +384,7 @@ func TestBeginRidesNextRequest(t *testing.T) {
 	if _, err := c.QueryStmt(0, "SELECT v FROM t WHERE k = ?", val.IntV(1)); err != nil {
 		t.Fatal(err)
 	}
-	c2, local2, calls2 := countedClient(db, nil)
+	c2, local2, calls2 := countedClient(db)
 	c.T = c2.T
 	_ = c.Begin()
 	if _, err := c.QueryStmt(0, "SELECT v FROM t WHERE k = ?", val.IntV(1)); err != nil || *calls2 != 2 {

@@ -26,8 +26,8 @@ func (t *recordingTransport) Close() error { return nil }
 
 // clientRequests returns one request of every shape Client sends, as it
 // encodes them: statements numbered and unnumbered, with and without
-// their text, transaction ops and control ops, and a statement, a
-// Commit and a Prepare carrying a begin.
+// their text, transaction ops and the control op, and a statement, a
+// Commit and a Program carrying a begin.
 func clientRequests() [][]byte {
 	// The transport records each request and refuses it, so every
 	// numbered statement goes out as a first touch.
@@ -45,11 +45,7 @@ func clientRequests() [][]byte {
 	_ = c.Commit()
 	_ = c.Rollback()
 	_ = c.Begin()
-	_, _ = c.Prepare(0x1122334455667788, 0)
-	_, _ = c.Prepare(0x1122334455667788, 0)
-	_, _ = c.Decide(1, true, 0)
-	_, _ = c.Decide(1, false, 0)
-	_, _ = c.Status(1, 0)
+	_, _ = c.Program()
 	_, _ = c.Program()
 	// A numbered statement as sent once the server session has its text.
 	c.encodeStmt(opQuery, 0, false, "", []val.Value{val.IntV(1)})
@@ -58,12 +54,16 @@ func clientRequests() [][]byte {
 
 // TestTrailingRequestBytes: a request with bytes after its last field is
 // malformed, whatever its op — the handler refuses it and runs nothing.
+// One junk tail is a global transaction ID, the body the removed
+// two-phase-commit ops carried.
 func TestTrailingRequestBytes(t *testing.T) {
 	db := setup(t)
+	var gid rpc.Writer
+	gid.U64(0x1122334455667788)
 	for _, req := range clientRequests() {
-		for _, junk := range [][]byte{nil, {0}, {1, 2, 3, 4}} {
+		for _, junk := range [][]byte{nil, {0}, {1, 2, 3, 4}, gid.Buf} {
 			local := NewLocal(db)
-			h := newSessionHandler(local, NewParticipant(0, nil), nil)
+			h := newSessionHandler(local, nil)
 			resp, err := h(append(req[:len(req):len(req)], junk...))
 			if junk == nil && err != nil {
 				t.Errorf("op %d request % x: %v", req[0], req, err)
@@ -79,12 +79,16 @@ func TestTrailingRequestBytes(t *testing.T) {
 // TestUnknownOpsRefused: every op byte past opProgram names no op,
 // whatever the request after it and whether or not it carries a begin.
 // The handler refuses it as an unknown op with no reply, begins no
-// transaction and changes nothing in the database. The bodies are an
-// empty one, a gid or token, and a range fence over all of t's keys.
+// transaction and changes nothing in the database. The range starts at
+// 6: bytes 6–8 were the removed two-phase-commit commit, abort and
+// status ops and 9 the program op, which moved to 5, the old prepare
+// byte. The bodies are an empty one, a global transaction ID, a token,
+// and a range fence over all of t's keys.
 func TestUnknownOpsRefused(t *testing.T) {
 	db := setup(t)
 	before := db.Snapshot()
-	var token, fence rpc.Writer
+	var gid, token, fence rpc.Writer
+	gid.U64(0x1122334455667788)
 	token.U64(1)
 	token.Bool(true)
 	fence.I64(int64(time.Hour))
@@ -95,9 +99,9 @@ func TestUnknownOpsRefused(t *testing.T) {
 	fence.Str("k")
 	for op := int(opProgram) + 1; op <= 0x7f; op++ {
 		for _, first := range []byte{byte(op), byte(op) | beginFirst} {
-			for _, body := range [][]byte{nil, token.Buf, fence.Buf} {
+			for _, body := range [][]byte{nil, gid.Buf, token.Buf, fence.Buf} {
 				local := NewLocal(db)
-				h := newSessionHandler(local, NewParticipant(0, nil), nil)
+				h := newSessionHandler(local, nil)
 				resp, err := h(append([]byte{first}, body...))
 				if err == nil || !strings.Contains(err.Error(), "unknown op") || resp != nil {
 					t.Errorf("op byte %#x with a %d-byte body: answered % x, error %v", first, len(body), resp, err)
@@ -113,7 +117,7 @@ func TestUnknownOpsRefused(t *testing.T) {
 		t.Errorf("unknown ops changed the database: %v, was %v", after, before)
 	}
 	// An INSERT and a SELECT on t still run: nothing fenced the table.
-	c := NewClient(rpc.NewInProc(newSessionHandler(NewLocal(db), nil, nil), 0))
+	c := NewClient(rpc.NewInProc(newSessionHandler(NewLocal(db), nil), 0))
 	if _, err := c.Exec("INSERT INTO t VALUES (3, 'c')"); err != nil {
 		t.Errorf("insert after the unknown ops: %v", err)
 	}

@@ -59,7 +59,7 @@ func TestClientPreparedWire(t *testing.T) {
 func TestPreparedWireByteSavings(t *testing.T) {
 	db := setup(t)
 	local := &Local{Sess: db.NewSession()}
-	conn := NewClient(rpc.NewInProc(newSessionHandler(local, nil, nil), 0))
+	conn := NewClient(rpc.NewInProc(newSessionHandler(local, nil), 0))
 	const sel = "SELECT v FROM t WHERE k = ?"
 	const text = 4 + len(sel) // length prefix and bytes
 	const args = 4 + 1 + 8    // count, then one tagged int
@@ -88,7 +88,7 @@ func TestPreparedWireByteSavings(t *testing.T) {
 		}, (1 + 1 + 1 + args) + (1 + 1 + 1 + text + args), false},
 		{"numbered, warm on the new session", query(0), 1 + 1 + 1 + args, false},
 		{"numbered past the table bound", func() error {
-			conn.T = rpc.NewInProc(newSessionHandler(local, nil, nil), 0)
+			conn.T = rpc.NewInProc(newSessionHandler(local, nil), 0)
 			return query(maxStmts)()
 		}, 1 + 2 + 1 + text + args, true},
 		{"numbered far past the table bound", query(1 << 40), 1 + 6 + 1 + text + args, true},

@@ -1,10 +1,11 @@
 // Package deploy is the one place a Pyxis tier is wired. Both halves
 // of a deployment run one program (paper §5–6), decided by the database
-// servers: each hosts a Shard — a database, the DB-side runtime peers
-// of one program (or of a high/low pair of its partitionings) and a 2PC
-// participant — on two mux ports, and the application side rebuilds its
-// half from what the shards serve, then dials a pool of connections to
-// every shard's ports and opens client sessions on them.
+// servers: each hosts a Shard — a database and the DB-side runtime
+// peers of one program (or of a high/low pair of its partitionings) —
+// on two mux ports, and the application side rebuilds its half from
+// what the shards serve, then dials a pool of connections to every
+// shard's ports and opens client sessions on them. A client session
+// runs every transaction on its home shard.
 // cmd/pyxis-dbserver calls Listen, cmd/pyxis-app calls Dial, and Up does
 // both over loopback TCP in one process for the tests and the examples.
 package deploy
@@ -39,9 +40,6 @@ type Shard struct {
 	// admitted control session, not a second admission, and shedding
 	// there would abort statements of work the server chose to accept.
 	Mux rpc.MuxServeConfig
-	// Resolver is what the shard's 2PC participant asks about an
-	// in-doubt transaction (nil: presumed abort at the deadline).
-	Resolver dbapi.Resolver
 	// Out receives the DB-side programs' sys.print output (nil
 	// discards it).
 	Out io.Writer
@@ -82,12 +80,7 @@ func Listen(s *Shard, dbAddr, ctlAddr string) (*Server, error) {
 	if s.High != nil {
 		program, _ = json.Marshal(specs) // a list of valid JSON values
 	}
-	// One participant for every connection: a coordinator's commit or
-	// abort frame may arrive on a different connection than the prepare
-	// (pools stripe sessions across connections), and a prepared
-	// transaction must be resolvable from any of them.
-	part := dbapi.NewParticipant(0, s.Resolver)
-	db := func() rpc.SessionHandlers { return dbapi.MuxHandlersTxn(s.DB, part, program) }
+	db := func() rpc.SessionHandlers { return dbapi.MuxHandlersProgram(s.DB, program) }
 	dbSrv, err := rpc.NewMuxServerConfig(dbAddr, db, rpc.MuxServeConfig{Load: s.Mux.Load})
 	if err != nil {
 		return nil, err
@@ -123,8 +116,8 @@ type App struct {
 	// High and Low are the partitions the shards serve, rebuilt here
 	// (nil where they serve none).
 	High, Low *pyxis.Partition
-	// Router holds the shard map, the 2PC coordinator and one load EWMA
-	// per shard, fed by every load report either wire carries.
+	// Router holds the shard map and one load EWMA per shard, fed by
+	// every load report either wire carries.
 	Router *runtime.ShardedClient
 	// Ctl is the control wire (nil without a program), DB the database
 	// wire; shard i of each is dbAddrs[i] / ctlAddrs[i].
@@ -333,10 +326,9 @@ type Tier struct {
 	servers []*Server
 }
 
-// Up stands t up in this process: per shard one database, its peers
-// and one 2PC participant resolving against the router's coordinator —
-// nothing shared between shards — served on loopback TCP, then the
-// App dialled to all of them.
+// Up stands t up in this process: per shard one database and its
+// peers — nothing shared between shards — served on loopback TCP, then
+// the App dialled to all of them.
 func Up(t Topology) (*Tier, error) {
 	router := runtime.NewShardedClient(t.Map)
 	tier := &Tier{}
@@ -347,7 +339,7 @@ func Up(t Topology) (*Tier, error) {
 			tier.Close()
 			return nil, err
 		}
-		s := &Shard{DB: db, High: t.High, Low: t.Low, Resolver: router.TwoPC.Outcome}
+		s := &Shard{DB: db, High: t.High, Low: t.Low}
 		if t.Mux != nil {
 			s.Mux = t.Mux(shard, db)
 		}

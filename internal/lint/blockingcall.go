@@ -7,11 +7,11 @@ import (
 
 // BlockingCall forbids parking a goroutine while it holds a hierarchy
 // latch. A goroutine that blocks on the network (wire RPCs like Call /
-// CallEntry / Prepare / Decide, dials, accepts), on a channel receive,
-// on a default-less select, or on a wait/sleep while holding one of
-// the latches in latchHierarchies keeps every contender of that latch
-// parked for the full stall: one peer dropping off the network freezes
-// every session that needs the latch.
+// CallEntry, dials, accepts), on a channel receive, on a default-less
+// select, or on a wait/sleep while holding one of the latches in
+// latchHierarchies keeps every contender of that latch parked for the
+// full stall: one peer dropping off the network freezes every session
+// that needs the latch.
 //
 // The scan is the same source-order approximation latchorder's rule 2
 // uses: Lock/RLock on a hierarchy field pushes the latch, a matching
@@ -40,9 +40,6 @@ var BlockingCall = &Analyzer{
 var blockingCallNames = map[string]string{
 	"Call":        "a wire RPC",
 	"CallEntry":   "a wire RPC",
-	"Prepare":     "a transaction-control RPC",
-	"Decide":      "a transaction-control RPC",
-	"Status":      "a transaction-control RPC",
 	"Dial":        "a network dial",
 	"DialTimeout": "a network dial",
 	"Accept":      "a network accept",
@@ -53,7 +50,7 @@ var blockingCallNames = map[string]string{
 // blockingCallViolation is one finding of the scan.
 type blockingCallViolation struct {
 	pos   token.Pos
-	what  string // "calls Decide (a transaction-control RPC)", "receives from a channel", ...
+	what  string // "calls Call (a wire RPC)", "receives from a channel", ...
 	latch string // the innermost hierarchy latch held
 }
 

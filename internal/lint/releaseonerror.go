@@ -13,13 +13,12 @@ import (
 // pooled frames.
 //
 // For every assignment `v := x.M(...)` where M is a configured
-// acquire (session frames from the free-list, prepared 2PC
-// transactions, pooled request bodies), the analyzer walks the
-// function's control-flow graph from the acquisition and demands that
-// every reachable return statement either follows a point where v was
-// released or handed off, or mentions v itself. "Handed off" is
-// deliberately permissive — ownership-transfer is idiomatic,
-// leak-by-omission is the bug:
+// acquire (session frames from the free-list, pooled request bodies),
+// the analyzer walks the function's control-flow graph from the
+// acquisition and demands that every reachable return statement either
+// follows a point where v was released or handed off, or mentions v
+// itself. "Handed off" is deliberately permissive — ownership-transfer
+// is idiomatic, leak-by-omission is the bug:
 //
 //   - v passed (directly) as an argument to any call — including
 //     append, the release functions themselves, and encoders that
@@ -35,7 +34,7 @@ import (
 // leaks carry a //pyxlint:allow releaseonerror directive.
 var ReleaseOnError = &Analyzer{
 	Name: "releaseonerror",
-	Doc: "acquired pooled/lock-holding resources (session frames, prepared 2PC txns) " +
+	Doc: "acquired pooled resources (session frames, request bodies) " +
 		"must be released or handed off on every return path",
 	Run: runReleaseOnError,
 }
@@ -49,19 +48,13 @@ type acquireSpec struct {
 	releases map[string]bool
 }
 
-// releaseAcquires is the configured resource set. Unexported acquire
-// methods (newFrame) can only match inside their declaring package,
-// where the tolerant loader resolves them fully; exported ones
-// (Prepare2PC) also match cross-package by name when type information
-// is unavailable.
+// releaseAcquires is the configured resource set. Its acquire methods
+// are unexported, so each can only match inside its declaring package,
+// where the tolerant loader resolves it fully.
 var releaseAcquires = []acquireSpec{
 	{
 		method: "newFrame", recv: "Session", kind: "pooled frame",
 		releases: map[string]bool{"freeFrame": true, "freeStack": true},
-	},
-	{
-		method: "Prepare2PC", recv: "Session", kind: "prepared 2PC transaction",
-		releases: map[string]bool{"Commit": true, "Abort": true, "Rollback": true},
 	},
 	{
 		// A mux connection's recycled request bodies (rpc/frame.go): a
@@ -168,23 +161,18 @@ func checkFuncReleases(pass *Pass, fd *ast.FuncDecl) {
 }
 
 // matchAcquire reports whether sel is a call of a configured acquire
-// method, checking the receiver type when the selection resolves.
+// method on its receiver type. The acquires are unexported and resolve
+// in their declaring package; an unresolved match elsewhere is a
+// different method.
 func matchAcquire(pass *Pass, sel *ast.SelectorExpr) *acquireSpec {
 	for i := range releaseAcquires {
 		spec := &releaseAcquires[i]
 		if sel.Sel.Name != spec.method {
 			continue
 		}
-		if selection, ok := pass.Info.Selections[sel]; ok {
-			if namedTypeName(selection.Recv()) != spec.recv {
-				continue
-			}
-		} else if !ast.IsExported(spec.method) {
-			// Unexported acquires resolve in their declaring package; an
-			// unresolved match elsewhere is a different method.
-			continue
+		if selection, ok := pass.Info.Selections[sel]; ok && namedTypeName(selection.Recv()) == spec.recv {
+			return spec
 		}
-		return spec
 	}
 	return nil
 }

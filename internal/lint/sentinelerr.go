@@ -9,10 +9,9 @@ import (
 )
 
 // SentinelErr enforces the error-matching discipline the wrapped-error
-// sentinels demand: ErrOverloaded, ErrPoolPoisoned, ErrTxnAborted,
-// ErrTxnDeadline, ErrUnprepared, ErrTxnResolved and friends all cross
-// wrapping boundaries (fmt.Errorf("...: %w", err), the mux wire's
-// error re-hydration), so
+// sentinels demand: ErrOverloaded, ErrPoolPoisoned, ErrTxnDeadline,
+// ErrUnprepared and friends all cross wrapping boundaries
+// (fmt.Errorf("...: %w", err), the mux wire's error re-hydration), so
 //
 //   - comparing a sentinel with == or != (including switch cases)
 //     silently stops matching the moment anyone wraps the error:

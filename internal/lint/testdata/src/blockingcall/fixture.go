@@ -9,8 +9,7 @@ import "sync"
 // wire mirrors the mux client surface a caller could block on.
 type wire struct{}
 
-func (w *wire) Call(method string) error                    { return nil }
-func (w *wire) Decide(gid uint64, commit bool) (int, error) { return 0, nil }
+func (w *wire) Call(method string) error { return nil }
 
 // DB mirrors the engine's catalog latch.
 type DB struct {
@@ -19,14 +18,12 @@ type DB struct {
 	updates chan int
 }
 
-// publishAndNotify parks on the wire, on a 2PC decision round trip and
-// then on a channel while still holding the catalog latch — all
-// findings.
+// publishAndNotify parks on the wire and then on a channel while still
+// holding the catalog latch — both findings.
 func (db *DB) publishAndNotify() {
 	db.catMu.Lock()
-	db.w.Call("publish")        // want "calls Call .a wire RPC. while holding catMu"
-	_, _ = db.w.Decide(2, true) // want "calls Decide .a transaction-control RPC. while holding catMu"
-	v := <-db.updates           // want "receives from a channel while holding catMu"
+	db.w.Call("publish") // want "calls Call .a wire RPC. while holding catMu"
+	v := <-db.updates    // want "receives from a channel while holding catMu"
 	_ = v
 	db.catMu.Unlock()
 }

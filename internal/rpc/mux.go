@@ -21,10 +21,10 @@ package rpc
 //	muxCloseSess client -> server   session teardown (no reply)
 //	muxReplyShed server -> client   body = shed reason (admission refused, queue overflow)
 //
-// A client sends calls and closes, nothing else. Two-phase commit
-// control ops are dbapi operations riding muxCall on the branch's own
-// session like every statement, so they stay ordered with its calls and
-// the mux knows nothing of transactions.
+// A client sends calls and closes, nothing else. Transaction ops are
+// dbapi operations riding muxCall on the session like every statement,
+// so they stay ordered with its calls and the mux knows nothing of
+// transactions.
 //
 // Reply kinds may additionally carry the muxFlagLoad bit: the body is
 // then prefixed with a length-delimited LoadReport (the DB server's
@@ -69,9 +69,7 @@ const muxFlagLoad byte = 0x80
 var ErrOverloaded = errors.New("rpc: server overloaded")
 
 // ErrTxnDeadline reports that a CallWithin did not complete within its
-// deadline. A 2PC coordinator treats it like a dead participant: abort
-// the global transaction (a participant that did prepare resolves via
-// its own in-doubt deadline and re-query).
+// deadline.
 var ErrTxnDeadline = errors.New("rpc: call deadline exceeded")
 
 // ErrSessionIDsSpent reports a call on a session its connection could
@@ -475,7 +473,7 @@ func (s *MuxSession) CallInto(req, into []byte) ([]byte, error) { return s.call(
 
 // CallWithin is CallInto bounded by timeout (<= 0 means
 // DefaultTxnDeadline), for a caller that must never wedge on a stalled
-// peer — a 2PC coordinator. Expiry returns
+// peer — a dialer asking a shard what it serves. Expiry returns
 // ErrTxnDeadline; a dead connection returns an error matching
 // ErrPoolPoisoned, so "shard down" reads the same as the pool's own
 // signal.

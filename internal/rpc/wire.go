@@ -6,7 +6,7 @@
 // crosses a connection — one connection carries any number of
 // concurrent sessions, each an independent Transport. The wire carries
 // calls, replies, sheds and closes; what a call means (a statement, a
-// 2PC vote, a control transfer) is its payload's business.
+// commit, a control transfer) is its payload's business.
 package rpc
 
 import (

@@ -8,12 +8,9 @@ package runtime
 //
 // The mapping is deliberately dumb and fixed for the life of a
 // deployment: contiguous warehouse ranges for TPC-C-shaped keys, a hash
-// for everything else. Sessions stay pinned to their home shard for
-// the life of a transaction, but transactions are not confined to it:
-// a transaction that must touch rows another shard owns (TPC-C's
-// remote Payment / remote NewOrder lines) opens a branch session on
-// that shard and commits both branches atomically through the
-// client's 2PC Coordinator (twopc.go).
+// for everything else. A session stays on its home shard, and every
+// transaction it runs is confined to that shard and ends in one plain
+// commit there: nothing commits across shards.
 
 import "pyxis/internal/rpc"
 
@@ -95,8 +92,8 @@ func splitmix64(x uint64) uint64 {
 
 // ShardedClient is the app side's view of a sharded DB tier: it picks
 // every session's home shard at open time (sessions stay pinned — the
-// runtime keeps a session's transaction state on one server) and
-// keeps one load EWMA per shard, so dynamic switching and
+// runtime keeps a session's transactions on one server, and none spans
+// two) and keeps one load EWMA per shard, so dynamic switching and
 // admission-shed backoff react to the load of the shard actually
 // serving a session rather than a blend of all N. Its Observe matches
 // rpc.ShardedPool.SetOnLoad, wiring each shard's piggy-backed reports
@@ -105,21 +102,14 @@ type ShardedClient struct {
 	// Map decides every session's home shard.
 	Map ShardMap
 
-	// TwoPC commits transactions that span shards: per-shard branches
-	// run on ordinary sessions, then Commit(gid, branches...) drives
-	// prepare/commit over each branch's mux connection. Each shard's
-	// dbapi.Participant should resolve in-doubt transactions against
-	// TwoPC.Outcome.
-	TwoPC *Coordinator
-
 	switchers []*Switcher
 }
 
 // NewShardedClient builds a client router over m with one
 // default-configured Switcher per shard (callers tune thresholds via
-// Switcher(i)) and a default-deadline 2PC coordinator.
+// Switcher(i)).
 func NewShardedClient(m ShardMap) *ShardedClient {
-	c := &ShardedClient{Map: m, TwoPC: NewCoordinator(0), switchers: make([]*Switcher, m.NumShards())}
+	c := &ShardedClient{Map: m, switchers: make([]*Switcher, m.NumShards())}
 	for i := range c.switchers {
 		c.switchers[i] = NewSwitcher()
 	}

@@ -249,7 +249,7 @@ func sortTables(ts []*Table) {
 
 // Txn is an in-flight transaction: its ID and bookkeeping lists. A
 // session reuses its finished Txn for its next transaction under a
-// fresh ID (Session.newTxn); a prepared one is never reused.
+// fresh ID (Session.newTxn).
 type Txn struct {
 	id int64
 	txnLists
@@ -257,11 +257,6 @@ type Txn struct {
 	// owning goroutine under the stripe+graph mutexes; read only by the
 	// owning goroutine). Lets abort skip the cancelWaits stripe sweep.
 	everWaited bool
-	// prepared: txn is in the 2PC in-doubt window (see twopc.go). It
-	// holds its locks past the statement boundary and never requests new
-	// ones, so it can never appear in a waits-for cycle — deadlock
-	// victims are always the requester, never a prepared txn.
-	prepared bool
 }
 
 // txnLists is a transaction's bookkeeping: held locks plus an undo log.

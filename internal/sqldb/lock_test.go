@@ -48,8 +48,6 @@ func TestLockManagerConcurrency(t *testing.T) {
 		{"CrossTableDeadlockResolves", testCrossTableDeadlockResolves},
 		{"QueuedUpgradeGrantedOnRelease", testQueuedUpgradeGrantedOnRelease},
 		{"SoleHolderUpgradeJumpsNonEmptyQueue", testSoleHolderUpgradeJumpsNonEmptyQueue},
-		{"PreparedTxnPinsLocks", testPreparedTxnPinsLocks},
-		{"PreparedTxnRefusesDeadlockAbort", testPreparedTxnRefusesDeadlockAbort},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -239,105 +237,6 @@ func testSoleHolderUpgradeJumpsNonEmptyQueue(t *testing.T, db *DB) {
 		t.Fatal("queued writer never granted after upgraded holder released")
 	}
 	lm.releaseAll(t2)
-}
-
-// testPreparedTxnPinsLocks: after Prepare2PC the session has no
-// transaction (Rollback refuses with ErrNoTransaction) but the
-// prepared transaction's X locks stay pinned — a conflicting writer
-// queues until the coordinator's decision resolves the handle. Abort
-// then restores the before-image, and the handle is idempotent.
-func testPreparedTxnPinsLocks(t *testing.T, db *DB) {
-	s1 := db.NewSession()
-	if err := s1.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, s1, "UPDATE a SET v = 42 WHERE k = 1")
-	pt, err := s1.Prepare2PC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Rollback(); !errors.Is(err, ErrNoTransaction) {
-		t.Fatalf("Rollback after prepare = %v, want ErrNoTransaction (unilateral abort refused)", err)
-	}
-
-	writerDone := make(chan error, 1)
-	go func() {
-		_, err := db.NewSession().Exec("UPDATE a SET v = v + 1 WHERE k = 1")
-		writerDone <- err
-	}()
-	waitForWaiters(t, db, 1)
-	select {
-	case err := <-writerDone:
-		t.Fatalf("writer finished (%v) while prepared txn should pin the lock", err)
-	case <-time.After(10 * time.Millisecond):
-	}
-
-	if err := pt.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-writerDone; err != nil {
-		t.Fatalf("writer after prepared abort: %v", err)
-	}
-	rs := mustQuery(t, s1, "SELECT v FROM a WHERE k = 1")
-	if rs.Rows[0][0].I != 1 {
-		t.Errorf("v = %v, want 1 (undo of prepared update, then writer's +1)", rs.Rows[0][0])
-	}
-	if err := pt.Abort(); err != nil {
-		t.Errorf("duplicate Abort = %v, want nil (idempotent)", err)
-	}
-	if err := pt.Commit(); !errors.Is(err, ErrTxnResolved) {
-		t.Errorf("Commit after Abort = %v, want ErrTxnResolved", err)
-	}
-}
-
-// testPreparedTxnRefusesDeadlockAbort: a prepared transaction never
-// requests locks, so it can never sit in a waits-for cycle — deadlock
-// resolution among live transactions must pick one of *them* as victim
-// and leave the prepared txn's locks untouched. With a prepared X on
-// b[1] pinned, a forced deadlock on other rows resolves normally, a
-// writer on b[1] stays queued throughout, and the coordinator's commit
-// finally publishes the prepared write.
-func testPreparedTxnRefusesDeadlockAbort(t *testing.T, db *DB) {
-	s1 := db.NewSession()
-	if err := s1.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, s1, "UPDATE b SET v = 9 WHERE k = 1")
-	pt, err := s1.Prepare2PC()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	writerDone := make(chan error, 1)
-	go func() {
-		_, err := db.NewSession().Exec("UPDATE b SET v = v + 1 WHERE k = 1")
-		writerDone <- err
-	}()
-	waitForWaiters(t, db, 1)
-
-	forceDeadlock(t, db,
-		[2]string{"UPDATE a SET v = v + 1 WHERE k = 4", "UPDATE a SET v = v + 1 WHERE k = 5"},
-		[2]string{"UPDATE a SET v = v + 1 WHERE k = 5", "UPDATE a SET v = v + 1 WHERE k = 4"})
-
-	if done, _ := pt.Resolved(); done {
-		t.Fatal("prepared txn resolved by deadlock machinery; only the coordinator may finish it")
-	}
-	select {
-	case err := <-writerDone:
-		t.Fatalf("queued writer finished (%v) while the prepared txn should still pin b[1]", err)
-	default:
-	}
-
-	if err := pt.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-writerDone; err != nil {
-		t.Fatalf("writer after prepared commit: %v", err)
-	}
-	rs := mustQuery(t, s1, "SELECT v FROM b WHERE k = 1")
-	if rs.Rows[0][0].I != 10 {
-		t.Errorf("v = %v, want 10 (prepared write 9 committed, then writer's +1)", rs.Rows[0][0])
-	}
 }
 
 // forceDeadlock runs two transactions whose two statements cross, with
