@@ -2,8 +2,9 @@ package dbapi
 
 // Program is a control op, not a statement: a dialer asks each shard
 // which program it serves before it opens any client session, so the
-// call is bounded. Over a transport with CallWithin (the mux wire) a stalled
-// peer answers rpc.ErrTxnDeadline and a dead one an error matching
+// call is bounded — the one call in the tree that is. Over a transport
+// with CallWithin (the mux wire) a stalled peer answers
+// rpc.ErrCallDeadline and a dead one an error matching
 // rpc.ErrPoolPoisoned, so neither can wedge the dialer.
 
 import (
@@ -13,7 +14,7 @@ import (
 )
 
 // callWithin sends the request in c.enc bounded by
-// rpc.DefaultTxnDeadline where the transport can bound a call, and as a
+// rpc.DefaultCallDeadline where the transport can bound a call, and as a
 // plain call elsewhere.
 func (c *Client) callWithin() (*rpc.Reader, error) {
 	t, ok := c.T.(interface {
@@ -27,7 +28,7 @@ func (c *Client) callWithin() (*rpc.Reader, error) {
 }
 
 // Program returns the bytes that describe the program the shard serves
-// (empty when it serves none), bounded by rpc.DefaultTxnDeadline.
+// (empty when it serves none), bounded by rpc.DefaultCallDeadline.
 func (c *Client) Program() ([]byte, error) {
 	c.enc.Reset()
 	c.enc.Byte(opProgram)

@@ -21,8 +21,8 @@ import (
 //     latch makes it safe.
 //  2. Latch acquisitions inside one function must follow the
 //     engine's hierarchy (latchHierarchies): catalog (catMu) → table
-//     latch (latch) → row stripe (rowLatch) → lock-manager stripe (mu)
-//     → waits-for graph (graphMu). A lower-ranked acquisition after a
+//     latch (latch) → lock-manager stripe (mu) → waits-for graph
+//     (graphMu). A lower-ranked acquisition after a
 //     higher-ranked one is an inversion that can deadlock, unless the
 //     function is in LatchOrderAllow with a story explaining why it
 //     cannot (e.g. the earlier latch is provably released first).
@@ -36,7 +36,7 @@ import (
 // jobs watch them.
 var LatchOrder = &Analyzer{
 	Name: "latchorder",
-	Doc: "enforce the engine's latch hierarchy (catalog -> table -> row stripe -> lock stripe -> graph) " +
+	Doc: "enforce the engine's latch hierarchy (catalog -> table -> lock stripe -> graph) " +
 		"and the audited-allowlist rule for structural field access",
 	Run: runLatchOrder,
 }
@@ -55,8 +55,8 @@ var LatchAudit = map[string]string{
 	"(*DB).Snapshot":    "catMu read, then every table latch shared",
 
 	// Table structure under the table latch.
-	"(*Table).rowAt":           "caller holds table latch >= read; slot stripe inside",
-	"(*Table).setRow":          "caller holds table latch >= read; slot stripe inside",
+	"(*Table).rowAt":           "caller holds table latch >= read; the slot is an atomic load",
+	"(*Table).setRow":          "caller holds table latch >= read; the slot is an atomic store",
 	"(*Table).NumRows":         "table latch shared",
 	"(*Table).addToIndexes":    "caller holds table latch exclusive",
 	"(*Table).dropFromIndexes": "caller holds table latch exclusive",
@@ -73,7 +73,7 @@ var LatchAudit = map[string]string{
 	"(*Session).execInsert": "table latch exclusive (suspended across the slot's lock wait, key revalidated after)",
 	"(*Session).execUpdate": "table latch exclusive if the plan sets an indexed column, shared otherwise",
 	"(*Session).execDelete": "table latch exclusive",
-	"(*Session).matchRows":  "statement's latch >= read (suspended across lock waits, epoch revalidated after); rows via rowAt stripes",
+	"(*Session).matchRows":  "statement's latch >= read (suspended across lock waits, epoch revalidated after); rows via rowAt",
 
 	// Transaction finalization.
 	"(*DB).commit":   "exclusive latch on every table with freed slots",
@@ -105,11 +105,10 @@ var latchStructuralFields = map[string]map[string]bool{
 // (lowest rank) to bottom (highest).
 var latchHierarchies = map[string]map[string]int{
 	"sqldb": {
-		"catMu":    1,
-		"latch":    2,
-		"rowLatch": 3,
-		"mu":       4,
-		"graphMu":  5,
+		"catMu":   1,
+		"latch":   2,
+		"mu":      3,
+		"graphMu": 4,
 	},
 }
 
@@ -298,8 +297,8 @@ const (
 
 // latchLockCall classifies n as a latch acquisition or release when it
 // is a call of the form X.<field>.Lock() / RLock() / Unlock() /
-// RUnlock(), possibly through an index expression (rowLatch[i],
-// stripes[i].mu), returning the latch field name.
+// RUnlock(), possibly through an index expression (stripes[i].mu),
+// returning the latch field name.
 func latchLockCall(n ast.Node) (field string, kind int, ok bool) {
 	call, isCall := n.(*ast.CallExpr)
 	if !isCall {

@@ -9,7 +9,7 @@ import (
 )
 
 // SentinelErr enforces the error-matching discipline the wrapped-error
-// sentinels demand: ErrOverloaded, ErrPoolPoisoned, ErrTxnDeadline,
+// sentinels demand: ErrOverloaded, ErrPoolPoisoned, ErrCallDeadline,
 // ErrUnprepared and friends all cross wrapping boundaries
 // (fmt.Errorf("...: %w", err), the mux wire's error re-hydration), so
 //

@@ -365,8 +365,8 @@ func TestFrameDeadlineLeavesSessionUsable(t *testing.T) {
 	if _, err := s.Call([]byte("open")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CallWithin([]byte("stall"), nil, 20*time.Millisecond); !errors.Is(err, ErrTxnDeadline) {
-		t.Fatalf("stalled call: %v, want ErrTxnDeadline", err)
+	if _, err := s.CallWithin([]byte("stall"), nil, 20*time.Millisecond); !errors.Is(err, ErrCallDeadline) {
+		t.Fatalf("stalled call: %v, want ErrCallDeadline", err)
 	}
 	close(release) // the stalled call's reply is now on its way
 	for i := 0; i < 3; i++ {

@@ -285,8 +285,8 @@ func TestMuxCallIntoNoWriteAfterReturn(t *testing.T) {
 }
 
 func wantDeadline(_, _ []byte, err error) error {
-	if !errors.Is(err, ErrTxnDeadline) {
-		return fmt.Errorf("%v, want ErrTxnDeadline", err)
+	if !errors.Is(err, ErrCallDeadline) {
+		return fmt.Errorf("%v, want ErrCallDeadline", err)
 	}
 	return nil
 }

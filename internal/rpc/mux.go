@@ -68,9 +68,9 @@ const muxFlagLoad byte = 0x80
 // it through wrapping.
 var ErrOverloaded = errors.New("rpc: server overloaded")
 
-// ErrTxnDeadline reports that a CallWithin did not complete within its
+// ErrCallDeadline reports that a CallWithin did not complete within its
 // deadline.
-var ErrTxnDeadline = errors.New("rpc: call deadline exceeded")
+var ErrCallDeadline = errors.New("rpc: call deadline exceeded")
 
 // ErrSessionIDsSpent reports a call on a session its connection could
 // not give an ID: the connection has minted all 2^24-1 of its session
@@ -78,8 +78,9 @@ var ErrTxnDeadline = errors.New("rpc: call deadline exceeded")
 // holding it directly dials a new one.
 var ErrSessionIDsSpent = errors.New("rpc: connection's session IDs spent")
 
-// DefaultTxnDeadline bounds a CallWithin that names no timeout.
-const DefaultTxnDeadline = 5 * time.Second
+// DefaultCallDeadline bounds a CallWithin that names no timeout, as
+// dbapi's dial-time Program fetch does.
+const DefaultCallDeadline = 5 * time.Second
 
 const muxHeaderLen = 9
 
@@ -249,7 +250,7 @@ func (c *MuxClient) send(f muxFrame) error {
 // exchange sends one call frame on s and waits for the reply frame
 // with the same request ID, its body read into into when it fits.
 // timeout <= 0 waits for as long as the connection lives; otherwise
-// expiry returns ErrTxnDeadline. A dead connection returns the client's
+// expiry returns ErrCallDeadline. A dead connection returns the client's
 // sticky error. Neither req nor into is touched once it returns.
 func (c *MuxClient) exchange(s *MuxSession, req, into []byte, timeout time.Duration) (muxFrame, error) {
 	// Calls on one session are sequential in every real use, so the
@@ -309,7 +310,7 @@ func (c *MuxClient) exchange(s *MuxSession, req, into []byte, timeout time.Durat
 			delete(c.pending, key)
 			c.mu.Unlock()
 			if waiting {
-				return muxFrame{}, ErrTxnDeadline
+				return muxFrame{}, ErrCallDeadline
 			}
 			f, ok = <-ch
 		}
@@ -472,14 +473,14 @@ func (s *MuxSession) Call(req []byte) ([]byte, error) { return s.CallInto(req, n
 func (s *MuxSession) CallInto(req, into []byte) ([]byte, error) { return s.call(req, into, 0) }
 
 // CallWithin is CallInto bounded by timeout (<= 0 means
-// DefaultTxnDeadline), for a caller that must never wedge on a stalled
+// DefaultCallDeadline), for a caller that must never wedge on a stalled
 // peer — a dialer asking a shard what it serves. Expiry returns
-// ErrTxnDeadline; a dead connection returns an error matching
+// ErrCallDeadline; a dead connection returns an error matching
 // ErrPoolPoisoned, so "shard down" reads the same as the pool's own
 // signal.
 func (s *MuxSession) CallWithin(req, into []byte, timeout time.Duration) ([]byte, error) {
 	if timeout <= 0 {
-		timeout = DefaultTxnDeadline
+		timeout = DefaultCallDeadline
 	}
 	resp, err := s.call(req, into, timeout)
 	if err != nil && s.c.Err() != nil {

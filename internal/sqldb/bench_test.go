@@ -519,9 +519,10 @@ func TestAllocCeilings(t *testing.T) {
 	}
 }
 
-// topNAllocs is what a top-N select over 1 000 rows allocates outside a
-// transaction, into a reused result set: about one rehash a query of a
-// lock-table map around the tombstones its releases left — plus one to
-// spare. Its autocommit Txn is the session's last one, lists and all,
-// even its 1 000 S locks.
+// topNAllocs bounds what a top-N select over 1 000 rows allocates
+// outside a transaction, into a reused result set. It holds one lock,
+// its table's S, and its autocommit Txn is the session's last one, so
+// it allocates nothing in steady state; the bound dates from when it
+// locked every row and paid about one rehash a query of a lock-table
+// map around the tombstones its releases left.
 const topNAllocs = 2

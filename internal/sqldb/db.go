@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"pyxis/internal/val"
 )
@@ -46,20 +47,20 @@ type statsCounters struct {
 //
 //  1. catMu guards the table catalog (DDL vs. name lookup);
 //  2. each Table has its own structural latch (an RWMutex): statements
-//     touching disjoint tables never contend;
-//  3. row-pointer slots are striped under per-table row latches, so
-//     non-key updates and readers of the same table share the table
-//     latch in read mode and only serialize per stripe;
-//  4. the 2PL lock manager (itself stripe-locked) provides transaction
-//     isolation; lock waits park with NO latches held — a session
+//     touching disjoint tables never contend, and non-key updates and
+//     readers of the same table share it in read mode (a row-pointer
+//     slot is an atomic pointer, so reading one takes no latch);
+//  3. the 2PL lock manager (itself stripe-locked) provides transaction
+//     isolation, at two granularities: a whole-table read takes its
+//     table's S, and a writer takes its table's IX, then the X of each
+//     row it writes. Lock waits park with NO latches held — a session
 //     suspends its statement latches before waiting and reacquires
 //     them (revalidating) afterwards — so a blocked transaction never
 //     stalls statements on unrelated data.
 //
 // Latch order is always catalog → table latches (in ascending table
-// name order) → row stripe → lock-manager stripe → lock-manager graph;
-// acquisitions never go up the hierarchy, which makes latch deadlocks
-// impossible.
+// name order) → lock-manager stripe → lock-manager graph; acquisitions
+// never go up the hierarchy, which makes latch deadlocks impossible.
 type DB struct {
 	catMu  sync.RWMutex
 	tables map[string]*Table
@@ -147,10 +148,6 @@ func (db *DB) LockWaits() (int64, int64) {
 	return db.lm.Waits(), db.lm.Deadlocks()
 }
 
-// rowStripeCount stripes each table's row-pointer slots; power of two
-// for cheap masking.
-const rowStripeCount = 64
-
 // Table is one relation: rows are stored in slots; a nil row is a
 // tombstone. The primary key and all secondary indexes are B+trees.
 //
@@ -158,11 +155,12 @@ const rowStripeCount = 64
 // header and free list, and every B+tree. Statements that may grow the
 // slice or touch an index (INSERT, DELETE, key-changing UPDATE, index
 // DDL, commit slot recycling, rollback) hold latch exclusively;
-// everything else (scans, non-key UPDATEs) holds it shared and
-// arbitrates individual row-pointer slots through rowLatch stripes.
-// Row value slices are immutable once published: writers install a
-// fresh slice via setRow, so a reader holding a row pointer always
-// sees a consistent version.
+// everything else (scans, non-key UPDATEs) holds it shared. A slot
+// holds a pointer to its row version's first value, read and written
+// atomically, so a reader under the shared latch needs no other latch
+// against a non-key UPDATE's setRow. Row versions are immutable once
+// published and each has len(cols) values: writers install a fresh
+// one, so a reader holding a row always sees a consistent version.
 type Table struct {
 	name   string
 	id     uint32 // catalog number, what the lock manager keys rows by
@@ -170,10 +168,9 @@ type Table struct {
 	colIdx map[string]int
 	pkCols []int
 
-	latch    sync.RWMutex
-	rowLatch [rowStripeCount]sync.RWMutex
+	latch sync.RWMutex
 
-	rows [][]val.Value
+	rows []atomic.Pointer[val.Value]
 	free []int
 	pk   *btree
 	idxs []*index
@@ -191,25 +188,31 @@ func (t *Table) lockKey(slot int) lockKey {
 	return lockKey{table: t.id, slot: uint32(slot)}
 }
 
-// rowAt reads the row pointer at slot. The caller holds the table
-// latch in at least read mode; the stripe synchronizes the element
-// against concurrent setRow from other read-latched sessions.
-func (t *Table) rowAt(slot int) []val.Value {
-	l := &t.rowLatch[slot&(rowStripeCount-1)]
-	l.RLock()
-	row := t.rows[slot]
-	l.RUnlock()
-	return row
+// tableKey is the lock-manager key for the table as a whole.
+func (t *Table) tableKey() lockKey {
+	return lockKey{table: t.id, slot: tableSlot}
 }
 
-// setRow installs a new row version at slot under its stripe latch.
-// The caller holds the table latch (either mode) and, for slots
-// already published, the row's X lock.
+// rowAt reads the row version at slot, nil for a tombstone. The caller
+// holds the table latch in at least read mode (it guards the slice
+// header); the slot itself is read atomically.
+func (t *Table) rowAt(slot int) []val.Value {
+	p := t.rows[slot].Load()
+	if p == nil {
+		return nil
+	}
+	return unsafe.Slice(p, len(t.cols))
+}
+
+// setRow installs row, a fresh version of len(t.cols) values (nil: a
+// tombstone), at slot. The caller holds the table latch (either mode)
+// and, for slots already published, the row's X lock.
 func (t *Table) setRow(slot int, row []val.Value) {
-	l := &t.rowLatch[slot&(rowStripeCount-1)]
-	l.Lock()
-	t.rows[slot] = row
-	l.Unlock()
+	var p *val.Value
+	if row != nil {
+		p = &row[0]
+	}
+	t.rows[slot].Store(p)
 }
 
 // NumRows returns the live row count (PK entries), synchronized
@@ -274,9 +277,8 @@ type txnLists struct {
 }
 
 // txnListKeep is the longest list a Session keeps for its next
-// transaction (TPC-W's top-N takes a thousand S locks): one transaction
-// that locked a large table does not pin that much memory for the
-// session's life.
+// transaction: one transaction that locked thousands of rows through an
+// index does not pin that much memory for the session's life.
 const txnListKeep = 4096
 
 // empty clears the lists (an undo record pins a row version) and keeps
@@ -482,7 +484,7 @@ func (db *DB) commit(txn *Txn) {
 		ts := latchSetOf(txn)
 		latchAllW(ts)
 		for _, f := range txn.freed {
-			f.t.rows[f.slot] = nil
+			f.t.setRow(f.slot, nil)
 			f.t.free = append(f.t.free, f.slot)
 		}
 		for _, f := range txn.reserved {
@@ -505,15 +507,15 @@ func (db *DB) rollback(txn *Txn) {
 			u := txn.undo[i]
 			switch u.kind {
 			case uInsert:
-				u.t.dropFromIndexes(u.t.rows[u.slot], u.slot)
-				u.t.rows[u.slot] = nil
+				u.t.dropFromIndexes(u.t.rowAt(u.slot), u.slot)
+				u.t.setRow(u.slot, nil)
 				u.t.free = append(u.t.free, u.slot)
 			case uUpdate:
-				u.t.dropFromIndexes(u.t.rows[u.slot], u.slot)
-				u.t.rows[u.slot] = u.before
+				u.t.dropFromIndexes(u.t.rowAt(u.slot), u.slot)
+				u.t.setRow(u.slot, u.before)
 				u.t.addToIndexes(u.before, u.slot)
 			case uDelete:
-				u.t.rows[u.slot] = u.before
+				u.t.setRow(u.slot, u.before)
 				u.t.addToIndexes(u.before, u.slot)
 			}
 		}
@@ -877,8 +879,8 @@ func (db *DB) createIndex(st *CreateIndexStmt) error {
 	}
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	for slot, row := range t.rows {
-		if row != nil {
+	for slot := range t.rows {
+		if row := t.rowAt(slot); row != nil {
 			ix.tree.Insert(keyFor(ix.cols, row, slot, ix.unique), slot)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"pyxis/internal/val"
@@ -85,13 +86,32 @@ func sameVersion(a, b []val.Value) bool {
 
 // matchRows finds the slots of the level's table whose rows satisfy
 // the level's conjuncts (earlier levels' rows are already in s.rows),
-// locking each match at mode. A row is checked, locked, and checked
-// again if it changed in between: under a shared latch another
-// session may replace the row until this one holds its lock. Caller
-// holds the table's latch in at least read mode; row pointers are read
-// through the slot stripes. The returned slice is the level's scratch.
+// locking them at mode. A whole-table read takes the table's S once:
+// no writer, which takes the table's IX first, changes the table until
+// txn ends, so its rows need no locks of their own and no phantom can
+// appear. Every other access locks each match: a row is checked,
+// locked, and checked again if it changed in between (under a shared
+// latch another session may replace the row until this one holds its
+// lock); a write takes the table's IX before it looks. Caller holds
+// the table's latch in at least read mode. The returned slice is the
+// level's scratch.
 func (s *Session) matchRows(txn *Txn, p *boundPlan, args []val.Value, level int, mode LockMode) ([]int, error) {
 	t, lp := p.tables[level], &p.levels[level]
+	scan := lp.tree == nil && mode == LockS
+	if mode == LockX || scan {
+		tableMode := LockIX
+		if scan {
+			tableMode = LockS
+		}
+		waited, err := s.acquireLock(txn, t.tableKey(), tableMode)
+		if err != nil {
+			return nil, err
+		}
+		if waited && s.db.epoch.Load() != p.epoch {
+			// An index may have appeared while the latch was suspended.
+			return nil, errPlanStale
+		}
+	}
 	cands := s.slots[level][:0]
 	if lp.tree != nil {
 		var err error
@@ -115,6 +135,10 @@ func (s *Session) matchRows(txn *Txn, p *boundPlan, args []val.Value, level int,
 			return nil, err
 		}
 		if row == nil {
+			continue
+		}
+		if scan {
+			out = append(out, slot)
 			continue
 		}
 		waited, err := s.acquireLock(txn, t.lockKey(slot), mode)
@@ -231,10 +255,15 @@ func (s *Session) rowMatches(t *Table, lp *levelPlan, level, slot int, known []v
 // ---------------------------------------------------------------------------
 
 // execInsert runs under the table's exclusive latch (slot allocation
-// and index insertion are structural).
+// and index insertion are structural), holding the table's IX first.
 func (s *Session) execInsert(txn *Txn, p *boundPlan, args []val.Value) (int, error) {
 	s.db.stats.inserts.Add(1)
 	t := p.tables[0]
+	// Nothing has been read yet, so a wait here leaves nothing to
+	// revalidate (and an INSERT's plan names columns only).
+	if _, err := s.acquireLock(txn, t.tableKey(), LockIX); err != nil {
+		return 0, err
+	}
 	row := make([]val.Value, len(t.cols))
 	for i := range p.vals {
 		v, err := p.vals[i].eval(nil, args)
@@ -263,7 +292,7 @@ func (s *Session) execInsert(txn *Txn, p *boundPlan, args []val.Value) (int, err
 		t.free = t.free[:n-1]
 	} else {
 		slot = len(t.rows)
-		t.rows = append(t.rows, nil)
+		t.rows = append(t.rows, atomic.Pointer[val.Value]{})
 	}
 	waited, err := s.acquireLock(txn, t.lockKey(slot), LockX)
 	if err != nil {
@@ -284,7 +313,7 @@ func (s *Session) execInsert(txn *Txn, p *boundPlan, args []val.Value) (int, err
 			return 0, fmt.Errorf("%w: %s %v", ErrDupKey, t.name, s.key)
 		}
 	}
-	t.rows[slot] = row
+	t.setRow(slot, row)
 	t.addToIndexes(row, slot)
 	txn.undo = append(txn.undo, undoRec{t: t, kind: uInsert, slot: slot})
 	return 1, nil
@@ -292,7 +321,7 @@ func (s *Session) execInsert(txn *Txn, p *boundPlan, args []val.Value) (int, err
 
 // execUpdate runs under the table's latch: exclusive when any set
 // column is indexed (index maintenance is structural), shared otherwise
-// (a non-key update only installs a fresh row pointer via its stripe).
+// (a non-key update only installs a fresh row pointer, atomically).
 // matchRows has already refused a plan gone stale during a lock wait,
 // so that decision still stands when the first row is written.
 func (s *Session) execUpdate(txn *Txn, p *boundPlan, args []val.Value) (int, error) {
@@ -317,12 +346,10 @@ func (s *Session) execUpdate(txn *Txn, p *boundPlan, args []val.Value) (int, err
 			}
 		}
 		txn.undo = append(txn.undo, undoRec{t: t, kind: uUpdate, slot: slot, before: old})
+		t.setRow(slot, newRow)
 		if p.latchX {
 			t.dropFromIndexes(old, slot)
-			t.rows[slot] = newRow
 			t.addToIndexes(newRow, slot)
-		} else {
-			t.setRow(slot, newRow)
 		}
 	}
 	return len(slots), nil
@@ -338,12 +365,12 @@ func (s *Session) execDelete(txn *Txn, p *boundPlan, args []val.Value) (int, err
 		return 0, err
 	}
 	for _, slot := range slots {
-		old := t.rows[slot]
+		old := t.rowAt(slot)
 		t.dropFromIndexes(old, slot)
 		txn.undo = append(txn.undo, undoRec{t: t, kind: uDelete, slot: slot, before: old})
 		// Tombstone now; the slot is recycled only at commit so rollback
 		// can restore in place.
-		t.rows[slot] = nil
+		t.setRow(slot, nil)
 		txn.freed = append(txn.freed, freedSlot{t: t, slot: slot})
 	}
 	return len(slots), nil
@@ -386,9 +413,10 @@ func (s *Session) execSelect(txn *Txn, p *boundPlan, args []val.Value, rs *Resul
 }
 
 // join extends the current partial join (s.rows[:level]) by every
-// matching row of the level's table, S-locking matches, and offers each
-// full row to the kept set. LIMIT never shortens the walk: every row
-// that satisfies its level's conjuncts is locked.
+// matching row of the level's table, S-locking matches (or the table,
+// for a whole-table scan), and offers each full row to the kept set.
+// LIMIT never shortens the walk: every row that satisfies its level's
+// conjuncts is locked.
 func (s *Session) join(txn *Txn, p *boundPlan, args []val.Value, level int) error {
 	if level == len(p.tables) {
 		s.keepRow(p)

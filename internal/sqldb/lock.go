@@ -11,30 +11,58 @@ import (
 // the wait-for graph. The requesting transaction should abort.
 var ErrDeadlock = errors.New("sqldb: deadlock detected")
 
-// LockMode is shared (reads) or exclusive (writes).
+// LockMode is a lock's strength. A row takes S (reads) or X (writes).
+// A table takes S for a whole-table read, IX before any of its rows is
+// written, and SIX when one transaction does both: the multi-granularity
+// modes of Gray et al., "Granularity of Locks" (1976), less IS, since
+// nothing takes a table's X.
 type LockMode uint8
 
 const (
 	LockS LockMode = iota
 	LockX
+	LockIX
+	LockSIX
 )
 
 func (m LockMode) String() string {
-	if m == LockX {
-		return "X"
-	}
-	return "S"
+	return [...]string{LockS: "S", LockX: "X", LockIX: "IX", LockSIX: "SIX"}[m]
 }
 
+// compatible reports whether two transactions may hold one key at a
+// and b: S shares only with S, and IX only with IX.
+func compatible(a, b LockMode) bool {
+	return a == b && (a == LockS || a == LockIX)
+}
+
+// join is the weakest mode that covers both a and b: S and IX join to
+// SIX, and X covers everything.
+func join(a, b LockMode) LockMode {
+	switch {
+	case a == b:
+		return a
+	case a == LockX || b == LockX:
+		return LockX
+	}
+	return LockSIX
+}
+
+// covers reports whether holding held already grants want.
+func covers(held, want LockMode) bool { return join(held, want) == held }
+
 // lockKey identifies a lockable resource: a row slot within a table,
-// named by its catalog ID. Eight bytes of plain memory, so the lock
-// table's maps take Go's 64-bit fast path and neither they nor the
-// stripe choice ever hash a string. (An in-memory table never reaches
-// 2^32 row slots: each row is tens of bytes.)
+// named by its catalog ID, or the table itself (slot tableSlot). Eight
+// bytes of plain memory, so the lock table's maps take Go's 64-bit fast
+// path and neither they nor the stripe choice ever hash a string. (An
+// in-memory table never reaches 2^32-1 row slots: each row is tens of
+// bytes.)
 type lockKey struct {
 	table uint32
 	slot  uint32
 }
+
+// tableSlot is the slot of a table's own lock key.
+const tableSlot = 1<<32 - 1
 
 func (k lockKey) String() string { return fmt.Sprintf("table#%d[%d]", k.table, k.slot) }
 
@@ -88,10 +116,12 @@ func (ls *lockState) dropHolder(txn *Txn) {
 }
 
 // grantable reports whether txn may take ls at mode given the other
-// holders: only S alongside S is compatible.
+// holders. txn's own mode is compatible with theirs already, and a mode
+// compatible with both is compatible with their join, so checking mode
+// alone also decides an upgrade.
 func (ls *lockState) grantable(txn *Txn, mode LockMode) bool {
 	for i := range ls.holders {
-		if h := &ls.holders[i]; h.txn != txn && !(h.mode == LockS && mode == LockS) {
+		if h := &ls.holders[i]; h.txn != txn && !compatible(h.mode, mode) {
 			return false
 		}
 	}
@@ -223,23 +253,26 @@ func (lm *lockManager) acquire(txn *Txn, key lockKey, mode LockMode, wp WaitPoin
 	defer st.mu.Unlock()
 	ls := st.state(key)
 	if h := ls.holder(txn); h != nil {
-		if h.mode >= mode {
+		if covers(h.mode, mode) {
 			return nil, nil
 		}
-		// Upgrade S→X: granted immediately iff txn is the only holder.
-		// Queued waiters cannot have been grantable anyway (the head
-		// would conflict with txn's S), and letting the upgrade jump
-		// the queue avoids needless upgrade deadlocks. txn.locks
-		// already records key from the S acquisition.
+		// Upgrade to the join (S→X, S+IX→SIX, ...): granted immediately
+		// iff txn is the only holder. Queued waiters cannot have been
+		// grantable anyway (the head would conflict with txn's mode,
+		// which nothing but S or IX shares, and only with itself), and
+		// letting the upgrade jump the queue avoids needless upgrade
+		// deadlocks. txn.locks already records key from the first
+		// acquisition.
 		if len(ls.holders) == 1 {
-			h.mode = LockX
+			h.mode = join(h.mode, mode)
 			return nil, nil
 		}
 	}
 	if len(ls.queue) == 0 && ls.grantable(txn, mode) {
-		// txn cannot already be a holder here: held >= mode returned
-		// above, and an S→X upgrade either returned (sole holder) or
-		// is not grantable (another holder conflicts with X).
+		// txn cannot already be a holder here: a covered mode returned
+		// above, and an upgrade either returned (sole holder) or is not
+		// grantable (the others share txn's mode, which no stronger
+		// mode shares).
 		ls.holders = append(ls.holders, lockHolder{txn, mode})
 		txn.locks = append(txn.locks, key)
 		return nil, nil
@@ -365,7 +398,7 @@ func (lm *lockManager) grantWaiters(key lockKey, ls *lockState) {
 		lm.graphMu.Lock()
 		delete(lm.waitsFor, w.txn.id)
 		if h := ls.holder(w.txn); h != nil {
-			h.mode = max(h.mode, w.mode)
+			h.mode = join(h.mode, w.mode)
 		} else {
 			ls.holders = append(ls.holders, lockHolder{w.txn, w.mode})
 			// The waiter's goroutine is parked (or about to park) on the

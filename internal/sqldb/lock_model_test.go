@@ -12,8 +12,8 @@ import (
 
 // TestWaitPointBuiltOnlyOnEnqueue counts wait-point constructions: the
 // uncontended paths (fresh S, fresh X, re-acquire, sole-holder upgrade,
-// shared S) and a refused deadlock build none; every enqueue builds
-// exactly one.
+// shared S, shared IX) and a refused deadlock build none; every enqueue
+// builds exactly one.
 func TestWaitPointBuiltOnlyOnEnqueue(t *testing.T) {
 	db := Open()
 	lm := db.lm
@@ -49,6 +49,21 @@ func TestWaitPointBuiltOnlyOnEnqueue(t *testing.T) {
 	lm.releaseAll(t3)
 	checkLockTable(t, lm)
 
+	// Table granularity: IX shares with IX, S does not, and a sole IX
+	// holder's S is an upgrade to SIX in place.
+	t4, t5, t6 := db.newTxn(), db.newTxn(), db.newTxn()
+	table := lockKey{table: 1, slot: tableSlot}
+	step("fresh IX", t4, table, LockIX, false, nil, 2)
+	step("shared IX", t5, table, LockIX, false, nil, 2)
+	step("S against held IX", t6, table, LockS, true, nil, 3)
+	lm.cancelWaits(t6)
+	lm.releaseAll(t5)
+	step("IX→SIX, sole holder", t4, table, LockS, false, nil, 3)
+	step("IX under own SIX", t4, table, LockIX, false, nil, 3)
+	lm.releaseAll(t4)
+	lm.releaseAll(t6)
+	checkLockTable(t, lm)
+
 	// End to end: a session's uncontended statements never build one.
 	s := db.NewSession()
 	s.WaitPoint = wp
@@ -58,8 +73,8 @@ func TestWaitPointBuiltOnlyOnEnqueue(t *testing.T) {
 		mustExec(t, s, "UPDATE w SET v = v + 1 WHERE k = ?", val.IntV(int64(i)))
 		mustQuery(t, s, "SELECT v FROM w")
 	}
-	if built != 2 {
-		t.Errorf("uncontended statements built %d wait points", built-2)
+	if built != 3 {
+		t.Errorf("uncontended statements built %d wait points", built-3)
 	}
 }
 
@@ -96,9 +111,10 @@ func checkLockTable(t *testing.T, lm *lockManager) {
 }
 
 // lockModel is the reference the random schedule is checked against: a
-// map-based lock table with the manager's grant rules — FIFO queue,
-// S shares with S, a sole S holder upgrades past the queue, a request
-// that would close a waits-for cycle is refused — and nothing of its
+// map-based lock table with the manager's grant rules — FIFO queue, the
+// compatibility matrix (modelCompat), a sole holder upgrades past the
+// queue to the join of its modes (modelJoin), a request that would
+// close a waits-for cycle is refused — and nothing of its
 // representation. The waits-for graph is derived from the table on
 // demand instead of maintained.
 type lockModel struct {
@@ -117,9 +133,30 @@ func newLockModel() *lockModel {
 	return &lockModel{holders: map[int]map[int]LockMode{}, queue: map[int][]modelWaiter{}, held: map[int][]int{}}
 }
 
+// modelCompat is the multi-granularity compatibility matrix without IS:
+// S shares with S, IX with IX, and nothing else shares.
+var modelCompat = map[[2]LockMode]bool{
+	{LockS, LockS}:   true,
+	{LockIX, LockIX}: true,
+}
+
+// modelJoin is the mode one transaction ends up holding after asking
+// for a second: the weakest mode granting both.
+var modelJoin = map[[2]LockMode]LockMode{
+	{LockS, LockS}: LockS, {LockS, LockX}: LockX, {LockS, LockIX}: LockSIX, {LockS, LockSIX}: LockSIX,
+	{LockX, LockS}: LockX, {LockX, LockX}: LockX, {LockX, LockIX}: LockX, {LockX, LockSIX}: LockX,
+	{LockIX, LockS}: LockSIX, {LockIX, LockX}: LockX, {LockIX, LockIX}: LockIX, {LockIX, LockSIX}: LockSIX,
+	{LockSIX, LockS}: LockSIX, {LockSIX, LockX}: LockX, {LockSIX, LockIX}: LockSIX, {LockSIX, LockSIX}: LockSIX,
+}
+
+// grantable reports whether txn may hold key at mode, joined with what
+// it holds there already, beside the key's other holders.
 func (m *lockModel) grantable(txn, key int, mode LockMode) bool {
+	if held, ok := m.holders[key][txn]; ok {
+		mode = modelJoin[[2]LockMode{held, mode}]
+	}
 	for h, hm := range m.holders[key] {
-		if h != txn && !(hm == LockS && mode == LockS) {
+		if h != txn && !modelCompat[[2]LockMode{hm, mode}] {
 			return false
 		}
 	}
@@ -178,20 +215,22 @@ func (m *lockModel) grant(txn, key int, mode LockMode) {
 	if m.holders[key] == nil {
 		m.holders[key] = map[int]LockMode{}
 	}
-	if _, already := m.holders[key][txn]; !already {
+	held, already := m.holders[key][txn]
+	if !already {
 		m.held[txn] = append(m.held[txn], key)
+		held = mode
 	}
-	m.holders[key][txn] = max(mode, m.holders[key][txn])
+	m.holders[key][txn] = modelJoin[[2]LockMode{held, mode}]
 }
 
 // acquire returns "granted", "queued" or "deadlock".
 func (m *lockModel) acquire(txn, key int, mode LockMode) string {
 	if held, ok := m.holders[key][txn]; ok {
-		if held >= mode {
+		if modelJoin[[2]LockMode{held, mode}] == held {
 			return "granted"
 		}
 		if len(m.holders[key]) == 1 {
-			m.holders[key][txn] = LockX
+			m.holders[key][txn] = modelJoin[[2]LockMode{held, mode}]
 			return "granted"
 		}
 	}
@@ -268,7 +307,7 @@ func TestLockManagerMatchesModel(t *testing.T) {
 			what := ""
 			switch r := rng.Intn(10); {
 			case r < 7 && !parked:
-				k, mode := rng.Intn(keys), LockMode(rng.Intn(2))
+				k, mode := rng.Intn(keys), LockMode(rng.Intn(4))
 				what = fmt.Sprintf("txn %d acquires key %d %v", mid, k, mode)
 				want := model.acquire(mid, k, mode)
 				wait, err := lm.acquire(txn, key(k), mode, func() (func(), func()) {

@@ -2,6 +2,9 @@ package sqldb
 
 import (
 	"errors"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -333,4 +336,102 @@ func TestLockStripeDistribution(t *testing.T) {
 	if len(used) < lockStripeCount/2 {
 		t.Errorf("only %d of %d stripes used by 1024 keys", len(used), lockStripeCount)
 	}
+}
+
+// TestLockCountExact pins the locks two transactions end holding, per
+// table: its own lock, then its rows' modes. bestSellers' top-N reads
+// every item and holds one lock, item's S. A five-line NewOrder —
+// TPC-C's statements in internal/bench's order, all in one transaction
+// as a budget-1 deployment runs them — holds the 20 rows it reads or
+// writes plus one IX on each of the five tables it writes.
+func TestLockCountExact(t *testing.T) {
+	// held renders txn's locks per table name: the table's own mode and
+	// a bar when it holds one, then its rows' modes, sorted.
+	held := func(db *DB, txn *Txn) map[string]string {
+		names := map[uint32]string{}
+		for _, tb := range db.tables {
+			names[tb.id] = tb.name
+		}
+		table, rows := map[string]string{}, map[string][]string{}
+		for k, m := range heldModes(db.lm, txn) {
+			if name := names[k.table]; k.slot == tableSlot {
+				table[name] = m.String() + " |"
+			} else {
+				rows[name] = append(rows[name], m.String())
+			}
+		}
+		got := maps.Clone(table)
+		for name, ms := range rows {
+			slices.Sort(ms)
+			got[name] = strings.TrimSpace(table[name] + " " + strings.Join(ms, " "))
+		}
+		return got
+	}
+	check := func(what string, s *Session, want map[string]string) {
+		t.Helper()
+		if got := held(s.db, s.txn); !maps.Equal(got, want) {
+			t.Errorf("%s holds %v, want %v", what, got, want)
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	begin := func(s *Session) {
+		if err := s.Begin(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := tpcwDB(t, 1000)
+	begin(s)
+	if rs := mustQuery(t, s, bestSellers); len(rs.Rows) != 20 {
+		t.Fatalf("bestSellers: %d rows", len(rs.Rows))
+	}
+	check("bestSellers", s, map[string]string{"ITEM": "S |"})
+
+	db := Open()
+	s = db.NewSession()
+	for _, ddl := range []string{
+		"CREATE TABLE warehouse (w_id INT PRIMARY KEY, w_name VARCHAR(10), w_tax DOUBLE, w_ytd DOUBLE)",
+		"CREATE TABLE district (d_w_id INT, d_id INT, d_tax DOUBLE, d_ytd DOUBLE, d_next_o_id INT, PRIMARY KEY (d_w_id, d_id))",
+		"CREATE TABLE customer (c_w_id INT, c_d_id INT, c_id INT, c_last VARCHAR(16), c_discount DOUBLE, c_balance DOUBLE, PRIMARY KEY (c_w_id, c_d_id, c_id))",
+		"CREATE TABLE orders (o_w_id INT, o_d_id INT, o_id INT, o_c_id INT, o_ol_cnt INT, PRIMARY KEY (o_w_id, o_d_id, o_id))",
+		"CREATE TABLE new_order (no_w_id INT, no_d_id INT, no_o_id INT, PRIMARY KEY (no_w_id, no_d_id, no_o_id))",
+		"CREATE TABLE order_line (ol_w_id INT, ol_d_id INT, ol_o_id INT, ol_number INT, ol_i_id INT, ol_quantity INT, ol_amount DOUBLE, PRIMARY KEY (ol_w_id, ol_d_id, ol_o_id, ol_number))",
+		"CREATE TABLE item (i_id INT PRIMARY KEY, i_name VARCHAR(24), i_price DOUBLE)",
+		"CREATE TABLE stock (s_w_id INT, s_i_id INT, s_quantity INT, s_ytd DOUBLE, s_order_cnt INT, PRIMARY KEY (s_w_id, s_i_id))",
+		"INSERT INTO warehouse VALUES (1, 'w', 0.1, 0.0)",
+		"INSERT INTO district VALUES (1, 1, 0.1, 0.0, 1)",
+		"INSERT INTO customer VALUES (1, 1, 1, 'c', 0.05, 0.0)",
+	} {
+		mustExec(t, s, ddl)
+	}
+	for i := 1; i <= 10; i++ {
+		mustExec(t, s, "INSERT INTO item VALUES (?, 'item', 9.5)", intv(i))
+		mustExec(t, s, "INSERT INTO stock VALUES (1, ?, 50, 0.0, 0)", intv(i))
+	}
+	w, d, c := intv(1), intv(1), intv(1)
+	begin(s)
+	mustQuery(t, s, "SELECT w_tax FROM warehouse WHERE w_id = ?", w)
+	oid := mustQuery(t, s, "SELECT d_tax, d_next_o_id FROM district WHERE d_w_id = ? AND d_id = ?", w, d).Rows[0][1]
+	mustExec(t, s, "UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = ? AND d_id = ?", w, d)
+	mustQuery(t, s, "SELECT c_discount FROM customer WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?", w, d, c)
+	mustExec(t, s, "INSERT INTO orders VALUES (?, ?, ?, ?, ?)", w, d, oid, c, intv(5))
+	mustExec(t, s, "INSERT INTO new_order VALUES (?, ?, ?)", w, d, oid)
+	for ol := 1; ol <= 5; ol++ {
+		iid := intv(2 * ol)
+		mustQuery(t, s, "SELECT i_price, s_quantity FROM item, stock WHERE i_id = ? AND s_w_id = ? AND s_i_id = ?", iid, w, iid)
+		mustExec(t, s, "UPDATE stock SET s_quantity = ?, s_ytd = s_ytd + ?, s_order_cnt = s_order_cnt + 1 WHERE s_w_id = ? AND s_i_id = ?", intv(45), intv(5), w, iid)
+		mustExec(t, s, "INSERT INTO order_line VALUES (?, ?, ?, ?, ?, ?, ?)", w, d, oid, intv(ol), iid, intv(5), val.DoubleV(47.5))
+	}
+	check("NewOrder", s, map[string]string{
+		"WAREHOUSE":  "S",
+		"DISTRICT":   "IX | X",
+		"CUSTOMER":   "S",
+		"ORDERS":     "IX | X",
+		"NEW_ORDER":  "IX | X",
+		"ITEM":       "S S S S S",
+		"STOCK":      "IX | X X X X X",
+		"ORDER_LINE": "IX | X X X X X",
+	})
 }

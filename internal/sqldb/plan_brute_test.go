@@ -15,7 +15,8 @@ import (
 // access paths, join order and bounded ORDER BY the binder picks must
 // agree with the full cross product of the FROM tables in FROM order,
 // filtered by every conjunct, stable-sorted and truncated — and must
-// lock every row of every match, LIMIT or not.
+// lock every row of every match, LIMIT or not: with the row's own lock,
+// or with an S or SIX lock on its table.
 
 // bruteCols lists the columns the query generator draws from. Every
 // table has an a and a b, with INT and DOUBLE swapped in t2, so an
@@ -153,8 +154,8 @@ func bruteSelect(db *DB, st *SelectStmt, args []val.Value) (*boundPlan, []bruteR
 			out = append(out, r)
 			return
 		}
-		for slot, row := range b.tables[level].rows {
-			if row != nil {
+		for slot := range b.tables[level].rows {
+			if row := b.tables[level].rowAt(slot); row != nil {
 				cur[level], slots[level] = row, slot
 				walk(level + 1)
 			}
@@ -166,8 +167,9 @@ func bruteSelect(db *DB, st *SelectStmt, args []val.Value) (*boundPlan, []bruteR
 }
 
 // checkSelect compares got, the engine's rows for st, with the brute
-// reference, and checks that txn holds a lock on every row of every
-// match. With ORDER BY, position i must hold a row of the reference's
+// reference, and checks that txn's locks cover every row of every
+// match: the row's own S or X, or an S or SIX on its table. With ORDER
+// BY, position i must hold a row of the reference's
 // key at i, the rows before the last key group must be the reference's
 // as a multiset, and the rows of that group a sub-multiset of all the
 // reference rows with its key; LIMIT may cut a tie anywhere. Without
@@ -177,14 +179,15 @@ func checkSelect(db *DB, st *SelectStmt, args []val.Value, got [][]val.Value, tx
 	if err != nil {
 		return fmt.Errorf("reference does not bind: %v", err)
 	}
-	locked := map[lockKey]bool{}
-	for _, k := range txn.locks {
-		locked[k] = true
-	}
+	held := heldModes(db.lm, txn)
 	for _, r := range want {
 		for i, slot := range r.slots {
-			if k := db.lookupTable(st.Tables[i].Table).lockKey(slot); !locked[k] {
-				return fmt.Errorf("matching row %v is not locked", k)
+			t := db.lookupTable(st.Tables[i].Table)
+			row, rowHeld := held[t.lockKey(slot)]
+			table, tableHeld := held[t.tableKey()]
+			if !(rowHeld && (row == LockS || row == LockX)) && !(tableHeld && (table == LockS || table == LockSIX)) {
+				return fmt.Errorf("matching row %v is not locked (row %v held=%v, table %v held=%v)",
+					t.lockKey(slot), row, rowHeld, table, tableHeld)
 			}
 		}
 	}
@@ -254,6 +257,23 @@ func checkSelect(db *DB, st *SelectStmt, args []val.Value, got [][]val.Value, tx
 		}
 	}
 	return nil
+}
+
+// heldModes returns the mode txn holds each of its locks at, read from
+// the lock manager's holder lists.
+func heldModes(lm *lockManager, txn *Txn) map[lockKey]LockMode {
+	out := map[lockKey]LockMode{}
+	for _, k := range txn.locks {
+		st := lm.stripeFor(k)
+		st.mu.Lock()
+		if ls := st.locks[k]; ls != nil {
+			if h := ls.holder(txn); h != nil {
+				out[k] = h.mode
+			}
+		}
+		st.mu.Unlock()
+	}
+	return out
 }
 
 func rowText(row []val.Value) string {
@@ -436,7 +456,7 @@ func TestRangeUpdateVisitsEachRowOnce(t *testing.T) {
 // FuzzSQLQuery parses, binds and executes arbitrary SQL against a small
 // loaded database (bruteDB with every index). Nothing may panic; a
 // SELECT the engine answers must agree with bruteSelect and lock every
-// matching row.
+// matching row (checkSelect).
 func FuzzSQLQuery(f *testing.F) {
 	for _, seed := range []string{
 		"SELECT * FROM t0 WHERE a <= 2",

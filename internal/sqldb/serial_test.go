@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,10 +19,28 @@ import (
 // workload issues is deterministic given the database state at its
 // serialization point, so the replay is an exact oracle.
 
-// serialOp is one deterministic, replayable statement.
+// serialOp is one deterministic, replayable statement. A zeroing op
+// first reads SUM(amt) over the whole journal and passes its negation
+// as the statement's last argument: a whole-table read whose result
+// feeds a write. It replays exactly only if no insert or delete that
+// commits before it slipped past its read (a phantom).
 type serialOp struct {
-	sql  string
-	args []val.Value
+	sql    string
+	args   []val.Value
+	zeroes bool
+}
+
+func (op serialOp) exec(s *Session) error {
+	args := op.args
+	if op.zeroes {
+		rs, err := s.Query("SELECT SUM(amt) FROM journal")
+		if err != nil {
+			return err
+		}
+		args = append(slices.Clone(args), val.IntV(-rs.Rows[0][0].I))
+	}
+	_, err := s.Exec(op.sql, args...)
+	return err
 }
 
 // serialTxn is one committed transaction: its ops plus the commit
@@ -57,41 +76,47 @@ func serialSchema(tb testing.TB, db *DB) {
 
 // randomTxnOps derives a deterministic little transaction from rng:
 // additive updates, cross-table transfers, conditional halvings, and
-// journal inserts keyed so they never collide across workers.
+// journal inserts keyed so they never collide across workers, among
+// them one that zeroes the journal's sum.
 func randomTxnOps(rng *rand.Rand, worker int, seq *int) []serialOp {
 	n := 1 + rng.Intn(3)
 	ops := make([]serialOp, 0, n)
 	for i := 0; i < n; i++ {
 		k := int64(rng.Intn(8))
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0:
-			ops = append(ops, serialOp{"UPDATE acct SET bal = bal + ? WHERE id = ?",
-				[]val.Value{val.IntV(int64(rng.Intn(9) - 4)), val.IntV(k)}})
+			ops = append(ops, serialOp{sql: "UPDATE acct SET bal = bal + ? WHERE id = ?",
+				args: []val.Value{val.IntV(int64(rng.Intn(9) - 4)), val.IntV(k)}})
 		case 1:
-			ops = append(ops, serialOp{"UPDATE vault SET bal = bal + ? WHERE id = ?",
-				[]val.Value{val.IntV(int64(rng.Intn(9) - 4)), val.IntV(k)}})
+			ops = append(ops, serialOp{sql: "UPDATE vault SET bal = bal + ? WHERE id = ?",
+				args: []val.Value{val.IntV(int64(rng.Intn(9) - 4)), val.IntV(k)}})
 		case 2:
 			// Transfer: the two statements touch two tables, exercising
 			// cross-shard transactions.
 			amt := int64(rng.Intn(5))
 			ops = append(ops,
-				serialOp{"UPDATE acct SET bal = bal - ? WHERE id = ?", []val.Value{val.IntV(amt), val.IntV(k)}},
-				serialOp{"UPDATE vault SET bal = bal + ? WHERE id = ?", []val.Value{val.IntV(amt), val.IntV(k)}})
+				serialOp{sql: "UPDATE acct SET bal = bal - ? WHERE id = ?", args: []val.Value{val.IntV(amt), val.IntV(k)}},
+				serialOp{sql: "UPDATE vault SET bal = bal + ? WHERE id = ?", args: []val.Value{val.IntV(amt), val.IntV(k)}})
 		case 3:
 			// State-dependent but deterministic at the serialization
 			// point.
-			ops = append(ops, serialOp{"UPDATE acct SET bal = bal * 2 WHERE id = ? AND bal < 120",
-				[]val.Value{val.IntV(k)}})
+			ops = append(ops, serialOp{sql: "UPDATE acct SET bal = bal * 2 WHERE id = ? AND bal < 120",
+				args: []val.Value{val.IntV(k)}})
 		case 4:
 			*seq++
-			ops = append(ops, serialOp{"INSERT INTO journal VALUES (?, ?, ?)",
-				[]val.Value{val.IntV(int64(worker)), val.IntV(int64(*seq)), val.IntV(k)}})
+			ops = append(ops, serialOp{sql: "INSERT INTO journal VALUES (?, ?, ?)",
+				args: []val.Value{val.IntV(int64(worker)), val.IntV(int64(*seq)), val.IntV(k)}})
 		case 5:
 			// Delete a journal row this worker may have written earlier:
 			// exercises tombstoning and commit-time slot recycling (the
 			// freed slot can be re-allocated by a concurrent insert).
-			ops = append(ops, serialOp{"DELETE FROM journal WHERE wid = ? AND seq = ?",
-				[]val.Value{val.IntV(int64(worker)), val.IntV(int64(1 + rng.Intn(*seq+1)))}})
+			ops = append(ops, serialOp{sql: "DELETE FROM journal WHERE wid = ? AND seq = ?",
+				args: []val.Value{val.IntV(int64(worker)), val.IntV(int64(1 + rng.Intn(*seq+1)))}})
+		case 6:
+			// Race the inserts and deletes above with a whole-table read.
+			*seq++
+			ops = append(ops, serialOp{sql: "INSERT INTO journal VALUES (?, ?, ?)",
+				args: []val.Value{val.IntV(int64(worker)), val.IntV(int64(*seq))}, zeroes: true})
 		}
 	}
 	return ops
@@ -125,7 +150,7 @@ func TestSerializesToCommitOrder(t *testing.T) {
 				}
 				failed := false
 				for _, op := range ops {
-					if _, err := s.Exec(op.sql, op.args...); err != nil {
+					if err := op.exec(s); err != nil {
 						// Deadlock victims roll back and are simply not
 						// part of the committed history.
 						failed = true
@@ -186,7 +211,7 @@ func TestSerializesToCommitOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, op := range txn.ops {
-			if _, err := rs.Exec(op.sql, op.args...); err != nil {
+			if err := op.exec(rs); err != nil {
 				t.Fatalf("replay order %d %q: %v", o, op.sql, err)
 			}
 		}
