@@ -12,23 +12,16 @@
 // the least-loaded connection and stays pinned there, removing the
 // single connection's head-of-line at high client counts.
 //
-// When the servers also serve a low-budget partition (pyxis-dbserver
-// -low-budget), every session holds an object on both partitionings and
-// routes each call off its shard's switcher EWMA, which is fed by the
-// DB load reports piggy-backed on every reply (reports from EVERY
-// pooled connection of a shard feed that shard's EWMA), and prints the
-// dynamic mix. A pyxis-dbserver running -max-sessions or -admit-high
-// decides admission once per session, when a client opens: a refused
-// open surfaces as rpc.ErrOverloaded and is retried with jittered
-// backoff, and an admitted client's calls are never shed.
+// A pyxis-dbserver running -max-sessions or -admit-high decides
+// admission once per session, when a client opens: a refused open
+// surfaces as rpc.ErrOverloaded and is retried with jittered backoff,
+// and an admitted client's calls are never shed.
 //
 // Against a SHARDED DB tier, -db and -ctl take comma-separated address
 // lists of equal length — entry i of each list is shard i, one
 // pyxis-dbserver per shard. Each client session picks its home shard
-// by hashing its client index through runtime.ShardMap and opens both
-// halves of its pair on that shard; load EWMAs are kept per shard, so
-// one saturated shard switches its own sessions low without dragging
-// its siblings.
+// by hashing its client index through runtime.ShardMap and opens its
+// sessions on that shard.
 //
 // Usage (after starting pyxis-dbserver):
 //
@@ -64,17 +57,15 @@ const openTimeout = time.Minute
 
 func main() {
 	var (
-		dbAddr     = flag.String("db", "localhost:7001", "database server wire address(es); comma-separated, one per shard")
-		ctlAddr    = flag.String("ctl", "localhost:7002", "control-transfer server address(es); comma-separated, one per shard")
-		newClass   = flag.String("new", "", "class to instantiate (required)")
-		ctorArgs   = flag.String("args", "", "comma-separated constructor arguments")
-		call       = flag.String("call", "", "entry method Class.method to invoke (required)")
-		callArgs   = flag.String("callargs", "", "comma-separated entry arguments")
-		clients    = flag.Int("clients", 1, "number of concurrent client sessions")
-		repeat     = flag.Int("n", 1, "entry invocations per client")
-		poolN      = flag.Int("pool", 1, "mux connections per port; sessions stripe onto the least-loaded one")
-		threshold  = flag.Float64("threshold", 40, "switcher load threshold percent")
-		hysteresis = flag.Float64("hysteresis", 0, "switcher dead-band half-width percent")
+		dbAddr   = flag.String("db", "localhost:7001", "database server wire address(es); comma-separated, one per shard")
+		ctlAddr  = flag.String("ctl", "localhost:7002", "control-transfer server address(es); comma-separated, one per shard")
+		newClass = flag.String("new", "", "class to instantiate (required)")
+		ctorArgs = flag.String("args", "", "comma-separated constructor arguments")
+		call     = flag.String("call", "", "entry method Class.method to invoke (required)")
+		callArgs = flag.String("callargs", "", "comma-separated entry arguments")
+		clients  = flag.Int("clients", 1, "number of concurrent client sessions")
+		repeat   = flag.Int("n", 1, "entry invocations per client")
+		poolN    = flag.Int("pool", 1, "mux connections per port; sessions stripe onto the least-loaded one")
 	)
 	flag.Parse()
 	if *newClass == "" || *call == "" {
@@ -90,30 +81,19 @@ func main() {
 	// each. No schema-aware partition key at this layer: each client
 	// session hashes its index to a home shard and opens everything
 	// there, each session pinned to whichever pooled connection was least
-	// loaded when it was opened. When the servers report load, every
-	// reply from a shard carries its sample, and that shard's switcher
-	// folds them into the EWMA each of its sessions consults before its
-	// next call — shard i's saturation never routes shard j's sessions.
+	// loaded when it was opened.
 	dbAddrs := splitAddrs(*dbAddr)
 	shards := len(dbAddrs)
-	router := runtime.NewShardedClient(runtime.ShardMap{Shards: shards})
-	for i := 0; i < shards; i++ {
-		sw := router.Switcher(i)
-		sw.Threshold = *threshold
-		sw.Hysteresis = *hysteresis
-	}
-	app, err := deploy.Dial(router, dbAddrs, splitAddrs(*ctlAddr), *poolN, os.Stdout)
+	m := runtime.ShardMap{Shards: shards}
+	app, err := deploy.Dial(dbAddrs, splitAddrs(*ctlAddr), *poolN, os.Stdout)
 	if err != nil {
 		fatal(err)
 	}
 	defer app.Close()
-	if app.High == nil {
+	if app.Partition == nil {
 		fatal(deploy.ErrNotServed)
 	}
-	fmt.Printf("pyxis-app: partition {%s}\n", app.High.Describe())
-	if app.Low != nil {
-		fmt.Printf("pyxis-app: low partition {%s}\n", app.Low.Describe())
-	}
+	fmt.Printf("pyxis-app: partition {%s}\n", app.Partition.Describe())
 	ctorVals := parseArgs(*ctorArgs)
 	callVals := parseArgs(*callArgs)
 
@@ -121,7 +101,6 @@ func main() {
 		ret   val.Value
 		lats  []float64 // milliseconds
 		sheds int64     // ErrOverloaded replies to Open absorbed with backoff
-		calls deploy.CallStats
 		err   error
 	}
 	results := make([]result, *clients)
@@ -137,7 +116,7 @@ func main() {
 			var client *deploy.Client
 			sheds, err := runtime.RetryOverloaded(openTimeout, func() error {
 				var oerr error
-				client, oerr = app.Open(router.HomeShard(int64(i)), *newClass, ctorVals...)
+				client, oerr = app.Open(m.Shard(int64(i)), *newClass, ctorVals...)
 				return oerr
 			})
 			results[i].sheds = sheds
@@ -149,7 +128,6 @@ func main() {
 			for k := 0; k < *repeat; k++ {
 				t0 := time.Now()
 				ret, err := client.Call(*call, callVals...)
-				results[i].calls = client.Stats()
 				if err != nil {
 					results[i].err = err
 					return
@@ -187,24 +165,10 @@ func main() {
 	fmt.Printf("pyxis-app: control transfers=%d (%d B), app-side db round trips=%d (%d B) shards=%d pool=%d conns/shard\n",
 		ctl.Calls, ctl.BytesSent+ctl.BytesRecv, db.Calls, db.BytesSent+db.BytesRecv, shards, *poolN)
 	var sheds int64
-	var calls deploy.CallStats
 	for _, r := range results {
 		sheds += r.sheds
-		calls.High, calls.Low = calls.High+r.calls.High, calls.Low+r.calls.Low
 	}
-	if app.Low != nil {
-		share := 0.0
-		if n := calls.Low + calls.High; n > 0 {
-			share = 100 * float64(calls.Low) / float64(n)
-		}
-		ewmas := make([]string, shards)
-		for i := 0; i < shards; i++ {
-			ewmas[i] = fmt.Sprintf("%.1f%%", router.Load(i))
-		}
-		fmt.Printf("pyxis-app: dynamic mix low=%d high=%d (%.0f%% low) sheds=%d at open ewma/shard=[%s] load-reports=%d\n",
-			calls.Low, calls.High, share, sheds, strings.Join(ewmas, " "),
-			app.Ctl.LoadReports()+app.DB.LoadReports())
-	} else if sheds > 0 {
+	if sheds > 0 {
 		fmt.Printf("pyxis-app: %d overload sheds absorbed with jittered backoff\n", sheds)
 	}
 	if failed > 0 {

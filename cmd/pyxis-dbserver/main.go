@@ -13,31 +13,19 @@
 // program; pyxis-app rebuilds its half from what the database port
 // serves.
 //
-// Given -low-budget on the command line it serves BOTH the -budget and
-// -low-budget partitions at once behind a dual session manager (the
-// session ID's tag byte selects the partition) and piggy-backs a load
-// report — the blended load of a CPU proxy and the lock-wait rate — on
-// every mux reply, so every pyxis-app session holds the pair and
-// switches partitionings per call as load moves (paper §6.3).
-//
-// With -max-sessions and/or -admit-high the server stops merely
-// REPORTING saturation and starts refusing it: an admission controller
-// decides once per control session, when it opens, on the concurrent
-// session cap and on the same blended load signal the reports carry,
-// with hysteresis (-admit-high enter / -admit-low leave) so admission
-// doesn't flap. A refused session is shed with the typed overload
-// reply, which pyxis-app retries at open; an admitted session's calls
-// are never shed. Note that against a server given -low-budget every
-// pyxis-app client opens one control session per partition whose
-// program can transfer control — a PAIR (high- + low-budget) unless
-// -low-budget is 0, whose program runs wholly on the APP side. The
-// controller has no notion of pairing, so with a pair a cap between
-// N+1 and 2N-1 for N clients can leave clients holding their first
-// session while shed on their second — size -max-sessions at 2x the
-// intended client count.
+// With -max-sessions and/or -admit-high the server refuses work it
+// cannot take: an admission controller decides once per control
+// session, when it opens, on the concurrent session cap and on the
+// blended load of a CPU proxy and the lock-wait rate, with hysteresis
+// (-admit-high enter / -admit-low leave) so admission doesn't flap. A
+// refused session is shed with the typed overload reply, which
+// pyxis-app retries at open; an admitted session's calls are never
+// shed. Every pyxis-app client whose program can transfer control holds
+// one control session; a -budget 0 program runs wholly on the APP side
+// and holds none.
 //
 // One process is one shard of a shared-nothing tier: each shard runs
-// its own database, lock manager, runtime peers, load monitor and
+// its own database, lock manager, runtime peer, load monitor and
 // admission controller — nothing is shared between shard processes.
 // The server stays shard-unaware by design: the -schema script loads
 // only this shard's slice of the data, and a pyxis-app started with
@@ -51,8 +39,7 @@
 // Usage:
 //
 //	pyxis-dbserver -src order.pyxj -budget 1.0 -schema schema.sql \
-//	    -db :7001 -ctl :7002 [-low-budget 0] \
-//	    [-max-sessions 256] [-admit-high 85 -admit-low 60]
+//	    -db :7001 -ctl :7002 [-max-sessions 256] [-admit-high 85 -admit-low 60]
 package main
 
 import (
@@ -74,19 +61,15 @@ func main() {
 		schema      = flag.String("schema", "", "file with ';'-separated SQL statements to initialize the database")
 		dbAddr      = flag.String("db", ":7001", "database wire protocol listen address")
 		ctlAddr     = flag.String("ctl", ":7002", "Pyxis control-transfer listen address")
-		lowBudget   = flag.Float64("low-budget", 0, "budget fraction of a low-CPU partition served alongside -budget, with load reports on every reply (served only when given)")
-		maxSessions = flag.Int("max-sessions", 0,
-			"cap on concurrently admitted control sessions (0 = unlimited; with -low-budget each client holds TWO control sessions, so size the cap at 2x the intended client count)")
-		admitHigh = flag.Float64("admit-high", 0, "blended load percent above which new sessions are refused (0 disables the load gate)")
-		admitLow  = flag.Float64("admit-low", 0, "blended load percent below which admission resumes (default admit-high - 25, at least admit-high/2)")
+		maxSessions = flag.Int("max-sessions", 0, "cap on concurrently admitted control sessions (0 = unlimited)")
+		admitHigh   = flag.Float64("admit-high", 0, "blended load percent above which new sessions are refused (0 disables the load gate)")
+		admitLow    = flag.Float64("admit-low", 0, "blended load percent below which admission resumes (default admit-high - 25, at least admit-high/2)")
 	)
 	flag.Parse()
 	if *srcPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	dynamic := false
-	flag.Visit(func(f *flag.Flag) { dynamic = dynamic || f.Name == "low-budget" })
 
 	src, err := os.ReadFile(*srcPath)
 	if err != nil {
@@ -119,33 +102,18 @@ func main() {
 	}
 
 	// One shard: the database and the DB-side runtime behind both ports.
-	// With -low-budget the low-budget partition is served behind the same
-	// connections (sessions tagged runtime.TagLowBudget route to it) and
-	// a load monitor piggy-backs the server's saturation signal (CPU
-	// proxy and lock-wait rate, blended) on every reply of both ports for
-	// the app side's switcher EWMA.
-	shard := &deploy.Shard{DB: db, High: part, Out: os.Stdout}
-	mon := runtime.NewLoadMonitor(db)
-	dynDesc := ""
-	if dynamic {
-		if shard.Low, err = sys.PartitionAt(*lowBudget); err != nil {
-			fatal(err)
-		}
-		shard.Mux.Load = mon.Source()
-		dynDesc = fmt.Sprintf(" low-partition={%s}", shard.Low.Describe())
-	}
+	shard := &deploy.Shard{DB: db, Partition: part, Out: os.Stdout}
 
 	// Admission control: one controller for the control port, deciding
 	// each session at its open with the session cap and the hysteretic
-	// load gate server-wide across its connections. The load gate reads
-	// the same monitor the load reports ride.
+	// load gate server-wide across its connections.
 	admDesc := ""
 	if *maxSessions > 0 || *admitHigh > 0 {
 		admCfg := runtime.AdmissionConfig{MaxSessions: *maxSessions}
 		gateMon := (*runtime.LoadMonitor)(nil) // cap-only unless -admit-high
 		if *admitHigh > 0 {
 			admCfg.HighLoad, admCfg.LowLoad = *admitHigh, *admitLow
-			gateMon = mon
+			gateMon = runtime.NewLoadMonitor(db)
 		}
 		adm := runtime.NewAdmissionController(gateMon, admCfg)
 		shard.Mux.Admission = adm
@@ -163,8 +131,8 @@ func main() {
 	}
 	defer srv.Close()
 
-	fmt.Printf("pyxis-dbserver: db=%s ctl=%s dynamic=%v partition={%s}%s%s\n",
-		srv.DB.Addr(), srv.Ctl.Addr(), dynamic, part.Describe(), dynDesc, admDesc)
+	fmt.Printf("pyxis-dbserver: db=%s ctl=%s partition={%s}%s\n",
+		srv.DB.Addr(), srv.Ctl.Addr(), part.Describe(), admDesc)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig

@@ -14,7 +14,6 @@ import (
 
 	"pyxis/internal/bench"
 	"pyxis/internal/deploy"
-	"pyxis/internal/runtime"
 	"pyxis/internal/val"
 )
 
@@ -32,7 +31,7 @@ func main() {
 	// The wiring cmd/pyxis-dbserver uses: both ports speak the mux
 	// protocol, and every session a connection opens gets its own
 	// database session or runtime session.
-	srv, err := deploy.Listen(&deploy.Shard{DB: cfg.Load(), High: part}, "127.0.0.1:0", "127.0.0.1:0")
+	srv, err := deploy.Listen(&deploy.Shard{DB: cfg.Load(), Partition: part}, "127.0.0.1:0", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,8 +40,7 @@ func main() {
 
 	// --- "Application server": connect and run transactions --------------
 	// The wiring cmd/pyxis-app uses: one client is a session on each wire.
-	app, err := deploy.Dial(runtime.NewShardedClient(runtime.ShardMap{}),
-		[]string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, nil)
+	app, err := deploy.Dial([]string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -76,13 +76,12 @@ const (
 type txnOut struct {
 	kind   txnKind
 	remote bool // the remote-warehouse roll fired
-	low    bool // the low half of a §6.3 pair served it
 }
 
 // count is what one client did, or, summed, what a run did.
 type count struct {
-	txns, low, sheds int
-	kinds, remote    [numKinds]int
+	txns, sheds   int
+	kinds, remote [numKinds]int
 }
 
 func (c *count) record(o txnOut) {
@@ -90,9 +89,6 @@ func (c *count) record(o txnOut) {
 	c.kinds[o.kind]++
 	if o.remote {
 		c.remote[o.kind]++
-	}
-	if o.low {
-		c.low++
 	}
 }
 
@@ -107,7 +103,6 @@ type driven struct {
 func (d driven) total() (sum count) {
 	for _, c := range d.clients {
 		sum.txns += c.txns
-		sum.low += c.low
 		sum.sheds += c.sheds
 		for k := range numKinds {
 			sum.kinds[k] += c.kinds[k]

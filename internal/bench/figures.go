@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"pyxis"
-	"pyxis/internal/runtime"
 	"pyxis/internal/sim"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
@@ -193,7 +192,7 @@ type Bucket struct {
 // spike), the load starves colocated *program logic* by a fair-share
 // factor while the DBMS keeps serving operations.
 func seriesRun(w Workload, sc Scale, dbCores int, spikeFactor float64, cm CostModel,
-	sw *runtime.Switcher, picks func() (int64, int64)) []Bucket {
+	sw *switcher, picks func() (int64, int64)) []Bucket {
 
 	eng := sim.New()
 	appCPU := eng.NewResource("app-cpu", 8)
@@ -315,8 +314,13 @@ type pickCounter struct {
 
 // PyxisDynamicWorkload deploys both the high- and low-budget
 // partitions at every client and routes each transaction according to
-// the shared load switcher (paper §6.3).
-func (c TPCCConfig) PyxisDynamicWorkload(high, low *pyxis.Partition, sw *runtime.Switcher, picks *pickCounter) Workload {
+// the shared load switcher (paper §6.3). Each client holds one object
+// per partitioning, and state written through one is not seen through
+// the other. That is sound here only because the workload calls
+// nothing but newOrder, which reads no field another entry writes: a
+// program whose entries share object state needs one object carried
+// across both partitionings.
+func (c TPCCConfig) PyxisDynamicWorkload(high, low *pyxis.Partition, sw *switcher, picks *pickCounter) Workload {
 	return Workload{
 		Name:  "Pyxis-dynamic",
 		NewDB: c.Load,
@@ -371,7 +375,7 @@ func Fig11(sc Scale) (*Table, error) {
 	manual := seriesRun(cfg.ManualWorkload(), sc, dbCores, spikeFactor, cm, nil, nil)
 	jdbc := seriesRun(cfg.JDBCWorkload(), sc, dbCores, spikeFactor, cm, nil, nil)
 
-	sw := runtime.NewSwitcher()
+	sw := &switcher{}
 	picks := &pickCounter{}
 	pyxisBuckets := seriesRun(cfg.PyxisDynamicWorkload(high, low, sw, picks), sc, dbCores, spikeFactor, cm,
 		sw, func() (int64, int64) { return picks.low, picks.all - picks.low })

@@ -38,7 +38,7 @@ type ledgerRun struct {
 // one-server tier hosting part.
 func runLedger(t *testing.T, part *pyxis.Partition, cfg WallCfg, mix LedgerMix) *ledgerRun {
 	t.Helper()
-	top, err := cfg.topology(0, part, nil, func(runtime.ShardMap, int) (*sqldb.DB, error) { return parallelDB(cfg.Clients) })
+	top, err := cfg.topology(0, part, func(runtime.ShardMap, int) (*sqldb.DB, error) { return parallelDB(cfg.Clients) })
 	d := up(t, top, err)
 	defer d.Close()
 	r := &ledgerRun{dbs: d.DBs}

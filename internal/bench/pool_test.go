@@ -134,12 +134,12 @@ func TestRunPoolSaturationShedsGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, slots := WallCfg{Clients: 6, Txns: 4, Conns: 2}, 2
-	top, err := cfg.topology(c.Warehouses, part, nil, c.loadRange)
+	top, err := cfg.topology(c.Warehouses, part, c.loadRange)
 	var adm *runtime.AdmissionController
 	top.Mux = func(_ int, db *sqldb.DB) rpc.MuxServeConfig {
 		mon := colocatedMonitor(db)
 		adm = runtime.NewAdmissionController(mon, runtime.AdmissionConfig{MaxSessions: slots})
-		return rpc.MuxServeConfig{Load: mon.Source(), Admission: adm}
+		return rpc.MuxServeConfig{Admission: adm}
 	}
 	d := up(t, top, err)
 	defer d.Close()

@@ -115,7 +115,7 @@ func violationMatches(violations []string, want string) bool {
 // begin rides the first statement and costs no call.
 func TestRemoteExactCounts(t *testing.T) {
 	c := DefaultTPCC()
-	top, err := WallCfg{Clients: 1, Txns: 1, Shards: 2}.topology(c.Warehouses, nil, nil, c.loadRange)
+	top, err := WallCfg{Clients: 1, Txns: 1, Shards: 2}.topology(c.Warehouses, nil, c.loadRange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestRemoteExactCounts(t *testing.T) {
 	}
 	defer d.Close()
 	const homeW, remoteW = 1, 2
-	if d.Router.HomeShard(homeW) != 0 || d.Router.HomeShard(remoteW) != 0 {
+	if d.Map.Shard(homeW) != 0 || d.Map.Shard(remoteW) != 0 {
 		t.Fatalf("warehouses %d and %d are not both on shard 0", homeW, remoteW)
 	}
 	sess, err := d.DB.Session(0)
@@ -166,7 +166,7 @@ func TestRemoteExactCounts(t *testing.T) {
 			t.Errorf("txn %d (%s): %d database-wire calls, want %d", k, tc.name, got, tc.calls)
 		}
 	}
-	if violations := CheckShardInvariants(d.DBs, c, d.Router.Map); len(violations) > 0 {
+	if violations := CheckShardInvariants(d.DBs, c, d.Map); len(violations) > 0 {
 		t.Fatalf("invariants violated:\n%s", strings.Join(violations, "\n"))
 	}
 }

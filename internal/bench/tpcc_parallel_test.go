@@ -18,20 +18,19 @@ import (
 // WallCfg is a closed-loop load and the tier it runs against.
 type WallCfg struct {
 	Clients int // concurrent clients (goroutines)
-	Txns    int // transactions per client (per phase under the load ramp)
+	Txns    int // transactions per client
 	Shards  int // shard servers (0 means 1; at most one per warehouse)
 	Conns   int // pooled mux connections per shard and wire (0 means 1)
 }
 
-// topology is the tier cfg describes: its shards host high (and low),
-// split warehouses (0: nothing to split) and load their databases with
-// load.
-func (cfg WallCfg) topology(warehouses int, high, low *pyxis.Partition, load func(m runtime.ShardMap, shard int) (*sqldb.DB, error)) (deploy.Topology, error) {
+// topology is the tier cfg describes: its shards host part, split
+// warehouses (0: nothing to split) and load their databases with load.
+func (cfg WallCfg) topology(warehouses int, part *pyxis.Partition, load func(m runtime.ShardMap, shard int) (*sqldb.DB, error)) (deploy.Topology, error) {
 	m := runtime.ShardMap{Shards: max(cfg.Shards, 1), Warehouses: warehouses}
 	if warehouses > 0 && m.Shards > warehouses {
 		return deploy.Topology{}, fmt.Errorf("bench: %d shards over %d warehouses would leave empty shards", m.Shards, warehouses)
 	}
-	return deploy.Topology{Map: m, Conns: cfg.Conns, High: high, Low: low,
+	return deploy.Topology{Map: m, Conns: cfg.Conns, Partition: part,
 		NewDB: func(shard int) (*sqldb.DB, error) { return load(m, shard) }}, nil
 }
 
@@ -61,7 +60,7 @@ func (p *placed) add(d *deploy.Tier, c *deploy.Client) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.shard == nil {
-		p.shard, p.conn = make([]int, d.Router.NumShards()), make([]int, d.DB.ConnsPerShard())
+		p.shard, p.conn = make([]int, d.Map.NumShards()), make([]int, d.DB.ConnsPerShard())
 	}
 	p.shard[c.Shard]++
 	for i := range p.conn {
@@ -81,7 +80,7 @@ func (c TPCCConfig) loadRange(m runtime.ShardMap, shard int) (*sqldb.DB, error) 
 // saturation points pushed out of reach. Clients share this process
 // with the server, so goroutine counts say nothing about DB CPU and
 // colocated lock waits would trip the blend nondeterministically; what
-// drives these tests is forced (the external ramp, the session cap).
+// drives these tests is forced (the session cap).
 func colocatedMonitor(db *sqldb.DB) *runtime.LoadMonitor {
 	mon := runtime.NewLoadMonitor(db)
 	mon.GoroutineSat = 1 << 20
@@ -226,13 +225,13 @@ type tpccSession struct {
 // openTPCC opens client i's session. Clients spread evenly over
 // warehouses; the home warehouse picks the shard.
 func openTPCC(d *deploy.Tier, c TPCCConfig, i int) (*tpccSession, error) {
-	shard := d.Router.HomeShard(int64(i%c.Warehouses) + 1)
+	shard := d.Map.Shard(int64(i%c.Warehouses) + 1)
 	cl, err := d.Open(shard, "TPCC")
 	if err != nil {
 		return nil, err
 	}
 	s := &tpccSession{Client: cl}
-	s.lo, s.hi = d.Router.Map.WarehouseRange(shard)
+	s.lo, s.hi = d.Map.WarehouseRange(shard)
 	return s, nil
 }
 
@@ -298,7 +297,7 @@ type tpccRun struct {
 // and keeps every warehouse its transactions touch there.
 func runTPCC(t *testing.T, part *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix TPCCMix) *tpccRun {
 	t.Helper()
-	top, err := cfg.topology(c.Warehouses, part, nil, c.loadRange)
+	top, err := cfg.topology(c.Warehouses, part, c.loadRange)
 	d := up(t, top, err)
 	defer d.Close()
 	r := &tpccRun{dbs: d.DBs}
@@ -314,7 +313,7 @@ func runTPCC(t *testing.T, part *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix
 		t.Fatal(err)
 	}
 	r.sum, r.transfers = r.total(), d.Transfers()
-	r.violations = CheckShardInvariants(d.DBs, c, d.Router.Map)
+	r.violations = CheckShardInvariants(d.DBs, c, d.Map)
 	return r
 }
 

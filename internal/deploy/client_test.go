@@ -1,29 +1,27 @@
 package deploy
 
 import (
+	"encoding/binary"
 	"errors"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"pyxis/internal/dbapi"
 	"pyxis/internal/rpc"
 	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
 
-// pairTier stands up one shard serving the ledger at budgets 1 (high)
-// and 0 (low), with mux configuration mux (nil: none, so no load report
-// ever reaches the switcher and only the test moves it).
-func pairTier(t *testing.T, mux func(int, *sqldb.DB) rpc.MuxServeConfig) *Tier {
-	return pooledPairTier(t, 1, mux)
-}
-
-// pooledPairTier is pairTier over conns pooled connections per wire.
-func pooledPairTier(t *testing.T, conns int, mux func(int, *sqldb.DB) rpc.MuxServeConfig) *Tier {
+// ledgerTier stands up one shard serving the ledger at budget, with
+// mux configuration mux (nil: none).
+func ledgerTier(t *testing.T, budget float64, mux func(int, *sqldb.DB) rpc.MuxServeConfig) *Tier {
 	t.Helper()
-	parts := ledgerPartitions(t, 1.0, 0)
-	tier, err := Up(Topology{Conns: conns, High: parts[0], Low: parts[1], Mux: mux,
+	tier, err := Up(Topology{Partition: ledgerPartitions(t, budget)[0], Mux: mux,
 		NewDB: func(int) (*sqldb.DB, error) { return ledgerDB(t), nil }})
 	if err != nil {
 		t.Fatal(err)
@@ -32,122 +30,232 @@ func pooledPairTier(t *testing.T, conns int, mux func(int, *sqldb.DB) rpc.MuxSer
 	return tier
 }
 
-// TestPairExactCounts drives the shard's switcher from a fixed load
-// script, one deposit after each sample, and pins every count the pair
-// produces: the switcher's flips, the calls each half ran, and the
-// calls on each wire. The high half runs a deposit as one control
-// transfer and no database round trip; the low half as database round
-// trips and no control transfer. A call that fails counts on neither
-// half.
-func TestPairExactCounts(t *testing.T) {
-	tier := pairTier(t, nil)
-	c, err := tier.Open(0, "Ledger", val.IntV(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	sw := tier.Router.Switcher(0)
-	ctl0, db0 := tier.Ctl.Stats().Calls, tier.DB.Stats().Calls
-
-	script := []float64{5, 95, 95, 5, 5, 95, 5}
-	flips, low := 0, false
-	var served string
-	for _, load := range script {
-		sw.Observe(load)
-		if sw.UseLowBudget() != low {
-			low = !low
-			flips++
-		}
-		before := c.Stats()
-		if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
+// TestDepositExactCounts pins the calls on each wire a deposit makes
+// at each end of the budget range: at budget 1 one control transfer
+// and no database round trip; at budget 0 no control transfer and
+// three database round trips (the update, which carries the begin, the
+// query and the commit).
+func TestDepositExactCounts(t *testing.T) {
+	for _, tc := range []struct {
+		budget            float64
+		ctl, db           int64 // per deposit
+		failedCtl, failDB int64 // for the deposit to a missing account
+	}{
+		{1, 1, 0, 1, 1},
+		{0, 0, 3, 0, 4},
+	} {
+		tier := ledgerTier(t, tc.budget, nil)
+		c, err := tier.Open(0, "Ledger", val.IntV(0))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Stats().Low > before.Low {
-			served += "L"
-		} else {
-			served += "H"
+		ctl0, db0 := tier.Ctl.Stats().Calls, tier.DB.Stats().Calls
+		wire := func() (ctl, db int64) { return tier.Ctl.Stats().Calls - ctl0, tier.DB.Stats().Calls - db0 }
+		const deposits = 7
+		for k := 0; k < deposits; k++ {
+			if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if flips != 4 || served != "HLLHHLH" {
-		t.Errorf("%d flips serving %s, want 4 serving HLLHHLH", flips, served)
-	}
-	wire := func() (ctl, db int64) { return tier.Ctl.Stats().Calls - ctl0, tier.DB.Stats().Calls - db0 }
-	if got, want := c.Stats(), (CallStats{High: 4, Low: 3}); got != want {
-		t.Errorf("stats %+v, want %+v", got, want)
-	}
-	// A high deposit is one control transfer; a low one is three
-	// database round trips (the update, which carries the begin, the
-	// query and the commit).
-	if ctl, db := wire(); ctl != 4 || db != 9 {
-		t.Errorf("%d control and %d database calls, want 4 and 9", ctl, db)
-	}
-	if got := balance(t, tier.DBs[0]); got != float64(len(script)) {
-		t.Errorf("balance %v after %d deposits", got, len(script))
-	}
-	// Account 1 does not exist: the deposit reads no row and fails on the
-	// high half, which then rolls the APP side's connection back.
-	if _, err := c.Call("Ledger.deposit", val.IntV(1), val.DoubleV(1)); err == nil {
-		t.Fatal("a deposit to a missing account succeeded")
-	}
-	if got, want := c.Stats(), (CallStats{High: 4, Low: 3}); got != want {
-		t.Errorf("a failed call counted: stats %+v, want %+v", got, want)
-	}
-	if ctl, db := wire(); ctl != 5 || db != 10 {
-		t.Errorf("after the failed call: %d control and %d database calls, want 5 and 10", ctl, db)
+		if ctl, db := wire(); ctl != deposits*tc.ctl || db != deposits*tc.db {
+			t.Errorf("budget %v: %d control and %d database calls, want %d and %d", tc.budget, ctl, db, deposits*tc.ctl, deposits*tc.db)
+		}
+		if got := balance(t, tier.DBs[0]); got != deposits {
+			t.Errorf("budget %v: balance %v after %d deposits", tc.budget, got, deposits)
+		}
+		// Account 1 does not exist: the deposit commits, then fails reading
+		// the row its query did not find, and the failure rolls the APP
+		// side's connection back (finding no transaction). That rollback is
+		// budget 1's one database call, and budget 0's fourth.
+		if _, err := c.Call("Ledger.deposit", val.IntV(1), val.DoubleV(1)); err == nil {
+			t.Fatalf("budget %v: a deposit to a missing account succeeded", tc.budget)
+		}
+		if ctl, db := wire(); ctl != deposits*tc.ctl+tc.failedCtl || db != deposits*tc.db+tc.failDB {
+			t.Errorf("budget %v: after the failed call: %d control and %d database calls, want %d and %d",
+				tc.budget, ctl, db, deposits*tc.ctl+tc.failedCtl, deposits*tc.db+tc.failDB)
+		}
+		c.Close()
 	}
 }
 
-// TestPoolRepliesReportEmptyQueues pins the premise of admitting once
-// per session: every client makes one call at a time per session, so
-// no reply on either wire ever leaves a call queued behind it, even
-// with concurrent clients striped over two pooled connections and
-// calling both halves.
-func TestPoolRepliesReportEmptyQueues(t *testing.T) {
-	var deepest atomic.Int64
-	tier := pooledPairTier(t, 2, func(int, *sqldb.DB) rpc.MuxServeConfig {
-		return rpc.MuxServeConfig{Load: func(queueLen int) (rpc.LoadReport, bool) {
-			for d := deepest.Load(); int64(queueLen) > d; d = deepest.Load() {
-				if deepest.CompareAndSwap(d, int64(queueLen)) {
-					break
-				}
+// frameWatch relays TCP connections to one address and reads the mux
+// frames crossing them ([len u32][sid u32][rid u32][kind u8][body]).
+// A call on a session whose previous call has not been answered would
+// wait in the server's queue for that session; queued counts them.
+// Each frame is recorded before it is passed on, so a reply is booked
+// before its caller can send the next call.
+type frameWatch struct {
+	addr          string
+	calls, queued atomic.Int64
+}
+
+func watchFrames(t *testing.T, target string) *frameWatch {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	w := &frameWatch{addr: lis.Addr().String()}
+	go func() {
+		for {
+			cli, err := lis.Accept()
+			if err != nil {
+				return
 			}
-			return rpc.LoadReport{}, false
-		}}
-	})
+			srv, err := net.Dial("tcp", target)
+			if err != nil {
+				cli.Close()
+				continue
+			}
+			var mu sync.Mutex
+			waiting := map[uint32]bool{} // this connection's sessions awaiting a reply
+			go relayFrames(cli, srv, func(sid uint32, kind byte) {
+				if kind != 0 { // not a call: a close, which gets no reply
+					return
+				}
+				w.calls.Add(1)
+				mu.Lock()
+				if waiting[sid] {
+					w.queued.Add(1)
+				}
+				waiting[sid] = true
+				mu.Unlock()
+			})
+			go relayFrames(srv, cli, func(sid uint32, _ byte) {
+				mu.Lock()
+				delete(waiting, sid)
+				mu.Unlock()
+			})
+		}
+	}()
+	return w
+}
+
+// relayFrames copies frames from src to dst, calling saw on each before
+// it passes on, and closes both ends when either fails.
+func relayFrames(src, dst net.Conn, saw func(sid uint32, kind byte)) {
+	defer src.Close()
+	defer dst.Close()
+	head := make([]byte, 13)
+	for {
+		if _, err := io.ReadFull(src, head); err != nil {
+			return
+		}
+		saw(binary.LittleEndian.Uint32(head[4:]), head[12])
+		if _, err := dst.Write(head); err != nil {
+			return
+		}
+		if _, err := io.CopyN(dst, src, int64(binary.LittleEndian.Uint32(head)-9)); err != nil {
+			return
+		}
+	}
+}
+
+// TestPooledClientsNeverQueueCalls pins the premise of admitting once
+// per session: every client makes one call at a time per session, so no
+// call on either wire ever waits behind another of its session, even
+// with concurrent clients striped over two pooled connections. The
+// watch itself must see a call sent while its session's previous one
+// is blocked on a row lock.
+func TestPooledClientsNeverQueueCalls(t *testing.T) {
+	db := ledgerDB(t)
+	srv, err := Listen(&Shard{DB: db, Partition: ledgerPartitions(t, 1.0)[0]}, "127.0.0.1:0", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dbWatch, ctlWatch := watchFrames(t, srv.DB.Addr()), watchFrames(t, srv.Ctl.Addr())
+	app, err := Dial([]string{dbWatch.addr}, []string{ctlWatch.addr}, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer app.Close()
+
 	const clients, calls = 8, 10
-	var high, low atomic.Int64
-	run := func() {
-		var wg sync.WaitGroup
-		for i := 0; i < clients; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c, err := tier.Open(0, "Ledger", val.IntV(int64(i)))
-				if err != nil {
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := app.Open(0, "Ledger", val.IntV(int64(i)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			// A deposit is one control transfer; the client's own database
+			// session then reads the balance.
+			for k := 0; k < calls; k++ {
+				if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
 					t.Error(err)
 					return
 				}
-				defer c.Close()
-				for k := 0; k < calls; k++ {
-					if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
-						t.Error(err)
-						return
-					}
+				if _, err := c.Conn.Query("SELECT balance FROM accounts WHERE cid = 0"); err != nil {
+					t.Error(err)
+					return
 				}
-				high.Add(c.Stats().High)
-				low.Add(c.Stats().Low)
-			}()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := balance(t, db); got != clients*calls {
+		t.Errorf("balance %v after %d deposits", got, clients*calls)
+	}
+	if dbWatch.calls.Load() == 0 || ctlWatch.calls.Load() == 0 {
+		t.Fatalf("%d database and %d control calls watched, want both > 0", dbWatch.calls.Load(), ctlWatch.calls.Load())
+	}
+	if d, c := dbWatch.queued.Load(), ctlWatch.queued.Load(); d != 0 || c != 0 {
+		t.Errorf("%d database and %d control calls queued behind another of their session, want 0", d, c)
+	}
+
+	// The watch's own check: holder holds account 0's row lock, and a
+	// second session's update waits for it; a call on that session now
+	// is queued.
+	holder, err := app.DB.Session(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := dbapi.NewClient(holder)
+	defer h.Close()
+	if err := h.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Exec("UPDATE accounts SET balance = balance + 1 WHERE cid = 0"); err != nil {
+		t.Fatal(err)
+	}
+	blocked, err := app.DB.Session(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer blocked.Close()
+	sent := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); dbWatch.calls.Load() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d database calls watched, want %d", dbWatch.calls.Load(), n)
+			}
 		}
-		wg.Wait()
 	}
-	run()
-	tier.Router.Switcher(0).Observe(99)
-	run()
-	if high.Load() != clients*calls || low.Load() != clients*calls {
-		t.Errorf("%d high and %d low calls, want %d of each", high.Load(), low.Load(), clients*calls)
+	errs := make(chan error, 2)
+	for k := int64(1); k <= 2; k++ {
+		before := dbWatch.calls.Load()
+		go func() {
+			_, err := dbapi.NewClient(blocked).Exec("UPDATE accounts SET balance = balance + 1 WHERE cid = 0")
+			errs <- err
+		}()
+		sent(before + 1)
 	}
-	if got := deepest.Load(); got != 0 {
-		t.Errorf("a reply left %d calls queued on its session, want 0", got)
+	if got := dbWatch.queued.Load(); got != 1 {
+		t.Errorf("a call sent behind its session's blocked call: %d queued, want 1", got)
+	}
+	if err := h.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -156,12 +264,11 @@ func TestPoolRepliesReportEmptyQueues(t *testing.T) {
 // to 100, an open client's calls all still run, a new Open is refused
 // with rpc.ErrOverloaded, and Open succeeds again once the load falls
 // below the release level; the session cap refuses an Open beyond it.
-// A client holds one slot: its low program (budget 0) never transfers
-// control, so that half opens no control session on the server.
+// A client holds one slot.
 func TestAdmissionNeverShedsAdmittedSessions(t *testing.T) {
 	var mon *runtime.LoadMonitor
 	var adm *runtime.AdmissionController
-	tier := pairTier(t, func(_ int, db *sqldb.DB) rpc.MuxServeConfig {
+	tier := ledgerTier(t, 1.0, func(_ int, db *sqldb.DB) rpc.MuxServeConfig {
 		mon = runtime.NewLoadMonitor(db)
 		mon.GoroutineSat, mon.LockWaitSat = 1<<20, 1<<20 // only the forced load moves the blend
 		adm = runtime.NewAdmissionController(mon, runtime.AdmissionConfig{MaxSessions: 2})
@@ -178,13 +285,14 @@ func TestAdmissionNeverShedsAdmittedSessions(t *testing.T) {
 	}
 
 	mon.SetExternal(100)
+	ctl0 := tier.Ctl.Stats().Calls
 	for k := 0; k < 5; k++ {
 		if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
 			t.Fatalf("call %d on an admitted client at load 100: %v", k, err)
 		}
 	}
-	if got, want := c.Stats(), (CallStats{High: 5}); got != want {
-		t.Errorf("stats %+v, want %+v (every call on the gated control wire)", got, want)
+	if got := tier.Ctl.Stats().Calls - ctl0; got != 5 {
+		t.Errorf("%d control calls, want 5 (every call on the gated control wire)", got)
 	}
 	if _, err := open(); !errors.Is(err, rpc.ErrOverloaded) {
 		t.Fatalf("Open at load 100: %v, want rpc.ErrOverloaded", err)

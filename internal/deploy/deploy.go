@@ -1,18 +1,17 @@
 // Package deploy is the one place a Pyxis tier is wired. Both halves
 // of a deployment run one program (paper §5–6), decided by the database
 // servers: each hosts a Shard — a database and the DB-side runtime
-// peers of one program (or of a high/low pair of its partitionings) —
-// on two mux ports, and the application side rebuilds its half from
-// what the shards serve, then dials a pool of connections to every
-// shard's ports and opens client sessions on them. A client session
-// runs every transaction on its home shard.
+// peer of one partitioned program — on two mux ports, and the
+// application side rebuilds its half from what the shards serve, then
+// dials a pool of connections to every shard's ports and opens client
+// sessions on them. A client session runs every transaction on its
+// home shard.
 // cmd/pyxis-dbserver calls Listen, cmd/pyxis-app calls Dial, and Up does
 // both over loopback TCP in one process for the tests and the examples.
 package deploy
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -26,25 +25,23 @@ import (
 	"pyxis/internal/val"
 )
 
-// Shard is what one database server hosts. High is the program served
-// on the control wire; Low, when set, is a second partitioning of the
-// same program served behind the same connections to sessions tagged
-// runtime.TagLowBudget (the §6.3 dynamic pair). With neither there is
-// no control wire: clients speak SQL over the database wire only.
+// Shard is what one database server hosts. Partition is the program
+// served on the control wire; without one there is no control wire, and
+// clients speak SQL over the database wire only.
 type Shard struct {
 	DB        *sqldb.DB
-	High, Low *pyxis.Partition
-	// Mux configures the control wire's demux loops: load reports and
-	// admission. Its load source also rides the database wire's replies;
-	// its admission never does. A database session is the tail of an
-	// admitted control session, not a second admission, and shedding
-	// there would abort statements of work the server chose to accept.
+	Partition *pyxis.Partition
+	// Mux configures the control wire's demux loops: admission. The
+	// database wire is served with no configuration. A database session
+	// is the tail of an admitted control session, not a second
+	// admission, and shedding there would abort statements of work the
+	// server chose to accept.
 	Mux rpc.MuxServeConfig
-	// Out receives the DB-side programs' sys.print output (nil
-	// discards it).
+	// Out receives the DB-side program's sys.print output (nil discards
+	// it).
 	Out io.Writer
 
-	peers [2]*runtime.Peer // DB-side: high, low
+	peer *runtime.Peer // DB-side
 }
 
 var (
@@ -58,40 +55,31 @@ var (
 // control wire (nil when the shard hosts no program).
 type Server struct{ DB, Ctl *rpc.MuxServer }
 
-// Listen builds the shard's DB-side peers and serves s over TCP: the
+// Listen builds the shard's DB-side peer and serves s over TCP: the
 // database wire on dbAddr and, when s hosts a program, the control wire
-// on ctlAddr. The database wire answers Client.Program with the JSON
-// list of the programs' specs, High then Low. Everything is built
-// before either listener starts, so the first connection accepted
-// already carries load reports.
+// on ctlAddr. The database wire answers Client.Program with the
+// program's spec, or nothing when s hosts none.
 func Listen(s *Shard, dbAddr, ctlAddr string) (*Server, error) {
-	var specs []json.RawMessage
-	for i, p := range [2]*pyxis.Partition{s.High, s.Low} {
-		if p != nil {
-			s.peers[i] = runtime.NewPeer(p.Compiled, pdg.DB, s.Out)
-			spec, err := p.Spec()
-			if err != nil {
-				return nil, err
-			}
-			specs = append(specs, spec)
-		}
-	}
 	var program []byte
-	if s.High != nil {
-		program, _ = json.Marshal(specs) // a list of valid JSON values
+	if s.Partition != nil {
+		var err error
+		if program, err = s.Partition.Spec(); err != nil {
+			return nil, err
+		}
+		s.peer = runtime.NewPeer(s.Partition.Compiled, pdg.DB, s.Out)
 	}
 	db := func() rpc.SessionHandlers { return dbapi.MuxHandlersProgram(s.DB, program) }
-	dbSrv, err := rpc.NewMuxServerConfig(dbAddr, db, rpc.MuxServeConfig{Load: s.Mux.Load})
+	dbSrv, err := rpc.NewMuxServer(dbAddr, db)
 	if err != nil {
 		return nil, err
 	}
 	srv := &Server{DB: dbSrv}
-	if s.High != nil {
+	if s.peer != nil {
 		// Session IDs are scoped to their connection, so each connection
-		// gets its own manager; a shard's managers share its peers (and so
-		// their metrics). Without a Low peer every session runs High.
+		// gets its own manager; a shard's managers share its peer (and so
+		// its metrics).
 		newConn := func() dbapi.Conn { return dbapi.NewLocal(s.DB) }
-		ctl := func() rpc.SessionHandlers { return runtime.NewDualSessionManager(s.peers[0], s.peers[1], newConn) }
+		ctl := func() rpc.SessionHandlers { return runtime.NewSessionManager(s.peer, newConn) }
 		if srv.Ctl, err = rpc.NewMuxServerConfig(ctlAddr, ctl, s.Mux); err != nil {
 			srv.Close()
 			return nil, err
@@ -111,59 +99,46 @@ func (s *Server) Close() {
 
 // App is the application side of a tier: a pool of connections to
 // every shard's database wire and, with a program, to its control
-// wire, plus the APP-side peers client sessions run on.
+// wire, plus the APP-side peer client sessions run on.
 type App struct {
-	// High and Low are the partitions the shards serve, rebuilt here
-	// (nil where they serve none).
-	High, Low *pyxis.Partition
-	// Router holds the shard map and one load EWMA per shard, fed by
-	// every load report either wire carries.
-	Router *runtime.ShardedClient
+	// Partition is the program the shards serve, rebuilt here (nil when
+	// they serve none).
+	Partition *pyxis.Partition
 	// Ctl is the control wire (nil without a program), DB the database
 	// wire; shard i of each is dbAddrs[i] / ctlAddrs[i].
 	Ctl, DB *rpc.ShardedPool
 
-	peers [2]*runtime.Peer // APP-side: high, low
+	peer *runtime.Peer // APP-side
 }
 
 // Dial rebuilds the APP side of the program every shard serves (they
 // must serve the same bytes, or Dial fails with ErrProgramMismatch and
 // holds nothing open), then connects conns connections to each shard's
 // database wire and, with a program, to its control wire. out receives
-// the APP-side programs' sys.print output (nil discards it).
-func Dial(router *runtime.ShardedClient, dbAddrs, ctlAddrs []string, conns int, out io.Writer) (*App, error) {
+// the APP-side program's sys.print output (nil discards it).
+func Dial(dbAddrs, ctlAddrs []string, conns int, out io.Writer) (*App, error) {
 	program, err := fetchProgram(dbAddrs)
 	if err != nil {
 		return nil, err
 	}
-	a := &App{Router: router}
+	a := &App{}
 	if len(program) > 0 {
 		if len(ctlAddrs) != len(dbAddrs) {
 			return nil, fmt.Errorf("deploy: %d database addresses but %d control addresses (one of each per shard)", len(dbAddrs), len(ctlAddrs))
 		}
-		var specs []json.RawMessage
-		if err := json.Unmarshal(program, &specs); err != nil || len(specs) > 2 {
-			return nil, fmt.Errorf("deploy: the shards serve a malformed program list (%d entries): %v", len(specs), err)
+		if a.Partition, err = pyxis.Rebuild(program); err != nil {
+			return nil, err
 		}
-		var parts [2]*pyxis.Partition
-		for i, spec := range specs {
-			if parts[i], err = pyxis.Rebuild(spec); err != nil {
-				return nil, err
-			}
-			a.peers[i] = runtime.NewPeer(parts[i].Compiled, pdg.App, out)
-		}
-		a.High, a.Low = parts[0], parts[1]
+		a.peer = runtime.NewPeer(a.Partition.Compiled, pdg.App, out)
 	}
 	if a.DB, err = rpc.DialShardedPool(dbAddrs, conns); err != nil {
 		return nil, fmt.Errorf("deploy: dial db: %w", err)
 	}
-	a.DB.SetOnLoad(router.Observe)
-	if a.High != nil {
+	if a.peer != nil {
 		if a.Ctl, err = rpc.DialShardedPool(ctlAddrs, conns); err != nil {
 			a.Close()
 			return nil, fmt.Errorf("deploy: dial ctl: %w", err)
 		}
-		a.Ctl.SetOnLoad(router.Observe)
 	}
 	return a, nil
 }
@@ -203,115 +178,68 @@ func (a *App) Close() {
 	a.DB.Close()
 }
 
-// Client is one logical APP-side client homed on a shard: an object
-// of one class on every partitioning the shards serve — the high half,
-// plus the low half when they serve a Low partition (the §6.3 pair) —
-// each on its own control and database sessions. Call picks a half per
-// call, so application code never sees the choice. Like the runtime
-// clients it holds, a Client is one logical thread of control.
+// Client is one logical APP-side client homed on a shard: one object
+// of one class, on its own control and database sessions. Like the
+// runtime client it holds, a Client is one logical thread of control.
 type Client struct {
 	Shard int
-	// Ctl and Conn are the high half's control and database sessions.
+	// Ctl and Conn are the client's control and database sessions.
 	Ctl  *rpc.MuxSession
 	Conn *dbapi.Client
 
-	sw     *runtime.Switcher
-	halves []half // high, then low when the shards serve one
-	stats  CallStats
-}
-
-// half is one partitioning's runtime client and the object it made.
-type half struct {
 	rt  *runtime.Client
 	oid val.OID
 }
 
-// CallStats counts a Client's completed entry calls per half. A failed
-// call counts nowhere.
-type CallStats struct{ High, Low int64 }
-
-// Open opens a client on shard and constructs its object of class on
-// each half: per half a control session (tagged runtime.TagLowBudget
-// for the low one) and a database session; the server admits each
+// Open opens a client on shard and constructs its object of class: a
+// control session and a database session, and the server admits the
 // control session here (runtime.Client.Open). A failed Open holds
 // nothing open: a refused session fails it with rpc.ErrOverloaded, a
 // tier that serves no program with ErrNotServed.
 func (a *App) Open(shard int, class string, args ...val.Value) (*Client, error) {
-	if a.peers[0] == nil {
+	if a.peer == nil {
 		return nil, ErrNotServed
 	}
-	c := &Client{Shard: shard, sw: a.Router.Switcher(shard)}
-	for i, tag := range [2]uint8{0, runtime.TagLowBudget} {
-		peer := a.peers[i]
-		if peer == nil {
-			break
-		}
-		ctl, err := a.Ctl.TaggedSession(shard, tag)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		db, err := a.DB.Session(shard)
-		if err != nil {
-			ctl.Close()
-			c.Close()
-			return nil, err
-		}
-		conn := dbapi.NewClient(db)
-		if i == 0 {
-			c.Ctl, c.Conn = ctl, conn
-		}
-		rt := runtime.NewClient(peer.NewSession(conn), ctl)
-		c.halves = append(c.halves, half{rt: rt}) // Close releases it from here on
-		if c.halves[i].oid, err = rt.NewObject(class, args...); err == nil {
-			err = rt.Open()
-		}
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
+	ctl, err := a.Ctl.Session(shard)
+	if err != nil {
+		return nil, err
+	}
+	db, err := a.DB.Session(shard)
+	if err != nil {
+		ctl.Close()
+		return nil, err
+	}
+	c := &Client{Shard: shard, Ctl: ctl, Conn: dbapi.NewClient(db)}
+	c.rt = runtime.NewClient(a.peer.NewSession(c.Conn), ctl)
+	if c.oid, err = c.rt.NewObject(class, args...); err == nil {
+		err = c.rt.Open()
+	}
+	if err != nil {
+		c.Close()
+		return nil, err
 	}
 	return c, nil
 }
 
-// Call invokes the entry method on the client's object, on the half
-// the shard's switcher picks — the low one while the database server's
-// load average is over its threshold. The server admitted the client
-// at Open and sheds no call; whether to retry an error is the caller's
-// decision.
+// Call invokes the entry method on the client's object. The server
+// admitted the client at Open and sheds no call; whether to retry an
+// error is the caller's decision.
 func (c *Client) Call(method string, args ...val.Value) (val.Value, error) {
-	h, done := c.halves[0], &c.stats.High
-	if len(c.halves) > 1 && c.sw.UseLowBudget() {
-		h, done = c.halves[1], &c.stats.Low
-	}
-	ret, err := h.rt.CallEntry(method, h.oid, args...)
-	if err == nil {
-		*done++
-	}
-	return ret, err
+	return c.rt.CallEntry(method, c.oid, args...)
 }
 
-// Stats returns what the client's calls so far did.
-func (c *Client) Stats() CallStats { return c.stats }
-
-// Close closes every half's sessions.
-func (c *Client) Close() error {
-	var errs []error
-	for _, h := range c.halves {
-		errs = append(errs, h.rt.Close())
-	}
-	return errors.Join(errs...)
-}
+// Close closes the client's sessions.
+func (c *Client) Close() error { return c.rt.Close() }
 
 // Topology is a whole tier as data: how many shards and which
 // warehouses each owns (the zero map is one shard owning everything),
 // how many connections to each shard's wires (0 means 1), the program
-// pair every shard hosts, each shard's mux configuration (nil: none)
-// and how each shard's database is loaded.
+// every shard hosts, each shard's control-wire configuration (nil:
+// none) and how each shard's database is loaded.
 type Topology struct {
 	Map       runtime.ShardMap
 	Conns     int
-	High, Low *pyxis.Partition
+	Partition *pyxis.Partition
 	Mux       func(shard int, db *sqldb.DB) rpc.MuxServeConfig
 	NewDB     func(shard int) (*sqldb.DB, error)
 }
@@ -319,6 +247,8 @@ type Topology struct {
 // Tier is a running Topology: the App dialled to every shard's Server.
 type Tier struct {
 	*App
+	// Map is the Topology's shard map: which shard owns each key.
+	Map runtime.ShardMap
 	// DBs is each shard's database.
 	DBs []*sqldb.DB
 
@@ -327,11 +257,10 @@ type Tier struct {
 }
 
 // Up stands t up in this process: per shard one database and its
-// peers — nothing shared between shards — served on loopback TCP, then
+// peer — nothing shared between shards — served on loopback TCP, then
 // the App dialled to all of them.
 func Up(t Topology) (*Tier, error) {
-	router := runtime.NewShardedClient(t.Map)
-	tier := &Tier{}
+	tier := &Tier{Map: t.Map}
 	var dbAddrs, ctlAddrs []string
 	for shard := range t.Map.NumShards() {
 		db, err := t.NewDB(shard)
@@ -339,7 +268,7 @@ func Up(t Topology) (*Tier, error) {
 			tier.Close()
 			return nil, err
 		}
-		s := &Shard{DB: db, High: t.High, Low: t.Low}
+		s := &Shard{DB: db, Partition: t.Partition}
 		if t.Mux != nil {
 			s.Mux = t.Mux(shard, db)
 		}
@@ -354,7 +283,7 @@ func Up(t Topology) (*Tier, error) {
 			ctlAddrs = append(ctlAddrs, srv.Ctl.Addr())
 		}
 	}
-	app, err := Dial(router, dbAddrs, ctlAddrs, max(t.Conns, 1), nil)
+	app, err := Dial(dbAddrs, ctlAddrs, max(t.Conns, 1), nil)
 	if err != nil {
 		tier.Close()
 		return nil, err
@@ -367,10 +296,8 @@ func Up(t Topology) (*Tier, error) {
 // served (> 0 proves partitioned code ran on the DB side).
 func (t *Tier) Transfers() (n int64) {
 	for _, s := range t.shards {
-		for _, p := range s.peers {
-			if p != nil {
-				n += p.Metrics.Snapshot().Transfers
-			}
+		if s.peer != nil {
+			n += s.peer.Metrics.Snapshot().Transfers
 		}
 	}
 	return n

@@ -2,10 +2,8 @@ package deploy
 
 import (
 	"errors"
-	"math"
 	goruntime "runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,7 +84,7 @@ func TestDeployServesEveryShardAndCloses(t *testing.T) {
 		{},
 		{Map: runtime.ShardMap{Shards: 2}, Conns: 2},
 	} {
-		top.High = part
+		top.Partition = part
 		top.NewDB = func(int) (*sqldb.DB, error) { return ledgerDB(t), nil }
 		before := goruntime.NumGoroutine()
 		tier, err := Up(top)
@@ -127,20 +125,13 @@ func TestDeployServesEveryShardAndCloses(t *testing.T) {
 	}
 }
 
-// TestListenDialDynamicPair wires one shard the way pyxis-dbserver
-// -low-budget 0 -max-sessions 1 and pyxis-app do: one Open holds both
-// halves, the high program must serve through the high DB-side peer
-// alone and the low program over database round trips alone, load
-// reports must ride both wires and steer the pick, and the session cap
-// must shed a second control session but no database session.
-func TestListenDialDynamicPair(t *testing.T) {
-	parts := ledgerPartitions(t, 1.0, 0)
+// TestListenDialCapShedsControlOnly wires one shard the way
+// pyxis-dbserver -max-sessions 1 and pyxis-app do: one Open holds the
+// one admission slot, a second control session is shed, and a database
+// session is not, because the database wire is served ungated.
+func TestListenDialCapShedsControlOnly(t *testing.T) {
 	db := ledgerDB(t)
-	var load atomic.Uint64 // the reported load, as float64 bits
-	s := &Shard{DB: db, High: parts[0], Low: parts[1], Mux: rpc.MuxServeConfig{
-		Load: func(int) (rpc.LoadReport, bool) {
-			return rpc.LoadReport{Load: math.Float64frombits(load.Load())}, true
-		},
+	s := &Shard{DB: db, Partition: ledgerPartitions(t, 1.0)[0], Mux: rpc.MuxServeConfig{
 		Admission: runtime.NewAdmissionController(nil, runtime.AdmissionConfig{MaxSessions: 1}),
 	}}
 	srv, err := Listen(s, "127.0.0.1:0", "127.0.0.1:0")
@@ -148,14 +139,11 @@ func TestListenDialDynamicPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	app, err := Dial(runtime.NewShardedClient(runtime.ShardMap{}), []string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, nil)
+	app, err := Dial([]string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer app.Close()
-	transfers := func() (high, low int64) {
-		return s.peers[0].Metrics.Snapshot().Transfers, s.peers[1].Metrics.Snapshot().Transfers
-	}
 
 	c, err := app.Open(0, "Ledger", val.IntV(0))
 	if err != nil {
@@ -165,39 +153,11 @@ func TestListenDialDynamicPair(t *testing.T) {
 	if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
 		t.Fatal(err)
 	}
-	if h, l := transfers(); h == 0 || l != 0 {
-		t.Errorf("idle call: %d high and %d low transfers, want > 0 and 0", h, l)
+	if n := s.peer.Metrics.Snapshot().Transfers; n == 0 {
+		t.Error("the budget-1 deposit made no control transfer")
 	}
-
-	// The server saturates. Its next report moves the EWMA over the
-	// threshold; the high half holds the one admission slot, and the low
-	// program runs on the APP side and never needs one.
-	load.Store(math.Float64bits(100))
-	if _, err := c.Conn.Query("SELECT balance FROM accounts WHERE cid = 0"); err != nil {
-		t.Fatal(err)
-	}
-	if !app.Router.Switcher(0).UseLowBudget() {
-		t.Fatalf("a report of 100%% left the switcher high (EWMA %.1f)", app.Router.Load(0))
-	}
-	h0, _ := transfers()
-	ctl0, db0 := app.Ctl.Stats().Calls, app.DB.Stats().Calls
-	if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
-		t.Fatal(err)
-	}
-	if h, l := transfers(); h != h0 || l != 0 || app.Ctl.Stats().Calls != ctl0 {
-		t.Errorf("loaded call made control transfers: high %d -> %d, low %d, ctl calls %d -> %d", h0, h, l, ctl0, app.Ctl.Stats().Calls)
-	}
-	if app.DB.Stats().Calls == db0 {
-		t.Error("loaded call made no database round trip")
-	}
-	if got, want := c.Stats(), (CallStats{High: 1, Low: 1}); got != want {
-		t.Errorf("stats %+v, want %+v", got, want)
-	}
-	if got := balance(t, db); got != 2 {
-		t.Errorf("balance %v after two deposits, want 2", got)
-	}
-	if app.Ctl.LoadReports() == 0 || app.DB.LoadReports() == 0 {
-		t.Errorf("load reports: %d on the control wire, %d on the database wire; want both > 0", app.Ctl.LoadReports(), app.DB.LoadReports())
+	if got := balance(t, db); got != 1 {
+		t.Errorf("balance %v after one deposit, want 1", got)
 	}
 
 	second, err := app.Ctl.Session(0)
@@ -227,7 +187,7 @@ func TestDialRefusesMismatchedShards(t *testing.T) {
 	parts := ledgerPartitions(t, 1.0, 0)
 	var dbAddrs, ctlAddrs []string
 	for _, p := range parts {
-		srv, err := Listen(&Shard{DB: ledgerDB(t), High: p}, "127.0.0.1:0", "127.0.0.1:0")
+		srv, err := Listen(&Shard{DB: ledgerDB(t), Partition: p}, "127.0.0.1:0", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +195,7 @@ func TestDialRefusesMismatchedShards(t *testing.T) {
 		dbAddrs, ctlAddrs = append(dbAddrs, srv.DB.Addr()), append(ctlAddrs, srv.Ctl.Addr())
 	}
 	before := goruntime.NumGoroutine()
-	app, err := Dial(runtime.NewShardedClient(runtime.ShardMap{Shards: 2}), dbAddrs, ctlAddrs, 2, nil)
+	app, err := Dial(dbAddrs, ctlAddrs, 2, nil)
 	if !errors.Is(err, ErrProgramMismatch) || app != nil {
 		t.Fatalf("Dial over shards at budgets 1 and 0: app %v, err %v; want ErrProgramMismatch", app, err)
 	}
@@ -251,51 +211,36 @@ func TestDialRefusesMismatchedShards(t *testing.T) {
 	}
 }
 
-// TestOpenLowWithoutLowProgram: a shard that serves no low program
-// gives a client the high half alone, which serves every call even
-// while the switcher says low; a shard that serves no program at all
-// cannot open a client, and says so with ErrNotServed.
-func TestOpenLowWithoutLowProgram(t *testing.T) {
-	srv, err := Listen(&Shard{DB: ledgerDB(t), High: ledgerPartitions(t, 1.0)[0]}, "127.0.0.1:0", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	app, err := Dial(runtime.NewShardedClient(runtime.ShardMap{}), []string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer app.Close()
-	if app.High == nil || app.Low != nil {
-		t.Fatalf("rebuilt high %v and low %v, want only a high partition", app.High, app.Low)
-	}
-	c, err := app.Open(0, "Ledger", val.IntV(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	app.Router.Switcher(0).Observe(100)
-	if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := c.Stats(), (CallStats{High: 1}); got != want {
-		t.Errorf("stats %+v with no low program, want %+v", got, want)
-	}
-
+// TestOpenWithoutProgram: a shard that serves no program cannot open a
+// client, and says so with ErrNotServed; its database wire still
+// serves SQL.
+func TestOpenWithoutProgram(t *testing.T) {
 	bare, err := Listen(&Shard{DB: ledgerDB(t)}, "127.0.0.1:0", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bare.Close()
-	sqlOnly, err := Dial(runtime.NewShardedClient(runtime.ShardMap{}), []string{bare.DB.Addr()}, nil, 1, nil)
+	sqlOnly, err := Dial([]string{bare.DB.Addr()}, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sqlOnly.Close()
+	if sqlOnly.Partition != nil || sqlOnly.Ctl != nil {
+		t.Fatalf("rebuilt %v and dialled control wire %v from a shard with no program", sqlOnly.Partition, sqlOnly.Ctl)
+	}
 	if c, err := sqlOnly.Open(0, "Ledger", val.IntV(0)); !errors.Is(err, ErrNotServed) {
 		if c != nil {
 			c.Close()
 		}
 		t.Fatalf("Open against a shard with no program: err %v, want ErrNotServed", err)
+	}
+	sess, err := sqlOnly.DB.Session(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := dbapi.NewClient(sess)
+	defer conn.Close()
+	if _, err := conn.Query("SELECT balance FROM accounts WHERE cid = 0"); err != nil {
+		t.Errorf("SQL on a shard with no program: %v", err)
 	}
 }

@@ -7,14 +7,12 @@ import (
 	"pyxis"
 	"pyxis/internal/bench"
 	"pyxis/internal/deploy"
-	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
 )
 
 // TestDialRebuildsServedPrograms: the APP-side programs Dial rebuilds
 // from what a shard serves are the programs the shard was given, block
-// for block: the ledger, TPC-C at five budgets and TPC-W at 0.5, each
-// served as the high program beside its system's budget-0 low one.
+// for block: the ledger, TPC-C at five budgets and TPC-W at 0.5.
 func TestDialRebuildsServedPrograms(t *testing.T) {
 	ledger, err := bench.ParallelPartition(1.0)
 	if err != nil {
@@ -36,26 +34,20 @@ func TestDialRebuildsServedPrograms(t *testing.T) {
 		}
 		cases[fmt.Sprintf("TPC-C %.2f", frac)] = p
 	}
-	for name, high := range cases {
-		low, err := high.System.PartitionAt(0)
+	for name, part := range cases {
+		srv, err := deploy.Listen(&deploy.Shard{DB: sqldb.Open(), Partition: part}, "127.0.0.1:0", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := deploy.Listen(&deploy.Shard{DB: sqldb.Open(), High: high, Low: low}, "127.0.0.1:0", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		app, err := deploy.Dial(runtime.NewShardedClient(runtime.ShardMap{}), []string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, nil)
+		app, err := deploy.Dial([]string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, nil)
 		if err != nil {
 			srv.Close()
 			t.Fatalf("%s: %v", name, err)
 		}
-		for side, pair := range map[string][2]*pyxis.Partition{"high": {high, app.High}, "low": {low, app.Low}} {
-			if pair[1] == nil {
-				t.Errorf("%s: no %s partition rebuilt", name, side)
-			} else if got, want := pair[1].Compiled.Disassemble(), pair[0].Compiled.Disassemble(); got != want {
-				t.Errorf("%s: the rebuilt %s program differs from the served one:\n%s\nwant:\n%s", name, side, got, want)
-			}
+		if app.Partition == nil {
+			t.Errorf("%s: no partition rebuilt", name)
+		} else if got, want := app.Partition.Compiled.Disassemble(), part.Compiled.Disassemble(); got != want {
+			t.Errorf("%s: the rebuilt program differs from the served one:\n%s\nwant:\n%s", name, got, want)
 		}
 		app.Close()
 		srv.Close()

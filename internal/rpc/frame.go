@@ -4,9 +4,8 @@ package rpc
 // mux wire — the client and the demux loop — read and write through a
 // framer, so the rules below hold for both:
 //
-//   - One write per frame. A frame (length prefix, header, optional
-//     load report, body) is assembled contiguously in the framer's
-//     write buffer and leaves in one Write, under the write mutex, by
+//   - One write per frame. A frame (length prefix, header, body) is
+//     assembled contiguously in the framer's write buffer and leaves in one Write, under the write mutex, by
 //     the goroutine that produced it. Nothing is held back: no timer,
 //     no flusher goroutine. It is one contiguous Write and not a
 //     vectored net.Buffers write because the connections handed to
@@ -15,8 +14,8 @@ package rpc
 //     one Write per buffer. A body larger than the write buffer
 //     streams through it in a few Writes rather than being staged
 //     whole.
-//   - One buffered read. Length prefix, header and load report are
-//     parsed in place from the framer's read buffer; only the body is
+//   - One buffered read. Length prefix and header are parsed in place
+//     from the framer's read buffer; only the body is
 //     copied out, into a slice the caller chose.
 //   - No allocation sized by an unvalidated length. A length prefix
 //     above MaxFrame is an error, and a body larger than the read
@@ -89,14 +88,9 @@ func (fr *framer) flush(head, body []byte) error {
 	return fr.bw.Flush()
 }
 
-// writeMux sends one mux frame; with hasRep the load report precedes
-// the body and the kind carries muxFlagLoad.
-func (fr *framer) writeMux(f muxFrame, rep LoadReport, hasRep bool) error {
+// writeMux sends one mux frame.
+func (fr *framer) writeMux(f muxFrame) error {
 	n := muxHeaderLen + len(f.body)
-	if hasRep {
-		n += 1 + loadReportLen
-		f.kind |= muxFlagLoad
-	}
 	if n > MaxFrame {
 		return fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 	}
@@ -106,9 +100,6 @@ func (fr *framer) writeMux(f muxFrame, rep LoadReport, hasRep bool) error {
 	b = binary.LittleEndian.AppendUint32(b, f.sid)
 	b = binary.LittleEndian.AppendUint32(b, f.rid)
 	b = append(b, f.kind)
-	if hasRep {
-		b = appendLoadReport(b, rep)
-	}
 	return fr.flush(b, f.body)
 }
 
@@ -151,24 +142,6 @@ func (fr *framer) readMuxHeader() (muxFrame, int, error) {
 	}
 	_, _ = fr.br.Discard(muxHeaderLen)
 	return f, n - muxHeaderLen, nil
-}
-
-// readLoadReport consumes the load report at the front of a body of n
-// bytes and returns it with the number of body bytes left.
-func (fr *framer) readLoadReport(n int) (LoadReport, int, error) {
-	const size = 1 + loadReportLen
-	// Never past the frame: a body shorter than a report is the
-	// truncation splitLoadReport reports.
-	p, err := fr.br.Peek(min(n, size))
-	if err != nil {
-		return LoadReport{}, 0, unexpectedEOF(err)
-	}
-	rep, _, err := splitLoadReport(p)
-	if err != nil {
-		return LoadReport{}, 0, err
-	}
-	_, _ = fr.br.Discard(size)
-	return rep, n - size, nil
 }
 
 // readBody reads the n body bytes that follow a header. It fills buf

@@ -31,11 +31,8 @@ type bufConn struct{ bytes.Buffer }
 
 func (*bufConn) Close() error { return nil }
 
-// writeFrame writes f with no load report.
-func (fr *framer) writeFrame(f muxFrame) error { return fr.writeMux(f, LoadReport{}, false) }
-
-// readMuxFrame reads one whole mux frame, body (load report included)
-// in a fresh slice: the raw-protocol tests' view of the wire.
+// readMuxFrame reads one whole mux frame, body in a fresh slice: the
+// raw-protocol tests' view of the wire.
 func (fr *framer) readMuxFrame() (muxFrame, error) {
 	f, n, err := fr.readMuxHeader()
 	if err != nil {
@@ -80,20 +77,18 @@ var worldHandlers = HandlerFactory(func(uint32) Handler {
 })
 
 // TestFrameGoldenBytes pins the wire format to the bytes the two-write
-// framing produced (generated by the parent commit's writeMuxFrame and
-// attachLoad): a call, a reply with and without a load report, a shed
-// and a close frame, each captured off a real client and a real demux
-// loop, each one Write. The shed is an admission refusal of a session
-// whose call is its request 4.
+// framing produced: a call, a reply, a shed and a close frame, each
+// captured off a real client and a real demux loop, each one Write.
+// The shed is an admission refusal of a session whose call is its
+// request 4; its bytes are the old shed-with-load-report frame less
+// the report, so the length prefix, header and body are unchanged.
 func TestFrameGoldenBytes(t *testing.T) {
 	const (
 		call      = "0e00000007000001030000000068656c6c6f"
 		reply     = "0e000000070000010300000001776f726c64"
-		replyLoad = "2b0000000700000103000000811c00000000004045400000000000802840000000000000084007000000776f726c64"
-		shedLoad  = "2a0000000700000104000000841c0000000000404540000000000080284000000000000008400700000062757379"
+		shed      = "0d00000007000001040000000462757379"
 		closeSess = "09000000070000010000000003"
 	)
-	rep := LoadReport{Load: 42.5, CPU: 12.25, LockWaitRate: 3, QueueDepth: 7}
 	// run makes one call on session 0x01000007 after request rid, then
 	// closes it.
 	run := func(cfg MuxServeConfig, rid uint32) (cli, srv [][]byte) {
@@ -128,7 +123,6 @@ func TestFrameGoldenBytes(t *testing.T) {
 			t.Errorf("%s frame:\n got %x\nwant %s", what, got, want)
 		}
 	}
-	load := func(int) (LoadReport, bool) { return rep, true }
 	for _, tc := range []struct {
 		what  string
 		cfg   MuxServeConfig
@@ -136,8 +130,7 @@ func TestFrameGoldenBytes(t *testing.T) {
 		reply string
 	}{
 		{"reply", MuxServeConfig{}, 2, reply},
-		{"reply+load", MuxServeConfig{Load: load}, 2, replyLoad},
-		{"shed+load", MuxServeConfig{Load: load, Admission: refuseAdmission("busy")}, 3, shedLoad},
+		{"shed", MuxServeConfig{Admission: refuseAdmission("busy")}, 3, shed},
 	} {
 		cli, srv := run(tc.cfg, tc.rid)
 		if len(cli) != 2 || len(srv) != 1 {
@@ -237,7 +230,7 @@ func TestFrameMaxFrame(t *testing.T) {
 	if _, _, err := newFramer(conn).readMuxHeader(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("length prefix above MaxFrame: %v, want ErrFrameTooLarge", err)
 	}
-	if err := newFramer(&bufConn{}).writeFrame(muxFrame{body: make([]byte, MaxFrame)}); !errors.Is(err, ErrFrameTooLarge) {
+	if err := newFramer(&bufConn{}).writeMux(muxFrame{body: make([]byte, MaxFrame)}); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("writing a frame above MaxFrame: %v, want ErrFrameTooLarge", err)
 	}
 

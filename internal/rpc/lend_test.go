@@ -122,7 +122,7 @@ func (sc *script) next() (muxFrame, bool) {
 }
 
 func (sc *script) reply(call muxFrame, kind byte, body []byte) {
-	if err := sc.fr.writeFrame(muxFrame{sid: call.sid, rid: call.rid, kind: kind, body: body}); err != nil {
+	if err := sc.fr.writeMux(muxFrame{sid: call.sid, rid: call.rid, kind: kind, body: body}); err != nil {
 		sc.t.Errorf("script reply: %v", err)
 	}
 }

@@ -26,11 +26,7 @@ package rpc
 // so they stay ordered with its calls and the mux knows nothing of
 // transactions.
 //
-// Reply kinds may additionally carry the muxFlagLoad bit: the body is
-// then prefixed with a length-delimited LoadReport (the DB server's
-// saturation sample, paper §6.3) ahead of the normal payload. The flag
-// appears only when the server has a LoadSource configured
-// (MuxServeConfig.Load) and the source has a sample for that reply.
+// A reply of any other kind fails its call as malformed.
 //
 // Frames are read and written by a framer (frame.go): one Write per
 // frame, one buffered read, nothing held back.
@@ -58,10 +54,6 @@ const (
 	muxReplyShed
 )
 
-// muxFlagLoad marks a reply frame whose body starts with an encoded
-// LoadReport (see wire.go) before the regular payload.
-const muxFlagLoad byte = 0x80
-
 // ErrOverloaded reports that the server shed a call: its admission
 // policy refused to open the session, or the session's queue was full.
 // Nothing was run, so callers may back off and retry; errors.Is matches
@@ -73,7 +65,7 @@ var ErrOverloaded = errors.New("rpc: server overloaded")
 var ErrCallDeadline = errors.New("rpc: call deadline exceeded")
 
 // ErrSessionIDsSpent reports a call on a session its connection could
-// not give an ID: the connection has minted all 2^24-1 of its session
+// not give an ID: the connection has minted all 2^32-1 of its session
 // IDs and opens nothing more. A pool skips such a connection; a caller
 // holding it directly dials a new one.
 var ErrSessionIDsSpent = errors.New("rpc: connection's session IDs spent")
@@ -123,10 +115,6 @@ type MuxClient struct {
 	// outstanding counts calls issued but not yet answered — the
 	// connection-local load signal a ShardedPool balances new sessions by.
 	outstanding atomic.Int64
-
-	// onLoad receives every LoadReport piggy-backed on reply frames.
-	onLoad      atomic.Pointer[func(LoadReport)]
-	loadReports atomic.Int64
 }
 
 // NewMuxClient starts a multiplexed client over an existing
@@ -168,18 +156,6 @@ func (c *MuxClient) readLoop() {
 			return
 		}
 		size := int64(n) + muxHeaderLen + 4
-		if f.kind&muxFlagLoad != 0 {
-			var rep LoadReport
-			if rep, n, err = c.fr.readLoadReport(n); err != nil {
-				c.fail(fmt.Errorf("rpc: mux load report corrupt: %w", err))
-				return
-			}
-			f.kind &^= muxFlagLoad
-			c.loadReports.Add(1)
-			if fn := c.onLoad.Load(); fn != nil {
-				(*fn)(rep)
-			}
-		}
 		// A body the read buffer can hold is waited for whole before its
 		// call is taken out of pending, so a CallWithin deadline still
 		// fires while a peer stalls mid-body.
@@ -238,7 +214,7 @@ func (c *MuxClient) fail(err error) {
 // connection closed, which also lets the server release the sessions'
 // state.
 func (c *MuxClient) send(f muxFrame) error {
-	err := c.fr.writeMux(f, LoadReport{}, false)
+	err := c.fr.writeMux(f)
 	if err == nil || errors.Is(err, ErrFrameTooLarge) { // refused whole: nothing was written
 		return err
 	}
@@ -332,39 +308,24 @@ func replyError(f muxFrame) error {
 	return fmt.Errorf("rpc: malformed mux reply kind %d", f.kind)
 }
 
-// sessionTagShift puts the session tag in the ID's top byte, leaving a
-// 24-bit per-connection counter underneath.
-const sessionTagShift = 24
-
-// maxSID is the last counter value a connection mints.
-const maxSID = 1<<sessionTagShift - 1
-
-// SessionTag extracts the variant tag a client encoded into a session
-// ID with TaggedSession (0 for plain sessions).
-func SessionTag(sid uint32) uint8 { return uint8(sid >> sessionTagShift) }
+// maxSID is the last session ID a connection mints.
+const maxSID = 1<<32 - 1
 
 // Session opens a new logical session. The returned transport is safe
 // for concurrent use and independent of every other session on the
-// connection.
-func (c *MuxClient) Session() *MuxSession { return c.TaggedSession(0) }
-
-// TaggedSession opens a session whose ID carries tag in its top byte.
-// Tags let one connection multiplex sessions of several server-side
-// variants — e.g. the high- and low-budget deployments of dynamic
-// switching — with the server routing Open by SessionTag. The 24-bit
-// counter under the tag is the connection's, shared by every tag: it
-// counts up from 1 and mints each value once, so no two sessions of a
-// connection ever share an ID. Once all maxSID values are minted the
-// connection is spent: the session returned has ID 0, never reaches
-// the wire, and fails Open and every call with ErrSessionIDsSpent.
-func (c *MuxClient) TaggedSession(tag uint8) *MuxSession {
+// connection. Its ID is the connection's counter, which counts up from
+// 1 and mints each value once, so no two sessions of a connection ever
+// share an ID. Once all maxSID values are minted the connection is
+// spent: the session returned has ID 0, never reaches the wire, and
+// fails Open and every call with ErrSessionIDsSpent.
+func (c *MuxClient) Session() *MuxSession {
 	for {
-		ctr := c.nextSID.Load()
-		if ctr >= maxSID {
+		sid := c.nextSID.Load()
+		if sid >= maxSID {
 			return c.newSession(0)
 		}
-		if c.nextSID.CompareAndSwap(ctr, ctr+1) {
-			return c.newSession(uint32(tag)<<sessionTagShift | (ctr + 1))
+		if c.nextSID.CompareAndSwap(sid, sid+1) {
+			return c.newSession(sid + 1)
 		}
 	}
 }
@@ -388,21 +349,6 @@ func (c *MuxClient) Err() error {
 // Outstanding returns how many calls are currently in flight on this
 // connection (issued, not yet answered) across all its sessions.
 func (c *MuxClient) Outstanding() int64 { return c.outstanding.Load() }
-
-// SetOnLoad registers fn to receive every load report piggy-backed on
-// this connection's replies (any session). Safe to call concurrently
-// with traffic; nil unregisters.
-func (c *MuxClient) SetOnLoad(fn func(LoadReport)) {
-	if fn == nil {
-		c.onLoad.Store(nil)
-		return
-	}
-	c.onLoad.Store(&fn)
-}
-
-// LoadReports returns how many piggy-backed load reports this
-// connection has received.
-func (c *MuxClient) LoadReports() int64 { return c.loadReports.Load() }
 
 // Stats returns aggregate traffic counters across all sessions. A
 // session open (MuxSession.Open) is not a call and counts nowhere.
@@ -553,21 +499,12 @@ type sessionWorker struct {
 // some other peer.
 const SessionQueueDepth = 32
 
-// LoadSource supplies the server's current load sample for
-// piggy-backing on reply frames; nil disables reports. queueLen is the
-// replying session's queue depth at reply time. Returning ok=false
-// omits the report from that frame. Implementations are called from
-// every session worker concurrently and must be safe for concurrent
-// use.
-type LoadSource func(queueLen int) (rep LoadReport, ok bool)
-
-// AdmissionPolicy lets a server refuse work instead of merely
-// reporting saturation. It decides once per session, when the session
-// opens (MuxSession.Open, or else its first call): a returned error
-// sheds that frame with a muxReplyShed reply — the client sees the
-// typed ErrOverloaded — before any session or transaction state
-// exists, and a session it admitted runs every later call.
-// Implementations are called from every connection's demux loop and
+// AdmissionPolicy lets a server refuse work. It decides once per
+// session, when the session opens (MuxSession.Open, or else its first
+// call): a returned error sheds that frame with a muxReplyShed reply —
+// the client sees the typed ErrOverloaded — before any session or
+// transaction state exists, and a session it admitted runs every later
+// call. Implementations are called from every connection's demux loop and
 // must be safe for concurrent use.
 type AdmissionPolicy interface {
 	// AdmitSession gates creation of a new session. On error the
@@ -582,10 +519,6 @@ type AdmissionPolicy interface {
 
 // MuxServeConfig tunes one demux loop beyond the defaults.
 type MuxServeConfig struct {
-	// Load, when non-nil, attaches a load report to every reply frame
-	// (including sheds — overload is exactly when the peer most wants
-	// the signal).
-	Load LoadSource
 	// Admission, when non-nil, gates session creation; a refused
 	// session's opening frame is shed with an ErrOverloaded reply.
 	Admission AdmissionPolicy
@@ -622,33 +555,27 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 		}
 		wg.Wait()
 	}()
-	// reply answers req with one frame — the load report, when a source
-	// is configured and has a sample, goes straight into the write
-	// buffer — and then releases the request body: a handler may return
-	// (part of) its request as the reply, so the body stays valid until
-	// the reply is written. false means the connection is dead.
-	reply := func(req muxFrame, kind byte, body []byte, queueLen int) bool {
-		var rep LoadReport
-		hasRep := false
-		if cfg.Load != nil {
-			rep, hasRep = cfg.Load(queueLen)
-		}
+	// reply answers req with one frame and then releases the request
+	// body: a handler may return (part of) its request as the reply, so
+	// the body stays valid until the reply is written. false means the
+	// connection is dead.
+	reply := func(req muxFrame, kind byte, body []byte) bool {
 		out := muxFrame{sid: req.sid, rid: req.rid, kind: kind, body: body}
-		err := fr.writeMux(out, rep, hasRep)
+		err := fr.writeMux(out)
 		Released(body) // the handler's again; before the request, which it may alias
 		bodies.putBody(req.body)
 		if errors.Is(err, ErrFrameTooLarge) {
 			// Refused whole, so the stream is intact: the caller gets an
 			// error reply instead of waiting forever.
 			out.kind, out.body = muxReplyErr, []byte(err.Error())
-			err = fr.writeMux(out, rep, hasRep)
+			err = fr.writeMux(out)
 		}
 		return err == nil
 	}
 	// shed refuses one call with the typed shed reply (the client sees
 	// ErrOverloaded and backs off).
-	shed := func(req muxFrame, reason string, queueLen int) bool {
-		return reply(req, muxReplyShed, []byte(reason), queueLen)
+	shed := func(req muxFrame, reason string) bool {
+		return reply(req, muxReplyShed, []byte(reason))
 	}
 	// enqueue hands req to its session's worker, shedding it when the
 	// queue is full so one flooded session can never stall the read
@@ -660,7 +587,7 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 		case sw.ch <- req:
 			return true
 		default:
-			return shed(req, fmt.Sprintf("session %d queue overflow (max %d outstanding calls)", req.sid, SessionQueueDepth), len(sw.ch))
+			return shed(req, fmt.Sprintf("session %d queue overflow (max %d outstanding calls)", req.sid, SessionQueueDepth))
 		}
 	}
 	// work is one session's worker: it runs the session's requests in
@@ -681,7 +608,7 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 			if herr != nil {
 				kind, resp = muxReplyErr, []byte(herr.Error())
 			}
-			if !reply(req, kind, resp, len(sw.ch)) {
+			if !reply(req, kind, resp) {
 				// The connection is dead; keep draining so the read loop
 				// never blocks on a full queue before it notices the
 				// failure itself.
@@ -708,7 +635,7 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 		switch f.kind {
 		case muxCall:
 			if retired[f.sid] {
-				if !reply(f, muxReplyErr, []byte(fmt.Sprintf("session %d closed", f.sid)), 0) {
+				if !reply(f, muxReplyErr, []byte(fmt.Sprintf("session %d closed", f.sid))) {
 					return
 				}
 				continue
@@ -720,7 +647,7 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 				// shed is free to retry once capacity returns.
 				if cfg.Admission != nil {
 					if aerr := cfg.Admission.AdmitSession(f.sid); aerr != nil {
-						if !shed(f, aerr.Error(), 0) {
+						if !shed(f, aerr.Error()) {
 							return
 						}
 						continue
@@ -734,7 +661,7 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 			if len(f.body) == 0 {
 				// An empty call only opens its session (MuxSession.Open):
 				// no handler sees it.
-				if !reply(f, muxReplyOK, nil, len(sw.ch)) {
+				if !reply(f, muxReplyOK, nil) {
 					return
 				}
 				continue

@@ -47,6 +47,84 @@ func pipeMux(t *testing.T, h SessionHandlers) (*MuxClient, chan struct{}) {
 	return c, done
 }
 
+// pipeMuxConfig is pipeMux with an explicit demux configuration.
+func pipeMuxConfig(t *testing.T, h SessionHandlers, cfg MuxServeConfig) *MuxClient {
+	t.Helper()
+	srvConn, cliConn := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		ServeMuxConnConfig(srvConn, h, cfg)
+		close(done)
+	}()
+	c := NewMuxClient(cliConn)
+	t.Cleanup(func() { c.Close(); <-done })
+	return c
+}
+
+// dummyLoopbackClient serves raw frames with reply, bypassing the
+// demux loop, so tests can inject arbitrary reply kinds.
+func dummyLoopbackClient(t *testing.T, reply func(muxFrame) muxFrame) *MuxClient {
+	t.Helper()
+	srvConn, cliConn := net.Pipe()
+	go func() {
+		fr := newFramer(srvConn)
+		for {
+			f, err := fr.readMuxFrame()
+			if err != nil {
+				return
+			}
+			if err := fr.writeMux(reply(f)); err != nil {
+				return
+			}
+		}
+	}()
+	c := NewMuxClient(cliConn)
+	t.Cleanup(func() { c.Close(); srvConn.Close() })
+	return c
+}
+
+// TestMuxShedSentinelKind speaks the raw protocol to pin how a reply's
+// kind byte decodes: a shed surfaces as ErrOverloaded, and a kind with
+// the high bit set (0x80 once flagged a load report ahead of the body)
+// fails its call as malformed with the body unread as anything else —
+// the connection stays in step and serves the next call.
+func TestMuxShedSentinelKind(t *testing.T) {
+	// The request's first byte is the reply kind, the rest its body.
+	c := dummyLoopbackClient(t, func(f muxFrame) muxFrame {
+		return muxFrame{sid: f.sid, rid: f.rid, kind: f.body[0], body: f.body[1:]}
+	})
+	// An old load report (length byte 0x1c, 28 bytes of fields) and then
+	// the payload "world".
+	report := []byte("\x1c\x00\x00\x00\x00\x00\x40\x45\x40\x00\x00\x00\x00\x00\x80\x28\x40" +
+		"\x00\x00\x00\x00\x00\x00\x08\x40\x07\x00\x00\x00world")
+	s := c.Session()
+	for _, tc := range []struct {
+		kind byte
+		body []byte
+		want string // error text; "" means the reply is the body
+	}{
+		{muxReplyShed, []byte("busy"), "busy: " + ErrOverloaded.Error()},
+		{0x80 | muxReplyOK, report, "malformed mux reply kind 129"},
+		{0x80 | muxReplyShed, []byte("busy"), "malformed mux reply kind 132"},
+		{0x80, nil, "malformed mux reply kind 128"},
+		{muxReplyOK, []byte("after"), ""},
+	} {
+		resp, err := s.Call(append([]byte{tc.kind}, tc.body...))
+		switch {
+		case tc.want == "" && (err != nil || string(resp) != string(tc.body)):
+			t.Errorf("kind %#x: reply %q %v, want %q", tc.kind, resp, err, tc.body)
+		case tc.want != "" && (err == nil || !strings.HasSuffix(err.Error(), tc.want)):
+			t.Errorf("kind %#x: reply %q %v, want error %q", tc.kind, resp, err, tc.want)
+		}
+		if isShed := errors.Is(err, ErrOverloaded); isShed != (tc.kind == muxReplyShed) {
+			t.Errorf("kind %#x: errors.Is(ErrOverloaded) = %v", tc.kind, isShed)
+		}
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("a malformed kind failed the connection: %v", err)
+	}
+}
+
 // TestMuxInterleavedConcurrentCalls floods one connection with many
 // sessions calling concurrently — including concurrent calls within a
 // session — and checks every response routed back to its caller.
@@ -267,17 +345,17 @@ func TestMuxRetiredSessionNotResurrected(t *testing.T) {
 	defer func() { cliConn.Close(); <-done }()
 
 	cli := newFramer(cliConn)
-	if err := cli.writeFrame(muxFrame{sid: 1, rid: 1, kind: muxCall, body: []byte("hi")}); err != nil {
+	if err := cli.writeMux(muxFrame{sid: 1, rid: 1, kind: muxCall, body: []byte("hi")}); err != nil {
 		t.Fatal(err)
 	}
 	if f, err := cli.readMuxFrame(); err != nil || f.kind != muxReplyOK {
 		t.Fatalf("first call: %+v %v", f, err)
 	}
-	if err := cli.writeFrame(muxFrame{sid: 1, kind: muxCloseSess}); err != nil {
+	if err := cli.writeMux(muxFrame{sid: 1, kind: muxCloseSess}); err != nil {
 		t.Fatal(err)
 	}
 	// The call that lost the race arrives after the close.
-	if err := cli.writeFrame(muxFrame{sid: 1, rid: 2, kind: muxCall, body: []byte("late")}); err != nil {
+	if err := cli.writeMux(muxFrame{sid: 1, rid: 2, kind: muxCall, body: []byte("late")}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := cli.readMuxFrame()
@@ -305,7 +383,7 @@ func TestMuxConnectionLossFailsPending(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_ = srv.writeFrame(muxFrame{sid: f.sid, rid: f.rid, kind: muxReplyOK, body: f.body})
+		_ = srv.writeMux(muxFrame{sid: f.sid, rid: f.rid, kind: muxReplyOK, body: f.body})
 		<-block
 		srvConn.Close()
 	}()

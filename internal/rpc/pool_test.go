@@ -59,11 +59,10 @@ func (h connMarkHandlers) Open(sid uint32) Handler {
 }
 func (h connMarkHandlers) Closed(sid uint32) { h.closed <- sid }
 
-// TestMuxPoolStripesUniqueTaggedIDs opens many sessions on an idle
-// pool and checks the ID contract: IDs unique per connection, tags
-// surviving the round trip, and placement striping across connections
-// instead of piling onto one.
-func TestMuxPoolStripesUniqueTaggedIDs(t *testing.T) {
+// TestMuxPoolStripesUniqueIDs opens many sessions on an idle pool and
+// checks the ID contract: IDs unique per connection, and placement
+// striping across connections instead of piling onto one.
+func TestMuxPoolStripesUniqueIDs(t *testing.T) {
 	p, _ := pipePool(t, 4, func(int) SessionHandlers { return &echoHandlers{} }, MuxServeConfig{})
 
 	type connSID struct {
@@ -73,8 +72,7 @@ func TestMuxPoolStripesUniqueTaggedIDs(t *testing.T) {
 	seen := map[connSID]bool{}
 	perConn := make([]int, 4)
 	for k := 0; k < 16; k++ {
-		tag := uint8(k % 3)
-		s, err := p.TaggedSession(0, tag)
+		s, err := p.Session(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,9 +81,6 @@ func TestMuxPoolStripesUniqueTaggedIDs(t *testing.T) {
 			t.Fatalf("session ID %d allocated twice on connection %d", s.ID(), key.conn)
 		}
 		seen[key] = true
-		if got := SessionTag(s.ID()); got != tag {
-			t.Errorf("session %d carries tag %d, want %d", s.ID(), got, tag)
-		}
 		perConn[key.conn]++
 		// The echo handler prefixes the serving session ID: the reply
 		// must come from the session we think we opened.
@@ -290,9 +285,9 @@ func servesUnderOwnID(t *testing.T, s *MuxSession) {
 	}
 }
 
-// TestMuxClientSessionIDWrap: where the 24-bit counter would wrap, it
+// TestMuxClientSessionIDWrap: where the 32-bit counter would wrap, it
 // holds instead. A connection mints each session ID once, counting up
-// from 1 under every tag, and after its last ID it is spent. A spent
+// from 1, and after its last ID it is spent. A spent
 // connection's sessions never reach the wire: Open and every call fail
 // with ErrSessionIDsSpent and Close writes nothing.
 func TestMuxClientSessionIDWrap(t *testing.T) {
@@ -310,19 +305,16 @@ func TestMuxClientSessionIDWrap(t *testing.T) {
 		t.Fatalf("first session ID %d, want 1 (0 is never minted)", s.ID())
 	}
 
-	// The last IDs, alternating tags 0 and 3, share one counter: every
-	// value is minted once, whatever the tag.
+	// The last IDs: every value is minted once, the last one maxSID.
 	c.nextSID.Store(maxSID - 4)
 	var last []*MuxSession
 	seen := map[uint32]bool{}
 	for k := range 4 {
-		tag := uint8(3 * (k % 2))
-		s := c.TaggedSession(tag)
-		ctr := s.ID() & maxSID
-		if SessionTag(s.ID()) != tag || ctr != maxSID-3+uint32(k) || seen[ctr] {
-			t.Fatalf("session %d under tag %d has ID %#x, want counter %#x minted once", k, tag, s.ID(), maxSID-3+k)
+		s := c.Session()
+		if s.ID() != maxSID-3+uint32(k) || seen[s.ID()] {
+			t.Fatalf("session %d has ID %#x, want %#x minted once", k, s.ID(), maxSID-3+uint32(k))
 		}
-		seen[ctr] = true
+		seen[s.ID()] = true
 		servesUnderOwnID(t, s)
 		last = append(last, s)
 	}
@@ -330,8 +322,8 @@ func TestMuxClientSessionIDWrap(t *testing.T) {
 	// Spent: the next sessions fail without touching the wire, and the
 	// counter holds at its cap instead of wrapping.
 	wrote := len(rec.written())
-	for _, tag := range []uint8{0, 3} {
-		s := c.TaggedSession(tag)
+	for range 2 {
+		s := c.Session()
 		if s.ID() != 0 {
 			t.Fatalf("spent connection minted ID %#x", s.ID())
 		}
@@ -413,9 +405,6 @@ func TestMuxPoolAllConnsPoisoned(t *testing.T) {
 
 	if _, err := p.Session(0); !errors.Is(err, ErrPoolPoisoned) {
 		t.Fatalf("all-poisoned pool returned %v, want ErrPoolPoisoned", err)
-	}
-	if _, err := p.TaggedSession(0, 2); !errors.Is(err, ErrPoolPoisoned) {
-		t.Fatalf("all-poisoned pool (tagged) returned %v, want ErrPoolPoisoned", err)
 	}
 }
 

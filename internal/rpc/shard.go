@@ -4,7 +4,7 @@ package rpc
 // connsPerShard mux connections to each database shard — each shard an
 // INDEPENDENT pyxis-dbserver process owning a disjoint slice of the
 // data — and opens sessions keyed by shard index. Nothing is shared
-// between shards: not the connections, not the load reports. The pool
+// between shards. The pool
 // deliberately has no opinion about which shard a key lives on —
 // key→shard mapping is the runtime's ShardMap; this layer only owns
 // "given a shard, give me a session on one of its connections".
@@ -16,17 +16,10 @@ package rpc
 // session on the shard's least-loaded connection (by its calls in
 // flight) and pins it there for life, which preserves every
 // per-session invariant of the single-connection protocol: per-session
-// ordering (one worker per session server-side), session-scoped state,
-// and the tag-byte routing of dual deployments. Session IDs come from
-// the chosen connection's own counter: every server serves each
-// connection with its own session handlers, so an ID only has to be
-// unique on its connection.
-//
-// Load reports stay per-shard too: every report is delivered to the
-// sink WITH the shard index it arrived from, so a consumer keeps one
-// EWMA per shard instead of blurring N servers' saturation into one
-// average (a saturated shard must shed and switch without dragging its
-// idle siblings along).
+// ordering (one worker per session server-side) and session-scoped
+// state. Session IDs come from the chosen connection's own counter:
+// every server serves each connection with its own session handlers,
+// so an ID only has to be unique on its connection.
 
 import (
 	"errors"
@@ -51,8 +44,6 @@ var ErrPoolPoisoned = errors.New("rpc: all pooled connections poisoned")
 type ShardedPool struct {
 	conns [][]*MuxClient  // [shard][conn]
 	rr    []atomic.Uint32 // per shard: rotates placement tie-breaks across conns
-
-	onLoad atomic.Pointer[func(int, LoadReport)]
 }
 
 // NewShardedPool builds a pool of connsPerShard connections to each of
@@ -78,15 +69,7 @@ func NewShardedPool(shards, connsPerShard int, dial func(shard, conn int) (io.Re
 				s.Close()
 				return nil, fmt.Errorf("rpc: shard %d: dial conn %d: %w", shard, i, err)
 			}
-			c := NewMuxClient(conn)
-			// Every connection's sink stamps the shard index onto the
-			// report, so the consumer's per-shard EWMAs never mix servers.
-			c.SetOnLoad(func(rep LoadReport) {
-				if fn := s.onLoad.Load(); fn != nil {
-					(*fn)(shard, rep)
-				}
-			})
-			s.conns[shard] = append(s.conns[shard], c)
+			s.conns[shard] = append(s.conns[shard], NewMuxClient(conn))
 		}
 	}
 	return s, nil
@@ -107,8 +90,7 @@ func (s *ShardedPool) NumShards() int { return len(s.conns) }
 func (s *ShardedPool) ConnsPerShard() int { return len(s.conns[0]) }
 
 // Conn returns shard's i-th connection (for inspection; sessions
-// should be opened through Session/TaggedSession so placement
-// applies).
+// should be opened through Session so placement applies).
 func (s *ShardedPool) Conn(shard, i int) *MuxClient { return s.conns[shard][i] }
 
 // place picks shard's healthy connection with the fewest calls in
@@ -140,14 +122,9 @@ func (s *ShardedPool) place(shard int) int {
 
 // Session opens a new logical session on shard's least-loaded
 // connection. The session is pinned to that shard (and connection)
-// for its lifetime.
-func (s *ShardedPool) Session(shard int) (*MuxSession, error) { return s.TaggedSession(shard, 0) }
-
-// TaggedSession opens a session carrying tag in its ID's top byte (see
-// MuxClient.TaggedSession) on shard's least-loaded connection. A dead
-// shard (every connection poisoned or spent) fails with
-// ErrPoolPoisoned — its sibling shards keep serving.
-func (s *ShardedPool) TaggedSession(shard int, tag uint8) (*MuxSession, error) {
+// for its lifetime. A dead shard (every connection poisoned or spent)
+// fails with ErrPoolPoisoned — its sibling shards keep serving.
+func (s *ShardedPool) Session(shard int) (*MuxSession, error) {
 	if shard < 0 || shard >= len(s.conns) {
 		return nil, fmt.Errorf("rpc: shard %d out of range [0, %d)", shard, len(s.conns))
 	}
@@ -156,31 +133,7 @@ func (s *ShardedPool) TaggedSession(shard int, tag uint8) (*MuxSession, error) {
 		return nil, fmt.Errorf("rpc: shard %d: none of its %d connections is live: %w",
 			shard, len(s.conns[shard]), ErrPoolPoisoned)
 	}
-	return s.conns[shard][i].TaggedSession(tag), nil
-}
-
-// SetOnLoad registers fn to receive every load report piggy-backed on
-// any connection of any shard, stamped with the shard index it
-// arrived from. Safe to call concurrently with traffic; nil
-// unregisters.
-func (s *ShardedPool) SetOnLoad(fn func(shard int, rep LoadReport)) {
-	if fn == nil {
-		s.onLoad.Store(nil)
-		return
-	}
-	s.onLoad.Store(&fn)
-}
-
-// LoadReports returns how many piggy-backed load reports arrived
-// across every shard's connections.
-func (s *ShardedPool) LoadReports() int64 {
-	var n int64
-	for _, conns := range s.conns {
-		for _, c := range conns {
-			n += c.LoadReports()
-		}
-	}
-	return n
+	return s.conns[shard][i].Session(), nil
 }
 
 // Stats returns aggregate traffic counters across every connection.

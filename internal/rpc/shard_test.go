@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"testing"
 	"time"
 )
@@ -22,16 +21,15 @@ func (h shardMarkHandlers) Open(uint32) Handler {
 func (h shardMarkHandlers) Closed(uint32) {}
 
 // pipeShardedPool builds a sharded pool over in-process pipes, each
-// shard served by its own demux loops with its own handlers and
-// config. It returns the pool plus every connection's server pipe end
+// shard served by its own demux loops with its own handlers. It returns the pool plus every connection's server pipe end
 // keyed by shard, so tests can sever whole shards.
-func pipeShardedPool(t *testing.T, shards, conns int, cfg func(shard int) MuxServeConfig) (*ShardedPool, [][]net.Conn) {
+func pipeShardedPool(t *testing.T, shards, conns int) (*ShardedPool, [][]net.Conn) {
 	t.Helper()
 	srvEnds := make([][]net.Conn, shards)
 	s, err := NewShardedPool(shards, conns, func(shard, _ int) (io.ReadWriteCloser, error) {
 		srv, cli := net.Pipe()
 		srvEnds[shard] = append(srvEnds[shard], srv)
-		go ServeMuxConnConfig(srv, shardMarkHandlers{shard: shard}, cfg(shard))
+		go ServeMuxConn(srv, shardMarkHandlers{shard: shard})
 		return cli, nil
 	})
 	if err != nil {
@@ -42,21 +40,18 @@ func pipeShardedPool(t *testing.T, shards, conns int, cfg func(shard int) MuxSer
 }
 
 // TestShardedPoolRoutesByShardIndex is the routing contract: a session
-// opened on shard i is served by shard i's handlers, tags survive, and
-// out-of-range shards are rejected.
+// opened on shard i is served by shard i's handlers, and out-of-range
+// shards are rejected.
 func TestShardedPoolRoutesByShardIndex(t *testing.T) {
-	p, _ := pipeShardedPool(t, 3, 2, func(int) MuxServeConfig { return MuxServeConfig{} })
+	p, _ := pipeShardedPool(t, 3, 2)
 	if p.NumShards() != 3 {
 		t.Fatalf("NumShards = %d, want 3", p.NumShards())
 	}
 
 	for shard := 0; shard < 3; shard++ {
-		s, err := p.TaggedSession(shard, uint8(shard))
+		s, err := p.Session(shard)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if got := SessionTag(s.ID()); got != uint8(shard) {
-			t.Errorf("shard %d session carries tag %d", shard, got)
 		}
 		resp, err := s.Call([]byte("ping"))
 		if err != nil {
@@ -74,60 +69,11 @@ func TestShardedPoolRoutesByShardIndex(t *testing.T) {
 	}
 }
 
-// TestShardedPoolLoadReportsCarryShardIndex pins the per-shard load
-// plumbing: a report piggy-backed on shard i's replies reaches the
-// sink stamped with i, never blended with its siblings.
-func TestShardedPoolLoadReportsCarryShardIndex(t *testing.T) {
-	p, _ := pipeShardedPool(t, 2, 1, func(shard int) MuxServeConfig {
-		load := float64(10 * (shard + 1))
-		return MuxServeConfig{Load: func(queueLen int) (LoadReport, bool) {
-			return LoadReport{Load: load, QueueDepth: uint32(queueLen)}, true
-		}}
-	})
-
-	var mu sync.Mutex
-	byShard := map[int][]float64{}
-	p.SetOnLoad(func(shard int, rep LoadReport) {
-		mu.Lock()
-		byShard[shard] = append(byShard[shard], rep.Load)
-		mu.Unlock()
-	})
-
-	for shard := 0; shard < 2; shard++ {
-		s, err := p.Session(shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < 5; k++ {
-			if _, err := s.Call([]byte("x")); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	for shard := 0; shard < 2; shard++ {
-		want := float64(10 * (shard + 1))
-		if len(byShard[shard]) == 0 {
-			t.Fatalf("no reports from shard %d", shard)
-		}
-		for _, got := range byShard[shard] {
-			if got != want {
-				t.Fatalf("shard %d delivered load %v, want %v (cross-shard blending)", shard, got, want)
-			}
-		}
-	}
-	if n := p.LoadReports(); n < 10 {
-		t.Errorf("LoadReports = %d, want >= 10", n)
-	}
-}
-
 // TestShardedPoolDeadShardFailsAlone severs every connection of one
 // shard: sessions there fail with ErrPoolPoisoned while the surviving
 // shard keeps opening and serving sessions.
 func TestShardedPoolDeadShardFailsAlone(t *testing.T) {
-	p, srvEnds := pipeShardedPool(t, 2, 2, func(int) MuxServeConfig { return MuxServeConfig{} })
+	p, srvEnds := pipeShardedPool(t, 2, 2)
 
 	for _, srv := range srvEnds[0] {
 		srv.Close()

@@ -23,11 +23,6 @@ import (
 // ErrShortBuffer reports a truncated or corrupt message.
 var ErrShortBuffer = errors.New("rpc: short buffer")
 
-// ErrLoadNotFinite reports a load report with a field that is not a
-// finite number. One NaN or infinity folded into a load average keeps
-// it there for good, so the report is corrupt.
-var ErrLoadNotFinite = errors.New("rpc: load report not finite")
-
 // Writer serializes primitive values into a growing byte buffer. A
 // single-threaded owner that encodes one message at a time keeps one
 // Writer and Resets it per message, so the buffer grows to the largest
@@ -307,72 +302,4 @@ func (r *Reader) appendVals(dst []val.Value, n int) []val.Value {
 	dst = dst[:at+n]
 	r.ValsIn(dst[at:], nil)
 	return dst
-}
-
-// ---------------------------------------------------------------------------
-// Load reports (paper §6.3, made per-reply)
-// ---------------------------------------------------------------------------
-
-// LoadReport is the compact database-server load sample piggy-backed
-// on multiplexed reply frames. The paper's §6.3 switcher receives a
-// load message every 10 seconds over a side channel; here every reply
-// already travelling to the application server carries the sample, so
-// the app-side EWMA tracks the DB server with zero extra round trips.
-// Load is the blended saturation signal and the only field a client
-// reads; the other three are samples the report carries alongside.
-type LoadReport struct {
-	// Load is the blended saturation signal, percent (0-100).
-	Load float64
-	// CPU is the goroutine-count CPU proxy component, percent: all
-	// goroutines, parked ones included, relative to the server's
-	// saturation point.
-	CPU float64
-	// LockWaitRate is the engine-wide lock-wait rate, waits/second
-	// (the hot-row saturation signal CPU load misses).
-	LockWaitRate float64
-	// QueueDepth is the replying session's mux queue depth at reply
-	// time.
-	QueueDepth uint32
-}
-
-// loadReportLen is the wire size of a report's fields. A report
-// travels behind a length byte that must say exactly this: both ends
-// of a connection are the same build.
-const loadReportLen = 8 + 8 + 8 + 4
-
-// appendLoadReport appends the length-prefixed report to dst.
-func appendLoadReport(dst []byte, rep LoadReport) []byte {
-	w := Writer{Buf: dst}
-	w.Byte(loadReportLen)
-	w.F64(rep.Load)
-	w.F64(rep.CPU)
-	w.F64(rep.LockWaitRate)
-	w.U32(rep.QueueDepth)
-	return w.Buf
-}
-
-// splitLoadReport decodes a length-prefixed report from the front of
-// body and returns it with the remaining payload. A report with a NaN
-// or infinite field fails with ErrLoadNotFinite.
-func splitLoadReport(body []byte) (LoadReport, []byte, error) {
-	if len(body) < 1 {
-		return LoadReport{}, nil, fmt.Errorf("rpc: load report missing length: %w", ErrShortBuffer)
-	}
-	n := int(body[0])
-	if n != loadReportLen || len(body)-1 < n {
-		return LoadReport{}, nil, fmt.Errorf("rpc: load report truncated (length byte %d, want %d, in %d bytes): %w", n, loadReportLen, len(body)-1, ErrShortBuffer)
-	}
-	r := Reader{Buf: body[1 : 1+n]} // exactly the fields: no read below can fall short
-	rep := LoadReport{
-		Load:         r.F64(),
-		CPU:          r.F64(),
-		LockWaitRate: r.F64(),
-		QueueDepth:   r.U32(),
-	}
-	for _, f := range [...]float64{rep.Load, rep.CPU, rep.LockWaitRate} {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return LoadReport{}, nil, fmt.Errorf("rpc: load report field %v: %w", f, ErrLoadNotFinite)
-		}
-	}
-	return rep, body[1+n:], nil
 }

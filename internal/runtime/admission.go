@@ -10,22 +10,19 @@ import (
 	"pyxis/internal/rpc"
 )
 
-// AdmissionController makes the server REFUSE work from the same
-// saturation signal LoadMonitor already samples, instead of merely
-// reporting it: it implements rpc.AdmissionPolicy, deciding once per
-// session, when it opens, on a hard concurrent-session cap and on the
-// blended load — the sqldb lock-wait rate, the CPU proxy, plus any
-// external load. A session it admitted runs every later call. Refusals
+// AdmissionController makes the server refuse work from the
+// saturation signal LoadMonitor samples: it implements
+// rpc.AdmissionPolicy, deciding once per session, when it opens, on a
+// hard concurrent-session cap and on the blended load — the sqldb
+// lock-wait rate, the CPU proxy, plus any external load. A session it admitted runs every later call. Refusals
 // travel as the typed rpc.ErrOverloaded shed, which the clients that
 // open sessions (deploy.App.Open's callers: pyxis-app and the
 // tests) retry with RetryOverloaded.
 //
 // The load gate is hysteretic: shedding engages when the blended load
 // crosses HighLoad and releases only once it falls below LowLoad, so
-// admission cannot flap session-by-session around a single threshold
-// (the same dead-band idea as Switcher.Hysteresis, applied
-// server-side); the band moves only on the samples taken as sessions
-// ask to open. One controller is shared by every connection of a
+// admission cannot flap session-by-session around a single threshold;
+// the band moves only on the samples taken as sessions ask to open. One controller is shared by every connection of a
 // server, so its session accounting is server-wide.
 type AdmissionController struct {
 	cfg AdmissionConfig
@@ -77,15 +74,12 @@ func (a *AdmissionController) refresh() {
 	if a.mon == nil {
 		return
 	}
-	rep, ok := a.mon.Sample(0)
-	if !ok {
-		return
-	}
+	load := a.mon.Load()
 	if a.shedding.Load() {
-		if rep.Load < a.cfg.LowLoad {
+		if load < a.cfg.LowLoad {
 			a.shedding.Store(false)
 		}
-	} else if rep.Load > a.cfg.HighLoad {
+	} else if load > a.cfg.HighLoad {
 		a.shedding.Store(true)
 	}
 }

@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"io"
-	"net"
 	"testing"
 	"time"
 
@@ -105,94 +103,6 @@ func TestAdmissionReleaseDefault(t *testing.T) {
 		if cfg.LowLoad != c.want {
 			t.Errorf("HighLoad %v LowLoad %v: release at %v, want %v", c.high, c.low, cfg.LowLoad, c.want)
 		}
-	}
-}
-
-// TestPoolReportsFoldIntoSharedEWMA is the regression the pool must
-// never break: muxFlagLoad reports arriving on DIFFERENT pool
-// connections all fold into ONE shared EWMA, and a connection to a
-// server configured without a LoadSource mixes into the pool — its
-// sessions serve traffic and simply contribute no samples.
-func TestPoolReportsFoldIntoSharedEWMA(t *testing.T) {
-	echo := rpc.HandlerFactory(func(sid uint32) rpc.Handler {
-		return func(req []byte) ([]byte, error) { return req, nil }
-	})
-	// Connections 0 and 1 report fixed, very different loads;
-	// connection 2's server has no LoadSource configured.
-	loads := []float64{10, 90}
-	pool, err := rpc.NewShardedPool(1, 3, func(_, i int) (io.ReadWriteCloser, error) {
-		srv, cli := net.Pipe()
-		cfg := rpc.MuxServeConfig{}
-		if i < len(loads) {
-			load := loads[i]
-			cfg.Load = func(queueLen int) (rpc.LoadReport, bool) {
-				return rpc.LoadReport{Load: load, QueueDepth: uint32(queueLen)}, true
-			}
-		}
-		go rpc.ServeMuxConnConfig(srv, echo, cfg)
-		return cli, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	sw := NewSwitcher()
-	pool.SetOnLoad(func(_ int, rep rpc.LoadReport) { sw.ObserveReport(rep) })
-
-	// One session per connection (round-robin tie-breaking spreads an
-	// idle pool over all three).
-	byConn := map[int]*rpc.MuxSession{}
-	for k := 0; k < 3; k++ {
-		s, err := pool.Session(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < pool.ConnsPerShard(); i++ {
-			if pool.Conn(0, i) == s.Conn() {
-				byConn[i] = s
-			}
-		}
-	}
-	if len(byConn) != 3 {
-		t.Fatalf("3 sessions on an idle pool covered %d of its 3 connections", len(byConn))
-	}
-
-	// Traffic on the low-load connection alone drags the EWMA to 10...
-	for k := 0; k < 40; k++ {
-		if _, err := byConn[0].Call([]byte("a")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := sw.Load(); got < 9 || got > 11 {
-		t.Fatalf("EWMA after low-conn traffic = %.1f, want ~10", got)
-	}
-	// ...and traffic on the HIGH-load connection moves the SAME EWMA
-	// up: the two connections demonstrably feed one average.
-	for k := 0; k < 40; k++ {
-		if _, err := byConn[1].Call([]byte("b")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := sw.Load(); got < 80 {
-		t.Fatalf("EWMA after high-conn traffic = %.1f; reports from the second connection did not fold in", got)
-	}
-
-	// The connection without a LoadSource serves traffic and feeds nothing.
-	before := pool.LoadReports()
-	for k := 0; k < 10; k++ {
-		if resp, err := byConn[2].Call([]byte("c")); err != nil || string(resp) != "c" {
-			t.Fatalf("connection without a LoadSource broken in the pool: %q %v", resp, err)
-		}
-	}
-	if got := pool.LoadReports(); got != before {
-		t.Errorf("connection without a LoadSource contributed %d reports", got-before)
-	}
-	if got := sw.Load(); got < 80 {
-		t.Errorf("traffic without reports dragged the EWMA to %.1f", got)
-	}
-	if before != 80 {
-		t.Errorf("reporting connections delivered %d reports, want 80", before)
 	}
 }
 

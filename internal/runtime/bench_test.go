@@ -94,7 +94,11 @@ func browsingMix(tb testing.TB) func() {
 			case "TPCW.searchByTitle":
 				args[0] = val.IntV(k % 100)
 			case "TPCW.newProducts":
-				args[0] = val.IntV(20000000 + k%3650)
+				// The loader dates item i 20000000 + i%3650, so with
+				// cfg.Items <= 3650 this walks the dated range and wraps
+				// with it, as productDetail wraps the items: the per-op
+				// work repeats every cfg.Items mixes, whatever b.N is.
+				args[0] = val.IntV(20000000 + k%int64(cfg.Items))
 			default:
 				args = nil
 			}

@@ -7,15 +7,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pyxis/internal/rpc"
 	"pyxis/internal/sqldb"
 )
 
-// LoadMonitor samples the DB server's saturation signal for
-// piggy-backing on mux replies (paper §6.3's load messages). Post
-// sharding, the engine no longer serializes, so a single CPU figure
-// misses how the server actually saturates; the monitor blends two
-// organic signals:
+// LoadMonitor samples the DB server's saturation signal, the input of
+// admission's load gate. The engine does not serialize, so a single
+// CPU figure misses how the server actually saturates; the monitor
+// blends two organic signals:
 //
 //   - a CPU proxy: goroutines per core relative to a saturation point
 //     (interp + statement execution pin the CPU first at high client
@@ -25,14 +23,10 @@ import (
 //
 // Each component normalizes to percent, the blend takes their max (a
 // server is as saturated as its most saturated resource), and any
-// external load — background processes in the paper's Fig. 11 spike,
-// or a bench-forced ramp — adds on top, clamped to 100. The replying
-// session's queue depth rides each report as a sample but is not
-// blended: every client makes one call at a time per session, so it
-// is always 0. A Source()
-// plugs directly into rpc.MuxServeConfig.Load; Sample is called
-// from every session worker concurrently and is safe for concurrent
-// use.
+// external load — background processes, or a test-forced ramp — adds
+// on top, clamped to 100. Load is called as sessions ask to open, from
+// every connection's demux loop concurrently, and is safe for
+// concurrent use.
 type LoadMonitor struct {
 	DB *sqldb.DB
 	// GoroutineSat is the goroutines-per-core count treated as 100%
@@ -50,8 +44,8 @@ type LoadMonitor struct {
 	external atomic.Uint64
 
 	// Lock-wait rate is a windowed derivative of the engine counter.
-	// Sample runs on every reply of every session worker, so the
-	// steady-state read is two atomic loads; mu serializes only the
+	// Load runs on every session open, so the steady-state read is two
+	// atomic loads; mu serializes only the
 	// refresh once per rateWindow (double-checked against
 	// nextRefresh).
 	rateBits    atomic.Uint64
@@ -67,19 +61,16 @@ const rateWindow = 50 * time.Millisecond
 // Refreshes are driven by traffic, so after an idle stretch the
 // previous sample can be arbitrarily old; dividing a fresh wait burst
 // by the whole idle period would average it toward zero exactly when
-// load returns and the switcher most needs to see it. Clamping the
+// load returns and admission most needs to see it. Clamping the
 // window treats everything before the last few windows as history, not
 // denominator.
 //
-// Attributing the whole delta to the clamped window is sound because
-// sampling rides the same wire that creates waits: every statement of
-// every session produces replies that call Sample, so a refresh gap much longer than rateWindow means the
-// server processed ~nothing — and accumulated ~no waits — for most of
-// it; the delta really did arrive near the end. The residual
-// distortion is a server trickling ~1 call/s whose rare colliding
-// transactions over-report by dt/maxRateWindow — absolute rates there
-// are far below LockWaitSat, and dense sampling (with dt ≈ rateWindow)
-// resumes exactly when load does.
+// Attributing the whole delta to the clamped window is a bet that
+// sessions open as fast as the waits that load them arrive: a refresh
+// gap much longer than rateWindow means few sessions opened, and the
+// delta is counted as if it arrived near the end. A server whose
+// sessions open rarely and then collide over-reports by
+// dt/maxRateWindow; absolute rates there are far below LockWaitSat.
 const maxRateWindow = 4 * rateWindow
 
 // NewLoadMonitor returns a monitor over db with default saturation
@@ -93,7 +84,7 @@ func NewLoadMonitor(db *sqldb.DB) *LoadMonitor {
 
 // SetExternal sets the external load component in percent — the
 // paper's "other processes occupy the database server" signal, and the
-// lever benchmarks use to force a load ramp through the real stack.
+// lever tests use to force a load ramp through the real stack.
 func (m *LoadMonitor) SetExternal(pct float64) {
 	m.external.Store(math.Float64bits(pct))
 }
@@ -103,28 +94,13 @@ func (m *LoadMonitor) External() float64 {
 	return math.Float64frombits(m.external.Load())
 }
 
-// Sample implements rpc.LoadSource: it returns the current blended
-// report, tagging it with the replying session's queue depth.
-func (m *LoadMonitor) Sample(queueLen int) (rpc.LoadReport, bool) {
+// Load returns the current blended load, percent (0-100).
+func (m *LoadMonitor) Load() float64 {
 	cores := float64(goruntime.GOMAXPROCS(0))
 	cpu := 100 * float64(goruntime.NumGoroutine()) / (m.GoroutineSat * cores)
-	rate := m.lockWaitRate()
-	lock := 100 * rate / m.LockWaitSat
-
-	load := math.Max(cpu, lock) + m.External()
-	if load > 100 {
-		load = 100
-	}
-	return rpc.LoadReport{
-		Load:         load,
-		CPU:          cpu,
-		LockWaitRate: rate,
-		QueueDepth:   uint32(queueLen),
-	}, true
+	lock := 100 * m.lockWaitRate() / m.LockWaitSat
+	return math.Min(math.Max(cpu, lock)+m.External(), 100)
 }
-
-// Source returns the monitor as an rpc.LoadSource.
-func (m *LoadMonitor) Source() rpc.LoadSource { return m.Sample }
 
 func (m *LoadMonitor) lockWaitRate() float64 {
 	if m.DB == nil {

@@ -8,22 +8,18 @@ import (
 )
 
 // TestLoadMonitorDynamicSignal exercises the blended saturation
-// sample: component normalization, the external-load lever benchmarks
-// use to force a ramp, the 100% clamp, and the windowed lock-wait
-// rate derivative.
+// sample: component normalization, the external-load lever tests use
+// to force a ramp, the 100% clamp, and the windowed lock-wait rate
+// derivative.
 func TestLoadMonitorDynamicSignal(t *testing.T) {
 	db := sqldb.Open()
 	m := NewLoadMonitor(db)
 
-	rep, ok := m.Sample(0)
-	if !ok {
-		t.Fatal("monitor withheld its sample")
+	if load := m.Load(); load < 0 || load > 100 {
+		t.Errorf("idle load out of range: %v", load)
 	}
-	if rep.Load < 0 || rep.Load > 100 {
-		t.Errorf("idle load out of range: %+v", rep)
-	}
-	if rep.QueueDepth != 0 || rep.LockWaitRate != 0 {
-		t.Errorf("idle sample carries phantom contention: %+v", rep)
+	if rate := m.lockWaitRate(); rate != 0 {
+		t.Errorf("idle monitor reads phantom contention: %v waits/s", rate)
 	}
 
 	// External (forced) load adds on top and clamps at 100.
@@ -31,9 +27,8 @@ func TestLoadMonitorDynamicSignal(t *testing.T) {
 	if m.External() != 95 {
 		t.Fatalf("external = %v, want 95", m.External())
 	}
-	rep, _ = m.Sample(0)
-	if rep.Load < 95 || rep.Load > 100 {
-		t.Errorf("forced load not reflected: %+v", rep)
+	if load := m.Load(); load < 95 || load > 100 {
+		t.Errorf("forced load not reflected: %v", load)
 	}
 	m.SetExternal(0)
 
@@ -69,22 +64,22 @@ func TestLoadMonitorDynamicSignal(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(rateWindow + 10*time.Millisecond)
-	rep, _ = m.Sample(0)
+	rate := m.lockWaitRate()
 	if err := blocker.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-waiterDone; err != nil {
 		t.Fatalf("waiter: %v", err)
 	}
-	if rep.LockWaitRate <= 0 {
-		t.Errorf("lock-wait rate stayed zero across a blocked writer: %+v", rep)
+	if rate <= 0 {
+		t.Errorf("lock-wait rate stayed zero across a blocked writer: %v", rate)
 	}
 }
 
 // TestLoadMonitorIdleThenBurstRate is the idle-window regression: the
 // rate refresh is traffic-driven, so after an idle stretch the first
 // window used to span the whole idle period, averaging a post-idle
-// wait burst toward zero exactly when the switcher needed to react.
+// wait burst toward zero exactly when admission needed to react.
 // The window must clamp to maxRateWindow. (Simulated by backdating the
 // monitor's last sample: lastWaits is set 200 below the counter so the
 // next refresh sees a 200-wait burst "arriving" after 10 idle

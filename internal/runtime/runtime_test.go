@@ -237,127 +237,6 @@ class E {
 	}
 }
 
-func TestSwitcherEWMA(t *testing.T) {
-	sw := NewSwitcher()
-	if sw.UseLowBudget() {
-		t.Error("fresh switcher should use high budget")
-	}
-	sw.Observe(10)
-	if sw.UseLowBudget() {
-		t.Error("low load should keep high budget")
-	}
-	// Sustained high load crosses the 40% threshold via EWMA.
-	for i := 0; i < 5; i++ {
-		sw.Observe(95)
-	}
-	if !sw.UseLowBudget() {
-		t.Errorf("sustained load should switch (ewma=%v)", sw.Load())
-	}
-	// A single low sample must not flip back immediately (damping).
-	sw.Observe(5)
-	if sw.Load() < 10 {
-		t.Errorf("EWMA dropped too fast: %v", sw.Load())
-	}
-	for i := 0; i < 10; i++ {
-		sw.Observe(5)
-	}
-	if sw.UseLowBudget() {
-		t.Error("sustained recovery should switch back")
-	}
-
-	// Exact EWMA math: L = a*L + (1-a)*S.
-	s2 := &Switcher{Alpha: 0.5, Threshold: 40}
-	s2.Observe(100) // first sample initializes
-	if got := s2.Observe(0); got != 50 {
-		t.Errorf("ewma = %v, want 50", got)
-	}
-}
-
-// TestSwitcherHysteresis drives the flap case table-style: an EWMA
-// hovering around Threshold flips the paper's single-threshold rule on
-// every sample; the dead band absorbs it. Alpha 0 makes the EWMA equal
-// the last sample, so the table exercises the raw state machine.
-func TestSwitcherHysteresis(t *testing.T) {
-	cases := []struct {
-		name  string
-		delta float64
-		loads []float64
-		want  []bool // UseLowBudget after each sample
-	}{
-		{
-			// δ=0 preserves paper behavior: flap right at the threshold.
-			name:  "no-hysteresis-flaps",
-			delta: 0,
-			loads: []float64{39, 41, 39, 41, 39},
-			want:  []bool{false, true, false, true, false},
-		},
-		{
-			// Same hovering trace, δ=5: never leaves high-budget.
-			name:  "band-absorbs-flap",
-			delta: 5,
-			loads: []float64{39, 41, 44, 41, 39, 44, 41},
-			want:  []bool{false, false, false, false, false, false, false},
-		},
-		{
-			// Crossing the outer edges flips; re-entering the band keeps
-			// the current choice both ways.
-			name:  "band-edges",
-			delta: 5,
-			loads: []float64{30, 46, 44, 36, 41, 34, 39, 44, 46},
-			want:  []bool{false, true, true, true, true, false, false, false, true},
-		},
-		{
-			// A negative δ clamps to 0 instead of inverting the band
-			// into a flap amplifier (steady 38 would otherwise toggle
-			// on every sample).
-			name:  "negative-delta-clamps",
-			delta: -5,
-			loads: []float64{38, 38, 38, 41, 41, 39},
-			want:  []bool{false, false, false, true, true, false},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sw := &Switcher{Alpha: 0, Threshold: 40, Hysteresis: tc.delta}
-			for i, load := range tc.loads {
-				sw.Observe(load)
-				if got := sw.UseLowBudget(); got != tc.want[i] {
-					t.Errorf("after loads[:%d] (=%v): low=%v, want %v", i+1, tc.loads[:i+1], got, tc.want[i])
-				}
-			}
-		})
-	}
-}
-
-// TestDualSessionManagerRouting checks the session-tag routing that
-// lets one manager serve both live deployments of dynamic switching.
-func TestDualSessionManagerRouting(t *testing.T) {
-	compiled := compileWith(t, calcSrc, nil)
-	db := sqldb.Open()
-	high := NewPeer(compiled, pdg.DB, nil)
-	low := NewPeer(compiled, pdg.DB, nil)
-	m := NewDualSessionManager(high, low, func() dbapi.Conn { return dbapi.NewLocal(db) })
-
-	const lowSID = uint32(7) | uint32(TagLowBudget)<<24
-	if got := m.Session(7).Peer; got != high {
-		t.Error("untagged session routed off the high-budget peer")
-	}
-	if got := m.Session(lowSID).Peer; got != low {
-		t.Error("TagLowBudget session did not route to the low-budget peer")
-	}
-	if rpc.SessionTag(lowSID) != TagLowBudget {
-		t.Fatal("test sid does not carry the low tag")
-	}
-	if m.Len() != 2 {
-		t.Errorf("managed %d sessions, want 2", m.Len())
-	}
-	// Without a LowPeer the tag is inert.
-	single := NewSessionManager(high, func() dbapi.Conn { return dbapi.NewLocal(db) })
-	if got := single.Session(lowSID).Peer; got != high {
-		t.Error("single-deployment manager must ignore session tags")
-	}
-}
-
 func TestHeapLazyMaterialization(t *testing.T) {
 	h := NewHeap(pdg.App)
 	ci := &compile.ClassInfo{Name: "X", NumApp: 1, NumDB: 1,

@@ -7,30 +7,14 @@ import (
 	"pyxis/internal/rpc"
 )
 
-// TagLowBudget is the mux session tag (rpc.SessionTag of the wire
-// session ID) that a dual-deployment SessionManager routes to its
-// low-budget peer. Tag 0 — every session a plain MuxClient.Session()
-// opens — always routes to the primary peer.
-const TagLowBudget uint8 = 1
-
 // SessionManager hosts the DB-side sessions of one peer: many logical
 // clients share the compiled Program and the database while each keeps
 // its own heap, stack, transaction context and pending sync. It
 // implements rpc.SessionHandlers, so it plugs directly into a
 // multiplexed transport's demux: every session ID observed on the wire
 // gets its own runtime Session served concurrently with the others.
-//
-// With LowPeer set the manager hosts two live deployments at once —
-// the high- and low-budget partitionings of dynamic switching (paper
-// §6.3) — routing each wire session by the tag byte of its session ID:
-// the application side opens a TaggedSession(TagLowBudget) to reach
-// the low-budget program, a plain session to reach the high-budget
-// one. Both deployments share the database; only the compiled program
-// (and so the placement) differs.
 type SessionManager struct {
 	Peer *Peer
-	// LowPeer, when non-nil, serves sessions tagged TagLowBudget.
-	LowPeer *Peer
 	// NewConn opens one database connection per session (the
 	// connection carries the session's transaction context, and closing
 	// it rolls back a transaction left open, as dbapi.Local's Close does).
@@ -47,28 +31,13 @@ func NewSessionManager(peer *Peer, newConn func() dbapi.Conn) *SessionManager {
 	return &SessionManager{Peer: peer, NewConn: newConn, sessions: map[uint32]*Session{}}
 }
 
-// NewDualSessionManager creates a manager serving two live
-// deployments: sessions tagged TagLowBudget run low's program, all
-// others run high's.
-func NewDualSessionManager(high, low *Peer, newConn func() dbapi.Conn) *SessionManager {
-	return &SessionManager{Peer: high, LowPeer: low, NewConn: newConn, sessions: map[uint32]*Session{}}
-}
-
-// peerFor routes a wire session ID to the deployment serving it.
-func (m *SessionManager) peerFor(id uint32) *Peer {
-	if m.LowPeer != nil && rpc.SessionTag(id) == TagLowBudget {
-		return m.LowPeer
-	}
-	return m.Peer
-}
-
 // Session returns the session for id, creating it on first use.
 func (m *SessionManager) Session(id uint32) *Session {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	sn := m.sessions[id]
 	if sn == nil {
-		sn = m.peerFor(id).NewSession(m.NewConn())
+		sn = m.Peer.NewSession(m.NewConn())
 		m.sessions[id] = sn
 	}
 	return sn

@@ -1,18 +1,14 @@
 package runtime
 
 // This file is the routing half of the shard-router layer: ShardMap
-// decides which shard owns a partition key, ShardedClient applies that
-// decision at session-open time and keeps the per-shard load state the
-// app side needs once the DB tier is N independent servers instead of
-// one.
+// decides which shard owns a partition key, and the app side opens a
+// session on its key's shard.
 //
 // The mapping is deliberately dumb and fixed for the life of a
 // deployment: contiguous warehouse ranges for TPC-C-shaped keys, a hash
 // for everything else. A session stays on its home shard, and every
 // transaction it runs is confined to that shard and ends in one plain
 // commit there: nothing commits across shards.
-
-import "pyxis/internal/rpc"
 
 // ShardMap maps partition keys onto N shards. The zero value is the
 // unsharded deployment (everything on shard 0).
@@ -89,51 +85,3 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// ShardedClient is the app side's view of a sharded DB tier: it picks
-// every session's home shard at open time (sessions stay pinned — the
-// runtime keeps a session's transactions on one server, and none spans
-// two) and keeps one load EWMA per shard, so dynamic switching and
-// admission-shed backoff react to the load of the shard actually
-// serving a session rather than a blend of all N. Its Observe matches
-// rpc.ShardedPool.SetOnLoad, wiring each shard's piggy-backed reports
-// into that shard's switcher and nothing else's.
-type ShardedClient struct {
-	// Map decides every session's home shard.
-	Map ShardMap
-
-	switchers []*Switcher
-}
-
-// NewShardedClient builds a client router over m with one
-// default-configured Switcher per shard (callers tune thresholds via
-// Switcher(i)).
-func NewShardedClient(m ShardMap) *ShardedClient {
-	c := &ShardedClient{Map: m, switchers: make([]*Switcher, m.NumShards())}
-	for i := range c.switchers {
-		c.switchers[i] = NewSwitcher()
-	}
-	return c
-}
-
-// NumShards returns the number of shards routed over.
-func (c *ShardedClient) NumShards() int { return len(c.switchers) }
-
-// HomeShard returns the shard that owns key — the shard a session
-// keyed by key must open against.
-func (c *ShardedClient) HomeShard(key int64) int { return c.Map.Shard(key) }
-
-// Switcher returns shard's switcher — the per-shard EWMA a session
-// pinned to that shard routes its dynamic high/low choice by.
-func (c *ShardedClient) Switcher(shard int) *Switcher { return c.switchers[shard] }
-
-// Observe folds one load report into the EWMA of the shard it arrived
-// from. It matches rpc.ShardedPool.SetOnLoad.
-func (c *ShardedClient) Observe(shard int, rep rpc.LoadReport) {
-	if shard >= 0 && shard < len(c.switchers) {
-		c.switchers[shard].Observe(rep.Load)
-	}
-}
-
-// Load returns shard's current load EWMA.
-func (c *ShardedClient) Load(shard int) float64 { return c.switchers[shard].Load() }

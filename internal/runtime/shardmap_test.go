@@ -1,10 +1,6 @@
 package runtime
 
-import (
-	"testing"
-
-	"pyxis/internal/rpc"
-)
+import "testing"
 
 // TestShardMapWarehouseBoundaries is the boundary table: for each
 // (warehouses, shards) shape, every shard's first and last warehouse
@@ -108,40 +104,6 @@ func TestShardMapHashFallback(t *testing.T) {
 				t.Errorf("map %+v key %d -> shard %d, want 0", m, key, got)
 			}
 		}
-	}
-}
-
-// TestShardedClientPerShardEWMA pins the per-shard isolation of the
-// load state: saturating shard 0's reports routes shard 0's sessions
-// low while shard 1 — and only shard 1 — stays high.
-func TestShardedClientPerShardEWMA(t *testing.T) {
-	sc := NewShardedClient(ShardMap{Shards: 2, Warehouses: 4})
-	if sc.NumShards() != 2 {
-		t.Fatalf("NumShards = %d, want 2", sc.NumShards())
-	}
-
-	for k := 0; k < 30; k++ {
-		sc.Observe(0, rpc.LoadReport{Load: 95})
-		sc.Observe(1, rpc.LoadReport{Load: 5})
-	}
-	if !sc.Switcher(0).UseLowBudget() {
-		t.Errorf("shard 0 saturated (EWMA %.1f) but not routed low", sc.Load(0))
-	}
-	if sc.Switcher(1).UseLowBudget() {
-		t.Errorf("shard 1 idle (EWMA %.1f) but routed low — shard 0's load leaked", sc.Load(1))
-	}
-	if lo, hi := sc.Load(1), sc.Load(0); lo >= hi {
-		t.Errorf("per-shard EWMAs blended: shard0=%.1f shard1=%.1f", hi, lo)
-	}
-
-	// Out-of-range shard indexes (a stale report after a resize) are
-	// dropped, not a panic.
-	sc.Observe(-1, rpc.LoadReport{Load: 50})
-	sc.Observe(2, rpc.LoadReport{Load: 50})
-
-	// HomeShard follows the map's warehouse ranges.
-	if sc.HomeShard(1) != 0 || sc.HomeShard(4) != 1 {
-		t.Errorf("HomeShard(1)=%d HomeShard(4)=%d, want 0 and 1", sc.HomeShard(1), sc.HomeShard(4))
 	}
 }
 
