@@ -203,6 +203,11 @@ type Client struct {
 	dec rpc.Reader
 	// begin is a Begin not yet sent: the next request carries it.
 	begin bool
+	// open is a transaction the server session holds: begun by a
+	// request that carried a Begin, ended by the reply to a commit or
+	// rollback, or by a deadlock error (the engine has aborted it). A
+	// transport error leaves it as it was.
+	open bool
 }
 
 // NewClient wraps a transport as a database connection.
@@ -234,7 +239,7 @@ func (c *Client) call() (*rpc.Reader, error) {
 func (c *Client) request() []byte {
 	if c.begin {
 		c.enc.Buf[0] |= beginFirst
-		c.begin = false
+		c.begin, c.open = false, true
 	}
 	c.BytesSent += int64(len(c.enc.Buf))
 	return c.enc.Buf
@@ -242,6 +247,7 @@ func (c *Client) request() []byte {
 
 // reply decodes the answer to the request in c.enc.
 func (c *Client) reply(resp []byte, err error) (*rpc.Reader, error) {
+	op := c.enc.Buf[0]
 	rpc.Released(c.enc.Buf)
 	if err != nil {
 		return nil, err
@@ -249,7 +255,18 @@ func (c *Client) reply(resp []byte, err error) (*rpc.Reader, error) {
 	c.BytesRecv += int64(len(resp))
 	c.dec = rpc.Reader{Buf: resp}
 	if !c.dec.Bool() { // ok flag
-		return nil, decodeError(c.dec.Str())
+		err = decodeError(c.dec.Str())
+	}
+	switch {
+	case errors.Is(err, sqldb.ErrDeadlock):
+		c.open = false // the engine aborted it
+	case op&beginFirst != 0 && errors.Is(err, sqldb.ErrInTransaction):
+		// The begin found a transaction open, and the op did not run.
+	case op&^beginFirst == opCommit || op&^beginFirst == opRollback:
+		c.open = false
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &c.dec, nil
 }
@@ -373,9 +390,24 @@ func (c *Client) Begin() error {
 	return nil
 }
 
-func (c *Client) Commit() error   { return c.txn(opCommit) }
-func (c *Client) Rollback() error { return c.txn(opRollback) }
-func (c *Client) Close() error    { return c.T.Close() }
+func (c *Client) Commit() error { return c.txn(opCommit) }
+
+// Rollback drops a Begin that has not been sent yet, sending nothing;
+// otherwise it asks the server to roll back.
+func (c *Client) Rollback() error {
+	if c.begin && !c.open {
+		c.begin = false
+		return nil
+	}
+	return c.txn(opRollback)
+}
+
+func (c *Client) Close() error { return c.T.Close() }
+
+// InTxn reports whether the connection holds a transaction or has a
+// Begin waiting for its next request: whether a Rollback has anything
+// to end.
+func (c *Client) InTxn() bool { return c.open || c.begin }
 
 // txn sends a transaction op: the op byte alone.
 func (c *Client) txn(op byte) error {

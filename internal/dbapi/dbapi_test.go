@@ -311,7 +311,6 @@ func TestBeginRidesNextRequest(t *testing.T) {
 			return err
 		}, true},
 		{"commit", (*Client).Commit, false},
-		{"rollback", (*Client).Rollback, false},
 		{"program", func(c *Client) error { _, err := c.Program(); return err }, true},
 	} {
 		db := setup(t)
@@ -398,5 +397,74 @@ func TestBeginRidesNextRequest(t *testing.T) {
 	}
 	if err := c.Commit(); !errors.Is(err, sqldb.ErrNoTransaction) {
 		t.Errorf("second commit: %v, want ErrNoTransaction", err)
+	}
+}
+
+// TestClientTracksTransaction: InTxn is what the server session holds,
+// or a Begin waiting to ride the next request. A rollback with only a
+// pending Begin drops it and sends nothing.
+func TestClientTracksTransaction(t *testing.T) {
+	db := setup(t)
+	c, local, calls := countedClient(db)
+	step := func(what string, err error, wantCalls int, want bool) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if *calls != wantCalls || c.InTxn() != want || local.Sess.InTxn() != want {
+			t.Fatalf("%s: %d calls, InTxn %v, session in a transaction %v; want %d and %v",
+				what, *calls, c.InTxn(), local.Sess.InTxn(), wantCalls, want)
+		}
+	}
+	update := func() error { _, err := c.Exec("UPDATE t SET v = 'x' WHERE k = 1"); return err }
+	step("fresh", nil, 0, false)
+	step("autocommit update", update(), 1, false)
+	if err := c.Begin(); err != nil || !c.InTxn() || *calls != 1 {
+		t.Fatalf("Begin: error %v, InTxn %v after %d calls; want a pending begin and 1 call", err, c.InTxn(), *calls)
+	}
+	step("rollback of a pending begin", c.Rollback(), 1, false)
+	_ = c.Begin()
+	step("update carrying the begin", update(), 2, true)
+	step("commit", c.Commit(), 3, false)
+	_ = c.Begin()
+	step("update carrying the begin", update(), 4, true)
+	step("rollback", c.Rollback(), 5, false)
+
+	// A commit the server refuses still ends it; a commit that a failed
+	// begin kept from running does not.
+	_ = c.Begin()
+	step("update carrying the begin", update(), 6, true)
+	_ = local.Sess.Rollback()
+	if err := c.Commit(); !errors.Is(err, sqldb.ErrNoTransaction) || c.InTxn() {
+		t.Fatalf("commit of an ended transaction: %v, InTxn %v; want ErrNoTransaction and false", err, c.InTxn())
+	}
+	_ = c.Begin()
+	step("update carrying the begin", update(), 8, true)
+	_ = c.Begin()
+	if err := c.Commit(); !errors.Is(err, sqldb.ErrInTransaction) || !c.InTxn() {
+		t.Fatalf("commit carrying a second begin: %v, InTxn %v; want ErrInTransaction and true", err, c.InTxn())
+	}
+	step("rollback", c.Rollback(), 10, false)
+
+	// A deadlock error ends it; any other error reply, or a transport
+	// error, leaves it open.
+	var reply []byte
+	fake := NewClient(rpc.NewInProc(func([]byte) ([]byte, error) { return reply, nil }, 0))
+	for _, tc := range []struct {
+		err  error
+		open bool
+	}{{sqldb.ErrDeadlock, false}, {sqldb.ErrDupKey, true}} {
+		var w rpc.Writer
+		reply = encodeErr(&w, tc.err)
+		_ = fake.Begin()
+		if _, err := fake.Exec("UPDATE t SET v = 'x' WHERE k = 1"); !errors.Is(err, tc.err) || fake.InTxn() != tc.open {
+			t.Errorf("an update answered %v: %v, InTxn %v; want InTxn %v", tc.err, err, fake.InTxn(), tc.open)
+		}
+		fake.open = false
+	}
+	_ = fake.Begin()
+	fake.T.Close()
+	if _, err := fake.Exec("UPDATE t SET v = 'x' WHERE k = 1"); err == nil || !fake.InTxn() {
+		t.Errorf("an update over a closed transport: %v, InTxn %v; want an error and true", err, fake.InTxn())
 	}
 }

@@ -41,8 +41,8 @@ func TestDepositExactCounts(t *testing.T) {
 		ctl, db           int64 // per deposit
 		failedCtl, failDB int64 // for the deposit to a missing account
 	}{
-		{1, 1, 0, 1, 1},
-		{0, 0, 3, 0, 4},
+		{1, 1, 0, 1, 0},
+		{0, 0, 3, 0, 3},
 	} {
 		tier := ledgerTier(t, tc.budget, nil)
 		c, err := tier.Open(0, "Ledger", val.IntV(0))
@@ -64,9 +64,9 @@ func TestDepositExactCounts(t *testing.T) {
 			t.Errorf("budget %v: balance %v after %d deposits", tc.budget, got, deposits)
 		}
 		// Account 1 does not exist: the deposit commits, then fails reading
-		// the row its query did not find, and the failure rolls the APP
-		// side's connection back (finding no transaction). That rollback is
-		// budget 1's one database call, and budget 0's fourth.
+		// the row its query did not find. The APP side's connection holds
+		// no transaction then, so the failure sends it no rollback: budget
+		// 1 makes no database call, and budget 0 its usual three.
 		if _, err := c.Call("Ledger.deposit", val.IntV(1), val.DoubleV(1)); err == nil {
 			t.Fatalf("budget %v: a deposit to a missing account succeeded", tc.budget)
 		}

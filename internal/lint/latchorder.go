@@ -55,11 +55,12 @@ var LatchAudit = map[string]string{
 	"(*DB).Snapshot":    "catMu read, then every table latch shared",
 
 	// Table structure under the table latch.
-	"(*Table).rowAt":           "caller holds table latch >= read; the slot is an atomic load",
-	"(*Table).setRow":          "caller holds table latch >= read; the slot is an atomic store",
-	"(*Table).NumRows":         "table latch shared",
-	"(*Table).addToIndexes":    "caller holds table latch exclusive",
-	"(*Table).dropFromIndexes": "caller holds table latch exclusive",
+	"(*Table).rowAt":            "caller holds table latch >= read; the slot is an atomic load",
+	"(*Table).setRow":           "caller holds table latch >= read; the slot is an atomic store",
+	"(*Table).NumRows":          "table latch shared",
+	"(*Table).addToIndexes":     "caller holds table latch exclusive",
+	"(*Table).addToSecondaries": "caller holds table latch exclusive",
+	"(*Table).dropFromIndexes":  "caller holds table latch exclusive",
 
 	// Binding (plan.go): the index set is read under the table's shared
 	// latch, taken by the binder around these calls. The plan keeps the
@@ -70,7 +71,7 @@ var LatchAudit = map[string]string{
 
 	// Bound-plan execution (exec.go); the plan's latch set is taken in
 	// (*Session).run.
-	"(*Session).execInsert": "table latch exclusive (suspended across the slot's lock wait, key revalidated after)",
+	"(*Session).execInsert": "table latch exclusive (suspended across the slot's lock wait; the primary key's Insert checks the key after)",
 	"(*Session).execUpdate": "table latch exclusive if the plan sets an indexed column, shared otherwise",
 	"(*Session).execDelete": "table latch exclusive",
 	"(*Session).matchRows":  "statement's latch >= read (suspended across lock waits, epoch revalidated after); rows via rowAt",

@@ -202,8 +202,9 @@ func BenchmarkTransferLoop(b *testing.B) { loop(b, transferLoop(b)) }
 func BenchmarkTableSweep(b *testing.B) { loop(b, tableSweep(b)) }
 
 // TestAllocCeilings holds the transaction path to its measured
-// allocation counts plus one. A NewOrder allocates what it stores — 13
-// row versions, their keys — at every budget: each transaction,
+// allocation counts. A NewOrder allocates what it stores — 13 row
+// versions, and its share of the B+tree nodes their keys fill (a key
+// lives inside its node) — at every budget: each transaction,
 // autocommit ones too, is its session's last Txn reused, every result
 // table is recycled memory the engine or the dbapi decoder fills (the
 // decoder copies a table's strings in one allocation), and every round
@@ -217,13 +218,13 @@ func TestAllocCeilings(t *testing.T) {
 		ceiling float64
 		run     func()
 	}{
-		{"NewOrder at budget 1", 22, newOrderSP(t)},
-		{"NewOrder at budget 0", 22, newOrderAt(t, 0)},
-		{"NewOrder at budget 0.5", 22, newOrderAt(t, 0.5)},
+		{"NewOrder at budget 1", 14, newOrderSP(t)},
+		{"NewOrder at budget 0", 14, newOrderAt(t, 0)},
+		{"NewOrder at budget 0.5", 14, newOrderAt(t, 0.5)},
 		// One allocation per page line, which builds its string with one
 		// concat, and one per synced table with string cells. The first
 		// 200 mixes measured here make longer pages than a benchmark run's
-		// average.
+		// average. Measured 102, held at one more.
 		{"browsing mix", 103, browsingMix(t)},
 		{"transfer round trip", 0, transferRoundTrip(t)},
 		{"transfer loop", 0, transferLoop(t)},
@@ -261,7 +262,7 @@ func TestNewOrderCounts(t *testing.T) {
 // NewOrder plus 10 %. What a NewOrder rightly keeps is its rows and
 // their B+tree entries.
 func TestNewOrderRetainedBytes(t *testing.T) {
-	const n, measured = 2000, 3875
+	const n, measured = 2000, 3270
 	run := newOrderSP(t)
 	for i := 0; i < 200; i++ {
 		run()

@@ -415,6 +415,10 @@ func (c *Client) Call(qname string, this val.OID, args ...val.Value) (val.Value,
 	return c.invoke(m, this, args)
 }
 
+// txnHolder is a database connection that knows whether it holds a
+// transaction, as dbapi.Client does.
+type txnHolder interface{ InTxn() bool }
+
 func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (val.Value, error) {
 	if len(args) != len(m.Params) {
 		return val.Value{}, fmt.Errorf("runtime: %s: want %d args, got %d", m.QName, len(m.Params), len(args))
@@ -435,11 +439,13 @@ func (c *Client) invoke(m *compile.MethodInfo, this val.OID, args []val.Value) (
 	// on the APP-side connection must be rolled back here — the caller
 	// only ever sees the error and retries (or gives up) from the top,
 	// and an abandoned transaction would pin its row locks until the
-	// connection died. Best effort: with no open transaction the
-	// rollback is a harmless ErrNoTransaction, and after an engine-side
-	// deadlock abort the transaction is already gone.
+	// connection died. A connection that knows it holds no transaction
+	// (dbapi.Client: none begun, or ended by a commit, a rollback or a
+	// deadlock abort) is not asked; any other is, best effort.
 	fail := func(err error) (val.Value, error) {
-		_ = sn.DB.Rollback()
+		if tx, ok := sn.DB.(txnHolder); !ok || tx.InTxn() {
+			_ = sn.DB.Rollback()
+		}
 		sn.truncStack(0)
 		sn.endCall(val.Value{})
 		return val.Value{}, err

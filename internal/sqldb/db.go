@@ -546,15 +546,19 @@ func appendKey(dst []val.Value, cols []int, row []val.Value, slot int, unique bo
 	return dst
 }
 
-// keyFor builds the key an index stores for row.
-func keyFor(cols []int, row []val.Value, slot int, unique bool) []val.Value {
-	return appendKey(make([]val.Value, 0, len(cols)+1), cols, row, slot, unique)
+// addToIndexes enters row, at slot, into every index of t.
+func (t *Table) addToIndexes(row []val.Value, slot int) {
+	var buf [8]val.Value
+	t.pk.Insert(appendKey(buf[:0], t.pkCols, row, slot, true), slot)
+	t.addToSecondaries(row, slot)
 }
 
-func (t *Table) addToIndexes(row []val.Value, slot int) {
-	t.pk.Insert(keyFor(t.pkCols, row, slot, true), slot)
+// addToSecondaries enters row, at slot, into t's secondary indexes.
+// Insert copies each key into its tree, so they are built on the stack.
+func (t *Table) addToSecondaries(row []val.Value, slot int) {
+	var buf [8]val.Value
 	for _, ix := range t.idxs {
-		ix.tree.Insert(keyFor(ix.cols, row, slot, ix.unique), slot)
+		ix.tree.Insert(appendKey(buf[:0], ix.cols, row, slot, ix.unique), slot)
 	}
 }
 
@@ -844,7 +848,6 @@ func (db *DB) createTable(st *CreateTableStmt) error {
 		id:     db.nextTable,
 		cols:   st.Cols,
 		colIdx: map[string]int{},
-		pk:     newBTree(),
 	}
 	for i, c := range st.Cols {
 		if _, dup := t.colIdx[c.Name]; dup {
@@ -859,6 +862,7 @@ func (db *DB) createTable(st *CreateTableStmt) error {
 		}
 		t.pkCols = append(t.pkCols, ci)
 	}
+	t.pk = newBTree(len(t.pkCols))
 	db.tables[st.Table] = t
 	db.epoch.Add(1)
 	return nil
@@ -869,7 +873,7 @@ func (db *DB) createIndex(st *CreateIndexStmt) error {
 	if t == nil {
 		return fmt.Errorf("%w: %s", ErrNoSuchTable, st.Table)
 	}
-	ix := &index{name: st.Name, unique: st.Unique, tree: newBTree()}
+	ix := &index{name: st.Name, unique: st.Unique}
 	for _, cn := range st.Cols {
 		ci, ok := t.colIdx[cn]
 		if !ok {
@@ -877,11 +881,17 @@ func (db *DB) createIndex(st *CreateIndexStmt) error {
 		}
 		ix.cols = append(ix.cols, ci)
 	}
+	width := len(ix.cols)
+	if !ix.unique {
+		width++ // the slot
+	}
+	ix.tree = newBTree(width)
 	t.latch.Lock()
 	defer t.latch.Unlock()
+	var buf [8]val.Value
 	for slot := range t.rows {
 		if row := t.rowAt(slot); row != nil {
-			ix.tree.Insert(keyFor(ix.cols, row, slot, ix.unique), slot)
+			ix.tree.Insert(appendKey(buf[:0], ix.cols, row, slot, ix.unique), slot)
 		}
 	}
 	t.idxs = append(t.idxs, ix)

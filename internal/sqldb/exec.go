@@ -256,6 +256,8 @@ func (s *Session) rowMatches(t *Table, lp *levelPlan, level, slot int, known []v
 
 // execInsert runs under the table's exclusive latch (slot allocation
 // and index insertion are structural), holding the table's IX first.
+// The primary key's duplicate check is its tree's Insert, made once the
+// new row's slot is X-locked.
 func (s *Session) execInsert(txn *Txn, p *boundPlan, args []val.Value) (int, error) {
 	s.db.stats.inserts.Add(1)
 	t := p.tables[0]
@@ -276,11 +278,6 @@ func (s *Session) execInsert(txn *Txn, p *boundPlan, args []val.Value) (int, err
 		}
 	}
 
-	s.key = appendKey(s.key[:0], t.pkCols, row, 0, true)
-	if _, exists := t.pk.Get(s.key); exists {
-		return 0, fmt.Errorf("%w: %s %v", ErrDupKey, t.name, s.key)
-	}
-
 	// Reserve a slot but do NOT publish the row until its X lock is
 	// held: a recycled slot can carry lock waiters from its previous
 	// row, and acquireLock suspends the table latch while parked, so an
@@ -294,27 +291,26 @@ func (s *Session) execInsert(txn *Txn, p *boundPlan, args []val.Value) (int, err
 		slot = len(t.rows)
 		t.rows = append(t.rows, atomic.Pointer[val.Value]{})
 	}
-	waited, err := s.acquireLock(txn, t.lockKey(slot), LockX)
-	if err != nil {
+	if _, err := s.acquireLock(txn, t.lockKey(slot), LockX); err != nil {
 		// No wait happened (errors are only returned pre-enqueue), so
 		// the latch was held throughout and the slot can be recycled.
 		t.free = append(t.free, slot)
 		return 0, err
 	}
-	// The lock wait suspended the latch: another transaction may have
-	// inserted the same key meanwhile. (A stale plan is harmless here:
-	// an INSERT's plan names columns only, and addToIndexes walks the
-	// table's live index set.)
-	if waited {
-		if _, exists := t.pk.Get(s.key); exists {
-			// The reserved slot stays X-locked until transaction end;
-			// commit and rollback both recycle it.
-			txn.reserved = append(txn.reserved, freedSlot{t: t, slot: slot})
-			return 0, fmt.Errorf("%w: %s %v", ErrDupKey, t.name, s.key)
-		}
+	// The key is checked only now, under the latch the lock wait (if
+	// any) gave back: another transaction may have inserted it
+	// meanwhile. (A stale plan is harmless here: an INSERT's plan names
+	// columns only, and addToSecondaries walks the table's live index
+	// set.)
+	s.key = appendKey(s.key[:0], t.pkCols, row, 0, true)
+	if !t.pk.Insert(s.key, slot) {
+		// The reserved slot stays X-locked until transaction end;
+		// commit and rollback both recycle it.
+		txn.reserved = append(txn.reserved, freedSlot{t: t, slot: slot})
+		return 0, fmt.Errorf("%w: %s %v", ErrDupKey, t.name, s.key)
 	}
 	t.setRow(slot, row)
-	t.addToIndexes(row, slot)
+	t.addToSecondaries(row, slot)
 	txn.undo = append(txn.undo, undoRec{t: t, kind: uInsert, slot: slot})
 	return 1, nil
 }

@@ -507,7 +507,7 @@ func TestParseSQLShapes(t *testing.T) {
 // random insert/delete/scan sequences.
 func TestBTreeMatchesReference(t *testing.T) {
 	f := func(ops []int16, seed int64) bool {
-		tr := newBTree()
+		tr := newBTree(1)
 		ref := map[int64]int{}
 		rng := rand.New(rand.NewSource(seed))
 		for i, op := range ops {
@@ -568,7 +568,7 @@ func TestBTreeMatchesReference(t *testing.T) {
 }
 
 func TestBTreeLargeSequential(t *testing.T) {
-	tr := newBTree()
+	tr := newBTree(1)
 	const n = 10000
 	for i := 0; i < n; i++ {
 		if !tr.Insert([]val.Value{val.IntV(int64(i))}, i) {
@@ -723,7 +723,7 @@ func TestResultSetSize(t *testing.T) {
 // float64.
 func TestLargeIntKeys(t *testing.T) {
 	const big = int64(1) << 53
-	tr := newBTree()
+	tr := newBTree(1)
 	if !tr.Insert([]val.Value{val.IntV(big)}, 1) {
 		t.Fatal("insert 2^53 failed")
 	}
