@@ -12,16 +12,17 @@
 // the least-loaded connection and stays pinned there, removing the
 // single connection's head-of-line at high client counts.
 //
-// A pyxis-dbserver running -max-sessions or -admit-high decides
-// admission once per session, when a client opens: a refused open
-// surfaces as rpc.ErrOverloaded and is retried with jittered backoff,
-// and an admitted client's calls are never shed.
+// A pyxis-dbserver running -max-sessions decides admission once per
+// session, when a client opens: a refused open surfaces as
+// rpc.ErrOverloaded and is retried with jittered backoff, and an
+// admitted client's calls are never shed.
 //
 // Against a SHARDED DB tier, -db and -ctl take comma-separated address
 // lists of equal length — entry i of each list is shard i, one
 // pyxis-dbserver per shard. Each client session picks its home shard
 // by hashing its client index through runtime.ShardMap and opens its
-// sessions on that shard.
+// sessions on that shard. Every client sends the same -args and
+// -callargs, so every shard must own the rows they name.
 //
 // Usage (after starting pyxis-dbserver):
 //

@@ -13,33 +13,33 @@
 // program; pyxis-app rebuilds its half from what the database port
 // serves.
 //
-// With -max-sessions and/or -admit-high the server refuses work it
-// cannot take: an admission controller decides once per control
-// session, when it opens, on the concurrent session cap and on the
-// blended load of a CPU proxy and the lock-wait rate, with hysteresis
-// (-admit-high enter / -admit-low leave) so admission doesn't flap. A
-// refused session is shed with the typed overload reply, which
-// pyxis-app retries at open; an admitted session's calls are never
-// shed. Every pyxis-app client whose program can transfer control holds
-// one control session; a -budget 0 program runs wholly on the APP side
-// and holds none.
+// With -max-sessions K the server refuses work it cannot take: an
+// admission controller decides once per control session, when it
+// opens, whether fewer than K sessions are open server-wide. A refused
+// session is shed with the typed overload reply, which pyxis-app
+// retries at open; an admitted session's calls are never shed. Every
+// pyxis-app client whose program can transfer control holds one
+// control session; a -budget 0 program runs wholly on the APP side and
+// holds none.
 //
 // One process is one shard of a shared-nothing tier: each shard runs
-// its own database, lock manager, runtime peer, load monitor and
-// admission controller — nothing is shared between shard processes.
-// The server stays shard-unaware by design: the -schema script loads
-// only this shard's slice of the data, and a pyxis-app started with
-// matching -db/-ctl address lists routes every session to its home
-// shard by partition key (runtime.ShardMap) and refuses shards serving
-// different programs. The shard map is fixed for the deployment's
-// life: no process moves data between shards, every transaction runs
-// on one shard, and the database port serves statements, transaction
-// ops and the program description only.
+// its own database, lock manager, runtime peer and admission
+// controller — nothing is shared between shard processes. The server
+// stays shard-unaware by design: the -schema script loads only this
+// shard's slice of the data. A pyxis-app started with matching -db/-ctl
+// address lists places client i on shard runtime.ShardMap.Shard(i) —
+// a hash of the client's index, not of any row it touches — and sends
+// every client the same -callargs, so every shard must own the rows
+// those arguments name. It refuses shards serving different programs.
+// The shard map is fixed for the deployment's life: no process moves
+// data between shards, every transaction runs on one shard, and the
+// database port serves statements, transaction ops and the program
+// description only.
 //
 // Usage:
 //
 //	pyxis-dbserver -src order.pyxj -budget 1.0 -schema schema.sql \
-//	    -db :7001 -ctl :7002 [-max-sessions 256] [-admit-high 85 -admit-low 60]
+//	    -db :7001 -ctl :7002 [-max-sessions 256]
 package main
 
 import (
@@ -62,8 +62,6 @@ func main() {
 		dbAddr      = flag.String("db", ":7001", "database wire protocol listen address")
 		ctlAddr     = flag.String("ctl", ":7002", "Pyxis control-transfer listen address")
 		maxSessions = flag.Int("max-sessions", 0, "cap on concurrently admitted control sessions (0 = unlimited)")
-		admitHigh   = flag.Float64("admit-high", 0, "blended load percent above which new sessions are refused (0 disables the load gate)")
-		admitLow    = flag.Float64("admit-low", 0, "blended load percent below which admission resumes (default admit-high - 25, at least admit-high/2)")
 	)
 	flag.Parse()
 	if *srcPath == "" {
@@ -104,25 +102,12 @@ func main() {
 	// One shard: the database and the DB-side runtime behind both ports.
 	shard := &deploy.Shard{DB: db, Partition: part, Out: os.Stdout}
 
-	// Admission control: one controller for the control port, deciding
-	// each session at its open with the session cap and the hysteretic
-	// load gate server-wide across its connections.
+	// Admission control: one session cap for the control port, shared
+	// by all of its connections.
 	admDesc := ""
-	if *maxSessions > 0 || *admitHigh > 0 {
-		admCfg := runtime.AdmissionConfig{MaxSessions: *maxSessions}
-		gateMon := (*runtime.LoadMonitor)(nil) // cap-only unless -admit-high
-		if *admitHigh > 0 {
-			admCfg.HighLoad, admCfg.LowLoad = *admitHigh, *admitLow
-			gateMon = runtime.NewLoadMonitor(db)
-		}
-		adm := runtime.NewAdmissionController(gateMon, admCfg)
-		shard.Mux.Admission = adm
+	if *maxSessions > 0 {
+		shard.Mux.Admission = runtime.NewAdmissionController(*maxSessions)
 		admDesc = fmt.Sprintf(" admission={max-sessions=%d}", *maxSessions)
-		if *admitHigh > 0 {
-			cfg := adm.Config()
-			admDesc = fmt.Sprintf(" admission={max-sessions=%d admit-high=%.0f admit-low=%.0f}",
-				*maxSessions, cfg.HighLoad, cfg.LowLoad)
-		}
 	}
 
 	srv, err := deploy.Listen(shard, *dbAddr, *ctlAddr)

@@ -136,9 +136,8 @@ func TestRunPoolSaturationShedsGracefully(t *testing.T) {
 	cfg, slots := WallCfg{Clients: 6, Txns: 4, Conns: 2}, 2
 	top, err := cfg.topology(c.Warehouses, part, c.loadRange)
 	var adm *runtime.AdmissionController
-	top.Mux = func(_ int, db *sqldb.DB) rpc.MuxServeConfig {
-		mon := colocatedMonitor(db)
-		adm = runtime.NewAdmissionController(mon, runtime.AdmissionConfig{MaxSessions: slots})
+	top.Mux = func(int, *sqldb.DB) rpc.MuxServeConfig {
+		adm = runtime.NewAdmissionController(slots)
 		return rpc.MuxServeConfig{Admission: adm}
 	}
 	d := up(t, top, err)

@@ -76,18 +76,6 @@ func (c TPCCConfig) loadRange(m runtime.ShardMap, shard int) (*sqldb.DB, error) 
 	return c.LoadRange(int(lo), int(hi)), nil
 }
 
-// colocatedMonitor is the server's load monitor with its organic
-// saturation points pushed out of reach. Clients share this process
-// with the server, so goroutine counts say nothing about DB CPU and
-// colocated lock waits would trip the blend nondeterministically; what
-// drives these tests is forced (the session cap).
-func colocatedMonitor(db *sqldb.DB) *runtime.LoadMonitor {
-	mon := runtime.NewLoadMonitor(db)
-	mon.GoroutineSat = 1 << 20
-	mon.LockWaitSat = 1 << 20
-	return mon
-}
-
 // TPCCMix is the TPC-C workload's schedule.
 type TPCCMix struct {
 	// PaymentEvery makes every k-th transaction a Payment (0: none).

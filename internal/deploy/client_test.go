@@ -260,18 +260,14 @@ func TestPooledClientsNeverQueueCalls(t *testing.T) {
 }
 
 // TestAdmissionNeverShedsAdmittedSessions pins the admission contract:
-// the server decides at Open and only there. Once the load is forced
-// to 100, an open client's calls all still run, a new Open is refused
-// with rpc.ErrOverloaded, and Open succeeds again once the load falls
-// below the release level; the session cap refuses an Open beyond it.
-// A client holds one slot.
+// the server decides at Open and only there. With its 2-session cap
+// full, an open client's calls all still run, a new Open is refused
+// with rpc.ErrOverloaded, and Open succeeds again once a client
+// closes. A client holds one slot.
 func TestAdmissionNeverShedsAdmittedSessions(t *testing.T) {
-	var mon *runtime.LoadMonitor
 	var adm *runtime.AdmissionController
-	tier := ledgerTier(t, 1.0, func(_ int, db *sqldb.DB) rpc.MuxServeConfig {
-		mon = runtime.NewLoadMonitor(db)
-		mon.GoroutineSat, mon.LockWaitSat = 1<<20, 1<<20 // only the forced load moves the blend
-		adm = runtime.NewAdmissionController(mon, runtime.AdmissionConfig{MaxSessions: 2})
+	tier := ledgerTier(t, 1.0, func(int, *sqldb.DB) rpc.MuxServeConfig {
+		adm = runtime.NewAdmissionController(2)
 		return rpc.MuxServeConfig{Admission: adm}
 	})
 	open := func() (*Client, error) { return tier.Open(0, "Ledger", val.IntV(0)) }
@@ -283,30 +279,37 @@ func TestAdmissionNeverShedsAdmittedSessions(t *testing.T) {
 	if n := adm.Stats().Sessions; n != 1 {
 		t.Fatalf("an open client holds %d admission slots, want 1", n)
 	}
+	second, err := open()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	mon.SetExternal(100)
 	ctl0 := tier.Ctl.Stats().Calls
 	for k := 0; k < 5; k++ {
 		if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
-			t.Fatalf("call %d on an admitted client at load 100: %v", k, err)
+			t.Fatalf("call %d on an admitted client at the cap: %v", k, err)
 		}
 	}
 	if got := tier.Ctl.Stats().Calls - ctl0; got != 5 {
 		t.Errorf("%d control calls, want 5 (every call on the gated control wire)", got)
 	}
 	if _, err := open(); !errors.Is(err, rpc.ErrOverloaded) {
-		t.Fatalf("Open at load 100: %v, want rpc.ErrOverloaded", err)
-	}
-
-	mon.SetExternal(0)
-	second, err := open()
-	if err != nil {
-		t.Fatalf("Open after the load fell: %v", err)
-	}
-	defer second.Close()
-	if _, err := open(); !errors.Is(err, rpc.ErrOverloaded) {
 		t.Fatalf("Open beyond the 2-session cap: %v, want rpc.ErrOverloaded", err)
 	}
+
+	// The server frees the slot when its worker has drained the
+	// session, which can land after Close returns.
+	if err := second.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var third *Client
+	if _, err := runtime.RetryOverloaded(5*time.Second, func() (err error) {
+		third, err = open()
+		return err
+	}); err != nil {
+		t.Fatalf("Open after a client closed: %v", err)
+	}
+	defer third.Close()
 	if got := balance(t, tier.DBs[0]); got != 5 {
 		t.Errorf("balance %v after 5 deposits", got)
 	}

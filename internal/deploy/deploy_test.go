@@ -132,7 +132,7 @@ func TestDeployServesEveryShardAndCloses(t *testing.T) {
 func TestListenDialCapShedsControlOnly(t *testing.T) {
 	db := ledgerDB(t)
 	s := &Shard{DB: db, Partition: ledgerPartitions(t, 1.0)[0], Mux: rpc.MuxServeConfig{
-		Admission: runtime.NewAdmissionController(nil, runtime.AdmissionConfig{MaxSessions: 1}),
+		Admission: runtime.NewAdmissionController(1),
 	}}
 	srv, err := Listen(s, "127.0.0.1:0", "127.0.0.1:0")
 	if err != nil {

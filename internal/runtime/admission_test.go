@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,11 +12,11 @@ import (
 	"pyxis/internal/val"
 )
 
-// TestAdmissionSessionCap covers the structural gate: the cap admits
-// exactly MaxSessions concurrently, refusals don't leak slots, and a
-// close frees one.
+// TestAdmissionSessionCap covers the cap: a cap of 2 admits exactly
+// two sessions concurrently, refusals don't leak slots, and a close
+// frees one.
 func TestAdmissionSessionCap(t *testing.T) {
-	a := NewAdmissionController(nil, AdmissionConfig{MaxSessions: 2})
+	a := NewAdmissionController(2)
 	if err := a.AdmitSession(1); err != nil {
 		t.Fatal(err)
 	}
@@ -35,74 +37,40 @@ func TestAdmissionSessionCap(t *testing.T) {
 	if st.Sessions != 2 || st.AdmittedSessions != 3 || st.ShedSessions != 2 {
 		t.Errorf("stats = %+v, want sessions=2 admitted=3 shed=2", st)
 	}
-	// Without a monitor the load gate must never engage.
-	if st.Shedding {
-		t.Error("monitor-less controller reports shedding")
-	}
 }
 
-// forcedMonitor builds a LoadMonitor whose organic components are
-// pushed out of reach, so SetExternal is the only signal — the same
-// trick the bench drivers use to make load deterministic in-process.
-func forcedMonitor() *LoadMonitor {
-	m := NewLoadMonitor(nil)
-	m.GoroutineSat = 1 << 20
-	m.LockWaitSat = 1 << 20
-	return m
-}
-
-// TestAdmissionHysteresis drives the load gate through a ramp and
-// checks the dead band: shedding engages only above HighLoad, holds
-// through the band, and releases only below LowLoad — admission
-// cannot flap around a single threshold.
-func TestAdmissionHysteresis(t *testing.T) {
-	mon := forcedMonitor()
-	a := NewAdmissionController(mon, AdmissionConfig{HighLoad: 80, LowLoad: 40})
-
-	steps := []struct {
-		load     float64
-		wantShed bool
-		desc     string
-	}{
-		{10, false, "idle"},
-		{70, false, "below high threshold"},
-		{90, true, "crossed high: engage"},
-		{60, true, "inside the band: hold shedding"},
-		{45, true, "still above low: hold shedding"},
-		{30, false, "below low: release"},
-		{60, false, "inside the band from below: stay open"},
-		{85, true, "crossed high again: re-engage"},
+// TestAdmissionCapConcurrent races opens against the cap: of 32
+// concurrent AdmitSession calls on a cap of 8 exactly 8 win, the
+// counters agree, and closing the winners frees every slot.
+func TestAdmissionCapConcurrent(t *testing.T) {
+	const limit, racers = 8, 32
+	a := NewAdmissionController(limit)
+	var admitted atomic.Int64
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range racers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if a.AdmitSession(uint32(i)) == nil {
+				admitted.Add(1)
+			}
+		}()
 	}
-	for _, step := range steps {
-		mon.SetExternal(step.load)
-		err := a.AdmitSession(1)
-		if step.wantShed && err == nil {
-			t.Errorf("%s (load %.0f): session admitted, want refusal", step.desc, step.load)
-		}
-		if !step.wantShed && err != nil {
-			t.Errorf("%s (load %.0f): session refused: %v", step.desc, step.load, err)
-		}
-		if !step.wantShed {
-			a.SessionClosed(1) // keep the cap-less slot count balanced
-		}
-		if got := a.Shedding(); got != step.wantShed {
-			t.Errorf("%s (load %.0f): shedding=%v, want %v", step.desc, step.load, got, step.wantShed)
-		}
+	close(start)
+	wg.Wait()
+	if got := admitted.Load(); got != limit {
+		t.Fatalf("%d of %d racers admitted on a cap of %d", got, racers, limit)
 	}
-}
-
-// TestAdmissionReleaseDefault: an unset LowLoad releases 25 points
-// under HighLoad, never below half of it; a set one is kept unless it
-// inverts the band.
-func TestAdmissionReleaseDefault(t *testing.T) {
-	for _, c := range []struct{ high, low, want float64 }{
-		{0, 0, 60}, {85, 0, 60}, {100, 0, 75}, {40, 0, 20}, {10, 0, 5},
-		{80, 40, 40}, {80, 90, 79},
-	} {
-		cfg := NewAdmissionController(nil, AdmissionConfig{HighLoad: c.high, LowLoad: c.low}).Config()
-		if cfg.LowLoad != c.want {
-			t.Errorf("HighLoad %v LowLoad %v: release at %v, want %v", c.high, c.low, cfg.LowLoad, c.want)
-		}
+	if st := a.Stats(); st.Sessions != limit || st.AdmittedSessions != limit || st.ShedSessions != racers-limit {
+		t.Errorf("stats = %+v, want sessions=%d admitted=%d shed=%d", st, limit, limit, racers-limit)
+	}
+	for i := range limit {
+		a.SessionClosed(uint32(i))
+	}
+	if n := a.Stats().Sessions; n != 0 {
+		t.Errorf("%d sessions after every admitted one closed, want 0", n)
 	}
 }
 
