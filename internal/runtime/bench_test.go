@@ -150,6 +150,26 @@ func transferLoop(tb testing.TB) func() {
 	}
 }
 
+// concatPage returns a function that builds the next 20-line page of
+// runtime.ConcatPageProgram, with += on the APP.
+func concatPage(tb testing.TB) func() {
+	dep := runtime.NewDeployment(runtime.ConcatPageProgram(tb), sqldb.Open(), runtime.Options{})
+	tb.Cleanup(func() { dep.Client.Close() })
+	obj, err := dep.Client.NewObject("P")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	arg := make([]val.Value, 1)
+	k := int64(0)
+	return func() {
+		arg[0] = val.IntV(k)
+		k++
+		if _, err := dep.Client.CallEntry("P.page", obj, arg...); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // tableSweep returns a function that gives a session what a budget-1
 // NewOrder leaves its DB session to sweep, its 8 dead result tables
 // (TestNewOrderCounts), plus one that a shipped slot still names, and
@@ -198,6 +218,10 @@ func BenchmarkTransferEncodeDecode(b *testing.B) { loop(b, transferRoundTrip(b))
 // call: the delta codec on a stack both peers keep.
 func BenchmarkTransferLoop(b *testing.B) { loop(b, transferLoop(b)) }
 
+// BenchmarkConcatPage is one 20-line page built with +=: each line
+// extends the page in place.
+func BenchmarkConcatPage(b *testing.B) { loop(b, concatPage(b)) }
+
 // BenchmarkTableSweep is the sweep that ends a transfer.
 func BenchmarkTableSweep(b *testing.B) { loop(b, tableSweep(b)) }
 
@@ -221,14 +245,18 @@ func TestAllocCeilings(t *testing.T) {
 		{"NewOrder at budget 1", 14, newOrderSP(t)},
 		{"NewOrder at budget 0", 14, newOrderAt(t, 0)},
 		{"NewOrder at budget 0.5", 14, newOrderAt(t, 0.5)},
-		// One allocation per page line, which builds its string with one
-		// concat, and one per synced table with string cells. The first
-		// 200 mixes measured here make longer pages than a benchmark run's
-		// average. Measured 102, held at one more.
-		{"browsing mix", 103, browsingMix(t)},
+		// One allocation per page, whose lines extend it in place, and
+		// one per growth of its buffer; and one per synced table with
+		// string cells. The first 200 mixes measured here make longer
+		// pages than a benchmark run's average. Measured 49, held at one
+		// more.
+		{"browsing mix", 50, browsingMix(t)},
 		{"transfer round trip", 0, transferRoundTrip(t)},
 		{"transfer loop", 0, transferLoop(t)},
 		{"table sweep", 0, tableSweep(t)},
+		// The first line's fresh result and three growths of the page's
+		// buffer (to 256 bytes, then twice what it needs).
+		{"20-line page", 4, concatPage(t)},
 	} {
 		tc.run()
 		if got := testing.AllocsPerRun(200, tc.run); got > tc.ceiling {

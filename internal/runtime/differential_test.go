@@ -80,8 +80,12 @@ class L {
 // either side of the call that bumps it), `+=` of a chain onto a local,
 // a field and an array element, and sys.str of a negative int, an
 // integer-valued double, a fractional double and a bool, alone and in
-// chains. Random placements put the statements that compute operands
-// on either side of the one that concatenates them.
+// chains. page builds a 20-line page with += (each line extends the
+// last result in place), copies it to a local before both are extended,
+// and extends journal, which build extends too, across calls. Random
+// placements put the statements that compute operands on either side of
+// the one that concatenates them, and an extension on either side of a
+// transfer.
 const diffConcatSrc = `
 class S {
     string journal;
@@ -116,6 +120,21 @@ class S {
         return sys.str(s + mid);
     }
 
+    entry string page(int k) {
+        string html = "<ul>" + sys.str(k);
+        int i = 0;
+        while (i < 20) {
+            html += "<li>" + sys.str(i * k) + ":" + lines[i % 4] + "</li>";
+            i = i + 1;
+        }
+        string kept = html;
+        html += "</ul>";
+        kept += tag(k) + sys.str(price);
+        journal += kept + ";";
+        sys.print(html);
+        return html + "|" + kept;
+    }
+
     entry string show(int i) {
         string line = lines[i % 4];
         return sys.str(line) + "/" + journal;
@@ -140,7 +159,7 @@ func diffSchedule(class string, entries []string, rng *rand.Rand, n int) []diffC
 			args = []val.Value{val.IntV(int64(rng.Intn(20))), val.BoolV(rng.Intn(2) == 0)}
 		case "S.build":
 			args = []val.Value{val.IntV(int64(rng.Intn(8))), val.BoolV(rng.Intn(2) == 0)}
-		case "Calc.histAt", "L.peek", "S.show":
+		case "Calc.histAt", "L.peek", "S.show", "S.page":
 			args = []val.Value{val.IntV(int64(rng.Intn(16)))}
 		case "L.run":
 			args = []val.Value{val.IntV(int64(1 + rng.Intn(6)))}
@@ -220,7 +239,7 @@ func TestDifferentialRandomPlacements(t *testing.T) {
 	}{
 		{"calc", calcSrc, "Calc", []string{"apply", "histAt", "describe"}},
 		{"loop", diffLoopSrc, "L", []string{"run", "peek", "show"}},
-		{"concat", diffConcatSrc, "S", []string{"build", "build", "show"}},
+		{"concat", diffConcatSrc, "S", []string{"build", "page", "build", "show"}},
 	}
 	for _, p := range programs {
 		for seed := int64(1); seed <= 64; seed++ {

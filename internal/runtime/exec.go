@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"pyxis/internal/compile"
 	"pyxis/internal/dbapi"
@@ -190,6 +191,9 @@ type Session struct {
 	// encodeStack found in the live slots of the stack it keeps, or a
 	// finished call's return value. See sweepTables.
 	liveTabs []val.OID
+	// cat is the bytes behind the session's last concat result, with
+	// room to extend it in place (see concat). A call's end drops it.
+	cat []byte
 }
 
 // NewSession creates a session on p using the given database
@@ -242,8 +246,10 @@ func (sn *Session) sweepTables() {
 // endCall frees the tables of a call whose outermost frame returned
 // ret, or that was abandoned (ret is the zero Value): with no frame
 // left only a returned table is still reachable, by the caller of
-// Client.Call. A freed table still pending sendNative dies unsent.
+// Client.Call. A freed table still pending sendNative dies unsent, and
+// the session lets go of its last concat result.
 func (sn *Session) endCall(ret val.Value) {
+	sn.cat = nil
 	sn.liveTabs = sn.liveTabs[:0]
 	if ret.K == val.Table {
 		sn.liveTabs = append(sn.liveTabs, ret.OID())
@@ -580,7 +586,7 @@ func (sn *Session) exec(in *compile.Instr, fr *Frame) error {
 		}
 		s[in.A] = val.IntV(interp.Sha1Round(s[in.B].I))
 	case compile.OpConcat:
-		s[in.A] = concat(s, in.Args)
+		s[in.A] = sn.concat(s, in.Args)
 	case compile.OpTblRows:
 		t, err := sn.Heap.Table(s[in.B].OID())
 		if err != nil {
@@ -685,9 +691,18 @@ func binOp(op source.BinOp, l, r val.Value) (val.Value, error) {
 }
 
 // concat is OpConcat: the operands rendered as sys.str renders them,
-// end to end, in one allocation sized before it is filled. A lone
-// string operand is the result as it stands.
-func concat(s []val.Value, args []int) val.Value {
+// end to end. A lone string operand is the result as it stands.
+//
+// A page built line by line (html = html + ...) extends its last
+// result, so when operand 0 is the session's last result the rest are
+// appended to its bytes in place, growing them to max(2n, 256) bytes
+// when they fall short. Strings are immutable and this only ever writes
+// past len(sn.cat), where every string it handed out ends, so no slot,
+// field, row or key it reached changes: of two slots holding the last
+// result, the first to extend it moves the end and the second then gets
+// a copy. Any other result is one allocation sized before it is filled,
+// so a one-off result stored in a row carries no slack.
+func (sn *Session) concat(s []val.Value, args []int) val.Value {
 	if len(args) == 1 && s[args[0]].K == val.Str {
 		return s[args[0]]
 	}
@@ -699,17 +714,20 @@ func concat(s []val.Value, args []int) val.Value {
 			n += val.MaxAppendLen
 		}
 	}
-	var b strings.Builder
-	b.Grow(n)
-	var num [val.MaxAppendLen]byte
-	for _, a := range args {
-		if v := &s[a]; v.K == val.Str {
-			b.WriteString(v.S)
-		} else {
-			b.Write(val.Append(num[:0], *v))
+	b := sn.cat
+	if v := &s[args[0]]; v.K == val.Str && len(v.S) > 0 && len(v.S) == len(b) && unsafe.StringData(v.S) == unsafe.SliceData(b) {
+		if cap(b) < n {
+			b = append(make([]byte, 0, max(2*n, 256)), b...)
 		}
+		args = args[1:]
+	} else {
+		b = make([]byte, 0, n)
 	}
-	return val.StrV(b.String())
+	for _, a := range args {
+		b = val.Append(b, s[a])
+	}
+	sn.cat = b
+	return val.StrV(unsafe.String(unsafe.SliceData(b), len(b)))
 }
 
 func refEqual(l, r val.Value) bool {

@@ -36,6 +36,10 @@ func (m *SessionManager) Hosted() []*Session {
 // is placed on the DB with the field it updates, n times.
 func LoopProgram(tb testing.TB) *compile.Program { return loopWire.compile(tb, true) }
 
+// ConcatPageProgram is concatPageSrc compiled with every statement on
+// the APP: P.page(n) builds its page without a transfer.
+func ConcatPageProgram(tb testing.TB) *compile.Program { return compileWith(tb, concatPageSrc, nil) }
+
 // FillTables installs dead+live empty tables, the live ones named as
 // by a stack the session has just shipped.
 func (sn *Session) FillTables(dead, live int) {

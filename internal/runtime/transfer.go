@@ -196,6 +196,9 @@ func (sn *Session) decodeStack(r *rpc.Reader, resume compile.BlockID) error {
 		return badTransfer("stack depth %d (%d shared) in %d bytes", n, k, len(r.Buf)-r.Off)
 	}
 	sn.truncStack(int(k))
+	if k == 0 {
+		sn.cat = nil // a call's first transfer: the last call's page is done
+	}
 	for _, fr := range sn.stack {
 		d := readMask(r, len(fr.Slots))
 		if r.Err() != nil {

@@ -555,6 +555,42 @@ func TestAllocCeilings(t *testing.T) {
 		}
 	}
 
+	// Ending a transaction latches the tables its undo log and its freed
+	// and reserved slots name, a set its Txn keeps with its lists: a
+	// rolled-back two-table write and a committed delete each allocate
+	// only the row versions their statements stored.
+	_, s := benchDB(t, 0)
+	upd, ins := prepare(t, s, updateNonKey), prepare(t, s, insertLine)
+	del := prepare(t, s, "DELETE FROM order_line WHERE ol_w_id = 1 AND ol_o_id = ? AND ol_number = 1")
+	exec := func(st SQLStmt, args ...val.Value) {
+		if _, err := s.ExecParsed(st, args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	txnEnd := func(end func() error, run func()) func() {
+		return func() {
+			if err := s.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			run()
+			if err := end(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(200, txnEnd(s.Rollback, func() {
+		exec(upd, intv(50), intv(1), intv(1), intv(7))
+		exec(ins, intv(7), intv(7))
+	})); got > 2 {
+		t.Errorf("rolled-back update and insert: %v allocs, want <= 2", got)
+	}
+	if got := testing.AllocsPerRun(200, txnEnd(s.Commit, func() {
+		exec(ins, intv(7), intv(7))
+		exec(del, intv(7))
+	})); got > 1 {
+		t.Errorf("committed insert and delete: %v allocs, want <= 1", got)
+	}
+
 	// The read path: what a SELECT allocates follows neither the rows it
 	// reads nor the rows it returns.
 	queryAllocs := func(s *Session, sql string, args ...val.Value) float64 {

@@ -267,13 +267,15 @@ type Txn struct {
 // by rollback); reserved holds slots an insert reserved but never
 // published (it lost a duplicate-key race after a lock wait) — they
 // stay X-locked until transaction end and are recycled on both paths.
-// A finished transaction keeps its lists, emptied, for the session's
-// next one.
+// tables is the latch set commit and rollback build from the other
+// three (latchSetOf). A finished transaction keeps its lists, emptied,
+// for the session's next one.
 type txnLists struct {
 	locks    []lockKey
 	undo     []undoRec
 	freed    []freedSlot
 	reserved []freedSlot
+	tables   []*Table
 }
 
 // txnListKeep is the longest list a Session keeps for its next
@@ -287,7 +289,8 @@ func (l *txnLists) empty() {
 	clear(l.undo)
 	clear(l.freed)
 	clear(l.reserved)
-	l.locks, l.undo, l.freed, l.reserved = l.locks[:0], l.undo[:0], l.freed[:0], l.reserved[:0]
+	clear(l.tables)
+	l.locks, l.undo, l.freed, l.reserved, l.tables = l.locks[:0], l.undo[:0], l.freed[:0], l.reserved[:0], l.tables[:0]
 }
 
 // keepable returns list, or nil when it is too long to keep.
@@ -409,7 +412,7 @@ func (s *Session) newTxn() *Txn {
 // empty its lists), for its next transaction.
 func (s *Session) recycle(txn *Txn) {
 	l := &txn.txnLists
-	*l = txnLists{keepable(l.locks), keepable(l.undo), keepable(l.freed), keepable(l.reserved)}
+	*l = txnLists{keepable(l.locks), keepable(l.undo), keepable(l.freed), keepable(l.reserved), keepable(l.tables)}
 	s.spare = txn
 }
 
@@ -436,30 +439,31 @@ func (s *Session) Rollback() error {
 }
 
 // latchSetOf collects the distinct tables referenced by txn's physical
-// records (undo log and freed slots), in latch order.
+// records (undo log, freed and reserved slots), in latch order, into
+// txn.tables. A transaction touches a handful of tables, so a linear
+// search dedupes them.
 func latchSetOf(txn *Txn) []*Table {
-	seen := map[*Table]bool{}
-	var ts []*Table
+	ts := txn.tables[:0]
 	for _, u := range txn.undo {
-		if !seen[u.t] {
-			seen[u.t] = true
-			ts = append(ts, u.t)
-		}
+		ts = addTable(ts, u.t)
 	}
 	for _, f := range txn.freed {
-		if !seen[f.t] {
-			seen[f.t] = true
-			ts = append(ts, f.t)
-		}
+		ts = addTable(ts, f.t)
 	}
 	for _, f := range txn.reserved {
-		if !seen[f.t] {
-			seen[f.t] = true
-			ts = append(ts, f.t)
-		}
+		ts = addTable(ts, f.t)
 	}
 	sortTables(ts)
+	txn.tables = ts
 	return ts
+}
+
+// addTable appends t to ts unless ts holds it.
+func addTable(ts []*Table, t *Table) []*Table {
+	if slices.Contains(ts, t) {
+		return ts
+	}
+	return append(ts, t)
 }
 
 func latchAllW(ts []*Table) {
