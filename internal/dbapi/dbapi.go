@@ -170,7 +170,12 @@ const (
 	// opExec and opQuery: [uvarint id+1, 0 = unnumbered][bool hasSQL]
 	// [sql?][args]. A numbered statement's text rides along only on its
 	// first touch (or after the server answers ErrUnprepared); every
-	// later call is id + args.
+	// later call is id + args. The reply is [ok] and then, for opExec,
+	// [uvarint affected rows]; for opQuery, the result's column names
+	// when the request carried the text, then [uvarint row count] and
+	// each row's values. A statement's text fixes its columns (sqldb has
+	// no SELECT *, DROP or ALTER), so the client keeps a numbered query's
+	// names from the reply that carried them.
 	opExec byte = iota + 1
 	opQuery
 	// opCommit, opRollback: the op byte alone.
@@ -190,8 +195,10 @@ type Client struct {
 	BytesRecv int64
 
 	prepared []bool // numbers the server session has the text for
-	// cols holds each numbered query's column names as last decoded: a
-	// reply naming the same columns reuses them (rpc.Reader.Strs).
+	// cols holds each numbered query's column names, from the last reply
+	// that carried them: a reply without them is read with these. A
+	// numbered query without names here carries its text, so the reply
+	// brings them.
 	cols [][]string
 
 	// enc holds the request being sent and dec the reply being decoded.
@@ -274,24 +281,28 @@ func (c *Client) reply(resp []byte, err error) (*rpc.Reader, error) {
 // stmt runs a statement request: a numbered statement's text travels on
 // its first touch, and once more when the server session answers
 // ErrUnprepared; an unnumbered one (id < 0) carries its text every
-// call. Any other error is the caller's.
-func (c *Client) stmt(op byte, id int, sql string, args []val.Value) (*rpc.Reader, error) {
+// call, and so does a numbered query whose column names the client does
+// not hold. hasSQL says the request answered carried the text. Any
+// other error is the caller's.
+func (c *Client) stmt(op byte, id int, sql string, args []val.Value) (r *rpc.Reader, hasSQL bool, err error) {
 	id = max(id, -1) // every negative id goes as unnumbered
-	hasSQL := id < 0 || id >= len(c.prepared) || !c.prepared[id]
+	hasSQL = id < 0 || id >= len(c.prepared) || !c.prepared[id] ||
+		op == opQuery && (id >= len(c.cols) || c.cols[id] == nil)
 	c.encodeStmt(op, id, hasSQL, sql, args)
-	r, err := c.call()
+	r, err = c.call()
 	if !hasSQL && errors.Is(err, ErrUnprepared) {
+		hasSQL = true
 		c.encodeStmt(op, id, true, sql, args)
 		r, err = c.call()
 	}
 	if err != nil || id < 0 {
-		return r, err
+		return r, hasSQL, err
 	}
 	for len(c.prepared) <= id {
 		c.prepared = append(c.prepared, false)
 	}
 	c.prepared[id] = true
-	return r, nil
+	return r, hasSQL, nil
 }
 
 func (c *Client) Exec(sql string, args ...val.Value) (int, error) {
@@ -302,11 +313,11 @@ func (c *Client) Query(sql string, args ...val.Value) (*sqldb.ResultSet, error) 
 }
 
 func (c *Client) ExecStmt(id int, sql string, args ...val.Value) (int, error) {
-	r, err := c.stmt(opExec, id, sql, args)
+	r, _, err := c.stmt(opExec, id, sql, args)
 	if err != nil {
 		return 0, err
 	}
-	n := int(r.I64())
+	n := int(r.Uvarint())
 	return n, r.Err()
 }
 
@@ -319,7 +330,7 @@ func (c *Client) QueryStmt(id int, sql string, args ...val.Value) (*sqldb.Result
 }
 
 func (c *Client) QueryInto(dst *sqldb.ResultSet, id int, sql string, args ...val.Value) error {
-	r, err := c.stmt(opQuery, id, sql, args)
+	r, hasSQL, err := c.stmt(opQuery, id, sql, args)
 	if err != nil {
 		dst.Reset()
 		return err
@@ -331,29 +342,43 @@ func (c *Client) QueryInto(dst *sqldb.ResultSet, id int, sql string, args ...val
 		c.cols = append(c.cols, nil)
 	}
 	dst.Cols = c.cols[id]
+	if !hasSQL {
+		return readRows(r, dst)
+	}
 	err = ReadResultSet(r, dst)
+	if err != nil {
+		dst.Cols = nil // the next call carries the text, and the names with it
+	}
 	c.cols[id] = dst.Cols
 	return err
 }
 
 // ReadResultSet decodes a result written by WriteResultSet into dst,
-// reusing dst's memory and, when they match, its column names. It reads
-// the rows twice: a first pass validates them and sums their strings'
-// bytes, allocating nothing; the second copies every string cell into
-// one allocation of that size. A table costs one allocation however
-// many string cells it has, and none if it has none, and no cell
-// aliases r.Buf, which its owner lends to its next call.
+// reusing dst's memory and, when they match, its column names.
 func ReadResultSet(r *rpc.Reader, dst *sqldb.ResultSet) error {
-	dst.Reset()
 	if dst.Cols = r.Strs(dst.Cols); r.Err() != nil {
+		dst.Reset()
 		return r.Err()
 	}
+	return readRows(r, dst)
+}
+
+// readRows decodes a result's rows, as writeRows wrote them, into dst,
+// reusing dst's memory and keeping its column names. It reads the rows
+// twice: a first pass validates them and sums their strings' bytes,
+// allocating nothing; the second copies every string cell into one
+// allocation of that size. A table costs one allocation however many
+// string cells it has, and none if it has none, and no cell aliases
+// r.Buf, which its owner lends to its next call.
+func readRows(r *rpc.Reader, dst *sqldb.ResultSet) error {
+	dst.Reset()
 	// The row count is checked against the bytes left before it sizes
-	// anything: a row is at least its own 4-byte length.
-	nrows := int(r.U32())
-	if r.Err() != nil || nrows > (len(r.Buf)-r.Off)/4 {
+	// anything: a row is at least its own 1-byte count.
+	n := r.Uvarint()
+	if r.Err() != nil || n > uint64(len(r.Buf)-r.Off) {
 		return rpc.ErrShortBuffer
 	}
+	nrows := int(n)
 	// The rows of one result live and die together, so their values
 	// share one backing array: ncols per row when the frame can hold
 	// that many (a value is at least a byte), grown otherwise.
@@ -532,14 +557,15 @@ func (h *sessionHandler) serve(req []byte) ([]byte, error) {
 	begin := op&beginFirst != 0
 	op &^= beginFirst
 	var (
-		id  int    // a statement's number, -1 unnumbered
-		sql string // a statement's text, "" when absent
+		id     int    // a statement's number, -1 unnumbered
+		hasSQL bool   // the request carries the statement's text
+		sql    string // a statement's text, "" when absent
 	)
 	switch op {
 	case opExec, opQuery:
 		// An id past the table bound stays past it, without wrapping int.
 		id = int(min(r.Uvarint(), maxStmts+1)) - 1
-		if r.Bool() {
+		if hasSQL = r.Bool(); hasSQL {
 			sql = r.Str()
 		}
 		// The engine evaluates its arguments and keeps none, so they
@@ -571,10 +597,14 @@ func (h *sessionHandler) serve(req []byte) ([]byte, error) {
 	case opExec:
 		var n int
 		n, err = h.conn.ExecStmt(id, sql, h.args...)
-		h.w.I64(int64(n))
+		h.w.Uvarint(uint64(n))
 	case opQuery:
 		if err = h.conn.QueryInto(&h.rs, id, sql, h.args...); err == nil {
-			WriteResultSet(&h.w, &h.rs)
+			if hasSQL {
+				WriteResultSet(&h.w, &h.rs)
+			} else {
+				writeRows(&h.w, &h.rs)
+			}
 		}
 		h.rs.Reset()
 	case opCommit:
@@ -591,13 +621,19 @@ func (h *sessionHandler) serve(req []byte) ([]byte, error) {
 	return h.w.Buf, nil
 }
 
-// WriteResultSet encodes rs: its column names, then its rows.
+// WriteResultSet encodes rs: its column names, then its rows
+// (writeRows).
 func WriteResultSet(w *rpc.Writer, rs *sqldb.ResultSet) {
-	w.U32(uint32(len(rs.Cols)))
+	w.Uvarint(uint64(len(rs.Cols)))
 	for _, c := range rs.Cols {
 		w.Str(c)
 	}
-	w.U32(uint32(len(rs.Rows)))
+	writeRows(w, rs)
+}
+
+// writeRows encodes rs's rows: their count, then each row's values.
+func writeRows(w *rpc.Writer, rs *sqldb.ResultSet) {
+	w.Uvarint(uint64(len(rs.Rows)))
 	for _, row := range rs.Rows {
 		w.Vals(row)
 	}

@@ -91,9 +91,9 @@ func TestUnknownOpsRefused(t *testing.T) {
 	gid.U64(0x1122334455667788)
 	token.U64(1)
 	token.Bool(true)
-	fence.I64(int64(time.Hour))
-	fence.I64(math.MinInt64)
-	fence.I64(math.MaxInt64)
+	fence.U64(uint64(time.Hour))
+	fence.U64(1 << 63) // math.MinInt64's bits
+	fence.U64(math.MaxInt64)
 	fence.Uvarint(1)
 	fence.Str("t")
 	fence.Str("k")
@@ -195,19 +195,20 @@ func FuzzReadResultSet(f *testing.F) {
 		f.Add(resultTable(rows, true))
 	}
 	f.Add(resultTable(3, false))
-	// A truncated string cell: the last one's bytes are cut short.
+	// A truncated string cell: the last one's bytes are cut short (the
+	// last cell is the int 37, two bytes).
 	whole := resultTable(2, true)
-	f.Add(whole[:len(whole)-9-4])
+	f.Add(whole[:len(whole)-2-4])
 	// A bad kind byte after a string cell.
 	var w rpc.Writer
-	w.U32(2)
+	w.Uvarint(2)
 	w.Str("A")
 	w.Str("B")
-	w.U32(1)
-	w.U32(2)
+	w.Uvarint(1)
+	w.Uvarint(2)
 	w.Val(val.StrV("abc"))
 	w.Byte(0xEE)
-	w.I64(1)
+	w.Uvarint(1)
 	f.Add(w.Buf)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var want, got sqldb.ResultSet

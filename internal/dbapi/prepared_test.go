@@ -49,20 +49,27 @@ func TestClientPreparedWire(t *testing.T) {
 }
 
 // TestPreparedWireByteSavings pins each request's shape by the bytes it
-// sends. A statement is [op][uvarint id+1][bool hasSQL][sql?][args]: a
-// numbered one carries its text on its first touch and again only after
-// the server session answers ErrUnprepared, an unnumbered one on every
-// call. Commit and Rollback are the op byte alone. Begin sends nothing:
-// it rides the next request as a bit of its op byte, which costs that
-// request no byte. A number past
-// the session's table bound is an error and grows no table.
+// sends, and each reply's by the bytes it brings back. A statement is
+// [op][uvarint id+1][bool hasSQL][sql?][args]: a numbered one carries
+// its text on its first touch and again only after the server session
+// answers ErrUnprepared, an unnumbered one on every call. A query's
+// reply carries its column names exactly when its request carried the
+// text. Commit and Rollback are the op byte alone, answered by the ok
+// flag. Begin sends nothing: it rides the next request as a bit of its
+// op byte, which costs that request no byte. A number past the
+// session's table bound is an error and grows no table.
 func TestPreparedWireByteSavings(t *testing.T) {
 	db := setup(t)
 	local := &Local{Sess: db.NewSession()}
 	conn := NewClient(rpc.NewInProc(newSessionHandler(local, nil), 0))
 	const sel = "SELECT v FROM t WHERE k = ?"
-	const text = 4 + len(sel) // length prefix and bytes
-	const args = 4 + 1 + 8    // count, then one tagged int
+	const (
+		text       = 1 + len(sel)          // uvarint length and bytes
+		args       = 1 + 1 + 1             // count, then the int 1: kind and zigzag varint
+		reply      = 1 + 1 + 1 + 1 + 1 + 1 // ok, row count, the row's count, then "a": kind, length, byte
+		names      = 1 + 1 + 1             // column count, then "V": length, byte
+		unprepared = 1 + 1 + len("unprepared")
+	)
 	query := func(id int) func() error {
 		return func() error { _, err := conn.QueryStmt(id, sel, val.IntV(1)); return err }
 	}
@@ -70,35 +77,39 @@ func TestPreparedWireByteSavings(t *testing.T) {
 		name string
 		call func() error
 		sent int // request bytes
+		recv int // reply bytes; -1 for an error reply, whose text is not pinned
 		fail bool
 	}{
-		{"numbered, first touch", query(0), 1 + 1 + 1 + text + args, false},
-		{"numbered, warm", query(0), 1 + 1 + 1 + args, false},
-		{"numbered, warm again", query(0), 1 + 1 + 1 + args, false},
-		{"unnumbered", query(-1), 1 + 1 + 1 + text + args, false},
-		{"unnumbered again", query(-1), 1 + 1 + 1 + text + args, false},
-		{"begin", conn.Begin, 0, false},
-		{"commit, carrying the begin", conn.Commit, 1, false},
-		{"begin", conn.Begin, 0, false},
-		{"numbered, warm, carrying the begin", query(0), 1 + 1 + 1 + args, false},
-		{"rollback", conn.Rollback, 1, false},
+		{"numbered, first touch", query(0), 1 + 1 + 1 + text + args, reply + names, false},
+		{"numbered, warm", query(0), 1 + 1 + 1 + args, reply, false},
+		{"numbered, warm again", query(0), 1 + 1 + 1 + args, reply, false},
+		{"unnumbered", query(-1), 1 + 1 + 1 + text + args, reply + names, false},
+		{"unnumbered again", query(-1), 1 + 1 + 1 + text + args, reply + names, false},
+		{"begin", conn.Begin, 0, 0, false},
+		{"commit, carrying the begin", conn.Commit, 1, 1, false},
+		{"begin", conn.Begin, 0, 0, false},
+		{"numbered, warm, carrying the begin", query(0), 1 + 1 + 1 + args, reply, false},
+		{"rollback", conn.Rollback, 1, 1, false},
 		{"numbered, after the server session is replaced", func() error {
 			conn.T = rpc.NewInProc(SessionHandler(db.NewSession()), 0)
 			return query(0)()
-		}, (1 + 1 + 1 + args) + (1 + 1 + 1 + text + args), false},
-		{"numbered, warm on the new session", query(0), 1 + 1 + 1 + args, false},
+		}, (1 + 1 + 1 + args) + (1 + 1 + 1 + text + args), unprepared + reply + names, false},
+		{"numbered, warm on the new session", query(0), 1 + 1 + 1 + args, reply, false},
 		{"numbered past the table bound", func() error {
 			conn.T = rpc.NewInProc(newSessionHandler(local, nil), 0)
 			return query(maxStmts)()
-		}, 1 + 2 + 1 + text + args, true},
-		{"numbered far past the table bound", query(1 << 40), 1 + 6 + 1 + text + args, true},
+		}, 1 + 2 + 1 + text + args, -1, true},
+		{"numbered far past the table bound", query(1 << 40), 1 + 6 + 1 + text + args, -1, true},
 	} {
-		base := conn.BytesSent
+		sent, recv := conn.BytesSent, conn.BytesRecv
 		if err := c.call(); (err != nil) != c.fail {
 			t.Errorf("%s: error %v, want failure %v", c.name, err, c.fail)
 		}
-		if sent := conn.BytesSent - base; sent != int64(c.sent) {
+		if sent := conn.BytesSent - sent; sent != int64(c.sent) {
 			t.Errorf("%s: sent %d bytes, want %d", c.name, sent, c.sent)
+		}
+		if recv := conn.BytesRecv - recv; c.recv >= 0 && recv != int64(c.recv) {
+			t.Errorf("%s: received %d bytes, want %d", c.name, recv, c.recv)
 		}
 	}
 	if len(local.stmts) != 1 || cap(local.stmts) > 8 {
@@ -177,4 +188,48 @@ func TestPreparedWireErrorsSurface(t *testing.T) {
 			t.Errorf("call after the errors cost %d bytes: the statement text is on the wire again", cost)
 		}
 	}
+}
+
+// TestQueryNamesTravelWithText: a query's reply carries its column
+// names exactly when its request carried the text, and a numbered
+// query without the text is read with the names the client kept. A
+// reply with the text that does not decode leaves the client no names,
+// so the next call carries the text again and its reply brings them.
+func TestQueryNamesTravelWithText(t *testing.T) {
+	db := setup(t)
+	good := rpc.NewInProc(SessionHandler(db.NewSession()), 0)
+	conn := NewClient(good)
+	const sel = "SELECT k, v FROM t WHERE k = ?"
+	check := func(what string, wantText bool) *sqldb.ResultSet {
+		t.Helper()
+		sent := conn.BytesSent
+		rs, err := conn.QueryStmt(0, sel, val.IntV(2))
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(rs.Cols) != 2 || rs.Cols[0] != "K" || rs.Cols[1] != "V" || len(rs.Rows) != 1 || rs.Rows[0][1].S != "b" {
+			t.Fatalf("%s: columns %q rows %v", what, rs.Cols, rs.Rows)
+		}
+		if carried := conn.BytesSent-sent > int64(len(sel)); carried != wantText {
+			t.Fatalf("%s: request carried the text %v, want %v", what, carried, wantText)
+		}
+		return rs
+	}
+	first := check("first touch", true)
+	warm := check("warm", false)
+	if &warm.Cols[0] != &first.Cols[0] {
+		t.Error("a warm query's names are not the ones the client kept")
+	}
+
+	// The first touch on a fresh client, its reply cut short.
+	conn = NewClient(rpc.NewInProc(func(req []byte) ([]byte, error) {
+		resp, err := good.H(req)
+		return resp[:len(resp)-1], err
+	}, 0))
+	if _, err := conn.QueryStmt(0, sel, val.IntV(2)); !errors.Is(err, rpc.ErrShortBuffer) {
+		t.Fatalf("truncated first reply: %v, want rpc.ErrShortBuffer", err)
+	}
+	conn.T = good
+	check("after a first reply that did not decode", true)
+	check("warm again", false)
 }

@@ -50,11 +50,11 @@ func readPerCell(r *rpc.Reader, dst *sqldb.ResultSet) error {
 	if dst.Cols = r.Strs(dst.Cols); r.Err() != nil {
 		return r.Err()
 	}
-	nrows := int(r.U32())
-	if r.Err() != nil || nrows > (len(r.Buf)-r.Off)/4 {
+	nrows := r.Uvarint()
+	if r.Err() != nil || nrows > uint64(len(r.Buf)-r.Off) {
 		return rpc.ErrShortBuffer
 	}
-	for i := 0; i < nrows; i++ {
+	for i := uint64(0); i < nrows; i++ {
 		n, ok := r.ValsLen()
 		if !ok {
 			break

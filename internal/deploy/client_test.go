@@ -1,7 +1,7 @@
 package deploy
 
 import (
-	"encoding/binary"
+	"bufio"
 	"errors"
 	"io"
 	"net"
@@ -133,20 +133,23 @@ func watchFrames(t *testing.T, target string) *frameWatch {
 }
 
 // relayFrames copies frames from src to dst, calling saw on each before
-// it passes on, and closes both ends when either fails.
+// it passes on, and closes both ends when either fails. It reads each
+// head with the framer's own reader and passes it on re-encoded, which
+// is byte for byte what the peer sent.
 func relayFrames(src, dst net.Conn, saw func(sid uint32, kind byte)) {
 	defer src.Close()
 	defer dst.Close()
-	head := make([]byte, 13)
+	br := bufio.NewReader(src)
 	for {
-		if _, err := io.ReadFull(src, head); err != nil {
+		h, _, err := rpc.ReadFrameHead(br)
+		if err != nil {
 			return
 		}
-		saw(binary.LittleEndian.Uint32(head[4:]), head[12])
-		if _, err := dst.Write(head); err != nil {
+		saw(h.SID, h.Kind)
+		if _, err := dst.Write(h.Append(nil)); err != nil {
 			return
 		}
-		if _, err := io.CopyN(dst, src, int64(binary.LittleEndian.Uint32(head)-9)); err != nil {
+		if _, err := io.CopyN(dst, br, int64(h.Body)); err != nil {
 			return
 		}
 	}

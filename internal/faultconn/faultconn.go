@@ -1,8 +1,8 @@
 // Package faultconn wraps a connection for tests and benchmarks: it
 // counts the Read and Write calls made on it (on a raw net.Conn each is
-// one syscall) and can fail a chosen Write — the k-th, or the first one
-// after some condition holds — letting only a prefix of it through,
-// which is how a frame is torn in the middle.
+// one syscall) and the bytes they moved, and can fail a chosen Write —
+// the k-th, or the first one after some condition holds — letting only
+// a prefix of it through, which is how a frame is torn in the middle.
 package faultconn
 
 import (
@@ -25,7 +25,8 @@ type Conn struct {
 	// write; to sever it instead, Fail closes it.
 	Fail func(k int, p []byte) (keep int, fail bool)
 
-	writes, reads atomic.Int64
+	writes, reads           atomic.Int64
+	bytesWritten, bytesRead atomic.Int64
 }
 
 // New wraps conn with no fault configured.
@@ -37,9 +38,17 @@ func (c *Conn) Writes() int64 { return c.writes.Load() }
 // Reads returns the number of Read calls made so far.
 func (c *Conn) Reads() int64 { return c.reads.Load() }
 
+// BytesWritten returns the bytes Write has passed on so far.
+func (c *Conn) BytesWritten() int64 { return c.bytesWritten.Load() }
+
+// BytesRead returns the bytes Read has returned so far.
+func (c *Conn) BytesRead() int64 { return c.bytesRead.Load() }
+
 func (c *Conn) Read(p []byte) (int, error) {
 	c.reads.Add(1)
-	return c.ReadWriteCloser.Read(p)
+	n, err := c.ReadWriteCloser.Read(p)
+	c.bytesRead.Add(int64(n))
+	return n, err
 }
 
 func (c *Conn) Write(p []byte) (int, error) {
@@ -50,8 +59,11 @@ func (c *Conn) Write(p []byte) (int, error) {
 			if keep > 0 {
 				n, _ = c.ReadWriteCloser.Write(p[:min(keep, len(p))])
 			}
+			c.bytesWritten.Add(int64(n))
 			return n, ErrInjected
 		}
 	}
-	return c.ReadWriteCloser.Write(p)
+	n, err := c.ReadWriteCloser.Write(p)
+	c.bytesWritten.Add(int64(n))
+	return n, err
 }

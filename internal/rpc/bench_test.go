@@ -12,7 +12,8 @@ import (
 
 // Layer benchmarks for the mux: one echo round trip over an in-memory
 // pipe and over loopback TCP, small and page-sized bodies, one session
-// and eight sharing the connection. Besides ns/op and allocs/op each
+// and eight sharing the connection, and the raw-TCP round trip under
+// it (BenchmarkTCPFloor). Besides ns/op and allocs/op each
 // reports the Write and Read calls both ends made per round trip — on
 // a raw net.Conn one syscall each. Run with
 //
@@ -121,6 +122,53 @@ func BenchmarkMuxEcho(b *testing.B) {
 					b.ReportMetric(float64(l.reads()-r0)/float64(b.N), "reads/op")
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkTCPFloor is the floor under MuxEcho/tcp/64B/1sess: the same
+// round trip, a frame of the same size each way over loopback TCP, with
+// no mux. One goroutine writes a frame and reads its echo whole, and
+// one echo goroutine reads each frame whole and writes it back. What
+// MuxEcho costs above it is framing, demux and session dispatch.
+func BenchmarkTCPFloor(b *testing.B) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lis.Close()
+	const body = 64
+	frame := make([]byte, len(FrameHead{Kind: muxCall, SID: 1, RID: 1, Body: body}.Append(nil))+body)
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		buf := make([]byte, len(frame))
+		for {
+			if _, err := io.ReadFull(conn, buf); err != nil {
+				return
+			}
+			if _, err := conn.Write(buf); err != nil {
+				return
+			}
+		}
+	}()
+	conn, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	reply := make([]byte, len(frame))
+	b.SetBytes(2 * body)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := conn.Write(frame); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, reply); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -4,23 +4,26 @@ package rpc
 // mux wire — the client and the demux loop — read and write through a
 // framer, so the rules below hold for both:
 //
-//   - One write per frame. A frame (length prefix, header, body) is
-//     assembled contiguously in the framer's write buffer and leaves in one Write, under the write mutex, by
-//     the goroutine that produced it. Nothing is held back: no timer,
-//     no flusher goroutine. It is one contiguous Write and not a
+//   - One write per frame. A frame (FrameHead — length prefix, kind,
+//     sid, rid — then the body) is assembled contiguously in the
+//     framer's write buffer and leaves in one Write, under the write
+//     mutex, by the goroutine that produced it. Nothing is held back:
+//     no timer, no flusher goroutine. It is one contiguous Write and not a
 //     vectored net.Buffers write because the connections handed to
 //     this package are io.ReadWriteClosers (pipes, TLS, counting and
 //     delaying wrappers), for which a vectored write degenerates to
 //     one Write per buffer. A body larger than the write buffer
 //     streams through it in a few Writes rather than being staged
 //     whole.
-//   - One buffered read. Length prefix and header are parsed in place
-//     from the framer's read buffer; only the body is
-//     copied out, into a slice the caller chose.
+//   - One buffered read. The head is parsed in place from the framer's
+//     read buffer, reading no further into the frame than its length
+//     prefix allows; only the body is copied out, into a slice the
+//     caller chose.
 //   - No allocation sized by an unvalidated length. A length prefix
-//     above MaxFrame is an error, and a body larger than the read
-//     buffer is allocated as its bytes arrive, so a peer that
-//     announces 256 MiB and sends ten bytes costs ten bytes.
+//     above MaxFrame is an error, checked before anything is sized,
+//     and a body larger than the read buffer is allocated as its bytes
+//     arrive, so a peer that announces 256 MiB and sends ten bytes
+//     costs ten bytes.
 //
 // A write error leaves the stream torn mid-frame; the bufio.Writer's
 // error is sticky, so every later write on the framer fails too, and
@@ -32,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -39,8 +43,9 @@ import (
 	"pyxis/internal/val"
 )
 
-// MaxFrame is the largest payload (everything after the 4-byte length
-// prefix) a frame may carry, in either direction.
+// MaxFrame is the largest payload (everything after the length
+// prefix: kind, sid, rid and body) a frame may carry, in either
+// direction.
 const MaxFrame = 1 << 28
 
 // ErrFrameTooLarge reports a frame whose payload exceeds MaxFrame:
@@ -48,16 +53,140 @@ const MaxFrame = 1 << 28
 // prefix.
 var ErrFrameTooLarge = errors.New("rpc: frame too large")
 
+// errMalformedHead reports a frame head no writer produces: a length
+// prefix longer than maxLenPrefix bytes, a sid or rid over 32 bits, or
+// a head that runs past the length its prefix gave.
+var errMalformedHead = errors.New("rpc: malformed frame head")
+
 // frameBufSize sizes each of a framer's two buffers. Frames up to this
 // size leave in one Write and arrive without growing anything; it is
 // also the most a body allocation trusts a length prefix for.
 const frameBufSize = 32 << 10
+
+const (
+	// maxLenPrefix is the longest length prefix: MaxFrame as a uvarint.
+	maxLenPrefix = 5
+	// maxID is the longest sid or rid: a 32-bit uvarint.
+	maxID = 5
+)
 
 type muxFrame struct {
 	sid  uint32
 	rid  uint32
 	kind byte
 	body []byte
+}
+
+// FrameHead is what precedes a mux frame's body on the wire:
+//
+//	[len uvarint][kind u8][sid uvarint][rid uvarint]
+//
+// where len counts everything after itself, body included. The framer
+// writes and reads every head through Append and ReadFrameHead; a test
+// that builds or relays frames by hand uses them too.
+type FrameHead struct {
+	Kind     byte
+	SID, RID uint32
+	Body     int // the body's length in bytes
+}
+
+// payload is the frame's length as its prefix gives it.
+func (h FrameHead) payload() int {
+	return 1 + uvarintLen(uint64(h.SID)) + uvarintLen(uint64(h.RID)) + h.Body
+}
+
+// Append appends the head's encoding to b.
+func (h FrameHead) Append(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(h.payload()))
+	b = append(b, h.Kind)
+	b = binary.AppendUvarint(b, uint64(h.SID))
+	return binary.AppendUvarint(b, uint64(h.RID))
+}
+
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// ReadFrameHead consumes the next frame's head from br, parsed in place
+// from br's buffer, and returns it with its length in bytes; the body
+// is left unread. A length prefix above MaxFrame is ErrFrameTooLarge,
+// refused before anything is sized by it. An EOF before the head's
+// first byte is a clean close (io.EOF); inside it, io.ErrUnexpectedEOF.
+func ReadFrameHead(br *bufio.Reader) (FrameHead, int, error) {
+	p, err := br.Peek(1)
+	for err == nil {
+		// Everything buffered, without waiting for more.
+		p, _ = br.Peek(br.Buffered())
+		h, n, more, herr := parseHead(p)
+		if herr != nil {
+			return FrameHead{}, 0, herr
+		}
+		if !more {
+			_, _ = br.Discard(n)
+			return h, n, nil
+		}
+		p, err = br.Peek(len(p) + 1)
+	}
+	if len(p) > 0 { // an EOF between frames is a clean close, inside one it is not
+		err = unexpectedEOF(err)
+	}
+	return FrameHead{}, 0, err
+}
+
+// parseHead parses the frame head at the start of p and returns it
+// with its length. more says p ends inside the head, and inside the
+// frame: the head needs a byte p does not have yet.
+func parseHead(p []byte) (h FrameHead, n int, more bool, err error) {
+	size, i := uvarintAt(p[:min(len(p), maxLenPrefix)], 0)
+	switch {
+	case i < 0 && len(p) < maxLenPrefix:
+		return h, 0, true, nil
+	case i < 0:
+		return h, 0, false, fmt.Errorf("%w: length prefix over %d bytes", errMalformedHead, maxLenPrefix)
+	case size > MaxFrame:
+		return h, 0, false, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, size)
+	}
+	// The head may not run past the frame's end: what p holds of the
+	// frame is all it may read.
+	end := i + int(size)
+	q, whole := p, end <= len(p)
+	if whole {
+		q = p[:end]
+	}
+	at := i
+	if at < len(q) {
+		h.Kind = q[at]
+		at++
+		var k int
+		var ok bool
+		if h.SID, k, ok = uvarint32(q[at:]); ok {
+			at += k
+			if h.RID, k, ok = uvarint32(q[at:]); ok {
+				at += k
+				h.Body = end - at
+				return h, at, false, nil
+			}
+		}
+	}
+	if whole || len(q)-at >= maxID {
+		return FrameHead{}, 0, false, fmt.Errorf("%w (%d-byte frame)", errMalformedHead, size)
+	}
+	return FrameHead{}, 0, true, nil
+}
+
+// uvarint32 decodes a sid or rid, a uvarint of at most maxID bytes and
+// 32 bits, from the start of p; ok is false when p ends first or the
+// uvarint is longer or larger.
+func uvarint32(p []byte) (v uint32, n int, ok bool) {
+	x, n := uvarintAt(p[:min(len(p), maxID)], 0)
+	if n < 0 || x > math.MaxUint32 {
+		return 0, 0, false
+	}
+	return uint32(x), n, true
 }
 
 // framer frames one end of a connection. Reads belong to a single
@@ -88,60 +217,27 @@ func (fr *framer) flush(head, body []byte) error {
 	return fr.bw.Flush()
 }
 
-// writeMux sends one mux frame.
-func (fr *framer) writeMux(f muxFrame) error {
-	n := muxHeaderLen + len(f.body)
-	if n > MaxFrame {
-		return fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
+// writeMux sends one mux frame and returns its length on the wire.
+func (fr *framer) writeMux(f muxFrame) (int, error) {
+	h := FrameHead{Kind: f.kind, SID: f.sid, RID: f.rid, Body: len(f.body)}
+	if n := h.payload(); n > MaxFrame {
+		return 0, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 	}
 	fr.wmu.Lock()
 	defer fr.wmu.Unlock()
-	b := binary.LittleEndian.AppendUint32(fr.bw.AvailableBuffer(), uint32(n))
-	b = binary.LittleEndian.AppendUint32(b, f.sid)
-	b = binary.LittleEndian.AppendUint32(b, f.rid)
-	b = append(b, f.kind)
-	return fr.flush(b, f.body)
+	head := h.Append(fr.bw.AvailableBuffer())
+	return len(head) + len(f.body), fr.flush(head, f.body)
 }
 
-// readLen consumes the next frame's length prefix.
-func (fr *framer) readLen() (int, error) {
-	p, err := fr.br.Peek(4)
-	if err != nil {
-		if len(p) > 0 { // an EOF between frames is a clean close, inside one it is not
-			err = unexpectedEOF(err)
-		}
-		return 0, err
-	}
-	n := binary.LittleEndian.Uint32(p)
-	if n > MaxFrame {
-		return 0, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
-	}
-	_, _ = fr.br.Discard(4)
-	return int(n), nil
-}
-
-// readMuxHeader consumes the next frame's length prefix and mux header
-// and returns the frame, body still unread, with the number of body
+// readMuxHeader consumes the next frame's head and returns the frame,
+// body still unread, with the head's length and the number of body
 // bytes that follow.
-func (fr *framer) readMuxHeader() (muxFrame, int, error) {
-	n, err := fr.readLen()
+func (fr *framer) readMuxHeader() (f muxFrame, head, n int, err error) {
+	h, head, err := ReadFrameHead(fr.br)
 	if err != nil {
-		return muxFrame{}, 0, err
+		return muxFrame{}, 0, 0, err
 	}
-	if n < muxHeaderLen {
-		return muxFrame{}, 0, fmt.Errorf("rpc: mux frame too short (%d bytes)", n)
-	}
-	p, err := fr.br.Peek(muxHeaderLen)
-	if err != nil {
-		return muxFrame{}, 0, unexpectedEOF(err)
-	}
-	f := muxFrame{
-		sid:  binary.LittleEndian.Uint32(p),
-		rid:  binary.LittleEndian.Uint32(p[4:]),
-		kind: p[8],
-	}
-	_, _ = fr.br.Discard(muxHeaderLen)
-	return f, n - muxHeaderLen, nil
+	return muxFrame{sid: h.SID, rid: h.RID, kind: h.Kind}, head, h.Body, nil
 }
 
 // readBody reads the n body bytes that follow a header. It fills buf

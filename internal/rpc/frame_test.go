@@ -1,11 +1,13 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"os"
 	"runtime"
@@ -34,7 +36,7 @@ func (*bufConn) Close() error { return nil }
 // readMuxFrame reads one whole mux frame, body in a fresh slice: the
 // raw-protocol tests' view of the wire.
 func (fr *framer) readMuxFrame() (muxFrame, error) {
-	f, n, err := fr.readMuxHeader()
+	f, _, n, err := fr.readMuxHeader()
 	if err != nil {
 		return muxFrame{}, err
 	}
@@ -76,18 +78,18 @@ var worldHandlers = HandlerFactory(func(uint32) Handler {
 	return func([]byte) ([]byte, error) { return []byte("world"), nil }
 })
 
-// TestFrameGoldenBytes pins the wire format to the bytes the two-write
-// framing produced: a call, a reply, a shed and a close frame, each
-// captured off a real client and a real demux loop, each one Write.
-// The shed is an admission refusal of a session whose call is its
-// request 4; its bytes are the old shed-with-load-report frame less
-// the report, so the length prefix, header and body are unchanged.
+// TestFrameGoldenBytes pins the wire format: a call, a reply, a shed
+// and a close frame, each captured off a real client and a real demux
+// loop, each one Write. A head is [len uvarint][kind][sid uvarint][rid
+// uvarint]; session 0x01000007 takes four bytes of it (87 80 80 08) and
+// each request ID one. The shed is an admission refusal of a session
+// whose call is its request 4.
 func TestFrameGoldenBytes(t *testing.T) {
 	const (
-		call      = "0e00000007000001030000000068656c6c6f"
-		reply     = "0e000000070000010300000001776f726c64"
-		shed      = "0d00000007000001040000000462757379"
-		closeSess = "09000000070000010000000003"
+		call      = "0b00878080080368656c6c6f"
+		reply     = "0b018780800803776f726c64"
+		shed      = "0a04878080080462757379"
+		closeSess = "06038780800800"
 	)
 	// run makes one call on session 0x01000007 after request rid, then
 	// closes it.
@@ -157,7 +159,7 @@ func TestFrameTornWritePoisonsClient(t *testing.T) {
 		k, keep int
 	}{
 		{"first write, 6 bytes through", 3, 6},
-		{"header through, body not", 3, 4 + muxHeaderLen},
+		{"header through, body not", 3, len(FrameHead{SID: 1, RID: 3, Body: len("torn-request-body")}.Append(nil))},
 		{"nothing through", 3, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -226,22 +228,22 @@ func TestFrameMaxFrame(t *testing.T) {
 		t.Fatalf("MaxFrame = %d, want 1<<28", MaxFrame)
 	}
 	conn := &bufConn{}
-	conn.Write(binary.LittleEndian.AppendUint32(nil, MaxFrame+1))
-	if _, _, err := newFramer(conn).readMuxHeader(); !errors.Is(err, ErrFrameTooLarge) {
+	conn.Write(binary.AppendUvarint(nil, MaxFrame+1))
+	if _, _, _, err := newFramer(conn).readMuxHeader(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("length prefix above MaxFrame: %v, want ErrFrameTooLarge", err)
 	}
-	if err := newFramer(&bufConn{}).writeMux(muxFrame{body: make([]byte, MaxFrame)}); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := newFramer(&bufConn{}).writeMux(muxFrame{body: make([]byte, MaxFrame)}); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("writing a frame above MaxFrame: %v, want ErrFrameTooLarge", err)
 	}
 
 	// 200 MiB announced, 1 KiB delivered, then EOF.
 	conn = &bufConn{}
-	conn.Write(binary.LittleEndian.AppendUint32(nil, 200<<20))
+	conn.Write(FrameHead{SID: 1, RID: 1, Body: 200 << 20}.Append(nil))
 	conn.Write(make([]byte, 1<<10))
 	fr := newFramer(conn)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	n, err := fr.readLen()
+	_, _, n, err := fr.readMuxHeader()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +258,15 @@ func TestFrameMaxFrame(t *testing.T) {
 }
 
 // TestFrameLargeBody sends bodies around and far above the buffer size
-// both ways: they stream through the buffers and arrive intact.
+// both ways: they stream through the buffers and arrive intact. A body
+// of frameBufSize-head bytes makes a frame that fills the buffer.
 func TestFrameLargeBody(t *testing.T) {
 	c, _ := pipeMux(t, HandlerFactory(func(uint32) Handler {
 		return func(req []byte) ([]byte, error) { return req, nil }
 	}))
 	s := c.Session()
-	for _, n := range []int{0, 1, frameBufSize - 14, frameBufSize - 13, frameBufSize, frameBufSize + 1, 3*frameBufSize + 17, 1 << 20} {
+	head := len(FrameHead{SID: 1, RID: 1, Body: frameBufSize}.Append(nil))
+	for _, n := range []int{0, 1, frameBufSize - head - 1, frameBufSize - head, frameBufSize, frameBufSize + 1, 3*frameBufSize + 17, 1 << 20} {
 		req := make([]byte, n)
 		for i := range req {
 			req[i] = byte(i * 7)
@@ -400,7 +404,7 @@ func TestFrameScribbleCatchesRetainedRequest(t *testing.T) {
 func TestReaderValsBoundedByBytesLeft(t *testing.T) {
 	var w Writer
 	w.Str("padding padding padding padding padding padding")
-	w.U32(40) // 40 values announced, 3 bytes follow
+	w.Uvarint(40) // 40 values announced, 3 bytes follow
 	w.Byte(byte(val.Null))
 	w.Byte(byte(val.Null))
 	w.Byte(byte(val.Null))
@@ -415,5 +419,104 @@ func TestReaderValsBoundedByBytesLeft(t *testing.T) {
 	r = Reader{Buf: w.Buf}
 	if vs := r.Vals(); len(vs) != 3 || r.Err() != nil {
 		t.Fatalf("three nulls decoded as %v, err %v", vs, r.Err())
+	}
+}
+
+// TestMuxStatsCountWireBytes: a MuxClient's Stats count the bytes its
+// calls put on the connection and their replies took off it, heads
+// included, as the connection itself counts them. Reply bodies of 0, 1,
+// 127, 128 and 40 000 bytes (each request a byte longer), and the
+// bodies around the length prefix's one- and two-byte edges, run on a
+// session whose ID takes two bytes until its request IDs do too. The
+// session's open is taken before the snapshot: Stats leave opens out.
+func TestMuxStatsCountWireBytes(t *testing.T) {
+	srvEnd, cliEnd := net.Pipe()
+	cli := faultconn.New(cliEnd)
+	done := make(chan struct{})
+	go func() {
+		ServeMuxConn(srvEnd, HandlerFactory(func(uint32) Handler {
+			return func(req []byte) ([]byte, error) { return req[1:], nil }
+		}))
+		close(done)
+	}()
+	c := NewMuxClient(cli)
+	defer func() { c.Close(); <-done }()
+	c.nextSID.Store(200)
+	s := c.Session()
+	if err := s.Open(); err != nil {
+		t.Fatal(err)
+	}
+	st0, sent0, recv0 := c.Stats(), cli.BytesWritten(), cli.BytesRead()
+	sizes := []int{0, 1, 124, 125, 127, 128, 16380, 16381, 40000}
+	calls := 0
+	for s.nextRID.Load() < 300 {
+		for _, n := range sizes {
+			resp, err := s.Call(make([]byte, n+1))
+			if err != nil || len(resp) != n {
+				t.Fatalf("call %d: %d-byte reply, err %v; want %d bytes", calls, len(resp), err, n)
+			}
+			calls++
+		}
+	}
+	st := c.Stats()
+	if got, want := st.BytesSent-st0.BytesSent, cli.BytesWritten()-sent0; got != want {
+		t.Errorf("Stats counted %d bytes sent, the connection %d", got, want)
+	}
+	if got, want := st.BytesRecv-st0.BytesRecv, cli.BytesRead()-recv0; got != want {
+		t.Errorf("Stats counted %d bytes received, the connection %d", got, want)
+	}
+	if got := st.Calls - st0.Calls; got != int64(calls) {
+		t.Errorf("Stats counted %d calls, want %d", got, calls)
+	}
+}
+
+// TestFrameHeadRoundTrip writes heads at the edges of each field's
+// varint and reads them back with the framer's reader, which must
+// consume exactly the head's bytes and leave the body.
+func TestFrameHeadRoundTrip(t *testing.T) {
+	for _, h := range []FrameHead{
+		{},
+		{Kind: muxCall, SID: 1, RID: 1, Body: 124},
+		{Kind: muxCall, SID: 1, RID: 1, Body: 125},
+		{Kind: muxReplyOK, SID: 127, RID: 128, Body: 16380},
+		{Kind: muxReplyShed, SID: 128, RID: 127, Body: 16381},
+		{Kind: muxCloseSess, SID: math.MaxUint32, RID: math.MaxUint32},
+		{Kind: 0xff, SID: math.MaxUint32, RID: 0, Body: MaxFrame - 11},
+	} {
+		b := h.Append(nil)
+		got, n, err := ReadFrameHead(bufio.NewReader(bytes.NewReader(append(b, "body"...))))
+		if err != nil || got != h || n != len(b) {
+			t.Errorf("%+v read back as %+v, %d bytes, err %v; want %d bytes", h, got, n, err, len(b))
+		}
+	}
+}
+
+// TestFrameHeadMalformed: a head no writer produces fails the read as
+// malformed or too large, and an EOF is clean only before a frame's
+// first byte. A head is read only up to the length its prefix gives, so
+// a short frame followed by nothing is read without waiting for more.
+func TestFrameHeadMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want error
+	}{
+		{"nothing: a clean close", nil, io.EOF},
+		{"a length prefix cut short", []byte{0x80}, io.ErrUnexpectedEOF},
+		{"a head cut short", []byte{0x05, muxCall, 0x81}, io.ErrUnexpectedEOF},
+		{"a length prefix over five bytes", []byte{0x83, 0x80, 0x80, 0x80, 0x80, 0x00, muxCall, 1, 1}, errMalformedHead},
+		{"a length over MaxFrame", binary.AppendUvarint(nil, MaxFrame+1), ErrFrameTooLarge},
+		{"a five-byte length over 32 bits", []byte{0xff, 0xff, 0xff, 0xff, 0x7f}, ErrFrameTooLarge},
+		{"an empty frame", []byte{0x00}, errMalformedHead},
+		{"a sid over 32 bits", []byte{0x07, muxCall, 0x80, 0x80, 0x80, 0x80, 0x10, 1}, errMalformedHead},
+		{"a sid over five bytes", []byte{0x08, muxCall, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 1}, errMalformedHead},
+		{"a rid over 32 bits", []byte{0x07, muxCall, 1, 0xff, 0xff, 0xff, 0xff, 0x1f}, errMalformedHead},
+		{"a head past its length", []byte{0x02, muxCall, 1, 1, 'x'}, errMalformedHead},
+		{"a head past its length, nothing after", []byte{0x02, muxCall, 0x81}, errMalformedHead},
+	} {
+		_, _, err := ReadFrameHead(bufio.NewReader(bytes.NewReader(tc.in)))
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s (% x): %v, want %v", tc.name, tc.in, err, tc.want)
+		}
 	}
 }

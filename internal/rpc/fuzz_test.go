@@ -25,17 +25,16 @@ var fuzzHandlers = HandlerFactory(func(uint32) Handler {
 	return func(req []byte) ([]byte, error) { return req, nil }
 })
 
-// realFrames are frames off a live connection (TestFrameGoldenBytes,
-// and a reply of the load-report wire this one replaced): the seeds
-// mutation starts from.
+// realFrames are client frames off a live connection (the call and
+// close of TestFrameGoldenBytes, then a session open and a call on a
+// new session): the seeds mutation starts from.
 func realFrames(tb testing.TB) [][]byte {
 	var out [][]byte
 	for _, h := range []string{
-		"0e00000007000001030000000068656c6c6f", // call "hello"
-		"09000000070000010000000003",           // close session
-		// A reply whose kind carries 0x80, the old load-report flag, with
-		// the report it announced: no kind a client sends.
-		"2b0000000700000103000000811c00000000004045400000000000802840000000000000084007000000776f726c64",
+		"0b00878080080368656c6c6f", // call "hello", session 0x01000007, request 3
+		"06038780800800",           // close session 0x01000007
+		"03000101",                 // open session 1 (an empty call)
+		"050001026869",             // call "hi" on session 1
 	} {
 		b, err := hex.DecodeString(h)
 		if err != nil {
@@ -51,12 +50,23 @@ func FuzzMuxFrameDemux(f *testing.F) {
 	for _, fr := range frames {
 		f.Add(fr)
 	}
+	head := func(h FrameHead, body ...byte) []byte { return append(h.Append(nil), body...) }
 	f.Add(bytes.Join(frames, nil))
-	f.Add(append(bytes.Repeat(frames[0], 40), frames[1]...))                         // overflows a session queue, then closes it
-	f.Add([]byte{0xff, 0xff, 0xff, 0x0f, 7, 0, 0, 1, 3, 0, 0, 0, 0, 'x'})            // 256 MiB announced, one byte sent
-	f.Add(bytes.Join([][]byte{frames[0], frames[1], frames[0]}, nil))                // a call on a retired session
-	f.Add(append(bytes.Clone(frames[0]), 10, 0, 0, 0, 7, 0, 0, 1, 5, 0, 0, 0, 5, 1)) // a frame of an unknown kind drops the connection
-	f.Add(append(bytes.Clone(frames[0]), frames[2]...))                              // a reply kind with 0x80, the old load-report flag, drops it too
+	// A session queue overflowed, then closed.
+	f.Add(append(bytes.Repeat(frames[0], 40), frames[1]...))
+	// 256 MiB announced, one byte sent.
+	f.Add(head(FrameHead{Kind: muxCall, SID: 1, RID: 1, Body: MaxFrame - 3}, 'x'))
+	// A call on a retired session.
+	f.Add(bytes.Join([][]byte{frames[0], frames[1], frames[0]}, nil))
+	// A frame of an unknown kind drops the connection, and so does a
+	// reply kind with 0x80, the old load-report flag.
+	f.Add(append(bytes.Clone(frames[0]), head(FrameHead{Kind: 5, SID: 1, RID: 5, Body: 1}, 1)...))
+	f.Add(append(bytes.Clone(frames[0]), head(FrameHead{Kind: 0x81, SID: 1, RID: 5, Body: 5}, []byte("world")...)...))
+	// Heads no writer produces: a length prefix over five bytes, a sid
+	// over 32 bits, a head that runs past its length.
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x01, muxCall, 1, 1})
+	f.Add([]byte{0x07, muxCall, 0xff, 0xff, 0xff, 0xff, 0x1f, 1})
+	f.Add([]byte{0x02, muxCall, 1, 1, 'x'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

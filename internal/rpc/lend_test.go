@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -122,7 +121,7 @@ func (sc *script) next() (muxFrame, bool) {
 }
 
 func (sc *script) reply(call muxFrame, kind byte, body []byte) {
-	if err := sc.fr.writeMux(muxFrame{sid: call.sid, rid: call.rid, kind: kind, body: body}); err != nil {
+	if _, err := sc.fr.writeMux(muxFrame{sid: call.sid, rid: call.rid, kind: kind, body: body}); err != nil {
 		sc.t.Errorf("script reply: %v", err)
 	}
 }
@@ -130,10 +129,8 @@ func (sc *script) reply(call muxFrame, kind byte, body []byte) {
 // head writes the head of an OK reply announcing n body bytes, and
 // part of the body.
 func (sc *script) head(call muxFrame, n int, part []byte) {
-	b := binary.LittleEndian.AppendUint32(nil, uint32(muxHeaderLen+n))
-	b = binary.LittleEndian.AppendUint32(b, call.sid)
-	b = binary.LittleEndian.AppendUint32(b, call.rid)
-	b = append(append(b, muxReplyOK), part...)
+	b := FrameHead{Kind: muxReplyOK, SID: call.sid, RID: call.rid, Body: n}.Append(nil)
+	b = append(b, part...)
 	if _, err := sc.conn.Write(b); err != nil {
 		sc.t.Errorf("script write: %v", err)
 	}

@@ -7,13 +7,16 @@ package rpc
 // control-transfer protocol) runs over a connection exactly as it runs
 // over InProc; a deployment with one client is a mux with one session.
 //
-// Mux wire format: every frame is the usual 4-byte length prefix
-// followed by a 9-byte header and the body:
+// Mux wire format: every frame is a head (FrameHead, frame.go) and the
+// body:
 //
-//	[sid u32][rid u32][kind u8][body...]
+//	[len uvarint][kind u8][sid uvarint][rid uvarint][body...]
 //
-// sid identifies the session (minted once by the client, scoped to the
-// connection), rid the request within the session. Kinds:
+// len counts everything after itself. sid identifies the session
+// (minted once by the client, scoped to the connection), rid the
+// request within the session; both are 32-bit, and a session's first
+// 127 of each take one byte. A head is 4 bytes for a small body on a
+// young session. Kinds:
 //
 //	muxCall      client -> server   body = request payload (empty: open the session)
 //	muxReplyOK   server -> client   body = response payload
@@ -73,8 +76,6 @@ var ErrSessionIDsSpent = errors.New("rpc: connection's session IDs spent")
 // DefaultCallDeadline bounds a CallWithin that names no timeout, as
 // dbapi's dial-time Program fetch does.
 const DefaultCallDeadline = 5 * time.Second
-
-const muxHeaderLen = 9
 
 // muxRetiredCap bounds the server's retired-session tombstone FIFO:
 // it remembers the last muxRetiredCap closed session IDs per
@@ -150,12 +151,12 @@ type waiter struct {
 
 func (c *MuxClient) readLoop() {
 	for {
-		f, n, err := c.fr.readMuxHeader()
+		f, head, n, err := c.fr.readMuxHeader()
 		if err != nil {
 			c.fail(fmt.Errorf("rpc: mux connection lost: %w", err))
 			return
 		}
-		size := int64(n) + muxHeaderLen + 4
+		size := int64(head + n)
 		// A body the read buffer can hold is waited for whole before its
 		// call is taken out of pending, so a CallWithin deadline still
 		// fires while a peer stalls mid-body.
@@ -212,15 +213,15 @@ func (c *MuxClient) fail(err error) {
 // mid-frame — the next frame would land inside this one — so it takes
 // the whole connection out of service: the client is poisoned and the
 // connection closed, which also lets the server release the sessions'
-// state.
-func (c *MuxClient) send(f muxFrame) error {
-	err := c.fr.writeMux(f)
+// state. It returns the frame's length on the wire.
+func (c *MuxClient) send(f muxFrame) (int, error) {
+	n, err := c.fr.writeMux(f)
 	if err == nil || errors.Is(err, ErrFrameTooLarge) { // refused whole: nothing was written
-		return err
+		return n, err
 	}
 	c.fail(fmt.Errorf("rpc: mux write failed: %w", err))
 	_ = c.fr.conn.Close()
-	return c.Err()
+	return 0, c.Err()
 }
 
 // exchange sends one call frame on s and waits for the reply frame
@@ -253,7 +254,8 @@ func (c *MuxClient) exchange(s *MuxSession, req, into []byte, timeout time.Durat
 	c.outstanding.Add(1)
 	defer c.outstanding.Add(-1)
 
-	if err := c.send(muxFrame{sid: s.sid, rid: rid, kind: muxCall, body: req}); err != nil {
+	sent, err := c.send(muxFrame{sid: s.sid, rid: rid, kind: muxCall, body: req})
+	if err != nil {
 		// Poisoning closed ch along with every other pending waiter; a
 		// frame refused whole leaves the waiter to un-register here.
 		c.mu.Lock()
@@ -263,7 +265,7 @@ func (c *MuxClient) exchange(s *MuxSession, req, into []byte, timeout time.Durat
 	}
 	if !w.open {
 		c.calls.Add(1)
-		c.bytesSent.Add(int64(len(req)) + muxHeaderLen + 4)
+		c.bytesSent.Add(int64(sent))
 	}
 
 	var f muxFrame
@@ -461,7 +463,8 @@ func (s *MuxSession) Close() error {
 	if s.closed.Swap(true) || s.sid == 0 {
 		return nil
 	}
-	return s.c.send(muxFrame{sid: s.sid, kind: muxCloseSess})
+	_, err := s.c.send(muxFrame{sid: s.sid, kind: muxCloseSess})
+	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -561,14 +564,14 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 	// connection is dead.
 	reply := func(req muxFrame, kind byte, body []byte) bool {
 		out := muxFrame{sid: req.sid, rid: req.rid, kind: kind, body: body}
-		err := fr.writeMux(out)
+		_, err := fr.writeMux(out)
 		Released(body) // the handler's again; before the request, which it may alias
 		bodies.putBody(req.body)
 		if errors.Is(err, ErrFrameTooLarge) {
 			// Refused whole, so the stream is intact: the caller gets an
 			// error reply instead of waiting forever.
 			out.kind, out.body = muxReplyErr, []byte(err.Error())
-			err = fr.writeMux(out)
+			_, err = fr.writeMux(out)
 		}
 		return err == nil
 	}
@@ -619,7 +622,7 @@ func ServeMuxConnConfig(conn io.ReadWriteCloser, handlers SessionHandlers, cfg M
 		}
 	}
 	for {
-		f, n, err := fr.readMuxHeader()
+		f, _, n, err := fr.readMuxHeader()
 		if err != nil {
 			return
 		}

@@ -73,7 +73,7 @@ func dummyLoopbackClient(t *testing.T, reply func(muxFrame) muxFrame) *MuxClient
 			if err != nil {
 				return
 			}
-			if err := fr.writeMux(reply(f)); err != nil {
+			if _, err := fr.writeMux(reply(f)); err != nil {
 				return
 			}
 		}
@@ -345,17 +345,17 @@ func TestMuxRetiredSessionNotResurrected(t *testing.T) {
 	defer func() { cliConn.Close(); <-done }()
 
 	cli := newFramer(cliConn)
-	if err := cli.writeMux(muxFrame{sid: 1, rid: 1, kind: muxCall, body: []byte("hi")}); err != nil {
+	if _, err := cli.writeMux(muxFrame{sid: 1, rid: 1, kind: muxCall, body: []byte("hi")}); err != nil {
 		t.Fatal(err)
 	}
 	if f, err := cli.readMuxFrame(); err != nil || f.kind != muxReplyOK {
 		t.Fatalf("first call: %+v %v", f, err)
 	}
-	if err := cli.writeMux(muxFrame{sid: 1, kind: muxCloseSess}); err != nil {
+	if _, err := cli.writeMux(muxFrame{sid: 1, kind: muxCloseSess}); err != nil {
 		t.Fatal(err)
 	}
 	// The call that lost the race arrives after the close.
-	if err := cli.writeMux(muxFrame{sid: 1, rid: 2, kind: muxCall, body: []byte("late")}); err != nil {
+	if _, err := cli.writeMux(muxFrame{sid: 1, rid: 2, kind: muxCall, body: []byte("late")}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := cli.readMuxFrame()
@@ -383,7 +383,7 @@ func TestMuxConnectionLossFailsPending(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_ = srv.writeMux(muxFrame{sid: f.sid, rid: f.rid, kind: muxReplyOK, body: f.body})
+		_, _ = srv.writeMux(muxFrame{sid: f.sid, rid: f.rid, kind: muxReplyOK, body: f.body})
 		<-block
 		srvConn.Close()
 	}()

@@ -12,14 +12,14 @@ func TestWireRoundTrip(t *testing.T) {
 	var w Writer
 	w.Byte(7)
 	w.Bool(true)
-	w.U32(123456)
-	w.I64(-42)
+	w.Uvarint(123456)
+	w.U64(1 << 63)
 	w.F64(2.718)
 	w.Str("héllo")
 	w.Vals([]val.Value{val.IntV(1), val.StrV("x"), val.NullV(), val.DoubleV(-1.5), val.BoolV(true), val.ObjV(9)})
 
 	r := &Reader{Buf: w.Buf}
-	if r.Byte() != 7 || !r.Bool() || r.U32() != 123456 || r.I64() != -42 || r.F64() != 2.718 {
+	if r.Byte() != 7 || !r.Bool() || r.Uvarint() != 123456 || r.U64() != 1<<63 || r.F64() != 2.718 {
 		t.Fatal("scalar round trip failed")
 	}
 	if r.Str() != "héllo" {

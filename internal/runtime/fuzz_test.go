@@ -83,10 +83,10 @@ func FuzzTransferHandler(f *testing.F) {
 	w.Uvarint(1)
 	w.Byte(byte(syncTable))
 	w.Uvarint(4)
-	w.U32(2)
+	w.Uvarint(2)
 	w.Str("k")
 	w.Str("v")
-	w.U32(1)
+	w.Uvarint(1)
 	w.Vals([]val.Value{val.IntV(1), val.StrV("a")})
 	f.Add(uint8(len(targets)-1), w.Buf)
 	// The rest of each call on a session that served its first transfer:

@@ -57,11 +57,11 @@ func TestBestSellersTransferBytes(t *testing.T) {
 	// brings back one author's name. Each frame mask is a byte per eight
 	// of bestSellers' 38 slots: one string-building instruction per page
 	// line leaves no temps for the partial pages.
-	want := [][2]int{{34, 887}, {45, 63}}
+	want := [][2]int{{24, 503}, {28, 41}}
 	for i := 2; i < 21; i++ {
-		want = append(want, [2]int{24, 63})
+		want = append(want, [2]int{17, 41})
 	}
-	want[7][1], want[8][1] = 62, 62 // two shorter author names
+	want[7][1], want[8][1] = 40, 40 // two shorter author names
 	if len(w.sizes) != len(want) {
 		t.Fatalf("%d transfers, want %d: %v", len(w.sizes), len(want), w.sizes)
 	}

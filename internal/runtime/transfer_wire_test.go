@@ -114,20 +114,20 @@ var pinnedTransfers = []struct {
 	hex  []string
 }{
 	{"calc/unfused", calcWire, false, []string{
-		"01020100010000ff3f05010000000000000001050000000000000003010000000000000000000000000000000000000300010400000043616c63020101000000000000000001030800000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000000010400000043616c630101060300000000000000",
-		"01020100010000ff3f050100000000000000010300000000000000030000000000000000000000000000000000000000",
+		"01020100010000ff3f0502010a030200000000000000000000000300010443616c63020101000103080100010001000100010001000100010000010443616c6301010606",
+		"01020100010000ff3f050201060300000000000000000000000000",
 	}},
 	{"loop/unfused", loopWire, false, []string{
-		"01020200020000000001080aff0f05010000000000000001000000000000000000000000000000000000010001010000004c0201010000000000000000",
-		"01020201ff0f000001080aff0f0501000000000000000101000000000000000000000000000000000000",
+		"01020200020000000001080aff0f0502010000000000000000000000010001014c02010100",
+		"01020201ff0f000001080aff0f050201020000000000000000000000",
 	}},
 	{"calc/fused", calcWire, true, []string{
-		"0102010001000007000501000000000000000105000000000000000301000000000000000300010400000043616c63020101000000000000000001030800000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000001000000000000000000010400000043616c630101060300000000000000",
-		"01020100010000070005010000000000000001030000000000000003000000000000000000",
+		"0102010001000007000502010a03020300010443616c63020101000103080100010001000100010001000100010000010443616c6301010606",
+		"01020100010000070005020106030000",
 	}},
 	{"loop/fused", loopWire, true, []string{
-		"0102020002000000000108090300050100000000000000010000000000000000010001010000004c0201010000000000000000",
-		"01020201ff0e0000010809030005010000000000000001010000000000000000",
+		"010202000200000000010809030005020100010001014c02010100",
+		"01020201ff0e000001080903000502010200",
 	}},
 }
 
@@ -307,13 +307,13 @@ func TestHandlerRejectsMalformedTransfer(t *testing.T) {
 	syncCase("table of four billion columns", rpc.ErrShortBuffer, func(w *rpc.Writer) {
 		w.Byte(byte(syncTable))
 		w.Uvarint(2)
-		w.U32(1<<32 - 1)
+		w.Uvarint(1<<32 - 1)
 	})
 	syncCase("table of four billion rows", rpc.ErrShortBuffer, func(w *rpc.Writer) {
 		w.Byte(byte(syncTable))
 		w.Uvarint(2)
-		w.U32(0)
-		w.U32(1<<32 - 1)
+		w.Uvarint(0)
+		w.Uvarint(1<<32 - 1)
 	})
 	syncCase("more sync records than bytes", ErrBadTransfer, func(w *rpc.Writer) {
 		w.Buf = w.Buf[:len(w.Buf)-1]

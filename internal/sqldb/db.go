@@ -689,7 +689,10 @@ func (rs *ResultSet) NewRow(n int) []val.Value {
 	return row
 }
 
-// Size estimates the wire size of the result set in bytes.
+// Size is the profiler's estimate of the bytes the result set costs a
+// data edge: val.Size summed over its cells, plus each column name. It
+// is not what the table takes on the wire, which is smaller; the
+// placements the partitioner makes depend on its numbers, which stay.
 func (r *ResultSet) Size() int {
 	n := 0
 	for _, c := range r.Cols {

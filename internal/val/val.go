@@ -185,10 +185,13 @@ func Compare(a, b Value) int {
 	}
 }
 
-// Size estimates the serialized size of v in bytes. The profiler uses
-// it to weight data edges; the wire codec uses it for network
-// accounting. Reference kinds count only the reference itself — the
-// payload is counted where the heap part is serialized.
+// Size is the profiler's estimate of the bytes v costs a data edge
+// (interp weighs the edges the partitioner cuts with it, and
+// sqldb.ResultSet.Size sums it over a table). It is a fixed-width
+// model, not the wire codec's size, and nothing on the wire calls it:
+// its numbers stay as they are so that every placement does.
+// Reference kinds count only the reference itself — the payload is
+// counted where the heap part is serialized.
 func (v Value) Size() int {
 	switch v.K {
 	case Null:
