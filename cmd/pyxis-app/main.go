@@ -1,9 +1,8 @@
 // Command pyxis-app runs the application side of a real two-process
-// Pyxis deployment: it connects to pyxis-dbserver's database and
+// Pyxis deployment: it connects to one pyxis-dbserver's database and
 // control-transfer ports over TCP, rebuilds its half of the partition
-// the servers serve (every server must serve the same one, or it exits
-// with deploy.ErrProgramMismatch), and invokes an entry method with the
-// given scalar arguments.
+// that server serves, and invokes an entry method with the given scalar
+// arguments.
 //
 // With -clients N it drives N concurrent sessions, each its own
 // logical thread of control with its own object, multiplexed over a
@@ -17,22 +16,16 @@
 // rpc.ErrOverloaded and is retried with jittered backoff, and an
 // admitted client's calls are never shed.
 //
-// Against a SHARDED DB tier, -db and -ctl take comma-separated address
-// lists of equal length — entry i of each list is shard i, one
-// pyxis-dbserver per shard. Each client session picks its home shard
-// by hashing its client index through runtime.ShardMap and opens its
-// sessions on that shard. Every client sends the same -args and
-// -callargs, so every shard must own the rows they name.
+// One pyxis-app dials one database server. Every client sends the same
+// -args and -callargs, so nothing here could pick a shard by the rows a
+// client touches; a sharded tier is a library feature (deploy.Up, with
+// the shard chosen from a real key by the caller).
 //
 // Usage (after starting pyxis-dbserver):
 //
 //	pyxis-app -db localhost:7001 -ctl localhost:7002 \
 //	    -new Order -args 7 -call Order.placeOrder -callargs 3,0.9 \
 //	    -clients 8 -n 100 [-pool 4]
-//
-// Sharded tier (one pyxis-dbserver per shard):
-//
-//	pyxis-app ... -db host1:7001,host2:7001 -ctl host1:7002,host2:7002
 package main
 
 import (
@@ -58,8 +51,8 @@ const openTimeout = time.Minute
 
 func main() {
 	var (
-		dbAddr   = flag.String("db", "localhost:7001", "database server wire address(es); comma-separated, one per shard")
-		ctlAddr  = flag.String("ctl", "localhost:7002", "control-transfer server address(es); comma-separated, one per shard")
+		dbAddr   = flag.String("db", "localhost:7001", "database server wire address")
+		ctlAddr  = flag.String("ctl", "localhost:7002", "control-transfer server address")
 		newClass = flag.String("new", "", "class to instantiate (required)")
 		ctorArgs = flag.String("args", "", "comma-separated constructor arguments")
 		call     = flag.String("call", "", "entry method Class.method to invoke (required)")
@@ -77,16 +70,10 @@ func main() {
 		fatal(fmt.Errorf("-clients and -n must be >= 1"))
 	}
 
-	// One shard per -db/-ctl address pair (a single address is the
-	// classic unsharded tier), a pool of -pool multiplexed connections to
-	// each. No schema-aware partition key at this layer: each client
-	// session hashes its index to a home shard and opens everything
-	// there, each session pinned to whichever pooled connection was least
-	// loaded when it was opened.
-	dbAddrs := splitAddrs(*dbAddr)
-	shards := len(dbAddrs)
-	m := runtime.ShardMap{Shards: shards}
-	app, err := deploy.Dial(dbAddrs, splitAddrs(*ctlAddr), *poolN, os.Stdout)
+	// A pool of -pool multiplexed connections to each port; each client
+	// session is pinned to whichever pooled connection was least loaded
+	// when it was opened.
+	app, err := deploy.Dial(*dbAddr, *ctlAddr, *poolN, os.Stdout)
 	if err != nil {
 		fatal(err)
 	}
@@ -117,7 +104,7 @@ func main() {
 			var client *deploy.Client
 			sheds, err := runtime.RetryOverloaded(openTimeout, func() error {
 				var oerr error
-				client, oerr = app.Open(m.Shard(int64(i)), *newClass, ctorVals...)
+				client, oerr = app.Open(*newClass, ctorVals...)
 				return oerr
 			})
 			results[i].sheds = sheds
@@ -163,8 +150,8 @@ func main() {
 	}
 	ctl := app.Ctl.Stats()
 	db := app.DB.Stats()
-	fmt.Printf("pyxis-app: control transfers=%d (%d B), app-side db round trips=%d (%d B) shards=%d pool=%d conns/shard\n",
-		ctl.Calls, ctl.BytesSent+ctl.BytesRecv, db.Calls, db.BytesSent+db.BytesRecv, shards, *poolN)
+	fmt.Printf("pyxis-app: control transfers=%d (%d B), app-side db round trips=%d (%d B) pool=%d conns\n",
+		ctl.Calls, ctl.BytesSent+ctl.BytesRecv, db.Calls, db.BytesSent+db.BytesRecv, *poolN)
 	var sheds int64
 	for _, r := range results {
 		sheds += r.sheds
@@ -189,18 +176,6 @@ func summarize(lats []float64) (mean, p95, worst float64) {
 	}
 	n := len(lats)
 	return mean / float64(n), lats[int(math.Ceil(0.95*float64(n)))-1], lats[n-1]
-}
-
-// splitAddrs splits a comma-separated shard address list, trimming
-// whitespace and dropping empty entries.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // parseArgs converts "7,0.9,true,hi" into scalar values.

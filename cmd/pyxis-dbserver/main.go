@@ -22,19 +22,13 @@
 // control session; a -budget 0 program runs wholly on the APP side and
 // holds none.
 //
-// One process is one shard of a shared-nothing tier: each shard runs
-// its own database, lock manager, runtime peer and admission
-// controller — nothing is shared between shard processes. The server
-// stays shard-unaware by design: the -schema script loads only this
-// shard's slice of the data. A pyxis-app started with matching -db/-ctl
-// address lists places client i on shard runtime.ShardMap.Shard(i) —
-// a hash of the client's index, not of any row it touches — and sends
-// every client the same -callargs, so every shard must own the rows
-// those arguments name. It refuses shards serving different programs.
-// The shard map is fixed for the deployment's life: no process moves
-// data between shards, every transaction runs on one shard, and the
-// database port serves statements, transaction ops and the program
-// description only.
+// One process is one database server, and a pyxis-app dials exactly
+// one. It knows nothing of shards: the -schema script loads whatever
+// data it is to own. A sharded tier is a library and test feature
+// (deploy.Up, one database and one App per shard, each client opened
+// on the shard that owns the rows it names); no process moves data
+// between databases, and the database port serves statements,
+// transaction ops and the program description only.
 //
 // Usage:
 //

@@ -40,12 +40,12 @@ func main() {
 
 	// --- "Application server": connect and run transactions --------------
 	// The wiring cmd/pyxis-app uses: one client is a session on each wire.
-	app, err := deploy.Dial([]string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, nil)
+	app, err := deploy.Dial(srv.DB.Addr(), srv.Ctl.Addr(), 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer app.Close()
-	client, err := app.Open(0, "TPCC")
+	client, err := app.Open("TPCC")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"pyxis"
 	"pyxis/internal/deploy"
-	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
@@ -38,7 +37,7 @@ type ledgerRun struct {
 // one-server tier hosting part.
 func runLedger(t *testing.T, part *pyxis.Partition, cfg WallCfg, mix LedgerMix) *ledgerRun {
 	t.Helper()
-	top, err := cfg.topology(0, part, func(runtime.ShardMap, int) (*sqldb.DB, error) { return parallelDB(cfg.Clients) })
+	top, err := cfg.topology(0, part, func(int, int) (*sqldb.DB, error) { return parallelDB(cfg.Clients) })
 	d := up(t, top, err)
 	defer d.Close()
 	r := &ledgerRun{dbs: d.DBs}
@@ -46,7 +45,7 @@ func runLedger(t *testing.T, part *pyxis.Partition, cfg WallCfg, mix LedgerMix) 
 		func(i int) (*deploy.Client, error) {
 			c, err := d.Open(0, "Ledger", val.IntV(int64(i)))
 			if err == nil {
-				r.placed.add(d, c)
+				r.placed.add(d, 0, c)
 			}
 			return c, err
 		},

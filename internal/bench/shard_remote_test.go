@@ -6,7 +6,6 @@ import (
 
 	"pyxis/internal/dbapi"
 	"pyxis/internal/deploy"
-	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
@@ -42,8 +41,7 @@ func TestShardTPCCRemoteMix(t *testing.T) {
 		t.Errorf("remote NewOrder rate %.1f%% below 5%% (spec target ~10%%)", rate*100)
 	}
 
-	smap := runtime.ShardMap{Shards: cfg.Shards, Warehouses: c.Warehouses}
-	if violations := CheckShardInvariants(r.dbs, c, smap); len(violations) > 0 {
+	if violations := CheckShardInvariants(r.dbs, c); len(violations) > 0 {
 		t.Fatalf("invariants violated after remote mix:\n%s", strings.Join(violations, "\n"))
 	}
 }
@@ -55,9 +53,8 @@ func TestShardTPCCRemoteMix(t *testing.T) {
 // on the other — so only the per-shard sums can catch it.
 func TestCheckShardInvariantsCatchesUnbalancedShard(t *testing.T) {
 	c := DefaultTPCC()
-	m := runtime.ShardMap{Shards: 2, Warehouses: c.Warehouses}
-	lo0, hi0 := m.WarehouseRange(0)
-	lo1, hi1 := m.WarehouseRange(1)
+	lo0, hi0 := c.WarehouseRange(0, 2)
+	lo1, hi1 := c.WarehouseRange(1, 2)
 	fresh := func() []*sqldb.DB {
 		return []*sqldb.DB{c.LoadRange(int(lo0), int(hi0)), c.LoadRange(int(lo1), int(hi1))}
 	}
@@ -87,7 +84,7 @@ func TestCheckShardInvariantsCatchesUnbalancedShard(t *testing.T) {
 	} {
 		dbs := fresh()
 		tc.forge(dbs)
-		violations := CheckShardInvariants(dbs, c, m)
+		violations := CheckShardInvariants(dbs, c)
 		for _, want := range tc.want {
 			if !violationMatches(violations, want) {
 				t.Errorf("%s: no violation %q in %q", tc.name, want, violations)
@@ -125,10 +122,11 @@ func TestRemoteExactCounts(t *testing.T) {
 	}
 	defer d.Close()
 	const homeW, remoteW = 1, 2
-	if d.Map.Shard(homeW) != 0 || d.Map.Shard(remoteW) != 0 {
+	if c.HomeShard(homeW, 2) != 0 || c.HomeShard(remoteW, 2) != 0 {
 		t.Fatalf("warehouses %d and %d are not both on shard 0", homeW, remoteW)
 	}
-	sess, err := d.DB.Session(0)
+	app := d.Apps[0]
+	sess, err := app.DB.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +150,7 @@ func TestRemoteExactCounts(t *testing.T) {
 			return err
 		}, 22},
 	} {
-		before := d.DB.Stats().Calls
+		before := app.DB.Stats().Calls
 		if err := conn.Begin(); err != nil {
 			t.Fatal(err)
 		}
@@ -162,11 +160,11 @@ func TestRemoteExactCounts(t *testing.T) {
 		if err := conn.Commit(); err != nil {
 			t.Fatalf("txn %d (%s): commit: %v", k, tc.name, err)
 		}
-		if got := d.DB.Stats().Calls - before; got != tc.calls {
+		if got := app.DB.Stats().Calls - before; got != tc.calls {
 			t.Errorf("txn %d (%s): %d database-wire calls, want %d", k, tc.name, got, tc.calls)
 		}
 	}
-	if violations := CheckShardInvariants(d.DBs, c, d.Map); len(violations) > 0 {
+	if violations := CheckShardInvariants(d.DBs, c); len(violations) > 0 {
 		t.Fatalf("invariants violated:\n%s", strings.Join(violations, "\n"))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"pyxis/internal/runtime"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
@@ -54,8 +53,7 @@ func TestRunShardTPCCOverTCP(t *testing.T) {
 	}
 	cfg := WallCfg{Clients: 4, Txns: 4, Shards: 2, Conns: 2}
 	r := runTPCC(t, part, c, cfg, TPCCMix{WriteEvery: 2, PaymentEvery: 3})
-	smap := runtime.ShardMap{Shards: 2, Warehouses: c.Warehouses}
-	if violations := CheckShardInvariants(r.dbs, c, smap); len(violations) > 0 {
+	if violations := CheckShardInvariants(r.dbs, c); len(violations) > 0 {
 		t.Fatalf("invariants violated:\n%s", strings.Join(violations, "\n"))
 	}
 	if len(r.dbs) != 2 {
@@ -71,13 +69,12 @@ func TestRunShardTPCCOverTCP(t *testing.T) {
 // must flag both.
 func TestCheckShardInvariantsCatchesCrossShardDrift(t *testing.T) {
 	c := DefaultTPCC()
-	m := runtime.ShardMap{Shards: 2, Warehouses: c.Warehouses}
-	lo0, hi0 := m.WarehouseRange(0)
-	lo1, hi1 := m.WarehouseRange(1)
+	lo0, hi0 := c.WarehouseRange(0, 2)
+	lo1, hi1 := c.WarehouseRange(1, 2)
 	db0 := c.LoadRange(int(lo0), int(hi0))
 	db1 := c.LoadRange(int(lo1), int(hi1))
 
-	if violations := CheckShardInvariants([]*sqldb.DB{db0, db1}, c, m); len(violations) > 0 {
+	if violations := CheckShardInvariants([]*sqldb.DB{db0, db1}, c); len(violations) > 0 {
 		t.Fatalf("fresh shards flagged: %v", violations)
 	}
 
@@ -87,7 +84,7 @@ func TestCheckShardInvariantsCatchesCrossShardDrift(t *testing.T) {
 	if _, err := s.Exec("UPDATE warehouse SET w_ytd = w_ytd + 100.0 WHERE w_id = ?", val.IntV(lo1)); err != nil {
 		t.Fatal(err)
 	}
-	if violations := CheckShardInvariants([]*sqldb.DB{db0, db1}, c, m); len(violations) == 0 {
+	if violations := CheckShardInvariants([]*sqldb.DB{db0, db1}, c); len(violations) == 0 {
 		t.Fatal("lost cross-shard update not detected")
 	}
 
@@ -100,7 +97,7 @@ func TestCheckShardInvariantsCatchesCrossShardDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	db3 := c.LoadRange(int(lo1), int(hi1))
-	violations := CheckShardInvariants([]*sqldb.DB{db2, db3}, c, m)
+	violations := CheckShardInvariants([]*sqldb.DB{db2, db3}, c)
 	found := false
 	for _, v := range violations {
 		if strings.Contains(v, "owns") || strings.Contains(v, "warehouses in total") {
@@ -109,5 +106,71 @@ func TestCheckShardInvariantsCatchesCrossShardDrift(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("stray warehouse ownership not detected: %v", violations)
+	}
+}
+
+// TestWarehouseRangeBoundaries is the boundary table: for each
+// (warehouses, shards) shape, every warehouse of a shard's range must
+// have that shard as its home, and the ranges must tile [1, W] exactly
+// — contiguous, disjoint, nothing dropped — with sizes that differ by
+// at most one.
+func TestWarehouseRangeBoundaries(t *testing.T) {
+	shapes := []struct{ warehouses, shards int }{
+		{1, 1}, {4, 1}, {4, 2}, {5, 2}, {4, 4}, {10, 3}, {7, 4}, {16, 5},
+	}
+	for _, sh := range shapes {
+		c := TPCCConfig{Warehouses: sh.warehouses}
+		next := int64(1)
+		min, max := int64(1<<62), int64(0)
+		for s := 0; s < sh.shards; s++ {
+			lo, hi := c.WarehouseRange(s, sh.shards)
+			if lo != next {
+				t.Errorf("%d/%d: shard %d range starts at %d, want %d (gap or overlap)",
+					sh.warehouses, sh.shards, s, lo, next)
+			}
+			if hi < lo {
+				t.Errorf("%d/%d: shard %d has empty range [%d,%d] despite warehouses >= shards",
+					sh.warehouses, sh.shards, s, lo, hi)
+				continue
+			}
+			for w := lo; w <= hi; w++ {
+				if got := c.HomeShard(w, sh.shards); got != s {
+					t.Errorf("%d/%d: warehouse %d has home shard %d, want %d",
+						sh.warehouses, sh.shards, w, got, s)
+				}
+			}
+			size := hi - lo + 1
+			if size < min {
+				min = size
+			}
+			if size > max {
+				max = size
+			}
+			next = hi + 1
+		}
+		if next != int64(sh.warehouses)+1 {
+			t.Errorf("%d/%d: ranges cover [1,%d], want [1,%d]",
+				sh.warehouses, sh.shards, next-1, sh.warehouses)
+		}
+		if max-min > 1 {
+			t.Errorf("%d/%d: range sizes spread %d..%d, want balanced within 1",
+				sh.warehouses, sh.shards, min, max)
+		}
+	}
+}
+
+// TestWarehouseRangeMoreShardsThanWarehouses: surplus shards get empty
+// ranges (lo > hi) and are no warehouse's home.
+func TestWarehouseRangeMoreShardsThanWarehouses(t *testing.T) {
+	c := TPCCConfig{Warehouses: 3}
+	for w := int64(1); w <= 3; w++ {
+		if got := c.HomeShard(w, 5); got != int(w-1) {
+			t.Errorf("warehouse %d has home shard %d, want %d", w, got, w-1)
+		}
+	}
+	for s := 3; s < 5; s++ {
+		if lo, hi := c.WarehouseRange(s, 5); lo <= hi {
+			t.Errorf("surplus shard %d owns warehouses [%d,%d], want empty", s, lo, hi)
+		}
 	}
 }

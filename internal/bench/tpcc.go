@@ -52,6 +52,34 @@ var tpccDDL = []string{
 // Load builds and populates a TPC-C database.
 func (c TPCCConfig) Load() *sqldb.DB { return c.LoadRange(1, c.Warehouses) }
 
+// WarehouseRange returns the inclusive range of c's warehouses that
+// shard owns when they are split over shards: contiguous ranges whose
+// sizes differ by at most one, the first Warehouses%shards of them one
+// warehouse wider. A shard with no warehouses (more shards than
+// warehouses) gets lo > hi.
+func (c TPCCConfig) WarehouseRange(shard, shards int) (lo, hi int64) {
+	w, n, s := int64(c.Warehouses), int64(shards), int64(shard)
+	base, extra := w/n, w%n
+	lo = s*base + min(s, extra) + 1
+	hi = lo + base - 1
+	if s < extra {
+		hi++
+	}
+	return lo, hi
+}
+
+// HomeShard returns the shard of shards whose WarehouseRange holds
+// warehouse w, which must be in [1, Warehouses].
+func (c TPCCConfig) HomeShard(w int64, shards int) int {
+	n := int64(shards)
+	base, extra := int64(c.Warehouses)/n, int64(c.Warehouses)%n
+	idx := w - 1
+	if wide := extra * (base + 1); idx >= wide {
+		return int(extra + (idx-wide)/base)
+	}
+	return int(idx / (base + 1))
+}
+
 // LoadRange builds one shard's slice of the TPC-C database: only
 // warehouses loW..hiW (inclusive) with their districts, customers and
 // stock, plus the full read-only item catalog (reference data, cheap

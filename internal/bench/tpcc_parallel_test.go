@@ -10,7 +10,7 @@ import (
 	"pyxis"
 	"pyxis/internal/dbapi"
 	"pyxis/internal/deploy"
-	"pyxis/internal/runtime"
+	"pyxis/internal/rpc"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
@@ -24,14 +24,14 @@ type WallCfg struct {
 }
 
 // topology is the tier cfg describes: its shards host part, split
-// warehouses (0: nothing to split) and load their databases with load.
-func (cfg WallCfg) topology(warehouses int, part *pyxis.Partition, load func(m runtime.ShardMap, shard int) (*sqldb.DB, error)) (deploy.Topology, error) {
-	m := runtime.ShardMap{Shards: max(cfg.Shards, 1), Warehouses: warehouses}
-	if warehouses > 0 && m.Shards > warehouses {
-		return deploy.Topology{}, fmt.Errorf("bench: %d shards over %d warehouses would leave empty shards", m.Shards, warehouses)
+// warehouses (0: nothing to split) and load shard i of n with load(i, n).
+func (cfg WallCfg) topology(warehouses int, part *pyxis.Partition, load func(shard, shards int) (*sqldb.DB, error)) (deploy.Topology, error) {
+	shards := max(cfg.Shards, 1)
+	if warehouses > 0 && shards > warehouses {
+		return deploy.Topology{}, fmt.Errorf("bench: %d shards over %d warehouses would leave empty shards", shards, warehouses)
 	}
-	return deploy.Topology{Map: m, Conns: cfg.Conns, Partition: part,
-		NewDB: func(shard int) (*sqldb.DB, error) { return load(m, shard) }}, nil
+	return deploy.Topology{Shards: shards, Conns: cfg.Conns, Partition: part,
+		NewDB: func(shard int) (*sqldb.DB, error) { return load(shard, shards) }}, nil
 }
 
 // up stands top up, failing t on err (topology's) or on deploy.Up's;
@@ -49,30 +49,27 @@ func up(t *testing.T, top deploy.Topology, err error) *deploy.Tier {
 }
 
 // placed counts where clients' control sessions landed, per shard and
-// per pooled connection: a broken pool or map piles everything on
-// index 0.
+// per pooled connection: a broken pool or shard choice piles everything
+// on one.
 type placed struct {
-	mu          sync.Mutex
-	shard, conn []int
+	mu    sync.Mutex
+	shard []int
+	conn  map[*rpc.MuxClient]int
 }
 
-func (p *placed) add(d *deploy.Tier, c *deploy.Client) {
+func (p *placed) add(d *deploy.Tier, shard int, c *deploy.Client) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.shard == nil {
-		p.shard, p.conn = make([]int, d.Map.NumShards()), make([]int, d.DB.ConnsPerShard())
+		p.shard, p.conn = make([]int, len(d.Apps)), map[*rpc.MuxClient]int{}
 	}
-	p.shard[c.Shard]++
-	for i := range p.conn {
-		if c.Ctl.Conn() == d.Ctl.Conn(c.Shard, i) {
-			p.conn[i]++
-		}
-	}
+	p.shard[shard]++
+	p.conn[c.Ctl.Conn()]++
 }
 
-// loadRange loads each shard's slice of c's database.
-func (c TPCCConfig) loadRange(m runtime.ShardMap, shard int) (*sqldb.DB, error) {
-	lo, hi := m.WarehouseRange(shard)
+// loadRange loads shard's slice of c's database split over shards.
+func (c TPCCConfig) loadRange(shard, shards int) (*sqldb.DB, error) {
+	lo, hi := c.WarehouseRange(shard, shards)
 	return c.LoadRange(int(lo), int(hi)), nil
 }
 
@@ -207,19 +204,21 @@ func (c TPCCConfig) paymentRemoteStmts(conn dbapi.Conn, wid, did, cwid, cdid, cc
 // tpccSession is one client's TPCC object on its home shard.
 type tpccSession struct {
 	*deploy.Client
+	shard  int
 	lo, hi int64 // the home shard's warehouses: every warehouse a transaction touches stays inside
 }
 
 // openTPCC opens client i's session. Clients spread evenly over
 // warehouses; the home warehouse picks the shard.
 func openTPCC(d *deploy.Tier, c TPCCConfig, i int) (*tpccSession, error) {
-	shard := d.Map.Shard(int64(i%c.Warehouses) + 1)
+	shards := len(d.Apps)
+	shard := c.HomeShard(int64(i%c.Warehouses)+1, shards)
 	cl, err := d.Open(shard, "TPCC")
 	if err != nil {
 		return nil, err
 	}
-	s := &tpccSession{Client: cl}
-	s.lo, s.hi = d.Map.WarehouseRange(shard)
+	s := &tpccSession{Client: cl, shard: shard}
+	s.lo, s.hi = c.WarehouseRange(shard, shards)
 	return s, nil
 }
 
@@ -293,7 +292,7 @@ func runTPCC(t *testing.T, part *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix
 		func(i int) (*tpccSession, error) {
 			s, err := openTPCC(d, c, i)
 			if err == nil {
-				r.placed.add(d, s.Client)
+				r.placed.add(d, s.shard, s.Client)
 			}
 			return s, err
 		}, tpccStep(c, mix))
@@ -301,7 +300,7 @@ func runTPCC(t *testing.T, part *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix
 		t.Fatal(err)
 	}
 	r.sum, r.transfers = r.total(), d.Transfers()
-	r.violations = CheckShardInvariants(d.DBs, c, d.Map)
+	r.violations = CheckShardInvariants(d.DBs, c)
 	return r
 }
 

@@ -1,6 +1,6 @@
 package dbapi
 
-// Program is a control op, not a statement: a dialer asks each shard
+// Program is a control op, not a statement: a dialer asks the server
 // which program it serves before it opens any client session, so the
 // call is bounded — the one call in the tree that is. Over a transport
 // with CallWithin (the mux wire) a stalled peer answers
@@ -27,7 +27,7 @@ func (c *Client) callWithin() (*rpc.Reader, error) {
 	return c.reply(resp, err)
 }
 
-// Program returns the bytes that describe the program the shard serves
+// Program returns the bytes that describe the program the server serves
 // (empty when it serves none), bounded by rpc.DefaultCallDeadline.
 func (c *Client) Program() ([]byte, error) {
 	c.enc.Reset()

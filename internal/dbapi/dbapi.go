@@ -181,7 +181,7 @@ const (
 	// opCommit, opRollback: the op byte alone.
 	opCommit
 	opRollback
-	// opProgram, reply [str program]: the program the shard serves.
+	// opProgram, reply [str program]: the program the server serves.
 	opProgram
 )
 

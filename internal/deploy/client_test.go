@@ -49,8 +49,9 @@ func TestDepositExactCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctl0, db0 := tier.Ctl.Stats().Calls, tier.DB.Stats().Calls
-		wire := func() (ctl, db int64) { return tier.Ctl.Stats().Calls - ctl0, tier.DB.Stats().Calls - db0 }
+		app := tier.Apps[0]
+		ctl0, db0 := app.Ctl.Stats().Calls, app.DB.Stats().Calls
+		wire := func() (ctl, db int64) { return app.Ctl.Stats().Calls - ctl0, app.DB.Stats().Calls - db0 }
 		const deposits = 7
 		for k := 0; k < deposits; k++ {
 			if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
@@ -169,7 +170,7 @@ func TestPooledClientsNeverQueueCalls(t *testing.T) {
 	}
 	defer srv.Close()
 	dbWatch, ctlWatch := watchFrames(t, srv.DB.Addr()), watchFrames(t, srv.Ctl.Addr())
-	app, err := Dial([]string{dbWatch.addr}, []string{ctlWatch.addr}, 2, nil)
+	app, err := Dial(dbWatch.addr, ctlWatch.addr, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestPooledClientsNeverQueueCalls(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := app.Open(0, "Ledger", val.IntV(int64(i)))
+			c, err := app.Open("Ledger", val.IntV(int64(i)))
 			if err != nil {
 				t.Error(err)
 				return
@@ -215,7 +216,7 @@ func TestPooledClientsNeverQueueCalls(t *testing.T) {
 	// The watch's own check: holder holds account 0's row lock, and a
 	// second session's update waits for it; a call on that session now
 	// is queued.
-	holder, err := app.DB.Session(0)
+	holder, err := app.DB.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestPooledClientsNeverQueueCalls(t *testing.T) {
 	if _, err := h.Exec("UPDATE accounts SET balance = balance + 1 WHERE cid = 0"); err != nil {
 		t.Fatal(err)
 	}
-	blocked, err := app.DB.Session(0)
+	blocked, err := app.DB.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,13 +288,13 @@ func TestAdmissionNeverShedsAdmittedSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctl0 := tier.Ctl.Stats().Calls
+	ctl0 := tier.Apps[0].Ctl.Stats().Calls
 	for k := 0; k < 5; k++ {
 		if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
 			t.Fatalf("call %d on an admitted client at the cap: %v", k, err)
 		}
 	}
-	if got := tier.Ctl.Stats().Calls - ctl0; got != 5 {
+	if got := tier.Apps[0].Ctl.Stats().Calls - ctl0; got != 5 {
 		t.Errorf("%d control calls, want 5 (every call on the gated control wire)", got)
 	}
 	if _, err := open(); !errors.Is(err, rpc.ErrOverloaded) {

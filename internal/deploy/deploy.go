@@ -1,17 +1,17 @@
 // Package deploy is the one place a Pyxis tier is wired. Both halves
 // of a deployment run one program (paper §5–6), decided by the database
-// servers: each hosts a Shard — a database and the DB-side runtime
-// peer of one partitioned program — on two mux ports, and the
-// application side rebuilds its half from what the shards serve, then
-// dials a pool of connections to every shard's ports and opens client
-// sessions on them. A client session runs every transaction on its
-// home shard.
+// server: it hosts a Shard — a database and the DB-side runtime peer of
+// one partitioned program — on two mux ports, and an App, the
+// application side, rebuilds its half from what the server serves,
+// dials a pool of connections to its two ports and opens client
+// sessions on them. An App dials one server. A Tier of several shards
+// holds one App per shard, and the caller picks the shard a client
+// opens on from the data that client names.
 // cmd/pyxis-dbserver calls Listen, cmd/pyxis-app calls Dial, and Up does
 // both over loopback TCP in one process for the tests and the examples.
 package deploy
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -44,12 +44,8 @@ type Shard struct {
 	peer *runtime.Peer // DB-side
 }
 
-var (
-	// ErrProgramMismatch reports shards that serve different programs.
-	ErrProgramMismatch = errors.New("deploy: the shards serve different programs")
-	// ErrNotServed reports an Open against shards that serve no program.
-	ErrNotServed = errors.New("deploy: the shards serve no program")
-)
+// ErrNotServed reports an Open against a server that serves no program.
+var ErrNotServed = errors.New("deploy: the server serves no program")
 
 // Server is a Shard being served: DB is its database wire, Ctl its
 // control wire (nil when the shard hosts no program).
@@ -97,45 +93,41 @@ func (s *Server) Close() {
 	s.DB.Close()
 }
 
-// App is the application side of a tier: a pool of connections to
-// every shard's database wire and, with a program, to its control
-// wire, plus the APP-side peer client sessions run on.
+// App is the application side of a tier: a pool of connections to one
+// server's database wire and, with a program, to its control wire, plus
+// the APP-side peer client sessions run on.
 type App struct {
-	// Partition is the program the shards serve, rebuilt here (nil when
-	// they serve none).
+	// Partition is the program the server serves, rebuilt here (nil
+	// when it serves none).
 	Partition *pyxis.Partition
 	// Ctl is the control wire (nil without a program), DB the database
-	// wire; shard i of each is dbAddrs[i] / ctlAddrs[i].
-	Ctl, DB *rpc.ShardedPool
+	// wire.
+	Ctl, DB *rpc.Pool
 
 	peer *runtime.Peer // APP-side
 }
 
-// Dial rebuilds the APP side of the program every shard serves (they
-// must serve the same bytes, or Dial fails with ErrProgramMismatch and
-// holds nothing open), then connects conns connections to each shard's
-// database wire and, with a program, to its control wire. out receives
-// the APP-side program's sys.print output (nil discards it).
-func Dial(dbAddrs, ctlAddrs []string, conns int, out io.Writer) (*App, error) {
-	program, err := fetchProgram(dbAddrs)
+// Dial rebuilds the APP side of the program the server at dbAddr
+// serves, then connects conns connections to its database wire and,
+// with a program, to its control wire at ctlAddr. out receives the
+// APP-side program's sys.print output (nil discards it).
+func Dial(dbAddr, ctlAddr string, conns int, out io.Writer) (*App, error) {
+	program, err := fetchProgram(dbAddr)
 	if err != nil {
 		return nil, err
 	}
 	a := &App{}
 	if len(program) > 0 {
-		if len(ctlAddrs) != len(dbAddrs) {
-			return nil, fmt.Errorf("deploy: %d database addresses but %d control addresses (one of each per shard)", len(dbAddrs), len(ctlAddrs))
-		}
 		if a.Partition, err = pyxis.Rebuild(program); err != nil {
 			return nil, err
 		}
 		a.peer = runtime.NewPeer(a.Partition.Compiled, pdg.App, out)
 	}
-	if a.DB, err = rpc.DialShardedPool(dbAddrs, conns); err != nil {
+	if a.DB, err = rpc.DialPool(dbAddr, conns); err != nil {
 		return nil, fmt.Errorf("deploy: dial db: %w", err)
 	}
 	if a.peer != nil {
-		if a.Ctl, err = rpc.DialShardedPool(ctlAddrs, conns); err != nil {
+		if a.Ctl, err = rpc.DialPool(ctlAddr, conns); err != nil {
 			a.Close()
 			return nil, fmt.Errorf("deploy: dial ctl: %w", err)
 		}
@@ -143,29 +135,22 @@ func Dial(dbAddrs, ctlAddrs []string, conns int, out io.Writer) (*App, error) {
 	return a, nil
 }
 
-// fetchProgram asks each shard which program it serves over a
+// fetchProgram asks the server which program it serves over a
 // short-lived connection of its own, so the App's wires count only its
 // clients' traffic.
-func fetchProgram(dbAddrs []string) ([]byte, error) {
-	pool, err := rpc.DialShardedPool(dbAddrs, 1)
+func fetchProgram(dbAddr string) ([]byte, error) {
+	pool, err := rpc.DialPool(dbAddr, 1)
 	if err != nil {
 		return nil, fmt.Errorf("deploy: dial db: %w", err)
 	}
 	defer pool.Close()
-	var program []byte
-	for shard, addr := range dbAddrs {
-		sess, err := pool.Session(shard)
-		if err != nil {
-			return nil, err
-		}
-		p, err := dbapi.NewClient(sess).Program()
-		if err != nil {
-			return nil, fmt.Errorf("deploy: shard %d (%s): %w", shard, addr, err)
-		}
-		if shard > 0 && !bytes.Equal(p, program) {
-			return nil, fmt.Errorf("%w: shard %d (%s) serves another program than shard 0 (%s)", ErrProgramMismatch, shard, addr, dbAddrs[0])
-		}
-		program = p
+	sess, err := pool.Session()
+	if err != nil {
+		return nil, err
+	}
+	program, err := dbapi.NewClient(sess).Program()
+	if err != nil {
+		return nil, fmt.Errorf("deploy: %s: %w", dbAddr, err)
 	}
 	return program, nil
 }
@@ -178,11 +163,10 @@ func (a *App) Close() {
 	a.DB.Close()
 }
 
-// Client is one logical APP-side client homed on a shard: one object
-// of one class, on its own control and database sessions. Like the
-// runtime client it holds, a Client is one logical thread of control.
+// Client is one logical APP-side client: one object of one class, on
+// its own control and database sessions. Like the runtime client it
+// holds, a Client is one logical thread of control.
 type Client struct {
-	Shard int
 	// Ctl and Conn are the client's control and database sessions.
 	Ctl  *rpc.MuxSession
 	Conn *dbapi.Client
@@ -191,25 +175,25 @@ type Client struct {
 	oid val.OID
 }
 
-// Open opens a client on shard and constructs its object of class: a
-// control session and a database session, and the server admits the
-// control session here (runtime.Client.Open). A failed Open holds
-// nothing open: a refused session fails it with rpc.ErrOverloaded, a
-// tier that serves no program with ErrNotServed.
-func (a *App) Open(shard int, class string, args ...val.Value) (*Client, error) {
+// Open opens a client and constructs its object of class: a control
+// session and a database session, and the server admits the control
+// session here (runtime.Client.Open). A failed Open holds nothing open:
+// a refused session fails it with rpc.ErrOverloaded, a server that
+// serves no program with ErrNotServed.
+func (a *App) Open(class string, args ...val.Value) (*Client, error) {
 	if a.peer == nil {
 		return nil, ErrNotServed
 	}
-	ctl, err := a.Ctl.Session(shard)
+	ctl, err := a.Ctl.Session()
 	if err != nil {
 		return nil, err
 	}
-	db, err := a.DB.Session(shard)
+	db, err := a.DB.Session()
 	if err != nil {
 		ctl.Close()
 		return nil, err
 	}
-	c := &Client{Shard: shard, Ctl: ctl, Conn: dbapi.NewClient(db)}
+	c := &Client{Ctl: ctl, Conn: dbapi.NewClient(db)}
 	c.rt = runtime.NewClient(a.peer.NewSession(c.Conn), ctl)
 	if c.oid, err = c.rt.NewObject(class, args...); err == nil {
 		err = c.rt.Open()
@@ -231,24 +215,24 @@ func (c *Client) Call(method string, args ...val.Value) (val.Value, error) {
 // Close closes the client's sessions.
 func (c *Client) Close() error { return c.rt.Close() }
 
-// Topology is a whole tier as data: how many shards and which
-// warehouses each owns (the zero map is one shard owning everything),
-// how many connections to each shard's wires (0 means 1), the program
-// every shard hosts, each shard's control-wire configuration (nil:
-// none) and how each shard's database is loaded.
+// Topology is a whole tier as data: how many shards (0 means 1), how
+// many connections to each shard's wires (0 means 1), the program every
+// shard hosts, each shard's control-wire configuration (nil: none) and
+// how each shard's database is loaded. Which keys a shard owns is the
+// loader's business: the tier routes nothing.
 type Topology struct {
-	Map       runtime.ShardMap
+	Shards    int
 	Conns     int
 	Partition *pyxis.Partition
 	Mux       func(shard int, db *sqldb.DB) rpc.MuxServeConfig
 	NewDB     func(shard int) (*sqldb.DB, error)
 }
 
-// Tier is a running Topology: the App dialled to every shard's Server.
+// Tier is a running Topology: one Server per shard and one App dialled
+// to each.
 type Tier struct {
-	*App
-	// Map is the Topology's shard map: which shard owns each key.
-	Map runtime.ShardMap
+	// Apps holds shard i's App at i.
+	Apps []*App
 	// DBs is each shard's database.
 	DBs []*sqldb.DB
 
@@ -257,12 +241,11 @@ type Tier struct {
 }
 
 // Up stands t up in this process: per shard one database and its
-// peer — nothing shared between shards — served on loopback TCP, then
-// the App dialled to all of them.
+// peer — nothing shared between shards — served on loopback TCP, and an
+// App dialled to it.
 func Up(t Topology) (*Tier, error) {
-	tier := &Tier{Map: t.Map}
-	var dbAddrs, ctlAddrs []string
-	for shard := range t.Map.NumShards() {
+	tier := &Tier{}
+	for shard := range max(t.Shards, 1) {
 		db, err := t.NewDB(shard)
 		if err != nil {
 			tier.Close()
@@ -278,18 +261,23 @@ func Up(t Topology) (*Tier, error) {
 			return nil, err
 		}
 		tier.DBs, tier.shards, tier.servers = append(tier.DBs, db), append(tier.shards, s), append(tier.servers, srv)
-		dbAddrs = append(dbAddrs, srv.DB.Addr())
+		var ctlAddr string
 		if srv.Ctl != nil {
-			ctlAddrs = append(ctlAddrs, srv.Ctl.Addr())
+			ctlAddr = srv.Ctl.Addr()
 		}
+		app, err := Dial(srv.DB.Addr(), ctlAddr, max(t.Conns, 1), nil)
+		if err != nil {
+			tier.Close()
+			return nil, err
+		}
+		tier.Apps = append(tier.Apps, app)
 	}
-	app, err := Dial(dbAddrs, ctlAddrs, max(t.Conns, 1), nil)
-	if err != nil {
-		tier.Close()
-		return nil, err
-	}
-	tier.App = app
 	return tier, nil
+}
+
+// Open opens a client on shard's App (App.Open).
+func (t *Tier) Open(shard int, class string, args ...val.Value) (*Client, error) {
+	return t.Apps[shard].Open(class, args...)
 }
 
 // Transfers is the number of control transfers the DB-side peers
@@ -306,8 +294,8 @@ func (t *Tier) Transfers() (n int64) {
 // Close tears the tier down and returns once no connection is being
 // served any more.
 func (t *Tier) Close() {
-	if t.App != nil {
-		t.App.Close()
+	for _, a := range t.Apps {
+		a.Close()
 	}
 	for _, s := range t.servers {
 		s.Close()

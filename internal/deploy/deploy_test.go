@@ -3,7 +3,6 @@ package deploy
 import (
 	"errors"
 	goruntime "runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -82,7 +81,7 @@ func TestDeployServesEveryShardAndCloses(t *testing.T) {
 	part := ledgerPartitions(t, 1.0)[0]
 	for _, top := range []Topology{
 		{},
-		{Map: runtime.ShardMap{Shards: 2}, Conns: 2},
+		{Shards: 2, Conns: 2},
 	} {
 		top.Partition = part
 		top.NewDB = func(int) (*sqldb.DB, error) { return ledgerDB(t), nil }
@@ -91,8 +90,8 @@ func TestDeployServesEveryShardAndCloses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(tier.DBs) != top.Map.NumShards() || len(tier.shards) != len(tier.DBs) {
-			t.Fatalf("%d databases and %d shards for %d shards", len(tier.DBs), len(tier.shards), top.Map.NumShards())
+		if shards := max(top.Shards, 1); len(tier.DBs) != shards || len(tier.shards) != shards || len(tier.Apps) != shards {
+			t.Fatalf("%d databases, %d shards and %d apps for %d shards", len(tier.DBs), len(tier.shards), len(tier.Apps), shards)
 		}
 		for shard := range tier.DBs {
 			c, err := tier.Open(shard, "Ledger", val.IntV(0))
@@ -120,7 +119,7 @@ func TestDeployServesEveryShardAndCloses(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		if after := goruntime.NumGoroutine(); after > before {
-			t.Errorf("shards=%d: %d goroutines before Up, %d after Close", top.Map.NumShards(), before, after)
+			t.Errorf("shards=%d: %d goroutines before Up, %d after Close", len(tier.DBs), before, after)
 		}
 	}
 }
@@ -139,13 +138,13 @@ func TestListenDialCapShedsControlOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	app, err := Dial([]string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, nil)
+	app, err := Dial(srv.DB.Addr(), srv.Ctl.Addr(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer app.Close()
 
-	c, err := app.Open(0, "Ledger", val.IntV(0))
+	c, err := app.Open("Ledger", val.IntV(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +159,7 @@ func TestListenDialCapShedsControlOnly(t *testing.T) {
 		t.Errorf("balance %v after one deposit, want 1", got)
 	}
 
-	second, err := app.Ctl.Session(0)
+	second, err := app.Ctl.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestListenDialCapShedsControlOnly(t *testing.T) {
 	if _, err := second.Call([]byte{0}); !errors.Is(err, rpc.ErrOverloaded) {
 		t.Errorf("second control session: got %v, want rpc.ErrOverloaded", err)
 	}
-	sess, err := app.DB.Session(0)
+	sess, err := app.DB.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,35 +178,36 @@ func TestListenDialCapShedsControlOnly(t *testing.T) {
 	}
 }
 
-// TestDialRefusesMismatchedShards: two shards serving the ledger at
-// budgets 1 and 0 are two programs, and one deployment runs one. Dial
-// must refuse the tier with ErrProgramMismatch naming the second shard,
-// and hold no connection open afterwards.
-func TestDialRefusesMismatchedShards(t *testing.T) {
-	parts := ledgerPartitions(t, 1.0, 0)
-	var dbAddrs, ctlAddrs []string
-	for _, p := range parts {
-		srv, err := Listen(&Shard{DB: ledgerDB(t), Partition: p}, "127.0.0.1:0", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+// TestTierDeadShardFailsAlone: shards share nothing, so a dead shard
+// fails its own clients and no other. With shard 0's server closed, a
+// client cannot open there (or its first call fails), while shard 1
+// still opens clients and serves deposits.
+func TestTierDeadShardFailsAlone(t *testing.T) {
+	tier, err := Up(Topology{Shards: 2, Conns: 2, Partition: ledgerPartitions(t, 1.0)[0],
+		NewDB: func(int) (*sqldb.DB, error) { return ledgerDB(t), nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	tier.servers[0].Close()
+
+	if c, err := tier.Open(0, "Ledger", val.IntV(0)); err == nil {
+		_, err = c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1))
+		c.Close()
+		if err == nil {
+			t.Fatal("a client of the closed shard opened and served a deposit")
 		}
-		defer srv.Close()
-		dbAddrs, ctlAddrs = append(dbAddrs, srv.DB.Addr()), append(ctlAddrs, srv.Ctl.Addr())
 	}
-	before := goruntime.NumGoroutine()
-	app, err := Dial(dbAddrs, ctlAddrs, 2, nil)
-	if !errors.Is(err, ErrProgramMismatch) || app != nil {
-		t.Fatalf("Dial over shards at budgets 1 and 0: app %v, err %v; want ErrProgramMismatch", app, err)
+	c, err := tier.Open(1, "Ledger", val.IntV(0))
+	if err != nil {
+		t.Fatalf("shard 1 with shard 0 down: %v", err)
 	}
-	if !strings.Contains(err.Error(), "shard 1 ("+dbAddrs[1]+")") {
-		t.Errorf("error %q does not name shard 1", err)
+	defer c.Close()
+	if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
+		t.Fatalf("shard 1 deposit with shard 0 down: %v", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if after := goruntime.NumGoroutine(); after > before {
-		t.Errorf("%d goroutines before the refused Dial, %d after: a connection was left open", before, after)
+	if got := balance(t, tier.DBs[1]); got != 1 {
+		t.Errorf("shard 1 balance %v after one deposit, want 1", got)
 	}
 }
 
@@ -220,7 +220,7 @@ func TestOpenWithoutProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bare.Close()
-	sqlOnly, err := Dial([]string{bare.DB.Addr()}, nil, 1, nil)
+	sqlOnly, err := Dial(bare.DB.Addr(), "", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +228,13 @@ func TestOpenWithoutProgram(t *testing.T) {
 	if sqlOnly.Partition != nil || sqlOnly.Ctl != nil {
 		t.Fatalf("rebuilt %v and dialled control wire %v from a shard with no program", sqlOnly.Partition, sqlOnly.Ctl)
 	}
-	if c, err := sqlOnly.Open(0, "Ledger", val.IntV(0)); !errors.Is(err, ErrNotServed) {
+	if c, err := sqlOnly.Open("Ledger", val.IntV(0)); !errors.Is(err, ErrNotServed) {
 		if c != nil {
 			c.Close()
 		}
 		t.Fatalf("Open against a shard with no program: err %v, want ErrNotServed", err)
 	}
-	sess, err := sqlOnly.DB.Session(0)
+	sess, err := sqlOnly.DB.Session()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestDialRebuildsServedPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		app, err := deploy.Dial([]string{srv.DB.Addr()}, []string{srv.Ctl.Addr()}, 1, nil)
+		app, err := deploy.Dial(srv.DB.Addr(), srv.Ctl.Addr(), 1, nil)
 		if err != nil {
 			srv.Close()
 			t.Fatalf("%s: %v", name, err)

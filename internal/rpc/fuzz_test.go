@@ -1,8 +1,13 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"io"
+	"math"
 	"runtime"
 	"testing"
 )
@@ -77,6 +82,62 @@ func FuzzMuxFrameDemux(f *testing.F) {
 		// length prefix can announce.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+256*len(data)); got > limit {
 			t.Fatalf("%d input bytes made the demux loop allocate %d bytes (limit %d)", len(data), got, limit)
+		}
+	})
+}
+
+// FuzzFrameHead drives the head parser alone, which runs far more
+// inputs a second than FuzzMuxFrameDemux's whole demux loop. It reads
+// head after head off the input, skipping each body: an accepted head
+// must announce at most MaxFrame, carry the sid and rid its bytes
+// encode, and read back unchanged from its own encoding; a refused one
+// must be one of the typed refusals.
+func FuzzFrameHead(f *testing.F) {
+	frames := realFrames(f)
+	for _, fr := range frames {
+		f.Add(fr)
+	}
+	head := func(h FrameHead, body ...byte) []byte { return append(h.Append(nil), body...) }
+	f.Add(bytes.Join(frames, nil))
+	f.Add(head(FrameHead{Kind: muxCall, SID: 1, RID: 1, Body: MaxFrame - 3}, 'x'))
+	f.Add(append(bytes.Clone(frames[0]), head(FrameHead{Kind: 5, SID: 1, RID: 5, Body: 1}, 1)...))
+	f.Add(append(bytes.Clone(frames[0]), head(FrameHead{Kind: 0x81, SID: 1, RID: 5, Body: 5}, []byte("world")...)...))
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x01, muxCall, 1, 1})
+	f.Add([]byte{0x07, muxCall, 0xff, 0xff, 0xff, 0xff, 0x1f, 1})
+	f.Add([]byte{0x02, muxCall, 1, 1, 'x'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br := bufio.NewReader(bytes.NewReader(data))
+		for at := 0; ; {
+			h, n, err := ReadFrameHead(br)
+			if err != nil {
+				if !errors.Is(err, ErrFrameTooLarge) && !errors.Is(err, errMalformedHead) &&
+					!errors.Is(err, io.ErrUnexpectedEOF) && !(errors.Is(err, io.EOF) && at == len(data)) {
+					t.Fatalf("head at byte %d refused with %v", at, err)
+				}
+				return
+			}
+			if h.Body < 0 || h.payload() > MaxFrame {
+				t.Fatalf("head at byte %d accepted with a %d-byte body, %d-byte payload", at, h.Body, h.payload())
+			}
+			// The sid and rid are the uvarints after the prefix and kind.
+			raw := data[at : at+n]
+			_, k := binary.Uvarint(raw)
+			sid, ks := binary.Uvarint(raw[k+1:])
+			rid, kr := binary.Uvarint(raw[k+1+ks:])
+			if sid > math.MaxUint32 || rid > math.MaxUint32 || k+1+ks+kr != n ||
+				uint32(sid) != h.SID || uint32(rid) != h.RID {
+				t.Fatalf("head %x read as %+v", raw, h)
+			}
+			enc := h.Append(nil)
+			back, m, err := ReadFrameHead(bufio.NewReader(bytes.NewReader(enc)))
+			if err != nil || back != h || m != len(enc) {
+				t.Fatalf("head %+v encoded as %x read back as %+v (%d bytes, %v)", h, enc, back, m, err)
+			}
+			skipped, _ := br.Discard(h.Body)
+			if skipped < h.Body {
+				return
+			}
+			at += n + h.Body
 		}
 	})
 }

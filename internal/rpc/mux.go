@@ -114,7 +114,7 @@ type MuxClient struct {
 	// on 32-bit platforms at this struct offset).
 	calls, bytesSent, bytesRecv atomic.Int64
 	// outstanding counts calls issued but not yet answered — the
-	// connection-local load signal a ShardedPool balances new sessions by.
+	// connection-local load signal a Pool balances new sessions by.
 	outstanding atomic.Int64
 }
 
@@ -422,9 +422,9 @@ func (s *MuxSession) CallInto(req, into []byte) ([]byte, error) { return s.call(
 
 // CallWithin is CallInto bounded by timeout (<= 0 means
 // DefaultCallDeadline), for a caller that must never wedge on a stalled
-// peer — a dialer asking a shard what it serves. Expiry returns
+// peer — a dialer asking a server what it serves. Expiry returns
 // ErrCallDeadline; a dead connection returns an error matching
-// ErrPoolPoisoned, so "shard down" reads the same as the pool's own
+// ErrPoolPoisoned, so "server down" reads the same as the pool's own
 // signal.
 func (s *MuxSession) CallWithin(req, into []byte, timeout time.Duration) ([]byte, error) {
 	if timeout <= 0 {

@@ -11,15 +11,15 @@ import (
 	"time"
 )
 
-// pipePool builds a one-shard pool of n connections whose every
-// connection is a pipe served by its own demux loop over handlers from
-// newHandlers (mirroring a TCP server's per-connection factory). It
-// returns the pool plus each connection's server-side pipe end, so
-// tests can sever individual connections.
-func pipePool(t *testing.T, n int, newHandlers func(i int) SessionHandlers, cfg MuxServeConfig) (*ShardedPool, []net.Conn) {
+// pipePool builds a pool of n connections, each a pipe served by its
+// own demux loop over handlers from newHandlers (mirroring a TCP
+// server's per-connection factory). It returns the pool plus each
+// connection's server-side pipe end, so tests can sever individual
+// connections.
+func pipePool(t *testing.T, n int, newHandlers func(i int) SessionHandlers, cfg MuxServeConfig) (*Pool, []net.Conn) {
 	t.Helper()
 	srvEnds := make([]net.Conn, 0, n)
-	p, err := NewShardedPool(1, n, func(_, i int) (io.ReadWriteCloser, error) {
+	p, err := NewPool(n, func(i int) (io.ReadWriteCloser, error) {
 		srv, cli := net.Pipe()
 		srvEnds = append(srvEnds, srv)
 		go ServeMuxConnConfig(srv, newHandlers(i), cfg)
@@ -32,11 +32,11 @@ func pipePool(t *testing.T, n int, newHandlers func(i int) SessionHandlers, cfg 
 	return p, srvEnds
 }
 
-// connOf returns the index of the shard-0 connection s is pinned to.
-func connOf(t *testing.T, p *ShardedPool, s *MuxSession) int {
+// connOf returns the index of the pooled connection s is pinned to.
+func connOf(t *testing.T, p *Pool, s *MuxSession) int {
 	t.Helper()
-	for i := 0; i < p.ConnsPerShard(); i++ {
-		if p.Conn(0, i) == s.Conn() {
+	for i := 0; i < len(p.conns); i++ {
+		if p.Conn(i) == s.Conn() {
 			return i
 		}
 	}
@@ -72,7 +72,7 @@ func TestMuxPoolStripesUniqueIDs(t *testing.T) {
 	seen := map[connSID]bool{}
 	perConn := make([]int, 4)
 	for k := 0; k < 16; k++ {
-		s, err := p.Session(0)
+		s, err := p.Session()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,11 +107,11 @@ func TestMuxPoolSessionsScopedToTheirConn(t *testing.T) {
 	closed := make(chan uint32, 2)
 	p, _ := pipePool(t, 2, func(i int) SessionHandlers { return connMarkHandlers{conn: i, closed: closed} }, MuxServeConfig{})
 
-	a, err := p.Session(0)
+	a, err := p.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.Session(0)
+	b, err := p.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestMuxPoolPlacesAwayFromLoadedConn(t *testing.T) {
 	})
 	p, _ := pipePool(t, 2, func(int) SessionHandlers { return h }, MuxServeConfig{})
 
-	busy, err := p.Session(0)
+	busy, err := p.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestMuxPoolPlacesAwayFromLoadedConn(t *testing.T) {
 	}
 
 	for k := 0; k < 6; k++ {
-		s, err := p.Session(0)
+		s, err := p.Session()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,11 +219,11 @@ func TestMuxPoolConnLossFailsOnlyPinnedSessions(t *testing.T) {
 
 	// Round-robin tie-breaking spreads an idle pool, so two sessions
 	// cover both connections; assert that rather than assume it.
-	s0, err := p.Session(0)
+	s0, err := p.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := p.Session(0)
+	s1, err := p.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestMuxPoolConnLossFailsOnlyPinnedSessions(t *testing.T) {
 		t.Fatal("session on the severed connection survived")
 	}
 	deadline := time.After(5 * time.Second)
-	for p.Conn(0, c0).Err() == nil {
+	for p.Conn(c0).Err() == nil {
 		select {
 		case <-deadline:
 			t.Fatal("severed connection never poisoned")
@@ -259,7 +259,7 @@ func TestMuxPoolConnLossFailsOnlyPinnedSessions(t *testing.T) {
 
 	// ...and every new session is placed on the survivor.
 	for k := 0; k < 6; k++ {
-		s, err := p.Session(0)
+		s, err := p.Session()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,9 +354,9 @@ func TestMuxClientSessionIDWrap(t *testing.T) {
 // ErrPoolPoisoned once none has.
 func TestMuxPoolSessionIDWrap(t *testing.T) {
 	p, _ := pipePool(t, 2, func(int) SessionHandlers { return &echoHandlers{} }, MuxServeConfig{})
-	p.Conn(0, 0).nextSID.Store(maxSID)
+	p.Conn(0).nextSID.Store(maxSID)
 	for range 6 {
-		s, err := p.Session(0)
+		s, err := p.Session()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,8 +365,8 @@ func TestMuxPoolSessionIDWrap(t *testing.T) {
 		}
 		servesUnderOwnID(t, s)
 	}
-	p.Conn(0, 1).nextSID.Store(maxSID)
-	if s, err := p.Session(0); !errors.Is(err, ErrPoolPoisoned) {
+	p.Conn(1).nextSID.Store(maxSID)
+	if s, err := p.Session(); !errors.Is(err, ErrPoolPoisoned) {
 		t.Fatalf("pool with every connection spent: session %v, err %v; want ErrPoolPoisoned", s, err)
 	}
 }
@@ -381,7 +381,7 @@ func TestMuxPoolAllConnsPoisoned(t *testing.T) {
 
 	// Warm both connections so the severed reads are noticed.
 	for k := 0; k < 2; k++ {
-		s, err := p.Session(0)
+		s, err := p.Session()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,8 +393,8 @@ func TestMuxPoolAllConnsPoisoned(t *testing.T) {
 		srv.Close()
 	}
 	deadline := time.After(5 * time.Second)
-	for i := 0; i < p.ConnsPerShard(); i++ {
-		for p.Conn(0, i).Err() == nil {
+	for i := 0; i < len(p.conns); i++ {
+		for p.Conn(i).Err() == nil {
 			select {
 			case <-deadline:
 				t.Fatalf("conn %d never poisoned", i)
@@ -403,23 +403,23 @@ func TestMuxPoolAllConnsPoisoned(t *testing.T) {
 		}
 	}
 
-	if _, err := p.Session(0); !errors.Is(err, ErrPoolPoisoned) {
+	if _, err := p.Session(); !errors.Is(err, ErrPoolPoisoned) {
 		t.Fatalf("all-poisoned pool returned %v, want ErrPoolPoisoned", err)
 	}
 }
 
 // TestMuxPoolSizeAndDialErrors covers construction: pools without a
-// connection per shard are rejected, and a mid-construction dial
-// failure closes the connections already opened.
+// connection are rejected, and a mid-construction dial failure closes
+// the connections already opened.
 func TestMuxPoolSizeAndDialErrors(t *testing.T) {
 	for _, n := range []int{0, -1} {
-		if _, err := NewShardedPool(1, n, nil); err == nil {
+		if _, err := NewPool(n, nil); err == nil {
 			t.Errorf("pool size %d accepted", n)
 		}
 	}
 
 	var opened []net.Conn
-	_, err := NewShardedPool(1, 3, func(_, i int) (io.ReadWriteCloser, error) {
+	_, err := NewPool(3, func(i int) (io.ReadWriteCloser, error) {
 		if i == 2 {
 			return nil, fmt.Errorf("boom")
 		}
@@ -449,7 +449,7 @@ func TestMuxPoolSeventeenConns(t *testing.T) {
 	p, _ := pipePool(t, n, func(int) SessionHandlers { return &echoHandlers{} }, MuxServeConfig{})
 	perConn := make([]int, n)
 	for k := 0; k < n; k++ {
-		s, err := p.Session(0)
+		s, err := p.Session()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,7 +465,7 @@ func TestMuxPoolSeventeenConns(t *testing.T) {
 	}
 }
 
-// TestMuxPoolOverTCP is the end-to-end smoke: DialShardedPool against
+// TestMuxPoolOverTCP is the end-to-end smoke: DialPool against
 // a real MuxServer, concurrent sessions striped over the pool.
 func TestMuxPoolOverTCP(t *testing.T) {
 	srv, err := NewMuxServer("127.0.0.1:0", func() SessionHandlers { return &echoHandlers{} })
@@ -474,7 +474,7 @@ func TestMuxPoolOverTCP(t *testing.T) {
 	}
 	defer srv.Close()
 
-	p, err := DialShardedPool([]string{srv.Addr()}, 3)
+	p, err := DialPool(srv.Addr(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +483,7 @@ func TestMuxPoolOverTCP(t *testing.T) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, 12)
 	for i := 0; i < 12; i++ {
-		s, err := p.Session(0)
+		s, err := p.Session()
 		if err != nil {
 			t.Fatal(err)
 		}
