@@ -16,10 +16,8 @@
 // rpc.ErrOverloaded and is retried with jittered backoff, and an
 // admitted client's calls are never shed.
 //
-// One pyxis-app dials one database server. Every client sends the same
-// -args and -callargs, so nothing here could pick a shard by the rows a
-// client touches; a sharded tier is a library feature (deploy.Up, with
-// the shard chosen from a real key by the caller).
+// One pyxis-app dials one database server, as in the paper's testbed,
+// and every client sends the same -args and -callargs.
 //
 // Usage (after starting pyxis-dbserver):
 //
@@ -59,10 +57,10 @@ func main() {
 		callArgs = flag.String("callargs", "", "comma-separated entry arguments")
 		clients  = flag.Int("clients", 1, "number of concurrent client sessions")
 		repeat   = flag.Int("n", 1, "entry invocations per client")
-		poolN    = flag.Int("pool", 1, "mux connections per port; sessions stripe onto the least-loaded one")
+		poolN    = flag.Int("pool", 1, "mux connections per port (>= 1); sessions stripe onto the least-loaded one")
 	)
 	flag.Parse()
-	if *newClass == "" || *call == "" {
+	if *newClass == "" || *call == "" || *poolN < 1 {
 		flag.Usage()
 		os.Exit(2)
 	}

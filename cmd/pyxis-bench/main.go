@@ -2,8 +2,8 @@
 // Figs. 9–14 on the deterministic simulator, and microbenchmark 1's
 // execution-block overhead on the real runtime. The end-to-end
 // latency and throughput of a deployed tier are benchmark/'s to
-// measure; the wall-clock properties of pools, shards, admission and
-// switching are internal/bench's tests.
+// measure; the wall-clock properties of pools, admission and switching
+// are internal/bench's tests.
 //
 // Usage:
 //

@@ -22,13 +22,10 @@
 // control session; a -budget 0 program runs wholly on the APP side and
 // holds none.
 //
-// One process is one database server, and a pyxis-app dials exactly
-// one. It knows nothing of shards: the -schema script loads whatever
-// data it is to own. A sharded tier is a library and test feature
-// (deploy.Up, one database and one App per shard, each client opened
-// on the shard that owns the rows it names); no process moves data
-// between databases, and the database port serves statements,
-// transaction ops and the program description only.
+// One process is one database server, as in the paper's testbed, and a
+// pyxis-app dials exactly one. The -schema script loads all of its
+// data, and the database port serves statements, transaction ops and
+// the program description only.
 //
 // Usage:
 //
@@ -55,10 +52,10 @@ func main() {
 		schema      = flag.String("schema", "", "file with ';'-separated SQL statements to initialize the database")
 		dbAddr      = flag.String("db", ":7001", "database wire protocol listen address")
 		ctlAddr     = flag.String("ctl", ":7002", "Pyxis control-transfer listen address")
-		maxSessions = flag.Int("max-sessions", 0, "cap on concurrently admitted control sessions (0 = unlimited)")
+		maxSessions = flag.Int("max-sessions", 0, "cap on concurrently admitted control sessions (0 = unlimited; must not be negative)")
 	)
 	flag.Parse()
-	if *srcPath == "" {
+	if *srcPath == "" || *maxSessions < 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -93,7 +90,7 @@ func main() {
 		fatal(err)
 	}
 
-	// One shard: the database and the DB-side runtime behind both ports.
+	// The database and the DB-side runtime behind both ports.
 	shard := &deploy.Shard{DB: db, Partition: part, Out: os.Stdout}
 
 	// Admission control: one session cap for the control port, shared

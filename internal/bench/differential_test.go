@@ -29,7 +29,7 @@ func interpTPCC(t *testing.T, c TPCCConfig, txns int, mix TPCCMix) *sqldb.DB {
 		t.Fatal(err)
 	}
 	for k := 0; k < txns; k++ {
-		tx := c.parallelTxn(mix, 0, k, 1, int64(c.Warehouses))
+		tx := c.parallelTxn(mix, 0, k)
 		if _, err := ip.CallEntry(sys.Prog.Method("TPCC", tx.method), obj, tx.args...); err != nil {
 			t.Fatalf("reference: txn %d %s: %v", k, tx.method, err)
 		}
@@ -40,7 +40,7 @@ func interpTPCC(t *testing.T, c TPCCConfig, txns int, mix TPCCMix) *sqldb.DB {
 // runTPCCInProc replays runTPCC's single-client schedule on part
 // deployed in-process and returns the database it leaves and the
 // control transfers the DB side served. It runs variants no server can
-// serve: a tier rebuilds its APP side from the spec its shards serve,
+// serve: a tier rebuilds its APP side from the spec its server serves,
 // and a spec describes the fused program only.
 func runTPCCInProc(t *testing.T, part *pyxis.Partition, c TPCCConfig, txns int, mix TPCCMix) (*sqldb.DB, int64) {
 	t.Helper()
@@ -52,7 +52,7 @@ func runTPCCInProc(t *testing.T, part *pyxis.Partition, c TPCCConfig, txns int, 
 		t.Fatal(err)
 	}
 	for k := 0; k < txns; k++ {
-		tx := c.parallelTxn(mix, 0, k, 1, int64(c.Warehouses))
+		tx := c.parallelTxn(mix, 0, k)
 		if _, err := dep.Client.CallEntry("TPCC."+tx.method, obj, tx.args...); err != nil {
 			t.Fatalf("txn %d %s: %v", k, tx.method, err)
 		}
@@ -102,7 +102,7 @@ func TestDifferentialTPCC(t *testing.T) {
 				var db *sqldb.DB
 				if part == fused {
 					r := runTPCC(t, part, c, cfg, mix)
-					db, transfers[i] = r.dbs[0], r.transfers
+					db, transfers[i] = r.db, r.transfers
 				} else {
 					db, transfers[i] = runTPCCInProc(t, part, c, cfg.Txns, mix)
 				}

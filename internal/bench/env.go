@@ -6,15 +6,12 @@
 // partitioned programs and wire traffic are real.
 //
 // The package also holds what the rest of the tree checks a deployed
-// tier against: the ledger workload, the TPC-C and ledger invariants
-// (CheckLedger, CheckTPCCInvariants, CheckShardInvariants) and the
-// tree's one shard map, TPC-C's warehouse ranges (WarehouseRange,
-// HomeShard), which LoadRange loads and CheckShardInvariants audits.
-// End-to-end latency and throughput are benchmark/'s to measure. The
-// wall-clock properties of pools, admission and shards are this
-// package's tests, which stand a tier up with deploy.Up, open each
-// client on its home warehouse's shard and fan the clients out over
-// one test-only driver.
+// tier against: the ledger workload and the ledger and TPC-C audits
+// (CheckLedger, CheckTPCCInvariants, CheckTPCCBalances). End-to-end
+// latency and throughput are benchmark/'s to measure. The wall-clock
+// properties of pools and admission are this package's tests, which
+// stand a tier up with deploy.Up and fan the clients out over one
+// test-only driver.
 package bench
 
 import (

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"pyxis"
 	"pyxis/internal/deploy"
+	"pyxis/internal/rpc"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
@@ -21,15 +23,31 @@ type LedgerMix struct {
 	DepositEvery int
 }
 
+// placed counts the clients' control sessions per pooled connection: a
+// broken pool piles everything on one.
+type placed struct {
+	mu   sync.Mutex
+	conn map[*rpc.MuxClient]int
+}
+
+func (p *placed) add(c *deploy.Client) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.conn == nil {
+		p.conn = map[*rpc.MuxClient]int{}
+	}
+	p.conn[c.Ctl.Conn()]++
+}
+
 // ledgerRun is one ledger run: what the clients did, where their
 // sessions landed, the control transfers the DB side served and the
-// databases to audit with CheckLedger.
+// database to audit with CheckLedger.
 type ledgerRun struct {
 	driven
 	sum       count
 	placed    placed
 	transfers int64
-	dbs       []*sqldb.DB
+	db        *sqldb.DB
 }
 
 // runLedger drives cfg.Clients concurrent ledger sessions, each its own
@@ -37,15 +55,16 @@ type ledgerRun struct {
 // one-server tier hosting part.
 func runLedger(t *testing.T, part *pyxis.Partition, cfg WallCfg, mix LedgerMix) *ledgerRun {
 	t.Helper()
-	top, err := cfg.topology(0, part, func(int, int) (*sqldb.DB, error) { return parallelDB(cfg.Clients) })
-	d := up(t, top, err)
+	d := up(t, deploy.Topology{Conns: cfg.Conns, Partition: part,
+		NewDB: func() (*sqldb.DB, error) { return parallelDB(cfg.Clients) }})
 	defer d.Close()
-	r := &ledgerRun{dbs: d.DBs}
+	r := &ledgerRun{db: d.DB}
+	var err error
 	r.driven, err = drive(cfg.Clients, cfg.Txns,
 		func(i int) (*deploy.Client, error) {
-			c, err := d.Open(0, "Ledger", val.IntV(int64(i)))
+			c, err := d.App.Open("Ledger", val.IntV(int64(i)))
 			if err == nil {
-				r.placed.add(d, 0, c)
+				r.placed.add(c)
 			}
 			return c, err
 		},
@@ -100,7 +119,7 @@ func TestRunParallelMux(t *testing.T) {
 			}
 			// Every deposit added exactly 1.0 somewhere; lost updates on
 			// the contended shared account would show as a lower total.
-			for _, v := range CheckLedger(r.dbs, want) {
+			for _, v := range CheckLedger(r.db, want) {
 				t.Errorf("under concurrency: %s", v)
 			}
 			for i, c := range r.clients {

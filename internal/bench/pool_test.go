@@ -8,10 +8,10 @@ import (
 	"time"
 
 	"pyxis/internal/dbapi"
+	"pyxis/internal/deploy"
 	"pyxis/internal/pdg"
 	"pyxis/internal/rpc"
 	"pyxis/internal/runtime"
-	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
 
@@ -99,7 +99,7 @@ func TestRunPoolLedgerStripes(t *testing.T) {
 	if deposits != 8*4 {
 		t.Errorf("%d deposits, want every third call of %d", deposits, 8*12)
 	}
-	for _, v := range CheckLedger(r.dbs, deposits) {
+	for _, v := range CheckLedger(r.db, deposits) {
 		t.Errorf("through the pool: %s", v)
 	}
 	// Placement audit: 8 idle-pool sessions over 4 connections must
@@ -134,30 +134,26 @@ func TestRunPoolSaturationShedsGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, slots := WallCfg{Clients: 6, Txns: 4, Conns: 2}, 2
-	top, err := cfg.topology(c.Warehouses, part, c.loadRange)
-	var adm *runtime.AdmissionController
-	top.Mux = func(int, *sqldb.DB) rpc.MuxServeConfig {
-		adm = runtime.NewAdmissionController(slots)
-		return rpc.MuxServeConfig{Admission: adm}
-	}
-	d := up(t, top, err)
+	adm := runtime.NewAdmissionController(slots)
+	d := up(t, deploy.Topology{Conns: cfg.Conns, Partition: part, NewDB: c.load,
+		Mux: rpc.MuxServeConfig{Admission: adm}})
 	defer d.Close()
 
-	held := make([]*tpccSession, slots)
+	held := make([]*deploy.Client, slots)
 	for i := range held {
-		if held[i], err = openTPCC(d, c, i); err != nil {
+		if held[i], err = d.App.Open("TPCC"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	refused := make(chan struct{})
 	var once sync.Once
 	out, err := drive(cfg.Clients, cfg.Txns,
-		func(i int) (*tpccSession, error) {
+		func(i int) (*deploy.Client, error) {
 			if i < slots {
 				<-refused
 				return held[i], nil
 			}
-			s, err := openTPCC(d, c, i)
+			s, err := d.App.Open("TPCC")
 			once.Do(func() { close(refused) })
 			return s, err
 		}, tpccStep(c, TPCCMix{PaymentEvery: 3}))
@@ -184,7 +180,7 @@ func TestRunPoolSaturationShedsGracefully(t *testing.T) {
 	if st.AdmittedSessions < int64(cfg.Clients) {
 		t.Errorf("only %d sessions ever admitted, want >= %d (every client must get through)", st.AdmittedSessions, cfg.Clients)
 	}
-	for _, v := range CheckTPCCInvariants(d.DBs[0], c) {
+	for _, v := range CheckTPCCInvariants(d.DB, c) {
 		t.Errorf("invariant violated under shedding: %s", v)
 	}
 }

@@ -24,16 +24,16 @@ func ledgerTput(t *testing.T, cfg WallCfg, mix LedgerMix) float64 {
 	if r.sum.txns != cfg.Clients*cfg.Txns {
 		t.Fatalf("%+v: completed %d txns, want %d", cfg, r.sum.txns, cfg.Clients*cfg.Txns)
 	}
-	if v := CheckLedger(r.dbs, r.sum.kinds[kindDeposit]); len(v) > 0 {
+	if v := CheckLedger(r.db, r.sum.kinds[kindDeposit]); len(v) > 0 {
 		t.Fatalf("%+v: %v", cfg, v)
 	}
 	return r.tput()
 }
 
-// tpccTput runs the TPC-C mix at cfg over c's warehouses and returns
-// its throughput once every transaction completed and the cross-shard
-// invariants held.
-func tpccTput(t *testing.T, c TPCCConfig, cfg WallCfg, mix TPCCMix) float64 {
+// tpccTput runs the TPC-C mix at cfg and returns its throughput once
+// every transaction completed and the TPC-C audits held.
+func tpccTput(t *testing.T, cfg WallCfg, mix TPCCMix) float64 {
+	c := DefaultTPCC()
 	part, err := c.PyxisPartition(1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -55,9 +55,6 @@ func tpccTput(t *testing.T, c TPCCConfig, cfg WallCfg, mix TPCCMix) float64 {
 // audits its own run each time, and a row re-measures up to its
 // attempts before the ratio fails it.
 func TestParallelSpeedup(t *testing.T) {
-	shardTPCC := DefaultTPCC()
-	shardTPCC.Warehouses = 4 // two per shard at 2 shards
-	readMostly := TPCCMix{WriteEvery: 8, PaymentEvery: 3, RemoteMix: true}
 	for _, row := range []struct {
 		name         string
 		bound, floor float64
@@ -77,13 +74,8 @@ func TestParallelSpeedup(t *testing.T) {
 				ledgerTput(t, WallCfg{Clients: 8, Txns: 40, Conns: 4}, LedgerMix{DepositEvery: 8})
 		}},
 		{"tpcc_8_clients_vs_1", 1.0, 0.4, 3, func(t *testing.T) (float64, float64) {
-			return tpccTput(t, DefaultTPCC(), WallCfg{Clients: 1, Txns: 15}, TPCCMix{PaymentEvery: 3}),
-				tpccTput(t, DefaultTPCC(), WallCfg{Clients: 8, Txns: 15}, TPCCMix{PaymentEvery: 3})
-		}},
-		// Shared-nothing shards multiply the single server's wire.
-		{"shard_2_shards_vs_1", 1.3, 0, 1, func(t *testing.T) (float64, float64) {
-			return tpccTput(t, shardTPCC, WallCfg{Clients: 8, Txns: 144}, readMostly),
-				tpccTput(t, shardTPCC, WallCfg{Clients: 8, Txns: 144, Shards: 2}, readMostly)
+			return tpccTput(t, WallCfg{Clients: 1, Txns: 15}, TPCCMix{PaymentEvery: 3}),
+				tpccTput(t, WallCfg{Clients: 8, Txns: 15}, TPCCMix{PaymentEvery: 3})
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {

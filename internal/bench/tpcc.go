@@ -49,43 +49,9 @@ var tpccDDL = []string{
 	"CREATE TABLE stock (s_w_id INT, s_i_id INT, s_quantity INT, s_ytd DOUBLE, s_order_cnt INT, PRIMARY KEY (s_w_id, s_i_id))",
 }
 
-// Load builds and populates a TPC-C database.
-func (c TPCCConfig) Load() *sqldb.DB { return c.LoadRange(1, c.Warehouses) }
-
-// WarehouseRange returns the inclusive range of c's warehouses that
-// shard owns when they are split over shards: contiguous ranges whose
-// sizes differ by at most one, the first Warehouses%shards of them one
-// warehouse wider. A shard with no warehouses (more shards than
-// warehouses) gets lo > hi.
-func (c TPCCConfig) WarehouseRange(shard, shards int) (lo, hi int64) {
-	w, n, s := int64(c.Warehouses), int64(shards), int64(shard)
-	base, extra := w/n, w%n
-	lo = s*base + min(s, extra) + 1
-	hi = lo + base - 1
-	if s < extra {
-		hi++
-	}
-	return lo, hi
-}
-
-// HomeShard returns the shard of shards whose WarehouseRange holds
-// warehouse w, which must be in [1, Warehouses].
-func (c TPCCConfig) HomeShard(w int64, shards int) int {
-	n := int64(shards)
-	base, extra := int64(c.Warehouses)/n, int64(c.Warehouses)%n
-	idx := w - 1
-	if wide := extra * (base + 1); idx >= wide {
-		return int(extra + (idx-wide)/base)
-	}
-	return int(idx / (base + 1))
-}
-
-// LoadRange builds one shard's slice of the TPC-C database: only
-// warehouses loW..hiW (inclusive) with their districts, customers and
-// stock, plus the full read-only item catalog (reference data, cheap
-// enough to replicate on every shard). LoadRange(1, c.Warehouses) is
-// the unsharded database.
-func (c TPCCConfig) LoadRange(loW, hiW int) *sqldb.DB {
+// Load builds and populates a TPC-C database: c's warehouses with
+// their districts, customers and stock, and the read-only item catalog.
+func (c TPCCConfig) Load() *sqldb.DB {
 	db := sqldb.Open()
 	s := db.NewSession()
 	must := func(sql string, args ...val.Value) {
@@ -96,7 +62,7 @@ func (c TPCCConfig) LoadRange(loW, hiW int) *sqldb.DB {
 	for _, ddl := range tpccDDL {
 		must(ddl)
 	}
-	for w := loW; w <= hiW; w++ {
+	for w := 1; w <= c.Warehouses; w++ {
 		must("INSERT INTO warehouse VALUES (?, ?, ?, 0.0)",
 			val.IntV(int64(w)), val.StrV(fmt.Sprintf("wh%d", w)), val.DoubleV(float64(w%5)*0.02))
 		for d := 1; d <= c.DistrictsPerW; d++ {
@@ -195,8 +161,8 @@ class TPCC {
 // newOrderRemoteStmts issues the remote-supply NewOrder statements in
 // conn's ALREADY OPEN transaction: the order bookkeeping (district
 // counter, orders, new_order, order_line) books at home warehouse wid,
-// while every line's stock draws from supply warehouse swid, which
-// lives on the same shard. Commit/abort is the caller's.
+// while every line's stock draws from supply warehouse swid.
+// Commit/abort is the caller's.
 func (c TPCCConfig) newOrderRemoteStmts(conn dbapi.Conn, wid, did, cid, olcnt, seed, swid int64) (float64, error) {
 	wt, err := conn.Query("SELECT w_tax FROM warehouse WHERE w_id = ?", val.IntV(wid))
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"pyxis"
 	"pyxis/internal/dbapi"
 	"pyxis/internal/deploy"
-	"pyxis/internal/rpc"
 	"pyxis/internal/sqldb"
 	"pyxis/internal/val"
 )
@@ -19,28 +18,13 @@ import (
 type WallCfg struct {
 	Clients int // concurrent clients (goroutines)
 	Txns    int // transactions per client
-	Shards  int // shard servers (0 means 1; at most one per warehouse)
-	Conns   int // pooled mux connections per shard and wire (0 means 1)
+	Conns   int // pooled mux connections per wire (0 means 1)
 }
 
-// topology is the tier cfg describes: its shards host part, split
-// warehouses (0: nothing to split) and load shard i of n with load(i, n).
-func (cfg WallCfg) topology(warehouses int, part *pyxis.Partition, load func(shard, shards int) (*sqldb.DB, error)) (deploy.Topology, error) {
-	shards := max(cfg.Shards, 1)
-	if warehouses > 0 && shards > warehouses {
-		return deploy.Topology{}, fmt.Errorf("bench: %d shards over %d warehouses would leave empty shards", shards, warehouses)
-	}
-	return deploy.Topology{Shards: shards, Conns: cfg.Conns, Partition: part,
-		NewDB: func(shard int) (*sqldb.DB, error) { return load(shard, shards) }}, nil
-}
-
-// up stands top up, failing t on err (topology's) or on deploy.Up's;
-// the caller closes the tier.
-func up(t *testing.T, top deploy.Topology, err error) *deploy.Tier {
+// up stands top up, failing t on deploy.Up's error; the caller closes
+// the tier.
+func up(t *testing.T, top deploy.Topology) *deploy.Tier {
 	t.Helper()
-	if err != nil {
-		t.Fatal(err)
-	}
 	d, err := deploy.Up(top)
 	if err != nil {
 		t.Fatal(err)
@@ -48,30 +32,8 @@ func up(t *testing.T, top deploy.Topology, err error) *deploy.Tier {
 	return d
 }
 
-// placed counts where clients' control sessions landed, per shard and
-// per pooled connection: a broken pool or shard choice piles everything
-// on one.
-type placed struct {
-	mu    sync.Mutex
-	shard []int
-	conn  map[*rpc.MuxClient]int
-}
-
-func (p *placed) add(d *deploy.Tier, shard int, c *deploy.Client) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.shard == nil {
-		p.shard, p.conn = make([]int, len(d.Apps)), map[*rpc.MuxClient]int{}
-	}
-	p.shard[shard]++
-	p.conn[c.Ctl.Conn()]++
-}
-
-// loadRange loads shard's slice of c's database split over shards.
-func (c TPCCConfig) loadRange(shard, shards int) (*sqldb.DB, error) {
-	lo, hi := c.WarehouseRange(shard, shards)
-	return c.LoadRange(int(lo), int(hi)), nil
-}
+// load is c.Load as a Topology's loader.
+func (c TPCCConfig) load() (*sqldb.DB, error) { return c.Load(), nil }
 
 // TPCCMix is the TPC-C workload's schedule.
 type TPCCMix struct {
@@ -84,8 +46,7 @@ type TPCCMix struct {
 	// RemoteMix enables the TPC-C remote-warehouse rolls (spec
 	// §2.4.1.5 and §2.5.1.2): 15% of Payments debit a customer resident
 	// at another warehouse, ~10% of NewOrders draw stock from a remote
-	// supply warehouse. The remote warehouse is one of the home shard's
-	// own, so the transaction stays on one shard.
+	// supply warehouse.
 	RemoteMix bool
 }
 
@@ -104,14 +65,13 @@ type tpccTxn struct {
 	amount                     float64
 }
 
-// parallelTxn is client i's k-th transaction under mix, with the home
-// warehouse kept inside [loW, hiW]. It is a pure function of its
-// arguments, so a reference run can replay the schedule.
-func (c TPCCConfig) parallelTxn(mix TPCCMix, i, k int, loW, hiW int64) tpccTxn {
+// parallelTxn is client i's k-th transaction under mix. It is a pure
+// function of its arguments, so a reference run can replay the
+// schedule.
+func (c TPCCConfig) parallelTxn(mix TPCCMix, i, k int) tpccTxn {
 	seq := int64(i)*1_000_003 + int64(k)
 	t := tpccTxn{kind: kindNewOrder, method: "newOrder", amount: float64(seq%97 + 1)}
 	t.wid, t.did, t.cid, t.olcnt, t.seed, t.rollback = c.txnParams(seq)
-	t.wid = loW + (t.wid-1)%(hiW-loW+1)
 	switch {
 	case mix.WriteEvery > 1 && k%mix.WriteEvery != 0:
 		t.kind, t.method = kindRead, "lastOrder"
@@ -124,7 +84,7 @@ func (c TPCCConfig) parallelTxn(mix TPCCMix, i, k int, loW, hiW int64) tpccTxn {
 			val.IntV(t.seed), val.IntV(int64(c.Items)), val.BoolV(t.rollback)}
 	}
 	if mix.RemoteMix {
-		payRemote, noRemote, remW := remoteRoll(seq, t.wid, loW, hiW)
+		payRemote, noRemote, remW := remoteRoll(seq, t.wid, int64(c.Warehouses))
 		if (t.kind == kindPayment && payRemote) || (t.kind == kindNewOrder && noRemote) {
 			t.remoteW = remW
 		}
@@ -138,10 +98,10 @@ func (c TPCCConfig) parallelTxn(mix TPCCMix, i, k int, loW, hiW int64) tpccTxn {
 // their stock from a remote supply warehouse (§2.4.1.5 rolls 1% per
 // order line; over 5-15 lines that is ~10% of orders, which we roll
 // once per transaction and apply to every line). The remote warehouse
-// is uniform over the other warehouses of wid's shard, [lo, hi]; with a
+// is uniform over the other warehouses of [1, warehouses]; with a
 // single warehouse there is nothing remote to pick.
-func remoteRoll(k, wid, lo, hi int64) (payRemote, noRemote bool, remW int64) {
-	if hi <= lo {
+func remoteRoll(k, wid, warehouses int64) (payRemote, noRemote bool, remW int64) {
+	if warehouses <= 1 {
 		return false, false, 0
 	}
 	h := k*1300637 + 104987
@@ -150,7 +110,7 @@ func remoteRoll(k, wid, lo, hi int64) (payRemote, noRemote bool, remW int64) {
 	}
 	payRemote = (h/17)%100 < 15
 	noRemote = (h/131)%100 < 10
-	remW = lo + h%(hi-lo)
+	remW = 1 + h%(warehouses-1)
 	if remW >= wid {
 		remW++
 	}
@@ -185,8 +145,7 @@ func (c TPCCConfig) paymentNative(conn dbapi.Conn, wid, did, cid int64, amount f
 
 // paymentRemoteStmts issues the remote-Payment statements in conn's
 // already open transaction: the YTD totals book at home warehouse wid,
-// the customer debit at the customer's resident warehouse cwid, which
-// lives on the same shard.
+// the customer debit at the customer's resident warehouse cwid.
 func (c TPCCConfig) paymentRemoteStmts(conn dbapi.Conn, wid, did, cwid, cdid, ccid int64, amount float64) error {
 	if _, err := conn.Exec("UPDATE warehouse SET w_ytd = w_ytd + ? WHERE w_id = ?",
 		val.DoubleV(amount), val.IntV(wid)); err != nil {
@@ -199,27 +158,6 @@ func (c TPCCConfig) paymentRemoteStmts(conn dbapi.Conn, wid, did, cwid, cdid, cc
 	_, err := conn.Exec("UPDATE customer SET c_balance = c_balance - ? WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?",
 		val.DoubleV(amount), val.IntV(cwid), val.IntV(cdid), val.IntV(ccid))
 	return err
-}
-
-// tpccSession is one client's TPCC object on its home shard.
-type tpccSession struct {
-	*deploy.Client
-	shard  int
-	lo, hi int64 // the home shard's warehouses: every warehouse a transaction touches stays inside
-}
-
-// openTPCC opens client i's session. Clients spread evenly over
-// warehouses; the home warehouse picks the shard.
-func openTPCC(d *deploy.Tier, c TPCCConfig, i int) (*tpccSession, error) {
-	shards := len(d.Apps)
-	shard := c.HomeShard(int64(i%c.Warehouses)+1, shards)
-	cl, err := d.Open(shard, "TPCC")
-	if err != nil {
-		return nil, err
-	}
-	s := &tpccSession{Client: cl, shard: shard}
-	s.lo, s.hi = c.WarehouseRange(shard, shards)
-	return s, nil
 }
 
 // rollbackJoin rolls conn back because of err (nil for the intentional
@@ -238,9 +176,9 @@ func rollbackJoin(err error, conn dbapi.Conn) error {
 // an entry call through the partitioned program, or, when the remote
 // roll fired, the same statements issued natively in one transaction
 // on the session's database connection.
-func tpccStep(c TPCCConfig, mix TPCCMix) func(s *tpccSession, i, k int) (txnOut, error) {
-	return func(s *tpccSession, i, k int) (txnOut, error) {
-		t := c.parallelTxn(mix, i, k, s.lo, s.hi)
+func tpccStep(c TPCCConfig, mix TPCCMix) func(s *deploy.Client, i, k int) (txnOut, error) {
+	return func(s *deploy.Client, i, k int) (txnOut, error) {
+		t := c.parallelTxn(mix, i, k)
 		if t.remoteW == 0 {
 			_, err := s.Call("TPCC."+t.method, t.args...)
 			return txnOut{kind: t.kind}, err
@@ -266,41 +204,32 @@ func tpccStep(c TPCCConfig, mix TPCCMix) func(s *tpccSession, i, k int) (txnOut,
 	}
 }
 
-// tpccRun is one TPC-C run: what the clients did, where their sessions
-// landed, the control transfers the DB side served, the shard
-// databases and what CheckShardInvariants found in them.
+// tpccRun is one TPC-C run: what the clients did, the control transfers
+// the DB side served, the database and what CheckTPCCBalances found in
+// it.
 type tpccRun struct {
 	driven
 	sum        count
-	placed     placed
 	transfers  int64
-	dbs        []*sqldb.DB
+	db         *sqldb.DB
 	violations []string
 }
 
 // runTPCC drives cfg.Clients sessions of the TPC-C mix through part
-// against cfg.Shards shard servers, each owning a disjoint warehouse
-// range. Every client opens its session on its home warehouse's shard
-// and keeps every warehouse its transactions touch there.
+// against one server.
 func runTPCC(t *testing.T, part *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix TPCCMix) *tpccRun {
 	t.Helper()
-	top, err := cfg.topology(c.Warehouses, part, c.loadRange)
-	d := up(t, top, err)
+	d := up(t, deploy.Topology{Conns: cfg.Conns, Partition: part, NewDB: c.load})
 	defer d.Close()
-	r := &tpccRun{dbs: d.DBs}
+	r := &tpccRun{db: d.DB}
+	var err error
 	r.driven, err = drive(cfg.Clients, cfg.Txns,
-		func(i int) (*tpccSession, error) {
-			s, err := openTPCC(d, c, i)
-			if err == nil {
-				r.placed.add(d, s.shard, s.Client)
-			}
-			return s, err
-		}, tpccStep(c, mix))
+		func(int) (*deploy.Client, error) { return d.App.Open("TPCC") }, tpccStep(c, mix))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.sum, r.transfers = r.total(), d.Transfers()
-	r.violations = CheckShardInvariants(d.DBs, c)
+	r.violations = CheckTPCCBalances(d.DB, c)
 	return r
 }
 
@@ -314,13 +243,20 @@ func runTPCC(t *testing.T, part *pyxis.Partition, c TPCCConfig, cfg WallCfg, mix
 // stock rows in per-transaction random order, so this exercises lock
 // waits and usually real deadlock resolution. At budget 0 every
 // statement is issued from the APP side over the database wire, so
-// transactions hold row locks across wire round trips.
+// transactions hold row locks across wire round trips. The read-mostly
+// row makes every other call the read-only TPCC.lastOrder.
 func TestParallelTPCCInvariants(t *testing.T) {
 	for _, tc := range []struct {
+		name   string
 		budget float64
 		txns   int
-	}{{1.0, 12}, {0, 6}} {
-		t.Run(fmt.Sprintf("budget%.0f", tc.budget), func(t *testing.T) {
+		mix    TPCCMix
+	}{
+		{"budget1", 1.0, 12, TPCCMix{PaymentEvery: 3}},
+		{"budget0", 0, 6, TPCCMix{PaymentEvery: 3}},
+		{"budget1_read_mostly", 1.0, 6, TPCCMix{WriteEvery: 2, PaymentEvery: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			c := DefaultTPCC()
 			part, err := c.PyxisPartition(tc.budget)
 			if err != nil {
@@ -330,17 +266,17 @@ func TestParallelTPCCInvariants(t *testing.T) {
 				t.Fatal("budget 1.0 should place statements on the DB server")
 			}
 			cfg := WallCfg{Clients: 8, Txns: tc.txns}
-			r := runTPCC(t, part, c, cfg, TPCCMix{PaymentEvery: 3})
+			r := runTPCC(t, part, c, cfg, tc.mix)
 			if want := cfg.Clients * cfg.Txns; r.sum.txns != want {
 				t.Errorf("completed %d txns, want %d", r.sum.txns, want)
 			}
-			if r.sum.kinds[kindPayment] == 0 || r.sum.kinds[kindNewOrder] == 0 {
-				t.Errorf("degenerate mix: %d new-orders, %d payments", r.sum.kinds[kindNewOrder], r.sum.kinds[kindPayment])
+			if k := r.sum.kinds; k[kindPayment] == 0 || k[kindNewOrder] == 0 || (tc.mix.WriteEvery > 1) != (k[kindRead] > 0) {
+				t.Errorf("degenerate mix: %d new-orders, %d payments, %d reads", k[kindNewOrder], k[kindPayment], k[kindRead])
 			}
 			if tc.budget == 1 && r.transfers == 0 {
 				t.Error("shared DB-side peer served no control transfers")
 			}
-			for _, v := range CheckTPCCInvariants(r.dbs[0], c) {
+			for _, v := range r.violations {
 				t.Errorf("invariant violated: %s", v)
 			}
 		})

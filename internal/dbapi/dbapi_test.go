@@ -246,6 +246,64 @@ func TestDeadlockSentinelOverMux(t *testing.T) {
 	}
 }
 
+// TestDistrictUpgradeDeadlock pins NewOrder's S→X upgrade deadlock:
+// two sessions read one district row with NewOrder's query (each takes
+// S on the row) and then both run NewOrder's update of it (each asks
+// for X while the other holds S). The row is the only lock they could
+// conflict on, since the writers' table IX locks are compatible, so the
+// first update waits on the upgrade and the second closes the cycle:
+// it gets the ErrDeadlock sentinel, and the first is granted X and
+// commits.
+func TestDistrictUpgradeDeadlock(t *testing.T) {
+	db := sqldb.Open()
+	for _, q := range []string{
+		"CREATE TABLE district (d_w_id INT, d_id INT, d_tax DOUBLE, d_ytd DOUBLE, d_next_o_id INT, PRIMARY KEY (d_w_id, d_id))",
+		"INSERT INTO district VALUES (1, 1, 0.05, 0.0, 1)",
+	} {
+		if _, err := db.NewSession().Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const (
+		read   = "SELECT d_tax, d_next_o_id FROM district WHERE d_w_id = ? AND d_id = ?"
+		update = "UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = ? AND d_id = ?"
+	)
+	w, d := val.IntV(1), val.IntV(1)
+	first, second := NewLocal(db), NewLocal(db)
+	for _, c := range []*Local{first, second} {
+		if err := c.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Query(read, w, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := first.Exec(update, w, d)
+		blocked <- err
+	}()
+	// Wait until the first update is parked on the second's S lock, then
+	// close the cycle.
+	waitForLockWaits(t, db, 1)
+	if _, err := second.Exec(update, w, d); !errors.Is(err, sqldb.ErrDeadlock) {
+		t.Fatalf("second update: %v, want ErrDeadlock", err)
+	}
+	if err := <-blocked; err != nil {
+		t.Fatalf("first update after the victim aborted: %v", err)
+	}
+	if err := first.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, deadlocks := db.LockWaits(); deadlocks != 1 {
+		t.Errorf("%d deadlocks, want 1", deadlocks)
+	}
+	rs, err := db.NewSession().Query("SELECT d_next_o_id FROM district WHERE d_w_id = 1 AND d_id = 1")
+	if err != nil || rs.Rows[0][0].I != 2 {
+		t.Fatalf("d_next_o_id = %v (err %v), want 2: one committed increment", rs.Rows, err)
+	}
+}
+
 func waitForLockWaits(t *testing.T, db *sqldb.DB, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -17,12 +17,12 @@ import (
 	"pyxis/internal/val"
 )
 
-// ledgerTier stands up one shard serving the ledger at budget, with
-// mux configuration mux (nil: none).
-func ledgerTier(t *testing.T, budget float64, mux func(int, *sqldb.DB) rpc.MuxServeConfig) *Tier {
+// ledgerTier stands up a tier serving the ledger at budget, with
+// control-wire configuration mux.
+func ledgerTier(t *testing.T, budget float64, mux rpc.MuxServeConfig) *Tier {
 	t.Helper()
 	tier, err := Up(Topology{Partition: ledgerPartitions(t, budget)[0], Mux: mux,
-		NewDB: func(int) (*sqldb.DB, error) { return ledgerDB(t), nil }})
+		NewDB: func() (*sqldb.DB, error) { return ledgerDB(t), nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +44,12 @@ func TestDepositExactCounts(t *testing.T) {
 		{1, 1, 0, 1, 0},
 		{0, 0, 3, 0, 3},
 	} {
-		tier := ledgerTier(t, tc.budget, nil)
-		c, err := tier.Open(0, "Ledger", val.IntV(0))
+		tier := ledgerTier(t, tc.budget, rpc.MuxServeConfig{})
+		c, err := tier.App.Open("Ledger", val.IntV(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		app := tier.Apps[0]
+		app := tier.App
 		ctl0, db0 := app.Ctl.Stats().Calls, app.DB.Stats().Calls
 		wire := func() (ctl, db int64) { return app.Ctl.Stats().Calls - ctl0, app.DB.Stats().Calls - db0 }
 		const deposits = 7
@@ -61,7 +61,7 @@ func TestDepositExactCounts(t *testing.T) {
 		if ctl, db := wire(); ctl != deposits*tc.ctl || db != deposits*tc.db {
 			t.Errorf("budget %v: %d control and %d database calls, want %d and %d", tc.budget, ctl, db, deposits*tc.ctl, deposits*tc.db)
 		}
-		if got := balance(t, tier.DBs[0]); got != deposits {
+		if got := balance(t, tier.DB); got != deposits {
 			t.Errorf("budget %v: balance %v after %d deposits", tc.budget, got, deposits)
 		}
 		// Account 1 does not exist: the deposit commits, then fails reading
@@ -269,12 +269,9 @@ func TestPooledClientsNeverQueueCalls(t *testing.T) {
 // with rpc.ErrOverloaded, and Open succeeds again once a client
 // closes. A client holds one slot.
 func TestAdmissionNeverShedsAdmittedSessions(t *testing.T) {
-	var adm *runtime.AdmissionController
-	tier := ledgerTier(t, 1.0, func(int, *sqldb.DB) rpc.MuxServeConfig {
-		adm = runtime.NewAdmissionController(2)
-		return rpc.MuxServeConfig{Admission: adm}
-	})
-	open := func() (*Client, error) { return tier.Open(0, "Ledger", val.IntV(0)) }
+	adm := runtime.NewAdmissionController(2)
+	tier := ledgerTier(t, 1.0, rpc.MuxServeConfig{Admission: adm})
+	open := func() (*Client, error) { return tier.App.Open("Ledger", val.IntV(0)) }
 	c, err := open()
 	if err != nil {
 		t.Fatal(err)
@@ -288,13 +285,13 @@ func TestAdmissionNeverShedsAdmittedSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctl0 := tier.Apps[0].Ctl.Stats().Calls
+	ctl0 := tier.App.Ctl.Stats().Calls
 	for k := 0; k < 5; k++ {
 		if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
 			t.Fatalf("call %d on an admitted client at the cap: %v", k, err)
 		}
 	}
-	if got := tier.Apps[0].Ctl.Stats().Calls - ctl0; got != 5 {
+	if got := tier.App.Ctl.Stats().Calls - ctl0; got != 5 {
 		t.Errorf("%d control calls, want 5 (every call on the gated control wire)", got)
 	}
 	if _, err := open(); !errors.Is(err, rpc.ErrOverloaded) {
@@ -314,7 +311,7 @@ func TestAdmissionNeverShedsAdmittedSessions(t *testing.T) {
 		t.Fatalf("Open after a client closed: %v", err)
 	}
 	defer third.Close()
-	if got := balance(t, tier.DBs[0]); got != 5 {
+	if got := balance(t, tier.DB); got != 5 {
 		t.Errorf("balance %v after 5 deposits", got)
 	}
 }

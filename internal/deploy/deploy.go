@@ -4,9 +4,8 @@
 // one partitioned program — on two mux ports, and an App, the
 // application side, rebuilds its half from what the server serves,
 // dials a pool of connections to its two ports and opens client
-// sessions on them. An App dials one server. A Tier of several shards
-// holds one App per shard, and the caller picks the shard a client
-// opens on from the data that client names.
+// sessions on them. An App dials one server, and a Tier is one server
+// and one App.
 // cmd/pyxis-dbserver calls Listen, cmd/pyxis-app calls Dial, and Up does
 // both over loopback TCP in one process for the tests and the examples.
 package deploy
@@ -215,89 +214,62 @@ func (c *Client) Call(method string, args ...val.Value) (val.Value, error) {
 // Close closes the client's sessions.
 func (c *Client) Close() error { return c.rt.Close() }
 
-// Topology is a whole tier as data: how many shards (0 means 1), how
-// many connections to each shard's wires (0 means 1), the program every
-// shard hosts, each shard's control-wire configuration (nil: none) and
-// how each shard's database is loaded. Which keys a shard owns is the
-// loader's business: the tier routes nothing.
+// Topology is a whole tier as data: how many connections to the
+// server's wires (0 means 1), the program it hosts, its control-wire
+// configuration and how its database is loaded.
 type Topology struct {
-	Shards    int
 	Conns     int
 	Partition *pyxis.Partition
-	Mux       func(shard int, db *sqldb.DB) rpc.MuxServeConfig
-	NewDB     func(shard int) (*sqldb.DB, error)
+	Mux       rpc.MuxServeConfig
+	NewDB     func() (*sqldb.DB, error)
 }
 
-// Tier is a running Topology: one Server per shard and one App dialled
-// to each.
+// Tier is a running Topology: one Server and one App dialled to it.
 type Tier struct {
-	// Apps holds shard i's App at i.
-	Apps []*App
-	// DBs is each shard's database.
-	DBs []*sqldb.DB
+	App *App
+	// DB is the server's database.
+	DB *sqldb.DB
 
-	shards  []*Shard
-	servers []*Server
+	shard  *Shard
+	server *Server
 }
 
-// Up stands t up in this process: per shard one database and its
-// peer — nothing shared between shards — served on loopback TCP, and an
-// App dialled to it.
+// Up stands t up in this process: a database and its peer served on
+// loopback TCP, and an App dialled to it.
 func Up(t Topology) (*Tier, error) {
-	tier := &Tier{}
-	for shard := range max(t.Shards, 1) {
-		db, err := t.NewDB(shard)
-		if err != nil {
-			tier.Close()
-			return nil, err
-		}
-		s := &Shard{DB: db, Partition: t.Partition}
-		if t.Mux != nil {
-			s.Mux = t.Mux(shard, db)
-		}
-		srv, err := Listen(s, "127.0.0.1:0", "127.0.0.1:0")
-		if err != nil {
-			tier.Close()
-			return nil, err
-		}
-		tier.DBs, tier.shards, tier.servers = append(tier.DBs, db), append(tier.shards, s), append(tier.servers, srv)
-		var ctlAddr string
-		if srv.Ctl != nil {
-			ctlAddr = srv.Ctl.Addr()
-		}
-		app, err := Dial(srv.DB.Addr(), ctlAddr, max(t.Conns, 1), nil)
-		if err != nil {
-			tier.Close()
-			return nil, err
-		}
-		tier.Apps = append(tier.Apps, app)
+	db, err := t.NewDB()
+	if err != nil {
+		return nil, err
 	}
-	return tier, nil
+	s := &Shard{DB: db, Partition: t.Partition, Mux: t.Mux}
+	srv, err := Listen(s, "127.0.0.1:0", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	var ctlAddr string
+	if srv.Ctl != nil {
+		ctlAddr = srv.Ctl.Addr()
+	}
+	app, err := Dial(srv.DB.Addr(), ctlAddr, max(t.Conns, 1), nil)
+	if err != nil {
+		srv.Close()
+		return nil, err
+	}
+	return &Tier{App: app, DB: db, shard: s, server: srv}, nil
 }
 
-// Open opens a client on shard's App (App.Open).
-func (t *Tier) Open(shard int, class string, args ...val.Value) (*Client, error) {
-	return t.Apps[shard].Open(class, args...)
-}
-
-// Transfers is the number of control transfers the DB-side peers
-// served (> 0 proves partitioned code ran on the DB side).
-func (t *Tier) Transfers() (n int64) {
-	for _, s := range t.shards {
-		if s.peer != nil {
-			n += s.peer.Metrics.Snapshot().Transfers
-		}
+// Transfers is the number of control transfers the DB-side peer served
+// (> 0 proves partitioned code ran on the DB side).
+func (t *Tier) Transfers() int64 {
+	if t.shard.peer == nil {
+		return 0
 	}
-	return n
+	return t.shard.peer.Metrics.Snapshot().Transfers
 }
 
 // Close tears the tier down and returns once no connection is being
 // served any more.
 func (t *Tier) Close() {
-	for _, a := range t.Apps {
-		a.Close()
-	}
-	for _, s := range t.servers {
-		s.Close()
-	}
+	t.App.Close()
+	t.server.Close()
 }

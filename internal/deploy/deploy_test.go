@@ -73,53 +73,42 @@ func balance(t *testing.T, db *sqldb.DB) float64 {
 	return rs.Rows[0][0].F
 }
 
-// TestDeployServesEveryShardAndCloses stands the smallest and a
-// general topology up, serves one ledger call per shard through freshly
-// opened sessions, and requires Close to leave nothing serving: every
-// server drained and every client read loop gone.
-func TestDeployServesEveryShardAndCloses(t *testing.T) {
+// TestUpServesAndCloses stands a tier up over one and over two pooled
+// connections, serves one ledger call through a freshly opened
+// session, and requires Close to leave nothing serving: the server
+// drained and every client read loop gone.
+func TestUpServesAndCloses(t *testing.T) {
 	part := ledgerPartitions(t, 1.0)[0]
-	for _, top := range []Topology{
-		{},
-		{Shards: 2, Conns: 2},
-	} {
-		top.Partition = part
-		top.NewDB = func(int) (*sqldb.DB, error) { return ledgerDB(t), nil }
+	for _, conns := range []int{1, 2} {
 		before := goruntime.NumGoroutine()
-		tier, err := Up(top)
+		tier, err := Up(Topology{Conns: conns, Partition: part,
+			NewDB: func() (*sqldb.DB, error) { return ledgerDB(t), nil }})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shards := max(top.Shards, 1); len(tier.DBs) != shards || len(tier.shards) != shards || len(tier.Apps) != shards {
-			t.Fatalf("%d databases, %d shards and %d apps for %d shards", len(tier.DBs), len(tier.shards), len(tier.Apps), shards)
+		c, err := tier.App.Open("Ledger", val.IntV(0))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for shard := range tier.DBs {
-			c, err := tier.Open(shard, "Ledger", val.IntV(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
-				t.Fatalf("shard %d: %v", shard, err)
-			}
-			c.Close()
+		if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
+			t.Fatalf("conns=%d: %v", conns, err)
 		}
-		for shard, db := range tier.DBs {
-			if got := balance(t, db); got != 1 {
-				t.Errorf("shard %d: balance %v after one deposit per shard, want 1", shard, got)
-			}
+		c.Close()
+		if got := balance(t, tier.DB); got != 1 {
+			t.Errorf("conns=%d: balance %v after one deposit, want 1", conns, got)
 		}
 		if got := tier.Transfers(); got == 0 {
-			t.Error("no DB-side peer served a control transfer")
+			t.Error("the DB-side peer served no control transfer")
 		}
 		tier.Close()
-		// Close has waited for every server; what is left to settle is
+		// Close has waited for the server; what is left to settle is
 		// the client ends' read loops noticing.
 		deadline := time.Now().Add(5 * time.Second)
 		for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		if after := goruntime.NumGoroutine(); after > before {
-			t.Errorf("shards=%d: %d goroutines before Up, %d after Close", len(tier.DBs), before, after)
+			t.Errorf("conns=%d: %d goroutines before Up, %d after Close", conns, before, after)
 		}
 	}
 }
@@ -175,39 +164,6 @@ func TestListenDialCapShedsControlOnly(t *testing.T) {
 	defer conn.Close()
 	if _, err := conn.Query("SELECT balance FROM accounts WHERE cid = 0"); err != nil {
 		t.Errorf("database session shed with the control cap full: %v", err)
-	}
-}
-
-// TestTierDeadShardFailsAlone: shards share nothing, so a dead shard
-// fails its own clients and no other. With shard 0's server closed, a
-// client cannot open there (or its first call fails), while shard 1
-// still opens clients and serves deposits.
-func TestTierDeadShardFailsAlone(t *testing.T) {
-	tier, err := Up(Topology{Shards: 2, Conns: 2, Partition: ledgerPartitions(t, 1.0)[0],
-		NewDB: func(int) (*sqldb.DB, error) { return ledgerDB(t), nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tier.Close()
-	tier.servers[0].Close()
-
-	if c, err := tier.Open(0, "Ledger", val.IntV(0)); err == nil {
-		_, err = c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1))
-		c.Close()
-		if err == nil {
-			t.Fatal("a client of the closed shard opened and served a deposit")
-		}
-	}
-	c, err := tier.Open(1, "Ledger", val.IntV(0))
-	if err != nil {
-		t.Fatalf("shard 1 with shard 0 down: %v", err)
-	}
-	defer c.Close()
-	if _, err := c.Call("Ledger.deposit", val.IntV(0), val.DoubleV(1)); err != nil {
-		t.Fatalf("shard 1 deposit with shard 0 down: %v", err)
-	}
-	if got := balance(t, tier.DBs[1]); got != 1 {
-		t.Errorf("shard 1 balance %v after one deposit, want 1", got)
 	}
 }
 

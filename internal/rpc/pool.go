@@ -5,15 +5,18 @@ package rpc
 //
 // One multiplexed TCP connection is a single head-of-line: every frame
 // of every session funnels through one read loop and one write mutex
-// on each end, so past a handful of concurrent sessions the wire — not
-// the engine — caps throughput. The pool therefore places each NEW
-// session on the least-loaded connection (by its calls in flight) and
-// pins it there for life, which preserves every per-session invariant
-// of the single-connection protocol: per-session ordering (one worker
-// per session server-side) and session-scoped state. Session IDs come
-// from the chosen connection's own counter: every server serves each
-// connection with its own session handlers, so an ID only has to be
-// unique on its connection.
+// on each end. Measured on a 2-CPU host (a read-mostly ledger, one
+// deposit in eight, ten alternating pairs of sub-second runs), 4
+// connections against 1 read a median 0.95× at 8 concurrent sessions
+// and 1.18× at 32, where the 4-connection arm won every pair: the one
+// wire starts to cap throughput somewhere between those loads. The pool
+// therefore places each NEW session on the least-loaded connection (by
+// its calls in flight) and pins it there for life, which preserves
+// every per-session invariant of the single-connection protocol:
+// per-session ordering (one worker per session server-side) and
+// session-scoped state. Session IDs come from the chosen connection's
+// own counter: every server serves each connection with its own session
+// handlers, so an ID only has to be unique on its connection.
 
 import (
 	"errors"

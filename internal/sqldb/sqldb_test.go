@@ -327,7 +327,8 @@ func TestNoDirtyRead(t *testing.T) {
 	}
 }
 
-// TestDeadlockDetection: classic two-transaction crossing upgrade.
+// TestDeadlockDetection: two transactions write two rows in crossing
+// order, each holding X on one row and asking for X on the other.
 func TestDeadlockDetection(t *testing.T) {
 	db, s1 := newAccountsDB(t)
 	s2 := db.NewSession()
